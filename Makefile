@@ -19,7 +19,10 @@
 # artifact; `make streamfig` rewrites the streaming-mutation study
 # (FIG_stream_study.csv, incremental PR/WCC maintenance vs. full
 # recompute across batch size x delete fraction); `make
-# streamfig-check` is the streaming drift gate over that artifact.
+# streamfig-check` is the streaming drift gate over that artifact;
+# `make bench-test` builds and tests the nested bench/ module (the
+# wall-clock benchmark behind BENCHMARK.json), which `go test ./...`
+# from the root does not reach.
 
 GO ?= go
 FUZZTIME ?= 20s
@@ -30,15 +33,20 @@ FUZZTIME ?= 20s
 # pinned to kron-12 in code, independent of this knob.)
 SCHEDFIG_SCALE ?= 17
 
-.PHONY: all build test race race-full fuzz bench baseline benchfig benchfig-ci benchfig-check compress-ratio servefig servefig-check streamfig streamfig-check serve-soak speedup-floor big-conformance numa-sweep vet fmt-check
+.PHONY: all build test bench-test race race-full fuzz bench baseline benchfig benchfig-ci benchfig-check compress-ratio servefig servefig-check streamfig streamfig-check serve-soak speedup-floor big-conformance numa-sweep vet fmt-check
 
-all: test race
+all: test bench-test race
 
 build:
 	$(GO) build ./...
 
 test: build
 	$(GO) test ./...
+
+# bench/ has its own go.mod (replace => ../) so it can import
+# internal/...; it compiles against internal/parallel, engines, server.
+bench-test:
+	cd bench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/graph/... ./internal/engines/...

@@ -46,13 +46,20 @@ const (
 // exactly as GAP's sliding queue does. Every charged cost is a
 // function of chunk contents only — never of the goroutine schedule.
 func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
+	return inst.BFSInto(root, nil)
+}
+
+// BFSInto is BFS writing into dst, the idiom of DecodeNeighbors(v, buf)
+// and Bitmap.ToSlice(…, dst): dst's arrays are reused when they hold n
+// entries and replaced when they do not, and a nil dst gets a fresh
+// result. The caller owns dst before and after the call; the instance
+// keeps no reference to it. Together with the instance's workspace this
+// makes a warm search allocate nothing that scales with the graph.
+func (inst *Instance) BFSInto(root graph.VID, dst *engines.BFSResult) (*engines.BFSResult, error) {
 	inst.ensureBuilt()
 	n := inst.n
-	res := &engines.BFSResult{
-		Root:   root,
-		Parent: make([]int64, n),
-		Depth:  make([]int64, n),
-	}
+	ws := inst.scratch()
+	res := bfsResultFor(dst, root, n)
 	parent := res.Parent
 	depth := res.Depth
 	for i := range parent {
@@ -62,9 +69,8 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 	parent[root] = int64(root)
 	depth[root] = 0
 
-	next := parallel.NewChunkQueue[parallel.Claim]()
-	var front, nextBits *parallel.Bitmap // allocated at the first switch
-	frontier := []graph.VID{root}
+	front, nextBits := ws.front, ws.nextBits // sized at the first switch
+	ws.frontier = append(ws.frontier[:0], root)
 	frontierLen := 1
 	scout := inst.out.Degree(root)
 	level := int64(0)
@@ -90,26 +96,24 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 
 		var examined, nextScout int64
 		if bottomUp {
-			if front == nil {
-				front = parallel.NewBitmap(n)
-				nextBits = parallel.NewBitmap(n)
+			if front == nil || front.Len() != n {
+				front, nextBits = parallel.NewBitmap(n), parallel.NewBitmap(n)
+				ws.front, ws.nextBits = front, nextBits
 			}
 			if !wasBottomUp {
-				inst.frontierToBitmap(frontier, front)
+				inst.frontierToBitmap(ws.frontier, front)
 			}
 			var found int64
-			examined, nextScout, found = inst.stepBottomUp(front, nextBits, parent, depth, level)
+			examined, nextScout, found = inst.stepBottomUp(ws, front, nextBits, parent, depth, level)
 			front, nextBits = nextBits, front
 			frontierLen = int(found)
 		} else {
 			if wasBottomUp {
-				frontier = inst.bitmapToFrontier(front, frontier[:0], frontierLen)
+				ws.frontier = inst.bitmapToFrontier(front, ws.frontier[:0], frontierLen)
 			}
-			g := inst.m.Grain(len(frontier), bfsTopDownGrain, 1)
-			next.Reset(parallel.NumChunks(len(frontier), g))
-			examined = inst.stepTopDown(frontier, g, parent, depth, level, next)
-			frontier, nextScout = inst.drainFrontier(next, parent, frontier)
-			frontierLen = len(frontier)
+			examined = inst.stepTopDown(ws, ws.frontier, parent, depth, level)
+			ws.frontier, nextScout = inst.drainFrontier(&ws.claims, parent, ws.frontier)
+			frontierLen = len(ws.frontier)
 		}
 		edgesExamined += examined
 		edgesUnexplored -= scout
@@ -128,12 +132,17 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 // yet finalized (the set of such edges is fixed by the previous
 // levels), and queue cycles per dequeued vertex — the last amortizing
 // the chunk-ordered flush, which replaced the per-level sort.
-func (inst *Instance) stepTopDown(frontier []graph.VID, grain int, parent, depth []int64, level int64, next *parallel.ChunkQueue[parallel.Claim]) (examined int64) {
-	exa := parallel.NewCounter(inst.m.Workers())
+func (inst *Instance) stepTopDown(ws *workspace, frontier []graph.VID, parent, depth []int64, level int64) (examined int64) {
+	grain := inst.m.Grain(len(frontier), bfsTopDownGrain, 1)
+	next, arena := &ws.claims, &ws.claimBuf
+	next.Reset(parallel.NumChunks(len(frontier), grain))
+	arena.Reset(ws.workers)
+	exa := ws.counter(0)
 	cpb := inst.m.Model().DecodeCyclesPerByte
 	inst.m.ParallelForChunks(len(frontier), grain, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-		var local []parallel.Claim
-		var buf []graph.VID
+		local := arena.Take(worker)
+		start := len(local)
+		buf := ws.decode[worker]
 		var edges, claims, decBytes int64
 		for _, v := range frontier[lo:hi] {
 			adj := inst.out.Neighbors(v)
@@ -163,7 +172,8 @@ func (inst *Instance) stepTopDown(frontier []graph.VID, grain int, parent, depth
 				}
 			}
 		}
-		next.Put(chunk, local)
+		next.Put(chunk, arena.Give(worker, local, start))
+		ws.decode[worker] = buf
 		exa.Add(worker, edges)
 		if inst.cout != nil {
 			w.Charge(costTopDownEdgeC.Scale(float64(edges)))
@@ -244,11 +254,9 @@ func (inst *Instance) bitmapToFrontier(b *parallel.Bitmap, dst []graph.VID, coun
 // next bitmap in-region (ranges are 64-aligned by the grain), so the
 // reset is parallel and charged per chunk — no extra region, no extra
 // barrier.
-func (inst *Instance) stepBottomUp(front, next *parallel.Bitmap, parent, depth []int64, level int64) (examined, nextScout, found int64) {
+func (inst *Instance) stepBottomUp(ws *workspace, front, next *parallel.Bitmap, parent, depth []int64, level int64) (examined, nextScout, found int64) {
 	n := inst.n
-	exa := parallel.NewCounter(inst.m.Workers())
-	sct := parallel.NewCounter(inst.m.Workers())
-	fnd := parallel.NewCounter(inst.m.Workers())
+	exa, sct, fnd := ws.counter(0), ws.counter(1), ws.counter(2)
 	cpb := inst.m.Model().DecodeCyclesPerByte
 	// align 64: each chunk clears its own word range of `next`.
 	g := inst.m.Grain(n, bfsBottomUpGrain, 64)

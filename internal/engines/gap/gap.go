@@ -127,6 +127,8 @@ type Instance struct {
 	// trajectory into it — armed only by recordedPageRank, so plain
 	// runs never pay the O(iters·n) memory.
 	prRec *prTrajectory
+	// ws is the traversal kernels' reusable working set (workspace.go).
+	ws workspace
 }
 
 // SetCancel implements engines.CancelSetter: check is polled between

@@ -17,12 +17,21 @@ import (
 // relaxation passes of its light edges, then heavy edges are relaxed
 // once.
 func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
+	return inst.SSSPInto(root, nil)
+}
+
+// SSSPInto is SSSP writing into dst under BFSInto's ownership rule:
+// dst's arrays are reused when large enough, a nil dst gets a fresh
+// result, and the instance keeps no reference to either.
+func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engines.SSSPResult, error) {
 	inst.ensureBuilt()
 	if inst.out.Weights == nil {
 		return nil, engines.ErrUnsupported // unweighted input, as with cit-Patents in Table I
 	}
+	ws := inst.scratch()
+	res := ssspResultFor(dst, root, inst.n)
 	if inst.eng.SyncSSSP {
-		return inst.ssspSync(root)
+		return inst.ssspSync(ws, res)
 	}
 	n := inst.n
 	delta := inst.eng.Delta
@@ -30,12 +39,8 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 		delta = DefaultDelta
 	}
 
-	res := &engines.SSSPResult{
-		Root:   root,
-		Dist:   make([]float64, n),
-		Parent: make([]int64, n),
-	}
-	dist := make([]uint64, n) // float64 bits, for CAS-min
+	ws.dist = resized(ws.dist, n)
+	dist := ws.dist // float64 bits, for CAS-min
 	inf := math.Float64bits(math.Inf(1))
 	for i := range dist {
 		dist[i] = inf
@@ -62,32 +67,28 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 		}
 	}
 
-	buckets := [][]graph.VID{{root}}
-	relax := parallel.NewCounter(inst.m.Workers())
+	ws.resetBuckets(root)
+	relax := ws.counter(0)
 	// Per-chunk bucket-update queues replace the mutex-guarded merge
 	// the relaxation passes used before: chunks collect their re-adds
 	// and later-bucket insertions locally and the queues concatenate
 	// them in chunk order — no lock, no contention, and the merge order
 	// is a function of the chunk partition alone (membership stays
 	// racy: this is the suite's chaotic CAS relaxation by design).
-	reAddQ := parallel.NewChunkQueue[graph.VID]()
-	laterQ := parallel.NewChunkQueue[[2]int64]() // (bucket, vertex)
+	reAddQ, reAddBuf := &ws.reAddQ, &ws.reAddBuf
+	laterQ, laterBuf := &ws.laterQ, &ws.laterBuf
 
 	bucketOf := func(d float64) int { return int(d / delta) }
-	put := func(bkts [][]graph.VID, idx int, v graph.VID) [][]graph.VID {
-		for len(bkts) <= idx {
-			bkts = append(bkts, nil)
-		}
-		bkts[idx] = append(bkts[idx], v)
-		return bkts
-	}
 	const grain = 32 // GrainFixed base; adaptive resolves per pass
 
-	for bi := 0; bi < len(buckets); bi++ {
+	for bi := 0; bi < len(ws.buckets); bi++ {
 		// Settle light edges of bucket bi to a fixed point.
-		current := buckets[bi]
-		buckets[bi] = nil
-		var heavyFrontier []graph.VID
+		// Nothing is put into bucket bi while it settles (re-adds go
+		// through ws.reAdd, the rest to later buckets), so truncating it
+		// now keeps its array for the next call without touching current.
+		current := ws.buckets[bi]
+		ws.buckets[bi] = current[:0]
+		heavyFrontier := ws.heavy[:0]
 		for len(current) > 0 {
 			// Polled per relaxation pass (bucket granularity), between
 			// regions — the SSSP analogue of the per-level BFS check.
@@ -99,9 +100,11 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 			nchunks := parallel.NumChunks(len(current), g)
 			reAddQ.Reset(nchunks)
 			laterQ.Reset(nchunks)
+			reAddBuf.Reset(ws.workers)
+			laterBuf.Reset(ws.workers)
 			inst.m.ParallelForChunks(len(current), g, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-				var localRe []graph.VID
-				var localLater [][2]int64
+				localRe, localLater := reAddBuf.Take(worker), laterBuf.Take(worker)
+				startRe, startLater := len(localRe), len(localLater)
 				var edges, wins int64
 				for _, v := range current[lo:hi] {
 					dv := loadDist(v)
@@ -134,24 +137,32 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 						}
 					}
 				}
-				reAddQ.Put(chunk, localRe)
-				laterQ.Put(chunk, localLater)
+				reAddQ.Put(chunk, reAddBuf.Give(worker, localRe, startRe))
+				laterQ.Put(chunk, laterBuf.Give(worker, localLater, startLater))
 				relax.Add(worker, edges)
 				w.Charge(costRelax.Scale(float64(edges)))
 				w.Charge(costClaim.Scale(float64(wins)))
-				w.Charge(costBucketOp.Scale(float64(len(localRe) + len(localLater))))
+				w.Charge(costBucketOp.Scale(float64(len(localRe) - startRe + len(localLater) - startLater)))
 			})
-			for _, bv := range laterQ.Slice() {
-				buckets = put(buckets, int(bv[0]), graph.VID(bv[1]))
+			for _, later := range laterQ.Chunks() {
+				for _, bv := range later {
+					ws.putBucket(int(bv[0]), graph.VID(bv[1]))
+				}
 			}
-			current = reAddQ.AppendTo(nil)
+			// The pass that read current is over, so the re-adds may
+			// land in the very array current came from.
+			ws.reAdd = reAddQ.AppendTo(ws.reAdd[:0])
+			current = ws.reAdd
 		}
+		ws.heavy = heavyFrontier
 		// One pass of heavy edges from everything settled in bi.
 		if len(heavyFrontier) > 0 {
 			g := inst.m.Grain(len(heavyFrontier), grain, 1)
 			laterQ.Reset(parallel.NumChunks(len(heavyFrontier), g))
+			laterBuf.Reset(ws.workers)
 			inst.m.ParallelForChunks(len(heavyFrontier), g, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-				var local [][2]int64
+				local := laterBuf.Take(worker)
+				start := len(local)
 				var edges, wins int64
 				for _, v := range heavyFrontier[lo:hi] {
 					dv := loadDist(v)
@@ -170,19 +181,18 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 						}
 					}
 				}
-				laterQ.Put(chunk, local)
+				laterQ.Put(chunk, laterBuf.Give(worker, local, start))
 				relax.Add(worker, edges)
 				w.Charge(costRelax.Scale(float64(edges)))
 				w.Charge(costClaim.Scale(float64(wins)))
-				w.Charge(costBucketOp.Scale(float64(len(local))))
+				w.Charge(costBucketOp.Scale(float64(len(local) - start)))
 			})
-			for _, bv := range laterQ.Slice() {
-				if int(bv[0]) > bi {
-					buckets = put(buckets, int(bv[0]), graph.VID(bv[1]))
-				} else {
-					// Rare: heavy relaxation landed in the current
-					// bucket range due to float rounding; reprocess.
-					buckets = put(buckets, bi+1, graph.VID(bv[1]))
+			for _, later := range laterQ.Chunks() {
+				for _, bv := range later {
+					// Rare: a heavy relaxation landed in the current
+					// bucket range due to float rounding; reprocess it
+					// in the next bucket.
+					ws.putBucket(max(int(bv[0]), bi+1), graph.VID(bv[1]))
 				}
 			}
 		}

@@ -38,18 +38,14 @@ type ssspCand struct {
 // determinism wall runs. The price is the serial merge (a real
 // bucket-barrier, charged at single-thread speed), which the chaotic
 // default does not pay.
-func (inst *Instance) ssspSync(root graph.VID) (*engines.SSSPResult, error) {
+func (inst *Instance) ssspSync(ws *workspace, res *engines.SSSPResult) (*engines.SSSPResult, error) {
 	n := inst.n
+	root := res.Root
 	delta := inst.eng.Delta
 	if delta <= 0 {
 		delta = DefaultDelta
 	}
 
-	res := &engines.SSSPResult{
-		Root:   root,
-		Dist:   make([]float64, n),
-		Parent: make([]int64, n),
-	}
 	dist := res.Dist // plain float64: sync mode never writes concurrently
 	for i := range dist {
 		dist[i] = math.Inf(1)
@@ -59,31 +55,27 @@ func (inst *Instance) ssspSync(root graph.VID) (*engines.SSSPResult, error) {
 	res.Parent[root] = int64(root)
 
 	var relaxed int64
-	buckets := [][]graph.VID{{root}}
-	// queued dedupes same-pass re-adds; stamped with the pass number.
-	queued := make([]int32, n)
-	pass := int32(0)
+	ws.resetBuckets(root)
+	// queued dedupes same-pass re-adds; stamped with the pass number,
+	// which keeps counting across calls so the array is never cleared.
+	ws.queued = resized(ws.queued, n)
+	queued := ws.queued
 
 	bucketOf := func(d float64) int { return int(d / delta) }
-	put := func(bkts [][]graph.VID, idx int, v graph.VID) [][]graph.VID {
-		for len(bkts) <= idx {
-			bkts = append(bkts, nil)
-		}
-		bkts[idx] = append(bkts[idx], v)
-		return bkts
-	}
 
 	// gather collects candidate relaxations of frontier's light
 	// (heavy=false) or heavy (heavy=true) edges against the current
 	// distance snapshot into the chunk-ordered queue (the serial apply
 	// consumes it in chunk order — the same canonical order the old
 	// per-chunk slice-of-slices gave, through the shared primitive).
-	cands := parallel.NewChunkQueue[ssspCand]()
+	cands, candBuf := &ws.cands, &ws.candBuf
 	gather := func(frontier []graph.VID, bi int, heavy bool) {
 		g := inst.m.Grain(len(frontier), 32, 1)
 		cands.Reset(parallel.NumChunks(len(frontier), g))
+		candBuf.Reset(ws.workers)
 		inst.m.ParallelForChunks(len(frontier), g, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-			var local []ssspCand
+			local := candBuf.Take(worker)
+			start := len(local)
 			var edges int64
 			for _, v := range frontier[lo:hi] {
 				dv := dist[v]
@@ -109,19 +101,22 @@ func (inst *Instance) ssspSync(root graph.VID) (*engines.SSSPResult, error) {
 					}
 				}
 			}
-			cands.Put(chunk, local)
+			cands.Put(chunk, candBuf.Give(worker, local, start))
 			// Commutative sum of a deterministic edge set: the total
 			// is schedule-independent even though the adds race.
 			atomic.AddInt64(&relaxed, edges)
 			w.Charge(costRelax.Scale(float64(edges)))
-			w.Charge(costBucketOp.Scale(float64(len(local))))
+			w.Charge(costBucketOp.Scale(float64(len(local) - start)))
 		})
 	}
 
-	for bi := 0; bi < len(buckets); bi++ {
-		current := buckets[bi]
-		buckets[bi] = nil
-		var heavyFrontier []graph.VID
+	for bi := 0; bi < len(ws.buckets); bi++ {
+		// Nothing is put into bucket bi while it settles (re-adds go
+		// through ws.reAdd, the rest to later buckets), so truncating it
+		// now keeps its array for the next call without touching current.
+		current := ws.buckets[bi]
+		ws.buckets[bi] = current[:0]
+		heavyFrontier := ws.heavy[:0]
 		for len(current) > 0 {
 			// Same bucket-granularity cancellation point as the chaotic
 			// variant; the check itself charges nothing, so modeled
@@ -130,62 +125,63 @@ func (inst *Instance) ssspSync(root graph.VID) (*engines.SSSPResult, error) {
 				return nil, err
 			}
 			heavyFrontier = append(heavyFrontier, current...)
-			pass++
+			pass := ws.nextPass()
 			gather(current, bi, false)
-			// Serial apply in chunk order: the bucket barrier.
-			var reAdd []graph.VID
+			// Serial apply in chunk order: the bucket barrier. current
+			// is dead once gathered, so the re-adds may land in the very
+			// array it came from.
+			reAdd := ws.reAdd[:0]
 			inst.m.Serial(func(w *simmachine.W) {
 				var wins int
-				ops := cands.Len()
-				for _, c := range cands.Slice() {
-					if c.nd >= dist[c.u] {
-						continue // a chunk-earlier candidate won
-					}
-					dist[c.u] = c.nd
-					res.Parent[c.u] = int64(c.p)
-					wins++
-					// b < bi is only reachable from an entry whose
-					// distance already sat below the bucket; keep
-					// settling it here — bucket b has passed.
-					if b := bucketOf(c.nd); b <= bi {
-						if queued[c.u] != pass {
-							queued[c.u] = pass
-							reAdd = append(reAdd, c.u)
+				for _, chunk := range cands.Chunks() {
+					for _, c := range chunk {
+						if c.nd >= dist[c.u] {
+							continue // a chunk-earlier candidate won
 						}
-					} else {
-						buckets = put(buckets, b, c.u)
+						dist[c.u] = c.nd
+						res.Parent[c.u] = int64(c.p)
+						wins++
+						// b < bi is only reachable from an entry whose
+						// distance already sat below the bucket; keep
+						// settling it here — bucket b has passed.
+						if b := bucketOf(c.nd); b <= bi {
+							if queued[c.u] != pass {
+								queued[c.u] = pass
+								reAdd = append(reAdd, c.u)
+							}
+						} else {
+							ws.putBucket(b, c.u)
+						}
 					}
 				}
 				w.Charge(costClaim.Scale(float64(wins)))
-				w.Charge(costBucketOp.Scale(float64(ops)))
+				w.Charge(costBucketOp.Scale(float64(cands.Len())))
 			})
+			ws.reAdd = reAdd
 			current = reAdd
 		}
+		ws.heavy = heavyFrontier
 		// One synchronous pass over the settled bucket's heavy edges.
 		if len(heavyFrontier) > 0 {
-			pass++
 			gather(heavyFrontier, bi, true)
 			inst.m.Serial(func(w *simmachine.W) {
 				var wins int
-				ops := cands.Len()
-				for _, c := range cands.Slice() {
-					if c.nd >= dist[c.u] {
-						continue
-					}
-					dist[c.u] = c.nd
-					res.Parent[c.u] = int64(c.p)
-					wins++
-					if b := bucketOf(c.nd); b > bi {
-						buckets = put(buckets, b, c.u)
-					} else {
-						// Float rounding landed in the current bucket
-						// range; reprocess next bucket, as the chaotic
-						// variant does.
-						buckets = put(buckets, bi+1, c.u)
+				for _, chunk := range cands.Chunks() {
+					for _, c := range chunk {
+						if c.nd >= dist[c.u] {
+							continue
+						}
+						dist[c.u] = c.nd
+						res.Parent[c.u] = int64(c.p)
+						wins++
+						// Float rounding can land a heavy relaxation in
+						// the current bucket range; reprocess it in the
+						// next bucket, as the chaotic variant does.
+						ws.putBucket(max(bucketOf(c.nd), bi+1), c.u)
 					}
 				}
 				w.Charge(costClaim.Scale(float64(wins)))
-				w.Charge(costBucketOp.Scale(float64(ops)))
+				w.Charge(costBucketOp.Scale(float64(cands.Len())))
 			})
 		}
 	}

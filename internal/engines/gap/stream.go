@@ -50,7 +50,9 @@ type streamState struct {
 	degDirty map[graph.VID]struct{}
 	inDirty  map[graph.VID]struct{}
 	// wccLab is the component labeling of the last IncrementalWCC;
-	// wccAdds / wccDels are the net edge changes since.
+	// wccAdds / wccDels are the net edge changes since, netted against
+	// each other across batches (see cancelPending): an edge is pending
+	// in at most one of them.
 	wccLab  []graph.VID
 	wccAdds []graph.Edge
 	wccDels []graph.Edge
@@ -144,14 +146,51 @@ func (inst *Instance) Mutate(batch graph.Batch) (*engines.MutationReport, error)
 	for _, v := range inStruct {
 		st.inDirty[v] = struct{}{}
 	}
-	st.wccAdds = append(st.wccAdds, res.AddedEdges...)
-	st.wccDels = append(st.wccDels, res.RemovedEdges...)
+	var added, removed []graph.Edge
+	st.wccAdds, removed = cancelPending(st.wccAdds, res.RemovedEdges)
+	st.wccDels, added = cancelPending(st.wccDels, res.AddedEdges)
+	st.wccAdds = append(st.wccAdds, added...)
+	st.wccDels = append(st.wccDels, removed...)
 
 	return &engines.MutationReport{
 		Stats:        res.Stats,
 		DirtyRows:    len(res.DirtyRows),
 		EdgesTouched: edgesTouched,
 	}, nil
+}
+
+// cancelPending nets one batch's edge changes against the opposite
+// pending set: removing an edge whose insert is still pending (or
+// re-inserting one whose delete is) leaves the baseline's view of that
+// edge unchanged, so both entries drop out. Without this an insert in
+// one batch and its delete in the next would reach IncrementalWCC as a
+// stale add and union components the graph no longer connects. It
+// returns what is left of pending and of incoming; with nothing
+// pending — every single-batch maintain — incoming passes through
+// untouched.
+func cancelPending(pending, incoming []graph.Edge) (stillPending, net []graph.Edge) {
+	if len(pending) == 0 || len(incoming) == 0 {
+		return pending, incoming
+	}
+	type pair struct{ src, dst graph.VID }
+	in := make(map[pair]bool, len(incoming))
+	for _, e := range incoming {
+		in[pair{e.Src, e.Dst}] = true
+	}
+	stillPending = pending[:0]
+	for _, e := range pending {
+		if k := (pair{e.Src, e.Dst}); in[k] {
+			in[k] = false // cancelled
+			continue
+		}
+		stillPending = append(stillPending, e)
+	}
+	for _, e := range incoming {
+		if in[pair{e.Src, e.Dst}] {
+			net = append(net, e)
+		}
+	}
+	return stillPending, net
 }
 
 // prIter is one recorded PageRank iteration: the rank vector after the

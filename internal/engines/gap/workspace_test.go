@@ -1,0 +1,309 @@
+package gap
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"github.com/hpcl-repro/epg/internal/core"
+	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/graph"
+	"github.com/hpcl-repro/epg/internal/parallel"
+	"github.com/hpcl-repro/epg/internal/simmachine"
+	"github.com/hpcl-repro/epg/internal/xrand"
+)
+
+// rootsOf draws count traversal sources by the harness's root rule
+// (degree > 1).
+func rootsOf(c *graph.CSR, count int) []graph.VID {
+	return core.SelectRoots(c, count, 0x7007)
+}
+
+// loadWith loads el into a fresh instance configured like the reused
+// one under test.
+func loadWith(t *testing.T, el *graph.EdgeList, workers int, compress, sync bool) *Instance {
+	t.Helper()
+	e := New()
+	e.Compress, e.SyncSSSP = compress, sync
+	inst := load(t, e, el, 8)
+	inst.m.SetWorkers(workers)
+	return inst
+}
+
+// regionsSince returns a copy of the regions the machine recorded from
+// trace index mark on — the per-call modeled cost in full (seconds,
+// lanes, charged work), immune to the elapsed clock's accumulation
+// order.
+func regionsSince(m *simmachine.Machine, mark int) []simmachine.Region {
+	return slices.Clone(m.Trace()[mark:])
+}
+
+// The reuse-equivalence wall: BFSInto and SSSPInto through ONE reused
+// dst on ONE long-lived instance — across 32 roots, real worker counts,
+// raw and compressed adjacency, both SSSP variants, and a Mutate in the
+// middle — must be bit-equal, in values, work counters and every
+// modeled region, to BFS/SSSP on an instance built fresh for each call.
+// Chaotic SSSP is racy by design above one worker: there only the
+// fixed-point distances are comparable.
+func TestReusedWorkspaceBitEqualFreshInstance(t *testing.T) {
+	el := kron(9, 21)
+	for _, workers := range []int{1, 2, 4} {
+		for _, compress := range []bool{false, true} {
+			for _, sync := range []bool{true, false} {
+				reused := loadWith(t, el, workers, compress, sync)
+				var bfs engines.BFSResult
+				var sssp engines.SSSPResult
+				cur := el
+				roots := rootsOf(reused.OutCSR(), 32)
+				for i, root := range roots {
+					if i == len(roots)/2 {
+						b := streamBatch(reused.OutCSR(), xrand.New(99), 64, 0.4)
+						if _, err := reused.Mutate(b); err != nil {
+							t.Fatal(err)
+						}
+						cur = elFromCSR(reused.OutCSR(), false)
+					}
+					ctx := func(k string) string {
+						return fmt.Sprintf("%s workers=%d compress=%v sync=%v", k, workers, compress, sync)
+					}
+
+					mark, _ := reused.m.Mark()
+					got, err := reused.BFSInto(root, &bfs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotRegions := regionsSince(reused.m, mark)
+					fresh := loadWith(t, cur, workers, compress, sync)
+					mark, _ = fresh.m.Mark()
+					want, err := fresh.BFS(root)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != &bfs {
+						t.Fatalf("%s: BFSInto returned a result other than dst", ctx("bfs"))
+					}
+					if !slices.Equal(got.Parent, want.Parent) || !slices.Equal(got.Depth, want.Depth) ||
+						got.EdgesExamined != want.EdgesExamined || got.Root != want.Root {
+						t.Fatalf("%s root %d: reused BFS differs from fresh", ctx("bfs"), root)
+					}
+					if !slices.Equal(gotRegions, regionsSince(fresh.m, mark)) {
+						t.Fatalf("%s root %d: reused BFS modeled regions differ from fresh", ctx("bfs"), root)
+					}
+
+					mark, _ = reused.m.Mark()
+					gotS, err := reused.SSSPInto(root, &sssp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotRegions = regionsSince(reused.m, mark)
+					fresh = loadWith(t, cur, workers, compress, sync)
+					mark, _ = fresh.m.Mark()
+					wantS, err := fresh.SSSP(root)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(gotS.Dist, wantS.Dist) {
+						t.Fatalf("%s root %d: reused SSSP distances differ from fresh", ctx("sssp"), root)
+					}
+					if sync || workers == 1 {
+						if !slices.Equal(gotS.Parent, wantS.Parent) || gotS.Relaxations != wantS.Relaxations {
+							t.Fatalf("%s root %d: reused SSSP parents/relaxations differ from fresh", ctx("sssp"), root)
+						}
+						if !slices.Equal(gotRegions, regionsSince(fresh.m, mark)) {
+							t.Fatalf("%s root %d: reused SSSP modeled regions differ from fresh", ctx("sssp"), root)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// A dst that is too small (or nil) is replaced, not overrun; one that
+// is large enough is reused in place.
+func TestIntoReusesOnlyLargeEnoughDst(t *testing.T) {
+	inst := load(t, New(), kron(8, 3), 4)
+	root := rootsOf(inst.OutCSR(), 1)[0]
+	small := &engines.BFSResult{Parent: make([]int64, 3), Depth: make([]int64, 3)}
+	res, err := inst.BFSInto(root, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Parent) != inst.n || len(res.Depth) != inst.n {
+		t.Fatalf("undersized dst not replaced: len %d/%d, n %d", len(res.Parent), len(res.Depth), inst.n)
+	}
+	before := &res.Parent[0]
+	if res, err = inst.BFSInto(root, res); err != nil {
+		t.Fatal(err)
+	}
+	if &res.Parent[0] != before {
+		t.Fatal("large-enough dst was reallocated")
+	}
+	if fresh, _ := inst.BFS(root); &fresh.Parent[0] == before {
+		t.Fatal("BFS handed out an array a caller already owns")
+	}
+}
+
+// allocBytesPerRun is testing.AllocsPerRun counting bytes instead of
+// mallocs: the mean heap bytes one call of f allocates once warm, at
+// GOMAXPROCS(1) so no other goroutine's allocation is billed. It warms
+// with one batch and reports the smallest of three more — an arena that
+// regrows because a worker drew a larger share than ever before is a
+// one-off, a per-call term in n shows in every batch.
+func allocBytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	best := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for batch := 0; batch < 4; batch++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&ms)
+		if batch > 0 {
+			best = min(best, (ms.TotalAlloc-before)/uint64(runs))
+		}
+	}
+	return best
+}
+
+// Warm BFSInto and synchronous SSSPInto allocate nothing sized by the
+// graph. At kron-12 the two result arrays alone are 64 KB, so the bound
+// fails the moment any n-sized array is made per call. What is left is
+// simmachine's bookkeeping — a cost slot and a W per chunk of every
+// region, some 64 B per 32 to 64 frontier vertices — and closures.
+func TestWarmTraversalAllocationBound(t *testing.T) {
+	const bound = 64 << 10
+	e := New()
+	e.SyncSSSP = true
+	inst := load(t, e, kron(12, 5), 8)
+	inst.m.SetTracing(false) // a trace grows by design
+	inst.m.SetWorkers(2)
+	roots := rootsOf(inst.OutCSR(), 8)
+	var bfs engines.BFSResult
+	var sssp engines.SSSPResult
+	i := 0
+	perBFS := allocBytesPerRun(2*len(roots), func() {
+		if _, err := inst.BFSInto(roots[i%len(roots)], &bfs); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	perSSSP := allocBytesPerRun(2*len(roots), func() {
+		if _, err := inst.SSSPInto(roots[i%len(roots)], &sssp); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("warm BFSInto %d B/call, sync SSSPInto %d B/call", perBFS, perSSSP)
+	if perBFS >= bound || perSSSP >= bound {
+		t.Fatalf("warm traversal allocates BFS %d B, SSSP %d B per call; bound %d", perBFS, perSSSP, bound)
+	}
+}
+
+// arenaBytes is what the workspace's per-worker arenas retain.
+func (ws *workspace) arenaBytes() int {
+	return ws.claimBuf.Cap()*int(unsafe.Sizeof(parallel.Claim{})) +
+		ws.candBuf.Cap()*int(unsafe.Sizeof(ssspCand{})) +
+		ws.reAddBuf.Cap()*int(unsafe.Sizeof(graph.VID(0))) +
+		ws.laterBuf.Cap()*int(unsafe.Sizeof([2]int64{}))
+}
+
+// regionBytes is the output the most recent region of each kind left in
+// the workspace's queues.
+func (ws *workspace) regionBytes() [4]int {
+	return [4]int{
+		ws.claims.Len() * int(unsafe.Sizeof(parallel.Claim{})),
+		ws.cands.Len() * int(unsafe.Sizeof(ssspCand{})),
+		ws.reAddQ.Len() * int(unsafe.Sizeof(graph.VID(0))),
+		ws.laterQ.Len() * int(unsafe.Sizeof([2]int64{})),
+	}
+}
+
+// The bounded-retention rule: after 40 mixed roots the arenas hold no
+// more than a small multiple of the largest single region's output.
+// Keeping every chunk's high-water buffer instead — the obvious way to
+// stop allocating — retains several times that and fails here. The
+// largest region is observed through the cancellation hook, which the
+// kernels poll between regions, and once more after each call.
+func TestWorkspaceRetentionBoundedByLargestRegion(t *testing.T) {
+	const workers = 2
+	inst := load(t, New(), kron(12, 9), 8)
+	inst.m.SetWorkers(workers)
+	var peak [4]int
+	observe := func() error {
+		for i, b := range inst.ws.regionBytes() {
+			peak[i] = max(peak[i], b)
+		}
+		return nil
+	}
+	inst.SetCancel(observe)
+	var bfs engines.BFSResult
+	var sssp engines.SSSPResult
+	for i, root := range rootsOf(inst.OutCSR(), 40) {
+		var err error
+		switch i % 3 {
+		case 0:
+			_, err = inst.BFSInto(root, &bfs)
+		case 1:
+			inst.eng.SyncSSSP = true
+			_, err = inst.SSSPInto(root, &sssp)
+		case 2:
+			inst.eng.SyncSSSP = false
+			_, err = inst.SSSPInto(root, &sssp)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = observe()
+	}
+	need := peak[0] + peak[1] + peak[2] + peak[3]
+	got := inst.ws.arenaBytes()
+	t.Logf("arenas retain %d B; largest regions' outputs sum to %d B (%.2fx)", got, need, float64(got)/float64(need))
+	// One buffer per worker, each grown by at most doubling to its
+	// worker's largest share of a region: between 1x (equal shares, no
+	// slack) and 2*workers (every worker once ran a whole largest
+	// region alone, each ending on a doubling).
+	if got > 2*workers*need {
+		t.Fatalf("arenas retain %d B, over %dx the %d B the largest regions produced", got, 2*workers, need)
+	}
+}
+
+// The dedup stamps survive the pass counter wrapping: a search started
+// just below the wrap equals one on a fresh instance, and the counter
+// restarts from a re-zeroed array.
+func TestQueuedStampWrapAround(t *testing.T) {
+	e := New()
+	e.SyncSSSP = true
+	el := kron(9, 13)
+	inst := load(t, e, el, 4)
+	roots := rootsOf(inst.OutCSR(), 3)
+	if _, err := inst.SSSP(roots[0]); err != nil { // size and stamp queued
+		t.Fatal(err)
+	}
+	inst.ws.pass = math.MaxInt32 - 2
+	// Poison the stamps a wrapped counter would hand out again.
+	for v := range inst.ws.queued {
+		inst.ws.queued[v] = int32(v%5) + 1
+	}
+	for _, root := range roots[1:] {
+		got, err := inst.SSSP(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := load(t, e, el, 4).SSSP(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Parent, want.Parent) || got.Relaxations != want.Relaxations {
+			t.Fatalf("root %d: SSSP across the stamp wrap differs from fresh", root)
+		}
+	}
+	if inst.ws.pass <= 0 || inst.ws.pass > 1<<20 {
+		t.Fatalf("pass counter did not restart after the wrap: %d", inst.ws.pass)
+	}
+}

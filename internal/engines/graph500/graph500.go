@@ -111,6 +111,7 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 	res.Depth[root] = 0
 
 	queue := parallel.NewChunkQueue[parallel.Claim]()
+	var claimBuf parallel.Arena[parallel.Claim]
 	frontier := []graph.VID{root}
 	level := int64(0)
 	var examined int64
@@ -121,10 +122,12 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 	for len(frontier) > 0 {
 		g := inst.m.Grain(len(frontier), grain, 1)
 		queue.Reset(parallel.NumChunks(len(frontier), g))
+		claimBuf.Reset(inst.m.Workers())
 		exa := parallel.NewCounter(inst.m.Workers())
 		cpb := inst.m.Model().DecodeCyclesPerByte
 		inst.m.ParallelForChunks(len(frontier), g, simmachine.Static, func(lo, hi, chunk, worker int, w *simmachine.W) {
-			var local []parallel.Claim
+			local := claimBuf.Take(worker)
+			start := len(local)
 			var buf []graph.VID
 			var edges, claims, decBytes int64
 			for _, v := range frontier[lo:hi] {
@@ -149,7 +152,7 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 					}
 				}
 			}
-			queue.Put(chunk, local)
+			queue.Put(chunk, claimBuf.Give(worker, local, start))
 			exa.Add(worker, edges)
 			if inst.ccsr != nil {
 				w.Charge(costEdgeC.Scale(float64(edges)))

@@ -144,6 +144,7 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 	res.Depth[root] = 0
 
 	queue := parallel.NewChunkQueue[parallel.Claim]()
+	var claimBuf parallel.Arena[parallel.Claim]
 	frontier := []graph.VID{root}
 	level := int64(0)
 	var examined int64
@@ -151,9 +152,11 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 	for len(frontier) > 0 {
 		g := inst.m.Grain(len(frontier), grain, 1)
 		queue.Reset(parallel.NumChunks(len(frontier), g))
+		claimBuf.Reset(inst.m.Workers())
 		exa := parallel.NewCounter(inst.m.Workers())
 		inst.m.ParallelForChunks(len(frontier), g, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-			var local []parallel.Claim
+			local := claimBuf.Take(worker)
+			start := len(local)
 			var edges, visits int64
 			for _, v := range frontier[lo:hi] {
 				for _, u := range inst.vertices[v].out {
@@ -172,7 +175,7 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 					}
 				}
 			}
-			queue.Put(chunk, local)
+			queue.Put(chunk, claimBuf.Give(worker, local, start))
 			exa.Add(worker, edges)
 			w.Charge(costBFSEdge.Scale(float64(edges)))
 			w.Charge(costVisit.Scale(float64(visits)))

@@ -50,12 +50,15 @@ func (inst *Instance) ssspSync(root graph.VID) (*engines.SSSPResult, error) {
 	queued := make([]int32, n)
 	round := int32(0)
 	cands := parallel.NewChunkQueue[ssspCand]()
+	var candBuf parallel.Arena[ssspCand]
 	for len(active) > 0 {
 		round++
 		g := inst.m.Grain(len(active), 32, 1)
 		cands.Reset(parallel.NumChunks(len(active), g))
+		candBuf.Reset(inst.m.Workers())
 		inst.m.ParallelForChunks(len(active), g, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-			var local []ssspCand
+			local := candBuf.Take(worker)
+			start := len(local)
 			var edges int64
 			for _, v := range active[lo:hi] {
 				dv := dist[v]
@@ -68,7 +71,7 @@ func (inst *Instance) ssspSync(root graph.VID) (*engines.SSSPResult, error) {
 					}
 				}
 			}
-			cands.Put(chunk, local)
+			cands.Put(chunk, candBuf.Give(worker, local, start))
 			// Commutative sum of a deterministic edge set.
 			atomic.AddInt64(&relaxed, edges)
 			w.Charge(costSSSPEdge.Scale(float64(edges)))
@@ -78,19 +81,20 @@ func (inst *Instance) ssspSync(root graph.VID) (*engines.SSSPResult, error) {
 		// canonical concatenation).
 		var next []graph.VID
 		inst.m.Serial(func(w *simmachine.W) {
-			ops := cands.Len()
-			for _, c := range cands.Slice() {
-				if c.nd >= dist[c.u] {
-					continue // a chunk-earlier candidate won
-				}
-				dist[c.u] = c.nd
-				res.Parent[c.u] = int64(c.p)
-				if queued[c.u] != round {
-					queued[c.u] = round
-					next = append(next, c.u)
+			for _, chunk := range cands.Chunks() {
+				for _, c := range chunk {
+					if c.nd >= dist[c.u] {
+						continue // a chunk-earlier candidate won
+					}
+					dist[c.u] = c.nd
+					res.Parent[c.u] = int64(c.p)
+					if queued[c.u] != round {
+						queued[c.u] = round
+						next = append(next, c.u)
+					}
 				}
 			}
-			w.Charge(costPropTouch.Scale(float64(ops)))
+			w.Charge(costPropTouch.Scale(float64(cands.Len())))
 		})
 		active = next
 	}

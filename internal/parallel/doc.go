@@ -60,7 +60,11 @@
 //     synchronous SSSP modes collect bucket updates and relaxation
 //     candidates the same way. This replaced the per-level
 //     SortedQueueSlice canonicalization — no kernel sorts a frontier
-//     anymore.
+//     anymore. Producers append through an Arena (one reusable buffer
+//     per worker, sub-sliced per chunk) and consumers walk Chunks() in
+//     place, so a region allocates no slice per chunk and nothing is
+//     concatenated; what an Arena retains is bounded by the largest
+//     region's output, not by the chunk count.
 //   - Bitmap — dense membership with atomic (idempotent, commutative)
 //     set, atomic test, and a parallel two-pass ToSlice built on
 //     ScanInt64. GAP's bottom-up BFS keeps its frontier here,

@@ -97,13 +97,14 @@ func SortedQueueSlice[T cmp.Ordered](q *Queue[T]) []T {
 // made deterministic by fixing the flush order.
 //
 // Usage per region: Reset(NumChunks(n, grain)), then each chunk body
-// builds its own slice and hands it over with Put(chunk, items)
-// exactly once. Len, Slice, AppendTo and DrainChunkQueue observe the
-// collected items and must only be called between regions (Put and the
-// observers must never overlap).
+// builds its own slice — on a hot path out of its worker's Arena — and
+// hands it over with Put(chunk, items) exactly once. Len, Chunks,
+// AppendTo and DrainChunkQueue observe the collected items and must
+// only be called between regions (Put and the observers must never
+// overlap). The queue owns no item storage of its own: consumers walk
+// the chunk buffers in place.
 type ChunkQueue[T any] struct {
 	bufs [][]T
-	out  []T
 }
 
 // NewChunkQueue returns an empty chunk queue. Reset sizes it.
@@ -138,17 +139,17 @@ func (q *ChunkQueue[T]) Len() int {
 	return n
 }
 
-// Slice returns all items in chunk order. The slice aliases an
-// internal buffer that is reused by the next Slice call — copy it (or
-// use AppendTo) if it must outlive this region. Call only between
-// regions.
-func (q *ChunkQueue[T]) Slice() []T {
-	q.out = q.AppendTo(q.out[:0])
-	return q.out
-}
+// Chunks returns the collected buffers in chunk order, for consumers
+// that walk every item once: ranging over them visits the canonical
+// concatenation without copying it. The buffers stay owned by the
+// queue (and by whatever Arena backs them) and die at the next Reset.
+// Call only between regions.
+func (q *ChunkQueue[T]) Chunks() [][]T { return q.bufs }
 
 // AppendTo appends all items in chunk order to dst and returns the
-// extended slice. Call only between regions.
+// extended slice — for the one consumer shape that must outlive the
+// region, a frontier the next region reads while the queue refills.
+// Call only between regions.
 func (q *ChunkQueue[T]) AppendTo(dst []T) []T {
 	for _, b := range q.bufs {
 		dst = append(dst, b...)
@@ -180,4 +181,77 @@ func DrainChunkQueue[T, U any](q *ChunkQueue[T], dst []U, f func(T) (U, bool)) [
 // and the order of the next frontier schedule-independent.
 type Claim struct {
 	V, By uint32
+}
+
+// Arena is a set of per-worker append buffers backing the per-chunk
+// slices a region hands to ChunkQueue.Put, so a kernel that runs
+// thousands of regions does not allocate a fresh slice per chunk per
+// region. A chunk Takes its worker's buffer, appends its items past
+// the ones earlier chunks of that worker left there, and Gives the
+// buffer back, receiving its own items as a sub-slice to Put:
+//
+//	buf := a.Take(worker)
+//	start := len(buf)
+//	buf = append(buf, item) // any number of times
+//	q.Put(chunk, a.Give(worker, buf, start))
+//
+// Which worker runs which chunk is schedule-dependent, and so is the
+// split of items across buffers — but each chunk's sub-slice holds
+// exactly what the chunk appended, so everything observable through
+// the ChunkQueue keeps its guarantees. When an append outgrows a
+// buffer, sub-slices handed out earlier keep pointing into the old
+// array, which stays alive through the queue until its next Reset.
+//
+// Retention is one buffer per worker, each at most the capacity its
+// worker's share of some single region needed: bounded by the largest
+// region's output, never by the number of chunks or regions. The zero
+// Arena is ready for Reset.
+type Arena[T any] struct {
+	bufs []arenaBuf[T]
+}
+
+// arenaBuf pads each worker's slice header to its own cache line: Give
+// rewrites it once per chunk.
+type arenaBuf[T any] struct {
+	s []T
+	_ [cacheLine - 24]byte
+}
+
+// Reset readies the arena for one region executed by worker IDs below
+// workers and rewinds every buffer, keeping capacity. Sub-slices handed
+// out before the call are dead: Reset the ChunkQueue they were Put
+// into alongside. Call only between regions.
+func (a *Arena[T]) Reset(workers int) {
+	if workers < 1 {
+		workers = 1
+	}
+	for len(a.bufs) < workers {
+		a.bufs = append(a.bufs, arenaBuf[T]{})
+	}
+	for i := range a.bufs {
+		a.bufs[i].s = a.bufs[i].s[:0]
+	}
+}
+
+// Take returns worker's buffer; its length marks where this chunk's
+// items start. Only the goroutine running as that worker may hold it,
+// and it must Give it back before its chunk ends.
+func (a *Arena[T]) Take(worker int) []T { return a.bufs[worker].s }
+
+// Give hands worker's (possibly regrown) buffer back and returns the
+// items appended past start, capacity-clamped so that nothing appended
+// to the result can reach a later chunk's items.
+func (a *Arena[T]) Give(worker int, buf []T, start int) []T {
+	a.bufs[worker].s = buf
+	return buf[start:len(buf):len(buf)]
+}
+
+// Cap returns the total item capacity the arena retains. Call only
+// between regions.
+func (a *Arena[T]) Cap() int {
+	n := 0
+	for i := range a.bufs {
+		n += cap(a.bufs[i].s)
+	}
+	return n
 }

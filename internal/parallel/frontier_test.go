@@ -49,7 +49,7 @@ func TestChunkQueueMatchesSortedQueue(t *testing.T) {
 				q.PushBatch(items)
 				cq.Put(chunk, items)
 			})
-			if got := cq.Slice(); !slices.Equal(got, want) {
+			if got := cq.AppendTo(nil); !slices.Equal(got, want) {
 				t.Fatalf("sched=%v workers=%d: chunk-ordered concat differs from serial reference", sched, workers)
 			}
 			if got := slices.Clone(SortedQueueSlice(q)); !slices.Equal(got, wantSorted) {
@@ -91,7 +91,7 @@ func TestChunkQueueResetReusesCapacity(t *testing.T) {
 		t.Fatalf("reset kept %d items", q.Len())
 	}
 	q.Put(0, []int{9})
-	if got := q.Slice(); !slices.Equal(got, []int{9}) {
+	if got := q.AppendTo(nil); !slices.Equal(got, []int{9}) {
 		t.Fatalf("slice after reset = %v", got)
 	}
 }
@@ -249,5 +249,100 @@ func TestBitmapClearRange(t *testing.T) {
 	b.Clear()
 	if b.Count() != 0 {
 		t.Fatal("Clear left bits set")
+	}
+}
+
+// Arena hands each chunk exactly its own items, keeps earlier chunks'
+// sub-slices intact when a buffer regrows under them, clamps the
+// handed-out capacity, and rewinds without giving memory back.
+func TestArenaTakeGive(t *testing.T) {
+	var a Arena[int]
+	a.Reset(2)
+	fill := func(worker, from, count int) []int {
+		buf := a.Take(worker)
+		start := len(buf)
+		for i := 0; i < count; i++ {
+			buf = append(buf, from+i)
+		}
+		return a.Give(worker, buf, start)
+	}
+	first := fill(0, 100, 3)
+	other := fill(1, 900, 2)
+	second := fill(0, 200, 4000) // regrows worker 0's buffer under `first`
+	empty := fill(0, 0, 0)
+	if !slices.Equal(first, []int{100, 101, 102}) || !slices.Equal(other, []int{900, 901}) {
+		t.Fatalf("chunks see each other's items: %v %v", first, other)
+	}
+	if len(second) != 4000 || second[0] != 200 || second[3999] != 4199 || len(empty) != 0 {
+		t.Fatalf("second chunk of worker 0: len %d, empty chunk len %d", len(second), len(empty))
+	}
+	if cap(first) != len(first) || cap(second) != len(second) {
+		t.Fatalf("handed-out capacity not clamped: %d/%d, %d/%d", len(first), cap(first), len(second), cap(second))
+	}
+	_ = append(first, -1) // must reallocate, not overwrite second[0]
+	if second[0] != 200 {
+		t.Fatal("append to a chunk's slice reached the next chunk's items")
+	}
+
+	held := a.Cap()
+	if held < 4003+2 {
+		t.Fatalf("Cap = %d, below the %d items held", held, 4005)
+	}
+	a.Reset(2)
+	if a.Cap() != held || len(a.Take(0)) != 0 || len(a.Take(1)) != 0 {
+		t.Fatalf("Reset did not rewind in place: cap %d -> %d", held, a.Cap())
+	}
+	// Warm, a region of the same shape allocates nothing.
+	if allocs := testing.AllocsPerRun(10, func() {
+		a.Reset(2)
+		fill(0, 0, 4003)
+		fill(1, 0, 2)
+	}); allocs != 0 {
+		t.Fatalf("warm arena region allocated %v times", allocs)
+	}
+	a.Reset(5) // more workers than before: new buffers, old ones kept
+	if a.Cap() != held || len(a.Take(4)) != 0 {
+		t.Fatalf("growing the worker count lost buffers: cap %d -> %d", held, a.Cap())
+	}
+}
+
+// Many regions through one Arena under every policy, with more workers
+// than idle pool slots: each chunk must read back exactly what it
+// appended while other workers append beside it. Under -race (make
+// race) this is the Arena's memory-model wall.
+func TestArenaConcurrentRegions(t *testing.T) {
+	p := NewPool(4)
+	var a Arena[uint64]
+	cq := NewChunkQueue[uint64]()
+	const n, grain = 5000, 7
+	for round, sched := range []Sched{Static, Dynamic, Steal, NUMA, Dynamic, Steal} {
+		workers := 3 + 2*round
+		cq.Reset(NumChunks(n, grain))
+		a.Reset(workers)
+		For(p, workers, n, grain, sched, func(lo, hi, chunk, worker int) {
+			buf := a.Take(worker)
+			start := len(buf)
+			for i := lo; i < hi; i++ {
+				if i%3 != 0 {
+					buf = append(buf, uint64(round)<<32|uint64(i))
+				}
+			}
+			cq.Put(chunk, a.Give(worker, buf, start))
+		})
+		next := 0
+		for _, b := range cq.Chunks() {
+			for _, it := range b {
+				for next%3 == 0 {
+					next++
+				}
+				if it != uint64(round)<<32|uint64(next) {
+					t.Fatalf("round %d sched %v: item %#x where %d was appended", round, sched, it, next)
+				}
+				next++
+			}
+		}
+		if next < n-1 {
+			t.Fatalf("round %d sched %v: drain stopped at %d of %d", round, sched, next, n)
+		}
 	}
 }

@@ -146,11 +146,44 @@ func fuzzChunkItems(seed uint64, c int) []uint32 {
 	return items
 }
 
+// fuzzFillChunkQueue runs one region that Puts fuzzChunkItems for
+// every chunk — as fresh slices when ar is nil, else appended through
+// the workers' Arena buffers the way the kernels fill a queue.
+func fuzzFillChunkQueue(p *Pool, cq *ChunkQueue[uint32], ar *Arena[uint32], seed uint64, workers, n, grain int, sched Sched, topo Topology) {
+	cq.Reset(NumChunks(n, grain))
+	if ar != nil {
+		ar.Reset(workers)
+	}
+	ForTopo(p, workers, n, grain, sched, topo, func(lo, hi, chunk, worker int) {
+		if ar == nil {
+			cq.Put(chunk, fuzzChunkItems(seed, chunk))
+			return
+		}
+		buf := ar.Take(worker)
+		start := len(buf)
+		for _, it := range fuzzChunkItems(seed, chunk) {
+			buf = append(buf, it)
+		}
+		cq.Put(chunk, ar.Give(worker, buf, start))
+	})
+}
+
+// chunkQueueConcat is the concatenation a consumer ranging over
+// Chunks sees.
+func chunkQueueConcat(cq *ChunkQueue[uint32]) []uint32 {
+	var got []uint32
+	for _, b := range cq.Chunks() {
+		got = append(got, b...)
+	}
+	return got
+}
+
 // FuzzChunkQueueDrain asserts the ChunkQueue drain is a pure function
 // of (chunk id, push order within chunk): whatever the policy, socket
-// topology, worker count, or goroutine interleaving, the concatenated
-// sequence equals the serially built reference, and a second
-// concurrent run reproduces it exactly.
+// topology, worker count, or goroutine interleaving — and whether the
+// chunk buffers are fresh slices or sub-slices of a reused Arena — the
+// concatenated sequence equals the serially built reference, and
+// repeated concurrent runs reproduce it exactly.
 func FuzzChunkQueueDrain(f *testing.F) {
 	f.Add(uint64(1), uint16(300), uint8(16), uint8(2), uint8(3))
 	f.Add(uint64(42), uint16(4097), uint8(1), uint8(0), uint8(0))
@@ -162,20 +195,25 @@ func FuzzChunkQueueDrain(f *testing.F) {
 		w := int(workers)%9 + 1
 		sched := fuzzSchedules[int(schedSeed)%len(fuzzSchedules)]
 		topo := Topology{Sockets: int(schedSeed)%4 + 1}
-		nchunks := NumChunks(n, grain)
 
 		var want []uint32
-		for c := 0; c < nchunks; c++ {
+		for c := 0; c < NumChunks(n, grain); c++ {
 			want = append(want, fuzzChunkItems(seed, c)...)
 		}
 		cq := NewChunkQueue[uint32]()
-		for rep := 0; rep < 2; rep++ {
-			cq.Reset(nchunks)
-			ForTopo(p, w, n, grain, sched, topo, func(lo, hi, chunk, worker int) {
-				cq.Put(chunk, fuzzChunkItems(seed, chunk))
-			})
-			if got := cq.Slice(); !slices.Equal(got, want) {
+		var ar Arena[uint32]
+		for rep := 0; rep < 4; rep++ {
+			var backing *Arena[uint32] // odd reps reuse the arena
+			if rep%2 == 1 {
+				backing = &ar
+			}
+			fuzzFillChunkQueue(p, cq, backing, seed, w, n, grain, sched, topo)
+			if got := cq.AppendTo(nil); !slices.Equal(got, want) {
 				t.Fatalf("rep=%d sched=%v workers=%d sockets=%d: drain differs from serial reference",
+					rep, sched, w, topo.Sockets)
+			}
+			if got := chunkQueueConcat(cq); !slices.Equal(got, want) {
+				t.Fatalf("rep=%d sched=%v workers=%d sockets=%d: Chunks differs from serial reference",
 					rep, sched, w, topo.Sockets)
 			}
 			if cq.Len() != len(want) {

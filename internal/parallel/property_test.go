@@ -115,12 +115,14 @@ func TestBitmapMatchesMapOracle(t *testing.T) {
 // (16 workers on 4 idle slots) so region bodies interleave as wildly
 // as the host allows, across every policy and socket layout, and
 // requires the chunk-ordered drain to stay equal to the serially built
-// reference on every one of many rounds. With -race (make race) this
-// doubles as the ChunkQueue/For memory-model wall.
+// reference on every one of many rounds — odd rounds through one Arena
+// reused across them. With -race (make race) this doubles as the
+// ChunkQueue/Arena/For memory-model wall.
 func TestChunkQueueAdversarialInterleavings(t *testing.T) {
 	p := NewPool(4)
 	r := xrand.New(0xcadce5)
 	cq := NewChunkQueue[uint32]()
+	var ar Arena[uint32]
 	for round := 0; round < 40; round++ {
 		seed := r.Uint64()
 		n := int(r.Uint64() % 3000)
@@ -128,18 +130,18 @@ func TestChunkQueueAdversarialInterleavings(t *testing.T) {
 		sched := fuzzSchedules[int(r.Uint64()%uint64(len(fuzzSchedules)))]
 		topo := Topology{Sockets: int(r.Uint64()%4) + 1}
 		workers := int(r.Uint64()%16) + 1
-		nchunks := NumChunks(n, grain)
 
 		var want []uint32
-		for c := 0; c < nchunks; c++ {
+		for c := 0; c < NumChunks(n, grain); c++ {
 			want = append(want, fuzzChunkItems(seed, c)...)
 		}
 
-		cq.Reset(nchunks)
-		ForTopo(p, workers, n, grain, sched, topo, func(lo, hi, chunk, worker int) {
-			cq.Put(chunk, fuzzChunkItems(seed, chunk))
-		})
-		if got := cq.Slice(); !slices.Equal(got, want) {
+		var backing *Arena[uint32]
+		if round%2 == 1 {
+			backing = &ar
+		}
+		fuzzFillChunkQueue(p, cq, backing, seed, workers, n, grain, sched, topo)
+		if got := chunkQueueConcat(cq); !slices.Equal(got, want) {
 			t.Fatalf("round=%d sched=%v workers=%d sockets=%d grain=%d: drain differs from reference",
 				round, sched, workers, topo.Sockets, grain)
 		}

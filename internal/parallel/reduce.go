@@ -73,6 +73,10 @@ func NewCounter(workers int) *Counter {
 // worker owns its cell).
 func (c *Counter) Add(worker int, delta int64) { c.cells[worker].v += delta }
 
+// Reset zeroes every cell so one counter serves region after region.
+// Call only between regions.
+func (c *Counter) Reset() { clear(c.cells) }
+
 // Sum returns the total across cells. Call only after the region has
 // completed.
 func (c *Counter) Sum() int64 {

@@ -34,11 +34,9 @@ var (
 // times must be a pure function of query content for the
 // deterministic study (and for comparable live latencies).
 type executor struct {
-	id       int
-	m        *simmachine.Machine
-	inst     engines.Instance
-	canceler engines.CancelSetter
-	streamer engines.Streamer
+	id   int
+	m    *simmachine.Machine
+	inst *gap.Instance
 	// csr is the adjacency the serving-only paths (k-hop) traverse.
 	// It starts as the shared homogenized CSR and is rebound to the
 	// instance's current epoch after each applied mutation batch.
@@ -47,44 +45,35 @@ type executor struct {
 	// gen counts the server batch-log entries this executor's instance
 	// has applied; executors sync lazily when they dequeue work.
 	gen int
+
+	// Per-query scratch, reused from query to query. run reads one
+	// scalar out of a result before it returns, so nothing aliases
+	// across queries.
+	bfs  engines.BFSResult
+	sssp engines.SSSPResult
+	hops khopScratch
 }
 
 // newExecutor loads el into a fresh GAP instance on its own machine.
+// The machine keeps no trace: the executor only ever reads its clock,
+// and a daemon's trace would grow by a Region per region forever.
 func newExecutor(id int, el *graph.EdgeList, csr *graph.CSR, threads int, compress bool) (*executor, error) {
 	eng := gap.New()
 	engines.Configure(eng, engines.Options{SyncSSSP: true, Compress: compress})
 	m := simmachine.New(simmachine.Haswell72(), threads)
+	m.SetTracing(false)
 	inst, err := eng.Load(el, m)
 	if err != nil {
 		return nil, fmt.Errorf("server: executor %d load: %w", id, err)
 	}
 	inst.BuildStructure()
-	canceler, ok := inst.(engines.CancelSetter)
-	if !ok {
-		return nil, fmt.Errorf("server: engine instance lacks cancellation support")
-	}
-	streamer, ok := inst.(engines.Streamer)
-	if !ok {
-		return nil, fmt.Errorf("server: engine instance lacks streaming-mutation support")
-	}
 	return &executor{
 		id:       id,
 		m:        m,
-		inst:     inst,
-		canceler: canceler,
-		streamer: streamer,
+		inst:     inst.(*gap.Instance),
 		csr:      csr,
 		weighted: el.Weighted,
 	}, nil
-}
-
-// outCSR returns the instance's current adjacency epoch, for rebinding
-// e.csr after mutations.
-func (e *executor) outCSR() *graph.CSR {
-	if gi, ok := e.inst.(*gap.Instance); ok {
-		return gi.OutCSR()
-	}
-	return e.csr
 }
 
 // vectors are the precomputed, refreshable lookup answers.
@@ -101,11 +90,11 @@ type vectors struct {
 // Startup/refresh/mutate work: charged to the machine like any kernel,
 // but never part of a query's budget.
 func (e *executor) computeVectors() (vectors, error) {
-	pr, err := e.streamer.IncrementalPageRank(engines.DefaultPROpts())
+	pr, err := e.inst.IncrementalPageRank(engines.DefaultPROpts())
 	if err != nil {
 		return vectors{}, fmt.Errorf("server: pagerank precompute: %w", err)
 	}
-	wcc, err := e.streamer.IncrementalWCC()
+	wcc, err := e.inst.IncrementalWCC()
 	if err != nil {
 		return vectors{}, fmt.Errorf("server: wcc precompute: %w", err)
 	}
@@ -141,8 +130,8 @@ func (e *executor) run(ctx context.Context, q Query, budget float64, degraded bo
 		}
 		return nil
 	}
-	e.canceler.SetCancel(deadline)
-	defer e.canceler.SetCancel(nil)
+	e.inst.SetCancel(deadline)
+	defer e.inst.SetCancel(nil)
 
 	if degraded && q.degradable(e.weighted) {
 		e.m.Serial(func(w *simmachine.W) {
@@ -161,14 +150,12 @@ func (e *executor) run(ctx context.Context, q Query, budget float64, degraded bo
 	var err error
 	switch q.Op {
 	case OpBFS:
-		var r *engines.BFSResult
-		if r, err = e.inst.BFS(q.Source); err == nil {
-			resp.Value = float64(r.Depth[q.Target])
+		if _, err = e.inst.BFSInto(q.Source, &e.bfs); err == nil {
+			resp.Value = float64(e.bfs.Depth[q.Target])
 		}
 	case OpSSSP:
-		var r *engines.SSSPResult
-		if r, err = e.inst.SSSP(q.Source); err == nil {
-			if d := r.Dist[q.Target]; math.IsInf(d, 1) {
+		if _, err = e.inst.SSSPInto(q.Source, &e.sssp); err == nil {
+			if d := e.sssp.Dist[q.Target]; math.IsInf(d, 1) {
 				resp.Value = -1
 			} else {
 				resp.Value = d
@@ -201,36 +188,61 @@ func (e *executor) run(ctx context.Context, q Query, budget float64, degraded bo
 	return resp
 }
 
+// khopScratch is the k-hop walk's reusable working set: seen[v] ==
+// epoch marks v visited by the current query, so starting a query is
+// one increment instead of clearing (or allocating) a visited set.
+type khopScratch struct {
+	seen     []uint32
+	epoch    uint32
+	frontier []graph.VID
+	next     []graph.VID
+}
+
+// begin sizes the scratch for n vertices and opens a new epoch,
+// re-zeroing seen when the counter wraps into stamps it may still hold.
+func (s *khopScratch) begin(n int) {
+	if len(s.seen) != n {
+		s.seen, s.epoch = make([]uint32, n), 0
+	}
+	if s.epoch == math.MaxUint32 {
+		clear(s.seen)
+		s.epoch = 0
+	}
+	s.epoch++
+}
+
 // khop counts vertices within k hops of src with a serial truncated
 // BFS on the homogenized CSR, charging per vertex and edge touched.
 // The deadline hook is polled once per level, matching the engines'
 // frontier granularity.
 func (e *executor) khop(src graph.VID, k int, deadline func() error) (float64, error) {
-	seen := make(map[graph.VID]bool, 64)
-	seen[src] = true
-	frontier := []graph.VID{src}
+	s := &e.hops
+	s.begin(e.csr.NumVertices)
+	seen, epoch := s.seen, s.epoch
+	seen[src] = epoch
+	s.frontier = append(s.frontier[:0], src)
 	count := 1
-	for level := 0; level < k && len(frontier) > 0; level++ {
+	for level := 0; level < k && len(s.frontier) > 0; level++ {
 		if err := deadline(); err != nil {
 			return 0, fmt.Errorf("khop canceled at level %d: %w", level, err)
 		}
-		var next []graph.VID
+		next := s.next[:0]
 		var edges int
-		for _, v := range frontier {
+		for _, v := range s.frontier {
 			for _, u := range e.csr.Neighbors(v) {
 				edges++
-				if !seen[u] {
-					seen[u] = true
+				if seen[u] != epoch {
+					seen[u] = epoch
 					next = append(next, u)
 					count++
 				}
 			}
 		}
 		e.m.Serial(func(w *simmachine.W) {
-			w.Charge(costKHopVertex.Scale(float64(len(frontier))))
+			w.Charge(costKHopVertex.Scale(float64(len(s.frontier))))
 			w.Charge(costKHopEdge.Scale(float64(edges)))
 		})
-		frontier = next
+		s.frontier, s.next = next, s.frontier
 	}
 	return float64(count), nil
 }

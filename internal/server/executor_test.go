@@ -1,0 +1,171 @@
+package server
+
+import (
+	"math"
+	"runtime"
+	"slices"
+	"testing"
+
+	"github.com/hpcl-repro/epg/internal/graph"
+	"github.com/hpcl-repro/epg/internal/harness"
+)
+
+func testExecutor(t *testing.T, dataset string) *executor {
+	t.Helper()
+	el, err := harness.ResolveDataset(dataset, harness.DatasetOptions{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBench(el, 8, 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.exec
+}
+
+// mixedQueries draws count traversal queries over the three ops that
+// run through the executor's reusable scratch.
+func mixedQueries(n, count int) []Query {
+	qs := make([]Query, 0, count)
+	for i := 0; i < count; i++ {
+		src, dst := graph.VID((i*37+1)%n), graph.VID((i*101+5)%n)
+		switch i % 3 {
+		case 0:
+			qs = append(qs, Query{Op: OpBFS, Source: src, Target: dst})
+		case 1:
+			qs = append(qs, Query{Op: OpSSSP, Source: src, Target: dst})
+		case 2:
+			qs = append(qs, Query{Op: OpKHop, Source: src, K: 1 + i%3})
+		}
+	}
+	return qs
+}
+
+// The executor's machine keeps no trace: it only ever reads the clock,
+// and a daemon's trace would grow by a Region per region for as long
+// as it serves.
+func TestExecutorKeepsNoTrace(t *testing.T) {
+	e := testExecutor(t, "kron-9")
+	before := e.m.Elapsed()
+	for _, q := range mixedQueries(e.csr.NumVertices, 60) {
+		if resp := e.run(nil, q, 0, false, vectors{}, nil); resp.Status != StatusOK {
+			t.Fatalf("%+v: %s %s", q, resp.Status, resp.Err)
+		}
+	}
+	if n := len(e.m.Trace()); n != 0 {
+		t.Fatalf("executor machine retained %d trace regions after 60 queries", n)
+	}
+	if e.m.Elapsed() <= before {
+		t.Fatal("modeled clock did not advance with tracing off")
+	}
+}
+
+// khopOracle is the walk the executor used to do: a map for the
+// visited set, a fresh slice per level.
+func khopOracle(c *graph.CSR, src graph.VID, k int) float64 {
+	seen := map[graph.VID]bool{src: true}
+	frontier := []graph.VID{src}
+	for level := 0; level < k && len(frontier) > 0; level++ {
+		var next []graph.VID
+		for _, v := range frontier {
+			for _, u := range c.Neighbors(v) {
+				if !seen[u] {
+					seen[u] = true
+					next = append(next, u)
+				}
+			}
+		}
+		frontier = next
+	}
+	return float64(len(seen))
+}
+
+// One executor serving query after query through its reused results
+// and k-hop scratch answers exactly what a fresh executor answers to
+// each query alone, and charges the same regions for it.
+func TestExecutorScratchReuseMatchesFresh(t *testing.T) {
+	reused := testExecutor(t, "kron-9")
+	reused.m.SetTracing(true)
+	for _, q := range mixedQueries(reused.csr.NumVertices, 45) {
+		mark, _ := reused.m.Mark()
+		got := reused.run(nil, q, 0, false, vectors{}, nil)
+		gotRegions := slices.Clone(reused.m.Trace()[mark:])
+
+		fresh := testExecutor(t, "kron-9")
+		fresh.m.SetTracing(true)
+		mark, _ = fresh.m.Mark()
+		want := fresh.run(nil, q, 0, false, vectors{}, nil)
+		if got.Status != StatusOK || got.Value != want.Value {
+			t.Fatalf("%+v: reused executor answered %v (%s), fresh %v", q, got.Value, got.Status, want.Value)
+		}
+		if !slices.Equal(gotRegions, fresh.m.Trace()[mark:]) {
+			t.Fatalf("%+v: reused executor charged different regions than a fresh one", q)
+		}
+		if q.Op == OpKHop {
+			if oracle := khopOracle(reused.csr, q.Source, q.K); got.Value != oracle {
+				t.Fatalf("%+v: k-hop count %v, map-based oracle %v", q, got.Value, oracle)
+			}
+		}
+	}
+}
+
+// The visited stamps survive the epoch counter wrapping: stale stamps
+// equal to a re-issued epoch must not read as visited.
+func TestKHopSeenWrapAround(t *testing.T) {
+	e := testExecutor(t, "kron-9")
+	noDeadline := func() error { return nil }
+	if _, err := e.khop(0, 1, noDeadline); err != nil { // size seen
+		t.Fatal(err)
+	}
+	e.hops.epoch = math.MaxUint32 - 1
+	for v := range e.hops.seen {
+		e.hops.seen[v] = uint32(v%4) + 1 // the epochs a wrapped counter hands out next
+	}
+	for i := 0; i < 5; i++ {
+		src := graph.VID(i * 11)
+		got, err := e.khop(src, 2, noDeadline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := khopOracle(e.csr, src, 2); got != want {
+			t.Fatalf("query %d across the epoch wrap: count %v, oracle %v", i, got, want)
+		}
+	}
+	if e.hops.epoch == 0 || e.hops.epoch > 8 {
+		t.Fatalf("epoch did not restart after the wrap: %d", e.hops.epoch)
+	}
+}
+
+// A warm k-hop query allocates nothing sized by the graph: no visited
+// map, no per-level frontier. At kron-12 a two-hop neighbourhood is
+// most of the graph, which the map used to hold at tens of bytes per
+// vertex.
+func TestKHopAllocationBound(t *testing.T) {
+	e := testExecutor(t, "kron-12")
+	noDeadline := func() error { return nil }
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	i := 0
+	run := func() {
+		if _, err := e.khop(graph.VID(i*97%e.csr.NumVertices), 2, noDeadline); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	const runs = 64
+	for j := 0; j < runs; j++ { // warm: let the frontier buffers reach their size
+		run()
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	i = 0
+	for j := 0; j < runs; j++ {
+		run()
+	}
+	runtime.ReadMemStats(&ms)
+	if per := (ms.TotalAlloc - before) / runs; per >= 64<<10 {
+		t.Fatalf("warm k-hop allocates %d B per query; bound %d", per, 64<<10)
+	} else {
+		t.Logf("warm k-hop allocates %d B per query", per)
+	}
+}

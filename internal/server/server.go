@@ -330,12 +330,12 @@ func (s *Server) syncExecutor(e *executor) error {
 		return nil
 	}
 	for _, b := range todo {
-		if _, err := e.streamer.Mutate(b); err != nil {
+		if _, err := e.inst.Mutate(b); err != nil {
 			return fmt.Errorf("server: executor %d sync: %w", e.id, err)
 		}
 		e.gen++
 	}
-	e.csr = e.outCSR()
+	e.csr = e.inst.OutCSR()
 	return nil
 }
 
@@ -350,14 +350,14 @@ func (s *Server) maintainOn(e *executor, p *pending) Response {
 		return Response{Status: StatusError, Err: err.Error()}
 	}
 	if p.mutate != nil {
-		rep, err := e.streamer.Mutate(p.mutate)
+		rep, err := e.inst.Mutate(p.mutate)
 		if err != nil {
 			// Validation failed atomically: the instance is unchanged
 			// and the batch is not logged, so nothing diverges.
 			return Response{Status: StatusError, Err: err.Error()}
 		}
 		p.mutRep = rep
-		e.csr = e.outCSR()
+		e.csr = e.inst.OutCSR()
 	}
 	vec, err := e.computeVectors()
 	if err != nil {
