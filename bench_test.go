@@ -11,14 +11,11 @@
 package epg_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"testing"
-	"time"
 
 	"github.com/hpcl-repro/epg"
 	"github.com/hpcl-repro/epg/internal/core"
@@ -415,12 +412,12 @@ func BenchmarkExtensionTriangleCount(b *testing.B) {
 // identical at every worker count (the determinism tests enforce it);
 // what changes is how fast this process gets there. On a multicore
 // host the 4-worker runs show the runtime's speedup; on a single-core
-// host they measure scheduling overhead. TestWriteBenchBaseline
-// records the numbers in BENCH_baseline.json when asked.
+// host they measure scheduling overhead. (The recorded wall-clock
+// trajectory is bench/'s job: see bench/README.md.)
 
 const speedupScale = 16
 
-// speedupWorkerCounts are the worker counts the baseline records.
+// speedupWorkerCounts are the worker counts the benchmark sweeps.
 var speedupWorkerCounts = []int{1, 2, 4}
 
 func speedupGraph(b testing.TB) *graph.EdgeList {
@@ -443,64 +440,7 @@ func speedupInstance(b testing.TB, el *graph.EdgeList, workers int) (*gap.Instan
 	return inst.(*gap.Instance), roots[0]
 }
 
-// benchBaseline mirrors the JSON layout TestWriteBenchBaseline
-// writes. NumCPU distinguishes hosts whose GOMAXPROCS was capped;
-// HostClass makes the known small-host caveat machine-readable.
-type benchBaseline struct {
-	Dataset    string `json:"dataset"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numcpu"`
-	HostClass  string `json:"hostClass"`
-}
-
-// baselineHostClass classifies the recording host: speedup columns
-// from hosts below four CPUs are scheduling-overhead measurements, not
-// parallel speedups (the long-standing 1-core-container caveat, now
-// stamped into the artifact instead of living in a ROADMAP footnote).
-func baselineHostClass() string {
-	if runtime.NumCPU() < 4 {
-		return "small-host-speedups-unreliable"
-	}
-	return "multicore"
-}
-
-// warnBaselineHostMismatch compares the committed BENCH_baseline.json
-// host against this one and warns when wall-clock numbers are not
-// comparable (the original committed baseline was recorded on a
-// 1-core container). It never fails the run: a mismatch means
-// "regenerate before comparing", not "broken".
-func warnBaselineHostMismatch(tb testing.TB) {
-	data, err := os.ReadFile("BENCH_baseline.json")
-	if err != nil {
-		return // no baseline committed: nothing to compare against
-	}
-	var base benchBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		tb.Logf("WARNING: BENCH_baseline.json unreadable: %v", err)
-		return
-	}
-	if base.GOMAXPROCS != runtime.GOMAXPROCS(0) || (base.NumCPU != 0 && base.NumCPU != runtime.NumCPU()) {
-		tb.Logf("WARNING: BENCH_baseline.json was recorded with GOMAXPROCS=%d NumCPU=%d; "+
-			"this host has GOMAXPROCS=%d NumCPU=%d — wall-clock comparisons are not "+
-			"apples-to-apples, run `make baseline` here first",
-			base.GOMAXPROCS, base.NumCPU, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	}
-	if base.HostClass == "small-host-speedups-unreliable" {
-		tb.Logf("WARNING: BENCH_baseline.json is stamped hostClass=%q (recorded below 4 CPUs): "+
-			"its speedup columns measure scheduling overhead, not parallel speedup — regenerate "+
-			"on a multicore host before drawing scaling conclusions", base.HostClass)
-	}
-}
-
-// TestBaselineHostComparable surfaces the core-count warning on every
-// plain `go test` run, so a stale baseline is noticed before anyone
-// diffs speedups against it.
-func TestBaselineHostComparable(t *testing.T) {
-	warnBaselineHostMismatch(t)
-}
-
 func BenchmarkParallelRuntime(b *testing.B) {
-	warnBaselineHostMismatch(b)
 	el := speedupGraph(b)
 	for _, workers := range speedupWorkerCounts {
 		inst, root := speedupInstance(b, el, workers)
@@ -519,85 +459,6 @@ func BenchmarkParallelRuntime(b *testing.B) {
 			}
 		})
 	}
-}
-
-// TestWriteBenchBaseline regenerates BENCH_baseline.json: the
-// wall-clock seconds of GAP BFS and PageRank on kron-16 at 1/2/4 real
-// workers, plus the derived speedups, so later PRs can diff
-// performance against this one. Gated behind EPG_WRITE_BASELINE=1 (it
-// is a measurement, not a correctness check); run via `make baseline`.
-func TestWriteBenchBaseline(t *testing.T) {
-	if os.Getenv("EPG_WRITE_BASELINE") == "" {
-		t.Skip("set EPG_WRITE_BASELINE=1 to rewrite BENCH_baseline.json")
-	}
-	type entry struct {
-		Kernel  string  `json:"kernel"`
-		Workers int     `json:"workers"`
-		Seconds float64 `json:"seconds_per_op"`
-	}
-	baseline := struct {
-		Dataset    string             `json:"dataset"`
-		Engine     string             `json:"engine"`
-		Threads    int                `json:"threads"`
-		GOMAXPROCS int                `json:"gomaxprocs"`
-		NumCPU     int                `json:"numcpu"`
-		HostClass  string             `json:"hostClass"`
-		Reps       int                `json:"reps"`
-		Results    []entry            `json:"results"`
-		Speedup4W  map[string]float64 `json:"speedup_4w_vs_1w"`
-	}{
-		Dataset:    fmt.Sprintf("kron-%d", speedupScale),
-		Engine:     "GAP",
-		Threads:    32,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		HostClass:  baselineHostClass(),
-		Reps:       3,
-		Speedup4W:  map[string]float64{},
-	}
-	if baseline.HostClass != "multicore" {
-		t.Logf("")
-		t.Logf("=========================================================================")
-		t.Logf("WARNING: recording BENCH_baseline.json on a %d-CPU host (hostClass=%q).", runtime.NumCPU(), baseline.HostClass)
-		t.Logf("The speedup_4w_vs_1w columns will measure scheduling overhead, NOT")
-		t.Logf("parallel speedup. Regenerate on a >=4-CPU host for meaningful numbers.")
-		t.Logf("=========================================================================")
-		t.Logf("")
-	}
-	el := speedupGraph(t)
-	secs := map[string]map[int]float64{"BFS": {}, "PR": {}}
-	for _, workers := range speedupWorkerCounts {
-		inst, root := speedupInstance(t, el, workers)
-		measure := func(kernel string, run func() error) {
-			if err := run(); err != nil { // warm-up
-				t.Fatal(err)
-			}
-			start := time.Now()
-			for i := 0; i < baseline.Reps; i++ {
-				if err := run(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			s := time.Since(start).Seconds() / float64(baseline.Reps)
-			secs[kernel][workers] = s
-			baseline.Results = append(baseline.Results, entry{kernel, workers, s})
-		}
-		measure("BFS", func() error { _, err := inst.BFS(root); return err })
-		measure("PR", func() error { _, err := inst.PageRank(engines.DefaultPROpts()); return err })
-	}
-	for _, kernel := range []string{"BFS", "PR"} {
-		if s4 := secs[kernel][4]; s4 > 0 {
-			baseline.Speedup4W[kernel] = secs[kernel][1] / s4
-		}
-	}
-	data, err := json.MarshalIndent(baseline, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_baseline.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_baseline.json: %s", data)
 }
 
 func harnessDataset(name string) (*graph.EdgeList, error) {

@@ -12,8 +12,8 @@
 //	POST /v1/refresh
 //	POST /v1/mutate    {"ops":[{"op":"insert","src":1,"dst":2,"w":0.5}]}
 //
-// The unversioned paths are aliases for pre-v1 clients; every non-200
-// carries a structured {"code","message","retry_after_ms"} body.
+// Every non-200 carries a structured {"code","message",
+// "retry_after_ms"} body.
 package main
 
 import (

@@ -7,9 +7,10 @@ import (
 // Options is the unified knob surface for Configure: every optional
 // engine capability the harness and the serving daemon used to wire
 // through per-interface type assertions (SyncSSSPSetter,
-// CompressSetter, CancelSetter, and the streaming-mutation hook) in
-// one request. Zero-valued fields are not requested and leave the
-// target untouched.
+// CompressSetter, and the streaming-mutation hook) in one request.
+// Zero-valued fields are not requested and leave the target untouched.
+// (Per-query cancellation is not a knob: the daemon installs its hook
+// on the concrete *gap.Instance it owns.)
 type Options struct {
 	// SyncSSSP requests the synchronous SSSP mode (schedule-
 	// independent parents/relaxations/durations).
@@ -17,11 +18,6 @@ type Options struct {
 	// Compress requests delta+varint compressed-adjacency traversal;
 	// engine-level and only effective before Load.
 	Compress bool
-	// Cancel installs a cooperative cancellation hook on an instance;
-	// ClearCancel removes a previously installed hook. Setting both is
-	// a clear (ClearCancel wins).
-	Cancel      func() error
-	ClearCancel bool
 	// Mutations probes for streaming-mutation support: an instance
 	// implementing Streamer, or an engine whose instances will.
 	// Probing has no side effect.
@@ -35,7 +31,6 @@ type Options struct {
 type Applied struct {
 	SyncSSSP  bool
 	Compress  bool
-	Cancel    bool
 	Mutations bool
 }
 
@@ -53,7 +48,7 @@ type MutationSupporter interface {
 // reports what took effect. It replaces the scattered per-interface
 // type assertions at every call site: the harness wires knob-drop
 // warnings off the returned Applied, and the serving daemon uses the
-// same call for executor setup and per-query cancellation.
+// same call for executor setup.
 func Configure(target any, opts Options) Applied {
 	var ap Applied
 	if opts.SyncSSSP {
@@ -66,16 +61,6 @@ func Configure(target any, opts Options) Applied {
 		if s, ok := target.(CompressSetter); ok {
 			s.SetCompress(true)
 			ap.Compress = true
-		}
-	}
-	if opts.Cancel != nil || opts.ClearCancel {
-		if s, ok := target.(CancelSetter); ok {
-			if opts.ClearCancel {
-				s.SetCancel(nil)
-			} else {
-				s.SetCancel(opts.Cancel)
-			}
-			ap.Cancel = true
 		}
 	}
 	if opts.Mutations {

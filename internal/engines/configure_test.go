@@ -1,7 +1,6 @@
 package engines_test
 
 import (
-	"errors"
 	"testing"
 
 	"github.com/hpcl-repro/epg/internal/engines"
@@ -13,12 +12,10 @@ import (
 type fakeKnobs struct {
 	syncCalls     []bool
 	compressCalls []bool
-	cancelCalls   []func() error
 }
 
-func (f *fakeKnobs) SetSyncSSSP(on bool)          { f.syncCalls = append(f.syncCalls, on) }
-func (f *fakeKnobs) SetCompress(on bool)          { f.compressCalls = append(f.compressCalls, on) }
-func (f *fakeKnobs) SetCancel(check func() error) { f.cancelCalls = append(f.cancelCalls, check) }
+func (f *fakeKnobs) SetSyncSSSP(on bool) { f.syncCalls = append(f.syncCalls, on) }
+func (f *fakeKnobs) SetCompress(on bool) { f.compressCalls = append(f.compressCalls, on) }
 
 type fakeSupporter struct{ supports bool }
 
@@ -38,7 +35,7 @@ func TestConfigureZeroOptionsTouchesNothing(t *testing.T) {
 	if ap != (engines.Applied{}) {
 		t.Fatalf("zero options reported %+v", ap)
 	}
-	if len(f.syncCalls)+len(f.compressCalls)+len(f.cancelCalls) != 0 {
+	if len(f.syncCalls)+len(f.compressCalls) != 0 {
 		t.Fatal("zero options invoked a setter")
 	}
 }
@@ -55,40 +52,17 @@ func TestConfigureSettersAppliedWhenSupported(t *testing.T) {
 	if len(f.compressCalls) != 1 || !f.compressCalls[0] {
 		t.Fatalf("SetCompress calls = %v", f.compressCalls)
 	}
-	if ap.Cancel || ap.Mutations {
+	if ap.Mutations {
 		t.Fatalf("unrequested knobs reported applied: %+v", ap)
 	}
 }
 
 func TestConfigureUnsupportedTargetReportsDropped(t *testing.T) {
 	ap := engines.Configure(struct{}{}, engines.Options{
-		SyncSSSP: true, Compress: true, Cancel: func() error { return nil }, Mutations: true,
+		SyncSSSP: true, Compress: true, Mutations: true,
 	})
 	if ap != (engines.Applied{}) {
 		t.Fatalf("bare struct reported support: %+v", ap)
-	}
-}
-
-func TestConfigureCancelInstallAndClear(t *testing.T) {
-	f := &fakeKnobs{}
-	sentinel := errors.New("stop")
-	check := func() error { return sentinel }
-
-	ap := engines.Configure(f, engines.Options{Cancel: check})
-	if !ap.Cancel {
-		t.Fatal("cancel install not reported")
-	}
-	if len(f.cancelCalls) != 1 || f.cancelCalls[0] == nil || !errors.Is(f.cancelCalls[0](), sentinel) {
-		t.Fatalf("installed hook wrong: %v", f.cancelCalls)
-	}
-
-	// ClearCancel wins even when a hook is also supplied.
-	ap = engines.Configure(f, engines.Options{Cancel: check, ClearCancel: true})
-	if !ap.Cancel {
-		t.Fatal("cancel clear not reported")
-	}
-	if len(f.cancelCalls) != 2 || f.cancelCalls[1] != nil {
-		t.Fatalf("clear did not install nil: %v", f.cancelCalls)
 	}
 }
 
@@ -114,7 +88,7 @@ func TestConfigureMutationsProbe(t *testing.T) {
 func TestConfigureProbeHasNoSideEffects(t *testing.T) {
 	f := &fakeKnobs{}
 	engines.Configure(f, engines.Options{Mutations: true})
-	if len(f.syncCalls)+len(f.compressCalls)+len(f.cancelCalls) != 0 {
+	if len(f.syncCalls)+len(f.compressCalls) != 0 {
 		t.Fatal("mutation probe invoked a setter")
 	}
 }

@@ -162,24 +162,6 @@ type SyncSSSPSetter interface {
 	SetSyncSSSP(on bool)
 }
 
-// CancelSetter is implemented by engine *instances* whose long-running
-// kernels support cooperative cancellation. The serving daemon
-// (internal/server) installs a check before each query and clears it
-// after; the kernel calls the check at coarse, schedule-independent
-// points — once per BFS level, once per delta-stepping relaxation
-// pass, once per PageRank/WCC iteration — never inside a parallel
-// region, so a nil result charges nothing and changes no modeled
-// duration. When the check returns a non-nil error the kernel abandons
-// the run and returns that error (wrapped), leaving the machine at the
-// modeled time it had reached: the caller observes exactly the cost of
-// the work performed before the cancellation point.
-type CancelSetter interface {
-	// SetCancel installs check as the cancellation hook; nil removes
-	// it. The hook must be cheap and must not call back into the
-	// instance or its machine's parallel regions.
-	SetCancel(check func() error)
-}
-
 // CompressSetter is implemented by engines that can traverse a
 // delta+varint byte-compressed adjacency (graph.CompressedCSR) in
 // their BFS/PageRank inner loops — GAP and Graph500 in this

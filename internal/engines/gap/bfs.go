@@ -1,9 +1,8 @@
 package gap
 
 import (
-	"sync/atomic"
-
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
@@ -58,33 +57,19 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 func (inst *Instance) BFSInto(root graph.VID, dst *engines.BFSResult) (*engines.BFSResult, error) {
 	inst.ensureBuilt()
 	n := inst.n
-	ws := inst.scratch()
-	res := bfsResultFor(dst, root, n)
-	parent := res.Parent
-	depth := res.Depth
-	for i := range parent {
-		parent[i] = engines.NoParent
-		depth[i] = -1
-	}
-	parent[root] = int64(root)
-	depth[root] = 0
+	ws, tr := inst.scratch(), &inst.trav
+	res := traverse.StartBFS(dst, root, n)
 
 	front, nextBits := ws.front, ws.nextBits // sized at the first switch
-	ws.frontier = append(ws.frontier[:0], root)
+	tr.Frontier = append(tr.Frontier[:0], root)
 	frontierLen := 1
 	scout := inst.out.Degree(root)
-	level := int64(0)
 	edgesUnexplored := inst.mEdges
 	bottomUp := false
-	var edgesExamined int64
 
-	for frontierLen > 0 {
-		// Cancellation is polled once per level — frontier granularity:
-		// between regions, so an abandoned run has charged exactly the
-		// levels it completed.
-		if err := inst.checkCancel("BFS"); err != nil {
-			return nil, err
-		}
+	// The direction policy, around the shared level loop (which polls
+	// for cancellation once per level) and the shared top-down step.
+	err := tr.Levels("gap: BFS", func(level int64) int {
 		wasBottomUp := bottomUp
 		if inst.eng.Alpha > 0 {
 			if !bottomUp && scout > edgesUnexplored/int64(inst.eng.Alpha) {
@@ -101,111 +86,31 @@ func (inst *Instance) BFSInto(root graph.VID, dst *engines.BFSResult) (*engines.
 				ws.front, ws.nextBits = front, nextBits
 			}
 			if !wasBottomUp {
-				inst.frontierToBitmap(ws.frontier, front)
+				inst.frontierToBitmap(tr.Frontier, front)
 			}
 			var found int64
-			examined, nextScout, found = inst.stepBottomUp(ws, front, nextBits, parent, depth, level)
+			examined, nextScout, found = inst.stepBottomUp(ws, front, nextBits, res.Parent, res.Depth, level)
 			front, nextBits = nextBits, front
 			frontierLen = int(found)
 		} else {
 			if wasBottomUp {
-				ws.frontier = inst.bitmapToFrontier(front, ws.frontier[:0], frontierLen)
+				tr.Frontier = inst.bitmapToFrontier(front, tr.Frontier[:0], frontierLen)
 			}
-			examined = inst.stepTopDown(ws, ws.frontier, parent, depth, level)
-			ws.frontier, nextScout = inst.drainFrontier(&ws.claims, parent, ws.frontier)
-			frontierLen = len(ws.frontier)
+			examined = tr.TopDown(inst.m, inst.outRows(), &topDown, res, level)
+			frontierLen = len(tr.Frontier)
+			for _, v := range tr.Frontier {
+				nextScout += inst.out.Degree(v)
+			}
 		}
-		edgesExamined += examined
+		res.EdgesExamined += examined
 		edgesUnexplored -= scout
 		scout = nextScout
-		level++
+		return frontierLen
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.EdgesExamined = edgesExamined
 	return res, nil
-}
-
-// stepTopDown expands the frontier along out-edges, claiming children
-// with a priority write on the parent array. Every lowering pushes a
-// tentative Claim into the chunk-ordered queue; drainFrontier keeps
-// the winners. Charged costs depend only on the frontier slice a chunk
-// owns: scan cost per edge, one atomic per edge whose target is not
-// yet finalized (the set of such edges is fixed by the previous
-// levels), and queue cycles per dequeued vertex — the last amortizing
-// the chunk-ordered flush, which replaced the per-level sort.
-func (inst *Instance) stepTopDown(ws *workspace, frontier []graph.VID, parent, depth []int64, level int64) (examined int64) {
-	grain := inst.m.Grain(len(frontier), bfsTopDownGrain, 1)
-	next, arena := &ws.claims, &ws.claimBuf
-	next.Reset(parallel.NumChunks(len(frontier), grain))
-	arena.Reset(ws.workers)
-	exa := ws.counter(0)
-	cpb := inst.m.Model().DecodeCyclesPerByte
-	inst.m.ParallelForChunks(len(frontier), grain, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-		local := arena.Take(worker)
-		start := len(local)
-		buf := ws.decode[worker]
-		var edges, claims, decBytes int64
-		for _, v := range frontier[lo:hi] {
-			adj := inst.out.Neighbors(v)
-			if inst.cout != nil {
-				// Full expansion decodes the whole stream; charge its
-				// compressed length instead of the raw 4 B/edge.
-				buf = inst.cout.DecodeNeighbors(v, buf)
-				adj = buf
-				decBytes += inst.cout.EncodedBytes(v)
-			}
-			for _, u := range adj {
-				edges++
-				// Finalized before this level (root included): skip.
-				// Racing claims from this level read -1 or level+1 —
-				// both sides of the race take the claim path, so the
-				// eligible-edge count is schedule-independent.
-				if d := atomic.LoadInt64(&depth[u]); d != -1 && d != level+1 {
-					continue
-				}
-				claims++
-				if parallel.LowerMinInt64(&parent[u], int64(v), engines.NoParent) {
-					// Every lowering is a tentative discovery; the
-					// final minimum always lowers, so the winning
-					// chunk always holds a claim for u.
-					atomic.StoreInt64(&depth[u], level+1)
-					local = append(local, parallel.Claim{V: u, By: v})
-				}
-			}
-		}
-		next.Put(chunk, arena.Give(worker, local, start))
-		ws.decode[worker] = buf
-		exa.Add(worker, edges)
-		if inst.cout != nil {
-			w.Charge(costTopDownEdgeC.Scale(float64(edges)))
-			w.Cycles(cpb * float64(decBytes))
-			w.Bytes(float64(decBytes))
-		} else {
-			w.Charge(costTopDownEdge.Scale(float64(edges)))
-		}
-		w.Charge(costClaim.Scale(float64(claims)))
-		w.Cycles(float64(hi-lo) * 6) // queue pop + amortized chunk flush
-	})
-	return exa.Sum()
-}
-
-// drainFrontier filters the tentative claims against the final
-// write-min parents — keeping, for each discovered vertex, exactly the
-// claim made by its minimum parent — and returns the next frontier in
-// chunk order plus its scout (outgoing-degree) count. Both outputs are
-// schedule-independent: the kept set and order depend only on the
-// final parents and the chunk partition. Its cost is charged inside
-// stepTopDown (the amortized flush cycles), not as a region of its
-// own: a region per level would pay a barrier per level.
-func (inst *Instance) drainFrontier(next *parallel.ChunkQueue[parallel.Claim], parent []int64, dst []graph.VID) ([]graph.VID, int64) {
-	var scout int64
-	out := parallel.DrainChunkQueue(next, dst[:0], func(c parallel.Claim) (graph.VID, bool) {
-		if parent[c.V] != int64(c.By) {
-			return 0, false // lost the min race to another chunk
-		}
-		scout += inst.out.Degree(c.V)
-		return c.V, true
-	})
-	return out, scout
 }
 
 // frontierToBitmap converts a queue frontier into the bitmap the

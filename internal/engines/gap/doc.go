@@ -23,10 +23,15 @@
 // Known fidelity gaps: the real suite is C++ with OpenMP; here the
 // kernels run on the shared Go runtime (internal/parallel) and all
 // timing is charged to internal/simmachine's Haswell model rather
-// than measured. GAP's NUMA-aware first-touch placement and its
-// sliding-queue frontier are approximated by flat arrays plus the
-// shared atomic frontier queue, and the synchronous SSSP mode pays a
-// serial merge per bucket pass that the real suite does not have. The
-// suite's other kernels (BC, TC) exist only as the TriangleCount
-// extension.
+// than measured. The top-down BFS level and the synchronous SSSP pass
+// are not GAP's own code but the steps GAP shares with Graph500 and
+// GraphBIG (internal/engines/traverse), run under GAP's cost profiles
+// (topDown, syncRelax in gap.go): what is GAP here is the policy
+// around them — the α/β direction switch with its bottom-up step and
+// queue↔bitmap conversion, and the Δ-bucket placement — so its
+// sliding queue is the step's chunk-ordered claim queue, not per-thread
+// buffers. NUMA-aware first-touch placement is the machine model's,
+// not the arrays'. The synchronous SSSP mode pays a serial merge per
+// bucket pass that the real suite does not have. The suite's other
+// kernels (BC, TC) exist only as the TriangleCount extension.
 package gap

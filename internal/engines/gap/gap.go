@@ -1,9 +1,8 @@
 package gap
 
 import (
-	"fmt"
-
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
@@ -49,6 +48,22 @@ var (
 	costQueueDrain   = simmachine.Cost{Cycles: 3, Bytes: 8}
 	costBitmapWord   = simmachine.Cost{Cycles: 1, Bytes: 8}
 	costBitmapInsert = simmachine.Cost{Cycles: 2, Bytes: 8}
+)
+
+// GAP as the shared steps (internal/engines/traverse) see it. topDown
+// is the top-down half of the direction-optimizing BFS: 6 cycles per
+// frontier vertex for the sliding queue's pop and amortized flush.
+// syncRelax is a bucket-barrier delta-stepping pass: a bucket op per
+// candidate gathered and per candidate merged, an atomic per win.
+var (
+	topDown = traverse.Profile{
+		Edge: costTopDownEdge, EdgeCompressed: costTopDownEdgeC, Claim: costClaim,
+		VertexCycles: 6, Grain: bfsTopDownGrain, Sched: simmachine.Dynamic,
+	}
+	syncRelax = traverse.RelaxProfile{
+		Edge: costRelax, Cand: costBucketOp,
+		Win: costClaim, Merge: costBucketOp,
+	}
 )
 
 // Engine is the GAP Benchmark Suite analogue.
@@ -116,10 +131,6 @@ type Instance struct {
 	// total directed edges, used by the direction-optimizing
 	// heuristic.
 	mEdges int64
-	// cancel, when non-nil, is polled at frontier/bucket/iteration
-	// granularity by the long-running kernels (engines.CancelSetter);
-	// a non-nil return abandons the run with that error.
-	cancel func() error
 	// stream holds the mutation overlay (dirty sets and cached
 	// incremental baselines); nil until the first Streamer call.
 	stream *streamState
@@ -127,26 +138,22 @@ type Instance struct {
 	// trajectory into it — armed only by recordedPageRank, so plain
 	// runs never pay the O(iters·n) memory.
 	prRec *prTrajectory
-	// ws is the traversal kernels' reusable working set (workspace.go).
-	ws workspace
+	// trav is the reusable state of the shared traversal steps, which
+	// also holds the cancellation hook; ws is the working set of the
+	// kernels GAP keeps to itself (workspace.go).
+	trav traverse.State
+	ws   workspace
 }
 
-// SetCancel implements engines.CancelSetter: check is polled between
-// parallel regions (once per BFS level, delta-stepping pass, or
-// PR/WCC iteration). Passing nil removes the hook.
-func (inst *Instance) SetCancel(check func() error) { inst.cancel = check }
-
-// checkCancel polls the cancellation hook, wrapping any error with the
-// kernel name for the caller's structured logs.
-func (inst *Instance) checkCancel(kernel string) error {
-	if inst.cancel == nil {
-		return nil
-	}
-	if err := inst.cancel(); err != nil {
-		return fmt.Errorf("gap: %s canceled: %w", kernel, err)
-	}
-	return nil
-}
+// SetCancel installs check as the cooperative cancellation hook of the
+// long-running kernels; nil removes it. The kernels poll it at coarse,
+// schedule-independent points — once per BFS level, delta-stepping
+// pass, or PR/WCC iteration — never inside a parallel region, so a nil
+// result charges nothing and changes no modeled duration. When it
+// returns an error the kernel abandons the run and returns that error
+// wrapped, leaving the machine at the modeled time it had reached. The
+// hook must be cheap and must not call back into the instance.
+func (inst *Instance) SetCancel(check func() error) { inst.trav.Cancel = check }
 
 // Load implements engines.Engine. It only captures the edge list; the
 // CSR is built in BuildStructure (the separately-timed phase).
@@ -198,6 +205,15 @@ func (inst *Instance) BuildStructure() {
 }
 
 func (inst *Instance) built() bool { return inst.out != nil }
+
+// outRows is the out-adjacency a top-down level expands: the
+// compressed sibling when the engine built one.
+func (inst *Instance) outRows() traverse.Rows {
+	if inst.cout != nil {
+		return inst.cout
+	}
+	return inst.out
+}
 
 // ensureBuilt guards algorithm entry points: the harness always calls
 // BuildStructure, but library users might not.

@@ -38,7 +38,7 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	gPull := inst.m.Grain(n, 1024, 1)
 	gL1 := inst.m.Grain(n, 4096, 1)
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		if err := inst.checkCancel("PageRank"); err != nil {
+		if err := inst.trav.Poll("gap: PageRank"); err != nil {
 			return nil, err
 		}
 		// Per-vertex contributions and the dangling sum.
@@ -141,7 +141,7 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 		comp[i] = uint32(i)
 	}
 	for {
-		if err := inst.checkCancel("WCC"); err != nil {
+		if err := inst.trav.Poll("gap: WCC"); err != nil {
 			return nil, err
 		}
 		var changed int64

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
@@ -29,7 +30,7 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 		return nil, engines.ErrUnsupported // unweighted input, as with cit-Patents in Table I
 	}
 	ws := inst.scratch()
-	res := ssspResultFor(dst, root, inst.n)
+	res := traverse.StartSSSP(dst, root, inst.n)
 	if inst.eng.SyncSSSP {
 		return inst.ssspSync(ws, res)
 	}
@@ -39,15 +40,13 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 		delta = DefaultDelta
 	}
 
-	ws.dist = resized(ws.dist, n)
+	ws.dist = traverse.Resized(ws.dist, n)
 	dist := ws.dist // float64 bits, for CAS-min
 	inf := math.Float64bits(math.Inf(1))
 	for i := range dist {
 		dist[i] = inf
-		res.Parent[i] = engines.NoParent
 	}
 	dist[root] = math.Float64bits(0)
-	res.Parent[root] = int64(root)
 
 	loadDist := func(v graph.VID) float64 {
 		return math.Float64frombits(atomic.LoadUint64(&dist[v]))
@@ -92,7 +91,7 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 		for len(current) > 0 {
 			// Polled per relaxation pass (bucket granularity), between
 			// regions — the SSSP analogue of the per-level BFS check.
-			if err := inst.checkCancel("SSSP"); err != nil {
+			if err := inst.trav.Poll("gap: SSSP"); err != nil {
 				return nil, err
 			}
 			heavyFrontier = append(heavyFrontier, current...)

@@ -293,7 +293,7 @@ func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResul
 		}, nil
 	}
 
-	if err := inst.checkCancel("IncrementalPageRank"); err != nil {
+	if err := inst.trav.Poll("gap: IncrementalPageRank"); err != nil {
 		return nil, err
 	}
 
@@ -593,7 +593,7 @@ func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 	if len(st.wccAdds) == 0 && len(st.wccDels) == 0 {
 		return &engines.WCCResult{Component: append([]graph.VID(nil), st.wccLab...)}, nil
 	}
-	if err := inst.checkCancel("IncrementalWCC"); err != nil {
+	if err := inst.trav.Poll("gap: IncrementalWCC"); err != nil {
 		return nil, err
 	}
 

@@ -10,8 +10,9 @@ import (
 
 	"github.com/hpcl-repro/epg/internal/core"
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/engines/graph500"
+	"github.com/hpcl-repro/epg/internal/engines/graphbig"
 	"github.com/hpcl-repro/epg/internal/graph"
-	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 	"github.com/hpcl-repro/epg/internal/xrand"
 )
@@ -205,36 +206,69 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 	}
 }
 
+// The engines that are nothing but the shared top-down step get the
+// same wall for free: a warm Graph500 or GraphBIG BFS allocates its two
+// result arrays (the Instance interface hands out a fresh result) and,
+// beyond them, nothing sized by the graph — under the same bound as
+// GAP. Before the step was shared both made their claim queue, arena,
+// frontier and a counter per level afresh on every call.
+func TestWarmSharedStepEnginesAllocateOnlyResults(t *testing.T) {
+	const bound = 64 << 10
+	el := kron(12, 5)
+	roots := rootsOf(load(t, New(), el, 8).OutCSR(), 8)
+	results := uint64(2 * 8 * el.NumVertices)
+	for _, eng := range []engines.Engine{graph500.New(), graphbig.New()} {
+		m := machine(8)
+		m.SetTracing(false)
+		m.SetWorkers(2)
+		inst, err := eng.Load(el, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst.BuildStructure()
+		i := 0
+		per := allocBytesPerRun(2*len(roots), func() {
+			if _, err := inst.BFS(roots[i%len(roots)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		t.Logf("warm %s BFS %d B/call, %d B of it the result arrays", eng.Name(), per, results)
+		if per >= results+bound {
+			t.Fatalf("warm %s BFS allocates %d B per call beyond its %d B result arrays; bound %d",
+				eng.Name(), per-results, results, bound)
+		}
+	}
+}
+
 // arenaBytes is what the workspace's per-worker arenas retain.
 func (ws *workspace) arenaBytes() int {
-	return ws.claimBuf.Cap()*int(unsafe.Sizeof(parallel.Claim{})) +
-		ws.candBuf.Cap()*int(unsafe.Sizeof(ssspCand{})) +
-		ws.reAddBuf.Cap()*int(unsafe.Sizeof(graph.VID(0))) +
+	return ws.reAddBuf.Cap()*int(unsafe.Sizeof(graph.VID(0))) +
 		ws.laterBuf.Cap()*int(unsafe.Sizeof([2]int64{}))
 }
 
 // regionBytes is the output the most recent region of each kind left in
 // the workspace's queues.
-func (ws *workspace) regionBytes() [4]int {
-	return [4]int{
-		ws.claims.Len() * int(unsafe.Sizeof(parallel.Claim{})),
-		ws.cands.Len() * int(unsafe.Sizeof(ssspCand{})),
+func (ws *workspace) regionBytes() [2]int {
+	return [2]int{
 		ws.reAddQ.Len() * int(unsafe.Sizeof(graph.VID(0))),
 		ws.laterQ.Len() * int(unsafe.Sizeof([2]int64{})),
 	}
 }
 
-// The bounded-retention rule: after 40 mixed roots the arenas hold no
-// more than a small multiple of the largest single region's output.
-// Keeping every chunk's high-water buffer instead — the obvious way to
-// stop allocating — retains several times that and fails here. The
-// largest region is observed through the cancellation hook, which the
-// kernels poll between regions, and once more after each call.
+// The bounded-retention rule for the queues GAP keeps to itself (the
+// shared steps' arenas have the same wall in internal/engines/traverse):
+// after 40 chaotic searches the arenas hold no more than a small
+// multiple of the largest single region's output. Keeping every chunk's
+// high-water buffer instead — the obvious way to stop allocating —
+// retains several times that and fails here. The largest region is
+// observed through the cancellation hook, which the kernels poll
+// between regions, and once more after each call.
 func TestWorkspaceRetentionBoundedByLargestRegion(t *testing.T) {
 	const workers = 2
 	inst := load(t, New(), kron(12, 9), 8)
 	inst.m.SetWorkers(workers)
-	var peak [4]int
+	var peak [2]int
 	observe := func() error {
 		for i, b := range inst.ws.regionBytes() {
 			peak[i] = max(peak[i], b)
@@ -242,26 +276,14 @@ func TestWorkspaceRetentionBoundedByLargestRegion(t *testing.T) {
 		return nil
 	}
 	inst.SetCancel(observe)
-	var bfs engines.BFSResult
 	var sssp engines.SSSPResult
-	for i, root := range rootsOf(inst.OutCSR(), 40) {
-		var err error
-		switch i % 3 {
-		case 0:
-			_, err = inst.BFSInto(root, &bfs)
-		case 1:
-			inst.eng.SyncSSSP = true
-			_, err = inst.SSSPInto(root, &sssp)
-		case 2:
-			inst.eng.SyncSSSP = false
-			_, err = inst.SSSPInto(root, &sssp)
-		}
-		if err != nil {
+	for _, root := range rootsOf(inst.OutCSR(), 40) {
+		if _, err := inst.SSSPInto(root, &sssp); err != nil {
 			t.Fatal(err)
 		}
 		_ = observe()
 	}
-	need := peak[0] + peak[1] + peak[2] + peak[3]
+	need := peak[0] + peak[1]
 	got := inst.ws.arenaBytes()
 	t.Logf("arenas retain %d B; largest regions' outputs sum to %d B (%.2fx)", got, need, float64(got)/float64(need))
 	// One buffer per worker, each grown by at most doubling to its
@@ -270,40 +292,5 @@ func TestWorkspaceRetentionBoundedByLargestRegion(t *testing.T) {
 	// region alone, each ending on a doubling).
 	if got > 2*workers*need {
 		t.Fatalf("arenas retain %d B, over %dx the %d B the largest regions produced", got, 2*workers, need)
-	}
-}
-
-// The dedup stamps survive the pass counter wrapping: a search started
-// just below the wrap equals one on a fresh instance, and the counter
-// restarts from a re-zeroed array.
-func TestQueuedStampWrapAround(t *testing.T) {
-	e := New()
-	e.SyncSSSP = true
-	el := kron(9, 13)
-	inst := load(t, e, el, 4)
-	roots := rootsOf(inst.OutCSR(), 3)
-	if _, err := inst.SSSP(roots[0]); err != nil { // size and stamp queued
-		t.Fatal(err)
-	}
-	inst.ws.pass = math.MaxInt32 - 2
-	// Poison the stamps a wrapped counter would hand out again.
-	for v := range inst.ws.queued {
-		inst.ws.queued[v] = int32(v%5) + 1
-	}
-	for _, root := range roots[1:] {
-		got, err := inst.SSSP(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := load(t, e, el, 4).SSSP(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Parent, want.Parent) || got.Relaxations != want.Relaxations {
-			t.Fatalf("root %d: SSSP across the stamp wrap differs from fresh", root)
-		}
-	}
-	if inst.ws.pass <= 0 || inst.ws.pass > 1<<20 {
-		t.Fatalf("pass counter did not restart after the wrap: %d", inst.ws.pass)
 	}
 }

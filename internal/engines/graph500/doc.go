@@ -16,7 +16,12 @@
 //     skewed Kronecker frontiers produces the load imbalance visible
 //     in the paper's efficiency plot (Fig. 6).
 //
-// Known fidelity gaps: the reference's MPI variants and its
+// Known fidelity gaps: Kernel 2 is no code of this package: it is the
+// top-down level shared with GAP and GraphBIG
+// (internal/engines/traverse) under the kernel2 cost profile — 64-bit
+// parents as bytes per claim, static scheduling at grain 128 — over the
+// raw or compressed CSR, so the reference's visited bitmap exists only
+// as a cost term. The reference's MPI variants and its
 // validation kernel (Benchmark 1's five-point check) are not
 // reproduced — output validity is checked against internal/verify
 // instead. The reference generates its own Kronecker input in place;

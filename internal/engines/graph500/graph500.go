@@ -1,11 +1,9 @@
 package graph500
 
 import (
-	"sync/atomic"
-
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
-	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
@@ -25,6 +23,17 @@ var (
 	// encode pass.
 	costCompressEdge = simmachine.Cost{Cycles: 8, Bytes: 10}
 )
+
+// kernel2 is the reference's search as the shared top-down step
+// (internal/engines/traverse) sees it. The reference uses static
+// scheduling — the frontier chunked round-robin across threads
+// regardless of degree skew — and CASes every sighting of a vertex not
+// finalized before the level; 6 cycles per frontier vertex cover the
+// dequeue and the amortized chunk flush.
+var kernel2 = traverse.Profile{
+	Edge: costEdge, EdgeCompressed: costEdgeC, Claim: costClaim,
+	VertexCycles: 6, Grain: 128, Sched: simmachine.Static,
+}
 
 // Engine is the Graph500 reference analogue.
 type Engine struct {
@@ -56,9 +65,10 @@ type Instance struct {
 	m   *simmachine.Machine
 	el  *graph.EdgeList
 	csr *graph.CSR
-	// ccsr is the compressed sibling of csr, built only under
-	// Engine.Compress; nil selects the raw scan.
-	ccsr *graph.CompressedCSR
+	// rows is what Kernel 2 expands: csr, or under Engine.Compress its
+	// delta+varint compressed sibling.
+	rows traverse.Rows
+	trav traverse.State
 }
 
 // Load implements engines.Engine.
@@ -80,11 +90,12 @@ func (inst *Instance) BuildStructure() {
 		Dedup:         true,
 		Sort:          true,
 	})
+	inst.rows = inst.csr
 	if inst.eng.Compress {
 		inst.m.ParallelFor(int(inst.csr.NumEdges()), 4096, simmachine.Static, func(lo, hi int, w *simmachine.W) {
 			w.Charge(costCompressEdge.Scale(float64(hi - lo)))
 		})
-		inst.ccsr = graph.CompressCSR(inst.csr, 0)
+		inst.rows = graph.CompressCSR(inst.csr, 0)
 	}
 }
 
@@ -94,87 +105,12 @@ func (inst *Instance) ensureBuilt() {
 	}
 }
 
-// BFS implements engines.Instance (Kernel 2).
+// BFS implements engines.Instance (Kernel 2): level-synchronous
+// top-down search, nothing but the shared step under the kernel2
+// profile.
 func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 	inst.ensureBuilt()
-	n := inst.csr.NumVertices
-	res := &engines.BFSResult{
-		Root:   root,
-		Parent: make([]int64, n),
-		Depth:  make([]int64, n),
-	}
-	for i := range res.Parent {
-		res.Parent[i] = engines.NoParent
-		res.Depth[i] = -1
-	}
-	res.Parent[root] = int64(root)
-	res.Depth[root] = 0
-
-	queue := parallel.NewChunkQueue[parallel.Claim]()
-	var claimBuf parallel.Arena[parallel.Claim]
-	frontier := []graph.VID{root}
-	level := int64(0)
-	var examined int64
-	// The reference uses static scheduling: chunk the frontier
-	// round-robin across threads regardless of degree skew. The 128
-	// base is the GrainFixed value; adaptive resolves per level.
-	const grain = 128
-	for len(frontier) > 0 {
-		g := inst.m.Grain(len(frontier), grain, 1)
-		queue.Reset(parallel.NumChunks(len(frontier), g))
-		claimBuf.Reset(inst.m.Workers())
-		exa := parallel.NewCounter(inst.m.Workers())
-		cpb := inst.m.Model().DecodeCyclesPerByte
-		inst.m.ParallelForChunks(len(frontier), g, simmachine.Static, func(lo, hi, chunk, worker int, w *simmachine.W) {
-			local := claimBuf.Take(worker)
-			start := len(local)
-			var buf []graph.VID
-			var edges, claims, decBytes int64
-			for _, v := range frontier[lo:hi] {
-				adj := inst.csr.Neighbors(v)
-				if inst.ccsr != nil {
-					buf = inst.ccsr.DecodeNeighbors(v, buf)
-					adj = buf
-					decBytes += inst.ccsr.EncodedBytes(v)
-				}
-				for _, u := range adj {
-					edges++
-					// The reference CASes every sighting of a vertex
-					// not finalized before this level; that set — and
-					// so the charge — is schedule-independent.
-					if d := atomic.LoadInt64(&res.Depth[u]); d != -1 && d != level+1 {
-						continue
-					}
-					claims++
-					if parallel.LowerMinInt64(&res.Parent[u], int64(v), engines.NoParent) {
-						atomic.StoreInt64(&res.Depth[u], level+1)
-						local = append(local, parallel.Claim{V: u, By: v})
-					}
-				}
-			}
-			queue.Put(chunk, claimBuf.Give(worker, local, start))
-			exa.Add(worker, edges)
-			if inst.ccsr != nil {
-				w.Charge(costEdgeC.Scale(float64(edges)))
-				w.Cycles(cpb * float64(decBytes))
-				w.Bytes(float64(decBytes))
-			} else {
-				w.Charge(costEdge.Scale(float64(edges)))
-			}
-			w.Charge(costClaim.Scale(float64(claims)))
-			w.Cycles(float64(hi-lo) * 6) // dequeue + amortized chunk flush
-		})
-		examined += exa.Sum()
-		// Canonical frontier without sorting: tentative claims drain in
-		// chunk order, filtered to the final write-min parents, so both
-		// membership and order are schedule-independent.
-		frontier = parallel.DrainChunkQueue(queue, frontier[:0], func(c parallel.Claim) (graph.VID, bool) {
-			return c.V, res.Parent[c.V] == int64(c.By)
-		})
-		level++
-	}
-	res.EdgesExamined = examined
-	return res, nil
+	return inst.trav.BFS(inst.m, inst.rows, &kernel2, "graph500: BFS", inst.csr.NumVertices, root)
 }
 
 // SSSP implements engines.Instance; not part of the benchmark.

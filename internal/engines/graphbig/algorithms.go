@@ -118,7 +118,7 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 					}
 					edges += int64(len(inst.vertices[v].in))
 				}
-				nl := pickLabel(counts, label[v])
+				nl := engines.PickLabel(counts, label[v])
 				next[v] = nl
 				if nl != label[v] {
 					localChanged++
@@ -136,20 +136,6 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 	}
 	res.Label = label
 	return res, nil
-}
-
-func pickLabel(counts map[graph.VID]int, own graph.VID) graph.VID {
-	if len(counts) == 0 {
-		return own
-	}
-	best := graph.VID(0)
-	bestN := -1
-	for l, c := range counts {
-		if c > bestN || (c == bestN && l < best) {
-			best, bestN = l, c
-		}
-	}
-	return best
 }
 
 // LCC implements engines.Instance: per-vertex hash-set membership
@@ -193,41 +179,11 @@ func (inst *Instance) LCC() (*engines.LCCResult, error) {
 // neighborhood returns distinct in∪out neighbors of v excluding v
 // (adjacency lists are sorted and deduplicated at load).
 func (inst *Instance) neighborhood(v graph.VID) []graph.VID {
-	out := inst.vertices[v].out
+	vp := &inst.vertices[v]
 	if !inst.directed {
-		return out // sorted, simple graph: v itself was dropped
+		return vp.out // sorted, simple graph: v itself was dropped
 	}
-	in := inst.vertices[v].in
-	merged := make([]graph.VID, 0, len(out)+len(in))
-	i, j := 0, 0
-	for i < len(out) || j < len(in) {
-		var nxt graph.VID
-		switch {
-		case i >= len(out):
-			nxt = in[j]
-			j++
-		case j >= len(in):
-			nxt = out[i]
-			i++
-		case out[i] < in[j]:
-			nxt = out[i]
-			i++
-		case in[j] < out[i]:
-			nxt = in[j]
-			j++
-		default:
-			nxt = out[i]
-			i++
-			j++
-		}
-		if nxt == v {
-			continue
-		}
-		if len(merged) == 0 || merged[len(merged)-1] != nxt {
-			merged = append(merged, nxt)
-		}
-	}
-	return merged
+	return engines.Neighborhood(vp.out, vp.in, v)
 }
 
 // WCC implements engines.Instance: plain min-label propagation (no

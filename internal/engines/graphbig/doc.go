@@ -23,7 +23,12 @@
 // Known fidelity gaps: System G's per-vertex mutex traffic is modeled
 // as atomic-RMW charges rather than executed locks (Go kernels use
 // CAS helpers from internal/parallel), and its C++ object allocator
-// behavior is approximated by slice-of-slices indirection costs. The
+// behavior is approximated by slice-of-slices indirection costs. BFS
+// and the synchronous SSSP round are the steps shared with GAP and
+// Graph500 (internal/engines/traverse) reading the property objects'
+// rows in place under the levelBFS and roundRelax cost profiles: the
+// traversal logic is common, System G's character is in what each
+// edge, visit and property touch is charged. The
 // suite's GPU and streaming workloads are out of scope; only the six
 // study kernels exist. All timing is simmachine-modeled, not
 // measured.

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
@@ -23,6 +24,23 @@ var (
 	costLCCCheck  = simmachine.Cost{Cycles: 14, Bytes: 18}
 	costWCCEdge   = simmachine.Cost{Cycles: 12, Bytes: 22}
 	costPropTouch = simmachine.Cost{Cycles: 6, Bytes: 12}
+)
+
+// System G as the shared steps (internal/engines/traverse) see it.
+// levelBFS is plain level-synchronous traversal: a property-lock
+// acquisition on every sighting of a vertex not finalized before the
+// level, and 4 cycles of frontier-queue traffic per vertex; property
+// objects are never compressed. roundRelax is a round-barrier
+// Bellman-Ford round: the chaotic variant's per-edge lock traffic, a
+// property touch per frontier vertex and per candidate merged.
+var (
+	levelBFS = traverse.Profile{
+		Edge: costBFSEdge, Claim: costVisit,
+		VertexCycles: 4, Grain: 32, Sched: simmachine.Dynamic,
+	}
+	roundRelax = traverse.RelaxProfile{
+		Edge: costSSSPEdge, Vertex: costPropTouch, Merge: costPropTouch,
+	}
 )
 
 // Engine is the GraphBIG analogue.
@@ -67,14 +85,23 @@ type vertexProp struct {
 	w   []float32   // parallel to out; nil if unweighted
 }
 
+// propertyGraph is the vertex table; the shared steps read rows out of
+// it in place.
+type propertyGraph []vertexProp
+
+func (g propertyGraph) Row(v graph.VID, _ []graph.VID) ([]graph.VID, int64) { return g[v].out, 0 }
+func (g propertyGraph) Encoded() bool                                       { return false }
+func (g propertyGraph) WeightedRow(v graph.VID) ([]graph.VID, []float32)    { return g[v].out, g[v].w }
+
 // Instance is a loaded GraphBIG property graph.
 type Instance struct {
 	eng      *Engine
 	m        *simmachine.Machine
-	vertices []vertexProp
+	vertices propertyGraph
 	directed bool
 	weighted bool
 	n        int
+	trav     traverse.State
 }
 
 // Load implements engines.Engine: reading and construction are one
@@ -93,7 +120,7 @@ func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instan
 	})
 	n := csr.NumVertices
 	inst := &Instance{eng: e, m: m, directed: el.Directed, weighted: el.Weighted, n: n}
-	inst.vertices = make([]vertexProp, n)
+	inst.vertices = make(propertyGraph, n)
 	for v := 0; v < n; v++ {
 		inst.vertices[v].out = csr.Neighbors(graph.VID(v))
 		if el.Weighted {
@@ -128,69 +155,10 @@ func (inst *Instance) inNeighbors(v graph.VID) []graph.VID {
 }
 
 // BFS implements engines.Instance: plain level-synchronous traversal
-// with per-vertex visited atomics.
+// with per-vertex visited atomics — the shared step under the levelBFS
+// profile.
 func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
-	n := inst.n
-	res := &engines.BFSResult{
-		Root:   root,
-		Parent: make([]int64, n),
-		Depth:  make([]int64, n),
-	}
-	for i := range res.Parent {
-		res.Parent[i] = engines.NoParent
-		res.Depth[i] = -1
-	}
-	res.Parent[root] = int64(root)
-	res.Depth[root] = 0
-
-	queue := parallel.NewChunkQueue[parallel.Claim]()
-	var claimBuf parallel.Arena[parallel.Claim]
-	frontier := []graph.VID{root}
-	level := int64(0)
-	var examined int64
-	const grain = 32 // GrainFixed base; adaptive resolves per level
-	for len(frontier) > 0 {
-		g := inst.m.Grain(len(frontier), grain, 1)
-		queue.Reset(parallel.NumChunks(len(frontier), g))
-		claimBuf.Reset(inst.m.Workers())
-		exa := parallel.NewCounter(inst.m.Workers())
-		inst.m.ParallelForChunks(len(frontier), g, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-			local := claimBuf.Take(worker)
-			start := len(local)
-			var edges, visits int64
-			for _, v := range frontier[lo:hi] {
-				for _, u := range inst.vertices[v].out {
-					edges++
-					// Property-lock acquisitions hit every sighting of
-					// a vertex not finalized before this level — a set
-					// fixed by earlier levels, so the charge is
-					// schedule-independent.
-					if d := atomic.LoadInt64(&res.Depth[u]); d != -1 && d != level+1 {
-						continue
-					}
-					visits++
-					if parallel.LowerMinInt64(&res.Parent[u], int64(v), engines.NoParent) {
-						atomic.StoreInt64(&res.Depth[u], level+1)
-						local = append(local, parallel.Claim{V: u, By: v})
-					}
-				}
-			}
-			queue.Put(chunk, claimBuf.Give(worker, local, start))
-			exa.Add(worker, edges)
-			w.Charge(costBFSEdge.Scale(float64(edges)))
-			w.Charge(costVisit.Scale(float64(visits)))
-			w.Cycles(float64(hi-lo) * 4) // frontier queue traffic
-		})
-		examined += exa.Sum()
-		// Sort-free canonical frontier: drain tentative claims in chunk
-		// order, keeping only the final write-min winners.
-		frontier = parallel.DrainChunkQueue(queue, frontier[:0], func(c parallel.Claim) (graph.VID, bool) {
-			return c.V, res.Parent[c.V] == int64(c.By)
-		})
-		level++
-	}
-	res.EdgesExamined = examined
-	return res, nil
+	return inst.trav.BFS(inst.m, inst.vertices, &levelBFS, "graphbig: BFS", inst.n, root)
 }
 
 // SSSP implements engines.Instance: frontier-driven Bellman-Ford
@@ -204,19 +172,13 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 		return inst.ssspSync(root)
 	}
 	n := inst.n
-	res := &engines.SSSPResult{
-		Root:   root,
-		Dist:   make([]float64, n),
-		Parent: make([]int64, n),
-	}
-	dist := make([]uint64, n)
+	res := traverse.StartSSSP(nil, root, n)
+	dist := make([]uint64, n) // float64 bits, for CAS-min
 	inf := math.Float64bits(math.Inf(1))
 	for i := range dist {
 		dist[i] = inf
-		res.Parent[i] = engines.NoParent
 	}
 	dist[root] = math.Float64bits(0)
-	res.Parent[root] = int64(root)
 
 	queue := parallel.NewQueue[graph.VID](n)
 	active := []graph.VID{root}

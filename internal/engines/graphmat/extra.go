@@ -54,7 +54,7 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 			}
 			w.Charge(costScanNZ.Scale(float64(nz)))
 			w.Charge(costProcessNZ.Scale(float64(nz)))
-			nl := minMaxLabel(counts, label[v])
+			nl := engines.PickLabel(counts, label[v])
 			if nl != label[v] {
 				next[v] = nl
 				atomic.AddInt64(&changed, 1)
@@ -75,7 +75,7 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 					counts[label[inst.outMat.cols[i]]]++
 				}
 				w.Charge(costScanNZ.Scale(float64(hi - lo)))
-				nl := minMaxLabel(counts, label[v])
+				nl := engines.PickLabel(counts, label[v])
 				if nl != label[v] {
 					next[v] = nl
 					atomic.AddInt64(&changed, 1)
@@ -109,20 +109,6 @@ func hasInRow(mat *dcsr, v graph.VID) bool {
 		}
 	}
 	return false
-}
-
-func minMaxLabel(counts map[graph.VID]int, own graph.VID) graph.VID {
-	if len(counts) == 0 {
-		return own
-	}
-	best := graph.VID(0)
-	bestN := -1
-	for l, c := range counts {
-		if c > bestN || (c == bestN && l < best) {
-			best, bestN = l, c
-		}
-	}
-	return best
 }
 
 // WCC implements engines.Instance: min-semiring SpMV iterated until
@@ -191,7 +177,10 @@ func (inst *Instance) LCC() (*engines.LCCResult, error) {
 	inst.m.ParallelFor(n, 64, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
 		var checks int64
 		for v := lo; v < hi; v++ {
-			nbrs := mergedNeighborhood(out, inCSR, graph.VID(v), inst.directed)
+			nbrs := out.Neighbors(graph.VID(v))
+			if inst.directed {
+				nbrs = engines.Neighborhood(nbrs, inCSR.Neighbors(graph.VID(v)), graph.VID(v))
+			}
 			d := len(nbrs)
 			if d < 2 {
 				continue
@@ -223,44 +212,4 @@ func (inst *Instance) LCC() (*engines.LCCResult, error) {
 		w.Charge(costVecEntry.Scale(float64(hi - lo)))
 	})
 	return &engines.LCCResult{Coeff: coeff}, nil
-}
-
-// mergedNeighborhood returns sorted distinct in∪out neighbors
-// excluding v.
-func mergedNeighborhood(out, in *graph.CSR, v graph.VID, directed bool) []graph.VID {
-	a := out.Neighbors(v)
-	if !directed {
-		return a
-	}
-	b := in.Neighbors(v)
-	merged := make([]graph.VID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var nxt graph.VID
-		switch {
-		case i >= len(a):
-			nxt = b[j]
-			j++
-		case j >= len(b):
-			nxt = a[i]
-			i++
-		case a[i] < b[j]:
-			nxt = a[i]
-			i++
-		case b[j] < a[i]:
-			nxt = b[j]
-			j++
-		default:
-			nxt = a[i]
-			i++
-			j++
-		}
-		if nxt == v {
-			continue
-		}
-		if len(merged) == 0 || merged[len(merged)-1] != nxt {
-			merged = append(merged, nxt)
-		}
-	}
-	return merged
 }

@@ -1,0 +1,57 @@
+package engines
+
+import "github.com/hpcl-repro/epg/internal/graph"
+
+// PickLabel is the CDLP update rule every engine shares: the most
+// frequent label of the neighborhood histogram, ties to the smallest
+// label; a vertex with no neighbors keeps its own.
+func PickLabel(counts map[graph.VID]int, own graph.VID) graph.VID {
+	if len(counts) == 0 {
+		return own
+	}
+	best := graph.VID(0)
+	bestN := -1
+	for l, c := range counts {
+		if c > bestN || (c == bestN && l < best) {
+			best, bestN = l, c
+		}
+	}
+	return best
+}
+
+// Neighborhood returns the sorted distinct in∪out neighbors of v,
+// excluding v — the LCC neighborhood of a directed graph. Both lists
+// must be sorted ascending. (An undirected graph's neighborhood is its
+// out-list as stored: callers skip the merge.)
+func Neighborhood(out, in []graph.VID, v graph.VID) []graph.VID {
+	merged := make([]graph.VID, 0, len(out)+len(in))
+	i, j := 0, 0
+	for i < len(out) || j < len(in) {
+		var nxt graph.VID
+		switch {
+		case i >= len(out):
+			nxt = in[j]
+			j++
+		case j >= len(in):
+			nxt = out[i]
+			i++
+		case out[i] < in[j]:
+			nxt = out[i]
+			i++
+		case in[j] < out[i]:
+			nxt = in[j]
+			j++
+		default:
+			nxt = out[i]
+			i++
+			j++
+		}
+		if nxt == v {
+			continue
+		}
+		if len(merged) == 0 || merged[len(merged)-1] != nxt {
+			merged = append(merged, nxt)
+		}
+	}
+	return merged
+}

@@ -210,7 +210,7 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 					}
 					edges += inst.in.Degree(graph.VID(v))
 				}
-				nl := pickLabel(counts, label[v])
+				nl := engines.PickLabel(counts, label[v])
 				next[v] = nl
 				if nl != label[v] {
 					localChanged++
@@ -229,20 +229,6 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 	}
 	res.Label = label
 	return res, nil
-}
-
-func pickLabel(counts map[graph.VID]int, own graph.VID) graph.VID {
-	if len(counts) == 0 {
-		return own
-	}
-	best := graph.VID(0)
-	bestN := -1
-	for l, c := range counts {
-		if c > bestN || (c == bestN && l < best) {
-			best, bestN = l, c
-		}
-	}
-	return best
 }
 
 // LCC implements engines.Instance: neighborhood intersection with
@@ -289,37 +275,7 @@ func (inst *Instance) neighborhood(v graph.VID) []graph.VID {
 	if !inst.directed {
 		return out
 	}
-	in := inst.in.Neighbors(v)
-	merged := make([]graph.VID, 0, len(out)+len(in))
-	i, j := 0, 0
-	for i < len(out) || j < len(in) {
-		var nxt graph.VID
-		switch {
-		case i >= len(out):
-			nxt = in[j]
-			j++
-		case j >= len(in):
-			nxt = out[i]
-			i++
-		case out[i] < in[j]:
-			nxt = out[i]
-			i++
-		case in[j] < out[i]:
-			nxt = in[j]
-			j++
-		default:
-			nxt = out[i]
-			i++
-			j++
-		}
-		if nxt == v {
-			continue
-		}
-		if len(merged) == 0 || merged[len(merged)-1] != nxt {
-			merged = append(merged, nxt)
-		}
-	}
-	return merged
+	return engines.Neighborhood(out, inst.in.Neighbors(v), v)
 }
 
 // WCC implements engines.Instance: min-label GAS supersteps over both

@@ -184,6 +184,17 @@ func (c *CompressedCSR) DecodeNeighbors(v VID, buf []VID) []VID {
 	return out
 }
 
+// Row decodes v's whole row into buf and reports the compressed bytes
+// that took — what a full expansion charges in place of the raw
+// 4 B/edge. The returned row is the (possibly regrown) buf: pass it
+// back as the next call's buf.
+func (c *CompressedCSR) Row(v VID, buf []VID) ([]VID, int64) {
+	return c.DecodeNeighbors(v, buf), c.EncodedBytes(v)
+}
+
+// Encoded reports that rows are decoded on the fly.
+func (c *CompressedCSR) Encoded() bool { return true }
+
 // Validate checks the structural invariants of the compressed
 // adjacency: monotone offsets covering Data, and every stream
 // well-formed (degree varint followed by exactly degree in-range

@@ -86,6 +86,19 @@ func (c *CSR) NeighborWeights(v VID) []float32 {
 	return c.Weights[c.Offsets[v]:c.Offsets[v+1]]
 }
 
+// Row and Encoded make a CSR a traversal row source beside
+// CompressedCSR: rows are stored raw, so Row hands out Neighbors(v)
+// itself, never touches buf and reports no encoded bytes.
+func (c *CSR) Row(v VID, _ []VID) ([]VID, int64) { return c.Neighbors(v), 0 }
+
+// Encoded reports that rows need no decoding.
+func (c *CSR) Encoded() bool { return false }
+
+// WeightedRow returns Neighbors(v) and NeighborWeights(v) together.
+func (c *CSR) WeightedRow(v VID) ([]VID, []float32) {
+	return c.Neighbors(v), c.NeighborWeights(v)
+}
+
 // Validate checks the structural invariants of the CSR.
 func (c *CSR) Validate() error {
 	if c.NumVertices < 0 {

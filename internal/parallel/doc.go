@@ -54,13 +54,13 @@
 //   - ChunkQueue — per-chunk local buffers concatenated in chunk index
 //     order, the real GAP suite's sliding-queue discipline. Since
 //     chunk indices are stable, the concatenation is canonical without
-//     sorting. BFS top-down in GAP/Graph500/GraphBIG collects
+//     sorting. The top-down BFS level GAP, Graph500 and GraphBIG
+//     share (internal/engines/traverse) collects
 //     tentative write-min claims here (LowerMinInt64 + Claim) and
 //     drains the winners; GAP's delta-stepping buckets and both
 //     synchronous SSSP modes collect bucket updates and relaxation
-//     candidates the same way. This replaced the per-level
-//     SortedQueueSlice canonicalization — no kernel sorts a frontier
-//     anymore. Producers append through an Arena (one reusable buffer
+//     candidates the same way — no kernel sorts a frontier.
+//     Producers append through an Arena (one reusable buffer
 //     per worker, sub-sliced per chunk) and consumers walk Chunks() in
 //     place, so a region allocates no slice per chunk and nothing is
 //     concatenated; what an Arena retains is bounded by the largest

@@ -1,9 +1,7 @@
 package parallel
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync/atomic"
 )
 
@@ -27,8 +25,7 @@ import (
 // the mutex-guarded append the engines used before. Membership is
 // schedule-independent whenever the *set* of pushed items is (e.g.
 // first-claim BFS discovery); the order of items is not — callers that
-// need a canonical order either sort the slice (SortedQueueSlice) or,
-// on a hot path, use a ChunkQueue instead.
+// need a canonical order use a ChunkQueue instead.
 type Queue[T any] struct {
 	buf []T
 	n   atomic.Int64
@@ -75,18 +72,6 @@ func (q *Queue[T]) Slice() []T { return q.buf[:q.n.Load()] }
 
 // Reset empties the queue, retaining capacity.
 func (q *Queue[T]) Reset() { q.n.Store(0) }
-
-// SortedQueueSlice sorts the queue's contents in place and returns
-// them: the canonical, schedule-independent form of a frontier whose
-// membership is deterministic. No kernel hot path uses this anymore —
-// the deterministic frontiers are ChunkQueue and Bitmap, which are
-// canonical by construction — but it remains the simplest way to
-// canonicalize a Queue in tests and one-off tools.
-func SortedQueueSlice[T cmp.Ordered](q *Queue[T]) []T {
-	s := q.Slice()
-	slices.Sort(s)
-	return s
-}
 
 // ChunkQueue collects one local buffer per chunk of a parallel region
 // and concatenates them in chunk index order. Because chunk indices

@@ -52,7 +52,7 @@ func TestChunkQueueMatchesSortedQueue(t *testing.T) {
 			if got := cq.AppendTo(nil); !slices.Equal(got, want) {
 				t.Fatalf("sched=%v workers=%d: chunk-ordered concat differs from serial reference", sched, workers)
 			}
-			if got := slices.Clone(SortedQueueSlice(q)); !slices.Equal(got, wantSorted) {
+			if got := slices.Sorted(slices.Values(q.Slice())); !slices.Equal(got, wantSorted) {
 				t.Fatalf("sched=%v workers=%d: Queue multiset differs from ChunkQueue multiset", sched, workers)
 			}
 			if cq.Len() != len(want) {

@@ -3,6 +3,7 @@ package parallel
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -175,7 +176,8 @@ func TestQueueCollectsAll(t *testing.T) {
 	if q.Len() != 10000 {
 		t.Fatalf("queue holds %d items, want 10000", q.Len())
 	}
-	s := SortedQueueSlice(q)
+	s := q.Slice()
+	slices.Sort(s)
 	for i, v := range s {
 		if v != int32(i) {
 			t.Fatalf("sorted[%d] = %d", i, v)

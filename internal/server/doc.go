@@ -34,7 +34,7 @@
 // degrades answer precision before it degrades availability.
 //
 // Deadlines are cooperative: the executor installs a cancellation
-// hook (engines.CancelSetter) that the kernels poll at coarse,
+// hook (gap.Instance.SetCancel) that the kernels poll at coarse,
 // schedule-independent points — once per BFS level, delta-stepping
 // relaxation pass, or PR/WCC iteration — so a runaway query is
 // abandoned at the next frontier with the machine left at the modeled

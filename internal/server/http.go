@@ -17,9 +17,6 @@ import (
 //	POST /v1/refresh
 //	POST /v1/mutate      {"ops":[{"op":"insert","src":1,"dst":2,"w":0.5}, ...]}
 //
-// The unversioned paths (/query, /metrics, /healthz, /refresh,
-// /mutate) are aliases for compatibility with pre-v1 clients.
-//
 // Status mapping: 200 served (including degraded answers — check the
 // "degraded" field); every non-200 carries a structured error body
 // {"code","message","retry_after_ms"}: 400 invalid_query, 405
@@ -27,17 +24,11 @@ import (
 // agree), 500 panic or engine_error, 503 closed, 504 deadline.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	routes := map[string]http.HandlerFunc{
-		"/query":   s.handleQuery,
-		"/metrics": s.handleMetrics,
-		"/healthz": s.handleHealthz,
-		"/refresh": s.handleRefresh,
-		"/mutate":  s.handleMutate,
-	}
-	for path, h := range routes {
-		mux.HandleFunc("/v1"+path, h)
-		mux.HandleFunc(path, h) // legacy alias
-	}
+	mux.HandleFunc("/v1/query", s.handleQuery)
+	mux.HandleFunc("/v1/metrics", s.handleMetrics)
+	mux.HandleFunc("/v1/healthz", s.handleHealthz)
+	mux.HandleFunc("/v1/refresh", s.handleRefresh)
+	mux.HandleFunc("/v1/mutate", s.handleMutate)
 	return mux
 }
 

@@ -48,7 +48,7 @@ func waitUntil(t *testing.T, cond func() bool) {
 func TestHTTPQuery(t *testing.T) {
 	s, ts := startHTTP(t, Config{Executors: 1})
 	var r Response
-	if code := getJSON(t, ts.URL+"/query?op=bfs&src=0&dst=9", &r); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/query?op=bfs&src=0&dst=9", &r); code != 200 {
 		t.Fatalf("bfs query: HTTP %d", code)
 	}
 	if r.Status != StatusOK || r.ModeledSec <= 0 {
@@ -65,17 +65,17 @@ func TestHTTPValidation(t *testing.T) {
 		path string
 		code int
 	}{
-		{"/query?op=bfs&src=0&dst=9", 200},
-		{"/query?op=pr&src=1", 200},
-		{"/query?op=khop&src=0&k=2", 200},
-		{"/query?op=nope&src=0", 400},     // unknown op
-		{"/query?op=bfs&src=banana", 400}, // unparsable src
-		{"/query?op=bfs&src=999999", 400}, // out of range
-		{"/query?op=khop&src=0&k=-3", 400},
-		{"/query?op=panic", 400}, // fault injection off
-		{"/query?op=bfs&src=0&dst=1&deadline_ms=bad", 400},
-		{"/healthz", 200},
-		{"/metrics", 200},
+		{"/v1/query?op=bfs&src=0&dst=9", 200},
+		{"/v1/query?op=pr&src=1", 200},
+		{"/v1/query?op=khop&src=0&k=2", 200},
+		{"/v1/query?op=nope&src=0", 400},     // unknown op
+		{"/v1/query?op=bfs&src=banana", 400}, // unparsable src
+		{"/v1/query?op=bfs&src=999999", 400}, // out of range
+		{"/v1/query?op=khop&src=0&k=-3", 400},
+		{"/v1/query?op=panic", 400}, // fault injection off
+		{"/v1/query?op=bfs&src=0&dst=1&deadline_ms=bad", 400},
+		{"/v1/healthz", 200},
+		{"/v1/metrics", 200},
 	} {
 		if code := getJSON(t, ts.URL+tc.path, nil); code != tc.code {
 			t.Errorf("%s: HTTP %d, want %d", tc.path, code, tc.code)
@@ -86,7 +86,7 @@ func TestHTTPValidation(t *testing.T) {
 func TestHTTPDeadline504(t *testing.T) {
 	_, ts := startHTTP(t, Config{Executors: 1})
 	var e apiError
-	code := getJSON(t, ts.URL+"/query?op=bfs&src=0&dst=1&deadline_ms=0.000001", &e)
+	code := getJSON(t, ts.URL+"/v1/query?op=bfs&src=0&dst=1&deadline_ms=0.000001", &e)
 	if code != 504 || e.Code != codeDeadline {
 		t.Fatalf("tiny deadline: HTTP %d code %q, want 504 %q", code, e.Code, codeDeadline)
 	}
@@ -98,36 +98,31 @@ func TestHTTPDeadline504(t *testing.T) {
 func TestHTTPPanic500(t *testing.T) {
 	_, ts := startHTTP(t, Config{Executors: 1, FaultInjection: true})
 	var e apiError
-	code := getJSON(t, ts.URL+"/query?op=panic", &e)
+	code := getJSON(t, ts.URL+"/v1/query?op=panic", &e)
 	if code != 500 || e.Code != codePanic {
 		t.Fatalf("injected panic: HTTP %d code %q, want 500 %q", code, e.Code, codePanic)
 	}
 }
 
-// Every endpoint answers identically on its /v1 path and its legacy
-// alias, and non-200s carry the structured error body on both.
-func TestHTTPV1Aliases(t *testing.T) {
+// The API lives under /v1 only: the unversioned paths are not routed,
+// whatever the method, and the /v1 non-200s carry the structured error
+// body.
+func TestHTTPUnversionedPaths404(t *testing.T) {
 	_, ts := startHTTP(t, Config{Executors: 1})
-	for _, prefix := range []string{"", "/v1"} {
-		if code := getJSON(t, ts.URL+prefix+"/query?op=pr&src=1", nil); code != 200 {
-			t.Errorf("%s/query: HTTP %d", prefix, code)
+	for _, path := range []string{"/query?op=pr&src=1", "/metrics", "/healthz", "/refresh", "/mutate"} {
+		if code := getJSON(t, ts.URL+path, nil); code != 404 {
+			t.Errorf("GET %s: HTTP %d, want 404", path, code)
 		}
-		if code := getJSON(t, ts.URL+prefix+"/healthz", nil); code != 200 {
-			t.Errorf("%s/healthz: HTTP %d", prefix, code)
+		if code := postJSON(t, ts.URL+path, map[string]any{}, nil); code != 404 {
+			t.Errorf("POST %s: HTTP %d, want 404", path, code)
 		}
-		if code := getJSON(t, ts.URL+prefix+"/metrics", nil); code != 200 {
-			t.Errorf("%s/metrics: HTTP %d", prefix, code)
-		}
-		var e apiError
-		if code := getJSON(t, ts.URL+prefix+"/query?op=nope&src=0", &e); code != 400 || e.Code != codeInvalidQuery {
-			t.Errorf("%s/query bad op: HTTP %d code %q, want 400 %q", prefix, code, e.Code, codeInvalidQuery)
-		}
-		if code := getJSON(t, ts.URL+prefix+"/refresh", &e); code != 405 || e.Code != codeMethodNotAllowed {
-			t.Errorf("GET %s/refresh: HTTP %d code %q, want 405 %q", prefix, code, e.Code, codeMethodNotAllowed)
-		}
-		if code := getJSON(t, ts.URL+prefix+"/mutate", &e); code != 405 || e.Code != codeMethodNotAllowed {
-			t.Errorf("GET %s/mutate: HTTP %d code %q, want 405 %q", prefix, code, e.Code, codeMethodNotAllowed)
-		}
+	}
+	var e apiError
+	if code := getJSON(t, ts.URL+"/v1/refresh", &e); code != 405 || e.Code != codeMethodNotAllowed {
+		t.Errorf("GET /v1/refresh: HTTP %d code %q, want 405 %q", code, e.Code, codeMethodNotAllowed)
+	}
+	if code := getJSON(t, ts.URL+"/v1/mutate", &e); code != 405 || e.Code != codeMethodNotAllowed {
+		t.Errorf("GET /v1/mutate: HTTP %d code %q, want 405 %q", code, e.Code, codeMethodNotAllowed)
 	}
 }
 
@@ -162,10 +157,10 @@ func TestHTTPShed429(t *testing.T) {
 		return done
 	}
 	// Wedge query: admitted, dequeued (depth back to 0), held at the gate.
-	wedged := bgGet("/query?op=bfs&src=0&dst=1")
+	wedged := bgGet("/v1/query?op=bfs&src=0&dst=1")
 	waitUntil(t, func() bool { return s.Metrics().Admitted == 1 && s.QueueDepth() == 0 })
 	// Fill the cap-1 queue: admission bumps depth to 1 synchronously.
-	fill := bgGet("/query?op=bfs&src=2&dst=1")
+	fill := bgGet("/v1/query?op=bfs&src=2&dst=1")
 	waitUntil(t, func() bool { return s.Metrics().Admitted == 2 })
 
 	// The overflow request sheds, but its response is written only
@@ -174,7 +169,7 @@ func TestHTTPShed429(t *testing.T) {
 	// logging), and only then open the gate.
 	shedResp := make(chan *http.Response, 1)
 	go func() {
-		resp, err := http.Get(ts.URL + "/query?op=bfs&src=3&dst=1")
+		resp, err := http.Get(ts.URL + "/v1/query?op=bfs&src=3&dst=1")
 		if err != nil {
 			t.Error(err)
 			shedResp <- nil
@@ -207,7 +202,7 @@ func TestHTTPShed429(t *testing.T) {
 	<-wedged
 	<-fill
 	var m MetricsSnapshot
-	if code := getJSON(t, ts.URL+"/metrics", &m); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/metrics", &m); code != 200 {
 		t.Fatalf("metrics: HTTP %d", code)
 	}
 	if m.ShedQueueFull != 1 {
@@ -217,13 +212,13 @@ func TestHTTPShed429(t *testing.T) {
 
 func TestHTTPMetricsShape(t *testing.T) {
 	_, ts := startHTTP(t, Config{Executors: 1})
-	getJSON(t, ts.URL+"/query?op=bfs&src=0&dst=9", nil)
+	getJSON(t, ts.URL+"/v1/query?op=bfs&src=0&dst=9", nil)
 	var m struct {
 		MetricsSnapshot
 		QueueDepth    int `json:"queue_depth"`
 		MaxQueueDepth int `json:"max_queue_depth"`
 	}
-	if code := getJSON(t, ts.URL+"/metrics", &m); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/metrics", &m); code != 200 {
 		t.Fatalf("metrics: HTTP %d", code)
 	}
 	if m.Offered != 1 || m.Completed != 1 {
@@ -233,7 +228,7 @@ func TestHTTPMetricsShape(t *testing.T) {
 
 func TestHTTPRefresh(t *testing.T) {
 	_, ts := startHTTP(t, Config{Executors: 1})
-	resp, err := http.Post(ts.URL+"/refresh", "application/json", strings.NewReader(""))
+	resp, err := http.Post(ts.URL+"/v1/refresh", "application/json", strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +236,7 @@ func TestHTTPRefresh(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("refresh: HTTP %d", resp.StatusCode)
 	}
-	if code := getJSON(t, ts.URL+"/refresh", nil); code != 405 {
+	if code := getJSON(t, ts.URL+"/v1/refresh", nil); code != 405 {
 		t.Fatalf("GET /refresh: HTTP %d, want 405", code)
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
@@ -61,27 +63,18 @@ func testBatch(t *testing.T, s *Server) graph.Batch {
 	}
 }
 
-// After a mutate, every query kind must answer exactly as a server
-// freshly built on the post-batch graph would.
-func TestMutateAnswersMatchFreshServer(t *testing.T) {
-	s := startServer(t, Config{Executors: 2})
-	batch := testBatch(t, s)
-	ctx := context.Background()
-	rep, err := s.Mutate(ctx, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stats.Deleted != 1 || rep.Stats.Inserted != 2 {
-		t.Fatalf("batch stats %+v", rep.Stats)
-	}
-	if s.SketchGeneration() != 2 {
-		t.Fatalf("sketch generation %d after mutate, want 2", s.SketchGeneration())
-	}
-
-	// Reference: a server started directly on the post-batch edge list.
+// assertAnswersMatchFreshServer is the mutation oracle: every query
+// kind must answer on s exactly as on a server started directly on the
+// edge list left by applying batches, in order, to s's start graph
+// (extra queries join the fixed list) — through Submit, and then, with s closed so the test owns them, on
+// each executor in turn, so a stale one cannot hide behind a fresh one.
+func assertAnswersMatchFreshServer(t *testing.T, s *Server, batches []graph.Batch, extra ...Query) {
+	t.Helper()
 	shadow := graph.NewMutableCSR(s.csr, s.el.Directed)
-	if _, err := shadow.Apply(batch); err != nil {
-		t.Fatal(err)
+	for _, b := range batches {
+		if _, err := shadow.Apply(b); err != nil {
+			t.Fatal(err)
+		}
 	}
 	post := shadow.CSR()
 	postEL := &graph.EdgeList{NumVertices: post.NumVertices, Weighted: post.Weights != nil, Directed: s.el.Directed}
@@ -104,24 +97,154 @@ func TestMutateAnswersMatchFreshServer(t *testing.T) {
 	}
 	defer ref.Close()
 
-	for _, q := range []Query{
+	ctx := context.Background()
+	queries := append([]Query{
 		{Op: OpPR, Source: 3},
 		{Op: OpPR, Source: 0},
 		{Op: OpWCC, Source: 0, Target: 9},
 		{Op: OpBFS, Source: 0, Target: 9},
 		{Op: OpSSSP, Source: 0, Target: 9},
 		{Op: OpKHop, Source: 0, K: 2},
-	} {
-		got := s.Submit(ctx, q)
-		want := ref.Submit(ctx, q)
-		if got.Status != StatusOK || want.Status != StatusOK {
-			t.Fatalf("%s: status %q / %q", q.Op, got.Status, want.Status)
+	}, extra...)
+	want := make([]Response, len(queries))
+	check := func(who string, i int, got Response) {
+		t.Helper()
+		q := queries[i]
+		if got.Status != StatusOK {
+			t.Fatalf("%s: %s: status %q %s", who, q.Op, got.Status, got.Err)
 		}
-		if got.Value != want.Value {
-			t.Errorf("%s src=%d dst=%d: mutated server answers %v, fresh server %v",
-				q.Op, q.Source, q.Target, got.Value, want.Value)
+		if got.Value != want[i].Value {
+			t.Errorf("%s: %s src=%d dst=%d: mutated server answers %v, fresh server %v",
+				who, q.Op, q.Source, q.Target, got.Value, want[i].Value)
 		}
 	}
+	for i, q := range queries {
+		want[i] = ref.Submit(ctx, q)
+		check("fresh server", i, want[i])
+		check("submit", i, s.Submit(ctx, q))
+	}
+	s.Close()
+	vec, sketch := s.snapshot()
+	for _, e := range s.execs {
+		if err := s.syncExecutor(e); err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			check(fmt.Sprintf("executor %d", e.id), i, e.run(ctx, q, 0, false, vec, sketch))
+		}
+	}
+}
+
+// After a mutate, every query kind must answer exactly as a server
+// freshly built on the post-batch graph would.
+func TestMutateAnswersMatchFreshServer(t *testing.T) {
+	s := startServer(t, Config{Executors: 2})
+	batch := testBatch(t, s)
+	rep, err := s.Mutate(context.Background(), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.Deleted != 1 || rep.Stats.Inserted != 2 {
+		t.Fatalf("batch stats %+v", rep.Stats)
+	}
+	if s.SketchGeneration() != 2 {
+		t.Fatalf("sketch generation %d after mutate, want 2", s.SketchGeneration())
+	}
+	assertAnswersMatchFreshServer(t, s, []graph.Batch{batch})
+}
+
+// httpOps renders a batch as the /v1/mutate wire body.
+func httpOps(batch graph.Batch) map[string]any {
+	var ops []map[string]any
+	for _, mu := range batch {
+		kind := "insert"
+		if mu.Op == graph.MutDelete {
+			kind = "delete"
+		}
+		ops = append(ops, map[string]any{"op": kind, "src": int(mu.Src), "dst": int(mu.Dst), "w": mu.W})
+	}
+	return map[string]any{"ops": ops}
+}
+
+// The lagging-executor replay path: one of two executors is wedged
+// (blocked in its query-log write) while three /v1/mutate batches —
+// the second deleting the edge the first inserted, the hazard that
+// left a stale WCC add behind when batches accumulate unmaintained —
+// are acknowledged through the other. Then the roles flip: the
+// up-to-date executor is wedged and a /v1/refresh lands on the lagging
+// one, whose single syncExecutor call must replay all three logged
+// batches before its one maintain, the vectors of which the server
+// swaps in. Every answer must equal the fresh-server oracle's.
+func TestLaggingExecutorReplaysLoggedBatches(t *testing.T) {
+	w := &resettableGate{}
+	s, ts := startHTTP(t, Config{Executors: 2, QueryLog: w})
+	base := testBatch(t, s) // delete v0-x, insert v0-a, insert v0-b
+	v0 := base[0].Src
+	var lone graph.VID // an isolated vertex: v0-lone bridges two components
+	for s.csr.Degree(lone) != 0 {
+		lone++
+	}
+	batches := []graph.Batch{
+		{{Op: graph.MutInsert, Src: v0, Dst: lone, W: 0.75}},
+		{{Op: graph.MutDelete, Src: v0, Dst: lone}, base[1]},
+		{base[0], base[2]},
+	}
+
+	// wedge sends a query that its executor serves and then blocks
+	// logging, and returns once that executor has dequeued it.
+	admitted := int64(0)
+	wedge := func(gate chan struct{}) chan struct{} {
+		w.set(gate)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if resp, err := http.Get(ts.URL + "/v1/query?op=bfs&src=0&dst=1"); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		admitted++
+		waitUntil(t, func() bool { return s.Metrics().Admitted == admitted && s.QueueDepth() == 0 })
+		return done
+	}
+	gens := func() (gens []int, logged int) {
+		s.vecMu.RLock()
+		defer s.vecMu.RUnlock()
+		for _, e := range s.execs {
+			gens = append(gens, e.gen)
+		}
+		return gens, len(s.batches)
+	}
+
+	gateA := make(chan struct{})
+	doneA := wedge(gateA)
+	for i, b := range batches {
+		if code := postJSON(t, ts.URL+"/v1/mutate", httpOps(b), nil); code != 200 {
+			t.Fatalf("mutate %d: HTTP %d", i, code)
+		}
+	}
+	g, logged := gens()
+	slices.Sort(g)
+	if logged != 3 || !slices.Equal(g, []int{0, 3}) {
+		t.Fatalf("after three mutates past a wedged executor: applied generations %v of %d logged, want [0 3] of 3", g, logged)
+	}
+
+	// Flip: the second wedge query can only go to the up-to-date
+	// executor, which queues behind the first on the log; releasing the
+	// first then leaves it blocked on its own gate.
+	gateB := make(chan struct{})
+	doneB := wedge(gateB)
+	close(gateA)
+	<-doneA
+	if code := postJSON(t, ts.URL+"/v1/refresh", map[string]any{}, nil); code != 200 {
+		t.Fatalf("refresh on the lagging executor: HTTP %d", code)
+	}
+	if g, _ := gens(); !slices.Equal(g, []int{3, 3}) {
+		t.Fatalf("after the refresh: applied generations %v, want the lagging executor caught up to [3 3]", g)
+	}
+	close(gateB)
+	<-doneB
+
+	assertAnswersMatchFreshServer(t, s, batches, Query{Op: OpWCC, Source: v0, Target: lone})
 }
 
 // Queries racing a live mutate are never dropped: every response is a
@@ -235,7 +358,7 @@ func TestHTTPMutateShed(t *testing.T) {
 	wedged := make(chan struct{})
 	go func() {
 		defer close(wedged)
-		if resp, err := http.Get(ts.URL + "/query?op=bfs&src=0&dst=1"); err == nil {
+		if resp, err := http.Get(ts.URL + "/v1/query?op=bfs&src=0&dst=1"); err == nil {
 			resp.Body.Close()
 		}
 	}()
@@ -243,7 +366,7 @@ func TestHTTPMutateShed(t *testing.T) {
 	fill := make(chan struct{})
 	go func() {
 		defer close(fill)
-		if resp, err := http.Get(ts.URL + "/query?op=bfs&src=2&dst=1"); err == nil {
+		if resp, err := http.Get(ts.URL + "/v1/query?op=bfs&src=2&dst=1"); err == nil {
 			resp.Body.Close()
 		}
 	}()
