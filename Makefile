@@ -1,14 +1,15 @@
 # Lightweight CI for the epg reproduction. `make test` is the tier-1
 # gate; `make race` is the concurrency wall over the parallel runtime,
-# the graph builders, and every engine kernel; `make fuzz` runs the
+# the graph builders, and every engine kernel, and `make race-full`
+# (CI's race step) the same over every package; `make fuzz` runs the
 # property-fuzz targets for FUZZTIME each; `make bench` regenerates
 # the paper's tables and figures once; `make loc` prints the non-test
-# Go lines outside bench/; `make benchfig` rewrites the scheduling-study
-# CSV (FIG_sched_study.csv, policy x grain x placement x freq x
-# compress x threads x sockets, with modeled joules and
-# energy-delay-product columns from the RAPL-analogue power model);
-# `make benchfig-ci` rewrites its pinned-scale, modeled-only sibling
-# FIG_sched_study_ci.csv; `make benchfig-check` is the
+# Go lines outside bench/; `make benchfig` writes the full-scale
+# scheduling study locally (FIG_sched_study.csv, untracked: policy x
+# grain x placement x freq x compress x threads x sockets, with modeled
+# joules and energy-delay-product columns from the RAPL-analogue power
+# model); `make benchfig-ci` rewrites the committed pinned-scale,
+# modeled-only artifact FIG_sched_study_ci.csv; `make benchfig-check` is the
 # bench-regression gate that fails when the regenerated modeled study
 # -- times, cost counters, or joules -- drifts from the committed
 # artifact; `make compress-ratio` prints kron-16 raw vs delta+varint

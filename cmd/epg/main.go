@@ -132,64 +132,66 @@ func cmdHomogenize(args []string) error {
 	return nil
 }
 
+// defineRunFlags declares `epg run`'s flags on fs — the identity and
+// output flags by hand, then one flag per epg.Knobs entry — each bound
+// straight to the field it sets.
+func defineRunFlags(fs *flag.FlagSet) (spec *epg.Spec, csvPath *string, divisor *int) {
+	spec = &epg.Spec{}
+	fs.StringVar(&spec.Dataset, "dataset", "kron-16", "dataset name")
+	fs.StringVar((*string)(&spec.Algorithm), "alg", "BFS", "algorithm (BFS, SSSP, PR, CDLP, LCC, WCC)")
+	fs.IntVar(&spec.Threads, "threads", 32, "virtual thread count")
+	fs.IntVar(&spec.Roots, "roots", 32, "roots / trials")
+	fs.Func("engines", "comma-separated engine `names` (default: every engine that has the algorithm)", func(v string) error {
+		if v != "" {
+			spec.Engines = strings.Split(v, ",")
+		}
+		return nil
+	})
+	csvPath = fs.String("csv", "", "write the phase-4 CSV here")
+	fs.BoolVar(&spec.MeasurePower, "power", false, "meter power per root (Table III, Fig. 9)")
+	divisor = fs.Int("divisor", 64, "real-world dataset scale divisor")
+	fs.Uint64Var(&spec.Seed, "seed", 1, "seed")
+	for _, k := range epg.Knobs {
+		if k.NoFlag {
+			continue
+		}
+		usage := k.Help
+		if legal := k.Legal(); legal != "" {
+			usage += " [" + legal + "]"
+		}
+		switch p := k.Field(spec).(type) {
+		case *string:
+			fs.StringVar(p, k.Name, "", usage)
+		case *int:
+			fs.IntVar(p, k.Name, 0, usage)
+		case *float64:
+			fs.Float64Var(p, k.Name, 0, usage)
+		case *bool:
+			fs.BoolVar(p, k.Name, false, usage)
+		case **epg.MutationSchedule:
+			fs.Func(k.Name, usage, func(v string) (err error) {
+				*p, err = parseMutations(v)
+				return err
+			})
+		}
+	}
+	return spec, csvPath, divisor
+}
+
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	dataset := fs.String("dataset", "kron-16", "dataset name")
-	alg := fs.String("alg", "BFS", "algorithm (BFS, SSSP, PR, CDLP, LCC, WCC)")
-	threads := fs.Int("threads", 32, "virtual thread count")
-	roots := fs.Int("roots", 32, "roots / trials")
-	enginesFlag := fs.String("engines", "", "comma-separated engine subset")
-	csvPath := fs.String("csv", "", "write the phase-4 CSV here")
-	measurePower := fs.Bool("power", false, "meter power per root (Table III, Fig. 9)")
-	divisor := fs.Int("divisor", 64, "real-world dataset scale divisor")
-	seed := fs.Uint64("seed", 1, "seed")
-	sched := fs.String("sched", "", "force a scheduling policy on every region (static, dynamic, steal, numa)")
-	sockets := fs.Int("sockets", 0, "virtual socket count for the locality model (0 = one socket, no penalties)")
-	remotePenalty := fs.Float64("remote-penalty", 0, "remote-chunk-access bytes multiplier (0 = model default)")
-	grain := fs.String("grain", "", "region grain policy: fixed (engine defaults) or adaptive (frontier-proportional)")
-	placement := fs.String("placement", "", "locality model for resident data: none (steals only) or firsttouch (page ownership; needs -sockets > 1)")
-	freq := fs.String("freq", "", "modeled DVFS operating point: turbo (default), balanced, or powersave — scales core clocks and CPU dynamic power together")
-	syncSSSP := fs.Bool("sync-sssp", false, "synchronous deterministic SSSP in GAP and GraphBIG")
-	compress := fs.Bool("compress", false, "delta+varint compressed adjacency in GAP and Graph500 BFS/PR (decode-aware cost model)")
-	nodes := fs.Int("nodes", 0, "virtual cluster node count for the modeled distributed-memory mode (0/1 = single box)")
-	partition := fs.String("partition", "", "cluster partition scheme: 1d (blocked vertex ranges) or 2d (greedy vertex-cut homes); needs -nodes > 1")
-	mutations := fs.String("mutations", "", "streaming phase 'BxS@F': B batches of S edge mutations with delete fraction F (e.g. 4x64@0.25); PR and WCC only")
+	spec, csvPath, divisor := defineRunFlags(fs)
 	fs.Parse(args)
+	if spec.Mutations != nil {
+		spec.Mutations.Seed = spec.Seed // known only once every flag is parsed
+	}
 
-	s := newSuite(*divisor, *seed)
-	g, err := s.Dataset(*dataset)
+	s := newSuite(*divisor, spec.Seed)
+	g, err := s.Dataset(spec.Dataset)
 	if err != nil {
 		return err
 	}
-	spec := epg.Spec{
-		Dataset:       *dataset,
-		Algorithm:     epg.Algorithm(*alg),
-		Threads:       *threads,
-		Roots:         *roots,
-		Seed:          *seed,
-		MeasurePower:  *measurePower,
-		Sched:         *sched,
-		Sockets:       *sockets,
-		RemotePenalty: *remotePenalty,
-		Grain:         *grain,
-		Placement:     *placement,
-		FreqState:     *freq,
-		SyncSSSP:      *syncSSSP,
-		Compress:      *compress,
-		Nodes:         *nodes,
-		Partition:     *partition,
-	}
-	if *enginesFlag != "" {
-		spec.Engines = strings.Split(*enginesFlag, ",")
-	}
-	if *mutations != "" {
-		ms, err := parseMutations(*mutations, *seed)
-		if err != nil {
-			return err
-		}
-		spec.Mutations = ms
-	}
-	results, err := s.Run(spec, g)
+	results, err := s.Run(*spec, g)
 	if err != nil {
 		return err
 	}
@@ -204,15 +206,18 @@ func cmdRun(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (%d rows)\n", *csvPath, len(results))
 	}
-	renderFor(spec.Algorithm, s, results, *measurePower)
+	renderFor(spec.Algorithm, s, results, spec.MeasurePower)
 	return nil
 }
 
-// parseMutations parses the -mutations syntax "BxS@F" into a schedule
-// seeded from the run seed.
-func parseMutations(s string, seed uint64) (*epg.MutationSchedule, error) {
+// parseMutations parses the schedule syntax "BxS@F"; the empty string
+// is no schedule.
+func parseMutations(s string) (*epg.MutationSchedule, error) {
+	if s == "" {
+		return nil, nil
+	}
 	bad := func() error {
-		return fmt.Errorf("run: bad -mutations %q (want BxS@F, e.g. 4x64@0.25)", s)
+		return fmt.Errorf("bad schedule %q (want BxS@F, e.g. 4x64@0.25)", s)
 	}
 	body, fracStr, hasFrac := strings.Cut(s, "@")
 	bStr, sizeStr, ok := strings.Cut(body, "x")
@@ -233,7 +238,7 @@ func parseMutations(s string, seed uint64) (*epg.MutationSchedule, error) {
 			return nil, bad()
 		}
 	}
-	return &epg.MutationSchedule{Batches: batches, BatchSize: size, DeleteFrac: frac, Seed: seed}, nil
+	return &epg.MutationSchedule{Batches: batches, BatchSize: size, DeleteFrac: frac}, nil
 }
 
 func renderFor(alg epg.Algorithm, s *epg.Suite, results []epg.Result, withPower bool) {

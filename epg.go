@@ -19,7 +19,7 @@
 // Engines run their algorithms for real (results are validated
 // against serial references in the test suite) while all performance
 // accounting flows through a deterministic model of the paper's
-// 72-thread Haswell server; see DESIGN.md for the substitutions.
+// 72-thread Haswell server; see ARCHITECTURE.md for the substitutions.
 package epg
 
 import (
@@ -53,20 +53,17 @@ const (
 	WCC      = engines.WCC
 )
 
-// Spec describes one experiment (dataset, algorithm, engines,
-// threads, roots, scheduling policy). Spec.Compress selects
-// delta+varint byte-compressed adjacency (decoded on the fly with a
-// modeled per-byte cost) in the GAP and Graph500 BFS/PageRank inner
-// loops; outputs are identical, only the modeled roofline moves.
+// Spec describes one experiment: its identity (dataset, algorithm,
+// engines, threads, roots, seed, metering) and the execution knobs
+// listed in Knobs. Each field's doc comment is the knob's reference.
 type Spec = core.Spec
 
-// Scheduling policies for Spec.Sched. SchedAuto (the default) keeps
-// each engine's own per-region policy — the paper's configuration;
-// the others force one policy onto every parallel region, changing
-// both real execution and the modeled virtual-lane accounting.
-// SchedNUMA is two-level (socket-aware) work stealing; pair it with
-// Spec.Sockets (and optionally Spec.RemotePenalty) to make the
-// locality model charge cross-socket steals.
+// Knobs is the table that declares each execution knob of a Spec once
+// (legal values, CLI flag, machine/engine hook), in Spec field order;
+// see "Adding a knob" in ARCHITECTURE.md.
+var Knobs = core.Knobs
+
+// Scheduling policies for Spec.Sched.
 const (
 	SchedAuto    = core.SchedAuto
 	SchedStatic  = core.SchedStatic
@@ -75,58 +72,34 @@ const (
 	SchedNUMA    = core.SchedNUMA
 )
 
-// Grain policies for Spec.Grain. GrainFixed (the default) keeps each
-// engine's hand-picked per-region grain; GrainAdaptive derives grains
-// from the live region size and Spec.Threads, so frontier regions
-// always split into about eight chunks per lane — the configuration
-// that keeps work stealing live on small BFS/SSSP frontiers.
+// Grain policies for Spec.Grain.
 const (
 	GrainFixed    = core.GrainFixed
 	GrainAdaptive = core.GrainAdaptive
 )
 
-// Placement models for Spec.Placement. PlacementNone (the default)
-// charges locality penalties only when a chunk is stolen across
-// sockets; PlacementFirstTouch additionally records first-touch socket
-// ownership of resident data and charges remote reads under every
-// scheduling policy. Pair it with Spec.Sockets > 1.
+// Placement models for Spec.Placement.
 const (
 	PlacementNone       = core.PlacementNone
 	PlacementFirstTouch = core.PlacementFirstTouch
 )
 
-// Frequency states for Spec.FreqState. FreqTurbo (the default) is the
-// historical calibration; FreqBalanced and FreqPowersave model lower
-// DVFS operating points — core clocks scaled down, CPU-plane dynamic
-// power scaled down superlinearly (voltage–frequency coupling), DRAM
-// plane untouched. Both modeled seconds and modeled joules respond,
-// so sweeping the states answers which configuration is fastest per
-// joule (and which minimizes energy-delay product).
+// Frequency states for Spec.FreqState.
 const (
 	FreqTurbo     = core.FreqTurbo
 	FreqBalanced  = core.FreqBalanced
 	FreqPowersave = core.FreqPowersave
 )
 
-// Partition schemes for Spec.Partition, effective when Spec.Nodes > 1
-// turns on the modeled distributed-memory cluster: lanes group into
-// virtual nodes, inter-node traffic is charged through the network
-// model (batched per superstep), and outputs stay bit-identical to the
-// single-box run — only modeled durations move. Partition1D (the
-// default) homes contiguous blocked vertex ranges on each node;
-// Partition2D homes each vertex on its lowest greedy-vertex-cut
-// replica shard, the PowerGraph-style edge partition.
+// Partition schemes for Spec.Partition.
 const (
 	Partition1D = core.Partition1D
 	Partition2D = core.Partition2D
 )
 
-// MutationSchedule parameterizes Spec.Mutations, the streaming phase:
-// deterministic batches of edge inserts/deletes applied through an
-// engine's Streamer hook with incremental PageRank/WCC maintenance,
-// each batch conformance-checked bit-equal against a full recompute on
-// the post-batch graph. Stream rows carry Result.Batch > 0 with the
-// mutate / maintain / recompute breakdown.
+// MutationSchedule parameterizes Spec.Mutations, the streaming phase.
+// Stream rows carry Result.Batch > 0 with the mutate / maintain /
+// recompute breakdown.
 type MutationSchedule = core.MutationSchedule
 
 // Result is one measured run with its phase breakdown.

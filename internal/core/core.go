@@ -164,66 +164,28 @@ type MutationSchedule struct {
 	Seed uint64
 }
 
-// Scheduling policy names for Spec.Sched.
+// The legal names of the string-valued knobs; each Spec field's doc
+// comment says what they select. The empty string is always the
+// default.
 const (
-	// SchedAuto keeps each engine's own per-region policy.
-	SchedAuto = ""
-	// SchedStatic forces OpenMP schedule(static)-style round-robin.
-	SchedStatic = "static"
-	// SchedDynamic forces chunks off a shared counter
-	// (schedule(dynamic)).
+	SchedAuto    = "" // each engine's own per-region policy
+	SchedStatic  = "static"
 	SchedDynamic = "dynamic"
-	// SchedSteal forces the work-stealing scheduler (per-worker
-	// Chase–Lev deques with randomized victim selection).
-	SchedSteal = "steal"
-	// SchedNUMA forces the two-level (socket-aware) work-stealing
-	// scheduler: same-socket victims are swept before remote ones,
-	// and the locality model (Spec.Sockets, Spec.RemotePenalty)
-	// charges cross-socket steals. With Sockets <= 1 it is
-	// byte-identical to SchedSteal.
-	SchedNUMA = "numa"
-)
+	SchedSteal   = "steal"
+	SchedNUMA    = "numa"
 
-// Grain policy names for Spec.Grain.
-const (
-	// GrainFixed keeps each engine's per-region grain (default).
-	GrainFixed = "fixed"
-	// GrainAdaptive derives grains from region size × virtual threads.
+	GrainFixed    = "fixed" // default
 	GrainAdaptive = "adaptive"
-)
 
-// Placement model names for Spec.Placement.
-const (
-	// PlacementNone charges locality penalties for stolen chunks only
-	// (default).
-	PlacementNone = "none"
-	// PlacementFirstTouch adds the first-touch page-ownership model:
-	// remotely-placed resident data is charged under every policy.
+	PlacementNone       = "none" // default
 	PlacementFirstTouch = "firsttouch"
-)
 
-// Frequency-state names for Spec.FreqState. The scalings live in the
-// power package (power.FreqStateByName); these are the Spec-level
-// names, validated here like the other knobs.
-const (
-	// FreqTurbo is the default operating point: no scaling, the
-	// historical calibration.
-	FreqTurbo = "turbo"
-	// FreqBalanced runs the cores at 0.8× clock with dynamic power
-	// scaled by voltage–frequency coupling.
-	FreqBalanced = "balanced"
-	// FreqPowersave runs the cores at 0.6× clock, the deepest modeled
-	// P-state.
+	// The scalings live in the power package (power.FreqStates).
+	FreqTurbo     = "turbo" // default
+	FreqBalanced  = "balanced"
 	FreqPowersave = "powersave"
-)
 
-// Partition scheme names for Spec.Partition.
-const (
-	// Partition1D assigns contiguous blocked vertex ranges to nodes
-	// (default).
-	Partition1D = "1d"
-	// Partition2D homes each vertex on its lowest greedy-vertex-cut
-	// replica shard — the PowerGraph-style edge partition.
+	Partition1D = "1d" // default
 	Partition2D = "2d"
 )
 
@@ -239,7 +201,8 @@ func (s Spec) NumRoots() int {
 	return DefaultRoots
 }
 
-// Validate rejects malformed specs.
+// Validate rejects malformed specs: the identity fields here, every
+// knob against its Knobs entry.
 func (s Spec) Validate() error {
 	if s.Dataset == "" {
 		return fmt.Errorf("core: spec missing dataset")
@@ -250,44 +213,13 @@ func (s Spec) Validate() error {
 	if s.Threads < 1 {
 		return fmt.Errorf("core: spec needs threads >= 1, got %d", s.Threads)
 	}
-	switch s.Sched {
-	case SchedAuto, SchedStatic, SchedDynamic, SchedSteal, SchedNUMA:
-	default:
-		return fmt.Errorf("core: unknown scheduling policy %q (want %q, %q, %q or %q)",
-			s.Sched, SchedStatic, SchedDynamic, SchedSteal, SchedNUMA)
+	if s.Roots < 0 {
+		return fmt.Errorf("core: spec needs roots >= 0, got %d", s.Roots)
 	}
-	switch s.Grain {
-	case "", GrainFixed, GrainAdaptive:
-	default:
-		return fmt.Errorf("core: unknown grain policy %q (want %q or %q)",
-			s.Grain, GrainFixed, GrainAdaptive)
-	}
-	switch s.Placement {
-	case "", PlacementNone, PlacementFirstTouch:
-	default:
-		return fmt.Errorf("core: unknown placement model %q (want %q or %q)",
-			s.Placement, PlacementNone, PlacementFirstTouch)
-	}
-	switch s.FreqState {
-	case "", FreqTurbo, FreqBalanced, FreqPowersave:
-	default:
-		return fmt.Errorf("core: unknown frequency state %q (want %q, %q or %q)",
-			s.FreqState, FreqTurbo, FreqBalanced, FreqPowersave)
-	}
-	if s.Sockets < 0 {
-		return fmt.Errorf("core: spec needs sockets >= 0, got %d", s.Sockets)
-	}
-	if s.RemotePenalty != 0 && s.RemotePenalty < 1 {
-		return fmt.Errorf("core: remote penalty must be 0 (model default) or >= 1, got %g", s.RemotePenalty)
-	}
-	if s.Nodes < 0 || s.Nodes > MaxNodes {
-		return fmt.Errorf("core: spec needs 0 <= nodes <= %d, got %d", MaxNodes, s.Nodes)
-	}
-	switch s.Partition {
-	case "", Partition1D, Partition2D:
-	default:
-		return fmt.Errorf("core: unknown partition scheme %q (want %q or %q)",
-			s.Partition, Partition1D, Partition2D)
+	for _, k := range Knobs {
+		if err := k.check(&s); err != nil {
+			return err
+		}
 	}
 	if ms := s.Mutations; ms != nil {
 		if ms.Batches < 1 {

@@ -17,6 +17,10 @@ func TestSpecValidate(t *testing.T) {
 		"no dataset":   {Algorithm: engines.BFS, Threads: 2},
 		"no algorithm": {Dataset: "x", Threads: 2},
 		"zero threads": {Dataset: "x", Algorithm: engines.BFS},
+		// Outside input (`epg run -roots -5`): a negative count is an
+		// error, not a silent fall-back to the default.
+		"negative roots":   {Dataset: "x", Algorithm: engines.BFS, Threads: 2, Roots: -5},
+		"negative workers": {Dataset: "x", Algorithm: engines.BFS, Threads: 2, Workers: -1},
 	} {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s accepted", name)

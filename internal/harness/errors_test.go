@@ -55,7 +55,7 @@ func TestRunErrorPaths(t *testing.T) {
 			runner:  testRunner(),
 			spec:    func() core.Spec { s := testSpec(engines.BFS, 1); s.FreqState = "warp9"; return s }(),
 			el:      goodEL,
-			wantSub: "unknown frequency state",
+			wantSub: `unknown freq "warp9"`,
 		},
 		{
 			name:   "explicit engine lacks algorithm",
@@ -145,6 +145,44 @@ func TestKnobDropWarnings(t *testing.T) {
 	// name distinguishes which request was dropped.
 	if got := run("GraphMat", false, true); !strings.Contains(got, "knob=sync-sssp") {
 		t.Errorf("GraphMat+SyncSSSP warning missing: %q", got)
+	}
+
+	// Every engine-side entry of the knob table, requested on an engine
+	// without the hook, warns exactly once under the table's name — and
+	// GAP, which has every hook, stays silent.
+	for i := range core.Knobs {
+		k := &core.Knobs[i]
+		if k.Engine == nil {
+			continue
+		}
+		for engine, wantLines := range map[string]int{"GraphMat": 1, "GAP": 0} {
+			spec := testSpec(engines.PageRank, 1)
+			spec.Engines = []string{engine}
+			switch p := k.Field(&spec).(type) {
+			case *bool:
+				*p = true
+			case **core.MutationSchedule:
+				*p = &core.MutationSchedule{Batches: 1, BatchSize: 4}
+			default:
+				t.Fatalf("engine-side knob %s has a field type this test cannot request: %T", k.Name, p)
+			}
+			r := testRunner()
+			var warns bytes.Buffer
+			r.Warnings = &warns
+			if _, err := r.Run(spec, el); err != nil {
+				t.Fatalf("%s with %s: %v", engine, k.Name, err)
+			}
+			lines := strings.Split(strings.TrimSpace(warns.String()), "\n")
+			if warns.Len() == 0 {
+				lines = nil
+			}
+			if len(lines) != wantLines {
+				t.Fatalf("%s with %s: %d warnings, want %d: %q", engine, k.Name, len(lines), wantLines, warns.String())
+			}
+			if wantLines == 1 && !strings.Contains(lines[0], "engine=GraphMat knob="+k.Name+" ") {
+				t.Errorf("%s with %s: warning not keyed by the table name: %q", engine, k.Name, lines[0])
+			}
+		}
 	}
 
 	// A nil Warnings writer must stay the default and not crash.

@@ -9,7 +9,6 @@ import (
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/logfmt"
-	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/power"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
@@ -89,13 +88,7 @@ func (r *Runner) Run(spec core.Spec, el *graph.EdgeList) ([]core.Result, error) 
 	if len(roots) == 0 {
 		return nil, fmt.Errorf("harness: graph has no roots with degree > 1")
 	}
-	// The 2D cluster partition is computed once on the homogenized
-	// graph and shared by every engine, like the roots: the owner table
-	// describes where data lives, not how an engine processes it.
-	var owner []int16
-	if spec.Nodes > 1 && spec.Partition == core.Partition2D {
-		owner = graph.GreedyVertexCut(csr, spec.Nodes, nil).Owners()
-	}
+	owner := spec.Owners(csr)
 
 	var results []core.Result
 	for _, name := range names {
@@ -108,43 +101,6 @@ func (r *Runner) Run(spec core.Spec, el *graph.EdgeList) ([]core.Result, error) 
 	return results, nil
 }
 
-// specMachine builds a simmachine configured by the spec's execution
-// knobs on the given (already frequency-scaled) model. The stream
-// phase uses it a second time to cost the displaced full recompute on
-// an identically-configured fresh machine.
-func specMachine(spec core.Spec, model simmachine.Model, owner []int16) *simmachine.Machine {
-	m := simmachine.New(model, spec.Threads)
-	if spec.Workers > 0 {
-		m.SetWorkers(spec.Workers)
-	}
-	switch spec.Sched {
-	case core.SchedStatic:
-		m.SetSchedOverride(simmachine.Static)
-	case core.SchedDynamic:
-		m.SetSchedOverride(simmachine.Dynamic)
-	case core.SchedSteal:
-		m.SetSchedOverride(simmachine.Steal)
-	case core.SchedNUMA:
-		m.SetSchedOverride(simmachine.NUMA)
-	}
-	if spec.Sockets > 0 {
-		m.SetSockets(spec.Sockets)
-	}
-	if spec.RemotePenalty > 0 {
-		m.SetRemotePenalty(spec.RemotePenalty)
-	}
-	if spec.Grain == core.GrainAdaptive {
-		m.SetGrainPolicy(parallel.GrainAdaptive)
-	}
-	if spec.Placement == core.PlacementFirstTouch {
-		m.SetPlacement(true)
-	}
-	if spec.Nodes > 1 {
-		m.SetCluster(spec.Nodes, owner)
-	}
-	return m
-}
-
 // runEngine executes all roots of one engine. owner is the per-vertex
 // cluster owner table (nil for 1D/blocked or single-box specs).
 func (r *Runner) runEngine(spec core.Spec, el *graph.EdgeList, name string, roots []graph.VID, owner []int16) ([]core.Result, error) {
@@ -152,38 +108,13 @@ func (r *Runner) runEngine(spec core.Spec, el *graph.EdgeList, name string, root
 	if err != nil {
 		return nil, err
 	}
-	// One Configure call wires every optional capability the spec asks
-	// for (Compress must land before Load: the compressed adjacency is
-	// built during the construction phase). Dropped knobs are surfaced,
-	// not silent — a spec that asked for the synchronous variant, the
-	// compressed layout, or a streaming phase and got the default would
-	// mislabel its results.
-	applied := engines.Configure(eng, engines.Options{
-		SyncSSSP:  spec.SyncSSSP,
-		Compress:  spec.Compress,
-		Mutations: spec.Mutations != nil,
-	})
-	if spec.SyncSSSP && !applied.SyncSSSP {
-		logfmt.EmitKnobWarning(r.Warnings, name, "sync-sssp")
+	// Dropped knobs are surfaced, not silent: a spec that asked for the
+	// synchronous variant, the compressed layout or a streaming phase
+	// and got the default would mislabel its results.
+	for _, knob := range spec.ConfigureEngine(eng) {
+		logfmt.EmitKnobWarning(r.Warnings, name, knob)
 	}
-	if spec.Compress && !applied.Compress {
-		logfmt.EmitKnobWarning(r.Warnings, name, "compress")
-	}
-	if spec.Mutations != nil && !applied.Mutations {
-		logfmt.EmitKnobWarning(r.Warnings, name, "mutations")
-	}
-	// The DVFS operating point scales the machine model (core clocks)
-	// and the power calibration (CPU-plane dynamic constants) as a
-	// pair: modeled seconds and joules move together, the way a real
-	// governor change shifts both sides of the energy-delay trade.
-	model, pconsts := r.Model, r.Power
-	freq, err := power.FreqStateByName(spec.FreqState)
-	if err != nil {
-		return nil, err
-	}
-	model = freq.ScaleModel(model)
-	pconsts = freq.ScaleConstants(pconsts)
-	m := specMachine(spec, model, owner)
+	m, pconsts := spec.NewMachine(r.Model, r.Power, owner)
 
 	var fileReadSec, constructionSec float64
 	if eng.SeparateConstruction() {
@@ -261,8 +192,6 @@ func (r *Runner) runEngine(spec core.Spec, el *graph.EdgeList, name string, root
 	// dataset) across the board: for BFS/SSSP the repetitions are the
 	// 32 distinct roots, while for root-independent kernels (LCC, WCC,
 	// PageRank) the same count serves as plain variance repetitions.
-	// No special case is needed — an earlier branch here re-assigned
-	// the identical value for LCC/WCC and was deleted as dead code.
 	trials := spec.NumRoots()
 	results := make([]core.Result, 0, trials)
 	for trial := 0; trial < trials; trial++ {
@@ -277,7 +206,7 @@ func (r *Runner) runEngine(spec core.Spec, el *graph.EdgeList, name string, root
 	// Streamer hook were warned about above and simply skip the phase.
 	if spec.Mutations != nil {
 		if st, ok := inst.(engines.Streamer); ok {
-			srs, err := r.runStream(spec, el, name, st, m, model, owner)
+			srs, err := r.runStream(spec, el, name, st, m, owner)
 			if err != nil {
 				return nil, err
 			}

@@ -99,7 +99,7 @@ func (s *streamShadow) edgeList() *graph.EdgeList {
 // against a cold full recompute on the post-batch graph. The recompute
 // runs on a fresh machine with the same spec knobs, so RecomputeSec is
 // the honest displaced alternative (rebuild + cold kernel).
-func (r *Runner) runStream(spec core.Spec, el *graph.EdgeList, name string, st engines.Streamer, m *simmachine.Machine, model simmachine.Model, owner []int16) ([]core.Result, error) {
+func (r *Runner) runStream(spec core.Spec, el *graph.EdgeList, name string, st engines.Streamer, m *simmachine.Machine, owner []int16) ([]core.Result, error) {
 	ms := spec.Mutations
 	shadow := newStreamShadow(el)
 
@@ -126,11 +126,9 @@ func (r *Runner) runStream(spec core.Spec, el *graph.EdgeList, name string, st e
 			Batch:     batch,
 		}
 		t0 := m.Elapsed()
-		rep, err := st.Mutate(b)
-		if err != nil {
+		if _, err := st.Mutate(b); err != nil {
 			return nil, fmt.Errorf("stream batch %d (mutate): %w", batch, err)
 		}
-		_ = rep
 		res.MutateSec = m.Elapsed() - t0
 
 		t1 := m.Elapsed()
@@ -145,7 +143,7 @@ func (r *Runner) runStream(spec core.Spec, el *graph.EdgeList, name string, st e
 		// Full-recompute reference on an identically-configured fresh
 		// machine; also the conformance oracle.
 		ref := &streamOutcome{}
-		refSec, err := r.recompute(spec, shadow.edgeList(), name, model, owner, ref)
+		refSec, err := r.recompute(spec, shadow.edgeList(), name, owner, ref)
 		if err != nil {
 			return nil, fmt.Errorf("stream batch %d (recompute): %w", batch, err)
 		}
@@ -217,13 +215,13 @@ func (r *Runner) maintain(spec core.Spec, st engines.Streamer, out *streamOutcom
 // recompute costs and captures the displaced alternative: a cold
 // rebuild plus full kernel run on the post-batch graph, on a fresh
 // machine with the spec's knobs.
-func (r *Runner) recompute(spec core.Spec, post *graph.EdgeList, name string, model simmachine.Model, owner []int16, out *streamOutcome) (float64, error) {
+func (r *Runner) recompute(spec core.Spec, post *graph.EdgeList, name string, owner []int16, out *streamOutcome) (float64, error) {
 	eng, err := r.Registry.New(name)
 	if err != nil {
 		return 0, err
 	}
-	engines.Configure(eng, engines.Options{SyncSSSP: spec.SyncSSSP, Compress: spec.Compress})
-	m := specMachine(spec, model, owner)
+	spec.ConfigureEngine(eng) // drops were warned about on the live engine
+	m, _ := spec.NewMachine(r.Model, r.Power, owner)
 	inst, err := eng.Load(post, m)
 	if err != nil {
 		return 0, err

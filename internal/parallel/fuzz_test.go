@@ -194,7 +194,7 @@ func FuzzChunkQueueDrain(f *testing.F) {
 		grain := int(grainSeed)%64 + 1
 		w := int(workers)%9 + 1
 		sched := fuzzSchedules[int(schedSeed)%len(fuzzSchedules)]
-		topo := Topology{Sockets: int(schedSeed)%4 + 1}
+		topo := Topology{Sockets: int(schedSeed)%4 + 1, Nodes: int(schedSeed)/4%3 + 1}
 
 		var want []uint32
 		for c := 0; c < NumChunks(n, grain); c++ {
@@ -209,12 +209,12 @@ func FuzzChunkQueueDrain(f *testing.F) {
 			}
 			fuzzFillChunkQueue(p, cq, backing, seed, w, n, grain, sched, topo)
 			if got := cq.AppendTo(nil); !slices.Equal(got, want) {
-				t.Fatalf("rep=%d sched=%v workers=%d sockets=%d: drain differs from serial reference",
-					rep, sched, w, topo.Sockets)
+				t.Fatalf("rep=%d sched=%v workers=%d topo=%+v: drain differs from serial reference",
+					rep, sched, w, topo)
 			}
 			if got := chunkQueueConcat(cq); !slices.Equal(got, want) {
-				t.Fatalf("rep=%d sched=%v workers=%d sockets=%d: Chunks differs from serial reference",
-					rep, sched, w, topo.Sockets)
+				t.Fatalf("rep=%d sched=%v workers=%d topo=%+v: Chunks differs from serial reference",
+					rep, sched, w, topo)
 			}
 			if cq.Len() != len(want) {
 				t.Fatalf("Len = %d, want %d", cq.Len(), len(want))

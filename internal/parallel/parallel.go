@@ -8,9 +8,9 @@ import (
 	"github.com/hpcl-repro/epg/internal/xrand"
 )
 
-// Sched selects how chunk indices are assigned to workers. The values
-// mirror simmachine.Sched so engines can use one policy for both real
-// execution and virtual-lane accounting.
+// Sched selects how chunk indices are assigned to workers.
+// simmachine.Sched is this type, so engines name one policy for both
+// real execution and virtual-lane accounting.
 type Sched int
 
 const (
@@ -236,9 +236,9 @@ func ForTopo(p *Pool, workers, n, grain int, sched Sched, topo Topology, body fu
 			}
 		})
 	case Steal:
-		forSteal(p, workers, nchunks, runChunk)
+		stealChunks(p, workers, nchunks, Topology{Sockets: 1}, runChunk)
 	case NUMA:
-		forStealTopo(p, workers, nchunks, topo, runChunk)
+		stealChunks(p, workers, nchunks, topo, runChunk)
 	default: // Dynamic
 		var next atomic.Int64
 		p.Run(workers, func(worker int) {
@@ -264,58 +264,4 @@ func ForTopo(p *Pool, workers, n, grain int, sched Sched, topo Topology, body fu
 // policy).
 func StealSeed(nchunks, consumers int) uint64 {
 	return xrand.Mix64(0x57ea1<<40 ^ uint64(nchunks)<<16 ^ uint64(consumers))
-}
-
-// forSteal executes the chunks under work stealing: worker w's deque
-// is prefilled with chunks w, w+workers, ... (the Static assignment),
-// pushed in descending order so owners pop their share in ascending
-// index order; thieves take a victim's highest-index chunk.
-//
-// Termination needs no counter: nothing is pushed after the prefill,
-// so once a worker's own pop and a deterministic sweep of every other
-// deque come up empty, all chunks have been claimed — their claimants
-// finish them before returning from this region (Run waits on every
-// worker), so the idle worker can exit instead of spinning.
-func forSteal(p *Pool, workers, nchunks int, runChunk func(c, worker int)) {
-	deques := prefillDeques(workers, nchunks)
-	seed := StealSeed(nchunks, workers)
-	p.Run(workers, func(worker int) {
-		rng := xrand.New(seed ^ xrand.Mix64(uint64(worker)+1))
-		own := deques[worker]
-		for {
-			if c, ok := own.PopBottom(); ok {
-				runChunk(int(c), worker)
-				continue
-			}
-			// Randomized victims first (decorrelates thieves), ...
-			stole := false
-			for tries := 0; tries < workers; tries++ {
-				v := int(rng.Uint64() % uint64(workers))
-				if v == worker {
-					continue
-				}
-				if c, ok := deques[v].Steal(); ok {
-					runChunk(int(c), worker)
-					stole = true
-					break
-				}
-			}
-			if stole {
-				continue
-			}
-			// ... then a deterministic sweep: empty everywhere means
-			// every chunk is claimed and this worker is done.
-			found := false
-			for off := 1; off < workers; off++ {
-				if c, ok := deques[(worker+off)%workers].Steal(); ok {
-					runChunk(int(c), worker)
-					found = true
-					break
-				}
-			}
-			if !found {
-				return
-			}
-		}
-	})
 }

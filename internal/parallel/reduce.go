@@ -126,20 +126,6 @@ func LowerMinInt64(addr *int64, v, empty int64) (lowered bool) {
 	}
 }
 
-// WriteMinUint32 atomically lowers *addr to v. Returns true if the
-// value was lowered by this call.
-func WriteMinUint32(addr *uint32, v uint32) bool {
-	for {
-		old := atomic.LoadUint32(addr)
-		if old <= v {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(addr, old, v) {
-			return true
-		}
-	}
-}
-
 // WriteMinFloat64Bits atomically lowers the float64 stored as bits at
 // addr to v. Returns true if the value was strictly lowered by this
 // call. Only the final value (a min, hence schedule-independent) may

@@ -38,228 +38,111 @@ type Topology struct {
 // a single socket (two-level stealing degenerates to flat stealing);
 // large hosts get the cross-socket victim ordering.
 func DefaultTopology() Topology {
-	s := (runtime.GOMAXPROCS(0) + 15) / 16
-	if s < 1 {
-		s = 1
-	}
-	if s > 4 {
-		s = 4
-	}
-	return Topology{Sockets: s}
+	return Topology{Sockets: min((runtime.GOMAXPROCS(0)+15)/16, 4)}
 }
 
-// resolve clamps the topology to a concrete socket count in
-// [1, workers], applying the GOMAXPROCS default when unspecified.
-func (t Topology) resolve(workers int) int {
-	s := t.Sockets
-	if s < 1 {
-		s = DefaultTopology().Sockets
+// resolved returns the concrete layout for `workers` participants:
+// an unspecified socket count takes the GOMAXPROCS default, and both
+// counts are clamped to [1, workers].
+func (t Topology) resolved(workers int) Topology {
+	if t.Sockets < 1 {
+		t.Sockets = DefaultTopology().Sockets
 	}
-	if s > workers {
-		s = workers
-	}
-	return s
+	t.Sockets = min(t.Sockets, workers)
+	t.Nodes = max(1, min(t.Nodes, workers))
+	return t
 }
 
-// resolveNodes clamps the node count to [1, workers]; the zero value
-// (and any count below 1) means a single node.
-func (t Topology) resolveNodes(workers int) int {
-	nd := t.Nodes
-	if nd < 1 {
-		nd = 1
-	}
-	if nd > workers {
-		nd = workers
-	}
-	return nd
-}
-
-// workersPerSocket returns the size of each consecutive worker block
-// for the given total, for a resolved socket count s.
-func workersPerSocket(workers, s int) int {
-	return (workers + s - 1) / s
+// blockSize returns how many consecutive worker IDs share a socket (or
+// a node) when `workers` workers split into `groups` of them — the one
+// placement arithmetic, used by socketOf and by stealChunks.
+func blockSize(workers, groups int) int {
+	return (workers + groups - 1) / groups
 }
 
 // socketOf returns the socket of the given worker under this topology
-// when `workers` workers participate. forStealTopo inlines the same
-// worker/per arithmetic after resolving the topology once — keep the
-// two in sync.
+// when `workers` workers participate.
 func (t Topology) socketOf(worker, workers int) int {
-	s := t.resolve(workers)
-	return worker / workersPerSocket(workers, s)
+	return worker / blockSize(workers, t.resolved(workers).Sockets)
 }
 
-// forStealTopo executes the chunks under two-level (socket-aware) work
-// stealing. The deque prefill is identical to forSteal — worker w owns
-// chunks w, w+workers, ... — but an idle worker empties its own socket
-// first: randomized probes over same-socket victims, then a
-// deterministic same-socket sweep, and only when the whole socket is
-// dry does it probe and sweep remote sockets. With one socket every
-// victim is local and the discipline is exactly forSteal's.
+// stealChunks executes the chunks under work stealing, the one executor
+// behind both Steal and NUMA. Worker w's Chase–Lev deque is prefilled
+// with chunks w, w+workers, ... (the Static assignment); owners pop
+// their share in ascending index order and an idle worker steals the
+// highest-index chunk of a victim, working outward through the
+// topology's levels: its own socket, then its node's other sockets,
+// then remote nodes — randomized probes (decorrelating thieves)
+// followed by a deterministic sweep at each level. A level exists only
+// where the topology actually splits the workers, so Steal (one socket,
+// one node) probes and sweeps every other deque once, and NUMA crosses
+// an interconnect only when everything nearer is dry (deques only
+// shrink after the prefill, so an empty nearer sweep stays empty).
 //
-// Termination mirrors forSteal: nothing is pushed after the prefill,
-// so when the final deterministic sweep (which covers every other
-// deque, local and remote) comes up empty, every chunk has been
-// claimed and the idle worker may exit.
-func forStealTopo(p *Pool, workers, nchunks int, topo Topology, runChunk func(c, worker int)) {
-	sockets := topo.resolve(workers)
-	if nodes := topo.resolveNodes(workers); nodes > 1 {
-		forStealNodes(p, workers, nchunks, sockets, nodes, runChunk)
-		return
+// Termination needs no counter: nothing is pushed after the prefill,
+// so once the sweeps of every level — which together cover every other
+// deque — come up empty in one pass, all chunks have been claimed.
+// Their claimants finish them before returning from this region (Run
+// waits on every worker), so the idle worker exits instead of spinning.
+func stealChunks(p *Pool, workers, nchunks int, topo Topology, runChunk func(c, worker int)) {
+	topo = topo.resolved(workers)
+	levels := 1
+	if topo.Sockets > 1 {
+		levels++
 	}
-	if sockets <= 1 {
-		forSteal(p, workers, nchunks, runChunk)
-		return
+	if topo.Nodes > 1 {
+		levels++
 	}
-	per := workersPerSocket(workers, sockets)
+	perSock, perNode := blockSize(workers, topo.Sockets), blockSize(workers, topo.Nodes)
 	deques := prefillDeques(workers, nchunks)
 	seed := StealSeed(nchunks, workers)
 	p.Run(workers, func(worker int) {
 		rng := xrand.New(seed ^ xrand.Mix64(uint64(worker)+1))
-		own := deques[worker]
-		mySocket := worker / per
-		for {
-			if c, ok := own.PopBottom(); ok {
-				runChunk(int(c), worker)
-				continue
-			}
-			// Level 1: same-socket victims — randomized probes, then a
-			// deterministic sweep, so the thief crosses the
-			// interconnect only once its whole socket is dry (deques
-			// only shrink after the prefill, so an empty local sweep
-			// stays empty).
-			stole := false
-			for tries := 0; tries < workers; tries++ {
-				v := int(rng.Uint64() % uint64(workers))
-				if v == worker || v/per != mySocket {
-					continue
-				}
-				if c, ok := deques[v].Steal(); ok {
-					runChunk(int(c), worker)
-					stole = true
-					break
-				}
-			}
-			if !stole {
-				for off := 1; off < workers; off++ {
-					v := (worker + off) % workers
-					if v/per != mySocket {
-						continue
-					}
-					if c, ok := deques[v].Steal(); ok {
-						runChunk(int(c), worker)
-						stole = true
-						break
-					}
-				}
-			}
-			if stole {
-				continue
-			}
-			// Level 2: remote sockets, randomized.
-			for tries := 0; tries < workers; tries++ {
-				v := int(rng.Uint64() % uint64(workers))
-				if v == worker || v/per == mySocket {
-					continue
-				}
-				if c, ok := deques[v].Steal(); ok {
-					runChunk(int(c), worker)
-					stole = true
-					break
-				}
-			}
-			if stole {
-				continue
-			}
-			// Deterministic remote sweep: the local sweep above saw
-			// every same-socket deque empty, so remote deques all
-			// empty too means every chunk is claimed.
-			found := false
-			for off := 1; off < workers; off++ {
-				v := (worker + off) % workers
-				if v/per == mySocket {
-					continue
-				}
-				if c, ok := deques[v].Steal(); ok {
-					runChunk(int(c), worker)
-					found = true
-					break
-				}
-			}
-			if !found {
-				return
-			}
-		}
-	})
-}
-
-// forStealNodes executes the chunks under three-level (node- and
-// socket-aware) work stealing: worker blocks group into sockets and,
-// one level up, into cluster nodes. An idle worker works outward —
-// same node and socket, then same node other sockets, then remote
-// nodes — with randomized probes followed by a deterministic sweep at
-// each level, forStealTopo's discipline with one more ring.
-//
-// Termination mirrors forStealTopo: nothing is pushed after the
-// prefill, so once the three deterministic sweeps (which together
-// cover every other deque) all come up empty in one pass, every chunk
-// has been claimed and the idle worker may exit.
-func forStealNodes(p *Pool, workers, nchunks, sockets, nodes int, runChunk func(c, worker int)) {
-	perSock := workersPerSocket(workers, sockets)
-	perNode := (workers + nodes - 1) / nodes
-	deques := prefillDeques(workers, nchunks)
-	seed := StealSeed(nchunks, workers)
-	p.Run(workers, func(worker int) {
-		rng := xrand.New(seed ^ xrand.Mix64(uint64(worker)+1))
-		own := deques[worker]
-		mySock, myNode := worker/perSock, worker/perNode
-		// level is the interconnect distance to victim v: 0 shares the
-		// thief's socket, 1 its node, 2 is across the network.
-		level := func(v int) int {
+		// take steals one chunk from victim v if v sits at interconnect
+		// distance d: 0 shares the thief's socket, levels-1 is the
+		// farthest ring (across the network when there are nodes). With
+		// one socket or one node that block is all the workers, so the
+		// ring separates nobody.
+		take := func(v, d int) bool {
+			dist := 0
 			switch {
-			case v/perNode != myNode:
-				return 2
-			case v/perSock != mySock:
-				return 1
+			case v == worker:
+				return false
+			case levels == 1:
+			case v/perNode != worker/perNode:
+				dist = levels - 1
+			case v/perSock != worker/perSock:
+				dist = 1
 			}
-			return 0
+			if dist != d {
+				return false
+			}
+			c, ok := deques[v].Steal()
+			if ok {
+				runChunk(int(c), worker)
+			}
+			return ok
 		}
-		steal := func(lvl int, probe bool) bool {
-			if probe {
+		steal := func() bool {
+			for d := 0; d < levels; d++ {
 				for tries := 0; tries < workers; tries++ {
-					v := int(rng.Uint64() % uint64(workers))
-					if v == worker || level(v) != lvl {
-						continue
-					}
-					if c, ok := deques[v].Steal(); ok {
-						runChunk(int(c), worker)
+					if take(int(rng.Uint64()%uint64(workers)), d) {
 						return true
 					}
 				}
-				return false
-			}
-			for off := 1; off < workers; off++ {
-				v := (worker + off) % workers
-				if level(v) != lvl {
-					continue
-				}
-				if c, ok := deques[v].Steal(); ok {
-					runChunk(int(c), worker)
-					return true
+				for off := 1; off < workers; off++ {
+					if take((worker+off)%workers, d) {
+						return true
+					}
 				}
 			}
 			return false
 		}
+		own := deques[worker]
 		for {
 			if c, ok := own.PopBottom(); ok {
 				runChunk(int(c), worker)
-				continue
-			}
-			stole := false
-			for lvl := 0; lvl < 3 && !stole; lvl++ {
-				stole = steal(lvl, true) || steal(lvl, false)
-			}
-			if !stole {
+			} else if !steal() {
 				return
 			}
 		}

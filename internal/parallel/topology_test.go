@@ -35,17 +35,21 @@ func TestTopologySocketPlacement(t *testing.T) {
 
 func TestForTopoCoversAllIndices(t *testing.T) {
 	p := NewPool(8)
+	// Sockets × nodes spans the executor's one-, two- and three-level
+	// victim orders, clamped counts included.
 	for _, sockets := range []int{0, 1, 2, 3, 8} {
-		for _, workers := range []int{1, 3, 8} {
-			seen := make([]int32, 1000)
-			ForTopo(p, workers, 1000, 16, NUMA, Topology{Sockets: sockets}, func(lo, hi, chunk, worker int) {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&seen[i], 1)
-				}
-			})
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("sockets=%d workers=%d: index %d ran %d times", sockets, workers, i, c)
+		for _, nodes := range []int{0, 1, 2, 4, 16} {
+			for _, workers := range []int{1, 3, 8} {
+				seen := make([]int32, 1000)
+				ForTopo(p, workers, 1000, 16, NUMA, Topology{Sockets: sockets, Nodes: nodes}, func(lo, hi, chunk, worker int) {
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&seen[i], 1)
+					}
+				})
+				for i, c := range seen {
+					if c != 1 {
+						t.Fatalf("sockets=%d nodes=%d workers=%d: index %d ran %d times", sockets, nodes, workers, i, c)
+					}
 				}
 			}
 		}
@@ -81,7 +85,7 @@ func TestForTopoOversubscribedDoesNotLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		var n atomic.Int64
-		ForTopo(p, 16, 64, 1, NUMA, Topology{Sockets: 4}, func(lo, hi, chunk, worker int) {
+		ForTopo(p, 16, 64, 1, NUMA, Topology{Sockets: 4, Nodes: i % 3}, func(lo, hi, chunk, worker int) {
 			n.Add(1)
 		})
 		if n.Load() != 64 {

@@ -2,6 +2,7 @@ package power
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
@@ -66,8 +67,12 @@ func FreqStateByName(name string) (FreqState, error) {
 			return f, nil
 		}
 	}
-	return FreqState{}, fmt.Errorf("power: unknown frequency state %q (want %q, %q or %q)",
-		name, freqTurbo.Name, freqBalanced.Name, freqPowersave.Name)
+	var names []string
+	for _, f := range FreqStates() {
+		names = append(names, f.Name)
+	}
+	return FreqState{}, fmt.Errorf("power: unknown frequency state %q (want one of: %s)",
+		name, strings.Join(names, ", "))
 }
 
 // ScaleModel returns the machine model at this operating point: core

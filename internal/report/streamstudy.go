@@ -51,18 +51,3 @@ func WriteStreamStudyCSV(w io.Writer, rows []StreamStudyRow) error {
 	}
 	return bw.Flush()
 }
-
-// StreamStudyTable renders the same rows as an aligned text table, the
-// quick-look companion to the CSV.
-func StreamStudyTable(w io.Writer, rows []StreamStudyRow) {
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Dataset, r.Alg, fmt.Sprint(r.BatchSize), fmt.Sprintf("%.2f", r.DeleteFrac),
-			fmt.Sprint(r.Batch), FormatSeconds(r.MutateSec), FormatSeconds(r.MaintainSec),
-			FormatSeconds(r.RecomputeSec), fmt.Sprintf("%.1fx", r.Speedup),
-		})
-	}
-	Table(w, "Streaming mutations: incremental maintenance vs. full recompute by batch size and delete fraction",
-		[]string{"dataset", "alg", "batch", "del_frac", "#", "mutate", "maintain", "recompute", "speedup"}, out)
-}

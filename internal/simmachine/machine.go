@@ -28,33 +28,20 @@ func (c Cost) Scale(k float64) Cost {
 	return Cost{Cycles: c.Cycles * k, Bytes: c.Bytes * k, Atomics: c.Atomics * k}
 }
 
-// Sched selects the scheduling policy of a parallel region.
-type Sched int
+// Sched selects the scheduling policy of a parallel region: one value
+// names both the real chunk assignment (see parallel.Sched) and the
+// virtual-lane accounting of commitRegion. The real schedule mirrors
+// the modeled one, but nothing observable depends on it: the modeled
+// assignment is a function of the chunk costs, the virtual thread
+// count and the per-region seed only, so modeled durations stay
+// bit-identical at any worker count.
+type Sched = parallel.Sched
 
 const (
-	// Static assigns chunks to lanes round-robin, like OpenMP
-	// schedule(static, grain). Skewed chunk costs produce load
-	// imbalance.
-	Static Sched = iota
-	// Dynamic assigns each chunk (in index order) to the currently
-	// least-loaded lane, modeling OpenMP schedule(dynamic, grain).
-	Dynamic
-	// Steal assigns chunks by a deterministic simulation of a
-	// work-stealing runtime: each lane starts with its static share
-	// and idle lanes steal from seeded-RNG victims, paying one atomic
-	// per successful steal. The assignment depends only on the chunk
-	// costs, the virtual thread count, and the per-region seed — never
-	// on real workers — so modeled durations stay bit-identical at any
-	// worker count. See stealLanes.
-	Steal
-	// NUMA is Steal with two-level (socket-aware) victim selection
-	// over the machine's virtual socket topology (SetSockets): idle
-	// lanes steal within their own socket before crossing to a remote
-	// one, and the locality penalties (Model.RemoteBytesFactor,
-	// Model.RemoteStealCycles) are charged per cross-socket steal.
-	// With one socket (the default) it is byte-identical to Steal.
-	// See stealLanesTopo.
-	NUMA
+	Static  = parallel.Static  // chunk c on lane c % threads; skewed costs imbalance
+	Dynamic = parallel.Dynamic // each chunk, in index order, to the least-loaded lane
+	Steal   = parallel.Steal   // deterministic work-stealing simulation (stealLanesTopo, one socket)
+	NUMA    = parallel.NUMA    // Steal with socket-aware victims and locality penalties (SetSockets)
 )
 
 // Region is one entry of the machine's activity trace: a parallel or
@@ -210,9 +197,6 @@ func (m *Machine) SetSchedOverride(s Sched) {
 	m.forceSched, m.forced = s, true
 }
 
-// ClearSchedOverride restores each region's own policy.
-func (m *Machine) ClearSchedOverride() { m.forced = false }
-
 // SetSockets sets the virtual socket count of the steal simulation's
 // locality model (and of the real two-level steal topology). The
 // default is 1: no locality penalties, NUMA ≡ Steal. Counts above the
@@ -351,24 +335,6 @@ func (m *Machine) Sleep(seconds float64) {
 	m.record(Region{Seconds: seconds, Lanes: 0, ActiveLanes: 0})
 }
 
-// execSched maps the accounting policy onto the runtime's execution
-// policy: the real schedule mirrors the modeled one (static chunks are
-// strided round-robin, dynamic chunks come off a shared counter, steal
-// chunks move between per-worker deques), but nothing observable
-// depends on the real assignment.
-func execSched(s Sched) parallel.Sched {
-	switch s {
-	case Static:
-		return parallel.Static
-	case Steal:
-		return parallel.Steal
-	case NUMA:
-		return parallel.NUMA
-	default:
-		return parallel.Dynamic
-	}
-}
-
 // ParallelFor executes body over [0, n) in chunks of the given grain,
 // runs the chunks concurrently on the worker pool, and charges the
 // region to the virtual machine under the chosen scheduling policy.
@@ -394,7 +360,7 @@ func (m *Machine) ParallelForChunks(n, grain int, sched Sched, body func(lo, hi,
 	}
 	sched = m.effSched(sched)
 	costs := make([]Cost, parallel.NumChunks(n, grain))
-	parallel.ForTopo(m.pool, m.workers, n, grain, execSched(sched), m.realTopo(), func(lo, hi, chunk, worker int) {
+	parallel.ForTopo(m.pool, m.workers, n, grain, sched, m.realTopo(), func(lo, hi, chunk, worker int) {
 		var w W
 		body(lo, hi, chunk, worker, &w)
 		costs[chunk] = w.c
@@ -616,11 +582,4 @@ func (m *Machine) commitLanes(lanes []Cost) {
 		Utilization: util, Cost: total, MemBound: memBound,
 		NetBytes: netBytes,
 	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

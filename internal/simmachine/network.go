@@ -49,9 +49,6 @@ func (m *Machine) SetCluster(nodes int, owner []int16) {
 	m.nodeOwner = owner
 }
 
-// Nodes returns the virtual cluster node count (1 = single box).
-func (m *Machine) Nodes() int { return m.nodes }
-
 // clusterActive reports whether the network model charges anything.
 func (m *Machine) clusterActive() bool { return m.nodes > 1 }
 

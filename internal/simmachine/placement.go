@@ -66,9 +66,6 @@ const PlacementPageItems = 1024
 // disabling stops both recording and charging.
 func (m *Machine) SetPlacement(on bool) { m.placeOn = on }
 
-// PlacementEnabled reports whether the first-touch model is on.
-func (m *Machine) PlacementEnabled() bool { return m.placeOn }
-
 // placementActive reports whether placement charges are reachable:
 // the model is on and more than one socket exists (with one socket
 // every touch is local).

@@ -125,7 +125,7 @@ func stealLanesTopo(costs []Cost, t, sockets int, remoteBytes, remoteSteal float
 		// socket first (random probes, then a same-socket scan). The
 		// two orders charge probes the way their real executors do:
 		// two-level filters self and off-socket draws arithmetically
-		// (free — forStealTopo never issues a CAS for them) and pays
+		// (free — parallel's executor never issues a CAS for them) and pays
 		// AtomicCycles only for a genuine probe of a local deque;
 		// flat keeps the historical accounting of one AtomicCycles
 		// per draw, so the steal-vs-numa gap at equal sockets

@@ -2,7 +2,8 @@
 // across thread counts" figure, extended with the locality dimensions.
 // Gated behind EPG_WRITE_SCHEDFIG=1 (it is a measurement, not a
 // correctness check); run via `make benchfig`, which writes
-// FIG_sched_study.csv. The dynamic column grows with the thread count
+// FIG_sched_study.csv locally (untracked — the committed artifact is
+// the CI one below). The dynamic column grows with the thread count
 // as the greedy shared-counter assignment loses to lane contention;
 // the steal column tracks static until imbalance appears, then
 // recovers it — the same story the paper tells about OpenMP
@@ -46,10 +47,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcl-repro/epg/internal/core"
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/engines/gap"
 	"github.com/hpcl-repro/epg/internal/graph"
-	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/power"
 	"github.com/hpcl-repro/epg/internal/report"
 	"github.com/hpcl-repro/epg/internal/simmachine"
@@ -71,43 +72,38 @@ var schedStudyThreads = []int{1, 2, 4, 8, 16, 32, 64, 72}
 // regeneration time bounded while still answering the paper's energy
 // question per policy × threads × sockets — and, for compress, whether
 // trading decode cycles for bytes pays off at each operating point.
-var schedStudyConfigs = []struct {
-	grain     string
-	placement string
-	freq      string
-	compress  bool
-	nodes     int
-	partition string
-}{
-	{"fixed", "none", "turbo", false, 1, ""},
-	{"adaptive", "none", "turbo", false, 1, ""},
-	{"adaptive", "firsttouch", "turbo", false, 1, ""},
-	{"adaptive", "firsttouch", "balanced", false, 1, ""},
-	{"adaptive", "firsttouch", "powersave", false, 1, ""},
+var schedStudyConfigs = []core.Spec{
+	{Grain: "fixed", Placement: "none", FreqState: "turbo"},
+	{Grain: "adaptive", Placement: "none", FreqState: "turbo"},
+	{Grain: "adaptive", Placement: "firsttouch", FreqState: "turbo"},
+	{Grain: "adaptive", Placement: "firsttouch", FreqState: "balanced"},
+	{Grain: "adaptive", Placement: "firsttouch", FreqState: "powersave"},
 	// Compressed adjacency: the sockets=1 baseline (fixed grain, no
 	// placement) isolates the pure decode-cycles-for-bytes trade, and
 	// the headline locality configuration shows it composed with
 	// adaptive grain + first-touch placement, where the smaller
 	// resident footprint also shrinks the remotely-placed byte stream.
-	{"fixed", "none", "turbo", true, 1, ""},
-	{"adaptive", "firsttouch", "turbo", true, 1, ""},
+	{Grain: "fixed", Placement: "none", FreqState: "turbo", Compress: true},
+	{Grain: "adaptive", Placement: "firsttouch", FreqState: "turbo", Compress: true},
 	// Modeled cluster: the fixed-grain baseline sharded across virtual
 	// nodes, 1D blocked at 2 nodes and the greedy-vertex-cut 2D homes
 	// at 4 — the rows carry the net_bytes column, and their presence in
 	// the CI artifact makes the drift gate sensitive to every network
 	// cost term (NetLatencyCycles, NetBytesFactor, the partitioners).
-	{"fixed", "none", "turbo", false, 2, "1d"},
-	{"fixed", "none", "turbo", false, 4, "2d"},
+	{Grain: "fixed", Placement: "none", FreqState: "turbo", Nodes: 2, Partition: "1d"},
+	{Grain: "fixed", Placement: "none", FreqState: "turbo", Nodes: 4, Partition: "2d"},
 }
 
-var schedStudyPolicies = []struct {
-	name  string
-	sched simmachine.Sched
-}{
-	{"static", simmachine.Static},
-	{"dynamic", simmachine.Dynamic},
-	{"steal", simmachine.Steal},
-	{"numa", simmachine.NUMA},
+// schedStudyPolicies is the policy axis: every name the sched knob
+// admits, in table order.
+func schedStudyPolicies(t *testing.T) []string {
+	for _, k := range core.Knobs {
+		if k.Name == "sched" {
+			return k.Values
+		}
+	}
+	t.Fatal("core.Knobs has no sched entry")
+	return nil
 }
 
 // schedStudySockets returns the socket axis for one (policy,
@@ -141,75 +137,57 @@ func generateSchedStudyRows(t *testing.T, el *graph.EdgeList, modeledOnly bool) 
 	root := roots[0]
 
 	// The 2D cluster owner table is a pure function of the homogenized
-	// graph and the node count — computed once per count and shared by
-	// every cell, the way the harness shares it across engines.
-	owners := map[int][]int16{}
-	ownersFor := func(nodes int) []int16 {
-		if tbl, ok := owners[nodes]; ok {
-			return tbl
-		}
-		csr := graph.BuildCSR(el, graph.BuildOptions{
-			Symmetrize:    !el.Directed,
-			DropSelfLoops: true,
-			Dedup:         true,
-		})
-		tbl := graph.GreedyVertexCut(csr, nodes, nil).Owners()
-		owners[nodes] = tbl
-		return tbl
+	// graph and the cluster knobs — computed once per setting and shared
+	// by every cell, the way the harness shares it across engines.
+	csr := graph.BuildCSR(el, graph.BuildOptions{
+		Symmetrize:    !el.Directed,
+		DropSelfLoops: true,
+		Dedup:         true,
+	})
+	type cluster struct {
+		nodes     int
+		partition string
 	}
+	owners := map[cluster][]int16{}
 
 	var rows []report.SchedStudyRow
-	for _, kernel := range []string{"BFS", "PR"} {
+	for _, kernel := range []engines.Algorithm{engines.BFS, engines.PageRank} {
 		for _, cfg := range schedStudyConfigs {
-			for _, pol := range schedStudyPolicies {
-				for _, sockets := range schedStudySockets(pol.name, cfg.placement) {
+			for _, policy := range schedStudyPolicies(t) {
+				for _, sockets := range schedStudySockets(policy, cfg.Placement) {
 					for _, threads := range schedStudyThreads {
-						freq, err := power.FreqStateByName(cfg.freq)
-						if err != nil {
+						// One Spec per cell; the knob table turns it into
+						// the machine and the engine, exactly as
+						// harness.Run does.
+						spec := cfg
+						spec.Dataset, spec.Algorithm = "sched-study", kernel
+						spec.Sched, spec.Sockets, spec.Threads = policy, sockets, threads
+						if err := spec.Validate(); err != nil {
 							t.Fatal(err)
 						}
-						m := simmachine.New(freq.ScaleModel(simmachine.Haswell72()), threads)
-						pconsts := freq.ScaleConstants(power.DefaultConstants())
-						m.SetSchedOverride(pol.sched)
-						if sockets > 1 {
-							m.SetSockets(sockets)
+						key := cluster{spec.Nodes, spec.Partition}
+						owner, ok := owners[key]
+						if !ok {
+							owner = spec.Owners(csr)
+							owners[key] = owner
 						}
-						if cfg.grain == "adaptive" {
-							m.SetGrainPolicy(parallel.GrainAdaptive)
-						}
-						if cfg.placement == "firsttouch" {
-							m.SetPlacement(true)
-						}
-						if cfg.nodes > 1 {
-							var owner []int16
-							if cfg.partition == "2d" {
-								owner = ownersFor(cfg.nodes)
-							}
-							m.SetCluster(cfg.nodes, owner)
-						}
+						m, pconsts := spec.NewMachine(simmachine.Haswell72(), power.DefaultConstants(), owner)
 						eng := gap.New()
 						// Before Load: the compressed structure is built
 						// during construction (and charged there).
-						eng.SetCompress(cfg.compress)
-						instAny, err := eng.Load(el, m)
+						if dropped := spec.ConfigureEngine(eng); dropped != nil {
+							t.Fatalf("GAP dropped %v", dropped)
+						}
+						inst, err := eng.Load(el, m)
 						if err != nil {
 							t.Fatal(err)
 						}
-						inst := instAny.(*gap.Instance)
 						inst.BuildStructure()
 						m.Reset()
-						run := func() error {
-							if kernel == "BFS" {
-								_, err := inst.BFS(root)
-								return err
-							}
-							_, err := inst.PageRank(engines.DefaultPROpts())
-							return err
-						}
 						meter := power.NewRAPL(m, pconsts)
 						meter.Start()
 						start := time.Now()
-						if err := run(); err != nil {
+						if _, err := engines.RunAlgorithm(inst, kernel, root); err != nil {
 							t.Fatal(err)
 						}
 						wall := time.Since(start).Seconds()
@@ -233,19 +211,19 @@ func generateSchedStudyRows(t *testing.T, el *graph.EdgeList, modeledOnly bool) 
 							netBytes += reg.NetBytes
 						}
 						compress := "off"
-						if cfg.compress {
+						if spec.Compress {
 							compress = "on"
 						}
-						nodes, partition := cfg.nodes, cfg.partition
+						nodes, partition := spec.Nodes, spec.Partition
 						if nodes < 2 {
 							nodes, partition = 1, "none"
 						}
 						rows = append(rows, report.SchedStudyRow{
-							Kernel:      kernel,
-							Sched:       pol.name,
-							Grain:       cfg.grain,
-							Placement:   cfg.placement,
-							Freq:        cfg.freq,
+							Kernel:      string(kernel),
+							Sched:       policy,
+							Grain:       spec.Grain,
+							Placement:   spec.Placement,
+							Freq:        spec.FreqState,
 							Compress:    compress,
 							Threads:     threads,
 							Sockets:     sockets,
