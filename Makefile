@@ -23,7 +23,10 @@
 # streamfig-check` is the streaming drift gate over that artifact;
 # `make bench-test` builds and tests the nested bench/ module (the
 # wall-clock benchmark behind BENCHMARK.json), which `go test ./...`
-# from the root does not reach.
+# from the root does not reach; `make golden` rewrites the golden
+# modeled-cost wall (internal/engines/all/testdata/golden_costs.txt:
+# what every engine/kernel pair charges on kron-12, checked by the
+# ordinary test run) -- only when a change is meant to move a cost.
 
 GO ?= go
 FUZZTIME ?= 20s
@@ -34,7 +37,7 @@ FUZZTIME ?= 20s
 # pinned to kron-12 in code, independent of this knob.)
 SCHEDFIG_SCALE ?= 17
 
-.PHONY: all build test bench-test race race-full fuzz bench loc benchfig benchfig-ci benchfig-check compress-ratio servefig servefig-check streamfig streamfig-check serve-soak speedup-floor big-conformance numa-sweep vet fmt-check
+.PHONY: all build test bench-test race race-full fuzz bench loc golden benchfig benchfig-ci benchfig-check compress-ratio servefig servefig-check streamfig streamfig-check serve-soak speedup-floor big-conformance numa-sweep vet fmt-check
 
 all: test bench-test race
 
@@ -76,6 +79,9 @@ bench:
 # outside the frozen benchmark module.
 loc:
 	@find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l
+
+golden:
+	EPG_WRITE_GOLDEN=1 $(GO) test -run 'TestGoldenModeledCosts$$' -count=1 -v ./internal/engines/all/
 
 benchfig:
 	EPG_WRITE_SCHEDFIG=1 EPG_BENCH_SCALE=$(SCHEDFIG_SCALE) $(GO) test -run 'TestWriteSchedStudy$$' -v -timeout 30m .
