@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"testing"
 
 	"github.com/hpcl-repro/epg/internal/datasets"
@@ -285,6 +286,37 @@ func TestLCCConformance(t *testing.T) {
 			}
 		})
 	}
+	// A directed graph, twice: GraphMat needs the in-adjacency for the
+	// neighborhoods, and BuildStructure already built it. A repeated
+	// call must allocate what PowerGraph's does on the same step — the
+	// coefficients and the merged neighborhoods — not a transposed CSR
+	// (4 B an edge and more) on top.
+	t.Run("directed-twice", func(t *testing.T) {
+		el := randomGraph(17, 4096, true)
+		ref := verify.LCC(verify.Prepare(el))
+		insts := loadAll(t, el)
+		secondCall := func(name string) uint64 {
+			if _, err := insts[name].LCC(); err != nil {
+				t.Fatalf("%s LCC: %v", name, err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err := insts[name].LCC()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("%s second LCC: %v", name, err)
+			}
+			if err := verify.ValidateLCC(got, ref); err != nil {
+				t.Errorf("%s second call: %v", name, err)
+			}
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		gm, pg := secondCall(GraphMat), secondCall(PowerGraph)
+		t.Logf("second LCC call allocates %d B in GraphMat, %d B in PowerGraph", gm, pg)
+		if slack := uint64(len(el.Edges)); gm > pg+slack {
+			t.Errorf("GraphMat's second LCC call allocates %d B against PowerGraph's %d B: it rebuilds adjacency on every call", gm, pg)
+		}
+	})
 }
 
 func TestWCCConformance(t *testing.T) {

@@ -162,6 +162,10 @@ func (inst *Instance) bitmapToFrontier(b *parallel.Bitmap, dst []graph.VID, coun
 func (inst *Instance) stepBottomUp(ws *workspace, front, next *parallel.Bitmap, parent, depth []int64, level int64) (examined, nextScout, found int64) {
 	n := inst.n
 	exa, sct, fnd := ws.counter(0), ws.counter(1), ws.counter(2)
+	rows, edgeCost := inst.inRows(), costBottomUpEdge
+	if rows.Encoded() {
+		edgeCost = costBottomUpEdgeC
+	}
 	cpb := inst.m.Model().DecodeCyclesPerByte
 	// align 64: each chunk clears its own word range of `next`.
 	g := inst.m.Grain(n, bfsBottomUpGrain, 64)
@@ -173,49 +177,29 @@ func (inst *Instance) stepBottomUp(ws *workspace, front, next *parallel.Bitmap, 
 			if parent[v] != engines.NoParent {
 				continue
 			}
-			if inst.cin != nil {
-				// Streaming decode so the early break charges exactly
-				// the compressed prefix actually consumed. Bytes read
-				// depend only on how far this vertex scans — a function
-				// of the previous level's frontier, not the schedule.
-				d := inst.cin.Decoder(graph.VID(v))
-				for u, ok := d.Next(); ok; u, ok = d.Next() {
-					edges++
-					if front.Test(int(u)) {
-						parent[v] = int64(u)
-						depth[v] = level + 1
-						next.Set(v)
-						localFound++
-						localScout += inst.out.Degree(graph.VID(v))
-						break
-					}
-				}
-				decBytes += int64(d.BytesRead())
-				continue
-			}
-			for _, u := range inst.in.Neighbors(graph.VID(v)) {
-				edges++
-				if front.Test(int(u)) {
-					// Own-vertex writes only: no atomics, no races.
-					parent[v] = int64(u)
-					depth[v] = level + 1
-					next.Set(v)
-					localFound++
-					localScout += inst.out.Degree(graph.VID(v))
-					break
-				}
+			// The scan stops at the first hit, so an encoded row is
+			// charged exactly the prefix consumed. How far a vertex
+			// scans depends only on the previous level's frontier, not
+			// on the schedule.
+			u, scanned, nb, ok := rows.FirstIn(graph.VID(v), front)
+			edges += scanned
+			decBytes += nb
+			if ok {
+				// Own-vertex writes only: no atomics, no races.
+				parent[v] = int64(u)
+				depth[v] = level + 1
+				next.Set(v)
+				localFound++
+				localScout += inst.out.Degree(graph.VID(v))
 			}
 		}
 		exa.Add(worker, edges)
 		sct.Add(worker, localScout)
 		fnd.Add(worker, localFound)
-		if inst.cin != nil {
-			w.Charge(costBottomUpEdgeC.Scale(float64(edges)))
-			w.Cycles(cpb * float64(decBytes))
-			w.Bytes(float64(decBytes))
-		} else {
-			w.Charge(costBottomUpEdge.Scale(float64(edges)))
-		}
+		w.Charge(edgeCost.Scale(float64(edges)))
+		// Raw rows read no encoded bytes: these two add nothing.
+		w.Cycles(cpb * float64(decBytes))
+		w.Bytes(float64(decBytes))
 		w.Cycles(float64(hi-lo) * 2) // visited test per vertex
 		w.Bytes(float64(hi-lo) * 1)
 	})

@@ -4,6 +4,7 @@ import (
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
+	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
@@ -30,7 +31,12 @@ var (
 	costPREdge       = simmachine.Cost{Cycles: 3, Bytes: 12}
 	costPRVertex     = simmachine.Cost{Cycles: 6, Bytes: 24}
 	costCCEdge       = simmachine.Cost{Cycles: 4, Bytes: 10}
-	costBuildEdge    = simmachine.Cost{Cycles: 5, Bytes: 18}
+	// PageRank's two vector passes, per vertex: the contribution and
+	// dangling pass, and the L1 pass. The incremental replay charges a
+	// recomputed chunk the same.
+	costPRContrib = simmachine.Cost{Cycles: 3, Bytes: 16}
+	costPRL1      = simmachine.Cost{Cycles: 4, Bytes: 16}
+	costBuildEdge = simmachine.Cost{Cycles: 5, Bytes: 18}
 	// Compressed-adjacency variants of the traversal edge costs: the
 	// raw 4 B/edge neighbor-ID read is stripped out, because under
 	// Spec.Compress the kernels charge the actual compressed bytes
@@ -54,7 +60,11 @@ var (
 // is the top-down half of the direction-optimizing BFS: 6 cycles per
 // frontier vertex for the sliding queue's pop and amortized flush.
 // syncRelax is a bucket-barrier delta-stepping pass: a bucket op per
-// candidate gathered and per candidate merged, an atomic per win.
+// candidate gathered and per candidate merged, an atomic per win. The
+// three PageRank regions are dense sweeps: two plain vector passes
+// around the pull along in-rows. ccHook is the min-label sweep with 2
+// cycles per vertex for the own-label compare; ccJump the
+// pointer-jumping pass that follows it.
 var (
 	topDown = traverse.Profile{
 		Edge: costTopDownEdge, EdgeCompressed: costTopDownEdgeC, Claim: costClaim,
@@ -64,6 +74,11 @@ var (
 		Edge: costRelax, Cand: costBucketOp,
 		Win: costClaim, Merge: costBucketOp,
 	}
+	prContrib = traverse.SweepProfile{Vertex: costPRContrib}
+	prPull    = traverse.SweepProfile{Edge: costPREdge, EdgeCompressed: costPREdgeC, Vertex: costPRVertex}
+	prL1      = traverse.SweepProfile{Vertex: costPRL1}
+	ccHook    = traverse.SweepProfile{Edge: costCCEdge, Vertex: simmachine.Cost{Cycles: 2}}
+	ccJump    = traverse.SweepProfile{Vertex: simmachine.Cost{Cycles: 6, Bytes: 12}}
 )
 
 // Engine is the GAP Benchmark Suite analogue.
@@ -79,9 +94,9 @@ type Engine struct {
 	// CAS-racing relaxation is part of its character.
 	SyncSSSP bool
 	// Compress builds delta+varint compressed adjacency alongside the
-	// raw CSR and routes the BFS and PageRank inner loops through
-	// on-the-fly decode (Spec.Compress). Outputs are identical to the
-	// raw run; modeled costs switch to compressed bytes plus
+	// raw CSR and makes it the row source of BFS and PageRank
+	// (Spec.Compress; see outRows and inRows). Outputs are identical to
+	// the raw run; modeled costs switch to compressed bytes plus
 	// Model.DecodeCyclesPerByte. SSSP and WCC keep the raw CSR (the
 	// weight stream is not compressed).
 	Compress bool
@@ -123,8 +138,8 @@ type Instance struct {
 
 	out *graph.CSR
 	in  *graph.CSR
-	// Compressed siblings of out/in, built only when eng.Compress;
-	// nil selects the raw decode-free paths.
+	// Compressed siblings of out/in, built only when eng.Compress; the
+	// row selectors below hand them out in place of the raw CSR.
 	cout *graph.CompressedCSR
 	cin  *graph.CompressedCSR
 	n    int
@@ -213,6 +228,21 @@ func (inst *Instance) outRows() traverse.Rows {
 		return inst.cout
 	}
 	return inst.out
+}
+
+// pullRows is what the pull direction needs of the in-adjacency: whole
+// rows for PageRank's gather, the early-exit scan for bottom-up BFS.
+type pullRows interface {
+	traverse.Rows
+	FirstIn(v graph.VID, front *parallel.Bitmap) (u graph.VID, scanned, encodedBytes int64, ok bool)
+}
+
+// inRows is outRows for the in-adjacency.
+func (inst *Instance) inRows() pullRows {
+	if inst.cin != nil {
+		return inst.cin
+	}
+	return inst.in
 }
 
 // ensureBuilt guards algorithm entry points: the harness always calls

@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
-	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
@@ -14,7 +14,8 @@ import (
 // formulation: each vertex gathers rank/degree contributions from its
 // in-neighbors, so no atomics are needed in the hot loop. Scores are
 // float64; the stopping criterion is the paper's homogenized L1 norm
-// with ε = 6e-8. The dangling-mass and L1 reductions fold per-chunk
+// with ε = 6e-8. The three regions of an iteration are shared sweeps
+// (traverse.Sweep): the dangling-mass and L1 reductions fold per-chunk
 // partials in chunk order, so ranks and iteration counts are
 // bit-identical across runs and worker counts.
 func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
@@ -34,81 +35,42 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	outDeg := inst.out.OutDegrees()
 
 	res := &engines.PRResult{}
-	gContrib := inst.m.Grain(n, 2048, 1)
-	gPull := inst.m.Grain(n, 1024, 1)
-	gL1 := inst.m.Grain(n, 4096, 1)
+	m, tr, in := inst.m, &inst.trav, inst.inRows()
+	gContrib, gPull, gL1 := prGrains(m, n)
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		if err := inst.trav.Poll("gap: PageRank"); err != nil {
+		if err := tr.Poll("gap: PageRank"); err != nil {
 			return nil, err
 		}
 		// Per-vertex contributions and the dangling sum.
-		dr := parallel.NewReducer[float64](parallel.NumChunks(n, gContrib))
-		inst.m.ParallelForChunks(n, gContrib, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-			var localDangling float64
-			for v := lo; v < hi; v++ {
-				if outDeg[v] == 0 {
-					localDangling += rank[v]
-					contrib[v] = 0
-					continue
-				}
-				contrib[v] = rank[v] / float64(outDeg[v])
-			}
-			*dr.At(chunk) = localDangling
-			w.Cycles(float64(hi-lo) * 3)
-			w.Bytes(float64(hi-lo) * 16)
+		dangling, _ := tr.Sweep(m, n, gContrib, &prContrib, func(c *traverse.Chunk, lo, hi int) {
+			c.Sum = danglingPartial(rank, outDeg, contrib, lo, hi)
 		})
-		dangling := parallel.SumFloat64(dr)
+		var dangParts []float64
+		if inst.prRec != nil {
+			dangParts = tr.Partials()
+		}
 		base := (1-opts.Damping)*inv + opts.Damping*dangling*inv
 
 		// Pull phase.
-		cpb := inst.m.Model().DecodeCyclesPerByte
-		inst.m.ParallelFor(n, gPull, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-			var edges, decBytes int64
+		tr.Sweep(m, n, gPull, &prPull, func(c *traverse.Chunk, lo, hi int) {
 			for v := lo; v < hi; v++ {
 				sum := 0.0
-				if inst.cin != nil {
-					d := inst.cin.Decoder(graph.VID(v))
-					for u, ok := d.Next(); ok; u, ok = d.Next() {
-						sum += contrib[u]
-					}
-					decBytes += int64(d.BytesRead())
-				} else {
-					for _, u := range inst.in.Neighbors(graph.VID(v)) {
-						sum += contrib[u]
-					}
+				for _, u := range c.Row(in, v) {
+					sum += contrib[u]
 				}
-				edges += inst.in.Degree(graph.VID(v))
 				next[v] = base + opts.Damping*sum
 			}
-			if inst.cin != nil {
-				w.Charge(costPREdgeC.Scale(float64(edges)))
-				w.Cycles(cpb * float64(decBytes))
-				w.Bytes(float64(decBytes))
-			} else {
-				w.Charge(costPREdge.Scale(float64(edges)))
-			}
-			w.Charge(costPRVertex.Scale(float64(hi - lo)))
 		})
 
 		// L1 convergence test.
-		lr := parallel.NewReducer[float64](parallel.NumChunks(n, gL1))
-		inst.m.ParallelForChunks(n, gL1, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-			local := 0.0
-			for v := lo; v < hi; v++ {
-				local += math.Abs(next[v] - rank[v])
-			}
-			*lr.At(chunk) = local
-			w.Cycles(float64(hi-lo) * 4)
-			w.Bytes(float64(hi-lo) * 16)
+		l1, _ := tr.Sweep(m, n, gL1, &prL1, func(c *traverse.Chunk, lo, hi int) {
+			c.Sum = l1Partial(next, rank, lo, hi)
 		})
-		l1 := parallel.SumFloat64(lr)
 
 		rank, next = next, rank
 		res.Iterations = iter
 		if inst.prRec != nil {
-			inst.prRec.record(rank, dr, lr,
-				parallel.NumChunks(n, gContrib), parallel.NumChunks(n, gL1),
-				dangling, base, l1)
+			inst.prRec.record(rank, dangParts, tr.Partials(), dangling, base, l1)
 		}
 		if l1 < opts.Epsilon {
 			break
@@ -116,6 +78,39 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	}
 	res.Rank = rank
 	return res, nil
+}
+
+// prGrains resolves the chunk sizes of an iteration's three regions.
+// The incremental replay folds cached per-chunk partials, so it must
+// cut the same chunks.
+func prGrains(m *simmachine.Machine, n int) (gContrib, gPull, gL1 int) {
+	return m.Grain(n, 2048, 1), m.Grain(n, 1024, 1), m.Grain(n, 4096, 1)
+}
+
+// danglingPartial is one chunk of the contribution pass: it returns the
+// chunk's share of the dangling mass and leaves every other vertex's
+// rank/degree in contrib (nil in the incremental replay, which divides
+// per pulled edge instead). l1Partial is one chunk of the L1 norm. The
+// kernel and the replay both fold exactly these, in chunk order.
+func danglingPartial(rank []float64, outDeg []int64, contrib []float64, lo, hi int) float64 {
+	p := 0.0
+	for v := lo; v < hi; v++ {
+		switch {
+		case outDeg[v] == 0:
+			p += rank[v]
+		case contrib != nil:
+			contrib[v] = rank[v] / float64(outDeg[v])
+		}
+	}
+	return p
+}
+
+func l1Partial(cur, prev []float64, lo, hi int) float64 {
+	p := 0.0
+	for v := lo; v < hi; v++ {
+		p += math.Abs(cur[v] - prev[v])
+	}
+	return p
 }
 
 // atomicAddFloat64 adds delta to the float64 stored in bits.
@@ -131,49 +126,27 @@ func atomicAddFloat64(bits *uint64, delta float64) {
 
 // WCC implements engines.Instance with Shiloach-Vishkin-style label
 // propagation (the suite's connected components kernel): every vertex
-// repeatedly adopts the minimum label in its neighborhood, with a
-// pointer-jumping compression pass, until a fixed point.
+// repeatedly adopts the minimum label in its neighborhood — the shared
+// hook step, always over the raw rows — with a pointer-jumping
+// compression pass, until a fixed point.
 func (inst *Instance) WCC() (*engines.WCCResult, error) {
 	inst.ensureBuilt()
 	n := inst.n
-	comp := make([]uint32, n)
+	comp := make([]graph.VID, n)
 	for i := range comp {
-		comp[i] = uint32(i)
+		comp[i] = graph.VID(i)
+	}
+	var in traverse.Rows
+	if inst.in != inst.out {
+		in = inst.in
 	}
 	for {
 		if err := inst.trav.Poll("gap: WCC"); err != nil {
 			return nil, err
 		}
-		var changed int64
-		inst.m.ParallelFor(n, 1024, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-			var edges, localChanged int64
-			for v := lo; v < hi; v++ {
-				min := atomic.LoadUint32(&comp[v])
-				for _, u := range inst.out.Neighbors(graph.VID(v)) {
-					if c := atomic.LoadUint32(&comp[u]); c < min {
-						min = c
-					}
-				}
-				if inst.in != inst.out {
-					for _, u := range inst.in.Neighbors(graph.VID(v)) {
-						if c := atomic.LoadUint32(&comp[u]); c < min {
-							min = c
-						}
-					}
-					edges += inst.in.Degree(graph.VID(v))
-				}
-				edges += inst.out.Degree(graph.VID(v))
-				if min < comp[v] {
-					atomic.StoreUint32(&comp[v], min)
-					localChanged++
-				}
-			}
-			atomic.AddInt64(&changed, localChanged)
-			w.Charge(costCCEdge.Scale(float64(edges)))
-			w.Cycles(float64(hi-lo) * 2)
-		})
+		changed := inst.trav.Hook(inst.m, 1024, &ccHook, inst.out, in, comp)
 		// Pointer jumping: comp[v] = comp[comp[v]] until stable.
-		inst.m.ParallelFor(n, 2048, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
+		inst.trav.Sweep(inst.m, n, 2048, &ccJump, func(_ *traverse.Chunk, lo, hi int) {
 			for v := lo; v < hi; v++ {
 				for {
 					c := atomic.LoadUint32(&comp[v])
@@ -184,16 +157,10 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 					atomic.StoreUint32(&comp[v], cc)
 				}
 			}
-			w.Cycles(float64(hi-lo) * 6)
-			w.Bytes(float64(hi-lo) * 12)
 		})
 		if changed == 0 {
 			break
 		}
 	}
-	res := &engines.WCCResult{Component: make([]graph.VID, n)}
-	for v := 0; v < n; v++ {
-		res.Component[v] = graph.VID(comp[v])
-	}
-	return res, nil
+	return &engines.WCCResult{Component: comp}, nil
 }

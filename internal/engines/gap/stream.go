@@ -2,7 +2,6 @@ package gap
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/graph"
@@ -22,10 +21,6 @@ var (
 	// one entry of a clean row.
 	costMutRowEdge  = simmachine.Cost{Cycles: 6, Bytes: 20}
 	costMutCopyEdge = simmachine.Cost{Cycles: 1, Bytes: 8}
-	// PR patching: recomputing one contrib/dangling vertex and one L1
-	// vertex, at the kernel's own rates (3cy/16B and 4cy/16B).
-	costPRContrib = simmachine.Cost{Cycles: 3, Bytes: 16}
-	costPRL1      = simmachine.Cost{Cycles: 4, Bytes: 16}
 	// WCC repair: classifying one vertex against the affected-label
 	// set, one DSU union over an inserted edge, and the final
 	// label-resolution pass per vertex.
@@ -208,32 +203,22 @@ type prIter struct {
 
 // prTrajectory is the memoized trajectory of one PageRank run.
 type prTrajectory struct {
-	opts       engines.PROpts
-	dangChunks int
-	l1Chunks   int
-	iters      []prIter
+	opts  engines.PROpts
+	iters []prIter
 }
 
 // record snapshots one iteration from inside the kernel (pr.go calls
-// it when recording is armed). It copies; the kernel reuses its
-// buffers.
-func (t *prTrajectory) record(rank []float64, dr, lr *parallel.Reducer[float64], dangChunks, l1Chunks int, dangling, base, l1 float64) {
-	it := prIter{
+// it when recording is armed). The partials are already the kernel's
+// copies; the rank vector is copied here, since the kernel reuses it.
+func (t *prTrajectory) record(rank, dangParts, l1Parts []float64, dangling, base, l1 float64) {
+	t.iters = append(t.iters, prIter{
 		rank:      append([]float64(nil), rank...),
-		dangParts: make([]float64, dangChunks),
-		l1Parts:   make([]float64, l1Chunks),
+		dangParts: dangParts,
 		dangling:  dangling,
 		base:      base,
+		l1Parts:   l1Parts,
 		l1:        l1,
-	}
-	for c := 0; c < dangChunks; c++ {
-		it.dangParts[c] = *dr.At(c)
-	}
-	for c := 0; c < l1Chunks; c++ {
-		it.l1Parts[c] = *lr.At(c)
-	}
-	t.dangChunks, t.l1Chunks = dangChunks, l1Chunks
-	t.iters = append(t.iters, it)
+	})
 }
 
 // recordedPageRank runs the full kernel with trajectory recording
@@ -273,14 +258,12 @@ func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResul
 		return &engines.PRResult{}, nil
 	}
 	st := inst.streamState()
-	gContrib := inst.m.Grain(n, 2048, 1)
-	gPull := inst.m.Grain(n, 1024, 1)
-	gL1 := inst.m.Grain(n, 4096, 1)
-	dangChunks := parallel.NumChunks(n, gContrib)
-	l1Chunks := parallel.NumChunks(n, gL1)
+	gContrib, gPull, gL1 := prGrains(inst.m, n)
 
+	// A baseline recorded under another grain geometry cut other chunks.
 	traj := st.prTraj
-	if traj == nil || traj.opts != opts || traj.dangChunks != dangChunks || traj.l1Chunks != l1Chunks || len(traj.iters) == 0 {
+	if traj == nil || traj.opts != opts || len(traj.iters) == 0 ||
+		len(traj.iters[0].dangParts) != parallel.NumChunks(n, gContrib) || len(traj.iters[0].l1Parts) != parallel.NumChunks(n, gL1) {
 		return inst.recordedPageRank(opts)
 	}
 	if len(st.degDirty) == 0 && len(st.inDirty) == 0 {
@@ -322,10 +305,8 @@ func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResul
 	// rank_{t-1}; empty at t=1.
 	var changed []graph.VID
 
-	newTraj := &prTrajectory{opts: opts, dangChunks: dangChunks, l1Chunks: l1Chunks}
+	newTraj := &prTrajectory{opts: opts}
 	rowMark := make([]bool, n)
-	chunkMark := make([]bool, dangChunks)
-	l1Mark := make([]bool, l1Chunks)
 
 	serialSum := func(v graph.VID, base float64) float64 {
 		// Bitwise the kernel's per-vertex pull: contrib computed on
@@ -343,70 +324,36 @@ func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResul
 	}
 
 	iterations := 0
-	beyondCache := false
 	for t := 1; t <= opts.MaxIter; t++ {
-		if beyondCache || t > len(traj.iters) {
-			beyondCache = true
-			// Past the recorded horizon: no cache to patch against.
-			// Emulate the kernel's full iteration serially with the
-			// same chunk partials and fold order, at full kernel
-			// rates.
-			cur, it := inst.prFullIterEmulated(prev, outDeg, opts, inv, gContrib, gPull, gL1, dangChunks, l1Chunks)
-			newTraj.iters = append(newTraj.iters, it)
-			prev = cur
-			iterations = t
-			if it.l1 < opts.Epsilon {
-				break
-			}
-			continue
+		// ci is the cached iteration this one patches. Past the
+		// recorded horizon there is none (ci.rank is nil), and the same
+		// code runs as "every chunk dirty, base moved": a full iteration
+		// in the kernel's chunk partials and fold order, at full kernel
+		// rates — an iteration past the horizon saves nothing.
+		var ci prIter
+		if t <= len(traj.iters) {
+			ci = traj.iters[t-1]
 		}
-		ci := &traj.iters[t-1]
 
 		// Dangling partials: chunks containing a changed-rank or
-		// degree-dirty vertex recompute; the rest splice the cached
-		// partial. Fold in chunk order.
-		for _, v := range changed {
-			chunkMark[int(v)/gContrib] = true
-		}
-		for _, v := range degDirtyList {
-			chunkMark[int(v)/gContrib] = true
-		}
-		dangling := 0.0
-		var dangVerts int
-		it := prIter{dangParts: make([]float64, dangChunks)}
-		for c := 0; c < dangChunks; c++ {
-			p := ci.dangParts[c]
-			if chunkMark[c] {
-				chunkMark[c] = false
-				lo := c * gContrib
-				hi := lo + gContrib
-				if hi > n {
-					hi = n
-				}
-				p = 0
-				for v := lo; v < hi; v++ {
-					if outDeg[v] == 0 {
-						p += prev[v]
-					}
-				}
-				dangVerts += hi - lo
-			}
-			it.dangParts[c] = p
-			dangling += p
-		}
-		base := (1-opts.Damping)*inv + opts.Damping*dangling*inv
-		it.dangling, it.base = dangling, base
+		// degree-dirty vertex recompute.
+		var it prIter
+		var dangVerts, l1Verts int
+		it.dangParts, it.dangling, dangVerts = patchedFold(n, gContrib, ci.dangParts, func(lo, hi int) float64 {
+			return danglingPartial(prev, outDeg, nil, lo, hi)
+		}, changed, degDirtyList)
+		it.base = (1-opts.Damping)*inv + opts.Damping*it.dangling*inv
 		inst.m.ChargeUniform(dangVerts, gContrib, simmachine.Dynamic, costPRContrib)
 
 		var cur []float64
 		var newChanged []graph.VID
-		if dangling != ci.dangling {
+		if ci.rank == nil || it.dangling != ci.dangling {
 			// The base moved: every rank entry can differ. Full pull
 			// sweep at kernel rates.
 			cur = make([]float64, n)
 			for v := 0; v < n; v++ {
-				cur[v] = serialSum(graph.VID(v), base)
-				if cur[v] != ci.rank[v] {
+				cur[v] = serialSum(graph.VID(v), it.base)
+				if ci.rank != nil && cur[v] != ci.rank[v] {
 					newChanged = append(newChanged, graph.VID(v))
 				}
 			}
@@ -439,7 +386,7 @@ func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResul
 			var pullEdges int64
 			for _, v := range rows {
 				rowMark[v] = false
-				cur[v] = serialSum(v, base)
+				cur[v] = serialSum(v, it.base)
 				pullEdges += inst.in.Degree(v)
 				if cur[v] != ci.rank[v] {
 					newChanged = append(newChanged, v)
@@ -451,42 +398,17 @@ func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResul
 		it.rank = cur
 
 		// L1 partials: chunks containing a vertex whose prev or cur
-		// differs from cache recompute; fold in chunk order.
-		for _, v := range changed {
-			l1Mark[int(v)/gL1] = true
-		}
-		for _, v := range newChanged {
-			l1Mark[int(v)/gL1] = true
-		}
-		l1 := 0.0
-		var l1Verts int
-		it.l1Parts = make([]float64, l1Chunks)
-		for c := 0; c < l1Chunks; c++ {
-			p := ci.l1Parts[c]
-			if l1Mark[c] {
-				l1Mark[c] = false
-				lo := c * gL1
-				hi := lo + gL1
-				if hi > n {
-					hi = n
-				}
-				p = 0
-				for v := lo; v < hi; v++ {
-					p += math.Abs(cur[v] - prev[v])
-				}
-				l1Verts += hi - lo
-			}
-			it.l1Parts[c] = p
-			l1 += p
-		}
-		it.l1 = l1
+		// differs from cache recompute.
+		it.l1Parts, it.l1, l1Verts = patchedFold(n, gL1, ci.l1Parts, func(lo, hi int) float64 {
+			return l1Partial(cur, prev, lo, hi)
+		}, changed, newChanged)
 		inst.m.ChargeUniform(l1Verts, gL1, simmachine.Dynamic, costPRL1)
 
 		newTraj.iters = append(newTraj.iters, it)
 		prev = cur
 		changed = newChanged
 		iterations = t
-		if l1 < opts.Epsilon {
+		if it.l1 < opts.Epsilon {
 			break
 		}
 	}
@@ -500,71 +422,30 @@ func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResul
 	}, nil
 }
 
-// prFullIterEmulated computes one full PageRank iteration serially
-// with the kernel's exact arithmetic: per-chunk dangling partials
-// folded in chunk order, per-vertex pulls in sorted adjacency order,
-// per-chunk L1 partials folded in chunk order. Charged at full kernel
-// rates — an iteration past the recorded horizon saves nothing.
-func (inst *Instance) prFullIterEmulated(prev []float64, outDeg []int64, opts engines.PROpts, inv float64, gContrib, gPull, gL1, dangChunks, l1Chunks int) ([]float64, prIter) {
-	n := inst.n
-	it := prIter{
-		dangParts: make([]float64, dangChunks),
-		l1Parts:   make([]float64, l1Chunks),
+// patchedFold folds one of the kernel's per-chunk reductions over
+// [0,n) in chunk order: a chunk holding a vertex of dirty — every chunk,
+// when there are no cached partials — is recomputed by partial, the
+// rest splice the cached value. It returns the partials, their sum and
+// the number of vertices recomputed (what the region is charged for).
+func patchedFold(n, grain int, cached []float64, partial func(lo, hi int) float64, dirty ...[]graph.VID) (parts []float64, sum float64, verts int) {
+	parts = make([]float64, parallel.NumChunks(n, grain))
+	redo := make([]bool, len(parts))
+	for _, list := range dirty {
+		for _, v := range list {
+			redo[int(v)/grain] = true
+		}
 	}
-	dangling := 0.0
-	for c := 0; c < dangChunks; c++ {
-		lo := c * gContrib
-		hi := lo + gContrib
-		if hi > n {
-			hi = n
+	for c := range parts {
+		if cached == nil || redo[c] {
+			lo, hi := c*grain, min(n, (c+1)*grain)
+			parts[c] = partial(lo, hi)
+			verts += hi - lo
+		} else {
+			parts[c] = cached[c]
 		}
-		p := 0.0
-		for v := lo; v < hi; v++ {
-			if outDeg[v] == 0 {
-				p += prev[v]
-			}
-		}
-		it.dangParts[c] = p
-		dangling += p
+		sum += parts[c]
 	}
-	base := (1-opts.Damping)*inv + opts.Damping*dangling*inv
-	it.dangling, it.base = dangling, base
-	inst.m.ChargeUniform(n, gContrib, simmachine.Dynamic, costPRContrib)
-
-	cur := make([]float64, n)
-	for v := 0; v < n; v++ {
-		sum := 0.0
-		for _, u := range inst.in.Neighbors(graph.VID(v)) {
-			c := 0.0
-			if d := outDeg[u]; d != 0 {
-				c = prev[u] / float64(d)
-			}
-			sum += c
-		}
-		cur[v] = base + opts.Damping*sum
-	}
-	inst.m.ChargeUniform(n, gPull, simmachine.Dynamic, costPRVertex)
-	inst.m.ChargeUniform(int(inst.in.NumEdges()), 4096, simmachine.Dynamic, costPREdge)
-
-	l1 := 0.0
-	for c := 0; c < l1Chunks; c++ {
-		lo := c * gL1
-		hi := lo + gL1
-		if hi > n {
-			hi = n
-		}
-		p := 0.0
-		for v := lo; v < hi; v++ {
-			p += math.Abs(cur[v] - prev[v])
-		}
-		it.l1Parts[c] = p
-		l1 += p
-	}
-	it.l1 = l1
-	inst.m.ChargeUniform(n, gL1, simmachine.Dynamic, costPRL1)
-
-	it.rank = cur
-	return cur, it
+	return parts, sum, verts
 }
 
 // IncrementalWCC implements engines.Streamer. Inserts union component

@@ -197,6 +197,50 @@ func TestIncrementalPageRankBeyondCachedHorizon(t *testing.T) {
 	ranksEqual(t, inc, want, "beyond-horizon")
 }
 
+// The same on a directed ring, where the replay pulls along a separate
+// in-adjacency, and with the horizon well behind: at least two
+// iterations run with no cached iteration to patch against, as "every
+// chunk dirty, base moved". (What those iterations charge is pinned
+// region for region by the stream row of the golden wall in
+// internal/engines/all.)
+func TestIncrementalPageRankSeveralIterationsBeyondHorizon(t *testing.T) {
+	n := 96
+	el := &graph.EdgeList{NumVertices: n, Directed: true}
+	for v := 0; v < n; v++ {
+		el.Edges = append(el.Edges, graph.Edge{Src: graph.VID(v), Dst: graph.VID((v + 1) % n)})
+	}
+	for _, workers := range []int{1, 4} {
+		inst := load(t, New(), el, 4)
+		inst.Machine().SetWorkers(workers)
+		base, err := inst.IncrementalPageRank(engines.DefaultPROpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b graph.Batch
+		for v := 2; v < n; v += 3 {
+			b = append(b, graph.Mutation{Op: graph.MutInsert, Src: 0, Dst: graph.VID(v)})
+		}
+		if _, err := inst.Mutate(b); err != nil {
+			t.Fatal(err)
+		}
+		inc, err := inst.IncrementalPageRank(engines.DefaultPROpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inc.Iterations < base.Iterations+2 {
+			t.Fatalf("workers %d: %d iterations on a %d-iteration baseline: fewer than two beyond the horizon", workers, inc.Iterations, base.Iterations)
+		}
+		ranksEqual(t, inc, freshPR(t, elFromCSR(inst.OutCSR(), true), 8), "several beyond the horizon")
+		// The replayed trajectory is the new baseline: an unchanged
+		// graph now replays it for free, iteration count included.
+		again, err := inst.IncrementalPageRank(engines.DefaultPROpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranksEqual(t, again, inc, "replayed baseline")
+	}
+}
+
 // Deleting a vertex's entire out-row changes the dangling mass, which
 // moves the base term and forces the full-sweep fallback inside the
 // patched replay — still bit-equal.

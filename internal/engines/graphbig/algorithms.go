@@ -2,11 +2,10 @@ package graphbig
 
 import (
 	"math"
-	"sync/atomic"
 
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
-	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
@@ -31,52 +30,47 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 		rank[i] = inv
 	}
 	res := &engines.PRResult{}
-	gRed := inst.m.Grain(n, 4096, 1)
-	gGather := inst.m.Grain(n, 512, 1)
+	m, tr := inst.m, &inst.trav
+	in := inst.inRows()
+	if in == nil {
+		in = inst.vertices // undirected: out is the in-adjacency too
+	}
+	gRed := m.Grain(n, 4096, 1)
+	gGather := m.Grain(n, 512, 1)
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		// Dangling mass (float64 reduction of float32 properties,
 		// folded in chunk order for determinism).
-		dr := parallel.NewReducer[float64](parallel.NumChunks(n, gRed))
-		inst.m.ParallelForChunks(n, gRed, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
+		dangling, _ := tr.Sweep(m, n, gRed, &prDangling, func(c *traverse.Chunk, lo, hi int) {
 			local := 0.0
 			for v := lo; v < hi; v++ {
 				if len(inst.vertices[v].out) == 0 {
 					local += float64(rank[v])
 				}
 			}
-			*dr.At(chunk) = local
-			w.Charge(costPRVertex.Scale(float64(hi-lo) * 0.25))
+			c.Sum = local
 		})
-		dangling := parallel.SumFloat64(dr)
 		base := float32((1-opts.Damping)/float64(n) + opts.Damping*dangling/float64(n))
 
 		// Gather phase: fold in-neighbor shares in float32, per-vertex
 		// property updates under System G's per-edge lock cost.
-		inst.m.ParallelFor(n, gGather, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-			var edges int64
+		tr.Sweep(m, n, gGather, &prGather, func(c *traverse.Chunk, lo, hi int) {
 			for v := lo; v < hi; v++ {
 				var sum float32
-				for _, u := range inst.inNeighbors(graph.VID(v)) {
+				for _, u := range c.Row(in, v) {
 					sum += rank[u] / float32(len(inst.vertices[u].out))
 				}
-				edges += int64(len(inst.inNeighbors(graph.VID(v))))
 				next[v] = base + float32(opts.Damping)*sum
 			}
-			w.Charge(costPREdge.Scale(float64(edges)))
-			w.Charge(costPRVertex.Scale(float64(hi - lo)))
 		})
 
 		// L1 over float32 properties, accumulated in float64.
-		lr := parallel.NewReducer[float64](parallel.NumChunks(n, gRed))
-		inst.m.ParallelForChunks(n, gRed, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
+		l1, _ := tr.Sweep(m, n, gRed, &prL1, func(c *traverse.Chunk, lo, hi int) {
 			local := 0.0
 			for v := lo; v < hi; v++ {
 				local += math.Abs(float64(next[v]) - float64(rank[v]))
 			}
-			*lr.At(chunk) = local
-			w.Charge(costPRVertex.Scale(float64(hi-lo) * 0.5))
+			c.Sum = local
 		})
-		l1 := parallel.SumFloat64(lr)
 
 		rank, next = next, rank
 		res.Iterations = iter
@@ -92,7 +86,8 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 }
 
 // CDLP implements engines.Instance: synchronous label propagation
-// with per-vertex histogram maps (System G's property-map style).
+// with per-vertex histogram maps (System G's property-map style) — the
+// shared vote step.
 func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 	n := inst.n
 	label := make([]graph.VID, n)
@@ -102,32 +97,7 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 	}
 	res := &engines.CDLPResult{}
 	for iter := 1; iter <= maxIter; iter++ {
-		var changed int64
-		inst.m.ParallelFor(n, 256, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-			counts := make(map[graph.VID]int)
-			var edges, localChanged int64
-			for v := lo; v < hi; v++ {
-				clear(counts)
-				for _, u := range inst.vertices[v].out {
-					counts[label[u]]++
-				}
-				edges += int64(len(inst.vertices[v].out))
-				if inst.directed {
-					for _, u := range inst.vertices[v].in {
-						counts[label[u]]++
-					}
-					edges += int64(len(inst.vertices[v].in))
-				}
-				nl := engines.PickLabel(counts, label[v])
-				next[v] = nl
-				if nl != label[v] {
-					localChanged++
-				}
-			}
-			atomic.AddInt64(&changed, localChanged)
-			w.Charge(costCDLPEdge.Scale(float64(edges)))
-			w.Charge(costPropTouch.Scale(float64(hi - lo)))
-		})
+		changed := inst.trav.Vote(inst.m, 256, &cdlpVote, inst.vertices, inst.inRows(), label, next)
 		label, next = next, label
 		res.Iterations = iter
 		if changed == 0 {
@@ -160,9 +130,6 @@ func (inst *Instance) LCC() (*engines.LCCResult, error) {
 			for _, u := range nbrs {
 				for _, x := range inst.vertices[u].out {
 					checks++
-					if x == u || x == graph.VID(v) {
-						continue
-					}
 					if _, ok := set[x]; ok {
 						links++
 					}
@@ -187,48 +154,13 @@ func (inst *Instance) neighborhood(v graph.VID) []graph.VID {
 }
 
 // WCC implements engines.Instance: plain min-label propagation (no
-// pointer jumping) until quiescent.
+// pointer jumping) until quiescent — the shared hook step.
 func (inst *Instance) WCC() (*engines.WCCResult, error) {
-	n := inst.n
-	comp := make([]uint32, n)
+	comp := make([]graph.VID, inst.n)
 	for i := range comp {
-		comp[i] = uint32(i)
+		comp[i] = graph.VID(i)
 	}
-	for {
-		var changed int64
-		inst.m.ParallelFor(n, 1024, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-			var edges, localChanged int64
-			for v := lo; v < hi; v++ {
-				min := atomic.LoadUint32(&comp[v])
-				for _, u := range inst.vertices[v].out {
-					if c := atomic.LoadUint32(&comp[u]); c < min {
-						min = c
-					}
-				}
-				edges += int64(len(inst.vertices[v].out))
-				if inst.directed {
-					for _, u := range inst.vertices[v].in {
-						if c := atomic.LoadUint32(&comp[u]); c < min {
-							min = c
-						}
-					}
-					edges += int64(len(inst.vertices[v].in))
-				}
-				if min < comp[v] {
-					atomic.StoreUint32(&comp[v], min)
-					localChanged++
-				}
-			}
-			atomic.AddInt64(&changed, localChanged)
-			w.Charge(costWCCEdge.Scale(float64(edges)))
-		})
-		if changed == 0 {
-			break
-		}
+	for inst.trav.Hook(inst.m, 1024, &wccHook, inst.vertices, inst.inRows(), comp) != 0 {
 	}
-	res := &engines.WCCResult{Component: make([]graph.VID, n)}
-	for v := 0; v < n; v++ {
-		res.Component[v] = graph.VID(comp[v])
-	}
-	return res, nil
+	return &engines.WCCResult{Component: comp}, nil
 }

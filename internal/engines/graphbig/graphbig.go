@@ -32,7 +32,11 @@ var (
 // level, and 4 cycles of frontier-queue traffic per vertex; property
 // objects are never compressed. roundRelax is a round-barrier
 // Bellman-Ford round: the chaotic variant's per-edge lock traffic, a
-// property touch per frontier vertex and per candidate merged.
+// property touch per frontier vertex and per candidate merged. The
+// dense kernels are sweeps over the vertex table: PageRank's two
+// float64 reductions touch a quarter and a half of a rank property per
+// vertex around the per-edge-locked gather; the CDLP vote and the WCC
+// hook read every property object along both directions.
 var (
 	levelBFS = traverse.Profile{
 		Edge: costBFSEdge, Claim: costVisit,
@@ -41,6 +45,11 @@ var (
 	roundRelax = traverse.RelaxProfile{
 		Edge: costSSSPEdge, Vertex: costPropTouch, Merge: costPropTouch,
 	}
+	prDangling = traverse.SweepProfile{Vertex: costPRVertex.Scale(0.25)}
+	prGather   = traverse.SweepProfile{Edge: costPREdge, Vertex: costPRVertex}
+	prL1       = traverse.SweepProfile{Vertex: costPRVertex.Scale(0.5)}
+	cdlpVote   = traverse.SweepProfile{Edge: costCDLPEdge, Vertex: costPropTouch}
+	wccHook    = traverse.SweepProfile{Edge: costWCCEdge}
 )
 
 // Engine is the GraphBIG analogue.
@@ -92,6 +101,12 @@ type propertyGraph []vertexProp
 func (g propertyGraph) Row(v graph.VID, _ []graph.VID) ([]graph.VID, int64) { return g[v].out, 0 }
 func (g propertyGraph) Encoded() bool                                       { return false }
 func (g propertyGraph) WeightedRow(v graph.VID) ([]graph.VID, []float32)    { return g[v].out, g[v].w }
+
+// inProps is the same table read along in-edges.
+type inProps propertyGraph
+
+func (g inProps) Row(v graph.VID, _ []graph.VID) ([]graph.VID, int64) { return g[v].in, 0 }
+func (g inProps) Encoded() bool                                       { return false }
 
 // Instance is a loaded GraphBIG property graph.
 type Instance struct {
@@ -146,12 +161,13 @@ func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instan
 // happened during Load.
 func (inst *Instance) BuildStructure() {}
 
-// inNeighbors returns the in-adjacency (equal to out for undirected).
-func (inst *Instance) inNeighbors(v graph.VID) []graph.VID {
+// inRows is the second row source of a sweep over both directions: the
+// in-adjacency of a directed graph, nothing when out is symmetric.
+func (inst *Instance) inRows() traverse.Rows {
 	if !inst.directed {
-		return inst.vertices[v].out
+		return nil
 	}
-	return inst.vertices[v].in
+	return inProps(inst.vertices)
 }
 
 // BFS implements engines.Instance: plain level-synchronous traversal

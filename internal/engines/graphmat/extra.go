@@ -159,57 +159,12 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 
 // LCC implements engines.Instance: GraphMat's Graphalytics LCC maps
 // to masked sparse matrix products; here the same counts come from
-// sorted-adjacency intersections with SpMV-grade per-check costs (the
-// paper's Table I shows LCC dominating every system's runtime on the
-// dense Dota-League graph).
+// sorted-adjacency intersections — the shared link-count step — with
+// SpMV-grade per-check costs (the paper's Table I shows LCC dominating
+// every system's runtime on the dense Dota-League graph).
 func (inst *Instance) LCC() (*engines.LCCResult, error) {
 	inst.ensureBuilt()
-	n := inst.n
-	coeff := make([]float64, n)
-	out := inst.outCSR
-	var inCSR *graph.CSR
-	if inst.directed {
-		inCSR = graph.Transpose(out, 0)
-		inCSR.SortAdjacency()
-	} else {
-		inCSR = out
-	}
-	inst.m.ParallelFor(n, 64, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-		var checks int64
-		for v := lo; v < hi; v++ {
-			nbrs := out.Neighbors(graph.VID(v))
-			if inst.directed {
-				nbrs = engines.Neighborhood(nbrs, inCSR.Neighbors(graph.VID(v)), graph.VID(v))
-			}
-			d := len(nbrs)
-			if d < 2 {
-				continue
-			}
-			links := 0
-			for _, u := range nbrs {
-				adj := out.Neighbors(u)
-				// Sorted-merge intersection of adj with nbrs.
-				i, j := 0, 0
-				for i < len(adj) && j < len(nbrs) {
-					checks++
-					switch {
-					case adj[i] < nbrs[j]:
-						i++
-					case adj[i] > nbrs[j]:
-						j++
-					default:
-						if adj[i] != u && adj[i] != graph.VID(v) {
-							links++
-						}
-						i++
-						j++
-					}
-				}
-			}
-			coeff[v] = float64(links) / float64(d*(d-1))
-		}
-		w.Charge(costScanNZ.Scale(float64(checks)))
-		w.Charge(costVecEntry.Scale(float64(hi - lo)))
-	})
+	coeff := make([]float64, inst.n)
+	inst.trav.LinkCount(inst.m, 64, &lccLinks, inst.outCSR, inst.inCSR, coeff)
 	return &engines.LCCResult{Coeff: coeff}, nil
 }

@@ -2,6 +2,7 @@ package graphmat
 
 import (
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
@@ -14,6 +15,15 @@ var (
 	costProcessNZ = simmachine.Cost{Cycles: 8, Bytes: 8}
 	costVecEntry  = simmachine.Cost{Cycles: 4, Bytes: 10}
 	costBuildEdge = simmachine.Cost{Cycles: 14, Bytes: 30}
+)
+
+// The regions GraphMat runs as shared dense sweeps
+// (internal/engines/traverse): vecPass is one pass over a length-n
+// dense vector (PageRank's dangling reduction and its ∞-norm test);
+// lccLinks is the link count, a matrix scan per merge comparison.
+var (
+	vecPass  = traverse.SweepProfile{Vertex: costVecEntry}
+	lccLinks = traverse.SweepProfile{Work: costScanNZ, Vertex: costVecEntry}
 )
 
 // Engine is the GraphMat analogue.
@@ -84,7 +94,10 @@ type Instance struct {
 	inMat  *dcsr
 	outMat *dcsr
 	outDeg []int32
-	outCSR *graph.CSR // sorted; retained for LCC edge queries
+	// Sorted adjacency retained for LCC's edge queries; inCSR is nil
+	// for an undirected graph (outCSR is symmetric).
+	outCSR, inCSR *graph.CSR
+	trav          traverse.State
 }
 
 // Load implements engines.Engine.
@@ -119,6 +132,7 @@ func (inst *Instance) BuildStructure() {
 	inst.outMat = fromCSR(out)
 	if el.Directed {
 		inst.inMat = fromCSR(in)
+		inst.inCSR = in
 	} else {
 		inst.inMat = inst.outMat
 	}

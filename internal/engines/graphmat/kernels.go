@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
@@ -28,10 +29,7 @@ func (inst *Instance) spmvRows(mat *dcsr, body func(ri, worker int, w *simmachin
 
 // denseSweep charges one pass over a length-n dense vector.
 func (inst *Instance) denseSweep(mult float64) {
-	g := inst.m.Grain(inst.n, 8192, 1)
-	inst.m.ParallelFor(inst.n, g, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-		w.Charge(costVecEntry.Scale(mult * float64(hi-lo)))
-	})
+	inst.m.ChargeUniform(inst.n, inst.m.Grain(inst.n, 8192, 1), simmachine.Dynamic, costVecEntry.Scale(mult))
 }
 
 // BFS implements engines.Instance: repeated Boolean-semiring SpMV.
@@ -42,17 +40,7 @@ func (inst *Instance) denseSweep(mult float64) {
 func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 	inst.ensureBuilt()
 	n := inst.n
-	res := &engines.BFSResult{
-		Root:   root,
-		Parent: make([]int64, n),
-		Depth:  make([]int64, n),
-	}
-	for i := range res.Parent {
-		res.Parent[i] = engines.NoParent
-		res.Depth[i] = -1
-	}
-	res.Parent[root] = int64(root)
-	res.Depth[root] = 0
+	res := traverse.StartBFS(nil, root, n)
 
 	// Frontier sparse vector as a dense mask: one bit per vertex
 	// (parallel.Bitmap) instead of the byte-per-vertex []bool the
@@ -122,11 +110,7 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 		return nil, engines.ErrUnsupported
 	}
 	n := inst.n
-	res := &engines.SSSPResult{
-		Root:   root,
-		Dist:   make([]float64, n),
-		Parent: make([]int64, n),
-	}
+	res := traverse.StartSSSP(nil, root, n)
 	// Synchronous min-plus semantics: each sweep reads the previous
 	// iteration's vector (cur) and writes the next (nxt).
 	cur := make([]float32, n)
@@ -134,10 +118,8 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 	inf := float32(math.Inf(1))
 	for i := range cur {
 		cur[i] = inf
-		res.Parent[i] = engines.NoParent
 	}
 	cur[root] = 0
-	res.Parent[root] = int64(root)
 
 	// Same bit-per-vertex masks as BFS (see the comment there).
 	active := parallel.NewBitmap(n)
@@ -216,8 +198,7 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	gRed := inst.m.Grain(n, 4096, 1)
 	gNorm := inst.m.Grain(n, 8192, 1)
 	for iter := 1; iter <= maxIter; iter++ {
-		dr := parallel.NewReducer[float64](parallel.NumChunks(n, gRed))
-		inst.m.ParallelForChunks(n, gRed, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
+		dangling, _ := inst.trav.Sweep(inst.m, n, gRed, &vecPass, func(c *traverse.Chunk, lo, hi int) {
 			local := 0.0
 			for v := lo; v < hi; v++ {
 				if inst.outDeg[v] == 0 {
@@ -227,16 +208,13 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 				}
 				contrib[v] = rank[v] / float32(inst.outDeg[v])
 			}
-			*dr.At(chunk) = local
-			w.Charge(costVecEntry.Scale(float64(hi - lo)))
+			c.Sum = local
 		})
-		dangling := parallel.SumFloat64(dr)
 		base := float32((1-opts.Damping)/float64(n) + opts.Damping*dangling/float64(n))
 
 		for i := range next {
 			next[i] = base
 		}
-		var changed int64
 		inst.spmvRows(inst.inMat, func(ri, worker int, w *simmachine.W) {
 			v := inst.inMat.rows[ri]
 			lo, hi := inst.inMat.ptr[ri], inst.inMat.ptr[ri+1]
@@ -256,7 +234,7 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 		// ε₃₂ = 2⁻²³ ≈ 1.19e-7 — far stricter than the L1 criterion
 		// of the other systems, hence the extra iterations in Fig. 4.
 		var maxDeltaBits, maxRankBits uint64
-		inst.m.ParallelFor(n, gNorm, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
+		inst.trav.Sweep(inst.m, n, gNorm, &vecPass, func(_ *traverse.Chunk, lo, hi int) {
 			var localDelta, localRank float32
 			for v := lo; v < hi; v++ {
 				d := next[v] - rank[v]
@@ -276,17 +254,13 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 			}
 			atomicMaxFloat64(&maxDeltaBits, float64(localDelta))
 			atomicMaxFloat64(&maxRankBits, float64(localRank))
-			w.Charge(costVecEntry.Scale(float64(hi - lo)))
 		})
 		maxDelta := math.Float64frombits(atomic.LoadUint64(&maxDeltaBits))
 		maxRank := math.Float64frombits(atomic.LoadUint64(&maxRankBits))
-		if maxDelta > 1.1920929e-7*maxRank {
-			changed = 1
-		}
 
 		rank, next = next, rank
 		res.Iterations = iter
-		if changed == 0 {
+		if maxDelta <= 1.1920929e-7*maxRank {
 			break
 		}
 	}

@@ -2,9 +2,9 @@ package powergraph
 
 import (
 	"math"
-	"sync/atomic"
 
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
@@ -22,19 +22,9 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 		return nil, engines.ErrUnsupported
 	}
 	n := inst.n
-	res := &engines.SSSPResult{
-		Root:   root,
-		Dist:   make([]float64, n),
-		Parent: make([]int64, n),
-	}
+	res := traverse.StartSSSP(nil, root, n)
 	dist := res.Dist
 	inf := math.Inf(1)
-	for i := range dist {
-		dist[i] = inf
-		res.Parent[i] = engines.NoParent
-	}
-	dist[root] = 0
-	res.Parent[root] = int64(root)
 
 	accD := make([]float64, inst.totalRep)
 	accP := make([]int64, inst.totalRep)
@@ -126,8 +116,7 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	gContrib := inst.m.Grain(n, 4096, 1)
 	gApply := inst.m.Grain(n, 2048, 1)
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		dr := parallel.NewReducer[float64](parallel.NumChunks(n, gContrib))
-		inst.m.ParallelForChunks(n, gContrib, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
+		dangling, _ := inst.trav.Sweep(inst.m, n, gContrib, &prContrib, func(c *traverse.Chunk, lo, hi int) {
 			local := 0.0
 			for v := lo; v < hi; v++ {
 				if outDeg[v] == 0 {
@@ -137,11 +126,8 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 				}
 				contrib[v] = rank[v] / float64(outDeg[v])
 			}
-			*dr.At(chunk) = local
-			w.Cycles(float64(hi-lo) * 4)
-			w.Bytes(float64(hi-lo) * 24)
+			c.Sum = local
 		})
-		dangling := parallel.SumFloat64(dr)
 		base := (1-opts.Damping)*inv + opts.Damping*dangling*inv
 
 		inst.gatherSweep(nil, func(s int, e shardEdge) {
@@ -150,8 +136,7 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 
 		// Ghost sync + apply: fold replica partial sums in shard
 		// order, then commit the new rank and the L1 delta.
-		lr := parallel.NewReducer[float64](parallel.NumChunks(n, gApply))
-		inst.m.ParallelForChunks(n, gApply, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
+		l1, _ := inst.trav.Sweep(inst.m, n, gApply, &prApply, func(c *traverse.Chunk, lo, hi int) {
 			local := 0.0
 			var reps int64
 			for v := lo; v < hi; v++ {
@@ -166,11 +151,8 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 				local += math.Abs(nv - rank[v])
 				rank[v] = nv
 			}
-			*lr.At(chunk) = local
-			w.Charge(costSyncReplica.Scale(float64(reps)))
-			w.Charge(costApplyVertex.Scale(float64(hi - lo)))
+			c.Sum, c.Work = local, reps
 		})
-		l1 := parallel.SumFloat64(lr)
 		res.Iterations = iter
 		if l1 < opts.Epsilon {
 			break
@@ -182,9 +164,10 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 
 // CDLP implements engines.Instance: the gather phase accumulates a
 // label histogram per vertex (shipping per-edge label messages), the
-// apply phase picks the most frequent label with min tie-break.
-// Directed graphs gather from both directions (LDBC semantics); the
-// adjacency retained at load supplies the reverse edges.
+// apply phase picks the most frequent label with min tie-break — the
+// shared vote step, with a ghost exchange after every round. Directed
+// graphs gather from both directions (LDBC semantics); the adjacency
+// retained at load supplies the reverse edges.
 func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 	n := inst.n
 	label := make([]graph.VID, n)
@@ -192,34 +175,13 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 	for i := range label {
 		label[i] = graph.VID(i)
 	}
+	var in traverse.Rows
+	if inst.directed {
+		in = inst.in
+	}
 	res := &engines.CDLPResult{}
 	for iter := 1; iter <= maxIter; iter++ {
-		var changed int64
-		inst.m.ParallelFor(n, 512, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-			counts := make(map[graph.VID]int)
-			var edges, localChanged int64
-			for v := lo; v < hi; v++ {
-				clear(counts)
-				for _, u := range inst.out.Neighbors(graph.VID(v)) {
-					counts[label[u]]++
-				}
-				edges += inst.out.Degree(graph.VID(v))
-				if inst.directed {
-					for _, u := range inst.in.Neighbors(graph.VID(v)) {
-						counts[label[u]]++
-					}
-					edges += inst.in.Degree(graph.VID(v))
-				}
-				nl := engines.PickLabel(counts, label[v])
-				next[v] = nl
-				if nl != label[v] {
-					localChanged++
-				}
-			}
-			atomic.AddInt64(&changed, localChanged)
-			w.Charge(costGatherEdge.Scale(float64(edges) * 0.6))
-			w.Charge(costApplyVertex.Scale(float64(hi - lo)))
-		})
+		changed := inst.trav.Vote(inst.m, 512, &cdlpVote, inst.out, in, label, next)
 		inst.syncGhosts()
 		label, next = next, label
 		res.Iterations = iter
@@ -231,51 +193,12 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 	return res, nil
 }
 
-// LCC implements engines.Instance: neighborhood intersection with
-// GAS-grade per-check cost.
+// LCC implements engines.Instance: neighborhood intersection — the
+// shared link-count step — with GAS-grade per-check cost.
 func (inst *Instance) LCC() (*engines.LCCResult, error) {
-	n := inst.n
-	coeff := make([]float64, n)
-	inst.m.ParallelFor(n, 64, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-		var checks int64
-		for v := lo; v < hi; v++ {
-			nbrs := inst.neighborhood(graph.VID(v))
-			d := len(nbrs)
-			if d < 2 {
-				continue
-			}
-			links := 0
-			for _, u := range nbrs {
-				adj := inst.out.Neighbors(u)
-				i, j := 0, 0
-				for i < len(adj) && j < len(nbrs) {
-					checks++
-					switch {
-					case adj[i] < nbrs[j]:
-						i++
-					case adj[i] > nbrs[j]:
-						j++
-					default:
-						links++
-						i++
-						j++
-					}
-				}
-			}
-			coeff[v] = float64(links) / float64(d*(d-1))
-		}
-		w.Charge(costLCCCheck.Scale(float64(checks)))
-		w.Charge(costApplyVertex.Scale(float64(hi - lo)))
-	})
+	coeff := make([]float64, inst.n)
+	inst.trav.LinkCount(inst.m, 64, &lccLinks, inst.out, inst.in, coeff)
 	return &engines.LCCResult{Coeff: coeff}, nil
-}
-
-func (inst *Instance) neighborhood(v graph.VID) []graph.VID {
-	out := inst.out.Neighbors(v)
-	if !inst.directed {
-		return out
-	}
-	return engines.Neighborhood(out, inst.in.Neighbors(v), v)
 }
 
 // WCC implements engines.Instance: min-label GAS supersteps over both
@@ -285,11 +208,11 @@ func (inst *Instance) neighborhood(v graph.VID) []graph.VID {
 // deterministic).
 func (inst *Instance) WCC() (*engines.WCCResult, error) {
 	n := inst.n
-	comp := make([]uint32, n)
+	comp := make([]graph.VID, n)
 	for i := range comp {
-		comp[i] = uint32(i)
+		comp[i] = graph.VID(i)
 	}
-	const noLabel = ^uint32(0)
+	const noLabel = ^graph.VID(0)
 	accC := make([]uint32, inst.totalRep)
 	for i := range accC {
 		accC[i] = noLabel
@@ -333,9 +256,5 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 			break
 		}
 	}
-	res := &engines.WCCResult{Component: make([]graph.VID, n)}
-	for v := 0; v < n; v++ {
-		res.Component[v] = graph.VID(comp[v])
-	}
-	return res, nil
+	return &engines.WCCResult{Component: comp}, nil
 }

@@ -2,6 +2,7 @@ package powergraph
 
 import (
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
@@ -17,6 +18,18 @@ var (
 	costSyncReplica = simmachine.Cost{Cycles: 10, Bytes: 28}
 	costLoadEdge    = simmachine.Cost{Cycles: 45, Bytes: 56}
 	costLCCCheck    = simmachine.Cost{Cycles: 18, Bytes: 20}
+)
+
+// The regions PowerGraph runs as shared dense sweeps
+// (internal/engines/traverse). PageRank's contribution pass and its
+// ghost-sync apply (a replica fold per slot, reported as Work) stand
+// around the engine's own gatherSweep; a CDLP label message costs 0.6
+// of a gather; LCC pays a GAS-grade cost per merge comparison.
+var (
+	prContrib = traverse.SweepProfile{Vertex: simmachine.Cost{Cycles: 4, Bytes: 24}}
+	prApply   = traverse.SweepProfile{Work: costSyncReplica, Vertex: costApplyVertex}
+	cdlpVote  = traverse.SweepProfile{Edge: costGatherEdge, EdgeShare: 0.6, Vertex: costApplyVertex}
+	lccLinks  = traverse.SweepProfile{Work: costLCCCheck, Vertex: costApplyVertex}
 )
 
 // maxShards bounds the vertex-cut width (replica masks are one word);
@@ -64,9 +77,11 @@ type Instance struct {
 	slotOff  []int64  // per-vertex replica-slot prefix (see accum.go)
 
 	// Homogenized adjacency retained for apply-side degree lookups
-	// and the neighborhood kernels (CDLP/LCC).
-	out *graph.CSR
-	in  *graph.CSR
+	// and the neighborhood kernels (CDLP/LCC); in is nil for an
+	// undirected graph (out is symmetric).
+	out  *graph.CSR
+	in   *graph.CSR
+	trav traverse.State
 }
 
 // Load implements engines.Engine: read, homogenize, and greedily
@@ -85,8 +100,6 @@ func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instan
 	if el.Directed {
 		in = graph.Transpose(out, 0)
 		in.SortAdjacency()
-	} else {
-		in = out
 	}
 	inst := &Instance{
 		m: m, n: out.NumVertices,
@@ -141,10 +154,7 @@ func (inst *Instance) ReplicationFactor() float64 {
 // syncGhosts charges one ghost-exchange round (every replica's state
 // shipped to its master and back).
 func (inst *Instance) syncGhosts() {
-	rep := inst.totalRep
-	inst.m.ParallelFor(int(rep), 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-		w.Charge(costSyncReplica.Scale(float64(hi - lo)))
-	})
+	inst.m.ChargeUniform(int(inst.totalRep), 4096, simmachine.Dynamic, costSyncReplica)
 }
 
 // gatherSweep runs one GAS gather phase: every shard scans its local

@@ -1,0 +1,138 @@
+package traverse
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"slices"
+	"testing"
+
+	"github.com/hpcl-repro/epg/internal/graph"
+	"github.com/hpcl-repro/epg/internal/simmachine"
+)
+
+var testSweep = SweepProfile{
+	Edge:           simmachine.Cost{Cycles: 3, Bytes: 12},
+	EdgeCompressed: simmachine.Cost{Cycles: 3, Bytes: 8},
+	Work:           simmachine.Cost{Cycles: 5},
+	Vertex:         simmachine.Cost{Cycles: 6, Bytes: 24},
+}
+
+// pull is a PageRank-shaped sweep body: every vertex sums a value over
+// its row, the chunk folds the sums, counts the vertices that have a
+// row at all and reports one unit of work per vertex.
+func pull(rows Rows, x, next []float64) func(c *Chunk, lo, hi int) {
+	return func(c *Chunk, lo, hi int) {
+		var local float64
+		var nonEmpty int64
+		for v := lo; v < hi; v++ {
+			sum := 0.0
+			for _, u := range c.Row(rows, v) {
+				sum += x[u]
+			}
+			next[v] = sum
+			local += sum
+			if sum != 0 {
+				nonEmpty++
+			}
+		}
+		c.Sum, c.Changed, c.Work = local, nonEmpty, int64(hi-lo)
+	}
+}
+
+// One sweep gives one answer over every row source, policy and worker
+// count: fold, per-chunk partials, change count and per-vertex output,
+// bit for bit, in one region whose charge does not depend on the
+// workers. Raw sources charge identically whatever holds the rows; the
+// encoded source charges its decoded entries at the compressed rate
+// plus exactly the bytes of the streams it read.
+func TestSweepSameOverEveryRowSource(t *testing.T) {
+	csr := kronCSR(10, 3)
+	ccsr := graph.CompressCSR(csr, 0)
+	n, grain := csr.NumVertices, 96
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = math.Sqrt(float64(i) + 0.1)
+	}
+	sources := []struct {
+		name string
+		rows Rows
+	}{{"csr", csr}, {"compressed", ccsr}, {"slices", slicesOf(csr)}}
+
+	var wantSum float64
+	var wantChanged int64
+	var wantParts, wantNext []float64
+	for _, sched := range []simmachine.Sched{simmachine.Static, simmachine.Dynamic, simmachine.Steal, simmachine.NUMA} {
+		regions := map[string][]simmachine.Region{}
+		for _, src := range sources {
+			var s State // one state across worker counts: resizing is part of the contract
+			for _, workers := range []int{1, 2, 4} {
+				ctx := fmt.Sprintf("sched %v %s workers %d", sched, src.name, workers)
+				m := machine(workers)
+				m.SetSchedOverride(sched)
+				next := make([]float64, n)
+				sum, changed := s.Sweep(m, n, grain, &testSweep, pull(src.rows, x, next))
+				if wantNext == nil {
+					wantSum, wantChanged, wantParts, wantNext = sum, changed, s.Partials(), next
+				}
+				if math.Float64bits(sum) != math.Float64bits(wantSum) || changed != wantChanged {
+					t.Fatalf("%s: fold %x changed %d, want %x and %d", ctx, math.Float64bits(sum), changed, math.Float64bits(wantSum), wantChanged)
+				}
+				if !slices.Equal(s.Partials(), wantParts) || !slices.Equal(next, wantNext) {
+					t.Fatalf("%s: per-chunk partials or per-vertex sums differ", ctx)
+				}
+				if len(m.Trace()) != 1 {
+					t.Fatalf("%s: %d regions, want one per sweep", ctx, len(m.Trace()))
+				}
+				if prev, ok := regions[src.name]; ok && !slices.Equal(prev, m.Trace()) {
+					t.Fatalf("%s: the modeled region depends on the worker count", ctx)
+				}
+				regions[src.name] = slices.Clone(m.Trace())
+			}
+		}
+		if !slices.Equal(regions["csr"], regions["slices"]) {
+			t.Fatalf("sched %v: two raw row sources charge differently", sched)
+		}
+		// Integer-valued costs: the sums below are exact.
+		p, entries, verts := testSweep, float64(csr.NumEdges()), float64(n)
+		cpb := machine(1).Model().DecodeCyclesPerByte
+		raw, enc := regions["csr"][0].Cost, regions["compressed"][0].Cost
+		if want := p.Edge.Bytes*entries + p.Vertex.Bytes*verts; raw.Bytes != want {
+			t.Fatalf("sched %v: raw rows charged %v bytes, want %v", sched, raw.Bytes, want)
+		}
+		if want := p.EdgeCompressed.Bytes*entries + float64(ccsr.TotalBytes()) + p.Vertex.Bytes*verts; enc.Bytes != want {
+			t.Fatalf("sched %v: compressed rows charged %v bytes, want %v: not exactly the encoded bytes", sched, enc.Bytes, want)
+		}
+		if want := (p.EdgeCompressed.Cycles)*entries + cpb*float64(ccsr.TotalBytes()) + (p.Work.Cycles+p.Vertex.Cycles)*verts; enc.Cycles != want {
+			t.Fatalf("sched %v: compressed rows charged %v cycles, want %v", sched, enc.Cycles, want)
+		}
+	}
+}
+
+// A warm sweep allocates nothing that scales with n: with the chunk
+// count held fixed, sweeping a graph sixteen times larger costs the same
+// bytes (the region's own per-chunk and per-lane bookkeeping).
+func TestWarmSweepAllocatesNothingScalingWithN(t *testing.T) {
+	warmBytes := func(scale int) uint64 {
+		rows := graph.CompressCSR(kronCSR(scale, 5), 0) // decoded rows: the scratch is in play
+		n := rows.NumVertices
+		x, next := make([]float64, n), make([]float64, n)
+		m := machine(1)
+		m.SetTracing(false)
+		var s State
+		body := pull(rows, x, next)
+		s.Sweep(m, n, n/4, &testSweep, body) // sizes the scratch, the partials and the accumulators
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			s.Sweep(m, n, n/4, &testSweep, body)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 10
+	}
+	small, large := warmBytes(8), warmBytes(12)
+	t.Logf("warm sweep: %d B at 2^8 vertices, %d B at 2^12", small, large)
+	if large > small+256 {
+		t.Fatalf("a warm sweep allocates %d B at 2^12 vertices against %d B at 2^8: something scales with n", large, small)
+	}
+}

@@ -1,17 +1,28 @@
-// Package traverse holds the frontier steps the engines share: one
-// top-down BFS level (chunked expansion, write-min claim, chunk-ordered
-// drain) with the level loop around it, and one synchronous SSSP
-// relaxation pass (snapshot gather, serial chunk-order apply). What a
-// level or a relaxation round *is* does not differ between the systems
-// of the study; what differs is storage layout, scheduling and cost per
-// operation. So an engine is a cost profile plus a row source handed to
-// these steps, and the policy — when to go bottom-up, which bucket a
-// settled vertex joins — stays in the engine, around the step.
+// Package traverse holds the steps the engines share. The sparse, push
+// half: one top-down BFS level (chunked expansion, write-min claim,
+// chunk-ordered drain) with the level loop around it, and one
+// synchronous SSSP relaxation pass (snapshot gather, serial chunk-order
+// apply). The dense half: one vertex sweep over [0,n) — rows through the
+// same row source, a chunk-ordered float64 fold, a change count — and
+// three label steps on it for the kernels that are one algorithm in two
+// engines: the in-place min-label hook, the synchronous histogram vote
+// and the sorted-merge link count. What a level, a relaxation round or a
+// sweep *is* does not differ between the systems of the study; what
+// differs is storage layout, scheduling and cost per operation. So an
+// engine is a cost profile plus a row source handed to these steps, and
+// the policy — when to go bottom-up, which bucket a settled vertex
+// joins, how PageRank's ranks are stored and when they have converged —
+// stays in the engine, around the step. ARCHITECTURE.md tabulates which
+// kernel of which engine runs on which step and why the rest is
+// engine-owned. Row sources hide the storage format: internal/graph is
+// the only package that knows the compressed stream protocol.
 //
 // Every charged cost is a function of chunk contents only, and every
 // frontier and candidate list is canonical by construction (chunk
 // order, never arrival order), so results and modeled durations are
-// independent of the goroutine schedule and the real worker count.
+// independent of the goroutine schedule and the real worker count —
+// except that Hook works in place, so the number of sweeps its caller
+// needs is schedule-dependent (ROADMAP 1a).
 package traverse
 
 import (
@@ -25,8 +36,8 @@ import (
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
-// Rows is the adjacency a top-down level expands, resolved once per
-// frontier vertex and never per edge: *graph.CSR hands out its stored
+// Rows is the adjacency a step reads, resolved once per vertex and
+// never per edge: *graph.CSR hands out its stored
 // row, *graph.CompressedCSR decodes into buf, and a property graph
 // returns its per-vertex slice.
 type Rows interface {
@@ -106,6 +117,8 @@ type State struct {
 	workers int
 	edges   *parallel.Counter
 	decode  [][]graph.VID // per-worker Rows.Row scratch
+	chunks  []Chunk       // per-worker Sweep accumulators
+	parts   []float64     // per-chunk sums of the last Sweep
 
 	claims   parallel.ChunkQueue[parallel.Claim]
 	claimBuf parallel.Arena[parallel.Claim]
@@ -126,6 +139,7 @@ func (s *State) ready(m *simmachine.Machine) *parallel.Counter {
 		s.workers = w
 		s.edges = parallel.NewCounter(w)
 		s.decode = make([][]graph.VID, w)
+		s.chunks = make([]Chunk, w)
 	}
 	s.edges.Reset()
 	return s.edges

@@ -182,6 +182,41 @@ func TestLevelsCancelChargesCompletedLevels(t *testing.T) {
 				completed, len(m.Trace()), completed)
 		}
 	}
+
+	// The same for a kernel that polls between dense sweeps: a cut run
+	// has charged exactly the sweeps it completed.
+	n := csr.NumVertices
+	x, next := make([]float64, n), make([]float64, n)
+	iterate := func(m *simmachine.Machine) error {
+		for iter := 0; iter < 5; iter++ {
+			if err := s.Poll("test: PR"); err != nil {
+				return err
+			}
+			s.Sweep(m, n, 128, &testSweep, pull(csr, x, next))
+		}
+		return nil
+	}
+	s.Cancel = nil
+	fullSweeps := machine(2)
+	if err := iterate(fullSweeps); err != nil || len(fullSweeps.Trace()) != 5 {
+		t.Fatalf("uncut sweeps: error %v, %d regions", err, len(fullSweeps.Trace()))
+	}
+	for completed := 0; completed < 5; completed++ {
+		polls := 0
+		s.Cancel = func() error {
+			if polls++; polls > completed {
+				return stop
+			}
+			return nil
+		}
+		m := machine(2)
+		if err := iterate(m); !errors.Is(err, stop) || !strings.HasPrefix(err.Error(), "test: PR canceled: ") {
+			t.Fatalf("cut after %d sweeps: error %v", completed, err)
+		}
+		if !slices.Equal(m.Trace(), fullSweeps.Trace()[:completed]) {
+			t.Fatalf("cut after %d sweeps: charged %d regions, or not the first %d of the uncut run", completed, len(m.Trace()), completed)
+		}
+	}
 }
 
 // bellmanFord is round-barrier relaxation over every edge, the

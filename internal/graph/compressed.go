@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"github.com/hpcl-repro/epg/internal/parallel"
 )
@@ -61,6 +62,20 @@ func uvarint(data []byte) (uint64, int) {
 	return 0, 0
 }
 
+// varintAt is uvarint for the streams CompressCSR wrote, which need no
+// bounds or overflow checks: it decodes the varint at data[i:] and
+// returns the index after it.
+func varintAt(data []byte, i int) (uint64, int) {
+	b := data[i]
+	x := uint64(b & 0x7f)
+	for s := uint(7); b >= 0x80; s += 7 {
+		i++
+		b = data[i]
+		x |= uint64(b&0x7f) << s
+	}
+	return x, i + 1
+}
+
 // zigzag folds a signed delta into an unsigned value with small
 // magnitudes staying small: 0,-1,1,-2,2 → 0,1,2,3,4.
 func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
@@ -109,8 +124,8 @@ func (c *CompressedCSR) Degree(v VID) int64 {
 // NeighborDecoder streams one vertex's neighbors out of the
 // compressed adjacency without allocating. It is a value type: obtain
 // one with Decoder, iterate with Next, and read BytesRead for the
-// compressed bytes consumed so far — kernels that break early (bottom-
-// up BFS) charge exactly the decoded prefix.
+// compressed bytes consumed so far — a scan that breaks early (FirstIn)
+// reports exactly the decoded prefix.
 type NeighborDecoder struct {
 	data []byte // the vertex's stream
 	pos  int    // bytes consumed
@@ -133,9 +148,6 @@ func (c *CompressedCSR) Decoder(v VID) NeighborDecoder {
 	return d
 }
 
-// Degree returns the decoded degree of the stream.
-func (d *NeighborDecoder) Degree() int64 { return d.deg }
-
 // BytesRead returns the compressed bytes consumed so far, including
 // the degree varint.
 func (d *NeighborDecoder) BytesRead() int { return d.pos }
@@ -146,29 +158,14 @@ func (d *NeighborDecoder) Next() (VID, bool) {
 	if d.rem <= 0 {
 		return 0, false
 	}
-	// Inline varint decode: streams are produced by CompressCSR, so
-	// they are well-formed and 5 bytes bound every group.
-	var x uint64
-	var s uint
-	i := d.pos
-	for {
-		b := d.data[i]
-		i++
-		if b < 0x80 {
-			x |= uint64(b) << s
-			break
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-	first := d.rem == d.deg
-	d.pos = i
-	d.rem--
-	if first {
+	x, pos := varintAt(d.data, d.pos)
+	if d.rem == d.deg { // the first neighbor: a signed delta from the source
 		d.prev += unzigzag(x)
 	} else {
 		d.prev += int64(x)
 	}
+	d.pos = pos
+	d.rem--
 	return VID(d.prev), true
 }
 
@@ -176,10 +173,19 @@ func (d *NeighborDecoder) Next() (VID, bool) {
 // capacity suffices) and returns the decoded slice. Pass a scratch
 // buffer sized to the maximum degree for allocation-free decoding.
 func (c *CompressedCSR) DecodeNeighbors(v VID, buf []VID) []VID {
-	out := buf[:0]
-	d := c.Decoder(v)
-	for u, ok := d.Next(); ok; u, ok = d.Next() {
-		out = append(out, u)
+	data := c.Data[c.Offsets[v]:c.Offsets[v+1]]
+	if len(data) == 0 {
+		return buf[:0]
+	}
+	deg, pos := varintAt(data, 0)
+	out := slices.Grow(buf[:0], int(deg))[:deg]
+	x, pos := varintAt(data, pos)
+	prev := int64(v) + unzigzag(x) // a signed delta from the source; the rest are gaps
+	out[0] = VID(prev)
+	for i := 1; i < len(out); i++ {
+		x, pos = varintAt(data, pos)
+		prev += int64(x)
+		out[i] = VID(prev)
 	}
 	return out
 }
@@ -190,6 +196,20 @@ func (c *CompressedCSR) DecodeNeighbors(v VID, buf []VID) []VID {
 // back as the next call's buf.
 func (c *CompressedCSR) Row(v VID, buf []VID) ([]VID, int64) {
 	return c.DecodeNeighbors(v, buf), c.EncodedBytes(v)
+}
+
+// FirstIn is CSR.FirstIn over the encoded stream: it decodes only up
+// to the hit, so encodedBytes is exactly the prefix consumed (the whole
+// stream when nothing hits) — what the early break is charged.
+func (c *CompressedCSR) FirstIn(v VID, front *parallel.Bitmap) (u VID, scanned, encodedBytes int64, ok bool) {
+	d := c.Decoder(v)
+	for u, more := d.Next(); more; u, more = d.Next() {
+		scanned++
+		if front.Test(int(u)) {
+			return u, scanned, int64(d.BytesRead()), true
+		}
+	}
+	return 0, scanned, int64(d.BytesRead()), false
 }
 
 // Encoded reports that rows are decoded on the fly.

@@ -26,8 +26,9 @@
 // atomic-free discipline (per-vertex byte sizes merged by ScanInt64,
 // then a range-reserved encode into one shared byte buffer), so the
 // byte layout is deterministic at any worker count. Kernels decode on
-// the fly through NeighborDecoder (allocation-free, reports bytes
-// consumed so cost models can charge exactly the decoded prefix) or
-// DecodeNeighbors (scratch-buffer bulk decode). Weights are not
-// compressed; weighted kernels keep the raw CSR.
+// the fly through Row / DecodeNeighbors (scratch-buffer bulk decode)
+// or FirstIn (early-exit scan, reports the bytes consumed so cost
+// models can charge exactly the decoded prefix); this package is the
+// only one that knows the stream protocol. Weights are not compressed;
+// weighted kernels keep the raw CSR.
 package graph

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"github.com/hpcl-repro/epg/internal/parallel"
+	"github.com/hpcl-repro/epg/internal/xrand"
 )
 
 // fuzzSchedules maps a fuzz byte onto a policy; NUMA appears twice so
@@ -166,6 +167,42 @@ func FuzzCompressedCSREquivalence(f *testing.F) {
 		})
 		if v := atomic.LoadInt64(&bad); v >= 0 {
 			t.Fatalf("sched=%v workers=%d: vertex %d decodes differently from CSR.Neighbors", sched, w, v)
+		}
+
+		// The early-exit scan against a fuzz-chosen frontier (empty for
+		// a quarter of the inputs: the no-hit case on every row): both
+		// formats stop at the raw scan's first hit, and the compressed
+		// one has read exactly what the streaming decoder has consumed
+		// at that point — the whole stream when nothing hits.
+		front := parallel.NewBitmap(n)
+		if density := int(schedSeed>>2) % 4; density > 0 {
+			r := xrand.New(seed ^ 0xf1257)
+			for v := 0; v < n; v++ {
+				if r.Intn(1<<density) == 0 {
+					front.Set(v)
+				}
+			}
+		}
+		for v := 0; v < n; v++ {
+			adj := c.Neighbors(VID(v))
+			wantU, wantScanned, wantOK := VID(0), int64(len(adj)), false
+			d := cc.Decoder(VID(v))
+			for i, u := range adj {
+				d.Next()
+				if front.Test(int(u)) {
+					wantU, wantScanned, wantOK = u, int64(i+1), true
+					break
+				}
+			}
+			if u, scanned, nb, ok := c.FirstIn(VID(v), front); u != wantU || scanned != wantScanned || nb != 0 || ok != wantOK {
+				t.Fatalf("CSR.FirstIn(%d) = (%d, %d, %d, %v), want (%d, %d, 0, %v)", v, u, scanned, nb, ok, wantU, wantScanned, wantOK)
+			}
+			if u, scanned, nb, ok := cc.FirstIn(VID(v), front); u != wantU || scanned != wantScanned || nb != int64(d.BytesRead()) || ok != wantOK {
+				t.Fatalf("CompressedCSR.FirstIn(%d) = (%d, %d, %d, %v), want (%d, %d, %d, %v)", v, u, scanned, nb, ok, wantU, wantScanned, d.BytesRead(), wantOK)
+			}
+			if !wantOK && int64(d.BytesRead()) != cc.EncodedBytes(VID(v)) {
+				t.Fatalf("vertex %d: a scan with no hit read %d of %d encoded bytes", v, d.BytesRead(), cc.EncodedBytes(VID(v)))
+			}
 		}
 	})
 }

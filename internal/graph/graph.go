@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"sort"
+
+	"github.com/hpcl-repro/epg/internal/parallel"
 )
 
 // VID is a vertex identifier. 32 bits covers graphs up to scale 31,
@@ -93,6 +95,20 @@ func (c *CSR) Row(v VID, _ []VID) ([]VID, int64) { return c.Neighbors(v), 0 }
 
 // Encoded reports that rows need no decoding.
 func (c *CSR) Encoded() bool { return false }
+
+// FirstIn is the early-exit row scan of a pull traversal: the first
+// neighbor of v (ascending, when the adjacency is sorted) whose bit is
+// set in front, with the entries scanned up to and including it — the
+// whole row when none is. Raw rows read no encoded bytes.
+func (c *CSR) FirstIn(v VID, front *parallel.Bitmap) (u VID, scanned, encodedBytes int64, ok bool) {
+	adj := c.Neighbors(v)
+	for i, u := range adj {
+		if front.Test(int(u)) {
+			return u, int64(i + 1), 0, true
+		}
+	}
+	return 0, int64(len(adj)), 0, false
+}
 
 // WeightedRow returns Neighbors(v) and NeighborWeights(v) together.
 func (c *CSR) WeightedRow(v VID) ([]VID, []float32) {

@@ -85,7 +85,7 @@
 // off chunk indices only, so results and modeled durations are
 // identical across runs and across real worker counts under every
 // policy. Floating-point reductions use per-chunk slots folded in
-// chunk order (Reducer); racy helpers whose results are
+// chunk order (traverse.State.Sweep); racy helpers whose results are
 // order-independent (WriteMinInt64, Counter sums, Queue membership,
 // Bitmap sets) are safe because min, integer addition, and bitwise OR
 // are commutative. The ChunkQueue claim protocol extends this to

@@ -94,35 +94,6 @@ func TestForZeroAndTiny(t *testing.T) {
 	}
 }
 
-func TestReducerDeterministicFloatSum(t *testing.T) {
-	p := NewPool(8)
-	n, grain := 5000, 32
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = math.Sqrt(float64(i) + 0.1)
-	}
-	run := func(workers int, sched Sched) float64 {
-		r := NewReducer[float64](NumChunks(n, grain))
-		For(p, workers, n, grain, sched, func(lo, hi, chunk, worker int) {
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += vals[i]
-			}
-			*r.At(chunk) += s
-		})
-		return SumFloat64(r)
-	}
-	want := run(1, Static)
-	for _, workers := range []int{1, 2, 4, 9} {
-		for _, sched := range []Sched{Static, Dynamic, Steal, NUMA} {
-			if got := run(workers, sched); got != want {
-				t.Fatalf("workers=%d sched=%v: sum %x differs from %x",
-					workers, sched, math.Float64bits(got), math.Float64bits(want))
-			}
-		}
-	}
-}
-
 func TestCounterSums(t *testing.T) {
 	p := NewPool(8)
 	c := NewCounter(4)

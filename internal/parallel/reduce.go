@@ -8,45 +8,6 @@ import (
 // cacheLine is the assumed false-sharing granularity for padded slots.
 const cacheLine = 64
 
-// Reducer accumulates one partial value per chunk and folds the slots
-// in chunk-index order, making floating-point reductions bit-identical
-// across runs and real worker counts (FP addition is not associative,
-// so per-worker accumulation under dynamic scheduling would not be).
-// Slots are cache-line padded so neighboring chunks never share a
-// line.
-type Reducer[T any] struct {
-	slots []paddedSlot[T]
-}
-
-type paddedSlot[T any] struct {
-	v T
-	_ [cacheLine]byte
-}
-
-// NewReducer returns a reducer with nslots zero-valued slots — one per
-// chunk, i.e. NumChunks(n, grain).
-func NewReducer[T any](nslots int) *Reducer[T] {
-	return &Reducer[T]{slots: make([]paddedSlot[T], nslots)}
-}
-
-// At returns the slot for chunk c. Each chunk must only touch its own
-// slot; no synchronization is needed or performed.
-func (r *Reducer[T]) At(c int) *T { return &r.slots[c].v }
-
-// Fold combines all slots in chunk order starting from init.
-func (r *Reducer[T]) Fold(init T, combine func(acc, v T) T) T {
-	acc := init
-	for i := range r.slots {
-		acc = combine(acc, r.slots[i].v)
-	}
-	return acc
-}
-
-// SumFloat64 folds float64 slots in chunk order.
-func SumFloat64(r *Reducer[float64]) float64 {
-	return r.Fold(0, func(a, v float64) float64 { return a + v })
-}
-
 // Counter is a set of cache-line padded int64 cells, one per worker,
 // for high-frequency counters (edges examined, relaxations) that would
 // otherwise contend on a single atomic. Integer addition is
