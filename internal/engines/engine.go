@@ -217,9 +217,8 @@ func (r *Registry) New(name string) (Engine, error) {
 	return f(), nil
 }
 
-// RunAlgorithm dispatches alg on inst with homogenized defaults,
-// returning an opaque result for logging and a size metric
-// (iterations for PR, reached vertices for traversals) used in logs.
+// RunAlgorithm dispatches alg on inst with homogenized defaults and
+// returns the kernel's result (*BFSResult, *PRResult, …).
 func RunAlgorithm(inst Instance, alg Algorithm, root graph.VID) (any, error) {
 	switch alg {
 	case BFS:

@@ -111,16 +111,6 @@ func (c *CompressedCSR) EncodedBytes(v VID) int64 {
 	return c.Offsets[v+1] - c.Offsets[v]
 }
 
-// Degree decodes v's degree (the stream's head varint).
-func (c *CompressedCSR) Degree(v VID) int64 {
-	s := c.Data[c.Offsets[v]:c.Offsets[v+1]]
-	if len(s) == 0 {
-		return 0
-	}
-	d, _ := uvarint(s)
-	return int64(d)
-}
-
 // NeighborDecoder streams one vertex's neighbors out of the
 // compressed adjacency without allocating. It is a value type: obtain
 // one with Decoder, iterate with Next, and read BytesRead for the

@@ -80,9 +80,6 @@ func compressedEqualsRaw(t *testing.T, c *CSR, cc *CompressedCSR) {
 	var buf []VID
 	for v := 0; v < c.NumVertices; v++ {
 		want := c.Neighbors(VID(v))
-		if got := cc.Degree(VID(v)); got != int64(len(want)) {
-			t.Fatalf("Degree(%d) = %d, want %d", v, got, len(want))
-		}
 		buf = cc.DecodeNeighbors(VID(v), buf)
 		if len(buf) != len(want) {
 			t.Fatalf("vertex %d: decoded %d neighbors, want %d", v, len(buf), len(want))

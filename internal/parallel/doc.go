@@ -1,8 +1,8 @@
 // Package parallel is the shared parallel-primitives runtime that all
 // five engine analogues execute on: a reusable worker pool, a chunked
 // ParallelFor with the simmachine's four scheduling policies,
-// deterministic reducers, per-worker counters, write-min atomics, a
-// parallel prefix sum, and three frontier representations.
+// per-worker counters, write-min atomics, a parallel prefix sum, and
+// three frontier representations.
 //
 // # Scheduling policies
 //

@@ -348,9 +348,9 @@ func (m *Machine) ParallelFor(n, grain int, sched Sched, body func(lo, hi int, w
 
 // ParallelForChunks is ParallelFor with the chunk index and real
 // worker ID exposed. The chunk index is stable across runs and worker
-// counts — key deterministic reductions (parallel.Reducer slots) off
-// it. The worker ID is only stable within one region — use it solely
-// for contention-free scratch (parallel.Counter cells).
+// counts — key deterministic reductions (per-chunk slots) off it. The
+// worker ID is only stable within one region — use it solely for
+// contention-free scratch (parallel.Counter cells).
 func (m *Machine) ParallelForChunks(n, grain int, sched Sched, body func(lo, hi, chunk, worker int, w *W)) {
 	if n <= 0 {
 		return
