@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzCompressedCSREquivalence$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/snap/
 	$(GO) test -fuzz '^FuzzMutationEquivalence$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
+	$(GO) test -fuzz '^FuzzSketchRepair$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
 
 # Smoke step: print raw vs delta+varint adjacency bytes on kron-16 and
 # fail below the 2x floor.
@@ -105,7 +106,8 @@ streamfig-check:
 	EPG_STREAMFIG_CHECK=1 $(GO) test -run TestStreamStudyDrift -v -timeout 30m .
 
 # Race-enabled soak over the live daemon: concurrent clients x panic
-# injection x deadlines x cancellation against the bounded queue.
+# injection x deadlines x cancellation against the bounded queue, and
+# concurrent mutates against two executors.
 serve-soak:
 	$(GO) test -race -count=2 ./internal/server/ ./internal/logfmt/
 

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"time"
 
 	"github.com/hpcl-repro/epg/internal/server"
 )
@@ -69,7 +70,16 @@ func main() {
 	defer s.Close()
 	fmt.Fprintf(os.Stderr, "epgd: serving %s (%d vertices, weighted=%t) on %s\n",
 		*dataset, s.NumVertices(), s.Weighted(), *addr)
-	if err := http.ListenAndServe(*addr, s.Handler()); err != nil {
+	// A client that trickles its request or parks an idle connection is
+	// cut off. No write timeout: a mutate on a large graph takes a while.
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	if err := hs.ListenAndServe(); err != nil {
 		fatal(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
@@ -44,6 +45,7 @@ type streamState struct {
 	prTraj   *prTrajectory
 	degDirty map[graph.VID]struct{}
 	inDirty  map[graph.VID]struct{}
+	pr       prScratch
 	// wccLab is the component labeling of the last IncrementalWCC;
 	// wccAdds / wccDels are the net edge changes since, netted against
 	// each other across batches (see cancelPending): an edge is pending
@@ -51,6 +53,24 @@ type streamState struct {
 	wccLab  []graph.VID
 	wccAdds []graph.Edge
 	wccDels []graph.Edge
+}
+
+// prScratch is IncrementalPageRank's working set beside the trajectory
+// it patches, kept so that a replay allocates only the vector it
+// publishes (and a rank vector per iteration it outgrows its baseline).
+type prScratch struct {
+	// start is the uniform rank_0; spare is the vector a full sweep
+	// writes before trading it for the cached rank; contrib and outDeg
+	// are the iteration's rank/degree and the post-batch degrees.
+	start, spare, contrib []float64
+	outDeg                []int64
+	// changed ping-pongs between the vertices that moved in iteration
+	// t-1 and in t; degDirty and inRows are the dirty maps as lists; rows
+	// and rowMark the restricted sweep's row set; redo patchedFold's.
+	changed          [2][]graph.VID
+	degDirty, inRows []graph.VID
+	rows             []graph.VID
+	rowMark, redo    []bool
 }
 
 func (inst *Instance) streamState() *streamState {
@@ -69,6 +89,13 @@ func (inst *Instance) streamState() *streamState {
 func (inst *Instance) OutCSR() *graph.CSR {
 	inst.ensureBuilt()
 	return inst.out
+}
+
+// InCSR returns the current-epoch in-adjacency: OutCSR itself on an
+// undirected graph, its weighted transpose on a directed one.
+func (inst *Instance) InCSR() *graph.CSR {
+	inst.ensureBuilt()
+	return inst.in
 }
 
 // Mutate implements engines.Streamer: it applies the batch to the out-
@@ -235,8 +262,8 @@ func (inst *Instance) recordedPageRank(opts engines.PROpts) (*engines.PRResult, 
 		return nil, err
 	}
 	st.prTraj = traj
-	st.degDirty = make(map[graph.VID]struct{})
-	st.inDirty = make(map[graph.VID]struct{})
+	clear(st.degDirty)
+	clear(st.inDirty)
 	return res, nil
 }
 
@@ -247,9 +274,16 @@ func (inst *Instance) recordedPageRank(opts engines.PROpts) (*engines.PRResult, 
 // changed, splicing cached partials everywhere else and folding in
 // chunk order — so every dangling sum, base value, rank entry, L1
 // norm, and convergence decision is bit-equal to a cold PageRank on
-// the post-batch graph. The patched trajectory becomes the new
-// baseline. Without a baseline (first call, or changed opts/grain
-// geometry) it runs the recording full kernel.
+// the post-batch graph. Without a baseline (first call, or changed
+// opts/grain geometry) it runs the recording full kernel.
+//
+// The trajectory is patched in place and is the new baseline: iteration
+// t needs the cached rank_t only to compare against and, in the
+// restricted sweep, to start from, and nothing reads the cached
+// rank_{t-1} once the vertices that moved are listed. So the replay loop
+// must have no way out but its end — the one error exit, the cancel
+// poll, sits before the first write — or the next call would trust a
+// baseline patched up to iteration t and stale after it.
 func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	inst.ensureBuilt()
 	opts = opts.Normalize()
@@ -280,142 +314,159 @@ func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResul
 		return nil, err
 	}
 
+	ws := &st.pr
 	inv := 1.0 / float64(n)
-	outDeg := inst.out.OutDegrees() // post-batch degrees
+	ws.outDeg = traverse.Resized(ws.outDeg, n) // post-batch degrees
+	outDeg := ws.outDeg
+	for v := range outDeg {
+		outDeg[v] = inst.out.Degree(graph.VID(v))
+	}
 
-	// degDirtyList: vertices whose contrib can differ from cache even
-	// with an unchanged rank. inRows: rows whose in-neighborhood
-	// membership changed, recomputed every iteration.
-	degDirtyList := make([]graph.VID, 0, len(st.degDirty))
+	// degDirty: vertices whose contrib can differ from cache even with
+	// an unchanged rank. inRows: rows whose in-neighborhood membership
+	// changed, recomputed every iteration.
+	ws.degDirty, ws.inRows = ws.degDirty[:0], ws.inRows[:0]
 	for v := range st.degDirty {
-		degDirtyList = append(degDirtyList, v)
+		ws.degDirty = append(ws.degDirty, v)
 	}
-	inRows := make([]graph.VID, 0, len(st.inDirty))
 	for v := range st.inDirty {
-		inRows = append(inRows, v)
+		ws.inRows = append(ws.inRows, v)
 	}
+	ws.rowMark = traverse.Resized(ws.rowMark, n)
+	clear(ws.rowMark)
 
 	// prev is the replay's rank_{t-1}, maintained bit-equal to the
 	// cold post-batch run's by induction (both runs start uniform).
-	prev := make([]float64, n)
-	for i := range prev {
-		prev[i] = inv
+	if len(ws.start) != n {
+		ws.start = make([]float64, n)
+		for i := range ws.start {
+			ws.start[i] = inv
+		}
 	}
+	prev := ws.start
 	// changed lists the vertices where prev differs from the cached
 	// rank_{t-1}; empty at t=1.
-	var changed []graph.VID
+	changed, newChanged := ws.changed[0][:0], ws.changed[1][:0]
 
-	newTraj := &prTrajectory{opts: opts}
-	rowMark := make([]bool, n)
-
-	serialSum := func(v graph.VID, base float64) float64 {
-		// Bitwise the kernel's per-vertex pull: contrib computed on
-		// demand from prev, zero for dangling in-neighbors, summed in
-		// sorted adjacency order.
+	// pull is bitwise the kernel's per-vertex pull: rank/degree divided
+	// once per vertex per iteration (a dangling vertex is nobody's
+	// in-neighbor, so its slot is never read), summed in sorted adjacency
+	// order.
+	ws.contrib = traverse.Resized(ws.contrib, n)
+	contrib := ws.contrib
+	pull := func(v graph.VID, base float64) float64 {
 		sum := 0.0
 		for _, u := range inst.in.Neighbors(v) {
-			c := 0.0
-			if d := outDeg[u]; d != 0 {
-				c = prev[u] / float64(d)
-			}
-			sum += c
+			sum += contrib[u]
 		}
 		return base + opts.Damping*sum
 	}
 
+	iters := traj.iters
 	iterations := 0
 	for t := 1; t <= opts.MaxIter; t++ {
-		// ci is the cached iteration this one patches. Past the
-		// recorded horizon there is none (ci.rank is nil), and the same
-		// code runs as "every chunk dirty, base moved": a full iteration
-		// in the kernel's chunk partials and fold order, at full kernel
-		// rates — an iteration past the horizon saves nothing.
-		var ci prIter
-		if t <= len(traj.iters) {
-			ci = traj.iters[t-1]
+		// it is the cached iteration this one patches, an empty one past
+		// the recorded horizon: the same code then runs as "every chunk
+		// dirty, base moved", a full iteration in the kernel's chunk
+		// partials and fold order at full kernel rates.
+		cached := t <= len(iters)
+		if !cached {
+			iters = append(iters, prIter{})
 		}
+		it := &iters[t-1]
 
 		// Dangling partials: chunks containing a changed-rank or
 		// degree-dirty vertex recompute.
-		var it prIter
+		was := it.dangling
 		var dangVerts, l1Verts int
-		it.dangParts, it.dangling, dangVerts = patchedFold(n, gContrib, ci.dangParts, func(lo, hi int) float64 {
+		it.dangParts, it.dangling, dangVerts = ws.patchedFold(n, gContrib, it.dangParts, func(lo, hi int) float64 {
 			return danglingPartial(prev, outDeg, nil, lo, hi)
-		}, changed, degDirtyList)
+		}, changed, ws.degDirty)
 		it.base = (1-opts.Damping)*inv + opts.Damping*it.dangling*inv
 		inst.m.ChargeUniform(dangVerts, gContrib, simmachine.Dynamic, costPRContrib)
 
-		var cur []float64
-		var newChanged []graph.VID
-		if ci.rank == nil || it.dangling != ci.dangling {
+		for u, d := range outDeg {
+			if d != 0 {
+				contrib[u] = prev[u] / float64(d)
+			}
+		}
+		newChanged = newChanged[:0]
+		if !cached || it.dangling != was {
 			// The base moved: every rank entry can differ. Full pull
-			// sweep at kernel rates.
-			cur = make([]float64, n)
-			for v := 0; v < n; v++ {
-				cur[v] = serialSum(graph.VID(v), it.base)
-				if ci.rank != nil && cur[v] != ci.rank[v] {
+			// sweep at kernel rates into the spare vector, which then
+			// trades places with the cached one.
+			cur := traverse.Resized(ws.spare, n)
+			for v := range cur {
+				cur[v] = pull(graph.VID(v), it.base)
+				if cached && cur[v] != it.rank[v] {
 					newChanged = append(newChanged, graph.VID(v))
 				}
 			}
+			it.rank, ws.spare = cur, it.rank
 			inst.m.ChargeUniform(n, gPull, simmachine.Dynamic, costPRVertex)
 			inst.m.ChargeUniform(int(inst.in.NumEdges()), 4096, simmachine.Dynamic, costPREdge)
 		} else {
-			// Restricted sweep: rows with changed in-membership plus
-			// post-graph out-neighbors of any contrib-dirty vertex.
-			rows := make([]graph.VID, 0, len(inRows))
+			// Restricted sweep, written straight into the cached vector:
+			// rows with changed in-membership plus post-graph
+			// out-neighbors of any contrib-dirty vertex.
+			rows := ws.rows[:0]
 			mark := func(v graph.VID) {
-				if !rowMark[v] {
-					rowMark[v] = true
+				if !ws.rowMark[v] {
+					ws.rowMark[v] = true
 					rows = append(rows, v)
 				}
 			}
-			for _, v := range inRows {
+			for _, v := range ws.inRows {
 				mark(v)
 			}
-			for _, u := range changed {
-				for _, v := range inst.out.Neighbors(u) {
-					mark(v)
+			for _, list := range [][]graph.VID{changed, ws.degDirty} {
+				for _, u := range list {
+					for _, v := range inst.out.Neighbors(u) {
+						mark(v)
+					}
 				}
 			}
-			for _, u := range degDirtyList {
-				for _, v := range inst.out.Neighbors(u) {
-					mark(v)
-				}
-			}
-			cur = append([]float64(nil), ci.rank...)
 			var pullEdges int64
 			for _, v := range rows {
-				rowMark[v] = false
-				cur[v] = serialSum(v, it.base)
+				ws.rowMark[v] = false
+				old := it.rank[v]
+				it.rank[v] = pull(v, it.base)
 				pullEdges += inst.in.Degree(v)
-				if cur[v] != ci.rank[v] {
+				if it.rank[v] != old {
 					newChanged = append(newChanged, v)
 				}
 			}
+			ws.rows = rows
 			inst.m.ChargeUniform(len(rows), gPull, simmachine.Dynamic, costPRVertex)
 			inst.m.ChargeUniform(int(pullEdges), 4096, simmachine.Dynamic, costPREdge)
 		}
-		it.rank = cur
 
 		// L1 partials: chunks containing a vertex whose prev or cur
 		// differs from cache recompute.
-		it.l1Parts, it.l1, l1Verts = patchedFold(n, gL1, ci.l1Parts, func(lo, hi int) float64 {
+		cur := it.rank
+		it.l1Parts, it.l1, l1Verts = ws.patchedFold(n, gL1, it.l1Parts, func(lo, hi int) float64 {
 			return l1Partial(cur, prev, lo, hi)
 		}, changed, newChanged)
 		inst.m.ChargeUniform(l1Verts, gL1, simmachine.Dynamic, costPRL1)
 
-		newTraj.iters = append(newTraj.iters, it)
 		prev = cur
-		changed = newChanged
+		changed, newChanged = newChanged, changed
 		iterations = t
 		if it.l1 < opts.Epsilon {
 			break
 		}
 	}
 
-	st.prTraj = newTraj
-	st.degDirty = make(map[graph.VID]struct{})
-	st.inDirty = make(map[graph.VID]struct{})
+	// A shorter run drops the iterations past its end, one rank vector
+	// kept if the last sweep left no spare.
+	if iterations < len(iters) && ws.spare == nil {
+		ws.spare = iters[iterations].rank
+	}
+	clear(iters[iterations:])
+	traj.iters = iters[:iterations]
+	ws.changed = [2][]graph.VID{changed, newChanged}
+	clear(st.degDirty)
+	clear(st.inDirty)
 	return &engines.PRResult{
 		Rank:       append([]float64(nil), prev...),
 		Iterations: iterations,
@@ -423,25 +474,28 @@ func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResul
 }
 
 // patchedFold folds one of the kernel's per-chunk reductions over
-// [0,n) in chunk order: a chunk holding a vertex of dirty — every chunk,
-// when there are no cached partials — is recomputed by partial, the
-// rest splice the cached value. It returns the partials, their sum and
-// the number of vertices recomputed (what the region is charged for).
-func patchedFold(n, grain int, cached []float64, partial func(lo, hi int) float64, dirty ...[]graph.VID) (parts []float64, sum float64, verts int) {
-	parts = make([]float64, parallel.NumChunks(n, grain))
-	redo := make([]bool, len(parts))
+// [0,n) in chunk order, in place: a chunk holding a vertex of dirty —
+// every chunk, when there are no cached partials yet — is recomputed by
+// partial, the rest keep the cached value. It returns the partials,
+// their sum and the number of vertices recomputed (what is charged).
+func (ws *prScratch) patchedFold(n, grain int, parts []float64, partial func(lo, hi int) float64, dirty ...[]graph.VID) (_ []float64, sum float64, verts int) {
+	chunks := parallel.NumChunks(n, grain)
+	all := parts == nil
+	if all {
+		parts = make([]float64, chunks)
+	}
+	ws.redo = traverse.Resized(ws.redo, chunks)
+	clear(ws.redo)
 	for _, list := range dirty {
 		for _, v := range list {
-			redo[int(v)/grain] = true
+			ws.redo[int(v)/grain] = true
 		}
 	}
 	for c := range parts {
-		if cached == nil || redo[c] {
+		if all || ws.redo[c] {
 			lo, hi := c*grain, min(n, (c+1)*grain)
 			parts[c] = partial(lo, hi)
 			verts += hi - lo
-		} else {
-			parts[c] = cached[c]
 		}
 		sum += parts[c]
 	}
@@ -456,8 +510,9 @@ func patchedFold(n, grain int, cached []float64, partial func(lo, hi int) float6
 // minimum vertex, the kernel's canonical form). No baseline edge
 // crosses the affected set's boundary (components are closed), and
 // inserted edges that do are handled by the DSU pass, so the result is
-// exactly the kernel's labeling of the post-batch graph. The output
-// becomes the new baseline.
+// exactly the kernel's labeling of the post-batch graph. The baseline
+// is patched in place (as in IncrementalPageRank, no error exit follows
+// the cancel poll); only the published copy is allocated.
 func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 	inst.ensureBuilt()
 	st := inst.streamState()
@@ -479,22 +534,25 @@ func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 	}
 
 	lab := st.wccLab
-	newlab := append([]graph.VID(nil), lab...)
 	directed := inst.in != inst.out
 
 	if len(st.wccDels) > 0 {
 		// Affected components: baseline labels of every removed
-		// edge's endpoints; S is their full vertex set.
+		// edge's endpoints; S is their full vertex set, marked todo
+		// until the BFS below reaches it.
+		const todo, done = 1, 2
 		affected := make(map[graph.VID]struct{})
 		for _, e := range st.wccDels {
 			affected[lab[e.Src]] = struct{}{}
 			affected[lab[e.Dst]] = struct{}{}
 		}
-		inS := make([]bool, n)
-		var S []graph.VID
+		ws := &inst.ws
+		ws.wccMark = traverse.Resized(ws.wccMark, n)
+		clear(ws.wccMark)
+		mark, S := ws.wccMark, ws.wccSet[:0]
 		for v := 0; v < n; v++ {
 			if _, ok := affected[lab[v]]; ok {
-				inS[v] = true
+				mark[v] = todo
 				S = append(S, graph.VID(v))
 			}
 		}
@@ -503,38 +561,34 @@ func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 		// Serial BFS over post-batch adjacency restricted to S, roots
 		// ascending: the first unvisited vertex of each piece is its
 		// minimum, so labels come out canonical.
-		visited := make([]bool, n)
 		var bfsEdges int64
-		q := make([]graph.VID, 0, 64)
+		q := ws.wccQueue
 		for _, root := range S {
-			if visited[root] {
+			if mark[root] == done {
 				continue
 			}
-			visited[root] = true
-			newlab[root] = root
+			mark[root] = done
+			lab[root] = root
 			q = append(q[:0], root)
 			for head := 0; head < len(q); head++ {
 				v := q[head]
-				for _, u := range inst.out.Neighbors(v) {
-					bfsEdges++
-					if inS[u] && !visited[u] {
-						visited[u] = true
-						newlab[u] = root
-						q = append(q, u)
-					}
-				}
+				rows := [2][]graph.VID{inst.out.Neighbors(v), nil}
 				if directed {
-					for _, u := range inst.in.Neighbors(v) {
-						bfsEdges++
-						if inS[u] && !visited[u] {
-							visited[u] = true
-							newlab[u] = root
+					rows[1] = inst.in.Neighbors(v)
+				}
+				for _, row := range rows {
+					bfsEdges += int64(len(row))
+					for _, u := range row {
+						if mark[u] == todo {
+							mark[u] = done
+							lab[u] = root
 							q = append(q, u)
 						}
 					}
 				}
 			}
 		}
+		ws.wccSet, ws.wccQueue = S, q
 		inst.m.ChargeSerial(costCCSVertex.Scale(float64(len(S))))
 		inst.m.ChargeSerial(costCCEdge.Scale(float64(bfsEdges)))
 	}
@@ -559,7 +613,7 @@ func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 		return root
 	}
 	for _, e := range st.wccAdds {
-		a, b := find(newlab[e.Src]), find(newlab[e.Dst])
+		a, b := find(lab[e.Src]), find(lab[e.Dst])
 		if a == b {
 			continue
 		}
@@ -573,11 +627,11 @@ func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 
 	comp := make([]graph.VID, n)
 	for v := 0; v < n; v++ {
-		comp[v] = find(newlab[v])
+		lab[v] = find(lab[v])
+		comp[v] = lab[v]
 	}
 	inst.m.ChargeUniform(n, 2048, simmachine.Dynamic, costCCRelabel)
 
-	st.wccLab = append(st.wccLab[:0], comp...)
 	st.wccAdds, st.wccDels = nil, nil
 	return &engines.WCCResult{Component: comp}, nil
 }

@@ -1,11 +1,15 @@
 package gap
 
 import (
+	"errors"
+	"math"
+	"runtime"
 	"sort"
 	"testing"
 
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/graph"
+	"github.com/hpcl-repro/epg/internal/kronecker"
 	"github.com/hpcl-repro/epg/internal/xrand"
 )
 
@@ -541,5 +545,180 @@ func TestMutateRejectsInvalid(t *testing.T) {
 	}
 	if inst.OutCSR() != before {
 		t.Fatal("failed Mutate swapped the epoch")
+	}
+}
+
+// The trajectory is patched in place, so its length has to follow the
+// run's: a batch that converges sooner than the baseline must drop the
+// iterations past its end (or the next replay would patch against
+// iterations of a run that never happened), and one that then runs
+// longer must grow past the horizon it was cut to — and past the longest
+// it ever had — with every step bit-equal to a cold run.
+func TestIncrementalPageRankTrajectoryShrinksThenGrows(t *testing.T) {
+	n := 96
+	el := &graph.EdgeList{NumVertices: n}
+	for v := 0; v < n; v++ {
+		el.Edges = append(el.Edges, graph.Edge{Src: graph.VID(v), Dst: graph.VID((v + 1) % n)})
+	}
+	inst := load(t, New(), el, 4)
+	maintain := func(ctx string, b graph.Batch) *engines.PRResult {
+		t.Helper()
+		if _, err := inst.Mutate(b); err != nil {
+			t.Fatal(err)
+		}
+		inc, err := inst.IncrementalPageRank(engines.DefaultPROpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranksEqual(t, inc, freshPR(t, elFromCSR(inst.OutCSR(), false), 8), ctx)
+		if got := len(inst.stream.prTraj.iters); got != inc.Iterations {
+			t.Fatalf("%s: baseline holds %d iterations after a %d-iteration run", ctx, got, inc.Iterations)
+		}
+		again, err := inst.IncrementalPageRank(engines.DefaultPROpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranksEqual(t, again, inc, ctx+", replayed")
+		return inc
+	}
+	spokes := func(op graph.MutOp, hub, step int) graph.Batch {
+		var b graph.Batch
+		for v := hub + 2; v < hub+n-1; v += step {
+			b = append(b, graph.Mutation{Op: op, Src: graph.VID(hub), Dst: graph.VID(v % n)})
+		}
+		return b
+	}
+	base := maintain("ring", nil)
+	twoHubs := append(spokes(graph.MutInsert, 7, 3), spokes(graph.MutInsert, 50, 5)...)
+	grown := maintain("two hubs", twoHubs)
+	for i := range twoHubs {
+		twoHubs[i].Op = graph.MutDelete
+	}
+	shrunk := maintain("two hubs undone", twoHubs)
+	regrown := maintain("one hub", spokes(graph.MutInsert, 0, 2))
+	if !(base.Iterations < grown.Iterations && shrunk.Iterations < grown.Iterations && regrown.Iterations > grown.Iterations) {
+		t.Fatalf("iterations: ring %d, two hubs %d, undone %d, one hub %d: the trajectory no longer shrinks and then grows past its old horizon",
+			base.Iterations, grown.Iterations, shrunk.Iterations, regrown.Iterations)
+	}
+}
+
+// Both maintainers patch their baseline in place, so neither may have a
+// way out between its first write and its last: a hook that passes the
+// first cancel poll of a call and refuses every later one must never be
+// heard from, and a call refused at that first poll must leave a
+// baseline the next call still converges from exactly.
+func TestCancelledMaintainLeavesBaselineWhole(t *testing.T) {
+	inst := load(t, New(), kron(9, 33), 4)
+	r := xrand.New(5)
+	if _, err := inst.IncrementalPageRank(engines.DefaultPROpts()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inst.IncrementalWCC(); err != nil {
+		t.Fatal(err)
+	}
+	polls, allowed := 0, 0
+	inst.SetCancel(func() error {
+		if polls++; polls > allowed {
+			return errors.New("stop")
+		}
+		return nil
+	})
+	mutate := func() {
+		t.Helper()
+		if _, err := inst.Mutate(streamBatch(inst.OutCSR(), r, 48, 0.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	mutate()
+	if _, err := inst.IncrementalPageRank(engines.DefaultPROpts()); err == nil {
+		t.Fatal("IncrementalPageRank ignored a cancel at its first poll")
+	}
+	if _, err := inst.IncrementalWCC(); err == nil {
+		t.Fatal("IncrementalWCC ignored a cancel at its first poll")
+	}
+	mutate()
+	allowed = 1
+	for round := 0; round < 2; round++ {
+		polls = 0
+		pr, err := inst.IncrementalPageRank(engines.DefaultPROpts())
+		if err != nil {
+			t.Fatalf("round %d: IncrementalPageRank polled for cancellation after it began writing its baseline: %v", round, err)
+		}
+		polls = 0
+		wcc, err := inst.IncrementalWCC()
+		if err != nil {
+			t.Fatalf("round %d: IncrementalWCC polled for cancellation after it began writing its baseline: %v", round, err)
+		}
+		post := elFromCSR(inst.OutCSR(), false)
+		ranksEqual(t, pr, freshPR(t, post, 8), "after a cancelled maintain")
+		labelsEqual(t, wcc, freshWCC(t, post, 8), "after a cancelled maintain")
+		mutate()
+	}
+}
+
+// A warm maintain allocates what it publishes — the rank vector and the
+// component vector handed to readers, one and a half n-vectors of eight
+// bytes — and what simmachine keeps per charged region. Everything else
+// (the trajectory, the sweep's spare, the start vector, the dirty lists,
+// the WCC repair's marks and queue) is patched or reused, so three
+// n-vectors bound it, and one more per-call vector in n breaks the
+// bound. simmachine's share is a cost slot per chunk of every region
+// charged (ROADMAP item 4): at the default edge factor the pull's edge
+// region alone makes that 1.8 n-vectors a maintain, so the graph is a
+// sparser kron-12, where it is under one. The stream applies a batch and
+// then its inverse, over and over: the run's length settles into two
+// values and the smallest round is one that does not grow the
+// trajectory, which is the only other thing a maintain may allocate for.
+func TestMaintainAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	inst := load(t, New(), kronecker.Generate(kronecker.Params{Scale: 12, EdgeFactor: 4, Seed: 5}), 8)
+	inst.m.SetTracing(false) // a trace grows by design
+	for _, f := range []func() error{
+		func() error { _, err := inst.IncrementalPageRank(engines.DefaultPROpts()); return err },
+		func() error { _, err := inst.IncrementalWCC(); return err },
+	} {
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var apply, undo graph.Batch
+	r := xrand.New(17)
+	for len(apply) < 128 {
+		if u, v, ok := sampleEdge(inst.OutCSR(), r); ok && len(apply)%2 == 0 {
+			apply = append(apply, graph.Mutation{Op: graph.MutDelete, Src: u, Dst: v})
+			undo = append(undo, graph.Mutation{Op: graph.MutInsert, Src: u, Dst: v, W: 0.5})
+		} else if u, v := graph.VID(r.Intn(inst.n)), graph.VID(r.Intn(inst.n)); u != v && !inst.OutCSR().HasEdge(u, v) {
+			apply = append(apply, graph.Mutation{Op: graph.MutInsert, Src: u, Dst: v, W: 0.5})
+			undo = append(undo, graph.Mutation{Op: graph.MutDelete, Src: u, Dst: v})
+		}
+	}
+	bound := uint64(3 * 8 * inst.n)
+	best := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for round := 0; round < 8; round++ {
+		b := apply
+		if round%2 == 1 {
+			b = undo
+		}
+		if _, err := inst.Mutate(b); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if _, err := inst.IncrementalPageRank(engines.DefaultPROpts()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inst.IncrementalWCC(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		if round >= 2 { // the first two rounds size the scratch
+			best = min(best, ms.TotalAlloc-before)
+		}
+	}
+	t.Logf("warm IncrementalPageRank + IncrementalWCC: %d B, bound %d B", best, bound)
+	if best > bound {
+		t.Fatalf("a warm maintain allocates %d B; bound %d B (three n-vectors)", best, bound)
 	}
 }

@@ -47,6 +47,12 @@ type workspace struct {
 	reAddBuf parallel.Arena[graph.VID]
 	laterQ   parallel.ChunkQueue[[2]int64] // (bucket, vertex)
 	laterBuf parallel.Arena[[2]int64]
+
+	// IncrementalWCC's delete repair: membership in the affected
+	// components (and visited or not), their vertices, the BFS queue.
+	wccMark  []uint8
+	wccSet   []graph.VID
+	wccQueue []graph.VID
 }
 
 // scratch returns the instance's workspace with its per-worker parts

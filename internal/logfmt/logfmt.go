@@ -54,6 +54,10 @@ func Emit(w io.Writer, r core.Result) error {
 	return err
 }
 
+// maxLineBytes is the longest line Parse and ReadCSV accept: a limit
+// for the scanner's buffer to grow to, never a size to start it at.
+const maxLineBytes = 1 << 20
+
 // Parse reads one engine log and fills the timing fields of a Result
 // whose identity fields (Engine, Dataset, Algorithm, Threads, Trial,
 // Root) the caller provides — exactly the information the original
@@ -61,7 +65,7 @@ func Emit(w io.Writer, r core.Result) error {
 func Parse(rd io.Reader, identity core.Result) (core.Result, error) {
 	out := identity
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, maxLineBytes)
 	var loadGraph float64
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -177,7 +181,7 @@ func WriteCSV(w io.Writer, results []core.Result) error {
 // ReadCSV parses the normalized CSV produced by WriteCSV.
 func ReadCSV(rd io.Reader) ([]core.Result, error) {
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, maxLineBytes)
 	var out []core.Result
 	first := true
 	lineNo := 0

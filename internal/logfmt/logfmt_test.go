@@ -3,6 +3,7 @@ package logfmt
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -80,6 +81,44 @@ func TestGraphMatLogMatchesPaperShape(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("GraphMat log missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// Parse used to hand the scanner a zeroed 1 MiB buffer per call — half
+// of everything a study run allocated. The limit stays where it was: a
+// 900 KB line parses, a 1.1 MB one is an error.
+func TestParseAllocatesForTheLogNotTheLimit(t *testing.T) {
+	emit := func(engine string) []byte {
+		var buf bytes.Buffer
+		if err := Emit(&buf, sample(engine)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, engine := range []string{"Graph500", "GAP", "GraphBIG", "GraphMat", "PowerGraph"} {
+		log := emit(engine)
+		const runs = 20
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for i := 0; i < runs; i++ {
+			if _, err := Parse(bytes.NewReader(log), core.Result{Engine: engine}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		if got := (ms.TotalAlloc - before) / runs; got > 16<<10 {
+			t.Errorf("%s: parsing a %d-byte log allocates %d bytes, budget 16 KB", engine, len(log), got)
+		}
+	}
+	padded := func(n int) []byte {
+		return append([]byte("# "+strings.Repeat("x", n)+"\n"), emit("GAP")...)
+	}
+	if _, err := Parse(bytes.NewReader(padded(900<<10)), core.Result{Engine: "GAP"}); err != nil {
+		t.Errorf("a 900 KB line: %v", err)
+	}
+	if _, err := Parse(bytes.NewReader(padded(1100<<10)), core.Result{Engine: "GAP"}); err == nil {
+		t.Error("a 1.1 MB line parsed: the line limit is gone")
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 
@@ -20,8 +21,9 @@ import (
 // Status mapping: 200 served (including degraded answers — check the
 // "degraded" field); every non-200 carries a structured error body
 // {"code","message","retry_after_ms"}: 400 invalid_query, 405
-// method_not_allowed, 429 shed (Retry-After header and retry_after_ms
-// agree), 500 panic or engine_error, 503 closed, 504 deadline.
+// method_not_allowed, 413 too_large (a mutate body or batch over the
+// fixed caps), 429 shed (Retry-After header and retry_after_ms agree),
+// 500 panic or engine_error, 503 closed, 504 deadline.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/query", s.handleQuery)
@@ -41,6 +43,15 @@ const (
 	codeEngineError      = "engine_error"
 	codeClosed           = "closed"
 	codeMethodNotAllowed = "method_not_allowed"
+	codeTooLarge         = "too_large"
+)
+
+// Caps on one POST /v1/mutate: the body is read through a
+// MaxBytesReader, and a batch holds one queue slot and one maintenance
+// turn however long it is, so its op count is bounded too.
+const (
+	maxMutateBodyBytes = 1 << 20
+	maxMutateOps       = 4096
 )
 
 // shedRetryAfterMS is the backoff hint on 429 responses; the
@@ -203,7 +214,14 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req mutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMutateBodyBytes)).Decode(&req)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge), len(req.Ops) > maxMutateOps:
+		writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
+			fmt.Sprintf("one mutate takes at most %d body bytes and %d ops", maxMutateBodyBytes, maxMutateOps))
+		return
+	case err != nil:
 		writeError(w, http.StatusBadRequest, codeInvalidQuery, "bad mutate body: "+err.Error())
 		return
 	}

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -66,8 +68,10 @@ func testBatch(t *testing.T, s *Server) graph.Batch {
 // assertAnswersMatchFreshServer is the mutation oracle: every query
 // kind must answer on s exactly as on a server started directly on the
 // edge list left by applying batches, in order, to s's start graph
-// (extra queries join the fixed list) — through Submit, and then, with s closed so the test owns them, on
-// each executor in turn, so a stale one cannot hide behind a fresh one.
+// (extra queries join the fixed list) — through Submit, and then, with
+// s closed so the test owns them, on each executor in turn, so a stale
+// one cannot hide behind a fresh one; and the published sketch must be
+// the one a rebuild on that graph gives.
 func assertAnswersMatchFreshServer(t *testing.T, s *Server, batches []graph.Batch, extra ...Query) {
 	t.Helper()
 	shadow := graph.NewMutableCSR(s.csr, s.el.Directed)
@@ -125,6 +129,10 @@ func assertAnswersMatchFreshServer(t *testing.T, s *Server, batches []graph.Batc
 	}
 	s.Close()
 	vec, sketch := s.snapshot()
+	if fresh := BuildSketch(post, s.cfg.Landmarks); !reflect.DeepEqual(sketch, fresh) {
+		t.Errorf("published sketch differs from a rebuild on the post-batch graph (landmarks %v, rebuilt %v)",
+			sketch.landmarks, fresh.landmarks)
+	}
 	for _, e := range s.execs {
 		if err := s.syncExecutor(e); err != nil {
 			t.Fatal(err)
@@ -247,6 +255,51 @@ func TestLaggingExecutorReplaysLoggedBatches(t *testing.T) {
 	assertAnswersMatchFreshServer(t, s, batches, Query{Op: OpWCC, Source: v0, Target: lone})
 }
 
+// Two mutates in flight at once on a two-executor server are dequeued
+// by one executor each. Unserialized, neither saw the other's batch when
+// it synced (not logged yet), each applied only its own, and the second
+// to swap claimed a log generation its instance had never applied — an
+// executor serving, and publishing vectors and sketch from, a graph
+// short of one batch for good. Maintenance is one at a time now: every
+// executor must answer as a fresh server on the batches in log order.
+func TestConcurrentMutatesKeepExecutorsInStep(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		s := startServer(t, Config{Executors: 2})
+		// Three inserts of absent edges at src, starting the search at from.
+		inserts := func(src, from graph.VID) graph.Batch {
+			var b graph.Batch
+			for u := from; len(b) < 3; u++ {
+				if u != src && !s.csr.HasEdge(src, u) {
+					b = append(b, graph.Mutation{Op: graph.MutInsert, Src: src, Dst: u, W: 0.5})
+				}
+			}
+			return b
+		}
+		var wg sync.WaitGroup
+		for _, b := range []graph.Batch{inserts(0, 100), inserts(1, 200)} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := s.Mutate(context.Background(), b); err != nil {
+					t.Errorf("trial %d: mutate: %v", trial, err)
+				}
+			}()
+		}
+		wg.Wait()
+		s.vecMu.RLock()
+		logged := slices.Clone(s.batches)
+		s.vecMu.RUnlock()
+		if len(logged) != 2 {
+			t.Fatalf("trial %d: %d batches logged, want 2", trial, len(logged))
+		}
+		assertAnswersMatchFreshServer(t, s, logged,
+			Query{Op: OpKHop, Source: 0, K: 1}, Query{Op: OpKHop, Source: 1, K: 1})
+		if t.Failed() {
+			t.Fatalf("trial %d: executors diverged", trial)
+		}
+	}
+}
+
 // Queries racing a live mutate are never dropped: every response is a
 // legitimate outcome (no errors), and the server stays consistent.
 func TestMutateDoesNotDropConcurrentQueries(t *testing.T) {
@@ -333,6 +386,49 @@ func TestHTTPMutate(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("bad body: HTTP %d", resp.StatusCode)
+	}
+}
+
+// Bodies a hostile or broken client sends to /v1/mutate are refused
+// with the structured error before anything is queued: over the byte
+// cap or the op cap is a 413, truncated or mistyped JSON a 400, and the
+// graph is left as it was.
+func TestHTTPMutateRejectsHostileBodies(t *testing.T) {
+	s, ts := startHTTP(t, Config{Executors: 1})
+	ops := func(n int) string { // n self-loop inserts: valid, and dropped by the apply
+		return `{"ops":[` + strings.TrimSuffix(strings.Repeat(`{"op":"insert","src":0,"dst":0,"w":0.5},`, n), ",") + `]}`
+	}
+	for _, c := range []struct {
+		name, body string
+		status     int
+		code       string
+	}{
+		{"body over the byte cap", `{"ops":[],"pad":"` + strings.Repeat("x", maxMutateBodyBytes) + `"}`, 413, codeTooLarge},
+		{"batch over the op cap", ops(maxMutateOps + 1), 413, codeTooLarge},
+		{"truncated", `{"ops":[{"op":"insert","src":1`, 400, codeInvalidQuery},
+		{"ops not a list", `{"ops":"all of them"}`, 400, codeInvalidQuery},
+		{"vertex not a number", `{"ops":[{"op":"insert","src":"zero","dst":1}]}`, 400, codeInvalidQuery},
+		{"vertex negative", `{"ops":[{"op":"insert","src":-1,"dst":1}]}`, 400, codeInvalidQuery},
+		{"not an object", `[1,2,3]`, 400, codeInvalidQuery},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/mutate", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var e apiError
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != c.status || e.Code != c.code || e.Message == "" {
+			t.Errorf("%s: HTTP %d body %+v (decode: %v), want %d %q with a message", c.name, resp.StatusCode, e, err, c.status, c.code)
+		}
+	}
+	if gen := s.SketchGeneration(); gen != 1 {
+		t.Errorf("a refused body reached maintenance: sketch generation %d, want 1", gen)
+	}
+	// The caps are limits, not off-by-one traps: a batch of exactly the
+	// op cap goes through.
+	if code := postJSON(t, ts.URL+"/v1/mutate", json.RawMessage(ops(maxMutateOps)), nil); code != 200 {
+		t.Errorf("a batch of exactly %d ops: HTTP %d, want 200", maxMutateOps, code)
 	}
 }
 

@@ -1,0 +1,362 @@
+package server
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"github.com/hpcl-repro/epg/internal/graph"
+	"github.com/hpcl-repro/epg/internal/harness"
+	"github.com/hpcl-repro/epg/internal/xrand"
+)
+
+// repairGraph builds a test adjacency in the normal form the server
+// keeps. weighted overrides the dataset's own choice: weights are
+// dropped from a weighted one and drawn for an unweighted one.
+func repairGraph(t testing.TB, dataset string, divisor int, seed uint64, weighted bool) (c *graph.CSR, directed bool) {
+	t.Helper()
+	el, err := harness.ResolveDataset(dataset, harness.DatasetOptions{Seed: seed, RealWorldDivisor: divisor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if weighted && !el.Weighted {
+		rng := xrand.New(seed ^ 0x77)
+		for i := range el.Edges {
+			el.Edges[i].W = 1 - rng.Float32()
+		}
+	}
+	el.Weighted = weighted
+	return graph.BuildCSR(el, graph.BuildOptions{
+		Symmetrize:    !el.Directed,
+		DropSelfLoops: true,
+		Dedup:         true,
+		Sort:          true,
+	}), el.Directed
+}
+
+// repairProgram is the model the repair is checked against: the current
+// adjacency, the sketch Repair has carried to it batch by batch, and
+// the generator's memory of what it did last.
+type repairProgram struct {
+	t        testing.TB
+	rng      *xrand.RNG
+	directed bool
+	k        int
+	cur      *graph.CSR
+	sketch   *Sketch
+	last     graph.Batch // the previous step's batch, for the undo step
+	later    graph.Batch // ops a step left for the next one (a reconnect)
+
+	phaseASteps int // steps phase B alone would have got wrong
+	sharedVecs  int // vectors handed on unchanged by a batch that changed something
+}
+
+// weight draws an insert weight: mostly uniform, but often enough one
+// of a few fixed values that equal-length paths tie, and float32
+// subnormals that a float64 distance absorbs without trace.
+func (p *repairProgram) weight() float32 {
+	switch p.rng.Intn(8) {
+	case 0:
+		return 0.5
+	case 1:
+		return 0.25
+	case 2:
+		return 1
+	case 3:
+		return math.SmallestNonzeroFloat32
+	case 4:
+		return 1e-40
+	}
+	return 1 - p.rng.Float32()
+}
+
+func (p *repairProgram) vertex() graph.VID { return graph.VID(p.rng.Intn(p.cur.NumVertices)) }
+
+// edge draws a stored entry (u, v); ok is false on an empty graph.
+func (p *repairProgram) edge() (u, v graph.VID, ok bool) {
+	m := int(p.cur.NumEdges())
+	if m == 0 {
+		return 0, 0, false
+	}
+	idx := int64(p.rng.Intn(m))
+	row := sort.Search(p.cur.NumVertices, func(v int) bool { return p.cur.Offsets[v+1] > idx })
+	return graph.VID(row), p.cur.Adj[idx], true
+}
+
+func del(u, v graph.VID) graph.Mutation { return graph.Mutation{Op: graph.MutDelete, Src: u, Dst: v} }
+
+func (p *repairProgram) ins(u, v graph.VID) graph.Mutation {
+	return graph.Mutation{Op: graph.MutInsert, Src: u, Dst: v, W: p.weight()}
+}
+
+// batch builds the step's batch: the low nibble of b picks what kind,
+// the high nibble how much of it.
+func (p *repairProgram) batch(b byte) graph.Batch {
+	size := 1 + int(b>>4)
+	batch := p.later
+	p.later = nil
+	switch b & 0xf {
+	case 0: // nothing at all (or only what the last step left)
+	case 1, 2: // random inserts
+		for i := 0; i < 2*size; i++ {
+			batch = append(batch, p.ins(p.vertex(), p.vertex()))
+		}
+	case 3, 4: // deletes of stored edges
+		for i := 0; i < 2*size; i++ {
+			if u, v, ok := p.edge(); ok {
+				batch = append(batch, del(u, v))
+			}
+		}
+	case 5: // deletes at a landmark: the edges most shortest paths leave by
+		if ls := p.sketch.landmarks; len(ls) > 0 {
+			l := ls[p.rng.Intn(len(ls))]
+			for _, v := range p.cur.Neighbors(l) {
+				if p.rng.Intn(16) < size {
+					batch = append(batch, del(l, v))
+				}
+			}
+		}
+	case 6: // undo the previous step, re-inserting at another weight
+		for i := len(p.last) - 1; i >= 0; i-- {
+			mu := p.last[i]
+			if mu.Op == graph.MutInsert {
+				batch = append(batch, del(mu.Src, mu.Dst))
+			} else {
+				batch = append(batch, p.ins(mu.Src, mu.Dst))
+			}
+		}
+	case 7: // one pair touched three times inside the batch
+		for i := 0; i < size; i++ {
+			u, v := p.vertex(), p.vertex()
+			batch = append(batch, p.ins(u, v), del(u, v), p.ins(u, v))
+			if u, v, ok := p.edge(); ok { // a stored edge: the weight may rise
+				batch = append(batch, del(u, v), p.ins(u, v))
+			}
+		}
+	case 8: // duplicate inserts: the weight only ever falls
+		for i := 0; i < 2*size; i++ {
+			if u, v, ok := p.edge(); ok {
+				batch = append(batch, p.ins(u, v))
+			}
+		}
+	case 9, 10: // cut a vertex off; reconnect it now (9) or next step (10)
+		u := p.vertex()
+		for _, v := range p.cur.Neighbors(u) {
+			batch = append(batch, del(u, v))
+		}
+		back := graph.Batch{p.ins(u, p.vertex()), p.ins(p.vertex(), u)}
+		if b&0xf == 9 {
+			batch = append(batch, back...)
+		} else {
+			p.later = back
+		}
+	case 11, 12: // lift a vertex into the top-k
+		if ls := p.sketch.landmarks; len(ls) > 0 {
+			u := p.vertex()
+			need := p.cur.Degree(ls[len(ls)-1-p.rng.Intn(len(ls))]) + 1 - p.cur.Degree(u)
+			for i := int64(0); i < min(need, int64(p.cur.NumVertices)); i++ {
+				batch = append(batch, p.ins(u, p.vertex()))
+			}
+		}
+	default: // drop a landmark down or out of the top-k
+		if ls := p.sketch.landmarks; len(ls) > 0 {
+			l := ls[p.rng.Intn(len(ls))]
+			for i, v := range p.cur.Neighbors(l) {
+				if i%2 == 0 || size > 8 {
+					batch = append(batch, del(l, v))
+				}
+			}
+		}
+	}
+	return batch
+}
+
+// step applies one batch and holds Repair to its contract: bit-equal to
+// a rebuild, sharing every vector it did not have to touch, and never
+// writing the sketch readers may still hold. It also runs the repair
+// with phase A cut out and counts the step if that got it wrong.
+func (p *repairProgram) step(i int, b byte) {
+	t := p.t
+	t.Helper()
+	batch := p.batch(b)
+	mc := graph.NewMutableCSR(p.cur, p.directed)
+	if _, err := mc.Apply(batch); err != nil {
+		t.Fatalf("step %d (kind %d): %v", i, b&0xf, err)
+	}
+	pre, post := p.cur, mc.CSR()
+	in := post
+	if p.directed {
+		in = graph.Transpose(post, 1)
+	}
+	old := p.sketch
+	oldHops, oldDist := cloneVectors(old.hops), cloneVectors(old.dist)
+
+	got, want := old.Repair(pre, post, in), BuildSketch(post, p.k)
+	where := fmt.Sprintf("step %d (kind %d, %d ops)", i, b&0xf, len(batch))
+	if !reflect.DeepEqual(got.landmarks, want.landmarks) {
+		t.Fatalf("%s: landmarks %v, rebuild %v", where, got.landmarks, want.landmarks)
+	}
+	for li, l := range want.landmarks {
+		if !reflect.DeepEqual(got.hops[li], want.hops[li]) {
+			t.Fatalf("%s: hops of landmark %d differ from the rebuild's: %s", where, l, firstDiff(got.hops[li], want.hops[li]))
+		}
+		if (got.dist == nil) != (want.dist == nil) {
+			t.Fatalf("%s: dist present %t, rebuild %t", where, got.dist != nil, want.dist != nil)
+		}
+		if got.dist != nil && !reflect.DeepEqual(got.dist[li], want.dist[li]) {
+			t.Fatalf("%s: dist of landmark %d differ from the rebuild's: %s", where, l, firstDiff(got.dist[li], want.dist[li]))
+		}
+	}
+	if !reflect.DeepEqual(old.hops, oldHops) || !reflect.DeepEqual(old.dist, oldDist) {
+		t.Fatalf("%s: Repair wrote the sketch it was called on", where)
+	}
+	if got == old {
+		t.Fatalf("%s: Repair returned its receiver", where)
+	}
+	// Sharing is real: a batch that changes nothing leaves every vector
+	// the old slice, and any other batch is counted.
+	shared := func(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+	for li, l := range got.landmarks {
+		from := slices.Index(old.landmarks, l)
+		if from < 0 {
+			continue
+		}
+		n := 0
+		if shared(old.hops[from], got.hops[li]) {
+			n++
+		}
+		if got.dist != nil && shared(old.dist[from], got.dist[li]) {
+			n++
+		}
+		if pre != post {
+			p.sharedVecs += n
+		} else if want := 1 + len(got.dist)/len(got.landmarks); n != want {
+			t.Fatalf("%s: nothing changed, yet only %d of landmark %d's %d vectors are the old slices", where, n, l, want)
+		}
+	}
+
+	// The same repair with phase A cut out: phase B from no affected set.
+	r := &repairer{post: post, in: in, mark: make([]uint32, post.NumVertices)}
+	r.diff(pre)
+	withoutPhaseA := false
+	for li, l := range want.landmarks {
+		from := slices.Index(old.landmarks, l)
+		if from < 0 {
+			continue
+		}
+		hops := &vec[int32]{r: r, old: old.hops[from], d: old.hops[from], unreached: -1}
+		if !reflect.DeepEqual(hops.resettle(nil), want.hops[li]) {
+			withoutPhaseA = true
+		}
+		if old.dist != nil {
+			dist := &vec[float64]{r: r, old: old.dist[from], d: old.dist[from], unreached: math.Inf(1), weighted: true}
+			if !reflect.DeepEqual(dist.resettle(nil), want.dist[li]) {
+				withoutPhaseA = true
+			}
+		}
+	}
+
+	if withoutPhaseA {
+		p.phaseASteps++
+	}
+	p.cur, p.sketch, p.last = post, got, batch
+}
+
+func cloneVectors[D any](vs [][]D) [][]D {
+	if vs == nil {
+		return nil
+	}
+	out := make([][]D, len(vs))
+	for i, v := range vs {
+		out[i] = slices.Clone(v)
+	}
+	return out
+}
+
+func firstDiff[D comparable](got, want []D) string {
+	for v := range want {
+		if got[v] != want[v] {
+			return fmt.Sprintf("vertex %d: repaired %v, rebuilt %v", v, got[v], want[v])
+		}
+	}
+	return "lengths differ"
+}
+
+// runRepairProgram runs script, one batch per byte, from a fresh sketch
+// of c.
+func runRepairProgram(t testing.TB, c *graph.CSR, directed bool, k int, seed uint64, script []byte) *repairProgram {
+	t.Helper()
+	p := &repairProgram{t: t, rng: xrand.New(seed), directed: directed, k: k, cur: c, sketch: BuildSketch(c, k)}
+	for i, b := range script {
+		p.step(i, b)
+	}
+	return p
+}
+
+// TestSketchRepairEqualsRebuild is the repair's contract: after every
+// batch of a random program — inserts, deletes, deletes at a landmark,
+// undone and re-touched edges, weights lowered and raised, ties and
+// absorbed subnormals, pieces cut off and reconnected, landmarks
+// promoted and demoted, nothing at all — the repaired sketch equals a
+// rebuild on the post-batch adjacency, landmarks, hops and dist.
+func TestSketchRepairEqualsRebuild(t *testing.T) {
+	for _, g := range []struct {
+		dataset  string
+		divisor  int
+		weighted bool
+		steps    int
+	}{
+		{"kron-7", 0, true, 64},
+		{"kron-7", 0, false, 48},
+		{"kron-9", 0, true, 48},
+		{"kron-9", 0, false, 32},
+		{"kron-11", 0, true, 24},
+		{"cit-Patents", 4000, false, 48},
+		{"cit-Patents", 4000, true, 48},
+	} {
+		name := fmt.Sprintf("%s/weighted=%t", g.dataset, g.weighted)
+		t.Run(name, func(t *testing.T) {
+			c, directed := repairGraph(t, g.dataset, g.divisor, 5, g.weighted)
+			rng := xrand.New(xrand.Mix64(uint64(len(name)) ^ 0x5e7c))
+			script := make([]byte, g.steps)
+			for i := range script {
+				script[i] = byte(rng.Uint32())
+			}
+			p := runRepairProgram(t, c, directed, 8, 11, script)
+			// The test testing itself: a program on which phase A never
+			// mattered would pass with phase A deleted, and one that
+			// rewrote every vector every time would never see sharing.
+			if p.phaseASteps == 0 {
+				t.Errorf("phase B alone repaired all %d steps: the program never exercised phase A", g.steps)
+			}
+			if p.sharedVecs == 0 {
+				t.Errorf("no batch left any vector untouched: sharing was never exercised")
+			}
+			t.Logf("%d vertices, %d steps: %d needed phase A, %d vectors shared across a change",
+				c.NumVertices, g.steps, p.phaseASteps, p.sharedVecs)
+		})
+	}
+}
+
+// FuzzSketchRepair is TestSketchRepairEqualsRebuild with the fuzzer
+// writing the program: one batch per script byte on a small graph.
+func FuzzSketchRepair(f *testing.F) {
+	f.Add(uint64(1), true, false, []byte{0x11, 0x33, 0x05, 0x06, 0x17, 0x28, 0x0a, 0x00, 0x4b, 0xfd})
+	f.Add(uint64(2), false, false, []byte{0x35, 0x35, 0x06, 0x09, 0x2c, 0x2c, 0x9f})
+	f.Add(uint64(3), true, true, []byte{0x21, 0x43, 0x07, 0x08, 0x06, 0x0a, 0x01, 0x1b, 0x0e})
+	f.Add(uint64(4), false, true, []byte{0x13, 0x25, 0x06, 0x1c, 0xfe, 0x00})
+	f.Fuzz(func(t *testing.T, seed uint64, weighted, directed bool, script []byte) {
+		if len(script) > 24 {
+			script = script[:24]
+		}
+		dataset, divisor := "kron-7", 0
+		if directed {
+			dataset, divisor = "cit-Patents", 1<<20 // the generator's 128-vertex floor
+		}
+		c, dir := repairGraph(t, dataset, divisor, seed%4, weighted)
+		runRepairProgram(t, c, dir, 4, seed, script)
+	})
+}

@@ -107,6 +107,14 @@ type Server struct {
 	sketchGen uint64
 	batches   []graph.Batch
 
+	// maintMu serializes maintenance (refresh, mutate) from the
+	// executor's sync through the swap: two mutates dequeued at once
+	// would each miss the other's not-yet-logged batch, and the second to
+	// swap would claim a log generation its instance never applied. It
+	// also makes the published sketch the sketch of exactly the graph a
+	// synced executor holds, as Repair requires. Queries never take it.
+	maintMu sync.Mutex
+
 	admit   *admitter
 	queue   chan *pending
 	metrics Metrics
@@ -196,12 +204,6 @@ func (s *Server) Close() {
 		close(s.stopped)
 	}
 	s.wg.Wait()
-}
-
-func (s *Server) vectors() vectors {
-	s.vecMu.RLock()
-	defer s.vecMu.RUnlock()
-	return s.vec
 }
 
 // snapshot returns the precomputed state one query serves from — the
@@ -340,15 +342,21 @@ func (s *Server) syncExecutor(e *executor) error {
 }
 
 // maintainOn executes a refresh or mutate entry on the dequeuing
-// executor: sync the instance, apply the new batch (mutate only),
-// re-converge the vectors incrementally, rebuild the degradation
-// sketch on the post-batch adjacency, and swap vectors + sketch + log
-// in one critical section. Queries keep flowing on the other
-// executors throughout; they observe the new state atomically.
+// executor, one maintenance at a time: sync the instance, apply the new
+// batch (mutate only), re-converge the vectors incrementally, bring the
+// degradation sketch to the post-batch adjacency — a mutate repairs the
+// published one at a cost that follows the batch, a refresh rebuilds it
+// — and swap vectors + sketch + log in one critical section. Queries
+// keep flowing on the other executors throughout; they observe the new
+// state atomically.
 func (s *Server) maintainOn(e *executor, p *pending) Response {
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
 	if err := s.syncExecutor(e); err != nil {
 		return Response{Status: StatusError, Err: err.Error()}
 	}
+	// Synced under maintMu, e holds the graph the published sketch is of.
+	pre := e.csr
 	if p.mutate != nil {
 		rep, err := e.inst.Mutate(p.mutate)
 		if err != nil {
@@ -365,9 +373,15 @@ func (s *Server) maintainOn(e *executor, p *pending) Response {
 	}
 	// The degradation sketch is precomputation too: a swap that
 	// replaced the vectors but kept the old sketch would keep serving
-	// degraded answers from stale state. Rebuild it on the current
-	// epoch and swap everything in one critical section.
-	sketch := BuildSketch(e.csr, s.cfg.Landmarks)
+	// degraded answers from stale state. Bring it to the current epoch
+	// and swap everything in one critical section.
+	var sketch *Sketch
+	if p.mutate != nil {
+		_, published := s.snapshot()
+		sketch = published.Repair(pre, e.csr, e.inst.InCSR())
+	} else {
+		sketch = BuildSketch(e.csr, s.cfg.Landmarks)
+	}
 	s.vecMu.Lock()
 	if p.mutate != nil {
 		s.batches = append(s.batches, p.mutate)
@@ -479,9 +493,9 @@ func (s *Server) Refresh(ctx context.Context) error {
 
 // Mutate applies one batch of edge mutations to the served graph: the
 // dequeuing executor updates its resident structures in place,
-// re-converges the PR/WCC vectors incrementally (bit-equal to a full
-// recompute on the post-batch graph), rebuilds the degradation
-// sketch, and swaps everything atomically. Concurrent queries are
+// re-converges the PR/WCC vectors incrementally and repairs the
+// degradation sketch (both bit-equal to a full recompute on the
+// post-batch graph), and swaps everything atomically. Concurrent queries are
 // never dropped — they serve from the previous epoch until the swap,
 // and executors replay the acknowledged batch log before serving.
 // Like Refresh, a mutate holds a bounded-queue slot but stays out of

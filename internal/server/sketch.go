@@ -1,9 +1,8 @@
 package server
 
 import (
-	"container/heap"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/hpcl-repro/epg/internal/graph"
 )
@@ -23,31 +22,16 @@ type Sketch struct {
 // BuildSketch selects the k highest-degree vertices (ties broken
 // toward lower ID, so the landmark set is deterministic) and runs one
 // serial BFS — plus one serial Dijkstra when the CSR is weighted —
-// per landmark. Built once at startup on the homogenized CSR; the
+// per landmark. Built at startup and by a refresh on the homogenized
+// CSR (a mutate repairs the previous sketch instead, see Repair); the
 // build is plain Go, off the modeled machine, because it is part of
 // daemon startup rather than any measured phase.
 func BuildSketch(c *graph.CSR, k int) *Sketch {
-	n := c.NumVertices
-	if k > n {
-		k = n
-	}
-	s := &Sketch{}
-	if k <= 0 || n == 0 {
+	s := &Sketch{landmarks: topDegree(c, k)}
+	k = len(s.landmarks)
+	if k == 0 {
 		return s
 	}
-	order := make([]graph.VID, n)
-	for i := range order {
-		order[i] = graph.VID(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := c.Degree(order[i]), c.Degree(order[j])
-		if di != dj {
-			return di > dj
-		}
-		return order[i] < order[j]
-	})
-	s.landmarks = append(s.landmarks, order[:k]...)
-
 	s.hops = make([][]int32, k)
 	if c.Weights != nil {
 		s.dist = make([][]float64, k)
@@ -117,9 +101,8 @@ func bfsHops(c *graph.CSR, root graph.VID) []int32 {
 	}
 	hops[root] = 0
 	queue := []graph.VID{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, u := range c.Neighbors(v) {
 			if hops[u] < 0 {
 				hops[u] = hops[v] + 1
@@ -130,24 +113,70 @@ func bfsHops(c *graph.CSR, root graph.VID) []int32 {
 	return hops
 }
 
-// distItem is a Dijkstra frontier entry.
+// topDegree returns the k highest-degree vertices of c (all of them
+// when k exceeds the vertex count), degree descending and ties toward
+// the lower ID: one pass keeping the best k in order, O(n*k).
+func topDegree(c *graph.CSR, k int) []graph.VID {
+	var top []graph.VID
+	for v := 0; v < c.NumVertices && k > 0; v++ {
+		// The first slot whose vertex v outranks; IDs ascend, so a tie
+		// keeps its place.
+		i := len(top)
+		for i > 0 && c.Degree(top[i-1]) < c.Degree(graph.VID(v)) {
+			i--
+		}
+		if i < k {
+			top = slices.Insert(top[:min(len(top), k-1)], i, graph.VID(v))
+		}
+	}
+	return top
+}
+
+// distItem is a shortest-path frontier entry.
 type distItem struct {
 	v graph.VID
 	d float64
 }
 
+// before orders frontier entries by distance, ties toward the lower ID.
+func (a distItem) before(b distItem) bool { return a.d < b.d || a.d == b.d && a.v < b.v }
+
+// distHeap is a binary min-heap of frontier entries — the one priority
+// queue under both the full Dijkstra pass and the repair's two phases.
 type distHeap []distItem
 
-func (h distHeap) Len() int { return len(h) }
-func (h distHeap) Less(i, j int) bool {
-	if h[i].d != h[j].d {
-		return h[i].d < h[j].d
+func (h *distHeap) push(it distItem) {
+	*h = append(*h, it)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s[i].before(s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
 	}
-	return h[i].v < h[j].v // deterministic tie-break
 }
-func (h distHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x any)   { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+func (h *distHeap) pop() distItem {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child+1 < n && s[child+1].before(s[child]) {
+			child++
+		}
+		if child >= n || !s[child].before(s[i]) {
+			break
+		}
+		s[i], s[child] = s[child], s[i]
+		i = child
+	}
+	*h = s
+	return top
+}
 
 // dijkstra is a plain serial shortest-path pass (lazy-deletion heap).
 func dijkstra(c *graph.CSR, root graph.VID) []float64 {
@@ -157,9 +186,9 @@ func dijkstra(c *graph.CSR, root graph.VID) []float64 {
 		dist[i] = math.Inf(1)
 	}
 	dist[root] = 0
-	h := &distHeap{{v: root, d: 0}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(distItem)
+	h := distHeap{{v: root, d: 0}}
+	for len(h) > 0 {
+		it := h.pop()
 		if it.d > dist[it.v] {
 			continue
 		}
@@ -168,7 +197,7 @@ func dijkstra(c *graph.CSR, root graph.VID) []float64 {
 		for i, u := range adj {
 			if nd := it.d + float64(ws[i]); nd < dist[u] {
 				dist[u] = nd
-				heap.Push(h, distItem{v: u, d: nd})
+				h.push(distItem{v: u, d: nd})
 			}
 		}
 	}
