@@ -144,10 +144,25 @@ type Engine interface {
 	// SeparateConstruction reports whether graph construction is a
 	// distinct, separately-timed phase.
 	SeparateConstruction() bool
-	// Load ingests the in-RAM edge list. For engines without a
+	// LoadSimple ingests the homogenized graph. For engines without a
 	// separate construction phase this includes building the
-	// structure (charged to the machine).
+	// structure (charged to the machine). g is shared between every
+	// instance of a run and read-only: an instance aliases its arrays
+	// and never writes to them.
+	LoadSimple(g *graph.Simple, m *simmachine.Machine) (Instance, error)
+	// Load is LoadSimple on a graph homogenized for this instance alone
+	// (see LoadEdgeList).
 	Load(el *graph.EdgeList, m *simmachine.Machine) (Instance, error)
+}
+
+// LoadEdgeList is every engine's Load: homogenize el, hand it to
+// LoadSimple.
+func LoadEdgeList(e Engine, el *graph.EdgeList, m *simmachine.Machine) (Instance, error) {
+	g, err := graph.Homogenize(el)
+	if err != nil {
+		return nil, err
+	}
+	return e.LoadSimple(g, m)
 }
 
 // SyncSSSPSetter is implemented by engines whose SSSP has an optional

@@ -27,7 +27,7 @@ var (
 // graph must be undirected (symmetrized), as in the real suite.
 func (inst *Instance) TriangleCount() (int64, error) {
 	inst.ensureBuilt()
-	if inst.el.Directed {
+	if inst.in != inst.out {
 		return 0, fmt.Errorf("gap: triangle counting requires an undirected graph")
 	}
 	var total int64

@@ -134,10 +134,15 @@ func (e *Engine) Has(alg engines.Algorithm) bool {
 type Instance struct {
 	eng *Engine
 	m   *simmachine.Machine
-	el  *graph.EdgeList
 
-	out *graph.CSR
-	in  *graph.CSR
+	// out and in (the same CSR when the graph is undirected) start as
+	// the shared homogenized graph's rows, read-only, and move to
+	// private epochs on Mutate. inputEdges sizes the construction
+	// charge; built records that BuildStructure ran.
+	out        *graph.CSR
+	in         *graph.CSR
+	inputEdges int
+	built      bool
 	// Compressed siblings of out/in, built only when eng.Compress; the
 	// row selectors below hand them out in place of the raw CSR.
 	cout *graph.CompressedCSR
@@ -170,43 +175,41 @@ type Instance struct {
 // hook must be cheap and must not call back into the instance.
 func (inst *Instance) SetCancel(check func() error) { inst.trav.Cancel = check }
 
-// Load implements engines.Engine. It only captures the edge list; the
-// CSR is built in BuildStructure (the separately-timed phase).
-func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instance, error) {
-	if err := el.Validate(); err != nil {
-		return nil, err
+// LoadSimple implements engines.Engine. It only captures the shared
+// graph; the charged construction is BuildStructure (the
+// separately-timed phase).
+func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
+	in := g.In
+	if in == nil {
+		in = g.Out
 	}
-	return &Instance{eng: e, m: m, el: el}, nil
+	return &Instance{eng: e, m: m, out: g.Out, in: in, inputEdges: g.InputEdges}, nil
+}
+
+// Load implements engines.Engine.
+func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instance, error) {
+	return engines.LoadEdgeList(e, el, m)
 }
 
 // BuildStructure implements engines.Instance: Kernel-1-style CSR
-// construction, charged as two passes over the edge list.
+// construction, charged as two passes over the edge list. The rows are
+// the shared graph's own; only the compressed siblings are built here.
 func (inst *Instance) BuildStructure() {
-	el := inst.el
-	inst.m.ParallelFor(len(el.Edges), 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
+	directed := inst.in != inst.out
+	inst.m.ParallelFor(inst.inputEdges, 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
 		w.Charge(costBuildEdge.Scale(2 * float64(hi-lo))) // count + scatter
 	})
-	inst.out = graph.BuildCSR(el, graph.BuildOptions{
-		Symmetrize:    !el.Directed,
-		DropSelfLoops: true,
-		Dedup:         true,
-		Sort:          true,
-	})
-	if el.Directed {
+	if directed {
 		inst.m.ParallelFor(int(inst.out.NumEdges()), 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
 			w.Charge(costBuildEdge.Scale(float64(hi - lo)))
 		})
-		inst.in = graph.Transpose(inst.out, 0)
-		inst.in.SortAdjacency()
-	} else {
-		inst.in = inst.out
 	}
 	if inst.eng.Compress {
 		inst.m.ParallelFor(int(inst.out.NumEdges()), 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
 			w.Charge(costCompressEdge.Scale(float64(hi - lo)))
 		})
 		inst.cout = graph.CompressCSR(inst.out, 0)
-		if el.Directed {
+		if directed {
 			inst.m.ParallelFor(int(inst.in.NumEdges()), 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
 				w.Charge(costCompressEdge.Scale(float64(hi - lo)))
 			})
@@ -217,9 +220,8 @@ func (inst *Instance) BuildStructure() {
 	}
 	inst.n = inst.out.NumVertices
 	inst.mEdges = inst.out.NumEdges()
+	inst.built = true
 }
-
-func (inst *Instance) built() bool { return inst.out != nil }
 
 // outRows is the out-adjacency a top-down level expands: the
 // compressed sibling when the engine built one.
@@ -248,7 +250,7 @@ func (inst *Instance) inRows() pullRows {
 // ensureBuilt guards algorithm entry points: the harness always calls
 // BuildStructure, but library users might not.
 func (inst *Instance) ensureBuilt() {
-	if !inst.built() {
+	if !inst.built {
 		inst.BuildStructure()
 	}
 }

@@ -63,32 +63,30 @@ func (e *Engine) Has(alg engines.Algorithm) bool { return alg == engines.BFS }
 type Instance struct {
 	eng *Engine
 	m   *simmachine.Machine
-	el  *graph.EdgeList
-	csr *graph.CSR
+	// csr is the shared homogenized out-adjacency, read-only;
+	// inputEdges sizes Kernel 1's charge.
+	csr        *graph.CSR
+	inputEdges int
 	// rows is what Kernel 2 expands: csr, or under Engine.Compress its
-	// delta+varint compressed sibling.
+	// delta+varint compressed sibling. Nil until BuildStructure.
 	rows traverse.Rows
 	trav traverse.State
 }
 
+// LoadSimple implements engines.Engine.
+func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
+	return &Instance{eng: e, m: m, csr: g.Out, inputEdges: g.InputEdges}, nil
+}
+
 // Load implements engines.Engine.
 func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instance, error) {
-	if err := el.Validate(); err != nil {
-		return nil, err
-	}
-	return &Instance{eng: e, m: m, el: el}, nil
+	return engines.LoadEdgeList(e, el, m)
 }
 
 // BuildStructure implements engines.Instance (Kernel 1).
 func (inst *Instance) BuildStructure() {
-	inst.m.ParallelFor(len(inst.el.Edges), 4096, simmachine.Static, func(lo, hi int, w *simmachine.W) {
+	inst.m.ParallelFor(inst.inputEdges, 4096, simmachine.Static, func(lo, hi int, w *simmachine.W) {
 		w.Charge(costBuildEdge.Scale(2 * float64(hi-lo)))
-	})
-	inst.csr = graph.BuildCSR(inst.el, graph.BuildOptions{
-		Symmetrize:    !inst.el.Directed,
-		DropSelfLoops: true,
-		Dedup:         true,
-		Sort:          true,
 	})
 	inst.rows = inst.csr
 	if inst.eng.Compress {
@@ -100,7 +98,7 @@ func (inst *Instance) BuildStructure() {
 }
 
 func (inst *Instance) ensureBuilt() {
-	if inst.csr == nil {
+	if inst.rows == nil {
 		inst.BuildStructure()
 	}
 }

@@ -119,42 +119,30 @@ type Instance struct {
 	trav     traverse.State
 }
 
-// Load implements engines.Engine: reading and construction are one
-// phase, charged here.
-func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instance, error) {
-	if err := el.Validate(); err != nil {
-		return nil, err
-	}
-	// Homogenized simple graph, then re-materialized as per-vertex
-	// property objects.
-	csr := graph.BuildCSR(el, graph.BuildOptions{
-		Symmetrize:    !el.Directed,
-		DropSelfLoops: true,
-		Dedup:         true,
-		Sort:          true,
-	})
-	n := csr.NumVertices
-	inst := &Instance{eng: e, m: m, directed: el.Directed, weighted: el.Weighted, n: n}
+// LoadSimple implements engines.Engine: reading and construction are
+// one phase, charged here. The homogenized graph is re-materialized as
+// per-vertex property objects whose rows alias the shared arrays.
+func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
+	n := g.NumVertices
+	inst := &Instance{eng: e, m: m, directed: g.Directed, weighted: g.Weighted, n: n}
 	inst.vertices = make(propertyGraph, n)
 	for v := 0; v < n; v++ {
-		inst.vertices[v].out = csr.Neighbors(graph.VID(v))
-		if el.Weighted {
-			inst.vertices[v].w = csr.NeighborWeights(graph.VID(v))
-		}
-	}
-	if el.Directed {
-		tr := graph.Transpose(csr, 0)
-		tr.SortAdjacency()
-		for v := 0; v < n; v++ {
-			inst.vertices[v].in = tr.Neighbors(graph.VID(v))
+		inst.vertices[v].out, inst.vertices[v].w = g.Out.WeightedRow(graph.VID(v))
+		if g.Directed {
+			inst.vertices[v].in = g.In.Neighbors(graph.VID(v))
 		}
 	}
 	// Charge the combined read+build pass.
-	m.FileRead(int64(len(el.Edges))*16, true)
-	m.ParallelFor(len(el.Edges), 2048, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
+	m.FileRead(int64(g.InputEdges)*16, true)
+	m.ParallelFor(g.InputEdges, 2048, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
 		w.Charge(costLoadEdge.Scale(float64(hi - lo)))
 	})
 	return inst, nil
+}
+
+// Load implements engines.Engine.
+func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instance, error) {
+	return engines.LoadEdgeList(e, el, m)
 }
 
 // BuildStructure implements engines.Instance: a no-op, construction

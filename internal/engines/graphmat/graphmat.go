@@ -51,7 +51,9 @@ func (e *Engine) Has(alg engines.Algorithm) bool {
 	return false
 }
 
-// dcsr stores only rows that have nonzeros.
+// dcsr stores only rows that have nonzeros. It is read-only: cols and
+// vals are the arrays of the CSR it was made from, shared with every
+// other instance of the run.
 type dcsr struct {
 	rows []graph.VID // vertices with >=1 stored edge
 	ptr  []int64     // len(rows)+1
@@ -62,29 +64,37 @@ type dcsr struct {
 // nnz returns the stored nonzero count.
 func (d *dcsr) nnz() int64 { return int64(len(d.cols)) }
 
-// fromCSR compresses a CSR into DCSR form.
+// fromCSR compresses a CSR into DCSR form. The non-empty rows of a CSR
+// back to back are its Adj and Weights, so only the row index is built.
 func fromCSR(c *graph.CSR) *dcsr {
-	d := &dcsr{}
-	d.ptr = append(d.ptr, 0)
+	nonEmpty := 0
 	for v := 0; v < c.NumVertices; v++ {
-		lo, hi := c.Offsets[v], c.Offsets[v+1]
-		if lo == hi {
-			continue
+		if c.Offsets[v] != c.Offsets[v+1] {
+			nonEmpty++
 		}
-		d.rows = append(d.rows, graph.VID(v))
-		d.cols = append(d.cols, c.Adj[lo:hi]...)
-		if c.Weights != nil {
-			d.vals = append(d.vals, c.Weights[lo:hi]...)
-		}
-		d.ptr = append(d.ptr, int64(len(d.cols)))
 	}
+	d := &dcsr{
+		rows: make([]graph.VID, 0, nonEmpty),
+		ptr:  make([]int64, 0, nonEmpty+1),
+		cols: c.Adj,
+		vals: c.Weights,
+	}
+	for v := 0; v < c.NumVertices; v++ {
+		if c.Offsets[v] != c.Offsets[v+1] {
+			d.rows = append(d.rows, graph.VID(v))
+			d.ptr = append(d.ptr, c.Offsets[v])
+		}
+	}
+	d.ptr = append(d.ptr, c.NumEdges())
 	return d
 }
 
 // Instance is a loaded GraphMat matrix.
 type Instance struct {
-	m  *simmachine.Machine
-	el *graph.EdgeList
+	m *simmachine.Machine
+	// g is the shared homogenized graph, read-only; its sorted rows
+	// also serve LCC's edge queries.
+	g *graph.Simple
 
 	n        int
 	directed bool
@@ -94,58 +104,38 @@ type Instance struct {
 	inMat  *dcsr
 	outMat *dcsr
 	outDeg []int32
-	// Sorted adjacency retained for LCC's edge queries; inCSR is nil
-	// for an undirected graph (outCSR is symmetric).
-	outCSR, inCSR *graph.CSR
-	trav          traverse.State
+	trav   traverse.State
+}
+
+// LoadSimple implements engines.Engine.
+func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
+	return &Instance{m: m, g: g, n: g.NumVertices, directed: g.Directed, weighted: g.Weighted}, nil
 }
 
 // Load implements engines.Engine.
 func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instance, error) {
-	if err := el.Validate(); err != nil {
-		return nil, err
-	}
-	return &Instance{m: m, el: el}, nil
+	return engines.LoadEdgeList(e, el, m)
 }
 
 // BuildStructure implements engines.Instance: build the forward and
 // transposed compressed matrices (GraphMat's partitioned DCSC build).
 func (inst *Instance) BuildStructure() {
-	el := inst.el
-	out := graph.BuildCSR(el, graph.BuildOptions{
-		Symmetrize:    !el.Directed,
-		DropSelfLoops: true,
-		Dedup:         true,
-		Sort:          true,
-	})
-	var in *graph.CSR
-	if el.Directed {
-		in = graph.Transpose(out, 0)
-		in.SortAdjacency()
-	} else {
-		in = out
-	}
-	inst.n = out.NumVertices
-	inst.directed = el.Directed
-	inst.weighted = el.Weighted
-	inst.outCSR = out
-	inst.outMat = fromCSR(out)
-	if el.Directed {
-		inst.inMat = fromCSR(in)
-		inst.inCSR = in
-	} else {
-		inst.inMat = inst.outMat
+	g := inst.g
+	inst.outMat = fromCSR(g.Out)
+	inst.inMat = inst.outMat
+	if g.Directed {
+		inst.inMat = fromCSR(g.In)
 	}
 	inst.outDeg = make([]int32, inst.n)
 	for v := 0; v < inst.n; v++ {
-		inst.outDeg[v] = int32(out.Degree(graph.VID(v)))
+		inst.outDeg[v] = int32(g.Out.Degree(graph.VID(v)))
 	}
 	// Charge: two full passes (forward + transpose compression).
 	passes := 2.0
-	if !el.Directed {
+	if !g.Directed {
 		passes = 1.5
 	}
-	inst.m.ParallelFor(len(el.Edges), 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
+	inst.m.ParallelFor(g.InputEdges, 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
 		w.Charge(costBuildEdge.Scale(passes * float64(hi-lo)))
 	})
 }

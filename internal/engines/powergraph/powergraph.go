@@ -84,27 +84,14 @@ type Instance struct {
 	trav traverse.State
 }
 
-// Load implements engines.Engine: read, homogenize, and greedily
+// LoadSimple implements engines.Engine: read, homogenize, and greedily
 // vertex-cut partition the edges, all charged as one phase.
-func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instance, error) {
-	if err := el.Validate(); err != nil {
-		return nil, err
-	}
-	out := graph.BuildCSR(el, graph.BuildOptions{
-		Symmetrize:    !el.Directed,
-		DropSelfLoops: true,
-		Dedup:         true,
-		Sort:          true,
-	})
-	var in *graph.CSR
-	if el.Directed {
-		in = graph.Transpose(out, 0)
-		in.SortAdjacency()
-	}
+func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
+	out := g.Out
 	inst := &Instance{
-		m: m, n: out.NumVertices,
-		directed: el.Directed, weighted: el.Weighted,
-		out: out, in: in,
+		m: m, n: g.NumVertices,
+		directed: g.Directed, weighted: g.Weighted,
+		out: out, in: g.In,
 	}
 
 	p := m.Threads()
@@ -116,20 +103,42 @@ func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instan
 	}
 	// Partition the deduplicated directed adjacency (the engine's true
 	// edge set) with the shared greedy streaming vertex-cut — the same
-	// machinery the modeled cluster's 2D partitioner uses.
-	inst.shards = make([][]shardEdge, p)
-	cut := graph.GreedyVertexCut(out, p, func(src, dst graph.VID, w float32, shard int) {
-		inst.shards[shard] = append(inst.shards[shard], shardEdge{src, dst, w})
+	// machinery the modeled cluster's 2D partitioner uses. The cut
+	// records each edge's shard; the shards are then cut out of one
+	// array by the final loads and filled in the same stream order.
+	shardOf := make([]uint8, 0, out.NumEdges())
+	cut := graph.GreedyVertexCut(out, p, func(_, _ graph.VID, _ float32, shard int) {
+		shardOf = append(shardOf, uint8(shard))
 	})
+	edges := make([]shardEdge, out.NumEdges())
+	inst.shards = make([][]shardEdge, p)
+	for s, load := range cut.Loads {
+		inst.shards[s], edges = edges[:0:load], edges[load:]
+	}
+	for v := 0; v < inst.n; v++ {
+		for k := out.Offsets[v]; k < out.Offsets[v+1]; k++ {
+			var w float32
+			if out.Weights != nil {
+				w = out.Weights[k]
+			}
+			s := shardOf[k]
+			inst.shards[s] = append(inst.shards[s], shardEdge{graph.VID(v), out.Adj[k], w})
+		}
+	}
 	inst.replicas = cut.Replicas
 	inst.totalRep = cut.TotalRep
 	inst.buildSlots()
 
-	m.FileRead(int64(len(el.Edges))*16, true)
+	m.FileRead(int64(g.InputEdges)*16, true)
 	m.ParallelFor(int(out.NumEdges()), 2048, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
 		w.Charge(costLoadEdge.Scale(float64(hi - lo)))
 	})
 	return inst, nil
+}
+
+// Load implements engines.Engine.
+func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instance, error) {
+	return engines.LoadEdgeList(e, el, m)
 }
 
 // BuildStructure implements engines.Instance: a no-op; partitioning

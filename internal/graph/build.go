@@ -154,42 +154,40 @@ func BuildCSR(el *EdgeList, opt BuildOptions) *CSR {
 	return csr
 }
 
-// dedupCSR removes duplicate neighbors from a sorted CSR. For
+// dedupCSR removes duplicate neighbors from a sorted CSR, compacting
+// it in place: the builder owns the arrays it just scattered and
+// sorted, and the write cursor never passes the read cursor. For
 // weighted graphs the minimum weight among parallel edges is kept:
 // a deterministic rule (independent of the order duplicates landed in
 // the adjacency) that is also the right semantics for shortest paths.
 func dedupCSR(c *CSR) *CSR {
-	out := &CSR{
-		NumVertices: c.NumVertices,
-		Offsets:     make([]int64, c.NumVertices+1),
-		Adj:         make([]VID, 0, len(c.Adj)),
-	}
-	if c.Weights != nil {
-		out.Weights = make([]float32, 0, len(c.Weights))
-	}
+	var out int64
+	lo := c.Offsets[0]
 	for v := 0; v < c.NumVertices; v++ {
-		lo, hi := c.Offsets[v], c.Offsets[v+1]
-		var prev VID
-		first := true
+		hi := c.Offsets[v+1]
+		rowStart := out
 		for i := lo; i < hi; i++ {
 			u := c.Adj[i]
-			if !first && u == prev {
-				if c.Weights != nil {
-					if w := c.Weights[i]; w < out.Weights[len(out.Weights)-1] {
-						out.Weights[len(out.Weights)-1] = w
-					}
+			if out > rowStart && u == c.Adj[out-1] {
+				if c.Weights != nil && c.Weights[i] < c.Weights[out-1] {
+					c.Weights[out-1] = c.Weights[i]
 				}
 				continue
 			}
-			out.Adj = append(out.Adj, u)
+			c.Adj[out] = u
 			if c.Weights != nil {
-				out.Weights = append(out.Weights, c.Weights[i])
+				c.Weights[out] = c.Weights[i]
 			}
-			prev, first = u, false
+			out++
 		}
-		out.Offsets[v+1] = int64(len(out.Adj))
+		lo = hi
+		c.Offsets[v+1] = out
 	}
-	return out
+	c.Adj = c.Adj[:out]
+	if c.Weights != nil {
+		c.Weights = c.Weights[:out]
+	}
+	return c
 }
 
 // Transpose returns the reverse-adjacency CSR (in-neighbors) using the

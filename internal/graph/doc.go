@@ -11,7 +11,9 @@
 //
 // # Representations
 //
-// EdgeList is the unstructured input every engine homogenizes from.
+// EdgeList is the unstructured input of a run. Homogenize turns it,
+// once, into a Simple — the simple graph's out-rows and, when directed,
+// in-rows — which every engine of the run loads and none may write to.
 // CSR is the canonical adjacency structure: Offsets (int64 row
 // starts), Adj (uint32 neighbor IDs), optional parallel Weights.
 // BuildCSR and Transpose construct it with zero per-edge atomics

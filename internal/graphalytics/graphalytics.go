@@ -82,6 +82,10 @@ func New(registry interface {
 // RunDataset measures every (platform, algorithm) cell on one
 // dataset, one run each.
 func (c *Comparator) RunDataset(dataset string, el *graph.EdgeList) ([]Cell, error) {
+	g, err := graph.Homogenize(el)
+	if err != nil {
+		return nil, fmt.Errorf("graphalytics: %w", err)
+	}
 	var cells []Cell
 	for _, platform := range Platforms {
 		eng, err := c.Registry.New(platform)
@@ -98,7 +102,7 @@ func (c *Comparator) RunDataset(dataset string, el *graph.EdgeList) ([]Cell, err
 			fileRead = m.Elapsed()
 		}
 		loadStart := m.Elapsed()
-		inst, err := eng.Load(el, m)
+		inst, err := eng.LoadSimple(g, m)
 		if err != nil {
 			return nil, fmt.Errorf("graphalytics: %s load: %w", platform, err)
 		}

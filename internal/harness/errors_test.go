@@ -12,7 +12,7 @@ import (
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
-// failingEngine is a registry stub whose Load always fails, standing in
+// failingEngine is a registry stub whose load always fails, standing in
 // for a real engine hitting an ingest error (bad mmap, exhausted
 // memory) so the harness's wrapping of Load errors is testable without
 // constructing a graph bad enough to break a real engine.
@@ -21,8 +21,11 @@ type failingEngine struct{}
 func (failingEngine) Name() string                   { return "Failing" }
 func (failingEngine) Has(alg engines.Algorithm) bool { return true }
 func (failingEngine) SeparateConstruction() bool     { return false }
-func (failingEngine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instance, error) {
+func (failingEngine) LoadSimple(*graph.Simple, *simmachine.Machine) (engines.Instance, error) {
 	return nil, fmt.Errorf("failing: ingest exploded")
+}
+func (e failingEngine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instance, error) {
+	return engines.LoadEdgeList(e, el, m)
 }
 
 // TestRunErrorPaths drives Runner.Run down each of its error returns

@@ -72,6 +72,16 @@ func (r *Runner) Run(spec core.Spec, el *graph.EdgeList) ([]core.Result, error) 
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	g, err := graph.Homogenize(el)
+	if err != nil {
+		return nil, err
+	}
+	return r.run(spec, g)
+}
+
+// run is Run on a graph already homogenized: the one g is what root
+// selection, the owner table, every engine and the stream shadow read.
+func (r *Runner) run(spec core.Spec, g *graph.Simple) ([]core.Result, error) {
 	names, err := r.engineNames(spec)
 	if err != nil {
 		return nil, err
@@ -79,20 +89,15 @@ func (r *Runner) Run(spec core.Spec, el *graph.EdgeList) ([]core.Result, error) 
 	// Roots are selected once, on the homogenized graph, and shared
 	// by every engine — the paper uses the same 32 roots across
 	// systems (and reuses BFS roots for SSSP).
-	csr := graph.BuildCSR(el, graph.BuildOptions{
-		Symmetrize:    !el.Directed,
-		DropSelfLoops: true,
-		Dedup:         true,
-	})
-	roots := core.SelectRoots(csr, spec.NumRoots(), spec.Seed)
+	roots := core.SelectRoots(g.Out, spec.NumRoots(), spec.Seed)
 	if len(roots) == 0 {
 		return nil, fmt.Errorf("harness: graph has no roots with degree > 1")
 	}
-	owner := spec.Owners(csr)
+	owner := spec.Owners(g.Out)
 
 	var results []core.Result
 	for _, name := range names {
-		rs, err := r.runEngine(spec, el, name, roots, owner)
+		rs, err := r.runEngine(spec, g, name, roots, owner)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", name, err)
 		}
@@ -103,7 +108,7 @@ func (r *Runner) Run(spec core.Spec, el *graph.EdgeList) ([]core.Result, error) 
 
 // runEngine executes all roots of one engine. owner is the per-vertex
 // cluster owner table (nil for 1D/blocked or single-box specs).
-func (r *Runner) runEngine(spec core.Spec, el *graph.EdgeList, name string, roots []graph.VID, owner []int16) ([]core.Result, error) {
+func (r *Runner) runEngine(spec core.Spec, g *graph.Simple, name string, roots []graph.VID, owner []int16) ([]core.Result, error) {
 	eng, err := r.Registry.New(name)
 	if err != nil {
 		return nil, err
@@ -119,11 +124,11 @@ func (r *Runner) runEngine(spec core.Spec, el *graph.EdgeList, name string, root
 	var fileReadSec, constructionSec float64
 	if eng.SeparateConstruction() {
 		// Model the file read distinctly, then time construction.
-		m.FileRead(int64(len(el.Edges))*BytesPerTextEdge, true)
+		m.FileRead(int64(g.InputEdges)*BytesPerTextEdge, true)
 		fileReadSec = m.Elapsed()
 	}
 	loadStart := m.Elapsed()
-	inst, err := eng.Load(el, m)
+	inst, err := eng.LoadSimple(g, m)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +211,7 @@ func (r *Runner) runEngine(spec core.Spec, el *graph.EdgeList, name string, root
 	// Streamer hook were warned about above and simply skip the phase.
 	if spec.Mutations != nil {
 		if st, ok := inst.(engines.Streamer); ok {
-			srs, err := r.runStream(spec, el, name, st, m, owner)
+			srs, err := r.runStream(spec, g, name, st, m, owner)
 			if err != nil {
 				return nil, err
 			}
@@ -231,12 +236,19 @@ func (r *Runner) Sweep(spec core.Spec, el *graph.EdgeList, threadCounts []int, t
 	if trials <= 0 {
 		trials = 4
 	}
+	g, err := graph.Homogenize(el)
+	if err != nil {
+		return nil, err
+	}
 	var out []SweepPoint
 	for _, tc := range threadCounts {
 		s := spec
 		s.Threads = tc
 		s.Roots = trials
-		rs, err := r.Run(s, el)
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
+		rs, err := r.run(s, g)
 		if err != nil {
 			return nil, err
 		}

@@ -27,17 +27,11 @@ type streamShadow struct {
 	weighted bool
 }
 
-func newStreamShadow(el *graph.EdgeList) *streamShadow {
-	csr := graph.BuildCSR(el, graph.BuildOptions{
-		Symmetrize:    !el.Directed,
-		DropSelfLoops: true,
-		Dedup:         true,
-		Sort:          true,
-	})
+func newStreamShadow(g *graph.Simple) *streamShadow {
 	return &streamShadow{
-		mut:      graph.NewMutableCSR(csr, el.Directed),
-		directed: el.Directed,
-		weighted: el.Weighted,
+		mut:      graph.NewMutableCSR(g.Out, g.Directed),
+		directed: g.Directed,
+		weighted: g.Weighted,
 	}
 }
 
@@ -99,9 +93,9 @@ func (s *streamShadow) edgeList() *graph.EdgeList {
 // against a cold full recompute on the post-batch graph. The recompute
 // runs on a fresh machine with the same spec knobs, so RecomputeSec is
 // the honest displaced alternative (rebuild + cold kernel).
-func (r *Runner) runStream(spec core.Spec, el *graph.EdgeList, name string, st engines.Streamer, m *simmachine.Machine, owner []int16) ([]core.Result, error) {
+func (r *Runner) runStream(spec core.Spec, g *graph.Simple, name string, st engines.Streamer, m *simmachine.Machine, owner []int16) ([]core.Result, error) {
 	ms := spec.Mutations
-	shadow := newStreamShadow(el)
+	shadow := newStreamShadow(g)
 
 	// Establish the incremental baseline outside the per-batch
 	// accounting: the first incremental call on a fresh instance is a

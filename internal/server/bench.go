@@ -31,13 +31,11 @@ type benchKey struct {
 
 // NewBench builds the serving core without starting any goroutines.
 func NewBench(el *graph.EdgeList, threads, landmarks int, compress bool) (*Bench, error) {
-	csr := graph.BuildCSR(el, graph.BuildOptions{
-		Symmetrize:    !el.Directed,
-		DropSelfLoops: true,
-		Dedup:         true,
-		Sort:          true,
-	})
-	e, err := newExecutor(0, el, csr, threads, compress)
+	g, err := graph.Homogenize(el)
+	if err != nil {
+		return nil, err
+	}
+	e, err := newExecutor(0, g, threads, compress)
 	if err != nil {
 		return nil, err
 	}
@@ -48,9 +46,9 @@ func NewBench(el *graph.EdgeList, threads, landmarks int, compress bool) (*Bench
 	return &Bench{
 		exec:     e,
 		vec:      vec,
-		sketch:   BuildSketch(csr, landmarks),
-		weighted: el.Weighted,
-		n:        csr.NumVertices,
+		sketch:   BuildSketch(g.Out, landmarks),
+		weighted: g.Weighted,
+		n:        g.NumVertices,
 		cache:    make(map[benchKey]Response),
 	}, nil
 }

@@ -54,15 +54,16 @@ type executor struct {
 	hops khopScratch
 }
 
-// newExecutor loads el into a fresh GAP instance on its own machine.
-// The machine keeps no trace: the executor only ever reads its clock,
-// and a daemon's trace would grow by a Region per region forever.
-func newExecutor(id int, el *graph.EdgeList, csr *graph.CSR, threads int, compress bool) (*executor, error) {
+// newExecutor loads the shared homogenized graph into a fresh GAP
+// instance on its own machine. The machine keeps no trace: the executor
+// only ever reads its clock, and a daemon's trace would grow by a
+// Region per region forever.
+func newExecutor(id int, g *graph.Simple, threads int, compress bool) (*executor, error) {
 	eng := gap.New()
 	engines.Configure(eng, engines.Options{SyncSSSP: true, Compress: compress})
 	m := simmachine.New(simmachine.Haswell72(), threads)
 	m.SetTracing(false)
-	inst, err := eng.Load(el, m)
+	inst, err := eng.LoadSimple(g, m)
 	if err != nil {
 		return nil, fmt.Errorf("server: executor %d load: %w", id, err)
 	}
@@ -71,8 +72,8 @@ func newExecutor(id int, el *graph.EdgeList, csr *graph.CSR, threads int, compre
 		id:       id,
 		m:        m,
 		inst:     inst.(*gap.Instance),
-		csr:      csr,
-		weighted: el.Weighted,
+		csr:      g.Out,
+		weighted: g.Weighted,
 	}, nil
 }
 

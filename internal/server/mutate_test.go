@@ -38,9 +38,9 @@ func postJSON(t *testing.T, url string, body, out any) int {
 }
 
 // testBatch deletes one present edge and inserts two absent ones.
-func testBatch(t *testing.T, s *Server) graph.Batch {
+func testBatch(t *testing.T) graph.Batch {
 	t.Helper()
-	c := s.csr
+	c := testGraph(t).Out
 	var v0 graph.VID
 	for int(v0) < c.NumVertices && c.Degree(v0) == 0 {
 		v0++
@@ -74,18 +74,19 @@ func testBatch(t *testing.T, s *Server) graph.Batch {
 // the one a rebuild on that graph gives.
 func assertAnswersMatchFreshServer(t *testing.T, s *Server, batches []graph.Batch, extra ...Query) {
 	t.Helper()
-	shadow := graph.NewMutableCSR(s.csr, s.el.Directed)
+	g := testGraph(t)
+	shadow := graph.NewMutableCSR(g.Out, g.Directed)
 	for _, b := range batches {
 		if _, err := shadow.Apply(b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	post := shadow.CSR()
-	postEL := &graph.EdgeList{NumVertices: post.NumVertices, Weighted: post.Weights != nil, Directed: s.el.Directed}
+	postEL := &graph.EdgeList{NumVertices: post.NumVertices, Weighted: post.Weights != nil, Directed: g.Directed}
 	for v := 0; v < post.NumVertices; v++ {
 		ws := post.NeighborWeights(graph.VID(v))
 		for i, u := range post.Neighbors(graph.VID(v)) {
-			if !s.el.Directed && u < graph.VID(v) {
+			if !g.Directed && u < graph.VID(v) {
 				continue
 			}
 			e := graph.Edge{Src: graph.VID(v), Dst: u}
@@ -147,7 +148,7 @@ func assertAnswersMatchFreshServer(t *testing.T, s *Server, batches []graph.Batc
 // freshly built on the post-batch graph would.
 func TestMutateAnswersMatchFreshServer(t *testing.T) {
 	s := startServer(t, Config{Executors: 2})
-	batch := testBatch(t, s)
+	batch := testBatch(t)
 	rep, err := s.Mutate(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
@@ -186,10 +187,10 @@ func httpOps(batch graph.Batch) map[string]any {
 func TestLaggingExecutorReplaysLoggedBatches(t *testing.T) {
 	w := &resettableGate{}
 	s, ts := startHTTP(t, Config{Executors: 2, QueryLog: w})
-	base := testBatch(t, s) // delete v0-x, insert v0-a, insert v0-b
+	base := testBatch(t) // delete v0-x, insert v0-a, insert v0-b
 	v0 := base[0].Src
 	var lone graph.VID // an isolated vertex: v0-lone bridges two components
-	for s.csr.Degree(lone) != 0 {
+	for c := testGraph(t).Out; c.Degree(lone) != 0; {
 		lone++
 	}
 	batches := []graph.Batch{
@@ -265,11 +266,12 @@ func TestLaggingExecutorReplaysLoggedBatches(t *testing.T) {
 func TestConcurrentMutatesKeepExecutorsInStep(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		s := startServer(t, Config{Executors: 2})
+		base := testGraph(t).Out
 		// Three inserts of absent edges at src, starting the search at from.
 		inserts := func(src, from graph.VID) graph.Batch {
 			var b graph.Batch
 			for u := from; len(b) < 3; u++ {
-				if u != src && !s.csr.HasEdge(src, u) {
+				if u != src && !base.HasEdge(src, u) {
 					b = append(b, graph.Mutation{Op: graph.MutInsert, Src: src, Dst: u, W: 0.5})
 				}
 			}
@@ -304,7 +306,7 @@ func TestConcurrentMutatesKeepExecutorsInStep(t *testing.T) {
 // legitimate outcome (no errors), and the server stays consistent.
 func TestMutateDoesNotDropConcurrentQueries(t *testing.T) {
 	s := startServer(t, Config{Executors: 2, Admit: AdmitConfig{QueueCap: 256}})
-	batch := testBatch(t, s)
+	batch := testBatch(t)
 	ctx := context.Background()
 	const queries = 60
 	var wg sync.WaitGroup
@@ -344,9 +346,9 @@ func TestMutateDoesNotDropConcurrentQueries(t *testing.T) {
 // The HTTP mutate endpoint: applies a batch, reports stats, bumps the
 // sketch generation; malformed bodies and batches are the client's 400.
 func TestHTTPMutate(t *testing.T) {
-	s, ts := startHTTP(t, Config{Executors: 1})
+	_, ts := startHTTP(t, Config{Executors: 1})
 	var ops []map[string]any
-	for _, mu := range testBatch(t, s) {
+	for _, mu := range testBatch(t) {
 		kind := "insert"
 		if mu.Op == graph.MutDelete {
 			kind = "delete"
@@ -498,7 +500,7 @@ func TestHTTPMutateShed(t *testing.T) {
 func TestMutateCheaperThanFullRecompute(t *testing.T) {
 	s := startServer(t, Config{Executors: 1})
 	e := s.execs[0]
-	batch := testBatch(t, s)
+	batch := testBatch(t)
 	before := e.m.Elapsed()
 	if _, err := s.Mutate(context.Background(), batch); err != nil {
 		t.Fatal(err)
@@ -507,7 +509,7 @@ func TestMutateCheaperThanFullRecompute(t *testing.T) {
 
 	// The displaced alternative: what startup paid to build structures
 	// and compute vectors from scratch (construction included).
-	ref, err := newExecutor(99, s.el, s.csr, s.cfg.Threads, false)
+	ref, err := newExecutor(99, testGraph(t), s.cfg.Threads, false)
 	if err != nil {
 		t.Fatal(err)
 	}

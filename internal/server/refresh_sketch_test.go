@@ -105,10 +105,10 @@ func TestRefreshRebuildsDegradationSketch(t *testing.T) {
 		return probe
 	}
 
-	// An independently built sketch over the server's own CSR is the
+	// An independently built sketch over the server's start graph is the
 	// ground truth both before and after refresh (the rebuild is
 	// deterministic, so both generations must agree with it).
-	want := BuildSketch(s.csr, s.cfg.Landmarks).EstimateHops(probeSrc, probeDst)
+	want := BuildSketch(testGraph(t).Out, s.cfg.Landmarks).EstimateHops(probeSrc, probeDst)
 
 	before := degradedAnswer()
 	if before.Status != StatusOK || !before.Degraded {

@@ -88,10 +88,13 @@ type pending struct {
 // Server is a running daemon instance (transport-agnostic; see
 // Handler for HTTP).
 type Server struct {
-	cfg   Config
-	el    *graph.EdgeList
-	csr   *graph.CSR
-	execs []*executor
+	cfg Config
+	// n and weighted are all the server keeps of the graph it started
+	// on (the query ID space; whether SSSP is servable): the adjacency
+	// belongs to the executors, whose epochs replace it.
+	n        int
+	weighted bool
+	execs    []*executor
 
 	// vecMu guards the precomputed state a refresh or mutate swaps: the
 	// PR/WCC vectors AND the degradation sketch (plus its generation
@@ -137,32 +140,31 @@ func New(cfg Config) (*Server, error) {
 	return NewFromEdgeList(el, cfg)
 }
 
-// NewFromEdgeList starts a server over an in-memory edge list: builds
-// the homogenized CSR, loads one engine instance per executor,
-// precomputes the PR/WCC vectors, builds the landmark sketch, and
-// starts the executor goroutines. The returned server is serving.
+// NewFromEdgeList starts a server over an in-memory edge list:
+// homogenizes it once, loads one engine instance per executor from that
+// one graph, precomputes the PR/WCC vectors, builds the landmark
+// sketch, and starts the executor goroutines. The returned server is
+// serving.
 func NewFromEdgeList(el *graph.EdgeList, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Admit.validate(); err != nil {
 		return nil, err
 	}
-	csr := graph.BuildCSR(el, graph.BuildOptions{
-		Symmetrize:    !el.Directed,
-		DropSelfLoops: true,
-		Dedup:         true,
-		Sort:          true,
-	})
+	g, err := graph.Homogenize(el)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
-		cfg:     cfg,
-		el:      el,
-		csr:     csr,
-		admit:   newAdmitter(cfg.Admit),
-		queue:   make(chan *pending, cfg.Admit.QueueCap),
-		started: time.Now(),
-		stopped: make(chan struct{}),
+		cfg:      cfg,
+		n:        g.NumVertices,
+		weighted: g.Weighted,
+		admit:    newAdmitter(cfg.Admit),
+		queue:    make(chan *pending, cfg.Admit.QueueCap),
+		started:  time.Now(),
+		stopped:  make(chan struct{}),
 	}
 	for i := 0; i < cfg.Executors; i++ {
-		e, err := newExecutor(i, el, csr, cfg.Threads, cfg.Compress)
+		e, err := newExecutor(i, g, cfg.Threads, cfg.Compress)
 		if err != nil {
 			return nil, err
 		}
@@ -173,7 +175,7 @@ func NewFromEdgeList(el *graph.EdgeList, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.vec = vec
-	s.sketch = BuildSketch(csr, cfg.Landmarks)
+	s.sketch = BuildSketch(g.Out, cfg.Landmarks)
 	s.sketchGen = 1
 	for _, e := range s.execs {
 		s.wg.Add(1)
@@ -183,10 +185,10 @@ func NewFromEdgeList(el *graph.EdgeList, cfg Config) (*Server, error) {
 }
 
 // NumVertices reports the homogenized vertex count (query ID space).
-func (s *Server) NumVertices() int { return s.csr.NumVertices }
+func (s *Server) NumVertices() int { return s.n }
 
 // Weighted reports whether SSSP queries are servable.
-func (s *Server) Weighted() bool { return s.el.Weighted }
+func (s *Server) Weighted() bool { return s.weighted }
 
 // Metrics returns the live counters.
 func (s *Server) Metrics() MetricsSnapshot { return s.metrics.Snapshot() }
@@ -404,7 +406,7 @@ func (s *Server) Submit(ctx context.Context, q Query) Response {
 		return Response{Op: q.Op, Source: q.Source, Target: q.Target,
 			Status: StatusError, Err: "server closed"}
 	}
-	if err := q.validate(s.csr.NumVertices, s.el.Weighted, s.cfg.FaultInjection); err != nil {
+	if err := q.validate(s.n, s.weighted, s.cfg.FaultInjection); err != nil {
 		s.metrics.Rejected.Add(1)
 		return Response{Op: q.Op, Source: q.Source, Target: q.Target,
 			Status: StatusError, Err: err.Error()}
@@ -412,7 +414,7 @@ func (s *Server) Submit(ctx context.Context, q Query) Response {
 	s.metrics.Offered.Add(1)
 	now := time.Since(s.started).Seconds()
 	depth := s.admit.Depth()
-	dec := s.admit.tryAdmit(now, q.degradable(s.el.Weighted))
+	dec := s.admit.tryAdmit(now, q.degradable(s.weighted))
 	switch dec {
 	case shedQueueFull:
 		s.metrics.ShedQueueFull.Add(1)
@@ -510,7 +512,7 @@ func (s *Server) Mutate(ctx context.Context, batch graph.Batch) (*engines.Mutati
 		// through the query path.
 		batch = graph.Batch{}
 	}
-	if err := batch.Validate(s.csr.NumVertices, s.el.Weighted); err != nil {
+	if err := batch.Validate(s.n, s.weighted); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidBatch, err)
 	}
 	if !s.admit.tryReserve() {

@@ -22,6 +22,17 @@ func testEdgeList(t *testing.T) *graph.EdgeList {
 	return el
 }
 
+// testGraph is the homogenized testEdgeList: the start graph of every
+// server startServer returns.
+func testGraph(t *testing.T) *graph.Simple {
+	t.Helper()
+	g, err := graph.Homogenize(testEdgeList(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func startServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	s, err := NewFromEdgeList(testEdgeList(t), cfg)

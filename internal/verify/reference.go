@@ -8,29 +8,19 @@ import (
 	"github.com/hpcl-repro/epg/internal/graph"
 )
 
-// Prepared bundles the homogenized structures shared by references
-// and validators.
-type Prepared struct {
-	El  *graph.EdgeList
-	Out *graph.CSR
-	In  *graph.CSR // equals Out for undirected inputs
-}
+// Prepared is the homogenized graph references and validators read:
+// the one every engine loads.
+type Prepared = graph.Simple
 
-// Prepare homogenizes an edge list the way every engine does: drop
-// self-loops, deduplicate, sort, and symmetrize undirected inputs.
+// Prepare homogenizes an edge list the way every engine does. It
+// panics on an edge list that fails Validate: references are run on
+// inputs the engines under test already accepted.
 func Prepare(el *graph.EdgeList) *Prepared {
-	out := graph.BuildCSR(el, graph.BuildOptions{
-		Symmetrize:    !el.Directed,
-		DropSelfLoops: true,
-		Dedup:         true,
-		Sort:          true,
-	})
-	in := out
-	if el.Directed {
-		in = graph.Transpose(out, 0)
-		in.SortAdjacency()
+	g, err := graph.Homogenize(el)
+	if err != nil {
+		panic(err)
 	}
-	return &Prepared{El: el, Out: out, In: in}
+	return g
 }
 
 // BFS computes the reference parent tree and level array.
@@ -175,7 +165,7 @@ func CDLP(p *Prepared, maxIter int) *engines.CDLPResult {
 			for _, u := range p.Out.Neighbors(graph.VID(v)) {
 				counts[label[u]]++
 			}
-			if p.In != p.Out {
+			if p.In != nil {
 				for _, u := range p.In.Neighbors(graph.VID(v)) {
 					counts[label[u]]++
 				}
@@ -239,7 +229,7 @@ func LCC(p *Prepared) *engines.LCCResult {
 // excluding v itself.
 func neighborhood(p *Prepared, v graph.VID) []graph.VID {
 	out := p.Out.Neighbors(v)
-	if p.In == p.Out {
+	if p.In == nil {
 		return dropSelf(out, v) // already sorted and deduped
 	}
 	in := p.In.Neighbors(v)
