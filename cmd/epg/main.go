@@ -1,68 +1,73 @@
-// Command epg is the easy-parallel-graph-* CLI. Its subcommands
-// mirror the five single-shell-command phases of the paper's Fig. 1:
+// Command epg is the easy-parallel-graph-* CLI. Its first five
+// subcommands mirror the single-shell-command phases of the paper's
+// Fig. 1:
 //
 //	epg gen        -dataset kron-16 -out graph.snap        # generate
 //	epg homogenize -in graph.snap -outdir data/            # convert per engine
 //	epg run        -dataset kron-16 -alg BFS -threads 32   # run + parse
 //	epg sweep      -dataset kron-18 -alg BFS               # Figs. 5/6
-//	epg analyze    -csv results.csv -alg BFS               # figures/tables
+//	epg analyze    -csv results.csv                        # figures/tables
 //
-// (Installation, phase 1 of the original, is `go build` here.)
+// (Installation, phase 1 of the original, is `go build` here.) The rest —
+// power, graphalytics, study — are the paper's other experiments and this
+// repo's committed studies, one command each; `epg help` lists them.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 
 	"github.com/hpcl-repro/epg"
+	"github.com/hpcl-repro/epg/internal/study"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "gen":
-		err = cmdGen(os.Args[2:])
-	case "homogenize":
-		err = cmdHomogenize(os.Args[2:])
-	case "run":
-		err = cmdRun(os.Args[2:])
-	case "sweep":
-		err = cmdSweep(os.Args[2:])
-	case "analyze":
-		err = cmdAnalyze(os.Args[2:])
-	case "-h", "--help", "help":
-		usage()
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "epg: unknown subcommand %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "epg: %v\n", err)
-		os.Exit(1)
-	}
+// commands declares each subcommand once: dispatch and usage loop over it.
+var commands = []struct {
+	name, help string
+	run        func(args []string) error
+}{
+	{"gen", "generate a dataset and write it in SNAP format", cmdGen},
+	{"homogenize", "convert a SNAP file into every engine's format", cmdHomogenize},
+	{"run", "run an algorithm across engines, emit CSV and figures", cmdRun},
+	{"sweep", "thread-count sweep for the scalability figures", cmdSweep},
+	{"analyze", "render figures/tables from a results CSV", cmdAnalyze},
+	{"power", "the power and energy study (Table III, Fig. 9, DVFS sweep)", cmdPower},
+	{"graphalytics", "the Graphalytics-methodology comparator (Tables I/II, Fig. 7)", cmdGraphalytics},
+	{"study", "print, check or rewrite a committed FIG_*.csv study: epg study <name>", cmdStudy},
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `usage: epg <gen|homogenize|run|sweep|analyze> [flags]
-
-  gen         generate a dataset and write it in SNAP format
-  homogenize  convert a SNAP file into every engine's format
-  run         run an algorithm across engines, emit CSV and figures
-  sweep       thread-count sweep for the scalability figures
-  analyze     render figures/tables from a results CSV
-
-Run 'epg <subcommand> -h' for flags.
-`)
+func main() {
+	arg := ""
+	if len(os.Args) > 1 {
+		arg = os.Args[1]
+	}
+	for _, c := range commands {
+		if c.name == arg {
+			if err := c.run(os.Args[2:]); err != nil {
+				fmt.Fprintf(os.Stderr, "epg: %v\n", err)
+				os.Exit(1)
+			}
+			return
+		}
+	}
+	help := arg == "-h" || arg == "--help" || arg == "help"
+	if arg != "" && !help {
+		fmt.Fprintf(os.Stderr, "epg: unknown subcommand %q\n", arg)
+	}
+	fmt.Fprint(os.Stderr, "usage: epg <subcommand> [flags]\n\n")
+	for _, c := range commands {
+		fmt.Fprintf(os.Stderr, "  %-13s %s\n", c.name, c.help)
+	}
+	fmt.Fprint(os.Stderr, "\nRun 'epg <subcommand> -h' for flags.\n")
+	if !help {
+		os.Exit(2)
+	}
 }
 
 func newSuite(divisor int, seed uint64) *epg.Suite {
@@ -206,7 +211,7 @@ func cmdRun(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (%d rows)\n", *csvPath, len(results))
 	}
-	renderFor(spec.Algorithm, s, results, spec.MeasurePower)
+	renderFor(os.Stdout, spec.Algorithm, s, results, spec.MeasurePower)
 	return nil
 }
 
@@ -241,20 +246,20 @@ func parseMutations(s string) (*epg.MutationSchedule, error) {
 	return &epg.MutationSchedule{Batches: batches, BatchSize: size, DeleteFrac: frac}, nil
 }
 
-func renderFor(alg epg.Algorithm, s *epg.Suite, results []epg.Result, withPower bool) {
+func renderFor(w io.Writer, alg epg.Algorithm, s *epg.Suite, results []epg.Result, withPower bool) {
 	title := fmt.Sprintf("%s Time (s)", alg)
-	epg.RenderTimeFigure(os.Stdout, title, results)
-	fmt.Println()
-	epg.RenderConstructionFigure(os.Stdout, fmt.Sprintf("%s Data Structure Construction (s)", alg), results)
+	epg.RenderTimeFigure(w, title, results)
+	fmt.Fprintln(w)
+	epg.RenderConstructionFigure(w, fmt.Sprintf("%s Data Structure Construction (s)", alg), results)
 	if alg == epg.PageRank || alg == epg.CDLP {
-		fmt.Println()
-		epg.RenderIterationsFigure(os.Stdout, fmt.Sprintf("%s Iterations", alg), results)
+		fmt.Fprintln(w)
+		epg.RenderIterationsFigure(w, fmt.Sprintf("%s Iterations", alg), results)
 	}
 	if withPower {
-		fmt.Println()
-		s.RenderEnergyTable(os.Stdout, results)
-		fmt.Println()
-		s.RenderPowerFigure(os.Stdout, results)
+		fmt.Fprintln(w)
+		s.RenderEnergyTable(w, results)
+		fmt.Fprintln(w)
+		s.RenderPowerFigure(w, results)
 	}
 }
 
@@ -314,22 +319,172 @@ func cmdAnalyze(args []string) error {
 	if len(results) == 0 {
 		return fmt.Errorf("analyze: empty CSV")
 	}
-	s := newSuite(64, 1)
-	// Datasets may be mixed (Fig. 8); group by algorithm+dataset.
+	analyze(os.Stdout, newSuite(64, 1), results, *withPower)
+	return nil
+}
+
+// analyze renders results: Fig. 8 when datasets are mixed, otherwise one
+// section per algorithm — in the paper's order, not a map's, so the same
+// CSV renders the same way every time.
+func analyze(w io.Writer, s *epg.Suite, results []epg.Result, withPower bool) {
 	byAlg := map[epg.Algorithm][]epg.Result{}
-	for _, r := range results {
-		byAlg[r.Algorithm] = append(byAlg[r.Algorithm], r)
-	}
 	multiDataset := map[string]bool{}
 	for _, r := range results {
+		byAlg[r.Algorithm] = append(byAlg[r.Algorithm], r)
 		multiDataset[r.Dataset] = true
 	}
 	if len(multiDataset) > 1 {
-		epg.RenderRealWorldFigure(os.Stdout, results)
+		epg.RenderRealWorldFigure(w, results)
+		return
+	}
+	for _, alg := range []epg.Algorithm{epg.BFS, epg.SSSP, epg.PageRank, epg.CDLP, epg.LCC, epg.WCC} {
+		if rs := byAlg[alg]; len(rs) > 0 {
+			renderFor(w, alg, s, rs, withPower)
+		}
+	}
+}
+
+// cmdPower is the paper's power and energy study — Table III and Fig. 9
+// on the RAPL-analogue energy model — and, with -freq-sweep, the joules
+// and EDP of every modeled DVFS point, which the paper's fixed-governor
+// table cannot show.
+func cmdPower(args []string) error {
+	fs := flag.NewFlagSet("power", flag.ExitOnError)
+	spec := epg.Spec{Algorithm: epg.BFS, MeasurePower: true}
+	fs.StringVar(&spec.Dataset, "dataset", "kron-16", "dataset (the paper uses kron-22; kron-16 keeps laptop runtimes — absolute joules are NOT comparable to Table III)")
+	fs.IntVar(&spec.Threads, "threads", 32, "virtual thread count")
+	fs.IntVar(&spec.Roots, "roots", 32, "BFS roots")
+	fs.Uint64Var(&spec.Seed, "seed", 1, "seed")
+	fs.StringVar(&spec.FreqState, "freq", "", "modeled DVFS operating point: turbo (default), balanced, or powersave")
+	freqSweep := fs.Bool("freq-sweep", false, "run all three frequency states and tabulate joules + EDP per state")
+	fs.Parse(args)
+
+	s := newSuite(64, spec.Seed)
+	g, err := s.Dataset(spec.Dataset)
+	if err != nil {
+		return err
+	}
+	results, err := s.Run(spec, g)
+	if err != nil {
+		return err
+	}
+
+	fmt.Printf("machine: %s\n", s.MachineName())
+	fmt.Printf("sleep baseline (10 s sleep): %.2f W\n\n", s.MeasureSleepBaseline(10))
+	s.RenderEnergyTable(os.Stdout, results)
+	fmt.Println()
+	s.RenderPowerFigure(os.Stdout, results)
+
+	if !*freqSweep {
 		return nil
 	}
-	for alg, rs := range byAlg {
-		renderFor(alg, s, rs, *withPower)
+	fmt.Printf("\nDVFS sweep (means over %d roots):\n", spec.Roots)
+	fmt.Printf("%-10s %12s %12s %14s\n", "freq", "time (s)", "energy (J)", "EDP (J*s)")
+	for _, state := range []string{epg.FreqTurbo, epg.FreqBalanced, epg.FreqPowersave} {
+		spec.FreqState = state
+		rs, err := s.Run(spec, g)
+		if err != nil {
+			return err
+		}
+		var sec, joules float64
+		for _, r := range rs {
+			sec += r.AlgorithmSec
+			joules += r.CPUJoules + r.RAMJoules
+		}
+		n := float64(len(rs))
+		fmt.Printf("%-10s %12.5g %12.5g %14.5g\n", state, sec/n, joules/n, (joules/n)*(sec/n))
 	}
 	return nil
+}
+
+// cmdGraphalytics is the Graphalytics-methodology comparator: one run per
+// (platform, algorithm, dataset) cell under each platform's own time
+// accounting — Tables I and II, and Fig. 7's HTML page per platform.
+func cmdGraphalytics(args []string) error {
+	fs := flag.NewFlagSet("graphalytics", flag.ExitOnError)
+	datasetsFlag := fs.String("datasets", "cit-Patents,dota-league", "comma-separated datasets (Table I uses the real-world pair; pass kron-22 for Table II)")
+	threads := fs.Int("threads", 32, "virtual thread count")
+	divisor := fs.Int("divisor", 64, "real-world dataset scale divisor (1 = full size)")
+	seed := fs.Uint64("seed", 1, "seed")
+	htmlDir := fs.String("html", "", "write one HTML page per platform into this directory (Fig. 7)")
+	fs.Parse(args)
+
+	s := newSuite(*divisor, *seed)
+	var all []epg.GraphalyticsCell
+	for _, name := range strings.Split(*datasetsFlag, ",") {
+		g, err := s.Dataset(strings.TrimSpace(name))
+		if err != nil {
+			return err
+		}
+		cells, err := s.Graphalytics(g, *threads)
+		if err != nil {
+			return err
+		}
+		all = append(all, cells...)
+	}
+
+	title := fmt.Sprintf("Graphalytics sample run times (seconds), %d threads, one run per experiment", *threads)
+	epg.RenderGraphalyticsTable(os.Stdout, title, all)
+
+	if *htmlDir == "" {
+		return nil
+	}
+	for _, platform := range []string{"GraphBIG", "PowerGraph", "GraphMat"} {
+		path := filepath.Join(*htmlDir, "graphalytics-"+strings.ToLower(platform)+".html")
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := epg.RenderGraphalyticsHTML(f, platform, all); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	}
+	return nil
+}
+
+// cmdStudy is `epg study <name> [-check | -write] [-dataset name]`: the
+// named study as CSV on stdout, or checked against / written to its
+// committed file (run it from the repo root).
+func cmdStudy(args []string) error {
+	fs := flag.NewFlagSet("study", flag.ExitOnError)
+	check := fs.Bool("check", false, "regenerate the pinned study and fail if the committed file differs")
+	write := fs.Bool("write", false, "rewrite the committed file")
+	dataset := fs.String("dataset", "", "run on this dataset instead of the pinned one, host columns live (stdout only)")
+	var s *study.Study
+	var names []string
+	for _, d := range study.All {
+		names = append(names, d.Name)
+		if len(args) > 0 && args[0] == d.Name {
+			s = d
+		}
+	}
+	if s == nil {
+		return fmt.Errorf("study: want one of %s", strings.Join(names, ", "))
+	}
+	fs.Parse(args[1:])
+	switch {
+	case *check && *write, (*check || *write) && *dataset != "":
+		return fmt.Errorf("study: -check, -write and -dataset exclude each other: %s is pinned to %s", s.File, s.Dataset)
+	case *check:
+		committed, err := os.ReadFile(s.File)
+		if err == nil {
+			err = s.Check(committed)
+		}
+		if err == nil {
+			fmt.Fprintf(os.Stderr, "%s matches the regenerated study\n", s.File)
+		}
+		return err
+	case *write:
+		var buf bytes.Buffer // the file is replaced only by a study that ran to the end
+		if err := s.Run(&buf, ""); err != nil {
+			return err
+		}
+		return os.WriteFile(s.File, buf.Bytes(), 0o644)
+	}
+	return s.Run(os.Stdout, *dataset)
 }

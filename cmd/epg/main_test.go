@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"reflect"
 	"strings"
@@ -83,6 +84,58 @@ func TestRunFlagsBindSpecFields(t *testing.T) {
 		defineRunFlags(fs)
 		if err := fs.Parse([]string{"-mutations", bad}); err == nil {
 			t.Errorf("-mutations %q accepted", bad)
+		}
+	}
+}
+
+// TestAnalyzeRendersInPaperOrder: a multi-algorithm CSV used to render
+// its sections in map order, differently from run to run.
+func TestAnalyzeRendersInPaperOrder(t *testing.T) {
+	s := newSuite(64, 1)
+	g, err := s.Dataset("kron-6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []epg.Result
+	for _, alg := range []epg.Algorithm{epg.WCC, epg.PageRank, epg.BFS} {
+		rs, err := s.Run(epg.Spec{Algorithm: alg, Engines: []string{"GAP"}, Threads: 4, Roots: 1}, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, rs...)
+	}
+	var csv bytes.Buffer
+	if err := epg.WriteCSV(&csv, results); err != nil {
+		t.Fatal(err)
+	}
+	if results, err = epg.ReadCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	var first, second strings.Builder
+	analyze(&first, s, results, false)
+	analyze(&second, s, results, false)
+	if first.String() != second.String() {
+		t.Errorf("two analyses of one CSV differ:\n%s\n---\n%s", &first, &second)
+	}
+	out := first.String()
+	bfs, pr, wcc := strings.Index(out, "BFS Time"), strings.Index(out, "PR Time"), strings.Index(out, "WCC Time")
+	if bfs < 0 || bfs > pr || pr > wcc {
+		t.Errorf("sections not in the paper's order (BFS at %d, PR at %d, WCC at %d):\n%s", bfs, pr, wcc, out)
+	}
+}
+
+// TestStudyRefusesDatasetWithCheckOrWrite: the committed file is pinned
+// to one dataset, so neither gate nor rewrite may run on another.
+func TestStudyRefusesDatasetWithCheckOrWrite(t *testing.T) {
+	for _, args := range [][]string{
+		{"serving", "-check", "-dataset", "kron-8"},
+		{"serving", "-write", "-dataset", "kron-8"},
+		{"serving", "-check", "-write"},
+		{"nosuch"},
+		{},
+	} {
+		if err := cmdStudy(args); err == nil {
+			t.Errorf("epg study %v accepted", args)
 		}
 	}
 }

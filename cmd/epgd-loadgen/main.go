@@ -1,13 +1,13 @@
-// Command epgd-loadgen generates the serving study: a deterministic
+// Command epgd-loadgen generates a serving sweep: a deterministic
 // virtual-time load sweep over the epgd admission pipeline. It
 // calibrates the bench's capacity, then pushes Poisson query streams
 // at multiples of it through the queue / token bucket / deadline /
-// degradation machinery, and emits one CSV row per offered-load
-// point. The output is a pure function of (dataset, seed, config) —
-// bit-identical across runs and GOMAXPROCS — which is what lets CI
-// diff it against the committed FIG_serving_study.csv.
+// degradation machinery, and emits one CSV row per offered-load point,
+// a pure function of (dataset, seed, config). On its defaults that is
+// the serving study (`epg study serving`, FIG_serving_study.csv) and CI
+// compares the two; the flags move the geometry off the pinned one.
 //
-//	epgd-loadgen -out FIG_serving_study.csv
+//	epgd-loadgen -queue-cap 16 -multipliers 1,2,4 -out sweep.csv
 package main
 
 import (
@@ -19,35 +19,26 @@ import (
 
 	"github.com/hpcl-repro/epg/internal/harness"
 	"github.com/hpcl-repro/epg/internal/server"
+	"github.com/hpcl-repro/epg/internal/study"
 )
 
 func main() {
-	def := server.DefaultStudyConfig()
+	cfg := server.DefaultStudyConfig()
 	fs := flag.NewFlagSet("epgd-loadgen", flag.ExitOnError)
 	out := fs.String("out", "", "output CSV (default stdout)")
-	dataset := fs.String("dataset", def.Dataset, "dataset")
-	seed := fs.Uint64("seed", def.Seed, "seed for the dataset and the arrival streams")
-	servers := fs.Int("servers", def.Servers, "virtual executors")
-	threads := fs.Int("threads", def.Threads, "modeled threads per executor")
-	queueCap := fs.Int("queue-cap", def.QueueCap, "bounded queue capacity")
-	watermark := fs.Int("watermark", def.Watermark, "degradation watermark")
-	queries := fs.Int("queries", def.NumQueries, "offered queries per load point")
-	multipliers := fs.String("multipliers", joinFloats(def.Multipliers),
-		"comma-separated offered-load multipliers of calibrated capacity")
+	fs.StringVar(&cfg.Dataset, "dataset", cfg.Dataset, "dataset")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "seed for the dataset and the arrival streams")
+	fs.IntVar(&cfg.Servers, "servers", cfg.Servers, "virtual executors")
+	fs.IntVar(&cfg.Threads, "threads", cfg.Threads, "modeled threads per executor")
+	fs.IntVar(&cfg.QueueCap, "queue-cap", cfg.QueueCap, "bounded queue capacity")
+	fs.IntVar(&cfg.Watermark, "watermark", cfg.Watermark, "degradation watermark")
+	fs.IntVar(&cfg.NumQueries, "queries", cfg.NumQueries, "offered queries per load point")
+	fs.Func("multipliers", fmt.Sprintf("comma-separated offered-load multipliers of calibrated capacity (default %v)", cfg.Multipliers),
+		func(v string) (err error) {
+			cfg.Multipliers, err = parseFloats(v)
+			return err
+		})
 	fs.Parse(os.Args[1:])
-
-	cfg := def
-	cfg.Dataset = *dataset
-	cfg.Seed = *seed
-	cfg.Servers = *servers
-	cfg.Threads = *threads
-	cfg.QueueCap = *queueCap
-	cfg.Watermark = *watermark
-	cfg.NumQueries = *queries
-	var err error
-	if cfg.Multipliers, err = parseFloats(*multipliers); err != nil {
-		fatal(err)
-	}
 
 	el, err := harness.ResolveDataset(cfg.Dataset, harness.DatasetOptions{Seed: cfg.Seed})
 	if err != nil {
@@ -56,11 +47,6 @@ func main() {
 	rows, err := server.GenerateStudy(el, cfg)
 	if err != nil {
 		fatal(err)
-	}
-	for _, r := range rows {
-		if err := r.Stats.Conservation(); err != nil {
-			fatal(err)
-		}
 	}
 
 	w := os.Stdout
@@ -72,17 +58,9 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := server.WriteStudyCSV(w, rows); err != nil {
+	if err := study.WriteCSV(w, study.ServingColumns, rows, true); err != nil {
 		fatal(err)
 	}
-}
-
-func joinFloats(vals []float64) string {
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
-	}
-	return strings.Join(parts, ",")
 }
 
 func parseFloats(s string) ([]float64, error) {

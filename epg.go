@@ -124,9 +124,6 @@ func (g *Graph) NumEdges() int { return len(g.el.Edges) }
 // Weighted reports whether edges carry weights.
 func (g *Graph) Weighted() bool { return g.el.Weighted }
 
-// Engines lists the five systems in the paper's order.
-func Engines() []string { return append([]string(nil), all.Names...) }
-
 // Options configure a Suite.
 type Options struct {
 	// RealWorldDivisor shrinks the synthetic real-world datasets
@@ -281,12 +278,6 @@ func WriteCSV(w io.Writer, results []Result) error { return logfmt.WriteCSV(w, r
 
 // ReadCSV parses the phase-4 CSV back into records.
 func ReadCSV(r io.Reader) ([]Result, error) { return logfmt.ReadCSV(r) }
-
-// EmitLog writes one result in its engine's native log format.
-func EmitLog(w io.Writer, r Result) error { return logfmt.Emit(w, r) }
-
-// ParseLog parses an engine log given the run's identity fields.
-func ParseLog(r io.Reader, identity Result) (Result, error) { return logfmt.Parse(r, identity) }
 
 // RenderTimeFigure renders a Fig. 2/3/4-style box-plot panel of
 // algorithm times.

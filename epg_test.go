@@ -6,19 +6,6 @@ import (
 	"testing"
 )
 
-func TestEnginesList(t *testing.T) {
-	names := Engines()
-	if len(names) != 5 {
-		t.Fatalf("engines = %v", names)
-	}
-	want := []string{"Graph500", "GAP", "GraphBIG", "GraphMat", "PowerGraph"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("engine %d = %s, want %s", i, names[i], want[i])
-		}
-	}
-}
-
 func TestSuiteDatasets(t *testing.T) {
 	s := NewSuite(Options{RealWorldDivisor: 512, Seed: 3})
 	for _, name := range []string{"kron-8", "dota-league", "cit-Patents"} {
@@ -158,25 +145,5 @@ func TestSleepBaseline(t *testing.T) {
 	}
 	if s.MachineName() == "" {
 		t.Error("machine name missing")
-	}
-}
-
-func TestLogRoundTripThroughFacade(t *testing.T) {
-	s := NewSuite()
-	g, _ := s.Dataset("kron-8")
-	results, err := s.Run(Spec{Algorithm: BFS, Threads: 4, Roots: 1, Engines: []string{"GAP"}}, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := EmitLog(&buf, results[0]); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseLog(&buf, Result{Engine: "GAP", Dataset: "kron-8", Algorithm: BFS, Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.AlgorithmSec <= 0 {
-		t.Error("parsed log lost timing")
 	}
 }

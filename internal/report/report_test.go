@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -191,38 +190,5 @@ func TestEngineOrdering(t *testing.T) {
 		if keys[i] != want[i] {
 			t.Fatalf("order = %v, want %v", keys, want)
 		}
-	}
-}
-
-func TestSchedStudyCSV(t *testing.T) {
-	rows := []SchedStudyRow{
-		{Kernel: "BFS", Sched: "dynamic", Grain: "fixed", Placement: "none", Freq: "turbo", Compress: "off", Threads: 8, Sockets: 1, Nodes: 1, Partition: "none", Workers: 4,
-			ModeledSec: 0.25, Cycles: 1e9, Bytes: 2.5e8, Atomics: 1000,
-			CPUJoules: 12.5, RAMJoules: 2.375, TotalJoules: 14.875, EDPJouleSec: 3.71875, WallSec: 0.5},
-		{Kernel: "PR", Sched: "numa", Grain: "adaptive", Placement: "firsttouch", Freq: "powersave", Compress: "on", Threads: 72, Sockets: 2, Nodes: 4, Partition: "2d", Workers: 4,
-			ModeledSec: 1.5, Cycles: 1234567890123, Bytes: 8, NetBytes: 6.25e7, Atomics: 0.5,
-			CPUJoules: 0.125, RAMJoules: 0.0625, TotalJoules: 0.1875, EDPJouleSec: 0.28125},
-	}
-	var buf bytes.Buffer
-	if err := WriteSchedStudyCSV(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("csv has %d lines, want 3", len(lines))
-	}
-	if lines[0] != SchedStudyCSVHeader {
-		t.Errorf("header %q", lines[0])
-	}
-	if lines[1] != "BFS,dynamic,fixed,none,turbo,off,8,1,1,none,4,0.25,1e+09,2.5e+08,0,1000,12.5,2.375,14.875,3.71875,0.5" {
-		t.Errorf("row %q", lines[1])
-	}
-	if lines[2] != "PR,numa,adaptive,firsttouch,powersave,on,72,2,4,2d,4,1.5,1.234567890123e+12,8,6.25e+07,0.5,0.125,0.0625,0.1875,0.28125,0" {
-		t.Errorf("row %q", lines[2])
-	}
-	var tbl bytes.Buffer
-	SchedStudyTable(&tbl, rows)
-	if !strings.Contains(tbl.String(), "numa") {
-		t.Error("table missing policy column")
 	}
 }

@@ -45,8 +45,8 @@
 //
 // Determinism: query budgets and reported service times are modeled
 // seconds on the executor's simmachine, so the load-generator study
-// (Simulate, WriteServeStudy) is a virtual-time discrete-event
+// (Simulate, GenerateStudy) is a virtual-time discrete-event
 // simulation whose every output column is a pure function of the
 // seed — byte-identical across runs, GOMAXPROCS, and host load, and
-// therefore gateable by exact comparison (make servefig-check).
+// therefore gateable by exact comparison (epg study serving -check).
 package server

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"strconv"
 
 	"github.com/hpcl-repro/epg/internal/graph"
 )
@@ -75,9 +72,8 @@ type StudyRow struct {
 // representation it calibrates capacity on its own bench (the decode
 // cost moves service times, so capacity, bucket rate, and deadline all
 // recalibrate with it) and then sweeps the offered-load multipliers
-// through Simulate. The compress=on half exercises the decode-aware
-// cost model under load — previously the serving figure silently
-// ignored the knob.
+// through Simulate, so the compress=on half puts the decode-aware cost
+// model under load.
 func GenerateStudy(el *graph.EdgeList, cfg StudyConfig) ([]StudyRow, error) {
 	var rows []StudyRow
 	for _, compress := range []bool{false, true} {
@@ -129,29 +125,4 @@ func GenerateStudy(el *graph.EdgeList, cfg StudyConfig) ([]StudyRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// StudyCSVHeader names the serving-study columns.
-const StudyCSVHeader = "dataset,servers,queue_cap,watermark,compress,offered_x,offered_qps,bucket_qps,deadline_us," +
-	"queries,admitted,shed_queue_full,shed_throttled,completed,degraded,deadline_exceeded,errors," +
-	"max_depth,p50_us,p99_us,mean_us"
-
-// g formats a float with the shortest exact representation, the
-// byte-stability idiom the drift gates compare with.
-func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// WriteStudyCSV emits the table.
-func WriteStudyCSV(w io.Writer, rows []StudyRow) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, StudyCSVHeader)
-	for _, r := range rows {
-		st := r.Stats
-		fmt.Fprintf(bw, "%s,%d,%d,%d,%s,%s,%s,%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%s,%s\n",
-			r.Dataset, r.Servers, r.QueueCap, r.Watermark, r.Compress,
-			g(r.OfferedX), g(r.OfferedQPS), g(r.BucketQPS), g(r.DeadlineUS),
-			st.Offered, st.Admitted, st.ShedQueueFull, st.ShedThrottled,
-			st.Completed, st.Degraded, st.DeadlineExceeded, st.Errors,
-			st.MaxDepth, g(st.P50US), g(st.P99US), g(st.MeanUS))
-	}
-	return bw.Flush()
 }
