@@ -83,19 +83,38 @@ func (inst *Instance) streamState() *streamState {
 	return inst.stream
 }
 
-// OutCSR returns the current-epoch out-adjacency. Callers traversing
-// the structure directly (the serving daemon's k-hop path) re-fetch it
-// after mutations; previous epochs stay frozen.
-func (inst *Instance) OutCSR() *graph.CSR {
-	inst.ensureBuilt()
-	return inst.out
+// Epoch is one generation of an instance's adjacency: the raw rows and,
+// when the engine compresses, their compressed siblings. Mutate builds
+// the next one and never writes a previous one, so an Epoch may be read,
+// and bound by other instances, for as long as anything holds it.
+type Epoch struct {
+	out, in   *graph.CSR
+	cout, cin *graph.CompressedCSR
 }
 
-// InCSR returns the current-epoch in-adjacency: OutCSR itself on an
-// undirected graph, its weighted transpose on a directed one.
-func (inst *Instance) InCSR() *graph.CSR {
+// Out returns the epoch's out-adjacency.
+func (e Epoch) Out() *graph.CSR { return e.out }
+
+// In returns the epoch's in-adjacency: Out itself on an undirected
+// graph, its weighted transpose on a directed one.
+func (e Epoch) In() *graph.CSR { return e.in }
+
+// Epoch returns the adjacency the instance currently runs on.
+func (inst *Instance) Epoch() Epoch {
 	inst.ensureBuilt()
-	return inst.in
+	return Epoch{out: inst.out, in: inst.in, cout: inst.cout, cin: inst.cin}
+}
+
+// Bind makes the kernels of inst run on e, an epoch of another instance
+// of the same engine configuration over the same vertex set (the serving
+// daemon's executors bind the epoch its maintainer published). It charges
+// nothing and stands in for BuildStructure — construction was paid where
+// e was built — and drops any incremental baselines, which describe the
+// graph being left.
+func (inst *Instance) Bind(e Epoch) {
+	inst.out, inst.in, inst.cout, inst.cin = e.out, e.in, e.cout, e.cin
+	inst.n, inst.mEdges, inst.built = e.out.NumVertices, e.out.NumEdges(), true
+	inst.stream = nil
 }
 
 // Mutate implements engines.Streamer: it applies the batch to the out-

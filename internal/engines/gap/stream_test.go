@@ -1,9 +1,12 @@
 package gap
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -133,7 +136,7 @@ func TestIncrementalPageRankBitEqualFullRecompute(t *testing.T) {
 				r := xrand.New(seed ^ 0xabcd)
 				var finalRanks []float64
 				for batch := 0; batch < 4; batch++ {
-					b := streamBatch(inst.OutCSR(), r, 40, 0.4)
+					b := streamBatch(inst.Epoch().Out(), r, 40, 0.4)
 					if _, err := inst.Mutate(b); err != nil {
 						t.Fatal(err)
 					}
@@ -141,7 +144,7 @@ func TestIncrementalPageRankBitEqualFullRecompute(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := freshPR(t, elFromCSR(inst.OutCSR(), directed), 8)
+					want := freshPR(t, elFromCSR(inst.Epoch().Out(), directed), 8)
 					ranksEqual(t, inc, want, "directed="+bstr(directed))
 					finalRanks = inc.Rank
 				}
@@ -194,7 +197,7 @@ func TestIncrementalPageRankBeyondCachedHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := freshPR(t, elFromCSR(inst.OutCSR(), false), 8)
+	want := freshPR(t, elFromCSR(inst.Epoch().Out(), false), 8)
 	if inc.Iterations <= base.Iterations {
 		t.Fatalf("hub insertion converged in %d iterations (baseline %d); test no longer reaches past the horizon", inc.Iterations, base.Iterations)
 	}
@@ -234,7 +237,7 @@ func TestIncrementalPageRankSeveralIterationsBeyondHorizon(t *testing.T) {
 		if inc.Iterations < base.Iterations+2 {
 			t.Fatalf("workers %d: %d iterations on a %d-iteration baseline: fewer than two beyond the horizon", workers, inc.Iterations, base.Iterations)
 		}
-		ranksEqual(t, inc, freshPR(t, elFromCSR(inst.OutCSR(), true), 8), "several beyond the horizon")
+		ranksEqual(t, inc, freshPR(t, elFromCSR(inst.Epoch().Out(), true), 8), "several beyond the horizon")
 		// The replayed trajectory is the new baseline: an unchanged
 		// graph now replays it for free, iteration count included.
 		again, err := inst.IncrementalPageRank(engines.DefaultPROpts())
@@ -256,7 +259,7 @@ func TestIncrementalPageRankDanglingShift(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty the out-row of the highest-degree vertex.
-	out := inst.OutCSR()
+	out := inst.Epoch().Out()
 	var hub graph.VID
 	for v := 0; v < out.NumVertices; v++ {
 		if out.Degree(graph.VID(v)) > out.Degree(hub) {
@@ -277,10 +280,10 @@ func TestIncrementalPageRankDanglingShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := inst.OutCSR().Degree(hub); got != 0 {
+	if got := inst.Epoch().Out().Degree(hub); got != 0 {
 		t.Fatalf("hub still has out-degree %d", got)
 	}
-	want := freshPR(t, elFromCSR(inst.OutCSR(), true), 8)
+	want := freshPR(t, elFromCSR(inst.Epoch().Out(), true), 8)
 	ranksEqual(t, inc, want, "dangling-shift")
 }
 
@@ -300,7 +303,7 @@ func TestIncrementalWCCBitEqualFullRecompute(t *testing.T) {
 				}
 				r := xrand.New(seed ^ 0x77)
 				for batch := 0; batch < 5; batch++ {
-					b := streamBatch(inst.OutCSR(), r, 20, 0.5)
+					b := streamBatch(inst.Epoch().Out(), r, 20, 0.5)
 					if _, err := inst.Mutate(b); err != nil {
 						t.Fatal(err)
 					}
@@ -308,7 +311,7 @@ func TestIncrementalWCCBitEqualFullRecompute(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := freshWCC(t, elFromCSR(inst.OutCSR(), directed), 8)
+					want := freshWCC(t, elFromCSR(inst.Epoch().Out(), directed), 8)
 					labelsEqual(t, inc, want, "directed="+bstr(directed))
 				}
 			}
@@ -343,7 +346,7 @@ func TestReproStaleAddWCC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := elFromCSR(inst.OutCSR(), false)
+	post := elFromCSR(inst.Epoch().Out(), false)
 	labelsEqual(t, wcc, freshWCC(t, post, 2), "stale-add")
 }
 
@@ -380,7 +383,7 @@ func TestDeleteThenReinsertWCCNetsToNothing(t *testing.T) {
 	if after := inst.Machine().Elapsed(); after != before {
 		t.Fatalf("net-zero maintain charged %g modeled seconds", after-before)
 	}
-	labelsEqual(t, wcc, freshWCC(t, elFromCSR(inst.OutCSR(), false), 2), "delete-reinsert")
+	labelsEqual(t, wcc, freshWCC(t, elFromCSR(inst.Epoch().Out(), false), 2), "delete-reinsert")
 }
 
 // Several batches between maintains, each undoing the fresh half of
@@ -398,7 +401,7 @@ func TestIncrementalWCCAcrossSkippedMaintains(t *testing.T) {
 			var undo graph.Batch
 			for round := 0; round < 6; round++ {
 				for k := 0; k < 3; k++ {
-					fresh := streamBatch(inst.OutCSR(), r, 8, 0.5)
+					fresh := streamBatch(inst.Epoch().Out(), r, 8, 0.5)
 					b := append(append(graph.Batch(nil), undo...), fresh...)
 					undo = undo[:0]
 					for _, mu := range fresh {
@@ -417,7 +420,7 @@ func TestIncrementalWCCAcrossSkippedMaintains(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := freshWCC(t, elFromCSR(inst.OutCSR(), directed), 4)
+				want := freshWCC(t, elFromCSR(inst.Epoch().Out(), directed), 4)
 				labelsEqual(t, inc, want, "skipped maintains, directed="+bstr(directed))
 			}
 		}
@@ -447,14 +450,14 @@ func TestIncrementalMaintainersInterleaved(t *testing.T) {
 	}
 	r := xrand.New(0xdead)
 	// Batch 1: only PR refreshes.
-	if _, err := inst.Mutate(streamBatch(inst.OutCSR(), r, 30, 0.3)); err != nil {
+	if _, err := inst.Mutate(streamBatch(inst.Epoch().Out(), r, 30, 0.3)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := inst.IncrementalPageRank(engines.DefaultPROpts()); err != nil {
 		t.Fatal(err)
 	}
 	// Batch 2: both refresh; WCC must account for batch 1 + 2.
-	if _, err := inst.Mutate(streamBatch(inst.OutCSR(), r, 30, 0.3)); err != nil {
+	if _, err := inst.Mutate(streamBatch(inst.Epoch().Out(), r, 30, 0.3)); err != nil {
 		t.Fatal(err)
 	}
 	pr, err := inst.IncrementalPageRank(engines.DefaultPROpts())
@@ -465,7 +468,7 @@ func TestIncrementalMaintainersInterleaved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := elFromCSR(inst.OutCSR(), false)
+	post := elFromCSR(inst.Epoch().Out(), false)
 	ranksEqual(t, pr, freshPR(t, post, 8), "interleaved")
 	labelsEqual(t, wcc, freshWCC(t, post, 8), "interleaved")
 }
@@ -506,7 +509,7 @@ func TestIncrementalCheaperThanRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := xrand.New(5)
-	b := streamBatch(inst.OutCSR(), r, 8, 0.5)
+	b := streamBatch(inst.Epoch().Out(), r, 8, 0.5)
 	t0 := inst.Machine().Elapsed()
 	if _, err := inst.Mutate(b); err != nil {
 		t.Fatal(err)
@@ -520,7 +523,7 @@ func TestIncrementalCheaperThanRecompute(t *testing.T) {
 	// Kernel-1 construction on the post-batch graph plus a cold
 	// PageRank.
 	m2 := machine(8)
-	ri, err := New().Load(elFromCSR(inst.OutCSR(), false), m2)
+	ri, err := New().Load(elFromCSR(inst.Epoch().Out(), false), m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,11 +542,11 @@ func TestIncrementalCheaperThanRecompute(t *testing.T) {
 func TestMutateRejectsInvalid(t *testing.T) {
 	el := kron(6, 1)
 	inst := load(t, New(), el, 2)
-	before := inst.OutCSR()
+	before := inst.Epoch().Out()
 	if _, err := inst.Mutate(graph.Batch{{Op: graph.MutInsert, Src: 0, Dst: graph.VID(inst.n + 5)}}); err == nil {
 		t.Fatal("out-of-range mutation accepted")
 	}
-	if inst.OutCSR() != before {
+	if inst.Epoch().Out() != before {
 		t.Fatal("failed Mutate swapped the epoch")
 	}
 }
@@ -570,7 +573,7 @@ func TestIncrementalPageRankTrajectoryShrinksThenGrows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranksEqual(t, inc, freshPR(t, elFromCSR(inst.OutCSR(), false), 8), ctx)
+		ranksEqual(t, inc, freshPR(t, elFromCSR(inst.Epoch().Out(), false), 8), ctx)
 		if got := len(inst.stream.prTraj.iters); got != inc.Iterations {
 			t.Fatalf("%s: baseline holds %d iterations after a %d-iteration run", ctx, got, inc.Iterations)
 		}
@@ -625,7 +628,7 @@ func TestCancelledMaintainLeavesBaselineWhole(t *testing.T) {
 	})
 	mutate := func() {
 		t.Helper()
-		if _, err := inst.Mutate(streamBatch(inst.OutCSR(), r, 48, 0.5)); err != nil {
+		if _, err := inst.Mutate(streamBatch(inst.Epoch().Out(), r, 48, 0.5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -650,7 +653,7 @@ func TestCancelledMaintainLeavesBaselineWhole(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: IncrementalWCC polled for cancellation after it began writing its baseline: %v", round, err)
 		}
-		post := elFromCSR(inst.OutCSR(), false)
+		post := elFromCSR(inst.Epoch().Out(), false)
 		ranksEqual(t, pr, freshPR(t, post, 8), "after a cancelled maintain")
 		labelsEqual(t, wcc, freshWCC(t, post, 8), "after a cancelled maintain")
 		mutate()
@@ -685,10 +688,10 @@ func TestMaintainAllocBudget(t *testing.T) {
 	var apply, undo graph.Batch
 	r := xrand.New(17)
 	for len(apply) < 128 {
-		if u, v, ok := sampleEdge(inst.OutCSR(), r); ok && len(apply)%2 == 0 {
+		if u, v, ok := sampleEdge(inst.Epoch().Out(), r); ok && len(apply)%2 == 0 {
 			apply = append(apply, graph.Mutation{Op: graph.MutDelete, Src: u, Dst: v})
 			undo = append(undo, graph.Mutation{Op: graph.MutInsert, Src: u, Dst: v, W: 0.5})
-		} else if u, v := graph.VID(r.Intn(inst.n)), graph.VID(r.Intn(inst.n)); u != v && !inst.OutCSR().HasEdge(u, v) {
+		} else if u, v := graph.VID(r.Intn(inst.n)), graph.VID(r.Intn(inst.n)); u != v && !inst.Epoch().Out().HasEdge(u, v) {
 			apply = append(apply, graph.Mutation{Op: graph.MutInsert, Src: u, Dst: v, W: 0.5})
 			undo = append(undo, graph.Mutation{Op: graph.MutDelete, Src: u, Dst: v})
 		}
@@ -720,5 +723,89 @@ func TestMaintainAllocBudget(t *testing.T) {
 	t.Logf("warm IncrementalPageRank + IncrementalWCC: %d B, bound %d B", best, bound)
 	if best > bound {
 		t.Fatalf("a warm maintain allocates %d B; bound %d B (three n-vectors)", best, bound)
+	}
+}
+
+// epochDigest hashes every array of an epoch, compressed siblings and
+// lengths included.
+func epochDigest(e Epoch) uint64 {
+	h := fnv.New64a()
+	for _, c := range []*graph.CSR{e.out, e.in} {
+		binary.Write(h, binary.LittleEndian, []int64{int64(len(c.Offsets)), int64(len(c.Adj)), int64(len(c.Weights))})
+		binary.Write(h, binary.LittleEndian, c.Offsets)
+		binary.Write(h, binary.LittleEndian, c.Adj)
+		binary.Write(h, binary.LittleEndian, c.Weights)
+	}
+	for _, c := range []*graph.CompressedCSR{e.cout, e.cin} {
+		if c != nil {
+			binary.Write(h, binary.LittleEndian, c.Offsets)
+			h.Write(c.Data)
+		}
+	}
+	return h.Sum64()
+}
+
+// What publish-and-bind stands on: an epoch handed out by a mutating
+// instance is never written again (raw rows and compressed bytes hash
+// the same after further batches and maintains), and a second instance
+// bound to it answers every kernel as an instance loaded fresh on that
+// epoch's graph — also when it is bound back from a newer epoch.
+func TestBoundInstanceRunsOnAFrozenEpoch(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		for _, compress := range []bool{false, true} {
+			el := kron(8, 3)
+			el.Directed = directed
+			owner := loadWith(t, el, 8, compress, true)
+			bound := loadWith(t, el, 8, compress, true)
+			r := xrand.New(5)
+			var held []Epoch
+			var sums []uint64
+			for step := 0; step < 4; step++ {
+				if _, err := owner.Mutate(streamBatch(owner.Epoch().Out(), r, 40, 0.4)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := owner.IncrementalPageRank(engines.DefaultPROpts()); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := owner.IncrementalWCC(); err != nil {
+					t.Fatal(err)
+				}
+				held = append(held, owner.Epoch())
+				sums = append(sums, epochDigest(owner.Epoch()))
+			}
+			// Newest first, so every later bind goes backwards.
+			for i := len(held) - 1; i >= 0; i-- {
+				ctx := "directed=" + bstr(directed) + " compress=" + bstr(compress) + " epoch " + string(rune('0'+i))
+				if got := epochDigest(held[i]); got != sums[i] {
+					t.Fatalf("%s: arrays changed after it was handed out: %x, was %x", ctx, got, sums[i])
+				}
+				bound.Bind(held[i])
+				fresh := loadWith(t, elFromCSR(held[i].Out(), directed), 8, compress, true)
+				root := rootsOf(held[i].Out(), 1)[0]
+				gb, err := bound.BFS(root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fb, _ := fresh.BFS(root)
+				gs, err := bound.SSSP(root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs, _ := fresh.SSSP(root)
+				if !slices.Equal(gb.Depth, fb.Depth) || !slices.Equal(gs.Dist, fs.Dist) {
+					t.Fatalf("%s: bound instance's BFS or SSSP differs from a fresh load of that graph", ctx)
+				}
+				gp, err := bound.PageRank(engines.DefaultPROpts())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ranksEqual(t, gp, freshPR(t, elFromCSR(held[i].Out(), directed), 8), ctx)
+				gw, err := bound.WCC()
+				if err != nil {
+					t.Fatal(err)
+				}
+				labelsEqual(t, gw, freshWCC(t, elFromCSR(held[i].Out(), directed), 8), ctx)
+			}
+		}
 	}
 }

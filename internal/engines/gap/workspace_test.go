@@ -58,14 +58,14 @@ func TestReusedWorkspaceBitEqualFreshInstance(t *testing.T) {
 				var bfs engines.BFSResult
 				var sssp engines.SSSPResult
 				cur := el
-				roots := rootsOf(reused.OutCSR(), 32)
+				roots := rootsOf(reused.Epoch().Out(), 32)
 				for i, root := range roots {
 					if i == len(roots)/2 {
-						b := streamBatch(reused.OutCSR(), xrand.New(99), 64, 0.4)
+						b := streamBatch(reused.Epoch().Out(), xrand.New(99), 64, 0.4)
 						if _, err := reused.Mutate(b); err != nil {
 							t.Fatal(err)
 						}
-						cur = elFromCSR(reused.OutCSR(), false)
+						cur = elFromCSR(reused.Epoch().Out(), false)
 					}
 					ctx := func(k string) string {
 						return fmt.Sprintf("%s workers=%d compress=%v sync=%v", k, workers, compress, sync)
@@ -127,7 +127,7 @@ func TestReusedWorkspaceBitEqualFreshInstance(t *testing.T) {
 // is large enough is reused in place.
 func TestIntoReusesOnlyLargeEnoughDst(t *testing.T) {
 	inst := load(t, New(), kron(8, 3), 4)
-	root := rootsOf(inst.OutCSR(), 1)[0]
+	root := rootsOf(inst.Epoch().Out(), 1)[0]
 	small := &engines.BFSResult{Parent: make([]int64, 3), Depth: make([]int64, 3)}
 	res, err := inst.BFSInto(root, small)
 	if err != nil {
@@ -184,7 +184,7 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 	inst := load(t, e, kron(12, 5), 8)
 	inst.m.SetTracing(false) // a trace grows by design
 	inst.m.SetWorkers(2)
-	roots := rootsOf(inst.OutCSR(), 8)
+	roots := rootsOf(inst.Epoch().Out(), 8)
 	var bfs engines.BFSResult
 	var sssp engines.SSSPResult
 	i := 0
@@ -215,7 +215,7 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 func TestWarmSharedStepEnginesAllocateOnlyResults(t *testing.T) {
 	const bound = 64 << 10
 	el := kron(12, 5)
-	roots := rootsOf(load(t, New(), el, 8).OutCSR(), 8)
+	roots := rootsOf(load(t, New(), el, 8).Epoch().Out(), 8)
 	results := uint64(2 * 8 * el.NumVertices)
 	for _, eng := range []engines.Engine{graph500.New(), graphbig.New()} {
 		m := machine(8)
@@ -277,7 +277,7 @@ func TestWorkspaceRetentionBoundedByLargestRegion(t *testing.T) {
 	}
 	inst.SetCancel(observe)
 	var sssp engines.SSSPResult
-	for _, root := range rootsOf(inst.OutCSR(), 40) {
+	for _, root := range rootsOf(inst.Epoch().Out(), 40) {
 		if _, err := inst.SSSPInto(root, &sssp); err != nil {
 			t.Fatal(err)
 		}

@@ -4,15 +4,17 @@ import (
 	"github.com/hpcl-repro/epg/internal/graph"
 )
 
-// Bench is the goroutine-free serving core — one executor plus the
-// precomputed vectors and sketch — used by the deterministic
+// Bench is the goroutine-free serving core — one executor serving the
+// generation it computed itself — used by the deterministic
 // virtual-time load simulation and the loadgen study. Run calls are
 // serialized by construction (single caller), so modeled service
-// times are pure functions of query content.
+// times are pure functions of query content. The vectors are computed
+// on the executor that serves: a modeled duration is a difference of
+// its machine's accumulating clock, and moving that work to another
+// machine moves the study's columns in the last bit.
 type Bench struct {
 	exec     *executor
-	vec      vectors
-	sketch   *Sketch
+	pub      *published
 	weighted bool
 	n        int
 	// cache memoizes responses by (query, degraded, budget). Beyond
@@ -35,18 +37,13 @@ func NewBench(el *graph.EdgeList, threads, landmarks int, compress bool) (*Bench
 	if err != nil {
 		return nil, err
 	}
-	e, err := newExecutor(0, g, threads, compress)
-	if err != nil {
-		return nil, err
-	}
-	vec, err := e.computeVectors()
+	e, pub, err := newMaintainer(g, threads, landmarks, compress)
 	if err != nil {
 		return nil, err
 	}
 	return &Bench{
 		exec:     e,
-		vec:      vec,
-		sketch:   BuildSketch(g.Out, landmarks),
+		pub:      pub,
 		weighted: g.Weighted,
 		n:        g.NumVertices,
 		cache:    make(map[benchKey]Response),
@@ -65,7 +62,7 @@ func (b *Bench) Run(q Query, budget float64, degraded bool) Response {
 	if resp, ok := b.cache[key]; ok {
 		return resp
 	}
-	resp := b.exec.run(nil, q, budget, degraded, b.vec, b.sketch)
+	resp := b.exec.run(nil, q, budget, degraded, b.pub)
 	b.cache[key] = resp
 	return resp
 }

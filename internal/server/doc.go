@@ -18,10 +18,18 @@
 //	                  bounded FIFO queue
 //	          ┌───────────────┴────────────────────────────────┐
 //	          │ executor (one engine instance per worker)      │
+//	          │   load the published generation, bind its epoch │
 //	          │   admit* → landmark-sketch answer, degraded:true│
 //	          │   deadline hook polled per level/pass/iteration │
 //	          │     budget exhausted ────────────────→ 504     │
 //	          │   panic → recovered, counted ────────→ 500     │
+//	          └───────────────▲────────────────────────────────┘
+//	            published{epoch, vectors, sketch, gen}  (atomic pointer)
+//	          ┌───────────────┴────────────────────────────────┐
+//	          │ maintainer (the one instance ever mutated)     │
+//	          │   refresh / mutate, one at a time, run by the  │
+//	          │   executor goroutine that dequeued the entry:  │
+//	          │   next epoch → vectors → sketch → store        │
 //	          └────────────────────────────────────────────────┘
 //
 // Admission is a token bucket in front of a bounded FIFO queue: when
@@ -42,6 +50,13 @@
 // parallel regions, which internal/parallel forwards to the
 // submitting goroutine) are recovered per query, counted, and
 // reported as structured 500s; the daemon never dies with a request.
+//
+// Writes publish, readers bind: the mutable state (the epoch being
+// built, the incremental PR/WCC baselines) lives once, on the
+// maintainer, so a mutate costs one adjacency rebuild however many
+// executors serve; an executor moves to a new generation by rebinding
+// four pointers (gap.Instance.Bind), and a query that loaded
+// generation g is answered from g alone.
 //
 // Determinism: query budgets and reported service times are modeled
 // seconds on the executor's simmachine, so the load-generator study

@@ -34,17 +34,12 @@ var (
 // times must be a pure function of query content for the
 // deterministic study (and for comparable live latencies).
 type executor struct {
-	id   int
-	m    *simmachine.Machine
-	inst *gap.Instance
-	// csr is the adjacency the serving-only paths (k-hop) traverse.
-	// It starts as the shared homogenized CSR and is rebound to the
-	// instance's current epoch after each applied mutation batch.
-	csr      *graph.CSR
+	m        *simmachine.Machine
+	inst     *gap.Instance
 	weighted bool
-	// gen counts the server batch-log entries this executor's instance
-	// has applied; executors sync lazily when they dequeue work.
-	gen int
+	// gen is the generation of the published state inst is bound to; 0
+	// (the graph it was loaded on) matches none.
+	gen uint64
 
 	// Per-query scratch, reused from query to query. run reads one
 	// scalar out of a result before it returns, so nothing aliases
@@ -55,24 +50,22 @@ type executor struct {
 }
 
 // newExecutor loads the shared homogenized graph into a fresh GAP
-// instance on its own machine. The machine keeps no trace: the executor
-// only ever reads its clock, and a daemon's trace would grow by a
-// Region per region forever.
-func newExecutor(id int, g *graph.Simple, threads int, compress bool) (*executor, error) {
+// instance on its own machine, and builds nothing: a serving executor
+// binds what the maintainer built. The machine keeps no trace: the
+// executor only ever reads its clock, and a daemon's trace would grow
+// by a Region per region forever.
+func newExecutor(g *graph.Simple, threads int, compress bool) (*executor, error) {
 	eng := gap.New()
 	engines.Configure(eng, engines.Options{SyncSSSP: true, Compress: compress})
 	m := simmachine.New(simmachine.Haswell72(), threads)
 	m.SetTracing(false)
 	inst, err := eng.LoadSimple(g, m)
 	if err != nil {
-		return nil, fmt.Errorf("server: executor %d load: %w", id, err)
+		return nil, fmt.Errorf("server: executor load: %w", err)
 	}
-	inst.BuildStructure()
 	return &executor{
-		id:       id,
 		m:        m,
 		inst:     inst.(*gap.Instance),
-		csr:      g.Out,
 		weighted: g.Weighted,
 	}, nil
 }
@@ -81,6 +74,35 @@ func newExecutor(id int, g *graph.Simple, threads int, compress bool) (*executor
 type vectors struct {
 	pr  []float64
 	wcc []graph.VID
+}
+
+// published is everything a query is answered from, as of one
+// generation: the adjacency epoch the traversals run on, the PR/WCC
+// vectors and the degradation sketch of exactly that epoch. A value is
+// immutable once stored; maintenance builds the next one beside it. gen
+// is 1 at start-up and +1 per refresh or mutate.
+type published struct {
+	epoch  gap.Epoch
+	vec    vectors
+	sketch *Sketch
+	gen    uint64
+}
+
+// newMaintainer loads g into the executor that owns the mutable state —
+// the only instance that is ever mutated, and the holder of the
+// incremental PR/WCC baselines — and derives generation 1 from it.
+func newMaintainer(g *graph.Simple, threads, landmarks int, compress bool) (*executor, *published, error) {
+	e, err := newExecutor(g, threads, compress)
+	if err != nil {
+		return nil, nil, err
+	}
+	e.inst.BuildStructure()
+	vec, err := e.computeVectors()
+	if err != nil {
+		return nil, nil, err
+	}
+	e.gen = 1
+	return e, &published{epoch: e.inst.Epoch(), vec: vec, sketch: BuildSketch(g.Out, landmarks), gen: 1}, nil
 }
 
 // computeVectors (re)derives the PR/WCC vectors on this executor's
@@ -102,14 +124,21 @@ func (e *executor) computeVectors() (vectors, error) {
 	return vectors{pr: pr.Rank, wcc: wcc.Component}, nil
 }
 
-// run serves one query. degraded selects the sketch path for
-// degradable ops; ctx (nil in the virtual-time simulation) adds live
-// client-cancellation to the deadline hook. Panics anywhere below —
+// run serves one query from pub, binding the instance to pub's epoch
+// first when it is on another generation — so one query reads one
+// generation throughout, whatever is published meanwhile. degraded
+// selects the sketch path for degradable ops; ctx (nil in the
+// virtual-time simulation) adds live client-cancellation to the
+// deadline hook. Panics anywhere below —
 // engine kernels included; internal/parallel re-raises worker panics
 // on this goroutine — are recovered into a StatusPanic response, so a
 // poisoned query costs one response, not the daemon.
-func (e *executor) run(ctx context.Context, q Query, budget float64, degraded bool, vec vectors, sketch *Sketch) (resp Response) {
-	resp = Response{Op: q.Op, Source: q.Source, Target: q.Target, Status: StatusOK}
+func (e *executor) run(ctx context.Context, q Query, budget float64, degraded bool, pub *published) (resp Response) {
+	if e.gen != pub.gen {
+		e.inst.Bind(pub.epoch)
+		e.gen = pub.gen
+	}
+	resp = q.response(StatusOK, "")
 	_, start := e.m.Mark()
 	defer func() {
 		if r := recover(); r != nil {
@@ -136,14 +165,14 @@ func (e *executor) run(ctx context.Context, q Query, budget float64, degraded bo
 
 	if degraded && q.degradable(e.weighted) {
 		e.m.Serial(func(w *simmachine.W) {
-			w.Charge(costSketchProbe.Scale(float64(sketch.lookups() + 1)))
+			w.Charge(costSketchProbe.Scale(float64(pub.sketch.lookups() + 1)))
 		})
 		resp.Degraded = true
 		switch q.Op {
 		case OpBFS:
-			resp.Value = sketch.EstimateHops(q.Source, q.Target)
+			resp.Value = pub.sketch.EstimateHops(q.Source, q.Target)
 		case OpSSSP:
-			resp.Value = sketch.EstimateDist(q.Source, q.Target)
+			resp.Value = pub.sketch.EstimateDist(q.Source, q.Target)
 		}
 		return resp
 	}
@@ -164,14 +193,14 @@ func (e *executor) run(ctx context.Context, q Query, budget float64, degraded bo
 		}
 	case OpPR:
 		e.m.Serial(func(w *simmachine.W) { w.Charge(costVectorLookup) })
-		resp.Value = vec.pr[q.Source]
+		resp.Value = pub.vec.pr[q.Source]
 	case OpWCC:
 		e.m.Serial(func(w *simmachine.W) { w.Charge(costVectorLookup.Scale(2)) })
-		if vec.wcc[q.Source] == vec.wcc[q.Target] {
+		if pub.vec.wcc[q.Source] == pub.vec.wcc[q.Target] {
 			resp.Value = 1
 		}
 	case OpKHop:
-		resp.Value, err = e.khop(q.Source, q.K, deadline)
+		resp.Value, err = e.khop(pub.epoch.Out(), q.Source, q.K, deadline)
 	case OpPanic:
 		panic("injected fault (op=panic)")
 	default:
@@ -213,12 +242,12 @@ func (s *khopScratch) begin(n int) {
 }
 
 // khop counts vertices within k hops of src with a serial truncated
-// BFS on the homogenized CSR, charging per vertex and edge touched.
+// BFS on the out-adjacency, charging per vertex and edge touched.
 // The deadline hook is polled once per level, matching the engines'
 // frontier granularity.
-func (e *executor) khop(src graph.VID, k int, deadline func() error) (float64, error) {
+func (e *executor) khop(out *graph.CSR, src graph.VID, k int, deadline func() error) (float64, error) {
 	s := &e.hops
-	s.begin(e.csr.NumVertices)
+	s.begin(out.NumVertices)
 	seen, epoch := s.seen, s.epoch
 	seen[src] = epoch
 	s.frontier = append(s.frontier[:0], src)
@@ -230,7 +259,7 @@ func (e *executor) khop(src graph.VID, k int, deadline func() error) (float64, e
 		next := s.next[:0]
 		var edges int
 		for _, v := range s.frontier {
-			for _, u := range e.csr.Neighbors(v) {
+			for _, u := range out.Neighbors(v) {
 				edges++
 				if seen[u] != epoch {
 					seen[u] = epoch

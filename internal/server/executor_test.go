@@ -10,7 +10,7 @@ import (
 	"github.com/hpcl-repro/epg/internal/harness"
 )
 
-func testExecutor(t *testing.T, dataset string) *executor {
+func testExecutor(t *testing.T, dataset string) (*executor, *published) {
 	t.Helper()
 	el, err := harness.ResolveDataset(dataset, harness.DatasetOptions{Seed: 7})
 	if err != nil {
@@ -20,7 +20,7 @@ func testExecutor(t *testing.T, dataset string) *executor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b.exec
+	return b.exec, b.pub
 }
 
 // mixedQueries draws count traversal queries over the three ops that
@@ -45,10 +45,10 @@ func mixedQueries(n, count int) []Query {
 // and a daemon's trace would grow by a Region per region for as long
 // as it serves.
 func TestExecutorKeepsNoTrace(t *testing.T) {
-	e := testExecutor(t, "kron-9")
+	e, pub := testExecutor(t, "kron-9")
 	before := e.m.Elapsed()
-	for _, q := range mixedQueries(e.csr.NumVertices, 60) {
-		if resp := e.run(nil, q, 0, false, vectors{}, nil); resp.Status != StatusOK {
+	for _, q := range mixedQueries(pub.epoch.Out().NumVertices, 60) {
+		if resp := e.run(nil, q, 0, false, pub); resp.Status != StatusOK {
 			t.Fatalf("%+v: %s %s", q, resp.Status, resp.Err)
 		}
 	}
@@ -84,17 +84,17 @@ func khopOracle(c *graph.CSR, src graph.VID, k int) float64 {
 // and k-hop scratch answers exactly what a fresh executor answers to
 // each query alone, and charges the same regions for it.
 func TestExecutorScratchReuseMatchesFresh(t *testing.T) {
-	reused := testExecutor(t, "kron-9")
+	reused, pub := testExecutor(t, "kron-9")
 	reused.m.SetTracing(true)
-	for _, q := range mixedQueries(reused.csr.NumVertices, 45) {
+	for _, q := range mixedQueries(pub.epoch.Out().NumVertices, 45) {
 		mark, _ := reused.m.Mark()
-		got := reused.run(nil, q, 0, false, vectors{}, nil)
+		got := reused.run(nil, q, 0, false, pub)
 		gotRegions := slices.Clone(reused.m.Trace()[mark:])
 
-		fresh := testExecutor(t, "kron-9")
+		fresh, freshPub := testExecutor(t, "kron-9")
 		fresh.m.SetTracing(true)
 		mark, _ = fresh.m.Mark()
-		want := fresh.run(nil, q, 0, false, vectors{}, nil)
+		want := fresh.run(nil, q, 0, false, freshPub)
 		if got.Status != StatusOK || got.Value != want.Value {
 			t.Fatalf("%+v: reused executor answered %v (%s), fresh %v", q, got.Value, got.Status, want.Value)
 		}
@@ -102,7 +102,7 @@ func TestExecutorScratchReuseMatchesFresh(t *testing.T) {
 			t.Fatalf("%+v: reused executor charged different regions than a fresh one", q)
 		}
 		if q.Op == OpKHop {
-			if oracle := khopOracle(reused.csr, q.Source, q.K); got.Value != oracle {
+			if oracle := khopOracle(pub.epoch.Out(), q.Source, q.K); got.Value != oracle {
 				t.Fatalf("%+v: k-hop count %v, map-based oracle %v", q, got.Value, oracle)
 			}
 		}
@@ -112,9 +112,10 @@ func TestExecutorScratchReuseMatchesFresh(t *testing.T) {
 // The visited stamps survive the epoch counter wrapping: stale stamps
 // equal to a re-issued epoch must not read as visited.
 func TestKHopSeenWrapAround(t *testing.T) {
-	e := testExecutor(t, "kron-9")
+	e, pub := testExecutor(t, "kron-9")
+	out := pub.epoch.Out()
 	noDeadline := func() error { return nil }
-	if _, err := e.khop(0, 1, noDeadline); err != nil { // size seen
+	if _, err := e.khop(out, 0, 1, noDeadline); err != nil { // size seen
 		t.Fatal(err)
 	}
 	e.hops.epoch = math.MaxUint32 - 1
@@ -123,11 +124,11 @@ func TestKHopSeenWrapAround(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		src := graph.VID(i * 11)
-		got, err := e.khop(src, 2, noDeadline)
+		got, err := e.khop(out, src, 2, noDeadline)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := khopOracle(e.csr, src, 2); got != want {
+		if want := khopOracle(out, src, 2); got != want {
 			t.Fatalf("query %d across the epoch wrap: count %v, oracle %v", i, got, want)
 		}
 	}
@@ -141,12 +142,13 @@ func TestKHopSeenWrapAround(t *testing.T) {
 // most of the graph, which the map used to hold at tens of bytes per
 // vertex.
 func TestKHopAllocationBound(t *testing.T) {
-	e := testExecutor(t, "kron-12")
+	e, pub := testExecutor(t, "kron-12")
+	out := pub.epoch.Out()
 	noDeadline := func() error { return nil }
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	i := 0
 	run := func() {
-		if _, err := e.khop(graph.VID(i*97%e.csr.NumVertices), 2, noDeadline); err != nil {
+		if _, err := e.khop(out, graph.VID(i*97%out.NumVertices), 2, noDeadline); err != nil {
 			t.Fatal(err)
 		}
 		i++

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -65,14 +64,17 @@ func testBatch(t *testing.T) graph.Batch {
 	}
 }
 
-// assertAnswersMatchFreshServer is the mutation oracle: every query
-// kind must answer on s exactly as on a server started directly on the
-// edge list left by applying batches, in order, to s's start graph
-// (extra queries join the fixed list) — through Submit, and then, with
-// s closed so the test owns them, on each executor in turn, so a stale
-// one cannot hide behind a fresh one; and the published sketch must be
-// the one a rebuild on that graph gives.
-func assertAnswersMatchFreshServer(t *testing.T, s *Server, batches []graph.Batch, extra ...Query) {
+// oracle is the mutation oracle: what a server started directly on the
+// edge list left by applying batches, in order, to testGraph answers to
+// a fixed list of queries covering every kind (extra queries join it),
+// and that graph's out-adjacency.
+type oracle struct {
+	queries []Query
+	want    []Response
+	post    *graph.CSR
+}
+
+func newOracle(t *testing.T, batches []graph.Batch, extra ...Query) *oracle {
 	t.Helper()
 	g := testGraph(t)
 	shadow := graph.NewMutableCSR(g.Out, g.Directed)
@@ -101,47 +103,70 @@ func assertAnswersMatchFreshServer(t *testing.T, s *Server, batches []graph.Batc
 		t.Fatal(err)
 	}
 	defer ref.Close()
-
-	ctx := context.Background()
-	queries := append([]Query{
+	o := &oracle{post: post, queries: append([]Query{
 		{Op: OpPR, Source: 3},
 		{Op: OpPR, Source: 0},
 		{Op: OpWCC, Source: 0, Target: 9},
 		{Op: OpBFS, Source: 0, Target: 9},
 		{Op: OpSSSP, Source: 0, Target: 9},
 		{Op: OpKHop, Source: 0, K: 2},
-	}, extra...)
-	want := make([]Response, len(queries))
-	check := func(who string, i int, got Response) {
-		t.Helper()
-		q := queries[i]
+	}, extra...)}
+	for _, q := range o.queries {
+		resp := ref.Submit(context.Background(), q)
+		if resp.Status != StatusOK {
+			t.Fatalf("fresh server: %s: status %q %s", q.Op, resp.Status, resp.Err)
+		}
+		o.want = append(o.want, resp)
+	}
+	return o
+}
+
+// check puts every oracle query to answer and requires the oracle's value.
+func (o *oracle) check(t *testing.T, who string, answer func(Query) Response) {
+	t.Helper()
+	for i, q := range o.queries {
+		got := answer(q)
 		if got.Status != StatusOK {
 			t.Fatalf("%s: %s: status %q %s", who, q.Op, got.Status, got.Err)
 		}
-		if got.Value != want[i].Value {
+		if got.Value != o.want[i].Value {
 			t.Errorf("%s: %s src=%d dst=%d: mutated server answers %v, fresh server %v",
-				who, q.Op, q.Source, q.Target, got.Value, want[i].Value)
+				who, q.Op, q.Source, q.Target, got.Value, o.want[i].Value)
 		}
 	}
-	for i, q := range queries {
-		want[i] = ref.Submit(ctx, q)
-		check("fresh server", i, want[i])
-		check("submit", i, s.Submit(ctx, q))
+}
+
+// checkExecutors requires the oracle's answers of each executor of s in
+// turn, serving from pub (and, degraded, the estimate of a sketch rebuilt
+// on the oracle's graph), so a stale executor cannot hide behind a fresh
+// one. s must be closed: the test owns the executors.
+func (o *oracle) checkExecutors(t *testing.T, s *Server, pub *published) {
+	t.Helper()
+	ctx := context.Background()
+	est := BuildSketch(o.post, s.cfg.Landmarks).EstimateHops(0, 9)
+	for i, e := range s.execs {
+		who := fmt.Sprintf("executor %d on generation %d", i, pub.gen)
+		o.check(t, who, func(q Query) Response { return e.run(ctx, q, 0, false, pub) })
+		if got := e.run(ctx, Query{Op: OpBFS, Source: 0, Target: 9}, 0, true, pub); !got.Degraded || got.Value != est {
+			t.Errorf("%s: degraded bfs answers %v (degraded=%v), a sketch rebuilt on that graph %v", who, got.Value, got.Degraded, est)
+		}
 	}
+}
+
+// assertAnswersMatchFreshServer holds s to the oracle of batches:
+// through Submit, and then, with s closed, on each executor in turn; and
+// the published sketch must be the one a rebuild on that graph gives.
+func assertAnswersMatchFreshServer(t *testing.T, s *Server, batches []graph.Batch, extra ...Query) {
+	t.Helper()
+	o := newOracle(t, batches, extra...)
+	o.check(t, "submit", func(q Query) Response { return s.Submit(context.Background(), q) })
 	s.Close()
-	vec, sketch := s.snapshot()
-	if fresh := BuildSketch(post, s.cfg.Landmarks); !reflect.DeepEqual(sketch, fresh) {
+	pub := s.pub.Load()
+	if fresh := BuildSketch(o.post, s.cfg.Landmarks); !reflect.DeepEqual(pub.sketch, fresh) {
 		t.Errorf("published sketch differs from a rebuild on the post-batch graph (landmarks %v, rebuilt %v)",
-			sketch.landmarks, fresh.landmarks)
+			pub.sketch.landmarks, fresh.landmarks)
 	}
-	for _, e := range s.execs {
-		if err := s.syncExecutor(e); err != nil {
-			t.Fatal(err)
-		}
-		for i, q := range queries {
-			check(fmt.Sprintf("executor %d", e.id), i, e.run(ctx, q, 0, false, vec, sketch))
-		}
-	}
+	o.checkExecutors(t, s, pub)
 }
 
 // After a mutate, every query kind must answer exactly as a server
@@ -175,29 +200,36 @@ func httpOps(batch graph.Batch) map[string]any {
 	return map[string]any{"ops": ops}
 }
 
-// The lagging-executor replay path: one of two executors is wedged
-// (blocked in its query-log write) while three /v1/mutate batches —
-// the second deleting the edge the first inserted, the hazard that
-// left a stale WCC add behind when batches accumulate unmaintained —
-// are acknowledged through the other. Then the roles flip: the
-// up-to-date executor is wedged and a /v1/refresh lands on the lagging
-// one, whose single syncExecutor call must replay all three logged
-// batches before its one maintain, the vectors of which the server
-// swaps in. Every answer must equal the fresh-server oracle's.
-func TestLaggingExecutorReplaysLoggedBatches(t *testing.T) {
-	w := &resettableGate{}
-	s, ts := startHTTP(t, Config{Executors: 2, QueryLog: w})
+// hazardBatches are three batches of which the second deletes the edge
+// the first inserted — the hazard that left a stale WCC add behind when
+// batches accumulate unmaintained — and the vertices of that edge: lone
+// is isolated in testGraph, so v0-lone bridges two components.
+func hazardBatches(t *testing.T) (batches []graph.Batch, v0, lone graph.VID) {
+	t.Helper()
 	base := testBatch(t) // delete v0-x, insert v0-a, insert v0-b
-	v0 := base[0].Src
-	var lone graph.VID // an isolated vertex: v0-lone bridges two components
+	v0 = base[0].Src
 	for c := testGraph(t).Out; c.Degree(lone) != 0; {
 		lone++
 	}
-	batches := []graph.Batch{
+	return []graph.Batch{
 		{{Op: graph.MutInsert, Src: v0, Dst: lone, W: 0.75}},
 		{{Op: graph.MutDelete, Src: v0, Dst: lone}, base[1]},
 		{base[0], base[2]},
-	}
+	}, v0, lone
+}
+
+// An executor that served nothing while the graph moved on: one of two
+// executors is wedged (blocked in its query-log write) while the three
+// hazard batches are acknowledged through the other over /v1/mutate.
+// Then the roles flip: the executor that ran the maintenance is wedged
+// and a /v1/refresh lands on the idle one, which has never bound
+// anything newer than the start graph. Each acknowledged maintenance
+// is one generation, and every answer — on each executor — must equal
+// the fresh-server oracle's.
+func TestIdleExecutorServesNewestEpoch(t *testing.T) {
+	w := &resettableGate{}
+	s, ts := startHTTP(t, Config{Executors: 2, QueryLog: w})
+	batches, v0, lone := hazardBatches(t)
 
 	// wedge sends a query that its executor serves and then blocks
 	// logging, and returns once that executor has dequeued it.
@@ -215,14 +247,6 @@ func TestLaggingExecutorReplaysLoggedBatches(t *testing.T) {
 		waitUntil(t, func() bool { return s.Metrics().Admitted == admitted && s.QueueDepth() == 0 })
 		return done
 	}
-	gens := func() (gens []int, logged int) {
-		s.vecMu.RLock()
-		defer s.vecMu.RUnlock()
-		for _, e := range s.execs {
-			gens = append(gens, e.gen)
-		}
-		return gens, len(s.batches)
-	}
 
 	gateA := make(chan struct{})
 	doneA := wedge(gateA)
@@ -231,24 +255,22 @@ func TestLaggingExecutorReplaysLoggedBatches(t *testing.T) {
 			t.Fatalf("mutate %d: HTTP %d", i, code)
 		}
 	}
-	g, logged := gens()
-	slices.Sort(g)
-	if logged != 3 || !slices.Equal(g, []int{0, 3}) {
-		t.Fatalf("after three mutates past a wedged executor: applied generations %v of %d logged, want [0 3] of 3", g, logged)
+	if gen := s.SketchGeneration(); gen != 4 {
+		t.Fatalf("after three mutates past a wedged executor: generation %d, want 4", gen)
 	}
 
-	// Flip: the second wedge query can only go to the up-to-date
-	// executor, which queues behind the first on the log; releasing the
-	// first then leaves it blocked on its own gate.
+	// Flip: the second wedge query can only go to the executor that ran
+	// the mutates, which queues behind the first on the log; releasing
+	// the first then leaves it blocked on its own gate.
 	gateB := make(chan struct{})
 	doneB := wedge(gateB)
 	close(gateA)
 	<-doneA
 	if code := postJSON(t, ts.URL+"/v1/refresh", map[string]any{}, nil); code != 200 {
-		t.Fatalf("refresh on the lagging executor: HTTP %d", code)
+		t.Fatalf("refresh on the idle executor: HTTP %d", code)
 	}
-	if g, _ := gens(); !slices.Equal(g, []int{3, 3}) {
-		t.Fatalf("after the refresh: applied generations %v, want the lagging executor caught up to [3 3]", g)
+	if gen := s.SketchGeneration(); gen != 5 {
+		t.Fatalf("after the refresh: generation %d, want 5", gen)
 	}
 	close(gateB)
 	<-doneB
@@ -257,12 +279,10 @@ func TestLaggingExecutorReplaysLoggedBatches(t *testing.T) {
 }
 
 // Two mutates in flight at once on a two-executor server are dequeued
-// by one executor each. Unserialized, neither saw the other's batch when
-// it synced (not logged yet), each applied only its own, and the second
-// to swap claimed a log generation its instance had never applied — an
-// executor serving, and publishing vectors and sketch from, a graph
-// short of one batch for good. Maintenance is one at a time now: every
-// executor must answer as a fresh server on the batches in log order.
+// by one executor each, and both run on the one maintainer, one at a
+// time: both batches must be published (they touch disjoint rows, so
+// the oracle does not need the order they committed in) and every
+// executor must answer as a fresh server on them.
 func TestConcurrentMutatesKeepExecutorsInStep(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		s := startServer(t, Config{Executors: 2})
@@ -277,8 +297,9 @@ func TestConcurrentMutatesKeepExecutorsInStep(t *testing.T) {
 			}
 			return b
 		}
+		batches := []graph.Batch{inserts(0, 100), inserts(1, 200)}
 		var wg sync.WaitGroup
-		for _, b := range []graph.Batch{inserts(0, 100), inserts(1, 200)} {
+		for _, b := range batches {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -288,13 +309,10 @@ func TestConcurrentMutatesKeepExecutorsInStep(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		s.vecMu.RLock()
-		logged := slices.Clone(s.batches)
-		s.vecMu.RUnlock()
-		if len(logged) != 2 {
-			t.Fatalf("trial %d: %d batches logged, want 2", trial, len(logged))
+		if gen := s.SketchGeneration(); gen != 3 {
+			t.Fatalf("trial %d: generation %d after two mutates, want 3", trial, gen)
 		}
-		assertAnswersMatchFreshServer(t, s, logged,
+		assertAnswersMatchFreshServer(t, s, batches,
 			Query{Op: OpKHop, Source: 0, K: 1}, Query{Op: OpKHop, Source: 1, K: 1})
 		if t.Failed() {
 			t.Fatalf("trial %d: executors diverged", trial)
@@ -499,7 +517,7 @@ func TestHTTPMutateShed(t *testing.T) {
 // stays strictly below a fresh executor's build + full recompute.
 func TestMutateCheaperThanFullRecompute(t *testing.T) {
 	s := startServer(t, Config{Executors: 1})
-	e := s.execs[0]
+	e := s.maint
 	batch := testBatch(t)
 	before := e.m.Elapsed()
 	if _, err := s.Mutate(context.Background(), batch); err != nil {
@@ -509,7 +527,7 @@ func TestMutateCheaperThanFullRecompute(t *testing.T) {
 
 	// The displaced alternative: what startup paid to build structures
 	// and compute vectors from scratch (construction included).
-	ref, err := newExecutor(99, testGraph(t), s.cfg.Threads, false)
+	ref, err := newExecutor(testGraph(t), s.cfg.Threads, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,13 +545,13 @@ func TestMutateCheaperThanFullRecompute(t *testing.T) {
 // PR+WCC on every refresh), only the sketch rebuild remains unmodeled.
 func TestRefreshDoesNotRecomputeWithoutMutations(t *testing.T) {
 	s := startServer(t, Config{Executors: 1})
-	e := s.execs[0]
+	e := s.maint
 	before := e.m.Elapsed()
 	if err := s.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if after := e.m.Elapsed(); after != before {
-		t.Fatalf("no-op refresh moved the executor's modeled clock: %v -> %v", before, after)
+		t.Fatalf("no-op refresh moved the maintainer's modeled clock: %v -> %v", before, after)
 	}
 	if s.SketchGeneration() != 2 {
 		t.Fatalf("refresh did not bump sketch generation: %d", s.SketchGeneration())

@@ -72,6 +72,11 @@ type Response struct {
 	Err        string  `json:"err,omitempty"`
 }
 
+// response starts the answer to q: the query's identity plus an outcome.
+func (q Query) response(status Status, msg string) Response {
+	return Response{Op: q.Op, Source: q.Source, Target: q.Target, Status: status, Err: msg}
+}
+
 // validate rejects structurally bad queries before they reach
 // admission, so sheds and deadlines are never hiding a 400.
 func (q Query) validate(n int, weighted, faultInjection bool) error {

@@ -120,7 +120,7 @@ func TestRefreshRebuildsDegradationSketch(t *testing.T) {
 	if gen := s.SketchGeneration(); gen != 1 {
 		t.Fatalf("startup sketch generation %d, want 1", gen)
 	}
-	_, sk1 := s.snapshot()
+	sk1 := s.pub.Load().sketch
 
 	if err := s.Refresh(ctx); err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestRefreshRebuildsDegradationSketch(t *testing.T) {
 	if gen := s.SketchGeneration(); gen != 2 {
 		t.Fatalf("post-refresh sketch generation %d, want 2 (sketch not rebuilt)", gen)
 	}
-	_, sk2 := s.snapshot()
+	sk2 := s.pub.Load().sketch
 	if sk1 == sk2 {
 		t.Fatal("refresh kept serving the startup sketch object")
 	}

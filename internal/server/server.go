@@ -75,10 +75,9 @@ type pending struct {
 	degraded bool
 	refresh  bool
 	// mutate, when non-nil, is a maintenance entry like refresh: the
-	// dequeuing executor applies the batch, re-converges the vectors
-	// incrementally, and swaps vectors+sketch+log in one critical
-	// section. mutRep is written by the executor before it responds
-	// (the resC receive orders the read).
+	// dequeuing executor's goroutine applies the batch on the maintainer
+	// and publishes the next generation. mutRep is written before the
+	// response is sent (the resC receive orders the read).
 	mutate graph.Batch
 	mutRep *engines.MutationReport
 	depth  int // queue depth observed at admission, for the log
@@ -91,32 +90,23 @@ type Server struct {
 	cfg Config
 	// n and weighted are all the server keeps of the graph it started
 	// on (the query ID space; whether SSSP is servable): the adjacency
-	// belongs to the executors, whose epochs replace it.
+	// belongs to the published epochs, which replace it.
 	n        int
 	weighted bool
 	execs    []*executor
 
-	// vecMu guards the precomputed state a refresh or mutate swaps: the
-	// PR/WCC vectors AND the degradation sketch (plus its generation
-	// counter — monotone, bumped by every successful refresh/mutate, so
-	// tests can prove degraded answers come from the rebuilt sketch,
-	// not a stale one), plus the append-only mutation batch log and the
-	// current homogenized adjacency epoch. Executors replay the log
-	// lazily when they dequeue, so every query is served on a graph at
-	// least as new as the last acknowledged mutation.
-	vecMu     sync.RWMutex
-	vec       vectors
-	sketch    *Sketch
-	sketchGen uint64
-	batches   []graph.Batch
-
-	// maintMu serializes maintenance (refresh, mutate) from the
-	// executor's sync through the swap: two mutates dequeued at once
-	// would each miss the other's not-yet-logged batch, and the second to
-	// swap would claim a log generation its instance never applied. It
-	// also makes the published sketch the sketch of exactly the graph a
-	// synced executor holds, as Repair requires. Queries never take it.
+	// pub is the one generation queries are answered from. A query loads
+	// it once, so it never mixes one generation's vectors with another's
+	// sketch or adjacency, and a query admitted after a mutate was
+	// acknowledged is served on the post-batch graph.
+	pub atomic.Pointer[published]
+	// maint is the one executor that is ever mutated. It has no
+	// goroutine: whichever executor dequeues a refresh or mutate runs it
+	// on maint under maintMu, one maintenance at a time, so the
+	// published epoch is always the one maint stood on before the next
+	// batch, as Repair requires. Queries never take maintMu.
 	maintMu sync.Mutex
+	maint   *executor
 
 	admit   *admitter
 	queue   chan *pending
@@ -141,10 +131,10 @@ func New(cfg Config) (*Server, error) {
 }
 
 // NewFromEdgeList starts a server over an in-memory edge list:
-// homogenizes it once, loads one engine instance per executor from that
-// one graph, precomputes the PR/WCC vectors, builds the landmark
-// sketch, and starts the executor goroutines. The returned server is
-// serving.
+// homogenizes it once, loads the maintainer and one engine instance per
+// executor from that one graph, publishes generation 1 (PR/WCC vectors,
+// landmark sketch), and starts the executor goroutines. The returned
+// server is serving.
 func NewFromEdgeList(el *graph.EdgeList, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Admit.validate(); err != nil {
@@ -163,20 +153,19 @@ func NewFromEdgeList(el *graph.EdgeList, cfg Config) (*Server, error) {
 		started:  time.Now(),
 		stopped:  make(chan struct{}),
 	}
+	maint, pub, err := newMaintainer(g, cfg.Threads, cfg.Landmarks, cfg.Compress)
+	if err != nil {
+		return nil, err
+	}
+	s.maint = maint
+	s.pub.Store(pub)
 	for i := 0; i < cfg.Executors; i++ {
-		e, err := newExecutor(i, g, cfg.Threads, cfg.Compress)
+		e, err := newExecutor(g, cfg.Threads, cfg.Compress)
 		if err != nil {
 			return nil, err
 		}
 		s.execs = append(s.execs, e)
 	}
-	vec, err := s.execs[0].computeVectors()
-	if err != nil {
-		return nil, err
-	}
-	s.vec = vec
-	s.sketch = BuildSketch(g.Out, cfg.Landmarks)
-	s.sketchGen = 1
 	for _, e := range s.execs {
 		s.wg.Add(1)
 		go s.serveLoop(e)
@@ -208,22 +197,9 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// snapshot returns the precomputed state one query serves from — the
-// vectors and the sketch taken under one lock, so a query never mixes
-// pre-refresh vectors with a post-refresh sketch or vice versa.
-func (s *Server) snapshot() (vectors, *Sketch) {
-	s.vecMu.RLock()
-	defer s.vecMu.RUnlock()
-	return s.vec, s.sketch
-}
-
 // SketchGeneration returns the degradation sketch's generation:
-// 1 after construction, +1 per successful refresh.
-func (s *Server) SketchGeneration() uint64 {
-	s.vecMu.RLock()
-	defer s.vecMu.RUnlock()
-	return s.sketchGen
-}
+// 1 after construction, +1 per successful refresh or mutate.
+func (s *Server) SketchGeneration() uint64 { return s.pub.Load().gen }
 
 // serveLoop is one executor's goroutine: dequeue, serve, respond.
 // After Close it drains whatever is already queued (those callers
@@ -249,25 +225,14 @@ func (s *Server) serveLoop(e *executor) {
 
 func (s *Server) serveOne(e *executor, p *pending) {
 	s.admit.release()
-	var resp Response
 	if p.refresh || p.mutate != nil {
-		resp = s.maintainOn(e, p)
 		// Maintenance holds a queue slot but is not a query: keeping it
 		// out of the outcome counters preserves the exact identity
 		// completed+deadline+errors+panics == admitted.
-		p.resC <- resp
+		p.resC <- s.maintain(p)
 		return
 	}
-	// Catch this executor's resident graph up with the acknowledged
-	// mutation log before serving, so a query admitted after a mutate
-	// completed never reads a pre-mutation structure.
-	if err := s.syncExecutor(e); err != nil {
-		resp = Response{Op: p.q.Op, Source: p.q.Source, Target: p.q.Target,
-			Status: StatusError, Err: err.Error()}
-	} else {
-		vec, sketch := s.snapshot()
-		resp = e.run(p.ctx, p.q, p.budget, p.degraded, vec, sketch)
-	}
+	resp := e.run(p.ctx, p.q, p.budget, p.degraded, s.pub.Load())
 	switch resp.Status {
 	case StatusOK:
 		s.metrics.Completed.Add(1)
@@ -319,80 +284,36 @@ func (s *Server) logShed(seq int64, q Query, status Status, depth int) {
 	})
 }
 
-// syncExecutor replays any acknowledged mutation batches this
-// executor's instance has not applied yet and rebinds its adjacency
-// epoch. The log is append-only and e.gen is only touched by e's own
-// serve goroutine, so a read-locked snapshot of the tail is safe.
-func (s *Server) syncExecutor(e *executor) error {
-	s.vecMu.RLock()
-	var todo []graph.Batch
-	if e.gen < len(s.batches) {
-		todo = s.batches[e.gen:]
-	}
-	s.vecMu.RUnlock()
-	if len(todo) == 0 {
-		return nil
-	}
-	for _, b := range todo {
-		if _, err := e.inst.Mutate(b); err != nil {
-			return fmt.Errorf("server: executor %d sync: %w", e.id, err)
-		}
-		e.gen++
-	}
-	e.csr = e.inst.OutCSR()
-	return nil
-}
-
-// maintainOn executes a refresh or mutate entry on the dequeuing
-// executor, one maintenance at a time: sync the instance, apply the new
-// batch (mutate only), re-converge the vectors incrementally, bring the
-// degradation sketch to the post-batch adjacency — a mutate repairs the
-// published one at a cost that follows the batch, a refresh rebuilds it
-// — and swap vectors + sketch + log in one critical section. Queries
-// keep flowing on the other executors throughout; they observe the new
-// state atomically.
-func (s *Server) maintainOn(e *executor, p *pending) Response {
+// maintain executes a refresh or mutate entry, one at a time, on the
+// maintainer: apply the batch (mutate only), re-converge the vectors
+// incrementally, bring the degradation sketch to the post-batch
+// adjacency — a mutate repairs the published one at a cost that follows
+// the batch, a refresh rebuilds it — and publish all of it as the next
+// generation in one store. Queries keep flowing on every executor
+// throughout; each binds the new generation when it next dequeues one.
+func (s *Server) maintain(p *pending) Response {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
-	if err := s.syncExecutor(e); err != nil {
-		return Response{Status: StatusError, Err: err.Error()}
-	}
-	// Synced under maintMu, e holds the graph the published sketch is of.
-	pre := e.csr
+	cur, m := s.pub.Load(), s.maint
 	if p.mutate != nil {
-		rep, err := e.inst.Mutate(p.mutate)
+		rep, err := m.inst.Mutate(p.mutate)
 		if err != nil {
-			// Validation failed atomically: the instance is unchanged
-			// and the batch is not logged, so nothing diverges.
+			// Validation failed atomically: the maintainer is unchanged.
 			return Response{Status: StatusError, Err: err.Error()}
 		}
 		p.mutRep = rep
-		e.csr = e.inst.OutCSR()
 	}
-	vec, err := e.computeVectors()
+	vec, err := m.computeVectors()
 	if err != nil {
 		return Response{Status: StatusError, Err: err.Error()}
 	}
-	// The degradation sketch is precomputation too: a swap that
-	// replaced the vectors but kept the old sketch would keep serving
-	// degraded answers from stale state. Bring it to the current epoch
-	// and swap everything in one critical section.
-	var sketch *Sketch
+	next := &published{epoch: m.inst.Epoch(), vec: vec, gen: cur.gen + 1}
 	if p.mutate != nil {
-		_, published := s.snapshot()
-		sketch = published.Repair(pre, e.csr, e.inst.InCSR())
+		next.sketch = cur.sketch.Repair(cur.epoch.Out(), next.epoch.Out(), next.epoch.In())
 	} else {
-		sketch = BuildSketch(e.csr, s.cfg.Landmarks)
+		next.sketch = BuildSketch(next.epoch.Out(), s.cfg.Landmarks)
 	}
-	s.vecMu.Lock()
-	if p.mutate != nil {
-		s.batches = append(s.batches, p.mutate)
-		e.gen = len(s.batches)
-	}
-	s.vec = vec
-	s.sketch = sketch
-	s.sketchGen++
-	s.vecMu.Unlock()
+	s.pub.Store(next)
 	return Response{Status: StatusOK}
 }
 
@@ -403,13 +324,11 @@ func (s *Server) maintainOn(e *executor, p *pending) Response {
 func (s *Server) Submit(ctx context.Context, q Query) Response {
 	seq := s.seq.Add(1)
 	if s.closed.Load() {
-		return Response{Op: q.Op, Source: q.Source, Target: q.Target,
-			Status: StatusError, Err: "server closed"}
+		return q.response(StatusError, "server closed")
 	}
 	if err := q.validate(s.n, s.weighted, s.cfg.FaultInjection); err != nil {
 		s.metrics.Rejected.Add(1)
-		return Response{Op: q.Op, Source: q.Source, Target: q.Target,
-			Status: StatusError, Err: err.Error()}
+		return q.response(StatusError, err.Error())
 	}
 	s.metrics.Offered.Add(1)
 	now := time.Since(s.started).Seconds()
@@ -419,13 +338,11 @@ func (s *Server) Submit(ctx context.Context, q Query) Response {
 	case shedQueueFull:
 		s.metrics.ShedQueueFull.Add(1)
 		s.logShed(seq, q, StatusShed, depth)
-		return Response{Op: q.Op, Source: q.Source, Target: q.Target,
-			Status: StatusShed, Err: "queue full"}
+		return q.response(StatusShed, "queue full")
 	case shedThrottled:
 		s.metrics.ShedThrottled.Add(1)
 		s.logShed(seq, q, StatusShed, depth)
-		return Response{Op: q.Op, Source: q.Source, Target: q.Target,
-			Status: StatusShed, Err: "rate limited"}
+		return q.response(StatusShed, "rate limited")
 	}
 	s.metrics.Admitted.Add(1)
 	budget := q.DeadlineSec
@@ -450,8 +367,7 @@ func (s *Server) Submit(ctx context.Context, q Query) Response {
 	case <-ctx.Done():
 		// The executor will still process p (and observe ctx through
 		// the hook); the buffered resC absorbs its response.
-		return Response{Op: q.Op, Source: q.Source, Target: q.Target,
-			Status: StatusDeadline, Err: ctx.Err().Error()}
+		return q.response(StatusDeadline, ctx.Err().Error())
 	}
 }
 
@@ -467,25 +383,19 @@ var (
 	ErrInvalidBatch = errors.New("invalid mutation batch")
 )
 
-// Refresh recomputes the PR/WCC vectors on an executor, swapping them
-// in atomically. It shares the bounded queue (a refresh is heavy
-// executor work and must not bypass overload protection) but not the
-// token bucket. The recompute runs through the incremental
-// maintainers, so an up-to-date baseline swaps at near-zero modeled
-// cost instead of re-paying full kernel runs.
-func (s *Server) Refresh(ctx context.Context) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
+// enqueue takes a bounded-queue slot for the maintenance entry p (heavy
+// executor work must not bypass overload protection) but no token, and
+// waits for the executor that dequeues it.
+func (s *Server) enqueue(ctx context.Context, what string, p *pending) error {
 	if !s.admit.tryReserve() {
-		return fmt.Errorf("%w: refresh shed (queue full)", ErrOverloaded)
+		return fmt.Errorf("%w: %s shed (queue full)", ErrOverloaded, what)
 	}
-	p := &pending{ctx: ctx, refresh: true, seq: s.seq.Add(1), resC: make(chan Response, 1)}
+	p.ctx, p.seq, p.resC = ctx, s.seq.Add(1), make(chan Response, 1)
 	s.queue <- p
 	select {
 	case resp := <-p.resC:
 		if resp.Status != StatusOK {
-			return fmt.Errorf("refresh failed: %s", resp.Err)
+			return fmt.Errorf("%s failed: %s", what, resp.Err)
 		}
 		return nil
 	case <-ctx.Done():
@@ -493,40 +403,41 @@ func (s *Server) Refresh(ctx context.Context) error {
 	}
 }
 
+// Refresh recomputes the PR/WCC vectors and rebuilds the sketch,
+// publishing them atomically. The recompute runs through the
+// incremental maintainers, so an up-to-date baseline swaps at near-zero
+// modeled cost instead of re-paying full kernel runs.
+func (s *Server) Refresh(ctx context.Context) error {
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	return s.enqueue(ctx, "refresh", &pending{refresh: true})
+}
+
 // Mutate applies one batch of edge mutations to the served graph: the
-// dequeuing executor updates its resident structures in place,
-// re-converges the PR/WCC vectors incrementally and repairs the
-// degradation sketch (both bit-equal to a full recompute on the
-// post-batch graph), and swaps everything atomically. Concurrent queries are
-// never dropped — they serve from the previous epoch until the swap,
-// and executors replay the acknowledged batch log before serving.
-// Like Refresh, a mutate holds a bounded-queue slot but stays out of
-// the query outcome counters.
+// maintainer builds the next adjacency epoch, re-converges the PR/WCC
+// vectors incrementally and repairs the degradation sketch (both
+// bit-equal to a full recompute on the post-batch graph), and publishes
+// everything atomically. Concurrent queries are never dropped — each
+// serves from the generation published when it was dequeued. Like
+// Refresh, a mutate holds a bounded-queue slot but stays out of the
+// query outcome counters.
 func (s *Server) Mutate(ctx context.Context, batch graph.Batch) (*engines.MutationReport, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
 	if batch == nil {
 		// Keep the maintenance marker non-nil so an empty batch still
-		// routes through maintainOn (a harmless vector re-swap), never
-		// through the query path.
+		// routes through maintain (a harmless re-publish), never through
+		// the query path.
 		batch = graph.Batch{}
 	}
 	if err := batch.Validate(s.n, s.weighted); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidBatch, err)
 	}
-	if !s.admit.tryReserve() {
-		return nil, fmt.Errorf("%w: mutate shed (queue full)", ErrOverloaded)
+	p := &pending{mutate: batch}
+	if err := s.enqueue(ctx, "mutate", p); err != nil {
+		return nil, err
 	}
-	p := &pending{ctx: ctx, mutate: batch, seq: s.seq.Add(1), resC: make(chan Response, 1)}
-	s.queue <- p
-	select {
-	case resp := <-p.resC:
-		if resp.Status != StatusOK {
-			return nil, fmt.Errorf("mutate failed: %s", resp.Err)
-		}
-		return p.mutRep, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return p.mutRep, nil
 }

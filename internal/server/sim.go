@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/hpcl-repro/epg/internal/graph"
@@ -100,10 +101,11 @@ func genQueries(rng *xrand.RNG, n int, cfg SimConfig, weighted bool) []simQuery 
 }
 
 // Simulate runs the virtual-time discrete-event loop: arrivals meet
-// the admission controller (queue-full shed, token throttle, degrade
-// watermark), queued queries start as virtual servers free up, and
-// each service consumes the bench executor's modeled duration for
-// that query. Single-threaded and wall-clock-free end to end.
+// the live daemon's admission controller (admitter.tryAdmit on virtual
+// time, its depth ledger equal to the queue's length at every decision),
+// queued queries start as virtual servers free up, and each service
+// consumes the bench executor's modeled duration for that query.
+// Single-threaded and wall-clock-free end to end.
 func Simulate(b *Bench, cfg SimConfig) (SimStats, error) {
 	if cfg.Servers < 1 {
 		cfg.Servers = 1
@@ -118,7 +120,7 @@ func Simulate(b *Bench, cfg SimConfig) (SimStats, error) {
 	arrivals := genQueries(rng, b.n, cfg, b.weighted)
 
 	var st SimStats
-	bucket := newTokenBucket(cfg.Admit.QPS, cfg.Admit.Burst)
+	adm := newAdmitter(cfg.Admit)
 	freeAt := make([]float64, cfg.Servers)
 	type queued struct {
 		q        Query
@@ -165,6 +167,7 @@ func Simulate(b *Bench, cfg SimConfig) (SimStats, error) {
 			}
 			item := queue[0]
 			queue = queue[1:]
+			adm.release()
 			serve(s, freeAt[s], item)
 		}
 	}
@@ -172,34 +175,31 @@ func Simulate(b *Bench, cfg SimConfig) (SimStats, error) {
 	for _, a := range arrivals {
 		drainUntil(a.at)
 		st.Offered++
-		if len(queue) >= cfg.Admit.QueueCap {
+		dec := adm.tryAdmit(a.at, a.q.degradable(b.weighted))
+		switch dec {
+		case shedQueueFull:
 			st.ShedQueueFull++
 			continue
-		}
-		if !bucket.allow(a.at) {
+		case shedThrottled:
 			st.ShedThrottled++
 			continue
 		}
 		st.Admitted++
-		degraded := a.q.degradable(b.weighted) &&
-			cfg.Admit.DegradeWatermark > 0 && len(queue) >= cfg.Admit.DegradeWatermark
-		item := queued{q: a.q, degraded: degraded}
+		item := queued{q: a.q, degraded: dec == admitDegraded}
 		if s := earliestFree(); freeAt[s] <= a.at && len(queue) == 0 {
+			adm.release()
 			serve(s, a.at, item) // idle server: straight to service
 			continue
 		}
 		queue = append(queue, item)
+		// Queued-only high-water mark: the admitter's own also counts a
+		// query that went straight to service.
 		if len(queue) > st.MaxDepth {
 			st.MaxDepth = len(queue)
 		}
 	}
 	// End of arrivals: everything admitted still runs.
-	for len(queue) > 0 {
-		s := earliestFree()
-		item := queue[0]
-		queue = queue[1:]
-		serve(s, freeAt[s], item)
-	}
+	drainUntil(math.Inf(1))
 
 	sort.Float64s(serviceUS)
 	st.P50US = percentile(serviceUS, 50)
