@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzVarintRoundTrip$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzCompressedCSREquivalence$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/snap/
+	$(GO) test -fuzz '^FuzzReadGraph500$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/snap/
 	$(GO) test -fuzz '^FuzzMutationEquivalence$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzSketchRepair$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
 

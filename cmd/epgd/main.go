@@ -17,17 +17,39 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"github.com/hpcl-repro/epg/internal/server"
 )
 
+// shutdownGrace bounds how long a stopping daemon waits for requests
+// already in flight.
+const shutdownGrace = 10 * time.Second
+
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "epgd: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run serves until ctx is cancelled, then stops accepting connections,
+// lets the requests in flight finish (for at most shutdownGrace) and
+// only then drains and stops the executors they are waiting on.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("epgd", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8090", "listen address")
 	dataset := fs.String("dataset", "kron-14", "resident dataset (kron-<scale>, dota-league, cit-Patents)")
 	seed := fs.Uint64("seed", 1, "dataset generation seed")
@@ -42,7 +64,7 @@ func main() {
 	compress := fs.Bool("compress", false, "serve from the delta+varint compressed adjacency")
 	faults := fs.Bool("fault-injection", false, "permit op=panic queries (soak testing the panic isolation path)")
 	logQueries := fs.Bool("log-queries", false, "emit one structured line per query to stderr")
-	fs.Parse(os.Args[1:])
+	fs.Parse(args)
 
 	cfg := server.Config{
 		Dataset:   *dataset,
@@ -61,30 +83,41 @@ func main() {
 		FaultInjection:     *faults,
 	}
 	if *logQueries {
-		cfg.QueryLog = os.Stderr
+		cfg.QueryLog = stderr
 	}
 	s, err := server.New(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer s.Close()
-	fmt.Fprintf(os.Stderr, "epgd: serving %s (%d vertices, weighted=%t) on %s\n",
-		*dataset, s.NumVertices(), s.Weighted(), *addr)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "epgd: serving %s (%d vertices, weighted=%t) on %s\n",
+		*dataset, s.NumVertices(), s.Weighted(), ln.Addr())
 	// A client that trickles its request or parks an idle connection is
 	// cut off. No write timeout: a mutate on a large graph takes a while.
 	hs := &http.Server{
-		Addr:              *addr,
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	if err := hs.ListenAndServe(); err != nil {
-		fatal(err)
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "epgd: %v\n", err)
-	os.Exit(1)
+	fmt.Fprintln(stderr, "epgd: shutting down")
+	grace, cancel := context.WithTimeout(context.WithoutCancel(ctx), shutdownGrace)
+	defer cancel()
+	if err := hs.Shutdown(grace); err != nil {
+		hs.Close()
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	<-served // http.ErrServerClosed, since Shutdown began
+	return nil
 }

@@ -146,7 +146,7 @@ func BuildCSR(el *EdgeList, opt BuildOptions) *CSR {
 	})
 
 	if opt.Sort || opt.Dedup {
-		csr.SortAdjacency()
+		csr.sortAdjacency(w)
 	}
 	if opt.Dedup {
 		csr = dedupCSR(csr)

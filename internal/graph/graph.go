@@ -2,7 +2,11 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 
 	"github.com/hpcl-repro/epg/internal/parallel"
 )
@@ -146,60 +150,72 @@ func (c *CSR) Validate() error {
 	return nil
 }
 
-// vidSorter sorts a neighbor slice ascending through sort.Sort. A
-// concrete type with pointer receivers keeps the hot builder path free
-// of allocations: sort.Slice allocated a closure plus reflect swapper
-// per vertex, while a hoisted *vidSorter boxes into sort.Interface
-// once per SortAdjacency call.
-type vidSorter []VID
-
-func (s *vidSorter) Len() int           { return len(*s) }
-func (s *vidSorter) Less(i, j int) bool { return (*s)[i] < (*s)[j] }
-func (s *vidSorter) Swap(i, j int)      { (*s)[i], (*s)[j] = (*s)[j], (*s)[i] }
-
-// adjWeightSorter sorts a neighbor slice and its parallel weight slice
-// together, in place, ordered by (neighbor, weight). Ordering ties by
-// weight keeps the layout a pure function of the pair multiset;
-// dedupCSR's min-weight rule is indifferent to it.
-type adjWeightSorter struct {
-	adj []VID
-	w   []float32
-}
-
-func (s *adjWeightSorter) Len() int { return len(s.adj) }
-func (s *adjWeightSorter) Less(i, j int) bool {
-	if s.adj[i] != s.adj[j] {
-		return s.adj[i] < s.adj[j]
-	}
-	return s.w[i] < s.w[j]
-}
-func (s *adjWeightSorter) Swap(i, j int) {
-	s.adj[i], s.adj[j] = s.adj[j], s.adj[i]
-	s.w[i], s.w[j] = s.w[j], s.w[i]
-}
-
 // SortAdjacency sorts each vertex's neighbor list ascending (weights
-// permuted alongside, ties ordered by weight). Sorted adjacency
-// improves locality, is required by the LCC intersection kernels, and
-// is a precondition of CompressCSR's unsigned gap encoding. Both
-// branches sort in place through concrete sort.Sort types — no
-// per-vertex index, scratch, or closure allocations.
-func (c *CSR) SortAdjacency() {
-	var vs vidSorter
-	var ps adjWeightSorter
-	for v := 0; v < c.NumVertices; v++ {
-		lo, hi := c.Offsets[v], c.Offsets[v+1]
-		if hi-lo < 2 {
-			continue
+// permuted alongside, ties ordered by weight, so the layout is a pure
+// function of the pair multiset; dedupCSR's min-weight rule is
+// indifferent to it). Sorted adjacency improves locality, is required
+// by the LCC intersection kernels, and is a precondition of
+// CompressCSR's unsigned gap encoding. Rows sort in place, in parallel
+// on the shared pool.
+func (c *CSR) SortAdjacency() { c.sortAdjacency(runtime.GOMAXPROCS(0)) }
+
+// sortRowGrain is the rows per dynamic chunk: small enough that a
+// Kronecker hub row does not pin a worker's whole share behind it.
+const sortRowGrain = 256
+
+// sortKeys recycles sortPairsPacked's key buffers across chunks and
+// across builds: a harness run or a mutate rebuild sorts a graph much
+// like the last one, and would otherwise allocate its hub rows' keys
+// anew.
+var sortKeys = sync.Pool{New: func() any { return new([]uint64) }}
+
+func (c *CSR) sortAdjacency(workers int) {
+	if len(c.Adj) < buildSerialCutoff {
+		workers = 1
+	}
+	parallel.For(parallel.Default(), workers, c.NumVertices, sortRowGrain, parallel.Dynamic, func(lo, hi, _, _ int) {
+		keys := sortKeys.Get().(*[]uint64)
+		defer sortKeys.Put(keys)
+		for v := lo; v < hi; v++ {
+			a, b := c.Offsets[v], c.Offsets[v+1]
+			switch {
+			case b-a < 2:
+			case c.Weights == nil:
+				slices.Sort(c.Adj[a:b])
+			default:
+				if int64(cap(*keys)) < b-a {
+					*keys = make([]uint64, max(b-a, 2*int64(cap(*keys))))
+				}
+				sortPairsPacked(c.Adj[a:b], c.Weights[a:b], (*keys)[:b-a])
+			}
 		}
-		adj := c.Adj[lo:hi]
-		if c.Weights == nil {
-			vs = adj
-			sort.Sort(&vs)
-			continue
+	})
+}
+
+// sortPairsPacked orders a row by (neighbor, weight) as one monomorphic
+// sort of neighbor<<32 | weight keys. Raw float bits order only the
+// non-negative weights, so the low half is the usual order-preserving
+// map (negatives complemented, the rest with the sign bit set): every
+// pair the float < orders, the keys order the same way.
+func sortPairsPacked(adj []VID, w []float32, keys []uint64) {
+	for i, u := range adj {
+		b := math.Float32bits(w[i])
+		if b>>31 != 0 {
+			b = ^b
+		} else {
+			b |= 1 << 31
 		}
-		ps.adj, ps.w = adj, c.Weights[lo:hi]
-		sort.Sort(&ps)
+		keys[i] = uint64(u)<<32 | uint64(b)
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		b := uint32(k)
+		if b>>31 != 0 {
+			b &^= 1 << 31
+		} else {
+			b = ^b
+		}
+		adj[i], w[i] = VID(k>>32), math.Float32frombits(b)
 	}
 }
 

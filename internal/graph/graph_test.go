@@ -270,3 +270,22 @@ func BenchmarkBuildCSR(b *testing.B) {
 		BuildCSR(el, BuildOptions{Symmetrize: true})
 	}
 }
+
+// BenchmarkBuildCSRSorted is the build phase as every engine and the
+// server pay for it (symmetrize, drop loops, sort, dedup) on a weighted
+// edge list whose endpoints are skewed toward low IDs, so that a few
+// hub rows hold a large share of the entries as in a Kronecker graph.
+func BenchmarkBuildCSRSorted(b *testing.B) {
+	const n, m = 1 << 15, 1 << 19
+	r := xrand.New(1)
+	el := &EdgeList{NumVertices: n, Weighted: true, Edges: make([]Edge, m)}
+	for i := range el.Edges {
+		el.Edges[i] = Edge{Src: VID(r.Intn(r.Intn(r.Intn(n)+1) + 1)), Dst: VID(r.Intn(r.Intn(n) + 1)), W: r.Float32()}
+	}
+	b.SetBytes(int64(m) * 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BuildCSR(el, BuildOptions{Symmetrize: true, DropSelfLoops: true, Dedup: true, Sort: true})
+	}
+}

@@ -1,8 +1,12 @@
 package graph
 
 import (
+	"math"
+	"runtime"
 	"sort"
 	"testing"
+
+	"github.com/hpcl-repro/epg/internal/xrand"
 )
 
 // referenceSortAdjacency is the pre-refactor sort.Slice implementation,
@@ -31,6 +35,33 @@ func referenceSortAdjacency(c *CSR) {
 		}
 		copy(adj, na)
 		copy(w, nw)
+	}
+}
+
+// adjWeightSorter is the serial sort.Sort pair sorter SortAdjacency
+// used before it went parallel and monomorphic, kept as the oracle for
+// the (neighbor, weight) order.
+type adjWeightSorter struct {
+	adj []VID
+	w   []float32
+}
+
+func (s *adjWeightSorter) Len() int { return len(s.adj) }
+func (s *adjWeightSorter) Less(i, j int) bool {
+	if s.adj[i] != s.adj[j] {
+		return s.adj[i] < s.adj[j]
+	}
+	return s.w[i] < s.w[j]
+}
+func (s *adjWeightSorter) Swap(i, j int) {
+	s.adj[i], s.adj[j] = s.adj[j], s.adj[i]
+	s.w[i], s.w[j] = s.w[j], s.w[i]
+}
+
+func oracleSortAdjacency(c *CSR) {
+	for v := 0; v < c.NumVertices; v++ {
+		lo, hi := c.Offsets[v], c.Offsets[v+1]
+		sort.Sort(&adjWeightSorter{adj: c.Adj[lo:hi], w: c.Weights[lo:hi]})
 	}
 }
 
@@ -99,6 +130,124 @@ func TestSortAdjacencyWeightedInvariants(t *testing.T) {
 			if da.Adj[i] != db.Adj[i] || da.Weights[i] != db.Weights[i] {
 				t.Fatalf("seed %d: dedup output differs at %d", seed, i)
 			}
+		}
+	}
+}
+
+// hostileWeights are the floats the order-preserving key map has to
+// get right: both signs, both zeros, subnormals, the extremes and the
+// infinities. NaN is left out: < does not order it.
+var hostileWeights = []float32{
+	0, float32(math.Copysign(0, -1)), 1, -1, 0.5, -0.5, 1e-7, -1e-7,
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+	math.MaxFloat32, -math.MaxFloat32,
+	float32(math.Inf(1)), float32(math.Inf(-1)),
+}
+
+// sortWallCSR is an unsorted weighted multigraph with few distinct
+// neighbors per row (so duplicates abound), weights drawn from a small
+// tied set, the hostile set and distinct randoms, short rows, and a hub
+// row far longer than any first key buffer.
+func sortWallCSR(seed uint64) *CSR {
+	const n, hub = 300, 6000
+	r := xrand.New(seed)
+	el := &EdgeList{NumVertices: n, Weighted: true}
+	weight := func() float32 {
+		switch r.Intn(3) {
+		case 0:
+			return float32(r.Intn(4)) - 1.5
+		case 1:
+			return hostileWeights[r.Intn(len(hostileWeights))]
+		}
+		return r.Float32()*200 - 100
+	}
+	for i := 0; i < hub; i++ {
+		el.Edges = append(el.Edges, Edge{Src: 0, Dst: VID(r.Intn(n)), W: weight()})
+	}
+	for v := 1; v < n; v++ {
+		for d := r.Intn(48); d > 0; d-- {
+			el.Edges = append(el.Edges, Edge{Src: VID(v), Dst: VID(r.Intn(16)), W: weight()})
+		}
+	}
+	return BuildCSR(el, BuildOptions{Workers: 1})
+}
+
+// The parallel sorter must lay every row out exactly as the old serial
+// pair sorter did, at every worker count: rows are independent and the
+// (neighbor, weight) order leaves only indistinguishable pairs free.
+func TestSortAdjacencyMatchesOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		base := sortWallCSR(seed)
+		if len(base.Adj) < buildSerialCutoff {
+			t.Fatalf("wall graph has %d entries, below the serial cutoff", len(base.Adj))
+		}
+		want := cloneCSR(base)
+		oracleSortAdjacency(want)
+		for _, workers := range []int{1, 2, 4, 7} {
+			got := cloneCSR(base)
+			got.sortAdjacency(workers)
+			for i := range want.Adj {
+				if got.Adj[i] != want.Adj[i] || got.Weights[i] != want.Weights[i] {
+					t.Fatalf("seed %d workers %d: entry %d = (%d, %g), oracle has (%d, %g)",
+						seed, workers, i, got.Adj[i], got.Weights[i], want.Adj[i], want.Weights[i])
+				}
+			}
+		}
+	}
+}
+
+// The packed keys must round-trip every weight bit pattern (NaN
+// payloads and the sign of zero included) and order whatever < orders.
+func TestSortPairsPackedKeepsBits(t *testing.T) {
+	w := append([]float32{float32(math.NaN()), math.Float32frombits(0xffc00001)}, hostileWeights...)
+	adj := make([]VID, len(w))
+	before := map[uint32]int{}
+	for _, x := range w {
+		before[math.Float32bits(x)]++
+	}
+	sortPairsPacked(adj, w, make([]uint64, len(w)))
+	for i, x := range w {
+		before[math.Float32bits(x)]--
+		if i > 0 && x < w[i-1] {
+			t.Errorf("weights %g, %g out of order", w[i-1], x)
+		}
+	}
+	for bits, left := range before {
+		if left != 0 {
+			t.Errorf("weight bits %#x: count off by %d after the sort", bits, left)
+		}
+	}
+}
+
+// Sorting is in place: a sorted build may allocate what the unsorted
+// one does plus, per worker, the bookkeeping of one parallel region and
+// a key buffer that doubles up to (at most twice) the longest row.
+func TestBuildAllocBudget(t *testing.T) {
+	el := randomEdgeList(11, 2048, 1<<16, true)
+	for _, workers := range []int{1, 2, 4} {
+		opt := BuildOptions{Workers: workers, Symmetrize: true}
+		var maxDeg int64
+		plain := BuildCSR(el, opt)
+		for v := 0; v < plain.NumVertices; v++ {
+			maxDeg = max(maxDeg, plain.Degree(VID(v)))
+		}
+		measure := func(opt BuildOptions) (bytes, allocs float64) {
+			var a, b runtime.MemStats
+			allocs = testing.AllocsPerRun(5, func() { BuildCSR(el, opt) })
+			runtime.ReadMemStats(&a)
+			BuildCSR(el, opt)
+			runtime.ReadMemStats(&b)
+			return float64(b.TotalAlloc - a.TotalAlloc), allocs
+		}
+		plainBytes, plainAllocs := measure(opt)
+		opt.Sort = true
+		sortBytes, sortAllocs := measure(opt)
+		keyBytes := float64(workers) * float64(4*8*maxDeg)
+		if extra := sortBytes - plainBytes; extra > keyBytes+float64(workers)*1024 {
+			t.Errorf("workers %d: sorted build allocates %.0f B more than unsorted, budget %.0f (max degree %d)", workers, extra, keyBytes, maxDeg)
+		}
+		if extra := sortAllocs - plainAllocs; extra > float64(workers)*(math.Log2(float64(maxDeg))+8) {
+			t.Errorf("workers %d: sorted build makes %.0f more allocations than unsorted", workers, extra)
 		}
 	}
 }

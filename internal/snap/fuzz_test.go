@@ -8,20 +8,19 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
+
+	"github.com/hpcl-repro/epg/internal/graph"
 )
 
 // hostileInputs enumerates the known attack shapes with the exact
 // failure each must produce; the fuzzer explores the space between
 // them.
-func TestReadHostileInputs(t *testing.T) {
+var hostileInputs = func() []hostileCase {
 	hugeToken := strings.Repeat("9", 2<<20) // one 2 MiB line: over the scanner's token limit
-	cases := []struct {
-		name    string
-		in      string
-		wantSub string // "" means the input must parse cleanly
-	}{
+	return []hostileCase{
 		{"empty stream", "", "no edges found"},
 		{"comments only", "# Nodes: 5 Edges: 0\n#\n", "no edges found"},
 		{"truncated line one field", "0\n", "line 1: expected at least 2 fields"},
@@ -43,7 +42,16 @@ func TestReadHostileInputs(t *testing.T) {
 		{"tabs accepted", "0\t1\n", ""},
 		{"no trailing newline", "0 1", ""},
 	}
-	for _, tc := range cases {
+}()
+
+type hostileCase struct {
+	name    string
+	in      string
+	wantSub string // "" means the input must parse cleanly
+}
+
+func TestReadHostileInputs(t *testing.T) {
+	for _, tc := range hostileInputs {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := Read(strings.NewReader(tc.in))
 			if tc.wantSub == "" {
@@ -65,22 +73,34 @@ func TestReadHostileInputs(t *testing.T) {
 	}
 }
 
+var fuzzReadSeeds = [][]byte{
+	[]byte("0 1\n1 2\n"),
+	[]byte("# comment\n3 4 0.5\n"),
+	[]byte("0\t1\r\n"),
+	[]byte("-1 2\n"),
+	[]byte("99999999999999999999 1\n"),
+	[]byte("0 1 2 3\n"),
+	[]byte("0 1 0.5\n2 3\n"),
+	{0, '1', ' ', '2', '\n'},
+	bytes.Repeat([]byte("7 "), 100),
+	[]byte("# Nodes: 2 Edges: 1000000000000000\n+5 -0 1e-7\n"),
+	[]byte("5 6\n# Nodes: 9 Edges: 9\n6 7\n"),
+}
+
 // FuzzRead pins the no-panic/no-OOM contract and, when the input does
 // parse, the structural invariants every downstream builder assumes:
 // dense IDs in [0, N), a faithful OrigID mapping, and a consistent
-// weight column.
+// weight column. Every input also goes through the pre-rewrite reader
+// (referenceRead): results and error strings must be identical.
 func FuzzRead(f *testing.F) {
-	f.Add([]byte("0 1\n1 2\n"))
-	f.Add([]byte("# comment\n3 4 0.5\n"))
-	f.Add([]byte("0\t1\r\n"))
-	f.Add([]byte("-1 2\n"))
-	f.Add([]byte("99999999999999999999 1\n"))
-	f.Add([]byte("0 1 2 3\n"))
-	f.Add([]byte("0 1 0.5\n2 3\n"))
-	f.Add([]byte{0, '1', ' ', '2', '\n'})
-	f.Add(bytes.Repeat([]byte("7 "), 100))
+	for _, seed := range fuzzReadSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := Read(bytes.NewReader(data))
+		if msg := diffRead(res, err, data); msg != "" {
+			t.Fatal(msg)
+		}
 		if err != nil {
 			if !strings.HasPrefix(err.Error(), "snap: ") {
 				t.Fatalf("error without package context: %q", err)
@@ -108,6 +128,39 @@ func FuzzRead(f *testing.F) {
 			}
 			if !el.Weighted && e.W != 0 {
 				t.Fatalf("unweighted graph carries weight %v", e.W)
+			}
+		}
+	})
+}
+
+// FuzzReadGraph500 pins the same contract for the binary reader: an
+// arbitrary file is either rejected with a snap: error or yields edges
+// inside [0, n), and what is allocated is bounded by the file, not by
+// the edge count its header claims.
+func FuzzReadGraph500(f *testing.F) {
+	f.Add(g500File(g500Magic, 4, 2, 0, 1, 2, 3))
+	f.Add(g500File(g500Magic, 4, 1<<62))
+	f.Add(g500File(g500Magic, 0, 0))
+	f.Add(g500File(g500Magic, 2, 1, 0, 2))
+	f.Add([]byte("not binary"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var el *graph.EdgeList
+		var err error
+		if got := allocatedBy(func() { el, err = ReadGraph500(bytes.NewReader(data)) }); got > uint64(1<<20+4*len(data)) {
+			t.Fatalf("allocated %d bytes for a %d-byte file", got, len(data))
+		}
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "snap: ") {
+				t.Fatalf("error without package context: %q", err)
+			}
+			return
+		}
+		if want := binary.LittleEndian.Uint64(data[8:]); uint64(len(el.Edges)) != want {
+			t.Fatalf("%d edges, header says %d", len(el.Edges), want)
+		}
+		for _, e := range el.Edges {
+			if int(e.Src) >= el.NumVertices || int(e.Dst) >= el.NumVertices {
+				t.Fatalf("edge (%d,%d) outside [0,%d)", e.Src, e.Dst, el.NumVertices)
 			}
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strconv"
 
 	"github.com/hpcl-repro/epg/internal/graph"
 )
@@ -70,26 +71,36 @@ func writeGraph500(w io.Writer, el *graph.EdgeList) error {
 	return bw.Flush()
 }
 
-// ReadGraph500 parses the packed binary edge list format.
+// ReadGraph500 parses the packed binary edge list format. The header's
+// edge count is a claim: the list is reserved only up to what the input
+// can hold and grows as edges arrive, so a file cannot make the reader
+// allocate more than a small multiple of its own length.
 func ReadGraph500(r io.Reader) (*graph.EdgeList, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	limit := uint64(inputBytes(r)) / 8
+	br := bufio.NewReaderSize(r, 64<<10)
+	var hdr [16]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("snap: graph500 header: %v", err)
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != g500Magic {
 		return nil, fmt.Errorf("snap: not a graph500 binary edge list")
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[4:]))
+	n := binary.LittleEndian.Uint32(hdr[4:])
 	m := binary.LittleEndian.Uint64(hdr[8:])
-	el := &graph.EdgeList{NumVertices: n, Edges: make([]graph.Edge, m)}
+	if n == 0 {
+		return nil, fmt.Errorf("snap: graph500 header: no vertices")
+	}
+	el := &graph.EdgeList{NumVertices: int(n), Edges: make([]graph.Edge, 0, min(m, limit))}
 	var buf [8]byte
-	for i := range el.Edges {
+	for i := uint64(0); i < m; i++ {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, fmt.Errorf("snap: graph500 edge %d: %v", i, err)
 		}
-		el.Edges[i].Src = binary.LittleEndian.Uint32(buf[0:])
-		el.Edges[i].Dst = binary.LittleEndian.Uint32(buf[4:])
+		e := graph.Edge{Src: binary.LittleEndian.Uint32(buf[0:]), Dst: binary.LittleEndian.Uint32(buf[4:])}
+		if e.Src >= n || e.Dst >= n {
+			return nil, fmt.Errorf("snap: graph500 edge %d: endpoint of %d->%d outside [0,%d)", i, e.Src, e.Dst, n)
+		}
+		el.Edges = append(el.Edges, e)
 	}
 	return el, nil
 }
@@ -98,13 +109,15 @@ func writeGraphMat(w io.Writer, el *graph.EdgeList, name string) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate real general\n%% %s\n", name)
 	fmt.Fprintf(bw, "%d %d %d\n", el.NumVertices, el.NumVertices, len(el.Edges))
+	var buf [64]byte
 	for _, e := range el.Edges {
 		w := e.W
 		if !el.Weighted {
 			w = 1
 		}
 		// GraphMat is 1-indexed.
-		if _, err := fmt.Fprintf(bw, "%d %d %g\n", e.Src+1, e.Dst+1, w); err != nil {
+		line := appendWeight(append(appendEdge(buf[:0], e.Src+1, e.Dst+1, ' '), ' '), w)
+		if _, err := bw.Write(append(line, '\n')); err != nil {
 			return err
 		}
 	}
@@ -121,16 +134,15 @@ func writeAdjacency(w io.Writer, el *graph.EdgeList) error {
 	}
 	fmt.Fprintln(bw, csr.NumVertices)
 	fmt.Fprintln(bw, len(csr.Adj))
+	var buf [32]byte
 	for v := 0; v < csr.NumVertices; v++ {
-		fmt.Fprintln(bw, csr.Offsets[v])
+		bw.Write(append(strconv.AppendInt(buf[:0], csr.Offsets[v], 10), '\n'))
 	}
 	for _, u := range csr.Adj {
-		fmt.Fprintln(bw, u)
+		bw.Write(append(strconv.AppendUint(buf[:0], uint64(u), 10), '\n'))
 	}
-	if el.Weighted {
-		for _, wt := range csr.Weights {
-			fmt.Fprintln(bw, wt)
-		}
+	for _, wt := range csr.Weights {
+		bw.Write(append(appendWeight(buf[:0], wt), '\n'))
 	}
 	return bw.Flush()
 }

@@ -14,6 +14,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"io/fs"
 	"strconv"
 
 	"github.com/hpcl-repro/epg/internal/graph"
@@ -28,12 +29,15 @@ type ReadResult struct {
 }
 
 // Read parses a SNAP-format stream. Weighted is inferred: if any data
-// line has a third column, all lines must have one.
+// line has a third column, all lines must have one. The edge list, the
+// ID mapping and the intern map are sized once, from the "# Nodes: N
+// Edges: M" comment SNAP files (and Write) carry ahead of the data.
 func Read(r io.Reader) (*ReadResult, error) {
+	limit := inputBytes(r) / 4 // the shortest data line, "0 1\n", is 4 bytes
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
 
-	ids := make(map[int64]graph.VID)
+	var ids map[int64]graph.VID
 	var orig []int64
 	intern := func(raw int64) graph.VID {
 		if v, ok := ids[raw]; ok {
@@ -46,45 +50,59 @@ func Read(r io.Reader) (*ReadResult, error) {
 	}
 
 	el := &graph.EdgeList{Directed: true}
+	var nodes, edges int64 // the header's claim, until the first edge
 	lineNo := 0
-	weightedKnown := false
 	for sc.Scan() {
 		lineNo++
 		line := sc.Bytes()
-		if len(line) == 0 || line[0] == '#' {
+		if len(line) == 0 {
 			continue
 		}
-		f0, f1, f2, nf, err := splitFields(line)
-		if err != nil {
-			return nil, fmt.Errorf("snap: line %d: %v", lineNo, err)
-		}
-		if nf == 0 {
+		if line[0] == '#' {
+			if ids == nil {
+				nodes, edges = headerSizes(line, nodes, edges)
+			}
 			continue
 		}
-		if nf < 2 {
+		f0, i := nextField(line, 0)
+		if len(f0) == 0 {
+			continue
+		}
+		f1, i := nextField(line, i)
+		if len(f1) == 0 {
 			return nil, fmt.Errorf("snap: line %d: expected at least 2 fields", lineNo)
 		}
-		src, err := strconv.ParseInt(f0, 10, 64)
+		f2, i := nextField(line, i)
+		if rest, _ := nextField(line, i); len(rest) != 0 {
+			return nil, fmt.Errorf("snap: line %d: too many fields", lineNo)
+		}
+		src, err := parseID(f0)
 		if err != nil {
 			return nil, fmt.Errorf("snap: line %d: bad source %q", lineNo, f0)
 		}
-		dst, err := strconv.ParseInt(f1, 10, 64)
+		dst, err := parseID(f1)
 		if err != nil {
 			return nil, fmt.Errorf("snap: line %d: bad destination %q", lineNo, f1)
 		}
 		if src < 0 || dst < 0 {
 			return nil, fmt.Errorf("snap: line %d: negative vertex ID", lineNo)
 		}
-		e := graph.Edge{Src: intern(src), Dst: intern(dst)}
-		hasW := nf >= 3
-		if !weightedKnown {
+		hasW := len(f2) != 0
+		if ids == nil {
+			// A header is trusted only up to what the input can hold,
+			// so a lying one cannot allocate more than O(input).
+			edges = min(edges, limit)
+			nodes = min(nodes, 2*edges)
+			ids = make(map[int64]graph.VID, nodes)
+			orig = make([]int64, 0, nodes)
+			el.Edges = make([]graph.Edge, 0, edges)
 			el.Weighted = hasW
-			weightedKnown = true
 		} else if hasW != el.Weighted {
 			return nil, fmt.Errorf("snap: line %d: inconsistent weight columns", lineNo)
 		}
+		e := graph.Edge{Src: intern(src), Dst: intern(dst)}
 		if hasW {
-			w, err := strconv.ParseFloat(f2, 32)
+			w, err := strconv.ParseFloat(string(f2), 32)
 			if err != nil {
 				return nil, fmt.Errorf("snap: line %d: bad weight %q", lineNo, f2)
 			}
@@ -105,36 +123,74 @@ func Read(r io.Reader) (*ReadResult, error) {
 	return &ReadResult{Graph: el, OrigID: orig}, nil
 }
 
-// splitFields extracts up to three whitespace-separated fields without
-// allocating per line.
-func splitFields(line []byte) (a, b, c string, n int, err error) {
-	i := 0
-	next := func() string {
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t' || line[i] == '\r') {
-			i++
+// unsizedInputBytes stands in for the length of a reader that cannot
+// tell it: what a size header may reserve ahead of such a stream.
+const unsizedInputBytes = 64 << 10
+
+// inputBytes returns how many bytes r can still deliver when it knows
+// (an in-memory reader's Len, a file's Stat), and unsizedInputBytes
+// otherwise.
+func inputBytes(r io.Reader) int64 {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return fi.Size()
 		}
-		start := i
-		for i < len(line) && line[i] != ' ' && line[i] != '\t' && line[i] != '\r' {
-			i++
+	}
+	return unsizedInputBytes
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
+
+// nextField returns the whitespace-separated field of line that starts
+// at or after i (empty when none is left) and the index just past it.
+// The field aliases line: nothing is allocated per line.
+func nextField(line []byte, i int) ([]byte, int) {
+	for i < len(line) && isSpace(line[i]) {
+		i++
+	}
+	start := i
+	for i < len(line) && !isSpace(line[i]) {
+		i++
+	}
+	return line[start:i], i
+}
+
+// parseID is strconv.ParseInt(string(b), 10, 64): a digit loop for the
+// plain decimal IDs files hold, strconv itself (signs, overflow, junk)
+// for everything else.
+func parseID(b []byte) (int64, error) {
+	if len(b) == 0 || len(b) > 18 { // 18 nines fit an int64
+		return strconv.ParseInt(string(b), 10, 64)
+	}
+	var v int64
+	for _, c := range b {
+		if c -= '0'; c > 9 {
+			return strconv.ParseInt(string(b), 10, 64)
 		}
-		return string(line[start:i])
+		v = v*10 + int64(c)
 	}
-	a = next()
-	if a == "" {
-		return "", "", "", 0, nil
+	return v, nil
+}
+
+// headerSizes reads N and M out of a "# Nodes: N Edges: M" comment;
+// a size the line does not state keeps the value passed in.
+func headerSizes(line []byte, nodes, edges int64) (int64, int64) {
+	var key []byte
+	for f, i := nextField(line, 1); len(f) != 0; f, i = nextField(line, i) {
+		if v, err := parseID(f); err == nil && v > 0 {
+			switch string(key) {
+			case "Nodes:":
+				nodes = v
+			case "Edges:":
+				edges = v
+			}
+		}
+		key = f
 	}
-	b = next()
-	if b == "" {
-		return a, "", "", 1, nil
-	}
-	c = next()
-	if c == "" {
-		return a, b, "", 2, nil
-	}
-	if rest := next(); rest != "" {
-		return "", "", "", 0, fmt.Errorf("too many fields")
-	}
-	return a, b, c, 3, nil
+	return nodes, edges
 }
 
 // Write emits the edge list in SNAP format. A header comment records
@@ -147,16 +203,27 @@ func Write(w io.Writer, el *graph.EdgeList, name string) error {
 	} else {
 		fmt.Fprintf(bw, "# SrcId\tDstId\n")
 	}
+	var buf [64]byte
 	for _, e := range el.Edges {
+		line := appendEdge(buf[:0], e.Src, e.Dst, '\t')
 		if el.Weighted {
-			if _, err := fmt.Fprintf(bw, "%d\t%d\t%g\n", e.Src, e.Dst, e.W); err != nil {
-				return err
-			}
-		} else {
-			if _, err := fmt.Fprintf(bw, "%d\t%d\n", e.Src, e.Dst); err != nil {
-				return err
-			}
+			line = appendWeight(append(line, '\t'), e.W)
+		}
+		if _, err := bw.Write(append(line, '\n')); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// appendEdge appends "src<sep>dst" as fmt's %d prints them.
+func appendEdge(b []byte, src, dst graph.VID, sep byte) []byte {
+	b = strconv.AppendUint(b, uint64(src), 10)
+	b = append(b, sep)
+	return strconv.AppendUint(b, uint64(dst), 10)
+}
+
+// appendWeight appends w as fmt's %g (and %v) print a float32.
+func appendWeight(b []byte, w float32) []byte {
+	return strconv.AppendFloat(b, float64(w), 'g', -1, 32)
 }

@@ -2,6 +2,9 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -192,15 +195,7 @@ func TestWriteFormatUnknown(t *testing.T) {
 // first-seen and deterministic).
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		el := &graph.EdgeList{NumVertices: 20, Weighted: true}
-		for i := 0; i < 50; i++ {
-			el.Edges = append(el.Edges, graph.Edge{
-				Src: graph.VID(r.Intn(20)),
-				Dst: graph.VID(r.Intn(20)),
-				W:   float32(int(r.Float32()*100)+1) / 128, // exactly representable
-			})
-		}
+		el := roundTripInput(seed)
 		var buf bytes.Buffer
 		if err := Write(&buf, el, "prop"); err != nil {
 			return false
@@ -228,19 +223,194 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkRead(b *testing.B) {
-	r := xrand.New(1)
-	el := &graph.EdgeList{NumVertices: 1000}
-	for i := 0; i < 50000; i++ {
-		el.Edges = append(el.Edges, graph.Edge{Src: graph.VID(r.Intn(1000)), Dst: graph.VID(r.Intn(1000))})
+// lyingHeaders are inputs whose size comment is wrong, late or not a
+// number: each must parse as if the comment were not there.
+var lyingHeaders = []string{
+	"# Nodes: 1000000000000000 Edges: 1000000000000000\n0 1\n",
+	"# Nodes: 1e15 Edges: 1e15\n0 1\n",
+	"0 1\n# Nodes: 1000000000000000 Edges: 1000000000000000\n1 2\n",
+	"# Nodes: 1 Edges: 1\n0 1\n1 2\n2 3 \n3 4\n",
+	"# Nodes: 2 Edges: 1\n# Nodes: 999999999999 Edges: 999999999999\n7 7\n",
+	"# Edges: 1000000000000000\n# Nodes: -4 Edges:\n0 1 0.5\n",
+}
+
+// allocatedBy returns the bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	f()
+	runtime.ReadMemStats(&b)
+	return b.TotalAlloc - a.TotalAlloc
+}
+
+// A size header is a hint: whatever it claims, the result is the
+// reference reader's and the allocation stays O(input) -- a fixed
+// amount for a reader that cannot tell its length.
+func TestReadLyingHeader(t *testing.T) {
+	for _, in := range lyingHeaders {
+		for _, sized := range []bool{true, false} {
+			var r io.Reader = strings.NewReader(in)
+			budget := uint64(128<<10 + 64*len(in)) // scanner buffer + per-byte share
+			if !sized {
+				r = struct{ io.Reader }{r}
+				budget = 4 << 20
+			}
+			var res *ReadResult
+			var err error
+			if got := allocatedBy(func() { res, err = Read(r) }); got > budget {
+				t.Errorf("%q (sized %v): allocated %d bytes, budget %d", in, sized, got, budget)
+			}
+			if msg := diffRead(res, err, []byte(in)); msg != "" {
+				t.Errorf("%q (sized %v): %s", in, sized, msg)
+			}
+		}
 	}
+}
+
+// allocSlack is how far two allocation counts that should be equal may
+// differ: under -race, fmt's sync.Pool drops objects at random.
+const allocSlack = 8
+
+// benchEdgeList is the codec benchmarks' input: m random edges on 1000
+// vertices.
+func benchEdgeList(m int, weighted bool) *graph.EdgeList {
+	r := xrand.New(1)
+	el := &graph.EdgeList{NumVertices: 1000, Weighted: weighted}
+	for i := 0; i < m; i++ {
+		el.Edges = append(el.Edges, graph.Edge{Src: graph.VID(r.Intn(1000)), Dst: graph.VID(r.Intn(1000)), W: r.Float32()})
+	}
+	return el
+}
+
+// With a truthful header Read allocates per file, not per line: the
+// allocation count does not depend on the edge count, and the bytes
+// stay within 1.5x of what the result holds.
+func TestReadAllocBudget(t *testing.T) {
+	read := func(m int) (allocs float64, allocated, held uint64) {
+		var buf bytes.Buffer
+		if err := Write(&buf, benchEdgeList(m, true), "budget"); err != nil {
+			t.Fatal(err)
+		}
+		var res *ReadResult
+		run := func() {
+			var err error
+			if res, err = Read(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(5, run)
+		allocated = allocatedBy(run)
+		return allocs, allocated, uint64(12*len(res.Graph.Edges) + 8*len(res.OrigID))
+	}
+	small, _, _ := read(10000)
+	large, allocated, held := read(100000)
+	if large > small+allocSlack {
+		t.Errorf("Read makes %.0f allocations for 10000 edges and %.0f for 100000", small, large)
+	}
+	if allocated > held*3/2 {
+		t.Errorf("Read allocated %d bytes for a result holding %d", allocated, held)
+	}
+}
+
+// The text writers format into one buffer: no allocation per line.
+func TestWriteAllocFree(t *testing.T) {
+	for _, f := range []Format{FormatSNAP, FormatGraphMat, FormatAdjacency} {
+		for _, weighted := range []bool{false, true} {
+			allocs := func(m int) float64 {
+				el := benchEdgeList(m, weighted)
+				return testing.AllocsPerRun(5, func() {
+					if err := WriteFormat(io.Discard, el, f, "alloc"); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if small, large := allocs(5000), allocs(50000); large > small+allocSlack {
+				t.Errorf("%s (weighted %v): %.0f allocations for 5000 edges, %.0f for 50000", f, weighted, small, large)
+			}
+		}
+	}
+}
+
+// g500File lays out a graph500-bin file: header, then (src, dst) pairs.
+func g500File(magic, n uint32, m uint64, endpoints ...uint32) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, magic)
+	b = binary.LittleEndian.AppendUint32(b, n)
+	b = binary.LittleEndian.AppendUint64(b, m)
+	for _, v := range endpoints {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return b
+}
+
+func TestReadGraph500Hostile(t *testing.T) {
+	cases := []struct {
+		name    string
+		in      []byte
+		wantSub string // "" means the input must parse cleanly
+	}{
+		{"empty", nil, "graph500 header"},
+		{"short header", g500File(g500Magic, 4, 1)[:12], "graph500 header"},
+		{"wrong magic", g500File(0xdeadbeef, 4, 0), "not a graph500"},
+		{"edge count 1<<62", g500File(g500Magic, 4, 1<<62), "graph500 edge 0"},
+		{"edge count max", g500File(g500Magic, 4, 1<<64-1, 0, 1), "graph500 edge 1"},
+		{"large count small file", g500File(g500Magic, 4, 1<<30, 0, 1, 2, 3), "graph500 edge 2"},
+		{"half an edge", g500File(g500Magic, 4, 2, 0, 1, 2), "graph500 edge 1"},
+		{"no vertices", g500File(g500Magic, 0, 0), "no vertices"},
+		{"source out of range", g500File(g500Magic, 4, 1, 4, 0), "graph500 edge 0"},
+		{"destination out of range", g500File(g500Magic, 4, 2, 0, 1, 3, 1<<32-1), "graph500 edge 1"},
+		{"no edges", g500File(g500Magic, 4, 0), ""},
+		{"trailing bytes ignored", g500File(g500Magic, 4, 1, 3, 0, 9, 9), ""},
+	}
+	for _, tc := range cases {
+		for _, sized := range []bool{true, false} {
+			var r io.Reader = bytes.NewReader(tc.in)
+			if !sized {
+				r = struct{ io.Reader }{r}
+			}
+			var el *graph.EdgeList
+			var err error
+			if got := allocatedBy(func() { el, err = ReadGraph500(r) }); got > 1<<20 {
+				t.Errorf("%s (sized %v): allocated %d bytes for a %d-byte file", tc.name, sized, got, len(tc.in))
+			}
+			switch {
+			case tc.wantSub == "" && err != nil:
+				t.Errorf("%s: want clean parse, got %v", tc.name, err)
+			case tc.wantSub == "" && el.NumVertices != 4:
+				t.Errorf("%s: %d vertices, want 4", tc.name, el.NumVertices)
+			case tc.wantSub != "" && err == nil:
+				t.Errorf("%s: parsed, want error containing %q", tc.name, tc.wantSub)
+			case tc.wantSub != "" && (!strings.HasPrefix(err.Error(), "snap: ") || !strings.Contains(err.Error(), tc.wantSub)):
+				t.Errorf("%s: error %q, want snap: ... %q", tc.name, err, tc.wantSub)
+			}
+		}
+	}
+}
+
+func BenchmarkRead(b *testing.B) {
 	var buf bytes.Buffer
-	Write(&buf, el, "bench")
+	Write(&buf, benchEdgeList(50000, false), "bench")
 	data := buf.Bytes()
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Read(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWrite reports MB/s of SNAP text produced (weighted, as the
+// Kronecker datasets are).
+func BenchmarkWrite(b *testing.B) {
+	el := benchEdgeList(50000, true)
+	var buf bytes.Buffer
+	Write(&buf, el, "bench")
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Write(io.Discard, el, "bench"); err != nil {
 			b.Fatal(err)
 		}
 	}
