@@ -19,7 +19,10 @@
 # `make golden` rewrites the golden modeled-cost wall
 # (internal/engines/all/testdata/golden_costs.txt: what every
 # engine/kernel pair charges on kron-12, checked by the ordinary test
-# run) -- only when a change is meant to move a cost.
+# run) -- only when a change is meant to move a cost; `make alloc-walls`
+# runs every allocation wall (warm regions, warm kernels, reused
+# instances) three times under GOMAXPROCS=1 and the default, printing
+# the B/call each one measured.
 
 GO ?= go
 FUZZTIME ?= 20s
@@ -30,7 +33,7 @@ FUZZTIME ?= 20s
 # pinned to kron-12 in internal/study, independent of this knob.)
 SCHEDFIG_SCALE ?= 17
 
-.PHONY: all build test bench-test race race-full fuzz bench loc golden benchfig compress-ratio serve-soak speedup-floor big-conformance numa-sweep vet fmt-check
+.PHONY: all build test bench-test race race-full alloc-walls fuzz bench loc golden benchfig compress-ratio serve-soak speedup-floor big-conformance numa-sweep vet fmt-check
 
 all: test bench-test race
 
@@ -50,6 +53,13 @@ race:
 
 race-full:
 	$(GO) test -race ./...
+
+# The allocation contract (ARCHITECTURE.md, "Workspaces and result
+# ownership"): a process-wide TotalAlloc delta is only trustworthy if it
+# repeats, so every wall runs three times on one P and three on all.
+alloc-walls:
+	GOMAXPROCS=1 $(GO) test -run 'Alloc|Warm|Reused' -count=3 -v ./internal/...
+	$(GO) test -run 'Alloc|Warm|Reused' -count=3 -v ./internal/...
 
 fuzz:
 	$(GO) test -fuzz '^FuzzScanInt64$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/parallel/

@@ -44,9 +44,10 @@ func main() {
 	}
 }
 
-// run serves until ctx is cancelled, then stops accepting connections,
-// lets the requests in flight finish (for at most shutdownGrace) and
-// only then drains and stops the executors they are waiting on.
+// run serves until ctx is cancelled, then stops admitting (a request on
+// an already-open connection gets 503 from here on), stops accepting
+// connections, lets the requests in flight finish (for at most
+// shutdownGrace) and only then stops the executors they are waiting on.
 func run(ctx context.Context, args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("epgd", flag.ExitOnError)
 	fs.SetOutput(stderr)
@@ -112,6 +113,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	case <-ctx.Done():
 	}
 	fmt.Fprintln(stderr, "epgd: shutting down")
+	s.Drain()
 	grace, cancel := context.WithTimeout(context.WithoutCancel(ctx), shutdownGrace)
 	defer cancel()
 	if err := hs.Shutdown(grace); err != nil {

@@ -1,0 +1,198 @@
+// Reuse walls: an engine instance keeps its kernels' scratch between
+// calls, and the kernels share it. What a warm call hands out must be
+// bit-equal to what an instance built for that one call hands out, and
+// a warm call must allocate its result and little else.
+package all
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"github.com/hpcl-repro/epg/internal/alloctest"
+	"github.com/hpcl-repro/epg/internal/core"
+	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/graph"
+	"github.com/hpcl-repro/epg/internal/kronecker"
+	"github.com/hpcl-repro/epg/internal/simmachine"
+)
+
+// reuseProgram interleaves the kernels on purpose: scratch is shared
+// between them, so each one runs after every other has dirtied it, and
+// the traversals come back from another root.
+var reuseProgram = []struct {
+	alg  engines.Algorithm
+	root int // index into the wall's roots
+}{
+	{engines.SSSP, 0}, {engines.PageRank, 0}, {engines.BFS, 0}, {engines.WCC, 0},
+	{engines.CDLP, 0}, {engines.LCC, 0}, {engines.SSSP, 1}, {engines.BFS, 1},
+	{engines.WCC, 0}, {engines.PageRank, 0}, {engines.CDLP, 0}, {engines.SSSP, 0},
+}
+
+// loadShared loads g into a fresh instance of the named engine on its
+// own 8-thread machine.
+func loadShared(t *testing.T, name string, g *graph.Simple, workers int, opts engines.Options) (engines.Instance, *simmachine.Machine) {
+	t.Helper()
+	eng, err := Registry().New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines.Configure(eng, opts)
+	m := newMachine()
+	m.SetWorkers(workers)
+	inst, err := eng.LoadSimple(g, m)
+	if err != nil {
+		t.Fatalf("%s load: %v", name, err)
+	}
+	inst.BuildStructure()
+	return inst, m
+}
+
+// scheduleDependent reports whether a kernel's parents, work counters
+// and region trace depend on the real schedule by design at this worker
+// count, which leaves only its values comparable: the two chaotic
+// SSSPs (fixed-point distances), and the in-place hook under GAP and
+// GraphBIG WCC (ROADMAP 1: the labels, in a schedule-dependent number
+// of sweeps).
+func scheduleDependent(name string, alg engines.Algorithm, workers int, sync bool) bool {
+	if workers == 1 || (name != GAP && name != GraphBIG) {
+		return false
+	}
+	return alg == engines.WCC || (alg == engines.SSSP && !sync)
+}
+
+// The reuse-equivalence wall for all five engines, modelled on
+// gap.TestReusedWorkspaceBitEqualFreshInstance: every (engine, kernel)
+// pair of the golden wall, the kernels interleaved on ONE long-lived
+// instance, across real worker counts, both SyncSSSP modes, raw and
+// compressed adjacency, an undirected and a directed load — values,
+// work counters and every Region since Mark bit-equal to an instance
+// built fresh for each call.
+func TestReusedInstanceBitEqualFreshInstance(t *testing.T) {
+	und := kronecker.Generate(kronecker.Params{Scale: 9, Seed: 21})
+	dir := *und
+	dir.Directed = true
+	for _, cfg := range goldenConfigs {
+		if cfg.adaptive {
+			continue // a grain policy, not a layout: the same scratch
+		}
+		el := und
+		if cfg.directed {
+			el = &dir
+		}
+		g, err := graph.Homogenize(el)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := core.SelectRoots(g.Out, 2, 0x7007)
+		for _, name := range cfg.engines {
+			eng, _ := Registry().New(name)
+			_, hasSync := eng.(engines.SyncSSSPSetter)
+			for _, workers := range workerCounts {
+				for _, sync := range []bool{true, false} {
+					if !sync && !hasSync {
+						continue // one SSSP mode only
+					}
+					opts := engines.Options{SyncSSSP: sync, Compress: cfg.compress}
+					reused, m := loadShared(t, name, g, workers, opts)
+					for step, p := range reuseProgram {
+						if !eng.Has(p.alg) {
+							continue
+						}
+						label := fmt.Sprintf("%s %s workers=%d sync=%v step %d %s", cfg.name, name, workers, sync, step, p.alg)
+						mark, _ := m.Mark()
+						got, err := engines.RunAlgorithm(reused, p.alg, rs[p.root])
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						gotRegions := slices.Clone(m.Trace()[mark:])
+						fresh, fm := loadShared(t, name, g, workers, opts)
+						mark, _ = fm.Mark()
+						want, err := engines.RunAlgorithm(fresh, p.alg, rs[p.root])
+						if err != nil {
+							t.Fatalf("%s (fresh): %v", label, err)
+						}
+						if scheduleDependent(name, p.alg, workers, sync) {
+							switch w := want.(type) {
+							case *engines.SSSPResult:
+								sameFloat64sBitwise(t, label+" dist", w.Dist, got.(*engines.SSSPResult).Dist)
+							case *engines.WCCResult:
+								sameVIDs(t, label+" component", w.Component, got.(*engines.WCCResult).Component)
+							}
+							continue
+						}
+						sameOutputs(t, label, want, got)
+						if !slices.Equal(gotRegions, fm.Trace()[mark:]) {
+							t.Errorf("%s: the reused instance's modeled regions differ from a fresh instance's", label)
+						}
+						if t.Failed() {
+							return
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// resultBytes is the size of the arrays a kernel hands out over n
+// vertices.
+func resultBytes(alg engines.Algorithm, n int) uint64 {
+	per := map[engines.Algorithm]int{
+		engines.BFS: 16, engines.SSSP: 16, engines.PageRank: 8,
+		engines.CDLP: 4, engines.LCC: 8, engines.WCC: 4,
+	}
+	return uint64(per[alg] * n)
+}
+
+// The allocation contract, kernel side: every (engine, kernel) pair,
+// warm, allocates its result arrays plus less than the 64 KB that
+// gap's walls allow — closures and the pool's hand-off per region, and
+// nothing per vertex, per replica or per chunk. At kron-12 the smallest
+// n-sized array is 16 KB and PowerGraph's replica arrays several times
+// that, so one made per call, or per superstep, breaks the bound.
+func TestWarmKernelsAllocateOnlyResults(t *testing.T) {
+	const bound = 64 << 10
+	el := kronecker.Generate(kronecker.Params{Scale: 12, Seed: 5})
+	g, err := graph.Homogenize(el)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := core.SelectRoots(g.Out, 8, 0x7007)
+	for _, compress := range []bool{false, true} {
+		for _, name := range Names {
+			eng, _ := Registry().New(name)
+			if _, ok := eng.(engines.CompressSetter); compress && !ok {
+				continue
+			}
+			for _, sync := range []bool{true, false} {
+				if _, ok := eng.(engines.SyncSSSPSetter); !sync && !ok {
+					continue
+				}
+				inst, m := loadShared(t, name, g, 2, engines.Options{SyncSSSP: sync, Compress: compress})
+				m.SetTracing(false) // a trace grows by design
+				for _, alg := range engines.AllAlgorithms {
+					if !eng.Has(alg) || (!sync && alg != engines.SSSP) {
+						continue
+					}
+					runs, i := 2, 0
+					if alg == engines.BFS || alg == engines.SSSP {
+						runs = len(rs) // what a traversal allocates varies with its root
+					}
+					per := alloctest.BytesPerRun(runs, func() {
+						if _, err := engines.RunAlgorithm(inst, alg, rs[i%len(rs)]); err != nil {
+							t.Fatal(err)
+						}
+						i++
+					})
+					results := resultBytes(alg, g.NumVertices)
+					t.Logf("warm %s %s compress=%v sync=%v: %d B/call, %d B of it the result arrays", name, alg, compress, sync, per, results)
+					if per >= results+bound {
+						t.Errorf("warm %s %s compress=%v sync=%v allocates %d B per call beyond its %d B result arrays; bound %d",
+							name, alg, compress, sync, per-results, results, bound)
+					}
+				}
+			}
+		}
+	}
+}

@@ -57,10 +57,10 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 func (inst *Instance) BFSInto(root graph.VID, dst *engines.BFSResult) (*engines.BFSResult, error) {
 	inst.ensureBuilt()
 	n := inst.n
-	ws, tr := inst.scratch(), &inst.trav
+	tr := &inst.trav
 	res := traverse.StartBFS(dst, root, n)
 
-	front, nextBits := ws.front, ws.nextBits // sized at the first switch
+	var front, nextBits *parallel.Bitmap // tr's, taken at the first switch
 	tr.Frontier = append(tr.Frontier[:0], root)
 	frontierLen := 1
 	scout := inst.out.Degree(root)
@@ -81,15 +81,14 @@ func (inst *Instance) BFSInto(root graph.VID, dst *engines.BFSResult) (*engines.
 
 		var examined, nextScout int64
 		if bottomUp {
-			if front == nil || front.Len() != n {
-				front, nextBits = parallel.NewBitmap(n), parallel.NewBitmap(n)
-				ws.front, ws.nextBits = front, nextBits
+			if front == nil {
+				front, nextBits = tr.Bitmaps(n)
 			}
 			if !wasBottomUp {
 				inst.frontierToBitmap(tr.Frontier, front)
 			}
 			var found int64
-			examined, nextScout, found = inst.stepBottomUp(ws, front, nextBits, res.Parent, res.Depth, level)
+			examined, nextScout, found = inst.stepBottomUp(front, nextBits, res.Parent, res.Depth, level)
 			front, nextBits = nextBits, front
 			frontierLen = int(found)
 		} else {
@@ -159,9 +158,10 @@ func (inst *Instance) bitmapToFrontier(b *parallel.Bitmap, dst []graph.VID, coun
 // next bitmap in-region (ranges are 64-aligned by the grain), so the
 // reset is parallel and charged per chunk — no extra region, no extra
 // barrier.
-func (inst *Instance) stepBottomUp(ws *workspace, front, next *parallel.Bitmap, parent, depth []int64, level int64) (examined, nextScout, found int64) {
+func (inst *Instance) stepBottomUp(front, next *parallel.Bitmap, parent, depth []int64, level int64) (examined, nextScout, found int64) {
 	n := inst.n
-	exa, sct, fnd := ws.counter(0), ws.counter(1), ws.counter(2)
+	tr := &inst.trav
+	exa, sct, fnd := tr.Counter(inst.m, 0), tr.Counter(inst.m, 1), tr.Counter(inst.m, 2)
 	rows, edgeCost := inst.inRows(), costBottomUpEdge
 	if rows.Encoded() {
 		edgeCost = costBottomUpEdgeC

@@ -26,13 +26,17 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 		return &engines.PRResult{Rank: nil}, nil
 	}
 	inv := 1.0 / float64(n)
-	rank := make([]float64, n)
-	next := make([]float64, n)
-	contrib := make([]float64, n)
-	for i := range rank {
-		rank[i] = inv
+	// One rank vector is made per call; whichever of the pair is not
+	// handed out when the iterations end is the next call's second one.
+	ws := &inst.ws
+	rank, next := make([]float64, n), traverse.Resized(ws.prSpare, n)
+	ws.prContrib, ws.prOutDeg = traverse.Resized(ws.prContrib, n), traverse.Resized(ws.prOutDeg, n)
+	contrib, outDeg := ws.prContrib, ws.prOutDeg
+	clear(contrib) // a dangling vertex's entry is never written
+	for v := range rank {
+		rank[v] = inv
+		outDeg[v] = inst.out.Degree(graph.VID(v)) // of this epoch: Mutate and Bind swap it
 	}
-	outDeg := inst.out.OutDegrees()
 
 	res := &engines.PRResult{}
 	m, tr, in := inst.m, &inst.trav, inst.inRows()
@@ -76,7 +80,7 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 			break
 		}
 	}
-	res.Rank = rank
+	res.Rank, ws.prSpare = rank, next
 	return res, nil
 }
 

@@ -29,7 +29,7 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 	if inst.out.Weights == nil {
 		return nil, engines.ErrUnsupported // unweighted input, as with cit-Patents in Table I
 	}
-	ws := inst.scratch()
+	ws := &inst.ws
 	res := traverse.StartSSSP(dst, root, inst.n)
 	if inst.eng.SyncSSSP {
 		return inst.ssspSync(ws, res)
@@ -67,7 +67,7 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 	}
 
 	ws.resetBuckets(root)
-	relax := ws.counter(0)
+	relax := inst.trav.Counter(inst.m, 0)
 	// Per-chunk bucket-update queues replace the mutex-guarded merge
 	// the relaxation passes used before: chunks collect their re-adds
 	// and later-bucket insertions locally and the queues concatenate
@@ -99,8 +99,8 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 			nchunks := parallel.NumChunks(len(current), g)
 			reAddQ.Reset(nchunks)
 			laterQ.Reset(nchunks)
-			reAddBuf.Reset(ws.workers)
-			laterBuf.Reset(ws.workers)
+			reAddBuf.Reset(inst.m.Workers())
+			laterBuf.Reset(inst.m.Workers())
 			inst.m.ParallelForChunks(len(current), g, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
 				localRe, localLater := reAddBuf.Take(worker), laterBuf.Take(worker)
 				startRe, startLater := len(localRe), len(localLater)
@@ -158,7 +158,7 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 		if len(heavyFrontier) > 0 {
 			g := inst.m.Grain(len(heavyFrontier), grain, 1)
 			laterQ.Reset(parallel.NumChunks(len(heavyFrontier), g))
-			laterBuf.Reset(ws.workers)
+			laterBuf.Reset(inst.m.Workers())
 			inst.m.ParallelForChunks(len(heavyFrontier), g, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
 				local := laterBuf.Take(worker)
 				start := len(local)

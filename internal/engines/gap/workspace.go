@@ -6,15 +6,19 @@ import (
 )
 
 // workspace is the working set of the kernels GAP does not share —
-// bottom-up BFS and both delta-stepping variants' buckets — kept on the
-// Instance, like the shared steps' traverse.State, so that a warm
-// traversal allocates nothing that scales with n or m — the paper's
-// method is one resident graph searched again and again, and epgd turns
-// that into traffic. An Instance is single-caller (its Machine is not
-// concurrent-safe), so one workspace per Instance needs no locking and
-// no pooling; and every piece is sized from (inst.n, Workers()) where
-// it is used, so a Mutate epoch swap or a SetWorkers needs no
-// invalidation hook.
+// both delta-stepping variants' buckets, the chaotic variant's CAS
+// distances and queues, PageRank's vectors, IncrementalWCC's repair —
+// kept on the Instance, beside the shared steps' traverse.State (which
+// also lends the per-worker counters and the bottom-up bitmaps), so
+// that a warm kernel allocates its result and nothing else that scales
+// with n or m: the paper's method is one resident graph searched again
+// and again, and epgd turns that into traffic. An Instance is
+// single-caller (its Machine is not concurrent-safe), so one workspace
+// per Instance needs no locking and no pooling; every piece is sized
+// from (inst.n, Workers()) where it is used, so a Mutate epoch swap or
+// a SetWorkers needs no invalidation hook; and every kernel initializes
+// what it reads on entry, so a call abandoned mid-flight (a cancelled
+// query, a recovered panic) leaves nothing the next one trusts.
 //
 // Retention rule: n-sized arrays are kept once each, and the per-chunk
 // outputs of a region come out of one Arena buffer per worker, so what
@@ -22,17 +26,6 @@ import (
 // never by a high-water mark per chunk, which retains several times
 // more and costs twice that in heap under GOGC=100.
 type workspace struct {
-	// workers is the worker count cnt is sized for.
-	workers int
-	// cnt are the per-region counters (bottom-up BFS: edges examined,
-	// scout, found; chaotic SSSP: relaxations), reset before each
-	// region that uses them.
-	cnt [3]*parallel.Counter
-
-	// The two bottom-up bitmaps, nil until a search first switches
-	// direction.
-	front, nextBits *parallel.Bitmap
-
 	// Delta-stepping, both variants: bucket slices are truncated, not
 	// dropped, between calls; reAdd and heavy are the current bucket's
 	// re-settle list and heavy-edge frontier.
@@ -48,30 +41,16 @@ type workspace struct {
 	laterQ   parallel.ChunkQueue[[2]int64] // (bucket, vertex)
 	laterBuf parallel.Arena[[2]int64]
 
+	// PageRank: the rank vector the last call did not hand out, the
+	// rank/degree contributions and the out-degrees of the epoch.
+	prSpare, prContrib []float64
+	prOutDeg           []int64
+
 	// IncrementalWCC's delete repair: membership in the affected
 	// components (and visited or not), their vertices, the BFS queue.
 	wccMark  []uint8
 	wccSet   []graph.VID
 	wccQueue []graph.VID
-}
-
-// scratch returns the instance's workspace with its per-worker parts
-// sized for the machine's current worker count.
-func (inst *Instance) scratch() *workspace {
-	ws := &inst.ws
-	if w := inst.m.Workers(); ws.workers != w {
-		ws.workers = w
-		for i := range ws.cnt {
-			ws.cnt[i] = parallel.NewCounter(w)
-		}
-	}
-	return ws
-}
-
-// counter returns the i-th per-region counter, zeroed.
-func (ws *workspace) counter(i int) *parallel.Counter {
-	ws.cnt[i].Reset()
-	return ws.cnt[i]
 }
 
 // resetBuckets empties every retained bucket (an abandoned run leaves

@@ -24,8 +24,8 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 		return &engines.PRResult{}, nil
 	}
 	inv := float32(1.0 / float64(n))
-	rank := make([]float32, n)
-	next := make([]float32, n)
+	inst.rank[0], inst.rank[1] = traverse.Resized(inst.rank[0], n), traverse.Resized(inst.rank[1], n)
+	rank, next := inst.rank[0], inst.rank[1]
 	for i := range rank {
 		rank[i] = inv
 	}
@@ -90,8 +90,8 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 // shared vote step.
 func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 	n := inst.n
-	label := make([]graph.VID, n)
-	next := make([]graph.VID, n)
+	// label is made per call and handed out; the other of the pair is kept.
+	label, next := make([]graph.VID, n), traverse.Resized(inst.spare, n)
 	for i := range label {
 		label[i] = graph.VID(i)
 	}
@@ -104,7 +104,7 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 			break
 		}
 	}
-	res.Label = label
+	res.Label, inst.spare = label, next
 	return res, nil
 }
 
@@ -113,8 +113,9 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 func (inst *Instance) LCC() (*engines.LCCResult, error) {
 	n := inst.n
 	coeff := make([]float64, n)
-	inst.m.ParallelFor(n, 64, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-		set := make(map[graph.VID]struct{})
+	sets := inst.trav.Tallies(inst.m, n) // the neighborhood as a set, per worker
+	inst.m.ParallelForChunks(n, 64, simmachine.Dynamic, func(lo, hi, _, worker int, w *simmachine.W) {
+		set := &sets[worker]
 		var checks int64
 		for v := lo; v < hi; v++ {
 			nbrs := inst.neighborhood(graph.VID(v))
@@ -122,19 +123,19 @@ func (inst *Instance) LCC() (*engines.LCCResult, error) {
 			if d < 2 {
 				continue
 			}
-			clear(set)
 			for _, u := range nbrs {
-				set[u] = struct{}{}
+				set.Add(u)
 			}
 			links := 0
 			for _, u := range nbrs {
 				for _, x := range inst.vertices[u].out {
 					checks++
-					if _, ok := set[x]; ok {
+					if set.Has(x) {
 						links++
 					}
 				}
 			}
+			set.Reset()
 			coeff[v] = float64(links) / float64(d*(d-1))
 		}
 		w.Charge(costLCCCheck.Scale(float64(checks)))

@@ -117,6 +117,19 @@ type Instance struct {
 	weighted bool
 	n        int
 	trav     traverse.State
+
+	// Kernel scratch, kept between calls so that a warm kernel
+	// allocates only its result: made on first use (never in Load) and
+	// initialized on entry by the kernel that reads it. Five n-vectors
+	// and the queue (n entries) at most stay resident.
+	dist       []uint64                   // chaotic SSSP: float64 bits, for CAS-min
+	inActive   []int32                    // chaotic SSSP: next-frontier membership
+	active     []graph.VID                // either SSSP: the frontier
+	nextActive []graph.VID                // synchronous SSSP: its successor
+	queue      *parallel.Queue[graph.VID] // chaotic SSSP: the next one, as a bag
+	pushed     parallel.Arena[graph.VID]  // chaotic SSSP: a chunk's pushes, per worker
+	rank       [2][]float32               // PageRank's single-precision properties
+	spare      []graph.VID                // the CDLP label array not handed out
 }
 
 // LoadSimple implements engines.Engine: reading and construction are
@@ -177,21 +190,28 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 	}
 	n := inst.n
 	res := traverse.StartSSSP(nil, root, n)
-	dist := make([]uint64, n) // float64 bits, for CAS-min
+	inst.dist, inst.inActive = traverse.Resized(inst.dist, n), traverse.Resized(inst.inActive, n)
+	dist, inActive := inst.dist, inst.inActive
 	inf := math.Float64bits(math.Inf(1))
 	for i := range dist {
 		dist[i] = inf
 	}
 	dist[root] = math.Float64bits(0)
+	clear(inActive)
 
-	queue := parallel.NewQueue[graph.VID](n)
-	active := []graph.VID{root}
-	inActive := make([]int32, n)
-	relax := parallel.NewCounter(inst.m.Workers())
+	if inst.queue == nil {
+		inst.queue = parallel.NewQueue[graph.VID](n)
+	}
+	queue, pushed := inst.queue, &inst.pushed
+	active := append(inst.active[:0], root)
+	relax := inst.trav.Counter(inst.m, 0)
 	for len(active) > 0 {
 		queue.Reset()
+		pushed.Reset(inst.m.Workers())
 		inst.m.ParallelForChunks(len(active), inst.m.Grain(len(active), 32, 1), simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-			var local []graph.VID
+			// The queue copies a chunk's pushes out before the chunk
+			// ends, so the worker's buffer is rewound for every chunk.
+			local := pushed.Take(worker)[:0]
 			var edges int64
 			for _, v := range active[lo:hi] {
 				atomic.StoreInt32(&inActive[v], 0)
@@ -211,6 +231,7 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 				}
 			}
 			queue.PushBatch(local)
+			pushed.Give(worker, local, 0)
 			relax.Add(worker, edges)
 			w.Charge(costSSSPEdge.Scale(float64(edges)))
 			w.Charge(costPropTouch.Scale(float64(hi - lo)))
@@ -220,6 +241,7 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 		// fixed-point distances are not.
 		active = append(active[:0], queue.Slice()...)
 	}
+	inst.active = active
 	for v := 0; v < n; v++ {
 		res.Dist[v] = math.Float64frombits(dist[v])
 	}

@@ -24,7 +24,7 @@ func (inst *Instance) ssspSync(root graph.VID) (*engines.SSSPResult, error) {
 	tr := &inst.trav
 	res := traverse.StartSSSP(nil, root, inst.n)
 	everyEdge := traverse.Pass{Split: math.Inf(1)}
-	active, next := []graph.VID{root}, []graph.VID(nil)
+	active, next := append(inst.active[:0], root), inst.nextActive[:0]
 	improved := func(u graph.VID, _ float64) {
 		if tr.First(u) {
 			next = append(next, u)
@@ -35,5 +35,6 @@ func (inst *Instance) ssspSync(root graph.VID) (*engines.SSSPResult, error) {
 		res.Relaxations += tr.Relax(inst.m, inst.vertices, &roundRelax, active, res, everyEdge, improved)
 		active, next = next, active
 	}
+	inst.active, inst.nextActive = active, next
 	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
@@ -14,47 +15,48 @@ import (
 func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 	inst.ensureBuilt()
 	n := inst.n
-	label := make([]graph.VID, n)
-	next := make([]graph.VID, n)
+	// label is made per call and handed out; the other of the pair is kept.
+	label, next := make([]graph.VID, n), traverse.Resized(inst.spare, n)
 	for i := range label {
 		label[i] = graph.VID(i)
 	}
 	// Out-edge column lists per vertex for the directed case: build
 	// a row index into outMat once.
-	var outRowOf []int32
-	if inst.directed {
-		outRowOf = make([]int32, n)
-		for i := range outRowOf {
-			outRowOf[i] = -1
+	if inst.directed && inst.outRowOf == nil {
+		inst.outRowOf = make([]int32, n)
+		for i := range inst.outRowOf {
+			inst.outRowOf[i] = -1
 		}
 		for ri, v := range inst.outMat.rows {
-			outRowOf[v] = int32(ri)
+			inst.outRowOf[v] = int32(ri)
 		}
 	}
+	outRowOf := inst.outRowOf
+	tallies := inst.trav.Tallies(inst.m, n) // the histogram semiring's accumulators
 	res := &engines.CDLPResult{}
 	for iter := 1; iter <= maxIter; iter++ {
 		copy(next, label)
 		var changed int64
-		inst.spmvRows(inst.inMat, func(ri, _ int, w *simmachine.W) {
+		inst.spmvRows(inst.inMat, func(ri, worker int, w *simmachine.W) {
 			v := inst.inMat.rows[ri]
-			counts := make(map[graph.VID]int)
+			counts := &tallies[worker]
 			lo, hi := inst.inMat.ptr[ri], inst.inMat.ptr[ri+1]
 			for i := lo; i < hi; i++ {
-				counts[label[inst.inMat.cols[i]]]++
+				counts.Add(label[inst.inMat.cols[i]])
 			}
 			nz := hi - lo
 			if inst.directed {
 				if ro := outRowOf[v]; ro >= 0 {
 					olo, ohi := inst.outMat.ptr[ro], inst.outMat.ptr[ro+1]
 					for i := olo; i < ohi; i++ {
-						counts[label[inst.outMat.cols[i]]]++
+						counts.Add(label[inst.outMat.cols[i]])
 					}
 					nz += ohi - olo
 				}
 			}
 			w.Charge(costScanNZ.Scale(float64(nz)))
 			w.Charge(costProcessNZ.Scale(float64(nz)))
-			nl := engines.PickLabel(counts, label[v])
+			nl := counts.Pick(label[v])
 			if nl != label[v] {
 				next[v] = nl
 				atomic.AddInt64(&changed, 1)
@@ -63,19 +65,19 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 		// Directed graphs: vertices with only out-edges never appear
 		// as inMat rows; give them their histogram too.
 		if inst.directed {
-			inst.spmvRows(inst.outMat, func(ri, _ int, w *simmachine.W) {
+			inst.spmvRows(inst.outMat, func(ri, worker int, w *simmachine.W) {
 				v := inst.outMat.rows[ri]
 				// Skip vertices already handled via inMat rows.
 				if hasInRow(inst.inMat, v) {
 					return
 				}
-				counts := make(map[graph.VID]int)
+				counts := &tallies[worker]
 				lo, hi := inst.outMat.ptr[ri], inst.outMat.ptr[ri+1]
 				for i := lo; i < hi; i++ {
-					counts[label[inst.outMat.cols[i]]]++
+					counts.Add(label[inst.outMat.cols[i]])
 				}
 				w.Charge(costScanNZ.Scale(float64(hi - lo)))
-				nl := engines.PickLabel(counts, label[v])
+				nl := counts.Pick(label[v])
 				if nl != label[v] {
 					next[v] = nl
 					atomic.AddInt64(&changed, 1)
@@ -89,7 +91,7 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 			break
 		}
 	}
-	res.Label = label
+	res.Label, inst.spare = label, next
 	return res, nil
 }
 
@@ -117,8 +119,7 @@ func hasInRow(mat *dcsr, v graph.VID) bool {
 func (inst *Instance) WCC() (*engines.WCCResult, error) {
 	inst.ensureBuilt()
 	n := inst.n
-	comp := make([]graph.VID, n)
-	next := make([]graph.VID, n)
+	comp, next := make([]graph.VID, n), traverse.Resized(inst.spare, n) // as in CDLP
 	for i := range comp {
 		comp[i] = graph.VID(i)
 	}
@@ -154,6 +155,7 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 			break
 		}
 	}
+	inst.spare = next
 	return &engines.WCCResult{Component: comp}, nil
 }
 

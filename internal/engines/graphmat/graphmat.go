@@ -105,6 +105,15 @@ type Instance struct {
 	outMat *dcsr
 	outDeg []int32
 	trav   traverse.State
+
+	// Kernel scratch, kept between calls so that a warm kernel
+	// allocates only its result: made on first use (never in
+	// BuildStructure) and initialized on entry by the kernel that reads
+	// it, since kernels share it. Three single-precision n-vectors and
+	// one label vector at most stay resident.
+	vec      [3][]float32 // SSSP's cur/nxt; PageRank's rank/next/contrib
+	spare    []graph.VID  // the CDLP / WCC label array not handed out
+	outRowOf []int32      // directed CDLP: vertex to outMat row (made once)
 }
 
 // LoadSimple implements engines.Engine.

@@ -7,7 +7,6 @@ import (
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
-	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
@@ -47,15 +46,12 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 	// port used before — 8x less mask traffic per sweep, same
 	// semantics (the equivalence wall in graphmat_test.go holds the
 	// bitmap kernels to a serial []bool reference).
-	active := parallel.NewBitmap(n)
-	nextActive := parallel.NewBitmap(n)
+	active, nextActive := inst.trav.Bitmaps(n)
 	active.Set(int(root))
 	var examined int64
 
-	workers := inst.m.Workers()
 	for level := int64(0); ; level++ {
-		exa := parallel.NewCounter(workers)
-		fnd := parallel.NewCounter(workers)
+		exa, fnd := inst.trav.Counter(inst.m, 0), inst.trav.Counter(inst.m, 1)
 		inst.spmvRows(inst.inMat, func(ri, worker int, w *simmachine.W) {
 			v := inst.inMat.rows[ri]
 			lo, hi := inst.inMat.ptr[ri], inst.inMat.ptr[ri+1]
@@ -113,8 +109,8 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 	res := traverse.StartSSSP(nil, root, n)
 	// Synchronous min-plus semantics: each sweep reads the previous
 	// iteration's vector (cur) and writes the next (nxt).
-	cur := make([]float32, n)
-	nxt := make([]float32, n)
+	inst.vec[0], inst.vec[1] = traverse.Resized(inst.vec[0], n), traverse.Resized(inst.vec[1], n)
+	cur, nxt := inst.vec[0], inst.vec[1]
 	inf := float32(math.Inf(1))
 	for i := range cur {
 		cur[i] = inf
@@ -122,14 +118,13 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 	cur[root] = 0
 
 	// Same bit-per-vertex masks as BFS (see the comment there).
-	active := parallel.NewBitmap(n)
-	nextActive := parallel.NewBitmap(n)
+	active, nextActive := inst.trav.Bitmaps(n)
 	active.Set(int(root))
-	relax := parallel.NewCounter(inst.m.Workers())
+	relax := inst.trav.Counter(inst.m, 0)
 
 	for {
 		copy(nxt, cur)
-		chg := parallel.NewCounter(inst.m.Workers())
+		chg := inst.trav.Counter(inst.m, 1)
 		inst.spmvRows(inst.inMat, func(ri, worker int, w *simmachine.W) {
 			v := inst.inMat.rows[ri]
 			lo, hi := inst.inMat.ptr[ri], inst.inMat.ptr[ri+1]
@@ -184,9 +179,10 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	if n == 0 {
 		return &engines.PRResult{}, nil
 	}
-	rank := make([]float32, n)
-	next := make([]float32, n)
-	contrib := make([]float32, n)
+	for i := range inst.vec {
+		inst.vec[i] = traverse.Resized(inst.vec[i], n)
+	}
+	rank, next, contrib := inst.vec[0], inst.vec[1], inst.vec[2]
 	inv := float32(1.0 / float64(n))
 	for i := range rank {
 		rank[i] = inv

@@ -2,23 +2,6 @@ package engines
 
 import "github.com/hpcl-repro/epg/internal/graph"
 
-// PickLabel is the CDLP update rule every engine shares: the most
-// frequent label of the neighborhood histogram, ties to the smallest
-// label; a vertex with no neighbors keeps its own.
-func PickLabel(counts map[graph.VID]int, own graph.VID) graph.VID {
-	if len(counts) == 0 {
-		return own
-	}
-	best := graph.VID(0)
-	bestN := -1
-	for l, c := range counts {
-		if c > bestN || (c == bestN && l < best) {
-			best, bestN = l, c
-		}
-	}
-	return best
-}
-
 // Neighborhood returns the sorted distinct in∪out neighbors of v,
 // excluding v — the LCC neighborhood of a directed graph. Both lists
 // must be sorted ascending. (An undirected graph's neighborhood is its

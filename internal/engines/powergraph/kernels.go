@@ -6,7 +6,6 @@ import (
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
-	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
@@ -26,11 +25,13 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 	dist := res.Dist
 	inf := math.Inf(1)
 
-	accD := make([]float64, inst.totalRep)
-	accP := make([]int64, inst.totalRep)
+	inst.accF = traverse.Resized(inst.accF, int(inst.totalRep))
+	inst.accP = traverse.Resized(inst.accP, int(inst.totalRep))
+	accD, accP := inst.accF, inst.accP
 	for i := range accD {
 		accD[i] = inf
 	}
+	clear(accP)
 
 	// Active sets are bitmaps (parallel.Bitmap), the dense frontier
 	// representation: the gather sweep tests one bit per edge source
@@ -39,8 +40,7 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 	// 64-aligned adaptive resolution alike — so chunks never share a
 	// word), and superstep activation costs no per-vertex bool traffic
 	// and no extra clearing pass.
-	active := parallel.NewBitmap(n)
-	next := parallel.NewBitmap(n)
+	active, next := inst.trav.Bitmaps(n)
 	active.Set(int(root))
 	var relaxations int64
 
@@ -56,7 +56,7 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 		// Ghost sync + apply + scatter: combine each vertex's replica
 		// accumulators in shard order, commit improvements, activate.
 		// align 64: each chunk re-arms its own word range of `next`.
-		anyc := parallel.NewCounter(inst.m.Workers())
+		anyc := inst.trav.Counter(inst.m, 0)
 		inst.m.ParallelForChunks(n, inst.m.Grain(n, 2048, 64), simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
 			next.ClearRange(lo, hi)
 			var applied, reps int64
@@ -108,9 +108,13 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	for i := range rank {
 		rank[i] = inv
 	}
-	outDeg := inst.out.OutDegrees()
-	contrib := make([]float64, n)
-	acc := make([]float64, inst.totalRep)
+	if inst.outDeg == nil {
+		inst.outDeg = inst.out.OutDegrees()
+	}
+	inst.contrib = traverse.Resized(inst.contrib, n)
+	inst.accF = traverse.Resized(inst.accF, int(inst.totalRep))
+	outDeg, contrib, acc := inst.outDeg, inst.contrib, inst.accF
+	clear(acc)
 
 	res := &engines.PRResult{}
 	gContrib := inst.m.Grain(n, 4096, 1)
@@ -170,8 +174,8 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 // retained at load supplies the reverse edges.
 func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 	n := inst.n
-	label := make([]graph.VID, n)
-	next := make([]graph.VID, n)
+	// label is made per call and handed out; the other of the pair is kept.
+	label, next := make([]graph.VID, n), traverse.Resized(inst.spare, n)
 	for i := range label {
 		label[i] = graph.VID(i)
 	}
@@ -189,7 +193,7 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 			break
 		}
 	}
-	res.Label = label
+	res.Label, inst.spare = label, next
 	return res, nil
 }
 
@@ -213,7 +217,8 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 		comp[i] = graph.VID(i)
 	}
 	const noLabel = ^graph.VID(0)
-	accC := make([]uint32, inst.totalRep)
+	inst.accC = traverse.Resized(inst.accC, int(inst.totalRep))
+	accC := inst.accC
 	for i := range accC {
 		accC[i] = noLabel
 	}
@@ -230,7 +235,7 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 				accC[inst.slot(e.src, s)] = c
 			}
 		})
-		anyc := parallel.NewCounter(inst.m.Workers())
+		anyc := inst.trav.Counter(inst.m, 0)
 		inst.m.ParallelForChunks(n, inst.m.Grain(n, 2048, 1), simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
 			var applied, reps int64
 			for v := lo; v < hi; v++ {

@@ -82,6 +82,20 @@ type Instance struct {
 	out  *graph.CSR
 	in   *graph.CSR
 	trav traverse.State
+
+	// Kernel scratch, kept between calls so that a warm kernel
+	// allocates only its result: made on first use (never in Load) and
+	// initialized on entry by the kernel that reads it, since kernels
+	// share it and an abandoned call leaves it dirty. At most one
+	// replica-slot array of each element type and three n-vectors stay
+	// resident.
+	accF      []float64   // per replica slot: SSSP distances, PageRank partial sums
+	accP      []int64     // per replica slot: SSSP parents
+	accC      []uint32    // per replica slot: WCC labels
+	contrib   []float64   // per vertex: PageRank
+	outDeg    []int64     // per vertex: PageRank (the graph is immutable: made once)
+	spare     []graph.VID // per vertex: the CDLP label array not handed out
+	processed []int64     // per shard: gatherSweep
 }
 
 // LoadSimple implements engines.Engine: read, homogenize, and greedily
@@ -175,7 +189,9 @@ func (inst *Instance) syncGhosts() {
 // (deterministic: the active set is fixed before the sweep).
 func (inst *Instance) gatherSweep(active *parallel.Bitmap, body func(s int, e shardEdge)) int64 {
 	shards := inst.shards
-	processedBy := make([]int64, len(shards))
+	inst.processed = traverse.Resized(inst.processed, len(shards))
+	processedBy := inst.processed
+	clear(processedBy)
 	inst.m.ForEachThread(func(tid int, w *simmachine.W) {
 		if tid >= len(shards) {
 			return

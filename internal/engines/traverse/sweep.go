@@ -36,6 +36,7 @@ type Chunk struct {
 
 	raw, decoded, encBytes int64
 	buf                    []graph.VID
+	worker                 int      // the real worker running the chunk
 	_                      [64]byte // one accumulator per worker: keep them off each other's lines
 }
 
@@ -71,7 +72,7 @@ func (s *State) Sweep(m *simmachine.Machine, n, grain int, p *SweepProfile, body
 	cpb := m.Model().DecodeCyclesPerByte
 	m.ParallelForChunks(n, grain, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
 		c := &s.chunks[worker]
-		*c = Chunk{buf: s.decode[worker]}
+		*c = Chunk{buf: s.decode[worker], worker: worker}
 		body(c, lo, hi)
 		s.decode[worker] = c.buf
 		s.parts[chunk] = c.Sum
@@ -130,26 +131,83 @@ func (s *State) Hook(m *simmachine.Machine, grain int, p *SweepProfile, out, in 
 	return changed
 }
 
+// Tally is a histogram of labels drawn from [0,n): a dense count per
+// label plus the list of labels seen, so that filling and emptying it
+// cost what was added, never n. One per worker is kept on the State.
+type Tally struct {
+	count []int32
+	seen  []graph.VID
+	_     [64]byte // per worker: keep them off each other's lines
+}
+
+// Add counts one occurrence of label l.
+func (t *Tally) Add(l graph.VID) {
+	if t.count[l] == 0 {
+		t.seen = append(t.seen, l)
+	}
+	t.count[l]++
+}
+
+// Has reports whether l has been added since the tally was last empty.
+func (t *Tally) Has(l graph.VID) bool { return t.count[l] != 0 }
+
+// Reset empties the tally.
+func (t *Tally) Reset() {
+	for _, l := range t.seen {
+		t.count[l] = 0
+	}
+	t.seen = t.seen[:0]
+}
+
+// Pick is the CDLP update rule every engine shares — the most frequent
+// label, ties to the smallest; own when nothing was added — and empties
+// the tally.
+func (t *Tally) Pick(own graph.VID) graph.VID {
+	best, bestN := own, int32(0)
+	for _, l := range t.seen {
+		if c := t.count[l]; c > bestN || (c == bestN && l < best) {
+			best, bestN = l, c
+		}
+	}
+	t.Reset()
+	return best
+}
+
+// Tallies returns one empty Tally over [0,n) per worker of m, indexed
+// by the worker ID a region body is handed.
+func (s *State) Tallies(m *simmachine.Machine, n int) []Tally {
+	if w := m.Workers(); len(s.tallies) != w {
+		s.tallies = make([]Tally, w)
+	}
+	for i := range s.tallies {
+		if t := &s.tallies[i]; len(t.count) != n {
+			*t = Tally{count: make([]int32, n)}
+		} else {
+			t.Reset() // an abandoned region leaves one filled
+		}
+	}
+	return s.tallies
+}
+
 // Vote is one synchronous round of label propagation: next[v] becomes
 // the most frequent label among v's neighbors along out and, for a
-// directed graph, in (nil when out is symmetric) — engines.PickLabel's
-// rule, read from label only. It returns how many vertices changed
-// label.
+// directed graph, in (nil when out is symmetric) — Tally.Pick's rule,
+// read from label only. It returns how many vertices changed label.
 func (s *State) Vote(m *simmachine.Machine, grain int, p *SweepProfile, out, in Rows, label, next []graph.VID) (changed int64) {
+	tallies := s.Tallies(m, len(label))
 	_, changed = s.Sweep(m, len(label), grain, p, func(c *Chunk, lo, hi int) {
-		counts := make(map[graph.VID]int)
+		t := &tallies[c.worker]
 		var moved int64
 		for v := lo; v < hi; v++ {
-			clear(counts)
 			for _, u := range c.Row(out, v) {
-				counts[label[u]]++
+				t.Add(label[u])
 			}
 			if in != nil {
 				for _, u := range c.Row(in, v) {
-					counts[label[u]]++
+					t.Add(label[u])
 				}
 			}
-			next[v] = engines.PickLabel(counts, label[v])
+			next[v] = t.Pick(label[v])
 			if next[v] != label[v] {
 				moved++
 			}

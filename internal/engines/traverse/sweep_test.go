@@ -3,12 +3,13 @@ package traverse
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"testing"
 
+	"github.com/hpcl-repro/epg/internal/alloctest"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/simmachine"
+	"github.com/hpcl-repro/epg/internal/xrand"
 )
 
 var testSweep = SweepProfile{
@@ -122,17 +123,47 @@ func TestWarmSweepAllocatesNothingScalingWithN(t *testing.T) {
 		var s State
 		body := pull(rows, x, next)
 		s.Sweep(m, n, n/4, &testSweep, body) // sizes the scratch, the partials and the accumulators
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 10; i++ {
-			s.Sweep(m, n, n/4, &testSweep, body)
-		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / 10
+		return alloctest.BytesPerRun(10, func() { s.Sweep(m, n, n/4, &testSweep, body) })
 	}
 	small, large := warmBytes(8), warmBytes(12)
 	t.Logf("warm sweep: %d B at 2^8 vertices, %d B at 2^12", small, large)
 	if large > small+256 {
 		t.Fatalf("a warm sweep allocates %d B at 2^12 vertices against %d B at 2^8: something scales with n", large, small)
+	}
+}
+
+// Tally.Pick is the CDLP rule — most frequent label, ties to the
+// smallest, own when nothing was counted — whatever the order labels
+// were added in, and it leaves the tally empty for the next vertex.
+func TestTallyPicksLikeAHistogramMap(t *testing.T) {
+	const n = 64
+	var s State
+	tally := &s.Tallies(machine(1), n)[0]
+	r := xrand.New(11)
+	for trial := 0; trial < 2000; trial++ {
+		counts := map[graph.VID]int{}
+		for k := int(r.Uint64() % 40); k > 0; k-- {
+			l := graph.VID(r.Uint64() % (1 + r.Uint64()%n)) // skewed: ties and repeats
+			counts[l]++
+			tally.Add(l)
+			if !tally.Has(l) {
+				t.Fatalf("trial %d: label %d added but not held", trial, l)
+			}
+		}
+		own := graph.VID(r.Uint64() % n)
+		want, best := own, 0
+		for l, c := range counts {
+			if c > best || (c == best && l < want) {
+				want, best = l, c
+			}
+		}
+		if got := tally.Pick(own); got != want {
+			t.Fatalf("trial %d: picked %d from %v (own %d), want %d", trial, got, counts, own, want)
+		}
+		for l := range counts {
+			if tally.Has(l) {
+				t.Fatalf("trial %d: label %d survived Pick", trial, l)
+			}
+		}
 	}
 }

@@ -116,9 +116,12 @@ type State struct {
 
 	workers int
 	edges   *parallel.Counter
-	decode  [][]graph.VID // per-worker Rows.Row scratch
-	chunks  []Chunk       // per-worker Sweep accumulators
-	parts   []float64     // per-chunk sums of the last Sweep
+	spare   [3]*parallel.Counter // Counter's: for the regions an engine runs itself
+	bits    [2]*parallel.Bitmap  // Bitmaps'
+	decode  [][]graph.VID        // per-worker Rows.Row scratch
+	chunks  []Chunk              // per-worker Sweep accumulators
+	tallies []Tally              // per-worker label histograms (Tallies)
+	parts   []float64            // per-chunk sums of the last Sweep
 
 	claims   parallel.ChunkQueue[parallel.Claim]
 	claimBuf parallel.Arena[parallel.Claim]
@@ -132,17 +135,47 @@ type State struct {
 	pass   int32
 }
 
-// ready sizes the per-worker parts for m's current worker count and
-// returns the zeroed edge counter.
-func (s *State) ready(m *simmachine.Machine) *parallel.Counter {
+// size makes the per-worker parts match m's current worker count.
+func (s *State) size(m *simmachine.Machine) {
 	if w := m.Workers(); s.workers != w {
 		s.workers = w
 		s.edges = parallel.NewCounter(w)
+		for i := range s.spare {
+			s.spare[i] = parallel.NewCounter(w)
+		}
 		s.decode = make([][]graph.VID, w)
 		s.chunks = make([]Chunk, w)
 	}
+}
+
+// ready sizes the per-worker parts and returns the zeroed edge counter.
+func (s *State) ready(m *simmachine.Machine) *parallel.Counter {
+	s.size(m)
 	s.edges.Reset()
 	return s.edges
+}
+
+// Counter returns the i-th of three per-worker counters, zeroed and
+// sized for m's workers, for a region the engine runs itself (the
+// steps count on one of their own). It stays valid until the next
+// Counter(m, i).
+func (s *State) Counter(m *simmachine.Machine, i int) *parallel.Counter {
+	s.size(m)
+	s.spare[i].Reset()
+	return s.spare[i]
+}
+
+// Bitmaps returns two empty bitmaps over [0,n): the dense frontier and
+// its successor, kept between calls.
+func (s *State) Bitmaps(n int) (front, next *parallel.Bitmap) {
+	for i, b := range s.bits {
+		if b == nil || b.Len() != n {
+			s.bits[i] = parallel.NewBitmap(n)
+		} else {
+			b.Clear()
+		}
+	}
+	return s.bits[0], s.bits[1]
 }
 
 // Poll calls the Cancel hook, wrapping its error with the kernel name

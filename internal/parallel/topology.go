@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"runtime"
+	"sync"
 
 	"github.com/hpcl-repro/epg/internal/xrand"
 )
@@ -94,7 +95,8 @@ func stealChunks(p *Pool, workers, nchunks int, topo Topology, runChunk func(c, 
 		levels++
 	}
 	perSock, perNode := blockSize(workers, topo.Sockets), blockSize(workers, topo.Nodes)
-	deques := prefillDeques(workers, nchunks)
+	set := prefillDeques(workers, nchunks)
+	deques := set.deques
 	seed := StealSeed(nchunks, workers)
 	p.Run(workers, func(worker int) {
 		rng := xrand.New(seed ^ xrand.Mix64(uint64(worker)+1))
@@ -147,16 +149,36 @@ func stealChunks(p *Pool, workers, nchunks int, topo Topology, runChunk func(c, 
 			}
 		}
 	})
+	// Only a region that ran to completion returns its set: one a
+	// panicking chunk abandoned is left to the collector.
+	dequeSets.Put(set)
 }
 
-// prefillDeques builds the per-worker Chase–Lev deques with the static
-// chunk assignment (worker w owns w, w+workers, ...), pushed in
-// descending order so owners pop ascending.
-func prefillDeques(workers, nchunks int) []*Deque {
-	deques := make([]*Deque, workers)
+// dequeSet is the deques of one steal region. Sets are recycled through
+// dequeSets — process-wide, not per Pool, because concurrent callers
+// (epgd's executors) share parallel.Default and each needs its own.
+type dequeSet struct{ deques []*Deque }
+
+var dequeSets = sync.Pool{New: func() any { return new(dequeSet) }}
+
+// prefillDeques returns a recycled set of per-worker Chase–Lev deques,
+// emptied and regrown as this region needs, holding the static chunk
+// assignment (worker w owns w, w+workers, ...), pushed in descending
+// order so owners pop ascending.
+func prefillDeques(workers, nchunks int) *dequeSet {
+	set := dequeSets.Get().(*dequeSet)
+	for len(set.deques) < workers {
+		set.deques = append(set.deques, nil)
+	}
+	deques := set.deques[:workers]
 	per := (nchunks + workers - 1) / workers
-	for w := range deques {
-		deques[w] = NewDeque(per)
+	for w, d := range deques {
+		if d == nil || len(d.buf) < per {
+			deques[w] = NewDeque(per)
+			continue
+		}
+		d.top.Store(0)
+		d.bottom.Store(0)
 	}
 	for w := 0; w < workers; w++ {
 		last := w + ((nchunks-1-w)/workers)*workers
@@ -166,5 +188,5 @@ func prefillDeques(workers, nchunks int) []*Deque {
 			}
 		}
 	}
-	return deques
+	return set
 }

@@ -72,12 +72,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // writeError emits a non-200 with the structured error body; sheds
-// also carry the Retry-After header, agreeing with the body's hint.
+// also carry the Retry-After header, agreeing with the body's hint, and
+// a draining server hangs up after its refusal, so a keep-alive client
+// reconnects elsewhere instead of asking again.
 func writeError(w http.ResponseWriter, httpCode int, code, message string) {
 	e := apiError{Code: code, Message: message}
-	if code == codeShed {
+	switch code {
+	case codeShed:
 		e.RetryAfterMS = shedRetryAfterMS
 		w.Header().Set("Retry-After", strconv.Itoa(shedRetryAfterMS/1000))
+	case codeClosed:
+		w.Header().Set("Connection", "close")
 	}
 	writeJSON(w, httpCode, e)
 }
@@ -102,7 +107,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, codePanic, resp.Err)
 	case StatusError:
 		// Validation errors are the client's; engine errors ours.
-		if s.closed.Load() {
+		if s.draining.Load() {
 			writeError(w, http.StatusServiceUnavailable, codeClosed, resp.Err)
 		} else if resp.ModeledSec == 0 {
 			writeError(w, http.StatusBadRequest, codeInvalidQuery, resp.Err)

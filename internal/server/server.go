@@ -114,10 +114,13 @@ type Server struct {
 	seq     atomic.Int64
 	started time.Time
 
-	logMu   sync.Mutex
-	wg      sync.WaitGroup
-	stopped chan struct{}
-	closed  atomic.Bool
+	logMu sync.Mutex
+	wg    sync.WaitGroup
+	// draining refuses new work (Drain); stopped, closed once by Close,
+	// lets the executors exit when the queue is empty.
+	draining atomic.Bool
+	stopped  chan struct{}
+	stop     sync.Once
 }
 
 // New resolves cfg.Dataset and starts a server.
@@ -188,12 +191,19 @@ func (s *Server) QueueDepth() int { return s.admit.Depth() }
 // MaxQueueDepth returns the depth high-water mark.
 func (s *Server) MaxQueueDepth() int { return s.admit.MaxDepth() }
 
-// Close stops accepting queries, drains the executors, and waits for
-// them to exit. Safe to call twice.
+// Drain stops admitting: from here on Submit, Refresh and Mutate refuse
+// as closed (503 and "Connection: close" over HTTP) without touching the
+// admission ledger, while every query already admitted is still served.
+// The daemon drains before it shuts its listener down, so a request
+// arriving on an already-open connection during the grace period is
+// turned away instead of queued.
+func (s *Server) Drain() { s.draining.Store(true) }
+
+// Close drains, lets the executors finish what was admitted, and waits
+// for them to exit. Safe to call twice.
 func (s *Server) Close() {
-	if s.closed.CompareAndSwap(false, true) {
-		close(s.stopped)
-	}
+	s.Drain()
+	s.stop.Do(func() { close(s.stopped) })
 	s.wg.Wait()
 }
 
@@ -323,7 +333,7 @@ func (s *Server) maintain(p *pending) Response {
 // its hook and abandon the kernel at the next frontier).
 func (s *Server) Submit(ctx context.Context, q Query) Response {
 	seq := s.seq.Add(1)
-	if s.closed.Load() {
+	if s.draining.Load() {
 		return q.response(StatusError, "server closed")
 	}
 	if err := q.validate(s.n, s.weighted, s.cfg.FaultInjection); err != nil {
@@ -408,7 +418,7 @@ func (s *Server) enqueue(ctx context.Context, what string, p *pending) error {
 // incremental maintainers, so an up-to-date baseline swaps at near-zero
 // modeled cost instead of re-paying full kernel runs.
 func (s *Server) Refresh(ctx context.Context) error {
-	if s.closed.Load() {
+	if s.draining.Load() {
 		return ErrClosed
 	}
 	return s.enqueue(ctx, "refresh", &pending{refresh: true})
@@ -423,7 +433,7 @@ func (s *Server) Refresh(ctx context.Context) error {
 // Refresh, a mutate holds a bounded-queue slot but stays out of the
 // query outcome counters.
 func (s *Server) Mutate(ctx context.Context, batch graph.Batch) (*engines.MutationReport, error) {
-	if s.closed.Load() {
+	if s.draining.Load() {
 		return nil, ErrClosed
 	}
 	if batch == nil {

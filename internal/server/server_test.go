@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -372,5 +373,45 @@ func TestServerSoak(t *testing.T) {
 	final := s.Submit(context.Background(), Query{Op: OpBFS, Source: 0, Target: 1})
 	if final.Status != StatusOK {
 		t.Fatalf("post-soak query: %+v", final)
+	}
+}
+
+// Drain refuses new work without stopping the executors: the query in
+// service and the one queued behind it when the drain began both still
+// get their answer, and nothing refused enters the admission ledger.
+func TestDrainRefusesNewWorkAndServesTheAdmitted(t *testing.T) {
+	gate := make(chan struct{})
+	s, err := NewFromEdgeList(testEdgeList(t), Config{Executors: 1, QueryLog: &gateWriter{gate: gate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	answers := make(chan Response, 2)
+	submit := func(src graph.VID) { answers <- s.Submit(ctx, Query{Op: OpBFS, Source: src, Target: 0}) }
+	go submit(9)
+	// As in TestServerShedsWhenWedged: picked up, and held at its log write.
+	waitUntil(t, func() bool { return s.Metrics().Admitted == 1 && s.QueueDepth() == 0 })
+	go submit(5)
+	waitUntil(t, func() bool { return s.Metrics().Admitted == 2 })
+
+	s.Drain()
+	if resp := s.Submit(ctx, Query{Op: OpBFS, Source: 1, Target: 0}); resp.Status != StatusError {
+		t.Errorf("query after Drain: %+v, want a closed error", resp)
+	}
+	if err := s.Refresh(ctx); !errors.Is(err, ErrClosed) {
+		t.Errorf("refresh after Drain: %v, want ErrClosed", err)
+	}
+	if _, err := s.Mutate(ctx, graph.Batch{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("mutate after Drain: %v, want ErrClosed", err)
+	}
+	close(gate)
+	for i := 0; i < 2; i++ {
+		if resp := <-answers; resp.Status != StatusOK {
+			t.Errorf("query admitted before Drain: %+v, want OK", resp)
+		}
+	}
+	if m := s.Metrics(); m.Offered != 2 || m.Admitted != 2 || m.Completed != 2 {
+		t.Errorf("after the drain: %+v, want 2 offered, admitted and completed", m)
 	}
 }

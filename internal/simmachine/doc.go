@@ -13,9 +13,9 @@
 //   - scheduling policy: OpenMP-style static (round-robin chunks),
 //     dynamic (greedy least-loaded assignment), work-stealing
 //     (per-lane deques with seeded randomized victim selection — a
-//     deterministic simulation of the Cilk/TBB discipline; see
-//     stealLanes), and two-level NUMA stealing (socket-aware victim
-//     order with remote-steal and remote-chunk-access penalties; see
+//     deterministic simulation of the Cilk/TBB discipline), and
+//     two-level NUMA stealing (socket-aware victim order with
+//     remote-steal and remote-chunk-access penalties; both are
 //     stealLanesTopo), so load imbalance from skewed degree
 //     distributions appears under static scheduling and each policy's
 //     remedy — and its locality price — is modeled;
@@ -41,6 +41,13 @@
 // charged work, the chunk order, and the policy's per-region seed —
 // never on the real goroutine schedule or worker count. A trace of
 // regions is retained for the power model.
+//
+// A region's bookkeeping (a cost slot per chunk, the per-lane sums, the
+// scheduler simulations' state, the W a body charges into) lives on
+// the Machine and is zeroed on entry, so a warm region allocates
+// nothing per chunk or per lane and a region abandoned by a panicking
+// body leaves nothing behind; regions do not nest. See "Workspaces and
+// result ownership" in ARCHITECTURE.md.
 //
 // Known fidelity gaps: the model is calibrated from public Haswell-EP
 // figures and typical libgomp magnitudes, not measured on the paper's

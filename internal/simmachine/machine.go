@@ -59,9 +59,17 @@ type Region struct {
 }
 
 // W accumulates the work of one chunk. It is handed to region bodies
-// and must not be retained after the body returns.
+// and must not be retained after the body returns: the machine owns it,
+// one slot per real worker, and zeroes it for the worker's next chunk.
 type W struct {
 	c Cost
+}
+
+// wSlot keeps one worker's W off its neighbours' cache lines: two
+// workers charging adjacent chunks write 88 bytes apart.
+type wSlot struct {
+	W
+	_ [64]byte
 }
 
 // Charge adds an explicit cost.
@@ -79,7 +87,8 @@ func (w *W) Atomics(n float64) { w.c.Atomics += n }
 // Machine executes parallel regions for real while accounting modeled
 // time for a configured virtual thread count. It is not safe for
 // concurrent use by multiple goroutines; regions themselves run their
-// bodies concurrently internally.
+// bodies concurrently internally, and do not nest: opening a region
+// from inside a region body panics.
 type Machine struct {
 	model   Model
 	threads int
@@ -142,6 +151,62 @@ type Machine struct {
 	// commitRegion call (consumed and zeroed there).
 	pendingNetSeconds float64
 	pendingNetBytes   float64
+
+	// inRegion is set while a region body runs; enter panics on it.
+	inRegion bool
+	// The bookkeeping of the open region, kept between regions so that
+	// a warm region allocates nothing: every slice is grown where it is
+	// used (so SetWorkers, SetCluster and a new chunk count need no
+	// invalidation) and zeroed on entry, never on exit — a region
+	// abandoned by a panicking body leaves nothing the next one reads.
+	// Nothing here outlives the region: a Region holds values only.
+	scratch struct {
+		w        []wSlot   // per real worker: the W its body is handed
+		costs    []Cost    // per chunk
+		lanes    []Cost    // per virtual lane
+		loads    []float64 // per lane: the schedulers' ordering key
+		execLane []int     // per chunk: the lane that ran it (placement, network)
+		head     []int     // per lane: steal simulation queue ends
+		tail     []int
+		cnt      []int    // per node: items of the current chunk (network)
+		pairs    []uint64 // per node: owner-node mask messaged
+	}
+}
+
+// zeroed returns s with length n and every element zero, reusing its
+// array when large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// enter opens a region of nchunks chunks and returns its zeroed cost
+// slots. The caller defers leave, so a body's panic closes the region
+// too.
+func (m *Machine) enter(nchunks int) []Cost {
+	if m.inRegion {
+		panic("simmachine: region opened inside a region")
+	}
+	m.inRegion = true
+	sc := &m.scratch
+	if len(sc.w) < m.workers {
+		sc.w = make([]wSlot, m.workers)
+	}
+	sc.costs = zeroed(sc.costs, nchunks)
+	return sc.costs
+}
+
+func (m *Machine) leave() { m.inRegion = false }
+
+// slot returns worker's W, zeroed for its next body.
+func (m *Machine) slot(worker int) *W {
+	w := &m.scratch.w[worker].W
+	*w = W{}
+	return w
 }
 
 // New returns a machine with the given model and virtual thread count.
@@ -297,8 +362,10 @@ func (m *Machine) record(r Region) {
 // Serial runs body on one lane and charges its work at single-thread
 // speed (turbo clock, single-thread bandwidth).
 func (m *Machine) Serial(body func(w *W)) {
-	var w W
-	body(&w)
+	m.enter(0)
+	defer m.leave()
+	w := m.slot(0)
+	body(w)
 	c := w.c
 	tComp := c.Cycles/m.model.TurboHz + c.Atomics*m.model.AtomicCycles/m.model.TurboHz
 	tMem := c.Bytes / m.model.ThreadBW
@@ -359,12 +426,24 @@ func (m *Machine) ParallelForChunks(n, grain int, sched Sched, body func(lo, hi,
 		grain = 1
 	}
 	sched = m.effSched(sched)
-	costs := make([]Cost, parallel.NumChunks(n, grain))
-	parallel.ForTopo(m.pool, m.workers, n, grain, sched, m.realTopo(), func(lo, hi, chunk, worker int) {
-		var w W
-		body(lo, hi, chunk, worker, &w)
-		costs[chunk] = w.c
-	})
+	costs := m.enter(parallel.NumChunks(n, grain))
+	defer m.leave()
+	if m.workers == 1 {
+		// One real worker runs the chunks in index order on the calling
+		// goroutine under every policy (parallel.Pool.Run(1, fn) is a
+		// plain call); doing so here spares ForTopo's closures.
+		for c := range costs {
+			w := m.slot(0)
+			body(c*grain, min((c+1)*grain, n), c, 0, w)
+			costs[c] = w.c
+		}
+	} else {
+		parallel.ForTopo(m.pool, m.workers, n, grain, sched, m.realTopo(), func(lo, hi, chunk, worker int) {
+			w := m.slot(worker)
+			body(lo, hi, chunk, worker, w)
+			costs[chunk] = w.c
+		})
+	}
 	m.commitRegion(costs, sched, n, grain)
 }
 
@@ -392,7 +471,8 @@ func (m *Machine) ChargeUniform(n, grain int, sched Sched, per Cost) {
 	if grain < 1 {
 		grain = 1
 	}
-	costs := make([]Cost, parallel.NumChunks(n, grain))
+	costs := m.enter(parallel.NumChunks(n, grain))
+	defer m.leave()
 	for c := range costs {
 		lo := c * grain
 		hi := lo + grain
@@ -411,12 +491,21 @@ func (m *Machine) ChargeUniform(n, grain int, sched Sched, per Cost) {
 // to its own lane.
 func (m *Machine) ForEachThread(body func(tid int, w *W)) {
 	t := m.threads
-	costs := make([]Cost, t)
-	parallel.For(m.pool, m.workers, t, 1, parallel.Dynamic, func(lo, hi, chunk, worker int) {
-		var w W
-		body(lo, &w)
-		costs[lo] = w.c
-	})
+	costs := m.enter(t)
+	defer m.leave()
+	if m.workers == 1 {
+		for tid := range costs { // as in ParallelForChunks
+			w := m.slot(0)
+			body(tid, w)
+			costs[tid] = w.c
+		}
+	} else {
+		parallel.For(m.pool, m.workers, t, 1, parallel.Dynamic, func(lo, hi, chunk, worker int) {
+			w := m.slot(worker)
+			body(lo, w)
+			costs[lo] = w.c
+		})
+	}
 	// One chunk per lane: identity schedule either way.
 	m.commitLanes(costs)
 }
@@ -428,12 +517,17 @@ func (m *Machine) ForEachThread(body func(tid int, w *W)) {
 // page ownership off it.
 func (m *Machine) commitRegion(costs []Cost, sched Sched, n, grain int) {
 	t := m.threads
-	lanes := make([]Cost, t)
+	sc := &m.scratch
+	sc.lanes, sc.loads = zeroed(sc.lanes, t), zeroed(sc.loads, t)
+	lanes, loads := sc.lanes, sc.loads
 	// The placement and network models both need to know which lane ran
 	// each chunk; Static's residue-class assignment is implicit, the
 	// other policies record it.
-	needExec := m.placementActive() || m.clusterActive()
 	var execLane []int
+	if sched != Static && (m.placementActive() || m.clusterActive()) {
+		sc.execLane = zeroed(sc.execLane, len(costs))
+		execLane = sc.execLane
+	}
 	switch sched {
 	case Static:
 		for i, c := range costs {
@@ -448,10 +542,6 @@ func (m *Machine) commitRegion(costs []Cost, sched Sched, n, grain int) {
 		// AtomicCycles plus contention scaling with the active lane
 		// count — the serialization the scheduling study quantifies
 		// (work stealing pays this only per successful steal).
-		loads := make([]float64, t)
-		if needExec {
-			execLane = make([]int, len(costs))
-		}
 		for i, c := range costs {
 			best := 0
 			for l := 1; l < t; l++ {
@@ -482,8 +572,9 @@ func (m *Machine) commitRegion(costs []Cost, sched Sched, n, grain int) {
 		if m.placementActive() {
 			remoteBytes = 1
 		}
-		lanes, execLane = stealLanesTopo(costs, t, m.sockets, remoteBytes,
-			m.model.RemoteStealCycles, sched == NUMA, needExec, &m.model)
+		sc.head, sc.tail = zeroed(sc.head, t), zeroed(sc.tail, t)
+		stealLanesTopo(costs, lanes, loads, execLane, sc.head, sc.tail, m.sockets,
+			remoteBytes, m.model.RemoteStealCycles, sched == NUMA, &m.model)
 	}
 	if m.placementActive() {
 		m.chargePlacement(costs, lanes, execLane, n, grain)

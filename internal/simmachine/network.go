@@ -76,8 +76,10 @@ func (m *Machine) chargeNetwork(costs, lanes []Cost, execLane []int, n, grain in
 		owner = nil // index space doesn't match the table: blocked 1D
 	}
 
-	cnt := make([]int, nodes)      // items of the current chunk per owner node
-	pairs := make([]uint64, nodes) // pairs[s] = owner-node mask messaged by sender s
+	sc := &m.scratch
+	sc.cnt, sc.pairs = zeroed(sc.cnt, nodes), zeroed(sc.pairs, nodes)
+	cnt := sc.cnt     // items of the current chunk per owner node
+	pairs := sc.pairs // pairs[s] = owner-node mask messaged by sender s
 	var netBytes float64
 	for c := range costs {
 		lo := c * grain

@@ -12,22 +12,13 @@ func laneLoad(c Cost, model *Model) float64 {
 	return c.Cycles + c.Atomics*model.AtomicCycles + c.Bytes/4
 }
 
-// stealLanes deterministically simulates a flat (socket-blind)
-// work-stealing execution with no locality penalties — the historical
-// Steal accounting, preserved byte-for-byte. It is stealLanesTopo on
-// a single socket; there is exactly one copy of the event loop.
-func stealLanes(costs []Cost, t int, model *Model) []Cost {
-	lanes, _ := stealLanesTopo(costs, t, 1, 1, 0, false, false, model)
-	return lanes
-}
-
 // stealLanesTopo deterministically simulates a work-stealing
-// execution of the chunk costs over t virtual lanes placed on
-// `sockets` consecutive lane blocks, and returns the per-lane cost
-// assignment plus — when needExec is set — the lane that executed
-// each chunk (for the first-touch placement model's ownership
-// bookkeeping; nil otherwise, sparing the allocation on the common
-// no-placement path).
+// execution of the chunk costs over the t = len(lanes) virtual lanes,
+// placed on `sockets` consecutive lane blocks, and adds each chunk's
+// cost to the lane that ran it — recording that lane in execLane when
+// it is non-nil (for the first-touch placement and network models'
+// ownership bookkeeping). lanes, loads, head and tail are the caller's
+// zeroed per-lane scratch.
 //
 // The simulation mirrors the real runtime's discipline
 // (parallel.Steal / parallel.NUMA): lane l starts owning chunks l,
@@ -61,17 +52,13 @@ func stealLanes(costs []Cost, t int, model *Model) []Cost {
 // penalties, model): the RNG seed derives from the region shape only,
 // so modeled durations are bit-identical across runs and real worker
 // counts.
-func stealLanesTopo(costs []Cost, t, sockets int, remoteBytes, remoteSteal float64, twoLevel, needExec bool, model *Model) ([]Cost, []int) {
-	lanes := make([]Cost, t)
-	var execLane []int
-	if needExec {
-		execLane = make([]int, len(costs))
-	}
+func stealLanesTopo(costs, lanes []Cost, loads []float64, execLane, head, tail []int, sockets int, remoteBytes, remoteSteal float64, twoLevel bool, model *Model) {
+	t := len(lanes)
 	if len(costs) == 0 || t == 1 {
 		for _, c := range costs {
 			lanes[0].Add(c)
 		}
-		return lanes, execLane
+		return
 	}
 	if sockets < 1 {
 		sockets = 1
@@ -86,20 +73,15 @@ func stealLanesTopo(costs []Cost, t, sockets int, remoteBytes, remoteSteal float
 		twoLevel = false
 	}
 	per := (t + sockets - 1) / sockets
-	// Per-lane queues in ascending chunk order; owners take from the
-	// front, thieves from the back (the real deque's two ends).
-	queues := make([][]int, t)
-	for c := range costs {
-		queues[c%t] = append(queues[c%t], c)
-	}
-	head := make([]int, t)
-	tail := make([]int, t)
-	for l := range queues {
-		tail[l] = len(queues[l])
+	// Lane l's queue is the chunks l, l+t, ... in ascending order — its
+	// i-th entry is l + i*t, so only the two ends are kept: owners take
+	// from the front (head), thieves from the back (tail), the real
+	// deque's two ends.
+	for l := 0; l < t && l < len(costs); l++ {
+		tail[l] = (len(costs) - l + t - 1) / t
 	}
 
 	r := xrand.New(parallel.StealSeed(len(costs), t))
-	loads := make([]float64, t)
 	remaining := len(costs)
 	for remaining > 0 {
 		// The lane that has accrued the least load acts next
@@ -111,11 +93,11 @@ func stealLanesTopo(costs []Cost, t, sockets int, remoteBytes, remoteSteal float
 			}
 		}
 		if head[l] < tail[l] {
-			c := queues[l][head[l]]
+			c := l + head[l]*t
 			head[l]++
 			lanes[l].Add(costs[c])
 			loads[l] += laneLoad(costs[c], model)
-			if needExec {
+			if execLane != nil {
 				execLane[c] = l
 			}
 			remaining--
@@ -187,7 +169,7 @@ func stealLanesTopo(costs []Cost, t, sockets int, remoteBytes, remoteSteal float
 			}
 		}
 		tail[victim]--
-		cIdx := queues[victim][tail[victim]]
+		cIdx := victim + tail[victim]*t
 		c := costs[cIdx]
 		steal := Cost{Atomics: 1} // the claiming CAS
 		if victim/per != l/per {
@@ -200,10 +182,9 @@ func stealLanesTopo(costs []Cost, t, sockets int, remoteBytes, remoteSteal float
 		lanes[l].Add(c)
 		lanes[l].Add(steal)
 		loads[l] += laneLoad(c, model) + model.AtomicCycles + steal.Cycles
-		if needExec {
+		if execLane != nil {
 			execLane[cIdx] = l
 		}
 		remaining--
 	}
-	return lanes, execLane
 }
