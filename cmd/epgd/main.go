@@ -35,6 +35,10 @@ import (
 // already in flight.
 const shutdownGrace = 10 * time.Second
 
+// readHeaderTimeout cuts off a client that trickles its request
+// headers; a variable so that the slow-client test need not wait 5 s.
+var readHeaderTimeout = 5 * time.Second
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -95,16 +99,16 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stderr, "epgd: serving %s (%d vertices, weighted=%t) on %s\n",
-		*dataset, s.NumVertices(), s.Weighted(), ln.Addr())
 	// A client that trickles its request or parks an idle connection is
 	// cut off. No write timeout: a mutate on a large graph takes a while.
 	hs := &http.Server{
 		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
+		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
+	fmt.Fprintf(stderr, "epgd: serving %s (%d vertices, weighted=%t) on %s\n",
+		*dataset, s.NumVertices(), s.Weighted(), ln.Addr())
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
 	select {

@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"regexp"
 	"sync"
 	"testing"
@@ -55,9 +58,9 @@ type daemon struct {
 	answered chan reply // the held query's reply
 }
 
-// startHolding starts run and submits one query, returning once that
-// query is in flight (its log write held by the gate).
-func startHolding(t *testing.T) *daemon {
+// start runs the daemon on a loopback port with kron-8 and args, and
+// returns once it is serving.
+func start(t *testing.T, args ...string) *daemon {
 	t.Helper()
 	d := &daemon{
 		g:      &gate{addr: make(chan string, 1), held: make(chan struct{}), release: make(chan struct{})},
@@ -67,23 +70,33 @@ func startHolding(t *testing.T) *daemon {
 	d.cancel = cancel
 	t.Cleanup(cancel)
 	go func() {
-		d.exited <- run(ctx, []string{"-addr", "127.0.0.1:0", "-dataset", "kron-8", "-log-queries"}, d.g)
+		d.exited <- run(ctx, append([]string{"-addr", "127.0.0.1:0", "-dataset", "kron-8"}, args...), d.g)
 	}()
 	select {
 	case d.addr = <-d.g.addr:
 	case err := <-d.exited:
 		t.Fatalf("run exited before serving: %v", err)
 	}
-	go func() {
-		resp, err := http.Get("http://" + d.addr + "/v1/query?op=bfs&src=0&dst=5")
-		if err != nil {
-			d.answered <- reply{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		d.answered <- reply{resp.StatusCode, body, err}
-	}()
+	return d
+}
+
+// query sends one GET on a connection of its own and reads the reply.
+func query(addr, path string) reply {
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		return reply{err: err}
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return reply{resp.StatusCode, body, err}
+}
+
+// startHolding starts run and submits one query, returning once that
+// query is in flight (its log write held by the gate).
+func startHolding(t *testing.T) *daemon {
+	t.Helper()
+	d := start(t, "-log-queries")
+	go func() { d.answered <- query(d.addr, "/v1/query?op=bfs&src=0&dst=5") }()
 	<-d.g.held
 	return d
 }
@@ -205,22 +218,157 @@ func TestShutdownStopsAdmittingBeforeTheDrain(t *testing.T) {
 	// The counters, read on the other open connection while the held
 	// query keeps the daemon up (its outcome is counted before its log
 	// line is written): one offered, admitted and completed, nothing shed.
-	resp, body = get(t, probe, d.addr, "/v1/metrics")
+	st := ledger(t, probe, d.addr)
+	if st.Offered != 1 || st.Admitted != 1 {
+		t.Errorf("refused query entered the ledger: offered %d, admitted %d, want 1 and 1", st.Offered, st.Admitted)
+	}
+	if err := st.Conservation(); err != nil {
+		t.Error(err)
+	}
+	d.finish(t)
+}
+
+// ledger reads the daemon's counters on c as the simulator's ledger.
+func ledger(t *testing.T, c net.Conn, addr string) server.SimStats {
+	t.Helper()
+	resp, body := get(t, c, addr, "/v1/metrics")
 	var m server.MetricsSnapshot
 	if err := json.Unmarshal(body, &m); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: status %d, %v, body %s", resp.StatusCode, err, body)
 	}
-	if m.Offered != 1 || m.Admitted != 1 {
-		t.Errorf("refused query entered the ledger: offered %d, admitted %d, want 1 and 1", m.Offered, m.Admitted)
-	}
-	ledger := server.SimStats{
+	return server.SimStats{
 		Offered: int(m.Offered), Admitted: int(m.Admitted),
 		ShedQueueFull: int(m.ShedQueueFull), ShedThrottled: int(m.ShedThrottled),
 		Completed: int(m.Completed), DeadlineExceeded: int(m.DeadlineExceeded),
 		Errors: int(m.Errors + m.Panics),
 	}
-	if err := ledger.Conservation(); err != nil {
+}
+
+// SIGTERM under load: six queries admitted — two in flight on the
+// executors (their log writes held), four queued behind them — and
+// three more arriving during the grace period on connections opened
+// before the signal. Every admitted query gets its 200 and every late
+// one 503 + "Connection: close", and the counters the daemon serves once
+// the admitted have finished hold both conservation identities exactly:
+// offered = admitted = completed = 6.
+func TestDrainUnderLoadServesEveryAdmittedQuery(t *testing.T) {
+	const admitted, late = 6, 3
+	d := start(t, "-log-queries")
+	lateConns := make([]net.Conn, late)
+	for i := range lateConns {
+		lateConns[i] = openConn(t, d.addr)
+	}
+	probe := openConn(t, d.addr)
+	replies := make(chan reply, admitted)
+	for i := 0; i < admitted; i++ {
+		go func() { replies <- query(d.addr, fmt.Sprintf("/v1/query?op=bfs&src=%d&dst=5", i)) }()
+	}
+	<-d.g.held
+	for deadline := time.Now().Add(shutdownGrace / 2); ; time.Sleep(5 * time.Millisecond) {
+		r := query(d.addr, "/v1/metrics")
+		var m server.MetricsSnapshot
+		if r.err != nil || json.Unmarshal(r.body, &m) != nil {
+			t.Fatalf("metrics: %v, body %s", r.err, r.body)
+		}
+		if m.Admitted == admitted {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d queries admitted", m.Admitted, admitted)
+		}
+	}
+	d.signalAndWaitForRefusal(t)
+
+	for i, c := range lateConns {
+		resp, body := get(t, c, d.addr, fmt.Sprintf("/v1/query?op=bfs&src=%d&dst=7", i))
+		if resp.StatusCode != http.StatusServiceUnavailable || !resp.Close {
+			t.Errorf("late query %d: status %d, Connection: close %v, body %s; want 503 and close", i, resp.StatusCode, resp.Close, body)
+		}
+	}
+	select {
+	case r := <-replies:
+		t.Fatalf("an admitted query was answered (%d, %v) while the executors were held", r.status, r.err)
+	default:
+	}
+
+	close(d.g.release)
+	for i := 0; i < admitted; i++ {
+		if r := <-replies; r.err != nil || r.status != http.StatusOK {
+			t.Errorf("admitted query: status %d, err %v, body %s", r.status, r.err, r.body)
+		}
+	}
+	// The probe connection, opened before the signal and not yet used,
+	// keeps the daemon up until it is answered.
+	st := ledger(t, probe, d.addr)
+	if st.Offered != admitted || st.Admitted != admitted || st.Completed != admitted {
+		t.Errorf("ledger %+v: want offered = admitted = completed = %d", st, admitted)
+	}
+	if err := st.Conservation(); err != nil {
 		t.Error(err)
 	}
-	d.finish(t)
+	select {
+	case err := <-d.exited:
+		if err != nil {
+			t.Errorf("run returned %v after a clean shutdown", err)
+		}
+	case <-time.After(shutdownGrace):
+		t.Error("run did not return after its last request finished")
+	}
+}
+
+// A client that trickles its request headers is cut off once
+// readHeaderTimeout has passed since it connected, while a
+// well-behaved client on another connection is served meanwhile.
+func TestSlowHeadersAreCutOffWhileOthersAreServed(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 500 * time.Millisecond
+	d := start(t)
+
+	began := time.Now()
+	slow, err := net.Dial("tcp", d.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trickled := make(chan struct{})
+	go func() {
+		defer close(trickled)
+		// One header byte every 20 ms: never idle for long, never done.
+		header := "GET /v1/healthz HTTP/1.1\r\nHost: " + d.addr + "\r\nX-Slow: "
+		for i := 0; ; i++ {
+			b := byte('z')
+			if i < len(header) {
+				b = header[i]
+			}
+			if _, err := slow.Write([]byte{b}); err != nil {
+				return
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}()
+
+	if r := query(d.addr, "/v1/query?op=bfs&src=0&dst=5"); r.err != nil || r.status != http.StatusOK {
+		t.Errorf("well-behaved query: status %d, err %v, body %s", r.status, r.err, r.body)
+	}
+	if served := time.Since(began); served >= readHeaderTimeout {
+		t.Errorf("the well-behaved query took %v, past the slow client's %v allowance", served, readHeaderTimeout)
+	}
+
+	// net/http answers a header timeout with 400 and "Connection: close"
+	// and hangs up; a reset may overtake the 400.
+	slow.SetReadDeadline(time.Now().Add(shutdownGrace))
+	got, err := io.ReadAll(slow)
+	cut := time.Since(began)
+	if errors.Is(err, os.ErrDeadlineExceeded) || !bytes.HasPrefix([]byte("HTTP/1.1 400 "), got[:min(len(got), 13)]) {
+		t.Errorf("slow client: read %q, err %v; want the connection closed, after at most a 400", got, err)
+	}
+	if cut < readHeaderTimeout {
+		t.Errorf("slow client cut off after %v, before the %v header timeout", cut, readHeaderTimeout)
+	}
+	slow.Close()
+	<-trickled
+
+	d.cancel()
+	if err := <-d.exited; err != nil {
+		t.Errorf("run returned %v after a clean shutdown", err)
+	}
 }

@@ -148,7 +148,9 @@ type Engine interface {
 	// separate construction phase this includes building the
 	// structure (charged to the machine). g is shared between every
 	// instance of a run and read-only: an instance aliases its arrays
-	// and never writes to them.
+	// and never writes to them, takes what it derives from g through
+	// graph.Derive (built once per graph, whoever is charged for it),
+	// and keeps no reference to g itself.
 	LoadSimple(g *graph.Simple, m *simmachine.Machine) (Instance, error)
 	// Load is LoadSimple on a graph homogenized for this instance alone
 	// (see LoadEdgeList).
@@ -181,8 +183,8 @@ type SyncSSSPSetter interface {
 // delta+varint byte-compressed adjacency (graph.CompressedCSR) in
 // their BFS/PageRank inner loops — GAP and Graph500 in this
 // reproduction. The harness enables it from Spec.Compress before
-// Load, since the compressed structure is built during graph
-// construction. Outputs must be identical to the uncompressed run;
+// Load, since an instance takes its compressed structure at load.
+// Outputs must be identical to the uncompressed run;
 // only the modeled decode/bandwidth costs move.
 type CompressSetter interface {
 	SetCompress(on bool)

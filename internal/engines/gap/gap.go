@@ -143,7 +143,7 @@ type Instance struct {
 	in         *graph.CSR
 	inputEdges int
 	built      bool
-	// Compressed siblings of out/in, built only when eng.Compress; the
+	// Compressed siblings of out/in, present only when eng.Compress; the
 	// row selectors below hand them out in place of the raw CSR.
 	cout *graph.CompressedCSR
 	cin  *graph.CompressedCSR
@@ -175,15 +175,19 @@ type Instance struct {
 // hook must be cheap and must not call back into the instance.
 func (inst *Instance) SetCancel(check func() error) { inst.trav.Cancel = check }
 
-// LoadSimple implements engines.Engine. It only captures the shared
-// graph; the charged construction is BuildStructure (the
-// separately-timed phase).
+// LoadSimple implements engines.Engine. It captures the shared graph's
+// rows, and under Compress the graph's own compressed siblings (built
+// by the first load that asks); the charged construction is
+// BuildStructure (the separately-timed phase).
 func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
-	in := g.In
-	if in == nil {
-		in = g.Out
+	inst := &Instance{eng: e, m: m, out: g.Out, in: g.In, inputEdges: g.InputEdges}
+	if inst.in == nil {
+		inst.in = g.Out
 	}
-	return &Instance{eng: e, m: m, out: g.Out, in: in, inputEdges: g.InputEdges}, nil
+	if e.Compress {
+		inst.cout, inst.cin = g.Compressed(inst.out), g.Compressed(inst.in)
+	}
+	return inst, nil
 }
 
 // Load implements engines.Engine.
@@ -192,8 +196,9 @@ func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instan
 }
 
 // BuildStructure implements engines.Instance: Kernel-1-style CSR
-// construction, charged as two passes over the edge list. The rows are
-// the shared graph's own; only the compressed siblings are built here.
+// construction, charged as two passes over the edge list, plus the
+// encode pass of each compressed sibling. The rows and siblings are the
+// shared graph's own; only their construction is charged here.
 func (inst *Instance) BuildStructure() {
 	directed := inst.in != inst.out
 	inst.m.ParallelFor(inst.inputEdges, 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
@@ -204,18 +209,14 @@ func (inst *Instance) BuildStructure() {
 			w.Charge(costBuildEdge.Scale(float64(hi - lo)))
 		})
 	}
-	if inst.eng.Compress {
+	if inst.cout != nil {
 		inst.m.ParallelFor(int(inst.out.NumEdges()), 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
 			w.Charge(costCompressEdge.Scale(float64(hi - lo)))
 		})
-		inst.cout = graph.CompressCSR(inst.out, 0)
 		if directed {
 			inst.m.ParallelFor(int(inst.in.NumEdges()), 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
 				w.Charge(costCompressEdge.Scale(float64(hi - lo)))
 			})
-			inst.cin = graph.CompressCSR(inst.in, 0)
-		} else {
-			inst.cin = inst.cout
 		}
 	}
 	inst.n = inst.out.NumVertices

@@ -61,21 +61,26 @@ func (e *Engine) Has(alg engines.Algorithm) bool { return alg == engines.BFS }
 
 // Instance is a loaded Graph500 graph.
 type Instance struct {
-	eng *Engine
-	m   *simmachine.Machine
+	m *simmachine.Machine
 	// csr is the shared homogenized out-adjacency, read-only;
 	// inputEdges sizes Kernel 1's charge.
 	csr        *graph.CSR
 	inputEdges int
-	// rows is what Kernel 2 expands: csr, or under Engine.Compress its
-	// delta+varint compressed sibling. Nil until BuildStructure.
-	rows traverse.Rows
-	trav traverse.State
+	// rows is what Kernel 2 expands: csr, or under Engine.Compress the
+	// graph's delta+varint compressed sibling. built records that
+	// Kernel 1 was charged.
+	rows  traverse.Rows
+	built bool
+	trav  traverse.State
 }
 
 // LoadSimple implements engines.Engine.
 func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
-	return &Instance{eng: e, m: m, csr: g.Out, inputEdges: g.InputEdges}, nil
+	inst := &Instance{m: m, csr: g.Out, inputEdges: g.InputEdges, rows: g.Out}
+	if e.Compress {
+		inst.rows = g.Compressed(g.Out)
+	}
+	return inst, nil
 }
 
 // Load implements engines.Engine.
@@ -88,17 +93,16 @@ func (inst *Instance) BuildStructure() {
 	inst.m.ParallelFor(inst.inputEdges, 4096, simmachine.Static, func(lo, hi int, w *simmachine.W) {
 		w.Charge(costBuildEdge.Scale(2 * float64(hi-lo)))
 	})
-	inst.rows = inst.csr
-	if inst.eng.Compress {
+	if inst.rows.Encoded() {
 		inst.m.ParallelFor(int(inst.csr.NumEdges()), 4096, simmachine.Static, func(lo, hi int, w *simmachine.W) {
 			w.Charge(costCompressEdge.Scale(float64(hi - lo)))
 		})
-		inst.rows = graph.CompressCSR(inst.csr, 0)
 	}
+	inst.built = true
 }
 
 func (inst *Instance) ensureBuilt() {
-	if inst.rows == nil {
+	if !inst.built {
 		inst.BuildStructure()
 	}
 }

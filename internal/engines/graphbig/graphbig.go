@@ -86,8 +86,9 @@ func (e *Engine) Has(alg engines.Algorithm) bool {
 	return false
 }
 
-// vertexProp is the per-vertex property object: adjacency plus the
-// mutable algorithm properties System G attaches to vertices.
+// vertexProp is the per-vertex property object's adjacency. The table
+// is shared by every instance of a graph, so the algorithm properties
+// System G attaches to vertices live in each instance's scratch.
 type vertexProp struct {
 	out []graph.VID
 	in  []graph.VID // nil when the graph is undirected (out is symmetric)
@@ -132,19 +133,25 @@ type Instance struct {
 	spare      []graph.VID                // the CDLP label array not handed out
 }
 
+type propertyKind struct{}
+
 // LoadSimple implements engines.Engine: reading and construction are
 // one phase, charged here. The homogenized graph is re-materialized as
-// per-vertex property objects whose rows alias the shared arrays.
+// per-vertex property objects whose rows alias the shared arrays; the
+// table is the graph's own (graph.Derive), built by the first load.
 func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
 	n := g.NumVertices
 	inst := &Instance{eng: e, m: m, directed: g.Directed, weighted: g.Weighted, n: n}
-	inst.vertices = make(propertyGraph, n)
-	for v := 0; v < n; v++ {
-		inst.vertices[v].out, inst.vertices[v].w = g.Out.WeightedRow(graph.VID(v))
-		if g.Directed {
-			inst.vertices[v].in = g.In.Neighbors(graph.VID(v))
+	inst.vertices = graph.Derive(g, propertyKind{}, 0, func() propertyGraph {
+		vs := make(propertyGraph, n)
+		for v := range vs {
+			vs[v].out, vs[v].w = g.Out.WeightedRow(graph.VID(v))
+			if g.Directed {
+				vs[v].in = g.In.Neighbors(graph.VID(v))
+			}
 		}
-	}
+		return vs
+	})
 	// Charge the combined read+build pass.
 	m.FileRead(int64(g.InputEdges)*16, true)
 	m.ParallelFor(g.InputEdges, 2048, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {

@@ -167,6 +167,6 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 func (inst *Instance) LCC() (*engines.LCCResult, error) {
 	inst.ensureBuilt()
 	coeff := make([]float64, inst.n)
-	inst.trav.LinkCount(inst.m, 64, &lccLinks, inst.g.Out, inst.g.In, coeff)
+	inst.trav.LinkCount(inst.m, 64, &lccLinks, inst.out, inst.in, coeff)
 	return &engines.LCCResult{Coeff: coeff}, nil
 }

@@ -89,21 +89,25 @@ func fromCSR(c *graph.CSR) *dcsr {
 	return d
 }
 
+type indexKind struct{ rows *graph.CSR }
+
 // Instance is a loaded GraphMat matrix.
 type Instance struct {
 	m *simmachine.Machine
-	// g is the shared homogenized graph, read-only; its sorted rows
-	// also serve LCC's edge queries.
-	g *graph.Simple
+	// out and in are the shared homogenized rows, read-only; their
+	// sorted rows serve LCC's edge queries. inputEdges sizes the
+	// construction charge; built records that BuildStructure ran.
+	out, in    *graph.CSR
+	inputEdges int
+	built      bool
 
 	n        int
 	directed bool
 	weighted bool
-	// inMat gathers along in-edges (the SpMV direction); outMat is
-	// used for out-degrees, scatter-direction kernels, and LCC.
+	// inMat gathers along in-edges (the SpMV direction); outMat serves
+	// the scatter-direction kernels. Both are the graph's own.
 	inMat  *dcsr
 	outMat *dcsr
-	outDeg []int32
 	trav   traverse.State
 
 	// Kernel scratch, kept between calls so that a warm kernel
@@ -116,9 +120,20 @@ type Instance struct {
 	outRowOf []int32      // directed CDLP: vertex to outMat row (made once)
 }
 
-// LoadSimple implements engines.Engine.
+// LoadSimple implements engines.Engine. The row indexes are the graph's
+// own (graph.Derive), built by the first load; BuildStructure charges
+// their construction.
 func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
-	return &Instance{m: m, g: g, n: g.NumVertices, directed: g.Directed, weighted: g.Weighted}, nil
+	index := func(c *graph.CSR) *dcsr {
+		return graph.Derive(g, indexKind{c}, 0, func() *dcsr { return fromCSR(c) })
+	}
+	inst := &Instance{m: m, out: g.Out, in: g.In, inputEdges: g.InputEdges,
+		n: g.NumVertices, directed: g.Directed, weighted: g.Weighted, outMat: index(g.Out)}
+	inst.inMat = inst.outMat
+	if g.Directed {
+		inst.inMat = index(g.In)
+	}
+	return inst, nil
 }
 
 // Load implements engines.Engine.
@@ -126,31 +141,23 @@ func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instan
 	return engines.LoadEdgeList(e, el, m)
 }
 
-// BuildStructure implements engines.Instance: build the forward and
-// transposed compressed matrices (GraphMat's partitioned DCSC build).
+// BuildStructure implements engines.Instance: the charged build of the
+// forward and transposed compressed matrices (GraphMat's partitioned
+// DCSC build), whichever load of the graph made them.
 func (inst *Instance) BuildStructure() {
-	g := inst.g
-	inst.outMat = fromCSR(g.Out)
-	inst.inMat = inst.outMat
-	if g.Directed {
-		inst.inMat = fromCSR(g.In)
-	}
-	inst.outDeg = make([]int32, inst.n)
-	for v := 0; v < inst.n; v++ {
-		inst.outDeg[v] = int32(g.Out.Degree(graph.VID(v)))
-	}
 	// Charge: two full passes (forward + transpose compression).
 	passes := 2.0
-	if !g.Directed {
+	if !inst.directed {
 		passes = 1.5
 	}
-	inst.m.ParallelFor(g.InputEdges, 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
+	inst.m.ParallelFor(inst.inputEdges, 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
 		w.Charge(costBuildEdge.Scale(passes * float64(hi-lo)))
 	})
+	inst.built = true
 }
 
 func (inst *Instance) ensureBuilt() {
-	if inst.outMat == nil {
+	if !inst.built {
 		inst.BuildStructure()
 	}
 }

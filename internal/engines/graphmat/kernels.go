@@ -197,12 +197,13 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 		dangling, _ := inst.trav.Sweep(inst.m, n, gRed, &vecPass, func(c *traverse.Chunk, lo, hi int) {
 			local := 0.0
 			for v := lo; v < hi; v++ {
-				if inst.outDeg[v] == 0 {
+				d := inst.out.Degree(graph.VID(v))
+				if d == 0 {
 					local += float64(rank[v])
 					contrib[v] = 0
 					continue
 				}
-				contrib[v] = rank[v] / float32(inst.outDeg[v])
+				contrib[v] = rank[v] / float32(d)
 			}
 			c.Sum = local
 		})

@@ -18,19 +18,19 @@ import (
 // across runs and real worker counts.
 
 // buildSlots computes the prefix offsets once the replica masks are
-// final. totalRep (the classic replication-volume metric) equals
+// final. TotalRep (the classic replication-volume metric) equals
 // slotOff[n].
-func (inst *Instance) buildSlots() {
-	inst.slotOff = make([]int64, inst.n+1)
-	for v := 0; v < inst.n; v++ {
-		inst.slotOff[v+1] = inst.slotOff[v] + int64(bits.OnesCount64(inst.replicas[v]))
+func (pt *partition) buildSlots() {
+	pt.slotOff = make([]int64, len(pt.Replicas)+1)
+	for v, mask := range pt.Replicas {
+		pt.slotOff[v+1] = pt.slotOff[v] + int64(bits.OnesCount64(mask))
 	}
 }
 
 // slot returns the accumulator index of vertex v's replica on shard s.
 // s must be set in v's replica mask.
 func (inst *Instance) slot(v graph.VID, s int) int64 {
-	mask := inst.replicas[v]
+	mask := inst.Replicas[v]
 	return inst.slotOff[v] + int64(bits.OnesCount64(mask&(1<<uint(s)-1)))
 }
 

@@ -25,8 +25,8 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 	dist := res.Dist
 	inf := math.Inf(1)
 
-	inst.accF = traverse.Resized(inst.accF, int(inst.totalRep))
-	inst.accP = traverse.Resized(inst.accP, int(inst.totalRep))
+	inst.accF = traverse.Resized(inst.accF, int(inst.TotalRep))
+	inst.accP = traverse.Resized(inst.accP, int(inst.TotalRep))
 	accD, accP := inst.accF, inst.accP
 	for i := range accD {
 		accD[i] = inf
@@ -108,12 +108,9 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	for i := range rank {
 		rank[i] = inv
 	}
-	if inst.outDeg == nil {
-		inst.outDeg = inst.out.OutDegrees()
-	}
 	inst.contrib = traverse.Resized(inst.contrib, n)
-	inst.accF = traverse.Resized(inst.accF, int(inst.totalRep))
-	outDeg, contrib, acc := inst.outDeg, inst.contrib, inst.accF
+	inst.accF = traverse.Resized(inst.accF, int(inst.TotalRep))
+	contrib, acc := inst.contrib, inst.accF
 	clear(acc)
 
 	res := &engines.PRResult{}
@@ -123,12 +120,13 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 		dangling, _ := inst.trav.Sweep(inst.m, n, gContrib, &prContrib, func(c *traverse.Chunk, lo, hi int) {
 			local := 0.0
 			for v := lo; v < hi; v++ {
-				if outDeg[v] == 0 {
+				d := inst.out.Degree(graph.VID(v))
+				if d == 0 {
 					local += rank[v]
 					contrib[v] = 0
 					continue
 				}
-				contrib[v] = rank[v] / float64(outDeg[v])
+				contrib[v] = rank[v] / float64(d)
 			}
 			c.Sum = local
 		})
@@ -217,7 +215,7 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 		comp[i] = graph.VID(i)
 	}
 	const noLabel = ^graph.VID(0)
-	inst.accC = traverse.Resized(inst.accC, int(inst.totalRep))
+	inst.accC = traverse.Resized(inst.accC, int(inst.TotalRep))
 	accC := inst.accC
 	for i := range accC {
 		accC[i] = noLabel

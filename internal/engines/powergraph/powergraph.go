@@ -64,21 +64,30 @@ type shardEdge struct {
 	w        float32
 }
 
+// partition is the vertex cut of one graph at one shard count: its
+// replica masks and TotalRep (the ghost sync volume), the shards, and
+// the per-vertex replica-slot prefix (see accum.go). It is built once
+// per (graph, shard count) and shared, read-only, by every instance
+// loaded at that count.
+type partition struct {
+	*graph.VertexCutStats
+	shards  [][]shardEdge
+	slotOff []int64
+}
+
+type partitionKind struct{}
+
 // Instance is a loaded, partitioned PowerGraph graph.
 type Instance struct {
 	m        *simmachine.Machine
 	n        int
 	directed bool
 	weighted bool
+	*partition
 
-	shards   [][]shardEdge
-	replicas []uint64 // per-vertex shard mask
-	totalRep int64    // sum of popcounts: ghost sync volume
-	slotOff  []int64  // per-vertex replica-slot prefix (see accum.go)
-
-	// Homogenized adjacency retained for apply-side degree lookups
-	// and the neighborhood kernels (CDLP/LCC); in is nil for an
-	// undirected graph (out is symmetric).
+	// Homogenized adjacency retained for PageRank's out-degrees and the
+	// neighborhood kernels (CDLP/LCC); in is nil for an undirected graph
+	// (out is symmetric).
 	out  *graph.CSR
 	in   *graph.CSR
 	trav traverse.State
@@ -87,67 +96,62 @@ type Instance struct {
 	// allocates only its result: made on first use (never in Load) and
 	// initialized on entry by the kernel that reads it, since kernels
 	// share it and an abandoned call leaves it dirty. At most one
-	// replica-slot array of each element type and three n-vectors stay
+	// replica-slot array of each element type and two n-vectors stay
 	// resident.
 	accF      []float64   // per replica slot: SSSP distances, PageRank partial sums
 	accP      []int64     // per replica slot: SSSP parents
 	accC      []uint32    // per replica slot: WCC labels
 	contrib   []float64   // per vertex: PageRank
-	outDeg    []int64     // per vertex: PageRank (the graph is immutable: made once)
 	spare     []graph.VID // per vertex: the CDLP label array not handed out
 	processed []int64     // per shard: gatherSweep
 }
 
 // LoadSimple implements engines.Engine: read, homogenize, and greedily
-// vertex-cut partition the edges, all charged as one phase.
+// vertex-cut partition the edges, all charged as one phase. The cut is
+// the graph's own at this shard count (graph.Derive): only the first
+// load at a count builds it.
 func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
-	out := g.Out
+	p := min(max(m.Threads(), 1), maxShards)
 	inst := &Instance{
 		m: m, n: g.NumVertices,
 		directed: g.Directed, weighted: g.Weighted,
-		out: out, in: g.In,
+		partition: graph.Derive(g, partitionKind{}, p, func() *partition { return cut(g.Out, p) }),
+		out:       g.Out, in: g.In,
 	}
+	m.FileRead(int64(g.InputEdges)*16, true)
+	m.ParallelFor(int(g.Out.NumEdges()), 2048, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
+		w.Charge(costLoadEdge.Scale(float64(hi - lo)))
+	})
+	return inst, nil
+}
 
-	p := m.Threads()
-	if p > maxShards {
-		p = maxShards
-	}
-	if p < 1 {
-		p = 1
-	}
-	// Partition the deduplicated directed adjacency (the engine's true
-	// edge set) with the shared greedy streaming vertex-cut — the same
-	// machinery the modeled cluster's 2D partitioner uses. The cut
-	// records each edge's shard; the shards are then cut out of one
-	// array by the final loads and filled in the same stream order.
+// cut partitions the deduplicated directed adjacency (the engine's true
+// edge set) into p shards with the shared greedy streaming vertex-cut —
+// the same machinery the modeled cluster's 2D partitioner uses. The cut
+// records each edge's shard; the shards are then cut out of one array
+// by the final loads and filled in the same stream order.
+func cut(out *graph.CSR, p int) *partition {
 	shardOf := make([]uint8, 0, out.NumEdges())
-	cut := graph.GreedyVertexCut(out, p, func(_, _ graph.VID, _ float32, shard int) {
+	vc := graph.GreedyVertexCut(out, p, func(_, _ graph.VID, _ float32, shard int) {
 		shardOf = append(shardOf, uint8(shard))
 	})
 	edges := make([]shardEdge, out.NumEdges())
-	inst.shards = make([][]shardEdge, p)
-	for s, load := range cut.Loads {
-		inst.shards[s], edges = edges[:0:load], edges[load:]
+	pt := &partition{VertexCutStats: vc, shards: make([][]shardEdge, p)}
+	for s, load := range vc.Loads {
+		pt.shards[s], edges = edges[:0:load], edges[load:]
 	}
-	for v := 0; v < inst.n; v++ {
+	for v := 0; v < out.NumVertices; v++ {
 		for k := out.Offsets[v]; k < out.Offsets[v+1]; k++ {
 			var w float32
 			if out.Weights != nil {
 				w = out.Weights[k]
 			}
 			s := shardOf[k]
-			inst.shards[s] = append(inst.shards[s], shardEdge{graph.VID(v), out.Adj[k], w})
+			pt.shards[s] = append(pt.shards[s], shardEdge{graph.VID(v), out.Adj[k], w})
 		}
 	}
-	inst.replicas = cut.Replicas
-	inst.totalRep = cut.TotalRep
-	inst.buildSlots()
-
-	m.FileRead(int64(g.InputEdges)*16, true)
-	m.ParallelFor(int(out.NumEdges()), 2048, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-		w.Charge(costLoadEdge.Scale(float64(hi - lo)))
-	})
-	return inst, nil
+	pt.buildSlots()
+	return pt
 }
 
 // Load implements engines.Engine.
@@ -159,25 +163,10 @@ func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instan
 // happened during Load.
 func (inst *Instance) BuildStructure() {}
 
-// ReplicationFactor returns the average number of shards holding each
-// non-isolated vertex — PowerGraph's classic partition quality metric.
-func (inst *Instance) ReplicationFactor() float64 {
-	present := 0
-	for _, mask := range inst.replicas {
-		if mask != 0 {
-			present++
-		}
-	}
-	if present == 0 {
-		return 0
-	}
-	return float64(inst.totalRep) / float64(present)
-}
-
 // syncGhosts charges one ghost-exchange round (every replica's state
 // shipped to its master and back).
 func (inst *Instance) syncGhosts() {
-	inst.m.ChargeUniform(int(inst.totalRep), 4096, simmachine.Dynamic, costSyncReplica)
+	inst.m.ChargeUniform(int(inst.TotalRep), 4096, simmachine.Dynamic, costSyncReplica)
 }
 
 // gatherSweep runs one GAS gather phase: every shard scans its local

@@ -1,5 +1,7 @@
 package graph
 
+import "sync"
+
 // Simple is the homogenized graph of one run: the simple graph (no
 // self-loops, no parallel edges, sorted rows, both orientations of an
 // undirected edge) every engine, the root selection, the cluster owner
@@ -18,6 +20,8 @@ type Simple struct {
 	// In is the sorted transpose of a directed graph; nil when the
 	// graph is undirected and Out is its own transpose.
 	In *CSR
+
+	derived *derived
 }
 
 // Homogenize validates el and builds its Simple.
@@ -36,6 +40,7 @@ func Homogenize(el *EdgeList) (*Simple, error) {
 			Dedup:         true,
 			Sort:          true,
 		}),
+		derived: &derived{entries: map[any]*derivedEntry{}},
 	}
 	if el.Directed {
 		// Transpose scatters rows in ascending source order, so the
@@ -43,4 +48,45 @@ func Homogenize(el *EdgeList) (*Simple, error) {
 		g.In = Transpose(g.Out, 0)
 	}
 	return g, nil
+}
+
+// derived holds what engines build from one Simple, one entry per kind.
+type derived struct {
+	mu      sync.Mutex
+	entries map[any]*derivedEntry
+}
+
+type derivedEntry struct {
+	param int
+	once  sync.Once
+	value any
+}
+
+// Derive returns what build makes of g, built once per graph: every
+// instance loaded from g with the same kind and param shares one value,
+// read-only like g itself. kind is a comparable key private to the
+// caller (an unexported struct type, as with context keys); param is
+// the one input besides g the value depends on. A kind keeps only the
+// value of the latest param asked of it, so a thread sweep that re-cuts
+// per shard count holds one cut at a time. Concurrent callers of one
+// kind and param wait for a single build.
+func Derive[T any](g *Simple, kind any, param int, build func() T) T {
+	d := g.derived
+	d.mu.Lock()
+	e := d.entries[kind]
+	if e == nil || e.param != param {
+		e = &derivedEntry{param: param}
+		d.entries[kind] = e
+	}
+	d.mu.Unlock()
+	e.once.Do(func() { e.value = build() })
+	return e.value.(T)
+}
+
+type compressedKind struct{ rows *CSR }
+
+// Compressed returns the delta+varint sibling of rows (g.Out or g.In),
+// built once per graph and shared by every instance that compresses.
+func (g *Simple) Compressed(rows *CSR) *CompressedCSR {
+	return Derive(g, compressedKind{rows}, 0, func() *CompressedCSR { return CompressCSR(rows, 0) })
 }

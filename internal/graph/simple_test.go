@@ -1,6 +1,10 @@
 package graph
 
-import "testing"
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+)
 
 // Homogenize is the one canonical build: Out is BuildCSR under the full
 // option set, In the sorted transpose of a directed graph and nil for
@@ -38,5 +42,41 @@ func TestHomogenize(t *testing.T) {
 	}
 	if _, err := Homogenize(&EdgeList{NumVertices: 2, Edges: []Edge{{Src: 0, Dst: 2}}}); err == nil {
 		t.Fatal("out-of-range edge accepted")
+	}
+}
+
+// Derive builds a kind once per graph and param however many callers
+// ask at once, and keeps only the latest param: asking for an evicted
+// one builds it again. The compressed sibling of a CSR is one per graph.
+func TestDeriveBuildsOncePerParam(t *testing.T) {
+	g, err := Homogenize(randomEdgeList(5, 64, 512, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type kind struct{}
+	var builds atomic.Int32
+	derive := func(p int) *int {
+		return Derive(g, kind{}, p, func() *int { builds.Add(1); return &p })
+	}
+	got := make([]*int, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = derive(32)
+		}()
+	}
+	wg.Wait()
+	for _, p := range got {
+		if p != got[0] || *p != 32 {
+			t.Fatalf("concurrent callers got different values: %v", got)
+		}
+	}
+	if derive(64) != derive(64) || derive(32) == got[0] || builds.Load() != 3 {
+		t.Fatalf("%d builds for params 32, 64, 64, 32; want 3", builds.Load())
+	}
+	if g.Compressed(g.Out) != g.Compressed(g.Out) {
+		t.Fatal("the compressed sibling of Out is built twice")
 	}
 }
