@@ -67,7 +67,8 @@ func scheduleDependent(name string, alg engines.Algorithm, workers int, sync boo
 // instance, across real worker counts, both SyncSSSP modes, raw and
 // compressed adjacency, an undirected and a directed load — values,
 // work counters and every Region since Mark bit-equal to an instance
-// built fresh for each call.
+// built fresh for each call. Then the same instance rebound from graph
+// to graph: bit-equal to one loaded fresh for each bind.
 func TestReusedInstanceBitEqualFreshInstance(t *testing.T) {
 	und := kronecker.Generate(kronecker.Params{Scale: 9, Seed: 21})
 	dir := *und
@@ -100,31 +101,8 @@ func TestReusedInstanceBitEqualFreshInstance(t *testing.T) {
 							continue
 						}
 						label := fmt.Sprintf("%s %s workers=%d sync=%v step %d %s", cfg.name, name, workers, sync, step, p.alg)
-						mark, _ := m.Mark()
-						got, err := engines.RunAlgorithm(reused, p.alg, rs[p.root])
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						gotRegions := slices.Clone(m.Trace()[mark:])
 						fresh, fm := loadShared(t, name, g, workers, opts)
-						mark, _ = fm.Mark()
-						want, err := engines.RunAlgorithm(fresh, p.alg, rs[p.root])
-						if err != nil {
-							t.Fatalf("%s (fresh): %v", label, err)
-						}
-						if scheduleDependent(name, p.alg, workers, sync) {
-							switch w := want.(type) {
-							case *engines.SSSPResult:
-								sameFloat64sBitwise(t, label+" dist", w.Dist, got.(*engines.SSSPResult).Dist)
-							case *engines.WCCResult:
-								sameVIDs(t, label+" component", w.Component, got.(*engines.WCCResult).Component)
-							}
-							continue
-						}
-						sameOutputs(t, label, want, got)
-						if !slices.Equal(gotRegions, fm.Trace()[mark:]) {
-							t.Errorf("%s: the reused instance's modeled regions differ from a fresh instance's", label)
-						}
+						sameStep(t, label, name, p.alg, rs[p.root], workers, sync, reused, m, fresh, fm)
 						if t.Failed() {
 							return
 						}
@@ -132,6 +110,100 @@ func TestReusedInstanceBitEqualFreshInstance(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// Across graphs: one instance per engine, bound in turn to a small
+	// directed and a larger undirected graph (its scratch must grow), with
+	// compress off and on, on machines of 8, 64 and 8 modeled threads
+	// (PowerGraph re-cuts), must charge and compute what a new instance
+	// loaded for each bind does — the load and build phases, then every
+	// step.
+	dsmall := kronecker.Generate(kronecker.Params{Scale: 8, Seed: 22})
+	dsmall.Directed = true
+	graphs := map[bool]*graph.Simple{}
+	for directed, el := range map[bool]*graph.EdgeList{false: und, true: dsmall} {
+		g, err := graph.Homogenize(el)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[directed] = g
+	}
+	binds := []struct {
+		directed, compress bool
+		threads            int
+	}{{true, false, 8}, {false, true, 64}, {true, true, 8}, {false, false, 8}}
+	for _, name := range Names {
+		for _, workers := range workerCounts {
+			for _, sync := range []bool{true, false} {
+				eng, _ := Registry().New(name)
+				if _, ok := eng.(engines.SyncSSSPSetter); !sync && !ok {
+					continue
+				}
+				var inst engines.Instance
+				for i, b := range binds {
+					g := graphs[b.directed]
+					engines.Reset(eng)
+					engines.Configure(eng, engines.Options{SyncSSSP: sync, Compress: b.compress})
+					m, fm := simmachine.New(simmachine.Haswell72(), b.threads), simmachine.New(simmachine.Haswell72(), b.threads)
+					m.SetWorkers(workers)
+					fm.SetWorkers(workers)
+					if inst == nil {
+						inst, _ = eng.LoadSimple(g, m)
+					} else {
+						inst.Bind(g, m)
+					}
+					fresh, _ := eng.LoadSimple(g, fm)
+					inst.BuildStructure()
+					fresh.BuildStructure()
+					label := fmt.Sprintf("%s workers=%d sync=%v bind %d (directed=%v compress=%v threads=%d)",
+						name, workers, sync, i, b.directed, b.compress, b.threads)
+					if !slices.Equal(m.Trace(), fm.Trace()) {
+						t.Fatalf("%s: the rebound instance's load and build charge differently from a new one's", label)
+					}
+					rs := core.SelectRoots(g.Out, 2, 0x7007)
+					for step, p := range reuseProgram {
+						if eng.Has(p.alg) {
+							sameStep(t, fmt.Sprintf("%s step %d %s", label, step, p.alg), name, p.alg, rs[p.root], workers, sync, inst, m, fresh, fm)
+						}
+					}
+					if t.Failed() {
+						return
+					}
+					inst.Bind(nil, nil) // idle between binds, as a Runner keeps it
+				}
+			}
+		}
+	}
+}
+
+// sameStep runs alg from root on a reused and on a fresh instance and
+// requires the same outputs, work counters and regions since each
+// machine's mark — for a schedule-dependent kernel, the same values.
+func sameStep(t *testing.T, label, name string, alg engines.Algorithm, root graph.VID, workers int, sync bool,
+	reused engines.Instance, m *simmachine.Machine, fresh engines.Instance, fm *simmachine.Machine) {
+	t.Helper()
+	mark, _ := m.Mark()
+	got, err := engines.RunAlgorithm(reused, alg, root)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	fmark, _ := fm.Mark()
+	want, err := engines.RunAlgorithm(fresh, alg, root)
+	if err != nil {
+		t.Fatalf("%s (fresh): %v", label, err)
+	}
+	if scheduleDependent(name, alg, workers, sync) {
+		switch w := want.(type) {
+		case *engines.SSSPResult:
+			sameFloat64sBitwise(t, label+" dist", w.Dist, got.(*engines.SSSPResult).Dist)
+		case *engines.WCCResult:
+			sameVIDs(t, label+" component", w.Component, got.(*engines.WCCResult).Component)
+		}
+		return
+	}
+	sameOutputs(t, label, want, got)
+	if !slices.Equal(m.Trace()[mark:], fm.Trace()[fmark:]) {
+		t.Errorf("%s: the reused instance's modeled regions differ from a fresh instance's", label)
 	}
 }
 

@@ -74,6 +74,17 @@ func Configure(target any, opts Options) Applied {
 	return ap
 }
 
+// Reset turns off every knob target has a setter for, as a new engine
+// has them: an engine kept between runs is Reset, then Configured.
+func Reset(target any) {
+	if s, ok := target.(SyncSSSPSetter); ok {
+		s.SetSyncSSSP(false)
+	}
+	if s, ok := target.(CompressSetter); ok {
+		s.SetCompress(false)
+	}
+}
+
 // MutationReport summarizes one applied batch for callers that charge
 // or log mutation work.
 type MutationReport struct {

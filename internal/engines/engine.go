@@ -117,14 +117,19 @@ type WCCResult struct {
 	Component []graph.VID
 }
 
-// Instance is a loaded graph inside one engine, bound to a machine.
+// Instance is a machine, aliases into a shared graph and kernel scratch.
 // Run methods may be called repeatedly (e.g., 32 roots); instances are
 // not safe for concurrent use.
 type Instance interface {
-	// BuildStructure performs the separately-timed data structure
-	// construction phase. Engines that construct while reading
-	// (GraphBIG, PowerGraph) perform the work in Load and make this
-	// a no-op; callers can detect that via Engine.SeparateConstruction.
+	// Bind points the instance at g and m, charging nothing. It drops all
+	// that came from the graph before (a mutated epoch, baselines,
+	// derived structure) and keeps the scratch: results are a new
+	// instance's, bit for bit. Bind(nil, nil) leaves the scratch alone.
+	Bind(g *graph.Simple, m *simmachine.Machine)
+	// BuildStructure charges the construction of the bound graph's
+	// structure, once per Bind: the separately-timed phase, or for an
+	// engine that builds while it reads (SeparateConstruction false) the
+	// combined read+build, which LoadSimple has already charged.
 	BuildStructure()
 
 	BFS(root graph.VID) (*BFSResult, error)
@@ -144,13 +149,13 @@ type Engine interface {
 	// SeparateConstruction reports whether graph construction is a
 	// distinct, separately-timed phase.
 	SeparateConstruction() bool
-	// LoadSimple ingests the homogenized graph. For engines without a
-	// separate construction phase this includes building the
-	// structure (charged to the machine). g is shared between every
-	// instance of a run and read-only: an instance aliases its arrays
-	// and never writes to them, takes what it derives from g through
-	// graph.Derive (built once per graph, whoever is charged for it),
-	// and keeps no reference to g itself.
+	// LoadSimple is a new instance bound to g and m (Instance.Bind). For
+	// engines without a separate construction phase it also charges the
+	// combined read+build. g is shared between every instance of a run
+	// and read-only: an instance aliases its arrays and never writes to
+	// them, takes what it derives from g through graph.Derive (built
+	// once per graph, whoever is charged for it), and keeps no reference
+	// to g itself.
 	LoadSimple(g *graph.Simple, m *simmachine.Machine) (Instance, error)
 	// Load is LoadSimple on a graph homogenized for this instance alone
 	// (see LoadEdgeList).
@@ -183,7 +188,7 @@ type SyncSSSPSetter interface {
 // delta+varint byte-compressed adjacency (graph.CompressedCSR) in
 // their BFS/PageRank inner loops — GAP and Graph500 in this
 // reproduction. The harness enables it from Spec.Compress before
-// Load, since an instance takes its compressed structure at load.
+// Load, since an instance takes its compressed structure at Bind.
 // Outputs must be identical to the uncompressed run;
 // only the modeled decode/bandwidth costs move.
 type CompressSetter interface {

@@ -55,7 +55,7 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 // keeps no reference to it. Together with the instance's workspace this
 // makes a warm search allocate nothing that scales with the graph.
 func (inst *Instance) BFSInto(root graph.VID, dst *engines.BFSResult) (*engines.BFSResult, error) {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	n := inst.n
 	tr := &inst.trav
 	res := traverse.StartBFS(dst, root, n)

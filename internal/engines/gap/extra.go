@@ -26,7 +26,7 @@ var (
 // neighbors, counting each triangle exactly once (u < v < w). The
 // graph must be undirected (symmetrized), as in the real suite.
 func (inst *Instance) TriangleCount() (int64, error) {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	if inst.in != inst.out {
 		return 0, fmt.Errorf("gap: triangle counting requires an undirected graph")
 	}
@@ -85,7 +85,7 @@ func higher(adj []graph.VID, v graph.VID) []graph.VID {
 // level-synchronous sweep counting shortest paths and one backward
 // dependency accumulation.
 func (inst *Instance) BetweennessCentrality(sources []graph.VID) ([]float64, error) {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("gap: betweenness centrality needs at least one source")
 	}

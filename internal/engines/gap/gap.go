@@ -175,19 +175,30 @@ type Instance struct {
 // hook must be cheap and must not call back into the instance.
 func (inst *Instance) SetCancel(check func() error) { inst.trav.Cancel = check }
 
-// LoadSimple implements engines.Engine. It captures the shared graph's
-// rows, and under Compress the graph's own compressed siblings (built
-// by the first load that asks); the charged construction is
-// BuildStructure (the separately-timed phase).
+// LoadSimple implements engines.Engine: a new instance, bound. The
+// charged construction is BuildStructure (the separately-timed phase).
 func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
-	inst := &Instance{eng: e, m: m, out: g.Out, in: g.In, inputEdges: g.InputEdges}
+	inst := &Instance{eng: e}
+	inst.Bind(g, m)
+	return inst, nil
+}
+
+// Bind implements engines.Instance. It captures the shared graph's rows,
+// and under Compress the graph's own compressed siblings (built by the
+// first instance that asks); a mutated epoch, the incremental baselines
+// and the record of BuildStructure go with the graph before.
+func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine) {
+	*inst = Instance{eng: inst.eng, m: m, trav: inst.trav, ws: inst.ws}
+	if g == nil {
+		return
+	}
+	inst.out, inst.in, inst.inputEdges = g.Out, g.In, g.InputEdges
 	if inst.in == nil {
 		inst.in = g.Out
 	}
-	if e.Compress {
+	if inst.eng.Compress {
 		inst.cout, inst.cin = g.Compressed(inst.out), g.Compressed(inst.in)
 	}
-	return inst, nil
 }
 
 // Load implements engines.Engine.
@@ -198,8 +209,13 @@ func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instan
 // BuildStructure implements engines.Instance: Kernel-1-style CSR
 // construction, charged as two passes over the edge list, plus the
 // encode pass of each compressed sibling. The rows and siblings are the
-// shared graph's own; only their construction is charged here.
+// shared graph's own; only their construction is charged here. Every
+// kernel calls it first: the harness always builds, library users
+// might not.
 func (inst *Instance) BuildStructure() {
+	if inst.built {
+		return
+	}
 	directed := inst.in != inst.out
 	inst.m.ParallelFor(inst.inputEdges, 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
 		w.Charge(costBuildEdge.Scale(2 * float64(hi-lo))) // count + scatter
@@ -246,14 +262,6 @@ func (inst *Instance) inRows() pullRows {
 		return inst.cin
 	}
 	return inst.in
-}
-
-// ensureBuilt guards algorithm entry points: the harness always calls
-// BuildStructure, but library users might not.
-func (inst *Instance) ensureBuilt() {
-	if !inst.built {
-		inst.BuildStructure()
-	}
 }
 
 // CDLP implements engines.Instance; GAP has no CDLP reference.

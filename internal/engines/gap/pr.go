@@ -19,7 +19,7 @@ import (
 // partials in chunk order, so ranks and iteration counts are
 // bit-identical across runs and worker counts.
 func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	opts = opts.Normalize()
 	n := inst.n
 	if n == 0 {
@@ -35,7 +35,7 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	clear(contrib) // a dangling vertex's entry is never written
 	for v := range rank {
 		rank[v] = inv
-		outDeg[v] = inst.out.Degree(graph.VID(v)) // of this epoch: Mutate and Bind swap it
+		outDeg[v] = inst.out.Degree(graph.VID(v)) // of this epoch: Mutate and the binds swap it
 	}
 
 	res := &engines.PRResult{}
@@ -134,7 +134,7 @@ func atomicAddFloat64(bits *uint64, delta float64) {
 // hook step, always over the raw rows — with a pointer-jumping
 // compression pass, until a fixed point.
 func (inst *Instance) WCC() (*engines.WCCResult, error) {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	n := inst.n
 	comp := make([]graph.VID, n)
 	for i := range comp {

@@ -25,7 +25,7 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 // dst's arrays are reused when large enough, a nil dst gets a fresh
 // result, and the instance keeps no reference to either.
 func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engines.SSSPResult, error) {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	if inst.out.Weights == nil {
 		return nil, engines.ErrUnsupported // unweighted input, as with cit-Patents in Table I
 	}

@@ -101,17 +101,17 @@ func (e Epoch) In() *graph.CSR { return e.in }
 
 // Epoch returns the adjacency the instance currently runs on.
 func (inst *Instance) Epoch() Epoch {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	return Epoch{out: inst.out, in: inst.in, cout: inst.cout, cin: inst.cin}
 }
 
-// Bind makes the kernels of inst run on e, an epoch of another instance
-// of the same engine configuration over the same vertex set (the serving
-// daemon's executors bind the epoch its maintainer published). It charges
-// nothing and stands in for BuildStructure — construction was paid where
-// e was built — and drops any incremental baselines, which describe the
-// graph being left.
-func (inst *Instance) Bind(e Epoch) {
+// BindEpoch makes the kernels of inst run on e, an epoch of another
+// instance of the same engine configuration over the same vertex set (the
+// serving daemon's executors bind the epoch its maintainer published). It
+// charges nothing and stands in for BuildStructure — construction was
+// paid where e was built — and drops any incremental baselines, which
+// describe the graph being left.
+func (inst *Instance) BindEpoch(e Epoch) {
 	inst.out, inst.in, inst.cout, inst.cin = e.out, e.in, e.cout, e.cin
 	inst.n, inst.mEdges, inst.built = e.out.NumVertices, e.out.NumEdges(), true
 	inst.stream = nil
@@ -124,7 +124,7 @@ func (inst *Instance) Bind(e Epoch) {
 // replay is charged serially per op; the row rebuild is charged as a
 // uniform parallel merge over touched entries.
 func (inst *Instance) Mutate(batch graph.Batch) (*engines.MutationReport, error) {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	st := inst.streamState()
 	directed := inst.in != inst.out
 
@@ -304,7 +304,7 @@ func (inst *Instance) recordedPageRank(opts engines.PROpts) (*engines.PRResult, 
 // poll, sits before the first write — or the next call would trust a
 // baseline patched up to iteration t and stale after it.
 func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResult, error) {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	opts = opts.Normalize()
 	n := inst.n
 	if n == 0 {
@@ -533,7 +533,7 @@ func (ws *prScratch) patchedFold(n, grain int, parts []float64, partial func(lo,
 // is patched in place (as in IncrementalPageRank, no error exit follows
 // the cancel poll); only the published copy is allocated.
 func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	st := inst.streamState()
 	if st.wccLab == nil {
 		res, err := inst.WCC()

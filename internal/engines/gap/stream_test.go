@@ -779,7 +779,7 @@ func TestBoundInstanceRunsOnAFrozenEpoch(t *testing.T) {
 				if got := epochDigest(held[i]); got != sums[i] {
 					t.Fatalf("%s: arrays changed after it was handed out: %x, was %x", ctx, got, sums[i])
 				}
-				bound.Bind(held[i])
+				bound.BindEpoch(held[i])
 				fresh := loadWith(t, elFromCSR(held[i].Out(), directed), 8, compress, true)
 				root := rootsOf(held[i].Out(), 1)[0]
 				gb, err := bound.BFS(root)

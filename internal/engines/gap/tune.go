@@ -3,6 +3,7 @@ package gap
 import (
 	"fmt"
 
+	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
@@ -31,33 +32,14 @@ func TuneDelta(el *graph.EdgeList, model simmachine.Model, threads int, roots []
 	if len(candidates) == 0 {
 		candidates = []float64{0.0625, 0.125, 0.25, 0.5, 1.0}
 	}
-	if len(roots) == 0 {
-		return 0, nil, fmt.Errorf("gap: tuning needs at least one root")
-	}
-	bestTime := -1.0
 	for _, delta := range candidates {
-		e := New()
-		e.Delta = delta
-		m := simmachine.New(model, threads)
-		m.SetTracing(false)
-		inst, lerr := e.Load(el, m)
-		if lerr != nil {
-			return 0, nil, lerr
-		}
-		inst.BuildStructure()
-		start := m.Elapsed()
-		for _, r := range roots {
-			if _, rerr := inst.SSSP(r); rerr != nil {
-				return 0, nil, rerr
-			}
-		}
-		mean := (m.Elapsed() - start) / float64(len(roots))
-		sweep = append(sweep, TuneResult{Delta: delta, Seconds: mean})
-		if bestTime < 0 || mean < bestTime {
-			bestTime, best = mean, delta
-		}
+		sweep = append(sweep, TuneResult{Delta: delta})
 	}
-	return best, sweep, nil
+	i, err := measure(el, model, threads, roots, sweep, engines.SSSP)
+	if err != nil {
+		return 0, nil, err
+	}
+	return sweep[i].Delta, sweep, nil
 }
 
 // TuneAlphaBeta evaluates direction-optimizing BFS switch parameters,
@@ -70,33 +52,49 @@ func TuneAlphaBeta(el *graph.EdgeList, model simmachine.Model, threads int, root
 	if len(betas) == 0 {
 		betas = []int{6, 18, 36}
 	}
-	if len(roots) == 0 {
-		return 0, 0, nil, fmt.Errorf("gap: tuning needs at least one root")
-	}
-	bestTime := -1.0
 	for _, a := range alphas {
 		for _, b := range betas {
-			e := New()
-			e.Alpha, e.Beta = a, b
-			m := simmachine.New(model, threads)
-			m.SetTracing(false)
-			inst, lerr := e.Load(el, m)
-			if lerr != nil {
-				return 0, 0, nil, lerr
-			}
-			inst.BuildStructure()
-			start := m.Elapsed()
-			for _, r := range roots {
-				if _, rerr := inst.BFS(r); rerr != nil {
-					return 0, 0, nil, rerr
-				}
-			}
-			mean := (m.Elapsed() - start) / float64(len(roots))
-			sweep = append(sweep, TuneResult{Alpha: a, Beta: b, Seconds: mean})
-			if bestTime < 0 || mean < bestTime {
-				bestTime, bestAlpha, bestBeta = mean, a, b
-			}
+			sweep = append(sweep, TuneResult{Alpha: a, Beta: b})
 		}
 	}
-	return bestAlpha, bestBeta, sweep, nil
+	i, err := measure(el, model, threads, roots, sweep, engines.BFS)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	return sweep[i].Alpha, sweep[i].Beta, sweep, nil
+}
+
+// measure fills in each candidate's mean modeled seconds of alg over
+// roots and returns the index of the fastest, the first among equals. It
+// homogenizes el once and rebinds one instance to a new machine per
+// candidate, with the candidate's parameters (a kernel reads only its
+// own).
+func measure(el *graph.EdgeList, model simmachine.Model, threads int, roots []graph.VID, sweep []TuneResult, alg engines.Algorithm) (best int, err error) {
+	if len(roots) == 0 {
+		return 0, fmt.Errorf("gap: tuning needs at least one root")
+	}
+	g, err := graph.Homogenize(el)
+	if err != nil {
+		return 0, err
+	}
+	inst := &Instance{eng: new(Engine)}
+	for i := range sweep {
+		c := &sweep[i]
+		*inst.eng = Engine{Alpha: c.Alpha, Beta: c.Beta, Delta: c.Delta}
+		m := simmachine.New(model, threads)
+		m.SetTracing(false)
+		inst.Bind(g, m)
+		inst.BuildStructure()
+		start := m.Elapsed()
+		for _, r := range roots {
+			if _, err := engines.RunAlgorithm(inst, alg, r); err != nil {
+				return 0, err
+			}
+		}
+		c.Seconds = (m.Elapsed() - start) / float64(len(roots))
+		if c.Seconds < sweep[best].Seconds {
+			best = i
+		}
+	}
+	return best, nil
 }

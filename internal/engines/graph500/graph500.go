@@ -59,9 +59,10 @@ func (e *Engine) SeparateConstruction() bool { return true }
 // Has implements engines.Engine: the Graph500 is BFS-only.
 func (e *Engine) Has(alg engines.Algorithm) bool { return alg == engines.BFS }
 
-// Instance is a loaded Graph500 graph.
+// Instance is a Graph500 graph on a machine.
 type Instance struct {
-	m *simmachine.Machine
+	eng *Engine
+	m   *simmachine.Machine
 	// csr is the shared homogenized out-adjacency, read-only;
 	// inputEdges sizes Kernel 1's charge.
 	csr        *graph.CSR
@@ -74,13 +75,23 @@ type Instance struct {
 	trav  traverse.State
 }
 
-// LoadSimple implements engines.Engine.
+// LoadSimple implements engines.Engine: a new instance, bound.
 func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
-	inst := &Instance{m: m, csr: g.Out, inputEdges: g.InputEdges, rows: g.Out}
-	if e.Compress {
+	inst := &Instance{eng: e}
+	inst.Bind(g, m)
+	return inst, nil
+}
+
+// Bind implements engines.Instance.
+func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine) {
+	*inst = Instance{eng: inst.eng, m: m, trav: inst.trav}
+	if g == nil {
+		return
+	}
+	inst.csr, inst.inputEdges, inst.rows = g.Out, g.InputEdges, g.Out
+	if inst.eng.Compress {
 		inst.rows = g.Compressed(g.Out)
 	}
-	return inst, nil
 }
 
 // Load implements engines.Engine.
@@ -90,6 +101,9 @@ func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instan
 
 // BuildStructure implements engines.Instance (Kernel 1).
 func (inst *Instance) BuildStructure() {
+	if inst.built {
+		return
+	}
 	inst.m.ParallelFor(inst.inputEdges, 4096, simmachine.Static, func(lo, hi int, w *simmachine.W) {
 		w.Charge(costBuildEdge.Scale(2 * float64(hi-lo)))
 	})
@@ -101,17 +115,11 @@ func (inst *Instance) BuildStructure() {
 	inst.built = true
 }
 
-func (inst *Instance) ensureBuilt() {
-	if !inst.built {
-		inst.BuildStructure()
-	}
-}
-
 // BFS implements engines.Instance (Kernel 2): level-synchronous
 // top-down search, nothing but the shared step under the kernel2
 // profile.
 func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	return inst.trav.BFS(inst.m, inst.rows, &kernel2, "graph500: BFS", inst.csr.NumVertices, root)
 }
 

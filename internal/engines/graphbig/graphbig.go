@@ -109,7 +109,7 @@ type inProps propertyGraph
 func (g inProps) Row(v graph.VID, _ []graph.VID) ([]graph.VID, int64) { return g[v].in, 0 }
 func (g inProps) Encoded() bool                                       { return false }
 
-// Instance is a loaded GraphBIG property graph.
+// Instance is a GraphBIG property graph on a machine.
 type Instance struct {
 	eng      *Engine
 	m        *simmachine.Machine
@@ -117,12 +117,18 @@ type Instance struct {
 	directed bool
 	weighted bool
 	n        int
-	trav     traverse.State
+	// inputEdges sizes the load charge; built records that it was made.
+	inputEdges int
+	built      bool
+	trav       traverse.State
+	scratch
+}
 
-	// Kernel scratch, kept between calls so that a warm kernel
-	// allocates only its result: made on first use (never in Load) and
-	// initialized on entry by the kernel that reads it. Five n-vectors
-	// and the queue (n entries) at most stay resident.
+// scratch is the kernels' working set, kept between calls and across
+// binds so that a warm kernel allocates only its result: made on first
+// use (never in Load) and initialized on entry by the kernel that reads
+// it. Five n-vectors and the queue (n entries) at most stay resident.
+type scratch struct {
 	dist       []uint64                   // chaotic SSSP: float64 bits, for CAS-min
 	inActive   []int32                    // chaotic SSSP: next-frontier membership
 	active     []graph.VID                // either SSSP: the frontier
@@ -135,13 +141,26 @@ type Instance struct {
 
 type propertyKind struct{}
 
-// LoadSimple implements engines.Engine: reading and construction are
-// one phase, charged here. The homogenized graph is re-materialized as
-// per-vertex property objects whose rows alias the shared arrays; the
-// table is the graph's own (graph.Derive), built by the first load.
+// LoadSimple implements engines.Engine: a new instance, bound, with its
+// combined read+build charged.
 func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
+	inst := &Instance{eng: e}
+	inst.Bind(g, m)
+	inst.BuildStructure()
+	return inst, nil
+}
+
+// Bind implements engines.Instance. The homogenized graph is
+// re-materialized as per-vertex property objects whose rows alias the
+// shared arrays; the table is the graph's own (graph.Derive), built by
+// the first instance bound to it.
+func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine) {
+	*inst = Instance{eng: inst.eng, m: m, trav: inst.trav, scratch: inst.scratch}
+	if g == nil {
+		return
+	}
 	n := g.NumVertices
-	inst := &Instance{eng: e, m: m, directed: g.Directed, weighted: g.Weighted, n: n}
+	inst.directed, inst.weighted, inst.n, inst.inputEdges = g.Directed, g.Weighted, n, g.InputEdges
 	inst.vertices = graph.Derive(g, propertyKind{}, 0, func() propertyGraph {
 		vs := make(propertyGraph, n)
 		for v := range vs {
@@ -152,12 +171,6 @@ func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Ins
 		}
 		return vs
 	})
-	// Charge the combined read+build pass.
-	m.FileRead(int64(g.InputEdges)*16, true)
-	m.ParallelFor(g.InputEdges, 2048, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-		w.Charge(costLoadEdge.Scale(float64(hi - lo)))
-	})
-	return inst, nil
 }
 
 // Load implements engines.Engine.
@@ -165,9 +178,19 @@ func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instan
 	return engines.LoadEdgeList(e, el, m)
 }
 
-// BuildStructure implements engines.Instance: a no-op, construction
-// happened during Load.
-func (inst *Instance) BuildStructure() {}
+// BuildStructure implements engines.Instance: reading and construction
+// are one phase, charged once per bind — by LoadSimple, so after a load
+// this is a no-op.
+func (inst *Instance) BuildStructure() {
+	if inst.built {
+		return
+	}
+	inst.m.FileRead(int64(inst.inputEdges)*16, true)
+	inst.m.ParallelFor(inst.inputEdges, 2048, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
+		w.Charge(costLoadEdge.Scale(float64(hi - lo)))
+	})
+	inst.built = true
+}
 
 // inRows is the second row source of a sweep over both directions: the
 // in-adjacency of a directed graph, nothing when out is symmetric.
@@ -206,7 +229,7 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 	dist[root] = math.Float64bits(0)
 	clear(inActive)
 
-	if inst.queue == nil {
+	if inst.queue == nil || inst.queue.Cap() < n {
 		inst.queue = parallel.NewQueue[graph.VID](n)
 	}
 	queue, pushed := inst.queue, &inst.pushed

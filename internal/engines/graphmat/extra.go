@@ -13,25 +13,13 @@ import (
 // a histogram-semiring SpMV. For directed graphs both the in- and
 // out-matrices contribute messages (LDBC semantics).
 func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	n := inst.n
 	// label is made per call and handed out; the other of the pair is kept.
 	label, next := make([]graph.VID, n), traverse.Resized(inst.spare, n)
 	for i := range label {
 		label[i] = graph.VID(i)
 	}
-	// Out-edge column lists per vertex for the directed case: build
-	// a row index into outMat once.
-	if inst.directed && inst.outRowOf == nil {
-		inst.outRowOf = make([]int32, n)
-		for i := range inst.outRowOf {
-			inst.outRowOf[i] = -1
-		}
-		for ri, v := range inst.outMat.rows {
-			inst.outRowOf[v] = int32(ri)
-		}
-	}
-	outRowOf := inst.outRowOf
 	tallies := inst.trav.Tallies(inst.m, n) // the histogram semiring's accumulators
 	res := &engines.CDLPResult{}
 	for iter := 1; iter <= maxIter; iter++ {
@@ -46,7 +34,7 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 			}
 			nz := hi - lo
 			if inst.directed {
-				if ro := outRowOf[v]; ro >= 0 {
+				if ro := inst.outRowOf[v]; ro >= 0 {
 					olo, ohi := inst.outMat.ptr[ro], inst.outMat.ptr[ro+1]
 					for i := olo; i < ohi; i++ {
 						counts.Add(label[inst.outMat.cols[i]])
@@ -117,7 +105,7 @@ func hasInRow(mat *dcsr, v graph.VID) bool {
 // quiescent. For directed graphs the min gathers over both
 // directions (weak connectivity).
 func (inst *Instance) WCC() (*engines.WCCResult, error) {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	n := inst.n
 	comp, next := make([]graph.VID, n), traverse.Resized(inst.spare, n) // as in CDLP
 	for i := range comp {
@@ -165,7 +153,7 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 // SpMV-grade per-check costs (the paper's Table I shows LCC dominating
 // every system's runtime on the dense Dota-League graph).
 func (inst *Instance) LCC() (*engines.LCCResult, error) {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	coeff := make([]float64, inst.n)
 	inst.trav.LinkCount(inst.m, 64, &lccLinks, inst.out, inst.in, coeff)
 	return &engines.LCCResult{Coeff: coeff}, nil

@@ -90,8 +90,9 @@ func fromCSR(c *graph.CSR) *dcsr {
 }
 
 type indexKind struct{ rows *graph.CSR }
+type rowOfKind struct{ mat *dcsr }
 
-// Instance is a loaded GraphMat matrix.
+// Instance is a GraphMat matrix on a machine.
 type Instance struct {
 	m *simmachine.Machine
 	// out and in are the shared homogenized rows, read-only; their
@@ -105,35 +106,60 @@ type Instance struct {
 	directed bool
 	weighted bool
 	// inMat gathers along in-edges (the SpMV direction); outMat serves
-	// the scatter-direction kernels. Both are the graph's own.
-	inMat  *dcsr
-	outMat *dcsr
-	trav   traverse.State
-
-	// Kernel scratch, kept between calls so that a warm kernel
-	// allocates only its result: made on first use (never in
-	// BuildStructure) and initialized on entry by the kernel that reads
-	// it, since kernels share it. Three single-precision n-vectors and
-	// one label vector at most stay resident.
-	vec      [3][]float32 // SSSP's cur/nxt; PageRank's rank/next/contrib
-	spare    []graph.VID  // the CDLP / WCC label array not handed out
-	outRowOf []int32      // directed CDLP: vertex to outMat row (made once)
+	// the scatter-direction kernels; outRowOf maps a vertex to its outMat
+	// row (-1 for none) for directed CDLP. All three are the graph's own.
+	inMat    *dcsr
+	outMat   *dcsr
+	outRowOf []int32
+	trav     traverse.State
+	scratch
 }
 
-// LoadSimple implements engines.Engine. The row indexes are the graph's
-// own (graph.Derive), built by the first load; BuildStructure charges
-// their construction.
+// scratch is the kernels' working set, kept between calls and across
+// binds so that a warm kernel allocates only its result: made on first
+// use (never in BuildStructure) and initialized on entry by the kernel
+// that reads it, since kernels share it. Three single-precision
+// n-vectors and one label vector at most stay resident.
+type scratch struct {
+	vec   [3][]float32 // SSSP's cur/nxt; PageRank's rank/next/contrib
+	spare []graph.VID  // the CDLP / WCC label array not handed out
+}
+
+// LoadSimple implements engines.Engine: a new instance, bound.
+// BuildStructure charges the construction.
 func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
+	inst := &Instance{}
+	inst.Bind(g, m)
+	return inst, nil
+}
+
+// Bind implements engines.Instance. The row indexes are the graph's own
+// (graph.Derive), built by the first instance bound to it.
+func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine) {
+	*inst = Instance{m: m, trav: inst.trav, scratch: inst.scratch}
+	if g == nil {
+		return
+	}
 	index := func(c *graph.CSR) *dcsr {
 		return graph.Derive(g, indexKind{c}, 0, func() *dcsr { return fromCSR(c) })
 	}
-	inst := &Instance{m: m, out: g.Out, in: g.In, inputEdges: g.InputEdges,
-		n: g.NumVertices, directed: g.Directed, weighted: g.Weighted, outMat: index(g.Out)}
-	inst.inMat = inst.outMat
+	inst.out, inst.in, inst.inputEdges = g.Out, g.In, g.InputEdges
+	inst.n, inst.directed, inst.weighted = g.NumVertices, g.Directed, g.Weighted
+	out := index(g.Out)
+	inst.outMat, inst.inMat = out, out
 	if g.Directed {
 		inst.inMat = index(g.In)
+		inst.outRowOf = graph.Derive(g, rowOfKind{out}, 0, func() []int32 {
+			of := make([]int32, g.NumVertices)
+			for v := range of {
+				of[v] = -1
+			}
+			for ri, v := range out.rows {
+				of[v] = int32(ri)
+			}
+			return of
+		})
 	}
-	return inst, nil
 }
 
 // Load implements engines.Engine.
@@ -143,8 +169,12 @@ func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instan
 
 // BuildStructure implements engines.Instance: the charged build of the
 // forward and transposed compressed matrices (GraphMat's partitioned
-// DCSC build), whichever load of the graph made them.
+// DCSC build), whichever load of the graph made them. Every kernel
+// calls it first: the harness always builds, library users might not.
 func (inst *Instance) BuildStructure() {
+	if inst.built {
+		return
+	}
 	// Charge: two full passes (forward + transpose compression).
 	passes := 2.0
 	if !inst.directed {
@@ -154,10 +184,4 @@ func (inst *Instance) BuildStructure() {
 		w.Charge(costBuildEdge.Scale(passes * float64(hi-lo)))
 	})
 	inst.built = true
-}
-
-func (inst *Instance) ensureBuilt() {
-	if !inst.built {
-		inst.BuildStructure()
-	}
 }

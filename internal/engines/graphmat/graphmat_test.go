@@ -169,3 +169,48 @@ func TestConstructionSlowestAmongSeparatePhaseEngines(t *testing.T) {
 		t.Errorf("GraphMat construction (%v) not slower than GAP-like build (%v)", gmTime, mRef.Elapsed())
 	}
 }
+
+// Directed CDLP reads outMat through outRowOf, a row index of the graph
+// the instance is bound to. Rebound to another graph of the same size, an
+// instance must label it as a new instance does: an index kept from the
+// first graph points into rows the second does not have.
+func TestReboundDirectedCDLPEqualsFresh(t *testing.T) {
+	homogenize := func(seed uint64) *graph.Simple {
+		el := kronecker.Generate(kronecker.Params{Scale: 8, Seed: seed})
+		el.Directed = true
+		g, err := graph.Homogenize(el)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	a, b := homogenize(3), homogenize(4)
+	inst, err := New().LoadSimple(a, machine(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inst.CDLP(engines.DefaultCDLPIterations); err != nil {
+		t.Fatal(err)
+	}
+	inst.Bind(b, machine(4))
+	got, err := inst.CDLP(engines.DefaultCDLPIterations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New().LoadSimple(b, machine(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.CDLP(engines.DefaultCDLPIterations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iterations != want.Iterations {
+		t.Errorf("rebound instance: %d iterations, a fresh one %d", got.Iterations, want.Iterations)
+	}
+	for v := range want.Label {
+		if got.Label[v] != want.Label[v] {
+			t.Fatalf("rebound instance labels vertex %d %d, a fresh one %d", v, got.Label[v], want.Label[v])
+		}
+	}
+}

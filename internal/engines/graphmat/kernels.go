@@ -37,7 +37,7 @@ func (inst *Instance) denseSweep(mult float64) {
 // message), which is why GraphMat's BFS is orders of magnitude
 // slower than direction-optimized traversal on small graphs.
 func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	n := inst.n
 	res := traverse.StartBFS(nil, root, n)
 
@@ -101,7 +101,7 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 // until no distance changes. Distances are float32 (GraphMat's single
 // precision vertex properties).
 func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	if !inst.weighted {
 		return nil, engines.ErrUnsupported
 	}
@@ -173,7 +173,7 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 // all (∞-norm exactly zero) — there is no computation of the L1
 // difference, so the homogenized ε plays no role here.
 func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
-	inst.ensureBuilt()
+	inst.BuildStructure()
 	opts = opts.Normalize()
 	n := inst.n
 	if n == 0 {

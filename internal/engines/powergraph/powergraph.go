@@ -77,7 +77,7 @@ type partition struct {
 
 type partitionKind struct{}
 
-// Instance is a loaded, partitioned PowerGraph graph.
+// Instance is a partitioned PowerGraph graph on a machine.
 type Instance struct {
 	m        *simmachine.Machine
 	n        int
@@ -87,17 +87,23 @@ type Instance struct {
 
 	// Homogenized adjacency retained for PageRank's out-degrees and the
 	// neighborhood kernels (CDLP/LCC); in is nil for an undirected graph
-	// (out is symmetric).
-	out  *graph.CSR
-	in   *graph.CSR
-	trav traverse.State
+	// (out is symmetric). inputEdges sizes the load charge; built records
+	// that it was made.
+	out        *graph.CSR
+	in         *graph.CSR
+	inputEdges int
+	built      bool
+	trav       traverse.State
+	scratch
+}
 
-	// Kernel scratch, kept between calls so that a warm kernel
-	// allocates only its result: made on first use (never in Load) and
-	// initialized on entry by the kernel that reads it, since kernels
-	// share it and an abandoned call leaves it dirty. At most one
-	// replica-slot array of each element type and two n-vectors stay
-	// resident.
+// scratch is the kernels' working set, kept between calls and across
+// binds so that a warm kernel allocates only its result: made on first
+// use (never in Load) and initialized on entry by the kernel that reads
+// it, since kernels share it and an abandoned call leaves it dirty. At
+// most one replica-slot array of each element type and two n-vectors
+// stay resident.
+type scratch struct {
 	accF      []float64   // per replica slot: SSSP distances, PageRank partial sums
 	accP      []int64     // per replica slot: SSSP parents
 	accC      []uint32    // per replica slot: WCC labels
@@ -106,23 +112,27 @@ type Instance struct {
 	processed []int64     // per shard: gatherSweep
 }
 
-// LoadSimple implements engines.Engine: read, homogenize, and greedily
-// vertex-cut partition the edges, all charged as one phase. The cut is
-// the graph's own at this shard count (graph.Derive): only the first
-// load at a count builds it.
+// LoadSimple implements engines.Engine: a new instance, bound, with its
+// combined read, homogenize and partition phase charged.
 func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
-	p := min(max(m.Threads(), 1), maxShards)
-	inst := &Instance{
-		m: m, n: g.NumVertices,
-		directed: g.Directed, weighted: g.Weighted,
-		partition: graph.Derive(g, partitionKind{}, p, func() *partition { return cut(g.Out, p) }),
-		out:       g.Out, in: g.In,
-	}
-	m.FileRead(int64(g.InputEdges)*16, true)
-	m.ParallelFor(int(g.Out.NumEdges()), 2048, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-		w.Charge(costLoadEdge.Scale(float64(hi - lo)))
-	})
+	inst := &Instance{}
+	inst.Bind(g, m)
+	inst.BuildStructure()
 	return inst, nil
+}
+
+// Bind implements engines.Instance. The greedy vertex cut is the graph's
+// own at m's shard count (graph.Derive): only the first instance bound at
+// a count builds it.
+func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine) {
+	*inst = Instance{m: m, trav: inst.trav, scratch: inst.scratch}
+	if g == nil {
+		return
+	}
+	p := min(max(m.Threads(), 1), maxShards)
+	inst.n, inst.directed, inst.weighted = g.NumVertices, g.Directed, g.Weighted
+	inst.partition = graph.Derive(g, partitionKind{}, p, func() *partition { return cut(g.Out, p) })
+	inst.out, inst.in, inst.inputEdges = g.Out, g.In, g.InputEdges
 }
 
 // cut partitions the deduplicated directed adjacency (the engine's true
@@ -159,9 +169,19 @@ func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instan
 	return engines.LoadEdgeList(e, el, m)
 }
 
-// BuildStructure implements engines.Instance: a no-op; partitioning
-// happened during Load.
-func (inst *Instance) BuildStructure() {}
+// BuildStructure implements engines.Instance: reading, homogenizing and
+// partitioning are one phase, charged once per bind — by LoadSimple, so
+// after a load this is a no-op.
+func (inst *Instance) BuildStructure() {
+	if inst.built {
+		return
+	}
+	inst.m.FileRead(int64(inst.inputEdges)*16, true)
+	inst.m.ParallelFor(int(inst.out.NumEdges()), 2048, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
+		w.Charge(costLoadEdge.Scale(float64(hi - lo)))
+	})
+	inst.built = true
+}
 
 // syncGhosts charges one ghost-exchange round (every replica's state
 // shipped to its master and back).

@@ -2,10 +2,10 @@ package graph
 
 import (
 	"math"
-	"runtime"
 	"sort"
 	"testing"
 
+	"github.com/hpcl-repro/epg/internal/alloctest"
 	"github.com/hpcl-repro/epg/internal/xrand"
 )
 
@@ -231,13 +231,12 @@ func TestBuildAllocBudget(t *testing.T) {
 		for v := 0; v < plain.NumVertices; v++ {
 			maxDeg = max(maxDeg, plain.Degree(VID(v)))
 		}
+		// One ReadMemStats pair bills whatever another goroutine (the race
+		// runtime, the pool of a previous test) allocated meanwhile; the
+		// least of several batches at one P does not.
 		measure := func(opt BuildOptions) (bytes, allocs float64) {
-			var a, b runtime.MemStats
 			allocs = testing.AllocsPerRun(5, func() { BuildCSR(el, opt) })
-			runtime.ReadMemStats(&a)
-			BuildCSR(el, opt)
-			runtime.ReadMemStats(&b)
-			return float64(b.TotalAlloc - a.TotalAlloc), allocs
+			return float64(alloctest.BytesPerRun(5, func() { BuildCSR(el, opt) })), allocs
 		}
 		plainBytes, plainAllocs := measure(opt)
 		opt.Sort = true

@@ -93,25 +93,11 @@ func (c *Comparator) RunDataset(dataset string, el *graph.EdgeList) ([]Cell, err
 			return nil, err
 		}
 		m := simmachine.New(c.Model, c.Threads)
-
-		// Ingest phase, timed for the platforms whose reported
-		// numbers include it.
-		var fileRead, construction float64
-		if eng.SeparateConstruction() {
-			m.FileRead(int64(len(el.Edges))*harness.BytesPerTextEdge, true)
-			fileRead = m.Elapsed()
-		}
-		loadStart := m.Elapsed()
-		inst, err := eng.LoadSimple(g, m)
+		// Ingest phase, timed for the platforms whose reported numbers
+		// include it.
+		inst, fileRead, construction, err := harness.Load(eng, nil, g, m)
 		if err != nil {
 			return nil, fmt.Errorf("graphalytics: %s load: %w", platform, err)
-		}
-		if eng.SeparateConstruction() {
-			bs := m.Elapsed()
-			inst.BuildStructure()
-			construction = m.Elapsed() - bs
-		} else {
-			fileRead = m.Elapsed() - loadStart
 		}
 
 		root := pickRoot(el)

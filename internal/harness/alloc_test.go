@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/hpcl-repro/epg/internal/alloctest"
 	"github.com/hpcl-repro/epg/internal/core"
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/graph"
@@ -32,8 +33,9 @@ func leastAlloc(f func()) uint64 {
 // kron-10). Cold, on a fresh Runner, the calls allocate BFS on four
 // engines 1.90, WCC on the other four 2.70 and a three-point BFS sweep
 // 3.04, and the budgets sit half a build above. Warm, on a Runner that
-// made the same call before, they allocate 0.57, 0.28 and 1.71 —
-// results, machines, traces and instance scratch — and the budgets of
+// made the same call before, they allocate 0.34, 0.16 and 1.02 —
+// results, machines and traces; the Runner keeps the instances and their
+// scratch — and the budgets of
 // 1.0, 1.0 and 2.2 break on one more homogenize, or one rebuilt
 // PowerGraph cut or GraphBIG table. Between them the two kernels load
 // all five engines.
@@ -79,5 +81,38 @@ func TestRunHomogenizesOnce(t *testing.T) {
 				t.Errorf("%s %s allocates %.2f homogenized builds (%.0f B each); budget %.2f", side.name, tc.name, got, build, side.budget)
 			}
 		}
+	}
+}
+
+// A warm Run allocates what it hands out and the machine it models on,
+// and nothing its kernels work in: the Runner's instance of the engine
+// comes back bound to the run's graph and machine with the scratch of
+// the Runs before it. GraphBIG's synchronous SSSP is the case in point:
+// a new instance's relaxation passes grow its candidate arena, stamps
+// and frontiers from nothing, ~550 KB a Run at kron-10, against the two
+// SSSP results (16 B per vertex each) and the machine, whose
+// construction is measured here. slack covers the rest, ~24 KB measured
+// and independent of the graph's size: the machine's trace (grown by
+// doubling), the result rows, root selection and each region's closures.
+func TestWarmRunAllocationBound(t *testing.T) {
+	const roots, slack = 2, 48 << 10
+	el, err := ResolveDataset("kron-10", DatasetOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := core.Spec{Dataset: "kron-10", Algorithm: engines.SSSP, Engines: []string{"GraphBIG"},
+		Threads: 32, Roots: roots, Seed: 1, SyncSSSP: true}
+	r := testRunner()
+	got := alloctest.BytesPerRun(4, func() {
+		if _, err := r.Run(spec, el); err != nil {
+			t.Fatal(err)
+		}
+	})
+	machine := alloctest.BytesPerRun(4, func() { spec.NewMachine(r.Model, r.Power, nil) })
+	results := uint64(roots * 16 * el.NumVertices)
+	t.Logf("warm GraphBIG sync-SSSP Run: %d B, of it %d B results and %d B machine", got, results, machine)
+	if got > results+machine+slack {
+		t.Errorf("a warm Run allocates %d B beyond its %d B of results and %d B machine; slack %d",
+			got-results-machine, results, machine, slack)
 	}
 }

@@ -28,8 +28,11 @@ const BytesPerTextEdge = 16
 // the modeled load and build. The memo is keyed by the edge list's
 // identity and checked on every call against a fingerprint of its vertex
 // count, flags and every edge, so a list edited in place between calls is
-// homogenized again (editing it during a call is a race). Run and Sweep
-// are safe for concurrent use.
+// homogenized again (editing it during a call is a race). It also keeps
+// one idle instance per engine, scratch only (no graph, no machine): a Run
+// binds it and gives it back, or makes its own while a concurrent Run
+// holds it, so what stays is bounded by the largest graph run. Run and
+// Sweep are safe for concurrent use.
 type Runner struct {
 	Registry *engines.Registry
 	Model    simmachine.Model
@@ -45,6 +48,13 @@ type Runner struct {
 	lastEL *graph.EdgeList // the last edge list run,
 	lastFP uint64          // its fingerprint then,
 	lastG  *graph.Simple   // and its graph
+	idle   map[string]pooled
+}
+
+// pooled is an engine and its instance, idle between two Runs.
+type pooled struct {
+	eng  engines.Engine
+	inst engines.Instance
 }
 
 // NewRunner returns a runner over the given registry with the paper's
@@ -54,6 +64,7 @@ func NewRunner(reg *engines.Registry) *Runner {
 		Registry: reg,
 		Model:    simmachine.Haswell72(),
 		Power:    power.DefaultConstants(),
+		idle:     map[string]pooled{},
 	}
 }
 
@@ -164,10 +175,12 @@ func (r *Runner) run(spec core.Spec, g *graph.Simple) ([]core.Result, error) {
 // runEngine executes all roots of one engine. owner is the per-vertex
 // cluster owner table (nil for 1D/blocked or single-box specs).
 func (r *Runner) runEngine(spec core.Spec, g *graph.Simple, name string, roots []graph.VID, owner []int16) ([]core.Result, error) {
-	eng, err := r.Registry.New(name)
+	p, err := r.take(name)
 	if err != nil {
 		return nil, err
 	}
+	eng := p.eng
+	engines.Reset(eng) // a kept engine has the last Run's knobs
 	// Dropped knobs are surfaced, not silent: a spec that asked for the
 	// synchronous variant, the compressed layout or a streaming phase
 	// and got the default would mislabel its results.
@@ -175,26 +188,11 @@ func (r *Runner) runEngine(spec core.Spec, g *graph.Simple, name string, roots [
 		logfmt.EmitKnobWarning(r.Warnings, name, knob)
 	}
 	m, pconsts := spec.NewMachine(r.Model, r.Power, owner)
-
-	var fileReadSec, constructionSec float64
-	if eng.SeparateConstruction() {
-		// Model the file read distinctly, then time construction.
-		m.FileRead(int64(g.InputEdges)*BytesPerTextEdge, true)
-		fileReadSec = m.Elapsed()
-	}
-	loadStart := m.Elapsed()
-	inst, err := eng.LoadSimple(g, m)
+	inst, fileReadSec, constructionSec, err := Load(eng, p.inst, g, m)
 	if err != nil {
 		return nil, err
 	}
-	if eng.SeparateConstruction() {
-		buildStart := m.Elapsed()
-		inst.BuildStructure()
-		constructionSec = m.Elapsed() - buildStart
-	} else {
-		// Combined read+build happened inside Load.
-		fileReadSec = m.Elapsed() - loadStart
-	}
+	defer r.give(name, pooled{eng, inst})
 
 	perTrial := func(trial int) (core.Result, error) {
 		res := core.Result{
@@ -274,6 +272,55 @@ func (r *Runner) runEngine(spec core.Spec, g *graph.Simple, name string, roots [
 		}
 	}
 	return results, nil
+}
+
+// take returns the engine's idle instance, or a new engine and no
+// instance while a concurrent Run holds it or none was given back yet.
+func (r *Runner) take(name string) (pooled, error) {
+	r.mu.Lock()
+	p, ok := r.idle[name]
+	delete(r.idle, name)
+	r.mu.Unlock()
+	if ok {
+		return p, nil
+	}
+	eng, err := r.Registry.New(name)
+	return pooled{eng: eng}, err
+}
+
+// give unbinds p's instance and keeps it, unless another Run gave one
+// back first.
+func (r *Runner) give(name string, p pooled) {
+	p.inst.Bind(nil, nil)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.idle[name]; !ok {
+		r.idle[name] = p
+	}
+}
+
+// Load binds inst (a new instance of eng when nil) to g and m and charges
+// the paper's read and build phases (Fig. 1) to m, the same either way:
+// a text-edge file read and then the construction, or for an engine that
+// builds while it reads, both as the read.
+func Load(eng engines.Engine, inst engines.Instance, g *graph.Simple, m *simmachine.Machine) (_ engines.Instance, fileReadSec, constructionSec float64, err error) {
+	start := m.Elapsed()
+	if eng.SeparateConstruction() {
+		m.FileRead(int64(g.InputEdges)*BytesPerTextEdge, true)
+	}
+	if inst == nil {
+		if inst, err = eng.LoadSimple(g, m); err != nil {
+			return nil, 0, 0, err
+		}
+	} else {
+		inst.Bind(g, m)
+	}
+	read := m.Elapsed()
+	inst.BuildStructure()
+	if !eng.SeparateConstruction() {
+		return inst, m.Elapsed() - start, 0, nil
+	}
+	return inst, read - start, m.Elapsed() - read, nil
 }
 
 // SweepPoint is one (engine, threads) aggregate of a scaling sweep.

@@ -82,6 +82,46 @@ func TestRunOnACopiedEdgeListRepeats(t *testing.T) {
 	}
 }
 
+// A Runner keeps one instance per engine and rebinds it to every Run's
+// graph and machine. Running el1, then a smaller directed el2, then el1
+// again — compress on and off, PowerGraph cut at 8 and 64 shards, a
+// streaming phase that mutates GAP's instance — returns the rows a fresh
+// Runner returns for each.
+func TestRunnerAcrossEdgeListsEqualsFresh(t *testing.T) {
+	el1, err := ResolveDataset("kron-9", DatasetOptions{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	el2, err := ResolveDataset("kron-8", DatasetOptions{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	el2.Directed = true
+	bfs := memoSpec(engines.BFS, 8)
+	bfs.Compress = true
+	stream := memoSpec(engines.PageRank, 8)
+	stream.Engines = []string{"GAP"}
+	stream.Mutations = &core.MutationSchedule{Batches: 2, BatchSize: 32, DeleteFrac: 0.25, Seed: 3}
+	specs := []core.Spec{bfs, memoSpec(engines.SSSP, 64), stream, memoSpec(engines.PageRank, 8),
+		memoSpec(engines.CDLP, 64), memoSpec(engines.LCC, 8), memoSpec(engines.BFS, 8)}
+	r := testRunner()
+	for i, el := range []*graph.EdgeList{el1, el2, el1} {
+		for _, s := range specs {
+			got, err := r.Run(s, el)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := testRunner().Run(s, el)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(modeled(want), modeled(got)) {
+				t.Errorf("edge list %d: %s at %d threads (compress %v) differs from a fresh Runner's", i, s.Algorithm, s.Threads, s.Compress)
+			}
+		}
+	}
+}
+
 // Concurrent Runs on one Runner share its graph and, through it, the
 // engines' derived structures — PowerGraph's cut at three shard counts
 // evicting one another among them — and each returns what it returns

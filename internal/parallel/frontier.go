@@ -65,6 +65,9 @@ func (q *Queue[T]) PushBatch(items []T) {
 // concurrent Push makes the count immediately stale.
 func (q *Queue[T]) Len() int { return int(q.n.Load()) }
 
+// Cap returns the most items the queue holds between resets.
+func (q *Queue[T]) Cap() int { return len(q.buf) }
+
 // Slice returns the pushed items in arrival order (racy order; see
 // type comment). The slice aliases the queue's buffer and is
 // invalidated by Reset. Call only between regions.

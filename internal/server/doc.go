@@ -55,7 +55,7 @@
 // built, the incremental PR/WCC baselines) lives once, on the
 // maintainer, so a mutate costs one adjacency rebuild however many
 // executors serve; an executor moves to a new generation by rebinding
-// four pointers (gap.Instance.Bind), and a query that loaded
+// four pointers (gap.Instance.BindEpoch), and a query that loaded
 // generation g is answered from g alone.
 //
 // Determinism: query budgets and reported service times are modeled

@@ -135,7 +135,7 @@ func (e *executor) computeVectors() (vectors, error) {
 // poisoned query costs one response, not the daemon.
 func (e *executor) run(ctx context.Context, q Query, budget float64, degraded bool, pub *published) (resp Response) {
 	if e.gen != pub.gen {
-		e.inst.Bind(pub.epoch)
+		e.inst.BindEpoch(pub.epoch)
 		e.gen = pub.gen
 	}
 	resp = q.response(StatusOK, "")

@@ -8,6 +8,7 @@ import (
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/engines/gap"
 	"github.com/hpcl-repro/epg/internal/graph"
+	"github.com/hpcl-repro/epg/internal/harness"
 	"github.com/hpcl-repro/epg/internal/power"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
@@ -148,11 +149,10 @@ func schedCells(el *graph.EdgeList, _ string) ([]schedCell, error) {
 						if dropped := spec.ConfigureEngine(eng); dropped != nil {
 							return nil, fmt.Errorf("GAP dropped %v", dropped)
 						}
-						inst, err := eng.LoadSimple(g, m)
+						inst, _, _, err := harness.Load(eng, nil, g, m)
 						if err != nil {
 							return nil, err
 						}
-						inst.BuildStructure()
 						m.Reset()
 						meter := power.NewRAPL(m, pconsts)
 						meter.Start()
