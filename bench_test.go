@@ -378,33 +378,6 @@ func BenchmarkAblationAlphaBeta(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionTriangleCount exercises the GAP TC extension (the
-// paper's future-work kernel).
-func BenchmarkExtensionTriangleCount(b *testing.B) {
-	el, err := harnessDataset(kronName())
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := simmachine.New(simmachine.Haswell72(), 32)
-	inst, err := gap.New().Load(el, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst.BuildStructure()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := m.Elapsed()
-		tri, err := inst.(*gap.Instance).TriangleCount()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(tri), "triangles")
-			b.ReportMetric(m.Elapsed()-start, "modeled_s")
-		}
-	}
-}
-
 // --- Parallel runtime wall-clock speedup ----------------------------
 //
 // BenchmarkParallelRuntime measures *real* wall-clock time of the two

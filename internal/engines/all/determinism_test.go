@@ -249,6 +249,74 @@ func TestSSSPDeterministicAcrossRunsAndWorkers(t *testing.T) {
 	}
 }
 
+// GraphMat's and PowerGraph's WCC are Jacobi: a round reads the labels
+// of the round before (GraphMat's comp, PowerGraph's comp through the
+// accC gather) and writes another array, so unlike traverse.Hook's
+// in-place sweep under GAP and GraphBIG no chunk sees a label another
+// chunk lowered in the same round. Neither the labels nor the number of
+// rounds can depend on the schedule. The wall runs each 200 times on
+// kron-13 (seed 1, 32 threads, where Hook's race shows about once in a
+// few hundred runs), cycling the worker counts: every run's trace has
+// the first run's length — the trip count times the fixed regions per
+// round — and equals it region for region, and so do the labels. Under
+// the race detector, which looks for data races, not for schedules, it
+// runs a tenth as many.
+func TestJacobiWCCTraceRepeats(t *testing.T) {
+	runs := 200
+	if raceEnabled {
+		runs /= 10
+	}
+	g, err := graph.Homogenize(kronecker.Generate(kronecker.Params{Scale: 13, Seed: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{GraphMat, PowerGraph} {
+		t.Run(name, func(t *testing.T) {
+			insts := make([]engines.Instance, len(workerCounts))
+			machines := make([]*simmachine.Machine, len(workerCounts))
+			for i, workers := range workerCounts {
+				eng, err := Registry().New(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				machines[i] = simmachine.New(simmachine.Haswell72(), 32)
+				machines[i].SetWorkers(workers)
+				if insts[i], err = eng.LoadSimple(g, machines[i]); err != nil {
+					t.Fatal(err)
+				}
+				insts[i].BuildStructure()
+			}
+			var trace []simmachine.Region
+			var comp []graph.VID
+			for run := 0; run < runs; run++ {
+				i := run % len(workerCounts)
+				m := machines[i]
+				m.Reset()
+				res, err := insts[i].WCC()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if run == 0 {
+					trace, comp = slices.Clone(m.Trace()), res.Component
+					continue
+				}
+				got := m.Trace()
+				if len(got) != len(trace) {
+					t.Fatalf("workers=%d run %d: %d regions, the first run %d: the trip count moved", workerCounts[i], run, len(got), len(trace))
+				}
+				for r := range got {
+					if got[r] != trace[r] {
+						t.Fatalf("workers=%d run %d: region %d is %+v, in the first run %+v", workerCounts[i], run, r, got[r], trace[r])
+					}
+				}
+				if !slices.Equal(res.Component, comp) {
+					t.Fatalf("workers=%d run %d: components differ from the first run", workerCounts[i], run)
+				}
+			}
+		})
+	}
+}
+
 // TestSpecDurationsDeterministic runs the same harness Spec end to end
 // twice and across worker counts: every per-trial modeled measurement
 // must be identical (the paper's figures are functions of the Spec,

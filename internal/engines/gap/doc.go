@@ -33,5 +33,5 @@
 // buffers. NUMA-aware first-touch placement is the machine model's,
 // not the arrays'. The synchronous SSSP mode pays a serial merge per
 // bucket pass that the real suite does not have. The suite's other
-// kernels (BC, TC) exist only as the TriangleCount extension.
+// kernels (BC, TC) are not ported: no system of the study runs them.
 package gap

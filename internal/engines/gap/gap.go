@@ -270,7 +270,7 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 }
 
 // LCC implements engines.Instance; GAP has no LCC reference (the
-// suite's triangle count is a different kernel).
+// suite's triangle count, a different kernel, is not ported).
 func (inst *Instance) LCC() (*engines.LCCResult, error) {
 	return nil, engines.ErrUnsupported
 }

@@ -1,12 +1,9 @@
 package graphmat
 
 import (
-	"sync/atomic"
-
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
-	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
 // CDLP implements engines.Instance: synchronous label propagation as
@@ -22,55 +19,52 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 	}
 	tallies := inst.trav.Tallies(inst.m, n) // the histogram semiring's accumulators
 	res := &engines.CDLPResult{}
+	// count adds the labels of adj to t (the messages of one stored
+	// row) and returns how many; vote picks v's label from them, into
+	// next, which no sweep reads.
+	count := func(t *traverse.Tally, adj []graph.VID) int64 {
+		for _, u := range adj {
+			t.Add(label[u])
+		}
+		return int64(len(adj))
+	}
+	vote := func(t *traverse.Tally, v graph.VID) int64 {
+		if nl := t.Pick(label[v]); nl != label[v] {
+			next[v] = nl
+			return 1
+		}
+		return 0
+	}
 	for iter := 1; iter <= maxIter; iter++ {
 		copy(next, label)
-		var changed int64
-		inst.spmvRows(inst.inMat, func(ri, worker int, w *simmachine.W) {
-			v := inst.inMat.rows[ri]
-			counts := &tallies[worker]
-			lo, hi := inst.inMat.ptr[ri], inst.inMat.ptr[ri+1]
-			for i := lo; i < hi; i++ {
-				counts.Add(label[inst.inMat.cols[i]])
-			}
-			nz := hi - lo
-			if inst.directed {
-				if ro := inst.outRowOf[v]; ro >= 0 {
-					olo, ohi := inst.outMat.ptr[ro], inst.outMat.ptr[ro+1]
-					for i := olo; i < ohi; i++ {
-						counts.Add(label[inst.outMat.cols[i]])
-					}
-					nz += ohi - olo
+		_, changed := inst.spmv(inst.inRows, func(c *traverse.Chunk, rows []graph.VID) {
+			t := &tallies[c.Worker()]
+			var nz, moved int64
+			for _, v := range rows {
+				nz += count(t, c.Row(inst.in, int(v)))
+				if inst.directed {
+					nz += count(t, c.Row(inst.out, int(v)))
 				}
+				moved += vote(t, v)
 			}
-			w.Charge(costScanNZ.Scale(float64(nz)))
-			w.Charge(costProcessNZ.Scale(float64(nz)))
-			nl := counts.Pick(label[v])
-			if nl != label[v] {
-				next[v] = nl
-				atomic.AddInt64(&changed, 1)
-			}
+			c.Work, c.Changed = nz, moved
 		})
 		// Directed graphs: vertices with only out-edges never appear
-		// as inMat rows; give them their histogram too.
+		// as in-rows; give them their histogram too.
 		if inst.directed {
-			inst.spmvRows(inst.outMat, func(ri, worker int, w *simmachine.W) {
-				v := inst.outMat.rows[ri]
-				// Skip vertices already handled via inMat rows.
-				if hasInRow(inst.inMat, v) {
-					return
+			_, outOnly := inst.spmv(inst.outRows, func(c *traverse.Chunk, rows []graph.VID) {
+				t := &tallies[c.Worker()]
+				var moved int64
+				for _, v := range rows {
+					if inst.in.Degree(v) != 0 { // handled as an in-row
+						continue
+					}
+					count(t, c.Row(inst.out, int(v)))
+					moved += vote(t, v)
 				}
-				counts := &tallies[worker]
-				lo, hi := inst.outMat.ptr[ri], inst.outMat.ptr[ri+1]
-				for i := lo; i < hi; i++ {
-					counts.Add(label[inst.outMat.cols[i]])
-				}
-				w.Charge(costScanNZ.Scale(float64(hi - lo)))
-				nl := counts.Pick(label[v])
-				if nl != label[v] {
-					next[v] = nl
-					atomic.AddInt64(&changed, 1)
-				}
+				c.Changed = moved
 			})
+			changed += outOnly
 		}
 		inst.denseSweep(1)
 		label, next = next, label
@@ -83,24 +77,6 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 	return res, nil
 }
 
-// hasInRow reports whether v appears as a row of mat (binary search:
-// rows are ascending by construction).
-func hasInRow(mat *dcsr, v graph.VID) bool {
-	lo, hi := 0, len(mat.rows)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case mat.rows[mid] < v:
-			lo = mid + 1
-		case mat.rows[mid] > v:
-			hi = mid
-		default:
-			return true
-		}
-	}
-	return false
-}
-
 // WCC implements engines.Instance: min-semiring SpMV iterated until
 // quiescent. For directed graphs the min gathers over both
 // directions (weak connectivity).
@@ -111,31 +87,32 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 	for i := range comp {
 		comp[i] = graph.VID(i)
 	}
-	sweep := func(mat *dcsr) int64 {
-		var changed int64
-		inst.spmvRows(mat, func(ri, _ int, w *simmachine.W) {
-			v := mat.rows[ri]
-			lo, hi := mat.ptr[ri], mat.ptr[ri+1]
-			min := next[v]
-			for i := lo; i < hi; i++ {
-				if c := comp[mat.cols[i]]; c < min {
-					min = c
+	// sweep lowers next[v] to the smallest comp label over v's row of
+	// mat; comp is the previous round's, so the round is Jacobi.
+	sweep := func(mat *graph.CSR, rows []graph.VID) int64 {
+		_, changed := inst.spmv(rows, func(c *traverse.Chunk, rows []graph.VID) {
+			var lowered int64
+			for _, v := range rows {
+				min := next[v]
+				for _, u := range c.Row(mat, int(v)) {
+					if comp[u] < min {
+						min = comp[u]
+					}
+				}
+				if min < next[v] {
+					next[v] = min
+					lowered++
 				}
 			}
-			nz := hi - lo
-			w.Charge(costScanNZ.Scale(float64(nz)))
-			if min < next[v] {
-				next[v] = min
-				atomic.AddInt64(&changed, 1)
-			}
+			c.Changed = lowered
 		})
 		return changed
 	}
 	for {
 		copy(next, comp)
-		changed := sweep(inst.inMat)
+		changed := sweep(inst.in, inst.inRows)
 		if inst.directed {
-			changed += sweep(inst.outMat)
+			changed += sweep(inst.out, inst.outRows)
 		}
 		inst.denseSweep(2)
 		comp, next = next, comp
@@ -155,6 +132,10 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 func (inst *Instance) LCC() (*engines.LCCResult, error) {
 	inst.BuildStructure()
 	coeff := make([]float64, inst.n)
-	inst.trav.LinkCount(inst.m, 64, &lccLinks, inst.out, inst.in, coeff)
+	var in *graph.CSR // LinkCount merges in-rows only when they differ
+	if inst.directed {
+		in = inst.in
+	}
+	inst.trav.LinkCount(inst.m, 64, &lccLinks, inst.out, in, coeff)
 	return &engines.LCCResult{Coeff: coeff}, nil
 }

@@ -18,10 +18,13 @@ var (
 )
 
 // The regions GraphMat runs as shared dense sweeps
-// (internal/engines/traverse): vecPass is one pass over a length-n
-// dense vector (PageRank's dangling reduction and its ∞-norm test);
-// lccLinks is the link count, a matrix scan per merge comparison.
+// (internal/engines/traverse): spmvPass is one generalized SpMV over the
+// stored rows — a scan per stored nonzero, a semiring PROCESS per unit
+// of Work, a header per row; vecPass is one pass over a length-n dense
+// vector (PageRank's dangling reduction and its ∞-norm test); lccLinks
+// is the link count, a matrix scan per merge comparison.
 var (
+	spmvPass = traverse.SweepProfile{Edge: costScanNZ, Work: costProcessNZ, Vertex: costRowHeader}
 	vecPass  = traverse.SweepProfile{Vertex: costVecEntry}
 	lccLinks = traverse.SweepProfile{Work: costScanNZ, Vertex: costVecEntry}
 )
@@ -51,52 +54,34 @@ func (e *Engine) Has(alg engines.Algorithm) bool {
 	return false
 }
 
-// dcsr stores only rows that have nonzeros. It is read-only: cols and
-// vals are the arrays of the CSR it was made from, shared with every
-// other instance of the run.
-type dcsr struct {
-	rows []graph.VID // vertices with >=1 stored edge
-	ptr  []int64     // len(rows)+1
-	cols []graph.VID
-	vals []float32 // nil if unweighted
-}
-
-// nnz returns the stored nonzero count.
-func (d *dcsr) nnz() int64 { return int64(len(d.cols)) }
-
-// fromCSR compresses a CSR into DCSR form. The non-empty rows of a CSR
-// back to back are its Adj and Weights, so only the row index is built.
-func fromCSR(c *graph.CSR) *dcsr {
+// storedRows lists, ascending, the vertices of c with at least one
+// edge: the rows a doubly-compressed (DCSR) matrix stores. Its column
+// and value arrays are c's own Adj and Weights, so the list is all the
+// matrix adds to the shared CSR.
+func storedRows(c *graph.CSR) []graph.VID {
 	nonEmpty := 0
 	for v := 0; v < c.NumVertices; v++ {
 		if c.Offsets[v] != c.Offsets[v+1] {
 			nonEmpty++
 		}
 	}
-	d := &dcsr{
-		rows: make([]graph.VID, 0, nonEmpty),
-		ptr:  make([]int64, 0, nonEmpty+1),
-		cols: c.Adj,
-		vals: c.Weights,
-	}
+	rows := make([]graph.VID, 0, nonEmpty)
 	for v := 0; v < c.NumVertices; v++ {
 		if c.Offsets[v] != c.Offsets[v+1] {
-			d.rows = append(d.rows, graph.VID(v))
-			d.ptr = append(d.ptr, c.Offsets[v])
+			rows = append(rows, graph.VID(v))
 		}
 	}
-	d.ptr = append(d.ptr, c.NumEdges())
-	return d
+	return rows
 }
 
-type indexKind struct{ rows *graph.CSR }
-type rowOfKind struct{ mat *dcsr }
+type rowsKind struct{ rows *graph.CSR }
 
 // Instance is a GraphMat matrix on a machine.
 type Instance struct {
 	m *simmachine.Machine
-	// out and in are the shared homogenized rows, read-only; their
-	// sorted rows serve LCC's edge queries. inputEdges sizes the
+	// out and in are the shared homogenized rows, read-only: in is the
+	// gather (SpMV) direction, out itself when the graph is undirected.
+	// Their sorted rows serve LCC's edge queries. inputEdges sizes the
 	// construction charge; built records that BuildStructure ran.
 	out, in    *graph.CSR
 	inputEdges int
@@ -105,13 +90,10 @@ type Instance struct {
 	n        int
 	directed bool
 	weighted bool
-	// inMat gathers along in-edges (the SpMV direction); outMat serves
-	// the scatter-direction kernels; outRowOf maps a vertex to its outMat
-	// row (-1 for none) for directed CDLP. All three are the graph's own.
-	inMat    *dcsr
-	outMat   *dcsr
-	outRowOf []int32
-	trav     traverse.State
+	// inRows and outRows are the stored rows of in and out, the graph's
+	// own (one list when undirected).
+	inRows, outRows []graph.VID
+	trav            traverse.State
 	scratch
 }
 
@@ -133,32 +115,23 @@ func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Ins
 	return inst, nil
 }
 
-// Bind implements engines.Instance. The row indexes are the graph's own
-// (graph.Derive), built by the first instance bound to it.
+// Bind implements engines.Instance. The stored-row lists are the
+// graph's own (graph.Derive), built by the first instance bound to it.
 func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine) {
 	*inst = Instance{m: m, trav: inst.trav, scratch: inst.scratch}
 	if g == nil {
 		return
 	}
-	index := func(c *graph.CSR) *dcsr {
-		return graph.Derive(g, indexKind{c}, 0, func() *dcsr { return fromCSR(c) })
+	stored := func(c *graph.CSR) []graph.VID {
+		return graph.Derive(g, rowsKind{c}, 0, func() []graph.VID { return storedRows(c) })
 	}
-	inst.out, inst.in, inst.inputEdges = g.Out, g.In, g.InputEdges
+	inst.out, inst.in, inst.inputEdges = g.Out, g.Out, g.InputEdges
 	inst.n, inst.directed, inst.weighted = g.NumVertices, g.Directed, g.Weighted
-	out := index(g.Out)
-	inst.outMat, inst.inMat = out, out
+	inst.outRows = stored(g.Out)
+	inst.inRows = inst.outRows
 	if g.Directed {
-		inst.inMat = index(g.In)
-		inst.outRowOf = graph.Derive(g, rowOfKind{out}, 0, func() []int32 {
-			of := make([]int32, g.NumVertices)
-			for v := range of {
-				of[v] = -1
-			}
-			for ri, v := range out.rows {
-				of[v] = int32(ri)
-			}
-			return of
-		})
+		inst.in = g.In
+		inst.inRows = stored(g.In)
 	}
 }
 

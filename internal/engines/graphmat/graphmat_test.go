@@ -1,6 +1,7 @@
 package graphmat
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/hpcl-repro/epg/internal/engines"
@@ -43,21 +44,77 @@ func TestDCSRSkipsEmptyRows(t *testing.T) {
 		Edges:       []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3}},
 	}
 	inst := loadBuilt(t, el)
-	if got := len(inst.inMat.rows); got != 3 {
-		t.Errorf("in-matrix rows = %d, want 3", got)
+	if got := inst.inRows; !slices.Equal(got, []graph.VID{1, 2, 3}) {
+		t.Errorf("in-matrix rows = %v, want [1 2 3]", got)
 	}
-	if got := len(inst.outMat.rows); got != 1 {
-		t.Errorf("out-matrix rows = %d, want 1", got)
+	if got := inst.outRows; !slices.Equal(got, []graph.VID{0}) {
+		t.Errorf("out-matrix rows = %v, want [0]", got)
 	}
-	if inst.inMat.nnz() != 3 || inst.outMat.nnz() != 3 {
-		t.Errorf("nnz = %d/%d, want 3/3", inst.inMat.nnz(), inst.outMat.nnz())
+	if inst.in.NumEdges() != 3 || inst.out.NumEdges() != 3 {
+		t.Errorf("nnz = %d/%d, want 3/3", inst.in.NumEdges(), inst.out.NumEdges())
+	}
+}
+
+// storedRows lists, strictly ascending, exactly the vertices whose row
+// is non-empty, in both directions of a directed Kronecker graph (which
+// has isolated, in-only and out-only vertices).
+func TestStoredRowsAreTheNonEmptyRows(t *testing.T) {
+	el := kronecker.Generate(kronecker.Params{Scale: 8, Seed: 2})
+	el.Directed = true
+	g, err := graph.Homogenize(el)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*graph.CSR{"out": g.Out, "in": g.In} {
+		rows := storedRows(c)
+		next := 0
+		for v := 0; v < c.NumVertices; v++ {
+			stored := next < len(rows) && rows[next] == graph.VID(v)
+			if stored {
+				next++
+			}
+			if nonEmpty := c.Degree(graph.VID(v)) != 0; stored != nonEmpty {
+				t.Fatalf("%s: vertex %d stored=%v, degree %d", name, v, stored, c.Degree(graph.VID(v)))
+			}
+		}
+		if next != len(rows) {
+			t.Errorf("%s: %d of %d stored rows not in ascending vertex order", name, len(rows)-next, len(rows))
+		}
+		if len(rows) == c.NumVertices {
+			t.Errorf("%s: every row stored; the graph should have empty rows", name)
+		}
+	}
+}
+
+// Directed WCC gathers over the out-rows as well as the in-rows: a
+// vertex with out-edges only is reached by no in-row sweep, so without
+// the second sweep vertex 4 keeps its own label and 3 and 5 never leave
+// {3, 4}. Isolated vertices 6 and 7 stay alone.
+func TestDirectedWCCJoinsOutOnlyVertices(t *testing.T) {
+	el := &graph.EdgeList{
+		NumVertices: 8, // 0 and 4 out-only; 6 and 7 isolated
+		Directed:    true,
+		Edges: []graph.Edge{
+			{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 4, Dst: 3}, {Src: 4, Dst: 5}, {Src: 5, Dst: 2},
+		},
+	}
+	got, err := loadBuilt(t, el).WCC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := verify.WCC(verify.Prepare(el))
+	if err := verify.ValidateWCC(got, want); err != nil {
+		t.Error(err)
+	}
+	if !slices.Equal(want.Component, []graph.VID{0, 0, 0, 0, 0, 0, 6, 7}) {
+		t.Errorf("reference components %v, want one component of 0..5", want.Component)
 	}
 }
 
 func TestUndirectedSharesMatrix(t *testing.T) {
 	el := kronecker.Generate(kronecker.Params{Scale: 6, Seed: 1})
 	inst := loadBuilt(t, el)
-	if inst.inMat != inst.outMat {
+	if inst.in != inst.out || &inst.inRows[0] != &inst.outRows[0] {
 		t.Error("undirected graph should share the symmetric matrix")
 	}
 }
@@ -80,8 +137,8 @@ func TestBFSChargesFullSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.EdgesExamined < 2*inst.inMat.nnz() {
-		t.Errorf("examined %d, want at least 2 full sweeps of %d nnz", res.EdgesExamined, inst.inMat.nnz())
+	if res.EdgesExamined < 2*inst.in.NumEdges() {
+		t.Errorf("examined %d, want at least 2 full sweeps of %d nnz", res.EdgesExamined, inst.in.NumEdges())
 	}
 	if err := verify.ValidateBFS(p, res, verify.BFS(p, root)); err != nil {
 		t.Error(err)
@@ -108,22 +165,29 @@ func TestPageRankRunsUntilNoChange(t *testing.T) {
 	}
 }
 
-func TestHasInRow(t *testing.T) {
+// Directed CDLP labels the vertices that have out-edges but no in-edges
+// in a second pass over the out-rows; isolated vertices keep their own
+// label. Labels and iteration count must equal the reference's: without
+// that pass vertex 4 keeps its own label and the run stops early.
+func TestDirectedCDLPLabelsOutOnlyVertices(t *testing.T) {
 	el := &graph.EdgeList{
-		NumVertices: 6,
+		NumVertices: 8, // 0 and 4 out-only; 6 and 7 isolated
 		Directed:    true,
-		Edges:       []graph.Edge{{Src: 0, Dst: 2}, {Src: 1, Dst: 4}},
+		Edges: []graph.Edge{
+			{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3},
+			{Src: 3, Dst: 1}, {Src: 4, Dst: 3}, {Src: 4, Dst: 5}, {Src: 5, Dst: 3},
+		},
 	}
-	inst := loadBuilt(t, el)
-	for _, v := range []graph.VID{2, 4} {
-		if !hasInRow(inst.inMat, v) {
-			t.Errorf("vertex %d should have an in-row", v)
-		}
+	want := verify.CDLP(verify.Prepare(el), engines.DefaultCDLPIterations)
+	got, err := loadBuilt(t, el).CDLP(engines.DefaultCDLPIterations)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, v := range []graph.VID{0, 1, 3, 5} {
-		if hasInRow(inst.inMat, v) {
-			t.Errorf("vertex %d should not have an in-row", v)
-		}
+	if got.Iterations != want.Iterations {
+		t.Errorf("%d iterations, reference %d", got.Iterations, want.Iterations)
+	}
+	if !slices.Equal(got.Label, want.Label) {
+		t.Errorf("labels %v, reference %v", got.Label, want.Label)
 	}
 }
 
@@ -170,10 +234,10 @@ func TestConstructionSlowestAmongSeparatePhaseEngines(t *testing.T) {
 	}
 }
 
-// Directed CDLP reads outMat through outRowOf, a row index of the graph
-// the instance is bound to. Rebound to another graph of the same size, an
-// instance must label it as a new instance does: an index kept from the
-// first graph points into rows the second does not have.
+// Directed CDLP sweeps the stored-row lists of the graph the instance is
+// bound to. Rebound to another graph of the same size, an instance must
+// label it as a new instance does: lists kept from the first graph name
+// rows the second does not store.
 func TestReboundDirectedCDLPEqualsFresh(t *testing.T) {
 	homogenize := func(seed uint64) *graph.Simple {
 		el := kronecker.Generate(kronecker.Params{Scale: 8, Seed: seed})

@@ -10,19 +10,15 @@ import (
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
-// spmvRows sweeps the compressed rows of mat in parallel, invoking
-// body for each row with the real worker ID (for contention-free
-// counters). Row-header costs are charged for every stored row each
-// sweep — the SpMV character that makes GraphMat's per-iteration cost
-// proportional to the stored matrix, not the active frontier. Each row
-// writes only row-owned state, so the sweeps are deterministic.
-func (inst *Instance) spmvRows(mat *dcsr, body func(ri, worker int, w *simmachine.W)) {
-	g := inst.m.Grain(len(mat.rows), 256, 1)
-	inst.m.ParallelForChunks(len(mat.rows), g, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-		for ri := lo; ri < hi; ri++ {
-			body(ri, worker, w)
-		}
-		w.Charge(costRowHeader.Scale(float64(hi - lo)))
+// spmv is one SpMV: a Sweep (spmvPass) over the stored rows, handing
+// body each chunk's slice of them. Row headers are charged for every
+// stored row each sweep — the SpMV character that makes GraphMat's
+// per-iteration cost proportional to the stored matrix, not the active
+// frontier. Each row writes only row-owned state, so the sweeps are
+// deterministic.
+func (inst *Instance) spmv(rows []graph.VID, body func(c *traverse.Chunk, rows []graph.VID)) (sum float64, changed int64) {
+	return inst.trav.Sweep(inst.m, len(rows), inst.m.Grain(len(rows), 256, 1), &spmvPass, func(c *traverse.Chunk, lo, hi int) {
+		body(c, rows[lo:hi])
 	})
 }
 
@@ -51,43 +47,40 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 	var examined int64
 
 	for level := int64(0); ; level++ {
-		exa, fnd := inst.trav.Counter(inst.m, 0), inst.trav.Counter(inst.m, 1)
-		inst.spmvRows(inst.inMat, func(ri, worker int, w *simmachine.W) {
-			v := inst.inMat.rows[ri]
-			lo, hi := inst.inMat.ptr[ri], inst.inMat.ptr[ri+1]
-			scanned := hi - lo
-			// GraphMat 1.0 evaluates the semiring over every
-			// stored nonzero each sweep; the full scan is charged
-			// whether or not this row can still change.
-			exa.Add(worker, scanned)
-			w.Charge(costScanNZ.Scale(float64(scanned)))
-			if res.Parent[v] != engines.NoParent {
-				return
-			}
-			var parent int64 = engines.NoParent
-			for i := lo; i < hi; i++ {
-				u := inst.inMat.cols[i]
-				if active.Test(int(u)) {
-					// REDUCE keeps the smallest parent id; the
-					// sweep continues (semiring reduce).
-					if parent == engines.NoParent || int64(u) < parent {
-						parent = int64(u)
+		_, found := inst.spmv(inst.inRows, func(c *traverse.Chunk, rows []graph.VID) {
+			var fnd int64
+			for _, v := range rows {
+				// GraphMat 1.0 evaluates the semiring over every
+				// stored nonzero each sweep; the full scan is charged
+				// whether or not this row can still change.
+				adj := c.Row(inst.in, int(v))
+				if res.Parent[v] != engines.NoParent {
+					continue
+				}
+				var parent int64 = engines.NoParent
+				for _, u := range adj {
+					if active.Test(int(u)) {
+						// REDUCE keeps the smallest parent id; the
+						// sweep continues (semiring reduce).
+						if parent == engines.NoParent || int64(u) < parent {
+							parent = int64(u)
+						}
 					}
 				}
+				if parent != engines.NoParent {
+					res.Parent[v] = parent
+					res.Depth[v] = level + 1
+					nextActive.Set(int(v))
+					fnd++
+				}
 			}
-			if parent != engines.NoParent {
-				res.Parent[v] = parent
-				res.Depth[v] = level + 1
-				nextActive.Set(int(v))
-				fnd.Add(worker, 1)
-				w.Charge(costProcessNZ)
-			}
+			c.Changed, c.Work = fnd, fnd
 		})
-		examined += exa.Sum()
+		examined += inst.in.NumEdges() // every stored row, in full
 		// APPLY plus the sparse-vector rebuild and mask updates
 		// GraphMat performs between SpMV calls.
 		inst.denseSweep(3)
-		if fnd.Sum() == 0 {
+		if found == 0 {
 			break
 		}
 		active, nextActive = nextActive, active
@@ -120,41 +113,38 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 	// Same bit-per-vertex masks as BFS (see the comment there).
 	active, nextActive := inst.trav.Bitmaps(n)
 	active.Set(int(root))
-	relax := inst.trav.Counter(inst.m, 0)
+	var relaxations int64
 
 	for {
 		copy(nxt, cur)
-		chg := inst.trav.Counter(inst.m, 1)
-		inst.spmvRows(inst.inMat, func(ri, worker int, w *simmachine.W) {
-			v := inst.inMat.rows[ri]
-			lo, hi := inst.inMat.ptr[ri], inst.inMat.ptr[ri+1]
-			best := cur[v]
-			var bestParent int64 = -2 // sentinel: unchanged
-			var processed int64
-			for i := lo; i < hi; i++ {
-				u := inst.inMat.cols[i]
-				if !active.Test(int(u)) {
-					continue
+		processed, changed := inst.spmv(inst.inRows, func(c *traverse.Chunk, rows []graph.VID) {
+			var relaxed, chg int64
+			for _, v := range rows {
+				adj, wts := c.Row(inst.in, int(v)), inst.in.NeighborWeights(v)
+				best := cur[v]
+				var bestParent int64 = -2 // sentinel: unchanged
+				for i, u := range adj {
+					if !active.Test(int(u)) {
+						continue
+					}
+					relaxed++
+					if nd := cur[u] + wts[i]; nd < best {
+						best = nd
+						bestParent = int64(u)
+					}
 				}
-				processed++
-				if nd := cur[u] + inst.inMat.vals[i]; nd < best {
-					best = nd
-					bestParent = int64(u)
+				if bestParent != -2 {
+					nxt[v] = best
+					res.Parent[v] = bestParent
+					nextActive.Set(int(v))
+					chg++
 				}
 			}
-			scanned := hi - lo
-			relax.Add(worker, processed)
-			w.Charge(costScanNZ.Scale(float64(scanned)))
-			w.Charge(costProcessNZ.Scale(float64(processed)))
-			if bestParent != -2 {
-				nxt[v] = best
-				res.Parent[v] = bestParent
-				nextActive.Set(int(v))
-				chg.Add(worker, 1)
-			}
+			c.Sum, c.Changed, c.Work = float64(relaxed), chg, relaxed
 		})
+		relaxations += int64(processed)
 		inst.denseSweep(2) // copy + apply
-		if chg.Sum() == 0 {
+		if changed == 0 {
 			break
 		}
 		cur, nxt = nxt, cur
@@ -164,7 +154,7 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 	for v := 0; v < n; v++ {
 		res.Dist[v] = float64(cur[v])
 	}
-	res.Relaxations = relax.Sum()
+	res.Relaxations = relaxations
 	return res, nil
 }
 
@@ -212,17 +202,18 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 		for i := range next {
 			next[i] = base
 		}
-		inst.spmvRows(inst.inMat, func(ri, worker int, w *simmachine.W) {
-			v := inst.inMat.rows[ri]
-			lo, hi := inst.inMat.ptr[ri], inst.inMat.ptr[ri+1]
-			var sum float32
-			for i := lo; i < hi; i++ {
-				sum += contrib[inst.inMat.cols[i]]
+		inst.spmv(inst.inRows, func(c *traverse.Chunk, rows []graph.VID) {
+			var nz int64
+			for _, v := range rows {
+				adj := c.Row(inst.in, int(v))
+				var sum float32
+				for _, u := range adj {
+					sum += contrib[u]
+				}
+				nz += int64(len(adj))
+				next[v] = base + float32(opts.Damping)*sum
 			}
-			nz := hi - lo
-			w.Charge(costScanNZ.Scale(float64(nz)))
-			w.Charge(costProcessNZ.Scale(float64(nz)))
-			next[v] = base + float32(opts.Damping)*sum
+			c.Work = nz
 		})
 		// "No vertex changes rank": the paper notes GraphMat's stop
 		// is effectively an ∞-norm below machine epsilon. Single

@@ -32,16 +32,15 @@ func refMaskBFS(inst *Instance, root graph.VID) *engines.BFSResult {
 	var examined int64
 	for level := int64(0); ; level++ {
 		found := 0
-		for ri := range inst.inMat.rows {
-			v := inst.inMat.rows[ri]
-			lo, hi := inst.inMat.ptr[ri], inst.inMat.ptr[ri+1]
+		for _, v := range inst.inRows {
+			lo, hi := inst.in.Offsets[v], inst.in.Offsets[v+1]
 			examined += hi - lo
 			if res.Parent[v] != engines.NoParent {
 				continue
 			}
 			var parent int64 = engines.NoParent
 			for i := lo; i < hi; i++ {
-				u := inst.inMat.cols[i]
+				u := inst.in.Adj[i]
 				if active[u] && (parent == engines.NoParent || int64(u) < parent) {
 					parent = int64(u)
 				}
@@ -84,18 +83,17 @@ func refMaskSSSP(inst *Instance, root graph.VID) *engines.SSSPResult {
 	for {
 		copy(nxt, cur)
 		changed := 0
-		for ri := range inst.inMat.rows {
-			v := inst.inMat.rows[ri]
-			lo, hi := inst.inMat.ptr[ri], inst.inMat.ptr[ri+1]
+		for _, v := range inst.inRows {
+			lo, hi := inst.in.Offsets[v], inst.in.Offsets[v+1]
 			best := cur[v]
 			var bestParent int64 = -2
 			for i := lo; i < hi; i++ {
-				u := inst.inMat.cols[i]
+				u := inst.in.Adj[i]
 				if !active[u] {
 					continue
 				}
 				relaxations++
-				if nd := cur[u] + inst.inMat.vals[i]; nd < best {
+				if nd := cur[u] + inst.in.Weights[i]; nd < best {
 					best = nd
 					bestParent = int64(u)
 				}

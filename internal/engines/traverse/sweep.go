@@ -40,6 +40,11 @@ type Chunk struct {
 	_                      [64]byte // one accumulator per worker: keep them off each other's lines
 }
 
+// Worker returns the real worker running the chunk, in
+// [0, m.Workers()): the index of that worker's share of per-worker
+// scratch such as State.Tallies.
+func (c *Chunk) Worker() int { return c.worker }
+
 // Row returns v's row of rows and counts it toward the chunk's edge
 // charge. A decoded row is valid until the chunk's next Row call.
 func (c *Chunk) Row(rows Rows, v int) []graph.VID {

@@ -132,6 +132,25 @@ func TestWarmSweepAllocatesNothingScalingWithN(t *testing.T) {
 	}
 }
 
+// Chunk.Worker indexes per-worker scratch (State.Tallies), so it stays
+// in [0, m.Workers()) at every worker count, including counts above
+// GOMAXPROCS, and one State swept at several counts.
+func TestChunkWorkerWithinWorkers(t *testing.T) {
+	var s State
+	for _, workers := range []int{1, 2, 3, 4, 8} {
+		m := machine(workers)
+		seen := make([]int32, 64) // chunk -> worker+1, each chunk written once
+		s.Sweep(m, len(seen), 1, &testSweep, func(c *Chunk, lo, hi int) {
+			seen[lo] = int32(c.Worker()) + 1
+		})
+		for chunk, w := range seen {
+			if w < 1 || int(w) > m.Workers() {
+				t.Fatalf("workers=%d: chunk %d ran on worker %d, want [0,%d)", workers, chunk, w-1, m.Workers())
+			}
+		}
+	}
+}
+
 // Tally.Pick is the CDLP rule — most frequent label, ties to the
 // smallest, own when nothing was counted — whatever the order labels
 // were added in, and it leaves the tally empty for the next vertex.
