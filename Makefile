@@ -1,6 +1,6 @@
 # Lightweight CI for the epg reproduction. `make test` is the tier-1
 # gate; `make race` is the concurrency wall over the parallel runtime,
-# the graph builders, and every engine kernel, and `make race-full`
+# the graph builders, the SNAP codec and every engine kernel, and `make race-full`
 # (CI's race step) the same over every package; `make fuzz` runs the
 # property-fuzz targets for FUZZTIME each; `make bench` regenerates
 # the paper's tables and figures once; `make loc` prints the non-test
@@ -33,7 +33,7 @@ FUZZTIME ?= 20s
 # pinned to kron-12 in internal/study, independent of this knob.)
 SCHEDFIG_SCALE ?= 17
 
-.PHONY: all build test bench-test race race-full alloc-walls fuzz bench loc golden benchfig compress-ratio serve-soak speedup-floor big-conformance numa-sweep vet fmt-check
+.PHONY: all build test bench-test bench-compare race race-full alloc-walls fuzz bench loc golden benchfig compress-ratio serve-soak speedup-floor big-conformance numa-sweep vet fmt-check
 
 all: test bench-test race
 
@@ -48,8 +48,15 @@ test: build
 bench-test:
 	cd bench && $(GO) test ./...
 
+# Compare two files of saved benchmark runs (`bash bench/run.sh ...
+# -save F`): `make bench-compare A=BENCH_29_parent.jsonl B=BENCH_29.jsonl`
+# prints each metric's median [q1, q3] for both and fails when B is
+# worse than A beyond a BENCHMARK.json bound.
+bench-compare:
+	bash bench/run.sh -compare $(A) $(B)
+
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/graph/... ./internal/engines/...
+	$(GO) test -race ./internal/parallel/... ./internal/graph/... ./internal/snap/... ./internal/engines/...
 
 race-full:
 	$(GO) test -race ./...

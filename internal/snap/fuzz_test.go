@@ -51,26 +51,28 @@ type hostileCase struct {
 }
 
 func TestReadHostileInputs(t *testing.T) {
-	for _, tc := range hostileInputs {
-		t.Run(tc.name, func(t *testing.T) {
-			res, err := Read(strings.NewReader(tc.in))
-			if tc.wantSub == "" {
-				if err != nil {
-					t.Fatalf("want clean parse, got %v", err)
+	eachReadBlock(t, func(t *testing.T) {
+		for _, tc := range hostileInputs {
+			t.Run(tc.name, func(t *testing.T) {
+				res, err := Read(strings.NewReader(tc.in))
+				if tc.wantSub == "" {
+					if err != nil {
+						t.Fatalf("want clean parse, got %v", err)
+					}
+					if res.Graph.NumVertices == 0 {
+						t.Fatal("clean parse produced empty graph")
+					}
+					return
 				}
-				if res.Graph.NumVertices == 0 {
-					t.Fatal("clean parse produced empty graph")
+				if err == nil {
+					t.Fatalf("parsed hostile input, want error containing %q", tc.wantSub)
 				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("parsed hostile input, want error containing %q", tc.wantSub)
-			}
-			if !strings.Contains(err.Error(), tc.wantSub) {
-				t.Errorf("error %q does not contain %q", err, tc.wantSub)
-			}
-		})
-	}
+				if !strings.Contains(err.Error(), tc.wantSub) {
+					t.Errorf("error %q does not contain %q", err, tc.wantSub)
+				}
+			})
+		}
+	})
 }
 
 var fuzzReadSeeds = [][]byte{
@@ -91,12 +93,20 @@ var fuzzReadSeeds = [][]byte{
 // parse, the structural invariants every downstream builder assumes:
 // dense IDs in [0, N), a faithful OrigID mapping, and a consistent
 // weight column. Every input also goes through the pre-rewrite reader
-// (referenceRead): results and error strings must be identical.
+// (referenceRead): results and error strings must be identical, both
+// at the default block size and at fuzzBlock, where nearly every line
+// boundary falls between blocks.
 func FuzzRead(f *testing.F) {
 	for _, seed := range fuzzReadSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		withReadBlock(fuzzBlock, func() {
+			res, err := Read(bytes.NewReader(data))
+			if msg := diffRead(res, err, data); msg != "" {
+				t.Fatalf("block %d: %s", fuzzBlock, msg)
+			}
+		})
 		res, err := Read(bytes.NewReader(data))
 		if msg := diffRead(res, err, data); msg != "" {
 			t.Fatal(msg)

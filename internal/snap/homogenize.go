@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 
 	"github.com/hpcl-repro/epg/internal/graph"
+	"github.com/hpcl-repro/epg/internal/parallel"
 )
 
 // Format names one engine's preferred on-disk representation. The
@@ -52,23 +54,12 @@ func WriteFormat(w io.Writer, el *graph.EdgeList, f Format, name string) error {
 }
 
 func writeGraph500(w io.Writer, el *graph.EdgeList) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := make([]byte, 16)
-	binary.LittleEndian.PutUint32(hdr[0:], g500Magic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(el.NumVertices))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(el.Edges)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	var buf [8]byte
-	for _, e := range el.Edges {
-		binary.LittleEndian.PutUint32(buf[0:], e.Src)
-		binary.LittleEndian.PutUint32(buf[4:], e.Dst)
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	head := binary.LittleEndian.AppendUint32(nil, g500Magic)
+	head = binary.LittleEndian.AppendUint32(head, uint32(el.NumVertices))
+	head = binary.LittleEndian.AppendUint64(head, uint64(len(el.Edges)))
+	return writeOrdered(w, head, len(el.Edges), func(dst []byte, i int) []byte {
+		return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(dst, el.Edges[i].Src), el.Edges[i].Dst)
+	})
 }
 
 // ReadGraph500 parses the packed binary edge list format. The header's
@@ -106,43 +97,111 @@ func ReadGraph500(r io.Reader) (*graph.EdgeList, error) {
 }
 
 func writeGraphMat(w io.Writer, el *graph.EdgeList, name string) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate real general\n%% %s\n", name)
-	fmt.Fprintf(bw, "%d %d %d\n", el.NumVertices, el.NumVertices, len(el.Edges))
-	var buf [64]byte
-	for _, e := range el.Edges {
-		w := e.W
+	n := el.NumVertices
+	head := fmt.Appendf(nil, "%%%%MatrixMarket matrix coordinate real general\n%% %s\n%d %d %d\n", name, n, n, len(el.Edges))
+	return writeOrdered(w, head, len(el.Edges), func(dst []byte, i int) []byte {
+		e := el.Edges[i]
 		if !el.Weighted {
-			w = 1
+			e.W = 1
 		}
 		// GraphMat is 1-indexed.
-		line := appendWeight(append(appendEdge(buf[:0], e.Src+1, e.Dst+1, ' '), ' '), w)
-		if _, err := bw.Write(append(line, '\n')); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+		return append(appendWeight(append(appendEdge(dst, e.Src+1, e.Dst+1, ' '), ' '), e.W), '\n')
+	})
 }
 
 func writeAdjacency(w io.Writer, el *graph.EdgeList) error {
 	csr := graph.BuildCSR(el, graph.BuildOptions{})
-	bw := bufio.NewWriterSize(w, 1<<20)
+	kind := "AdjacencyGraph"
 	if el.Weighted {
-		fmt.Fprintln(bw, "WeightedAdjacencyGraph")
-	} else {
-		fmt.Fprintln(bw, "AdjacencyGraph")
+		kind = "WeightedAdjacencyGraph"
 	}
-	fmt.Fprintln(bw, csr.NumVertices)
-	fmt.Fprintln(bw, len(csr.Adj))
-	var buf [32]byte
-	for v := 0; v < csr.NumVertices; v++ {
-		bw.Write(append(strconv.AppendInt(buf[:0], csr.Offsets[v], 10), '\n'))
+	n, m := csr.NumVertices, len(csr.Adj)
+	head := fmt.Appendf(nil, "%s\n%d\n%d\n", kind, n, m)
+	return writeOrdered(w, head, n+m+len(csr.Weights), func(dst []byte, i int) []byte {
+		switch {
+		case i < n:
+			dst = strconv.AppendInt(dst, csr.Offsets[i], 10)
+		case i < n+m:
+			dst = strconv.AppendUint(dst, uint64(csr.Adj[i-n]), 10)
+		default:
+			dst = appendWeight(dst, csr.Weights[i-n-m])
+		}
+		return append(dst, '\n')
+	})
+}
+
+// writeBlock is how many items writeOrdered formats into one buffer.
+const writeBlock = 2048
+
+// writeOrdered writes head, then items 0..n-1 in order, to w; format
+// appends item i to dst. Pool workers format blocks of writeBlock items
+// into a ring of GOMAXPROCS+1 buffers while worker 0 writes the
+// finished ones in order, formatting too while the next one is not
+// ready. Block b+len(ring) is handed out only once block b is written,
+// so no buffer is reused early, and the bytes do not depend on the
+// worker count. The first write error is returned.
+func writeOrdered(w io.Writer, head []byte, n int, format func(dst []byte, i int) []byte) error {
+	blocks := max(parallel.NumChunks(n, writeBlock), 1) // block 0 carries head
+	ring := make([][]byte, runtime.GOMAXPROCS(0)+1)
+	for b := range ring {
+		ring[b] = make([]byte, 0, 40*writeBlock) // the widest item is a weighted SNAP line
 	}
-	for _, u := range csr.Adj {
-		bw.Write(append(strconv.AppendUint(buf[:0], uint64(u), 10), '\n'))
+	fill := func(b int) {
+		dst := ring[b%len(ring)][:0]
+		if b == 0 {
+			dst = append(dst, head...)
+		}
+		for i := b * writeBlock; i < min(n, (b+1)*writeBlock); i++ {
+			dst = format(dst, i)
+		}
+		ring[b%len(ring)] = dst
 	}
-	for _, wt := range csr.Weights {
-		bw.Write(append(appendWeight(buf[:0], wt), '\n'))
+	jobs, done := make(chan int, len(ring)), make(chan int, len(ring))
+	handed := 0
+	hand := func() {
+		jobs <- handed
+		if handed++; handed == blocks {
+			close(jobs)
+		}
 	}
-	return bw.Flush()
+	for handed < min(blocks, len(ring)) {
+		hand()
+	}
+	var err error
+	parallel.Default().Run(min(len(ring)-1, blocks), func(worker int) {
+		if worker > 0 {
+			for b := range jobs {
+				fill(b)
+				done <- b
+			}
+			return
+		}
+		defer func() {
+			if handed < blocks {
+				close(jobs)
+			}
+		}()
+		ready := make([]bool, len(ring))
+		in := jobs
+		for b := 0; b < blocks && err == nil; b++ {
+			for !ready[b%len(ring)] {
+				select {
+				case j, ok := <-in:
+					if !ok {
+						in = nil
+						continue
+					}
+					fill(j)
+					ready[j%len(ring)] = true
+				case j := <-done:
+					ready[j%len(ring)] = true
+				}
+			}
+			ready[b%len(ring)] = false
+			if _, err = w.Write(ring[b%len(ring)]); err == nil && handed < blocks {
+				hand()
+			}
+		}
+	})
+	return err
 }

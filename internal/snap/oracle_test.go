@@ -9,6 +9,7 @@ package snap
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -141,6 +142,22 @@ func referenceWrite(w io.Writer, el *graph.EdgeList, name string) error {
 	return bw.Flush()
 }
 
+func referenceWriteGraph500(w io.Writer, el *graph.EdgeList) error {
+	bw := bufio.NewWriterSize(w, 1<<20)
+	hdr := make([]byte, 16)
+	binary.LittleEndian.PutUint32(hdr[0:], g500Magic)
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(el.NumVertices))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(el.Edges)))
+	bw.Write(hdr)
+	var buf [8]byte
+	for _, e := range el.Edges {
+		binary.LittleEndian.PutUint32(buf[0:], e.Src)
+		binary.LittleEndian.PutUint32(buf[4:], e.Dst)
+		bw.Write(buf[:])
+	}
+	return bw.Flush()
+}
+
 func referenceWriteGraphMat(w io.Writer, el *graph.EdgeList, name string) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate real general\n%% %s\n", name)
@@ -184,6 +201,11 @@ func referenceWriteAdjacency(w io.Writer, el *graph.EdgeList) error {
 // equals itself).
 func diffRead(got *ReadResult, gotErr error, data []byte) string {
 	want, wantErr := referenceRead(bytes.NewReader(data))
+	return diffResults(got, gotErr, want, wantErr)
+}
+
+// diffResults is diffRead against a reference result already in hand.
+func diffResults(got *ReadResult, gotErr error, want *ReadResult, wantErr error) string {
 	if gotErr != nil || wantErr != nil {
 		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 			return fmt.Sprintf("error %v, reference reader says %v", gotErr, wantErr)
@@ -236,12 +258,15 @@ func TestReadMatchesReference(t *testing.T) {
 	for _, in := range lyingHeaders {
 		inputs = append(inputs, []byte(in))
 	}
-	for _, in := range inputs {
-		got, err := Read(bytes.NewReader(in))
-		if msg := diffRead(got, err, in); msg != "" {
-			t.Errorf("input %.60q: %s", in, msg)
+	inputs = append(inputs, blockInputs...)
+	eachReadBlock(t, func(t *testing.T) {
+		for _, in := range inputs {
+			got, err := Read(bytes.NewReader(in))
+			if msg := diffRead(got, err, in); msg != "" {
+				t.Errorf("input %.60q: %s", in, msg)
+			}
 		}
-	}
+	})
 }
 
 // codecWeights exercise every shape %g takes for a float32: integers,
