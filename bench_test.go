@@ -403,7 +403,7 @@ func speedupInstance(b testing.TB, el *graph.EdgeList, workers int) (*gap.Instan
 	m := simmachine.New(simmachine.Haswell72(), 32)
 	m.SetWorkers(workers)
 	m.SetTracing(false)
-	inst, err := gap.New().Load(el, m)
+	inst, err := (&engines.Engine{Decl: &gap.Decl}).Load(el, m)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -39,12 +39,11 @@ type Knob struct {
 	// The hooks that make the knob take effect, nil where it has nothing
 	// to do at that stage: Scale adjusts the model and power calibration
 	// the machine is about to be built from, Machine configures the
-	// fresh machine (owner is Spec.Owners' table), and Engine returns
-	// the engines.Options request the knob stands for — the zero Options
-	// when the spec leaves it off.
+	// fresh machine (owner is Spec.Owners' table), and Engine sets the
+	// one engines.Options field the knob stands for.
 	Scale   func(s *Spec, m *simmachine.Model, p *power.Constants)
 	Machine func(s *Spec, m *simmachine.Machine, owner []int16)
-	Engine  func(s *Spec) engines.Options
+	Engine  func(s *Spec, o *engines.Options)
 }
 
 // Knobs is the knob table, in Spec field order.
@@ -130,13 +129,13 @@ var Knobs = []Knob{
 		Name:   "compress",
 		Help:   "delta+varint compressed adjacency in GAP and Graph500 BFS/PR (decode-aware cost model)",
 		Field:  func(s *Spec) any { return &s.Compress },
-		Engine: func(s *Spec) engines.Options { return engines.Options{Compress: s.Compress} },
+		Engine: func(s *Spec, o *engines.Options) { o.Compress = s.Compress },
 	},
 	{
 		Name:   "sync-sssp",
 		Help:   "synchronous deterministic SSSP in GAP and GraphBIG",
 		Field:  func(s *Spec) any { return &s.SyncSSSP },
-		Engine: func(s *Spec) engines.Options { return engines.Options{SyncSSSP: s.SyncSSSP} },
+		Engine: func(s *Spec, o *engines.Options) { o.SyncSSSP = s.SyncSSSP },
 	},
 	{
 		Name: "nodes", Min: 1, Max: MaxNodes,
@@ -156,7 +155,7 @@ var Knobs = []Knob{
 		Name:   "mutations",
 		Help:   "streaming phase `BxS@F`: B batches of S edge mutations with delete fraction F (e.g. 4x64@0.25); PR and WCC only",
 		Field:  func(s *Spec) any { return &s.Mutations },
-		Engine: func(s *Spec) engines.Options { return engines.Options{Mutations: s.Mutations != nil} },
+		Engine: func(s *Spec, o *engines.Options) { o.Mutations = s.Mutations != nil },
 	},
 }
 
@@ -226,21 +225,23 @@ func (s Spec) NewMachine(model simmachine.Model, pc power.Constants, owner []int
 	return m, pc
 }
 
-// ConfigureEngine applies every engine-side knob the spec requests to
-// eng through engines.Configure — before Load, since the compressed
-// adjacency is built during construction — and returns the names of
-// the requested knobs eng has no hook for (each knob requests exactly
-// one option, so nothing applied means that knob was dropped). Rows
-// from such a run do not measure what the spec asked for: surface the
+// EngineOptions returns the knobs the spec requests of the engine d
+// declares, as far as d honors them (what its instances are bound
+// with), and the names of the requested knobs d drops. Rows from a run
+// with dropped knobs do not measure what the spec asked for: surface the
 // names, do not discard them.
-func (s Spec) ConfigureEngine(eng engines.Engine) (dropped []string) {
+func (s Spec) EngineOptions(d *engines.Decl) (o engines.Options, dropped []string) {
 	for _, k := range Knobs {
 		if k.Engine == nil {
 			continue
 		}
-		if req := k.Engine(&s); req != (engines.Options{}) && engines.Configure(eng, req) == (engines.Applied{}) {
+		var req engines.Options
+		k.Engine(&s, &req)
+		if d.Honored(req) != req {
 			dropped = append(dropped, k.Name)
+			continue
 		}
+		k.Engine(&s, &o)
 	}
-	return dropped
+	return o, dropped
 }

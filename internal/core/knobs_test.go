@@ -147,8 +147,8 @@ func TestKnobHooksReachTheirTargets(t *testing.T) {
 	if zm.Threads() != 8 || zm.Sockets() != 1 || zm.GrainPolicy() != 0 {
 		t.Errorf("zero spec machine: threads %d sockets %d grain %v", zm.Threads(), zm.Sockets(), zm.GrainPolicy())
 	}
-	if d := zero.ConfigureEngine(hookless{}); d != nil {
-		t.Errorf("zero spec dropped %v", d)
+	if o, d := zero.EngineOptions(&knobless); o != (engines.Options{}) || d != nil {
+		t.Errorf("zero spec requested %+v, dropped %v", o, d)
 	}
 
 	full := Spec{
@@ -164,10 +164,18 @@ func TestKnobHooksReachTheirTargets(t *testing.T) {
 		t.Errorf("full spec machine: workers %d sockets %d grain %v", fm.Workers(), fm.Sockets(), fm.GrainPolicy())
 	}
 	want := []string{"compress", "sync-sssp", "mutations"}
-	if d := full.ConfigureEngine(hookless{}); !reflect.DeepEqual(d, want) {
-		t.Errorf("hookless engine dropped %v, want %v", d, want)
+	if o, d := full.EngineOptions(&knobless); o != (engines.Options{}) || !reflect.DeepEqual(d, want) {
+		t.Errorf("knobless engine requested %+v, dropped %v; want nothing and %v", o, d, want)
+	}
+	every := engines.Decl{Knobs: engines.Options{SyncSSSP: true, Compress: true, Mutations: true}}
+	if o, d := full.EngineOptions(&every); o != every.Knobs || d != nil {
+		t.Errorf("engine with every knob requested %+v, dropped %v; want %+v and nothing", o, d, every.Knobs)
+	}
+	partial := engines.Decl{Knobs: engines.Options{Compress: true}}
+	if o, d := full.EngineOptions(&partial); o != partial.Knobs || !reflect.DeepEqual(d, want[1:]) {
+		t.Errorf("compress-only engine requested %+v, dropped %v; want %+v and %v", o, d, partial.Knobs, want[1:])
 	}
 }
 
-// hookless is an engine with none of the optional capability hooks.
-type hookless struct{ engines.Engine }
+// knobless declares an engine that honors no knob.
+var knobless engines.Decl

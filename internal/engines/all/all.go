@@ -1,4 +1,4 @@
-// Package all wires the five engine implementations into a registry.
+// Package all lists the five engines' declarations as one registry.
 // It exists apart from package engines so the interface package does
 // not depend on its implementations.
 package all
@@ -22,20 +22,19 @@ const (
 )
 
 // Names lists every engine in presentation order.
-var Names = []string{Graph500, GAP, GraphBIG, GraphMat, PowerGraph}
+var Names = Registry().Names()
 
-// Registry returns a registry holding all five engines.
-func Registry() *engines.Registry {
-	r := engines.NewRegistry()
-	r.Register(Graph500, func() engines.Engine { return graph500.New() })
-	r.Register(GAP, func() engines.Engine { return gap.New() })
-	r.Register(GraphBIG, func() engines.Engine { return graphbig.New() })
-	r.Register(GraphMat, func() engines.Engine { return graphmat.New() })
-	r.Register(PowerGraph, func() engines.Engine { return powergraph.New() })
-	return r
+// Registry returns the five engines' declarations, in presentation
+// order.
+func Registry() engines.Registry {
+	return engines.Registry{&graph500.Decl, &gap.Decl, &graphbig.Decl, &graphmat.Decl, &powergraph.Decl}
 }
 
-// New returns the named engine from a fresh registry.
-func New(name string) (engines.Engine, error) {
-	return Registry().New(name)
+// New returns the named engine with no knobs requested.
+func New(name string) (*engines.Engine, error) {
+	d, err := Registry().Decl(name)
+	if err != nil {
+		return nil, err
+	}
+	return &engines.Engine{Decl: d}, nil
 }

@@ -56,7 +56,7 @@ func TestClusterShardedConformanceAllKernels(t *testing.T) {
 	for _, alg := range engines.AllAlgorithms {
 		t.Run(string(alg), func(t *testing.T) {
 			for _, name := range Names {
-				eng, err := Registry().New(name)
+				eng, err := New(name)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,7 +98,7 @@ func TestClusterNodesOneTraceByteIdentical(t *testing.T) {
 			// too, not just tolerated.
 			m.SetCluster(1, make([]int16, 1<<10))
 		}
-		eng := gap.New()
+		eng := (&engines.Engine{Decl: &gap.Decl})
 		instAny, err := eng.Load(el, m)
 		if err != nil {
 			t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/hpcl-repro/epg/internal/datasets"
@@ -78,17 +79,16 @@ func roots(p *verify.Prepared, count int) []graph.VID {
 }
 
 func TestRegistryHasFiveEngines(t *testing.T) {
-	reg := Registry()
-	if got := len(reg.Names()); got != 5 {
-		t.Fatalf("registry has %d engines, want 5", got)
+	want := []string{Graph500, GAP, GraphBIG, GraphMat, PowerGraph}
+	if !slices.Equal(Names, want) {
+		t.Fatalf("registry lists %v, want the five engines in presentation order %v", Names, want)
 	}
-	if _, err := reg.New("Ligra"); err == nil {
+	if _, err := New("Ligra"); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }
 
 func TestCapabilitiesMatchPaper(t *testing.T) {
-	reg := Registry()
 	want := map[string]map[engines.Algorithm]bool{
 		Graph500:   {engines.BFS: true},
 		GAP:        {engines.BFS: true, engines.SSSP: true, engines.PageRank: true, engines.WCC: true},
@@ -97,7 +97,7 @@ func TestCapabilitiesMatchPaper(t *testing.T) {
 		PowerGraph: {engines.SSSP: true, engines.PageRank: true, engines.CDLP: true, engines.LCC: true, engines.WCC: true},
 	}
 	for name, caps := range want {
-		eng, err := reg.New(name)
+		eng, err := New(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,9 +111,9 @@ func TestCapabilitiesMatchPaper(t *testing.T) {
 	// build while reading.
 	sep := map[string]bool{Graph500: true, GAP: true, GraphMat: true, GraphBIG: false, PowerGraph: false}
 	for name, want := range sep {
-		eng, _ := reg.New(name)
-		if got := eng.SeparateConstruction(); got != want {
-			t.Errorf("%s.SeparateConstruction() = %v, want %v", name, got, want)
+		eng, _ := New(name)
+		if got := eng.SeparateConstruction; got != want {
+			t.Errorf("%s.SeparateConstruction = %v, want %v", name, got, want)
 		}
 	}
 }
@@ -576,17 +576,12 @@ func forEachPair[R any](got map[string]R, f func(a, b string, ra, rb R)) {
 func loadAllWith(t *testing.T, el *graph.EdgeList, configure func(*simmachine.Machine), syncSSSP bool) map[string]engines.Instance {
 	t.Helper()
 	out := make(map[string]engines.Instance)
-	reg := Registry()
 	for _, name := range Names {
-		eng, err := reg.New(name)
+		eng, err := New(name)
 		if err != nil {
 			t.Fatalf("new %s: %v", name, err)
 		}
-		if syncSSSP {
-			if s, ok := eng.(engines.SyncSSSPSetter); ok {
-				s.SetSyncSSSP(true)
-			}
-		}
+		engines.Configure(eng, engines.Options{SyncSSSP: syncSSSP})
 		m := newMachine()
 		if configure != nil {
 			configure(m)
@@ -756,9 +751,8 @@ func TestBFSRelativeSpeedShape(t *testing.T) {
 	p := verify.Prepare(el)
 	root := roots(p, 1)[0]
 	times := map[string]float64{}
-	reg := Registry()
 	for _, name := range []string{GAP, Graph500, GraphBIG, GraphMat} {
-		eng, _ := reg.New(name)
+		eng, _ := New(name)
 		m := simmachine.New(simmachine.Haswell72(), 32)
 		inst, err := eng.Load(el, m)
 		if err != nil {

@@ -73,20 +73,11 @@ func runKernel(t *testing.T, name string, alg engines.Algorithm, el *graph.EdgeL
 
 func runKernelOpts(t *testing.T, name string, alg engines.Algorithm, el *graph.EdgeList, root graph.VID, workers int, opts runOpts) kernelRun {
 	t.Helper()
-	eng, err := Registry().New(name)
+	eng, err := New(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.syncSSSP {
-		if s, ok := eng.(engines.SyncSSSPSetter); ok {
-			s.SetSyncSSSP(true)
-		}
-	}
-	if opts.compress {
-		if s, ok := eng.(engines.CompressSetter); ok {
-			s.SetCompress(true)
-		}
-	}
+	engines.Configure(eng, engines.Options{SyncSSSP: opts.syncSSSP, Compress: opts.compress})
 	m := simmachine.New(simmachine.Haswell72(), 8)
 	m.SetWorkers(workers)
 	if opts.override {
@@ -275,15 +266,13 @@ func TestJacobiWCCTraceRepeats(t *testing.T) {
 			insts := make([]engines.Instance, len(workerCounts))
 			machines := make([]*simmachine.Machine, len(workerCounts))
 			for i, workers := range workerCounts {
-				eng, err := Registry().New(name)
+				eng, err := New(name)
 				if err != nil {
 					t.Fatal(err)
 				}
 				machines[i] = simmachine.New(simmachine.Haswell72(), 32)
 				machines[i].SetWorkers(workers)
-				if insts[i], err = eng.LoadSimple(g, machines[i]); err != nil {
-					t.Fatal(err)
-				}
+				insts[i] = eng.LoadSimple(g, machines[i])
 				insts[i].BuildStructure()
 			}
 			var trace []simmachine.Region
@@ -446,7 +435,7 @@ func TestSchedStealDeterministicAllKernels(t *testing.T) {
 	for _, alg := range engines.AllAlgorithms {
 		t.Run(string(alg), func(t *testing.T) {
 			for _, name := range Names {
-				eng, err := Registry().New(name)
+				eng, err := New(name)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -511,7 +500,7 @@ func TestSchedNUMADeterministicAllKernels(t *testing.T) {
 	for _, alg := range engines.AllAlgorithms {
 		t.Run(string(alg), func(t *testing.T) {
 			for _, name := range Names {
-				eng, err := Registry().New(name)
+				eng, err := New(name)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -550,7 +539,7 @@ func TestNUMASocketsOneMatchesSteal(t *testing.T) {
 	for _, alg := range engines.AllAlgorithms {
 		t.Run(string(alg), func(t *testing.T) {
 			for _, name := range Names {
-				eng, err := Registry().New(name)
+				eng, err := New(name)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -644,7 +633,7 @@ func TestBigNUMASweep(t *testing.T) {
 	root := graph.VID(2)
 	for _, alg := range engines.AllAlgorithms {
 		for _, name := range Names {
-			eng, err := Registry().New(name)
+			eng, err := New(name)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -153,7 +153,7 @@ func resultDigest(out any) (iterations int, sum uint64) {
 // goldenKernel runs one (config, engine, kernel) case.
 func goldenKernel(t *testing.T, cfg goldenConfig, name string, alg engines.Algorithm, el *graph.EdgeList) string {
 	t.Helper()
-	eng, err := Registry().New(name)
+	eng, err := New(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func goldenStream(t *testing.T) string {
 		el.Edges = append(el.Edges, graph.Edge{Src: graph.VID(v), Dst: graph.VID((v + 1) % n)})
 	}
 	m := goldenMachine(4, false)
-	loaded, err := gap.New().Load(el, m)
+	loaded, err := (&engines.Engine{Decl: &gap.Decl}).Load(el, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func goldenTable(t *testing.T) []byte {
 			el = &dir
 		}
 		for _, name := range cfg.engines {
-			eng, err := Registry().New(name)
+			eng, err := New(name)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -51,7 +51,7 @@ func TestAdaptiveGrainDeterministicAllKernels(t *testing.T) {
 			for _, alg := range engines.AllAlgorithms {
 				t.Run(string(alg), func(t *testing.T) {
 					for _, name := range Names {
-						eng, err := Registry().New(name)
+						eng, err := New(name)
 						if err != nil {
 							t.Fatal(err)
 						}

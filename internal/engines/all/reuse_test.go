@@ -33,17 +33,14 @@ var reuseProgram = []struct {
 // own 8-thread machine.
 func loadShared(t *testing.T, name string, g *graph.Simple, workers int, opts engines.Options) (engines.Instance, *simmachine.Machine) {
 	t.Helper()
-	eng, err := Registry().New(name)
+	eng, err := New(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	engines.Configure(eng, opts)
 	m := newMachine()
 	m.SetWorkers(workers)
-	inst, err := eng.LoadSimple(g, m)
-	if err != nil {
-		t.Fatalf("%s load: %v", name, err)
-	}
+	inst := eng.LoadSimple(g, m)
 	inst.BuildStructure()
 	return inst, m
 }
@@ -87,8 +84,8 @@ func TestReusedInstanceBitEqualFreshInstance(t *testing.T) {
 		}
 		rs := core.SelectRoots(g.Out, 2, 0x7007)
 		for _, name := range cfg.engines {
-			eng, _ := Registry().New(name)
-			_, hasSync := eng.(engines.SyncSSSPSetter)
+			eng, _ := New(name)
+			hasSync := eng.Knobs.SyncSSSP
 			for _, workers := range workerCounts {
 				for _, sync := range []bool{true, false} {
 					if !sync && !hasSync {
@@ -135,24 +132,23 @@ func TestReusedInstanceBitEqualFreshInstance(t *testing.T) {
 	for _, name := range Names {
 		for _, workers := range workerCounts {
 			for _, sync := range []bool{true, false} {
-				eng, _ := Registry().New(name)
-				if _, ok := eng.(engines.SyncSSSPSetter); !sync && !ok {
+				eng, _ := New(name)
+				if !sync && !eng.Knobs.SyncSSSP {
 					continue
 				}
 				var inst engines.Instance
 				for i, b := range binds {
 					g := graphs[b.directed]
-					engines.Reset(eng)
-					engines.Configure(eng, engines.Options{SyncSSSP: sync, Compress: b.compress})
+					opts := engines.Configure(eng, engines.Options{SyncSSSP: sync, Compress: b.compress})
 					m, fm := simmachine.New(simmachine.Haswell72(), b.threads), simmachine.New(simmachine.Haswell72(), b.threads)
 					m.SetWorkers(workers)
 					fm.SetWorkers(workers)
 					if inst == nil {
-						inst, _ = eng.LoadSimple(g, m)
+						inst = eng.LoadSimple(g, m)
 					} else {
-						inst.Bind(g, m)
+						inst.Bind(g, m, opts)
 					}
-					fresh, _ := eng.LoadSimple(g, fm)
+					fresh := eng.LoadSimple(g, fm)
 					inst.BuildStructure()
 					fresh.BuildStructure()
 					label := fmt.Sprintf("%s workers=%d sync=%v bind %d (directed=%v compress=%v threads=%d)",
@@ -169,7 +165,7 @@ func TestReusedInstanceBitEqualFreshInstance(t *testing.T) {
 					if t.Failed() {
 						return
 					}
-					inst.Bind(nil, nil) // idle between binds, as a Runner keeps it
+					inst.Bind(nil, nil, engines.Options{}) // idle between binds, as a Runner keeps it
 				}
 			}
 		}
@@ -233,12 +229,12 @@ func TestWarmKernelsAllocateOnlyResults(t *testing.T) {
 	rs := core.SelectRoots(g.Out, 8, 0x7007)
 	for _, compress := range []bool{false, true} {
 		for _, name := range Names {
-			eng, _ := Registry().New(name)
-			if _, ok := eng.(engines.CompressSetter); compress && !ok {
+			eng, _ := New(name)
+			if compress && !eng.Knobs.Compress {
 				continue
 			}
 			for _, sync := range []bool{true, false} {
-				if _, ok := eng.(engines.SyncSSSPSetter); !sync && !ok {
+				if !sync && !eng.Knobs.SyncSSSP {
 					continue
 				}
 				inst, m := loadShared(t, name, g, 2, engines.Options{SyncSSSP: sync, Compress: compress})

@@ -140,10 +140,7 @@ func TestSharedGraphStaysImmutable(t *testing.T) {
 						t.Fatal(err)
 					}
 					engines.Configure(eng, engines.Options{Compress: l.compress})
-					inst, err := eng.LoadSimple(g, simmachine.New(simmachine.Haswell72(), threads))
-					if err != nil {
-						t.Fatalf("%s load: %v", l.engine, err)
-					}
+					inst := eng.LoadSimple(g, simmachine.New(simmachine.Haswell72(), threads))
 					inst.BuildStructure()
 					if l.compress && !reaches(inst, g.Compressed(g.Out)) {
 						t.Errorf("compressed %s does not read the graph's compressed sibling", l.engine)
@@ -217,10 +214,7 @@ func TestPowerGraphCutEvictionBitEqualFreshGraph(t *testing.T) {
 	run := func(g *graph.Simple, threads int) ([]any, []simmachine.Region) {
 		eng, _ := New(PowerGraph)
 		m := simmachine.New(simmachine.Haswell72(), threads)
-		inst, err := eng.LoadSimple(g, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inst := eng.LoadSimple(g, m)
 		var outs []any
 		for _, alg := range engines.AllAlgorithms {
 			if !eng.Has(alg) {
@@ -274,11 +268,8 @@ func TestLoadSimpleEqualsLoad(t *testing.T) {
 					m := newMachine()
 					var inst engines.Instance
 					if side == 0 {
-						inst, err = eng.LoadSimple(g, m)
-					} else {
-						inst, err = eng.Load(tg.el, m)
-					}
-					if err != nil {
+						inst = eng.LoadSimple(g, m)
+					} else if inst, err = eng.Load(tg.el, m); err != nil {
 						t.Fatalf("%s load: %v", l.engine, err)
 					}
 					inst.BuildStructure()

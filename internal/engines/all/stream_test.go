@@ -104,7 +104,7 @@ func TestStreamConformanceAcrossWorkersAndCompress(t *testing.T) {
 // TestStreamCapabilityContractAllEngines: every registered engine that
 // runs PageRank either serves the mutation phase (stream rows present,
 // costs positive, in-run conformance passed) or drops the knob with a
-// structured warning naming the engine — the Configure/Applied
+// structured warning naming the engine — the Decl.Knobs
 // contract, walled so a new engine cannot silently half-support
 // streaming.
 func TestStreamCapabilityContractAllEngines(t *testing.T) {
@@ -113,7 +113,7 @@ func TestStreamCapabilityContractAllEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range Names {
-		eng, err := Registry().New(name)
+		eng, err := New(name)
 		if err != nil {
 			t.Fatal(err)
 		}

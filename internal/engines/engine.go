@@ -1,5 +1,7 @@
 // Package engines defines the common interface that the five graph
-// processing systems implement, together with normalized result types.
+// processing systems implement, the declaration each of them exports
+// (Decl: name, kernels, load phases, knobs), and normalized result
+// types.
 //
 // Each engine package (graph500, gap, graphbig, graphmat, powergraph)
 // reproduces the architectural character of the corresponding system
@@ -13,7 +15,6 @@ package engines
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/simmachine"
@@ -119,17 +120,22 @@ type WCCResult struct {
 
 // Instance is a machine, aliases into a shared graph and kernel scratch.
 // Run methods may be called repeatedly (e.g., 32 roots); instances are
-// not safe for concurrent use.
+// not safe for concurrent use. A Decl's New makes one.
 type Instance interface {
-	// Bind points the instance at g and m, charging nothing. It drops all
-	// that came from the graph before (a mutated epoch, baselines,
-	// derived structure) and keeps the scratch: results are a new
-	// instance's, bit for bit. Bind(nil, nil) leaves the scratch alone.
-	Bind(g *graph.Simple, m *simmachine.Machine)
+	// Bind points the instance at g and m with the knobs in o, charging
+	// nothing. It drops all that came from the graph before (a mutated
+	// epoch, baselines, derived structure) and keeps the scratch: results
+	// are a new instance's, bit for bit. g is shared between every
+	// instance of a run and read-only: an instance aliases its arrays and
+	// never writes to them, takes what it derives from g through
+	// graph.Derive (built once per graph, whoever is charged for it), and
+	// keeps no reference to g itself. Bind(nil, nil, Options{}) leaves
+	// the scratch alone.
+	Bind(g *graph.Simple, m *simmachine.Machine, o Options)
 	// BuildStructure charges the construction of the bound graph's
 	// structure, once per Bind: the separately-timed phase, or for an
-	// engine that builds while it reads (SeparateConstruction false) the
-	// combined read+build, which LoadSimple has already charged.
+	// engine that builds while it reads (Decl.SeparateConstruction false)
+	// the combined read+build.
 	BuildStructure()
 
 	BFS(root graph.VID) (*BFSResult, error)
@@ -140,104 +146,9 @@ type Instance interface {
 	WCC() (*WCCResult, error)
 }
 
-// Engine is one of the five systems under study.
-type Engine interface {
-	Name() string
-	// Has reports whether the engine provides a reference
-	// implementation of alg (PowerGraph famously lacks BFS).
-	Has(alg Algorithm) bool
-	// SeparateConstruction reports whether graph construction is a
-	// distinct, separately-timed phase.
-	SeparateConstruction() bool
-	// LoadSimple is a new instance bound to g and m (Instance.Bind). For
-	// engines without a separate construction phase it also charges the
-	// combined read+build. g is shared between every instance of a run
-	// and read-only: an instance aliases its arrays and never writes to
-	// them, takes what it derives from g through graph.Derive (built
-	// once per graph, whoever is charged for it), and keeps no reference
-	// to g itself.
-	LoadSimple(g *graph.Simple, m *simmachine.Machine) (Instance, error)
-	// Load is LoadSimple on a graph homogenized for this instance alone
-	// (see LoadEdgeList).
-	Load(el *graph.EdgeList, m *simmachine.Machine) (Instance, error)
-}
-
-// LoadEdgeList is every engine's Load: homogenize el, hand it to
-// LoadSimple.
-func LoadEdgeList(e Engine, el *graph.EdgeList, m *simmachine.Machine) (Instance, error) {
-	g, err := graph.Homogenize(el)
-	if err != nil {
-		return nil, err
-	}
-	return e.LoadSimple(g, m)
-}
-
-// SyncSSSPSetter is implemented by engines whose SSSP has an optional
-// synchronous mode (GAP's bucket-barrier delta-stepping, GraphBIG's
-// round-barrier relaxation). The synchronous mode makes parents,
-// relaxation counts, and modeled durations schedule-independent; the
-// default preserves the real systems' racy character. The harness
-// enables it from Spec.SyncSSSP. Instances read the flag live, so it
-// may be toggled before or after Load — it takes effect at the next
-// SSSP call.
-type SyncSSSPSetter interface {
-	SetSyncSSSP(on bool)
-}
-
-// CompressSetter is implemented by engines that can traverse a
-// delta+varint byte-compressed adjacency (graph.CompressedCSR) in
-// their BFS/PageRank inner loops — GAP and Graph500 in this
-// reproduction. The harness enables it from Spec.Compress before
-// Load, since an instance takes its compressed structure at Bind.
-// Outputs must be identical to the uncompressed run;
-// only the modeled decode/bandwidth costs move.
-type CompressSetter interface {
-	SetCompress(on bool)
-}
-
 // ErrUnsupported is returned by instances for algorithms the engine
 // does not provide.
 var ErrUnsupported = fmt.Errorf("engines: algorithm not provided by this engine")
-
-// Registry maps engine names to constructors, in the paper's order.
-type Registry struct {
-	names    []string
-	builders map[string]func() Engine
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{builders: make(map[string]func() Engine)}
-}
-
-// Register adds a constructor; duplicate names panic (programmer
-// error at init time).
-func (r *Registry) Register(name string, f func() Engine) {
-	if _, dup := r.builders[name]; dup {
-		panic("engines: duplicate registration of " + name)
-	}
-	r.names = append(r.names, name)
-	r.builders[name] = f
-}
-
-// Names returns registered engine names in registration order.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.names))
-	copy(out, r.names)
-	return out
-}
-
-// New builds the named engine.
-func (r *Registry) New(name string) (Engine, error) {
-	f, ok := r.builders[name]
-	if !ok {
-		known := make([]string, len(r.names))
-		copy(known, r.names)
-		sort.Strings(known)
-		return nil, fmt.Errorf("engines: unknown engine %q (have %v)", name, known)
-	}
-	return f(), nil
-}
 
 // RunAlgorithm dispatches alg on inst with homogenized defaults and
 // returns the kernel's result (*BFSResult, *PRResult, …).

@@ -71,10 +71,10 @@ func (inst *Instance) BFSInto(root graph.VID, dst *engines.BFSResult) (*engines.
 	// for cancellation once per level) and the shared top-down step.
 	err := tr.Levels("gap: BFS", func(level int64) int {
 		wasBottomUp := bottomUp
-		if inst.eng.Alpha > 0 {
-			if !bottomUp && scout > edgesUnexplored/int64(inst.eng.Alpha) {
+		if inst.Alpha > 0 {
+			if !bottomUp && scout > edgesUnexplored/int64(inst.Alpha) {
 				bottomUp = true
-			} else if bottomUp && int64(frontierLen) < int64(n)/int64(inst.eng.Beta) {
+			} else if bottomUp && int64(frontierLen) < int64(n)/int64(inst.Beta) {
 				bottomUp = false
 			}
 		}

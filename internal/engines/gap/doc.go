@@ -13,7 +13,7 @@
 //     untuned);
 //   - delta-stepping SSSP with a configurable Δ — chaotic CAS-racing
 //     relaxation by default, or a synchronous bucket-barrier variant
-//     (Engine.SyncSSSP) whose parents, relaxation counts, and modeled
+//     (the SyncSSSP knob) whose parents, relaxation counts, and modeled
 //     durations are schedule-independent;
 //   - pull-based PageRank in float64 with the homogenized L1 stopping
 //     criterion;

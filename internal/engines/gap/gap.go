@@ -81,59 +81,42 @@ var (
 	ccJump    = traverse.SweepProfile{Vertex: simmachine.Cost{Cycles: 6, Bytes: 12}}
 )
 
-// Engine is the GAP Benchmark Suite analogue.
-type Engine struct {
+// Decl declares the GAP Benchmark Suite analogue. The suite provides
+// BFS, SSSP, PR and CC (reported as WCC here); it has no CDLP or LCC
+// reference. It builds its CSR in a distinct, timed phase, and it is
+// the one engine with every knob: the synchronous bucket-barrier
+// delta-stepping (each relaxation pass gathers candidate updates against
+// a distance snapshot and applies them in chunk order, where the real
+// suite's CAS races are part of its character), the compressed row
+// source of BFS and PageRank (SSSP and WCC keep the raw CSR: the weight
+// stream is not compressed), and the streaming phase.
+var Decl = engines.Decl{
+	Name:                 "GAP",
+	Kernels:              []engines.Algorithm{engines.BFS, engines.PageRank, engines.SSSP, engines.WCC},
+	SeparateConstruction: true,
+	Knobs:                engines.Options{SyncSSSP: true, Compress: true, Mutations: true},
+	New:                  func() engines.Instance { return &Instance{Params: DefaultParams} },
+}
+
+// Params are the suite's tunables (tune.go searches them): the
+// direction-optimizing BFS switch (Alpha <= 0 never goes bottom-up) and
+// the delta-stepping bucket width (<= 0 means DefaultDelta).
+type Params struct {
 	Alpha int
 	Beta  int
 	Delta float64
-	// SyncSSSP selects the synchronous bucket-barrier delta-stepping
-	// variant: each relaxation pass gathers candidate updates against
-	// a distance snapshot and applies them in chunk order, so parents,
-	// relaxation counts, bucket composition, and modeled durations are
-	// schedule-independent. Off by default — the real suite's
-	// CAS-racing relaxation is part of its character.
-	SyncSSSP bool
-	// Compress builds delta+varint compressed adjacency alongside the
-	// raw CSR and makes it the row source of BFS and PageRank
-	// (Spec.Compress; see outRows and inRows). Outputs are identical to
-	// the raw run; modeled costs switch to compressed bytes plus
-	// Model.DecodeCyclesPerByte. SSSP and WCC keep the raw CSR (the
-	// weight stream is not compressed).
-	Compress bool
 }
 
-// SetSyncSSSP implements engines.SyncSSSPSetter.
-func (e *Engine) SetSyncSSSP(on bool) { e.SyncSSSP = on }
-
-// SetCompress implements engines.CompressSetter.
-func (e *Engine) SetCompress(on bool) { e.Compress = on }
-
-// New returns the engine with the paper's default parameterization.
-func New() *Engine {
-	return &Engine{Alpha: DefaultAlpha, Beta: DefaultBeta, Delta: DefaultDelta}
-}
-
-// Name implements engines.Engine.
-func (e *Engine) Name() string { return "GAP" }
-
-// SeparateConstruction implements engines.Engine: GAP builds its CSR
-// in a distinct, timed phase.
-func (e *Engine) SeparateConstruction() bool { return true }
-
-// Has implements engines.Engine. The suite provides BFS, SSSP, PR and
-// CC (reported as WCC here); it has no CDLP or LCC reference.
-func (e *Engine) Has(alg engines.Algorithm) bool {
-	switch alg {
-	case engines.BFS, engines.SSSP, engines.PageRank, engines.WCC:
-		return true
-	}
-	return false
-}
+// DefaultParams is the paper's untuned parameterization.
+var DefaultParams = Params{Alpha: DefaultAlpha, Beta: DefaultBeta, Delta: DefaultDelta}
 
 // Instance is a loaded GAP graph.
 type Instance struct {
-	eng *Engine
-	m   *simmachine.Machine
+	engines.Unsupported
+	// Params survive Bind; opts are the knobs of the last one.
+	Params
+	opts engines.Options
+	m    *simmachine.Machine
 
 	// out and in (the same CSR when the graph is undirected) start as
 	// the shared homogenized graph's rows, read-only, and move to
@@ -143,7 +126,7 @@ type Instance struct {
 	in         *graph.CSR
 	inputEdges int
 	built      bool
-	// Compressed siblings of out/in, present only when eng.Compress; the
+	// Compressed siblings of out/in, present only under Compress; the
 	// row selectors below hand them out in place of the raw CSR.
 	cout *graph.CompressedCSR
 	cin  *graph.CompressedCSR
@@ -175,20 +158,12 @@ type Instance struct {
 // hook must be cheap and must not call back into the instance.
 func (inst *Instance) SetCancel(check func() error) { inst.trav.Cancel = check }
 
-// LoadSimple implements engines.Engine: a new instance, bound. The
-// charged construction is BuildStructure (the separately-timed phase).
-func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
-	inst := &Instance{eng: e}
-	inst.Bind(g, m)
-	return inst, nil
-}
-
 // Bind implements engines.Instance. It captures the shared graph's rows,
 // and under Compress the graph's own compressed siblings (built by the
 // first instance that asks); a mutated epoch, the incremental baselines
 // and the record of BuildStructure go with the graph before.
-func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine) {
-	*inst = Instance{eng: inst.eng, m: m, trav: inst.trav, ws: inst.ws}
+func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine, o engines.Options) {
+	*inst = Instance{Params: inst.Params, opts: o, m: m, trav: inst.trav, ws: inst.ws}
 	if g == nil {
 		return
 	}
@@ -196,14 +171,9 @@ func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine) {
 	if inst.in == nil {
 		inst.in = g.Out
 	}
-	if inst.eng.Compress {
+	if o.Compress {
 		inst.cout, inst.cin = g.Compressed(inst.out), g.Compressed(inst.in)
 	}
-}
-
-// Load implements engines.Engine.
-func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instance, error) {
-	return engines.LoadEdgeList(e, el, m)
 }
 
 // BuildStructure implements engines.Instance: Kernel-1-style CSR
@@ -262,17 +232,6 @@ func (inst *Instance) inRows() pullRows {
 		return inst.cin
 	}
 	return inst.in
-}
-
-// CDLP implements engines.Instance; GAP has no CDLP reference.
-func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
-	return nil, engines.ErrUnsupported
-}
-
-// LCC implements engines.Instance; GAP has no LCC reference (the
-// suite's triangle count, a different kernel, is not ported).
-func (inst *Instance) LCC() (*engines.LCCResult, error) {
-	return nil, engines.ErrUnsupported
 }
 
 // Machine returns the simmachine this instance executes and charges

@@ -16,7 +16,10 @@ func machine(threads int) *simmachine.Machine {
 	return simmachine.New(simmachine.Haswell72(), threads)
 }
 
-func load(t *testing.T, e *Engine, el *graph.EdgeList, threads int) *Instance {
+// engine is the declared engine with no knobs requested.
+func engine() *engines.Engine { return &engines.Engine{Decl: &Decl} }
+
+func load(t *testing.T, e *engines.Engine, el *graph.EdgeList, threads int) *Instance {
 	t.Helper()
 	inst, err := e.Load(el, machine(threads))
 	if err != nil {
@@ -31,27 +34,27 @@ func kron(scale int, seed uint64) *graph.EdgeList {
 }
 
 func TestEngineMetadata(t *testing.T) {
-	e := New()
-	if e.Name() != "GAP" {
-		t.Errorf("name = %q", e.Name())
+	e := engine()
+	if e.Name != "GAP" {
+		t.Errorf("name = %q", e.Name)
 	}
-	if !e.SeparateConstruction() {
+	if !e.SeparateConstruction {
 		t.Error("GAP must have a separate construction phase")
 	}
-	if e.Alpha != DefaultAlpha || e.Beta != DefaultBeta {
-		t.Error("defaults not applied")
+	if p := e.New().(*Instance).Params; p.Alpha != DefaultAlpha || p.Beta != DefaultBeta || p.Delta != DefaultDelta {
+		t.Errorf("defaults not applied: %+v", p)
 	}
 }
 
 func TestLoadRejectsInvalid(t *testing.T) {
 	bad := &graph.EdgeList{NumVertices: 2, Edges: []graph.Edge{{Src: 0, Dst: 9}}}
-	if _, err := New().Load(bad, machine(2)); err == nil {
+	if _, err := engine().Load(bad, machine(2)); err == nil {
 		t.Error("invalid edge list accepted")
 	}
 }
 
 func TestUnsupportedAlgorithms(t *testing.T) {
-	inst := load(t, New(), kron(6, 1), 2)
+	inst := load(t, engine(), kron(6, 1), 2)
 	if _, err := inst.CDLP(5); !errors.Is(err, engines.ErrUnsupported) {
 		t.Error("CDLP should be unsupported")
 	}
@@ -66,7 +69,7 @@ func TestDirectionOptimizationTriggers(t *testing.T) {
 	// (which is ~every directed edge).
 	el := kron(12, 5)
 	p := verify.Prepare(el)
-	inst := load(t, New(), el, 8)
+	inst := load(t, engine(), el, 8)
 	var root graph.VID
 	for v := 0; v < p.Out.NumVertices; v++ {
 		if p.Out.Degree(graph.VID(v)) > 1 {
@@ -95,9 +98,8 @@ func TestAlphaDisablesBottomUp(t *testing.T) {
 	// of every reached vertex.
 	el := kron(10, 9)
 	p := verify.Prepare(el)
-	e := New()
-	e.Alpha = 0
-	inst := load(t, e, el, 4)
+	inst := load(t, engine(), el, 4)
+	inst.Alpha = 0
 	root := graph.VID(0)
 	for v := 0; v < p.Out.NumVertices; v++ {
 		if p.Out.Degree(graph.VID(v)) > 1 {
@@ -134,9 +136,8 @@ func TestSSSPDeltaInsensitivity(t *testing.T) {
 	}
 	ref := verify.SSSP(p, root)
 	for _, delta := range []float64{0.05, 0.25, 1.5} {
-		e := New()
-		e.Delta = delta
-		inst := load(t, e, el, 4)
+		inst := load(t, engine(), el, 4)
+		inst.Delta = delta
 		res, err := inst.SSSP(root)
 		if err != nil {
 			t.Fatal(err)
@@ -150,7 +151,7 @@ func TestSSSPDeltaInsensitivity(t *testing.T) {
 func TestSSSPUnweightedUnsupported(t *testing.T) {
 	el := &graph.EdgeList{NumVertices: 3, Directed: true,
 		Edges: []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}}
-	inst := load(t, New(), el, 2)
+	inst := load(t, engine(), el, 2)
 	if _, err := inst.SSSP(0); !errors.Is(err, engines.ErrUnsupported) {
 		t.Errorf("err = %v, want ErrUnsupported", err)
 	}
@@ -158,7 +159,7 @@ func TestSSSPUnweightedUnsupported(t *testing.T) {
 
 func TestPageRankConvergesAndNormalizes(t *testing.T) {
 	el := kron(10, 7)
-	inst := load(t, New(), el, 4)
+	inst := load(t, engine(), el, 4)
 	res, err := inst.PageRank(engines.PROpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +199,7 @@ func TestBFSModelTimeScalesDown(t *testing.T) {
 		}
 	}
 	elapsed := func(threads int) float64 {
-		inst := load(t, New(), el, threads)
+		inst := load(t, engine(), el, threads)
 		m := inst.m
 		start := m.Elapsed()
 		if _, err := inst.BFS(root); err != nil {
@@ -217,7 +218,7 @@ func TestBFSModelTimeScalesDown(t *testing.T) {
 
 func TestBuildStructureChargesTime(t *testing.T) {
 	m := machine(8)
-	inst, err := New().Load(kron(12, 4), m)
+	inst, err := engine().Load(kron(12, 4), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestWCCMatchesReference(t *testing.T) {
 	el := kron(10, 13)
 	p := verify.Prepare(el)
 	ref := verify.WCC(p)
-	inst := load(t, New(), el, 4)
+	inst := load(t, engine(), el, 4)
 	got, err := inst.WCC()
 	if err != nil {
 		t.Fatal(err)

@@ -31,11 +31,11 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 	}
 	ws := &inst.ws
 	res := traverse.StartSSSP(dst, root, inst.n)
-	if inst.eng.SyncSSSP {
+	if inst.opts.SyncSSSP {
 		return inst.ssspSync(ws, res)
 	}
 	n := inst.n
-	delta := inst.eng.Delta
+	delta := inst.Delta
 	if delta <= 0 {
 		delta = DefaultDelta
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // ssspSync is the synchronous bucket-barrier variant of delta-stepping
-// (Engine.SyncSSSP). The bucket structure is identical to the chaotic
+// (the SyncSSSP knob). The bucket structure is identical to the chaotic
 // version; what changes is the inner relaxation pass, which becomes the
 // shared gather/apply pair (traverse.State.Relax): candidates gathered
 // against a distance snapshot, merged serially in chunk order. GAP's
@@ -22,7 +22,7 @@ import (
 // speed), which the chaotic default does not pay.
 func (inst *Instance) ssspSync(ws *workspace, res *engines.SSSPResult) (*engines.SSSPResult, error) {
 	tr := &inst.trav
-	delta := inst.eng.Delta
+	delta := inst.Delta
 	if delta <= 0 {
 		delta = DefaultDelta
 	}

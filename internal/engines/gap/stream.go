@@ -30,10 +30,6 @@ var (
 	costCCRelabel = simmachine.Cost{Cycles: 2, Bytes: 16}
 )
 
-// SupportsMutations implements engines.MutationSupporter: GAP
-// instances implement engines.Streamer.
-func (e *Engine) SupportsMutations() bool { return true }
-
 // streamState is the mutation overlay: dirty sets accumulated across
 // Mutate calls plus the cached baselines the incremental maintainers
 // patch against. Allocated lazily — plain static runs never pay for
@@ -162,7 +158,7 @@ func (inst *Instance) Mutate(batch graph.Batch) (*engines.MutationReport, error)
 	inst.m.ChargeUniform(int(edgesTouched), 4096, simmachine.Dynamic, costMutRowEdge)
 	inst.m.ChargeUniform(int(copied), 4096, simmachine.Dynamic, costMutCopyEdge)
 
-	if inst.eng.Compress {
+	if inst.opts.Compress {
 		// The compressed siblings are rebuilt whole; mutation-aware
 		// re-encoding of dirty rows only is a named follow-up.
 		inst.m.ChargeUniform(int(inst.out.NumEdges()), 4096, simmachine.Dynamic, costCompressEdge)

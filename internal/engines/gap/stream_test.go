@@ -101,7 +101,7 @@ func labelsEqual(t *testing.T, got, want *engines.WCCResult, ctx string) {
 // freshPR runs a cold full PageRank on the post-batch graph.
 func freshPR(t *testing.T, el *graph.EdgeList, threads int) *engines.PRResult {
 	t.Helper()
-	inst := load(t, New(), el, threads)
+	inst := load(t, engine(), el, threads)
 	res, err := inst.PageRank(engines.DefaultPROpts())
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func freshPR(t *testing.T, el *graph.EdgeList, threads int) *engines.PRResult {
 
 func freshWCC(t *testing.T, el *graph.EdgeList, threads int) *engines.WCCResult {
 	t.Helper()
-	inst := load(t, New(), el, threads)
+	inst := load(t, engine(), el, threads)
 	res, err := inst.WCC()
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestIncrementalPageRankBitEqualFullRecompute(t *testing.T) {
 			el.Directed = directed
 			var prevRanks []float64
 			for _, threads := range []int{2, 8} {
-				inst := load(t, New(), el, threads)
+				inst := load(t, engine(), el, threads)
 				if _, err := inst.IncrementalPageRank(engines.DefaultPROpts()); err != nil {
 					t.Fatal(err)
 				}
@@ -178,7 +178,7 @@ func TestIncrementalPageRankBeyondCachedHorizon(t *testing.T) {
 	for v := 0; v < n; v++ {
 		el.Edges = append(el.Edges, graph.Edge{Src: graph.VID(v), Dst: graph.VID((v + 1) % n)})
 	}
-	inst := load(t, New(), el, 4)
+	inst := load(t, engine(), el, 4)
 	base, err := inst.IncrementalPageRank(engines.DefaultPROpts())
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestIncrementalPageRankSeveralIterationsBeyondHorizon(t *testing.T) {
 		el.Edges = append(el.Edges, graph.Edge{Src: graph.VID(v), Dst: graph.VID((v + 1) % n)})
 	}
 	for _, workers := range []int{1, 4} {
-		inst := load(t, New(), el, 4)
+		inst := load(t, engine(), el, 4)
 		inst.Machine().SetWorkers(workers)
 		base, err := inst.IncrementalPageRank(engines.DefaultPROpts())
 		if err != nil {
@@ -254,7 +254,7 @@ func TestIncrementalPageRankSeveralIterationsBeyondHorizon(t *testing.T) {
 func TestIncrementalPageRankDanglingShift(t *testing.T) {
 	el := kron(7, 9)
 	el.Directed = true
-	inst := load(t, New(), el, 4)
+	inst := load(t, engine(), el, 4)
 	if _, err := inst.IncrementalPageRank(engines.DefaultPROpts()); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestIncrementalWCCBitEqualFullRecompute(t *testing.T) {
 			// and merges actually occur.
 			el := randomSparseEL(seed, 96, 70, directed)
 			for _, threads := range []int{2, 8} {
-				inst := load(t, New(), el, threads)
+				inst := load(t, engine(), el, threads)
 				if _, err := inst.IncrementalWCC(); err != nil {
 					t.Fatal(err)
 				}
@@ -332,7 +332,7 @@ func TestReproStaleAddWCC(t *testing.T) {
 			{Src: 2, Dst: 3},
 		},
 	}
-	inst := load(t, New(), el, 2)
+	inst := load(t, engine(), el, 2)
 	if _, err := inst.IncrementalWCC(); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestDeleteThenReinsertWCCNetsToNothing(t *testing.T) {
 			{Src: 3, Dst: 4},
 		},
 	}
-	inst := load(t, New(), el, 2)
+	inst := load(t, engine(), el, 2)
 	if _, err := inst.IncrementalWCC(); err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestIncrementalWCCAcrossSkippedMaintains(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		for seed := uint64(1); seed <= 4; seed++ {
 			el := randomSparseEL(seed, 64, 48, directed)
-			inst := load(t, New(), el, 4)
+			inst := load(t, engine(), el, 4)
 			if _, err := inst.IncrementalWCC(); err != nil {
 				t.Fatal(err)
 			}
@@ -441,7 +441,7 @@ func randomSparseEL(seed uint64, n, m int, directed bool) *graph.EdgeList {
 // starve or corrupt either.
 func TestIncrementalMaintainersInterleaved(t *testing.T) {
 	el := kron(7, 4)
-	inst := load(t, New(), el, 4)
+	inst := load(t, engine(), el, 4)
 	if _, err := inst.IncrementalPageRank(engines.DefaultPROpts()); err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestIncrementalMaintainersInterleaved(t *testing.T) {
 // move.
 func TestIncrementalNoMutationIsFree(t *testing.T) {
 	el := kron(7, 2)
-	inst := load(t, New(), el, 4)
+	inst := load(t, engine(), el, 4)
 	base, err := inst.IncrementalPageRank(engines.DefaultPROpts())
 	if err != nil {
 		t.Fatal(err)
@@ -504,7 +504,7 @@ func TestIncrementalNoMutationIsFree(t *testing.T) {
 // clock — the whole point of the incremental path.
 func TestIncrementalCheaperThanRecompute(t *testing.T) {
 	el := kron(9, 6)
-	inst := load(t, New(), el, 8)
+	inst := load(t, engine(), el, 8)
 	if _, err := inst.IncrementalPageRank(engines.DefaultPROpts()); err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestIncrementalCheaperThanRecompute(t *testing.T) {
 	// Kernel-1 construction on the post-batch graph plus a cold
 	// PageRank.
 	m2 := machine(8)
-	ri, err := New().Load(elFromCSR(inst.Epoch().Out(), false), m2)
+	ri, err := engine().Load(elFromCSR(inst.Epoch().Out(), false), m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +541,7 @@ func TestIncrementalCheaperThanRecompute(t *testing.T) {
 // Mutate must reject malformed batches without touching the structure.
 func TestMutateRejectsInvalid(t *testing.T) {
 	el := kron(6, 1)
-	inst := load(t, New(), el, 2)
+	inst := load(t, engine(), el, 2)
 	before := inst.Epoch().Out()
 	if _, err := inst.Mutate(graph.Batch{{Op: graph.MutInsert, Src: 0, Dst: graph.VID(inst.n + 5)}}); err == nil {
 		t.Fatal("out-of-range mutation accepted")
@@ -563,7 +563,7 @@ func TestIncrementalPageRankTrajectoryShrinksThenGrows(t *testing.T) {
 	for v := 0; v < n; v++ {
 		el.Edges = append(el.Edges, graph.Edge{Src: graph.VID(v), Dst: graph.VID((v + 1) % n)})
 	}
-	inst := load(t, New(), el, 4)
+	inst := load(t, engine(), el, 4)
 	maintain := func(ctx string, b graph.Batch) *engines.PRResult {
 		t.Helper()
 		if _, err := inst.Mutate(b); err != nil {
@@ -611,7 +611,7 @@ func TestIncrementalPageRankTrajectoryShrinksThenGrows(t *testing.T) {
 // heard from, and a call refused at that first poll must leave a
 // baseline the next call still converges from exactly.
 func TestCancelledMaintainLeavesBaselineWhole(t *testing.T) {
-	inst := load(t, New(), kron(9, 33), 4)
+	inst := load(t, engine(), kron(9, 33), 4)
 	r := xrand.New(5)
 	if _, err := inst.IncrementalPageRank(engines.DefaultPROpts()); err != nil {
 		t.Fatal(err)
@@ -675,7 +675,7 @@ func TestCancelledMaintainLeavesBaselineWhole(t *testing.T) {
 // trajectory, which is the only other thing a maintain may allocate for.
 func TestMaintainAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	inst := load(t, New(), kronecker.Generate(kronecker.Params{Scale: 12, EdgeFactor: 4, Seed: 5}), 8)
+	inst := load(t, engine(), kronecker.Generate(kronecker.Params{Scale: 12, EdgeFactor: 4, Seed: 5}), 8)
 	inst.m.SetTracing(false) // a trace grows by design
 	for _, f := range []func() error{
 		func() error { _, err := inst.IncrementalPageRank(engines.DefaultPROpts()); return err },

@@ -77,13 +77,13 @@ func measure(el *graph.EdgeList, model simmachine.Model, threads int, roots []gr
 	if err != nil {
 		return 0, err
 	}
-	inst := &Instance{eng: new(Engine)}
+	inst := new(Instance)
 	for i := range sweep {
 		c := &sweep[i]
-		*inst.eng = Engine{Alpha: c.Alpha, Beta: c.Beta, Delta: c.Delta}
+		inst.Params = Params{Alpha: c.Alpha, Beta: c.Beta, Delta: c.Delta}
 		m := simmachine.New(model, threads)
 		m.SetTracing(false)
-		inst.Bind(g, m)
+		inst.Bind(g, m, engines.Options{})
 		inst.BuildStructure()
 		start := m.Elapsed()
 		for _, r := range roots {

@@ -26,8 +26,8 @@ func rootsOf(c *graph.CSR, count int) []graph.VID {
 // one under test.
 func loadWith(t *testing.T, el *graph.EdgeList, workers int, compress, sync bool) *Instance {
 	t.Helper()
-	e := New()
-	e.Compress, e.SyncSSSP = compress, sync
+	e := engine()
+	engines.Configure(e, engines.Options{Compress: compress, SyncSSSP: sync})
 	inst := load(t, e, el, 8)
 	inst.m.SetWorkers(workers)
 	return inst
@@ -125,7 +125,7 @@ func TestReusedWorkspaceBitEqualFreshInstance(t *testing.T) {
 // A dst that is too small (or nil) is replaced, not overrun; one that
 // is large enough is reused in place.
 func TestIntoReusesOnlyLargeEnoughDst(t *testing.T) {
-	inst := load(t, New(), kron(8, 3), 4)
+	inst := load(t, engine(), kron(8, 3), 4)
 	root := rootsOf(inst.Epoch().Out(), 1)[0]
 	small := &engines.BFSResult{Parent: make([]int64, 3), Depth: make([]int64, 3)}
 	res, err := inst.BFSInto(root, small)
@@ -157,8 +157,8 @@ func TestIntoReusesOnlyLargeEnoughDst(t *testing.T) {
 // chunk alone was 5.5 KB a BFS, and one n-sized array is 32 KB.
 func TestWarmTraversalAllocationBound(t *testing.T) {
 	const boundBFS, boundSSSP = 4 << 10, 17 << 10
-	e := New()
-	e.SyncSSSP = true
+	e := engine()
+	engines.Configure(e, engines.Options{SyncSSSP: true})
 	inst := load(t, e, kron(12, 5), 8)
 	inst.m.SetTracing(false) // a trace grows by design
 	inst.m.SetWorkers(2)
@@ -193,9 +193,10 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 func TestWarmSharedStepEnginesAllocateOnlyResults(t *testing.T) {
 	const bound = 64 << 10
 	el := kron(12, 5)
-	roots := rootsOf(load(t, New(), el, 8).Epoch().Out(), 8)
+	roots := rootsOf(load(t, engine(), el, 8).Epoch().Out(), 8)
 	results := uint64(2 * 8 * el.NumVertices)
-	for _, eng := range []engines.Engine{graph500.New(), graphbig.New()} {
+	for _, d := range []*engines.Decl{&graph500.Decl, &graphbig.Decl} {
+		eng := &engines.Engine{Decl: d}
 		m := machine(8)
 		m.SetTracing(false)
 		m.SetWorkers(2)
@@ -211,10 +212,10 @@ func TestWarmSharedStepEnginesAllocateOnlyResults(t *testing.T) {
 			}
 			i++
 		})
-		t.Logf("warm %s BFS %d B/call, %d B of it the result arrays", eng.Name(), per, results)
+		t.Logf("warm %s BFS %d B/call, %d B of it the result arrays", eng.Name, per, results)
 		if per >= results+bound {
 			t.Fatalf("warm %s BFS allocates %d B per call beyond its %d B result arrays; bound %d",
-				eng.Name(), per-results, results, bound)
+				eng.Name, per-results, results, bound)
 		}
 	}
 }
@@ -244,7 +245,7 @@ func (ws *workspace) regionBytes() [2]int {
 // between regions, and once more after each call.
 func TestWorkspaceRetentionBoundedByLargestRegion(t *testing.T) {
 	const workers = 2
-	inst := load(t, New(), kron(12, 9), 8)
+	inst := load(t, engine(), kron(12, 9), 8)
 	inst.m.SetWorkers(workers)
 	var peak [2]int
 	observe := func() error {

@@ -35,39 +35,27 @@ var kernel2 = traverse.Profile{
 	VertexCycles: 6, Grain: 128, Sched: simmachine.Static,
 }
 
-// Engine is the Graph500 reference analogue.
-type Engine struct {
-	// Compress switches Kernel 2's neighbor scan to the delta+varint
-	// compressed adjacency (Spec.Compress). Parents, depths, and edge
-	// counts are identical to the raw run; only the modeled costs move.
-	Compress bool
+// Decl declares the Graph500 reference analogue: BFS only (Kernel 2),
+// with Kernel 1 timed as its own phase. Under Compress Kernel 2 scans
+// the delta+varint compressed adjacency: parents, depths and edge
+// counts are the raw run's, only the modeled costs move.
+var Decl = engines.Decl{
+	Name:                 "Graph500",
+	Kernels:              []engines.Algorithm{engines.BFS},
+	SeparateConstruction: true,
+	Knobs:                engines.Options{Compress: true},
+	New:                  func() engines.Instance { return new(Instance) },
 }
-
-// New returns the engine.
-func New() *Engine { return &Engine{} }
-
-// SetCompress implements engines.CompressSetter.
-func (e *Engine) SetCompress(on bool) { e.Compress = on }
-
-// Name implements engines.Engine.
-func (e *Engine) Name() string { return "Graph500" }
-
-// SeparateConstruction implements engines.Engine: Kernel 1 is timed
-// separately from the search kernel.
-func (e *Engine) SeparateConstruction() bool { return true }
-
-// Has implements engines.Engine: the Graph500 is BFS-only.
-func (e *Engine) Has(alg engines.Algorithm) bool { return alg == engines.BFS }
 
 // Instance is a Graph500 graph on a machine.
 type Instance struct {
-	eng *Engine
-	m   *simmachine.Machine
+	engines.Unsupported
+	m *simmachine.Machine
 	// csr is the shared homogenized out-adjacency, read-only;
 	// inputEdges sizes Kernel 1's charge.
 	csr        *graph.CSR
 	inputEdges int
-	// rows is what Kernel 2 expands: csr, or under Engine.Compress the
+	// rows is what Kernel 2 expands: csr, or under Compress the
 	// graph's delta+varint compressed sibling. built records that
 	// Kernel 1 was charged.
 	rows  traverse.Rows
@@ -75,28 +63,16 @@ type Instance struct {
 	trav  traverse.State
 }
 
-// LoadSimple implements engines.Engine: a new instance, bound.
-func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
-	inst := &Instance{eng: e}
-	inst.Bind(g, m)
-	return inst, nil
-}
-
 // Bind implements engines.Instance.
-func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine) {
-	*inst = Instance{eng: inst.eng, m: m, trav: inst.trav}
+func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine, o engines.Options) {
+	*inst = Instance{m: m, trav: inst.trav}
 	if g == nil {
 		return
 	}
 	inst.csr, inst.inputEdges, inst.rows = g.Out, g.InputEdges, g.Out
-	if inst.eng.Compress {
+	if o.Compress {
 		inst.rows = g.Compressed(g.Out)
 	}
-}
-
-// Load implements engines.Engine.
-func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instance, error) {
-	return engines.LoadEdgeList(e, el, m)
 }
 
 // BuildStructure implements engines.Instance (Kernel 1).
@@ -121,29 +97,4 @@ func (inst *Instance) BuildStructure() {
 func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 	inst.BuildStructure()
 	return inst.trav.BFS(inst.m, inst.rows, &kernel2, "graph500: BFS", inst.csr.NumVertices, root)
-}
-
-// SSSP implements engines.Instance; not part of the benchmark.
-func (inst *Instance) SSSP(graph.VID) (*engines.SSSPResult, error) {
-	return nil, engines.ErrUnsupported
-}
-
-// PageRank implements engines.Instance; not part of the benchmark.
-func (inst *Instance) PageRank(engines.PROpts) (*engines.PRResult, error) {
-	return nil, engines.ErrUnsupported
-}
-
-// CDLP implements engines.Instance; not part of the benchmark.
-func (inst *Instance) CDLP(int) (*engines.CDLPResult, error) {
-	return nil, engines.ErrUnsupported
-}
-
-// LCC implements engines.Instance; not part of the benchmark.
-func (inst *Instance) LCC() (*engines.LCCResult, error) {
-	return nil, engines.ErrUnsupported
-}
-
-// WCC implements engines.Instance; not part of the benchmark.
-func (inst *Instance) WCC() (*engines.WCCResult, error) {
-	return nil, engines.ErrUnsupported
 }

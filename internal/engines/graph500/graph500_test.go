@@ -15,12 +15,15 @@ func machine(threads int) *simmachine.Machine {
 	return simmachine.New(simmachine.Haswell72(), threads)
 }
 
+// engine is the declared engine with no knobs requested.
+func engine() *engines.Engine { return &engines.Engine{Decl: &Decl} }
+
 func TestMetadata(t *testing.T) {
-	e := New()
-	if e.Name() != "Graph500" {
-		t.Errorf("name = %q", e.Name())
+	e := engine()
+	if e.Name != "Graph500" {
+		t.Errorf("name = %q", e.Name)
 	}
-	if !e.SeparateConstruction() {
+	if !e.SeparateConstruction {
 		t.Error("Kernel 1 must be a separate phase")
 	}
 	if !e.Has(engines.BFS) {
@@ -35,7 +38,7 @@ func TestMetadata(t *testing.T) {
 
 func TestOnlyBFSRuns(t *testing.T) {
 	el := kronecker.Generate(kronecker.Params{Scale: 8, Seed: 1})
-	inst, err := New().Load(el, machine(2))
+	inst, err := engine().Load(el, machine(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func TestBFSValidAcrossRoots(t *testing.T) {
 	// back-to-back. Validate each against the reference.
 	el := kronecker.Generate(kronecker.Params{Scale: 10, Seed: 6})
 	p := verify.Prepare(el)
-	inst, err := New().Load(el, machine(4))
+	inst, err := engine().Load(el, machine(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func TestBFSValidAcrossRoots(t *testing.T) {
 
 func TestBFSWithoutExplicitBuild(t *testing.T) {
 	el := kronecker.Generate(kronecker.Params{Scale: 8, Seed: 2})
-	inst, err := New().Load(el, machine(2))
+	inst, err := engine().Load(el, machine(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +113,7 @@ func TestStaticSchedulingCharged(t *testing.T) {
 	el := kronecker.Generate(kronecker.Params{Scale: 12, Seed: 3})
 	run := func(threads int) float64 {
 		m := machine(threads)
-		inst, err := New().Load(el, m)
+		inst, err := engine().Load(el, m)
 		if err != nil {
 			t.Fatal(err)
 		}

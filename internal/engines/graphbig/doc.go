@@ -13,7 +13,7 @@
 //     atomics (System G uses fine-grained locks), making GraphBIG the
 //     most synchronization-heavy shared-memory system in the study;
 //   - SSSP is chaotic parallel Bellman-Ford relaxation by default; a
-//     synchronous round-barrier variant (Engine.SyncSSSP) makes its
+//     synchronous round-barrier variant (the SyncSSSP knob) makes its
 //     parents, relaxation counts, and modeled durations
 //     schedule-independent;
 //   - PageRank computes in float32 (single-precision vertex

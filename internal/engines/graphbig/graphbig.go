@@ -52,38 +52,18 @@ var (
 	wccHook    = traverse.SweepProfile{Edge: costWCCEdge}
 )
 
-// Engine is the GraphBIG analogue.
-type Engine struct {
-	// SyncSSSP selects the synchronous round-barrier relaxation
-	// variant: each Bellman-Ford round gathers candidate updates
-	// against a distance snapshot and applies them in chunk order, so
-	// parents, relaxation counts, frontier composition, and modeled
-	// durations are schedule-independent. Off by default — System G's
-	// chaotic parallel relaxation is part of its character.
-	SyncSSSP bool
-}
-
-// New returns the engine.
-func New() *Engine { return &Engine{} }
-
-// SetSyncSSSP implements engines.SyncSSSPSetter.
-func (e *Engine) SetSyncSSSP(on bool) { e.SyncSSSP = on }
-
-// Name implements engines.Engine.
-func (e *Engine) Name() string { return "GraphBIG" }
-
-// SeparateConstruction implements engines.Engine: GraphBIG reads the
-// file and builds the graph simultaneously.
-func (e *Engine) SeparateConstruction() bool { return false }
-
-// Has implements engines.Engine.
-func (e *Engine) Has(alg engines.Algorithm) bool {
-	switch alg {
-	case engines.BFS, engines.SSSP, engines.PageRank,
-		engines.CDLP, engines.LCC, engines.WCC:
-		return true
-	}
-	return false
+// Decl declares the GraphBIG analogue: all six kernels, the graph read
+// and built in one phase. Its one knob is the synchronous round-barrier
+// relaxation: each Bellman-Ford round gathers candidate updates against
+// a distance snapshot and applies them in chunk order, so parents,
+// relaxation counts, frontier composition and modeled durations are
+// schedule-independent, where System G's chaotic parallel relaxation is
+// part of its character.
+var Decl = engines.Decl{
+	Name:    "GraphBIG",
+	Kernels: []engines.Algorithm{engines.BFS, engines.CDLP, engines.LCC, engines.PageRank, engines.SSSP, engines.WCC},
+	Knobs:   engines.Options{SyncSSSP: true},
+	New:     func() engines.Instance { return new(Instance) },
 }
 
 // vertexProp is the per-vertex property object's adjacency. The table
@@ -111,7 +91,7 @@ func (g inProps) Encoded() bool                                       { return f
 
 // Instance is a GraphBIG property graph on a machine.
 type Instance struct {
-	eng      *Engine
+	opts     engines.Options
 	m        *simmachine.Machine
 	vertices propertyGraph
 	directed bool
@@ -141,21 +121,12 @@ type scratch struct {
 
 type propertyKind struct{}
 
-// LoadSimple implements engines.Engine: a new instance, bound, with its
-// combined read+build charged.
-func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
-	inst := &Instance{eng: e}
-	inst.Bind(g, m)
-	inst.BuildStructure()
-	return inst, nil
-}
-
 // Bind implements engines.Instance. The homogenized graph is
 // re-materialized as per-vertex property objects whose rows alias the
 // shared arrays; the table is the graph's own (graph.Derive), built by
 // the first instance bound to it.
-func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine) {
-	*inst = Instance{eng: inst.eng, m: m, trav: inst.trav, scratch: inst.scratch}
+func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine, o engines.Options) {
+	*inst = Instance{opts: o, m: m, trav: inst.trav, scratch: inst.scratch}
 	if g == nil {
 		return
 	}
@@ -173,19 +144,14 @@ func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine) {
 	})
 }
 
-// Load implements engines.Engine.
-func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instance, error) {
-	return engines.LoadEdgeList(e, el, m)
-}
-
 // BuildStructure implements engines.Instance: reading and construction
-// are one phase, charged once per bind — by LoadSimple, so after a load
-// this is a no-op.
+// are one phase, charged once per bind — by LoadSimple (or
+// harness.Load), so after a load this is a no-op.
 func (inst *Instance) BuildStructure() {
 	if inst.built {
 		return
 	}
-	inst.m.FileRead(int64(inst.inputEdges)*16, true)
+	inst.m.FileRead(int64(inst.inputEdges)*engines.BytesPerTextEdge, true)
 	inst.m.ParallelFor(inst.inputEdges, 2048, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
 		w.Charge(costLoadEdge.Scale(float64(hi - lo)))
 	})
@@ -215,7 +181,7 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 	if !inst.weighted {
 		return nil, engines.ErrUnsupported
 	}
-	if inst.eng.SyncSSSP {
+	if inst.opts.SyncSSSP {
 		return inst.ssspSync(root)
 	}
 	n := inst.n

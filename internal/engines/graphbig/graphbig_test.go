@@ -14,12 +14,15 @@ func machine(threads int) *simmachine.Machine {
 	return simmachine.New(simmachine.Haswell72(), threads)
 }
 
+// engine is the declared engine with no knobs requested.
+func engine() *engines.Engine { return &engines.Engine{Decl: &Decl} }
+
 func TestMetadata(t *testing.T) {
-	e := New()
-	if e.Name() != "GraphBIG" {
-		t.Errorf("name = %q", e.Name())
+	e := engine()
+	if e.Name != "GraphBIG" {
+		t.Errorf("name = %q", e.Name)
 	}
-	if e.SeparateConstruction() {
+	if e.SeparateConstruction {
 		t.Error("GraphBIG reads and builds simultaneously")
 	}
 	for _, alg := range engines.AllAlgorithms {
@@ -32,7 +35,7 @@ func TestMetadata(t *testing.T) {
 func TestLoadChargesCombinedReadBuild(t *testing.T) {
 	m := machine(4)
 	el := kronecker.Generate(kronecker.Params{Scale: 10, Seed: 1})
-	inst, err := New().Load(el, m)
+	inst, err := engine().Load(el, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestPageRankFloat32Iterations(t *testing.T) {
 	el := kronecker.Generate(kronecker.Params{Scale: 10, Seed: 2})
 	p := verify.Prepare(el)
 	ref := verify.PageRank(p, engines.PROpts{})
-	inst, err := New().Load(el, machine(4))
+	inst, err := engine().Load(el, machine(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestNeighborhoodDirected(t *testing.T) {
 			{Src: 0, Dst: 1}, {Src: 2, Dst: 0}, {Src: 0, Dst: 3}, {Src: 3, Dst: 0},
 		},
 	}
-	inst, err := New().Load(el, machine(1))
+	inst, err := engine().Load(el, machine(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +111,7 @@ func TestNeighborhoodDirected(t *testing.T) {
 func TestSSSPOnDenseWeightedGraph(t *testing.T) {
 	el := kronecker.Generate(kronecker.Params{Scale: 9, Seed: 8})
 	p := verify.Prepare(el)
-	inst, err := New().Load(el, machine(4))
+	inst, err := engine().Load(el, machine(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +136,7 @@ func TestSSSPOnDenseWeightedGraph(t *testing.T) {
 
 func TestCDLPIterationCap(t *testing.T) {
 	el := kronecker.Generate(kronecker.Params{Scale: 8, Seed: 4})
-	inst, err := New().Load(el, machine(2))
+	inst, err := engine().Load(el, machine(2))
 	if err != nil {
 		t.Fatal(err)
 	}

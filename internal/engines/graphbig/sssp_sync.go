@@ -9,7 +9,7 @@ import (
 )
 
 // ssspSync is the synchronous round-barrier variant of System G's
-// relaxation (Engine.SyncSSSP): Bellman-Ford rounds over an active
+// relaxation (the SyncSSSP knob): Bellman-Ford rounds over an active
 // frontier, each one the shared gather/apply pair
 // (traverse.State.Relax) over every out-edge. The next frontier is the
 // set of improved vertices in apply order, deduplicated per round.

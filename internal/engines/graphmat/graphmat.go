@@ -29,29 +29,15 @@ var (
 	lccLinks = traverse.SweepProfile{Work: costScanNZ, Vertex: costVecEntry}
 )
 
-// Engine is the GraphMat analogue.
-type Engine struct{}
-
-// New returns the engine.
-func New() *Engine { return &Engine{} }
-
-// Name implements engines.Engine.
-func (e *Engine) Name() string { return "GraphMat" }
-
-// SeparateConstruction implements engines.Engine: matrix construction
-// is a distinct phase (and the paper's GraphMat log excerpt times it
-// separately from the file read).
-func (e *Engine) SeparateConstruction() bool { return true }
-
-// Has implements engines.Engine: GraphMat's Graphalytics port covers
-// all six kernels.
-func (e *Engine) Has(alg engines.Algorithm) bool {
-	switch alg {
-	case engines.BFS, engines.SSSP, engines.PageRank,
-		engines.CDLP, engines.LCC, engines.WCC:
-		return true
-	}
-	return false
+// Decl declares the GraphMat analogue: its Graphalytics port covers all
+// six kernels, and matrix construction is a distinct phase (the paper's
+// GraphMat log excerpt times it separately from the file read). It has
+// no knobs.
+var Decl = engines.Decl{
+	Name:                 "GraphMat",
+	Kernels:              []engines.Algorithm{engines.BFS, engines.CDLP, engines.LCC, engines.PageRank, engines.SSSP, engines.WCC},
+	SeparateConstruction: true,
+	New:                  func() engines.Instance { return new(Instance) },
 }
 
 // storedRows lists, ascending, the vertices of c with at least one
@@ -107,17 +93,9 @@ type scratch struct {
 	spare []graph.VID  // the CDLP / WCC label array not handed out
 }
 
-// LoadSimple implements engines.Engine: a new instance, bound.
-// BuildStructure charges the construction.
-func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
-	inst := &Instance{}
-	inst.Bind(g, m)
-	return inst, nil
-}
-
 // Bind implements engines.Instance. The stored-row lists are the
 // graph's own (graph.Derive), built by the first instance bound to it.
-func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine) {
+func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine, _ engines.Options) {
 	*inst = Instance{m: m, trav: inst.trav, scratch: inst.scratch}
 	if g == nil {
 		return
@@ -133,11 +111,6 @@ func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine) {
 		inst.in = g.In
 		inst.inRows = stored(g.In)
 	}
-}
-
-// Load implements engines.Engine.
-func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instance, error) {
-	return engines.LoadEdgeList(e, el, m)
 }
 
 // BuildStructure implements engines.Instance: the charged build of the

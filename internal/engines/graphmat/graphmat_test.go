@@ -15,9 +15,12 @@ func machine(threads int) *simmachine.Machine {
 	return simmachine.New(simmachine.Haswell72(), threads)
 }
 
+// engine is the declared engine with no knobs requested.
+func engine() *engines.Engine { return &engines.Engine{Decl: &Decl} }
+
 func loadBuilt(t *testing.T, el *graph.EdgeList) *Instance {
 	t.Helper()
-	inst, err := New().Load(el, machine(4))
+	inst, err := engine().Load(el, machine(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +29,11 @@ func loadBuilt(t *testing.T, el *graph.EdgeList) *Instance {
 }
 
 func TestMetadata(t *testing.T) {
-	e := New()
-	if e.Name() != "GraphMat" {
-		t.Errorf("name = %q", e.Name())
+	e := engine()
+	if e.Name != "GraphMat" {
+		t.Errorf("name = %q", e.Name)
 	}
-	if !e.SeparateConstruction() {
+	if !e.SeparateConstruction {
 		t.Error("matrix construction is a separate phase")
 	}
 }
@@ -216,7 +219,7 @@ func TestConstructionSlowestAmongSeparatePhaseEngines(t *testing.T) {
 	// than GAP's on the same graph (DCSR compression passes).
 	el := kronecker.Generate(kronecker.Params{Scale: 12, Seed: 9})
 	mGM := machine(32)
-	instGM, _ := New().Load(el, mGM)
+	instGM, _ := engine().Load(el, mGM)
 	instGM.BuildStructure()
 	gmTime := mGM.Elapsed()
 	if gmTime <= 0 {
@@ -249,22 +252,16 @@ func TestReboundDirectedCDLPEqualsFresh(t *testing.T) {
 		return g
 	}
 	a, b := homogenize(3), homogenize(4)
-	inst, err := New().LoadSimple(a, machine(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst := engine().LoadSimple(a, machine(4))
 	if _, err := inst.CDLP(engines.DefaultCDLPIterations); err != nil {
 		t.Fatal(err)
 	}
-	inst.Bind(b, machine(4))
+	inst.Bind(b, machine(4), engines.Options{})
 	got, err := inst.CDLP(engines.DefaultCDLPIterations)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := New().LoadSimple(b, machine(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := engine().LoadSimple(b, machine(4))
 	want, err := fresh.CDLP(engines.DefaultCDLPIterations)
 	if err != nil {
 		t.Fatal(err)

@@ -36,27 +36,13 @@ var (
 // the shared partitioner enforces the same bound.
 const maxShards = graph.MaxVertexCutShards
 
-// Engine is the PowerGraph analogue.
-type Engine struct{}
-
-// New returns the engine.
-func New() *Engine { return &Engine{} }
-
-// Name implements engines.Engine.
-func (e *Engine) Name() string { return "PowerGraph" }
-
-// SeparateConstruction implements engines.Engine: PowerGraph ingests
-// and partitions while reading the input.
-func (e *Engine) SeparateConstruction() bool { return false }
-
-// Has implements engines.Engine: the toolkits cover everything here
-// except BFS.
-func (e *Engine) Has(alg engines.Algorithm) bool {
-	switch alg {
-	case engines.SSSP, engines.PageRank, engines.CDLP, engines.LCC, engines.WCC:
-		return true
-	}
-	return false
+// Decl declares the PowerGraph analogue: the toolkits cover everything
+// here except BFS, and PowerGraph ingests and partitions while reading
+// the input. It has no knobs.
+var Decl = engines.Decl{
+	Name:    "PowerGraph",
+	Kernels: []engines.Algorithm{engines.CDLP, engines.LCC, engines.PageRank, engines.SSSP, engines.WCC},
+	New:     func() engines.Instance { return new(Instance) },
 }
 
 type shardEdge struct {
@@ -79,6 +65,7 @@ type partitionKind struct{}
 
 // Instance is a partitioned PowerGraph graph on a machine.
 type Instance struct {
+	engines.Unsupported
 	m        *simmachine.Machine
 	n        int
 	directed bool
@@ -112,19 +99,10 @@ type scratch struct {
 	processed []int64     // per shard: gatherSweep
 }
 
-// LoadSimple implements engines.Engine: a new instance, bound, with its
-// combined read, homogenize and partition phase charged.
-func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) (engines.Instance, error) {
-	inst := &Instance{}
-	inst.Bind(g, m)
-	inst.BuildStructure()
-	return inst, nil
-}
-
 // Bind implements engines.Instance. The greedy vertex cut is the graph's
 // own at m's shard count (graph.Derive): only the first instance bound at
 // a count builds it.
-func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine) {
+func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine, _ engines.Options) {
 	*inst = Instance{m: m, trav: inst.trav, scratch: inst.scratch}
 	if g == nil {
 		return
@@ -164,19 +142,14 @@ func cut(out *graph.CSR, p int) *partition {
 	return pt
 }
 
-// Load implements engines.Engine.
-func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instance, error) {
-	return engines.LoadEdgeList(e, el, m)
-}
-
 // BuildStructure implements engines.Instance: reading, homogenizing and
-// partitioning are one phase, charged once per bind — by LoadSimple, so
-// after a load this is a no-op.
+// partitioning are one phase, charged once per bind — by LoadSimple (or
+// harness.Load), so after a load this is a no-op.
 func (inst *Instance) BuildStructure() {
 	if inst.built {
 		return
 	}
-	inst.m.FileRead(int64(inst.inputEdges)*16, true)
+	inst.m.FileRead(int64(inst.inputEdges)*engines.BytesPerTextEdge, true)
 	inst.m.ParallelFor(int(inst.out.NumEdges()), 2048, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
 		w.Charge(costLoadEdge.Scale(float64(hi - lo)))
 	})
@@ -222,9 +195,4 @@ func (inst *Instance) gatherSweep(active *parallel.Bitmap, body func(s int, e sh
 		total += p
 	}
 	return total
-}
-
-// BFS implements engines.Instance: PowerGraph ships no BFS reference.
-func (inst *Instance) BFS(graph.VID) (*engines.BFSResult, error) {
-	return nil, engines.ErrUnsupported
 }

@@ -15,12 +15,15 @@ func machine(threads int) *simmachine.Machine {
 	return simmachine.New(simmachine.Haswell72(), threads)
 }
 
+// engine is the declared engine with no knobs requested.
+func engine() *engines.Engine { return &engines.Engine{Decl: &Decl} }
+
 func TestMetadata(t *testing.T) {
-	e := New()
-	if e.Name() != "PowerGraph" {
-		t.Errorf("name = %q", e.Name())
+	e := engine()
+	if e.Name != "PowerGraph" {
+		t.Errorf("name = %q", e.Name)
 	}
-	if e.SeparateConstruction() {
+	if e.SeparateConstruction {
 		t.Error("PowerGraph ingests and partitions while reading")
 	}
 	if e.Has(engines.BFS) {
@@ -30,7 +33,7 @@ func TestMetadata(t *testing.T) {
 
 func TestBFSUnsupported(t *testing.T) {
 	el := kronecker.Generate(kronecker.Params{Scale: 8, Seed: 1})
-	inst, err := New().Load(el, machine(4))
+	inst, err := engine().Load(el, machine(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +44,7 @@ func TestBFSUnsupported(t *testing.T) {
 
 func TestVertexCutProperties(t *testing.T) {
 	el := kronecker.Generate(kronecker.Params{Scale: 10, Seed: 5})
-	inst, err := New().Load(el, machine(8))
+	inst, err := engine().Load(el, machine(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func TestGreedyCutBeatsWorstCase(t *testing.T) {
 	for i := 1; i < n; i++ {
 		el.Edges = append(el.Edges, graph.Edge{Src: 0, Dst: graph.VID(i)})
 	}
-	inst, err := New().Load(el, machine(8))
+	inst, err := engine().Load(el, machine(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +96,7 @@ func TestGreedyCutBeatsWorstCase(t *testing.T) {
 func TestGhostSyncCharged(t *testing.T) {
 	el := kronecker.Generate(kronecker.Params{Scale: 9, Seed: 2})
 	m := machine(8)
-	inst, err := New().Load(el, m)
+	inst, err := engine().Load(el, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +111,7 @@ func TestGhostSyncCharged(t *testing.T) {
 func TestSSSPAndWCCCorrect(t *testing.T) {
 	el := kronecker.Generate(kronecker.Params{Scale: 9, Seed: 7})
 	p := verify.Prepare(el)
-	inst, err := New().Load(el, machine(8))
+	inst, err := engine().Load(el, machine(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +140,7 @@ func TestSSSPAndWCCCorrect(t *testing.T) {
 
 func TestShardCountCapped(t *testing.T) {
 	el := kronecker.Generate(kronecker.Params{Scale: 6, Seed: 1})
-	inst, err := New().Load(el, machine(128))
+	inst, err := engine().Load(el, machine(128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +155,7 @@ func TestFrameworkOverheadVisible(t *testing.T) {
 	// the paper's explanation for PowerGraph's scale-22 numbers.
 	el := kronecker.Generate(kronecker.Params{Scale: 11, Seed: 4})
 	m := machine(32)
-	inst, err := New().Load(el, m)
+	inst, err := engine().Load(el, m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,18 +59,14 @@ type Cell struct {
 
 // Comparator runs the methodology.
 type Comparator struct {
-	Registry interface {
-		New(name string) (engines.Engine, error)
-	}
-	Model   simmachine.Model
-	Threads int
-	Seed    uint64
+	Registry engines.Registry
+	Model    simmachine.Model
+	Threads  int
+	Seed     uint64
 }
 
 // New returns a comparator at the paper's 32-thread configuration.
-func New(registry interface {
-	New(name string) (engines.Engine, error)
-}) *Comparator {
+func New(registry engines.Registry) *Comparator {
 	return &Comparator{
 		Registry: registry,
 		Model:    simmachine.Haswell72(),
@@ -88,17 +84,15 @@ func (c *Comparator) RunDataset(dataset string, el *graph.EdgeList) ([]Cell, err
 	}
 	var cells []Cell
 	for _, platform := range Platforms {
-		eng, err := c.Registry.New(platform)
+		d, err := c.Registry.Decl(platform)
 		if err != nil {
 			return nil, err
 		}
 		m := simmachine.New(c.Model, c.Threads)
 		// Ingest phase, timed for the platforms whose reported numbers
 		// include it.
-		inst, fileRead, construction, err := harness.Load(eng, nil, g, m)
-		if err != nil {
-			return nil, fmt.Errorf("graphalytics: %s load: %w", platform, err)
-		}
+		inst := d.New()
+		fileRead, construction := harness.Load(d, inst, engines.Options{}, g, m)
 
 		root := pickRoot(el)
 		for _, alg := range Algorithms {
@@ -143,11 +137,11 @@ func (c *Comparator) runOnce(platform string, inst engines.Instance, el *graph.E
 		for i, e := range el.Edges {
 			unit.Edges[i] = graph.Edge{Src: e.Src, Dst: e.Dst, W: 0.5}
 		}
-		eng, err := c.Registry.New(platform)
+		d, err := c.Registry.Decl(platform)
 		if err != nil {
 			return err
 		}
-		uinst, err := eng.Load(unit, m)
+		uinst, err := (&engines.Engine{Decl: d}).Load(unit, m)
 		if err != nil {
 			return err
 		}

@@ -12,20 +12,22 @@ import (
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
-// failingEngine is a registry stub whose load always fails, standing in
-// for a real engine hitting an ingest error (bad mmap, exhausted
-// memory) so the harness's wrapping of Load errors is testable without
-// constructing a graph bad enough to break a real engine.
-type failingEngine struct{}
-
-func (failingEngine) Name() string                   { return "Failing" }
-func (failingEngine) Has(alg engines.Algorithm) bool { return true }
-func (failingEngine) SeparateConstruction() bool     { return false }
-func (failingEngine) LoadSimple(*graph.Simple, *simmachine.Machine) (engines.Instance, error) {
-	return nil, fmt.Errorf("failing: ingest exploded")
+// failing declares an engine whose kernels always fail, standing in for
+// a real engine hitting an error mid-run (an exhausted budget, a
+// cancelled deadline) so the harness's wrapping of engine errors is
+// testable without a graph bad enough to break a real engine.
+var failing = engines.Decl{
+	Name:    "Failing",
+	Kernels: engines.AllAlgorithms,
+	New:     func() engines.Instance { return failingInstance{} },
 }
-func (e failingEngine) Load(el *graph.EdgeList, m *simmachine.Machine) (engines.Instance, error) {
-	return engines.LoadEdgeList(e, el, m)
+
+type failingInstance struct{ engines.Unsupported }
+
+func (failingInstance) Bind(*graph.Simple, *simmachine.Machine, engines.Options) {}
+func (failingInstance) BuildStructure()                                          {}
+func (failingInstance) BFS(graph.VID) (*engines.BFSResult, error) {
+	return nil, fmt.Errorf("failing: kernel exploded")
 }
 
 // TestRunErrorPaths drives Runner.Run down each of its error returns
@@ -43,8 +45,6 @@ func TestRunErrorPaths(t *testing.T) {
 		NumVertices: 2,
 		Edges:       []graph.Edge{{Src: 0, Dst: 1}},
 	}
-	failReg := engines.NewRegistry()
-	failReg.Register("Failing", func() engines.Engine { return failingEngine{} })
 
 	cases := []struct {
 		name    string
@@ -86,11 +86,11 @@ func TestRunErrorPaths(t *testing.T) {
 			wantSub: "no roots with degree > 1",
 		},
 		{
-			name:    "engine load failure is wrapped",
-			runner:  NewRunner(failReg),
+			name:    "engine failure is wrapped",
+			runner:  NewRunner(engines.Registry{&failing}),
 			spec:    testSpec(engines.BFS, 1),
 			el:      goodEL,
-			wantSub: "harness: Failing: failing: ingest exploded",
+			wantSub: "harness: Failing: failing: kernel exploded",
 		},
 	}
 	for _, tc := range cases {
@@ -108,7 +108,7 @@ func TestRunErrorPaths(t *testing.T) {
 }
 
 // TestKnobDropWarnings asserts the harness announces — rather than
-// silently ignores — spec knobs an engine has no setter for, and stays
+// silently ignores — spec knobs an engine does not declare, and stays
 // quiet for engines that honor them.
 func TestKnobDropWarnings(t *testing.T) {
 	el, err := ResolveDataset("kron-9", DatasetOptions{Seed: 42})
@@ -139,20 +139,20 @@ func TestKnobDropWarnings(t *testing.T) {
 		t.Errorf("GraphMat+Compress warning missing or malformed: %q", got)
 	}
 
-	// GAP implements both setters: no warning for either knob.
+	// GAP declares both knobs: no warning for either.
 	if got := run("GAP", true, true); got != "" {
 		t.Errorf("GAP honored knobs but warned: %q", got)
 	}
 
-	// GraphMat also lacks a synchronous SSSP switch; assert the knob
+	// GraphMat also lacks a synchronous SSSP mode; assert the knob
 	// name distinguishes which request was dropped.
 	if got := run("GraphMat", false, true); !strings.Contains(got, "knob=sync-sssp") {
 		t.Errorf("GraphMat+SyncSSSP warning missing: %q", got)
 	}
 
 	// Every engine-side entry of the knob table, requested on an engine
-	// without the hook, warns exactly once under the table's name — and
-	// GAP, which has every hook, stays silent.
+	// that does not declare it, warns exactly once under the table's name
+	// — and GAP, which declares every knob, stays silent.
 	for i := range core.Knobs {
 		k := &core.Knobs[i]
 		if k.Engine == nil {

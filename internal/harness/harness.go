@@ -16,10 +16,6 @@ import (
 	"github.com/hpcl-repro/epg/internal/xrand"
 )
 
-// BytesPerTextEdge estimates the on-disk size of one SNAP text edge
-// (two decimal IDs, separators, optional weight).
-const BytesPerTextEdge = 16
-
 // Runner executes specs against a set of engines.
 //
 // A Runner keeps the homogenized graph of the last edge list it ran and,
@@ -34,7 +30,7 @@ const BytesPerTextEdge = 16
 // holds it, so what stays is bounded by the largest graph run. Run and
 // Sweep are safe for concurrent use.
 type Runner struct {
-	Registry *engines.Registry
+	Registry engines.Registry
 	Model    simmachine.Model
 	Power    power.Constants
 	// Warnings, when non-nil, receives structured one-line warnings
@@ -48,41 +44,35 @@ type Runner struct {
 	lastEL *graph.EdgeList // the last edge list run,
 	lastFP uint64          // its fingerprint then,
 	lastG  *graph.Simple   // and its graph
-	idle   map[string]pooled
-}
-
-// pooled is an engine and its instance, idle between two Runs.
-type pooled struct {
-	eng  engines.Engine
-	inst engines.Instance
+	idle   map[string]engines.Instance
 }
 
 // NewRunner returns a runner over the given registry with the paper's
 // machine calibration.
-func NewRunner(reg *engines.Registry) *Runner {
+func NewRunner(reg engines.Registry) *Runner {
 	return &Runner{
 		Registry: reg,
 		Model:    simmachine.Haswell72(),
 		Power:    power.DefaultConstants(),
-		idle:     map[string]pooled{},
+		idle:     map[string]engines.Instance{},
 	}
 }
 
-// engineNames resolves the spec's engine list, defaulting to every
-// registered engine that supports the algorithm.
-func (r *Runner) engineNames(spec core.Spec) ([]string, error) {
+// decls resolves the spec's engine list, defaulting to every registered
+// engine that supports the algorithm.
+func (r *Runner) decls(spec core.Spec) ([]*engines.Decl, error) {
 	names := spec.Engines
 	if len(names) == 0 {
 		names = r.Registry.Names()
 	}
-	var out []string
+	var out []*engines.Decl
 	for _, name := range names {
-		eng, err := r.Registry.New(name)
+		d, err := r.Registry.Decl(name)
 		if err != nil {
 			return nil, err
 		}
-		if eng.Has(spec.Algorithm) {
-			out = append(out, name)
+		if d.Has(spec.Algorithm) {
+			out = append(out, d)
 		} else if len(spec.Engines) > 0 {
 			// Explicitly requested but unsupported: surface it.
 			return nil, fmt.Errorf("harness: %s does not implement %s", name, spec.Algorithm)
@@ -148,7 +138,7 @@ func fingerprint(el *graph.EdgeList) uint64 {
 // run is Run on a graph already homogenized: the one g is what root
 // selection, the owner table, every engine and the stream shadow read.
 func (r *Runner) run(spec core.Spec, g *graph.Simple) ([]core.Result, error) {
-	names, err := r.engineNames(spec)
+	decls, err := r.decls(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -162,10 +152,10 @@ func (r *Runner) run(spec core.Spec, g *graph.Simple) ([]core.Result, error) {
 	owner := spec.Owners(g.Out)
 
 	var results []core.Result
-	for _, name := range names {
-		rs, err := r.runEngine(spec, g, name, roots, owner)
+	for _, d := range decls {
+		rs, err := r.runEngine(spec, g, d, roots, owner)
 		if err != nil {
-			return nil, fmt.Errorf("harness: %s: %w", name, err)
+			return nil, fmt.Errorf("harness: %s: %w", d.Name, err)
 		}
 		results = append(results, rs...)
 	}
@@ -174,29 +164,22 @@ func (r *Runner) run(spec core.Spec, g *graph.Simple) ([]core.Result, error) {
 
 // runEngine executes all roots of one engine. owner is the per-vertex
 // cluster owner table (nil for 1D/blocked or single-box specs).
-func (r *Runner) runEngine(spec core.Spec, g *graph.Simple, name string, roots []graph.VID, owner []int16) ([]core.Result, error) {
-	p, err := r.take(name)
-	if err != nil {
-		return nil, err
-	}
-	eng := p.eng
-	engines.Reset(eng) // a kept engine has the last Run's knobs
+func (r *Runner) runEngine(spec core.Spec, g *graph.Simple, d *engines.Decl, roots []graph.VID, owner []int16) ([]core.Result, error) {
 	// Dropped knobs are surfaced, not silent: a spec that asked for the
 	// synchronous variant, the compressed layout or a streaming phase
 	// and got the default would mislabel its results.
-	for _, knob := range spec.ConfigureEngine(eng) {
-		logfmt.EmitKnobWarning(r.Warnings, name, knob)
+	opts, dropped := spec.EngineOptions(d)
+	for _, knob := range dropped {
+		logfmt.EmitKnobWarning(r.Warnings, d.Name, knob)
 	}
 	m, pconsts := spec.NewMachine(r.Model, r.Power, owner)
-	inst, fileReadSec, constructionSec, err := Load(eng, p.inst, g, m)
-	if err != nil {
-		return nil, err
-	}
-	defer r.give(name, pooled{eng, inst})
+	inst := r.take(d)
+	defer r.give(d.Name, inst)
+	fileReadSec, constructionSec := Load(d, inst, opts, g, m)
 
 	perTrial := func(trial int) (core.Result, error) {
 		res := core.Result{
-			Engine:          name,
+			Engine:          d.Name,
 			Dataset:         spec.Dataset,
 			Algorithm:       spec.Algorithm,
 			Threads:         spec.Threads,
@@ -204,7 +187,7 @@ func (r *Runner) runEngine(spec core.Spec, g *graph.Simple, name string, roots [
 			Root:            roots[trial%len(roots)],
 			FileReadSec:     fileReadSec,
 			ConstructionSec: constructionSec,
-			HasConstruction: eng.SeparateConstruction(),
+			HasConstruction: d.SeparateConstruction,
 		}
 		var meter *power.RAPL
 		if spec.MeasurePower {
@@ -260,67 +243,60 @@ func (r *Runner) runEngine(spec core.Spec, g *graph.Simple, name string, roots [
 		results = append(results, res)
 	}
 	// Streaming phase: batched mutations with incremental maintenance,
-	// conformance-checked against full recomputes. Engines without the
-	// Streamer hook were warned about above and simply skip the phase.
-	if spec.Mutations != nil {
-		if st, ok := inst.(engines.Streamer); ok {
-			srs, err := r.runStream(spec, g, name, st, m, owner)
-			if err != nil {
-				return nil, err
-			}
-			results = append(results, srs...)
+	// conformance-checked against full recomputes. An engine that drops
+	// the knob was warned about above and skips the phase; one that
+	// declares it has instances that are Streamers.
+	if opts.Mutations {
+		srs, err := r.runStream(spec, g, d, opts, inst.(engines.Streamer), m, owner)
+		if err != nil {
+			return nil, err
 		}
+		results = append(results, srs...)
 	}
 	return results, nil
 }
 
-// take returns the engine's idle instance, or a new engine and no
-// instance while a concurrent Run holds it or none was given back yet.
-func (r *Runner) take(name string) (pooled, error) {
+// take returns the engine's idle instance, or a new one while a
+// concurrent Run holds it or none was given back yet.
+func (r *Runner) take(d *engines.Decl) engines.Instance {
 	r.mu.Lock()
-	p, ok := r.idle[name]
-	delete(r.idle, name)
+	inst, ok := r.idle[d.Name]
+	delete(r.idle, d.Name)
 	r.mu.Unlock()
 	if ok {
-		return p, nil
+		return inst
 	}
-	eng, err := r.Registry.New(name)
-	return pooled{eng: eng}, err
+	return d.New()
 }
 
-// give unbinds p's instance and keeps it, unless another Run gave one
-// back first.
-func (r *Runner) give(name string, p pooled) {
-	p.inst.Bind(nil, nil)
+// give unbinds inst and keeps it, unless another Run gave one back
+// first.
+func (r *Runner) give(name string, inst engines.Instance) {
+	inst.Bind(nil, nil, engines.Options{})
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.idle[name]; !ok {
-		r.idle[name] = p
+		r.idle[name] = inst
 	}
 }
 
-// Load binds inst (a new instance of eng when nil) to g and m and charges
-// the paper's read and build phases (Fig. 1) to m, the same either way:
-// a text-edge file read and then the construction, or for an engine that
-// builds while it reads, both as the read.
-func Load(eng engines.Engine, inst engines.Instance, g *graph.Simple, m *simmachine.Machine) (_ engines.Instance, fileReadSec, constructionSec float64, err error) {
+// Load binds inst, an instance of the engine d declares, to g and m with
+// the knobs o (what d honors of a request: Spec.EngineOptions) and
+// charges the paper's read and build phases (Fig. 1) to m: a text-edge
+// file read and then the construction, or for an engine that builds
+// while it reads, both as the read.
+func Load(d *engines.Decl, inst engines.Instance, o engines.Options, g *graph.Simple, m *simmachine.Machine) (fileReadSec, constructionSec float64) {
 	start := m.Elapsed()
-	if eng.SeparateConstruction() {
-		m.FileRead(int64(g.InputEdges)*BytesPerTextEdge, true)
+	if d.SeparateConstruction {
+		m.FileRead(int64(g.InputEdges)*engines.BytesPerTextEdge, true)
 	}
-	if inst == nil {
-		if inst, err = eng.LoadSimple(g, m); err != nil {
-			return nil, 0, 0, err
-		}
-	} else {
-		inst.Bind(g, m)
-	}
+	inst.Bind(g, m, o)
 	read := m.Elapsed()
 	inst.BuildStructure()
-	if !eng.SeparateConstruction() {
-		return inst, m.Elapsed() - start, 0, nil
+	if !d.SeparateConstruction {
+		return m.Elapsed() - start, 0
 	}
-	return inst, read - start, m.Elapsed() - read, nil
+	return read - start, m.Elapsed() - read
 }
 
 // SweepPoint is one (engine, threads) aggregate of a scaling sweep.

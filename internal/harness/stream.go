@@ -93,7 +93,7 @@ func (s *streamShadow) edgeList() *graph.EdgeList {
 // against a cold full recompute on the post-batch graph. The recompute
 // runs on a fresh machine with the same spec knobs, so RecomputeSec is
 // the honest displaced alternative (rebuild + cold kernel).
-func (r *Runner) runStream(spec core.Spec, g *graph.Simple, name string, st engines.Streamer, m *simmachine.Machine, owner []int16) ([]core.Result, error) {
+func (r *Runner) runStream(spec core.Spec, g *graph.Simple, d *engines.Decl, opts engines.Options, st engines.Streamer, m *simmachine.Machine, owner []int16) ([]core.Result, error) {
 	ms := spec.Mutations
 	shadow := newStreamShadow(g)
 
@@ -112,7 +112,7 @@ func (r *Runner) runStream(spec core.Spec, g *graph.Simple, name string, st engi
 		}
 
 		res := core.Result{
-			Engine:    name,
+			Engine:    d.Name,
 			Dataset:   spec.Dataset,
 			Algorithm: spec.Algorithm,
 			Threads:   spec.Threads,
@@ -137,7 +137,7 @@ func (r *Runner) runStream(spec core.Spec, g *graph.Simple, name string, st engi
 		// Full-recompute reference on an identically-configured fresh
 		// machine; also the conformance oracle.
 		ref := &streamOutcome{}
-		refSec, err := r.recompute(spec, shadow.edgeList(), name, owner, ref)
+		refSec, err := r.recompute(spec, shadow.edgeList(), d, opts, owner, ref)
 		if err != nil {
 			return nil, fmt.Errorf("stream batch %d (recompute): %w", batch, err)
 		}
@@ -209,17 +209,14 @@ func (r *Runner) maintain(spec core.Spec, st engines.Streamer, out *streamOutcom
 // recompute costs and captures the displaced alternative: a cold
 // rebuild plus full kernel run on the post-batch graph, on a fresh
 // machine with the spec's knobs.
-func (r *Runner) recompute(spec core.Spec, post *graph.EdgeList, name string, owner []int16, out *streamOutcome) (float64, error) {
-	eng, err := r.Registry.New(name)
+func (r *Runner) recompute(spec core.Spec, post *graph.EdgeList, d *engines.Decl, opts engines.Options, owner []int16, out *streamOutcome) (float64, error) {
+	g, err := graph.Homogenize(post)
 	if err != nil {
 		return 0, err
 	}
-	spec.ConfigureEngine(eng) // drops were warned about on the live engine
 	m, _ := spec.NewMachine(r.Model, r.Power, owner)
-	inst, err := eng.Load(post, m)
-	if err != nil {
-		return 0, err
-	}
+	inst := d.New()
+	inst.Bind(g, m, opts)
 	inst.BuildStructure()
 	res, err := engines.RunAlgorithm(inst, spec.Algorithm, 0)
 	if err != nil {

@@ -54,20 +54,12 @@ type executor struct {
 // binds what the maintainer built. The machine keeps no trace: the
 // executor only ever reads its clock, and a daemon's trace would grow
 // by a Region per region forever.
-func newExecutor(g *graph.Simple, threads int, compress bool) (*executor, error) {
-	eng := gap.New()
-	engines.Configure(eng, engines.Options{SyncSSSP: true, Compress: compress})
+func newExecutor(g *graph.Simple, threads int, compress bool) *executor {
 	m := simmachine.New(simmachine.Haswell72(), threads)
 	m.SetTracing(false)
-	inst, err := eng.LoadSimple(g, m)
-	if err != nil {
-		return nil, fmt.Errorf("server: executor load: %w", err)
-	}
-	return &executor{
-		m:        m,
-		inst:     inst.(*gap.Instance),
-		weighted: g.Weighted,
-	}, nil
+	inst := gap.Decl.New().(*gap.Instance)
+	inst.Bind(g, m, engines.Options{SyncSSSP: true, Compress: compress})
+	return &executor{m: m, inst: inst, weighted: g.Weighted}
 }
 
 // vectors are the precomputed, refreshable lookup answers.
@@ -92,10 +84,7 @@ type published struct {
 // the only instance that is ever mutated, and the holder of the
 // incremental PR/WCC baselines — and derives generation 1 from it.
 func newMaintainer(g *graph.Simple, threads, landmarks int, compress bool) (*executor, *published, error) {
-	e, err := newExecutor(g, threads, compress)
-	if err != nil {
-		return nil, nil, err
-	}
+	e := newExecutor(g, threads, compress)
 	e.inst.BuildStructure()
 	vec, err := e.computeVectors()
 	if err != nil {

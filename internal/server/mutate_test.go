@@ -527,10 +527,7 @@ func TestMutateCheaperThanFullRecompute(t *testing.T) {
 
 	// The displaced alternative: what startup paid to build structures
 	// and compute vectors from scratch (construction included).
-	ref, err := newExecutor(testGraph(t), s.cfg.Threads, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newExecutor(testGraph(t), s.cfg.Threads, false)
 	if _, err := ref.computeVectors(); err != nil {
 		t.Fatal(err)
 	}

@@ -163,11 +163,7 @@ func NewFromEdgeList(el *graph.EdgeList, cfg Config) (*Server, error) {
 	s.maint = maint
 	s.pub.Store(pub)
 	for i := 0; i < cfg.Executors; i++ {
-		e, err := newExecutor(g, cfg.Threads, cfg.Compress)
-		if err != nil {
-			return nil, err
-		}
-		s.execs = append(s.execs, e)
+		s.execs = append(s.execs, newExecutor(g, cfg.Threads, cfg.Compress))
 	}
 	for _, e := range s.execs {
 		s.wg.Add(1)

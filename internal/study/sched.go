@@ -143,16 +143,12 @@ func schedCells(el *graph.EdgeList, _ string) ([]schedCell, error) {
 							return nil, err
 						}
 						m, pconsts := spec.NewMachine(simmachine.Haswell72(), power.DefaultConstants(), owner)
-						eng := gap.New()
-						// Before the load: the compressed structure is built
-						// during construction, and charged there.
-						if dropped := spec.ConfigureEngine(eng); dropped != nil {
+						opts, dropped := spec.EngineOptions(&gap.Decl)
+						if dropped != nil {
 							return nil, fmt.Errorf("GAP dropped %v", dropped)
 						}
-						inst, _, _, err := harness.Load(eng, nil, g, m)
-						if err != nil {
-							return nil, err
-						}
+						inst := gap.Decl.New()
+						harness.Load(&gap.Decl, inst, opts, g, m)
 						m.Reset()
 						meter := power.NewRAPL(m, pconsts)
 						meter.Start()

@@ -3,10 +3,12 @@ package epg_test
 import (
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/hpcl-repro/epg"
+	"github.com/hpcl-repro/epg/internal/engines/all"
 )
 
 // TestREADMEKnobTable holds README's "Execution knobs" table equal to
@@ -15,20 +17,7 @@ import (
 // exactly as the table declares them (the fifth links into
 // ARCHITECTURE.md and is free text).
 func TestREADMEKnobTable(t *testing.T) {
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rest, ok := strings.Cut(string(readme), "<!-- knobs:begin -->\n")
-	body, _, ok2 := strings.Cut(rest, "<!-- knobs:end -->")
-	if !ok || !ok2 {
-		t.Fatal("README.md has no <!-- knobs:begin --> … <!-- knobs:end --> block")
-	}
-	lines := strings.Split(strings.TrimSpace(body), "\n")
-	if len(lines) < 2 {
-		t.Fatal("README knob table has no header")
-	}
-	rows := lines[2:] // header and separator
+	rows := readmeTable(t, "knobs")
 	if len(rows) != len(epg.Knobs) {
 		t.Fatalf("README lists %d knobs, epg.Knobs has %d", len(rows), len(epg.Knobs))
 	}
@@ -84,6 +73,86 @@ func TestREADMEKnobTable(t *testing.T) {
 		anchor, _, _ = strings.Cut(anchor, ")")
 		if !anchors[anchor] {
 			t.Errorf("knob %s: details cell links to no ARCHITECTURE.md heading: %q", k.Name, cells[len(want)])
+		}
+	}
+}
+
+// readmeTable returns the body rows of the table README.md keeps between
+// <!-- name:begin --> and <!-- name:end -->.
+func readmeTable(t *testing.T, name string) []string {
+	t.Helper()
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(readme), "<!-- "+name+":begin -->\n")
+	body, _, ok2 := strings.Cut(rest, "<!-- "+name+":end -->")
+	if !ok || !ok2 {
+		t.Fatalf("README.md has no <!-- %s:begin --> … <!-- %s:end --> block", name, name)
+	}
+	lines := strings.Split(strings.TrimSpace(body), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("README %s table has no header", name)
+	}
+	return lines[2:] // header and separator
+}
+
+// TestREADMEEngineTable holds README's engine table equal to the
+// engines' declarations (all.Registry): one row per engine, in registry
+// order, with its kernels, whether reading and building are separate
+// phases, and the engine-side knobs it honors under their core.Knobs
+// names.
+func TestREADMEEngineTable(t *testing.T) {
+	rows := readmeTable(t, "engines")
+	reg := all.Registry()
+	if len(rows) != len(reg) {
+		t.Fatalf("README lists %d engines, the registry %d", len(rows), len(reg))
+	}
+	// A spec asking for every engine-side knob: what a declaration drops
+	// of it is what it does not honor.
+	var every epg.Spec
+	for _, k := range epg.Knobs {
+		if k.Engine == nil {
+			continue
+		}
+		switch p := k.Field(&every).(type) {
+		case *bool:
+			*p = true
+		case **epg.MutationSchedule:
+			*p = &epg.MutationSchedule{Batches: 1, BatchSize: 1}
+		default:
+			t.Fatalf("engine-side knob %s has a field type this test cannot request: %T", k.Name, p)
+		}
+	}
+	for i, d := range reg {
+		var kernels, knobs []string
+		for _, alg := range d.Kernels {
+			kernels = append(kernels, string(alg))
+		}
+		_, dropped := every.EngineOptions(d)
+		for _, k := range epg.Knobs {
+			if k.Engine != nil && !slices.Contains(dropped, k.Name) {
+				knobs = append(knobs, k.Name)
+			}
+		}
+		phases := "one phase"
+		if d.SeparateConstruction {
+			phases = "separate phases"
+		}
+		knobCell := strings.Join(knobs, ", ")
+		if knobCell == "" {
+			knobCell = "—"
+		}
+		want := []string{d.Name, strings.Join(kernels, ", "), phases, knobCell}
+		cells := strings.Split(strings.Trim(rows[i], "|"), " | ")
+		if len(cells) != len(want) {
+			t.Errorf("row %d has %d cells, want %d: %s", i, len(cells), len(want), rows[i])
+			continue
+		}
+		for c := range want {
+			if got := strings.TrimSpace(cells[c]); got != want[c] {
+				t.Errorf("engine %s, column %d: README has %q, the declaration says %q", d.Name, c+1, got, want[c])
+			}
 		}
 	}
 }
