@@ -1,6 +1,6 @@
 # Lightweight CI for the epg reproduction. `make test` is the tier-1
 # gate; `make race` is the concurrency wall over the parallel runtime,
-# the graph builders, the SNAP codec and every engine kernel, and `make race-full`
+# the generator, the graph builders, the SNAP codec and every engine kernel, and `make race-full`
 # (CI's race step) the same over every package; `make fuzz` runs the
 # property-fuzz targets for FUZZTIME each; `make bench` regenerates
 # the paper's tables and figures once; `make loc` prints the non-test
@@ -56,7 +56,7 @@ bench-compare:
 	bash bench/run.sh -compare $(A) $(B)
 
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/graph/... ./internal/snap/... ./internal/engines/...
+	$(GO) test -race ./internal/parallel/... ./internal/kronecker/... ./internal/graph/... ./internal/snap/... ./internal/engines/...
 
 race-full:
 	$(GO) test -race ./...
@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzCompressedCSREquivalence$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/snap/
 	$(GO) test -fuzz '^FuzzReadGraph500$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/snap/
+	$(GO) test -fuzz '^FuzzSortRow$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzMutationEquivalence$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzSketchRepair$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
 

@@ -123,11 +123,14 @@ func TestWarmSweepAllocatesNothingScalingWithN(t *testing.T) {
 		var s State
 		body := pull(rows, x, next)
 		s.Sweep(m, n, n/4, &testSweep, body) // sizes the scratch, the partials and the accumulators
-		return alloctest.BytesPerRun(10, func() { s.Sweep(m, n, n/4, &testSweep, body) })
+		return alloctest.FewestBytes(20, func() { s.Sweep(m, n, n/4, &testSweep, body) })
 	}
 	small, large := warmBytes(8), warmBytes(12)
 	t.Logf("warm sweep: %d B at 2^8 vertices, %d B at 2^12", small, large)
-	if large > small+256 {
+	// On one worker a warm sweep allocates the same bytes on every call
+	// (its chunk closure), so the fewest of twenty calls is exact at
+	// both sizes and must match to the byte.
+	if large != small {
 		t.Fatalf("a warm sweep allocates %d B at 2^12 vertices against %d B at 2^8: something scales with n", large, small)
 	}
 }

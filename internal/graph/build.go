@@ -18,8 +18,10 @@ type BuildOptions struct {
 	// DropSelfLoops removes u->u edges, as the Graph500 reference
 	// does during Kernel 1.
 	DropSelfLoops bool
-	// Dedup removes duplicate (src,dst) pairs after sorting. For
-	// weighted graphs the first-seen weight wins.
+	// Dedup removes duplicate (src,dst) pairs, and implies Sort. For
+	// weighted graphs the least weight among parallel edges is kept:
+	// a rule independent of the order the duplicates arrived in, and
+	// the right one for shortest paths.
 	Dedup bool
 	// Sort sorts each adjacency list ascending.
 	Sort bool
@@ -145,49 +147,18 @@ func BuildCSR(el *EdgeList, opt BuildOptions) *CSR {
 		}
 	})
 
-	if opt.Sort || opt.Dedup {
-		csr.sortAdjacency(w)
-	}
-	if opt.Dedup {
-		csr = dedupCSR(csr)
+	switch {
+	case opt.Dedup:
+		// The sort pass deduplicates each row as it goes and counts
+		// what it kept into pass 2's spent cursors; compact then closes
+		// the gaps in place.
+		deg := hist[0]
+		csr.sortRows(w, deg)
+		csr.compact(deg)
+	case opt.Sort:
+		csr.sortRows(w, nil)
 	}
 	return csr
-}
-
-// dedupCSR removes duplicate neighbors from a sorted CSR, compacting
-// it in place: the builder owns the arrays it just scattered and
-// sorted, and the write cursor never passes the read cursor. For
-// weighted graphs the minimum weight among parallel edges is kept:
-// a deterministic rule (independent of the order duplicates landed in
-// the adjacency) that is also the right semantics for shortest paths.
-func dedupCSR(c *CSR) *CSR {
-	var out int64
-	lo := c.Offsets[0]
-	for v := 0; v < c.NumVertices; v++ {
-		hi := c.Offsets[v+1]
-		rowStart := out
-		for i := lo; i < hi; i++ {
-			u := c.Adj[i]
-			if out > rowStart && u == c.Adj[out-1] {
-				if c.Weights != nil && c.Weights[i] < c.Weights[out-1] {
-					c.Weights[out-1] = c.Weights[i]
-				}
-				continue
-			}
-			c.Adj[out] = u
-			if c.Weights != nil {
-				c.Weights[out] = c.Weights[i]
-			}
-			out++
-		}
-		lo = hi
-		c.Offsets[v+1] = out
-	}
-	c.Adj = c.Adj[:out]
-	if c.Weights != nil {
-		c.Weights = c.Weights[:out]
-	}
-	return c
 }
 
 // Transpose returns the reverse-adjacency CSR (in-neighbors) using the

@@ -20,6 +20,17 @@
 // (per-worker degree histograms merged by parallel.ScanInt64, then a
 // scatter into per-(worker,vertex) reserved sub-ranges).
 //
+// Sorting and deduplication are one parallel pass over the rows. Each
+// row is packed into neighbor<<32 | weight-key uint64s (the weight key
+// is the order-preserving map of the float's bits) and put in that
+// total order: insertion sort for short rows, an LSD radix sort on the
+// neighbor bytes plus one insertion pass over runs of equal neighbors
+// for the rest. Deduplication keeps the first key of each run, the
+// least weight, and records the row's new length; one serial pass then
+// closes the gaps in place. The layout is a function of each row's
+// (neighbor, weight) multiset, whatever the worker count or the order
+// the scatter left.
+//
 // CompressedCSR is the Ligra+/GBBS-style byte-compressed sibling for
 // bandwidth-bound traversal: each vertex's sorted neighbor list is
 // stored as a varint degree, a zigzag-varint first-neighbor delta from

@@ -3,8 +3,8 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 
@@ -152,71 +152,212 @@ func (c *CSR) Validate() error {
 
 // SortAdjacency sorts each vertex's neighbor list ascending (weights
 // permuted alongside, ties ordered by weight, so the layout is a pure
-// function of the pair multiset; dedupCSR's min-weight rule is
-// indifferent to it). Sorted adjacency improves locality, is required
-// by the LCC intersection kernels, and is a precondition of
+// function of the pair multiset). Sorted adjacency improves locality,
+// is required by the LCC intersection kernels, and is a precondition of
 // CompressCSR's unsigned gap encoding. Rows sort in place, in parallel
 // on the shared pool.
-func (c *CSR) SortAdjacency() { c.sortAdjacency(runtime.GOMAXPROCS(0)) }
+func (c *CSR) SortAdjacency() { c.sortRows(runtime.GOMAXPROCS(0), nil) }
 
 // sortRowGrain is the rows per dynamic chunk: small enough that a
 // Kronecker hub row does not pin a worker's whole share behind it.
 const sortRowGrain = 256
 
-// sortKeys recycles sortPairsPacked's key buffers across chunks and
-// across builds: a harness run or a mutate rebuild sorts a graph much
-// like the last one, and would otherwise allocate its hub rows' keys
-// anew.
+// sortKeys recycles sortRows' key buffer across builds: a harness run
+// or a server rebuild sorts a graph much like the last one, and would
+// otherwise allocate its longest rows' keys anew.
 var sortKeys = sync.Pool{New: func() any { return new([]uint64) }}
 
-func (c *CSR) sortAdjacency(workers int) {
+// sortRows sorts every row by (neighbor, weight). With deg non-nil (one
+// entry per vertex) it also deduplicates: row v keeps the first entry
+// of each run of equal neighbors — the least weight — at the front of
+// its range, deg[v] receives the kept count, and compact closes the
+// gaps. Each worker sorts through its own slice of one key buffer, as
+// long as the longest row; the region takes the buffer from sortKeys,
+// growing it to exactly that size when it is short.
+func (c *CSR) sortRows(workers int, deg []int32) {
 	if len(c.Adj) < buildSerialCutoff {
 		workers = 1
 	}
-	parallel.For(parallel.Default(), workers, c.NumVertices, sortRowGrain, parallel.Dynamic, func(lo, hi, _, _ int) {
-		keys := sortKeys.Get().(*[]uint64)
-		defer sortKeys.Put(keys)
+	workers = max(1, min(workers, parallel.NumChunks(c.NumVertices, sortRowGrain)))
+	var longest int64
+	for v := 0; v < c.NumVertices; v++ {
+		longest = max(longest, c.Offsets[v+1]-c.Offsets[v])
+	}
+	digits := (bits.Len(uint(max(c.NumVertices-1, 0))) + 7) / 8
+	keys := sortKeys.Get().(*[]uint64)
+	defer sortKeys.Put(keys)
+	if need := int64(workers) * longest; int64(len(*keys)) < need {
+		*keys = make([]uint64, need)
+	}
+	parallel.For(parallel.Default(), workers, c.NumVertices, sortRowGrain, parallel.Dynamic, func(lo, hi, _, worker int) {
+		own := (*keys)[int64(worker)*longest:]
 		for v := lo; v < hi; v++ {
 			a, b := c.Offsets[v], c.Offsets[v+1]
-			switch {
-			case b-a < 2:
-			case c.Weights == nil:
-				slices.Sort(c.Adj[a:b])
-			default:
-				if int64(cap(*keys)) < b-a {
-					*keys = make([]uint64, max(b-a, 2*int64(cap(*keys))))
-				}
-				sortPairsPacked(c.Adj[a:b], c.Weights[a:b], (*keys)[:b-a])
+			var w []float32
+			if c.Weights != nil {
+				w = c.Weights[a:b]
+			}
+			kept := sortRow(c.Adj[a:b], w, own[:b-a], digits, deg != nil)
+			if deg != nil {
+				deg[v] = int32(kept)
 			}
 		}
 	})
 }
 
-// sortPairsPacked orders a row by (neighbor, weight) as one monomorphic
-// sort of neighbor<<32 | weight keys. Raw float bits order only the
-// non-negative weights, so the low half is the usual order-preserving
-// map (negatives complemented, the rest with the sign bit set): every
-// pair the float < orders, the keys order the same way.
-func sortPairsPacked(adj []VID, w []float32, keys []uint64) {
+// compact closes the gaps a deduplicating sortRows left: row v keeps
+// the first deg[v] entries of its range. The write cursor never passes
+// the read cursor, so rows move down in place.
+func (c *CSR) compact(deg []int32) {
+	var out int64
+	for v := 0; v < c.NumVertices; v++ {
+		lo, k := c.Offsets[v], int64(deg[v])
+		c.Offsets[v] = out
+		if lo != out {
+			copy(c.Adj[out:out+k], c.Adj[lo:lo+k])
+			if c.Weights != nil {
+				copy(c.Weights[out:out+k], c.Weights[lo:lo+k])
+			}
+		}
+		out += k
+	}
+	c.Offsets[c.NumVertices] = out
+	c.Adj = c.Adj[:out]
+	if c.Weights != nil {
+		c.Weights = c.Weights[:out]
+	}
+}
+
+// radixCutoff is the row length from which sortRow radix-sorts: below
+// it a row has too few entries to pay for the 256-bucket histograms.
+const radixCutoff = 32
+
+// sortRow orders one row by its packed keys, neighbor<<32 | weightKey,
+// through keys (as long as the row), and returns the row's new length:
+// len(adj), or with dedup the number of distinct neighbors, each kept
+// with its least-weight entry, the first in key order. w may be nil.
+// digits is the number of low bytes the row's neighbor IDs can differ
+// in.
+//
+// Short rows are insertion-sorted. Longer ones are LSD radix-sorted on
+// the neighbor half; that sort is stable, so a run of equal neighbors
+// keeps its input order, and one insertion pass over the whole row —
+// linear but for those runs — orders each run by weight (with dedup the
+// run's least key is all that is kept, so it is taken directly).
+// Either way the result is the packed keys' total order, a function of
+// the row's pair multiset alone.
+func sortRow(adj []VID, w []float32, keys []uint64, digits int, dedup bool) int {
+	if len(adj) < radixCutoff {
+		for i, u := range adj {
+			keys[i] = packKey(u, w, i)
+		}
+		insertionSort(keys)
+	} else {
+		radixSortRow(adj, w, keys, digits)
+		if !dedup {
+			insertionSort(keys)
+		}
+	}
+	out := 0
+	for i := 0; i < len(keys); out++ {
+		k := keys[i]
+		for i++; dedup && i < len(keys) && keys[i]>>32 == k>>32; i++ {
+			k = min(k, keys[i])
+		}
+		adj[out] = VID(k >> 32)
+		if w != nil {
+			w[out] = weightFromKey(uint32(k))
+		}
+	}
+	return out
+}
+
+func insertionSort(keys []uint64) {
+	for i := 1; i < len(keys); i++ {
+		k, j := keys[i], i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+	}
+}
+
+// radixSortRow stably sorts the row by neighbor into keys, packed. It
+// needs no buffer besides keys: the digit passes alternate between the
+// packed keys and the row's own arrays, starting from whichever side
+// makes the last pass land in keys.
+func radixSortRow(adj []VID, w []float32, keys []uint64, digits int) {
+	var count [4][256]uint32
+	inKeys := digits%2 == 0
 	for i, u := range adj {
-		b := math.Float32bits(w[i])
-		if b>>31 != 0 {
-			b = ^b
-		} else {
-			b |= 1 << 31
+		count[0][byte(u)]++
+		count[1][byte(u>>8)]++
+		if inKeys {
+			keys[i] = packKey(u, w, i)
 		}
-		keys[i] = uint64(u)<<32 | uint64(b)
 	}
-	slices.Sort(keys)
-	for i, k := range keys {
-		b := uint32(k)
-		if b>>31 != 0 {
-			b &^= 1 << 31
-		} else {
-			b = ^b
+	if digits > 2 {
+		for _, u := range adj {
+			count[2][byte(u>>16)]++
+			count[3][byte(u>>24)]++
 		}
-		adj[i], w[i] = VID(k>>32), math.Float32frombits(b)
 	}
+	for d := 0; d < digits; d++ {
+		pos := &count[d]
+		var sum uint32
+		for b, n := range pos {
+			pos[b], sum = sum, sum+n
+		}
+		shift := 8 * d
+		if inKeys {
+			for _, k := range keys {
+				b := byte(k >> (32 + shift))
+				p := pos[b]
+				pos[b]++
+				adj[p] = VID(k >> 32)
+				if w != nil {
+					w[p] = weightFromKey(uint32(k))
+				}
+			}
+		} else {
+			for i, u := range adj {
+				b := byte(u >> shift)
+				p := pos[b]
+				pos[b]++
+				keys[p] = packKey(u, w, i)
+			}
+		}
+		inKeys = !inKeys
+	}
+}
+
+// packKey is the sort key of entry i: the neighbor in the high half,
+// the weight's order-preserving key (zero when unweighted) in the low.
+func packKey(u VID, w []float32, i int) uint64 {
+	if w == nil {
+		return uint64(u) << 32
+	}
+	return uint64(u)<<32 | uint64(weightKey(w[i]))
+}
+
+// weightKey maps a float's bits to an unsigned key in the order float <
+// gives them: raw bits order only the non-negative floats, so negatives
+// are complemented and the rest get the sign bit set. Every pair < orders,
+// the keys order the same way; -0 sorts before +0, a negative NaN first
+// and a positive NaN last, and weightFromKey restores every bit.
+func weightKey(x float32) uint32 {
+	b := math.Float32bits(x)
+	if b>>31 != 0 {
+		return ^b
+	}
+	return b | 1<<31
+}
+
+func weightFromKey(b uint32) float32 {
+	if b>>31 != 0 {
+		return math.Float32frombits(b &^ (1 << 31))
+	}
+	return math.Float32frombits(^b)
 }
 
 // HasEdge reports whether u has v in its sorted adjacency list. The

@@ -11,6 +11,15 @@
 // Generation is deterministic for a given seed and is parallelized
 // over disjoint edge ranges, each with its own SplitMix64-derived
 // stream, so results do not depend on GOMAXPROCS.
+//
+// Each level's quadrant is chosen without floating point or branches:
+// the 53-bit draw x behind RNG.Float64 (which returns x/2^53) is
+// compared with the integers T = float64(P)·2^53 for P = A, A+B and
+// A+B+C. The comparison is exact, not approximate: x/2^53 < float64(P)
+// if and only if x < T, because both sides scale by a power of two and
+// every float64 in [0.5, 1) is a multiple of 2^-53, so T is an integer.
+// The graph is therefore bit-identical to what the float compare gives
+// (TestGenerateDigest pins it).
 package kronecker
 
 import (
@@ -109,26 +118,37 @@ func Generate(p Params) *graph.EdgeList {
 	return el
 }
 
+// The quadrant thresholds as 53-bit integers (the package doc says why
+// comparing with them is exact; the conversions would not compile if a
+// product were not an integer).
+const (
+	thresholdA   = uint64(float64(A) * (1 << 53))
+	thresholdAB  = uint64(float64(A+B) * (1 << 53))
+	thresholdABC = uint64(float64(A+B+C) * (1 << 53))
+)
+
+// atLeast is 1 when x >= t and 0 otherwise, for x, t < 2^63: the sign
+// of x-t, without a branch.
+func atLeast(x, t uint64) uint64 { return 1 ^ (x-t)>>63 }
+
+// quadrant maps a 53-bit draw to the (row, column) bits of one level's
+// quadrant: (0,0) below A, (0,1) below A+B, (1,0) below A+B+C, (1,1)
+// above. The row bit is the middle compare; the column bit is set in
+// the first and third bands, the parity of all three compares.
+func quadrant(x uint64) (iBit, jBit uint64) {
+	iBit = atLeast(x, thresholdAB)
+	return iBit, atLeast(x, thresholdA) ^ iBit ^ atLeast(x, thresholdABC)
+}
+
 // sampleEdge picks one (src, dst) pair by the RMAT quadrant recursion.
 func sampleEdge(scale int, r *xrand.RNG) (graph.VID, graph.VID) {
-	var src, dst uint32
+	var src, dst uint64
 	for level := 0; level < scale; level++ {
-		p := r.Float64()
-		var iBit, jBit uint32
-		switch {
-		case p < A:
-			// quadrant (0,0)
-		case p < A+B:
-			jBit = 1
-		case p < A+B+C:
-			iBit = 1
-		default:
-			iBit, jBit = 1, 1
-		}
+		iBit, jBit := quadrant(r.Uint64() >> 11)
 		src = src<<1 | iBit
 		dst = dst<<1 | jBit
 	}
-	return src, dst
+	return graph.VID(src), graph.VID(dst)
 }
 
 // weightFor draws the uniform (0,1] edge weight specified for the
