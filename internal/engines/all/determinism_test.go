@@ -240,19 +240,21 @@ func TestSSSPDeterministicAcrossRunsAndWorkers(t *testing.T) {
 	}
 }
 
-// GraphMat's and PowerGraph's WCC are Jacobi: a round reads the labels
-// of the round before (GraphMat's comp, PowerGraph's comp through the
-// accC gather) and writes another array, so unlike traverse.Hook's
-// in-place sweep under GAP and GraphBIG no chunk sees a label another
-// chunk lowered in the same round. Neither the labels nor the number of
-// rounds can depend on the schedule. The wall runs each 200 times on
-// kron-13 (seed 1, 32 threads, where Hook's race shows about once in a
-// few hundred runs), cycling the worker counts: every run's trace has
-// the first run's length — the trip count times the fixed regions per
-// round — and equals it region for region, and so do the labels. Under
-// the race detector, which looks for data races, not for schedules, it
-// runs a tenth as many.
-func TestJacobiWCCTraceRepeats(t *testing.T) {
+// Every engine's WCC is Jacobi: a round reads the labels of the round
+// before and writes another array (GAP's and GraphBIG's traverse.Hook,
+// GraphMat's comp, PowerGraph's comp through the accC gather), so no
+// chunk sees a label another chunk lowered in the same round, and
+// neither the labels nor the number of rounds can depend on the
+// schedule. GAP's pointer jump after each round is in place, but every
+// schedule leaves each vertex at the root of its chain. The wall runs
+// each engine 200 times on kron-13 (seed 1, 32 threads, where an
+// in-place hook's race showed about once in a few hundred runs),
+// cycling the worker counts: every run's trace has the first run's
+// length — the trip count times the fixed regions per round — and
+// equals it region for region, and so do the labels. Under the race
+// detector, which looks for data races, not for schedules, it runs a
+// tenth as many.
+func TestWCCTraceRepeats(t *testing.T) {
 	runs := 200
 	if raceEnabled {
 		runs /= 10
@@ -261,7 +263,7 @@ func TestJacobiWCCTraceRepeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{GraphMat, PowerGraph} {
+	for _, name := range []string{GAP, GraphBIG, GraphMat, PowerGraph} {
 		t.Run(name, func(t *testing.T) {
 			insts := make([]engines.Instance, len(workerCounts))
 			machines := make([]*simmachine.Machine, len(workerCounts))

@@ -30,6 +30,7 @@ import (
 const (
 	goldenPath    = "testdata/golden_costs.txt"
 	goldenThreads = 32
+	goldenWorkers = 4
 	goldenRoot    = graph.VID(2)
 )
 
@@ -43,10 +44,7 @@ const goldenHeader = `# Golden modeled costs: kron-12 (seed 1), 32 modeled threa
 # SSSP rows use the synchronous modes (Spec.SyncSSSP): the two chaotic
 # relaxations charge a schedule-dependent trace by design.
 # workers: real workers of the run. Modeled cost is worker-independent
-#          by contract, so every row runs at 4 -- except GAP and GraphBIG
-#          WCC, whose in-place hook converges in a schedule-dependent
-#          number of sweeps (ROADMAP 1a); they are recorded at 1 until
-#          that is fixed.
+#          by contract, so every row runs at 4.
 # seconds/cycles/bytes/atomics: float64 bits of the summed region trace.
 # result:  FNV-1a of the result arrays. trace: FNV-1a of every region's
 #          (seconds, cycles, bytes, atomics), in order -- region for region.
@@ -70,11 +68,11 @@ var goldenConfigs = []goldenConfig{
 	{name: "directed", engines: Names, directed: true},
 }
 
-// goldenMachine is the wall's machine: 32 modeled threads, the given
-// real worker count.
-func goldenMachine(workers int, adaptive bool) *simmachine.Machine {
+// goldenMachine is the wall's machine: 32 modeled threads, 4 real
+// workers.
+func goldenMachine(adaptive bool) *simmachine.Machine {
 	m := simmachine.New(simmachine.Haswell72(), goldenThreads)
-	m.SetWorkers(workers)
+	m.SetWorkers(goldenWorkers)
 	if adaptive {
 		m.SetGrainPolicy(parallel.GrainAdaptive)
 	}
@@ -84,7 +82,7 @@ func goldenMachine(workers int, adaptive bool) *simmachine.Machine {
 // goldenRow digests a finished run: the machine's trace since its last
 // Reset plus the kernel's result. It is the one place that decides what
 // "the same charges" means, for the kernel rows and the stream row.
-func goldenRow(label string, workers int, m *simmachine.Machine, out any) string {
+func goldenRow(label string, m *simmachine.Machine, out any) string {
 	var total simmachine.Cost
 	var seconds float64
 	trace := fnv.New64a()
@@ -95,7 +93,7 @@ func goldenRow(label string, workers int, m *simmachine.Machine, out any) string
 	}
 	iterations, result := resultDigest(out)
 	return fmt.Sprintf("%s %d %016x %016x %016x %016x %d %d %016x %016x\n",
-		label, workers, math.Float64bits(seconds), math.Float64bits(total.Cycles),
+		label, goldenWorkers, math.Float64bits(seconds), math.Float64bits(total.Cycles),
 		math.Float64bits(total.Bytes), math.Float64bits(total.Atomics),
 		len(m.Trace()), iterations, result, trace.Sum64())
 }
@@ -158,11 +156,7 @@ func goldenKernel(t *testing.T, cfg goldenConfig, name string, alg engines.Algor
 		t.Fatal(err)
 	}
 	engines.Configure(eng, engines.Options{SyncSSSP: true, Compress: cfg.compress})
-	workers := 4
-	if alg == engines.WCC && (name == GAP || name == GraphBIG) {
-		workers = 1 // ROADMAP 1a: the one schedule-dependent trip count
-	}
-	m := goldenMachine(workers, cfg.adaptive)
+	m := goldenMachine(cfg.adaptive)
 	inst, err := eng.Load(el, m)
 	if err != nil {
 		t.Fatalf("%s load: %v", name, err)
@@ -173,7 +167,7 @@ func goldenKernel(t *testing.T, cfg goldenConfig, name string, alg engines.Algor
 	if err != nil {
 		t.Fatalf("%s %s %s: %v", cfg.name, name, alg, err)
 	}
-	return goldenRow(fmt.Sprintf("%s %s %s", cfg.name, name, alg), workers, m, out)
+	return goldenRow(fmt.Sprintf("%s %s %s", cfg.name, name, alg), m, out)
 }
 
 // goldenStream is the stream row: a baseline that converges at once (a
@@ -188,7 +182,7 @@ func goldenStream(t *testing.T) string {
 	for v := 0; v < n; v++ {
 		el.Edges = append(el.Edges, graph.Edge{Src: graph.VID(v), Dst: graph.VID((v + 1) % n)})
 	}
-	m := goldenMachine(4, false)
+	m := goldenMachine(false)
 	loaded, err := (&engines.Engine{Decl: &gap.Decl}).Load(el, m)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +208,7 @@ func goldenStream(t *testing.T) string {
 	if inc.Iterations < base.Iterations+2 {
 		t.Fatalf("stream row ran %d iterations on a %d-iteration baseline: it no longer needs two beyond the horizon", inc.Iterations, base.Iterations)
 	}
-	return goldenRow("stream GAP IncrementalPR", 4, m, inc)
+	return goldenRow("stream GAP IncrementalPR", m, inc)
 }
 
 // goldenTable regenerates every row from the kernels at HEAD.

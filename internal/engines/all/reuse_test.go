@@ -48,14 +48,9 @@ func loadShared(t *testing.T, name string, g *graph.Simple, workers int, opts en
 // scheduleDependent reports whether a kernel's parents, work counters
 // and region trace depend on the real schedule by design at this worker
 // count, which leaves only its values comparable: the two chaotic
-// SSSPs (fixed-point distances), and the in-place hook under GAP and
-// GraphBIG WCC (ROADMAP 1: the labels, in a schedule-dependent number
-// of sweeps).
+// SSSPs, whose fixed-point distances are all that repeats.
 func scheduleDependent(name string, alg engines.Algorithm, workers int, sync bool) bool {
-	if workers == 1 || (name != GAP && name != GraphBIG) {
-		return false
-	}
-	return alg == engines.WCC || (alg == engines.SSSP && !sync)
+	return workers > 1 && (name == GAP || name == GraphBIG) && alg == engines.SSSP && !sync
 }
 
 // The reuse-equivalence wall for all five engines, modelled on
@@ -189,12 +184,7 @@ func sameStep(t *testing.T, label, name string, alg engines.Algorithm, root grap
 		t.Fatalf("%s (fresh): %v", label, err)
 	}
 	if scheduleDependent(name, alg, workers, sync) {
-		switch w := want.(type) {
-		case *engines.SSSPResult:
-			sameFloat64sBitwise(t, label+" dist", w.Dist, got.(*engines.SSSPResult).Dist)
-		case *engines.WCCResult:
-			sameVIDs(t, label+" component", w.Component, got.(*engines.WCCResult).Component)
-		}
+		sameFloat64sBitwise(t, label+" dist", want.(*engines.SSSPResult).Dist, got.(*engines.SSSPResult).Dist)
 		return
 	}
 	sameOutputs(t, label, want, got)

@@ -277,9 +277,6 @@ func TestLoadSimpleEqualsLoad(t *testing.T) {
 						if !eng.Has(alg) {
 							continue
 						}
-						if alg == engines.WCC && (l.engine == GAP || l.engine == GraphBIG) {
-							m.SetWorkers(1) // ROADMAP 1a: the one schedule-dependent trip count
-						}
 						out, err := engines.RunAlgorithm(inst, alg, root)
 						if err != nil {
 							t.Fatalf("%s %s: %v", l.engine, alg, err)

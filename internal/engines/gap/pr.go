@@ -117,26 +117,17 @@ func l1Partial(cur, prev []float64, lo, hi int) float64 {
 	return p
 }
 
-// atomicAddFloat64 adds delta to the float64 stored in bits.
-func atomicAddFloat64(bits *uint64, delta float64) {
-	for {
-		old := atomic.LoadUint64(bits)
-		nv := math.Float64bits(math.Float64frombits(old) + delta)
-		if atomic.CompareAndSwapUint64(bits, old, nv) {
-			return
-		}
-	}
-}
-
 // WCC implements engines.Instance with Shiloach-Vishkin-style label
 // propagation (the suite's connected components kernel): every vertex
-// repeatedly adopts the minimum label in its neighborhood — the shared
-// hook step, always over the raw rows — with a pointer-jumping
-// compression pass, until a fixed point.
+// adopts the minimum label in its neighborhood — the shared hook step,
+// one synchronous round, always over the raw rows — then a
+// pointer-jumping pass sends every label to the root of its chain,
+// until a round lowers none.
 func (inst *Instance) WCC() (*engines.WCCResult, error) {
 	inst.BuildStructure()
 	n := inst.n
-	comp := make([]graph.VID, n)
+	// comp is made per call and handed out; the other of the pair is kept.
+	comp, next := make([]graph.VID, n), traverse.Resized(inst.ws.wccSpare, n)
 	for i := range comp {
 		comp[i] = graph.VID(i)
 	}
@@ -148,8 +139,10 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 		if err := inst.trav.Poll("gap: WCC"); err != nil {
 			return nil, err
 		}
-		changed := inst.trav.Hook(inst.m, 1024, &ccHook, inst.out, in, comp)
-		// Pointer jumping: comp[v] = comp[comp[v]] until stable.
+		changed := inst.trav.Hook(inst.m, 1024, &ccHook, inst.out, in, comp, next)
+		comp, next = next, comp
+		// Pointer jumping: comp[v] = comp[comp[v]] until stable. In
+		// place, but every schedule leaves each v at its chain's root.
 		inst.trav.Sweep(inst.m, n, 2048, &ccJump, func(_ *traverse.Chunk, lo, hi int) {
 			for v := lo; v < hi; v++ {
 				for {
@@ -166,5 +159,6 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 			break
 		}
 	}
+	inst.ws.wccSpare = next
 	return &engines.WCCResult{Component: comp}, nil
 }

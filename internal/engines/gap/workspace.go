@@ -7,7 +7,7 @@ import (
 
 // workspace is the working set of the kernels GAP does not share —
 // both delta-stepping variants' buckets, the chaotic variant's CAS
-// distances and queues, PageRank's vectors, IncrementalWCC's repair —
+// distances and queues, PageRank's vectors, WCC's labels and IncrementalWCC's repair —
 // kept on the Instance, beside the shared steps' traverse.State (which
 // also lends the per-worker counters and the bottom-up bitmaps), so
 // that a warm kernel allocates its result and nothing else that scales
@@ -45,6 +45,9 @@ type workspace struct {
 	// rank/degree contributions and the out-degrees of the epoch.
 	prSpare, prContrib []float64
 	prOutDeg           []int64
+
+	// WCC: the label array the last call did not hand out.
+	wccSpare []graph.VID
 
 	// IncrementalWCC's delete repair: membership in the affected
 	// components (and visited or not), their vertices, the BFS queue.

@@ -155,13 +155,18 @@ func (inst *Instance) neighborhood(v graph.VID) []graph.VID {
 }
 
 // WCC implements engines.Instance: plain min-label propagation (no
-// pointer jumping) until quiescent — the shared hook step.
+// pointer jumping) until quiescent — the shared hook step, one
+// synchronous round at a time.
 func (inst *Instance) WCC() (*engines.WCCResult, error) {
-	comp := make([]graph.VID, inst.n)
+	// comp is made per call and handed out; the other of the pair is
+	// kept. A round that lowers nothing leaves next equal to comp.
+	comp, next := make([]graph.VID, inst.n), traverse.Resized(inst.spare, inst.n)
 	for i := range comp {
 		comp[i] = graph.VID(i)
 	}
-	for inst.trav.Hook(inst.m, 1024, &wccHook, inst.vertices, inst.inRows(), comp) != 0 {
+	for inst.trav.Hook(inst.m, 1024, &wccHook, inst.vertices, inst.inRows(), comp, next) != 0 {
+		comp, next = next, comp
 	}
+	inst.spare = next
 	return &engines.WCCResult{Component: comp}, nil
 }

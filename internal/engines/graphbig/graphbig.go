@@ -116,7 +116,7 @@ type scratch struct {
 	queue      *parallel.Queue[graph.VID] // chaotic SSSP: the next one, as a bag
 	pushed     parallel.Arena[graph.VID]  // chaotic SSSP: a chunk's pushes, per worker
 	rank       [2][]float32               // PageRank's single-precision properties
-	spare      []graph.VID                // the CDLP label array not handed out
+	spare      []graph.VID                // the CDLP or WCC label array not handed out
 }
 
 type propertyKind struct{}

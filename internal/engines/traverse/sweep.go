@@ -1,8 +1,6 @@
 package traverse
 
 import (
-	"sync/atomic"
-
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/parallel"
@@ -103,18 +101,17 @@ func (s *State) Sweep(m *simmachine.Machine, n, grain int, p *SweepProfile, body
 // order.
 func (s *State) Partials() []float64 { return append([]float64(nil), s.parts...) }
 
-// Hook is one sweep of min-label propagation over comp: every vertex
-// adopts the smallest label among itself and its neighbors along out
-// and, for a directed graph, in (nil when out is symmetric). It returns
-// how many labels it lowered. The hook is in place — a chunk reads
-// labels other chunks are lowering in the same sweep — so the labels
-// reach the same fixed point on every schedule, but in a
-// schedule-dependent number of sweeps.
-func (s *State) Hook(m *simmachine.Machine, grain int, p *SweepProfile, out, in Rows, comp []graph.VID) (changed int64) {
+// Hook is one synchronous round of min-label propagation: next[v]
+// becomes the smallest label among comp[v] and v's neighbors along out
+// and, for a directed graph, in (nil when out is symmetric) — read from
+// comp only, so no chunk sees a label another lowered in the same
+// round. It returns how many labels it lowered; when none, next equals
+// comp.
+func (s *State) Hook(m *simmachine.Machine, grain int, p *SweepProfile, out, in Rows, comp, next []graph.VID) (changed int64) {
 	lowest := func(min graph.VID, adj []graph.VID) graph.VID {
 		for _, u := range adj {
-			if c := atomic.LoadUint32(&comp[u]); c < min {
-				min = c
+			if comp[u] < min {
+				min = comp[u]
 			}
 		}
 		return min
@@ -122,12 +119,12 @@ func (s *State) Hook(m *simmachine.Machine, grain int, p *SweepProfile, out, in 
 	_, changed = s.Sweep(m, len(comp), grain, p, func(c *Chunk, lo, hi int) {
 		var lowered int64
 		for v := lo; v < hi; v++ {
-			min := lowest(atomic.LoadUint32(&comp[v]), c.Row(out, v))
+			min := lowest(comp[v], c.Row(out, v))
 			if in != nil {
 				min = lowest(min, c.Row(in, v))
 			}
+			next[v] = min
 			if min < comp[v] {
-				atomic.StoreUint32(&comp[v], min)
 				lowered++
 			}
 		}

@@ -189,3 +189,56 @@ func TestTallyPicksLikeAHistogramMap(t *testing.T) {
 		}
 	}
 }
+
+// Hook is one Jacobi round, whatever the worker count: on a path
+// 0–1–…–(n−1) the first round leaves comp alone and moves every label
+// down by exactly one, and the fixed point takes exactly n−1 lowering
+// rounds (round k lowers n−k labels) and one that lowers none. An
+// in-place hook finishes the path in one sweep at one worker. The path
+// stored one way, with in set, is the same graph.
+func TestHookIsOneSynchronousRound(t *testing.T) {
+	const n = 4096
+	both, out, in := make([][]graph.VID, n), make([][]graph.VID, n), make([][]graph.VID, n)
+	for v := 0; v+1 < n; v++ {
+		u := graph.VID(v + 1)
+		both[v], both[u] = append(both[v], u), append(both[u], graph.VID(v))
+		out[v], in[u] = []graph.VID{u}, []graph.VID{graph.VID(v)}
+	}
+	cases := []struct {
+		name    string
+		out, in Rows
+	}{
+		{"undirected", sliceRows{adj: both}, nil},
+		{"directed", sliceRows{adj: out}, sliceRows{adj: in}},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2, 7} {
+			var s State
+			m := machine(workers)
+			comp, next := make([]graph.VID, n), make([]graph.VID, n)
+			for v := range comp {
+				comp[v] = graph.VID(v)
+			}
+			if got := s.Hook(m, 64, &testSweep, tc.out, tc.in, comp, next); got != n-1 {
+				t.Fatalf("%s workers=%d: the first round lowered %d labels, want %d", tc.name, workers, got, n-1)
+			}
+			for v := range comp {
+				if comp[v] != graph.VID(v) || next[v] != graph.VID(max(v-1, 0)) {
+					t.Fatalf("%s workers=%d: after one round vertex %d has comp %d, next %d; want %d, %d", tc.name, workers, v, comp[v], next[v], v, max(v-1, 0))
+				}
+			}
+			comp, next = next, comp
+			for round := 2; round <= n; round++ {
+				if got := s.Hook(m, 64, &testSweep, tc.out, tc.in, comp, next); got != int64(n-round) {
+					t.Fatalf("%s workers=%d: round %d lowered %d labels, want %d", tc.name, workers, round, got, n-round)
+				}
+				comp, next = next, comp
+			}
+			for v, l := range comp {
+				if l != 0 {
+					t.Fatalf("%s workers=%d: vertex %d ended at label %d, want 0", tc.name, workers, v, l)
+				}
+			}
+		}
+	}
+}

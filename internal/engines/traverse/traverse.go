@@ -5,7 +5,7 @@
 // apply). The dense half: one vertex sweep over [0,n) — rows through the
 // same row source, a chunk-ordered float64 fold, a change count — and
 // three label steps on it for the kernels that are one algorithm in two
-// engines: the in-place min-label hook, the synchronous histogram vote
+// engines: the synchronous min-label hook, the synchronous histogram vote
 // and the sorted-merge link count. What a level, a relaxation round or a
 // sweep *is* does not differ between the systems of the study; what
 // differs is storage layout, scheduling and cost per operation. So an
@@ -20,9 +20,7 @@
 // Every charged cost is a function of chunk contents only, and every
 // frontier and candidate list is canonical by construction (chunk
 // order, never arrival order), so results and modeled durations are
-// independent of the goroutine schedule and the real worker count —
-// except that Hook works in place, so the number of sweeps its caller
-// needs is schedule-dependent (ROADMAP 1a).
+// independent of the goroutine schedule and the real worker count.
 package traverse
 
 import (
