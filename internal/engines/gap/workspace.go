@@ -7,7 +7,7 @@ import (
 
 // workspace is the working set of the kernels GAP does not share —
 // both delta-stepping variants' buckets, the chaotic variant's CAS
-// distances and queues, PageRank's vectors, WCC's labels and IncrementalWCC's repair —
+// distances and queues, PageRank's vectors, IncrementalWCC's repair —
 // kept on the Instance, beside the shared steps' traverse.State (which
 // also lends the per-worker counters and the bottom-up bitmaps), so
 // that a warm kernel allocates its result and nothing else that scales
