@@ -22,7 +22,11 @@
 # run) -- only when a change is meant to move a cost; `make alloc-walls`
 # runs every allocation wall (warm regions, warm kernels, reused
 # instances) three times under GOMAXPROCS=1 and the default, printing
-# the B/call each one measured.
+# the B/call each one measured; `make permute` builds with the
+# epg_permute tag, under which every simmachine region runs its chunks
+# serially in an order the test picks (TestScheduleIndependence
+# compares eight), and runs the whole suite and the three studies'
+# drift gates that way.
 
 GO ?= go
 FUZZTIME ?= 20s
@@ -33,7 +37,7 @@ FUZZTIME ?= 20s
 # pinned to kron-12 in internal/study, independent of this knob.)
 SCHEDFIG_SCALE ?= 17
 
-.PHONY: all build test bench-test bench-compare race race-full alloc-walls fuzz bench loc golden benchfig compress-ratio serve-soak speedup-floor big-conformance numa-sweep vet fmt-check
+.PHONY: all build test bench-test bench-compare race race-full alloc-walls fuzz bench loc golden benchfig compress-ratio serve-soak speedup-floor big-conformance permute vet fmt-check
 
 all: test bench-test race
 
@@ -123,8 +127,9 @@ speedup-floor:
 big-conformance:
 	EPG_BIG_CONFORMANCE=1 $(GO) test -run TestBigConformance -v -timeout 60m ./internal/engines/all/
 
-numa-sweep:
-	EPG_NUMA_SWEEP=1 $(GO) test -run TestBigNUMASweep -v -timeout 60m ./internal/engines/all/
+permute:
+	$(GO) test -tags epg_permute ./...
+	for s in sched serving stream; do $(GO) run -tags epg_permute ./cmd/epg study $$s -check || exit 1; done
 
 vet:
 	$(GO) vet ./...

@@ -1,10 +1,10 @@
-// Cluster conformance walls: the modeled distributed-memory mode
-// (Spec.Nodes + Spec.Partition) may only move modeled time. Sharded
-// runs must produce outputs bit-equal to the shared-memory runs on all
-// six kernels — the classic distributed-framework conformance check,
-// here enforced exactly rather than approximately — and Nodes=1 must
+// Cluster walls: the modeled distributed-memory mode (Spec.Nodes +
+// Spec.Partition) may only move modeled time. That sharded runs give
+// outputs bit-equal to shared memory on all six kernels is part of
+// TestScheduleIndependence (its nodes rows); here Nodes=1 must
 // reproduce the single-box trace byte for byte, modeled durations and
-// all trace fields included.
+// all trace fields included, and the knobs must reach the network
+// model through the harness.
 package all
 
 import (
@@ -13,74 +13,10 @@ import (
 	"github.com/hpcl-repro/epg/internal/core"
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/engines/gap"
-	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/harness"
 	"github.com/hpcl-repro/epg/internal/kronecker"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
-
-// clusterOwner derives the 2D (vertex-cut) owner table the way the
-// harness does: greedy streaming vertex-cut on the homogenized graph,
-// each vertex homed on its lowest replica shard.
-func clusterOwner(el *graph.EdgeList, nodes int) []int16 {
-	csr := graph.BuildCSR(el, graph.BuildOptions{
-		Symmetrize:    !el.Directed,
-		DropSelfLoops: true,
-		Dedup:         true,
-	})
-	return graph.GreedyVertexCut(csr, nodes, nil).Owners()
-}
-
-// clusterCells is the (nodes, partition) matrix of the sharded wall:
-// all three node counts of the acceptance criterion with both
-// partition schemes represented.
-var clusterCells = []struct {
-	nodes     int
-	partition string
-}{
-	{1, core.Partition1D},
-	{2, core.Partition1D},
-	{2, core.Partition2D},
-	{4, core.Partition1D},
-	{4, core.Partition2D},
-}
-
-// TestClusterShardedConformanceAllKernels: for every engine and every
-// kernel it implements, each sharded cell produces outputs bit-equal
-// to the unsharded shared-memory run, and within a cell outputs AND
-// modeled durations are identical across worker counts (the
-// determinism wall pattern). Synchronous SSSP is enabled so every
-// engine qualifies for the full comparison.
-func TestClusterShardedConformanceAllKernels(t *testing.T) {
-	el, root := determinismGraph()
-	for _, alg := range engines.AllAlgorithms {
-		t.Run(string(alg), func(t *testing.T) {
-			for _, name := range Names {
-				eng, err := New(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !eng.Has(alg) {
-					continue
-				}
-				t.Run(name, func(t *testing.T) {
-					shared := runKernelOpts(t, name, alg, el, root, workerCounts[0],
-						runOpts{syncSSSP: true})
-					for _, cell := range clusterCells {
-						opts := runOpts{syncSSSP: true, nodes: cell.nodes, partition: cell.partition}
-						base := runKernelOpts(t, name, alg, el, root, workerCounts[0], opts)
-						sameOutputs(t, "sharded vs shared-memory", shared.out, base.out)
-						for _, workers := range workerCounts[1:] {
-							got := runKernelOpts(t, name, alg, el, root, workers, opts)
-							sameOutputs(t, "sharded across workers", base.out, got.out)
-							sameDurations(t, "sharded across workers", base, got)
-						}
-					}
-				})
-			}
-		})
-	}
-}
 
 // TestClusterNodesOneTraceByteIdentical: a machine given SetCluster(1,
 // ...) must leave no trace of the cluster model — every Region field
@@ -89,21 +25,16 @@ func TestClusterShardedConformanceAllKernels(t *testing.T) {
 // acceptance criterion, checked at full trace granularity rather than
 // through the duration summaries.
 func TestClusterNodesOneTraceByteIdentical(t *testing.T) {
-	el, root := determinismGraph()
+	g, root := determinismGraph(t)
 	trace := func(cluster bool) []simmachine.Region {
 		m := simmachine.New(simmachine.Haswell72(), 8)
 		m.SetWorkers(2)
 		if cluster {
 			// An owner table alongside nodes=1: the table must be inert
 			// too, not just tolerated.
-			m.SetCluster(1, make([]int16, 1<<10))
+			m.SetCluster(1, make([]int16, g.NumVertices))
 		}
-		eng := (&engines.Engine{Decl: &gap.Decl})
-		instAny, err := eng.Load(el, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inst := instAny.(*gap.Instance)
+		inst := (&engines.Engine{Decl: &gap.Decl}).LoadSimple(g, m).(*gap.Instance)
 		inst.BuildStructure()
 		m.Reset()
 		if _, err := inst.BFS(root); err != nil {

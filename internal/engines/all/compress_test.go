@@ -1,18 +1,12 @@
 // Compressed-adjacency walls: under Spec.Compress the GAP and
 // Graph500 BFS/PageRank inner loops decode delta+varint neighbor
-// streams on the fly. The contract has three sides, mirroring the
-// adaptive-grain wall:
-//
-//  1. Conformance — outputs are bit-identical to the uncompressed run
-//     for every kernel of every engine (compression may only move
-//     modeled costs, never results).
-//  2. Determinism — outputs AND modeled durations (joules included)
-//     are bit-identical across runs and real worker counts under
-//     every scheduling policy.
-//  3. Liveness — for the kernels that actually decode (GAP BFS/PR,
-//     Graph500 BFS) the modeled duration trace must differ from the
-//     raw-CSR run: equal traces would mean the knob never reached the
-//     inner loops.
+// streams on the fly. Conformance (outputs bit-identical to the
+// uncompressed run for every kernel of every engine) and determinism
+// under every scheduling policy are TestScheduleIndependence's
+// compress rows. Here, liveness: for the kernels that actually decode
+// (GAP BFS/PR, Graph500 BFS) the modeled duration trace must differ
+// from the raw-CSR run: equal traces would mean the knob never reached
+// the inner loops.
 package all
 
 import (
@@ -22,66 +16,7 @@ import (
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/harness"
 	"github.com/hpcl-repro/epg/internal/kronecker"
-	"github.com/hpcl-repro/epg/internal/simmachine"
 )
-
-// compressPolicies is the scheduling axis of the compressed wall: all
-// four policies, with the locality model live on the numa leg.
-var compressPolicies = []struct {
-	name    string
-	sched   simmachine.Sched
-	sockets int
-}{
-	{"static", simmachine.Static, 0},
-	{"dynamic", simmachine.Dynamic, 0},
-	{"steal", simmachine.Steal, 0},
-	{"numa", simmachine.NUMA, 2},
-}
-
-// TestCompressDeterministicAllKernels is the six-kernel wall under
-// Compress=on × {static, dynamic, steal, numa}: outputs bit-identical
-// to the uncompressed run AND across runs/worker counts, modeled
-// durations bit-identical across runs/worker counts, for every engine
-// that implements each kernel.
-func TestCompressDeterministicAllKernels(t *testing.T) {
-	el, root := determinismGraph()
-	for _, pol := range compressPolicies {
-		t.Run(pol.name, func(t *testing.T) {
-			opts := runOpts{
-				syncSSSP: true, sched: pol.sched, override: true,
-				sockets: pol.sockets, compress: true,
-			}
-			raw := opts
-			raw.compress = false
-			for _, alg := range engines.AllAlgorithms {
-				t.Run(string(alg), func(t *testing.T) {
-					for _, name := range Names {
-						eng, err := New(name)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !eng.Has(alg) {
-							continue
-						}
-						t.Run(name, func(t *testing.T) {
-							base := runKernelOpts(t, name, alg, el, root, 1, opts)
-							// Conformance: identical results to raw CSR.
-							uncompressed := runKernelOpts(t, name, alg, el, root, 1, raw)
-							sameOutputs(t, "compress vs raw", uncompressed.out, base.out)
-							// Determinism: identical everything across
-							// runs and worker counts.
-							for _, workers := range []int{1, 4} {
-								got := runKernelOpts(t, name, alg, el, root, workers, opts)
-								sameOutputs(t, "compress", base.out, got.out)
-								sameDurations(t, "compress", base, got)
-							}
-						})
-					}
-				})
-			}
-		})
-	}
-}
 
 // TestCompressChangesModeledCosts pins knob liveness per decoding
 // kernel: the compressed run's modeled trace must differ from the raw
@@ -90,7 +25,7 @@ func TestCompressDeterministicAllKernels(t *testing.T) {
 // without a compressed path (e.g. GraphMat PageRank) must be
 // byte-identical — the knob may not leak into them.
 func TestCompressChangesModeledCosts(t *testing.T) {
-	el, root := determinismGraph()
+	g, root := determinismGraph(t)
 	decoding := []struct {
 		name string
 		alg  engines.Algorithm
@@ -101,19 +36,19 @@ func TestCompressChangesModeledCosts(t *testing.T) {
 	}
 	for _, c := range decoding {
 		t.Run(c.name+"/"+string(c.alg), func(t *testing.T) {
-			raw := runKernelOpts(t, c.name, c.alg, el, root, 1, runOpts{})
-			comp := runKernelOpts(t, c.name, c.alg, el, root, 1, runOpts{compress: true})
+			raw := runKernelOpts(t, c.name, c.alg, g, root, workers(1), runOpts{})
+			comp := runKernelOpts(t, c.name, c.alg, g, root, workers(1), runOpts{compress: true})
 			sameOutputs(t, "compress vs raw outputs", raw.out, comp.out)
-			if raw.elapsed == comp.elapsed && slices.Equal(raw.durations, comp.durations) {
+			if raw.elapsed == comp.elapsed && sameDurations(raw, comp) {
 				t.Error("compressed duration trace byte-identical to raw: Compress not reaching the inner loop")
 			}
 		})
 	}
 	// Engines that ignore the knob must be bitwise unaffected.
-	raw := runKernelOpts(t, GraphMat, engines.PageRank, el, root, 1, runOpts{})
-	comp := runKernelOpts(t, GraphMat, engines.PageRank, el, root, 1, runOpts{compress: true})
+	raw := runKernelOpts(t, GraphMat, engines.PageRank, g, root, workers(1), runOpts{})
+	comp := runKernelOpts(t, GraphMat, engines.PageRank, g, root, workers(1), runOpts{compress: true})
 	sameOutputs(t, "graphmat outputs", raw.out, comp.out)
-	sameDurations(t, "graphmat durations", raw, comp)
+	sameModeled(t, "graphmat charges", raw, comp)
 }
 
 // TestSpecCompressKnobEndToEnd drives the harness with Spec.Compress:

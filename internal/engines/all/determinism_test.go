@@ -1,28 +1,22 @@
 // Determinism tests: the parallel runtime's contract is that kernel
-// outputs and simmachine region durations depend only on the Spec —
-// never on the goroutine schedule or the real worker count. Each case
-// runs the same kernel twice at the same worker count and once per
-// extra worker count, comparing outputs bitwise and modeled durations
-// exactly.
+// outputs and simmachine's modeled numbers depend only on the Spec —
+// never on the goroutine schedule or the real worker count.
 //
-// Scope: BFS and PageRank are fully deterministic in every engine
-// (write-min claims, chunk-ordered/bitmap frontiers, chunk-ordered
-// reductions), as
-// are GraphMat's and PowerGraph's synchronous SSSP. GAP's
-// delta-stepping and GraphBIG's relaxation default to their chaotic
-// character (schedule-dependent work traces, as in the real systems)
-// — for the defaults only the fixed-point distances are bit-compared
-// — but their synchronous modes (Spec.SyncSSSP) join the full wall:
-// parents, relaxation counts, and durations included. The
-// work-stealing scheduler (Spec.Sched = "steal") is walled across all
-// six kernels: bit-identical outputs and modeled durations at every
-// worker count.
+// TestScheduleIndependence is the one wall of that contract. It runs
+// every (engine, kernel) pair under each configuration of
+// scheduleRows, once per schedule, and compares every schedule with
+// the first bit for bit. A product build's schedules are real worker
+// counts (schedules_test.go); an epg_permute build's are eight chunk
+// orders on the calling goroutine (schedules_permute_test.go,
+// simmachine.SetChunkOrder), so a schedule dependence fails on a named
+// order instead of once in a few hundred runs. `make permute` runs it.
 package all
 
 import (
+	"fmt"
 	"math"
-	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/hpcl-repro/epg/internal/core"
@@ -40,20 +34,31 @@ import (
 // legal: goroutines are multiplexed.
 var workerCounts = []int{1, 2, 4}
 
+// schedule is one way to run a configuration's regions on the host.
+type schedule struct {
+	name string
+	set  func(m *simmachine.Machine)
+}
+
+// workers is the schedule of k real workers.
+func workers(k int) schedule {
+	return schedule{fmt.Sprintf("workers=%d", k), func(m *simmachine.Machine) { m.SetWorkers(k) }}
+}
+
 // kernelRun is one engine execution with its observables. The joules
 // are the power model integrated over the run's region trace
 // (power.MeasureTrace with the default calibration): a pure function
-// of the modeled schedule, so the determinism walls pin them exactly
-// like durations.
+// of the modeled schedule, so the walls pin them exactly like
+// durations.
 type kernelRun struct {
-	durations []float64 // per-region modeled seconds, in order
+	trace     []simmachine.Region
 	elapsed   float64
 	cpuJoules float64
 	ramJoules float64
 	out       any
 }
 
-// runOpts tweaks a kernel run beyond the worker count.
+// runOpts is one configuration of a kernel run.
 type runOpts struct {
 	syncSSSP  bool             // enable the synchronous SSSP modes
 	sched     simmachine.Sched // machine-wide policy override
@@ -66,12 +71,10 @@ type runOpts struct {
 	partition string           // cluster partition scheme ("1d" or "2d"), with nodes > 1
 }
 
-func runKernel(t *testing.T, name string, alg engines.Algorithm, el *graph.EdgeList, root graph.VID, workers int) kernelRun {
-	t.Helper()
-	return runKernelOpts(t, name, alg, el, root, workers, runOpts{})
-}
-
-func runKernelOpts(t *testing.T, name string, alg engines.Algorithm, el *graph.EdgeList, root graph.VID, workers int, opts runOpts) kernelRun {
+// runKernelOpts runs alg from root on a fresh instance of the named
+// engine bound to g, on an 8-thread machine configured by opts and run
+// on schedule s.
+func runKernelOpts(t *testing.T, name string, alg engines.Algorithm, g *graph.Simple, root graph.VID, s schedule, opts runOpts) kernelRun {
 	t.Helper()
 	eng, err := New(name)
 	if err != nil {
@@ -79,7 +82,7 @@ func runKernelOpts(t *testing.T, name string, alg engines.Algorithm, el *graph.E
 	}
 	engines.Configure(eng, engines.Options{SyncSSSP: opts.syncSSSP, Compress: opts.compress})
 	m := simmachine.New(simmachine.Haswell72(), 8)
-	m.SetWorkers(workers)
+	s.set(m)
 	if opts.override {
 		m.SetSchedOverride(opts.sched)
 	}
@@ -93,34 +96,25 @@ func runKernelOpts(t *testing.T, name string, alg engines.Algorithm, el *graph.E
 		m.SetPlacement(true)
 	}
 	if opts.nodes > 1 {
-		var owner []int16
-		if opts.partition == core.Partition2D {
-			owner = clusterOwner(el, opts.nodes)
-		}
-		m.SetCluster(opts.nodes, owner)
+		m.SetCluster(opts.nodes, core.Spec{Nodes: opts.nodes, Partition: opts.partition}.Owners(g.Out))
 	}
-	inst, err := eng.Load(el, m)
-	if err != nil {
-		t.Fatalf("%s load: %v", name, err)
-	}
+	inst := eng.LoadSimple(g, m)
 	inst.BuildStructure()
 	m.Reset()
 	out, err := engines.RunAlgorithm(inst, alg, root)
 	if err != nil {
 		t.Fatalf("%s %s: %v", name, alg, err)
 	}
-	durations := make([]float64, 0, len(m.Trace()))
-	for _, r := range m.Trace() {
-		durations = append(durations, r.Seconds)
-	}
 	rd := power.DefaultConstants().MeasureTrace(m.Trace())
 	return kernelRun{
-		durations: durations, elapsed: m.Elapsed(),
+		trace: slices.Clone(m.Trace()), elapsed: m.Elapsed(),
 		cpuJoules: rd.CPUJoules, ramJoules: rd.RAMJoules, out: out,
 	}
 }
 
-func sameDurations(t *testing.T, label string, a, b kernelRun) {
+// sameModeled requires two runs to charge the same: the trace region
+// by region, the elapsed time and the joules, bit for bit.
+func sameModeled(t *testing.T, label string, a, b kernelRun) {
 	t.Helper()
 	if a.elapsed != b.elapsed {
 		t.Errorf("%s: modeled elapsed differs: %v vs %v", label, a.elapsed, b.elapsed)
@@ -130,19 +124,24 @@ func sameDurations(t *testing.T, label string, a, b kernelRun) {
 		t.Errorf("%s: modeled joules differ: (%v cpu, %v ram) vs (%v cpu, %v ram)",
 			label, a.cpuJoules, a.ramJoules, b.cpuJoules, b.ramJoules)
 	}
-	if len(a.durations) != len(b.durations) {
-		t.Errorf("%s: region count differs: %d vs %d", label, len(a.durations), len(b.durations))
+	if len(a.trace) != len(b.trace) {
+		t.Errorf("%s: region count differs: %d vs %d", label, len(a.trace), len(b.trace))
 		return
 	}
-	for i := range a.durations {
-		if a.durations[i] != b.durations[i] {
-			t.Errorf("%s: region %d duration %v vs %v", label, i, a.durations[i], b.durations[i])
+	for i := range a.trace {
+		if a.trace[i] != b.trace[i] {
+			t.Errorf("%s: region %d is %+v vs %+v", label, i, a.trace[i], b.trace[i])
 			return
 		}
 	}
 }
 
-func sameInt64s(t *testing.T, label string, a, b []int64) {
+// sameDurations reports whether two runs' regions last the same.
+func sameDurations(a, b kernelRun) bool {
+	return slices.EqualFunc(a.trace, b.trace, func(x, y simmachine.Region) bool { return x.Seconds == y.Seconds })
+}
+
+func sameInts[T int64 | graph.VID](t *testing.T, label string, a, b []T) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("%s: length %d vs %d", label, len(a), len(b))
@@ -168,142 +167,191 @@ func sameFloat64sBitwise(t *testing.T, label string, a, b []float64) {
 	}
 }
 
-func determinismGraph() (*graph.EdgeList, graph.VID) {
-	el := kronecker.Generate(kronecker.Params{Scale: 10, Seed: 42})
-	return el, 2 // any reachable root works; keep it fixed
-}
-
-func TestBFSDeterministicAcrossRunsAndWorkers(t *testing.T) {
-	el, root := determinismGraph()
-	for _, name := range []string{Graph500, GAP, GraphBIG, GraphMat} {
-		t.Run(name, func(t *testing.T) {
-			base := runKernel(t, name, engines.BFS, el, root, workerCounts[0])
-			ref := base.out.(*engines.BFSResult)
-			for _, workers := range workerCounts {
-				for rep := 0; rep < 2; rep++ {
-					got := runKernel(t, name, engines.BFS, el, root, workers)
-					res := got.out.(*engines.BFSResult)
-					sameInt64s(t, "parent", ref.Parent, res.Parent)
-					sameInt64s(t, "depth", ref.Depth, res.Depth)
-					if ref.EdgesExamined != res.EdgesExamined {
-						t.Errorf("edges examined %d vs %d", ref.EdgesExamined, res.EdgesExamined)
-					}
-					sameDurations(t, "bfs", base, got)
-				}
-			}
-		})
+// sameOutputs bit-compares two kernel outputs of the same type, their
+// trip and work counters included.
+func sameOutputs(t *testing.T, label string, ref, got any) {
+	t.Helper()
+	switch r := ref.(type) {
+	case *engines.BFSResult:
+		g := got.(*engines.BFSResult)
+		sameInts(t, label+" parent", r.Parent, g.Parent)
+		sameInts(t, label+" depth", r.Depth, g.Depth)
+		if r.EdgesExamined != g.EdgesExamined {
+			t.Errorf("%s: edges examined %d vs %d", label, r.EdgesExamined, g.EdgesExamined)
+		}
+	case *engines.SSSPResult:
+		g := got.(*engines.SSSPResult)
+		sameFloat64sBitwise(t, label+" dist", r.Dist, g.Dist)
+		sameInts(t, label+" parent", r.Parent, g.Parent)
+		if r.Relaxations != g.Relaxations {
+			t.Errorf("%s: relaxations %d vs %d", label, r.Relaxations, g.Relaxations)
+		}
+	case *engines.PRResult:
+		g := got.(*engines.PRResult)
+		sameFloat64sBitwise(t, label+" rank", r.Rank, g.Rank)
+		if r.Iterations != g.Iterations {
+			t.Errorf("%s: iterations %d vs %d", label, r.Iterations, g.Iterations)
+		}
+	case *engines.CDLPResult:
+		g := got.(*engines.CDLPResult)
+		sameInts(t, label+" label", r.Label, g.Label)
+		if r.Iterations != g.Iterations {
+			t.Errorf("%s: iterations %d vs %d", label, r.Iterations, g.Iterations)
+		}
+	case *engines.LCCResult:
+		g := got.(*engines.LCCResult)
+		sameFloat64sBitwise(t, label+" coeff", r.Coeff, g.Coeff)
+	case *engines.WCCResult:
+		g := got.(*engines.WCCResult)
+		sameInts(t, label+" component", r.Component, g.Component)
+	default:
+		t.Fatalf("%s: unknown result type %T", label, ref)
 	}
 }
 
-func TestPageRankDeterministicAcrossRunsAndWorkers(t *testing.T) {
-	el, _ := determinismGraph()
-	for _, name := range []string{GAP, GraphBIG, GraphMat, PowerGraph} {
-		t.Run(name, func(t *testing.T) {
-			base := runKernel(t, name, engines.PageRank, el, 0, workerCounts[0])
-			ref := base.out.(*engines.PRResult)
-			for _, workers := range workerCounts {
-				got := runKernel(t, name, engines.PageRank, el, 0, workers)
-				res := got.out.(*engines.PRResult)
-				if ref.Iterations != res.Iterations {
-					t.Errorf("iterations %d vs %d", ref.Iterations, res.Iterations)
-				}
-				sameFloat64sBitwise(t, "rank", ref.Rank, res.Rank)
-				sameDurations(t, "pr", base, got)
-			}
-		})
-	}
-}
-
-func TestSSSPDeterministicAcrossRunsAndWorkers(t *testing.T) {
-	el, root := determinismGraph()
-	// Synchronous engines: everything is deterministic, durations
-	// included. Chaotic engines (GAP delta-stepping, GraphBIG): the
-	// fixed-point distances are deterministic, the work trace is not.
-	sync := map[string]bool{GraphMat: true, PowerGraph: true}
-	for _, name := range []string{GAP, GraphBIG, GraphMat, PowerGraph} {
-		t.Run(name, func(t *testing.T) {
-			base := runKernel(t, name, engines.SSSP, el, root, workerCounts[0])
-			ref := base.out.(*engines.SSSPResult)
-			for _, workers := range workerCounts {
-				got := runKernel(t, name, engines.SSSP, el, root, workers)
-				res := got.out.(*engines.SSSPResult)
-				sameFloat64sBitwise(t, "dist", ref.Dist, res.Dist)
-				if sync[name] {
-					sameInt64s(t, "parent", ref.Parent, res.Parent)
-					if ref.Relaxations != res.Relaxations {
-						t.Errorf("relaxations %d vs %d", ref.Relaxations, res.Relaxations)
-					}
-					sameDurations(t, "sssp", base, got)
-				}
-			}
-		})
-	}
-}
-
-// Every engine's WCC is Jacobi: a round reads the labels of the round
-// before and writes another array (GAP's and GraphBIG's traverse.Hook,
-// GraphMat's comp, PowerGraph's comp through the accC gather), so no
-// chunk sees a label another chunk lowered in the same round, and
-// neither the labels nor the number of rounds can depend on the
-// schedule. GAP's pointer jump after each round is in place, but every
-// schedule leaves each vertex at the root of its chain. The wall runs
-// each engine 200 times on kron-13 (seed 1, 32 threads, where an
-// in-place hook's race showed about once in a few hundred runs),
-// cycling the worker counts: every run's trace has the first run's
-// length — the trip count times the fixed regions per round — and
-// equals it region for region, and so do the labels. Under the race
-// detector, which looks for data races, not for schedules, it runs a
-// tenth as many.
-func TestWCCTraceRepeats(t *testing.T) {
-	runs := 200
-	if raceEnabled {
-		runs /= 10
-	}
-	g, err := graph.Homogenize(kronecker.Generate(kronecker.Params{Scale: 13, Seed: 1}))
+// determinismGraph is the walls' graph: kron-12, seed 42, where even
+// the coarsest fixed grain (traverse.Hook's 1024) splits a region into
+// chunks whose order can be permuted.
+func determinismGraph(t *testing.T) (*graph.Simple, graph.VID) {
+	t.Helper()
+	g, err := graph.Homogenize(kronecker.Generate(kronecker.Params{Scale: 12, Seed: 42}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{GAP, GraphBIG, GraphMat, PowerGraph} {
-		t.Run(name, func(t *testing.T) {
-			insts := make([]engines.Instance, len(workerCounts))
-			machines := make([]*simmachine.Machine, len(workerCounts))
-			for i, workers := range workerCounts {
-				eng, err := New(name)
-				if err != nil {
-					t.Fatal(err)
+	return g, 2 // any reachable root works; keep it fixed
+}
+
+// eachPair runs f as a subtest alg/engine for every kernel of every
+// engine that implements it.
+func eachPair(t *testing.T, f func(t *testing.T, alg engines.Algorithm, name string)) {
+	for _, alg := range engines.AllAlgorithms {
+		t.Run(string(alg), func(t *testing.T) {
+			for _, name := range Names {
+				if eng, _ := New(name); eng.Has(alg) {
+					t.Run(name, func(t *testing.T) { f(t, alg, name) })
 				}
-				machines[i] = simmachine.New(simmachine.Haswell72(), 32)
-				machines[i].SetWorkers(workers)
-				insts[i] = eng.LoadSimple(g, machines[i])
-				insts[i].BuildStructure()
 			}
-			var trace []simmachine.Region
-			var comp []graph.VID
-			for run := 0; run < runs; run++ {
-				i := run % len(workerCounts)
-				m := machines[i]
-				m.Reset()
-				res, err := insts[i].WCC()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if run == 0 {
-					trace, comp = slices.Clone(m.Trace()), res.Component
-					continue
-				}
-				got := m.Trace()
-				if len(got) != len(trace) {
-					t.Fatalf("workers=%d run %d: %d regions, the first run %d: the trip count moved", workerCounts[i], run, len(got), len(trace))
-				}
-				for r := range got {
-					if got[r] != trace[r] {
-						t.Fatalf("workers=%d run %d: region %d is %+v, in the first run %+v", workerCounts[i], run, r, got[r], trace[r])
+		})
+	}
+}
+
+// scheduleRow is one configuration of the wall.
+type scheduleRow struct {
+	name string
+	opts runOpts
+}
+
+// scheduleRows lists the wall's configurations: the engines' own
+// policies with chaotic and with synchronous SSSP, every policy
+// override, the adaptive grain, compressed adjacency, the cluster cells
+// and the full locality model. Every row but the first is synchronous.
+func scheduleRows() []scheduleRow {
+	rows := []scheduleRow{
+		{"default", runOpts{}},
+		{"sync", runOpts{syncSSSP: true}},
+		{"steal", runOpts{syncSSSP: true, sched: simmachine.Steal, override: true}},
+	}
+	for _, sockets := range []int{1, 2, 4} {
+		rows = append(rows, scheduleRow{fmt.Sprintf("numa%d", sockets),
+			runOpts{syncSSSP: true, sched: simmachine.NUMA, override: true, sockets: sockets}})
+	}
+	policies := []struct {
+		name      string
+		sched     simmachine.Sched
+		sockets   int
+		placement bool
+	}{
+		{"static", simmachine.Static, 0, false},
+		{"dynamic", simmachine.Dynamic, 0, false},
+		{"steal", simmachine.Steal, 0, false},
+		{"numa", simmachine.NUMA, 2, false},
+		{"static+placement", simmachine.Static, 2, true},
+		{"numa+placement", simmachine.NUMA, 2, true},
+	}
+	for _, p := range policies {
+		rows = append(rows, scheduleRow{"adaptive-" + p.name, runOpts{syncSSSP: true, sched: p.sched, override: true,
+			sockets: p.sockets, placement: p.placement, adaptive: true}})
+	}
+	for _, p := range policies[:4] {
+		rows = append(rows, scheduleRow{"compress-" + p.name, runOpts{syncSSSP: true, sched: p.sched, override: true,
+			sockets: p.sockets, compress: true}})
+	}
+	for _, c := range []struct {
+		nodes     int
+		partition string
+	}{{1, core.Partition1D}, {2, core.Partition1D}, {2, core.Partition2D}, {4, core.Partition1D}, {4, core.Partition2D}} {
+		rows = append(rows, scheduleRow{fmt.Sprintf("nodes%d-%s", c.nodes, c.partition),
+			runOpts{syncSSSP: true, nodes: c.nodes, partition: c.partition}})
+	}
+	return append(rows, scheduleRow{"locality", runOpts{syncSSSP: true, sched: simmachine.NUMA, override: true,
+		sockets: 4, adaptive: true, placement: true}})
+}
+
+// scheduleExempt names the cells whose parents, work counters and
+// trace depend on the schedule by design: the chaotic SSSPs (GAP's
+// delta-stepping, GraphBIG's relaxation), of which only the fixed-point
+// distances repeat, and are compared. The list may only shrink.
+var scheduleExempt = []string{"default/SSSP/GAP", "default/SSSP/GraphBIG"}
+
+// TestScheduleIndependence: within a row, every schedule's outputs,
+// trip and work counters, trace, elapsed time and joules equal the
+// first schedule's bit for bit, and the first one's joules are
+// positive. Across rows, outputs equal those of the first row with the
+// same grain policy: compressed equals raw, sharded equals shared
+// memory, and the locality model moves no result. (Per grain policy,
+// because a chunk-ordered fold follows the partition, which the Spec
+// sets: adaptive PageRank differs from fixed by an ulp.)
+func TestScheduleIndependence(t *testing.T) {
+	t.Logf("exempt (distances only): %s", strings.Join(scheduleExempt, ", "))
+	g, root := determinismGraph(t)
+	type ref struct {
+		row    string
+		out    any
+		exempt bool
+	}
+	rows := scheduleRows()
+	for _, cell := range scheduleExempt {
+		row, pair, _ := strings.Cut(cell, "/")
+		alg, name, _ := strings.Cut(pair, "/")
+		eng, err := New(name)
+		if err != nil || !eng.Has(engines.Algorithm(alg)) || !slices.ContainsFunc(rows, func(r scheduleRow) bool { return r.name == row }) {
+			t.Errorf("exempt cell %s is not in the wall", cell)
+		}
+	}
+	refs := map[string]ref{} // by grain policy, kernel and engine
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			eachPair(t, func(t *testing.T, alg engines.Algorithm, name string) {
+				cell := fmt.Sprintf("%s/%s/%s", row.name, alg, name)
+				exempt := slices.Contains(scheduleExempt, cell)
+				same := func(label string, want, got any, distOnly bool) {
+					if distOnly {
+						sameFloat64sBitwise(t, label+" dist", want.(*engines.SSSPResult).Dist, got.(*engines.SSSPResult).Dist)
+					} else {
+						sameOutputs(t, label, want, got)
 					}
 				}
-				if !slices.Equal(res.Component, comp) {
-					t.Fatalf("workers=%d run %d: components differ from the first run", workerCounts[i], run)
+				first := runKernelOpts(t, name, alg, g, root, schedules[0], row.opts)
+				if first.cpuJoules <= 0 || first.ramJoules <= 0 {
+					t.Errorf("no energy recorded: cpu %v J, ram %v J", first.cpuJoules, first.ramJoules)
 				}
-			}
+				for _, s := range schedules[1:] {
+					got := runKernelOpts(t, name, alg, g, root, s, row.opts)
+					label := s.name + " vs " + schedules[0].name
+					same(label, first.out, got.out, exempt)
+					if !exempt {
+						sameModeled(t, label, first, got)
+					}
+				}
+				key := fmt.Sprintf("adaptive=%v/%s/%s", row.opts.adaptive, alg, name)
+				r, ok := refs[key]
+				if ok {
+					same("vs row "+r.row, r.out, first.out, r.exempt || exempt)
+				}
+				if !ok || r.exempt && !exempt {
+					refs[key] = ref{row.name, first.out, exempt}
+				}
+			})
 		})
 	}
 }
@@ -351,112 +399,6 @@ func coreSpec(alg engines.Algorithm, workers int) core.Spec {
 	}
 }
 
-func sameVIDs(t *testing.T, label string, a, b []graph.VID) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: length %d vs %d", label, len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("%s: index %d: %d vs %d", label, i, a[i], b[i])
-			return
-		}
-	}
-}
-
-// sameOutputs bit-compares two kernel outputs of the same type.
-func sameOutputs(t *testing.T, label string, ref, got any) {
-	t.Helper()
-	switch r := ref.(type) {
-	case *engines.BFSResult:
-		g := got.(*engines.BFSResult)
-		sameInt64s(t, label+" parent", r.Parent, g.Parent)
-		sameInt64s(t, label+" depth", r.Depth, g.Depth)
-		if r.EdgesExamined != g.EdgesExamined {
-			t.Errorf("%s: edges examined %d vs %d", label, r.EdgesExamined, g.EdgesExamined)
-		}
-	case *engines.SSSPResult:
-		g := got.(*engines.SSSPResult)
-		sameFloat64sBitwise(t, label+" dist", r.Dist, g.Dist)
-		sameInt64s(t, label+" parent", r.Parent, g.Parent)
-		if r.Relaxations != g.Relaxations {
-			t.Errorf("%s: relaxations %d vs %d", label, r.Relaxations, g.Relaxations)
-		}
-	case *engines.PRResult:
-		g := got.(*engines.PRResult)
-		sameFloat64sBitwise(t, label+" rank", r.Rank, g.Rank)
-		if r.Iterations != g.Iterations {
-			t.Errorf("%s: iterations %d vs %d", label, r.Iterations, g.Iterations)
-		}
-	case *engines.CDLPResult:
-		g := got.(*engines.CDLPResult)
-		sameVIDs(t, label+" label", r.Label, g.Label)
-		if r.Iterations != g.Iterations {
-			t.Errorf("%s: iterations %d vs %d", label, r.Iterations, g.Iterations)
-		}
-	case *engines.LCCResult:
-		g := got.(*engines.LCCResult)
-		sameFloat64sBitwise(t, label+" coeff", r.Coeff, g.Coeff)
-	case *engines.WCCResult:
-		g := got.(*engines.WCCResult)
-		sameVIDs(t, label+" component", r.Component, g.Component)
-	default:
-		t.Fatalf("%s: unknown result type %T", label, ref)
-	}
-}
-
-// TestSyncSSSPJoinsDeterminismWall is the ROADMAP follow-up: with the
-// synchronous modes enabled, GAP's delta-stepping and GraphBIG's
-// relaxation are fully deterministic — distances, parents, relaxation
-// counts, AND modeled durations — across runs and worker counts.
-func TestSyncSSSPJoinsDeterminismWall(t *testing.T) {
-	el, root := determinismGraph()
-	opts := runOpts{syncSSSP: true}
-	for _, name := range []string{GAP, GraphBIG} {
-		t.Run(name, func(t *testing.T) {
-			base := runKernelOpts(t, name, engines.SSSP, el, root, workerCounts[0], opts)
-			for _, workers := range workerCounts {
-				for rep := 0; rep < 2; rep++ {
-					got := runKernelOpts(t, name, engines.SSSP, el, root, workers, opts)
-					sameOutputs(t, "sync sssp", base.out, got.out)
-					sameDurations(t, "sync sssp", base, got)
-				}
-			}
-		})
-	}
-}
-
-// TestSchedStealDeterministicAllKernels is the work-stealing wall:
-// under the Steal policy override (with synchronous SSSP, so every
-// engine qualifies) all six kernels produce bit-identical outputs and
-// modeled durations at 1/2/4 workers for every engine that implements
-// them.
-func TestSchedStealDeterministicAllKernels(t *testing.T) {
-	el, root := determinismGraph()
-	opts := runOpts{syncSSSP: true, sched: simmachine.Steal, override: true}
-	for _, alg := range engines.AllAlgorithms {
-		t.Run(string(alg), func(t *testing.T) {
-			for _, name := range Names {
-				eng, err := New(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !eng.Has(alg) {
-					continue
-				}
-				t.Run(name, func(t *testing.T) {
-					base := runKernelOpts(t, name, alg, el, root, workerCounts[0], opts)
-					for _, workers := range workerCounts {
-						got := runKernelOpts(t, name, alg, el, root, workers, opts)
-						sameOutputs(t, "steal", base.out, got.out)
-						sameDurations(t, "steal", base, got)
-					}
-				})
-			}
-		})
-	}
-}
-
 // TestSpecSchedKnobEndToEnd drives the harness with the new Spec
 // knobs: per-trial modeled measurements under Sched="steal" +
 // SyncSSSP must be identical across worker counts, and an unknown
@@ -490,75 +432,21 @@ func TestSpecSchedKnobEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSchedNUMADeterministicAllKernels is the two-level work-stealing
-// wall: under the NUMA policy override (with synchronous SSSP, so
-// every engine qualifies) all six kernels produce bit-identical
-// outputs and modeled durations across runs and worker counts at
-// every socket count — and the *outputs* are additionally identical
-// across socket counts, since the locality model may only move
-// modeled time, never results.
-func TestSchedNUMADeterministicAllKernels(t *testing.T) {
-	el, root := determinismGraph()
-	for _, alg := range engines.AllAlgorithms {
-		t.Run(string(alg), func(t *testing.T) {
-			for _, name := range Names {
-				eng, err := New(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !eng.Has(alg) {
-					continue
-				}
-				t.Run(name, func(t *testing.T) {
-					var acrossSockets any
-					for _, sockets := range []int{1, 2, 4} {
-						opts := runOpts{syncSSSP: true, sched: simmachine.NUMA, override: true, sockets: sockets}
-						base := runKernelOpts(t, name, alg, el, root, workerCounts[0], opts)
-						if acrossSockets == nil {
-							acrossSockets = base.out
-						} else {
-							sameOutputs(t, "numa outputs across sockets", acrossSockets, base.out)
-						}
-						for _, workers := range workerCounts {
-							got := runKernelOpts(t, name, alg, el, root, workers, opts)
-							sameOutputs(t, "numa", base.out, got.out)
-							sameDurations(t, "numa", base, got)
-						}
-					}
-				})
-			}
-		})
-	}
-}
-
 // TestNUMASocketsOneMatchesSteal: with one virtual socket the NUMA
 // policy must be byte-identical to plain Steal — outputs AND modeled
 // durations — for every kernel and engine. This pins the contract
 // that the locality model is a strict extension: it only diverges
 // when Spec.Sockets asks for more than one socket.
 func TestNUMASocketsOneMatchesSteal(t *testing.T) {
-	el, root := determinismGraph()
-	for _, alg := range engines.AllAlgorithms {
-		t.Run(string(alg), func(t *testing.T) {
-			for _, name := range Names {
-				eng, err := New(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !eng.Has(alg) {
-					continue
-				}
-				t.Run(name, func(t *testing.T) {
-					steal := runKernelOpts(t, name, alg, el, root, 2,
-						runOpts{syncSSSP: true, sched: simmachine.Steal, override: true})
-					numa := runKernelOpts(t, name, alg, el, root, 2,
-						runOpts{syncSSSP: true, sched: simmachine.NUMA, override: true, sockets: 1})
-					sameOutputs(t, "numa vs steal", steal.out, numa.out)
-					sameDurations(t, "numa vs steal", steal, numa)
-				})
-			}
-		})
-	}
+	g, root := determinismGraph(t)
+	eachPair(t, func(t *testing.T, alg engines.Algorithm, name string) {
+		steal := runKernelOpts(t, name, alg, g, root, workers(2),
+			runOpts{syncSSSP: true, sched: simmachine.Steal, override: true})
+		numa := runKernelOpts(t, name, alg, g, root, workers(2),
+			runOpts{syncSSSP: true, sched: simmachine.NUMA, override: true, sockets: 1})
+		sameOutputs(t, "numa vs steal", steal.out, numa.out)
+		sameModeled(t, "numa vs steal", steal, numa)
+	})
 }
 
 // TestSpecNUMAKnobEndToEnd drives the harness with the locality
@@ -620,46 +508,5 @@ func TestSpecNUMAKnobEndToEnd(t *testing.T) {
 	bad.RemotePenalty = 0.5
 	if _, err := r.Run(bad, el); err == nil {
 		t.Error("sub-unity remote penalty accepted")
-	}
-}
-
-// TestBigNUMASweep is the long locality sweep, gated like the kron-18
-// conformance wall (a measurement-grade run, not a tier-1 gate): a
-// larger graph, more worker counts, repeated runs. Run via
-// `make numa-sweep`.
-func TestBigNUMASweep(t *testing.T) {
-	if os.Getenv("EPG_NUMA_SWEEP") == "" {
-		t.Skip("set EPG_NUMA_SWEEP=1 (make numa-sweep) to run the long NUMA determinism sweep")
-	}
-	el := kronecker.Generate(kronecker.Params{Scale: 12, Seed: 42})
-	root := graph.VID(2)
-	for _, alg := range engines.AllAlgorithms {
-		for _, name := range Names {
-			eng, err := New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !eng.Has(alg) {
-				continue
-			}
-			if alg == engines.LCC {
-				// Quadratic in hub degree at this scale; covered by
-				// the tier-1 wall on the smaller graph.
-				continue
-			}
-			t.Run(string(alg)+"/"+name, func(t *testing.T) {
-				for _, sockets := range []int{1, 2, 4} {
-					opts := runOpts{syncSSSP: true, sched: simmachine.NUMA, override: true, sockets: sockets}
-					base := runKernelOpts(t, name, alg, el, root, 1, opts)
-					for _, workers := range []int{1, 2, 4, 8} {
-						for rep := 0; rep < 2; rep++ {
-							got := runKernelOpts(t, name, alg, el, root, workers, opts)
-							sameOutputs(t, "big numa", base.out, got.out)
-							sameDurations(t, "big numa", base, got)
-						}
-					}
-				}
-			})
-		}
 	}
 }

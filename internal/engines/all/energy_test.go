@@ -1,12 +1,9 @@
-// Energy determinism wall: the scheduling study's joules columns are
-// only a valid drift-gate payload (and only host-independent) if the
-// energy integral is a pure function of the Spec. This wall pins that
-// for all six kernels: total joules are bit-identical across repeated
-// runs and real worker counts, under both the default per-engine
-// policies and the full locality configuration the study sweeps (numa
-// × sockets × adaptive grain × first-touch placement). It complements
-// the duration walls in determinism_test.go, which since the energy
-// columns landed also bit-compare per-run joules via sameDurations.
+// Energy walls: the scheduling study's joules columns are only a
+// valid drift-gate payload (and only host-independent) if the energy
+// integral is a pure function of the Spec. TestScheduleIndependence
+// bit-compares every run's joules across schedules, under every
+// configuration the study sweeps; here the DVFS knob must reach the
+// harness end to end.
 package all
 
 import (
@@ -17,51 +14,7 @@ import (
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/harness"
 	"github.com/hpcl-repro/epg/internal/kronecker"
-	"github.com/hpcl-repro/epg/internal/simmachine"
 )
-
-func TestEnergyDeterministicAllKernels(t *testing.T) {
-	el, root := determinismGraph()
-	configs := []struct {
-		name string
-		opts runOpts
-	}{
-		{"default", runOpts{syncSSSP: true}},
-		{"locality", runOpts{syncSSSP: true, sched: simmachine.NUMA, override: true,
-			sockets: 4, adaptive: true, placement: true}},
-	}
-	for _, cfg := range configs {
-		t.Run(cfg.name, func(t *testing.T) {
-			for _, alg := range engines.AllAlgorithms {
-				t.Run(string(alg), func(t *testing.T) {
-					for _, name := range Names {
-						eng, err := New(name)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !eng.Has(alg) {
-							continue
-						}
-						t.Run(name, func(t *testing.T) {
-							base := runKernelOpts(t, name, alg, el, root, workerCounts[0], cfg.opts)
-							if base.cpuJoules <= 0 || base.ramJoules <= 0 {
-								t.Fatalf("no energy recorded: cpu %v J, ram %v J", base.cpuJoules, base.ramJoules)
-							}
-							for _, workers := range workerCounts {
-								got := runKernelOpts(t, name, alg, el, root, workers, cfg.opts)
-								if math.Float64bits(got.cpuJoules) != math.Float64bits(base.cpuJoules) ||
-									math.Float64bits(got.ramJoules) != math.Float64bits(base.ramJoules) {
-									t.Errorf("workers=%d: joules (%v cpu, %v ram) != base (%v cpu, %v ram)",
-										workers, got.cpuJoules, got.ramJoules, base.cpuJoules, base.ramJoules)
-								}
-							}
-						})
-					}
-				})
-			}
-		})
-	}
-}
 
 // TestSpecFreqKnobEndToEnd drives Spec.FreqState through the harness:
 // "turbo" must be byte-identical to the default empty state, lower

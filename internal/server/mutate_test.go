@@ -250,6 +250,9 @@ func TestIdleExecutorServesNewestEpoch(t *testing.T) {
 
 	gateA := make(chan struct{})
 	doneA := wedge(gateA)
+	// The first executor must hold gateA before gateB is armed, or it
+	// blocks on gateB, which is closed only after doneA.
+	waitUntil(t, func() bool { return w.waiting() == 1 })
 	for i, b := range batches {
 		if code := postJSON(t, ts.URL+"/v1/mutate", httpOps(b), nil); code != 200 {
 			t.Fatalf("mutate %d: HTTP %d", i, code)

@@ -9,20 +9,34 @@ import (
 
 // resettableGate is a gateWriter whose gate can be re-armed between
 // wedge cycles: a nil gate passes writes through, a live channel
-// blocks them until closed.
+// blocks them until closed. blocked counts the writes waiting on a
+// gate.
 type resettableGate struct {
-	mu   sync.Mutex
-	gate chan struct{}
+	mu      sync.Mutex
+	gate    chan struct{}
+	blocked int
 }
 
 func (w *resettableGate) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	g := w.gate
+	if g != nil {
+		w.blocked++
+	}
 	w.mu.Unlock()
 	if g != nil {
 		<-g
+		w.mu.Lock()
+		w.blocked--
+		w.mu.Unlock()
 	}
 	return len(p), nil
+}
+
+func (w *resettableGate) waiting() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.blocked
 }
 
 func (w *resettableGate) set(g chan struct{}) {

@@ -38,9 +38,14 @@
 //     atomic-contention term that grows with active threads.
 //
 // The model is deterministic: region durations depend only on the
-// charged work, the chunk order, and the policy's per-region seed —
-// never on the real goroutine schedule or worker count. A trace of
-// regions is retained for the power model.
+// work charged per chunk index and the policy's per-region seed —
+// never on the real goroutine schedule or worker count. To check
+// that, build with -tags epg_permute (make permute): every
+// ParallelForChunks and ForEachThread region then runs its chunks
+// serially in the order SetChunkOrder picks, and
+// internal/engines/all's TestScheduleIndependence compares eight
+// orders bit for bit. A trace of regions is retained for the power
+// model.
 //
 // A region's bookkeeping (a cost slot per chunk, the per-lane sums, the
 // scheduler simulations' state, the W a body charges into) lives on

@@ -154,6 +154,7 @@ type Machine struct {
 
 	// inRegion is set while a region body runs; enter panics on it.
 	inRegion bool
+	order    chunkOrder // epg_permute builds: which order chunks run in
 	// The bookkeeping of the open region, kept between regions so that
 	// a warm region allocates nothing: every slice is grown where it is
 	// used (so SetWorkers, SetCluster and a new chunk count need no
@@ -170,6 +171,7 @@ type Machine struct {
 		tail     []int
 		cnt      []int    // per node: items of the current chunk (network)
 		pairs    []uint64 // per node: owner-node mask messaged
+		order    []int    // per chunk: the chunk run at that position (epg_permute)
 	}
 }
 
@@ -209,21 +211,38 @@ func (m *Machine) slot(worker int) *W {
 	return w
 }
 
+// inOrder runs a region's chunks one after another on the calling
+// goroutine and reports true, or runs none and reports false to leave
+// them to the pool. With one real worker it runs them in index order,
+// which spares the pool's closures; an epg_permute build runs every
+// region here, in the machine's chunk order (permute.go), chunk i of
+// the order on worker i mod the worker count.
+func (m *Machine) inOrder(costs []Cost, chunk func(c, worker int, w *W)) bool {
+	order := m.order.next(m, len(costs))
+	if order == nil && m.workers > 1 {
+		return false
+	}
+	for i := range costs {
+		c, worker := i, 0
+		if order != nil {
+			c, worker = order[i], i%m.workers
+		}
+		w := m.slot(worker)
+		chunk(c, worker, w)
+		costs[c] = w.c
+	}
+	return true
+}
+
 // New returns a machine with the given model and virtual thread count.
 // Thread counts beyond the model's hardware limit are allowed (the
 // paper's 72-thread runs equal the limit) but see Model.MaxThreads.
 // Region bodies execute on the shared parallel.Default pool with
 // min(threads, GOMAXPROCS) real workers; SetWorkers overrides that.
 func New(model Model, threads int) *Machine {
-	if threads < 1 {
-		threads = 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if threads < w {
-		w = threads
-	}
+	threads = max(threads, 1)
 	return &Machine{
-		model: model, threads: threads, workers: w,
+		model: model, threads: threads, workers: min(threads, runtime.GOMAXPROCS(0)),
 		pool: parallel.Default(), tracing: true, sockets: 1, nodes: 1,
 	}
 }
@@ -238,12 +257,7 @@ func (m *Machine) Workers() int { return m.workers }
 // min(threads, GOMAXPROCS)). Counts above GOMAXPROCS are legal —
 // goroutines are multiplexed — and must not change results or modeled
 // durations; the determinism tests rely on that.
-func (m *Machine) SetWorkers(k int) {
-	if k < 1 {
-		k = 1
-	}
-	m.workers = k
-}
+func (m *Machine) SetWorkers(k int) { m.workers = max(k, 1) }
 
 // Model returns the machine's cost model.
 func (m *Machine) Model() Model { return m.model }
@@ -266,13 +280,7 @@ func (m *Machine) SetSchedOverride(s Sched) {
 // locality model (and of the real two-level steal topology). The
 // default is 1: no locality penalties, NUMA ≡ Steal. Counts above the
 // thread count are clamped by the simulation.
-func (m *Machine) SetSockets(s int) {
-	if s < 1 {
-		s = 1
-	}
-	m.sockets = s
-	m.socketsSet = true
-}
+func (m *Machine) SetSockets(s int) { m.sockets, m.socketsSet = max(s, 1), true }
 
 // Sockets returns the virtual socket count.
 func (m *Machine) Sockets() int { return m.sockets }
@@ -428,16 +436,7 @@ func (m *Machine) ParallelForChunks(n, grain int, sched Sched, body func(lo, hi,
 	sched = m.effSched(sched)
 	costs := m.enter(parallel.NumChunks(n, grain))
 	defer m.leave()
-	if m.workers == 1 {
-		// One real worker runs the chunks in index order on the calling
-		// goroutine under every policy (parallel.Pool.Run(1, fn) is a
-		// plain call); doing so here spares ForTopo's closures.
-		for c := range costs {
-			w := m.slot(0)
-			body(c*grain, min((c+1)*grain, n), c, 0, w)
-			costs[c] = w.c
-		}
-	} else {
+	if !m.inOrder(costs, func(c, worker int, w *W) { body(c*grain, min((c+1)*grain, n), c, worker, w) }) {
 		parallel.ForTopo(m.pool, m.workers, n, grain, sched, m.realTopo(), func(lo, hi, chunk, worker int) {
 			w := m.slot(worker)
 			body(lo, hi, chunk, worker, w)
@@ -474,12 +473,7 @@ func (m *Machine) ChargeUniform(n, grain int, sched Sched, per Cost) {
 	costs := m.enter(parallel.NumChunks(n, grain))
 	defer m.leave()
 	for c := range costs {
-		lo := c * grain
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		costs[c] = per.Scale(float64(hi - lo))
+		costs[c] = per.Scale(float64(min((c+1)*grain, n) - c*grain))
 	}
 	m.commitRegion(costs, m.effSched(sched), n, grain)
 }
@@ -493,13 +487,7 @@ func (m *Machine) ForEachThread(body func(tid int, w *W)) {
 	t := m.threads
 	costs := m.enter(t)
 	defer m.leave()
-	if m.workers == 1 {
-		for tid := range costs { // as in ParallelForChunks
-			w := m.slot(0)
-			body(tid, w)
-			costs[tid] = w.c
-		}
-	} else {
+	if !m.inOrder(costs, func(tid, _ int, w *W) { body(tid, w) }) {
 		parallel.For(m.pool, m.workers, t, 1, parallel.Dynamic, func(lo, hi, chunk, worker int) {
 			w := m.slot(worker)
 			body(lo, w)
@@ -593,18 +581,11 @@ func (m *Machine) commitRegion(costs []Cost, sched Sched, n, grain int) {
 // lane ran which chunk.
 func (m *Machine) chargePlacement(costs, lanes []Cost, execLane []int, n, grain int) {
 	t := m.threads
-	sockets := m.sockets
-	if sockets > t {
-		sockets = t
-	}
+	sockets := min(m.sockets, t)
 	per := (t + sockets - 1) / sockets
 	factor := m.remoteBytesFactor()
 	for c := range costs {
-		lo := c * grain
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
+		lo, hi := c*grain, min((c+1)*grain, n)
 		l := c % t // Static: the residue-class owner
 		if execLane != nil {
 			l = execLane[c]

@@ -41,13 +41,7 @@ import "math/bits"
 // SetCluster configures the virtual cluster: the node count and an
 // optional per-item owner table for vertex-indexed regions (nil means
 // blocked 1D ownership everywhere). Counts below 2 disable the model.
-func (m *Machine) SetCluster(nodes int, owner []int16) {
-	if nodes < 1 {
-		nodes = 1
-	}
-	m.nodes = nodes
-	m.nodeOwner = owner
-}
+func (m *Machine) SetCluster(nodes int, owner []int16) { m.nodes, m.nodeOwner = max(nodes, 1), owner }
 
 // clusterActive reports whether the network model charges anything.
 func (m *Machine) clusterActive() bool { return m.nodes > 1 }
@@ -82,11 +76,7 @@ func (m *Machine) chargeNetwork(costs, lanes []Cost, execLane []int, n, grain in
 	pairs := sc.pairs // pairs[s] = owner-node mask messaged by sender s
 	var netBytes float64
 	for c := range costs {
-		lo := c * grain
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
+		lo, hi := c*grain, min((c+1)*grain, n)
 		items := hi - lo
 		if items <= 0 {
 			continue
@@ -97,23 +87,14 @@ func (m *Machine) chargeNetwork(costs, lanes []Cost, execLane []int, n, grain in
 		}
 		execNode := l / per
 
-		for b := range cnt {
-			cnt[b] = 0
-		}
+		clear(cnt)
 		if owner != nil {
 			for i := lo; i < hi; i++ {
 				cnt[owner[i]]++
 			}
 		} else {
 			for b := 0; b < nodes; b++ {
-				blo := b * n / nodes
-				bhi := (b + 1) * n / nodes
-				if blo < lo {
-					blo = lo
-				}
-				if bhi > hi {
-					bhi = hi
-				}
+				blo, bhi := max(b*n/nodes, lo), min((b+1)*n/nodes, hi)
 				if bhi > blo {
 					cnt[b] = bhi - blo
 				}

@@ -86,14 +86,7 @@ func (m *Machine) touchRange(lo, hi, sk int, bytes, factor float64) float64 {
 	}
 	remote := 0
 	for p := lo / PlacementPageItems; p <= lastPage; p++ {
-		plo := p * PlacementPageItems
-		phi := plo + PlacementPageItems
-		if plo < lo {
-			plo = lo
-		}
-		if phi > hi {
-			phi = hi
-		}
+		plo, phi := max(p*PlacementPageItems, lo), min((p+1)*PlacementPageItems, hi)
 		switch owner := m.pageOwner[p]; {
 		case owner < 0:
 			m.pageOwner[p] = int16(sk)
