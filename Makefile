@@ -82,6 +82,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzReadGraph500$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/snap/
 	$(GO) test -fuzz '^FuzzSortRow$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzMutationEquivalence$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
+	$(GO) test -fuzz '^FuzzStreamProgram$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/engines/gap/
 	$(GO) test -fuzz '^FuzzSketchRepair$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
 
 # Smoke step: print raw vs delta+varint adjacency bytes on kron-16 and

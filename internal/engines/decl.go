@@ -161,8 +161,9 @@ type MutationReport struct {
 // after any sequence of Mutate calls, IncrementalPageRank and
 // IncrementalWCC return results bit-equal to a full PageRank/WCC
 // recompute on the post-batch graph, identically across runs and worker
-// counts. Mutations accumulate; each incremental call consumes the dirty
-// state accumulated since the last one and becomes the new baseline.
+// counts. Mutations accumulate; each incremental call works from what
+// changed between the epoch of its last result and the current one, and
+// its result becomes the new baseline.
 type Streamer interface {
 	Mutate(batch graph.Batch) (*MutationReport, error)
 	IncrementalPageRank(opts PROpts) (*PRResult, error)

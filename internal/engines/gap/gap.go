@@ -134,8 +134,8 @@ type Instance struct {
 	// total directed edges, used by the direction-optimizing
 	// heuristic.
 	mEdges int64
-	// stream holds the mutation overlay (dirty sets and cached
-	// incremental baselines); nil until the first Streamer call.
+	// stream holds the incremental baselines and the epochs they
+	// describe; nil until the first maintain.
 	stream *streamState
 	// prRec, when non-nil, makes PageRank snapshot its per-iteration
 	// trajectory into it — armed only by recordedPageRank, so plain

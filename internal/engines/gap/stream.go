@@ -30,25 +30,22 @@ var (
 	costCCRelabel = simmachine.Cost{Cycles: 2, Bytes: 16}
 )
 
-// streamState is the mutation overlay: dirty sets accumulated across
-// Mutate calls plus the cached baselines the incremental maintainers
-// patch against. Allocated lazily — plain static runs never pay for
-// it.
+// streamState is what the incremental maintainers patch against: each
+// one's baseline result and the epoch that result describes. A maintain
+// learns what changed by diffing that epoch's rows with the current ones
+// (graph.Diff), so what it computes and charges is a function of
+// (baseline epoch, current epoch), however many Mutates lie between.
+// Allocated lazily — plain static runs never pay for it.
 type streamState struct {
 	// prTraj is the recorded per-iteration PageRank trajectory of the
-	// last (in)cremental run; degDirty / inDirty are the rows whose
-	// out-degree / in-membership changed since it was recorded.
-	prTraj   *prTrajectory
-	degDirty map[graph.VID]struct{}
-	inDirty  map[graph.VID]struct{}
-	pr       prScratch
-	// wccLab is the component labeling of the last IncrementalWCC;
-	// wccAdds / wccDels are the net edge changes since, netted against
-	// each other across batches (see cancelPending): an edge is pending
-	// in at most one of them.
-	wccLab  []graph.VID
-	wccAdds []graph.Edge
-	wccDels []graph.Edge
+	// last (in)cremental run, over the rows prOut / prIn.
+	prTraj      *prTrajectory
+	prOut, prIn *graph.CSR
+	pr          prScratch
+	// wccLab is the component labeling of the last IncrementalWCC, over
+	// the out-rows wccOut.
+	wccLab []graph.VID
+	wccOut *graph.CSR
 }
 
 // prScratch is IncrementalPageRank's working set beside the trajectory
@@ -61,8 +58,9 @@ type prScratch struct {
 	start, spare, contrib []float64
 	outDeg                []int64
 	// changed ping-pongs between the vertices that moved in iteration
-	// t-1 and in t; degDirty and inRows are the dirty maps as lists; rows
-	// and rowMark the restricted sweep's row set; redo patchedFold's.
+	// t-1 and in t; degDirty and inRows are the vertices whose out-degree
+	// and in-rows whose membership differ from the baseline's; rows and
+	// rowMark the restricted sweep's row set; redo patchedFold's.
 	changed          [2][]graph.VID
 	degDirty, inRows []graph.VID
 	rows             []graph.VID
@@ -71,10 +69,7 @@ type prScratch struct {
 
 func (inst *Instance) streamState() *streamState {
 	if inst.stream == nil {
-		inst.stream = &streamState{
-			degDirty: make(map[graph.VID]struct{}),
-			inDirty:  make(map[graph.VID]struct{}),
-		}
+		inst.stream = &streamState{}
 	}
 	return inst.stream
 }
@@ -115,13 +110,13 @@ func (inst *Instance) BindEpoch(e Epoch) {
 
 // Mutate implements engines.Streamer: it applies the batch to the out-
 // (and, for directed graphs, in-) adjacency through the epoch-rebuild
-// overlay, recompresses when the compressed siblings are live, and
-// accumulates the dirty sets the incremental maintainers consume. The
-// replay is charged serially per op; the row rebuild is charged as a
-// uniform parallel merge over touched entries.
+// overlay, recompresses when the compressed siblings are live, swaps in
+// the new epoch and charges the apply. It records nothing for the
+// maintainers: each diffs its own baseline epoch against the current
+// one when it runs. The replay is charged serially per op; the row
+// rebuild is charged as a uniform parallel merge over touched entries.
 func (inst *Instance) Mutate(batch graph.Batch) (*engines.MutationReport, error) {
 	inst.BuildStructure()
-	st := inst.streamState()
 	directed := inst.in != inst.out
 
 	mo := graph.NewMutableCSR(inst.out, directed)
@@ -130,11 +125,10 @@ func (inst *Instance) Mutate(batch graph.Batch) (*engines.MutationReport, error)
 		return nil, err
 	}
 	edgesTouched, copied := res.EdgesTouched, res.CopiedEdges
-	var resIn *graph.ApplyResult
-	var mi *graph.MutableCSR
+	out, in := mo.CSR(), mo.CSR()
 	if directed {
-		mi = graph.NewMutableCSR(inst.in, true)
-		resIn, err = mi.Apply(batch.Reversed())
+		mi := graph.NewMutableCSR(inst.in, true)
+		resIn, err := mi.Apply(batch.Reversed())
 		if err != nil {
 			// The reversed batch validates identically to the forward
 			// one, so this is unreachable; guard anyway rather than
@@ -143,16 +137,11 @@ func (inst *Instance) Mutate(batch graph.Batch) (*engines.MutationReport, error)
 		}
 		edgesTouched += resIn.EdgesTouched
 		copied += resIn.CopiedEdges
+		in = mi.CSR()
 	}
 
 	// Both applies succeeded: swap epochs.
-	inst.out = mo.CSR()
-	if directed {
-		inst.in = mi.CSR()
-	} else {
-		inst.in = inst.out
-	}
-	inst.mEdges = inst.out.NumEdges()
+	inst.out, inst.in, inst.mEdges = out, in, out.NumEdges()
 
 	inst.m.ChargeSerial(costMutOp.Scale(float64(len(batch))))
 	inst.m.ChargeUniform(int(edgesTouched), 4096, simmachine.Dynamic, costMutRowEdge)
@@ -171,63 +160,11 @@ func (inst *Instance) Mutate(batch graph.Batch) (*engines.MutationReport, error)
 		}
 	}
 
-	// Accumulate dirty state. Contrib depends on out-degree only;
-	// pull rows on in-membership; WCC on the net edge changes.
-	for _, v := range res.DegChanged {
-		st.degDirty[v] = struct{}{}
-	}
-	inStruct := res.StructRows
-	if directed {
-		inStruct = resIn.StructRows
-	}
-	for _, v := range inStruct {
-		st.inDirty[v] = struct{}{}
-	}
-	var added, removed []graph.Edge
-	st.wccAdds, removed = cancelPending(st.wccAdds, res.RemovedEdges)
-	st.wccDels, added = cancelPending(st.wccDels, res.AddedEdges)
-	st.wccAdds = append(st.wccAdds, added...)
-	st.wccDels = append(st.wccDels, removed...)
-
 	return &engines.MutationReport{
 		Stats:        res.Stats,
 		DirtyRows:    len(res.DirtyRows),
 		EdgesTouched: edgesTouched,
 	}, nil
-}
-
-// cancelPending nets one batch's edge changes against the opposite
-// pending set: removing an edge whose insert is still pending (or
-// re-inserting one whose delete is) leaves the baseline's view of that
-// edge unchanged, so both entries drop out. Without this an insert in
-// one batch and its delete in the next would reach IncrementalWCC as a
-// stale add and union components the graph no longer connects. It
-// returns what is left of pending and of incoming; with nothing
-// pending — every single-batch maintain — incoming passes through
-// untouched.
-func cancelPending(pending, incoming []graph.Edge) (stillPending, net []graph.Edge) {
-	if len(pending) == 0 || len(incoming) == 0 {
-		return pending, incoming
-	}
-	type pair struct{ src, dst graph.VID }
-	in := make(map[pair]bool, len(incoming))
-	for _, e := range incoming {
-		in[pair{e.Src, e.Dst}] = true
-	}
-	stillPending = pending[:0]
-	for _, e := range pending {
-		if k := (pair{e.Src, e.Dst}); in[k] {
-			in[k] = false // cancelled
-			continue
-		}
-		stillPending = append(stillPending, e)
-	}
-	for _, e := range incoming {
-		if in[pair{e.Src, e.Dst}] {
-			net = append(net, e)
-		}
-	}
-	return stillPending, net
 }
 
 // prIter is one recorded PageRank iteration: the rank vector after the
@@ -276,20 +213,20 @@ func (inst *Instance) recordedPageRank(opts engines.PROpts) (*engines.PRResult, 
 	if err != nil {
 		return nil, err
 	}
-	st.prTraj = traj
-	clear(st.degDirty)
-	clear(st.inDirty)
+	st.prTraj, st.prOut, st.prIn = traj, inst.out, inst.in
 	return res, nil
 }
 
 // IncrementalPageRank implements engines.Streamer. It re-converges
 // from the recorded trajectory of the previous run with sweeps
-// restricted to the dirty frontier: per iteration it recomputes only
-// the dangling-partial chunks, pull rows, and L1 chunks whose inputs
-// changed, splicing cached partials everywhere else and folding in
-// chunk order — so every dangling sum, base value, rank entry, L1
+// restricted to the dirty frontier, seeded by the vertices whose
+// out-degree and the in-rows whose membership differ between the
+// trajectory's epoch and the current one: per iteration it recomputes
+// only the dangling-partial chunks, pull rows, and L1 chunks whose
+// inputs changed, splicing cached partials everywhere else and folding
+// in chunk order — so every dangling sum, base value, rank entry, L1
 // norm, and convergence decision is bit-equal to a cold PageRank on
-// the post-batch graph. Without a baseline (first call, or changed
+// the current graph. Without a baseline (first call, or changed
 // opts/grain geometry) it runs the recording full kernel.
 //
 // The trajectory is patched in place and is the new baseline: iteration
@@ -315,9 +252,25 @@ func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResul
 		len(traj.iters[0].dangParts) != parallel.NumChunks(n, gContrib) || len(traj.iters[0].l1Parts) != parallel.NumChunks(n, gL1) {
 		return inst.recordedPageRank(opts)
 	}
-	if len(st.degDirty) == 0 && len(st.inDirty) == 0 {
+	// degDirty: vertices whose contrib can differ from cache even with
+	// an unchanged rank. inRows: rows whose in-neighborhood membership
+	// changed, recomputed every iteration. A reweigh changes neither.
+	ws := &st.pr
+	ws.degDirty, ws.inRows = ws.degDirty[:0], ws.inRows[:0]
+	for v := 0; st.prOut != inst.out && v < n; v++ {
+		if st.prOut.Degree(graph.VID(v)) != inst.out.Degree(graph.VID(v)) {
+			ws.degDirty = append(ws.degDirty, graph.VID(v))
+		}
+	}
+	for c := range graph.Diff(st.prIn, inst.in) {
+		if c.Kind != graph.Reweighed && (len(ws.inRows) == 0 || ws.inRows[len(ws.inRows)-1] != c.Src) {
+			ws.inRows = append(ws.inRows, c.Src)
+		}
+	}
+	if len(ws.degDirty) == 0 && len(ws.inRows) == 0 {
 		// No structural drift since the baseline: the cached run IS
-		// the post-batch run.
+		// the current graph's run.
+		st.prOut, st.prIn = inst.out, inst.in
 		last := traj.iters[len(traj.iters)-1]
 		return &engines.PRResult{
 			Rank:       append([]float64(nil), last.rank...),
@@ -329,23 +282,11 @@ func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResul
 		return nil, err
 	}
 
-	ws := &st.pr
 	inv := 1.0 / float64(n)
 	ws.outDeg = traverse.Resized(ws.outDeg, n) // post-batch degrees
 	outDeg := ws.outDeg
 	for v := range outDeg {
 		outDeg[v] = inst.out.Degree(graph.VID(v))
-	}
-
-	// degDirty: vertices whose contrib can differ from cache even with
-	// an unchanged rank. inRows: rows whose in-neighborhood membership
-	// changed, recomputed every iteration.
-	ws.degDirty, ws.inRows = ws.degDirty[:0], ws.inRows[:0]
-	for v := range st.degDirty {
-		ws.degDirty = append(ws.degDirty, v)
-	}
-	for v := range st.inDirty {
-		ws.inRows = append(ws.inRows, v)
 	}
 	ws.rowMark = traverse.Resized(ws.rowMark, n)
 	clear(ws.rowMark)
@@ -480,8 +421,7 @@ func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResul
 	clear(iters[iterations:])
 	traj.iters = iters[:iterations]
 	ws.changed = [2][]graph.VID{changed, newChanged}
-	clear(st.degDirty)
-	clear(st.inDirty)
+	st.prOut, st.prIn = inst.out, inst.in
 	return &engines.PRResult{
 		Rank:       append([]float64(nil), prev...),
 		Iterations: iterations,
@@ -517,17 +457,18 @@ func (ws *prScratch) patchedFold(n, grain int, parts []float64, partial func(lo,
 	return parts, sum, verts
 }
 
-// IncrementalWCC implements engines.Streamer. Inserts union component
-// labels through a min-rooted DSU; deletes recompute the affected
-// components — the full baseline components of every removed edge's
-// endpoints — by serial BFS over the post-batch adjacency restricted
-// to that set, from ascending roots (so each piece is labeled by its
-// minimum vertex, the kernel's canonical form). No baseline edge
-// crosses the affected set's boundary (components are closed), and
-// inserted edges that do are handled by the DSU pass, so the result is
-// exactly the kernel's labeling of the post-batch graph. The baseline
-// is patched in place (as in IncrementalPageRank, no error exit follows
-// the cancel poll); only the published copy is allocated.
+// IncrementalWCC implements engines.Streamer. It diffs the out-rows of
+// its baseline's epoch with the current ones. Entries that came union
+// component labels through a min-rooted DSU; entries that went
+// recompute the affected components — the full baseline components of
+// every removed entry's endpoints — by serial BFS over the current
+// adjacency restricted to that set, from ascending roots (so each piece
+// is labeled by its minimum vertex, the kernel's canonical form). No
+// baseline edge crosses the affected set's boundary (components are
+// closed), and new edges that do are handled by the DSU pass, so the
+// result is exactly the kernel's labeling of the current graph. The
+// baseline is patched in place (as in IncrementalPageRank, no error exit
+// follows the cancel poll); only the published copy is allocated.
 func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 	inst.BuildStructure()
 	st := inst.streamState()
@@ -536,32 +477,44 @@ func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.wccLab = append([]graph.VID(nil), res.Component...)
-		st.wccAdds, st.wccDels = nil, nil
+		st.wccLab, st.wccOut = append([]graph.VID(nil), res.Component...), inst.out
 		return res, nil
 	}
-	n := inst.n
-	if len(st.wccAdds) == 0 && len(st.wccDels) == 0 {
+	// The out-entries that came and went since the baseline (both
+	// orientations of an undirected edge); a reweigh moves no label.
+	ws := &inst.ws
+	came, gone := ws.wccCame[:0], ws.wccGone[:0]
+	for c := range graph.Diff(st.wccOut, inst.out) {
+		switch c.Kind {
+		case graph.Came:
+			came = append(came, c)
+		case graph.Gone:
+			gone = append(gone, c)
+		}
+	}
+	ws.wccCame, ws.wccGone = came, gone
+	if len(came) == 0 && len(gone) == 0 {
+		st.wccOut = inst.out
 		return &engines.WCCResult{Component: append([]graph.VID(nil), st.wccLab...)}, nil
 	}
 	if err := inst.trav.Poll("gap: IncrementalWCC"); err != nil {
 		return nil, err
 	}
 
+	n := inst.n
 	lab := st.wccLab
 	directed := inst.in != inst.out
 
-	if len(st.wccDels) > 0 {
+	if len(gone) > 0 {
 		// Affected components: baseline labels of every removed
 		// edge's endpoints; S is their full vertex set, marked todo
 		// until the BFS below reaches it.
 		const todo, done = 1, 2
 		affected := make(map[graph.VID]struct{})
-		for _, e := range st.wccDels {
+		for _, e := range gone {
 			affected[lab[e.Src]] = struct{}{}
 			affected[lab[e.Dst]] = struct{}{}
 		}
-		ws := &inst.ws
 		ws.wccMark = traverse.Resized(ws.wccMark, n)
 		clear(ws.wccMark)
 		mark, S := ws.wccMark, ws.wccSet[:0]
@@ -627,7 +580,7 @@ func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 		}
 		return root
 	}
-	for _, e := range st.wccAdds {
+	for _, e := range came {
 		a, b := find(lab[e.Src]), find(lab[e.Dst])
 		if a == b {
 			continue
@@ -638,7 +591,7 @@ func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 			parent[a] = b
 		}
 	}
-	inst.m.ChargeSerial(costCCUnion.Scale(float64(len(st.wccAdds))))
+	inst.m.ChargeSerial(costCCUnion.Scale(float64(len(came))))
 
 	comp := make([]graph.VID, n)
 	for v := 0; v < n; v++ {
@@ -647,6 +600,6 @@ func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 	}
 	inst.m.ChargeUniform(n, 2048, simmachine.Dynamic, costCCRelabel)
 
-	st.wccAdds, st.wccDels = nil, nil
+	st.wccOut = inst.out
 	return &engines.WCCResult{Component: comp}, nil
 }

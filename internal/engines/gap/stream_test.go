@@ -319,114 +319,6 @@ func TestIncrementalWCCBitEqualFullRecompute(t *testing.T) {
 	}
 }
 
-// An edge inserted in one batch and deleted in the next, with a single
-// IncrementalWCC over both: the net graph change is zero, and the
-// pending add must not survive to union components the graph does not
-// connect (ROADMAP item 0 — reachable in the daemon, whose lagging
-// executors replay several logged batches before maintaining once).
-func TestReproStaleAddWCC(t *testing.T) {
-	el := &graph.EdgeList{
-		NumVertices: 4,
-		Edges: []graph.Edge{
-			{Src: 0, Dst: 1},
-			{Src: 2, Dst: 3},
-		},
-	}
-	inst := load(t, engine(), el, 2)
-	if _, err := inst.IncrementalWCC(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inst.Mutate(graph.Batch{{Op: graph.MutInsert, Src: 1, Dst: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inst.Mutate(graph.Batch{{Op: graph.MutDelete, Src: 1, Dst: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	wcc, err := inst.IncrementalWCC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := elFromCSR(inst.Epoch().Out(), false)
-	labelsEqual(t, wcc, freshWCC(t, post, 2), "stale-add")
-}
-
-// The symmetric case: a baseline edge deleted in one batch and
-// re-inserted in the next nets to nothing pending, so the maintain
-// neither recomputes the edge's component nor charges anything.
-func TestDeleteThenReinsertWCCNetsToNothing(t *testing.T) {
-	el := &graph.EdgeList{
-		NumVertices: 5,
-		Edges: []graph.Edge{
-			{Src: 0, Dst: 1},
-			{Src: 1, Dst: 2},
-			{Src: 3, Dst: 4},
-		},
-	}
-	inst := load(t, engine(), el, 2)
-	if _, err := inst.IncrementalWCC(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inst.Mutate(graph.Batch{{Op: graph.MutDelete, Src: 1, Dst: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inst.Mutate(graph.Batch{{Op: graph.MutInsert, Src: 1, Dst: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if st := inst.stream; len(st.wccAdds)+len(st.wccDels) != 0 {
-		t.Fatalf("pending after delete+reinsert: adds %v dels %v", st.wccAdds, st.wccDels)
-	}
-	before := inst.Machine().Elapsed()
-	wcc, err := inst.IncrementalWCC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after := inst.Machine().Elapsed(); after != before {
-		t.Fatalf("net-zero maintain charged %g modeled seconds", after-before)
-	}
-	labelsEqual(t, wcc, freshWCC(t, elFromCSR(inst.Epoch().Out(), false), 2), "delete-reinsert")
-}
-
-// Several batches between maintains, each undoing the fresh half of
-// the one before it: every maintain must still equal a recompute on the
-// post-batch graph.
-func TestIncrementalWCCAcrossSkippedMaintains(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			el := randomSparseEL(seed, 64, 48, directed)
-			inst := load(t, engine(), el, 4)
-			if _, err := inst.IncrementalWCC(); err != nil {
-				t.Fatal(err)
-			}
-			r := xrand.New(seed ^ 0x5eed)
-			var undo graph.Batch
-			for round := 0; round < 6; round++ {
-				for k := 0; k < 3; k++ {
-					fresh := streamBatch(inst.Epoch().Out(), r, 8, 0.5)
-					b := append(append(graph.Batch(nil), undo...), fresh...)
-					undo = undo[:0]
-					for _, mu := range fresh {
-						if mu.Op == graph.MutInsert {
-							mu.Op = graph.MutDelete
-						} else {
-							mu.Op = graph.MutInsert
-						}
-						undo = append(undo, mu)
-					}
-					if _, err := inst.Mutate(b); err != nil {
-						t.Fatal(err)
-					}
-				}
-				inc, err := inst.IncrementalWCC()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := freshWCC(t, elFromCSR(inst.Epoch().Out(), directed), 4)
-				labelsEqual(t, inc, want, "skipped maintains, directed="+bstr(directed))
-			}
-		}
-	}
-}
-
 func randomSparseEL(seed uint64, n, m int, directed bool) *graph.EdgeList {
 	r := xrand.New(seed)
 	el := &graph.EdgeList{NumVertices: n, Directed: directed}
@@ -434,70 +326,6 @@ func randomSparseEL(seed uint64, n, m int, directed bool) *graph.EdgeList {
 		el.Edges = append(el.Edges, graph.Edge{Src: graph.VID(r.Intn(n)), Dst: graph.VID(r.Intn(n))})
 	}
 	return el
-}
-
-// Both maintainers share the overlay but consume their own dirty
-// state: interleaving PR and WCC refreshes across batches must not
-// starve or corrupt either.
-func TestIncrementalMaintainersInterleaved(t *testing.T) {
-	el := kron(7, 4)
-	inst := load(t, engine(), el, 4)
-	if _, err := inst.IncrementalPageRank(engines.DefaultPROpts()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inst.IncrementalWCC(); err != nil {
-		t.Fatal(err)
-	}
-	r := xrand.New(0xdead)
-	// Batch 1: only PR refreshes.
-	if _, err := inst.Mutate(streamBatch(inst.Epoch().Out(), r, 30, 0.3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inst.IncrementalPageRank(engines.DefaultPROpts()); err != nil {
-		t.Fatal(err)
-	}
-	// Batch 2: both refresh; WCC must account for batch 1 + 2.
-	if _, err := inst.Mutate(streamBatch(inst.Epoch().Out(), r, 30, 0.3)); err != nil {
-		t.Fatal(err)
-	}
-	pr, err := inst.IncrementalPageRank(engines.DefaultPROpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcc, err := inst.IncrementalWCC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := elFromCSR(inst.Epoch().Out(), false)
-	ranksEqual(t, pr, freshPR(t, post, 8), "interleaved")
-	labelsEqual(t, wcc, freshWCC(t, post, 8), "interleaved")
-}
-
-// With no mutations since the baseline, the incremental calls return
-// the cached results and charge nothing — the modeled clock must not
-// move.
-func TestIncrementalNoMutationIsFree(t *testing.T) {
-	el := kron(7, 2)
-	inst := load(t, engine(), el, 4)
-	base, err := inst.IncrementalPageRank(engines.DefaultPROpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inst.IncrementalWCC(); err != nil {
-		t.Fatal(err)
-	}
-	before := inst.Machine().Elapsed()
-	again, err := inst.IncrementalPageRank(engines.DefaultPROpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inst.IncrementalWCC(); err != nil {
-		t.Fatal(err)
-	}
-	if after := inst.Machine().Elapsed(); after != before {
-		t.Fatalf("no-op incremental refresh moved the modeled clock: %v -> %v", before, after)
-	}
-	ranksEqual(t, again, base, "cached")
 }
 
 // Small batches must cost less than a full recompute on the modeled

@@ -49,11 +49,13 @@ type workspace struct {
 	// WCC: the label array the last call did not hand out.
 	wccSpare []graph.VID
 
-	// IncrementalWCC's delete repair: membership in the affected
+	// IncrementalWCC's diff against its baseline (the out-entries that
+	// came and went) and its delete repair: membership in the affected
 	// components (and visited or not), their vertices, the BFS queue.
-	wccMark  []uint8
-	wccSet   []graph.VID
-	wccQueue []graph.VID
+	wccCame, wccGone []graph.Change
+	wccMark          []uint8
+	wccSet           []graph.VID
+	wccQueue         []graph.VID
 }
 
 // resetBuckets empties every retained bucket (an abandoned run leaves

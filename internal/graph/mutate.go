@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 )
 
@@ -59,33 +61,92 @@ type MutStats struct {
 	SelfLoops      int // self-loop mutations dropped
 }
 
-// ApplyResult reports the net effect of a batch on the adjacency
-// structure, in the vocabulary the incremental maintainers need. The
-// three row sets are nested (DegChanged ⊆ StructRows ⊆ DirtyRows) but
-// distinct: a delete+insert pair on the same row preserves its degree
-// while changing membership, and a weight-lowering duplicate insert
-// changes stored bytes without changing membership.
+// ApplyResult reports what one Apply did: its op counts, the rows it
+// rebuilt and the work of the rebuild. It does not say what changed in
+// the graph: that is Diff of the two epochs, which also nets any number
+// of batches, so every consumer asks it against its own baseline.
 type ApplyResult struct {
 	Stats MutStats
 	// DirtyRows lists rows whose stored bytes changed in any way
 	// (membership or weight), ascending.
 	DirtyRows []VID
-	// StructRows lists rows whose neighbor-set membership changed,
-	// ascending.
-	StructRows []VID
-	// DegChanged lists rows whose degree changed, ascending.
-	DegChanged []VID
-	// AddedEdges / RemovedEdges are the net directed adjacency entries
-	// added and removed, sorted by (Src, Dst). For undirected graphs
-	// each logical edge contributes both orientations.
-	AddedEdges   []Edge
-	RemovedEdges []Edge
 	// EdgesTouched is the merge work over dirty rows (old length plus
 	// new length); CopiedEdges is the bulk-copy work over clean rows.
 	// Both are deterministic functions of the batch and the graph, so
 	// callers can charge modeled cost from them.
 	EdgesTouched int64
 	CopiedEdges  int64
+}
+
+// ChangeKind says how an adjacency entry differs between two epochs.
+type ChangeKind uint8
+
+const (
+	Gone      ChangeKind = iota // in the earlier epoch only
+	Came                        // in the later epoch only
+	Reweighed                   // in both, at different weights
+)
+
+// Change is one adjacency entry, neighbor Dst in row Src, that differs
+// between two epochs. OldW and NewW are its weights in the earlier and
+// the later one: zero where it is absent or the graph is unweighted.
+type Change struct {
+	Kind       ChangeKind
+	Src, Dst   VID
+	OldW, NewW float32
+}
+
+// Diff yields every adjacency entry that differs between pre and post,
+// two epochs of one graph (equal vertex counts, sorted rows), in (Src,
+// Dst) order. It reads rows, not batch reports, so it sees the net of
+// every batch between the two: an entry added and removed again is no
+// change, a weight lowered by a duplicate insert or changed by a delete
+// and re-insert is a reweigh. It is the one answer to "what changed
+// since": the incremental maintainers ask it against their baseline
+// epoch, the sketch repair against the published one. Equal pointers
+// cost nothing; otherwise each row is compared whole and merged only
+// when it differs.
+func Diff(pre, post *CSR) iter.Seq[Change] {
+	return func(yield func(Change) bool) {
+		for v := 0; pre != post && v < post.NumVertices; v++ {
+			u := VID(v)
+			oa, ow := pre.WeightedRow(u)
+			na, nw := post.WeightedRow(u)
+			if slices.Equal(oa, na) && slices.Equal(ow, nw) {
+				continue
+			}
+			for i, j := 0, 0; i < len(oa) || j < len(na); {
+				c := Change{Src: u}
+				switch {
+				case j == len(na) || (i < len(oa) && oa[i] < na[j]):
+					c.Kind, c.Dst, c.OldW = Gone, oa[i], weightAt(ow, i)
+					i++
+				case i == len(oa) || na[j] < oa[i]:
+					c.Kind, c.Dst, c.NewW = Came, na[j], weightAt(nw, j)
+					j++
+				default:
+					c.Kind, c.Dst, c.OldW, c.NewW = Reweighed, oa[i], weightAt(ow, i), weightAt(nw, j)
+					i++
+					j++
+					if c.OldW == c.NewW {
+						continue
+					}
+				}
+				if !yield(c) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// weightAt is the weight of a row's i-th entry: zero when it carries
+// none.
+func weightAt(ws []float32, i int) float32 {
+	if ws == nil {
+		return 0
+	}
+	return ws[i]
 }
 
 // MutableCSR wraps a sorted, deduplicated CSR with batched edge
@@ -133,11 +194,10 @@ type pairState struct {
 // rowDelta is the net change to one adjacency row, every slice sorted
 // ascending by neighbor.
 type rowDelta struct {
-	adds  []Edge    // net-new entries (Src = row)
-	dels  []VID     // net-removed neighbors
-	delsW []float32 // original weights parallel to dels
-	wch   []VID     // surviving neighbors whose weight changed
-	wchW  []float32 // new weights parallel to wch
+	adds []Edge    // net-new entries (Src = row)
+	dels []VID     // net-removed neighbors
+	wch  []VID     // surviving neighbors whose weight changed
+	wchW []float32 // new weights parallel to wch
 }
 
 // Apply replays the batch in order against the current epoch and
@@ -226,7 +286,6 @@ func (m *MutableCSR) Apply(batch Batch) (*ApplyResult, error) {
 	}
 
 	deltas := make(map[VID]*rowDelta)
-	var dirty []VID
 	for _, k := range keys {
 		u, v := VID(k>>32), VID(k&0xffffffff)
 		p := state[k]
@@ -234,23 +293,19 @@ func (m *MutableCSR) Apply(batch Batch) (*ApplyResult, error) {
 		if d == nil {
 			d = &rowDelta{}
 			deltas[u] = d
-			dirty = append(dirty, u)
 		}
 		switch {
 		case p.present && !p.origPresent:
 			d.adds = append(d.adds, Edge{Src: u, Dst: v, W: p.w})
-			res.AddedEdges = append(res.AddedEdges, Edge{Src: u, Dst: v, W: p.w})
 		case !p.present && p.origPresent:
 			d.dels = append(d.dels, v)
-			d.delsW = append(d.delsW, p.origW)
-			res.RemovedEdges = append(res.RemovedEdges, Edge{Src: u, Dst: v, W: p.origW})
 		default: // weight change on a surviving edge
 			d.wch = append(d.wch, v)
 			d.wchW = append(d.wchW, p.w)
 		}
 	}
-	// dirty was appended in sorted-key order, so it is ascending, and
-	// each rowDelta's slices are ascending by neighbor too.
+	// keys are in sorted order, so each rowDelta's slices are ascending
+	// by neighbor.
 
 	// New offsets: serial prefix sum over adjusted degrees.
 	n := c.NumVertices
@@ -287,12 +342,6 @@ func (m *MutableCSR) Apply(batch Batch) (*ApplyResult, error) {
 		}
 		res.EdgesTouched += (oldHi - oldLo) + (nc.Offsets[v+1] - nc.Offsets[v])
 		res.DirtyRows = append(res.DirtyRows, VID(v))
-		if len(d.adds) > 0 || len(d.dels) > 0 {
-			res.StructRows = append(res.StructRows, VID(v))
-			if len(d.adds) != len(d.dels) {
-				res.DegChanged = append(res.DegChanged, VID(v))
-			}
-		}
 		ai, di, wi := 0, 0, 0
 		for i := oldLo; i < oldHi; i++ {
 			u := c.Adj[i]

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"sort"
 	"testing"
 
@@ -180,8 +183,9 @@ func TestMutableCSRDuplicateInsertWeightedMinRule(t *testing.T) {
 	if got := len(res.DirtyRows); got != 2 {
 		t.Fatalf("DirtyRows = %v, want rows 0 and 1", res.DirtyRows)
 	}
-	if len(res.StructRows) != 0 || len(res.DegChanged) != 0 {
-		t.Fatalf("weight-only change reported structural rows: %+v", res)
+	want := []Change{{Kind: Reweighed, Src: 0, Dst: 1, OldW: 0.5, NewW: 0.25}, {Kind: Reweighed, Src: 1, Dst: 0, OldW: 0.5, NewW: 0.25}}
+	if got := slices.Collect(Diff(c, mc.CSR())); !slices.Equal(got, want) {
+		t.Fatalf("weight-only change diffs as %+v, want two reweighs", got)
 	}
 	if w := mc.CSR().NeighborWeights(0)[0]; w != 0.25 {
 		t.Fatalf("weight after min-rule insert = %v, want 0.25", w)
@@ -225,7 +229,7 @@ func TestMutableCSRSelfLoopsDropped(t *testing.T) {
 }
 
 // A delete+insert pair on the same row preserves its degree while
-// changing membership — the case that makes DegChanged alone an
+// changing membership — the case that makes a degree compare alone an
 // insufficient dirtiness signal for the incremental maintainers.
 func TestMutableCSRDegreePreservingMembershipChange(t *testing.T) {
 	el := &EdgeList{NumVertices: 5, Directed: true, Edges: []Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}}}
@@ -235,11 +239,15 @@ func TestMutableCSRDegreePreservingMembershipChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.StructRows) != 1 || res.StructRows[0] != 0 {
-		t.Fatalf("StructRows = %v, want [0]", res.StructRows)
+	if len(res.DirtyRows) != 1 || res.DirtyRows[0] != 0 {
+		t.Fatalf("DirtyRows = %v, want [0]", res.DirtyRows)
 	}
-	if len(res.DegChanged) != 0 {
-		t.Fatalf("DegChanged = %v, want empty (degree preserved)", res.DegChanged)
+	want := []Change{{Kind: Gone, Src: 0, Dst: 1}, {Kind: Came, Src: 0, Dst: 3}}
+	if got := slices.Collect(Diff(c, mc.CSR())); !slices.Equal(got, want) {
+		t.Fatalf("swap diffs as %+v, want %+v", got, want)
+	}
+	if mc.CSR().Degree(0) != c.Degree(0) {
+		t.Fatalf("row 0 degree %d, was %d", mc.CSR().Degree(0), c.Degree(0))
 	}
 	if got := mc.CSR().Neighbors(0); len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("row 0 = %v, want [2 3]", got)
@@ -299,8 +307,8 @@ func TestMutableCSREpochFrozen(t *testing.T) {
 
 // Random mutation streams across all four (directed × weighted)
 // shapes: after every batch the MutableCSR must be byte-equal to a
-// from-scratch BuildCSR over the model's post-batch edge set, and the
-// reported row sets must nest (DegChanged ⊆ StructRows ⊆ DirtyRows).
+// from-scratch BuildCSR over the model's post-batch edge set, and Diff
+// of the two epochs must be the model's net change (checkNetChange).
 func TestMutableCSRRandomStreamsMatchRebuild(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		for _, weighted := range []bool{false, true} {
@@ -313,6 +321,7 @@ func TestMutableCSRRandomStreamsMatchRebuild(t *testing.T) {
 				r := xrand.New(seed ^ 0xfeed)
 				for batchIdx := 0; batchIdx < 6; batchIdx++ {
 					b := randomBatch(r, 48, 24, weighted)
+					pre, before := mc.CSR(), maps.Clone(model.edges)
 					res, err := mc.Apply(b)
 					if err != nil {
 						t.Fatalf("directed=%v weighted=%v seed=%d batch=%d: %v", directed, weighted, seed, batchIdx, err)
@@ -322,7 +331,7 @@ func TestMutableCSRRandomStreamsMatchRebuild(t *testing.T) {
 					if !csrEqual(mc.CSR(), want) {
 						t.Fatalf("directed=%v weighted=%v seed=%d batch=%d: MutableCSR diverges from rebuild", directed, weighted, seed, batchIdx)
 					}
-					checkRowSets(t, res)
+					checkNetChange(t, res, pre, mc.CSR(), before, model)
 				}
 			}
 		}
@@ -346,45 +355,63 @@ func randomBatch(r *xrand.RNG, n, ops int, weighted bool) Batch {
 	return b
 }
 
-func checkRowSets(t *testing.T, res *ApplyResult) {
+// checkNetChange holds one Apply, from pre to post, to the model, whose
+// edge set was before: Diff must list exactly the entries whose presence
+// or weight the model's net change moved, both orientations of an
+// undirected edge, in (Src, Dst) order, and DirtyRows must be their rows.
+func checkNetChange(t *testing.T, res *ApplyResult, pre, post *CSR, before map[uint64]float32, model *mutModel) {
 	t.Helper()
-	inDirty := make(map[VID]bool, len(res.DirtyRows))
-	for _, v := range res.DirtyRows {
-		inDirty[v] = true
-	}
-	inStruct := make(map[VID]bool, len(res.StructRows))
-	for _, v := range res.StructRows {
-		if !inDirty[v] {
-			t.Fatalf("StructRows %d not in DirtyRows", v)
+	var want []Change
+	note := func(k uint64) {
+		was, wasIn := before[k]
+		is, isIn := model.edges[k]
+		c := Change{Src: VID(k >> 32), Dst: VID(k & 0xffffffff)}
+		switch {
+		case isIn && !wasIn:
+			c.Kind, c.NewW = Came, is
+		case wasIn && !isIn:
+			c.Kind, c.OldW = Gone, was
+		case wasIn && was != is:
+			c.Kind, c.OldW, c.NewW = Reweighed, was, is
+		default:
+			return
 		}
-		inStruct[v] = true
-	}
-	for _, v := range res.DegChanged {
-		if !inStruct[v] {
-			t.Fatalf("DegChanged %d not in StructRows", v)
+		want = append(want, c)
+		if !model.directed {
+			c.Src, c.Dst = c.Dst, c.Src
+			want = append(want, c)
 		}
 	}
-	for _, set := range [][]VID{res.DirtyRows, res.StructRows, res.DegChanged} {
-		if !sort.SliceIsSorted(set, func(i, j int) bool { return set[i] < set[j] }) {
-			t.Fatalf("row set not ascending: %v", set)
+	for k := range before {
+		note(k)
+	}
+	for k := range model.edges {
+		if _, ok := before[k]; !ok {
+			note(k)
 		}
 	}
-	for _, edges := range [][]Edge{res.AddedEdges, res.RemovedEdges} {
-		if !sort.SliceIsSorted(edges, func(i, j int) bool {
-			if edges[i].Src != edges[j].Src {
-				return edges[i].Src < edges[j].Src
-			}
-			return edges[i].Dst < edges[j].Dst
-		}) {
-			t.Fatalf("net edge list not (src,dst)-sorted")
+	slices.SortFunc(want, func(a, b Change) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	if got := slices.Collect(Diff(pre, post)); !slices.Equal(got, want) {
+		t.Fatalf("Diff of the flush = %+v, the model's net change %+v", got, want)
+	}
+	var rows []VID
+	for _, c := range want {
+		if len(rows) == 0 || rows[len(rows)-1] != c.Src {
+			rows = append(rows, c.Src)
 		}
+	}
+	if !slices.Equal(res.DirtyRows, rows) {
+		t.Fatalf("DirtyRows = %v, the rows of the net change %v", res.DirtyRows, rows)
 	}
 }
 
 // FuzzMutationEquivalence is the mutation conformance wall: an
 // arbitrary batch stream applied through MutableCSR must stay
 // byte-equal to rebuilding the CSR from scratch over the logical edge
-// set after every flush, on every (directed × weighted) shape.
+// set after every flush, and Diff of each flush must be the model's net
+// change, on every (directed × weighted) shape.
 func FuzzMutationEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(40), uint16(160), uint8(0), []byte{0, 1, 2, 50, 1, 2, 3, 0, 0xff, 0, 0, 0, 1, 1, 2, 0})
 	f.Add(uint64(2), uint16(16), uint16(64), uint8(1), []byte{0, 5, 5, 10, 0, 5, 6, 10, 0, 5, 6, 5})
@@ -403,6 +430,7 @@ func FuzzMutationEquivalence(f *testing.F) {
 
 		var batch Batch
 		flush := func() {
+			pre, before := mc.CSR(), maps.Clone(model.edges)
 			res, err := mc.Apply(batch)
 			if err != nil {
 				t.Fatalf("Apply: %v", err)
@@ -411,7 +439,7 @@ func FuzzMutationEquivalence(f *testing.F) {
 			if !csrEqual(mc.CSR(), model.rebuild()) {
 				t.Fatalf("stream diverges from rebuild-from-scratch (n=%d directed=%v weighted=%v, %d ops)", n, directed, weighted, len(batch))
 			}
-			checkRowSets(t, res)
+			checkNetChange(t, res, pre, mc.CSR(), before, model)
 			batch = batch[:0]
 		}
 		for i := 0; i+4 <= len(ops) && len(batch) < 512; i += 4 {

@@ -44,9 +44,10 @@ func (s *Sketch) Repair(pre, post, postIn *graph.CSR) *Sketch {
 	return out
 }
 
-// arc is one adjacency entry that differs between pre and post. A weight
-// change is two arcs, gone at the old weight and came at the new,
-// flagged reweigh: the hop vectors skip those.
+// arc is one adjacency entry that differs between pre and post, at its
+// weight (zero on an unweighted graph, which has no distance vectors to
+// read it). A weight change is two arcs, gone at the old weight and came
+// at the new, flagged reweigh: the hop vectors skip those.
 type arc struct {
 	u, v    graph.VID
 	w       float64
@@ -65,33 +66,17 @@ type repairer struct {
 	affected   []graph.VID
 }
 
-// diff fills gone and came from the rows of pre and post, not from a
-// batch report: it must also see a weight lowered by a duplicate insert
-// or changed by a delete and re-insert.
+// diff fills gone and came from graph.Diff of pre and the post rows,
+// not from a batch report: it must also see a weight lowered by a
+// duplicate insert or changed by a delete and re-insert.
 func (r *repairer) diff(pre *graph.CSR) {
-	for v := 0; pre != r.post && v < r.post.NumVertices; v++ {
-		u := graph.VID(v)
-		oa, ow := pre.WeightedRow(u)
-		na, nw := r.post.WeightedRow(u)
-		if slices.Equal(oa, na) && slices.Equal(ow, nw) {
-			continue
+	for c := range graph.Diff(pre, r.post) {
+		rw := c.Kind == graph.Reweighed
+		if c.Kind != graph.Came {
+			r.gone = append(r.gone, arc{u: c.Src, v: c.Dst, w: float64(c.OldW), reweigh: rw})
 		}
-		for i, j := 0, 0; i < len(oa) || j < len(na); {
-			switch {
-			case j == len(na) || (i < len(oa) && oa[i] < na[j]):
-				r.gone = append(r.gone, arc{u: u, v: oa[i], w: weightAt(ow, i)})
-				i++
-			case i == len(oa) || na[j] < oa[i]:
-				r.came = append(r.came, arc{u: u, v: na[j], w: weightAt(nw, j)})
-				j++
-			default:
-				if wo, wn := weightAt(ow, i), weightAt(nw, j); wo != wn {
-					r.gone = append(r.gone, arc{u: u, v: oa[i], w: wo, reweigh: true})
-					r.came = append(r.came, arc{u: u, v: na[j], w: wn, reweigh: true})
-				}
-				i++
-				j++
-			}
+		if c.Kind != graph.Gone {
+			r.came = append(r.came, arc{u: c.Src, v: c.Dst, w: float64(c.NewW), reweigh: rw})
 		}
 	}
 }
