@@ -84,6 +84,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzMutationEquivalence$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzStreamProgram$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/engines/gap/
 	$(GO) test -fuzz '^FuzzSketchRepair$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
+	$(GO) test -fuzz '^FuzzServeProgram$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
 
 # Smoke step: print raw vs delta+varint adjacency bytes on kron-16 and
 # fail below the 2x floor.
@@ -115,7 +116,8 @@ benchfig:
 
 # Race-enabled soak over the live daemon: concurrent clients x panic
 # injection x deadlines x cancellation against the bounded queue, and
-# concurrent mutates against two executors.
+# FuzzServeProgram's seeds (mutates in flight, a held generation, Drain,
+# Close racing a Submit).
 serve-soak:
 	$(GO) test -race -count=2 ./internal/server/ ./internal/logfmt/
 

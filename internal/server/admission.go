@@ -120,7 +120,7 @@ func (a *admitter) tryAdmit(now float64, degradable bool) decision {
 }
 
 // tryReserve claims a queue slot without consulting the token bucket
-// — for internal work (vector refresh) that must respect the queue
+// — for maintenance (a mutate) that must respect the queue
 // bound but is not client traffic. Caller must release as usual.
 func (a *admitter) tryReserve() bool {
 	a.mu.Lock()

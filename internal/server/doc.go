@@ -1,7 +1,7 @@
 // Package server implements epgd, a resident-graph query daemon over
 // the reproduction's engines: the dataset is loaded and homogenized
-// once, PageRank and WCC vectors are precomputed (and refreshable),
-// and point queries — BFS hop distance, SSSP weighted distance,
+// once, PageRank and WCC vectors are precomputed (and maintained under
+// mutation), and point queries — BFS hop distance, SSSP weighted distance,
 // PR/WCC lookups, k-hop neighborhood size — are served from memory on
 // the modeled worker pool.
 //
@@ -27,9 +27,9 @@
 //	            published{epoch, vectors, sketch, gen}  (atomic pointer)
 //	          ┌───────────────┴────────────────────────────────┐
 //	          │ maintainer (the one instance ever mutated)     │
-//	          │   refresh / mutate, one at a time, run by the  │
-//	          │   executor goroutine that dequeued the entry:  │
-//	          │   next epoch → vectors → sketch → store        │
+//	          │   mutate (a refresh is an empty one), one at a │
+//	          │   time, by the executor that dequeued it: next │
+//	          │   epoch → vectors → sketch repair → store      │
 //	          └────────────────────────────────────────────────┘
 //
 // Admission is a token bucket in front of a bounded FIFO queue: when
@@ -56,7 +56,7 @@
 // maintainer, so a mutate costs one adjacency rebuild however many
 // executors serve; an executor moves to a new generation by rebinding
 // four pointers (gap.Instance.BindEpoch), and a query that loaded
-// generation g is answered from g alone.
+// generation g is answered from g alone and reports g.
 //
 // Determinism: query budgets and reported service times are modeled
 // seconds on the executor's simmachine, so the load-generator study

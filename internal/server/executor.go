@@ -39,7 +39,7 @@ type executor struct {
 	weighted bool
 	// gen is the generation of the published state inst is bound to; 0
 	// (the graph it was loaded on) matches none.
-	gen uint64
+	gen uint32
 
 	// Per-query scratch, reused from query to query. run reads one
 	// scalar out of a result before it returns, so nothing aliases
@@ -62,7 +62,7 @@ func newExecutor(g *graph.Simple, threads int, compress bool) *executor {
 	return &executor{m: m, inst: inst, weighted: g.Weighted}
 }
 
-// vectors are the precomputed, refreshable lookup answers.
+// vectors are the precomputed lookup answers.
 type vectors struct {
 	pr  []float64
 	wcc []graph.VID
@@ -72,12 +72,12 @@ type vectors struct {
 // generation: the adjacency epoch the traversals run on, the PR/WCC
 // vectors and the degradation sketch of exactly that epoch. A value is
 // immutable once stored; maintenance builds the next one beside it. gen
-// is 1 at start-up and +1 per refresh or mutate.
+// is 1 at start-up and +1 per mutate.
 type published struct {
 	epoch  gap.Epoch
 	vec    vectors
 	sketch *Sketch
-	gen    uint64
+	gen    uint32
 }
 
 // newMaintainer loads g into the executor that owns the mutable state —
@@ -98,9 +98,9 @@ func newMaintainer(g *graph.Simple, threads, landmarks int, compress bool) (*exe
 // instance through the incremental maintainers: the first call records
 // a full baseline, later calls re-converge only from the mutations
 // applied since — bit-equal to a full recompute either way, but a
-// refresh or mutate swap never re-pays structure construction.
-// Startup/refresh/mutate work: charged to the machine like any kernel,
-// but never part of a query's budget.
+// mutate swap never re-pays structure construction. Startup and mutate
+// work: charged to the machine like any kernel, but never part of a
+// query's budget.
 func (e *executor) computeVectors() (vectors, error) {
 	pr, err := e.inst.IncrementalPageRank(engines.DefaultPROpts())
 	if err != nil {
@@ -128,6 +128,7 @@ func (e *executor) run(ctx context.Context, q Query, budget float64, degraded bo
 		e.gen = pub.gen
 	}
 	resp = q.response(StatusOK, "")
+	resp.Gen = pub.gen
 	_, start := e.m.Mark()
 	defer func() {
 		if r := recover(); r != nil {

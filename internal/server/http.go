@@ -170,34 +170,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// maintenanceError maps Refresh/Mutate errors onto the API error
-// vocabulary.
-func maintenanceError(w http.ResponseWriter, err error, clientSide bool) {
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		writeError(w, http.StatusTooManyRequests, codeShed, err.Error())
-	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, codeClosed, err.Error())
-	case clientSide:
-		writeError(w, http.StatusBadRequest, codeInvalidQuery, err.Error())
-	default:
-		writeError(w, http.StatusInternalServerError, codeEngineError, err.Error())
-	}
-}
-
+// handleRefresh serves POST /v1/refresh, the empty mutate.
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST only")
 		return
 	}
-	if err := s.Refresh(r.Context()); err != nil {
-		maintenanceError(w, err, false)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":     "ok",
-		"sketch_gen": s.SketchGeneration(),
-	})
+	s.serveMutate(w, r, nil)
 }
 
 // mutateOp is one wire-format mutation.
@@ -245,20 +224,32 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		}
 		batch = append(batch, mu)
 	}
+	s.serveMutate(w, r, batch)
+}
+
+// serveMutate runs one mutate and writes its report or its error.
+func (s *Server) serveMutate(w http.ResponseWriter, r *http.Request, batch graph.Batch) {
 	rep, err := s.Mutate(r.Context(), batch)
-	if err != nil {
-		maintenanceError(w, err, errors.Is(err, ErrInvalidBatch))
-		return
+	switch {
+	case errors.Is(err, ErrOverloaded):
+		writeError(w, http.StatusTooManyRequests, codeShed, err.Error())
+	case errors.Is(err, ErrClosed):
+		writeError(w, http.StatusServiceUnavailable, codeClosed, err.Error())
+	case errors.Is(err, ErrInvalidBatch):
+		writeError(w, http.StatusBadRequest, codeInvalidQuery, err.Error())
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, codeEngineError, err.Error())
+	default:
+		writeJSON(w, http.StatusOK, map[string]any{
+			"status":          "ok",
+			"inserted":        rep.Stats.Inserted,
+			"deleted":         rep.Stats.Deleted,
+			"dup_inserts":     rep.Stats.DupInserts,
+			"missing_deletes": rep.Stats.MissingDeletes,
+			"self_loops":      rep.Stats.SelfLoops,
+			"dirty_rows":      rep.DirtyRows,
+			"edges_touched":   rep.EdgesTouched,
+			"sketch_gen":      rep.Gen,
+		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":          "ok",
-		"inserted":        rep.Stats.Inserted,
-		"deleted":         rep.Stats.Deleted,
-		"dup_inserts":     rep.Stats.DupInserts,
-		"missing_deletes": rep.Stats.MissingDeletes,
-		"self_loops":      rep.Stats.SelfLoops,
-		"dirty_rows":      rep.DirtyRows,
-		"edges_touched":   rep.EdgesTouched,
-		"sketch_gen":      s.SketchGeneration(),
-	})
 }

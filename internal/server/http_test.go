@@ -51,7 +51,7 @@ func TestHTTPQuery(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/query?op=bfs&src=0&dst=9", &r); code != 200 {
 		t.Fatalf("bfs query: HTTP %d", code)
 	}
-	if r.Status != StatusOK || r.ModeledSec <= 0 {
+	if r.Status != StatusOK || r.ModeledSec <= 0 || r.Gen != 1 {
 		t.Fatalf("bfs response: %+v", r)
 	}
 	if r.Value < 0 || int(r.Value) >= s.NumVertices() {
@@ -226,15 +226,21 @@ func TestHTTPMetricsShape(t *testing.T) {
 	}
 }
 
+// POST /v1/refresh is the empty mutate: an empty body, and the next
+// generation.
 func TestHTTPRefresh(t *testing.T) {
 	_, ts := startHTTP(t, Config{Executors: 1})
 	resp, err := http.Post(ts.URL+"/v1/refresh", "application/json", strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var out struct {
+		SketchGen uint64 `json:"sketch_gen"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&out)
 	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("refresh: HTTP %d", resp.StatusCode)
+	if resp.StatusCode != 200 || err != nil || out.SketchGen != 2 {
+		t.Fatalf("refresh: HTTP %d, sketch_gen %d (%v), want 200 and 2", resp.StatusCode, out.SketchGen, err)
 	}
 	if code := getJSON(t, ts.URL+"/v1/refresh", nil); code != 405 {
 		t.Fatalf("GET /refresh: HTTP %d, want 405", code)

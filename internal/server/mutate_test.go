@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -64,129 +62,6 @@ func testBatch(t *testing.T) graph.Batch {
 	}
 }
 
-// oracle is the mutation oracle: what a server started directly on the
-// edge list left by applying batches, in order, to testGraph answers to
-// a fixed list of queries covering every kind (extra queries join it),
-// and that graph's out-adjacency.
-type oracle struct {
-	queries []Query
-	want    []Response
-	post    *graph.CSR
-}
-
-func newOracle(t *testing.T, batches []graph.Batch, extra ...Query) *oracle {
-	t.Helper()
-	g := testGraph(t)
-	shadow := graph.NewMutableCSR(g.Out, g.Directed)
-	for _, b := range batches {
-		if _, err := shadow.Apply(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	post := shadow.CSR()
-	postEL := &graph.EdgeList{NumVertices: post.NumVertices, Weighted: post.Weights != nil, Directed: g.Directed}
-	for v := 0; v < post.NumVertices; v++ {
-		ws := post.NeighborWeights(graph.VID(v))
-		for i, u := range post.Neighbors(graph.VID(v)) {
-			if !g.Directed && u < graph.VID(v) {
-				continue
-			}
-			e := graph.Edge{Src: graph.VID(v), Dst: u}
-			if ws != nil {
-				e.W = ws[i]
-			}
-			postEL.Edges = append(postEL.Edges, e)
-		}
-	}
-	ref, err := NewFromEdgeList(postEL, Config{Executors: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	o := &oracle{post: post, queries: append([]Query{
-		{Op: OpPR, Source: 3},
-		{Op: OpPR, Source: 0},
-		{Op: OpWCC, Source: 0, Target: 9},
-		{Op: OpBFS, Source: 0, Target: 9},
-		{Op: OpSSSP, Source: 0, Target: 9},
-		{Op: OpKHop, Source: 0, K: 2},
-	}, extra...)}
-	for _, q := range o.queries {
-		resp := ref.Submit(context.Background(), q)
-		if resp.Status != StatusOK {
-			t.Fatalf("fresh server: %s: status %q %s", q.Op, resp.Status, resp.Err)
-		}
-		o.want = append(o.want, resp)
-	}
-	return o
-}
-
-// check puts every oracle query to answer and requires the oracle's value.
-func (o *oracle) check(t *testing.T, who string, answer func(Query) Response) {
-	t.Helper()
-	for i, q := range o.queries {
-		got := answer(q)
-		if got.Status != StatusOK {
-			t.Fatalf("%s: %s: status %q %s", who, q.Op, got.Status, got.Err)
-		}
-		if got.Value != o.want[i].Value {
-			t.Errorf("%s: %s src=%d dst=%d: mutated server answers %v, fresh server %v",
-				who, q.Op, q.Source, q.Target, got.Value, o.want[i].Value)
-		}
-	}
-}
-
-// checkExecutors requires the oracle's answers of each executor of s in
-// turn, serving from pub (and, degraded, the estimate of a sketch rebuilt
-// on the oracle's graph), so a stale executor cannot hide behind a fresh
-// one. s must be closed: the test owns the executors.
-func (o *oracle) checkExecutors(t *testing.T, s *Server, pub *published) {
-	t.Helper()
-	ctx := context.Background()
-	est := BuildSketch(o.post, s.cfg.Landmarks).EstimateHops(0, 9)
-	for i, e := range s.execs {
-		who := fmt.Sprintf("executor %d on generation %d", i, pub.gen)
-		o.check(t, who, func(q Query) Response { return e.run(ctx, q, 0, false, pub) })
-		if got := e.run(ctx, Query{Op: OpBFS, Source: 0, Target: 9}, 0, true, pub); !got.Degraded || got.Value != est {
-			t.Errorf("%s: degraded bfs answers %v (degraded=%v), a sketch rebuilt on that graph %v", who, got.Value, got.Degraded, est)
-		}
-	}
-}
-
-// assertAnswersMatchFreshServer holds s to the oracle of batches:
-// through Submit, and then, with s closed, on each executor in turn; and
-// the published sketch must be the one a rebuild on that graph gives.
-func assertAnswersMatchFreshServer(t *testing.T, s *Server, batches []graph.Batch, extra ...Query) {
-	t.Helper()
-	o := newOracle(t, batches, extra...)
-	o.check(t, "submit", func(q Query) Response { return s.Submit(context.Background(), q) })
-	s.Close()
-	pub := s.pub.Load()
-	if fresh := BuildSketch(o.post, s.cfg.Landmarks); !reflect.DeepEqual(pub.sketch, fresh) {
-		t.Errorf("published sketch differs from a rebuild on the post-batch graph (landmarks %v, rebuilt %v)",
-			pub.sketch.landmarks, fresh.landmarks)
-	}
-	o.checkExecutors(t, s, pub)
-}
-
-// After a mutate, every query kind must answer exactly as a server
-// freshly built on the post-batch graph would.
-func TestMutateAnswersMatchFreshServer(t *testing.T) {
-	s := startServer(t, Config{Executors: 2})
-	batch := testBatch(t)
-	rep, err := s.Mutate(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stats.Deleted != 1 || rep.Stats.Inserted != 2 {
-		t.Fatalf("batch stats %+v", rep.Stats)
-	}
-	if s.SketchGeneration() != 2 {
-		t.Fatalf("sketch generation %d after mutate, want 2", s.SketchGeneration())
-	}
-	assertAnswersMatchFreshServer(t, s, []graph.Batch{batch})
-}
-
 // httpOps renders a batch as the /v1/mutate wire body.
 func httpOps(batch graph.Batch) map[string]any {
 	var ops []map[string]any
@@ -216,152 +91,6 @@ func hazardBatches(t *testing.T) (batches []graph.Batch, v0, lone graph.VID) {
 		{{Op: graph.MutDelete, Src: v0, Dst: lone}, base[1]},
 		{base[0], base[2]},
 	}, v0, lone
-}
-
-// An executor that served nothing while the graph moved on: one of two
-// executors is wedged (blocked in its query-log write) while the three
-// hazard batches are acknowledged through the other over /v1/mutate.
-// Then the roles flip: the executor that ran the maintenance is wedged
-// and a /v1/refresh lands on the idle one, which has never bound
-// anything newer than the start graph. Each acknowledged maintenance
-// is one generation, and every answer — on each executor — must equal
-// the fresh-server oracle's.
-func TestIdleExecutorServesNewestEpoch(t *testing.T) {
-	w := &resettableGate{}
-	s, ts := startHTTP(t, Config{Executors: 2, QueryLog: w})
-	batches, v0, lone := hazardBatches(t)
-
-	// wedge sends a query that its executor serves and then blocks
-	// logging, and returns once that executor has dequeued it.
-	admitted := int64(0)
-	wedge := func(gate chan struct{}) chan struct{} {
-		w.set(gate)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			if resp, err := http.Get(ts.URL + "/v1/query?op=bfs&src=0&dst=1"); err == nil {
-				resp.Body.Close()
-			}
-		}()
-		admitted++
-		waitUntil(t, func() bool { return s.Metrics().Admitted == admitted && s.QueueDepth() == 0 })
-		return done
-	}
-
-	gateA := make(chan struct{})
-	doneA := wedge(gateA)
-	// The first executor must hold gateA before gateB is armed, or it
-	// blocks on gateB, which is closed only after doneA.
-	waitUntil(t, func() bool { return w.waiting() == 1 })
-	for i, b := range batches {
-		if code := postJSON(t, ts.URL+"/v1/mutate", httpOps(b), nil); code != 200 {
-			t.Fatalf("mutate %d: HTTP %d", i, code)
-		}
-	}
-	if gen := s.SketchGeneration(); gen != 4 {
-		t.Fatalf("after three mutates past a wedged executor: generation %d, want 4", gen)
-	}
-
-	// Flip: the second wedge query can only go to the executor that ran
-	// the mutates, which queues behind the first on the log; releasing
-	// the first then leaves it blocked on its own gate.
-	gateB := make(chan struct{})
-	doneB := wedge(gateB)
-	close(gateA)
-	<-doneA
-	if code := postJSON(t, ts.URL+"/v1/refresh", map[string]any{}, nil); code != 200 {
-		t.Fatalf("refresh on the idle executor: HTTP %d", code)
-	}
-	if gen := s.SketchGeneration(); gen != 5 {
-		t.Fatalf("after the refresh: generation %d, want 5", gen)
-	}
-	close(gateB)
-	<-doneB
-
-	assertAnswersMatchFreshServer(t, s, batches, Query{Op: OpWCC, Source: v0, Target: lone})
-}
-
-// Two mutates in flight at once on a two-executor server are dequeued
-// by one executor each, and both run on the one maintainer, one at a
-// time: both batches must be published (they touch disjoint rows, so
-// the oracle does not need the order they committed in) and every
-// executor must answer as a fresh server on them.
-func TestConcurrentMutatesKeepExecutorsInStep(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		s := startServer(t, Config{Executors: 2})
-		base := testGraph(t).Out
-		// Three inserts of absent edges at src, starting the search at from.
-		inserts := func(src, from graph.VID) graph.Batch {
-			var b graph.Batch
-			for u := from; len(b) < 3; u++ {
-				if u != src && !base.HasEdge(src, u) {
-					b = append(b, graph.Mutation{Op: graph.MutInsert, Src: src, Dst: u, W: 0.5})
-				}
-			}
-			return b
-		}
-		batches := []graph.Batch{inserts(0, 100), inserts(1, 200)}
-		var wg sync.WaitGroup
-		for _, b := range batches {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := s.Mutate(context.Background(), b); err != nil {
-					t.Errorf("trial %d: mutate: %v", trial, err)
-				}
-			}()
-		}
-		wg.Wait()
-		if gen := s.SketchGeneration(); gen != 3 {
-			t.Fatalf("trial %d: generation %d after two mutates, want 3", trial, gen)
-		}
-		assertAnswersMatchFreshServer(t, s, batches,
-			Query{Op: OpKHop, Source: 0, K: 1}, Query{Op: OpKHop, Source: 1, K: 1})
-		if t.Failed() {
-			t.Fatalf("trial %d: executors diverged", trial)
-		}
-	}
-}
-
-// Queries racing a live mutate are never dropped: every response is a
-// legitimate outcome (no errors), and the server stays consistent.
-func TestMutateDoesNotDropConcurrentQueries(t *testing.T) {
-	s := startServer(t, Config{Executors: 2, Admit: AdmitConfig{QueueCap: 256}})
-	batch := testBatch(t)
-	ctx := context.Background()
-	const queries = 60
-	var wg sync.WaitGroup
-	errs := make(chan string, queries)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := s.Mutate(ctx, batch); err != nil {
-			errs <- "mutate: " + err.Error()
-		}
-	}()
-	for i := 0; i < queries; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q := Query{Op: OpPR, Source: graph.VID(i % s.NumVertices())}
-			if i%3 == 0 {
-				q = Query{Op: OpBFS, Source: graph.VID(i % s.NumVertices()), Target: 1}
-			}
-			resp := s.Submit(ctx, q)
-			if resp.Status != StatusOK {
-				errs <- string(q.Op) + ": " + string(resp.Status) + " " + resp.Err
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
-	}
-	m := s.Metrics()
-	if got := m.Completed + m.DeadlineExceeded + m.Errors + m.Panics; got != m.Admitted {
-		t.Errorf("outcome identity broken: %d outcomes, %d admitted", got, m.Admitted)
-	}
 }
 
 // The HTTP mutate endpoint: applies a batch, reports stats, bumps the
@@ -412,6 +141,33 @@ func TestHTTPMutate(t *testing.T) {
 	}
 }
 
+// Two mutates in flight over HTTP report the two generations they
+// published, 2 and 3, whichever commits first: each reply carries the
+// generation its own maintenance stored, not one read after the fact.
+func TestHTTPConcurrentMutatesReportTheirGenerations(t *testing.T) {
+	_, ts := startHTTP(t, Config{Executors: 2})
+	batch := testBatch(t)
+	gens := make([]uint64, 2)
+	var wg sync.WaitGroup
+	for i := range gens {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var out struct {
+				SketchGen uint64 `json:"sketch_gen"`
+			}
+			if code := postJSON(t, ts.URL+"/v1/mutate", httpOps(batch[i:i+1]), &out); code != 200 {
+				t.Errorf("mutate %d: HTTP %d", i, code)
+			}
+			gens[i] = out.SketchGen
+		}()
+	}
+	wg.Wait()
+	if slices.Sort(gens); !slices.Equal(gens, []uint64{2, 3}) {
+		t.Fatalf("two concurrent mutates report generations %v, want [2 3]", gens)
+	}
+}
+
 // Bodies a hostile or broken client sends to /v1/mutate are refused
 // with the structured error before anything is queued: over the byte
 // cap or the op cap is a 413, truncated or mistyped JSON a 400, and the
@@ -445,7 +201,7 @@ func TestHTTPMutateRejectsHostileBodies(t *testing.T) {
 			t.Errorf("%s: HTTP %d body %+v (decode: %v), want %d %q with a message", c.name, resp.StatusCode, e, err, c.status, c.code)
 		}
 	}
-	if gen := s.SketchGeneration(); gen != 1 {
+	if gen := s.pub.Load().gen; gen != 1 {
 		t.Errorf("a refused body reached maintenance: sketch generation %d, want 1", gen)
 	}
 	// The caps are limits, not off-by-one traps: a batch of exactly the
@@ -537,32 +293,5 @@ func TestMutateCheaperThanFullRecompute(t *testing.T) {
 	fullCost := ref.m.Elapsed()
 	if incCost >= fullCost {
 		t.Fatalf("incremental mutate swap (%v) not cheaper than build+recompute (%v)", incCost, fullCost)
-	}
-}
-
-// A refresh with no pending mutations swaps cached vectors: it must
-// not re-run the full kernels (the old behavior double-charged a full
-// PR+WCC on every refresh), only the sketch rebuild remains unmodeled.
-func TestRefreshDoesNotRecomputeWithoutMutations(t *testing.T) {
-	s := startServer(t, Config{Executors: 1})
-	e := s.maint
-	before := e.m.Elapsed()
-	if err := s.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if after := e.m.Elapsed(); after != before {
-		t.Fatalf("no-op refresh moved the maintainer's modeled clock: %v -> %v", before, after)
-	}
-	if s.SketchGeneration() != 2 {
-		t.Fatalf("refresh did not bump sketch generation: %d", s.SketchGeneration())
-	}
-}
-
-// Closed servers reject mutates with the typed error.
-func TestMutateClosed(t *testing.T) {
-	s := startServer(t, Config{Executors: 1})
-	s.Close()
-	if _, err := s.Mutate(context.Background(), graph.Batch{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("mutate after close: %v", err)
 	}
 }

@@ -35,30 +35,6 @@ func flipBatches(t *testing.T, count int) []graph.Batch {
 	return out
 }
 
-// A query never mixes generations: an executor handed a published value
-// two mutates old — after it has served the newest one, so the bind goes
-// backwards — answers every query kind, exact and degraded, as a fresh
-// server on the graph of THAT generation. The WCC probe tells the two
-// apart: v0 and lone are joined in generation 2 only. Compressed rows
-// are part of the epoch, so both layouts are held to it.
-func TestQueryNeverMixesGenerations(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		s := startServer(t, Config{Executors: 2, Compress: compress})
-		batches, v0, lone := hazardBatches(t)
-		probe := Query{Op: OpWCC, Source: v0, Target: lone}
-		mustMutate(t, s, batches[0])
-		old := s.pub.Load()
-		mustMutate(t, s, batches[1])
-		mustMutate(t, s, batches[2])
-		assertAnswersMatchFreshServer(t, s, batches, probe) // closes s
-		if newest := s.pub.Load(); old.gen != 2 || newest.gen != 4 {
-			t.Fatalf("compress=%v: held generation %d, newest %d; want 2 and 4", compress, old.gen, newest.gen)
-		}
-		newOracle(t, batches[:1], probe).checkExecutors(t, s, old)
-		newOracle(t, batches, probe).checkExecutors(t, s, s.pub.Load())
-	}
-}
-
 // One Apply per mutate: the adjacency is rebuilt once, on the
 // maintainer, however many executors serve it. Eight mutates and then a
 // query on every executor allocate on four executors what they allocate
@@ -138,15 +114,13 @@ func TestPublishedEpochsStayFrozen(t *testing.T) {
 			t.Fatalf("query beside mutate %d: %s %s", i, resp.Status, resp.Err)
 		}
 	}
-	if err := s.Refresh(ctx); err != nil {
-		t.Fatal(err)
-	}
+	mustMutate(t, s, nil) // a refresh
 	close(stop)
 	wg.Wait()
 	if moved.Load() || csrDigest(old.epoch.Out(), old.epoch.In()) != want {
 		t.Fatal("a published epoch's rows changed after later mutates")
 	}
-	if gen := s.SketchGeneration(); gen != old.gen+9 {
+	if gen := s.pub.Load().gen; gen != old.gen+9 {
 		t.Fatalf("generation %d after nine more maintenances on %d", gen, old.gen)
 	}
 }

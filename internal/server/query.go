@@ -67,6 +67,11 @@ type Response struct {
 	// Degraded marks a sketch-derived upper bound served under
 	// overload instead of an exact traversal.
 	Degraded bool `json:"degraded,omitempty"`
+	// Gen is the published generation that served the query (or that a
+	// maintenance published): 1 at start-up, +1 per mutate. 32 bits,
+	// beside Degraded, keep Response at 80 bytes: every query allocates
+	// one in its reply channel and another to encode it.
+	Gen uint32 `json:"gen"`
 	// ModeledSec is the modeled service time charged on the executor.
 	ModeledSec float64 `json:"modeled_s"`
 	Err        string  `json:"err,omitempty"`

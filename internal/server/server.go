@@ -73,11 +73,9 @@ type pending struct {
 	seq      int64
 	budget   float64
 	degraded bool
-	refresh  bool
-	// mutate, when non-nil, is a maintenance entry like refresh: the
-	// dequeuing executor's goroutine applies the batch on the maintainer
-	// and publishes the next generation. mutRep is written before the
-	// response is sent (the resC receive orders the read).
+	// mutate, when non-nil, makes this a maintenance entry (maintain).
+	// mutRep is written before the response is sent (the resC receive
+	// orders the read).
 	mutate graph.Batch
 	mutRep *engines.MutationReport
 	depth  int // queue depth observed at admission, for the log
@@ -101,7 +99,7 @@ type Server struct {
 	// acknowledged is served on the post-batch graph.
 	pub atomic.Pointer[published]
 	// maint is the one executor that is ever mutated. It has no
-	// goroutine: whichever executor dequeues a refresh or mutate runs it
+	// goroutine: whichever executor dequeues a mutate runs it
 	// on maint under maintMu, one maintenance at a time, so the
 	// published epoch is always the one maint stood on before the next
 	// batch, as Repair requires. Queries never take maintMu.
@@ -116,8 +114,10 @@ type Server struct {
 
 	logMu sync.Mutex
 	wg    sync.WaitGroup
-	// draining refuses new work (Drain); stopped, closed once by Close,
-	// lets the executors exit when the queue is empty.
+	// draining refuses new work: set by Drain under drainMu, read under
+	// its read lock up to the send to queue. stopped, closed once by
+	// Close, lets the executors exit when the queue is empty.
+	drainMu  sync.RWMutex
 	draining atomic.Bool
 	stopped  chan struct{}
 	stop     sync.Once
@@ -187,13 +187,17 @@ func (s *Server) QueueDepth() int { return s.admit.Depth() }
 // MaxQueueDepth returns the depth high-water mark.
 func (s *Server) MaxQueueDepth() int { return s.admit.MaxDepth() }
 
-// Drain stops admitting: from here on Submit, Refresh and Mutate refuse
-// as closed (503 and "Connection: close" over HTTP) without touching the
-// admission ledger, while every query already admitted is still served.
+// Drain stops admitting: from here on Submit and Mutate refuse as
+// closed (503 and "Connection: close" over HTTP) without touching the
+// admission ledger, while every entry already admitted is still served.
 // The daemon drains before it shuts its listener down, so a request
 // arriving on an already-open connection during the grace period is
 // turned away instead of queued.
-func (s *Server) Drain() { s.draining.Store(true) }
+func (s *Server) Drain() {
+	s.drainMu.Lock()
+	s.draining.Store(true)
+	s.drainMu.Unlock()
+}
 
 // Close drains, lets the executors finish what was admitted, and waits
 // for them to exit. Safe to call twice.
@@ -202,10 +206,6 @@ func (s *Server) Close() {
 	s.stop.Do(func() { close(s.stopped) })
 	s.wg.Wait()
 }
-
-// SketchGeneration returns the degradation sketch's generation:
-// 1 after construction, +1 per successful refresh or mutate.
-func (s *Server) SketchGeneration() uint64 { return s.pub.Load().gen }
 
 // serveLoop is one executor's goroutine: dequeue, serve, respond.
 // After Close it drains whatever is already queued (those callers
@@ -231,7 +231,7 @@ func (s *Server) serveLoop(e *executor) {
 
 func (s *Server) serveOne(e *executor, p *pending) {
 	s.admit.release()
-	if p.refresh || p.mutate != nil {
+	if p.mutate != nil {
 		// Maintenance holds a queue slot but is not a query: keeping it
 		// out of the outcome counters preserves the exact identity
 		// completed+deadline+errors+panics == admitted.
@@ -290,18 +290,18 @@ func (s *Server) logShed(seq int64, q Query, status Status, depth int) {
 	})
 }
 
-// maintain executes a refresh or mutate entry, one at a time, on the
-// maintainer: apply the batch (mutate only), re-converge the vectors
-// incrementally, bring the degradation sketch to the post-batch
-// adjacency — a mutate repairs the published one at a cost that follows
-// the batch, a refresh rebuilds it — and publish all of it as the next
-// generation in one store. Queries keep flowing on every executor
-// throughout; each binds the new generation when it next dequeues one.
+// maintain executes a mutate entry, one at a time, on the maintainer:
+// apply the batch (an empty one, a refresh, applies nothing), re-converge
+// the vectors incrementally, repair the published degradation sketch at
+// a cost that follows the batch, and publish all of it as the next
+// generation in one store, which the response reports. Queries keep
+// flowing throughout; each binds the new generation when it next
+// dequeues one.
 func (s *Server) maintain(p *pending) Response {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
 	cur, m := s.pub.Load(), s.maint
-	if p.mutate != nil {
+	if len(p.mutate) > 0 {
 		rep, err := m.inst.Mutate(p.mutate)
 		if err != nil {
 			// Validation failed atomically: the maintainer is unchanged.
@@ -314,13 +314,9 @@ func (s *Server) maintain(p *pending) Response {
 		return Response{Status: StatusError, Err: err.Error()}
 	}
 	next := &published{epoch: m.inst.Epoch(), vec: vec, gen: cur.gen + 1}
-	if p.mutate != nil {
-		next.sketch = cur.sketch.Repair(cur.epoch.Out(), next.epoch.Out(), next.epoch.In())
-	} else {
-		next.sketch = BuildSketch(next.epoch.Out(), s.cfg.Landmarks)
-	}
+	next.sketch = cur.sketch.Repair(cur.epoch.Out(), next.epoch.Out(), next.epoch.In())
 	s.pub.Store(next)
-	return Response{Status: StatusOK}
+	return Response{Status: StatusOK, Gen: next.gen}
 }
 
 // Submit runs one query through admission, the queue, and an
@@ -328,13 +324,32 @@ func (s *Server) maintain(p *pending) Response {
 // queued — the executor will also observe the cancellation through
 // its hook and abandon the kernel at the next frontier).
 func (s *Server) Submit(ctx context.Context, q Query) Response {
+	p, refused := s.admitQuery(ctx, q)
+	if p == nil {
+		return refused
+	}
+	select {
+	case resp := <-p.resC:
+		return resp
+	case <-ctx.Done():
+		// The executor will still process p (and observe ctx through
+		// the hook); the buffered resC absorbs its response.
+		return q.response(StatusDeadline, ctx.Err().Error())
+	}
+}
+
+// admitQuery queues q or returns nil and the refusal. Against Drain the
+// draining check and the send are one step: q is refused or served.
+func (s *Server) admitQuery(ctx context.Context, q Query) (*pending, Response) {
 	seq := s.seq.Add(1)
+	s.drainMu.RLock()
+	defer s.drainMu.RUnlock()
 	if s.draining.Load() {
-		return q.response(StatusError, "server closed")
+		return nil, q.response(StatusError, ErrClosed.Error())
 	}
 	if err := q.validate(s.n, s.weighted, s.cfg.FaultInjection); err != nil {
 		s.metrics.Rejected.Add(1)
-		return q.response(StatusError, err.Error())
+		return nil, q.response(StatusError, err.Error())
 	}
 	s.metrics.Offered.Add(1)
 	now := time.Since(s.started).Seconds()
@@ -344,11 +359,11 @@ func (s *Server) Submit(ctx context.Context, q Query) Response {
 	case shedQueueFull:
 		s.metrics.ShedQueueFull.Add(1)
 		s.logShed(seq, q, StatusShed, depth)
-		return q.response(StatusShed, "queue full")
+		return nil, q.response(StatusShed, "queue full")
 	case shedThrottled:
 		s.metrics.ShedThrottled.Add(1)
 		s.logShed(seq, q, StatusShed, depth)
-		return q.response(StatusShed, "rate limited")
+		return nil, q.response(StatusShed, "rate limited")
 	}
 	s.metrics.Admitted.Add(1)
 	budget := q.DeadlineSec
@@ -367,18 +382,11 @@ func (s *Server) Submit(ctx context.Context, q Query) Response {
 	// Never blocks: entries in the channel cannot exceed the admitted
 	// depth, and depth <= QueueCap == cap(queue) by the admitter.
 	s.queue <- p
-	select {
-	case resp := <-p.resC:
-		return resp
-	case <-ctx.Done():
-		// The executor will still process p (and observe ctx through
-		// the hook); the buffered resC absorbs its response.
-		return q.response(StatusDeadline, ctx.Err().Error())
-	}
+	return p, Response{}
 }
 
-// Sentinel errors for the maintenance entry points, so transports can
-// map them to distinct status codes.
+// Sentinel errors for Mutate, so transports can map them to distinct
+// status codes.
 var (
 	// ErrClosed reports a server that no longer accepts work.
 	ErrClosed = errors.New("server closed")
@@ -389,61 +397,55 @@ var (
 	ErrInvalidBatch = errors.New("invalid mutation batch")
 )
 
-// enqueue takes a bounded-queue slot for the maintenance entry p (heavy
-// executor work must not bypass overload protection) but no token, and
-// waits for the executor that dequeues it.
-func (s *Server) enqueue(ctx context.Context, what string, p *pending) error {
-	if !s.admit.tryReserve() {
-		return fmt.Errorf("%w: %s shed (queue full)", ErrOverloaded, what)
-	}
-	p.ctx, p.seq, p.resC = ctx, s.seq.Add(1), make(chan Response, 1)
-	s.queue <- p
-	select {
-	case resp := <-p.resC:
-		if resp.Status != StatusOK {
-			return fmt.Errorf("%s failed: %s", what, resp.Err)
-		}
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Refresh recomputes the PR/WCC vectors and rebuilds the sketch,
-// publishing them atomically. The recompute runs through the
-// incremental maintainers, so an up-to-date baseline swaps at near-zero
-// modeled cost instead of re-paying full kernel runs.
-func (s *Server) Refresh(ctx context.Context) error {
-	if s.draining.Load() {
-		return ErrClosed
-	}
-	return s.enqueue(ctx, "refresh", &pending{refresh: true})
+// Mutated is an acknowledged Mutate: the batch's report and the
+// generation it published.
+type Mutated struct {
+	engines.MutationReport
+	Gen uint32
 }
 
 // Mutate applies one batch of edge mutations to the served graph: the
 // maintainer builds the next adjacency epoch, re-converges the PR/WCC
-// vectors incrementally and repairs the degradation sketch (both
-// bit-equal to a full recompute on the post-batch graph), and publishes
-// everything atomically. Concurrent queries are never dropped — each
-// serves from the generation published when it was dequeued. Like
-// Refresh, a mutate holds a bounded-queue slot but stays out of the
-// query outcome counters.
-func (s *Server) Mutate(ctx context.Context, batch graph.Batch) (*engines.MutationReport, error) {
-	if s.draining.Load() {
-		return nil, ErrClosed
-	}
+// vectors and repairs the degradation sketch (both bit-equal to a full
+// recompute on the post-batch graph), and publishes everything
+// atomically as the generation it returns. An empty or nil batch is a
+// refresh, which republishes and charges nothing. Concurrent queries
+// are never dropped. A mutate takes a bounded-queue slot but no token,
+// and stays out of the query outcome counters.
+func (s *Server) Mutate(ctx context.Context, batch graph.Batch) (Mutated, error) {
 	if batch == nil {
-		// Keep the maintenance marker non-nil so an empty batch still
-		// routes through maintain (a harmless re-publish), never through
-		// the query path.
-		batch = graph.Batch{}
+		batch = graph.Batch{} // the maintenance marker
 	}
-	if err := batch.Validate(s.n, s.weighted); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidBatch, err)
+	p := &pending{ctx: ctx, mutate: batch, mutRep: &engines.MutationReport{}, resC: make(chan Response, 1)}
+	if err := s.admitMutate(p); err != nil {
+		return Mutated{}, err
 	}
-	p := &pending{mutate: batch}
-	if err := s.enqueue(ctx, "mutate", p); err != nil {
-		return nil, err
+	select {
+	case resp := <-p.resC:
+		if resp.Status != StatusOK {
+			return Mutated{}, fmt.Errorf("mutate failed: %s", resp.Err)
+		}
+		return Mutated{MutationReport: *p.mutRep, Gen: resp.Gen}, nil
+	case <-ctx.Done():
+		return Mutated{}, ctx.Err()
 	}
-	return p.mutRep, nil
+}
+
+// admitMutate queues the maintenance entry p or refuses it, in one step
+// against Drain like admitQuery.
+func (s *Server) admitMutate(p *pending) error {
+	s.drainMu.RLock()
+	defer s.drainMu.RUnlock()
+	if s.draining.Load() {
+		return ErrClosed
+	}
+	if err := p.mutate.Validate(s.n, s.weighted); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidBatch, err)
+	}
+	if !s.admit.tryReserve() {
+		return fmt.Errorf("%w: mutate shed (queue full)", ErrOverloaded)
+	}
+	p.seq = s.seq.Add(1)
+	s.queue <- p // never blocks: tryReserve bounds the depth by cap(queue)
+	return nil
 }

@@ -256,25 +256,6 @@ func TestServerShedsWhenWedged(t *testing.T) {
 	}
 }
 
-func TestServerRefresh(t *testing.T) {
-	s := startServer(t, Config{Executors: 1})
-	ctx := context.Background()
-	before := s.Submit(ctx, Query{Op: OpPR, Source: 3})
-	if err := s.Refresh(ctx); err != nil {
-		t.Fatal(err)
-	}
-	after := s.Submit(ctx, Query{Op: OpPR, Source: 3})
-	if before.Value != after.Value {
-		t.Errorf("refresh changed a deterministic vector: %v -> %v", before.Value, after.Value)
-	}
-	// Refreshes hold a queue slot but are not queries: the outcome
-	// identity must survive them.
-	m := s.Metrics()
-	if m.Admitted != 2 || m.Completed != 2 {
-		t.Errorf("refresh leaked into query counters: %+v", m)
-	}
-}
-
 func TestServerQueryLog(t *testing.T) {
 	var buf bytes.Buffer
 	el := testEdgeList(t)
@@ -398,9 +379,6 @@ func TestDrainRefusesNewWorkAndServesTheAdmitted(t *testing.T) {
 	s.Drain()
 	if resp := s.Submit(ctx, Query{Op: OpBFS, Source: 1, Target: 0}); resp.Status != StatusError {
 		t.Errorf("query after Drain: %+v, want a closed error", resp)
-	}
-	if err := s.Refresh(ctx); !errors.Is(err, ErrClosed) {
-		t.Errorf("refresh after Drain: %v, want ErrClosed", err)
 	}
 	if _, err := s.Mutate(ctx, graph.Batch{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("mutate after Drain: %v, want ErrClosed", err)

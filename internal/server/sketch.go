@@ -22,8 +22,8 @@ type Sketch struct {
 // BuildSketch selects the k highest-degree vertices (ties broken
 // toward lower ID, so the landmark set is deterministic) and runs one
 // serial BFS — plus one serial Dijkstra when the CSR is weighted —
-// per landmark. Built at startup and by a refresh on the homogenized
-// CSR (a mutate repairs the previous sketch instead, see Repair); the
+// per landmark. Built at startup on the homogenized CSR (a mutate or a
+// refresh repairs the previous sketch instead, see Repair); the
 // build is plain Go, off the modeled machine, because it is part of
 // daemon startup rather than any measured phase.
 func BuildSketch(c *graph.CSR, k int) *Sketch {
