@@ -3,7 +3,6 @@ package gap
 import (
 	"errors"
 	"slices"
-	"sort"
 	"testing"
 
 	"github.com/hpcl-repro/epg/internal/engines"
@@ -180,9 +179,8 @@ func storedEntry(c *graph.CSR, i int) (graph.VID, graph.VID, bool) {
 	if c.NumEdges() == 0 {
 		return 0, 0, false
 	}
-	idx := int64(i) % c.NumEdges()
-	v := sort.Search(c.NumVertices, func(v int) bool { return c.Offsets[v+1] > idx })
-	return graph.VID(v), c.Adj[idx], true
+	u, v := entryAt(c, int64(i)%c.NumEdges())
+	return u, v, true
 }
 
 func (p *streamProgram) flush() {
@@ -261,7 +259,7 @@ func (p *streamProgram) maintain(k int) {
 	if base := p.base[k]; base == nil {
 		shadow = load(cur.Out())
 	} else {
-		if c, b := cur.Out(), base.Out(); slices.Equal(c.Offsets, b.Offsets) && slices.Equal(c.Adj, b.Adj) && len(got) != 0 {
+		if c, b := cur.Out().Flat(), base.Out().Flat(); slices.Equal(c.Offsets, b.Offsets) && slices.Equal(c.Adj, b.Adj) && len(got) != 0 {
 			t.Fatalf("%s maintain charged %d regions on an epoch with the baseline's rows", ctx, len(got))
 		}
 		shadow = load(base.Out())

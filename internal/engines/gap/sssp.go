@@ -26,7 +26,7 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 // result, and the instance keeps no reference to either.
 func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engines.SSSPResult, error) {
 	inst.BuildStructure()
-	if inst.out.Weights == nil {
+	if !inst.out.Weighted() {
 		return nil, engines.ErrUnsupported // unweighted input, as with cit-Patents in Table I
 	}
 	ws := &inst.ws

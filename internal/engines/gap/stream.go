@@ -109,26 +109,30 @@ func (inst *Instance) BindEpoch(e Epoch) {
 }
 
 // Mutate implements engines.Streamer: it applies the batch to the out-
-// (and, for directed graphs, in-) adjacency through the epoch-rebuild
-// overlay, recompresses when the compressed siblings are live, swaps in
-// the new epoch and charges the apply. It records nothing for the
-// maintainers: each diffs its own baseline epoch against the current
-// one when it runs. The replay is charged serially per op; the row
-// rebuild is charged as a uniform parallel merge over touched entries.
+// (and, for directed graphs, in-) adjacency, recompresses when the
+// compressed siblings are live, swaps in the new epoch and charges the
+// apply. The new epoch is an overlay (graph.CSR.Apply): fresh storage
+// for the rows the batch dirtied, every other row shared with the
+// previous epoch, compacted into a flat CSR once the patch outgrows its
+// bound. The charges still price a whole rebuild — the replay serially
+// per op, the row rebuild as a uniform parallel merge over touched
+// entries plus a bulk copy of the clean ones — so the modeled clock
+// does not see the overlay. It records nothing for the maintainers:
+// each diffs its own baseline epoch against the current one when it
+// runs.
 func (inst *Instance) Mutate(batch graph.Batch) (*engines.MutationReport, error) {
 	inst.BuildStructure()
 	directed := inst.in != inst.out
 
-	mo := graph.NewMutableCSR(inst.out, directed)
-	res, err := mo.Apply(batch)
+	out, res, err := inst.out.Apply(batch, directed)
 	if err != nil {
 		return nil, err
 	}
 	edgesTouched, copied := res.EdgesTouched, res.CopiedEdges
-	out, in := mo.CSR(), mo.CSR()
+	in := out
 	if directed {
-		mi := graph.NewMutableCSR(inst.in, true)
-		resIn, err := mi.Apply(batch.Reversed())
+		var resIn *graph.ApplyResult
+		in, resIn, err = inst.in.Apply(batch.Reversed(), true)
 		if err != nil {
 			// The reversed batch validates identically to the forward
 			// one, so this is unreachable; guard anyway rather than
@@ -137,7 +141,6 @@ func (inst *Instance) Mutate(batch graph.Batch) (*engines.MutationReport, error)
 		}
 		edgesTouched += resIn.EdgesTouched
 		copied += resIn.CopiedEdges
-		in = mi.CSR()
 	}
 
 	// Both applies succeeded: swap epochs.

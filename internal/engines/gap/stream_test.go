@@ -7,9 +7,9 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"testing"
 
+	"github.com/hpcl-repro/epg/internal/alloctest"
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/kronecker"
@@ -21,7 +21,7 @@ import (
 // normalized structure. Undirected rows hold both orientations with
 // equal weights, so one canonical (u < v) orientation suffices.
 func elFromCSR(c *graph.CSR, directed bool) *graph.EdgeList {
-	el := &graph.EdgeList{NumVertices: c.NumVertices, Weighted: c.Weights != nil, Directed: directed}
+	el := &graph.EdgeList{NumVertices: c.NumVertices, Weighted: c.Weighted(), Directed: directed}
 	for v := 0; v < c.NumVertices; v++ {
 		adj := c.Neighbors(graph.VID(v))
 		ws := c.NeighborWeights(graph.VID(v))
@@ -44,9 +44,18 @@ func sampleEdge(c *graph.CSR, r *xrand.RNG) (graph.VID, graph.VID, bool) {
 	if c.NumEdges() == 0 {
 		return 0, 0, false
 	}
-	idx := int64(r.Intn(int(c.NumEdges())))
-	v := sort.Search(c.NumVertices, func(v int) bool { return c.Offsets[v+1] > idx })
-	return graph.VID(v), c.Adj[idx], true
+	u, v := entryAt(c, int64(r.Intn(int(c.NumEdges()))))
+	return u, v, true
+}
+
+// entryAt is the idx-th stored adjacency entry in row order, read
+// through the row accessors, so c may be an overlay epoch.
+func entryAt(c *graph.CSR, idx int64) (graph.VID, graph.VID) {
+	v := graph.VID(0)
+	for ; idx >= c.Degree(v); v++ {
+		idx -= c.Degree(v)
+	}
+	return v, c.Neighbors(v)[idx]
 }
 
 // streamBatch builds a deterministic mixed batch against the current
@@ -379,6 +388,32 @@ func TestMutateRejectsInvalid(t *testing.T) {
 	}
 }
 
+// A Mutate allocates the rows its batch dirties, not the graph: on
+// weighted undirected kron-12, a warm Mutate of a 64-op batch that does
+// not compact allocates less than a quarter of the epoch's flat bytes
+// (offsets, neighbors and weights). Each call rebinds the flat epoch
+// first, so every one applies the same batch to the same rows.
+func TestMutateAllocFollowsDirtyRows(t *testing.T) {
+	inst := load(t, engine(), kron(12, 1), 8)
+	base := inst.Epoch()
+	out := base.Out()
+	batch := streamBatch(out, xrand.New(12), 64, 0.4)
+	per := alloctest.BytesPerRun(4, func() {
+		inst.BindEpoch(base)
+		if _, err := inst.Mutate(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	flat := uint64(8*(out.NumVertices+1)) + uint64(8*out.NumEdges())
+	t.Logf("warm Mutate of %d ops: %d B; flat epoch %d B", len(batch), per, flat)
+	if per >= flat/4 {
+		t.Fatalf("a warm 64-op Mutate allocates %d B; bound %d B (a quarter of the flat epoch)", per, flat/4)
+	}
+	if next := inst.Epoch().Out(); next.Flat() == next {
+		t.Fatal("the 64-op Mutate compacted; the wall measures an overlay")
+	}
+}
+
 // The trajectory is patched in place, so its length has to follow the
 // run's: a batch that converges sooner than the baseline must drop the
 // iterations past its end (or the next replay would patch against
@@ -555,10 +590,11 @@ func TestMaintainAllocBudget(t *testing.T) {
 }
 
 // epochDigest hashes every array of an epoch, compressed siblings and
-// lengths included.
+// lengths included; raw rows are read through Flat, so an overlay's
+// patched rows and the base rows it shares are both covered.
 func epochDigest(e Epoch) uint64 {
 	h := fnv.New64a()
-	for _, c := range []*graph.CSR{e.out, e.in} {
+	for _, c := range []*graph.CSR{e.out.Flat(), e.in.Flat()} {
 		binary.Write(h, binary.LittleEndian, []int64{int64(len(c.Offsets)), int64(len(c.Adj)), int64(len(c.Weights))})
 		binary.Write(h, binary.LittleEndian, c.Offsets)
 		binary.Write(h, binary.LittleEndian, c.Adj)

@@ -255,7 +255,8 @@ const compressSerialCutoff = 1 << 12
 // the output layout is a pure function of the input CSR — identical
 // at any worker count.
 //
-// The adjacency must be sorted ascending per vertex (BuildOptions.Sort
+// Rows are read through Neighbors, so c may be an overlay epoch. The
+// adjacency must be sorted ascending per vertex (BuildOptions.Sort
 // or SortAdjacency); CompressCSR panics on an unsorted list rather
 // than silently emitting a stream whose unsigned gaps cannot represent
 // the inversion.
@@ -263,7 +264,7 @@ func CompressCSR(c *CSR, workers int) *CompressedCSR {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if len(c.Adj) < compressSerialCutoff {
+	if c.NumEdges() < compressSerialCutoff {
 		workers = 1
 	}
 	n := c.NumVertices
@@ -275,7 +276,7 @@ func CompressCSR(c *CSR, workers int) *CompressedCSR {
 	offsets := make([]int64, n+1)
 	parallel.For(pool, workers, n, 2048, parallel.Static, func(lo, hi, chunk, worker int) {
 		for v := lo; v < hi; v++ {
-			adj := c.Adj[c.Offsets[v]:c.Offsets[v+1]]
+			adj := c.Neighbors(VID(v))
 			if len(adj) == 0 {
 				continue
 			}
@@ -303,7 +304,7 @@ func CompressCSR(c *CSR, workers int) *CompressedCSR {
 	// Data[offsets[v]:offsets[v+1]]; no other worker can touch it.
 	parallel.For(pool, workers, n, 2048, parallel.Static, func(lo, hi, chunk, worker int) {
 		for v := lo; v < hi; v++ {
-			adj := c.Adj[c.Offsets[v]:c.Offsets[v+1]]
+			adj := c.Neighbors(VID(v))
 			if len(adj) == 0 {
 				continue
 			}

@@ -31,6 +31,14 @@
 // (neighbor, weight) multiset, whatever the worker count or the order
 // the scatter left.
 //
+// A mutated CSR is an epoch: (*CSR).Apply returns the next one as an
+// overlay, the previous base plus fresh storage for the rows the batch
+// dirtied, every other row shared, and compacts into a flat CSR once
+// the patch outgrows a fixed share of the graph (Aspen's versioned
+// adjacency, reduced to one level). An overlay's rows are read through
+// the accessors; its raw arrays are nil. MutableCSR applies the same
+// batches and always rebuilds flat.
+//
 // CompressedCSR is the Ligra+/GBBS-style byte-compressed sibling for
 // bandwidth-bound traversal: each vertex's sorted neighbor list is
 // stored as a varint degree, a zigzag-varint first-neighbor delta from

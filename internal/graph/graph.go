@@ -62,34 +62,60 @@ func (el *EdgeList) Validate() error {
 // Self-loops are dropped at construction (as in the Graph500
 // reference); duplicate edges are kept unless the builder is asked to
 // deduplicate.
+//
+// A CSR that Apply returns may instead be an overlay epoch: a flat base
+// plus fresh storage for the rows batches rewrote (see patch). An
+// overlay's Offsets, Adj and Weights are nil, so code that reads them
+// fails loudly rather than reading the base; its rows are reached
+// through the accessors (Neighbors, NeighborWeights, WeightedRow, Row,
+// FirstIn, Degree, NumEdges, Weighted), and Flat compacts it.
 type CSR struct {
 	NumVertices int
 	Offsets     []int64 // len NumVertices+1
 	Adj         []VID
 	Weights     []float32 // nil when unweighted
+
+	patch *patch // nil on a flat CSR
 }
 
 // NumEdges returns the number of stored directed adjacency entries.
-func (c *CSR) NumEdges() int64 { return int64(len(c.Adj)) }
+func (c *CSR) NumEdges() int64 {
+	if c.patch != nil {
+		return c.patch.edges
+	}
+	return int64(len(c.Adj))
+}
+
+// Weighted reports whether rows carry weights.
+func (c *CSR) Weighted() bool {
+	if c.patch != nil {
+		return c.patch.base.Weights != nil
+	}
+	return c.Weights != nil
+}
 
 // Degree returns the out-degree of v.
 func (c *CSR) Degree(v VID) int64 {
+	if c.patch != nil {
+		return int64(len(c.patch.adj(v)))
+	}
 	return c.Offsets[v+1] - c.Offsets[v]
 }
 
 // Neighbors returns the adjacency slice of v. The caller must not
 // modify it.
 func (c *CSR) Neighbors(v VID) []VID {
+	if c.patch != nil {
+		return c.patch.adj(v)
+	}
 	return c.Adj[c.Offsets[v]:c.Offsets[v+1]]
 }
 
 // NeighborWeights returns the weight slice parallel to Neighbors(v).
 // It returns nil for unweighted graphs.
 func (c *CSR) NeighborWeights(v VID) []float32 {
-	if c.Weights == nil {
-		return nil
-	}
-	return c.Weights[c.Offsets[v]:c.Offsets[v+1]]
+	_, w := c.WeightedRow(v)
+	return w
 }
 
 // Row and Encoded make a CSR a traversal row source beside
@@ -116,11 +142,21 @@ func (c *CSR) FirstIn(v VID, front *parallel.Bitmap) (u VID, scanned, encodedByt
 
 // WeightedRow returns Neighbors(v) and NeighborWeights(v) together.
 func (c *CSR) WeightedRow(v VID) ([]VID, []float32) {
-	return c.Neighbors(v), c.NeighborWeights(v)
+	if c.patch != nil {
+		return c.patch.row(v)
+	}
+	lo, hi := c.Offsets[v], c.Offsets[v+1]
+	if c.Weights == nil {
+		return c.Adj[lo:hi], nil
+	}
+	return c.Adj[lo:hi], c.Weights[lo:hi]
 }
 
 // Validate checks the structural invariants of the CSR.
 func (c *CSR) Validate() error {
+	if c.patch != nil {
+		return c.Flat().Validate()
+	}
 	if c.NumVertices < 0 {
 		return fmt.Errorf("graph: negative vertex count")
 	}
@@ -372,7 +408,7 @@ func (c *CSR) HasEdge(u, v VID) bool {
 func (c *CSR) OutDegrees() []int64 {
 	d := make([]int64, c.NumVertices)
 	for v := 0; v < c.NumVertices; v++ {
-		d[v] = c.Offsets[v+1] - c.Offsets[v]
+		d[v] = c.Degree(VID(v))
 	}
 	return d
 }

@@ -104,15 +104,16 @@ type Change struct {
 // and re-insert is a reweigh. It is the one answer to "what changed
 // since": the incremental maintainers ask it against their baseline
 // epoch, the sketch repair against the published one. Equal pointers
-// cost nothing; otherwise each row is compared whole and merged only
-// when it differs.
+// cost nothing, and so does a row both epochs share (an overlay's
+// carried-forward or base row); any other row is compared whole and
+// merged only when it differs.
 func Diff(pre, post *CSR) iter.Seq[Change] {
 	return func(yield func(Change) bool) {
 		for v := 0; pre != post && v < post.NumVertices; v++ {
 			u := VID(v)
 			oa, ow := pre.WeightedRow(u)
 			na, nw := post.WeightedRow(u)
-			if slices.Equal(oa, na) && slices.Equal(ow, nw) {
+			if sameSlice(oa, na) && sameSlice(ow, nw) || slices.Equal(oa, na) && slices.Equal(ow, nw) {
 				continue
 			}
 			for i, j := 0, 0; i < len(oa) || j < len(na); {
@@ -140,6 +141,12 @@ func Diff(pre, post *CSR) iter.Seq[Change] {
 	}
 }
 
+// sameSlice reports whether a and b are the very same memory: one
+// backing pointer, one length.
+func sameSlice[E any](a, b []E) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // weightAt is the weight of a row's i-th entry: zero when it carries
 // none.
 func weightAt(ws []float32, i int) float32 {
@@ -153,7 +160,9 @@ func weightAt(ws []float32, i int) float32 {
 // mutation. Apply never modifies the wrapped arrays: it rebuilds into
 // fresh storage and swaps, so readers holding the previous CSR()
 // snapshot stay coherent — the epoch-rebuild discipline the serving
-// daemon's generation-counted swap relies on.
+// daemon's generation-counted swap relies on. Its epochs are always
+// flat (Offsets, Adj and Weights set); (*CSR).Apply is the same replay
+// and row merge returning overlay epochs.
 //
 // The logical graph is the normalized simple graph the harness builds:
 // self-loop-free, deduplicated, sorted adjacency; undirected graphs
@@ -164,7 +173,6 @@ func weightAt(ws []float32, i int) float32 {
 type MutableCSR struct {
 	csr      *CSR
 	directed bool
-	weighted bool
 }
 
 // NewMutableCSR wraps csr, which must be sorted (SortAdjacency) and
@@ -172,7 +180,7 @@ type MutableCSR struct {
 // engines build. The MutableCSR takes ownership of csr's evolution but
 // never mutates the arrays it was given.
 func NewMutableCSR(csr *CSR, directed bool) *MutableCSR {
-	return &MutableCSR{csr: csr, directed: directed, weighted: csr.Weights != nil}
+	return &MutableCSR{csr: csr, directed: directed}
 }
 
 // CSR returns the current epoch's structure. The caller must not
@@ -181,6 +189,21 @@ func (m *MutableCSR) CSR() *CSR { return m.csr }
 
 // NumVertices returns the fixed vertex count.
 func (m *MutableCSR) NumVertices() int { return m.csr.NumVertices }
+
+// Apply replays the batch in order against the current epoch and
+// rebuilds it into a fresh flat CSR. It is atomic: on any validation
+// error the structure is untouched. The replay, the delta extraction,
+// and the rebuild are all serial and ordered, so the result —
+// structure and ApplyResult alike — is a pure function of (previous
+// epoch, batch), independent of run and worker count.
+func (m *MutableCSR) Apply(batch Batch) (*ApplyResult, error) {
+	nc, res, err := m.csr.apply(batch, m.directed, true)
+	if err != nil {
+		return nil, err
+	}
+	m.csr = nc
+	return res, nil
+}
 
 // pairState tracks one directed (src,dst) pair across a batch replay:
 // its presence and weight before the batch and currently.
@@ -191,81 +214,126 @@ type pairState struct {
 	w           float32
 }
 
-// rowDelta is the net change to one adjacency row, every slice sorted
-// ascending by neighbor.
-type rowDelta struct {
-	adds []Edge    // net-new entries (Src = row)
-	dels []VID     // net-removed neighbors
-	wch  []VID     // surviving neighbors whose weight changed
-	wchW []float32 // new weights parallel to wch
+// entryDelta is one entry of a row's net change: neighbor dst Came (at
+// w), is Gone, or was Reweighed (to w).
+type entryDelta struct {
+	dst  VID
+	w    float32
+	kind ChangeKind
 }
 
-// Apply replays the batch in order against the current epoch and
-// rebuilds the touched rows into a fresh CSR. It is atomic: on any
-// validation error the structure is untouched. The replay, the delta
-// extraction, and the rebuild are all serial and ordered, so the
-// result — structure and ApplyResult alike — is a pure function of
-// (previous epoch, batch), independent of run and worker count.
-func (m *MutableCSR) Apply(batch Batch) (*ApplyResult, error) {
-	c := m.csr
-	if err := batch.Validate(c.NumVertices, m.weighted); err != nil {
-		return nil, err
-	}
+// rowDelta is the net change to one adjacency row: its entries
+// ascending by neighbor, and the length they add to the row.
+type rowDelta struct {
+	row  VID
+	grow int
+	ch   []entryDelta
+}
 
+// apply is the one batch application behind MutableCSR.Apply and
+// (*CSR).Apply: it replays the batch to final outcomes, extracts each
+// dirty row's net delta, and writes the next epoch — flat when flat is
+// set or the patch would outgrow its bound (compactNum/compactDen),
+// otherwise an overlay sharing every clean row with c. With no net
+// change it returns c itself. The ApplyResult prices a whole rebuild
+// either way: the modeled clock does not see the overlay.
+func (c *CSR) apply(batch Batch, directed, flat bool) (*CSR, *ApplyResult, error) {
+	weighted := c.Weighted()
+	if err := batch.Validate(c.NumVertices, weighted); err != nil {
+		return nil, nil, err
+	}
 	res := &ApplyResult{}
-	state := make(map[uint64]*pairState)
+	deltas := c.replay(batch, directed, weighted, &res.Stats)
+	if len(deltas) == 0 {
+		return c, res, nil
+	}
+	var dirtyOld, fresh int64
+	for i := range deltas {
+		d := &deltas[i]
+		old := len(c.Neighbors(d.row))
+		dirtyOld += int64(old)
+		fresh += int64(old + d.grow)
+		res.DirtyRows = append(res.DirtyRows, d.row)
+	}
+	res.EdgesTouched = dirtyOld + fresh
+	res.CopiedEdges = c.NumEdges() - dirtyOld
+	edges := res.CopiedEdges + fresh
+
+	var nc *CSR
+	if flat || !c.patchFits(deltas, edges, fresh) {
+		nc = c.flatten(deltas, edges)
+	} else {
+		nc = c.overlay(deltas, edges, fresh)
+	}
+	if nc == nil {
+		return nil, nil, fmt.Errorf("graph: a row merge wrote the wrong number of entries (corrupt overlay state)")
+	}
+	return nc, res, nil
+}
+
+// replay runs the batch to final outcomes against c and returns the net
+// delta of every dirty row, rows ascending. Undirected graphs apply
+// both orientations; stats count logical ops once.
+func (c *CSR) replay(batch Batch, directed, weighted bool, stats *MutStats) []rowDelta {
+	// An op touches at most one pair, two when undirected, so states
+	// never regrows and the pointers lookup hands out stay valid.
+	pairs := len(batch)
+	if !directed {
+		pairs *= 2
+	}
+	states := make([]pairState, 0, pairs)
+	index := make(map[uint64]int32, pairs)
 	lookup := func(u, v VID) *pairState {
 		k := uint64(u)<<32 | uint64(v)
-		if p, ok := state[k]; ok {
-			return p
+		if i, ok := index[k]; ok {
+			return &states[i]
 		}
-		p := &pairState{}
-		adj := c.Neighbors(u)
+		var p pairState
+		adj, ws := c.WeightedRow(u)
 		i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
 		if i < len(adj) && adj[i] == v {
 			p.origPresent = true
-			if m.weighted {
-				p.origW = c.Weights[c.Offsets[u]+int64(i)]
+			if ws != nil {
+				p.origW = ws[i]
 			}
 		}
 		p.present, p.w = p.origPresent, p.origW
-		state[k] = p
-		return p
+		index[k] = int32(len(states))
+		states = append(states, p)
+		return &states[len(states)-1]
 	}
 
-	// Replay to final outcomes. Undirected graphs apply both
-	// orientations; stats count logical ops once.
 	for _, mu := range batch {
 		if mu.Src == mu.Dst {
-			res.Stats.SelfLoops++
+			stats.SelfLoops++
 			continue
 		}
 		p := lookup(mu.Src, mu.Dst)
 		switch mu.Op {
 		case MutInsert:
 			if p.present {
-				res.Stats.DupInserts++
-				if m.weighted && mu.W < p.w {
+				stats.DupInserts++
+				if weighted && mu.W < p.w {
 					p.w = mu.W
-					if !m.directed {
+					if !directed {
 						lookup(mu.Dst, mu.Src).w = mu.W
 					}
 				}
 			} else {
-				res.Stats.Inserted++
+				stats.Inserted++
 				p.present, p.w = true, mu.W
-				if !m.directed {
+				if !directed {
 					q := lookup(mu.Dst, mu.Src)
 					q.present, q.w = true, mu.W
 				}
 			}
 		case MutDelete:
 			if !p.present {
-				res.Stats.MissingDeletes++
+				stats.MissingDeletes++
 			} else {
-				res.Stats.Deleted++
+				stats.Deleted++
 				p.present = false
-				if !m.directed {
+				if !directed {
 					lookup(mu.Dst, mu.Src).present = false
 				}
 			}
@@ -273,119 +341,71 @@ func (m *MutableCSR) Apply(batch Batch) (*ApplyResult, error) {
 	}
 
 	// Extract net deltas in deterministic (src,dst) order. The uint64
-	// key sorts exactly that way.
-	keys := make([]uint64, 0, len(state))
-	for k, p := range state {
-		if p.present != p.origPresent || (m.weighted && p.present && p.w != p.origW) {
+	// key sorts exactly that way, so rows come out ascending and each
+	// row's entries ascending by neighbor.
+	keys := make([]uint64, 0, len(index))
+	for k, i := range index {
+		if p := &states[i]; p.present != p.origPresent || (weighted && p.present && p.w != p.origW) {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	if len(keys) == 0 {
-		return res, nil
-	}
-
-	deltas := make(map[VID]*rowDelta)
-	for _, k := range keys {
-		u, v := VID(k>>32), VID(k&0xffffffff)
-		p := state[k]
-		d := deltas[u]
-		if d == nil {
-			d = &rowDelta{}
-			deltas[u] = d
+	slices.Sort(keys)
+	changes := make([]entryDelta, len(keys))
+	deltas := make([]rowDelta, 0, len(keys))
+	for i, k := range keys {
+		u, p := VID(k>>32), &states[index[k]]
+		ch := entryDelta{dst: VID(k), w: p.w, kind: Reweighed}
+		if len(deltas) == 0 || deltas[len(deltas)-1].row != u {
+			deltas = append(deltas, rowDelta{row: u, ch: changes[i:i]})
 		}
+		d := &deltas[len(deltas)-1]
 		switch {
 		case p.present && !p.origPresent:
-			d.adds = append(d.adds, Edge{Src: u, Dst: v, W: p.w})
+			ch.kind = Came
+			d.grow++
 		case !p.present && p.origPresent:
-			d.dels = append(d.dels, v)
-		default: // weight change on a surviving edge
-			d.wch = append(d.wch, v)
-			d.wchW = append(d.wchW, p.w)
+			ch.kind = Gone
+			d.grow--
 		}
+		changes[i] = ch
+		d.ch = d.ch[:len(d.ch)+1]
 	}
-	// keys are in sorted order, so each rowDelta's slices are ascending
-	// by neighbor.
+	return deltas
+}
 
-	// New offsets: serial prefix sum over adjusted degrees.
-	n := c.NumVertices
-	nc := &CSR{
-		NumVertices: n,
-		Offsets:     make([]int64, n+1),
-	}
-	for v := 0; v < n; v++ {
-		deg := c.Offsets[v+1] - c.Offsets[v]
-		if d, ok := deltas[VID(v)]; ok {
-			deg += int64(len(d.adds) - len(d.dels))
+// mergeRow writes the old row (oa, weights ow, nil when unweighted)
+// with the changes ch applied into adj and w (nil when unweighted), a
+// two-pointer merge of the sorted old row against the sorted changes,
+// and returns the number of entries written: len(adj) unless the
+// changes do not fit the row. Only a Came entry can fall between old
+// neighbors; a Gone or Reweighed one names an old neighbor.
+func mergeRow(adj []VID, w []float32, oa []VID, ow []float32, ch []entryDelta) int {
+	p, j := 0, 0
+	put := func(u VID, x float32) {
+		adj[p] = u
+		if w != nil {
+			w[p] = x
 		}
-		nc.Offsets[v+1] = nc.Offsets[v] + deg
+		p++
 	}
-	total := nc.Offsets[n]
-	nc.Adj = make([]VID, total)
-	if m.weighted {
-		nc.Weights = make([]float32, total)
-	}
-
-	// Rebuild: clean rows bulk-copy, dirty rows three-pointer merge of
-	// the sorted old row against sorted adds/dels/weight-changes.
-	for v := 0; v < n; v++ {
-		oldLo, oldHi := c.Offsets[v], c.Offsets[v+1]
-		p := nc.Offsets[v]
-		d, ok := deltas[VID(v)]
-		if !ok {
-			copy(nc.Adj[p:], c.Adj[oldLo:oldHi])
-			if m.weighted {
-				copy(nc.Weights[p:], c.Weights[oldLo:oldHi])
-			}
-			res.CopiedEdges += oldHi - oldLo
-			continue
+	for i, u := range oa {
+		for ; j < len(ch) && ch[j].dst < u; j++ {
+			put(ch[j].dst, ch[j].w)
 		}
-		res.EdgesTouched += (oldHi - oldLo) + (nc.Offsets[v+1] - nc.Offsets[v])
-		res.DirtyRows = append(res.DirtyRows, VID(v))
-		ai, di, wi := 0, 0, 0
-		for i := oldLo; i < oldHi; i++ {
-			u := c.Adj[i]
-			// Emit pending adds that precede this old neighbor. An
-			// add can never equal a surviving old neighbor (adds are
-			// net-absent-before), so strict order suffices.
-			for ai < len(d.adds) && d.adds[ai].Dst < u {
-				nc.Adj[p] = d.adds[ai].Dst
-				if m.weighted {
-					nc.Weights[p] = d.adds[ai].W
-				}
-				p++
-				ai++
-			}
-			if di < len(d.dels) && d.dels[di] == u {
-				di++
+		x := weightAt(ow, i)
+		if j < len(ch) && ch[j].dst == u {
+			j++
+			if ch[j-1].kind == Gone {
 				continue
 			}
-			nc.Adj[p] = u
-			if m.weighted {
-				w := c.Weights[i]
-				if wi < len(d.wch) && d.wch[wi] == u {
-					w = d.wchW[wi]
-					wi++
-				}
-				nc.Weights[p] = w
-			}
-			p++
+			x = ch[j-1].w
 		}
-		for ai < len(d.adds) {
-			nc.Adj[p] = d.adds[ai].Dst
-			if m.weighted {
-				nc.Weights[p] = d.adds[ai].W
-			}
-			p++
-			ai++
-		}
-		if p != nc.Offsets[v+1] {
-			return nil, fmt.Errorf("graph: row %d merge wrote %d entries, want %d (corrupt overlay state)", v, p-nc.Offsets[v], nc.Offsets[v+1]-nc.Offsets[v])
-		}
+		put(u, x)
 	}
-
-	m.csr = nc
-	return res, nil
+	for ; j < len(ch); j++ {
+		put(ch[j].dst, ch[j].w)
+	}
+	return p
 }
 
 // Reversed returns the batch with every mutation's endpoints swapped —

@@ -308,8 +308,11 @@ func TestMutableCSREpochFrozen(t *testing.T) {
 // Random mutation streams across all four (directed × weighted)
 // shapes: after every batch the MutableCSR must be byte-equal to a
 // from-scratch BuildCSR over the model's post-batch edge set, and Diff
-// of the two epochs must be the model's net change (checkNetChange).
+// of the two epochs must be the model's net change (checkNetChange);
+// the same batches chained through (*CSR).Apply, a branch off the
+// parent after each, must keep every epoch equal to its rebuild.
 func TestMutableCSRRandomStreamsMatchRebuild(t *testing.T) {
+	var overlays, flats int
 	for _, directed := range []bool{false, true} {
 		for _, weighted := range []bool{false, true} {
 			for seed := uint64(1); seed <= 8; seed++ {
@@ -318,7 +321,8 @@ func TestMutableCSRRandomStreamsMatchRebuild(t *testing.T) {
 				c := buildNormalized(el)
 				mc := NewMutableCSR(c, directed)
 				model := newMutModelFromCSR(c, directed)
-				r := xrand.New(seed ^ 0xfeed)
+				chain := newEpochChain(t, c, directed)
+				r, br := xrand.New(seed^0xfeed), xrand.New(seed)
 				for batchIdx := 0; batchIdx < 6; batchIdx++ {
 					b := randomBatch(r, 48, 24, weighted)
 					pre, before := mc.CSR(), maps.Clone(model.edges)
@@ -332,9 +336,15 @@ func TestMutableCSRRandomStreamsMatchRebuild(t *testing.T) {
 						t.Fatalf("directed=%v weighted=%v seed=%d batch=%d: MutableCSR diverges from rebuild", directed, weighted, seed, batchIdx)
 					}
 					checkNetChange(t, res, pre, mc.CSR(), before, model)
+					chain.flush(b, res, before, model, want)
+					chain.branch(randomBatch(br, 48, 3, weighted))
 				}
+				overlays, flats = overlays+chain.overlays, flats+chain.flats
 			}
 		}
+	}
+	if overlays == 0 || flats == 0 {
+		t.Fatalf("the streams made %d overlay and %d flat epochs; want both kinds", overlays, flats)
 	}
 }
 
@@ -411,12 +421,22 @@ func checkNetChange(t *testing.T, res *ApplyResult, pre, post *CSR, before map[u
 // arbitrary batch stream applied through MutableCSR must stay
 // byte-equal to rebuilding the CSR from scratch over the logical edge
 // set after every flush, and Diff of each flush must be the model's net
-// change, on every (directed × weighted) shape.
+// change, on every (directed × weighted) shape. The same flushes chain
+// through (*CSR).Apply (overlay epochs, compacting past their bound),
+// and an op byte 0xfe applies the pending ops to the current epoch's
+// parent instead, a sibling: after every Apply each epoch made so far
+// must read, accessor by accessor, as its rebuild (epochChain).
 func FuzzMutationEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(40), uint16(160), uint8(0), []byte{0, 1, 2, 50, 1, 2, 3, 0, 0xff, 0, 0, 0, 1, 1, 2, 0})
 	f.Add(uint64(2), uint16(16), uint16(64), uint8(1), []byte{0, 5, 5, 10, 0, 5, 6, 10, 0, 5, 6, 5})
 	f.Add(uint64(3), uint16(64), uint16(300), uint8(2), []byte{1, 0, 1, 0, 0, 0, 1, 99, 0xff, 9, 9, 9, 0, 1, 0, 30})
 	f.Add(uint64(4), uint16(8), uint16(0), uint8(3), []byte{0, 1, 2, 77, 0, 2, 1, 33, 1, 1, 2, 0})
+	f.Add(uint64(5), uint16(100), uint16(900), uint8(2), []byte{
+		0, 1, 2, 50, 0xff, 0, 0, 0, 1, 3, 4, 0, 0, 5, 6, 7, 0xff, 0, 0, 0, 0, 7, 8, 9, 0xfe, 0, 0, 0,
+		0, 9, 10, 11, 0xff, 0, 0, 0, 0, 1, 80, 1, 0, 2, 81, 1, 0, 3, 82, 1, 0, 4, 83, 1, 0, 5, 84, 1,
+		0, 6, 85, 1, 0, 7, 86, 1, 0, 8, 87, 1, 0, 9, 88, 1, 0, 10, 89, 1, 0, 11, 90, 1, 0, 12, 91, 1})
+	f.Add(uint64(6), uint16(60), uint16(600), uint8(1), []byte{
+		0, 1, 2, 0, 0xff, 0, 0, 0, 1, 1, 2, 0, 0xfe, 0, 0, 0, 0, 3, 4, 0, 0xff, 0, 0, 0, 0, 5, 6, 0})
 	f.Fuzz(func(t *testing.T, seed uint64, nSeed, mSeed uint16, shape uint8, ops []byte) {
 		n := int(nSeed)%128 + 2
 		m := int(mSeed) % 1024
@@ -427,6 +447,7 @@ func FuzzMutationEquivalence(f *testing.F) {
 		c := buildNormalized(el)
 		mc := NewMutableCSR(c, directed)
 		model := newMutModelFromCSR(c, directed)
+		chain := newEpochChain(t, c, directed)
 
 		var batch Batch
 		flush := func() {
@@ -436,15 +457,22 @@ func FuzzMutationEquivalence(f *testing.F) {
 				t.Fatalf("Apply: %v", err)
 			}
 			model.apply(batch)
-			if !csrEqual(mc.CSR(), model.rebuild()) {
+			want := model.rebuild()
+			if !csrEqual(mc.CSR(), want) {
 				t.Fatalf("stream diverges from rebuild-from-scratch (n=%d directed=%v weighted=%v, %d ops)", n, directed, weighted, len(batch))
 			}
 			checkNetChange(t, res, pre, mc.CSR(), before, model)
+			chain.flush(batch, res, before, model, want)
 			batch = batch[:0]
 		}
 		for i := 0; i+4 <= len(ops) && len(batch) < 512; i += 4 {
-			if ops[i] == 0xff {
+			switch ops[i] {
+			case 0xff:
 				flush()
+				continue
+			case 0xfe:
+				chain.branch(batch)
+				batch = batch[:0]
 				continue
 			}
 			mu := Mutation{Src: VID(int(ops[i+1]) % n), Dst: VID(int(ops[i+2]) % n)}

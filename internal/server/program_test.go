@@ -47,7 +47,7 @@ type oracle struct {
 // sketch of c a degraded answer must come from.
 func newOracle(t testing.TB, c *graph.CSR, directed bool, landmarks int) *oracle {
 	t.Helper()
-	el := &graph.EdgeList{NumVertices: c.NumVertices, Weighted: c.Weights != nil, Directed: directed}
+	el := &graph.EdgeList{NumVertices: c.NumVertices, Weighted: c.Weighted(), Directed: directed}
 	for v := range c.NumVertices {
 		ws := c.NeighborWeights(graph.VID(v))
 		for i, u := range c.Neighbors(graph.VID(v)) {
@@ -434,7 +434,7 @@ func (p *serveProgram) checkPublished(who string) {
 	t := p.t
 	t.Helper()
 	pub, want := p.s.pub.Load(), p.graphs[p.newest()]
-	if pub.gen != p.newest() || !reflect.DeepEqual(*pub.epoch.Out(), *want) {
+	if pub.gen != p.newest() || !reflect.DeepEqual(*pub.epoch.Out().Flat(), *want) {
 		t.Fatalf("after %s: generation %d published, the model's generation %d has other rows or number", who, pub.gen, p.newest())
 	}
 	if fresh := BuildSketch(want, p.s.cfg.Landmarks); !reflect.DeepEqual(pub.sketch, fresh) {

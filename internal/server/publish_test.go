@@ -66,9 +66,12 @@ func TestOneApplyPerMutate(t *testing.T) {
 	}
 }
 
+// csrDigest hashes epochs' rows, read through Flat, so an overlay's
+// patched rows and the base rows it shares are both covered.
 func csrDigest(cs ...*graph.CSR) uint64 {
 	h := fnv.New64a()
 	for _, c := range cs {
+		c = c.Flat()
 		binary.Write(h, binary.LittleEndian, []int64{int64(len(c.Offsets)), int64(len(c.Adj)), int64(len(c.Weights))})
 		binary.Write(h, binary.LittleEndian, c.Offsets)
 		binary.Write(h, binary.LittleEndian, c.Adj)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"github.com/hpcl-repro/epg/internal/graph"
@@ -38,8 +37,10 @@ func repairGraph(t testing.TB, dataset string, divisor int, seed uint64, weighte
 }
 
 // repairProgram is the model the repair is checked against: the current
-// adjacency, the sketch Repair has carried to it batch by batch, and
-// the generator's memory of what it did last.
+// adjacency (an epoch of (*graph.CSR).Apply, as the server's are, so
+// overlays and compactions both reach Repair), the sketch Repair has
+// carried to it batch by batch, and the generator's memory of what it
+// did last.
 type repairProgram struct {
 	t        testing.TB
 	rng      *xrand.RNG
@@ -82,8 +83,10 @@ func (p *repairProgram) edge() (u, v graph.VID, ok bool) {
 		return 0, 0, false
 	}
 	idx := int64(p.rng.Intn(m))
-	row := sort.Search(p.cur.NumVertices, func(v int) bool { return p.cur.Offsets[v+1] > idx })
-	return graph.VID(row), p.cur.Adj[idx], true
+	for ; idx >= p.cur.Degree(u); u++ {
+		idx -= p.cur.Degree(u)
+	}
+	return u, p.cur.Neighbors(u)[idx], true
 }
 
 func del(u, v graph.VID) graph.Mutation { return graph.Mutation{Op: graph.MutDelete, Src: u, Dst: v} }
@@ -182,14 +185,14 @@ func (p *repairProgram) step(i int, b byte) {
 	t := p.t
 	t.Helper()
 	batch := p.batch(b)
-	mc := graph.NewMutableCSR(p.cur, p.directed)
-	if _, err := mc.Apply(batch); err != nil {
+	post, _, err := p.cur.Apply(batch, p.directed)
+	if err != nil {
 		t.Fatalf("step %d (kind %d): %v", i, b&0xf, err)
 	}
-	pre, post := p.cur, mc.CSR()
+	pre := p.cur
 	in := post
 	if p.directed {
-		in = graph.Transpose(post, 1)
+		in = graph.Transpose(post.Flat(), 1)
 	}
 	old := p.sketch
 	oldHops, oldDist := cloneVectors(old.hops), cloneVectors(old.dist)

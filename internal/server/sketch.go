@@ -33,12 +33,12 @@ func BuildSketch(c *graph.CSR, k int) *Sketch {
 		return s
 	}
 	s.hops = make([][]int32, k)
-	if c.Weights != nil {
+	if c.Weighted() {
 		s.dist = make([][]float64, k)
 	}
 	for li, l := range s.landmarks {
 		s.hops[li] = bfsHops(c, l)
-		if c.Weights != nil {
+		if c.Weighted() {
 			s.dist[li] = dijkstra(c, l)
 		}
 	}
