@@ -2,7 +2,7 @@
 # gate; `make race` is the concurrency wall over the parallel runtime,
 # the generator, the graph builders, the SNAP codec and every engine kernel, and `make race-full`
 # (CI's race step) the same over every package; `make fuzz` runs the
-# property-fuzz targets for FUZZTIME each; `make bench` regenerates
+# property-fuzz targets for FUZZTIME each (FuzzSpec for 60s); `make bench` regenerates
 # the paper's tables and figures once; `make loc` prints the non-test
 # Go lines outside bench/. The three committed studies (internal/study:
 # sched = FIG_sched_study_ci.csv, serving = FIG_serving_study.csv,
@@ -24,9 +24,9 @@
 # instances) three times under GOMAXPROCS=1 and the default, printing
 # the B/call each one measured; `make permute` builds with the
 # epg_permute tag, under which every simmachine region runs its chunks
-# serially in an order the test picks (TestScheduleIndependence
-# compares eight), and runs the whole suite and the three studies'
-# drift gates that way.
+# serially in an order the test picks (FuzzSpec's seeds compare
+# eight), and runs the whole suite and the three studies' drift gates
+# that way.
 
 GO ?= go
 FUZZTIME ?= 20s
@@ -72,6 +72,8 @@ alloc-walls:
 	GOMAXPROCS=1 $(GO) test -run 'Alloc|Warm|Reused' -count=3 -v ./internal/...
 	$(GO) test -run 'Alloc|Warm|Reused' -count=3 -v ./internal/...
 
+# FuzzSpec's 484 seeds take about 30 s to gather baseline coverage on
+# two CPUs, more than FUZZTIME, so it has its own budget past them.
 fuzz:
 	$(GO) test -fuzz '^FuzzScanInt64$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/parallel/
 	$(GO) test -fuzz '^FuzzBitmapToSlice$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/parallel/
@@ -85,6 +87,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzStreamProgram$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/engines/gap/
 	$(GO) test -fuzz '^FuzzSketchRepair$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
 	$(GO) test -fuzz '^FuzzServeProgram$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
+	$(GO) test -fuzz '^FuzzSpec$$' -fuzztime 60s -run '^$$' ./internal/engines/all/
 
 # Smoke step: print raw vs delta+varint adjacency bytes on kron-16 and
 # fail below the 2x floor.

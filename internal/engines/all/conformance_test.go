@@ -11,10 +11,12 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/hpcl-repro/epg/internal/core"
 	"github.com/hpcl-repro/epg/internal/datasets"
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/kronecker"
+	"github.com/hpcl-repro/epg/internal/power"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 	"github.com/hpcl-repro/epg/internal/verify"
 	"github.com/hpcl-repro/epg/internal/xrand"
@@ -65,7 +67,7 @@ func newMachine() *simmachine.Machine {
 // loadAll returns one prepared instance per engine for the graph.
 func loadAll(t *testing.T, el *graph.EdgeList) map[string]engines.Instance {
 	t.Helper()
-	return loadAllWith(t, el, nil, false)
+	return loadAllWith(t, el, core.Spec{})
 }
 
 func roots(p *verify.Prepared, count int) []graph.VID {
@@ -571,21 +573,21 @@ func forEachPair[R any](got map[string]R, f func(a, b string, ra, rb R)) {
 	}
 }
 
-// loadAllWith is loadAll with a machine configurator applied before
-// Load (scheduling overrides, worker counts).
-func loadAllWith(t *testing.T, el *graph.EdgeList, configure func(*simmachine.Machine), syncSSSP bool) map[string]engines.Instance {
+// loadAllWith is loadAll on spec's 8-thread machine with the engine
+// knobs spec requests (scheduling overrides, worker counts, synchronous
+// SSSP).
+func loadAllWith(t *testing.T, el *graph.EdgeList, spec core.Spec) map[string]engines.Instance {
 	t.Helper()
+	spec.Threads = 8
 	out := make(map[string]engines.Instance)
 	for _, name := range Names {
 		eng, err := New(name)
 		if err != nil {
 			t.Fatalf("new %s: %v", name, err)
 		}
-		engines.Configure(eng, engines.Options{SyncSSSP: syncSSSP})
-		m := newMachine()
-		if configure != nil {
-			configure(m)
-		}
+		opts, _ := spec.EngineOptions(eng.Decl)
+		engines.Configure(eng, opts)
+		m, _ := spec.NewMachine(simmachine.Haswell72(), power.DefaultConstants(), nil)
 		inst, err := eng.Load(el, m)
 		if err != nil {
 			t.Fatalf("%s load: %v", name, err)
@@ -708,10 +710,7 @@ func conformAllKernels(t *testing.T, el *graph.EdgeList, insts map[string]engine
 // must not change what any kernel computes.
 func TestStealPolicyConformance(t *testing.T) {
 	el := kronecker.Generate(kronecker.Params{Scale: 10, Seed: 42})
-	insts := loadAllWith(t, el, func(m *simmachine.Machine) {
-		m.SetSchedOverride(simmachine.Steal)
-		m.SetWorkers(4)
-	}, true)
+	insts := loadAllWith(t, el, core.Spec{Sched: core.SchedSteal, Workers: 4, SyncSSSP: true})
 	conformAllKernels(t, el, insts, 2, false)
 }
 
@@ -725,18 +724,9 @@ func TestBigConformance(t *testing.T) {
 		t.Skip("set EPG_BIG_CONFORMANCE=1 to run the kron-18 conformance sweep")
 	}
 	el := kronecker.Generate(kronecker.Params{Scale: 18, Seed: 1})
-	for _, cfg := range []struct {
-		name  string
-		sched simmachine.Sched
-	}{
-		{"dynamic", simmachine.Dynamic},
-		{"steal", simmachine.Steal},
-	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			insts := loadAllWith(t, el, func(m *simmachine.Machine) {
-				m.SetSchedOverride(cfg.sched)
-				m.SetWorkers(4)
-			}, true)
+	for _, sched := range []string{core.SchedDynamic, core.SchedSteal} {
+		t.Run(sched, func(t *testing.T) {
+			insts := loadAllWith(t, el, core.Spec{Sched: sched, Workers: 4, SyncSSSP: true})
 			conformAllKernels(t, el, insts, 1, true)
 		})
 	}

@@ -2,19 +2,23 @@
 // outputs and simmachine's modeled numbers depend only on the Spec —
 // never on the goroutine schedule or the real worker count.
 //
-// TestScheduleIndependence is the one wall of that contract. It runs
-// every (engine, kernel) pair under each configuration of
-// scheduleRows, once per schedule, and compares every schedule with
-// the first bit for bit. A product build's schedules are real worker
-// counts (schedules_test.go); an epg_permute build's are eight chunk
-// orders on the calling goroutine (schedules_permute_test.go,
-// simmachine.SetChunkOrder), so a schedule dependence fails on a named
-// order instead of once in a few hundred runs. `make permute` runs it.
+// FuzzSpec is the one wall of that contract, and core.Knobs is its
+// domain: an input decodes into a legal Spec and an (engine, kernel)
+// pair, run as harness.Runner runs one (Spec.Owners, Spec.NewMachine,
+// Spec.EngineOptions, harness.Load), once per schedule. A product
+// build's schedules are real worker counts (schedules_test.go); an
+// epg_permute build's are eight chunk orders on the calling goroutine
+// (schedules_permute_test.go, simmachine.SetChunkOrder), so a schedule
+// dependence fails on a named order instead of once in a few hundred
+// runs. Its seeds are every cell of the 22 configurations of
+// seedSpecs, which `go test` runs; `make fuzz` explores past them, and
+// `make permute` runs them in chunk orders.
 package all
 
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -24,98 +28,72 @@ import (
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/harness"
 	"github.com/hpcl-repro/epg/internal/kronecker"
-	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/power"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
-// workerCounts exercises serial, oversubscribed, and (on multicore
-// hosts) genuinely parallel execution. Counts above GOMAXPROCS are
-// legal: goroutines are multiplexed.
-var workerCounts = []int{1, 2, 4}
-
-// schedule is one way to run a configuration's regions on the host.
+// schedule is one way to run a spec's regions on the host: a real
+// worker count (Spec.Workers, the knob the decoder leaves to it) and,
+// in an epg_permute build, a chunk order.
 type schedule struct {
-	name string
-	set  func(m *simmachine.Machine)
+	name    string
+	workers int
+	set     func(m *simmachine.Machine) // nil: nothing beyond the spec
 }
 
 // workers is the schedule of k real workers.
-func workers(k int) schedule {
-	return schedule{fmt.Sprintf("workers=%d", k), func(m *simmachine.Machine) { m.SetWorkers(k) }}
+func workers(k int) schedule { return schedule{name: fmt.Sprintf("workers=%d", k), workers: k} }
+
+// specRun is one engine run of a spec with what it charged: the load's
+// two phases, then the kernel's regions, modeled seconds and joules.
+// The joules integrate the kernel's regions with the power constants
+// NewMachine returns, so the operating point is priced too.
+type specRun struct {
+	fileRead, construction float64
+	trace                  []simmachine.Region
+	elapsed                float64
+	cpuJoules, ramJoules   float64
+	out                    any
 }
 
-// kernelRun is one engine execution with its observables. The joules
-// are the power model integrated over the run's region trace
-// (power.MeasureTrace with the default calibration): a pure function
-// of the modeled schedule, so the walls pin them exactly like
-// durations.
-type kernelRun struct {
-	trace     []simmachine.Region
-	elapsed   float64
-	cpuJoules float64
-	ramJoules float64
-	out       any
-}
-
-// runOpts is one configuration of a kernel run.
-type runOpts struct {
-	syncSSSP  bool             // enable the synchronous SSSP modes
-	sched     simmachine.Sched // machine-wide policy override
-	override  bool             // apply sched
-	sockets   int              // virtual sockets for the locality model (0 = default)
-	adaptive  bool             // frontier-proportional grain policy
-	placement bool             // first-touch page-placement model
-	compress  bool             // delta+varint compressed adjacency (GAP, Graph500)
-	nodes     int              // virtual cluster nodes (0/1 = single box)
-	partition string           // cluster partition scheme ("1d" or "2d"), with nodes > 1
-}
-
-// runKernelOpts runs alg from root on a fresh instance of the named
-// engine bound to g, on an 8-thread machine configured by opts and run
-// on schedule s.
-func runKernelOpts(t *testing.T, name string, alg engines.Algorithm, g *graph.Simple, root graph.VID, s schedule, opts runOpts) kernelRun {
+// runSpec runs spec.Algorithm from root on a new instance of the engine
+// d bound to g on schedule s, wired as harness.Runner wires a run.
+func runSpec(t *testing.T, spec core.Spec, d *engines.Decl, g *graph.Simple, root graph.VID, s schedule) specRun {
 	t.Helper()
-	eng, err := New(name)
+	spec.Workers = s.workers
+	opts, _ := spec.EngineOptions(d)
+	m, pc := spec.NewMachine(simmachine.Haswell72(), power.DefaultConstants(), spec.Owners(g.Out))
+	if s.set != nil {
+		s.set(m)
+	}
+	inst := d.New()
+	var r specRun
+	r.fileRead, r.construction = harness.Load(d, inst, opts, g, m)
+	i0, t0 := m.Mark()
+	out, err := engines.RunAlgorithm(inst, spec.Algorithm, root)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s %s: %v", d.Name, spec.Algorithm, err)
 	}
-	engines.Configure(eng, engines.Options{SyncSSSP: opts.syncSSSP, Compress: opts.compress})
-	m := simmachine.New(simmachine.Haswell72(), 8)
-	s.set(m)
-	if opts.override {
-		m.SetSchedOverride(opts.sched)
-	}
-	if opts.sockets > 0 {
-		m.SetSockets(opts.sockets)
-	}
-	if opts.adaptive {
-		m.SetGrainPolicy(parallel.GrainAdaptive)
-	}
-	if opts.placement {
-		m.SetPlacement(true)
-	}
-	if opts.nodes > 1 {
-		m.SetCluster(opts.nodes, core.Spec{Nodes: opts.nodes, Partition: opts.partition}.Owners(g.Out))
-	}
-	inst := eng.LoadSimple(g, m)
-	inst.BuildStructure()
-	m.Reset()
-	out, err := engines.RunAlgorithm(inst, alg, root)
-	if err != nil {
-		t.Fatalf("%s %s: %v", name, alg, err)
-	}
-	rd := power.DefaultConstants().MeasureTrace(m.Trace())
-	return kernelRun{
-		trace: slices.Clone(m.Trace()), elapsed: m.Elapsed(),
-		cpuJoules: rd.CPUJoules, ramJoules: rd.RAMJoules, out: out,
-	}
+	i1, t1 := m.Mark()
+	rd := pc.MeasureTrace(m.Trace()[i0:i1])
+	r.trace, r.elapsed, r.out = slices.Clone(m.Trace()[i0:i1]), t1-t0, out
+	r.cpuJoules, r.ramJoules = rd.CPUJoules, rd.RAMJoules
+	return r
 }
 
-// sameModeled requires two runs to charge the same: the trace region
-// by region, the elapsed time and the joules, bit for bit.
-func sameModeled(t *testing.T, label string, a, b kernelRun) {
+// sameRun requires two runs to compute and charge the same: outputs and
+// counters, the load's phases, the kernel trace region by region, the
+// elapsed time and the joules, bit for bit — or the distances only.
+func sameRun(t *testing.T, label string, a, b specRun, distOnly bool) {
 	t.Helper()
+	sameAnswers(t, label, a.out, b.out, distOnly)
+	if distOnly {
+		return
+	}
+	if a.fileRead != b.fileRead || a.construction != b.construction {
+		t.Errorf("%s: load phases differ: (%v read, %v build) vs (%v read, %v build)",
+			label, a.fileRead, a.construction, b.fileRead, b.construction)
+	}
 	if a.elapsed != b.elapsed {
 		t.Errorf("%s: modeled elapsed differs: %v vs %v", label, a.elapsed, b.elapsed)
 	}
@@ -136,9 +114,23 @@ func sameModeled(t *testing.T, label string, a, b kernelRun) {
 	}
 }
 
-// sameDurations reports whether two runs' regions last the same.
-func sameDurations(a, b kernelRun) bool {
-	return slices.EqualFunc(a.trace, b.trace, func(x, y simmachine.Region) bool { return x.Seconds == y.Seconds })
+// sameAnswers bit-compares two kernel outputs, or two SSSPs'
+// fixed-point distances only.
+func sameAnswers(t *testing.T, label string, want, got any, distOnly bool) {
+	t.Helper()
+	if distOnly {
+		sameFloat64sBitwise(t, label+" dist", want.(*engines.SSSPResult).Dist, got.(*engines.SSSPResult).Dist)
+		return
+	}
+	sameOutputs(t, label, want, got)
+}
+
+// chaotic is the wall's one exemption: an SSSP run in the racy mode of
+// an engine that has a synchronous one (GAP's delta-stepping,
+// GraphBIG's relaxation). Its parents, work counters and trace depend
+// on the schedule by design; only its fixed-point distances repeat.
+func chaotic(d *engines.Decl, alg engines.Algorithm, syncSSSP bool) bool {
+	return alg == engines.SSSP && d.Knobs.SyncSSSP && !syncSSSP
 }
 
 func sameInts[T int64 | graph.VID](t *testing.T, label string, a, b []T) {
@@ -212,7 +204,7 @@ func sameOutputs(t *testing.T, label string, ref, got any) {
 // determinismGraph is the walls' graph: kron-12, seed 42, where even
 // the coarsest fixed grain (traverse.Hook's 1024) splits a region into
 // chunks whose order can be permuted.
-func determinismGraph(t *testing.T) (*graph.Simple, graph.VID) {
+func determinismGraph(t testing.TB) (*graph.Simple, graph.VID) {
 	t.Helper()
 	g, err := graph.Homogenize(kronecker.Generate(kronecker.Params{Scale: 12, Seed: 42}))
 	if err != nil {
@@ -221,215 +213,257 @@ func determinismGraph(t *testing.T) (*graph.Simple, graph.VID) {
 	return g, 2 // any reachable root works; keep it fixed
 }
 
-// eachPair runs f as a subtest alg/engine for every kernel of every
-// engine that implements it.
-func eachPair(t *testing.T, f func(t *testing.T, alg engines.Algorithm, name string)) {
+// specPair is one (engine, kernel) pair of the registry.
+type specPair struct {
+	decl *engines.Decl
+	alg  engines.Algorithm
+}
+
+// specPairs lists every kernel of every engine that implements it, by
+// kernel, in presentation order.
+var specPairs = func() []specPair {
+	var ps []specPair
 	for _, alg := range engines.AllAlgorithms {
-		t.Run(string(alg), func(t *testing.T) {
-			for _, name := range Names {
-				if eng, _ := New(name); eng.Has(alg) {
-					t.Run(name, func(t *testing.T) { f(t, alg, name) })
-				}
+		for _, d := range Registry() {
+			if d.Has(alg) {
+				ps = append(ps, specPair{d, alg})
 			}
-		})
+		}
 	}
+	return ps
+}()
+
+// drawn lists the values FuzzSpec draws for knob k of a spec running
+// alg: the default and every name of a string knob, both positions of
+// a switch, 0 and a spread over [Min, Max] of a number (Min+7 bounds a
+// knob without a Max), and a mutation schedule only where the kernel
+// streams. A field type it cannot draw fails by name.
+func drawn(k *core.Knob, alg engines.Algorithm) ([]any, error) {
+	hi := k.Max
+	if hi == 0 {
+		hi = k.Min + 7
+	}
+	var vals []any
+	switch k.Field(new(core.Spec)).(type) {
+	case *string:
+		vals = append(vals, "")
+		for _, v := range k.Values {
+			vals = append(vals, v)
+		}
+	case *bool:
+		vals = []any{false, true}
+	case *int:
+		vals = append(vals, 0)
+		for n := int(k.Min); n <= int(hi); n++ {
+			vals = append(vals, n)
+		}
+	case *float64:
+		vals = append(vals, 0.0)
+		for j := range 9 {
+			vals = append(vals, k.Min+(hi-k.Min)*float64(j)/8)
+		}
+	case **core.MutationSchedule:
+		vals = append(vals, (*core.MutationSchedule)(nil))
+		if alg == engines.PageRank || alg == engines.WCC {
+			vals = append(vals, &core.MutationSchedule{Batches: 2, BatchSize: 16, DeleteFrac: 0.25, Seed: 1})
+		}
+	default:
+		return nil, fmt.Errorf("knob %s: FuzzSpec cannot draw a %T", k.Name, k.Field(new(core.Spec)))
+	}
+	return vals, nil
 }
 
-// scheduleRow is one configuration of the wall.
-type scheduleRow struct {
-	name string
-	opts runOpts
+// eachDrawn calls f with the field and the drawn values of every knob
+// of s but workers, which is left to the schedule, in table order.
+func eachDrawn(s *core.Spec, f func(field reflect.Value, vals []any)) error {
+	for i := range core.Knobs {
+		k := &core.Knobs[i]
+		if k.Field(s) == any(&s.Workers) {
+			continue
+		}
+		vals, err := drawn(k, s.Algorithm)
+		if err != nil {
+			return err
+		}
+		f(reflect.ValueOf(k.Field(s)).Elem(), vals)
+	}
+	return nil
 }
 
-// scheduleRows lists the wall's configurations: the engines' own
+// decodeSpec reads an input: one byte picks the (engine, kernel) pair,
+// then one byte per drawn knob picks its value. Missing bytes are 0,
+// the default.
+func decodeSpec(data []byte) (specPair, core.Spec, error) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	p := specPairs[next()%len(specPairs)]
+	s := core.Spec{Dataset: "kron-12", Algorithm: p.alg, Engines: []string{p.decl.Name}, Threads: 8}
+	err := eachDrawn(&s, func(field reflect.Value, vals []any) {
+		field.Set(reflect.ValueOf(vals[next()%len(vals)]))
+	})
+	return p, s, err
+}
+
+// encodeSpec is decodeSpec's inverse for pair i and the knobs of s.
+func encodeSpec(i int, s core.Spec) []byte {
+	s.Algorithm = specPairs[i].alg
+	data := []byte{byte(i)}
+	eachDrawn(&s, func(field reflect.Value, vals []any) {
+		data = append(data, byte(slices.IndexFunc(vals, func(v any) bool { return reflect.DeepEqual(v, field.Interface()) })))
+	})
+	return data
+}
+
+// seedSpecs are FuzzSpec's seed configurations: the engines' own
 // policies with chaotic and with synchronous SSSP, every policy
 // override, the adaptive grain, compressed adjacency, the cluster cells
-// and the full locality model. Every row but the first is synchronous.
-func scheduleRows() []scheduleRow {
-	rows := []scheduleRow{
-		{"default", runOpts{}},
-		{"sync", runOpts{syncSSSP: true}},
-		{"steal", runOpts{syncSSSP: true, sched: simmachine.Steal, override: true}},
-	}
+// and the full locality model. Every one but the first is synchronous.
+func seedSpecs() []core.Spec {
+	specs := []core.Spec{{}, {SyncSSSP: true}, {SyncSSSP: true, Sched: core.SchedSteal}}
 	for _, sockets := range []int{1, 2, 4} {
-		rows = append(rows, scheduleRow{fmt.Sprintf("numa%d", sockets),
-			runOpts{syncSSSP: true, sched: simmachine.NUMA, override: true, sockets: sockets}})
+		specs = append(specs, core.Spec{SyncSSSP: true, Sched: core.SchedNUMA, Sockets: sockets})
 	}
-	policies := []struct {
-		name      string
-		sched     simmachine.Sched
-		sockets   int
-		placement bool
-	}{
-		{"static", simmachine.Static, 0, false},
-		{"dynamic", simmachine.Dynamic, 0, false},
-		{"steal", simmachine.Steal, 0, false},
-		{"numa", simmachine.NUMA, 2, false},
-		{"static+placement", simmachine.Static, 2, true},
-		{"numa+placement", simmachine.NUMA, 2, true},
+	policies := []core.Spec{
+		{Sched: core.SchedStatic},
+		{Sched: core.SchedDynamic},
+		{Sched: core.SchedSteal},
+		{Sched: core.SchedNUMA, Sockets: 2},
+		{Sched: core.SchedStatic, Sockets: 2, Placement: core.PlacementFirstTouch},
+		{Sched: core.SchedNUMA, Sockets: 2, Placement: core.PlacementFirstTouch},
 	}
 	for _, p := range policies {
-		rows = append(rows, scheduleRow{"adaptive-" + p.name, runOpts{syncSSSP: true, sched: p.sched, override: true,
-			sockets: p.sockets, placement: p.placement, adaptive: true}})
+		p.SyncSSSP, p.Grain = true, core.GrainAdaptive
+		specs = append(specs, p)
 	}
 	for _, p := range policies[:4] {
-		rows = append(rows, scheduleRow{"compress-" + p.name, runOpts{syncSSSP: true, sched: p.sched, override: true,
-			sockets: p.sockets, compress: true}})
+		p.SyncSSSP, p.Compress = true, true
+		specs = append(specs, p)
 	}
-	for _, c := range []struct {
-		nodes     int
-		partition string
-	}{{1, core.Partition1D}, {2, core.Partition1D}, {2, core.Partition2D}, {4, core.Partition1D}, {4, core.Partition2D}} {
-		rows = append(rows, scheduleRow{fmt.Sprintf("nodes%d-%s", c.nodes, c.partition),
-			runOpts{syncSSSP: true, nodes: c.nodes, partition: c.partition}})
+	for _, c := range []core.Spec{
+		{Nodes: 1, Partition: core.Partition1D}, {Nodes: 2, Partition: core.Partition1D}, {Nodes: 2, Partition: core.Partition2D},
+		{Nodes: 4, Partition: core.Partition1D}, {Nodes: 4, Partition: core.Partition2D},
+	} {
+		c.SyncSSSP = true
+		specs = append(specs, c)
 	}
-	return append(rows, scheduleRow{"locality", runOpts{syncSSSP: true, sched: simmachine.NUMA, override: true,
-		sockets: 4, adaptive: true, placement: true}})
+	return append(specs, core.Spec{SyncSSSP: true, Sched: core.SchedNUMA, Sockets: 4,
+		Grain: core.GrainAdaptive, Placement: core.PlacementFirstTouch})
 }
 
-// scheduleExempt names the cells whose parents, work counters and
-// trace depend on the schedule by design: the chaotic SSSPs (GAP's
-// delta-stepping, GraphBIG's relaxation), of which only the fixed-point
-// distances repeat, and are compared. The list may only shrink.
-var scheduleExempt = []string{"default/SSSP/GAP", "default/SSSP/GraphBIG"}
-
-// TestScheduleIndependence: within a row, every schedule's outputs,
-// trip and work counters, trace, elapsed time and joules equal the
-// first schedule's bit for bit, and the first one's joules are
-// positive. Across rows, outputs equal those of the first row with the
-// same grain policy: compressed equals raw, sharded equals shared
-// memory, and the locality model moves no result. (Per grain policy,
-// because a chunk-ordered fold follows the partition, which the Spec
-// sets: adaptive PageRank differs from fixed by an ulp.)
-func TestScheduleIndependence(t *testing.T) {
-	t.Logf("exempt (distances only): %s", strings.Join(scheduleExempt, ", "))
-	g, root := determinismGraph(t)
-	type ref struct {
-		row    string
-		out    any
-		exempt bool
-	}
-	rows := scheduleRows()
-	for _, cell := range scheduleExempt {
-		row, pair, _ := strings.Cut(cell, "/")
-		alg, name, _ := strings.Cut(pair, "/")
-		eng, err := New(name)
-		if err != nil || !eng.Has(engines.Algorithm(alg)) || !slices.ContainsFunc(rows, func(r scheduleRow) bool { return r.name == row }) {
-			t.Errorf("exempt cell %s is not in the wall", cell)
+// describe names a spec's cell: its pair and every knob it sets.
+func describe(p specPair, s core.Spec) string {
+	var set []string
+	for i := range core.Knobs {
+		k := &core.Knobs[i]
+		if v := reflect.ValueOf(k.Field(&s)).Elem(); !v.IsZero() {
+			set = append(set, fmt.Sprintf("%s=%v", k.Name, reflect.Indirect(v).Interface()))
 		}
 	}
-	refs := map[string]ref{} // by grain policy, kernel and engine
-	for _, row := range rows {
-		t.Run(row.name, func(t *testing.T) {
-			eachPair(t, func(t *testing.T, alg engines.Algorithm, name string) {
-				cell := fmt.Sprintf("%s/%s/%s", row.name, alg, name)
-				exempt := slices.Contains(scheduleExempt, cell)
-				same := func(label string, want, got any, distOnly bool) {
-					if distOnly {
-						sameFloat64sBitwise(t, label+" dist", want.(*engines.SSSPResult).Dist, got.(*engines.SSSPResult).Dist)
-					} else {
-						sameOutputs(t, label, want, got)
-					}
-				}
-				first := runKernelOpts(t, name, alg, g, root, schedules[0], row.opts)
-				if first.cpuJoules <= 0 || first.ramJoules <= 0 {
-					t.Errorf("no energy recorded: cpu %v J, ram %v J", first.cpuJoules, first.ramJoules)
-				}
-				for _, s := range schedules[1:] {
-					got := runKernelOpts(t, name, alg, g, root, s, row.opts)
-					label := s.name + " vs " + schedules[0].name
-					same(label, first.out, got.out, exempt)
-					if !exempt {
-						sameModeled(t, label, first, got)
-					}
-				}
-				key := fmt.Sprintf("adaptive=%v/%s/%s", row.opts.adaptive, alg, name)
-				r, ok := refs[key]
-				if ok {
-					same("vs row "+r.row, r.out, first.out, r.exempt || exempt)
-				}
-				if !ok || r.exempt && !exempt {
-					refs[key] = ref{row.name, first.out, exempt}
-				}
-			})
-		})
-	}
+	return fmt.Sprintf("%s/%s {%s}", p.alg, p.decl.Name, strings.Join(set, " "))
 }
 
-// TestSpecDurationsDeterministic runs the same harness Spec end to end
-// twice and across worker counts: every per-trial modeled measurement
-// must be identical (the paper's figures are functions of the Spec,
-// not of the host's scheduler).
-func TestSpecDurationsDeterministic(t *testing.T) {
-	el := kronecker.Generate(kronecker.Params{Scale: 9, Seed: 7})
-	r := harness.NewRunner(Registry())
-	for _, alg := range []engines.Algorithm{engines.BFS, engines.PageRank} {
-		spec := func(workers int) ([]float64, []float64) {
-			s, err := r.Run(coreSpec(alg, workers), el)
+// honored returns s without the knobs the engine d drops, and their
+// names.
+func honored(s core.Spec, d *engines.Decl) (core.Spec, []string) {
+	_, dropped := s.EngineOptions(d)
+	for i := range core.Knobs {
+		if k := &core.Knobs[i]; slices.Contains(dropped, k.Name) {
+			reflect.ValueOf(k.Field(&s)).Elem().SetZero()
+		}
+	}
+	return s, dropped
+}
+
+// FuzzSpec holds three properties of every legal spec on the walls'
+// graph:
+//
+//  1. schedule independence: every schedule's outputs, counters, load
+//     phases, kernel trace, elapsed time and joules equal the first's
+//     bit for bit, and the first's joules are positive;
+//  2. knobs never change answers: outputs equal those of the default
+//     spec with the same grain policy and sync-sssp (a chunk-ordered
+//     fold follows the partition, which the grain sets: adaptive
+//     PageRank differs from fixed by an ulp);
+//  3. a dropped knob is inert: a knob EngineOptions reports dropped
+//     leaves the run bit-equal, cost included, to the spec without it.
+//     The first schedule runs the spec without its dropped knobs, so
+//     every other schedule's run of the spec is held to that one.
+//
+// A chaotic run compares its distances only. The stream phase of a
+// mutation schedule is harness.Runner's, held by TestKnobsLive's
+// mutations row; here the schedule reaches the engine's bind.
+func FuzzSpec(f *testing.F) {
+	g, root := determinismGraph(f)
+	var exempt []string
+	for _, s := range seedSpecs() {
+		for i, p := range specPairs {
+			data := encodeSpec(i, s)
+			got, spec, err := decodeSpec(data)
 			if err != nil {
-				t.Fatal(err)
+				f.Fatal(err)
 			}
-			algSec := make([]float64, len(s))
-			consSec := make([]float64, len(s))
-			for i, res := range s {
-				algSec[i] = res.AlgorithmSec
-				consSec[i] = res.ConstructionSec
+			s.Dataset, s.Algorithm, s.Engines, s.Threads = spec.Dataset, spec.Algorithm, spec.Engines, spec.Threads
+			if got != p || !reflect.DeepEqual(spec, s) {
+				f.Fatalf("seed %s does not round-trip: %s", describe(p, s), describe(got, spec))
 			}
-			return algSec, consSec
-		}
-		baseAlg, baseCons := spec(1)
-		for _, workers := range []int{1, 2, 4} {
-			for rep := 0; rep < 2; rep++ {
-				gotAlg, gotCons := spec(workers)
-				sameFloat64sBitwise(t, string(alg)+" algorithm seconds", baseAlg, gotAlg)
-				sameFloat64sBitwise(t, string(alg)+" construction seconds", baseCons, gotCons)
+			if chaotic(p.decl, p.alg, s.SyncSSSP) {
+				exempt = append(exempt, describe(p, s))
 			}
+			f.Add(data)
 		}
 	}
-}
-
-func coreSpec(alg engines.Algorithm, workers int) core.Spec {
-	return core.Spec{
-		Dataset:   "determinism",
-		Algorithm: alg,
-		Threads:   8,
-		Workers:   workers,
-		Roots:     3,
-		Seed:      5,
+	if want := []string{"SSSP/GAP {}", "SSSP/GraphBIG {}"}; !slices.Equal(exempt, want) {
+		f.Fatalf("the exemption covers seed cells %q, want %q", exempt, want)
 	}
-}
-
-// TestSpecSchedKnobEndToEnd drives the harness with the new Spec
-// knobs: per-trial modeled measurements under Sched="steal" +
-// SyncSSSP must be identical across worker counts, and an unknown
-// policy must be rejected.
-func TestSpecSchedKnobEndToEnd(t *testing.T) {
-	el := kronecker.Generate(kronecker.Params{Scale: 9, Seed: 7})
-	r := harness.NewRunner(Registry())
-	run := func(workers int) []float64 {
-		spec := coreSpec(engines.SSSP, workers)
-		spec.Sched = core.SchedSteal
-		spec.SyncSSSP = true
-		rs, err := r.Run(spec, el)
+	refs := map[string]specRun{} // property 2's reference runs, by cell
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, spec, err := decodeSpec(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		secs := make([]float64, len(rs))
-		for i, res := range rs {
-			secs[i] = res.AlgorithmSec
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("decoded an illegal spec %s: %v", describe(p, spec), err)
 		}
-		return secs
-	}
-	base := run(1)
-	for _, workers := range []int{2, 4} {
-		sameFloat64sBitwise(t, "steal spec seconds", base, run(workers))
-	}
+		cell := describe(p, spec)
+		chaos := chaotic(p.decl, p.alg, spec.SyncSSSP)
 
-	bad := coreSpec(engines.BFS, 1)
-	bad.Sched = "fifo"
-	if _, err := r.Run(bad, el); err == nil {
-		t.Error("unknown scheduling policy accepted")
-	}
+		// The input runs as a subtest named by its cell, so -run selects
+		// cells (FuzzSpec/.*/BFS/GAP) and the test tree names them.
+		t.Run(cell, func(t *testing.T) {
+			base, dropped := honored(spec, p.decl)
+			first := runSpec(t, base, p.decl, g, root, schedules[0])
+			if first.cpuJoules <= 0 || first.ramJoules <= 0 {
+				t.Errorf("%s: no energy recorded: cpu %v J, ram %v J", cell, first.cpuJoules, first.ramJoules)
+			}
+			vs := schedules[0].name
+			if dropped != nil {
+				vs += fmt.Sprintf(" without dropped %v", dropped)
+			}
+			for _, s := range schedules[1:] {
+				sameRun(t, fmt.Sprintf("%s: %s vs %s", cell, s.name, vs), first, runSpec(t, spec, p.decl, g, root, s), chaos)
+			}
+
+			def, _ := honored(core.Spec{Dataset: spec.Dataset, Algorithm: spec.Algorithm, Threads: spec.Threads,
+				Grain: spec.Grain, SyncSSSP: spec.SyncSSSP}, p.decl)
+			key := describe(p, def)
+			ref, ok := refs[key]
+			switch {
+			case ok:
+			case describe(p, base) == key:
+				ref = first
+			default:
+				ref = runSpec(t, def, p.decl, g, root, schedules[0])
+			}
+			refs[key] = ref
+			sameAnswers(t, cell+": vs the default spec", ref.out, first.out, chaos)
+		})
+	})
 }
 
 // TestNUMASocketsOneMatchesSteal: with one virtual socket the NUMA
@@ -439,74 +473,20 @@ func TestSpecSchedKnobEndToEnd(t *testing.T) {
 // when Spec.Sockets asks for more than one socket.
 func TestNUMASocketsOneMatchesSteal(t *testing.T) {
 	g, root := determinismGraph(t)
-	eachPair(t, func(t *testing.T, alg engines.Algorithm, name string) {
-		steal := runKernelOpts(t, name, alg, g, root, workers(2),
-			runOpts{syncSSSP: true, sched: simmachine.Steal, override: true})
-		numa := runKernelOpts(t, name, alg, g, root, workers(2),
-			runOpts{syncSSSP: true, sched: simmachine.NUMA, override: true, sockets: 1})
-		sameOutputs(t, "numa vs steal", steal.out, numa.out)
-		sameModeled(t, "numa vs steal", steal, numa)
-	})
-}
-
-// TestSpecNUMAKnobEndToEnd drives the harness with the locality
-// knobs: per-trial modeled measurements under Sched="numa" must be
-// identical across worker counts at every socket count; Spec.Sockets
-// must reach the steal simulation (sockets=4 changes at least one
-// trial's modeled seconds relative to sockets=1 — the cross-socket
-// penalty is live end-to-end); and malformed specs are rejected.
-// (The RemotePenalty *byte* multiplier only moves durations on
-// memory-bound regions, which these small-graph kernels are not; its
-// effect is pinned at the machine layer by
-// simmachine.TestSetRemotePenaltyOverridesModel, and here we assert
-// the knob keeps worker-independence and changes nothing at
-// sockets=1.)
-func TestSpecNUMAKnobEndToEnd(t *testing.T) {
-	el := kronecker.Generate(kronecker.Params{Scale: 9, Seed: 7})
-	r := harness.NewRunner(Registry())
-	run := func(workers, sockets int, remotePenalty float64) []float64 {
-		spec := coreSpec(engines.SSSP, workers)
-		spec.Sched = core.SchedNUMA
-		spec.SyncSSSP = true
-		spec.Sockets = sockets
-		spec.RemotePenalty = remotePenalty
-		rs, err := r.Run(spec, el)
-		if err != nil {
-			t.Fatal(err)
-		}
-		secs := make([]float64, len(rs))
-		for i, res := range rs {
-			secs[i] = res.AlgorithmSec
-		}
-		return secs
-	}
-	perSocket := map[int][]float64{}
-	for _, sockets := range []int{1, 2, 4} {
-		base := run(1, sockets, 0)
-		perSocket[sockets] = base
-		for _, workers := range []int{2, 4} {
-			sameFloat64sBitwise(t, "numa spec seconds", base, run(workers, sockets, 0))
-		}
-	}
-	// Spec.Sockets must actually reach the simulation: at 4 sockets
-	// some steals cross and their CAS penalties shift modeled time.
-	if slices.Equal(perSocket[1], perSocket[4]) {
-		t.Error("sockets=4 modeled seconds identical to sockets=1: Spec.Sockets not reaching the steal simulation")
-	}
-	// The penalty knob must stay worker-independent, and with one
-	// socket there is nothing remote for it to scale.
-	stiff := run(1, 4, 3)
-	sameFloat64sBitwise(t, "stiff penalty seconds", stiff, run(4, 4, 3))
-	sameFloat64sBitwise(t, "penalty at one socket", perSocket[1], run(1, 1, 3))
-
-	bad := coreSpec(engines.BFS, 1)
-	bad.Sockets = -1
-	if _, err := r.Run(bad, el); err == nil {
-		t.Error("negative socket count accepted")
-	}
-	bad = coreSpec(engines.BFS, 1)
-	bad.RemotePenalty = 0.5
-	if _, err := r.Run(bad, el); err == nil {
-		t.Error("sub-unity remote penalty accepted")
+	steal := core.Spec{Threads: 8, Sched: core.SchedSteal, SyncSSSP: true}
+	numa := core.Spec{Threads: 8, Sched: core.SchedNUMA, Sockets: 1, SyncSSSP: true}
+	for _, alg := range engines.AllAlgorithms {
+		t.Run(string(alg), func(t *testing.T) {
+			for _, p := range specPairs {
+				if p.alg != alg {
+					continue
+				}
+				t.Run(p.decl.Name, func(t *testing.T) {
+					steal.Algorithm, numa.Algorithm = p.alg, p.alg
+					sameRun(t, describe(p, numa)+" vs steal", runSpec(t, steal, p.decl, g, root, workers(2)),
+						runSpec(t, numa, p.decl, g, root, workers(2)), false)
+				})
+			}
+		})
 	}
 }

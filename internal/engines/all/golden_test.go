@@ -19,11 +19,12 @@ import (
 	"os"
 	"testing"
 
+	"github.com/hpcl-repro/epg/internal/core"
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/engines/gap"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/kronecker"
-	"github.com/hpcl-repro/epg/internal/parallel"
+	"github.com/hpcl-repro/epg/internal/power"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
@@ -71,11 +72,11 @@ var goldenConfigs = []goldenConfig{
 // goldenMachine is the wall's machine: 32 modeled threads, 4 real
 // workers.
 func goldenMachine(adaptive bool) *simmachine.Machine {
-	m := simmachine.New(simmachine.Haswell72(), goldenThreads)
-	m.SetWorkers(goldenWorkers)
+	s := core.Spec{Threads: goldenThreads, Workers: goldenWorkers}
 	if adaptive {
-		m.SetGrainPolicy(parallel.GrainAdaptive)
+		s.Grain = core.GrainAdaptive
 	}
+	m, _ := s.NewMachine(simmachine.Haswell72(), power.DefaultConstants(), nil)
 	return m
 }
 

@@ -45,13 +45,10 @@ func loadShared(t *testing.T, name string, g *graph.Simple, workers int, opts en
 	return inst, m
 }
 
-// scheduleDependent reports whether a kernel's parents, work counters
-// and region trace depend on the real schedule by design at this worker
-// count, which leaves only its values comparable: the two chaotic
-// SSSPs, whose fixed-point distances are all that repeats.
-func scheduleDependent(name string, alg engines.Algorithm, workers int, sync bool) bool {
-	return workers > 1 && (name == GAP || name == GraphBIG) && alg == engines.SSSP && !sync
-}
+// workerCounts exercises serial, oversubscribed, and (on multicore
+// hosts) genuinely parallel execution. Counts above GOMAXPROCS are
+// legal: goroutines are multiplexed.
+var workerCounts = []int{1, 2, 4}
 
 // The reuse-equivalence wall for all five engines, modelled on
 // gap.TestReusedWorkspaceBitEqualFreshInstance: every (engine, kernel)
@@ -169,7 +166,8 @@ func TestReusedInstanceBitEqualFreshInstance(t *testing.T) {
 
 // sameStep runs alg from root on a reused and on a fresh instance and
 // requires the same outputs, work counters and regions since each
-// machine's mark — for a schedule-dependent kernel, the same values.
+// machine's mark — for a chaotic kernel on more than one worker, the
+// same values.
 func sameStep(t *testing.T, label, name string, alg engines.Algorithm, root graph.VID, workers int, sync bool,
 	reused engines.Instance, m *simmachine.Machine, fresh engines.Instance, fm *simmachine.Machine) {
 	t.Helper()
@@ -183,7 +181,7 @@ func sameStep(t *testing.T, label, name string, alg engines.Algorithm, root grap
 	if err != nil {
 		t.Fatalf("%s (fresh): %v", label, err)
 	}
-	if scheduleDependent(name, alg, workers, sync) {
+	if d, _ := Registry().Decl(name); workers > 1 && chaotic(d, alg, sync) {
 		sameFloat64sBitwise(t, label+" dist", want.(*engines.SSSPResult).Dist, got.(*engines.SSSPResult).Dist)
 		return
 	}

@@ -43,8 +43,8 @@
 // that, build with -tags epg_permute (make permute): every
 // ParallelForChunks and ForEachThread region then runs its chunks
 // serially in the order SetChunkOrder picks, and
-// internal/engines/all's TestScheduleIndependence compares eight
-// orders bit for bit. A trace of regions is retained for the power
+// internal/engines/all's FuzzSpec seeds compare eight orders
+// bit for bit. A trace of regions is retained for the power
 // model.
 //
 // A region's bookkeeping (a cost slot per chunk, the per-lane sums, the
