@@ -146,7 +146,8 @@ type serveProgram struct {
 //     followed, two in flight report the two next ones, and the model
 //     applies their batches in that order, with the same op counts;
 //   - after every maintenance the published rows are the model's and
-//     the published sketch DeepEquals BuildSketch of them, and an empty
+//     the published sketch, read through every delta, equals
+//     BuildSketch of them bit for bit, and an empty
 //     maintenance leaves the maintainer's modeled clock unmoved;
 //   - admitted == completed+deadline+errors+panics, and admitted counts
 //     the program's queries only; after Drain every call is refused as
@@ -437,9 +438,8 @@ func (p *serveProgram) checkPublished(who string) {
 	if pub.gen != p.newest() || !reflect.DeepEqual(*pub.epoch.Out().Flat(), *want) {
 		t.Fatalf("after %s: generation %d published, the model's generation %d has other rows or number", who, pub.gen, p.newest())
 	}
-	if fresh := BuildSketch(want, p.s.cfg.Landmarks); !reflect.DeepEqual(pub.sketch, fresh) {
-		t.Fatalf("after %s: published sketch differs from a rebuild on generation %d (landmarks %v, rebuilt %v)",
-			who, pub.gen, pub.sketch.landmarks, fresh.landmarks)
+	if d := sketchDiff(pub.sketch, BuildSketch(want, p.s.cfg.Landmarks)); d != "" {
+		t.Fatalf("after %s: published sketch differs from a rebuild on generation %d: %s", who, pub.gen, d)
 	}
 }
 

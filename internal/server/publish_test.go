@@ -80,18 +80,35 @@ func csrDigest(cs ...*graph.CSR) uint64 {
 	return h.Sum64()
 }
 
-// Published epochs stay frozen: the rows of a generation a reader still
-// holds hash the same while and after the maintainer builds eight more
-// (mutates and a refresh), queries flowing. The reader runs beside the
-// maintenance, so under -race (make serve-soak) a write to a published
-// row is a reported race even where it would not move the sum.
-// (Compressed bytes: gap's TestBoundInstanceRunsOnAFrozenEpoch.)
+// sketchDigest hashes a sketch's vectors, each materialized, so the
+// bases later generations share and the deltas are both covered.
+func sketchDigest(s *Sketch) uint64 {
+	h := fnv.New64a()
+	d := s.dense()
+	binary.Write(h, binary.LittleEndian, d.landmarks)
+	for _, x := range d.hops {
+		binary.Write(h, binary.LittleEndian, x)
+	}
+	for _, x := range d.dist {
+		binary.Write(h, binary.LittleEndian, x)
+	}
+	return h.Sum64()
+}
+
+// Published generations stay frozen: the rows and the sketch of a
+// generation a reader still holds hash the same while and after the
+// maintainer builds eight more (mutates and a refresh), queries flowing.
+// The reader runs beside the maintenance, so under -race (make
+// serve-soak) a write to a published row or sketch base is a reported
+// race even where it would not move the sum. (Compressed bytes: gap's
+// TestBoundInstanceRunsOnAFrozenEpoch.)
 func TestPublishedEpochsStayFrozen(t *testing.T) {
 	s := startServer(t, Config{Executors: 2, Compress: true})
 	batches := flipBatches(t, 9)
 	mustMutate(t, s, batches[0])
 	old := s.pub.Load()
-	want := csrDigest(old.epoch.Out(), old.epoch.In())
+	digest := func() uint64 { return csrDigest(old.epoch.Out(), old.epoch.In()) ^ sketchDigest(old.sketch) }
+	want := digest()
 
 	var moved atomic.Bool
 	stop := make(chan struct{})
@@ -104,7 +121,7 @@ func TestPublishedEpochsStayFrozen(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if csrDigest(old.epoch.Out(), old.epoch.In()) != want {
+				if digest() != want {
 					moved.Store(true)
 				}
 			}
@@ -120,8 +137,8 @@ func TestPublishedEpochsStayFrozen(t *testing.T) {
 	mustMutate(t, s, nil) // a refresh
 	close(stop)
 	wg.Wait()
-	if moved.Load() || csrDigest(old.epoch.Out(), old.epoch.In()) != want {
-		t.Fatal("a published epoch's rows changed after later mutates")
+	if moved.Load() || digest() != want {
+		t.Fatal("a published generation's rows or sketch changed after later mutates")
 	}
 	if gen := s.pub.Load().gen; gen != old.gen+9 {
 		t.Fatalf("generation %d after nine more maintenances on %d", gen, old.gen)

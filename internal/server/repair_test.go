@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/hpcl-repro/epg/internal/alloctest"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/harness"
 	"github.com/hpcl-repro/epg/internal/xrand"
@@ -39,8 +40,8 @@ func repairGraph(t testing.TB, dataset string, divisor int, seed uint64, weighte
 // repairProgram is the model the repair is checked against: the current
 // adjacency (an epoch of (*graph.CSR).Apply, as the server's are, so
 // overlays and compactions both reach Repair), the sketch Repair has
-// carried to it batch by batch, and the generator's memory of what it
-// did last.
+// carried to it batch by batch through one reused repairer, and the
+// generator's memory of what it did last.
 type repairProgram struct {
 	t        testing.TB
 	rng      *xrand.RNG
@@ -48,11 +49,14 @@ type repairProgram struct {
 	k        int
 	cur      *graph.CSR
 	sketch   *Sketch
+	r        repairer
 	last     graph.Batch // the previous step's batch, for the undo step
 	later    graph.Batch // ops a step left for the next one (a reconnect)
 
 	phaseASteps int // steps phase B alone would have got wrong
 	sharedVecs  int // vectors handed on unchanged by a batch that changed something
+	deltaVecs   int // vectors that kept the old base under a new delta
+	compactions int // vectors compacted into a fresh base
 }
 
 // weight draws an insert weight: mostly uniform, but often enough one
@@ -179,8 +183,10 @@ func (p *repairProgram) batch(b byte) graph.Batch {
 
 // step applies one batch and holds Repair to its contract: bit-equal to
 // a rebuild, sharing every vector it did not have to touch, and never
-// writing the sketch readers may still hold. It also runs the repair
-// with phase A cut out and counts the step if that got it wrong.
+// writing the sketch readers may still hold, bases and deltas alike. It
+// counts the vectors shared, kept under a delta and compacted, and runs
+// the repair with phase A cut out, counting the step if that got it
+// wrong.
 func (p *repairProgram) step(i int, b byte) {
 	t := p.t
 	t.Helper()
@@ -195,68 +201,61 @@ func (p *repairProgram) step(i int, b byte) {
 		in = graph.Transpose(post.Flat(), 1)
 	}
 	old := p.sketch
-	oldHops, oldDist := cloneVectors(old.hops), cloneVectors(old.dist)
+	oldRaw := rawCopy(old)
 
-	got, want := old.Repair(pre, post, in), BuildSketch(post, p.k)
+	got, want := old.Repair(&p.r, pre, post, in), BuildSketch(post, p.k)
 	where := fmt.Sprintf("step %d (kind %d, %d ops)", i, b&0xf, len(batch))
-	if !reflect.DeepEqual(got.landmarks, want.landmarks) {
-		t.Fatalf("%s: landmarks %v, rebuild %v", where, got.landmarks, want.landmarks)
+	if d := sketchDiff(got, want); d != "" {
+		t.Fatalf("%s: %s", where, d)
 	}
-	for li, l := range want.landmarks {
-		if !reflect.DeepEqual(got.hops[li], want.hops[li]) {
-			t.Fatalf("%s: hops of landmark %d differ from the rebuild's: %s", where, l, firstDiff(got.hops[li], want.hops[li]))
-		}
-		if (got.dist == nil) != (want.dist == nil) {
-			t.Fatalf("%s: dist present %t, rebuild %t", where, got.dist != nil, want.dist != nil)
-		}
-		if got.dist != nil && !reflect.DeepEqual(got.dist[li], want.dist[li]) {
-			t.Fatalf("%s: dist of landmark %d differ from the rebuild's: %s", where, l, firstDiff(got.dist[li], want.dist[li]))
-		}
-	}
-	if !reflect.DeepEqual(old.hops, oldHops) || !reflect.DeepEqual(old.dist, oldDist) {
+	if !reflect.DeepEqual(old, oldRaw) {
 		t.Fatalf("%s: Repair wrote the sketch it was called on", where)
 	}
 	if got == old {
 		t.Fatalf("%s: Repair returned its receiver", where)
 	}
 	// Sharing is real: a batch that changes nothing leaves every vector
-	// the old slice, and any other batch is counted.
-	shared := func(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+	// the old one, and any other batch is counted.
 	for li, l := range got.landmarks {
 		from := slices.Index(old.landmarks, l)
 		if from < 0 {
 			continue
 		}
 		n := 0
-		if shared(old.hops[from], got.hops[li]) {
+		if shared(p, old.hops[from], got.hops[li]) {
 			n++
 		}
-		if got.dist != nil && shared(old.dist[from], got.dist[li]) {
+		if got.dist != nil && shared(p, old.dist[from], got.dist[li]) {
 			n++
 		}
 		if pre != post {
 			p.sharedVecs += n
 		} else if want := 1 + len(got.dist)/len(got.landmarks); n != want {
-			t.Fatalf("%s: nothing changed, yet only %d of landmark %d's %d vectors are the old slices", where, n, l, want)
+			t.Fatalf("%s: nothing changed, yet only %d of landmark %d's %d vectors are the old ones", where, n, l, want)
 		}
 	}
 
 	// The same repair with phase A cut out: phase B from no affected set.
-	r := &repairer{post: post, in: in, mark: make([]uint32, post.NumVertices)}
-	r.diff(pre)
+	r := &repairer{}
+	r.begin(pre, post, in)
+	dense := want.dense()
 	withoutPhaseA := false
 	for li, l := range want.landmarks {
 		from := slices.Index(old.landmarks, l)
 		if from < 0 {
 			continue
 		}
-		hops := &vec[int32]{r: r, old: old.hops[from], d: old.hops[from], unreached: -1}
-		if !reflect.DeepEqual(hops.resettle(nil), want.hops[li]) {
+		r.next()
+		hops := &vec[int32]{r: r, d: old.hops[from].dense(), unreached: -1}
+		hops.resettle(nil)
+		if firstDiff(hops.d, dense.hops[li]) != "" {
 			withoutPhaseA = true
 		}
 		if old.dist != nil {
-			dist := &vec[float64]{r: r, old: old.dist[from], d: old.dist[from], unreached: math.Inf(1), weighted: true}
-			if !reflect.DeepEqual(dist.resettle(nil), want.dist[li]) {
+			r.next()
+			dist := &vec[float64]{r: r, d: old.dist[from].dense(), unreached: math.Inf(1), weighted: true}
+			dist.resettle(nil)
+			if firstDiff(dist.d, dense.dist[li]) != "" {
 				withoutPhaseA = true
 			}
 		}
@@ -268,24 +267,98 @@ func (p *repairProgram) step(i int, b byte) {
 	p.cur, p.sketch, p.last = post, got, batch
 }
 
-func cloneVectors[D any](vs [][]D) [][]D {
-	if vs == nil {
-		return nil
+// shared reports whether got is old itself, and otherwise counts it as
+// kept on old's base under a new delta or compacted.
+func shared[D int32 | float64](p *repairProgram, old, got *sketchVec[D]) bool {
+	switch {
+	case got == old:
+		return true
+	case &got.base[0] == &old.base[0]:
+		p.deltaVecs++
+	default:
+		p.compactions++
 	}
-	out := make([][]D, len(vs))
-	for i, v := range vs {
-		out[i] = slices.Clone(v)
+	return false
+}
+
+// denseSketch is a sketch with every vector materialized: what its
+// estimates read, whatever its vectors share.
+type denseSketch struct {
+	landmarks []graph.VID
+	hops      [][]int32
+	dist      [][]float64
+}
+
+func (x *sketchVec[D]) dense() []D {
+	d := make([]D, len(x.base))
+	x.materialize(d)
+	return d
+}
+
+func (s *Sketch) dense() denseSketch {
+	out := denseSketch{landmarks: s.landmarks}
+	for _, x := range s.hops {
+		out.hops = append(out.hops, x.dense())
+	}
+	for _, x := range s.dist {
+		out.dist = append(out.dist, x.dense())
 	}
 	return out
 }
 
-func firstDiff[D comparable](got, want []D) string {
+// sketchDiff compares two sketches' materialized vectors bit for bit:
+// "" when they are equal, else the first difference.
+func sketchDiff(got, want *Sketch) string {
+	g, w := got.dense(), want.dense()
+	if !slices.Equal(g.landmarks, w.landmarks) {
+		return fmt.Sprintf("landmarks %v, rebuild %v", g.landmarks, w.landmarks)
+	}
+	if (g.dist == nil) != (w.dist == nil) {
+		return fmt.Sprintf("dist present %t, rebuild %t", g.dist != nil, w.dist != nil)
+	}
+	for li, l := range w.landmarks {
+		if d := firstDiff(g.hops[li], w.hops[li]); d != "" {
+			return fmt.Sprintf("hops of landmark %d differ from the rebuild's: %s", l, d)
+		}
+		if w.dist != nil {
+			if d := firstDiff(g.dist[li], w.dist[li]); d != "" {
+				return fmt.Sprintf("dist of landmark %d differ from the rebuild's: %s", l, d)
+			}
+		}
+	}
+	return ""
+}
+
+// rawCopy is a deep copy of s as stored: bases, indexes and values.
+func rawCopy(s *Sketch) *Sketch {
+	out := &Sketch{landmarks: slices.Clone(s.landmarks)}
+	for _, x := range s.hops {
+		out.hops = append(out.hops, &sketchVec[int32]{base: slices.Clone(x.base), idx: slices.Clone(x.idx), val: slices.Clone(x.val)})
+	}
+	for _, x := range s.dist {
+		out.dist = append(out.dist, &sketchVec[float64]{base: slices.Clone(x.base), idx: slices.Clone(x.idx), val: slices.Clone(x.val)})
+	}
+	return out
+}
+
+// firstDiff compares bit for bit: a float64 by its bits.
+func firstDiff[D int32 | float64](got, want []D) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("lengths %d, rebuilt %d", len(got), len(want))
+	}
 	for v := range want {
-		if got[v] != want[v] {
+		if !sameBits(got[v], want[v]) {
 			return fmt.Sprintf("vertex %d: repaired %v, rebuilt %v", v, got[v], want[v])
 		}
 	}
-	return "lengths differ"
+	return ""
+}
+
+func sameBits[D int32 | float64](a, b D) bool {
+	if f, ok := any(a).(float64); ok {
+		return math.Float64bits(f) == math.Float64bits(any(b).(float64))
+	}
+	return a == b
 }
 
 // runRepairProgram runs script, one batch per byte, from a fresh sketch
@@ -304,7 +377,8 @@ func runRepairProgram(t testing.TB, c *graph.CSR, directed bool, k int, seed uin
 // undone and re-touched edges, weights lowered and raised, ties and
 // absorbed subnormals, pieces cut off and reconnected, landmarks
 // promoted and demoted, nothing at all — the repaired sketch equals a
-// rebuild on the post-batch adjacency, landmarks, hops and dist.
+// rebuild on the post-batch adjacency, landmarks, hops and dist, bit for
+// bit, read through every vector's delta.
 func TestSketchRepairEqualsRebuild(t *testing.T) {
 	for _, g := range []struct {
 		dataset  string
@@ -338,9 +412,68 @@ func TestSketchRepairEqualsRebuild(t *testing.T) {
 			if p.sharedVecs == 0 {
 				t.Errorf("no batch left any vector untouched: sharing was never exercised")
 			}
-			t.Logf("%d vertices, %d steps: %d needed phase A, %d vectors shared across a change",
-				c.NumVertices, g.steps, p.phaseASteps, p.sharedVecs)
+			if p.deltaVecs == 0 || p.compactions == 0 {
+				t.Errorf("%d vectors kept their base under a delta, %d compacted: both paths must run", p.deltaVecs, p.compactions)
+			}
+			t.Logf("%d vertices, %d steps: %d needed phase A; of the vectors, %d shared across a change, %d under a delta, %d compacted",
+				c.NumVertices, g.steps, p.phaseASteps, p.sharedVecs, p.deltaVecs, p.compactions)
 		})
+	}
+}
+
+// The repair's stamps survive the epoch counter wrapping: stale stamps
+// equal to a re-issued epoch must read as neither candidate, affected
+// nor written, so the two repairs across the wrap still equal a rebuild.
+func TestSketchRepairStampWrapAround(t *testing.T) {
+	c, directed := repairGraph(t, "kron-9", 0, 5, true)
+	p := runRepairProgram(t, c, directed, 8, 11, []byte{0x31}) // size the stamps
+	p.r.epoch = math.MaxUint32 - 4
+	for v := range p.r.mark {
+		p.r.mark[v] = uint32(v%4) + 1 // the epochs a wrapped counter hands out next
+		p.r.wrote[v] = uint32(v%4) + 1
+	}
+	p.step(1, 0x35)
+	p.step(2, 0x23)
+	if p.r.epoch == 0 || p.r.epoch > 2*2*2*uint32(p.k) { // two repairs, 2k vectors, two stamps each
+		t.Fatalf("epoch did not restart after the wrap: %d", p.r.epoch)
+	}
+}
+
+// A warm repair allocates what its batch moves, not whole vectors: on a
+// weighted undirected kron-12 with 8 landmarks, a 64-op batch through
+// the reused repairer costs under a quarter of one whole-sketch clone,
+// k·n·12 B (a hop and a distance entry per landmark and vertex).
+func TestSketchRepairAllocFollowsChanges(t *testing.T) {
+	const k = 8
+	c, directed := repairGraph(t, "kron-12", 0, 5, true)
+	p := &repairProgram{t: t, rng: xrand.New(7), directed: directed, k: k, cur: c}
+	var batch graph.Batch
+	for len(batch) < 64 {
+		batch = append(batch, p.ins(p.vertex(), p.vertex()))
+		if u, v, ok := p.edge(); ok {
+			batch = append(batch, del(u, v))
+		}
+	}
+	post, _, err := c.Apply(batch, directed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := BuildSketch(c, k)
+	var r repairer
+	got := old.Repair(&r, c, post, post)
+	if d := sketchDiff(got, BuildSketch(post, k)); d != "" {
+		t.Fatal(d)
+	}
+	for li, x := range got.dist { // the wall must measure the delta path
+		if x == old.dist[li] || len(x.idx) == 0 || &x.base[0] != &old.dist[li].base[0] {
+			t.Fatalf("landmark %d's distances were not kept under a delta: the batch does not exercise it", got.landmarks[li])
+		}
+	}
+	per := alloctest.FewestBytes(8, func() { old.Repair(&r, c, post, post) })
+	whole := uint64(k * c.NumVertices * 12)
+	t.Logf("a warm %d-op repair allocates %d B; one whole-sketch clone is %d B", len(batch), per, whole)
+	if per >= whole/4 {
+		t.Fatalf("a warm %d-op repair allocates %d B, a quarter of a whole-sketch clone is %d B", len(batch), per, whole/4)
 	}
 }
 

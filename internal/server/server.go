@@ -102,9 +102,11 @@ type Server struct {
 	// goroutine: whichever executor dequeues a mutate runs it
 	// on maint under maintMu, one maintenance at a time, so the
 	// published epoch is always the one maint stood on before the next
-	// batch, as Repair requires. Queries never take maintMu.
+	// batch, as Repair requires. Queries never take maintMu. repair is
+	// the maintainer's sketch-repair scratch, used only under maintMu.
 	maintMu sync.Mutex
 	maint   *executor
+	repair  repairer
 
 	admit   *admitter
 	queue   chan *pending
@@ -314,7 +316,7 @@ func (s *Server) maintain(p *pending) Response {
 		return Response{Status: StatusError, Err: err.Error()}
 	}
 	next := &published{epoch: m.inst.Epoch(), vec: vec, gen: cur.gen + 1}
-	next.sketch = cur.sketch.Repair(cur.epoch.Out(), next.epoch.Out(), next.epoch.In())
+	next.sketch = cur.sketch.Repair(&s.repair, cur.epoch.Out(), next.epoch.Out(), next.epoch.In())
 	s.pub.Store(next)
 	return Response{Status: StatusOK, Gen: next.gen}
 }

@@ -12,11 +12,40 @@ import (
 // dist(u,v) as min over landmarks L of d(L,u)+d(L,v) — an upper bound
 // by the triangle inequality, exact whenever a shortest u-v path runs
 // through a landmark. This is the degraded-mode answer: O(K) lookups
-// instead of a traversal, precision traded for immediacy.
+// instead of a traversal, precision traded for immediacy. Nothing in a
+// Sketch is written after it is returned: readers hold it outside any
+// lock, and a repaired sketch shares its vectors' bases.
 type Sketch struct {
 	landmarks []graph.VID
-	hops      [][]int32   // hops[l][v]; -1 unreachable
-	dist      [][]float64 // weighted distances; nil on unweighted datasets
+	hops      []*sketchVec[int32]   // hops[l] at v; -1 unreachable
+	dist      []*sketchVec[float64] // weighted distances; nil on unweighted datasets
+}
+
+// sketchVec is one landmark vector: a flat base, which later vectors
+// share, under a delta of the entries that differ from it — idx
+// ascending, val[i] the value at idx[i]. BuildSketch and a compaction
+// make vectors with no delta; Repair keeps a delta within deltaNum/deltaDen
+// of the base's bytes.
+type sketchVec[D int32 | float64] struct {
+	base []D
+	idx  []graph.VID
+	val  []D
+}
+
+// at reads v's entry through the delta.
+func (x *sketchVec[D]) at(v graph.VID) D {
+	if i, ok := slices.BinarySearch(x.idx, v); ok {
+		return x.val[i]
+	}
+	return x.base[v]
+}
+
+// materialize writes the whole vector into d, len(base) long.
+func (x *sketchVec[D]) materialize(d []D) {
+	copy(d, x.base)
+	for i, v := range x.idx {
+		d[v] = x.val[i]
+	}
 }
 
 // BuildSketch selects the k highest-degree vertices (ties broken
@@ -32,14 +61,14 @@ func BuildSketch(c *graph.CSR, k int) *Sketch {
 	if k == 0 {
 		return s
 	}
-	s.hops = make([][]int32, k)
+	s.hops = make([]*sketchVec[int32], k)
 	if c.Weighted() {
-		s.dist = make([][]float64, k)
+		s.dist = make([]*sketchVec[float64], k)
 	}
 	for li, l := range s.landmarks {
-		s.hops[li] = bfsHops(c, l)
+		s.hops[li] = &sketchVec[int32]{base: bfsHops(c, l)}
 		if c.Weighted() {
-			s.dist[li] = dijkstra(c, l)
+			s.dist[li] = &sketchVec[float64]{base: dijkstra(c, l)}
 		}
 	}
 	return s
@@ -55,8 +84,8 @@ func (s *Sketch) EstimateHops(u, v graph.VID) float64 {
 		return 0
 	}
 	best := int32(-1)
-	for li := range s.hops {
-		hu, hv := s.hops[li][u], s.hops[li][v]
+	for _, x := range s.hops {
+		hu, hv := x.at(u), x.at(v)
 		if hu < 0 || hv < 0 {
 			continue
 		}
@@ -77,9 +106,8 @@ func (s *Sketch) EstimateDist(u, v graph.VID) float64 {
 		return 0
 	}
 	best := math.Inf(1)
-	for li := range s.dist {
-		du, dv := s.dist[li][u], s.dist[li][v]
-		if sum := du + dv; sum < best {
+	for _, x := range s.dist {
+		if sum := x.at(u) + x.at(v); sum < best {
 			best = sum
 		}
 	}
