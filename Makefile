@@ -2,7 +2,8 @@
 # gate; `make race` is the concurrency wall over the parallel runtime,
 # the generator, the graph builders, the SNAP codec and every engine kernel, and `make race-full`
 # (CI's race step) the same over every package; `make fuzz` runs the
-# property-fuzz targets for FUZZTIME each (FuzzSpec for 60s); `make bench` regenerates
+# property-fuzz targets for FUZZTIME each (FuzzSpec for 60s), the stream,
+# serve and Runner programs among them; `make bench` regenerates
 # the paper's tables and figures once; `make loc` prints the non-test
 # Go lines outside bench/. The three committed studies (internal/study:
 # sched = FIG_sched_study_ci.csv, serving = FIG_serving_study.csv,
@@ -87,6 +88,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzStreamProgram$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/engines/gap/
 	$(GO) test -fuzz '^FuzzSketchRepair$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
 	$(GO) test -fuzz '^FuzzServeProgram$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/server/
+	$(GO) test -fuzz '^FuzzRunnerProgram$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/harness/
 	$(GO) test -fuzz '^FuzzSpec$$' -fuzztime 60s -run '^$$' ./internal/engines/all/
 
 # Smoke step: print raw vs delta+varint adjacency bytes on kron-16 and

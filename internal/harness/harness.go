@@ -28,7 +28,8 @@ import (
 // one idle instance per engine, scratch only (no graph, no machine): a Run
 // binds it and gives it back, or makes its own while a concurrent Run
 // holds it, so what stays is bounded by the largest graph run. Run and
-// Sweep are safe for concurrent use.
+// Sweep are safe for concurrent use; their writes to Warnings are
+// serialized.
 type Runner struct {
 	Registry engines.Registry
 	Model    simmachine.Model
@@ -40,6 +41,7 @@ type Runner struct {
 	// should wire this to stderr or a log.
 	Warnings io.Writer
 
+	warnMu sync.Mutex // serializes writes to Warnings
 	mu     sync.Mutex
 	lastEL *graph.EdgeList // the last edge list run,
 	lastFP uint64          // its fingerprint then,
@@ -169,9 +171,11 @@ func (r *Runner) runEngine(spec core.Spec, g *graph.Simple, d *engines.Decl, roo
 	// synchronous variant, the compressed layout or a streaming phase
 	// and got the default would mislabel its results.
 	opts, dropped := spec.EngineOptions(d)
+	r.warnMu.Lock()
 	for _, knob := range dropped {
 		logfmt.EmitKnobWarning(r.Warnings, d.Name, knob)
 	}
+	r.warnMu.Unlock()
 	m, pconsts := spec.NewMachine(r.Model, r.Power, owner)
 	inst := r.take(d)
 	defer r.give(d.Name, inst)

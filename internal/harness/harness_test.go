@@ -2,8 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/hpcl-repro/epg/internal/core"
 	"github.com/hpcl-repro/epg/internal/engines"
@@ -236,5 +239,47 @@ func TestInvalidSpecRejected(t *testing.T) {
 	el, _ := ResolveDataset("kron-8", DatasetOptions{Seed: 1})
 	if _, err := r.Run(core.Spec{}, el); err == nil {
 		t.Error("empty spec accepted")
+	}
+}
+
+// Concurrent Runs on one Runner write their dropped-knob warnings to its
+// Warnings one at a time. The writer holds every Write for 20 ms, so a
+// Write the Runner does not serialize lands inside another every time.
+func TestConcurrentWarningsSerialized(t *testing.T) {
+	el, err := ResolveDataset("kron-8", DatasetOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(engines.PageRank, 1)
+	spec.Dataset = "kron-8"
+	spec.Engines = []string{all.GraphMat}
+	spec.Compress = true
+	w := &overlapWriter{}
+	r := testRunner()
+	r.Warnings = w
+	if _, err := r.Run(spec, el); err != nil { // homogenize before the race
+		t.Fatal(err)
+	}
+	want := w.take()
+	if len(want) != 1 {
+		t.Fatalf("one Run wrote %q, want one line", want)
+	}
+	w.hold = 20 * time.Millisecond
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := r.Run(spec, el); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := w.overlaps.Load(); n > 0 {
+		t.Fatalf("%d of 4 Writes to Warnings overlapped another", n)
+	}
+	if got := w.take(); !slices.Equal(got, slices.Repeat(want, 4)) {
+		t.Fatalf("four Runs wrote %q", got)
 	}
 }

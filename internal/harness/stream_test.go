@@ -57,41 +57,6 @@ func TestRunStreamProducesPerBatchResults(t *testing.T) {
 	}
 }
 
-// The same schedule must yield bit-identical stream rows across runs
-// and worker counts — determinism is the whole contract.
-func TestRunStreamDeterministic(t *testing.T) {
-	spec := streamSpec(engines.PageRank)
-	el, err := ResolveDataset(spec.Dataset, DatasetOptions{Seed: spec.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prev []core.Result
-	for _, workers := range []int{1, 4} {
-		s := spec
-		s.Workers = workers
-		results, err := testRunner().Run(s, el)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prev != nil {
-			if len(results) != len(prev) {
-				t.Fatalf("row count %d vs %d", len(results), len(prev))
-			}
-			for i := range prev {
-				if results[i] != prev[i] {
-					// WallSec is real time; mask it before comparing.
-					a, b := results[i], prev[i]
-					a.WallSec, b.WallSec = 0, 0
-					if a != b {
-						t.Fatalf("workers=%d row %d differs: %+v vs %+v", workers, i, a, b)
-					}
-				}
-			}
-		}
-		prev = results
-	}
-}
-
 // Engines without the Streamer hook warn and skip the phase instead of
 // failing the run.
 func TestRunStreamKnobDropWarning(t *testing.T) {
