@@ -1,6 +1,7 @@
 # Lightweight CI for the epg reproduction. `make test` is the tier-1
 # gate; `make race` is the concurrency wall over the parallel runtime,
-# the generator, the graph builders, the SNAP codec and every engine kernel, and `make race-full`
+# the generator, the graph builders, the SNAP codec, every engine kernel
+# and epgd's sketch build and repair, and `make race-full`
 # (CI's race step) the same over every package; `make fuzz` runs the
 # property-fuzz targets for FUZZTIME each (FuzzSpec for 60s), the stream,
 # serve and Runner programs among them; `make bench` regenerates
@@ -62,6 +63,7 @@ bench-compare:
 
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/kronecker/... ./internal/graph/... ./internal/snap/... ./internal/engines/...
+	$(GO) test -race -run 'Sketch|Repair' ./internal/server/
 
 race-full:
 	$(GO) test -race ./...

@@ -43,10 +43,7 @@ func (s *Sketch) Repair(r *repairer, pre, post, postIn *graph.CSR) *Sketch {
 	for li, l := range out.landmarks {
 		from := slices.Index(s.landmarks, l)
 		if from < 0 {
-			out.hops[li] = &sketchVec[int32]{base: bfsHops(post, l)}
-			if s.dist != nil {
-				out.dist[li] = &sketchVec[float64]{base: dijkstra(post, l)}
-			}
+			out.fill(&r.builder, post, li)
 			continue
 		}
 		out.hops[li] = repairVec(r, &r.hops, s.hops[from], -1, false)
@@ -69,19 +66,20 @@ type arc struct {
 
 // repairer is the scratch of Repair, reused across calls: the diff, one
 // dense vector per element type that a landmark vector is repaired in,
-// the heap and the vertex lists. Per vector, mark[v] == epoch: v has
-// been a candidate; epoch+1: it is affected; wrote[v] == epoch: the
-// repair has written v. Each vector takes two stamps, and both stamp
-// arrays are cleared when the counter would wrap.
+// the vertex lists, and a builder, whose heap both phases run on and
+// which builds a landmark entering the top-k. Per vector, mark[v] ==
+// epoch: v has been a candidate; epoch+1: it is affected; wrote[v] ==
+// epoch: the repair has written v. Each vector takes two stamps, and
+// both stamp arrays are cleared when the counter would wrap.
 type repairer struct {
 	post, in                 *graph.CSR
 	gone, came               []arc
 	mark, wrote              []uint32
 	epoch                    uint32
-	heap                     distHeap
 	affected, written, delta []graph.VID
 	hops                     []int32
 	dist                     []float64
+	builder
 }
 
 // begin readies r for one Repair. It fills gone and came from
@@ -103,6 +101,7 @@ func (r *repairer) begin(pre, post, postIn *graph.CSR) {
 	if n := post.NumVertices; len(r.mark) != n {
 		r.mark, r.wrote, r.epoch = make([]uint32, n), make([]uint32, n), 0
 	}
+	r.heap.reset(post.NumVertices)
 }
 
 // next takes the stamps of the next vector's repair.
@@ -217,11 +216,11 @@ func (x *vec[D]) arcWeight(a arc) (w float64, ok bool) {
 func (x *vec[D]) affected() []graph.VID {
 	r, inf := x.r, math.Inf(1)
 	queued, hit := r.epoch, r.epoch+1
-	h, affected := r.heap[:0], r.affected[:0]
+	h, affected := &r.heap, r.affected[:0]
 	candidate := func(v graph.VID, dv float64) {
 		if r.mark[v] != queued && r.mark[v] != hit {
 			r.mark[v] = queued
-			h.push(distItem{v: v, d: dv})
+			h.push(v, dv)
 		}
 	}
 	for _, a := range r.gone {
@@ -230,7 +229,7 @@ func (x *vec[D]) affected() []graph.VID {
 			candidate(a.v, dv)
 		}
 	}
-	for len(h) > 0 {
+	for len(h.items) > 0 {
 		it := h.pop()
 		intact := false
 		adj, ws := x.row(r.in, it.v)
@@ -252,7 +251,7 @@ func (x *vec[D]) affected() []graph.VID {
 			}
 		}
 	}
-	r.heap, r.affected = h, affected
+	r.affected = affected
 	return affected
 }
 
@@ -261,11 +260,11 @@ func (x *vec[D]) affected() []graph.VID {
 // seeds only: no entry of post can then lower a value and every value is
 // attained, which is the fixpoint BuildSketch computes.
 func (x *vec[D]) resettle(affected []graph.VID) {
-	r, h := x.r, x.r.heap[:0]
+	r, h := x.r, &x.r.heap
 	relax := func(v graph.VID, c float64) {
 		if c < x.at(v) {
 			x.set(v, D(c))
-			h.push(distItem{v: v, d: c})
+			h.push(v, c)
 		}
 	}
 	for _, v := range affected {
@@ -284,15 +283,11 @@ func (x *vec[D]) resettle(affected []graph.VID) {
 			relax(a.v, x.at(a.u)+w)
 		}
 	}
-	for len(h) > 0 {
+	for len(h.items) > 0 {
 		it := h.pop()
-		if it.d > x.at(it.v) {
-			continue
-		}
 		adj, ws := x.row(r.post, it.v)
 		for i, u := range adj {
 			relax(u, it.d+weightAt(ws, i))
 		}
 	}
-	r.heap = h
 }

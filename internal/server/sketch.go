@@ -2,9 +2,11 @@ package server
 
 import (
 	"math"
+	"runtime"
 	"slices"
 
 	"github.com/hpcl-repro/epg/internal/graph"
+	"github.com/hpcl-repro/epg/internal/parallel"
 )
 
 // Sketch is a landmark-distance oracle: for K high-degree landmarks it
@@ -49,12 +51,15 @@ func (x *sketchVec[D]) materialize(d []D) {
 }
 
 // BuildSketch selects the k highest-degree vertices (ties broken
-// toward lower ID, so the landmark set is deterministic) and runs one
-// serial BFS — plus one serial Dijkstra when the CSR is weighted —
-// per landmark. Built at startup on the homogenized CSR (a mutate or a
-// refresh repairs the previous sketch instead, see Repair); the
-// build is plain Go, off the modeled machine, because it is part of
-// daemon startup rather than any measured phase.
+// toward lower ID, so the landmark set is deterministic) and builds
+// each landmark's vectors — one serial BFS, plus one serial Dijkstra
+// when the CSR is weighted — on min(k, GOMAXPROCS) workers of the
+// shared pool. Each worker keeps its own heap and BFS queue and each
+// vector lands in its landmark's slot, so the sketch does not depend on
+// the schedule. Built at startup on the homogenized CSR (a mutate or a
+// refresh repairs the previous sketch instead, see Repair); the build is
+// plain Go, off the modeled machine, because it is part of daemon
+// startup rather than any measured phase.
 func BuildSketch(c *graph.CSR, k int) *Sketch {
 	s := &Sketch{landmarks: topDegree(c, k)}
 	k = len(s.landmarks)
@@ -65,13 +70,24 @@ func BuildSketch(c *graph.CSR, k int) *Sketch {
 	if c.Weighted() {
 		s.dist = make([]*sketchVec[float64], k)
 	}
-	for li, l := range s.landmarks {
-		s.hops[li] = &sketchVec[int32]{base: bfsHops(c, l)}
-		if c.Weighted() {
-			s.dist[li] = &sketchVec[float64]{base: dijkstra(c, l)}
+	workers := min(k, runtime.GOMAXPROCS(0))
+	parallel.Default().Run(workers, func(w int) {
+		var b builder
+		for li := w; li < k; li += workers {
+			s.fill(&b, c, li)
 		}
-	}
+	})
 	return s
+}
+
+// fill builds landmark li's vectors on c with b's scratch: its hops, and
+// its distances when s keeps them.
+func (s *Sketch) fill(b *builder, c *graph.CSR, li int) {
+	l := s.landmarks[li]
+	s.hops[li] = &sketchVec[int32]{base: b.bfsHops(c, l)}
+	if s.dist != nil {
+		s.dist[li] = &sketchVec[float64]{base: b.dijkstra(c, l)}
+	}
 }
 
 // Landmarks returns the landmark set (for logs and tests).
@@ -121,14 +137,24 @@ func (s *Sketch) EstimateDist(u, v graph.VID) float64 {
 // modeled charge.
 func (s *Sketch) lookups() int { return len(s.landmarks) }
 
+// builder is the scratch one landmark's vectors are built in, reused
+// from landmark to landmark: the heap and the BFS queue.
+type builder struct {
+	heap  distHeap
+	queue []graph.VID
+}
+
 // bfsHops is a plain serial BFS returning hop counts (-1 unreached).
-func bfsHops(c *graph.CSR, root graph.VID) []int32 {
+func (b *builder) bfsHops(c *graph.CSR, root graph.VID) []int32 {
 	hops := make([]int32, c.NumVertices)
 	for i := range hops {
 		hops[i] = -1
 	}
 	hops[root] = 0
-	queue := []graph.VID{root}
+	if cap(b.queue) < c.NumVertices {
+		b.queue = make([]graph.VID, 0, c.NumVertices)
+	}
+	queue := append(b.queue[:0], root)
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		for _, u := range c.Neighbors(v) {
@@ -169,27 +195,50 @@ type distItem struct {
 // before orders frontier entries by distance, ties toward the lower ID.
 func (a distItem) before(b distItem) bool { return a.d < b.d || a.d == b.d && a.v < b.v }
 
-// distHeap is a binary min-heap of frontier entries — the one priority
-// queue under both the full Dijkstra pass and the repair's two phases.
-type distHeap []distItem
+// distHeap is an indexed binary min-heap of frontier entries, at most
+// one per vertex, with decrease-key: the one priority queue under the
+// full Dijkstra pass and the repair's two phases. pos[v] is v's slot in
+// items plus one, 0 while v is not queued, so a drained heap's pos is
+// all zero again and the next pass needs no clear. A lazy-deletion heap
+// pushing on each strict improvement pops its live entries in the same
+// order: (d, id) is a total order and every vertex's live entry is its
+// least.
+type distHeap struct {
+	items []distItem
+	pos   []int32
+}
 
-func (h *distHeap) push(it distItem) {
-	*h = append(*h, it)
-	s := *h
-	for i := len(s) - 1; i > 0; {
+// reset readies the drained h for passes over n vertices.
+func (h *distHeap) reset(n int) {
+	if len(h.pos) != n {
+		h.items, h.pos = make([]distItem, 0, n), make([]int32, n)
+	}
+}
+
+// push queues v at d, or lowers v's queued entry to d: every caller
+// pushes only a strict improvement, so an entry only ever moves up.
+func (h *distHeap) push(v graph.VID, d float64) {
+	i := int(h.pos[v]) - 1
+	if i < 0 {
+		i = len(h.items)
+		h.items = append(h.items, distItem{})
+	}
+	h.place(i, distItem{v: v, d: d})
+	for s := h.items; i > 0; {
 		parent := (i - 1) / 2
 		if !s[i].before(s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		h.swap(i, parent)
 		i = parent
 	}
 }
 
 func (h *distHeap) pop() distItem {
-	s := *h
+	s := h.items
 	top, n := s[0], len(s)-1
-	s[0] = s[n]
+	h.place(0, s[n])
+	h.pos[top.v] = 0
 	s = s[:n]
 	for i := 0; ; {
 		child := 2*i + 1
@@ -199,33 +248,42 @@ func (h *distHeap) pop() distItem {
 		if child >= n || !s[child].before(s[i]) {
 			break
 		}
-		s[i], s[child] = s[child], s[i]
+		h.swap(i, child)
 		i = child
 	}
-	*h = s
+	h.items = s
 	return top
 }
 
-// dijkstra is a plain serial shortest-path pass (lazy-deletion heap).
-func dijkstra(c *graph.CSR, root graph.VID) []float64 {
+func (h *distHeap) place(i int, it distItem) {
+	h.items[i] = it
+	h.pos[it.v] = int32(i + 1)
+}
+
+func (h *distHeap) swap(i, j int) {
+	a, b := h.items[i], h.items[j]
+	h.place(i, b)
+	h.place(j, a)
+}
+
+// dijkstra is a plain serial shortest-path pass on b's heap.
+func (b *builder) dijkstra(c *graph.CSR, root graph.VID) []float64 {
 	n := c.NumVertices
 	dist := make([]float64, n)
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
 	dist[root] = 0
-	h := distHeap{{v: root, d: 0}}
-	for len(h) > 0 {
+	h := &b.heap
+	h.reset(n)
+	h.push(root, 0)
+	for len(h.items) > 0 {
 		it := h.pop()
-		if it.d > dist[it.v] {
-			continue
-		}
-		adj := c.Neighbors(it.v)
-		ws := c.NeighborWeights(it.v)
+		adj, ws := c.WeightedRow(it.v)
 		for i, u := range adj {
 			if nd := it.d + float64(ws[i]); nd < dist[u] {
 				dist[u] = nd
-				h.push(distItem{v: u, d: nd})
+				h.push(u, nd)
 			}
 		}
 	}
