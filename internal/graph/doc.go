@@ -36,8 +36,8 @@
 // dirtied, every other row shared, and compacts into a flat CSR once
 // the patch outgrows a fixed share of the graph (Aspen's versioned
 // adjacency, reduced to one level). An overlay's rows are read through
-// the accessors; its raw arrays are nil. MutableCSR applies the same
-// batches and always rebuilds flat.
+// the accessors; its raw arrays are nil. MutableCSR is the same Apply
+// with one current epoch, flattened once per read by its CSR().
 //
 // CompressedCSR is the Ligra+/GBBS-style byte-compressed sibling for
 // bandwidth-bound traversal: each vertex's sorted neighbor list is

@@ -156,13 +156,10 @@ func weightAt(ws []float32, i int) float32 {
 	return ws[i]
 }
 
-// MutableCSR wraps a sorted, deduplicated CSR with batched edge
-// mutation. Apply never modifies the wrapped arrays: it rebuilds into
-// fresh storage and swaps, so readers holding the previous CSR()
-// snapshot stay coherent — the epoch-rebuild discipline the serving
-// daemon's generation-counted swap relies on. Its epochs are always
-// flat (Offsets, Adj and Weights set); (*CSR).Apply is the same replay
-// and row merge returning overlay epochs.
+// MutableCSR is (*CSR).Apply with one current epoch, for one owner (it
+// swaps the epoch without a lock): Apply moves it to the overlay after
+// the batch, and CSR() compacts it once per read, not once per batch.
+// No epoch it has handed out is ever written.
 //
 // The logical graph is the normalized simple graph the harness builds:
 // self-loop-free, deduplicated, sorted adjacency; undirected graphs
@@ -183,21 +180,20 @@ func NewMutableCSR(csr *CSR, directed bool) *MutableCSR {
 	return &MutableCSR{csr: csr, directed: directed}
 }
 
-// CSR returns the current epoch's structure. The caller must not
-// modify it; it remains valid (frozen) after subsequent Applies.
-func (m *MutableCSR) CSR() *CSR { return m.csr }
+// CSR returns the current epoch flat (Offsets, Adj and Weights set),
+// compacting an overlay once and keeping it: two reads with no Apply
+// between them return one pointer. The caller must not modify it; it
+// remains valid (frozen) after subsequent Applies.
+func (m *MutableCSR) CSR() *CSR {
+	m.csr = m.csr.Flat()
+	return m.csr
+}
 
-// NumVertices returns the fixed vertex count.
-func (m *MutableCSR) NumVertices() int { return m.csr.NumVertices }
-
-// Apply replays the batch in order against the current epoch and
-// rebuilds it into a fresh flat CSR. It is atomic: on any validation
-// error the structure is untouched. The replay, the delta extraction,
-// and the rebuild are all serial and ordered, so the result —
-// structure and ApplyResult alike — is a pure function of (previous
-// epoch, batch), independent of run and worker count.
+// Apply moves the current epoch to (*CSR).Apply's epoch after the
+// batch, atomically: on any validation error the structure is
+// untouched. The ApplyResult does not depend on the epoch's row form.
 func (m *MutableCSR) Apply(batch Batch) (*ApplyResult, error) {
-	nc, res, err := m.csr.apply(batch, m.directed, true)
+	nc, res, err := m.csr.Apply(batch, m.directed)
 	if err != nil {
 		return nil, err
 	}
@@ -230,14 +226,17 @@ type rowDelta struct {
 	ch   []entryDelta
 }
 
-// apply is the one batch application behind MutableCSR.Apply and
-// (*CSR).Apply: it replays the batch to final outcomes, extracts each
-// dirty row's net delta, and writes the next epoch — flat when flat is
-// set or the patch would outgrow its bound (compactNum/compactDen),
-// otherwise an overlay sharing every clean row with c. With no net
-// change it returns c itself. The ApplyResult prices a whole rebuild
-// either way: the modeled clock does not see the overlay.
-func (c *CSR) apply(batch Batch, directed, flat bool) (*CSR, *ApplyResult, error) {
+// Apply returns the epoch after batch: the one batch application. It
+// replays the batch to final outcomes, extracts each dirty row's net
+// delta, and writes an overlay — fresh storage for the dirty rows, every
+// clean row shared with c — until the patch would outgrow
+// compactNum/compactDen of the graph, when it compacts into a flat CSR;
+// only that bound and Flat() flatten. The logical graph is byte-equal
+// to BuildCSR over the post-batch edge list; with no net change it is c
+// itself. c is never written, so every earlier epoch stays readable.
+// The ApplyResult prices a whole rebuild either way: the modeled clock
+// does not see the overlay.
+func (c *CSR) Apply(batch Batch, directed bool) (*CSR, *ApplyResult, error) {
 	weighted := c.Weighted()
 	if err := batch.Validate(c.NumVertices, weighted); err != nil {
 		return nil, nil, err
@@ -260,7 +259,7 @@ func (c *CSR) apply(batch Batch, directed, flat bool) (*CSR, *ApplyResult, error
 	edges := res.CopiedEdges + fresh
 
 	var nc *CSR
-	if flat || !c.patchFits(deltas, edges, fresh) {
+	if !c.patchFits(deltas, edges, fresh) {
 		nc = c.flatten(deltas, edges)
 	} else {
 		nc = c.overlay(deltas, edges, fresh)

@@ -6,7 +6,9 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
+	"github.com/hpcl-repro/epg/internal/alloctest"
 	"github.com/hpcl-repro/epg/internal/xrand"
 )
 
@@ -274,7 +276,7 @@ func TestMutableCSRApplyAtomicOnError(t *testing.T) {
 }
 
 // Previous epochs stay frozen: readers holding the old CSR see it
-// unchanged after Apply swaps in the rebuilt structure.
+// unchanged after Apply swaps in the next epoch.
 func TestMutableCSREpochFrozen(t *testing.T) {
 	el := randomEdgeList(3, 64, 256, true)
 	c := buildNormalized(el)
@@ -305,12 +307,74 @@ func TestMutableCSREpochFrozen(t *testing.T) {
 	}
 }
 
+// replayBytesPerOp is the allowance per op for what a replay allocates
+// beside the epoch: its pair states, pair index, sorted keys, entry
+// deltas and row deltas (an op touches two pairs when undirected), the
+// ApplyResult's DirtyRows and size-class rounding. A 32-op undirected
+// batch reads about 220 B per op.
+const replayBytesPerOp = 320
+
+// A small MutableCSR.Apply allocates what the overlay holds — the slot
+// index, one row-table entry and the fresh entries of each dirty row —
+// plus the replay's bookkeeping, not a flat epoch; and CSR() compacts
+// once per read: two reads with no Apply between them return one flat
+// CSR, whose raw arrays a caller may compare.
+func TestMutableCSRApplyAllocFollowsDirtyRows(t *testing.T) {
+	const n = 4096
+	c := buildNormalized(randomEdgeList(41, n, 8*n, true))
+	batch := randomBatch(xrand.New(41), n, 32, true)
+	mc := NewMutableCSR(c, false)
+	res, err := mc.Apply(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := mc.csr
+	per := alloctest.FewestBytes(8, func() {
+		if _, err := NewMutableCSR(c, false).Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	entry := uint64(unsafe.Sizeof(VID(0)) + unsafe.Sizeof(float32(0)))
+	var fresh uint64
+	for _, v := range res.DirtyRows {
+		fresh += uint64(next.Degree(v))
+	}
+	slot := uint64(n) * uint64(unsafe.Sizeof(int32(0)))
+	rows := uint64(len(res.DirtyRows)) * uint64(unsafe.Sizeof(patchRow{}))
+	bound := slot + rows + fresh*entry + replayBytesPerOp*uint64(len(batch))
+	flat := uint64(n+1)*uint64(unsafe.Sizeof(int64(0))) + uint64(c.NumEdges())*entry
+	t.Logf("Apply of %d ops, %d dirty rows: %d B; bound %d B (slot index %d, row table %d, rows %d, replay %d); flat epoch %d B",
+		len(batch), len(res.DirtyRows), per, bound, slot, rows, fresh*entry, replayBytesPerOp*len(batch), flat)
+	if per > bound {
+		t.Fatalf("a 32-op Apply allocates %d B; bound %d B (slot index, row table, dirty rows, replay)", per, bound)
+	}
+	if per >= flat/8 {
+		t.Fatalf("a 32-op Apply allocates %d B; want under an eighth of the flat epoch's %d B", per, flat)
+	}
+	if next.patch == nil {
+		t.Fatal("the 32-op Apply compacted; the wall measures an overlay")
+	}
+	read := mc.CSR()
+	if read.Offsets == nil || read.patch != nil {
+		t.Fatal("CSR() of an overlay epoch is not flat")
+	}
+	if mc.CSR() != read {
+		t.Fatal("a second CSR() with no Apply between compacted again")
+	}
+	if !csrEqual(read, next.Flat()) {
+		t.Fatal("CSR() differs from the overlay's rows")
+	}
+}
+
 // Random mutation streams across all four (directed × weighted)
-// shapes: after every batch the MutableCSR must be byte-equal to a
-// from-scratch BuildCSR over the model's post-batch edge set, and Diff
-// of the two epochs must be the model's net change (checkNetChange);
-// the same batches chained through (*CSR).Apply, a branch off the
-// parent after each, must keep every epoch equal to its rebuild.
+// shapes: after every batch the MutableCSR's read must be byte-equal to
+// a from-scratch BuildCSR over the model's post-batch edge set, the
+// independent oracle, and Diff of the two epochs must be the model's net
+// change (checkNetChange); the same batches chained through
+// (*CSR).Apply with no flattened read between them, a branch off the
+// parent after each, must report the MutableCSR's ApplyResult (it does
+// not depend on the parent's row form) and keep every epoch equal to
+// its rebuild.
 func TestMutableCSRRandomStreamsMatchRebuild(t *testing.T) {
 	var overlays, flats int
 	for _, directed := range []bool{false, true} {
@@ -418,14 +482,17 @@ func checkNetChange(t *testing.T, res *ApplyResult, pre, post *CSR, before map[u
 }
 
 // FuzzMutationEquivalence is the mutation conformance wall: an
-// arbitrary batch stream applied through MutableCSR must stay
+// arbitrary batch stream applied through MutableCSR must read
 // byte-equal to rebuilding the CSR from scratch over the logical edge
-// set after every flush, and Diff of each flush must be the model's net
-// change, on every (directed × weighted) shape. The same flushes chain
-// through (*CSR).Apply (overlay epochs, compacting past their bound),
-// and an op byte 0xfe applies the pending ops to the current epoch's
-// parent instead, a sibling: after every Apply each epoch made so far
-// must read, accessor by accessor, as its rebuild (epochChain).
+// set after every flush, the independent oracle, and Diff of each flush
+// must be the model's net change, on every (directed × weighted) shape.
+// The same flushes chain through (*CSR).Apply with no flattened read
+// between them (overlay epochs, compacting past their bound), and must
+// report the MutableCSR's ApplyResult, which does not depend on the
+// parent's row form; an op byte 0xfe applies the pending ops to the
+// current epoch's parent instead, a sibling: after every Apply each
+// epoch made so far must read, accessor by accessor, as its rebuild
+// (epochChain).
 func FuzzMutationEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(40), uint16(160), uint8(0), []byte{0, 1, 2, 50, 1, 2, 3, 0, 0xff, 0, 0, 0, 1, 1, 2, 0})
 	f.Add(uint64(2), uint16(16), uint16(64), uint8(1), []byte{0, 5, 5, 10, 0, 5, 6, 10, 0, 5, 6, 5})

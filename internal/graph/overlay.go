@@ -49,17 +49,6 @@ func (p *patch) row(v VID) ([]VID, []float32) {
 	return p.base.WeightedRow(v)
 }
 
-// Apply returns the epoch after batch, with MutableCSR.Apply's replay,
-// semantics and ApplyResult: the logical graph is byte-equal to
-// BuildCSR over the post-batch edge list. The epoch is an overlay —
-// fresh storage for the dirty rows, every clean row shared with c —
-// until the patch outgrows compactNum/compactDen of the graph, when it
-// is compacted into a flat CSR. With no net change it is c itself. c
-// is never written, so it and every earlier epoch stay readable.
-func (c *CSR) Apply(batch Batch, directed bool) (*CSR, *ApplyResult, error) {
-	return c.apply(batch, directed, false)
-}
-
 // Flat returns the epoch as a flat CSR: c itself when it is one,
 // otherwise a fresh compaction of its rows.
 func (c *CSR) Flat() *CSR {

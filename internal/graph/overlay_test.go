@@ -9,9 +9,12 @@ import (
 	"github.com/hpcl-repro/epg/internal/parallel"
 )
 
-// epochChain applies every flush a MutableCSR gets through (*CSR).Apply
-// as well, and can branch: apply a batch to the parent of the current
-// epoch, a sibling of it. It keeps every epoch it made beside the
+// epochChain applies every flush a MutableCSR gets to a chain of its
+// own, never read flat between two applies, and can branch: apply a
+// batch to the parent of the current epoch, a sibling of it. The
+// MutableCSR applies each batch to its flattened read, the chain to an
+// overlay, so their ApplyResults must be equal: a result does not depend
+// on the parent's row form. It keeps every epoch it made beside the
 // model's rebuild of it and re-checks them all after each Apply, so an
 // Apply that wrote into memory an earlier epoch or a sibling reads, or
 // a carried-forward row gone stale, shows as an epoch drifting from its
@@ -35,8 +38,9 @@ func newEpochChain(t *testing.T, c *CSR, directed bool) *epochChain {
 }
 
 // flush applies batch to the current epoch. want is what MutableCSR.Apply
-// reported for it, before the model's edge set ahead of it, model the
-// model after it and rebuilt its rebuild.
+// reported for it on the flattened read of the same graph, before the
+// model's edge set ahead of it, model the model after it and rebuilt
+// its rebuild, the independent oracle.
 func (ch *epochChain) flush(batch Batch, want *ApplyResult, before map[uint64]float32, model *mutModel, rebuilt *CSR) {
 	t := ch.t
 	t.Helper()
@@ -46,7 +50,7 @@ func (ch *epochChain) flush(batch Batch, want *ApplyResult, before map[uint64]fl
 		t.Fatalf("(*CSR).Apply: %v", err)
 	}
 	if !reflect.DeepEqual(res, want) {
-		t.Fatalf("(*CSR).Apply reports %+v, MutableCSR.Apply %+v", res, want)
+		t.Fatalf("Apply on the chain's epoch reports %+v, on the MutableCSR's flattened read %+v: the result depends on the parent's row form", res, want)
 	}
 	checkNetChange(t, res, pre, next, before, model)
 	ch.parent, ch.parentEdges, ch.cur = pre, before, next

@@ -8,8 +8,8 @@ import "sync"
 // table and the stream shadow are built from. It is built once, by
 // Homogenize, and shared: nothing that receives one may write to Out
 // or In — engines alias the arrays, and a mutation makes a new epoch
-// (MutableCSR's flat rebuild, or CSR.Apply's overlay, which shares every
-// row it did not rewrite) rather than writing one.
+// (CSR.Apply's overlay, which shares every row it did not rewrite)
+// rather than writing one.
 type Simple struct {
 	NumVertices int
 	Directed    bool

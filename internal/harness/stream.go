@@ -17,22 +17,15 @@ import (
 const maxInsertRetries = 32
 
 // streamShadow tracks the engine-independent ground truth of the
-// mutation stream: a MutableCSR over the homogenized graph. Batches
-// are generated against it (so every engine sees the identical
-// stream) and the post-batch edge list reconstructed from it feeds the
+// mutation stream: the homogenized graph's current epoch, advanced by
+// (*graph.CSR).Apply and read through the row accessors. Batches are
+// generated against it (so every engine sees the identical stream) and
+// the post-batch edge list reconstructed from it feeds the
 // full-recompute reference.
 type streamShadow struct {
-	mut      *graph.MutableCSR
+	cur      *graph.CSR
 	directed bool
 	weighted bool
-}
-
-func newStreamShadow(g *graph.Simple) *streamShadow {
-	return &streamShadow{
-		mut:      graph.NewMutableCSR(g.Out, g.Directed),
-		directed: g.Directed,
-		weighted: g.Weighted,
-	}
 }
 
 // batch generates one deterministic mutation batch against the current
@@ -40,17 +33,22 @@ func newStreamShadow(g *graph.Simple) *streamShadow {
 // with probability deleteFrac, otherwise a uniform random non-self-loop
 // insert. The RNG is seeded per batch (Mix64(seed, batch)), so the
 // stream for batch k never depends on how earlier batches were
-// consumed.
+// consumed. A stored edge is drawn by its index in row order, through
+// a flat epoch's Offsets or an overlay's degreePrefix.
 func (s *streamShadow) batch(ms *core.MutationSchedule, batchIdx int) graph.Batch {
 	r := xrand.New(xrand.Mix64(ms.Seed) ^ xrand.Mix64(uint64(batchIdx)*0x9e3779b97f4a7c15))
-	c := s.mut.CSR()
+	c := s.cur
 	n := c.NumVertices
+	off := c.Offsets
 	b := make(graph.Batch, 0, ms.BatchSize)
 	for i := 0; i < ms.BatchSize; i++ {
 		if r.Float64() < ms.DeleteFrac && c.NumEdges() > 0 {
+			if off == nil {
+				off = degreePrefix(c)
+			}
 			idx := int64(r.Intn(int(c.NumEdges())))
-			u := sort.Search(n, func(v int) bool { return c.Offsets[v+1] > idx })
-			b = append(b, graph.Mutation{Op: graph.MutDelete, Src: graph.VID(u), Dst: c.Adj[idx]})
+			u := sort.Search(n, func(v int) bool { return off[v+1] > idx })
+			b = append(b, graph.Mutation{Op: graph.MutDelete, Src: graph.VID(u), Dst: c.Neighbors(graph.VID(u))[idx-off[u]]})
 			continue
 		}
 		m := graph.Mutation{Op: graph.MutInsert, W: float32(1 - r.Float64())}
@@ -64,11 +62,20 @@ func (s *streamShadow) batch(ms *core.MutationSchedule, batchIdx int) graph.Batc
 	return b
 }
 
+// degreePrefix returns what c's Offsets would be if it were flat.
+func degreePrefix(c *graph.CSR) []int64 {
+	off := make([]int64, c.NumVertices+1)
+	for v := range c.NumVertices {
+		off[v+1] = off[v] + c.Degree(graph.VID(v))
+	}
+	return off
+}
+
 // edgeList reconstructs the edge list the shadow's current epoch
 // represents — the exact input from which a cold homogenize+build
 // reproduces the same normalized structure.
 func (s *streamShadow) edgeList() *graph.EdgeList {
-	c := s.mut.CSR()
+	c := s.cur
 	el := &graph.EdgeList{NumVertices: c.NumVertices, Weighted: s.weighted, Directed: s.directed}
 	for v := 0; v < c.NumVertices; v++ {
 		adj := c.Neighbors(graph.VID(v))
@@ -95,7 +102,7 @@ func (s *streamShadow) edgeList() *graph.EdgeList {
 // the honest displaced alternative (rebuild + cold kernel).
 func (r *Runner) runStream(spec core.Spec, g *graph.Simple, d *engines.Decl, opts engines.Options, st engines.Streamer, m *simmachine.Machine, owner []int16) ([]core.Result, error) {
 	ms := spec.Mutations
-	shadow := newStreamShadow(g)
+	shadow := &streamShadow{cur: g.Out, directed: g.Directed, weighted: g.Weighted}
 
 	// Establish the incremental baseline outside the per-batch
 	// accounting: the first incremental call on a fresh instance is a
@@ -107,9 +114,11 @@ func (r *Runner) runStream(spec core.Spec, g *graph.Simple, d *engines.Decl, opt
 	results := make([]core.Result, 0, ms.Batches)
 	for batch := 1; batch <= ms.Batches; batch++ {
 		b := shadow.batch(ms, batch)
-		if _, err := shadow.mut.Apply(b); err != nil {
+		next, _, err := shadow.cur.Apply(b, shadow.directed)
+		if err != nil {
 			return nil, fmt.Errorf("stream batch %d (shadow): %w", batch, err)
 		}
+		shadow.cur = next
 
 		res := core.Result{
 			Engine:    d.Name,

@@ -2,11 +2,14 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/hpcl-repro/epg/internal/core"
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/graph"
 )
 
 func streamSpec(alg engines.Algorithm) core.Spec {
@@ -53,6 +56,54 @@ func TestRunStreamProducesPerBatchResults(t *testing.T) {
 		}
 		if baseline != 2 || stream != 3 {
 			t.Fatalf("%s: %d baseline + %d stream rows, want 2 + 3", alg, baseline, stream)
+		}
+	}
+}
+
+// A shadow whose epoch is an overlay draws the very batches a shadow
+// holding its flat compaction draws: the degree prefix an overlay's
+// deletes are indexed by is the flat epoch's Offsets, entry for entry,
+// so the stream does not depend on the shadow's row form.
+func TestStreamShadowOverlayDrawsFlatBatches(t *testing.T) {
+	ms := &core.MutationSchedule{Batches: 8, BatchSize: 24, DeleteFrac: 0.5, Seed: 7}
+	for _, directed := range []bool{false, true} {
+		el, err := ResolveDataset("kron-10", DatasetOptions{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		el.Directed = directed
+		g, err := graph.Homogenize(el)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &streamShadow{cur: g.Out, directed: g.Directed, weighted: g.Weighted}
+		overlays, deletes := 0, 0
+		for i := 1; i <= ms.Batches; i++ {
+			flat := &streamShadow{cur: s.cur.Flat(), directed: s.directed, weighted: s.weighted}
+			got, want := s.batch(ms, i), flat.batch(ms, i)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("directed=%v batch %d: the overlay shadow draws %v, the flat one %v", directed, i, got, want)
+			}
+			if s.cur.Offsets == nil {
+				overlays++
+				if off := degreePrefix(s.cur); !slices.Equal(off, flat.cur.Offsets) {
+					t.Fatalf("directed=%v batch %d: the overlay's degree prefix differs from its compaction's Offsets", directed, i)
+				}
+			}
+			for _, mu := range got {
+				if mu.Op == graph.MutDelete {
+					deletes++
+				}
+			}
+			next, _, err := s.cur.Apply(got, s.directed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.cur = next
+		}
+		t.Logf("directed=%v: %d of %d batches drawn on an overlay, %d deletes", directed, overlays, ms.Batches, deletes)
+		if overlays < ms.Batches/2 || deletes == 0 {
+			t.Fatalf("directed=%v: %d of %d batches drawn on an overlay, %d deletes; the test needs overlays and deletes", directed, overlays, ms.Batches, deletes)
 		}
 	}
 }
