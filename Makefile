@@ -4,11 +4,12 @@
 # and epgd's sketch build and repair, and `make race-full`
 # (CI's race step) the same over every package; `make fuzz` runs the
 # property-fuzz targets for FUZZTIME each (FuzzSpec for 60s), the stream,
-# serve and Runner programs among them; `make bench` regenerates
-# the paper's tables and figures once; `make loc` prints the non-test
-# Go lines outside bench/. The three committed studies (internal/study:
+# serve and Runner programs among them; `make loc` prints the non-test
+# Go lines outside bench/. The four committed studies (internal/study:
 # sched = FIG_sched_study_ci.csv, serving = FIG_serving_study.csv,
-# stream = FIG_stream_study.csv) share two pattern rules:
+# stream = FIG_stream_study.csv, paper = FIG_paper_claims.csv, the
+# ledger that holds the model to the paper's findings) share two
+# pattern rules:
 # `make study-<name>-check` is the drift gate that fails when the
 # regenerated modeled study differs from the committed file by a byte,
 # `make study-<name>` rewrites the file after a change meant to move
@@ -27,7 +28,7 @@
 # the B/call each one measured; `make permute` builds with the
 # epg_permute tag, under which every simmachine region runs its chunks
 # serially in an order the test picks (FuzzSpec's seeds compare
-# eight), and runs the whole suite and the three studies' drift gates
+# eight), and runs the whole suite and the four studies' drift gates
 # that way.
 
 GO ?= go
@@ -39,7 +40,7 @@ FUZZTIME ?= 20s
 # pinned to kron-12 in internal/study, independent of this knob.)
 SCHEDFIG_SCALE ?= 17
 
-.PHONY: all build test bench-test bench-compare race race-full alloc-walls fuzz bench loc golden benchfig compress-ratio serve-soak speedup-floor big-conformance permute vet fmt-check
+.PHONY: all build test bench-test bench-compare race race-full alloc-walls fuzz loc golden benchfig compress-ratio serve-soak speedup-floor big-conformance permute vet fmt-check
 
 all: test bench-test race
 
@@ -98,9 +99,6 @@ fuzz:
 compress-ratio:
 	$(GO) test -run 'TestCompressionRatioKron16$$' -v ./internal/graph/
 
-bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x .
-
 # The size the quality-of-design axis is judged by: non-test Go lines
 # outside the frozen benchmark module.
 loc:
@@ -109,7 +107,7 @@ loc:
 golden:
 	EPG_WRITE_GOLDEN=1 $(GO) test -run 'TestGoldenModeledCosts$$' -count=1 -v ./internal/engines/all/
 
-# `epg study <name>`: sched, serving or stream. (make takes the rule
+# `epg study <name>`: sched, serving, stream or paper. (make takes the rule
 # with the shortest stem, so study-sched-check checks "sched"; the check
 # rule also comes first for makes that go by order.)
 study-%-check:
@@ -139,7 +137,7 @@ big-conformance:
 
 permute:
 	$(GO) test -tags epg_permute ./...
-	for s in sched serving stream; do $(GO) run -tags epg_permute ./cmd/epg study $$s -check || exit 1; done
+	for s in sched serving stream paper; do $(GO) run -tags epg_permute ./cmd/epg study $$s -check || exit 1; done
 
 vet:
 	$(GO) vet ./...

@@ -14,7 +14,7 @@
 //   - cit-Patents: 3,774,768 vertices, 16,518,948 edges, directed,
 //     unweighted citation network; time-ordered (patents cite only
 //     earlier patents), sparse (avg out-degree ~4.4), wide and
-//     shallow. Being unweighted makes SSSP "N/A" in Table I.
+//     shallow. Being unweighted makes SSSP N/A in Table I.
 //
 // Both generators take a ScaleDivisor so tests and default benchmarks
 // run a proportionally smaller graph with the same density character;

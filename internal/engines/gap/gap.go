@@ -98,9 +98,10 @@ var Decl = engines.Decl{
 	New:                  func() engines.Instance { return &Instance{Params: DefaultParams} },
 }
 
-// Params are the suite's tunables (tune.go searches them): the
-// direction-optimizing BFS switch (Alpha <= 0 never goes bottom-up) and
-// the delta-stepping bucket width (<= 0 means DefaultDelta).
+// Params are the suite's tunables, which an Instance takes from
+// DefaultParams and tests set: the direction-optimizing BFS switch
+// (Alpha <= 0 never goes bottom-up) and the delta-stepping bucket width
+// (<= 0 means DefaultDelta).
 type Params struct {
 	Alpha int
 	Beta  int

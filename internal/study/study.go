@@ -42,7 +42,7 @@ type Study struct {
 }
 
 // All lists the declared studies.
-var All = []*Study{Sched, Serving, Stream}
+var All = []*Study{Sched, Serving, Stream, Paper}
 
 // declare derives a Study from its columns and its cell generator, which
 // returns the cells on el (the dataset generated from seed) in row order.
@@ -92,6 +92,9 @@ func WriteCSV[R any](w io.Writer, cols []Column[R], rows []R, pinned bool) error
 			}
 			switch v := v.(type) {
 			case string:
+				if strings.ContainsAny(v, ",\"\n") {
+					panic(fmt.Sprintf("study: column %s holds %q, which would split its line", c.Header, v))
+				}
 				bw.WriteString(v)
 			case int:
 				bw.WriteString(strconv.Itoa(v))

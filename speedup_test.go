@@ -11,7 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcl-repro/epg/internal/core"
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/engines/gap"
+	"github.com/hpcl-repro/epg/internal/graph"
+	"github.com/hpcl-repro/epg/internal/kronecker"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
@@ -20,12 +24,32 @@ import (
 // the modeled BFS and PageRank kernels under the steal policy.
 const speedupFloorRatio = 0.6
 
+func speedupGraph() *graph.EdgeList {
+	return kronecker.Generate(kronecker.Params{Scale: 16, Seed: 1})
+}
+
+// speedupInstance loads GAP (the leanest engine: its wall time is
+// dominated by the kernels, not the model bookkeeping).
+func speedupInstance(t testing.TB, el *graph.EdgeList, workers int) (*gap.Instance, graph.VID) {
+	m := simmachine.New(simmachine.Haswell72(), 32)
+	m.SetWorkers(workers)
+	m.SetTracing(false)
+	inst, err := (&engines.Engine{Decl: &gap.Decl}).Load(el, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.BuildStructure()
+	csr := graph.BuildCSR(el, graph.BuildOptions{Symmetrize: !el.Directed, DropSelfLoops: true})
+	roots := core.SelectRoots(csr, 1, 1)
+	return inst.(*gap.Instance), roots[0]
+}
+
 // measureKernel returns the best-of-reps wall seconds of one kernel
 // run at the given worker count under the work-stealing policy.
 // Best-of (not mean) keeps the measurement robust against CI noise.
 func measureKernel(t *testing.T, workers int, kernel string) float64 {
 	t.Helper()
-	el := speedupGraph(t)
+	el := speedupGraph()
 	inst, root := speedupInstance(t, el, workers)
 	inst.Machine().SetSchedOverride(simmachine.Steal)
 	run := func() error {
@@ -59,9 +83,8 @@ func measureKernel(t *testing.T, workers int, kernel string) float64 {
 // It is tier-2 — a wall-clock measurement, inherently noisy on shared
 // runners — so it only arms behind EPG_SPEEDUP_FLOOR=1 (its own CI
 // step, `make speedup-floor`), keeping the tier-1 `go test ./...`
-// gate deterministic. Also skipped on hosts without 4 CPUs (the
-// committed BENCH_baseline.json may come from such a host; the floor
-// only means something where the hardware can deliver it).
+// gate deterministic. Also skipped on hosts without 4 CPUs: the floor
+// only means something where the hardware can deliver it.
 func TestSpeedupFloor(t *testing.T) {
 	if os.Getenv("EPG_SPEEDUP_FLOOR") == "" {
 		t.Skip("tier-2 wall-clock assertion: set EPG_SPEEDUP_FLOOR=1 (make speedup-floor) to run")
