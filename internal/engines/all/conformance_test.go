@@ -216,6 +216,36 @@ func TestPageRankConformance(t *testing.T) {
 	}
 }
 
+func TestGraphMatRunsMoreIterations(t *testing.T) {
+	// The paper's Fig. 4 observation: GraphMat's run-until-no-change
+	// rule yields the most iterations. The ordering is a large-graph
+	// property (at tiny scales the global L1 budget is the stricter
+	// criterion), so this uses the largest quick-test scale.
+	el := kronecker.Generate(kronecker.Params{Scale: 13, Seed: 42})
+	insts := loadAll(t, el)
+	iters := map[string]int{}
+	for name, inst := range insts {
+		res, err := inst.PageRank(engines.PROpts{})
+		if errors.Is(err, engines.ErrUnsupported) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		iters[name] = res.Iterations
+	}
+	// Compare against the float64 L1-stopped engines, whose counts
+	// are stable. GraphBIG's float32 L1 wanders near the 6e-8
+	// threshold and can overshoot everyone at small scales, so it is
+	// excluded from the strict ordering (the paper's full ordering is
+	// a scale-22 observation; see EXPERIMENTS.md).
+	for _, other := range []string{GAP, PowerGraph} {
+		if iters[GraphMat] < iters[other] {
+			t.Errorf("GraphMat iterations (%d) below %s (%d)", iters[GraphMat], other, iters[other])
+		}
+	}
+}
+
 func TestCDLPConformance(t *testing.T) {
 	for _, tg := range testGraphs(t) {
 		t.Run(tg.name, func(t *testing.T) {
@@ -700,4 +730,43 @@ func TestBigConformance(t *testing.T) {
 			conformAllKernels(t, el, insts, 1, true)
 		})
 	}
+}
+
+// Model-time sanity: on the same graph at 32 virtual threads, GAP's
+// BFS must beat GraphBIG's and GraphMat's by a widening margin (the
+// paper's Table III shows ~85x at scale 22; the gap grows with scale,
+// so the bound here is scaled to the small test graph).
+func TestBFSRelativeSpeedShape(t *testing.T) {
+	el := kronecker.Generate(kronecker.Params{Scale: 14, Seed: 11})
+	p := verify.Prepare(el)
+	root := roots(p, 1)[0]
+	times := map[string]float64{}
+	for _, name := range []string{GAP, Graph500, GraphBIG, GraphMat} {
+		eng, _ := New(name)
+		m := simmachine.New(simmachine.Haswell72(), 32)
+		inst, err := eng.Load(el, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst.BuildStructure()
+		start := m.Elapsed()
+		if _, err := inst.BFS(root); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		times[name] = m.Elapsed() - start
+	}
+	if times[GAP] <= 0 {
+		t.Fatal("no modeled time accrued")
+	}
+	for _, slow := range []string{GraphBIG, GraphMat} {
+		if ratio := times[slow] / times[GAP]; ratio < 3 {
+			t.Errorf("%s/GAP BFS ratio = %.1f, want >= 3 at scale 14", slow, ratio)
+		}
+	}
+	// Graph500 sits between GAP and the frameworks.
+	if ratio := times[Graph500] / times[GAP]; ratio > 10 || ratio < 0.5 {
+		t.Errorf("Graph500/GAP ratio = %.2f, want in [0.5, 10]", ratio)
+	}
+	fmt.Printf("BFS modeled times at 32 threads (scale 14): GAP=%.4gs G500=%.4gs GraphBIG=%.4gs GraphMat=%.4gs\n",
+		times[GAP], times[Graph500], times[GraphBIG], times[GraphMat])
 }
