@@ -24,13 +24,15 @@ const (
 	opCancel              // refuse the next cancel poll
 	opHold                // hold the current epoch
 	opBind                // BindEpoch the held epoch
+	opStar                // hi: weight (hi+1)/16; then u: insert u->v for every v not a multiple of 8
 	numOps
 )
 
 // programN is the vertex count of every program's graph: one chunk of
 // every PageRank and WCC region, so a dirty set's size is what moves a
-// charge.
-const programN = 48
+// charge, and more than graph's delta floor, so a star makes a row that
+// an overlay keeps as a delta.
+const programN = 1024
 
 const (
 	kindPR = iota
@@ -52,6 +54,8 @@ type streamProgram struct {
 	since              [2]graph.Batch
 	held               *Epoch
 	cancel, fired      bool
+	// deltaEpochs counts the flushes whose epoch held a delta row.
+	deltaEpochs int
 }
 
 // FuzzStreamProgram runs byte programs of edge inserts and deletes,
@@ -77,7 +81,10 @@ type streamProgram struct {
 // second; seed#5 maintains with nothing mutated; seed#6 a directed
 // degree-preserving swap (delete 0->1, insert 0->3) under PageRank;
 // seed#7 worker counts, a cancel, compression and a bind to an older
-// epoch.
+// epoch; seed#8 and seed#9, undirected raw and directed compressed, a
+// hub row (a star) kept as a delta over three epochs, a sibling of the
+// last applied to the held first, and a second star that compacts
+// (hubStreamProgram).
 func FuzzStreamProgram(f *testing.F) {
 	ins := func(u, v byte) []byte { return []byte{opInsert, u, v} }
 	del := func(u, v byte) []byte { return []byte{opDelete, u, v} }
@@ -97,6 +104,9 @@ func FuzzStreamProgram(f *testing.F) {
 	f.Add(prog(32<<2|3, []byte{opWorkers}, pr, wcc, []byte{opHold}, ins(4, 6), []byte{opDeleteStored, 2}, flush,
 		[]byte{opCancel}, pr, wcc, []byte{2<<4 | opWorkers}, ins(6, 4), flush, pr, wcc,
 		[]byte{opBind}, pr, wcc, []byte{0x70 | opInsert, 7, 8}, flush, pr, wcc))
+	for _, g := range []byte{63 << 2, 63<<2 | 3} {
+		f.Add(hubStreamProgram(g))
+	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) == 0 || len(prog) > 160 {
 			return
@@ -105,7 +115,38 @@ func FuzzStreamProgram(f *testing.F) {
 	})
 }
 
-func runStreamProgram(t *testing.T, prog []byte) {
+// hubStreamProgram is a stream program on graph byte g whose hub row
+// passes the delta-row rule: a star on vertex 0 (the flush compacts),
+// three epochs that change a few of its entries — a delete put back at
+// another weight, a reweigh, an entry it lacked that comes and is then
+// reweighed, one that comes and goes again — each maintained, the first
+// held; a bind back to it and a flush that makes a sibling of the
+// third; and a star on vertex 1, which compacts.
+func hubStreamProgram(g byte) []byte {
+	ins := func(u, v byte) []byte { return []byte{opInsert, u, v} } // weight 1/16
+	heavy := func(u, v byte) []byte { return []byte{7<<4 | opInsert, u, v} }
+	del := func(u, v byte) []byte { return []byte{opDelete, u, v} }
+	star := func(u byte) []byte { return []byte{7<<4 | opStar, u} }
+	flush, pr, wcc, hold, bind := []byte{opFlush}, []byte{opPR}, []byte{opWCC}, []byte{opHold}, []byte{opBind}
+	return slices.Concat([]byte{g}, star(0), flush, pr, wcc,
+		del(0, 5), heavy(0, 8), heavy(0, 16), flush, pr, wcc, hold,
+		ins(0, 5), ins(0, 8), flush, pr,
+		del(0, 16), ins(0, 3), flush, pr, wcc,
+		bind, del(0, 7), heavy(0, 24), flush, pr, wcc,
+		star(1), flush, pr, wcc)
+}
+
+// The hub programs FuzzStreamProgram seeds with form delta rows: the
+// three epochs after the first star and the sibling each hold one.
+func TestStreamHubProgramsFormDeltaRows(t *testing.T) {
+	for _, g := range []byte{63 << 2, 63<<2 | 3} {
+		if p := runStreamProgram(t, hubStreamProgram(g)); p.deltaEpochs < 4 {
+			t.Fatalf("graph byte %#x: %d epochs held a delta row; want 4", g, p.deltaEpochs)
+		}
+	}
+}
+
+func runStreamProgram(t *testing.T, prog []byte) *streamProgram {
 	p := &streamProgram{t: t, directed: prog[0]&1 != 0, compress: prog[0]&2 != 0, workers: 2}
 	el := &graph.EdgeList{NumVertices: programN, Directed: p.directed, Weighted: true}
 	r := xrand.New(uint64(prog[0]) + 1)
@@ -167,11 +208,21 @@ func runStreamProgram(t *testing.T, prog []byte) {
 				p.inst.BindEpoch(*p.held)
 				p.base, p.since = [2]*Epoch{}, [2]graph.Batch{}
 			}
+		case opStar:
+			if u, ok := operand(i + 1); ok {
+				for v := graph.VID(1); v < programN; v++ {
+					if v%8 != 0 {
+						p.pending = append(p.pending, graph.Mutation{Op: graph.MutInsert, Src: u, Dst: v, W: float32(hi+1) / 16})
+					}
+				}
+			}
+			i++
 		}
 	}
 	p.flush()
 	p.maintain(kindPR)
 	p.maintain(kindWCC)
+	return p
 }
 
 // storedEntry is the i-th stored out-entry (mod their count), if any.
@@ -186,6 +237,9 @@ func storedEntry(c *graph.CSR, i int) (graph.VID, graph.VID, bool) {
 func (p *streamProgram) flush() {
 	if _, err := p.inst.Mutate(p.pending); err != nil {
 		p.t.Fatal(err)
+	}
+	if p.inst.Epoch().Out().DeltaRows() > 0 {
+		p.deltaEpochs++
 	}
 	for k := range p.since {
 		p.since[k] = append(p.since[k], p.pending...)

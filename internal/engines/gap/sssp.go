@@ -78,6 +78,7 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 	laterQ, laterBuf := &ws.laterQ, &ws.laterBuf
 
 	bucketOf := func(d float64) int { return int(d / delta) }
+	rowBufs := ws.rowBufs(inst.m.Workers())
 	const grain = 32 // GrainFixed base; adaptive resolves per pass
 
 	for bi := 0; bi < len(ws.buckets); bi++ {
@@ -114,8 +115,7 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 					if bucketOf(dv) > bi { // stale entry
 						continue
 					}
-					adj := inst.out.Neighbors(v)
-					ws := inst.out.NeighborWeights(v)
+					adj, ws := inst.out.WeightedRowBuf(v, &rowBufs[worker])
 					for i, u := range adj {
 						wt := float64(ws[i])
 						if wt > delta {
@@ -165,8 +165,7 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 				var edges, wins int64
 				for _, v := range heavyFrontier[lo:hi] {
 					dv := loadDist(v)
-					adj := inst.out.Neighbors(v)
-					ws := inst.out.NeighborWeights(v)
+					adj, ws := inst.out.WeightedRowBuf(v, &rowBufs[worker])
 					for i, u := range adj {
 						wt := float64(ws[i])
 						if wt <= delta {

@@ -313,9 +313,11 @@ func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResul
 	// order.
 	ws.contrib = traverse.Resized(ws.contrib, n)
 	contrib := ws.contrib
+	buf := &inst.ws.row
 	pull := func(v graph.VID, base float64) float64 {
 		sum := 0.0
-		for _, u := range inst.in.Neighbors(v) {
+		row, _ := inst.in.Row(v, buf)
+		for _, u := range row {
 			sum += contrib[u]
 		}
 		return base + opts.Damping*sum
@@ -380,7 +382,8 @@ func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResul
 			}
 			for _, list := range [][]graph.VID{changed, ws.degDirty} {
 				for _, u := range list {
-					for _, v := range inst.out.Neighbors(u) {
+					row, _ := inst.out.Row(u, buf)
+					for _, v := range row {
 						mark(v)
 					}
 				}
@@ -534,6 +537,10 @@ func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 		// minimum, so labels come out canonical.
 		var bfsEdges int64
 		q := ws.wccQueue
+		sides := []*graph.CSR{inst.out, inst.in}
+		if !directed {
+			sides = sides[:1]
+		}
 		for _, root := range S {
 			if mark[root] == done {
 				continue
@@ -543,11 +550,8 @@ func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 			q = append(q[:0], root)
 			for head := 0; head < len(q); head++ {
 				v := q[head]
-				rows := [2][]graph.VID{inst.out.Neighbors(v), nil}
-				if directed {
-					rows[1] = inst.in.Neighbors(v)
-				}
-				for _, row := range rows {
+				for _, c := range sides {
+					row, _ := c.Row(v, &ws.row)
 					bfsEdges += int64(len(row))
 					for _, u := range row {
 						if mark[u] == todo {

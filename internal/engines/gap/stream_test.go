@@ -388,13 +388,29 @@ func TestMutateRejectsInvalid(t *testing.T) {
 	}
 }
 
-// A Mutate allocates the rows its batch dirties, not the graph: on
-// weighted undirected kron-12, a warm Mutate of a 64-op batch that does
-// not compact allocates less than a quarter of the epoch's flat bytes
-// (offsets, neighbors and weights). Each call rebinds the flat epoch
-// first, so every one applies the same batch to the same rows.
+// Allowances of TestMutateAllocFollowsDirtyRows, per the graph
+// package's overlay: a dirty row takes an entry in one of two tables,
+// a copy's two slice headers or a delta's slice header and length (80
+// bytes between them, allowed twice over for the tables' blocks); a
+// row of deltaFloor entries or more is a delta row, which a 64-op batch
+// keeps to a few entries; a replay allocates at most replayBytesPerOp
+// per op.
+const (
+	rowEntryBytes    = 80
+	deltaFloor       = 512
+	replayBytesPerOp = 320
+)
+
+// A Mutate allocates what the entries its batch changes need, not its
+// dirty rows whole and not the graph: on weighted undirected kron-13, a
+// warm Mutate of a 64-op batch that does not compact allocates at most
+// the slot index, the row table's growth, the rows under the delta
+// floor copied, a floor's worth for each row at or past it (a delta of
+// a few entries) and the replay; and less than the same overlay with
+// every dirty row copied whole. Each call rebinds the flat epoch first,
+// so every one applies the same batch to the same rows.
 func TestMutateAllocFollowsDirtyRows(t *testing.T) {
-	inst := load(t, engine(), kron(12, 1), 8)
+	inst := load(t, engine(), kron(13, 1), 8)
 	base := inst.Epoch()
 	out := base.Out()
 	batch := streamBatch(out, xrand.New(12), 64, 0.4)
@@ -404,13 +420,38 @@ func TestMutateAllocFollowsDirtyRows(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	flat := uint64(8*(out.NumVertices+1)) + uint64(8*out.NumEdges())
-	t.Logf("warm Mutate of %d ops: %d B; flat epoch %d B", len(batch), per, flat)
-	if per >= flat/4 {
-		t.Fatalf("a warm 64-op Mutate allocates %d B; bound %d B (a quarter of the flat epoch)", per, flat/4)
+	next := inst.Epoch().Out()
+	const entry = 8 // a neighbor and its weight
+	var dirty, small, floors, whole uint64
+	prev := graph.VID(out.NumVertices)
+	for c := range graph.Diff(out, next) {
+		if c.Src == prev {
+			continue
+		}
+		prev = c.Src
+		dirty++
+		deg := uint64(next.Degree(c.Src))
+		whole += deg * entry
+		if deg < deltaFloor {
+			small += deg * entry
+		} else {
+			floors += deltaFloor * entry
+		}
 	}
-	if next := inst.Epoch().Out(); next.Flat() == next {
+	slot, table, replay := uint64(4*out.NumVertices), 2*dirty*rowEntryBytes, replayBytesPerOp*uint64(len(batch))
+	bound := slot + table + small + floors + replay
+	whole += slot + table + replay
+	t.Logf("warm Mutate of %d ops, %d dirty rows, %d of them deltas: %d B; bound %d B (slot index %d, row table %d, small rows %d, deltas %d, replay %d); with the dirty rows whole %d B",
+		len(batch), dirty, next.DeltaRows(), per, bound, slot, table, small, floors, replay, whole)
+	switch {
+	case next.Flat() == next:
 		t.Fatal("the 64-op Mutate compacted; the wall measures an overlay")
+	case next.DeltaRows() == 0:
+		t.Fatal("the 64-op Mutate made no delta row; the wall measures hub rows as deltas")
+	case per > bound:
+		t.Fatalf("a warm 64-op Mutate allocates %d B; bound %d B", per, bound)
+	case per >= whole:
+		t.Fatalf("a warm 64-op Mutate allocates %d B; with its dirty rows copied whole it would take %d B", per, whole)
 	}
 }
 

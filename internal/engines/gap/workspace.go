@@ -40,6 +40,10 @@ type workspace struct {
 	reAddBuf parallel.Arena[graph.VID]
 	laterQ   parallel.ChunkQueue[[2]int64] // (bucket, vertex)
 	laterBuf parallel.Arena[[2]int64]
+	// rows holds one buffer per worker for the rows an epoch stores as
+	// deltas (graph.RowBuf); row is the serial maintainers' one.
+	rows []graph.RowBuf
+	row  graph.RowBuf
 
 	// PageRank: the rank vector the last call did not hand out, the
 	// rank/degree contributions and the out-degrees of the epoch.
@@ -56,6 +60,14 @@ type workspace struct {
 	wccMark          []uint8
 	wccSet           []graph.VID
 	wccQueue         []graph.VID
+}
+
+// rowBufs returns one row buffer per worker of workers.
+func (ws *workspace) rowBufs(workers int) []graph.RowBuf {
+	if len(ws.rows) != workers {
+		ws.rows = make([]graph.RowBuf, workers)
+	}
+	return ws.rows
 }
 
 // resetBuckets empties every retained bucket (an abandoned run leaves

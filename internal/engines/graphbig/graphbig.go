@@ -79,15 +79,17 @@ type vertexProp struct {
 // it in place.
 type propertyGraph []vertexProp
 
-func (g propertyGraph) Row(v graph.VID, _ []graph.VID) ([]graph.VID, int64) { return g[v].out, 0 }
-func (g propertyGraph) Encoded() bool                                       { return false }
-func (g propertyGraph) WeightedRow(v graph.VID) ([]graph.VID, []float32)    { return g[v].out, g[v].w }
+func (g propertyGraph) Row(v graph.VID, _ *graph.RowBuf) ([]graph.VID, int64) { return g[v].out, 0 }
+func (g propertyGraph) Encoded() bool                                         { return false }
+func (g propertyGraph) WeightedRowBuf(v graph.VID, _ *graph.RowBuf) ([]graph.VID, []float32) {
+	return g[v].out, g[v].w
+}
 
 // inProps is the same table read along in-edges.
 type inProps propertyGraph
 
-func (g inProps) Row(v graph.VID, _ []graph.VID) ([]graph.VID, int64) { return g[v].in, 0 }
-func (g inProps) Encoded() bool                                       { return false }
+func (g inProps) Row(v graph.VID, _ *graph.RowBuf) ([]graph.VID, int64) { return g[v].in, 0 }
+func (g inProps) Encoded() bool                                         { return false }
 
 // Instance is a GraphBIG property graph on a machine.
 type Instance struct {

@@ -33,7 +33,7 @@ type Chunk struct {
 	Work    int64
 
 	raw, decoded, encBytes int64
-	buf                    []graph.VID
+	buf                    *graph.RowBuf
 	worker                 int      // the real worker running the chunk
 	_                      [64]byte // one accumulator per worker: keep them off each other's lines
 }
@@ -44,19 +44,21 @@ type Chunk struct {
 func (c *Chunk) Worker() int { return c.worker }
 
 // Row returns v's row of rows and counts it toward the chunk's edge
-// charge. A decoded row is valid until the chunk's next Row call.
+// charge: as raw when nothing was decoded, a row merged from a delta
+// included. A decoded or merged row is valid until the chunk's next Row
+// call; it is built in the worker's buffer.
 func (c *Chunk) Row(rows Rows, v int) []graph.VID {
+	var adj []graph.VID
+	var nb int64
 	if csr, ok := rows.(*graph.CSR); ok { // the usual source, without the dynamic call
-		adj := csr.Neighbors(graph.VID(v))
-		c.raw += int64(len(adj))
-		return adj
+		adj, nb = csr.Row(graph.VID(v), c.buf)
+	} else {
+		adj, nb = rows.Row(graph.VID(v), c.buf)
 	}
-	adj, nb := rows.Row(graph.VID(v), c.buf)
 	if nb == 0 { // stored raw (or an empty stream: nothing to count)
 		c.raw += int64(len(adj))
 		return adj
 	}
-	c.buf = adj
 	c.decoded += int64(len(adj))
 	c.encBytes += nb
 	return adj
@@ -75,9 +77,8 @@ func (s *State) Sweep(m *simmachine.Machine, n, grain int, p *SweepProfile, body
 	cpb := m.Model().DecodeCyclesPerByte
 	m.ParallelForChunks(n, grain, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
 		c := &s.chunks[worker]
-		*c = Chunk{buf: s.decode[worker], worker: worker}
+		*c = Chunk{buf: &s.rowBufs[worker], worker: worker}
 		body(c, lo, hi)
-		s.decode[worker] = c.buf
 		s.parts[chunk] = c.Sum
 		chg.Add(worker, c.Changed)
 		entries := float64(c.raw)

@@ -35,23 +35,25 @@ import (
 )
 
 // Rows is the adjacency a step reads, resolved once per vertex and
-// never per edge: *graph.CSR hands out its stored
-// row, *graph.CompressedCSR decodes into buf, and a property graph
-// returns its per-vertex slice.
+// never per edge: *graph.CSR hands out its stored row and merges a row
+// an overlay epoch stores as a delta into buf, *graph.CompressedCSR
+// decodes into buf, and a property graph returns its per-vertex slice.
 type Rows interface {
 	// Row returns v's neighbors and the encoded bytes read to produce
-	// them (0 when rows are stored raw). An encoded source decodes
-	// into buf and returns it, possibly regrown.
-	Row(v graph.VID, buf []graph.VID) (adj []graph.VID, encodedBytes int64)
+	// them (0 when rows are stored raw, merged or not). A source that
+	// builds the row builds it in buf, the caller's per-worker scratch;
+	// the row is valid until the next Row through the same buf.
+	Row(v graph.VID, buf *graph.RowBuf) (adj []graph.VID, encodedBytes int64)
 	// Encoded reports whether Row decodes, which selects
 	// Profile.EdgeCompressed over Profile.Edge.
 	Encoded() bool
 }
 
 // WeightedRows is the adjacency a relaxation pass reads: neighbors and
-// the parallel weight slice.
+// the parallel weight slice, a merged row built in buf, the caller's
+// per-worker scratch, as Rows does.
 type WeightedRows interface {
-	WeightedRow(v graph.VID) (adj []graph.VID, w []float32)
+	WeightedRowBuf(v graph.VID, buf *graph.RowBuf) (adj []graph.VID, w []float32)
 }
 
 // Profile is everything that distinguishes one engine's top-down BFS
@@ -116,7 +118,7 @@ type State struct {
 	edges   *parallel.Counter
 	spare   [3]*parallel.Counter // Counter's: for the regions an engine runs itself
 	bits    [2]*parallel.Bitmap  // Bitmaps'
-	decode  [][]graph.VID        // per-worker Rows.Row scratch
+	rowBufs []graph.RowBuf       // per-worker Rows and WeightedRows scratch
 	chunks  []Chunk              // per-worker Sweep accumulators
 	tallies []Tally              // per-worker label histograms (Tallies)
 	parts   []float64            // per-chunk sums of the last Sweep
@@ -141,7 +143,7 @@ func (s *State) size(m *simmachine.Machine) {
 		for i := range s.spare {
 			s.spare[i] = parallel.NewCounter(w)
 		}
-		s.decode = make([][]graph.VID, w)
+		s.rowBufs = make([]graph.RowBuf, w)
 		s.chunks = make([]Chunk, w)
 	}
 }
@@ -286,14 +288,11 @@ func (s *State) TopDown(m *simmachine.Machine, rows Rows, p *Profile, res *engin
 	m.ParallelForChunks(len(frontier), grain, p.Sched, func(lo, hi, chunk, worker int, w *simmachine.W) {
 		local := arena.Take(worker)
 		start := len(local)
-		buf := s.decode[worker]
+		buf := &s.rowBufs[worker]
 		var edges, claims, decBytes int64
 		for _, v := range frontier[lo:hi] {
 			adj, nb := rows.Row(v, buf)
-			if encoded {
-				buf = adj
-				decBytes += nb
-			}
+			decBytes += nb
 			for _, u := range adj {
 				edges++
 				// Finalized before this level (root included): skip.
@@ -311,7 +310,6 @@ func (s *State) TopDown(m *simmachine.Machine, rows Rows, p *Profile, res *engin
 			}
 		}
 		next.Put(chunk, arena.Give(worker, local, start))
-		s.decode[worker] = buf
 		exa.Add(worker, edges)
 		w.Charge(edgeCost.Scale(float64(edges)))
 		// Raw rows read no encoded bytes: these two add nothing.
@@ -372,13 +370,14 @@ func (s *State) Relax(m *simmachine.Machine, rows WeightedRows, p *RelaxProfile,
 	m.ParallelForChunks(len(frontier), g, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
 		local := arena.Take(worker)
 		start := len(local)
+		buf := &s.rowBufs[worker]
 		var edges int64
 		for _, v := range frontier[lo:hi] {
 			dv := dist[v]
 			if pass.Stale != nil && pass.Stale(dv) {
 				continue
 			}
-			adj, ws := rows.WeightedRow(v)
+			adj, ws := rows.WeightedRowBuf(v, buf)
 			for i, u := range adj {
 				wt := float64(ws[i])
 				if (wt > pass.Split) != pass.Heavy {

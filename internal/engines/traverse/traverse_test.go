@@ -24,9 +24,11 @@ type sliceRows struct {
 	w   [][]float32
 }
 
-func (g sliceRows) Row(v graph.VID, _ []graph.VID) ([]graph.VID, int64) { return g.adj[v], 0 }
-func (g sliceRows) Encoded() bool                                       { return false }
-func (g sliceRows) WeightedRow(v graph.VID) ([]graph.VID, []float32)    { return g.adj[v], g.w[v] }
+func (g sliceRows) Row(v graph.VID, _ *graph.RowBuf) ([]graph.VID, int64) { return g.adj[v], 0 }
+func (g sliceRows) Encoded() bool                                         { return false }
+func (g sliceRows) WeightedRowBuf(v graph.VID, _ *graph.RowBuf) ([]graph.VID, []float32) {
+	return g.adj[v], g.w[v]
+}
 
 func kronCSR(scale int, seed uint64) *graph.CSR {
 	el := kronecker.Generate(kronecker.Params{Scale: scale, Seed: seed})

@@ -182,10 +182,10 @@ func (c *CompressedCSR) DecodeNeighbors(v VID, buf []VID) []VID {
 
 // Row decodes v's whole row into buf and reports the compressed bytes
 // that took — what a full expansion charges in place of the raw
-// 4 B/edge. The returned row is the (possibly regrown) buf: pass it
-// back as the next call's buf.
-func (c *CompressedCSR) Row(v VID, buf []VID) ([]VID, int64) {
-	return c.DecodeNeighbors(v, buf), c.EncodedBytes(v)
+// 4 B/edge.
+func (c *CompressedCSR) Row(v VID, buf *RowBuf) ([]VID, int64) {
+	buf.adj = c.DecodeNeighbors(v, buf.adj)
+	return buf.adj, c.EncodedBytes(v)
 }
 
 // FirstIn is CSR.FirstIn over the encoded stream: it decodes only up
@@ -255,7 +255,8 @@ const compressSerialCutoff = 1 << 12
 // the output layout is a pure function of the input CSR — identical
 // at any worker count.
 //
-// Rows are read through Neighbors, so c may be an overlay epoch. The
+// Rows are read through Row, one buffer per chunk, so c may be an
+// overlay epoch. The
 // adjacency must be sorted ascending per vertex (BuildOptions.Sort
 // or SortAdjacency); CompressCSR panics on an unsorted list rather
 // than silently emitting a stream whose unsigned gaps cannot represent
@@ -275,8 +276,9 @@ func CompressCSR(c *CSR, workers int) *CompressedCSR {
 	// disjoint by construction.
 	offsets := make([]int64, n+1)
 	parallel.For(pool, workers, n, 2048, parallel.Static, func(lo, hi, chunk, worker int) {
+		var buf RowBuf
 		for v := lo; v < hi; v++ {
-			adj := c.Neighbors(VID(v))
+			adj, _ := c.Row(VID(v), &buf)
 			if len(adj) == 0 {
 				continue
 			}
@@ -303,8 +305,9 @@ func CompressCSR(c *CSR, workers int) *CompressedCSR {
 	// Pass 2: range-reserved encode. Vertex v owns exactly
 	// Data[offsets[v]:offsets[v+1]]; no other worker can touch it.
 	parallel.For(pool, workers, n, 2048, parallel.Static, func(lo, hi, chunk, worker int) {
+		var buf RowBuf
 		for v := lo; v < hi; v++ {
-			adj := c.Neighbors(VID(v))
+			adj, _ := c.Row(VID(v), &buf)
 			if len(adj) == 0 {
 				continue
 			}

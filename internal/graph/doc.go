@@ -32,12 +32,23 @@
 // the scatter left.
 //
 // A mutated CSR is an epoch: (*CSR).Apply returns the next one as an
-// overlay, the previous base plus fresh storage for the rows the batch
-// dirtied, every other row shared, and compacts into a flat CSR once
-// the patch outgrows a fixed share of the graph (Aspen's versioned
-// adjacency, reduced to one level). An overlay's rows are read through
-// the accessors; its raw arrays are nil. MutableCSR is the same Apply
-// with one current epoch, flattened once per read by its CSR().
+// overlay, the previous flat base plus the rows the batch dirtied, every
+// other row shared, and compacts into a flat CSR once the patch outgrows
+// a fixed share of the graph (Aspen's versioned adjacency, reduced to
+// one level). An overlay row has one of three forms: flat (the base's
+// own row), copied (a fresh copy of the whole row) or delta (the base's
+// row under a sorted delta of the entries that differ). The rule is a
+// property of the row: a dirty row is a delta row while its base row
+// holds at least 512 entries and the delta at most a quarter of them, so
+// a batch allocates its hub rows' changed entries, not the hub rows,
+// and a later batch composes a delta in O(delta). The read contract:
+// an overlay's raw arrays are nil; hot readers go through Row(v, buf)
+// and WeightedRowBuf(v, buf), which merge a delta row into the reader's
+// buffer and hand every other row out as stored; FirstIn, Degree,
+// HasEdge and Diff read deltas without merging; Neighbors and
+// WeightedRow materialize a delta row, for cold callers. MutableCSR is
+// the same Apply with one current epoch, flattened once per read by its
+// CSR().
 //
 // CompressedCSR is the Ligra+/GBBS-style byte-compressed sibling for
 // bandwidth-bound traversal: each vertex's sorted neighbor list is

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 
 	"github.com/hpcl-repro/epg/internal/parallel"
@@ -64,11 +63,13 @@ func (el *EdgeList) Validate() error {
 // deduplicate.
 //
 // A CSR that Apply returns may instead be an overlay epoch: a flat base
-// plus fresh storage for the rows batches rewrote (see patch). An
-// overlay's Offsets, Adj and Weights are nil, so code that reads them
-// fails loudly rather than reading the base; its rows are reached
-// through the accessors (Neighbors, NeighborWeights, WeightedRow, Row,
-// FirstIn, Degree, NumEdges, Weighted), and Flat compacts it.
+// plus the rows batches rewrote (see patch), each a fresh copy or, for
+// a hub row, the base's row under a sorted delta. An overlay's Offsets,
+// Adj and Weights are nil, so code that reads them fails loudly rather
+// than reading the base; its rows are reached through the accessors
+// (Row, WeightedRowBuf and FirstIn without allocating; Neighbors,
+// NeighborWeights and WeightedRow by materializing a delta row; Degree,
+// HasEdge, NumEdges, Weighted), and Flat compacts it.
 type CSR struct {
 	NumVertices int
 	Offsets     []int64 // len NumVertices+1
@@ -96,20 +97,22 @@ func (c *CSR) Weighted() bool {
 
 // Degree returns the out-degree of v.
 func (c *CSR) Degree(v VID) int64 {
-	if c.patch != nil {
-		return int64(len(c.patch.adj(v)))
+	if p := c.patch; p != nil {
+		switch k := p.slot[v]; {
+		case k > 0:
+			return int64(len(p.rows.at(int(k) - 1).adj))
+		case k < 0:
+			return int64(p.deltas.at(int(-k) - 1).deg)
+		}
+		c = p.base
 	}
 	return c.Offsets[v+1] - c.Offsets[v]
 }
 
 // Neighbors returns the adjacency slice of v. The caller must not
-// modify it.
-func (c *CSR) Neighbors(v VID) []VID {
-	if c.patch != nil {
-		return c.patch.adj(v)
-	}
-	return c.Adj[c.Offsets[v]:c.Offsets[v+1]]
-}
+// modify it. A row an overlay stores as a delta is merged into a fresh
+// slice: hot readers go through Row or WeightedRowBuf instead.
+func (c *CSR) Neighbors(v VID) []VID { return c.row(v, nil) }
 
 // NeighborWeights returns the weight slice parallel to Neighbors(v).
 // It returns nil for unweighted graphs.
@@ -119,9 +122,10 @@ func (c *CSR) NeighborWeights(v VID) []float32 {
 }
 
 // Row and Encoded make a CSR a traversal row source beside
-// CompressedCSR: rows are stored raw, so Row hands out Neighbors(v)
-// itself, never touches buf and reports no encoded bytes.
-func (c *CSR) Row(v VID, _ []VID) ([]VID, int64) { return c.Neighbors(v), 0 }
+// CompressedCSR. Row hands out a stored row itself and merges a row an
+// overlay stores as a delta into buf; either way it reports no encoded
+// bytes, since nothing was decoded.
+func (c *CSR) Row(v VID, buf *RowBuf) ([]VID, int64) { return c.row(v, buf), 0 }
 
 // Encoded reports that rows need no decoding.
 func (c *CSR) Encoded() bool { return false }
@@ -129,27 +133,53 @@ func (c *CSR) Encoded() bool { return false }
 // FirstIn is the early-exit row scan of a pull traversal: the first
 // neighbor of v (ascending, when the adjacency is sorted) whose bit is
 // set in front, with the entries scanned up to and including it — the
-// whole row when none is. Raw rows read no encoded bytes.
+// whole row when none is. Raw rows read no encoded bytes; a delta row
+// is scanned merged, without materializing it.
 func (c *CSR) FirstIn(v VID, front *parallel.Bitmap) (u VID, scanned, encodedBytes int64, ok bool) {
-	adj := c.Neighbors(v)
-	for i, u := range adj {
-		if front.Test(int(u)) {
-			return u, int64(i + 1), 0, true
+	adj, _, r := c.stored(v)
+	if r == nil {
+		for i, u := range adj {
+			if front.Test(int(u)) {
+				return u, int64(i + 1), 0, true
+			}
+		}
+		return 0, int64(len(adj)), 0, false
+	}
+	// The runs of stored entries between the delta's entries are
+	// scanned as slices, each delta entry in its place.
+	i := 0
+	for _, e := range r.ch {
+		k, named := seek(adj[i:], e.dst)
+		for _, u := range adj[i : i+k] {
+			scanned++
+			if front.Test(int(u)) {
+				return u, scanned, 0, true
+			}
+		}
+		if i += k; named {
+			i++
+		}
+		if e.kind == Gone {
+			continue
+		}
+		scanned++
+		if front.Test(int(e.dst)) {
+			return e.dst, scanned, 0, true
 		}
 	}
-	return 0, int64(len(adj)), 0, false
+	for _, u := range adj[i:] {
+		scanned++
+		if front.Test(int(u)) {
+			return u, scanned, 0, true
+		}
+	}
+	return 0, scanned, 0, false
 }
 
-// WeightedRow returns Neighbors(v) and NeighborWeights(v) together.
+// WeightedRow returns Neighbors(v) and NeighborWeights(v) together,
+// merging a delta row into fresh slices.
 func (c *CSR) WeightedRow(v VID) ([]VID, []float32) {
-	if c.patch != nil {
-		return c.patch.row(v)
-	}
-	lo, hi := c.Offsets[v], c.Offsets[v+1]
-	if c.Weights == nil {
-		return c.Adj[lo:hi], nil
-	}
-	return c.Adj[lo:hi], c.Weights[lo:hi]
+	return c.WeightedRowBuf(v, new(RowBuf))
 }
 
 // Validate checks the structural invariants of the CSR.
@@ -399,9 +429,8 @@ func weightFromKey(b uint32) float32 {
 // HasEdge reports whether u has v in its sorted adjacency list. The
 // adjacency must have been sorted with SortAdjacency.
 func (c *CSR) HasEdge(u, v VID) bool {
-	adj := c.Neighbors(u)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-	return i < len(adj) && adj[i] == v
+	ok, _ := c.find(u, v)
+	return ok
 }
 
 // OutDegrees returns the out-degree of every vertex.

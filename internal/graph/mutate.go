@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"iter"
 	"slices"
-	"sort"
 )
 
 // MutOp is a mutation verb.
@@ -105,30 +104,41 @@ type Change struct {
 // since": the incremental maintainers ask it against their baseline
 // epoch, the sketch repair against the published one. Equal pointers
 // cost nothing, and so does a row both epochs share (an overlay's
-// carried-forward or base row); any other row is compared whole and
-// merged only when it differs.
+// carried-forward or base row); two deltas on one base row are compared
+// with each other, entry by entry; two rows stored whole are compared,
+// and walked only when they differ; a delta row and any other row are
+// walked whole, the delta merged on the fly. It allocates nothing per
+// row.
 func Diff(pre, post *CSR) iter.Seq[Change] {
 	return func(yield func(Change) bool) {
 		for v := 0; pre != post && v < post.NumVertices; v++ {
 			u := VID(v)
-			oa, ow := pre.WeightedRow(u)
-			na, nw := post.WeightedRow(u)
-			if sameSlice(oa, na) && sameSlice(ow, nw) || slices.Equal(oa, na) && slices.Equal(ow, nw) {
+			oa, ow, or := pre.stored(u)
+			na, nw, nr := post.stored(u)
+			if sameSlice(oa, na) && sameSlice(ow, nw) {
+				if !diffDeltas(u, oa, ow, or.delta(), nr.delta(), yield) {
+					return
+				}
 				continue
 			}
-			for i, j := 0, 0; i < len(oa) || j < len(na); {
+			if or == nil && nr == nil && slices.Equal(oa, na) && slices.Equal(ow, nw) {
+				continue
+			}
+			a := cursor{adj: oa, ws: ow, ch: or.delta()}
+			b := cursor{adj: na, ws: nw, ch: nr.delta()}
+			aok, bok := a.next(), b.next()
+			for aok || bok {
 				c := Change{Src: u}
 				switch {
-				case j == len(na) || (i < len(oa) && oa[i] < na[j]):
-					c.Kind, c.Dst, c.OldW = Gone, oa[i], weightAt(ow, i)
-					i++
-				case i == len(oa) || na[j] < oa[i]:
-					c.Kind, c.Dst, c.NewW = Came, na[j], weightAt(nw, j)
-					j++
+				case !bok || aok && a.u < b.u:
+					c.Kind, c.Dst, c.OldW = Gone, a.u, a.w
+					aok = a.next()
+				case !aok || b.u < a.u:
+					c.Kind, c.Dst, c.NewW = Came, b.u, b.w
+					bok = b.next()
 				default:
-					c.Kind, c.Dst, c.OldW, c.NewW = Reweighed, oa[i], weightAt(ow, i), weightAt(nw, j)
-					i++
-					j++
+					c.Kind, c.Dst, c.OldW, c.NewW = Reweighed, a.u, a.w, b.w
+					aok, bok = a.next(), b.next()
 					if c.OldW == c.NewW {
 						continue
 					}
@@ -139,6 +149,65 @@ func Diff(pre, post *CSR) iter.Seq[Change] {
 			}
 		}
 	}
+}
+
+// diffDeltas yields, in Dst order, the changes from row u as old makes
+// it to row u as ch makes it, two deltas (nil for none) on the one
+// stored row (adj, w), and reports whether yield wants more. Neither
+// row is merged: an entry only one delta names is the stored one on the
+// other side, looked up in the stored row.
+func diffDeltas(u VID, adj []VID, w []float32, old, ch []entryDelta, yield func(Change) bool) bool {
+	if sameSlice(old, ch) {
+		return true
+	}
+	// state is an entry's presence and weight under a delta entry e;
+	// stored is the stored row's at e's neighbor.
+	state := func(e entryDelta) (bool, float32) { return e.kind != Gone, e.w }
+	stored := func(e entryDelta) (bool, float32) {
+		if e.kind == Came {
+			return false, 0
+		}
+		i, _ := slices.BinarySearch(adj, e.dst)
+		return true, weightAt(w, i)
+	}
+	for i, j := 0, 0; i < len(old) || j < len(ch); {
+		var x VID
+		var was, is bool
+		var ow, nw float32
+		switch {
+		case j == len(ch) || i < len(old) && old[i].dst < ch[j].dst:
+			x = old[i].dst
+			was, ow = state(old[i])
+			is, nw = stored(old[i])
+			i++
+		case i == len(old) || ch[j].dst < old[i].dst:
+			x = ch[j].dst
+			was, ow = stored(ch[j])
+			is, nw = state(ch[j])
+			j++
+		default:
+			x = ch[j].dst
+			was, ow = state(old[i])
+			is, nw = state(ch[j])
+			i++
+			j++
+		}
+		c := Change{Src: u, Dst: x}
+		switch {
+		case was && !is:
+			c.Kind, c.OldW = Gone, ow
+		case is && !was:
+			c.Kind, c.NewW = Came, nw
+		case was && ow != nw:
+			c.Kind, c.OldW, c.NewW = Reweighed, ow, nw
+		default:
+			continue
+		}
+		if !yield(c) {
+			return false
+		}
+	}
+	return true
 }
 
 // sameSlice reports whether a and b are the very same memory: one
@@ -211,7 +280,8 @@ type pairState struct {
 }
 
 // entryDelta is one entry of a row's net change: neighbor dst Came (at
-// w), is Gone, or was Reweighed (to w).
+// w), is Gone, or was Reweighed (to w); w is zero when unweighted. A
+// delta row keeps its entries against the base's row.
 type entryDelta struct {
 	dst  VID
 	w    float32
@@ -228,8 +298,9 @@ type rowDelta struct {
 
 // Apply returns the epoch after batch: the one batch application. It
 // replays the batch to final outcomes, extracts each dirty row's net
-// delta, and writes an overlay — fresh storage for the dirty rows, every
-// clean row shared with c — until the patch would outgrow
+// delta, and writes an overlay — each dirty hub row as a delta on the
+// base's row, composed with the one it had, each other dirty row copied,
+// every clean row shared with c — until the patch would outgrow
 // compactNum/compactDen of the graph, when it compacts into a flat CSR;
 // only that bound and Flat() flatten. The logical graph is byte-equal
 // to BuildCSR over the post-batch edge list; with no net change it is c
@@ -249,7 +320,7 @@ func (c *CSR) Apply(batch Batch, directed bool) (*CSR, *ApplyResult, error) {
 	var dirtyOld, fresh int64
 	for i := range deltas {
 		d := &deltas[i]
-		old := len(c.Neighbors(d.row))
+		old := int(c.Degree(d.row))
 		dirtyOld += int64(old)
 		fresh += int64(old + d.grow)
 		res.DirtyRows = append(res.DirtyRows, d.row)
@@ -258,11 +329,16 @@ func (c *CSR) Apply(batch Batch, directed bool) (*CSR, *ApplyResult, error) {
 	res.CopiedEdges = c.NumEdges() - dirtyOld
 	edges := res.CopiedEdges + fresh
 
+	pl := c.plan(deltas)
+	spent := pl.spent(c.entryBytes())
+	if c.patch != nil {
+		spent += c.patch.spent
+	}
 	var nc *CSR
-	if !c.patchFits(deltas, edges, fresh) {
+	if !c.patchFits(pl, edges, spent) {
 		nc = c.flatten(deltas, edges)
 	} else {
-		nc = c.overlay(deltas, edges, fresh)
+		nc = c.overlay(deltas, pl, edges, spent)
 	}
 	if nc == nil {
 		return nil, nil, fmt.Errorf("graph: a row merge wrote the wrong number of entries (corrupt overlay state)")
@@ -288,14 +364,7 @@ func (c *CSR) replay(batch Batch, directed, weighted bool, stats *MutStats) []ro
 			return &states[i]
 		}
 		var p pairState
-		adj, ws := c.WeightedRow(u)
-		i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-		if i < len(adj) && adj[i] == v {
-			p.origPresent = true
-			if ws != nil {
-				p.origW = ws[i]
-			}
-		}
+		p.origPresent, p.origW = c.find(u, v)
 		p.present, p.w = p.origPresent, p.origW
 		index[k] = int32(len(states))
 		states = append(states, p)
@@ -353,7 +422,10 @@ func (c *CSR) replay(batch Batch, directed, weighted bool, stats *MutStats) []ro
 	deltas := make([]rowDelta, 0, len(keys))
 	for i, k := range keys {
 		u, p := VID(k>>32), &states[index[k]]
-		ch := entryDelta{dst: VID(k), w: p.w, kind: Reweighed}
+		ch := entryDelta{dst: VID(k), kind: Reweighed}
+		if weighted {
+			ch.w = p.w
+		}
 		if len(deltas) == 0 || deltas[len(deltas)-1].row != u {
 			deltas = append(deltas, rowDelta{row: u, ch: changes[i:i]})
 		}
@@ -373,38 +445,59 @@ func (c *CSR) replay(batch Batch, directed, weighted bool, stats *MutStats) []ro
 }
 
 // mergeRow writes the old row (oa, weights ow, nil when unweighted)
-// with the changes ch applied into adj and w (nil when unweighted), a
-// two-pointer merge of the sorted old row against the sorted changes,
-// and returns the number of entries written: len(adj) unless the
-// changes do not fit the row. Only a Came entry can fall between old
-// neighbors; a Gone or Reweighed one names an old neighbor.
+// with the changes ch applied into adj and w (nil when unweighted), and
+// returns the number of entries written: len(adj) unless the changes do
+// not fit the row, when it returns -1. Each change finds its place in
+// the old row by a search from the previous one's (seek) and the runs
+// of old entries between changes are copied whole, so a long row under
+// a few changes merges at copy speed. Only a Came entry can fall
+// between old neighbors; a Gone or Reweighed one names an old neighbor.
 func mergeRow(adj []VID, w []float32, oa []VID, ow []float32, ch []entryDelta) int {
-	p, j := 0, 0
-	put := func(u VID, x float32) {
-		adj[p] = u
+	p, i := 0, 0
+	for _, e := range ch {
+		k, named := seek(oa[i:], e.dst)
+		if p+k > len(adj) {
+			return -1
+		}
+		copy(adj[p:], oa[i:i+k])
 		if w != nil {
-			w[p] = x
+			copy(w[p:], ow[i:i+k])
+		}
+		p, i = p+k, i+k
+		if named {
+			i++
+		}
+		if e.kind == Gone {
+			continue
+		}
+		if p == len(adj) {
+			return -1
+		}
+		adj[p] = e.dst
+		if w != nil {
+			w[p] = e.w
 		}
 		p++
 	}
-	for i, u := range oa {
-		for ; j < len(ch) && ch[j].dst < u; j++ {
-			put(ch[j].dst, ch[j].w)
-		}
-		x := weightAt(ow, i)
-		if j < len(ch) && ch[j].dst == u {
-			j++
-			if ch[j-1].kind == Gone {
-				continue
-			}
-			x = ch[j-1].w
-		}
-		put(u, x)
+	if p+len(oa)-i > len(adj) {
+		return -1
 	}
-	for ; j < len(ch); j++ {
-		put(ch[j].dst, ch[j].w)
+	copy(adj[p:], oa[i:])
+	if w != nil {
+		copy(w[p:], ow[i:])
 	}
-	return p
+	return p + len(oa) - i
+}
+
+// seek is slices.BinarySearch(row, x) for x near the front of row: it
+// doubles a bound until it passes x, then searches below it, so it
+// costs the log of x's position, not of the row's length.
+func seek(row []VID, x VID) (int, bool) {
+	hi := 1
+	for hi < len(row) && row[hi-1] < x {
+		hi *= 2
+	}
+	return slices.BinarySearch(row[:min(hi, len(row))], x)
 }
 
 // Reversed returns the batch with every mutation's endpoints swapped —

@@ -314,45 +314,129 @@ func TestMutableCSREpochFrozen(t *testing.T) {
 // batch reads about 220 B per op.
 const replayBytesPerOp = 320
 
-// A small MutableCSR.Apply allocates what the overlay holds — the slot
-// index, one row-table entry and the fresh entries of each dirty row —
-// plus the replay's bookkeeping, not a flat epoch; and CSR() compacts
-// once per read: two reads with no Apply between them return one flat
-// CSR, whose raw arrays a caller may compare.
+// hubEdgeList is randomEdgeList with hubs: vertices 0..hubs-1 each
+// joined to hubDeg random vertices besides.
+func hubEdgeList(seed uint64, n, m, hubs, hubDeg int) *EdgeList {
+	el := randomEdgeList(seed, n, m, true)
+	r := xrand.New(seed ^ 0x4b1d)
+	for h := range hubs {
+		for range hubDeg {
+			el.Edges = append(el.Edges, Edge{Src: VID(h), Dst: VID(r.Intn(n)), W: r.Float32()/2 + 0.25})
+		}
+	}
+	return el
+}
+
+// hubBatch is ops mutations on c, half of them on a hub's row: a
+// delete of one of its stored entries or an insert from it; the rest
+// random inserts.
+func hubBatch(r *xrand.RNG, c *CSR, hubs, ops int) Batch {
+	b := make(Batch, 0, ops)
+	for i := range ops {
+		mu := Mutation{Op: MutInsert, Src: VID(r.Intn(c.NumVertices)), Dst: VID(r.Intn(c.NumVertices)), W: float32(r.Intn(100)+1) / 100}
+		if i%2 == 0 {
+			mu.Src = VID(r.Intn(hubs))
+			if i%4 == 0 {
+				adj := c.Neighbors(mu.Src)
+				mu.Op, mu.Dst, mu.W = MutDelete, adj[r.Intn(len(adj))], 0
+			}
+		}
+		b = append(b, mu)
+	}
+	return b
+}
+
+// applyBound is what Apply from pre to post may allocate when its
+// allocation follows the changed entries: the slot index; the two row
+// tables, at most twice what pre's and the batch's rows take (a table
+// grows a block at a time, and a sibling copies its block list and last
+// block); each copied dirty row's entries,
+// rows below the delta floor or the ones whose delta outgrew its share;
+// each delta row's composed delta, at most pre's delta plus the row's
+// changes (a fresh delta row keeps the replay's own entries); and the
+// replay. It also returns what copying every dirty row whole would
+// allocate instead, the bound before delta rows.
+func applyBound(pre, post *CSR, res *ApplyResult, ops int) (bound, whole uint64) {
+	entry := uint64(unsafe.Sizeof(VID(0)) + unsafe.Sizeof(float32(0)))
+	changes := map[VID]uint64{}
+	for c := range Diff(pre, post) {
+		changes[c.Src]++
+	}
+	dirty := uint64(len(res.DirtyRows))
+	var rows, deltaRows uint64
+	if pre.patch != nil {
+		rows, deltaRows = uint64(pre.patch.rows.n), uint64(pre.patch.deltas.n)
+	}
+	slot := uint64(pre.NumVertices) * uint64(unsafe.Sizeof(int32(0)))
+	tables := 2*(rows+dirty)*uint64(unsafe.Sizeof(patchRow{})) + 2*(deltaRows+dirty)*uint64(unsafe.Sizeof(deltaRow{}))
+	bound = slot + tables + replayBytesPerOp*uint64(ops)
+	whole = bound
+	for _, v := range res.DirtyRows {
+		whole += uint64(post.Degree(v)) * entry
+		_, _, r := post.stored(v)
+		if r == nil {
+			bound += uint64(post.Degree(v)) * entry
+			continue
+		}
+		_, _, old := pre.stored(v)
+		bound += (uint64(len(old.delta())) + changes[v]) * uint64(unsafe.Sizeof(entryDelta{}))
+	}
+	return bound, whole
+}
+
+// A MutableCSR.Apply on a hub graph allocates what follows the changed
+// entries — the slot index, the row table's growth, the small rows it
+// copies and the deltas of the hub rows — plus the replay's bookkeeping,
+// not the dirty hub rows whole and not a flat epoch; so does a second
+// Apply on that overlay, which composes the hub rows' deltas. And CSR()
+// compacts once per read: two reads with no Apply between them return
+// one flat CSR, whose raw arrays a caller may compare.
 func TestMutableCSRApplyAllocFollowsDirtyRows(t *testing.T) {
-	const n = 4096
-	c := buildNormalized(randomEdgeList(41, n, 8*n, true))
-	batch := randomBatch(xrand.New(41), n, 32, true)
+	const n, hubs = 4096, 8
+	c := buildNormalized(hubEdgeList(41, n, 8*n, hubs, 1024))
+	r := xrand.New(41)
+	batch := hubBatch(r, c, hubs, 32)
 	mc := NewMutableCSR(c, false)
 	res, err := mc.Apply(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	next := mc.csr
-	per := alloctest.FewestBytes(8, func() {
+	second := hubBatch(r, next, hubs, 32)
+	after, res2, err := next.Apply(second, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := alloctest.FewestBytes(8, func() {
 		if _, err := NewMutableCSR(c, false).Apply(batch); err != nil {
 			t.Fatal(err)
 		}
 	})
-	entry := uint64(unsafe.Sizeof(VID(0)) + unsafe.Sizeof(float32(0)))
-	var fresh uint64
-	for _, v := range res.DirtyRows {
-		fresh += uint64(next.Degree(v))
-	}
-	slot := uint64(n) * uint64(unsafe.Sizeof(int32(0)))
-	rows := uint64(len(res.DirtyRows)) * uint64(unsafe.Sizeof(patchRow{}))
-	bound := slot + rows + fresh*entry + replayBytesPerOp*uint64(len(batch))
-	flat := uint64(n+1)*uint64(unsafe.Sizeof(int64(0))) + uint64(c.NumEdges())*entry
-	t.Logf("Apply of %d ops, %d dirty rows: %d B; bound %d B (slot index %d, row table %d, rows %d, replay %d); flat epoch %d B",
-		len(batch), len(res.DirtyRows), per, bound, slot, rows, fresh*entry, replayBytesPerOp*len(batch), flat)
-	if per > bound {
-		t.Fatalf("a 32-op Apply allocates %d B; bound %d B (slot index, row table, dirty rows, replay)", per, bound)
-	}
-	if per >= flat/8 {
-		t.Fatalf("a 32-op Apply allocates %d B; want under an eighth of the flat epoch's %d B", per, flat)
-	}
-	if next.patch == nil {
-		t.Fatal("the 32-op Apply compacted; the wall measures an overlay")
+	composed := alloctest.FewestBytes(8, func() {
+		if _, _, err := next.Apply(second, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	flat := uint64(n+1)*uint64(unsafe.Sizeof(int64(0))) + uint64(c.NumEdges())*uint64(unsafe.Sizeof(VID(0))+unsafe.Sizeof(float32(0)))
+	for _, m := range []struct {
+		name      string
+		pre, post *CSR
+		res       *ApplyResult
+		per       uint64
+	}{{"flat", c, next, res, first}, {"overlay", next, after, res2, composed}} {
+		bound, whole := applyBound(m.pre, m.post, m.res, len(batch))
+		t.Logf("Apply of %d ops on the %s epoch, %d dirty rows, %d of them deltas: %d B; bound %d B; the dirty rows whole %d B; flat epoch %d B",
+			len(batch), m.name, len(m.res.DirtyRows), m.post.DeltaRows(), m.per, bound, whole, flat)
+		switch {
+		case m.post.patch == nil || m.post.DeltaRows() == 0:
+			t.Fatalf("the Apply on the %s epoch made no overlay with delta rows; the wall measures one", m.name)
+		case m.per > bound:
+			t.Fatalf("a 32-op Apply on the %s epoch allocates %d B; bound %d B (slot index, row table, small rows, deltas, replay)", m.name, m.per, bound)
+		case 2*m.per > whole:
+			t.Fatalf("a 32-op Apply on the %s epoch allocates %d B; copying its dirty rows whole takes %d B, want at least twice that", m.name, m.per, whole)
+		case m.per >= flat/8:
+			t.Fatalf("a 32-op Apply on the %s epoch allocates %d B; want under an eighth of the flat epoch's %d B", m.name, m.per, flat)
+		}
 	}
 	read := mc.CSR()
 	if read.Offsets == nil || read.patch != nil {
@@ -492,7 +576,8 @@ func checkNetChange(t *testing.T, res *ApplyResult, pre, post *CSR, before map[u
 // parent's row form; an op byte 0xfe applies the pending ops to the
 // current epoch's parent instead, a sibling: after every Apply each
 // epoch made so far must read, accessor by accessor, as its rebuild
-// (epochChain).
+// (epochChain). Shape bit hubShape adds a hub to the graph; the last
+// four seeds run hubProgram on one, which keeps its row as a delta.
 func FuzzMutationEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(40), uint16(160), uint8(0), []byte{0, 1, 2, 50, 1, 2, 3, 0, 0xff, 0, 0, 0, 1, 1, 2, 0})
 	f.Add(uint64(2), uint16(16), uint16(64), uint8(1), []byte{0, 5, 5, 10, 0, 5, 6, 10, 0, 5, 6, 5})
@@ -504,55 +589,136 @@ func FuzzMutationEquivalence(f *testing.F) {
 		0, 6, 85, 1, 0, 7, 86, 1, 0, 8, 87, 1, 0, 9, 88, 1, 0, 10, 89, 1, 0, 11, 90, 1, 0, 12, 91, 1})
 	f.Add(uint64(6), uint16(60), uint16(600), uint8(1), []byte{
 		0, 1, 2, 0, 0xff, 0, 0, 0, 1, 1, 2, 0, 0xfe, 0, 0, 0, 0, 3, 4, 0, 0xff, 0, 0, 0, 0, 5, 6, 0})
+	for shape := range uint8(4) {
+		f.Add(uint64(7), uint16(hubN-2), uint16(400), shape|hubShape, hubProgram())
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, nSeed, mSeed uint16, shape uint8, ops []byte) {
-		n := int(nSeed)%128 + 2
-		m := int(mSeed) % 1024
-		directed := shape&1 != 0
-		weighted := shape&2 != 0
-		el := randomEdgeList(seed, n, m, weighted)
-		el.Directed = directed
-		c := buildNormalized(el)
-		mc := NewMutableCSR(c, directed)
-		model := newMutModelFromCSR(c, directed)
-		chain := newEpochChain(t, c, directed)
+		runMutationProgram(t, seed, nSeed, mSeed, shape, ops)
+	})
+}
 
-		var batch Batch
-		flush := func() {
-			pre, before := mc.CSR(), maps.Clone(model.edges)
-			res, err := mc.Apply(batch)
-			if err != nil {
-				t.Fatalf("Apply: %v", err)
+// runMutationProgram is one FuzzMutationEquivalence input, and returns
+// the chain it made.
+func runMutationProgram(t *testing.T, seed uint64, nSeed, mSeed uint16, shape uint8, ops []byte) *epochChain {
+	n := int(nSeed)%2048 + 2
+	m := int(mSeed) % 1024
+	directed := shape&1 != 0
+	weighted := shape&2 != 0
+	el := randomEdgeList(seed, n, m, weighted)
+	el.Directed = directed
+	if shape&hubShape != 0 {
+		for v := 1; v < n; v++ {
+			if v%10 != 0 {
+				el.Edges = append(el.Edges, Edge{Src: 0, Dst: VID(v), W: float32(v%100+1) / 100})
 			}
-			model.apply(batch)
-			want := model.rebuild()
-			if !csrEqual(mc.CSR(), want) {
-				t.Fatalf("stream diverges from rebuild-from-scratch (n=%d directed=%v weighted=%v, %d ops)", n, directed, weighted, len(batch))
-			}
-			checkNetChange(t, res, pre, mc.CSR(), before, model)
-			chain.flush(batch, res, before, model, want)
-			batch = batch[:0]
 		}
-		for i := 0; i+4 <= len(ops) && len(batch) < 512; i += 4 {
-			switch ops[i] {
-			case 0xff:
-				flush()
-				continue
-			case 0xfe:
-				chain.branch(batch)
-				batch = batch[:0]
-				continue
+	}
+	c := buildNormalized(el)
+	mc := NewMutableCSR(c, directed)
+	model := newMutModelFromCSR(c, directed)
+	chain := newEpochChain(t, c, directed)
+
+	var batch Batch
+	flush := func() {
+		pre, before := mc.CSR(), maps.Clone(model.edges)
+		res, err := mc.Apply(batch)
+		if err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+		model.apply(batch)
+		want := model.rebuild()
+		if !csrEqual(mc.CSR(), want) {
+			t.Fatalf("stream diverges from rebuild-from-scratch (n=%d directed=%v weighted=%v, %d ops)", n, directed, weighted, len(batch))
+		}
+		checkNetChange(t, res, pre, mc.CSR(), before, model)
+		chain.flush(batch, res, before, model, want)
+		batch = batch[:0]
+	}
+	for i := 0; i+4 <= len(ops) && len(batch) < 512; i += 4 {
+		switch ops[i] {
+		case 0xff:
+			flush()
+			continue
+		case 0xfe:
+			chain.branch(batch)
+			batch = batch[:0]
+			continue
+		}
+		mu := Mutation{Src: VID(int(ops[i+1]) % n), Dst: VID(int(ops[i+2]) % n)}
+		if ops[i]&1 == 0 {
+			mu.Op = MutInsert
+			if weighted {
+				mu.W = float32(int(ops[i+3])%100+1) / 100
 			}
-			mu := Mutation{Src: VID(int(ops[i+1]) % n), Dst: VID(int(ops[i+2]) % n)}
-			if ops[i]&1 == 0 {
-				mu.Op = MutInsert
-				if weighted {
-					mu.W = float32(int(ops[i+3])%100+1) / 100
-				}
-			} else {
-				mu.Op = MutDelete
-			}
-			batch = append(batch, mu)
+		} else {
+			mu.Op = MutDelete
+		}
+		batch = append(batch, mu)
+	}
+	flush()
+	return chain
+}
+
+// hubShape is the shape bit of a FuzzMutationEquivalence graph with a
+// hub: vertex 0 joined to every vertex but every tenth.
+const hubShape = 4
+
+// hubN is the vertex count of hubProgram's graph: twice the delta
+// floor, so the hub row passes the rule.
+const hubN = 2 * deltaMinDegree
+
+// hubProgram is a FuzzMutationEquivalence program for a hubShape graph,
+// whose hub row passes the delta-row rule: three epochs that change a
+// few of the hub's entries each — a delete, a reweigh by duplicate
+// insert, an entry that comes and goes again, one that comes and is
+// then reweighed, a delete undone at another weight — a sibling of the
+// third, and four batches that touch 255 rows each, the last of which
+// at the latest compacts.
+func hubProgram() []byte {
+	var ops []byte
+	op := func(code, u, v, w byte) { ops = append(ops, code, u, v, w) }
+	flush := func() { op(0xff, 0, 0, 0) }
+	op(1, 0, 5, 0)
+	op(0, 0, 3, 0)
+	op(0, 0, 7, 90)
+	op(0, 0, 10, 50)
+	op(0, 0, 20, 50)
+	flush()
+	op(0, 0, 5, 40)
+	op(1, 0, 7, 0)
+	op(0, 0, 7, 20)
+	op(0, 0, 9, 1)
+	op(1, 0, 15, 0)
+	op(0, 0, 20, 20)
+	op(0, 0, 30, 5)
+	flush()
+	op(1, 0, 11, 0)
+	op(0, 0, 5, 0)
+	op(1, 0, 13, 0)
+	op(1, 0, 10, 0)
+	flush()
+	op(1, 0, 9, 0)
+	op(0, 0, 13, 2)
+	op(1, 0, 20, 0)
+	op(0, 0, 40, 3)
+	op(0xfe, 0, 0, 0)
+	for step := 1; step <= 4; step++ {
+		for v := 1; v < 255; v++ {
+			op(0, byte(v), byte((v+step)%255+1), byte(v))
 		}
 		flush()
-	})
+	}
+	return ops
+}
+
+// The hub programs FuzzMutationEquivalence seeds with form delta rows:
+// the hub row is a delta for at least three epochs before the last
+// batch compacts it, on every (directed × weighted) shape.
+func TestMutationHubProgramsFormDeltaRows(t *testing.T) {
+	for shape := range uint8(4) {
+		chain := runMutationProgram(t, 7, hubN-2, 400, shape|hubShape, hubProgram())
+		if chain.deltaEpochs < 3 || chain.flats < 1 {
+			t.Fatalf("shape %d: %d epochs held a delta row, %d were flat; want at least 3 and 1", shape, chain.deltaEpochs, chain.flats)
+		}
+	}
 }

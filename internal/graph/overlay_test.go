@@ -18,7 +18,8 @@ import (
 // model's rebuild of it and re-checks them all after each Apply, so an
 // Apply that wrote into memory an earlier epoch or a sibling reads, or
 // a carried-forward row gone stale, shows as an epoch drifting from its
-// rebuild.
+// rebuild; and Diff of every epoch against the new one must be Diff of
+// their rebuilds.
 type epochChain struct {
 	t        *testing.T
 	directed bool
@@ -27,14 +28,15 @@ type epochChain struct {
 	// edge set on it.
 	parent      *CSR
 	parentEdges map[uint64]float32
-	epochs      []*CSR // every epoch made, siblings included
+	epochs      []*CSR // the first epoch and every one made, siblings included
 	wants       []*CSR // the model's rebuild of each
-	// overlays and flats count the epochs made of each kind.
-	overlays, flats int
+	// overlays and flats count the epochs made of each kind, deltaEpochs
+	// the overlays holding a delta row.
+	overlays, flats, deltaEpochs int
 }
 
 func newEpochChain(t *testing.T, c *CSR, directed bool) *epochChain {
-	return &epochChain{t: t, directed: directed, cur: c}
+	return &epochChain{t: t, directed: directed, cur: c, epochs: []*CSR{c}, wants: []*CSR{c}}
 }
 
 // flush applies batch to the current epoch. want is what MutableCSR.Apply
@@ -82,12 +84,26 @@ func (ch *epochChain) record(pre, c, want *CSR) {
 	case c == pre:
 	case c.patch != nil:
 		ch.overlays++
+		if c.DeltaRows() > 0 {
+			ch.deltaEpochs++
+		}
 	default:
 		ch.flats++
 	}
 	ch.epochs, ch.wants = append(ch.epochs, c), append(ch.wants, want)
 	for i, e := range ch.epochs {
 		checkEpoch(ch.t, e, ch.wants[i], i)
+		// Diff between any two epochs, siblings and ones far apart
+		// included, both ways, is Diff of their flat rebuilds: deltas
+		// compared with each other or with a base row must net out as
+		// the rows do.
+		for _, pair := range [][2]int{{i, len(ch.epochs) - 1}, {len(ch.epochs) - 1, i}} {
+			a, b := pair[0], pair[1]
+			got := slices.Collect(Diff(ch.epochs[a], ch.epochs[b]))
+			if wantDiff := slices.Collect(Diff(ch.wants[a], ch.wants[b])); !slices.Equal(got, wantDiff) {
+				ch.t.Fatalf("Diff(epoch %d, epoch %d) = %+v, of their rebuilds %+v", a, b, got, wantDiff)
+			}
+		}
 	}
 }
 
@@ -106,7 +122,8 @@ func checkEpoch(t *testing.T, c, want *CSR, idx int) {
 	}
 	for v := range VID(n) {
 		adj, ws := c.WeightedRow(v)
-		row, nb := c.Row(v, nil)
+		var buf RowBuf
+		row, nb := c.Row(v, &buf)
 		u, scanned, eb, ok := c.FirstIn(v, front)
 		wu, wscanned, _, wok := want.FirstIn(v, front)
 		switch {

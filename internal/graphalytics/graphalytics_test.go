@@ -7,7 +7,10 @@ import (
 	"github.com/hpcl-repro/epg/internal/datasets"
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/engines/all"
+	"github.com/hpcl-repro/epg/internal/graph"
+	"github.com/hpcl-repro/epg/internal/harness"
 	"github.com/hpcl-repro/epg/internal/kronecker"
+	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
 func runSmallKron(t *testing.T) []Cell {
@@ -124,4 +127,56 @@ func TestWriteHTML(t *testing.T) {
 	if strings.Contains(out, "PowerGraph") {
 		t.Error("per-platform page leaked other platforms")
 	}
+}
+
+// The comparator's seed picks the root: two seeds pick two roots on a
+// kron dataset.
+func TestSeedPicksTheRoot(t *testing.T) {
+	el := kronecker.Generate(kronecker.Params{Scale: 8, Seed: 3})
+	if a, b := pickRoot(el, 1), pickRoot(el, 2); a == b {
+		t.Fatalf("seeds 1 and 2 both pick root %d", a)
+	}
+}
+
+// PowerGraph's BFS cell is the driver's unit-weight SSSP and nothing
+// else: its algorithm seconds equal that SSSP's own, from the root the
+// comparator's seed picks, on a machine that loaded what the
+// comparator's does first (the dataset, then the unit-weight graph).
+// The ingest is charged once, as the dataset's file read.
+func TestPowerGraphBFSChargesTheUnitWeightSSSPAlone(t *testing.T) {
+	c := New(all.Registry())
+	c.Threads, c.Seed = 8, 2
+	el := kronecker.Generate(kronecker.Params{Scale: 8, Seed: 3})
+	cells, err := c.RunDataset("kron-8", el)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := c.Registry.Decl("PowerGraph")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.Homogenize(el)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := simmachine.New(c.Model, c.Threads)
+	harness.Load(d, d.New(), engines.Options{}, g, m)
+	unit, err := unitWeight(d, el, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, t0 := m.Mark()
+	if _, err := unit.SSSP(pickRoot(el, c.Seed)); err != nil {
+		t.Fatal(err)
+	}
+	_, t1 := m.Mark()
+	for _, cell := range cells {
+		if cell.Platform == "PowerGraph" && cell.Algorithm == engines.BFS {
+			if cell.AlgorithmSec != t1-t0 || cell.Seconds != cell.FileReadSec+cell.AlgorithmSec {
+				t.Fatalf("PowerGraph BFS cell %+v; the unit-weight SSSP alone takes %v s", cell, t1-t0)
+			}
+			return
+		}
+	}
+	t.Fatal("PowerGraph BFS cell missing")
 }

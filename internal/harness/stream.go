@@ -40,6 +40,7 @@ func (s *streamShadow) batch(ms *core.MutationSchedule, batchIdx int) graph.Batc
 	c := s.cur
 	n := c.NumVertices
 	off := c.Offsets
+	var row graph.RowBuf
 	b := make(graph.Batch, 0, ms.BatchSize)
 	for i := 0; i < ms.BatchSize; i++ {
 		if r.Float64() < ms.DeleteFrac && c.NumEdges() > 0 {
@@ -48,7 +49,8 @@ func (s *streamShadow) batch(ms *core.MutationSchedule, batchIdx int) graph.Batc
 			}
 			idx := int64(r.Intn(int(c.NumEdges())))
 			u := sort.Search(n, func(v int) bool { return off[v+1] > idx })
-			b = append(b, graph.Mutation{Op: graph.MutDelete, Src: graph.VID(u), Dst: c.Neighbors(graph.VID(u))[idx-off[u]]})
+			adj, _ := c.Row(graph.VID(u), &row)
+			b = append(b, graph.Mutation{Op: graph.MutDelete, Src: graph.VID(u), Dst: adj[idx-off[u]]})
 			continue
 		}
 		m := graph.Mutation{Op: graph.MutInsert, W: float32(1 - r.Float64())}
@@ -77,9 +79,9 @@ func degreePrefix(c *graph.CSR) []int64 {
 func (s *streamShadow) edgeList() *graph.EdgeList {
 	c := s.cur
 	el := &graph.EdgeList{NumVertices: c.NumVertices, Weighted: s.weighted, Directed: s.directed}
+	var buf graph.RowBuf
 	for v := 0; v < c.NumVertices; v++ {
-		adj := c.Neighbors(graph.VID(v))
-		ws := c.NeighborWeights(graph.VID(v))
+		adj, ws := c.WeightedRowBuf(graph.VID(v), &buf)
 		for i, u := range adj {
 			if !s.directed && u < graph.VID(v) {
 				continue

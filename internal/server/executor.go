@@ -210,12 +210,14 @@ func (e *executor) run(ctx context.Context, q Query, budget float64, degraded bo
 
 // khopScratch is the k-hop walk's reusable working set: seen[v] ==
 // epoch marks v visited by the current query, so starting a query is
-// one increment instead of clearing (or allocating) a visited set.
+// one increment instead of clearing (or allocating) a visited set; row
+// holds a row the epoch stores as a delta, merged.
 type khopScratch struct {
 	seen     []uint32
 	epoch    uint32
 	frontier []graph.VID
 	next     []graph.VID
+	row      graph.RowBuf
 }
 
 // begin sizes the scratch for n vertices and opens a new epoch,
@@ -249,7 +251,8 @@ func (e *executor) khop(out *graph.CSR, src graph.VID, k int, deadline func() er
 		next := s.next[:0]
 		var edges int
 		for _, v := range s.frontier {
-			for _, u := range out.Neighbors(v) {
+			row, _ := out.Row(v, &s.row)
+			for _, u := range row {
 				edges++
 				if seen[u] != epoch {
 					seen[u] = epoch

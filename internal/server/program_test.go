@@ -26,11 +26,14 @@ const (
 	opHold           // hold the published generation for the closing sweep
 	opDrain          // Drain: every later call must be refused as closed
 	opClose          // hi: 4*hi yields before Close; then kind and src, dst: Close racing a Submit, which ends the program
+	opStar           // hi: weight (hi+1)/16; then x: mutate inserting x->v for every v not a multiple of 8
 	numServeOps
 )
 
-// serveN is the vertex count of every program's graph.
-const serveN = 48
+// serveN is the vertex count of every program's graph: more than
+// graph's delta floor, so a star makes a row that an overlay keeps as a
+// delta.
+const serveN = 1024
 
 // closeBound is how long a Submit racing Close may take to come back.
 const closeBound = 10 * time.Second
@@ -127,6 +130,9 @@ type serveProgram struct {
 	held     []*published
 	drained  bool
 	admitted int64 // queries the server admitted
+	// deltaEpochs counts the maintenances that published an epoch
+	// holding a delta row.
+	deltaEpochs int
 }
 
 // FuzzServeProgram runs byte programs against a live server: queries of
@@ -136,7 +142,7 @@ type serveProgram struct {
 // racing a mutate, holding a published generation, Drain, and Close
 // racing a Submit. The first byte is the graph and the server: bit 0
 // directed, bit 1 compressed, bits 2-3 1, 2, 4 or 2 executors, bits 4-7
-// the number of random weighted edges among serveN vertices. The
+// k, for serveN+8k random weighted edges among serveN vertices. The
 // checks:
 //   - every answer is OK and equals what a fresh server on the graph of
 //     the generation it reports answers (a degraded one, the estimate of
@@ -165,9 +171,13 @@ type serveProgram struct {
 // executors that serve nothing while maintenance runs; seed#7
 // refreshes, some racing queries on one executor so that some are
 // served degraded; seed#8 self-loops, duplicates, missing deletes and
-// reweighs; seed#9 Drain; seed#10 Close racing a Submit.
+// reweighs; seed#9 Drain; seed#10 Close racing a Submit; seed#11 and
+// seed#12, raw undirected and compressed directed, a hub row (a star)
+// kept as a delta over several generations, some held, some mutated two
+// in flight or racing queries, and a second star that compacts
+// (hubServeProgram).
 func FuzzServeProgram(f *testing.F) {
-	// 80 edges among serveN vertices; one, two or four executors.
+	// serveN+32 edges among serveN vertices; one, two or four executors.
 	const one, raw2, comp2, four = 4 << 4, 4<<4 | 1<<2, 4<<4 | 1<<2 | 2, 4<<4 | 2<<2
 	q := func(k, x, y byte) []byte { return []byte{k<<4 | opQuery, x, y} }
 	ins := func(u, v byte) []byte { return []byte{15 << 3, u, v} } // weight 0.5
@@ -214,6 +224,9 @@ func FuzzServeProgram(f *testing.F) {
 	f.Add(prog(raw2, mutate(ins(1, 2)), q(0, 1, 2), drain, q(0, 1, 2), mutate(ins(3, 4)), refresh,
 		two([][]byte{ins(5, 6)}, nil), race(4, 7, ins(8, 9)), hold))
 	f.Add(prog(four|1, q(0, 0, 9), mutate(ins(0, 9)), hold, []byte{8<<4 | opClose, 0, 9}, mutate(ins(1, 9))))
+	for _, g := range []byte{raw2, comp2 | 1} {
+		f.Add(hubServeProgram(g))
+	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) == 0 || len(prog) > 256 {
 			return
@@ -222,7 +235,44 @@ func FuzzServeProgram(f *testing.F) {
 	})
 }
 
-func runServeProgram(t *testing.T, prog []byte) {
+// hubServeProgram is a serve program on graph byte g whose hub row
+// passes the delta-row rule: a star on vertex 0 (its maintenance
+// compacts), then mutates that delete, reweigh and put back a few of
+// its entries and add some it lacks (one deleted again, one reweighed) —
+// one alone per generation, two in flight, one racing queries — with
+// queries of every kind and held generations between them, and a star
+// on vertex 1, which compacts.
+func hubServeProgram(g byte) []byte {
+	q := func(k, x, y byte) []byte { return []byte{k<<4 | opQuery, x, y} }
+	kinds := slices.Concat(q(0, 0, 9), q(1, 0, 9), q(2, 3, 0), q(3, 0, 9), q(4, 0, 2))
+	ins := func(u, v byte) []byte { return []byte{0, u, v} }         // weight 1/32: lowers a star entry
+	heavy := func(u, v byte) []byte { return []byte{31 << 3, u, v} } // weight 1
+	del := func(u, v byte) []byte { return []byte{1, u, v} }
+	mutate := func(ms ...[]byte) []byte {
+		return slices.Concat(append([][]byte{{byte(len(ms))<<4 | opMutate}}, ms...)...)
+	}
+	star := func(x byte) []byte { return []byte{7<<4 | opStar, x} }
+	hold := []byte{opHold}
+	return slices.Concat([]byte{g}, star(0), kinds,
+		mutate(del(0, 5), ins(0, 3), heavy(0, 8), heavy(0, 16)), kinds, hold,
+		mutate(del(0, 7), ins(0, 5), ins(0, 16)), kinds,
+		mutate(del(0, 9), ins(0, 11), del(0, 8)), kinds, hold,
+		[]byte{1<<6 | 1<<4 | opTwo}, del(0, 13), ins(0, 9),
+		[]byte{7<<4 | opRace, 0, 2}, del(0, 15), heavy(0, 24), kinds, hold,
+		star(1), kinds)
+}
+
+// The hub programs FuzzServeProgram seeds with form delta rows: at
+// least three of their maintenances publish an epoch holding one.
+func TestServeHubProgramsFormDeltaRows(t *testing.T) {
+	for _, g := range []byte{4<<4 | 1<<2, 4<<4 | 1<<2 | 3} {
+		if p := runServeProgram(t, hubServeProgram(g)); p.deltaEpochs < 3 {
+			t.Fatalf("graph byte %#x: %d generations held a delta row; want at least 3", g, p.deltaEpochs)
+		}
+	}
+}
+
+func runServeProgram(t *testing.T, prog []byte) *serveProgram {
 	g := prog[0]
 	directed := g&1 != 0
 	el := &graph.EdgeList{NumVertices: serveN, Directed: directed, Weighted: true}
@@ -271,6 +321,15 @@ func runServeProgram(t *testing.T, prog []byte) {
 			x := r.next()
 			p.closeRacingSubmit(programQuery(x, x, r.next()), 4*int(hi))
 			r.i = len(r.b)
+		case opStar:
+			x := graph.VID(r.next()) % serveN
+			b := graph.Batch{}
+			for v := graph.VID(1); v < serveN; v++ {
+				if v%8 != 0 {
+					b = append(b, graph.Mutation{Op: graph.MutInsert, Src: x, Dst: v, W: float32(hi+1) / 16})
+				}
+			}
+			p.mutate(b)
 		}
 		m := s.Metrics()
 		if m.Completed+m.DeadlineExceeded+m.Errors+m.Panics != m.Admitted || m.Admitted != p.admitted {
@@ -279,6 +338,7 @@ func runServeProgram(t *testing.T, prog []byte) {
 	}
 	s.Close()
 	p.sweep()
+	return p
 }
 
 // mutate runs one mutate of b alone; an empty one must leave the
@@ -440,6 +500,9 @@ func (p *serveProgram) checkPublished(who string) {
 	}
 	if d := sketchDiff(pub.sketch, BuildSketch(want, p.s.cfg.Landmarks)); d != "" {
 		t.Fatalf("after %s: published sketch differs from a rebuild on generation %d: %s", who, pub.gen, d)
+	}
+	if pub.epoch.Out().DeltaRows() > 0 {
+		p.deltaEpochs++
 	}
 }
 

@@ -190,11 +190,14 @@ func (x *vec[D]) publish(old *sketchVec[D]) *sketchVec[D] {
 	return out
 }
 
+// row reads v's row of c through the builder's row buffer: the next
+// row read overwrites a merged one.
 func (x *vec[D]) row(c *graph.CSR, v graph.VID) ([]graph.VID, []float32) {
 	if !x.weighted {
-		return c.Neighbors(v), nil
+		adj, _ := c.Row(v, &x.r.rows)
+		return adj, nil
 	}
-	return c.WeightedRow(v)
+	return c.WeightedRowBuf(v, &x.r.rows)
 }
 
 // arcWeight is the weight x reads a at, and whether it sees a at all.

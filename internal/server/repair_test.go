@@ -496,3 +496,62 @@ func FuzzSketchRepair(f *testing.F) {
 		runRepairProgram(t, c, dir, 4, seed, script)
 	})
 }
+
+// A warm reader of an epoch's delta rows merges them into its own
+// buffer: on an overlay holding hub rows as deltas, a k-hop query and a
+// sketch repair allocate no more than on the same epoch compacted (the
+// same graph flat). The batch deletes the edges among the landmarks,
+// which leaves each landmark's distance in the others' vectors
+// unattained, so the repair reads the landmarks' rows, deltas all; and
+// it inserts random edges. The k-hop queries start at the landmarks;
+// the repair diffs the flat epoch against each epoch.
+func TestWarmReadsOnDeltaRowsAllocateAsOnFlat(t *testing.T) {
+	const k = 8
+	c, directed := repairGraph(t, "kron-13", 0, 5, true)
+	p := &repairProgram{t: t, rng: xrand.New(7), directed: directed, k: k, cur: c}
+	var batch graph.Batch
+	landmarks := topDegree(c, k)
+	for _, u := range landmarks {
+		for _, v := range landmarks {
+			if u < v && c.HasEdge(u, v) {
+				batch = append(batch, del(u, v))
+			}
+		}
+	}
+	for len(batch) < 64 {
+		batch = append(batch, p.ins(p.vertex(), p.vertex()))
+	}
+	post, _, err := c.Apply(batch, directed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := post.Flat()
+	if post.DeltaRows() == 0 || flat == post {
+		t.Fatal("the batch left no overlay with delta rows; the wall measures one")
+	}
+	e, _ := testExecutor(t, "kron-13")
+	old := BuildSketch(c, k)
+	var r repairer
+	noDeadline := func() error { return nil }
+	for _, read := range []struct {
+		name string
+		run  func(epoch *graph.CSR, i int)
+	}{
+		{"k-hop", func(epoch *graph.CSR, i int) {
+			if _, err := e.khop(epoch, landmarks[i%k], 2, noDeadline); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"repair", func(epoch *graph.CSR, _ int) { old.Repair(&r, c, epoch, epoch) }},
+	} {
+		per := func(epoch *graph.CSR) uint64 {
+			i := 0
+			return alloctest.FewestBytes(8, func() { read.run(epoch, i); i++ })
+		}
+		onDelta, onFlat := per(post), per(flat)
+		t.Logf("warm %s: %d B on %d delta rows, %d B flat", read.name, onDelta, post.DeltaRows(), onFlat)
+		if onDelta > onFlat {
+			t.Fatalf("a warm %s allocates %d B on delta rows, %d B on the same epoch flat", read.name, onDelta, onFlat)
+		}
+	}
+}

@@ -138,10 +138,12 @@ func (s *Sketch) EstimateDist(u, v graph.VID) float64 {
 func (s *Sketch) lookups() int { return len(s.landmarks) }
 
 // builder is the scratch one landmark's vectors are built in, reused
-// from landmark to landmark: the heap and the BFS queue.
+// from landmark to landmark: the heap, the BFS queue and the buffer a
+// row the epoch stores as a delta is merged into.
 type builder struct {
 	heap  distHeap
 	queue []graph.VID
+	rows  graph.RowBuf
 }
 
 // bfsHops is a plain serial BFS returning hop counts (-1 unreached).
@@ -157,7 +159,8 @@ func (b *builder) bfsHops(c *graph.CSR, root graph.VID) []int32 {
 	queue := append(b.queue[:0], root)
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, u := range c.Neighbors(v) {
+		adj, _ := c.Row(v, &b.rows)
+		for _, u := range adj {
 			if hops[u] < 0 {
 				hops[u] = hops[v] + 1
 				queue = append(queue, u)
@@ -279,7 +282,7 @@ func (b *builder) dijkstra(c *graph.CSR, root graph.VID) []float64 {
 	h.push(root, 0)
 	for len(h.items) > 0 {
 		it := h.pop()
-		adj, ws := c.WeightedRow(it.v)
+		adj, ws := c.WeightedRowBuf(it.v, &b.rows)
 		for i, u := range adj {
 			if nd := it.d + float64(ws[i]); nd < dist[u] {
 				dist[u] = nd
