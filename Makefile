@@ -24,7 +24,7 @@
 # engine/kernel pair charges on kron-12, checked by the ordinary test
 # run) -- only when a change is meant to move a cost; `make alloc-walls`
 # runs every allocation wall (warm regions, warm kernels, reused
-# instances) three times under GOMAXPROCS=1 and the default, printing
+# instances) three times under GOMAXPROCS=1, the default and 4, printing
 # the B/call each one measured; `make permute` builds with the
 # epg_permute tag, under which every simmachine region runs its chunks
 # serially in an order the test picks (FuzzSpec's seeds compare
@@ -71,10 +71,13 @@ race-full:
 
 # The allocation contract (ARCHITECTURE.md, "Workspaces and result
 # ownership"): a process-wide TotalAlloc delta is only trustworthy if it
-# repeats, so every wall runs three times on one P and three on all.
+# repeats, so every wall runs three times on one P, three on all, and
+# three on four, so the multi-worker walls also run with more Ps than a
+# small host has.
 alloc-walls:
 	GOMAXPROCS=1 $(GO) test -run 'Alloc|Warm|Reused' -count=3 -v ./internal/...
 	$(GO) test -run 'Alloc|Warm|Reused' -count=3 -v ./internal/...
+	GOMAXPROCS=4 $(GO) test -run 'Alloc|Warm|Reused' -count=3 -v ./internal/...
 
 # FuzzSpec's 484 seeds take about 30 s to gather baseline coverage on
 # two CPUs, more than FUZZTIME, so it has its own budget past them.

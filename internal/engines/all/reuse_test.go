@@ -202,11 +202,14 @@ func resultBytes(alg engines.Algorithm, n int) uint64 {
 }
 
 // The allocation contract, kernel side: every (engine, kernel) pair,
-// warm, allocates its result arrays plus less than the 64 KB that
-// gap's walls allow — closures and the pool's hand-off per region, and
-// nothing per vertex, per replica or per chunk. At kron-12 the smallest
-// n-sized array is 16 KB and PowerGraph's replica arrays several times
-// that, so one made per call, or per superstep, breaks the bound.
+// warm, allocates its result arrays plus less than 64 KB — at most one
+// closure per region, where an engine's own body captures its per-call
+// values (the shared steps and GAP's BFS and sync SSSP bind theirs
+// once and allocate nothing past the result; the pool's hand-off is a
+// reusable record), and nothing per vertex, per replica or per chunk.
+// At kron-12 the smallest n-sized array is 16 KB and PowerGraph's
+// replica arrays several times that, so one made per call, or per
+// superstep, breaks the bound.
 func TestWarmKernelsAllocateOnlyResults(t *testing.T) {
 	const bound = 64 << 10
 	el := kronecker.Generate(kronecker.Params{Scale: 12, Seed: 5})

@@ -112,6 +112,24 @@ func (inst *Instance) BFSInto(root graph.VID, dst *engines.BFSResult) (*engines.
 	return res, nil
 }
 
+// toBitmapCall is what one frontierToBitmap region's chunks read.
+type toBitmapCall struct {
+	frontier []graph.VID
+	b        *parallel.Bitmap
+	share    float64 // bitmap words charged per chunk
+}
+
+// bottomUpCall is what one stepBottomUp region's chunks read.
+type bottomUpCall struct {
+	front, next   *parallel.Bitmap
+	parent, depth []int64
+	level         int64
+	rows          pullRows
+	edgeCost      simmachine.Cost
+	cpb           float64
+	exa, sct, fnd *parallel.Counter
+}
+
 // frontierToBitmap converts a queue frontier into the bitmap the
 // bottom-up step consumes (the top-down→bottom-up side of the
 // direction switch). Bit sets are atomic ORs: idempotent and
@@ -122,14 +140,20 @@ func (inst *Instance) frontierToBitmap(frontier []graph.VID, b *parallel.Bitmap)
 	b.Clear()
 	g := inst.m.Grain(len(frontier), bfsTopDownGrain, 1)
 	words := float64((inst.n + 63) / 64)
-	share := words / float64(parallel.NumChunks(len(frontier), g))
-	inst.m.ParallelForChunks(len(frontier), g, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-		for _, v := range frontier[lo:hi] {
-			b.Set(int(v))
-		}
-		w.Charge(costBitmapInsert.Scale(float64(hi - lo)))
-		w.Charge(costBitmapWord.Scale(share))
-	})
+	ws := inst.steps()
+	ws.toBits = toBitmapCall{frontier: frontier, b: b, share: words / float64(parallel.NumChunks(len(frontier), g))}
+	inst.m.ParallelForChunks(len(frontier), g, simmachine.Dynamic, ws.toBitmapFn)
+	ws.toBits = toBitmapCall{}
+}
+
+// toBitmapChunk sets one chunk of frontierToBitmap's frontier.
+func (inst *Instance) toBitmapChunk(lo, hi, chunk, worker int, w *simmachine.W) {
+	tb := &inst.ws.toBits
+	for _, v := range tb.frontier[lo:hi] {
+		tb.b.Set(int(v))
+	}
+	w.Charge(costBitmapInsert.Scale(float64(hi - lo)))
+	w.Charge(costBitmapWord.Scale(tb.share))
 }
 
 // bitmapToFrontier converts the bitmap frontier back into an ascending
@@ -159,49 +183,58 @@ func (inst *Instance) bitmapToFrontier(b *parallel.Bitmap, dst []graph.VID, coun
 // reset is parallel and charged per chunk — no extra region, no extra
 // barrier.
 func (inst *Instance) stepBottomUp(front, next *parallel.Bitmap, parent, depth []int64, level int64) (examined, nextScout, found int64) {
-	n := inst.n
-	tr := &inst.trav
-	exa, sct, fnd := tr.Counter(inst.m, 0), tr.Counter(inst.m, 1), tr.Counter(inst.m, 2)
-	rows, edgeCost := inst.inRows(), costBottomUpEdge
-	if rows.Encoded() {
-		edgeCost = costBottomUpEdgeC
+	tr, ws := &inst.trav, inst.steps()
+	bu := &ws.bottomUp
+	*bu = bottomUpCall{
+		front: front, next: next, parent: parent, depth: depth, level: level,
+		rows: inst.inRows(), edgeCost: costBottomUpEdge, cpb: inst.m.Model().DecodeCyclesPerByte,
+		exa: tr.Counter(inst.m, 0), sct: tr.Counter(inst.m, 1), fnd: tr.Counter(inst.m, 2),
 	}
-	cpb := inst.m.Model().DecodeCyclesPerByte
+	if bu.rows.Encoded() {
+		bu.edgeCost = costBottomUpEdgeC
+	}
 	// align 64: each chunk clears its own word range of `next`.
-	g := inst.m.Grain(n, bfsBottomUpGrain, 64)
-	inst.m.ParallelForChunks(n, g, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-		next.ClearRange(lo, hi)
-		w.Charge(costBitmapWord.Scale(float64(hi-lo) / 64))
-		var edges, localScout, localFound, decBytes int64
-		for v := lo; v < hi; v++ {
-			if parent[v] != engines.NoParent {
-				continue
-			}
-			// The scan stops at the first hit, so an encoded row is
-			// charged exactly the prefix consumed. How far a vertex
-			// scans depends only on the previous level's frontier, not
-			// on the schedule.
-			u, scanned, nb, ok := rows.FirstIn(graph.VID(v), front)
-			edges += scanned
-			decBytes += nb
-			if ok {
-				// Own-vertex writes only: no atomics, no races.
-				parent[v] = int64(u)
-				depth[v] = level + 1
-				next.Set(v)
-				localFound++
-				localScout += inst.out.Degree(graph.VID(v))
-			}
+	g := inst.m.Grain(inst.n, bfsBottomUpGrain, 64)
+	inst.m.ParallelForChunks(inst.n, g, simmachine.Dynamic, ws.bottomUpFn)
+	examined, nextScout, found = bu.exa.Sum(), bu.sct.Sum(), bu.fnd.Sum()
+	*bu = bottomUpCall{}
+	return examined, nextScout, found
+}
+
+// bottomUpChunk scans one chunk of the vertices for parents.
+func (inst *Instance) bottomUpChunk(lo, hi, chunk, worker int, w *simmachine.W) {
+	bu := &inst.ws.bottomUp
+	parent, depth, rows, front, next := bu.parent, bu.depth, bu.rows, bu.front, bu.next
+	next.ClearRange(lo, hi)
+	w.Charge(costBitmapWord.Scale(float64(hi-lo) / 64))
+	var edges, localScout, localFound, decBytes int64
+	for v := lo; v < hi; v++ {
+		if parent[v] != engines.NoParent {
+			continue
 		}
-		exa.Add(worker, edges)
-		sct.Add(worker, localScout)
-		fnd.Add(worker, localFound)
-		w.Charge(edgeCost.Scale(float64(edges)))
-		// Raw rows read no encoded bytes: these two add nothing.
-		w.Cycles(cpb * float64(decBytes))
-		w.Bytes(float64(decBytes))
-		w.Cycles(float64(hi-lo) * 2) // visited test per vertex
-		w.Bytes(float64(hi-lo) * 1)
-	})
-	return exa.Sum(), sct.Sum(), fnd.Sum()
+		// The scan stops at the first hit, so an encoded row is
+		// charged exactly the prefix consumed. How far a vertex
+		// scans depends only on the previous level's frontier, not
+		// on the schedule.
+		u, scanned, nb, ok := rows.FirstIn(graph.VID(v), front)
+		edges += scanned
+		decBytes += nb
+		if ok {
+			// Own-vertex writes only: no atomics, no races.
+			parent[v] = int64(u)
+			depth[v] = bu.level + 1
+			next.Set(v)
+			localFound++
+			localScout += inst.out.Degree(graph.VID(v))
+		}
+	}
+	bu.exa.Add(worker, edges)
+	bu.sct.Add(worker, localScout)
+	bu.fnd.Add(worker, localFound)
+	w.Charge(bu.edgeCost.Scale(float64(edges)))
+	// Raw rows read no encoded bytes: these two add nothing.
+	w.Cycles(bu.cpb * float64(decBytes))
+	w.Bytes(float64(decBytes))
+	w.Cycles(float64(hi-lo) * 2) // visited test per vertex
+	w.Bytes(float64(hi-lo) * 1)
 }

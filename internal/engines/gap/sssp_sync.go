@@ -22,50 +22,23 @@ import (
 // speed), which the chaotic default does not pay.
 func (inst *Instance) ssspSync(ws *workspace, res *engines.SSSPResult) (*engines.SSSPResult, error) {
 	tr := &inst.trav
-	delta := inst.Delta
-	if delta <= 0 {
-		delta = DefaultDelta
+	inst.steps()
+	ws.delta = inst.Delta
+	if ws.delta <= 0 {
+		ws.delta = DefaultDelta
 	}
-	bucketOf := func(d float64) int { return int(d / delta) }
+	light := traverse.Pass{Split: ws.delta, Stale: ws.staleFn}
+	heavy := traverse.Pass{Split: ws.delta, Heavy: true}
 	ws.resetBuckets(res.Root)
 
-	// The bucketing policy, once per call: bi is the bucket being
-	// settled, reAdd its re-settle list for the pass under way.
-	bi := 0
-	var reAdd []graph.VID
-	light := traverse.Pass{
-		Split: delta,
-		// Skip only entries settled into a LATER bucket. An entry whose
-		// distance sits in an earlier bucket (a heavy relaxation that
-		// landed at or below bi and was requeued to bi+1) must still
-		// relax its light edges here, or that work would be dropped
-		// forever.
-		Stale: func(d float64) bool { return bucketOf(d) > bi },
-	}
-	settle := func(u graph.VID, nd float64) {
-		// b < bi is only reachable from an entry whose distance already
-		// sat below the bucket; keep settling it here — bucket b has
-		// passed.
-		if b := bucketOf(nd); b > bi {
-			ws.putBucket(b, u)
-		} else if tr.First(u) {
-			reAdd = append(reAdd, u)
-		}
-	}
-	heavy := traverse.Pass{Split: delta, Heavy: true}
-	requeue := func(u graph.VID, nd float64) {
-		// Float rounding can land a heavy relaxation in the current
-		// bucket range; reprocess it in the next bucket, as the chaotic
-		// variant does.
-		ws.putBucket(max(bucketOf(nd), bi+1), u)
-	}
-
-	for ; bi < len(ws.buckets); bi++ {
-		// Nothing is put into bucket bi while it settles (re-adds go
+	// The bucketing policy lives in the hooks below, which read the
+	// bucket being settled from ws.bucket and put re-settles in ws.reAdd.
+	for ws.bucket = 0; ws.bucket < len(ws.buckets); ws.bucket++ {
+		// Nothing is put into the bucket while it settles (re-adds go
 		// through ws.reAdd, the rest to later buckets), so truncating it
 		// now keeps its array for the next call without touching current.
-		current := ws.buckets[bi]
-		ws.buckets[bi] = current[:0]
+		current := ws.buckets[ws.bucket]
+		ws.buckets[ws.bucket] = current[:0]
 		heavyFrontier := ws.heavy[:0]
 		for len(current) > 0 {
 			// Same bucket-granularity cancellation point as the chaotic
@@ -77,16 +50,45 @@ func (inst *Instance) ssspSync(ws *workspace, res *engines.SSSPResult) (*engines
 			heavyFrontier = append(heavyFrontier, current...)
 			// current is dead once gathered, so the re-adds may land in
 			// the very array it came from.
-			reAdd = ws.reAdd[:0]
-			res.Relaxations += tr.Relax(inst.m, inst.out, &syncRelax, current, res, light, settle)
-			ws.reAdd = reAdd
-			current = reAdd
+			ws.reAdd = ws.reAdd[:0]
+			res.Relaxations += tr.Relax(inst.m, inst.out, &syncRelax, current, res, light, ws.settleFn)
+			current = ws.reAdd
 		}
 		ws.heavy = heavyFrontier
 		// One synchronous pass over the settled bucket's heavy edges.
 		if len(heavyFrontier) > 0 {
-			res.Relaxations += tr.Relax(inst.m, inst.out, &syncRelax, heavyFrontier, res, heavy, requeue)
+			res.Relaxations += tr.Relax(inst.m, inst.out, &syncRelax, heavyFrontier, res, heavy, ws.requeueFn)
 		}
 	}
 	return res, nil
+}
+
+// bucketOf is the delta-stepping bucket of distance d.
+func (inst *Instance) bucketOf(d float64) int { return int(d / inst.ws.delta) }
+
+// stale is the light pass's filter: skip only entries settled into a
+// LATER bucket. An entry whose distance sits in an earlier bucket (a
+// heavy relaxation that landed at or below the current one and was
+// requeued to the next) must still relax its light edges here, or that
+// work would be dropped forever.
+func (inst *Instance) stale(d float64) bool { return inst.bucketOf(d) > inst.ws.bucket }
+
+// settle places a light pass's win: in its later bucket, or — b below
+// the current bucket is only reachable from an entry whose distance
+// already sat below it — back into the current one, once per pass.
+func (inst *Instance) settle(u graph.VID, nd float64) {
+	ws := &inst.ws
+	if b := inst.bucketOf(nd); b > ws.bucket {
+		ws.putBucket(b, u)
+	} else if inst.trav.First(u) {
+		ws.reAdd = append(ws.reAdd, u)
+	}
+}
+
+// requeue places a heavy pass's win. Float rounding can land a heavy
+// relaxation in the current bucket range; reprocess it in the next
+// bucket, as the chaotic variant does.
+func (inst *Instance) requeue(u graph.VID, nd float64) {
+	ws := &inst.ws
+	ws.putBucket(max(inst.bucketOf(nd), ws.bucket+1), u)
 }

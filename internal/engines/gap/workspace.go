@@ -3,6 +3,7 @@ package gap
 import (
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/parallel"
+	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
 // workspace is the working set of the kernels GAP does not share —
@@ -60,6 +61,33 @@ type workspace struct {
 	wccMark          []uint8
 	wccSet           []graph.VID
 	wccQueue         []graph.VID
+
+	// The region bodies and hooks GAP's own steps hand the machine and
+	// the shared steps, bound to the Instance once (steps), and the
+	// per-call values the bodies read, set by each step and cleared
+	// when it returns — so a step builds no closure.
+	owner                  *Instance
+	bottomUpFn, toBitmapFn func(lo, hi, chunk, worker int, w *simmachine.W)
+	bottomUp               bottomUpCall
+	toBits                 toBitmapCall
+	// Synchronous delta-stepping: the bucket being settled, the bucket
+	// width, the light pass's filter and the two passes' win hooks.
+	bucket              int
+	delta               float64
+	staleFn             func(d float64) bool
+	settleFn, requeueFn func(u graph.VID, nd float64)
+}
+
+// steps binds the workspace's bodies and hooks to inst — once, and
+// again if the Instance was copied — and returns the workspace.
+func (inst *Instance) steps() *workspace {
+	ws := &inst.ws
+	if ws.owner != inst {
+		ws.owner = inst
+		ws.bottomUpFn, ws.toBitmapFn = inst.bottomUpChunk, inst.toBitmapChunk
+		ws.staleFn, ws.settleFn, ws.requeueFn = inst.stale, inst.settle, inst.requeue
+	}
+	return ws
 }
 
 // rowBufs returns one row buffer per worker of workers.

@@ -147,16 +147,12 @@ func TestIntoReusesOnlyLargeEnoughDst(t *testing.T) {
 	}
 }
 
-// Warm BFSInto and synchronous SSSPInto allocate nothing sized by the
-// graph, by a region's chunk count or by the frontier: the results are
-// the caller's, the working set is the instance's and every region's
-// bookkeeping is the machine's. What is left, at two workers, is some
-// 300 B per region — the closures and the wait group of handing the
-// chunks to the pool — so the bounds are twice what a call measures now
-// (BFS 2.0 KB over ~7 regions, SSSP 8.6 KB over ~30): a cost slot per
-// chunk alone was 5.5 KB a BFS, and one n-sized array is 32 KB.
+// Warm BFSInto and synchronous SSSPInto allocate nothing at all at two
+// workers: the results are the caller's, the working set is the
+// instance's, every region's bookkeeping is the machine's, its body is
+// bound to the instance once, and the hand-off to the pool is the
+// pool's reusable region record.
 func TestWarmTraversalAllocationBound(t *testing.T) {
-	const boundBFS, boundSSSP = 4 << 10, 17 << 10
 	e := engine()
 	engines.Configure(e, engines.Options{SyncSSSP: true})
 	inst := load(t, e, kron(12, 5), 8)
@@ -179,8 +175,8 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 		i++
 	})
 	t.Logf("warm BFSInto %d B/call, sync SSSPInto %d B/call", perBFS, perSSSP)
-	if perBFS >= boundBFS || perSSSP >= boundSSSP {
-		t.Fatalf("warm traversal allocates BFS %d B, SSSP %d B per call; bounds %d and %d", perBFS, perSSSP, boundBFS, boundSSSP)
+	if perBFS != 0 || perSSSP != 0 {
+		t.Fatalf("warm traversal allocates BFS %d B, SSSP %d B per call; want 0 and 0", perBFS, perSSSP)
 	}
 }
 

@@ -74,28 +74,33 @@ func (c *Chunk) Row(rows Rows, v int) []graph.VID {
 func (s *State) Sweep(m *simmachine.Machine, n, grain int, p *SweepProfile, body func(c *Chunk, lo, hi int)) (sum float64, changed int64) {
 	chg := s.ready(m)
 	s.parts = Resized(s.parts, parallel.NumChunks(n, grain))
-	cpb := m.Model().DecodeCyclesPerByte
-	m.ParallelForChunks(n, grain, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-		c := &s.chunks[worker]
-		*c = Chunk{buf: &s.rowBufs[worker], worker: worker}
-		body(c, lo, hi)
-		s.parts[chunk] = c.Sum
-		chg.Add(worker, c.Changed)
-		entries := float64(c.raw)
-		if p.EdgeShare != 0 {
-			entries *= p.EdgeShare
-		}
-		w.Charge(p.Edge.Scale(entries))
-		w.Charge(p.EdgeCompressed.Scale(float64(c.decoded)))
-		w.Cycles(cpb * float64(c.encBytes))
-		w.Bytes(float64(c.encBytes))
-		w.Charge(p.Work.Scale(float64(c.Work)))
-		w.Charge(p.Vertex.Scale(float64(hi - lo)))
-	})
+	s.sw = sweepCall{p: p, body: body, cpb: m.Model().DecodeCyclesPerByte}
+	m.ParallelForChunks(n, grain, simmachine.Dynamic, s.sweepFn)
+	s.sw = sweepCall{}
 	for _, part := range s.parts {
 		sum += part
 	}
 	return sum, chg.Sum()
+}
+
+// sweepChunk runs a Sweep's body over one chunk and charges it.
+func (s *State) sweepChunk(lo, hi, chunk, worker int, w *simmachine.W) {
+	p := s.sw.p
+	c := &s.chunks[worker]
+	*c = Chunk{buf: &s.rowBufs[worker], worker: worker}
+	s.sw.body(c, lo, hi)
+	s.parts[chunk] = c.Sum
+	s.edges.Add(worker, c.Changed)
+	entries := float64(c.raw)
+	if p.EdgeShare != 0 {
+		entries *= p.EdgeShare
+	}
+	w.Charge(p.Edge.Scale(entries))
+	w.Charge(p.EdgeCompressed.Scale(float64(c.decoded)))
+	w.Cycles(s.sw.cpb * float64(c.encBytes))
+	w.Bytes(float64(c.encBytes))
+	w.Charge(p.Work.Scale(float64(c.Work)))
+	w.Charge(p.Vertex.Scale(float64(hi - lo)))
 }
 
 // Partials returns a copy of the last Sweep's per-chunk sums, in chunk

@@ -98,9 +98,10 @@ type cand struct {
 
 // State is the reusable working set of the steps, one per engine
 // instance (instances are single-caller, so it needs no locking). A
-// warm step allocates nothing that scales with the graph: per-chunk
+// warm TopDown, Relax or Sweep allocates nothing of its own: per-chunk
 // outputs come out of one Arena buffer per worker, so what stays
-// resident is bounded by the largest single region's output. Every
+// resident is bounded by the largest single region's output, and each
+// step's region body is bound to the State once. Every
 // piece is sized where it is used from (n, Workers()), so a graph
 // epoch swap or a SetWorkers needs no invalidation. The zero State is
 // ready.
@@ -133,6 +134,52 @@ type State struct {
 	// cleared only when the counter wraps.
 	queued []int32
 	pass   int32
+
+	// The step bodies, bound to this State once (bind), and the
+	// per-call values they read, set by each step and cleared when it
+	// returns: a step opens its region without building a closure, and
+	// the State holds no caller's arrays between calls.
+	self                        *State
+	topDownFn, relaxFn, sweepFn func(lo, hi, chunk, worker int, w *simmachine.W)
+	td                          topDownCall
+	rx                          relaxCall
+	sw                          sweepCall
+}
+
+// topDownCall is what one TopDown level's chunks read.
+type topDownCall struct {
+	rows          Rows
+	p             *Profile
+	frontier      []graph.VID
+	parent, depth []int64
+	level         int64
+	edgeCost      simmachine.Cost
+	cpb           float64
+}
+
+// relaxCall is what one Relax gather's chunks read.
+type relaxCall struct {
+	rows     WeightedRows
+	p        *RelaxProfile
+	frontier []graph.VID
+	dist     []float64
+	pass     Pass
+}
+
+// sweepCall is what one Sweep's chunks read.
+type sweepCall struct {
+	p    *SweepProfile
+	body func(c *Chunk, lo, hi int)
+	cpb  float64
+}
+
+// bind binds the step bodies to s: once, and again if the State was
+// copied.
+func (s *State) bind() {
+	if s.self != s {
+		s.self = s
+		s.topDownFn, s.relaxFn, s.sweepFn = s.topDownChunk, s.relaxChunk, s.sweepChunk
+	}
 }
 
 // size makes the per-worker parts match m's current worker count.
@@ -148,9 +195,11 @@ func (s *State) size(m *simmachine.Machine) {
 	}
 }
 
-// ready sizes the per-worker parts and returns the zeroed edge counter.
+// ready sizes the per-worker parts, binds the step bodies and returns
+// the zeroed edge counter.
 func (s *State) ready(m *simmachine.Machine) *parallel.Counter {
 	s.size(m)
+	s.bind()
 	s.edges.Reset()
 	return s.edges
 }
@@ -274,54 +323,61 @@ func (s *State) BFS(m *simmachine.Machine, rows Rows, p *Profile, kernel string,
 // those amortized cycles, not a region of its own: a region per level
 // would pay a barrier per level.
 func (s *State) TopDown(m *simmachine.Machine, rows Rows, p *Profile, res *engines.BFSResult, level int64) (examined int64) {
-	frontier, parent, depth := s.Frontier, res.Parent, res.Depth
+	frontier, parent := s.Frontier, res.Parent
 	grain := m.Grain(len(frontier), p.Grain, 1)
 	exa := s.ready(m)
-	next, arena := &s.claims, &s.claimBuf
-	next.Reset(parallel.NumChunks(len(frontier), grain))
-	arena.Reset(s.workers)
-	encoded, edgeCost := rows.Encoded(), p.Edge
-	if encoded {
-		edgeCost = p.EdgeCompressed
+	s.claims.Reset(parallel.NumChunks(len(frontier), grain))
+	s.claimBuf.Reset(s.workers)
+	s.td = topDownCall{
+		rows: rows, p: p, frontier: frontier, parent: parent, depth: res.Depth, level: level,
+		edgeCost: p.Edge, cpb: m.Model().DecodeCyclesPerByte,
 	}
-	cpb := m.Model().DecodeCyclesPerByte
-	m.ParallelForChunks(len(frontier), grain, p.Sched, func(lo, hi, chunk, worker int, w *simmachine.W) {
-		local := arena.Take(worker)
-		start := len(local)
-		buf := &s.rowBufs[worker]
-		var edges, claims, decBytes int64
-		for _, v := range frontier[lo:hi] {
-			adj, nb := rows.Row(v, buf)
-			decBytes += nb
-			for _, u := range adj {
-				edges++
-				// Finalized before this level (root included): skip.
-				// Racing claims from this level read -1 or level+1 —
-				// both sides of the race take the claim path, so the
-				// eligible-edge count is schedule-independent.
-				if d := atomic.LoadInt64(&depth[u]); d != -1 && d != level+1 {
-					continue
-				}
-				claims++
-				if parallel.LowerMinInt64(&parent[u], int64(v), engines.NoParent) {
-					atomic.StoreInt64(&depth[u], level+1)
-					local = append(local, parallel.Claim{V: u, By: v})
-				}
-			}
-		}
-		next.Put(chunk, arena.Give(worker, local, start))
-		exa.Add(worker, edges)
-		w.Charge(edgeCost.Scale(float64(edges)))
-		// Raw rows read no encoded bytes: these two add nothing.
-		w.Cycles(cpb * float64(decBytes))
-		w.Bytes(float64(decBytes))
-		w.Charge(p.Claim.Scale(float64(claims)))
-		w.Cycles(float64(hi-lo) * p.VertexCycles)
-	})
-	s.Frontier = parallel.DrainChunkQueue(next, frontier[:0], func(c parallel.Claim) (graph.VID, bool) {
+	if rows.Encoded() {
+		s.td.edgeCost = p.EdgeCompressed
+	}
+	m.ParallelForChunks(len(frontier), grain, p.Sched, s.topDownFn)
+	s.td = topDownCall{}
+	s.Frontier = parallel.DrainChunkQueue(&s.claims, frontier[:0], func(c parallel.Claim) (graph.VID, bool) {
 		return c.V, parent[c.V] == int64(c.By) // else it lost the min race to another chunk
 	})
 	return exa.Sum()
+}
+
+// topDownChunk expands one chunk of a TopDown level's frontier.
+func (s *State) topDownChunk(lo, hi, chunk, worker int, w *simmachine.W) {
+	td := &s.td
+	parent, depth, level := td.parent, td.depth, td.level
+	local := s.claimBuf.Take(worker)
+	start := len(local)
+	buf := &s.rowBufs[worker]
+	var edges, claims, decBytes int64
+	for _, v := range td.frontier[lo:hi] {
+		adj, nb := td.rows.Row(v, buf)
+		decBytes += nb
+		for _, u := range adj {
+			edges++
+			// Finalized before this level (root included): skip.
+			// Racing claims from this level read -1 or level+1 —
+			// both sides of the race take the claim path, so the
+			// eligible-edge count is schedule-independent.
+			if d := atomic.LoadInt64(&depth[u]); d != -1 && d != level+1 {
+				continue
+			}
+			claims++
+			if parallel.LowerMinInt64(&parent[u], int64(v), engines.NoParent) {
+				atomic.StoreInt64(&depth[u], level+1)
+				local = append(local, parallel.Claim{V: u, By: v})
+			}
+		}
+	}
+	s.claims.Put(chunk, s.claimBuf.Give(worker, local, start))
+	s.edges.Add(worker, edges)
+	w.Charge(td.edgeCost.Scale(float64(edges)))
+	// Raw rows read no encoded bytes: these two add nothing.
+	w.Cycles(td.cpb * float64(decBytes))
+	w.Bytes(float64(decBytes))
+	w.Charge(td.p.Claim.Scale(float64(claims)))
+	w.Cycles(float64(hi-lo) * td.p.VertexCycles)
 }
 
 // Pass selects what one relaxation pass relaxes.
@@ -364,37 +420,12 @@ func (s *State) Relax(m *simmachine.Machine, rows WeightedRows, p *RelaxProfile,
 
 	g := m.Grain(len(frontier), relaxGrain, 1)
 	rel := s.ready(m)
-	cands, arena := &s.cands, &s.candBuf
+	cands := &s.cands
 	cands.Reset(parallel.NumChunks(len(frontier), g))
-	arena.Reset(s.workers)
-	m.ParallelForChunks(len(frontier), g, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-		local := arena.Take(worker)
-		start := len(local)
-		buf := &s.rowBufs[worker]
-		var edges int64
-		for _, v := range frontier[lo:hi] {
-			dv := dist[v]
-			if pass.Stale != nil && pass.Stale(dv) {
-				continue
-			}
-			adj, ws := rows.WeightedRowBuf(v, buf)
-			for i, u := range adj {
-				wt := float64(ws[i])
-				if (wt > pass.Split) != pass.Heavy {
-					continue
-				}
-				edges++
-				if nd := dv + wt; nd < dist[u] {
-					local = append(local, cand{u: u, p: v, nd: nd})
-				}
-			}
-		}
-		cands.Put(chunk, arena.Give(worker, local, start))
-		rel.Add(worker, edges)
-		w.Charge(p.Edge.Scale(float64(edges)))
-		w.Charge(p.Cand.Scale(float64(len(local) - start)))
-		w.Charge(p.Vertex.Scale(float64(hi - lo)))
-	})
+	s.candBuf.Reset(s.workers)
+	s.rx = relaxCall{rows: rows, p: p, frontier: frontier, dist: dist, pass: pass}
+	m.ParallelForChunks(len(frontier), g, simmachine.Dynamic, s.relaxFn)
+	s.rx = relaxCall{}
 	m.Serial(func(w *simmachine.W) {
 		var wins int
 		for _, chunk := range cands.Chunks() {
@@ -412,6 +443,38 @@ func (s *State) Relax(m *simmachine.Machine, rows WeightedRows, p *RelaxProfile,
 		w.Charge(p.Merge.Scale(float64(cands.Len())))
 	})
 	return rel.Sum()
+}
+
+// relaxChunk gathers one chunk of a Relax pass's candidates.
+func (s *State) relaxChunk(lo, hi, chunk, worker int, w *simmachine.W) {
+	rx := &s.rx
+	dist, split, heavy, stale := rx.dist, rx.pass.Split, rx.pass.Heavy, rx.pass.Stale
+	local := s.candBuf.Take(worker)
+	start := len(local)
+	buf := &s.rowBufs[worker]
+	var edges int64
+	for _, v := range rx.frontier[lo:hi] {
+		dv := dist[v]
+		if stale != nil && stale(dv) {
+			continue
+		}
+		adj, ws := rx.rows.WeightedRowBuf(v, buf)
+		for i, u := range adj {
+			wt := float64(ws[i])
+			if (wt > split) != heavy {
+				continue
+			}
+			edges++
+			if nd := dv + wt; nd < dist[u] {
+				local = append(local, cand{u: u, p: v, nd: nd})
+			}
+		}
+	}
+	s.cands.Put(chunk, s.candBuf.Give(worker, local, start))
+	s.edges.Add(worker, edges)
+	w.Charge(rx.p.Edge.Scale(float64(edges)))
+	w.Charge(rx.p.Cand.Scale(float64(len(local) - start)))
+	w.Charge(rx.p.Vertex.Scale(float64(hi - lo)))
 }
 
 // First reports whether this is the first call for u since the current

@@ -91,9 +91,11 @@ func TestRunHomogenizesOnce(t *testing.T) {
 // a new instance's relaxation passes grow its candidate arena, stamps
 // and frontiers from nothing, ~550 KB a Run at kron-10, against the two
 // SSSP results (16 B per vertex each) and the machine, whose
-// construction is measured here. slack covers the rest, ~24 KB measured
+// construction is measured here. slack covers the rest, ~21 KB measured
 // and independent of the graph's size: the machine's trace (grown by
-// doubling), the result rows, root selection and each region's closures.
+// doubling), the result rows, root selection and the closures GraphBIG's
+// own steps build per call (the regions' hand-off to the pool allocates
+// nothing).
 func TestWarmRunAllocationBound(t *testing.T) {
 	const roots, slack = 2, 48 << 10
 	el, err := ResolveDataset("kron-10", DatasetOptions{Seed: 1})

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -96,7 +97,9 @@ const bitmapWordGrain = 256
 // returns the extended slice, running both passes (per-chunk popcount,
 // then scatter at ScanInt64-derived cursors) on the pool. The output
 // is a pure function of the bitmap contents — this is the sort-free
-// queue<->bitmap conversion of a direction switch. Call only between
+// queue<->bitmap conversion of a direction switch. The per-chunk counts
+// and both passes' bodies live in the pool's region record, so a warm
+// call into a dst with room allocates nothing. Call only between
 // regions.
 func (b *Bitmap) ToSlice(p *Pool, workers int, dst []uint32) []uint32 {
 	nw := len(b.words)
@@ -107,30 +110,19 @@ func (b *Bitmap) ToSlice(p *Pool, workers int, dst []uint32) []uint32 {
 	if workers <= 1 || p == nil {
 		return b.appendSerial(dst)
 	}
-	counts := make([]int64, nchunks)
-	For(p, workers, nw, bitmapWordGrain, Static, func(lo, hi, chunk, worker int) {
-		var c int64
-		for w := lo; w < hi; w++ {
-			c += int64(bits.OnesCount64(b.words[w]))
-		}
-		counts[chunk] = c
-	})
-	total := ScanInt64(nil, 1, counts) // nchunks is small: serial scan
+	r := p.acquire()
+	defer p.release(r)
+	r.bits = b
+	if cap(r.counts) < nchunks {
+		r.counts = make([]int64, nchunks)
+	}
+	r.counts = r.counts[:nchunks]
+	r.forChunks(p, workers, nw, bitmapWordGrain, Static, Topology{}, r.countFn)
+	total := ScanInt64(nil, 1, r.counts) // nchunks is small: serial scan
 	base := len(dst)
-	dst = append(dst, make([]uint32, total)...)
-	out := dst[base:]
-	For(p, workers, nw, bitmapWordGrain, Static, func(lo, hi, chunk, worker int) {
-		pos := counts[chunk]
-		for wi := lo; wi < hi; wi++ {
-			w := b.words[wi]
-			for w != 0 {
-				bit := bits.TrailingZeros64(w)
-				out[pos] = uint32(wi<<6 + bit)
-				pos++
-				w &= w - 1
-			}
-		}
-	})
+	dst = slices.Grow(dst, int(total))[:base+int(total)]
+	r.out = dst[base:]
+	r.forChunks(p, workers, nw, bitmapWordGrain, Static, Topology{}, r.placeFn)
 	return dst
 }
 

@@ -3,7 +3,6 @@ package parallel
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/hpcl-repro/epg/internal/xrand"
 )
@@ -35,11 +34,11 @@ const (
 	NUMA
 )
 
-// task is one dispatch to a pooled worker goroutine.
+// task is one dispatch to a pooled worker goroutine: run worker id's
+// share of the region rec describes.
 type task struct {
-	fn   func(worker int)
-	id   int
-	done *sync.WaitGroup
+	rec *region
+	id  int
 }
 
 // pworker is a pooled goroutine parked on its own task channel.
@@ -49,9 +48,10 @@ type pworker struct {
 
 func (w *pworker) loop(p *Pool) {
 	for t := range w.tasks {
-		t.fn(t.id)
+		rec := t.rec
+		rec.work(t.id)
 		parked := p.park(w)
-		t.done.Done()
+		rec.wg.Done() // the caller may recycle rec from here on
 		if !parked {
 			// Idle set full: nobody holds a reference to this worker
 			// anymore, so exit instead of blocking on the channel
@@ -61,25 +61,37 @@ func (w *pworker) loop(p *Pool) {
 	}
 }
 
-// Pool is a reusable set of worker goroutines. Run borrows workers for
-// the duration of one parallel region and parks them again afterwards,
-// so hot kernels that issue thousands of small regions (one per BFS
-// level) do not pay a goroutine spawn per region.
+// Pool is a reusable set of worker goroutines and of region records.
+// Run borrows workers for the duration of one parallel region and
+// parks them again afterwards, so hot kernels that issue thousands of
+// small regions (one per BFS level) do not pay a goroutine spawn per
+// region. What a region hands its workers — the body, the chunk
+// shape and schedule, the Dynamic counter, the steal deques, the wait
+// group and the panic cell — lives in a region record taken from the
+// pool's free list and returned to it afterwards, so a warm region
+// allocates nothing at any worker count: the body is passed as a
+// func value the caller already holds, never captured in a closure
+// built per region. The free list is a buffered channel, like the idle
+// set, so concurrent callers (epgd's executors share Default) each
+// take their own record, and it keeps its records under -race, where
+// a sync.Pool drops some at random.
 //
 // The zero Pool is not usable; call NewPool. A Pool never needs to be
-// closed: parked goroutines are bounded by its idle capacity and are
-// reused process-wide when obtained from Default.
+// closed: parked goroutines and free records are bounded by its idle
+// capacity and are reused process-wide when obtained from Default.
 type Pool struct {
 	idle chan *pworker
+	free chan *region
 }
 
-// NewPool returns a pool that parks at most idleCap workers between
-// regions (more may run transiently; extras exit instead of parking).
+// NewPool returns a pool that parks at most idleCap workers and keeps
+// at most idleCap region records between regions (more may exist
+// transiently; extra workers exit and extra records are dropped).
 func NewPool(idleCap int) *Pool {
 	if idleCap < 1 {
 		idleCap = 1
 	}
-	return &Pool{idle: make(chan *pworker, idleCap)}
+	return &Pool{idle: make(chan *pworker, idleCap), free: make(chan *region, idleCap)}
 }
 
 var (
@@ -128,7 +140,9 @@ func (w *pworker) run(t task) bool {
 // worker 0, so Run(1, fn) is a plain function call with no goroutines,
 // no channels, and no synchronization — the serial baseline really is
 // serial. fn must not call Run on the same pool (regions do not nest;
-// the engines' parallel regions never do).
+// the engines' parallel regions never do). A warm Run allocates
+// nothing of its own; a closure fn that captures variables is the
+// caller's allocation.
 //
 // A panic inside fn on ANY worker is captured, the region is run to
 // completion on the remaining workers, and the first panic value is
@@ -145,41 +159,10 @@ func (p *Pool) Run(workers int, fn func(worker int)) {
 		fn(0)
 		return
 	}
-	var wg sync.WaitGroup
-	var panicked atomic.Bool
-	var panicVal any
-	capture := func(worker int) {
-		defer func() {
-			if r := recover(); r != nil {
-				if panicked.CompareAndSwap(false, true) {
-					panicVal = r // wg.Wait() orders this write before the read below
-				}
-			}
-		}()
-		fn(worker)
-	}
-	wg.Add(workers - 1)
-	t := task{fn: capture, done: &wg}
-	for id := 1; id < workers; id++ {
-		t.id = id
-		select {
-		case w := <-p.idle:
-			if !w.run(t) {
-				// Cannot happen: parked workers have drained their
-				// channel. Kept as a safe fallback.
-				go func(t task) { t.fn(t.id); t.done.Done() }(t)
-			}
-		default:
-			w := &pworker{tasks: make(chan task, 1)}
-			w.run(t)
-			go w.loop(p)
-		}
-	}
-	capture(0)
-	wg.Wait()
-	if panicked.Load() {
-		panic(panicVal)
-	}
+	r := p.acquire()
+	defer p.release(r)
+	r.workers, r.fn = workers, fn
+	r.run(p)
 }
 
 // NumChunks returns the chunk count ParallelFor uses for n items at
@@ -205,52 +188,24 @@ func For(p *Pool, workers, n, grain int, sched Sched, body func(lo, hi, chunk, w
 
 // ForTopo is For with an explicit socket topology for the NUMA policy
 // (the other policies ignore it). The zero Topology resolves to
-// DefaultTopology.
+// DefaultTopology. With one worker the chunks run in index order on
+// the calling goroutine — the order every policy gives a lone worker.
 func ForTopo(p *Pool, workers, n, grain int, sched Sched, topo Topology, body func(lo, hi, chunk, worker int)) {
 	nchunks := NumChunks(n, grain)
 	if nchunks == 0 {
 		return
 	}
-	if grain < 1 {
-		grain = 1
-	}
-	if workers > nchunks {
-		workers = nchunks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	runChunk := func(c, worker int) {
-		lo := c * grain
-		hi := lo + grain
-		if hi > n {
-			hi = n
+	grain = max(grain, 1)
+	workers = max(min(workers, nchunks), 1)
+	if workers == 1 {
+		for c := 0; c < nchunks; c++ {
+			body(c*grain, min((c+1)*grain, n), c, 0)
 		}
-		body(lo, hi, c, worker)
+		return
 	}
-	switch sched {
-	case Static:
-		p.Run(workers, func(worker int) {
-			for c := worker; c < nchunks; c += workers {
-				runChunk(c, worker)
-			}
-		})
-	case Steal:
-		stealChunks(p, workers, nchunks, Topology{Sockets: 1}, runChunk)
-	case NUMA:
-		stealChunks(p, workers, nchunks, topo, runChunk)
-	default: // Dynamic
-		var next atomic.Int64
-		p.Run(workers, func(worker int) {
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nchunks {
-					return
-				}
-				runChunk(c, worker)
-			}
-		})
-	}
+	r := p.acquire()
+	defer p.release(r)
+	r.forChunks(p, workers, n, grain, sched, topo, body)
 }
 
 // StealSeed derives the per-region RNG seed for steal victim

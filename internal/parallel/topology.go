@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"runtime"
-	"sync"
 
 	"github.com/hpcl-repro/epg/internal/xrand"
 )
@@ -67,126 +66,115 @@ func (t Topology) socketOf(worker, workers int) int {
 	return worker / blockSize(workers, t.resolved(workers).Sockets)
 }
 
-// stealChunks executes the chunks under work stealing, the one executor
-// behind both Steal and NUMA. Worker w's Chase–Lev deque is prefilled
-// with chunks w, w+workers, ... (the Static assignment); owners pop
-// their share in ascending index order and an idle worker steals the
-// highest-index chunk of a victim, working outward through the
-// topology's levels: its own socket, then its node's other sockets,
-// then remote nodes — randomized probes (decorrelating thieves)
-// followed by a deterministic sweep at each level. A level exists only
-// where the topology actually splits the workers, so Steal (one socket,
-// one node) probes and sweeps every other deque once, and NUMA crosses
-// an interconnect only when everything nearer is dry (deques only
-// shrink after the prefill, so an empty nearer sweep stays empty).
+// stealChunks is one worker's share of a region under work stealing,
+// the one executor behind both Steal and NUMA. Worker w's Chase–Lev
+// deque is prefilled with chunks w, w+workers, ... (the Static
+// assignment); owners pop their share in ascending index order and an
+// idle worker steals the highest-index chunk of a victim, working
+// outward through the topology's levels: its own socket, then its
+// node's other sockets, then remote nodes — randomized probes
+// (decorrelating thieves) followed by a deterministic sweep at each
+// level. A level exists only where the topology actually splits the
+// workers, so Steal (one socket, one node) probes and sweeps every
+// other deque once, and NUMA crosses an interconnect only when
+// everything nearer is dry (deques only shrink after the prefill, so
+// an empty nearer sweep stays empty).
 //
 // Termination needs no counter: nothing is pushed after the prefill,
 // so once the sweeps of every level — which together cover every other
 // deque — come up empty in one pass, all chunks have been claimed.
-// Their claimants finish them before returning from this region (Run
+// Their claimants finish them before returning from this region (run
 // waits on every worker), so the idle worker exits instead of spinning.
-func stealChunks(p *Pool, workers, nchunks int, topo Topology, runChunk func(c, worker int)) {
-	topo = topo.resolved(workers)
-	levels := 1
-	if topo.Sockets > 1 {
-		levels++
+func (r *region) stealChunks(worker int) {
+	var rng xrand.RNG // on this worker's stack: thieves share nothing
+	rng.Seed(r.seed ^ xrand.Mix64(uint64(worker)+1))
+	own := r.deques[worker]
+	for {
+		if c, ok := own.PopBottom(); ok {
+			r.chunk(int(c), worker)
+		} else if !r.steal(worker, &rng) {
+			return
+		}
 	}
-	if topo.Nodes > 1 {
-		levels++
-	}
-	perSock, perNode := blockSize(workers, topo.Sockets), blockSize(workers, topo.Nodes)
-	set := prefillDeques(workers, nchunks)
-	deques := set.deques
-	seed := StealSeed(nchunks, workers)
-	p.Run(workers, func(worker int) {
-		rng := xrand.New(seed ^ xrand.Mix64(uint64(worker)+1))
-		// take steals one chunk from victim v if v sits at interconnect
-		// distance d: 0 shares the thief's socket, levels-1 is the
-		// farthest ring (across the network when there are nodes). With
-		// one socket or one node that block is all the workers, so the
-		// ring separates nobody.
-		take := func(v, d int) bool {
-			dist := 0
-			switch {
-			case v == worker:
-				return false
-			case levels == 1:
-			case v/perNode != worker/perNode:
-				dist = levels - 1
-			case v/perSock != worker/perSock:
-				dist = 1
-			}
-			if dist != d {
-				return false
-			}
-			c, ok := deques[v].Steal()
-			if ok {
-				runChunk(int(c), worker)
-			}
-			return ok
-		}
-		steal := func() bool {
-			for d := 0; d < levels; d++ {
-				for tries := 0; tries < workers; tries++ {
-					if take(int(rng.Uint64()%uint64(workers)), d) {
-						return true
-					}
-				}
-				for off := 1; off < workers; off++ {
-					if take((worker+off)%workers, d) {
-						return true
-					}
-				}
-			}
-			return false
-		}
-		own := deques[worker]
-		for {
-			if c, ok := own.PopBottom(); ok {
-				runChunk(int(c), worker)
-			} else if !steal() {
-				return
-			}
-		}
-	})
-	// Only a region that ran to completion returns its set: one a
-	// panicking chunk abandoned is left to the collector.
-	dequeSets.Put(set)
 }
 
-// dequeSet is the deques of one steal region. Sets are recycled through
-// dequeSets — process-wide, not per Pool, because concurrent callers
-// (epgd's executors) share parallel.Default and each needs its own.
-type dequeSet struct{ deques []*Deque }
-
-var dequeSets = sync.Pool{New: func() any { return new(dequeSet) }}
-
-// prefillDeques returns a recycled set of per-worker Chase–Lev deques,
-// emptied and regrown as this region needs, holding the static chunk
-// assignment (worker w owns w, w+workers, ...), pushed in descending
-// order so owners pop ascending.
-func prefillDeques(workers, nchunks int) *dequeSet {
-	set := dequeSets.Get().(*dequeSet)
-	for len(set.deques) < workers {
-		set.deques = append(set.deques, nil)
-	}
-	deques := set.deques[:workers]
-	per := (nchunks + workers - 1) / workers
-	for w, d := range deques {
-		if d == nil || len(d.buf) < per {
-			deques[w] = NewDeque(per)
-			continue
+// steal runs one chunk taken from another worker's deque, nearest
+// level first, and reports false when every other deque is empty.
+func (r *region) steal(worker int, rng *xrand.RNG) bool {
+	for d := 0; d < r.levels; d++ {
+		for tries := 0; tries < r.workers; tries++ {
+			if r.take(worker, int(rng.Uint64()%uint64(r.workers)), d) {
+				return true
+			}
 		}
-		d.top.Store(0)
-		d.bottom.Store(0)
+		for off := 1; off < r.workers; off++ {
+			if r.take(worker, (worker+off)%r.workers, d) {
+				return true
+			}
+		}
 	}
-	for w := 0; w < workers; w++ {
+	return false
+}
+
+// take steals one chunk from victim v and runs it if v sits at
+// interconnect distance d from worker: 0 shares the thief's socket,
+// levels-1 is the farthest ring (across the network when there are
+// nodes). With one socket or one node that block is all the workers,
+// so the ring separates nobody.
+func (r *region) take(worker, v, d int) bool {
+	dist := 0
+	switch {
+	case v == worker:
+		return false
+	case r.levels == 1:
+	case v/r.perNode != worker/r.perNode:
+		dist = r.levels - 1
+	case v/r.perSock != worker/r.perSock:
+		dist = 1
+	}
+	if dist != d {
+		return false
+	}
+	c, ok := r.deques[v].Steal()
+	if ok {
+		r.chunk(int(c), worker)
+	}
+	return ok
+}
+
+// prefill readies a steal region over topo: the levels, the seed and
+// one deque per worker, emptied and regrown as this region needs,
+// holding the static chunk assignment (worker w owns w, w+workers,
+// ...), pushed in descending order so owners pop ascending.
+func (r *region) prefill(topo Topology) {
+	workers, nchunks := r.workers, r.nchunks
+	topo = topo.resolved(workers)
+	r.levels = 1
+	if topo.Sockets > 1 {
+		r.levels++
+	}
+	if topo.Nodes > 1 {
+		r.levels++
+	}
+	r.perSock, r.perNode = blockSize(workers, topo.Sockets), blockSize(workers, topo.Nodes)
+	r.seed = StealSeed(nchunks, workers)
+	for len(r.deques) < workers {
+		r.deques = append(r.deques, nil)
+	}
+	per := (nchunks + workers - 1) / workers
+	for w, d := range r.deques[:workers] {
+		if d == nil || len(d.buf) < per {
+			d = NewDeque(per)
+			r.deques[w] = d
+		} else {
+			d.top.Store(0)
+			d.bottom.Store(0)
+		}
 		last := w + ((nchunks-1-w)/workers)*workers
 		for c := last; c >= 0; c -= workers {
-			if !deques[w].PushBottom(int64(c)) {
+			if !d.PushBottom(int64(c)) {
 				panic("parallel: steal deque prefill overflow")
 			}
 		}
 	}
-	return set
 }

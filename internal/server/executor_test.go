@@ -1,11 +1,13 @@
 package server
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"slices"
 	"testing"
 
+	"github.com/hpcl-repro/epg/internal/alloctest"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/harness"
 )
@@ -169,5 +171,46 @@ func TestKHopAllocationBound(t *testing.T) {
 		t.Fatalf("warm k-hop allocates %d B per query; bound %d", per, 64<<10)
 	} else {
 		t.Logf("warm k-hop allocates %d B per query", per)
+	}
+}
+
+// A warm Submit allocates the query's reply and nothing its kernel
+// works in: the pending record and its reply channel. The executor's
+// result buffers and k-hop scratch are kept from query to query, the
+// machine's region bookkeeping and the engine's step bodies are bound
+// once, and the regions' hand-off to the pool is the pool's reusable
+// record, also at two real workers.
+func TestWarmSubmitAllocatesOnlyTheReply(t *testing.T) {
+	const bound = 512
+	el, err := harness.ResolveDataset("kron-12", harness.DatasetOptions{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewFromEdgeList(el, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	for _, e := range s.execs {
+		e.m.SetWorkers(2)
+	}
+	ctx, n := context.Background(), s.NumVertices()
+	for _, op := range []Op{OpBFS, OpSSSP, OpPR, OpWCC, OpKHop} {
+		// Every batch repeats the same queries: a root the executors have
+		// not searched yet may still grow their buckets once.
+		const queries = 32
+		i := 0
+		per := alloctest.BytesPerRun(queries, func() {
+			j := i % queries
+			q := Query{Op: op, Source: graph.VID(j * 97 % n), Target: graph.VID(j * 31 % n), K: 2}
+			if r := s.Submit(ctx, q); r.Status != StatusOK {
+				t.Fatalf("%s: status %q err %q", op, r.Status, r.Err)
+			}
+			i++
+		})
+		t.Logf("warm Submit %s: %d B/query", op, per)
+		if per > bound {
+			t.Errorf("a warm Submit of %s allocates %d B per query; bound %d (the pending record and its reply channel)", op, per, bound)
+		}
 	}
 }

@@ -172,7 +172,15 @@ type Machine struct {
 		cnt      []int    // per node: items of the current chunk (network)
 		pairs    []uint64 // per node: owner-node mask messaged
 		order    []int    // per chunk: the chunk run at that position (epg_permute)
+		// The open region's body (ParallelForChunks) or per-thread body
+		// (ForEachThread) and its index space, read by runChunk.
+		body     func(lo, hi, chunk, worker int, w *W)
+		thread   func(tid int, w *W)
+		n, grain int
 	}
+	// runChunk is m.chunk, bound once in New: the body every region
+	// hands the pool, so opening a region builds no closure.
+	runChunk func(lo, hi, chunk, worker int)
 }
 
 // zeroed returns s with length n and every element zero, reusing its
@@ -202,7 +210,11 @@ func (m *Machine) enter(nchunks int) []Cost {
 	return sc.costs
 }
 
-func (m *Machine) leave() { m.inRegion = false }
+// leave closes the region and drops its body.
+func (m *Machine) leave() {
+	m.inRegion = false
+	m.scratch.body, m.scratch.thread = nil, nil
+}
 
 // slot returns worker's W, zeroed for its next body.
 func (m *Machine) slot(worker int) *W {
@@ -211,27 +223,38 @@ func (m *Machine) slot(worker int) *W {
 	return w
 }
 
-// inOrder runs a region's chunks one after another on the calling
-// goroutine and reports true, or runs none and reports false to leave
-// them to the pool. With one real worker it runs them in index order,
-// which spares the pool's closures; an epg_permute build runs every
-// region here, in the machine's chunk order (permute.go), chunk i of
-// the order on worker i mod the worker count.
-func (m *Machine) inOrder(costs []Cost, chunk func(c, worker int, w *W)) bool {
-	order := m.order.next(m, len(costs))
-	if order == nil && m.workers > 1 {
-		return false
+// chunk runs chunk c of the open region — [lo, hi) of a
+// ParallelForChunks, thread c of a ForEachThread — on worker and keeps
+// its cost.
+func (m *Machine) chunk(lo, hi, c, worker int) {
+	sc := &m.scratch
+	w := m.slot(worker)
+	if sc.thread != nil {
+		sc.thread(c, w)
+	} else {
+		sc.body(lo, hi, c, worker, w)
 	}
-	for i := range costs {
+	sc.costs[c] = w.c
+}
+
+// runChunks runs the open region's chunks: on the pool under sched, or
+// one after another on the calling goroutine — in index order with one
+// real worker, and in an epg_permute build in the machine's chunk order
+// (permute.go), chunk i of the order on worker i mod the worker count.
+func (m *Machine) runChunks(sched Sched) {
+	sc := &m.scratch
+	order := m.order.next(m, len(sc.costs))
+	if order == nil && m.workers > 1 {
+		parallel.ForTopo(m.pool, m.workers, sc.n, sc.grain, sched, m.realTopo(), m.runChunk)
+		return
+	}
+	for i := range sc.costs {
 		c, worker := i, 0
 		if order != nil {
 			c, worker = order[i], i%m.workers
 		}
-		w := m.slot(worker)
-		chunk(c, worker, w)
-		costs[c] = w.c
+		m.chunk(c*sc.grain, min((c+1)*sc.grain, sc.n), c, worker)
 	}
-	return true
 }
 
 // New returns a machine with the given model and virtual thread count.
@@ -241,10 +264,12 @@ func (m *Machine) inOrder(costs []Cost, chunk func(c, worker int, w *W)) bool {
 // min(threads, GOMAXPROCS) real workers; SetWorkers overrides that.
 func New(model Model, threads int) *Machine {
 	threads = max(threads, 1)
-	return &Machine{
+	m := &Machine{
 		model: model, threads: threads, workers: min(threads, runtime.GOMAXPROCS(0)),
 		pool: parallel.Default(), tracing: true, sockets: 1, nodes: 1,
 	}
+	m.runChunk = m.chunk
+	return m
 }
 
 // Threads returns the virtual thread count.
@@ -436,13 +461,9 @@ func (m *Machine) ParallelForChunks(n, grain int, sched Sched, body func(lo, hi,
 	sched = m.effSched(sched)
 	costs := m.enter(parallel.NumChunks(n, grain))
 	defer m.leave()
-	if !m.inOrder(costs, func(c, worker int, w *W) { body(c*grain, min((c+1)*grain, n), c, worker, w) }) {
-		parallel.ForTopo(m.pool, m.workers, n, grain, sched, m.realTopo(), func(lo, hi, chunk, worker int) {
-			w := m.slot(worker)
-			body(lo, hi, chunk, worker, w)
-			costs[chunk] = w.c
-		})
-	}
+	sc := &m.scratch
+	sc.body, sc.n, sc.grain = body, n, grain
+	m.runChunks(sched)
 	m.commitRegion(costs, sched, n, grain)
 }
 
@@ -487,13 +508,9 @@ func (m *Machine) ForEachThread(body func(tid int, w *W)) {
 	t := m.threads
 	costs := m.enter(t)
 	defer m.leave()
-	if !m.inOrder(costs, func(tid, _ int, w *W) { body(tid, w) }) {
-		parallel.For(m.pool, m.workers, t, 1, parallel.Dynamic, func(lo, hi, chunk, worker int) {
-			w := m.slot(worker)
-			body(lo, w)
-			costs[lo] = w.c
-		})
-	}
+	sc := &m.scratch
+	sc.thread, sc.n, sc.grain = body, t, 1
+	m.runChunks(Dynamic)
 	// One chunk per lane: identity schedule either way.
 	m.commitLanes(costs)
 }

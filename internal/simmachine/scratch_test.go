@@ -39,37 +39,38 @@ func perThread(tid int, w *W) { w.Cycles(float64(1000 * (tid + 1))) }
 
 func serialBody(w *W) { w.Cycles(1e4) }
 
-// At one real worker a warm region of any kind allocates nothing at
-// all: its cost slots, lanes, loads, steal queues and network counters
-// are the machine's, its W is the worker's slot, and the chunks run on
-// the calling goroutine.
-func TestWarmRegionAllocatesNothingAtOneWorker(t *testing.T) {
-	for _, models := range []bool{false, true} {
-		for _, sched := range allScheds {
-			m := scratchMachine(1, models)
-			m.SetTracing(false) // a trace grows by design
-			for name, region := range map[string]func(){
-				"ParallelForChunks": func() { m.ParallelForChunks(1<<15, 8, sched, skewed) },
-				"ChargeUniform":     func() { m.ChargeUniform(1<<15, 8, sched, Cost{Cycles: 3, Bytes: 8}) },
-				"ForEachThread":     func() { m.ForEachThread(perThread) },
-				"Serial":            func() { m.Serial(serialBody) },
-			} {
-				region() // sizes the scratch
-				if got := testing.AllocsPerRun(10, region); got != 0 {
-					t.Errorf("models=%v sched=%v: a warm %s allocates %v times", models, sched, name, got)
+// A warm region of any kind allocates nothing at all, at any worker
+// count: its cost slots, lanes, loads, steal queues and network
+// counters are the machine's, its W is the worker's slot, its body
+// reaches the workers through the machine's scratch and the chunk
+// adapter New bound, and the hand-off — counter, deques, wait group —
+// is the pool's reusable region record.
+func TestWarmRegionAllocatesNothing(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		for _, models := range []bool{false, true} {
+			for _, sched := range allScheds {
+				m := scratchMachine(workers, models)
+				m.SetTracing(false) // a trace grows by design
+				for name, region := range map[string]func(){
+					"ParallelForChunks": func() { m.ParallelForChunks(1<<15, 8, sched, skewed) },
+					"ChargeUniform":     func() { m.ChargeUniform(1<<15, 8, sched, Cost{Cycles: 3, Bytes: 8}) },
+					"ForEachThread":     func() { m.ForEachThread(perThread) },
+					"Serial":            func() { m.Serial(serialBody) },
+				} {
+					region() // sizes the scratch
+					if got := testing.AllocsPerRun(10, region); got != 0 {
+						t.Errorf("workers=%d models=%v sched=%v: a warm %s allocates %v times", workers, models, sched, name, got)
+					}
 				}
 			}
 		}
 	}
 }
 
-// With more workers a region pays for the closures and the wait group
-// of handing its chunks to the pool, and for nothing else: a handful at
-// 8 chunks and the same handful at 4096, where anything per chunk would
-// show as thousands. (Not asserted equal: the steal policies' deque set
-// comes from a sync.Pool, which under -race drops a quarter of its Puts.)
+// Nor does anything scale with the chunk count: none at 8 chunks and
+// none at 4096, where anything per chunk would show as thousands.
 func TestWarmRegionAllocationsIndependentOfChunkCount(t *testing.T) {
-	const handful = 16
+	const handful = 0
 	for _, models := range []bool{false, true} {
 		for _, sched := range allScheds {
 			m := scratchMachine(2, models)
