@@ -39,7 +39,7 @@ type Knob struct {
 	// The hooks that make the knob take effect, nil where it has nothing
 	// to do at that stage: Scale adjusts the model and power calibration
 	// the machine is about to be built from, Machine configures the
-	// fresh machine (owner is Spec.Owners' table), and Engine sets the
+	// renewed machine (owner is Spec.Owners' table), and Engine sets the
 	// one engines.Options field the knob stands for.
 	Scale   func(s *Spec, m *simmachine.Model, p *power.Constants)
 	Machine func(s *Spec, m *simmachine.Machine, owner []int16)
@@ -205,18 +205,23 @@ func (s Spec) Owners(csr *graph.CSR) []int16 {
 	return nil
 }
 
-// NewMachine builds the machine of one engine run — Spec.Threads
+// NewMachine readies the machine of one engine run — Spec.Threads
 // virtual threads on the model at the spec's operating point, with
-// every machine-side knob applied — and returns the power calibration
-// at the same point for the run's meter. The hooks trust Validate: a
-// name outside the table configures nothing.
-func (s Spec) NewMachine(model simmachine.Model, pc power.Constants, owner []int16) (*simmachine.Machine, power.Constants) {
+// every machine-side knob applied — by renewing m (simmachine.Renew:
+// nothing of its last run survives but scratch capacity), or on a new
+// machine when m is nil, and returns it with the power calibration at
+// the same point for the run's meter. The hooks trust Validate: a name
+// outside the table configures nothing.
+func (s Spec) NewMachine(m *simmachine.Machine, model simmachine.Model, pc power.Constants, owner []int16) (*simmachine.Machine, power.Constants) {
 	for _, k := range Knobs {
 		if k.Scale != nil {
 			k.Scale(&s, &model, &pc)
 		}
 	}
-	m := simmachine.New(model, s.Threads)
+	if m == nil {
+		m = new(simmachine.Machine)
+	}
+	m.Renew(model, s.Threads)
 	for _, k := range Knobs {
 		if k.Machine != nil {
 			k.Machine(&s, m, owner)

@@ -135,12 +135,12 @@ func TestFreqKnobMatchesPowerStates(t *testing.T) {
 // TestKnobHooksReachTheirTargets checks each stage's loop: a spec with
 // every knob set yields a scaled model, a machine carrying the machine-
 // side settings, and the three engine requests; the zero spec yields the
-// untouched defaults.
+// untouched defaults, also on the full spec's machine renewed.
 func TestKnobHooksReachTheirTargets(t *testing.T) {
 	base, pc := simmachine.Haswell72(), power.DefaultConstants()
 
 	zero := Spec{Threads: 8}
-	zm, zp := zero.NewMachine(base, pc, nil)
+	zm, zp := zero.NewMachine(nil, base, pc, nil)
 	if zm.Model() != base || zp != pc {
 		t.Error("zero spec scaled the model or the power constants")
 	}
@@ -156,12 +156,18 @@ func TestKnobHooksReachTheirTargets(t *testing.T) {
 		Placement: PlacementFirstTouch, FreqState: FreqPowersave, Compress: true, SyncSSSP: true,
 		Nodes: 2, Partition: Partition1D, Mutations: &MutationSchedule{Batches: 1, BatchSize: 1},
 	}
-	fm, p := full.NewMachine(base, pc, nil)
+	fm, p := full.NewMachine(nil, base, pc, nil)
 	if !(fm.Model().TurboHz < base.TurboHz) || !(p.LaneWatts < pc.LaneWatts) {
 		t.Error("powersave did not scale clocks and lane power down")
 	}
 	if fm.Workers() != 3 || fm.Sockets() != 2 || fm.GrainPolicy() == 0 {
 		t.Errorf("full spec machine: workers %d sockets %d grain %v", fm.Workers(), fm.Sockets(), fm.GrainPolicy())
+	}
+	// Renewed for the zero spec, the full spec's machine keeps none of it.
+	if rm, rp := zero.NewMachine(fm, base, pc, nil); rm != fm || rm.Model() != base || rp != pc ||
+		rm.Workers() != zm.Workers() || rm.Sockets() != 1 || rm.GrainPolicy() != 0 {
+		t.Errorf("zero spec renewing the full spec's machine: same %v, workers %d sockets %d grain %v",
+			rm == fm, rm.Workers(), rm.Sockets(), rm.GrainPolicy())
 	}
 	want := []string{"compress", "sync-sssp", "mutations"}
 	if o, d := full.EngineOptions(&knobless); o != (engines.Options{}) || !reflect.DeepEqual(d, want) {

@@ -587,7 +587,7 @@ func loadAllWith(t *testing.T, el *graph.EdgeList, spec core.Spec) map[string]en
 		}
 		opts, _ := spec.EngineOptions(eng.Decl)
 		engines.Configure(eng, opts)
-		m, _ := spec.NewMachine(simmachine.Haswell72(), power.DefaultConstants(), nil)
+		m, _ := spec.NewMachine(nil, simmachine.Haswell72(), power.DefaultConstants(), nil)
 		inst, err := eng.Load(el, m)
 		if err != nil {
 			t.Fatalf("%s load: %v", name, err)

@@ -76,7 +76,7 @@ func goldenMachine(adaptive bool) *simmachine.Machine {
 	if adaptive {
 		s.Grain = core.GrainAdaptive
 	}
-	m, _ := s.NewMachine(simmachine.Haswell72(), power.DefaultConstants(), nil)
+	m, _ := s.NewMachine(nil, simmachine.Haswell72(), power.DefaultConstants(), nil)
 	return m
 }
 

@@ -39,49 +39,77 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	}
 
 	res := &engines.PRResult{}
-	m, tr, in := inst.m, &inst.trav, inst.inRows()
+	m, tr, ws := inst.m, &inst.trav, inst.steps()
+	pr := &ws.pr
+	*pr = prCall{contrib: contrib, outDeg: outDeg, in: inst.inRows(), damping: opts.Damping}
 	gContrib, gPull, gL1 := prGrains(m, n)
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		if err := tr.Poll("gap: PageRank"); err != nil {
+			ws.pr = prCall{}
 			return nil, err
 		}
+		pr.rank, pr.next = rank, next
 		// Per-vertex contributions and the dangling sum.
-		dangling, _ := tr.Sweep(m, n, gContrib, &prContrib, func(c *traverse.Chunk, lo, hi int) {
-			c.Sum = danglingPartial(rank, outDeg, contrib, lo, hi)
-		})
+		dangling, _ := tr.Sweep(m, n, gContrib, &prContrib, ws.prContribFn)
 		var dangParts []float64
 		if inst.prRec != nil {
 			dangParts = tr.Partials()
 		}
-		base := (1-opts.Damping)*inv + opts.Damping*dangling*inv
+		pr.base = (1-opts.Damping)*inv + opts.Damping*dangling*inv
 
 		// Pull phase.
-		tr.Sweep(m, n, gPull, &prPull, func(c *traverse.Chunk, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				sum := 0.0
-				for _, u := range c.Row(in, v) {
-					sum += contrib[u]
-				}
-				next[v] = base + opts.Damping*sum
-			}
-		})
+		tr.Sweep(m, n, gPull, &prPull, ws.prPullFn)
 
 		// L1 convergence test.
-		l1, _ := tr.Sweep(m, n, gL1, &prL1, func(c *traverse.Chunk, lo, hi int) {
-			c.Sum = l1Partial(next, rank, lo, hi)
-		})
+		l1, _ := tr.Sweep(m, n, gL1, &prL1, ws.prL1Fn)
 
 		rank, next = next, rank
 		res.Iterations = iter
 		if inst.prRec != nil {
-			inst.prRec.record(rank, dangParts, tr.Partials(), dangling, base, l1)
+			inst.prRec.record(rank, dangParts, tr.Partials(), dangling, pr.base, l1)
 		}
 		if l1 < opts.Epsilon {
 			break
 		}
 	}
+	ws.pr = prCall{}
 	res.Rank, ws.prSpare = rank, next
 	return res, nil
+}
+
+// prCall is what one PageRank iteration's sweeps read: the rank vector
+// and its successor (swapped every iteration), the contributions, the
+// out-degrees, the in-rows and the constants of the pull.
+type prCall struct {
+	rank, next, contrib []float64
+	outDeg              []int64
+	in                  traverse.Rows
+	base, damping       float64
+}
+
+// prContribChunk is one chunk of the contribution pass.
+func (inst *Instance) prContribChunk(c *traverse.Chunk, lo, hi int) {
+	pr := &inst.ws.pr
+	c.Sum = danglingPartial(pr.rank, pr.outDeg, pr.contrib, lo, hi)
+}
+
+// prPullChunk gathers one chunk's new ranks along its in-rows.
+func (inst *Instance) prPullChunk(c *traverse.Chunk, lo, hi int) {
+	pr := &inst.ws.pr
+	contrib, next, in, base, damping := pr.contrib, pr.next, pr.in, pr.base, pr.damping
+	for v := lo; v < hi; v++ {
+		sum := 0.0
+		for _, u := range c.Row(in, v) {
+			sum += contrib[u]
+		}
+		next[v] = base + damping*sum
+	}
+}
+
+// prL1Chunk is one chunk of the convergence test.
+func (inst *Instance) prL1Chunk(c *traverse.Chunk, lo, hi int) {
+	pr := &inst.ws.pr
+	c.Sum = l1Partial(pr.next, pr.rank, lo, hi)
 }
 
 // prGrains resolves the chunk sizes of an iteration's three regions.
@@ -135,30 +163,37 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 	if inst.in != inst.out {
 		in = inst.in
 	}
+	ws := inst.steps()
 	for {
 		if err := inst.trav.Poll("gap: WCC"); err != nil {
+			ws.ccComp = nil
 			return nil, err
 		}
 		changed := inst.trav.Hook(inst.m, 1024, &ccHook, inst.out, in, comp, next)
 		comp, next = next, comp
 		// Pointer jumping: comp[v] = comp[comp[v]] until stable. In
 		// place, but every schedule leaves each v at its chain's root.
-		inst.trav.Sweep(inst.m, n, 2048, &ccJump, func(_ *traverse.Chunk, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				for {
-					c := atomic.LoadUint32(&comp[v])
-					cc := atomic.LoadUint32(&comp[c])
-					if cc >= c {
-						break
-					}
-					atomic.StoreUint32(&comp[v], cc)
-				}
-			}
-		})
+		ws.ccComp = comp
+		inst.trav.Sweep(inst.m, n, 2048, &ccJump, ws.ccJumpFn)
 		if changed == 0 {
 			break
 		}
 	}
-	inst.ws.wccSpare = next
+	ws.ccComp, ws.wccSpare = nil, next
 	return &engines.WCCResult{Component: comp}, nil
+}
+
+// ccJumpChunk sends one chunk's labels to the roots of their chains.
+func (inst *Instance) ccJumpChunk(_ *traverse.Chunk, lo, hi int) {
+	comp := inst.ws.ccComp
+	for v := lo; v < hi; v++ {
+		for {
+			c := atomic.LoadUint32(&comp[v])
+			cc := atomic.LoadUint32(&comp[c])
+			if cc >= c {
+				break
+			}
+			atomic.StoreUint32(&comp[v], cc)
+		}
+	}
 }

@@ -34,10 +34,51 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 	if inst.opts.SyncSSSP {
 		return inst.ssspSync(ws, res)
 	}
+	out, err := inst.ssspChaotic(ws, res)
+	ws.chaos = chaosCall{} // the caller's arrays are not kept
+	return out, err
+}
+
+// chaosCall is what one chaotic relaxation pass's chunks read: the
+// CAS-min'ed distance bits, the result's parents, the entries the pass
+// relaxes (the bucket being settled, or its heavy frontier) and the
+// relaxation counter.
+type chaosCall struct {
+	dist     []uint64
+	parent   []int64
+	frontier []graph.VID
+	relax    *parallel.Counter
+}
+
+// load reads v's tentative distance.
+func (cc *chaosCall) load(v graph.VID) float64 {
+	return math.Float64frombits(atomic.LoadUint64(&cc.dist[v]))
+}
+
+// casMin lowers v's distance to nd if it improves it, recording the
+// parent p; it returns true when it won.
+func (cc *chaosCall) casMin(v graph.VID, nd float64, p graph.VID) bool {
+	for {
+		oldBits := atomic.LoadUint64(&cc.dist[v])
+		if math.Float64frombits(oldBits) <= nd {
+			return false
+		}
+		if atomic.CompareAndSwapUint64(&cc.dist[v], oldBits, math.Float64bits(nd)) {
+			atomic.StoreInt64(&cc.parent[v], int64(p))
+			return true
+		}
+	}
+}
+
+// ssspChaotic is the suite's delta-stepping with CAS relaxations: the
+// two pass bodies (lightChunk, heavyChunk) are bound once and read the
+// pass from ws.chaos, the bucket from ws.bucket.
+func (inst *Instance) ssspChaotic(ws *workspace, res *engines.SSSPResult) (*engines.SSSPResult, error) {
+	inst.steps()
 	n := inst.n
-	delta := inst.Delta
-	if delta <= 0 {
-		delta = DefaultDelta
+	ws.delta = inst.Delta
+	if ws.delta <= 0 {
+		ws.delta = DefaultDelta
 	}
 
 	ws.dist = traverse.Resized(ws.dist, n)
@@ -46,28 +87,11 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 	for i := range dist {
 		dist[i] = inf
 	}
-	dist[root] = math.Float64bits(0)
+	dist[res.Root] = math.Float64bits(0)
 
-	loadDist := func(v graph.VID) float64 {
-		return math.Float64frombits(atomic.LoadUint64(&dist[v]))
-	}
-	// casMin lowers dist[v] to nd if it improves it, recording the
-	// parent; returns true when it won.
-	casMin := func(v graph.VID, nd float64, p graph.VID) bool {
-		for {
-			oldBits := atomic.LoadUint64(&dist[v])
-			if math.Float64frombits(oldBits) <= nd {
-				return false
-			}
-			if atomic.CompareAndSwapUint64(&dist[v], oldBits, math.Float64bits(nd)) {
-				atomic.StoreInt64(&res.Parent[v], int64(p))
-				return true
-			}
-		}
-	}
-
-	ws.resetBuckets(root)
-	relax := inst.trav.Counter(inst.m, 0)
+	ws.resetBuckets(res.Root)
+	cc := &ws.chaos
+	*cc = chaosCall{dist: dist, parent: res.Parent, relax: inst.trav.Counter(inst.m, 0)}
 	// Per-chunk bucket-update queues replace the mutex-guarded merge
 	// the relaxation passes used before: chunks collect their re-adds
 	// and later-bucket insertions locally and the queues concatenate
@@ -76,12 +100,12 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 	// racy: this is the suite's chaotic CAS relaxation by design).
 	reAddQ, reAddBuf := &ws.reAddQ, &ws.reAddBuf
 	laterQ, laterBuf := &ws.laterQ, &ws.laterBuf
-
-	bucketOf := func(d float64) int { return int(d / delta) }
-	rowBufs := ws.rowBufs(inst.m.Workers())
+	// Sizes ws.rows, one per worker, for the pass bodies.
+	ws.rowBufs(inst.m.Workers())
 	const grain = 32 // GrainFixed base; adaptive resolves per pass
 
-	for bi := 0; bi < len(ws.buckets); bi++ {
+	for ws.bucket = 0; ws.bucket < len(ws.buckets); ws.bucket++ {
+		bi := ws.bucket
 		// Settle light edges of bucket bi to a fixed point.
 		// Nothing is put into bucket bi while it settles (re-adds go
 		// through ws.reAdd, the rest to later buckets), so truncating it
@@ -102,47 +126,8 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 			laterQ.Reset(nchunks)
 			reAddBuf.Reset(inst.m.Workers())
 			laterBuf.Reset(inst.m.Workers())
-			inst.m.ParallelForChunks(len(current), g, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-				localRe, localLater := reAddBuf.Take(worker), laterBuf.Take(worker)
-				startRe, startLater := len(localRe), len(localLater)
-				var edges, wins int64
-				for _, v := range current[lo:hi] {
-					dv := loadDist(v)
-					// Skip only entries settled into a LATER bucket:
-					// an entry whose distance sits below bi (a heavy
-					// relaxation requeued to bi+1) still needs its
-					// light edges relaxed here.
-					if bucketOf(dv) > bi { // stale entry
-						continue
-					}
-					adj, ws := inst.out.WeightedRowBuf(v, &rowBufs[worker])
-					for i, u := range adj {
-						wt := float64(ws[i])
-						if wt > delta {
-							continue // heavy edges handled after settling
-						}
-						edges++
-						nd := dv + wt
-						if casMin(u, nd, v) {
-							wins++
-							// b < bi (reachable only via a distance
-							// already below the bucket) keeps settling
-							// here — bucket b has already passed.
-							if b := bucketOf(nd); b <= bi {
-								localRe = append(localRe, u)
-							} else {
-								localLater = append(localLater, [2]int64{int64(b), int64(u)})
-							}
-						}
-					}
-				}
-				reAddQ.Put(chunk, reAddBuf.Give(worker, localRe, startRe))
-				laterQ.Put(chunk, laterBuf.Give(worker, localLater, startLater))
-				relax.Add(worker, edges)
-				w.Charge(costRelax.Scale(float64(edges)))
-				w.Charge(costClaim.Scale(float64(wins)))
-				w.Charge(costBucketOp.Scale(float64(len(localRe) - startRe + len(localLater) - startLater)))
-			})
+			cc.frontier = current
+			inst.m.ParallelForChunks(len(current), g, simmachine.Dynamic, ws.lightFn)
 			for _, later := range laterQ.Chunks() {
 				for _, bv := range later {
 					ws.putBucket(int(bv[0]), graph.VID(bv[1]))
@@ -159,32 +144,8 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 			g := inst.m.Grain(len(heavyFrontier), grain, 1)
 			laterQ.Reset(parallel.NumChunks(len(heavyFrontier), g))
 			laterBuf.Reset(inst.m.Workers())
-			inst.m.ParallelForChunks(len(heavyFrontier), g, simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-				local := laterBuf.Take(worker)
-				start := len(local)
-				var edges, wins int64
-				for _, v := range heavyFrontier[lo:hi] {
-					dv := loadDist(v)
-					adj, ws := inst.out.WeightedRowBuf(v, &rowBufs[worker])
-					for i, u := range adj {
-						wt := float64(ws[i])
-						if wt <= delta {
-							continue
-						}
-						edges++
-						nd := dv + wt
-						if casMin(u, nd, v) {
-							wins++
-							local = append(local, [2]int64{int64(bucketOf(nd)), int64(u)})
-						}
-					}
-				}
-				laterQ.Put(chunk, laterBuf.Give(worker, local, start))
-				relax.Add(worker, edges)
-				w.Charge(costRelax.Scale(float64(edges)))
-				w.Charge(costClaim.Scale(float64(wins)))
-				w.Charge(costBucketOp.Scale(float64(len(local) - start)))
-			})
+			cc.frontier = heavyFrontier
+			inst.m.ParallelForChunks(len(heavyFrontier), g, simmachine.Dynamic, ws.heavyFn)
 			for _, later := range laterQ.Chunks() {
 				for _, bv := range later {
 					// Rare: a heavy relaxation landed in the current
@@ -199,6 +160,82 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 	for v := 0; v < n; v++ {
 		res.Dist[v] = math.Float64frombits(dist[v])
 	}
-	res.Relaxations = relax.Sum()
+	res.Relaxations = cc.relax.Sum()
 	return res, nil
+}
+
+// lightChunk relaxes the light edges of one chunk of the bucket being
+// settled.
+func (inst *Instance) lightChunk(lo, hi, chunk, worker int, w *simmachine.W) {
+	ws := &inst.ws
+	cc, bi, delta := &ws.chaos, ws.bucket, ws.delta
+	localRe, localLater := ws.reAddBuf.Take(worker), ws.laterBuf.Take(worker)
+	startRe, startLater := len(localRe), len(localLater)
+	var edges, wins int64
+	for _, v := range cc.frontier[lo:hi] {
+		dv := cc.load(v)
+		// Skip only entries settled into a LATER bucket: an entry whose
+		// distance sits below bi (a heavy relaxation requeued to bi+1)
+		// still needs its light edges relaxed here.
+		if inst.bucketOf(dv) > bi { // stale entry
+			continue
+		}
+		adj, wts := inst.out.WeightedRowBuf(v, &ws.rows[worker])
+		for i, u := range adj {
+			wt := float64(wts[i])
+			if wt > delta {
+				continue // heavy edges handled after settling
+			}
+			edges++
+			nd := dv + wt
+			if cc.casMin(u, nd, v) {
+				wins++
+				// b < bi (reachable only via a distance already below
+				// the bucket) keeps settling here — bucket b has
+				// already passed.
+				if b := inst.bucketOf(nd); b <= bi {
+					localRe = append(localRe, u)
+				} else {
+					localLater = append(localLater, [2]int64{int64(b), int64(u)})
+				}
+			}
+		}
+	}
+	ws.reAddQ.Put(chunk, ws.reAddBuf.Give(worker, localRe, startRe))
+	ws.laterQ.Put(chunk, ws.laterBuf.Give(worker, localLater, startLater))
+	cc.relax.Add(worker, edges)
+	w.Charge(costRelax.Scale(float64(edges)))
+	w.Charge(costClaim.Scale(float64(wins)))
+	w.Charge(costBucketOp.Scale(float64(len(localRe) - startRe + len(localLater) - startLater)))
+}
+
+// heavyChunk relaxes the heavy edges of one chunk of the settled
+// bucket's heavy frontier.
+func (inst *Instance) heavyChunk(lo, hi, chunk, worker int, w *simmachine.W) {
+	ws := &inst.ws
+	cc, delta := &ws.chaos, ws.delta
+	local := ws.laterBuf.Take(worker)
+	start := len(local)
+	var edges, wins int64
+	for _, v := range cc.frontier[lo:hi] {
+		dv := cc.load(v)
+		adj, wts := inst.out.WeightedRowBuf(v, &ws.rows[worker])
+		for i, u := range adj {
+			wt := float64(wts[i])
+			if wt <= delta {
+				continue
+			}
+			edges++
+			nd := dv + wt
+			if cc.casMin(u, nd, v) {
+				wins++
+				local = append(local, [2]int64{int64(inst.bucketOf(nd)), int64(u)})
+			}
+		}
+	}
+	ws.laterQ.Put(chunk, ws.laterBuf.Give(worker, local, start))
+	cc.relax.Add(worker, edges)
+	w.Charge(costRelax.Scale(float64(edges)))
+	w.Charge(costClaim.Scale(float64(wins)))
+	w.Charge(costBucketOp.Scale(float64(len(local) - start)))
 }

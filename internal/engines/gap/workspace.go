@@ -1,6 +1,7 @@
 package gap
 
 import (
+	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
@@ -70,12 +71,21 @@ type workspace struct {
 	bottomUpFn, toBitmapFn func(lo, hi, chunk, worker int, w *simmachine.W)
 	bottomUp               bottomUpCall
 	toBits                 toBitmapCall
-	// Synchronous delta-stepping: the bucket being settled, the bucket
-	// width, the light pass's filter and the two passes' win hooks.
+	// Delta-stepping, both variants: the bucket being settled and the
+	// bucket width. The synchronous variant's light-pass filter and its
+	// two passes' win hooks; the chaotic variant's two pass bodies and
+	// what they read.
 	bucket              int
 	delta               float64
 	staleFn             func(d float64) bool
 	settleFn, requeueFn func(u graph.VID, nd float64)
+	lightFn, heavyFn    func(lo, hi, chunk, worker int, w *simmachine.W)
+	chaos               chaosCall
+	// PageRank's three sweeps and what an iteration's read; WCC's
+	// pointer-jumping sweep and the labels it jumps.
+	prContribFn, prPullFn, prL1Fn, ccJumpFn func(c *traverse.Chunk, lo, hi int)
+	pr                                      prCall
+	ccComp                                  []graph.VID
 }
 
 // steps binds the workspace's bodies and hooks to inst — once, and
@@ -86,6 +96,9 @@ func (inst *Instance) steps() *workspace {
 		ws.owner = inst
 		ws.bottomUpFn, ws.toBitmapFn = inst.bottomUpChunk, inst.toBitmapChunk
 		ws.staleFn, ws.settleFn, ws.requeueFn = inst.stale, inst.settle, inst.requeue
+		ws.lightFn, ws.heavyFn = inst.lightChunk, inst.heavyChunk
+		ws.prContribFn, ws.prPullFn, ws.prL1Fn = inst.prContribChunk, inst.prPullChunk, inst.prL1Chunk
+		ws.ccJumpFn = inst.ccJumpChunk
 	}
 	return ws
 }

@@ -147,17 +147,28 @@ func TestIntoReusesOnlyLargeEnoughDst(t *testing.T) {
 	}
 }
 
-// Warm BFSInto and synchronous SSSPInto allocate nothing at all at two
-// workers: the results are the caller's, the working set is the
-// instance's, every region's bookkeeping is the machine's, its body is
-// bound to the instance once, and the hand-off to the pool is the
+// resultSink keeps the results resultBytes makes on the heap.
+var resultSink any
+
+// resultBytes is what making one result allocates, once warm.
+func resultBytes(newResult func() any) uint64 {
+	return alloctest.BytesPerRun(4, func() { resultSink = newResult() })
+}
+
+// Warm BFSInto and SSSPInto, synchronous and chaotic, allocate nothing
+// at all at two workers, and a warm PageRank and WCC nothing beyond the
+// result they hand out: the results are the caller's, the working set is
+// the instance's, every region's bookkeeping is the machine's, its body
+// is bound to the instance once, and the hand-off to the pool is the
 // pool's reusable region record.
 func TestWarmTraversalAllocationBound(t *testing.T) {
-	e := engine()
-	engines.Configure(e, engines.Options{SyncSSSP: true})
-	inst := load(t, e, kron(12, 5), 8)
-	inst.m.SetTracing(false) // a trace grows by design
-	inst.m.SetWorkers(2)
+	el := kron(12, 5)
+	warm := func(sync bool) *Instance {
+		inst := loadWith(t, el, 2, false, sync)
+		inst.m.SetTracing(false) // a trace grows by design
+		return inst
+	}
+	inst, chaotic := warm(true), warm(false)
 	roots := rootsOf(inst.Epoch().Out(), 8)
 	var bfs engines.BFSResult
 	var sssp engines.SSSPResult
@@ -174,9 +185,36 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 		}
 		i++
 	})
-	t.Logf("warm BFSInto %d B/call, sync SSSPInto %d B/call", perBFS, perSSSP)
-	if perBFS != 0 || perSSSP != 0 {
-		t.Fatalf("warm traversal allocates BFS %d B, SSSP %d B per call; want 0 and 0", perBFS, perSSSP)
+	// A chaotic pass hands chunks to workers by the race, so now and then
+	// a worker draws a larger share than ever and its arena regrows:
+	// the fewest bytes of single calls reads a per-call term, not that.
+	perChaotic := alloctest.FewestBytes(4*len(roots), func() {
+		if _, err := chaotic.SSSPInto(roots[i%len(roots)], &sssp); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("warm BFSInto %d B/call, sync SSSPInto %d B/call, chaotic SSSPInto %d B/call", perBFS, perSSSP, perChaotic)
+	if perBFS != 0 || perSSSP != 0 || perChaotic != 0 {
+		t.Fatalf("warm traversal allocates BFS %d B, sync SSSP %d B, chaotic SSSP %d B per call; want 0, 0 and 0",
+			perBFS, perSSSP, perChaotic)
+	}
+	n := inst.n
+	perPR := alloctest.BytesPerRun(4, func() {
+		if _, err := inst.PageRank(engines.DefaultPROpts()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perWCC := alloctest.BytesPerRun(4, func() {
+		if _, err := inst.WCC(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	pr := resultBytes(func() any { return &engines.PRResult{Rank: make([]float64, n)} })
+	wcc := resultBytes(func() any { return &engines.WCCResult{Component: make([]graph.VID, n)} })
+	t.Logf("warm PageRank %d B/call (result %d B), WCC %d B/call (result %d B)", perPR, pr, perWCC, wcc)
+	if perPR != pr || perWCC != wcc {
+		t.Fatalf("warm PageRank allocates %d B beyond its result, WCC %d B; want 0 and 0", int64(perPR-pr), int64(perWCC-wcc))
 	}
 }
 

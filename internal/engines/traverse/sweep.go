@@ -114,29 +114,45 @@ func (s *State) Partials() []float64 { return append([]float64(nil), s.parts...)
 // round. It returns how many labels it lowered; when none, next equals
 // comp.
 func (s *State) Hook(m *simmachine.Machine, grain int, p *SweepProfile, out, in Rows, comp, next []graph.VID) (changed int64) {
-	lowest := func(min graph.VID, adj []graph.VID) graph.VID {
-		for _, u := range adj {
-			if comp[u] < min {
-				min = comp[u]
-			}
-		}
-		return min
-	}
-	_, changed = s.Sweep(m, len(comp), grain, p, func(c *Chunk, lo, hi int) {
-		var lowered int64
-		for v := lo; v < hi; v++ {
-			min := lowest(comp[v], c.Row(out, v))
-			if in != nil {
-				min = lowest(min, c.Row(in, v))
-			}
-			next[v] = min
-			if min < comp[v] {
-				lowered++
-			}
-		}
-		c.Changed = lowered
-	})
+	s.bind()
+	s.hk = hookCall{out: out, in: in, comp: comp, next: next}
+	_, changed = s.Sweep(m, len(comp), grain, p, s.hookFn)
+	s.hk = hookCall{}
 	return changed
+}
+
+// hookCall is what one Hook round's chunks read.
+type hookCall struct {
+	out, in    Rows
+	comp, next []graph.VID
+}
+
+// hookChunk is one chunk of a Hook round.
+func (s *State) hookChunk(c *Chunk, lo, hi int) {
+	h := &s.hk
+	comp, next := h.comp, h.next
+	var lowered int64
+	for v := lo; v < hi; v++ {
+		min := lowest(comp, comp[v], c.Row(h.out, v))
+		if h.in != nil {
+			min = lowest(comp, min, c.Row(h.in, v))
+		}
+		next[v] = min
+		if min < comp[v] {
+			lowered++
+		}
+	}
+	c.Changed = lowered
+}
+
+// lowest returns the smallest of min and the labels of adj.
+func lowest(comp []graph.VID, min graph.VID, adj []graph.VID) graph.VID {
+	for _, u := range adj {
+		if comp[u] < min {
+			min = comp[u]
+		}
+	}
+	return min
 }
 
 // Tally is a histogram of labels drawn from [0,n): a dense count per

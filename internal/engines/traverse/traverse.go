@@ -98,10 +98,10 @@ type cand struct {
 
 // State is the reusable working set of the steps, one per engine
 // instance (instances are single-caller, so it needs no locking). A
-// warm TopDown, Relax or Sweep allocates nothing of its own: per-chunk
-// outputs come out of one Arena buffer per worker, so what stays
-// resident is bounded by the largest single region's output, and each
-// step's region body is bound to the State once. Every
+// warm TopDown, Relax, Sweep or Hook allocates nothing of its own:
+// per-chunk outputs come out of one Arena buffer per worker, so what
+// stays resident is bounded by the largest single region's output, and
+// each step's region body is bound to the State once. Every
 // piece is sized where it is used from (n, Workers()), so a graph
 // epoch swap or a SetWorkers needs no invalidation. The zero State is
 // ready.
@@ -141,9 +141,11 @@ type State struct {
 	// the State holds no caller's arrays between calls.
 	self                        *State
 	topDownFn, relaxFn, sweepFn func(lo, hi, chunk, worker int, w *simmachine.W)
+	hookFn                      func(c *Chunk, lo, hi int) // Hook's Sweep body
 	td                          topDownCall
 	rx                          relaxCall
 	sw                          sweepCall
+	hk                          hookCall
 }
 
 // topDownCall is what one TopDown level's chunks read.
@@ -179,6 +181,7 @@ func (s *State) bind() {
 	if s.self != s {
 		s.self = s
 		s.topDownFn, s.relaxFn, s.sweepFn = s.topDownChunk, s.relaxChunk, s.sweepChunk
+		s.hookFn = s.hookChunk
 	}
 }
 

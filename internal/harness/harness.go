@@ -25,11 +25,13 @@ import (
 // identity and checked on every call against a fingerprint of its vertex
 // count, flags and every edge, so a list edited in place between calls is
 // homogenized again (editing it during a call is a race). It also keeps
-// one idle instance per engine, scratch only (no graph, no machine): a Run
-// binds it and gives it back, or makes its own while a concurrent Run
-// holds it, so what stays is bounded by the largest graph run. Run and
-// Sweep are safe for concurrent use; their writes to Warnings are
-// serialized.
+// one idle instance per engine, scratch only (no graph, no machine), and
+// up to two idle machines (the two a Run holds at once: its engine's and
+// the stream recompute's): a Run binds the instance and renews a machine
+// (core.Spec.NewMachine) and gives both back, or makes its own while a
+// concurrent Run holds them, so what stays is bounded by the largest run.
+// Run and Sweep are safe for concurrent use; their writes to Warnings
+// are serialized.
 type Runner struct {
 	Registry engines.Registry
 	Model    simmachine.Model
@@ -47,7 +49,11 @@ type Runner struct {
 	lastFP uint64          // its fingerprint then,
 	lastG  *graph.Simple   // and its graph
 	idle   map[string]engines.Instance
+	idleM  []*simmachine.Machine // at most idleMachines
 }
+
+// idleMachines is how many machines a Runner keeps.
+const idleMachines = 2
 
 // NewRunner returns a runner over the given registry with the paper's
 // machine calibration.
@@ -176,9 +182,10 @@ func (r *Runner) runEngine(spec core.Spec, g *graph.Simple, d *engines.Decl, roo
 		logfmt.EmitKnobWarning(r.Warnings, d.Name, knob)
 	}
 	r.warnMu.Unlock()
-	m, pconsts := spec.NewMachine(r.Model, r.Power, owner)
+	m, pconsts := r.machine(spec, owner)
+	defer r.giveMachine(m)
 	inst := r.take(d)
-	defer r.give(d.Name, inst)
+	defer r.give(d.Name, inst) // unbinds inst before m is given back
 	fileReadSec, constructionSec := Load(d, inst, opts, g, m)
 
 	perTrial := func(trial int) (core.Result, error) {
@@ -281,6 +288,29 @@ func (r *Runner) give(name string, inst engines.Instance) {
 	defer r.mu.Unlock()
 	if _, ok := r.idle[name]; !ok {
 		r.idle[name] = inst
+	}
+}
+
+// machine renews an idle machine for spec, or makes one while none is
+// idle, and returns it with the power calibration of the spec's
+// operating point.
+func (r *Runner) machine(spec core.Spec, owner []int16) (*simmachine.Machine, power.Constants) {
+	var m *simmachine.Machine
+	r.mu.Lock()
+	if n := len(r.idleM); n > 0 {
+		m = r.idleM[n-1]
+		r.idleM[n-1], r.idleM = nil, r.idleM[:n-1]
+	}
+	r.mu.Unlock()
+	return spec.NewMachine(m, r.Model, r.Power, owner)
+}
+
+// giveMachine keeps m, no longer used, unless idleMachines are kept.
+func (r *Runner) giveMachine(m *simmachine.Machine) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.idleM) < idleMachines {
+		r.idleM = append(r.idleM, m)
 	}
 }
 

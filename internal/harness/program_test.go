@@ -350,7 +350,10 @@ func content(el *graph.EdgeList) string {
 // knobs all write to one Warnings; seed#9 PowerGraph's cut evicted across
 // shard counts 64, 8, 16, 64, 8 on a sparse random list, whose greedy cut
 // uses more than eight shards (a Kronecker list's uses six at every
-// count, so there the shard count never shows in a row).
+// count, so there the shard count never shows in a row); seed#10 two
+// rounds of concurrent Runs, two of them GAP PR streams, each of which
+// holds two machines at once, after which the Runner keeps no more than
+// its two.
 func FuzzRunnerProgram(f *testing.F) {
 	el, err := ResolveDataset("kron-9", DatasetOptions{Seed: 42})
 	if err != nil {
@@ -515,6 +518,13 @@ func FuzzRunnerProgram(f *testing.F) {
 				}
 				if used <= 8 {
 					return fmt.Errorf("the 64-shard cut uses %d shards, the 8-shard cut can be the same", used)
+				}
+				return nil
+			}},
+		{prog(list(kron9|weighted, 42), list(kron8|weighted, 7), concurrent(0, stream, stream5w4, pr, sssp), concurrent(0, stream, stream5w4, pr, sssp)),
+			func(p *runnerProgram) error {
+				if n := len(p.r.idleM); n == 0 || n > idleMachines {
+					return fmt.Errorf("the Runner keeps %d idle machines, want 1 to %d", n, idleMachines)
 				}
 				return nil
 			}},

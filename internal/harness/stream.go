@@ -78,7 +78,12 @@ func degreePrefix(c *graph.CSR) []int64 {
 // reproduces the same normalized structure.
 func (s *streamShadow) edgeList() *graph.EdgeList {
 	c := s.cur
-	el := &graph.EdgeList{NumVertices: c.NumVertices, Weighted: s.weighted, Directed: s.directed}
+	edges := int(c.NumEdges())
+	if !s.directed {
+		edges /= 2 // both orientations are stored, one is listed
+	}
+	el := &graph.EdgeList{NumVertices: c.NumVertices, Weighted: s.weighted, Directed: s.directed,
+		Edges: make([]graph.Edge, 0, edges)}
 	var buf graph.RowBuf
 	for v := 0; v < c.NumVertices; v++ {
 		adj, ws := c.WeightedRowBuf(graph.VID(v), &buf)
@@ -100,7 +105,7 @@ func (s *streamShadow) edgeList() *graph.EdgeList {
 // live instance: per batch, apply the mutations, re-converge the
 // resident result incrementally, and wall the outcome bit-equal
 // against a cold full recompute on the post-batch graph. The recompute
-// runs on a fresh machine with the same spec knobs, so RecomputeSec is
+// runs on a machine renewed with the same spec knobs, so RecomputeSec is
 // the honest displaced alternative (rebuild + cold kernel).
 func (r *Runner) runStream(spec core.Spec, g *graph.Simple, d *engines.Decl, opts engines.Options, st engines.Streamer, m *simmachine.Machine, owner []int16) ([]core.Result, error) {
 	ms := spec.Mutations
@@ -145,7 +150,7 @@ func (r *Runner) runStream(spec core.Spec, g *graph.Simple, d *engines.Decl, opt
 		res.AlgorithmSec = res.MaintainSec
 		res.Iterations = inc.iterations
 
-		// Full-recompute reference on an identically-configured fresh
+		// Full-recompute reference on an identically-configured renewed
 		// machine; also the conformance oracle.
 		ref := &streamOutcome{}
 		refSec, err := r.recompute(spec, shadow.edgeList(), d, opts, owner, ref)
@@ -219,13 +224,14 @@ func (r *Runner) maintain(spec core.Spec, st engines.Streamer, out *streamOutcom
 
 // recompute costs and captures the displaced alternative: a cold
 // rebuild plus full kernel run on the post-batch graph, on a fresh
-// machine with the spec's knobs.
+// instance and a renewed machine with the spec's knobs.
 func (r *Runner) recompute(spec core.Spec, post *graph.EdgeList, d *engines.Decl, opts engines.Options, owner []int16, out *streamOutcome) (float64, error) {
 	g, err := graph.Homogenize(post)
 	if err != nil {
 		return 0, err
 	}
-	m, _ := spec.NewMachine(r.Model, r.Power, owner)
+	m, _ := r.machine(spec, owner)
+	defer r.giveMachine(m)
 	inst := d.New()
 	inst.Bind(g, m, opts)
 	inst.BuildStructure()

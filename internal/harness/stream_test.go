@@ -63,7 +63,8 @@ func TestRunStreamProducesPerBatchResults(t *testing.T) {
 // A shadow whose epoch is an overlay draws the very batches a shadow
 // holding its flat compaction draws: the degree prefix an overlay's
 // deletes are indexed by is the flat epoch's Offsets, entry for entry,
-// so the stream does not depend on the shadow's row form.
+// so the stream does not depend on the shadow's row form. It lists the
+// flat epoch's edges too, into a slice sized exactly from the edge count.
 func TestStreamShadowOverlayDrawsFlatBatches(t *testing.T) {
 	ms := &core.MutationSchedule{Batches: 8, BatchSize: 24, DeleteFrac: 0.5, Seed: 7}
 	for _, directed := range []bool{false, true} {
@@ -83,6 +84,10 @@ func TestStreamShadowOverlayDrawsFlatBatches(t *testing.T) {
 			got, want := s.batch(ms, i), flat.batch(ms, i)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("directed=%v batch %d: the overlay shadow draws %v, the flat one %v", directed, i, got, want)
+			}
+			if el := s.edgeList(); !reflect.DeepEqual(el, flat.edgeList()) || cap(el.Edges) != len(el.Edges) {
+				t.Fatalf("directed=%v batch %d: the overlay shadow lists %d edges in a slice of %d, unlike the flat one",
+					directed, i, len(el.Edges), cap(el.Edges))
 			}
 			if s.cur.Offsets == nil {
 				overlays++

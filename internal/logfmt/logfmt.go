@@ -56,7 +56,13 @@ func Emit(w io.Writer, r core.Result) error {
 
 // maxLineBytes is the longest line Parse and ReadCSV accept: a limit
 // for the scanner's buffer to grow to, never a size to start it at.
-const maxLineBytes = 1 << 20
+// Parse starts at parseBufBytes, a little over an engine log's longest
+// line, where the scanner's own start is 4 KB: a study parses one small
+// log per result.
+const (
+	maxLineBytes  = 1 << 20
+	parseBufBytes = 256
+)
 
 // Parse reads one engine log and fills the timing fields of a Result
 // whose identity fields (Engine, Dataset, Algorithm, Threads, Trial,
@@ -65,7 +71,7 @@ const maxLineBytes = 1 << 20
 func Parse(rd io.Reader, identity core.Result) (core.Result, error) {
 	out := identity
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(nil, maxLineBytes)
+	sc.Buffer(make([]byte, parseBufBytes), maxLineBytes)
 	var loadGraph float64
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())

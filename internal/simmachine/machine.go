@@ -99,11 +99,11 @@ type Machine struct {
 	elapsed float64
 	trace   []Region
 	tracing bool
-	// generation counts Reset calls. Trace indices from Mark are only
-	// meaningful within one generation; windowed consumers (power.RAPL)
-	// compare generations to detect a Reset inside an open window
-	// instead of slicing the truncated trace out of range — or worse,
-	// silently integrating the wrong regions.
+	// generation counts Reset and Renew calls. Trace indices from Mark
+	// are only meaningful within one generation; windowed consumers
+	// (power.RAPL) compare generations to detect a Reset inside an open
+	// window instead of slicing the truncated trace out of range — or
+	// worse, silently integrating the wrong regions.
 	generation uint64
 
 	// Scheduling-policy override: when forced, every parallel region
@@ -178,8 +178,8 @@ type Machine struct {
 		thread   func(tid int, w *W)
 		n, grain int
 	}
-	// runChunk is m.chunk, bound once in New: the body every region
-	// hands the pool, so opening a region builds no closure.
+	// runChunk is m.chunk, bound once by the first Renew: the body every
+	// region hands the pool, so opening a region builds no closure.
 	runChunk func(lo, hi, chunk, worker int)
 }
 
@@ -262,14 +262,36 @@ func (m *Machine) runChunks(sched Sched) {
 // paper's 72-thread runs equal the limit) but see Model.MaxThreads.
 // Region bodies execute on the shared parallel.Default pool with
 // min(threads, GOMAXPROCS) real workers; SetWorkers overrides that.
+// It is Renew of a zero Machine.
 func New(model Model, threads int) *Machine {
-	threads = max(threads, 1)
-	m := &Machine{
-		model: model, threads: threads, workers: min(threads, runtime.GOMAXPROCS(0)),
-		pool: parallel.Default(), tracing: true, sockets: 1, nodes: 1,
-	}
-	m.runChunk = m.chunk
+	m := new(Machine)
+	m.Renew(model, threads)
 	return m
+}
+
+// Renew makes m what New(model, threads) returns, so a caller that runs
+// one machine after another (harness.Runner, the sched study) reuses
+// one: every setting — clock, sched override, sockets, remote penalty,
+// grain policy, placement and its page owners, cluster and owner table,
+// chunk order, tracing — goes back to New's, and the trace generation
+// advances, invalidating every Mark cursor taken before. Only the
+// capacity of the region scratch, the trace and the page-owner table
+// stays, so a renewed machine's regions grow nothing a run before it
+// grew. Renew allocates nothing but, on a zero Machine, the chunk
+// adapter it binds. Renewing a machine whose region is open panics.
+func (m *Machine) Renew(model Model, threads int) {
+	if m.inRegion {
+		panic("simmachine: machine renewed inside a region")
+	}
+	threads = max(threads, 1)
+	*m = Machine{
+		model: model, threads: threads, workers: min(threads, runtime.GOMAXPROCS(0)),
+		pool: parallel.Default(), trace: m.trace[:0], tracing: true, generation: m.generation + 1,
+		sockets: 1, nodes: 1, pageOwner: m.pageOwner[:0], scratch: m.scratch, runChunk: m.runChunk,
+	}
+	if m.runChunk == nil {
+		m.runChunk = m.chunk // bound once: it closes over m, which a renew keeps
+	}
 }
 
 // Threads returns the virtual thread count.
@@ -363,7 +385,8 @@ func (m *Machine) Reset() {
 	m.generation++
 }
 
-// Generation returns the trace generation, incremented by every Reset.
+// Generation returns the trace generation, incremented by every Reset
+// and Renew.
 // Cursors from Mark are valid only while the generation is unchanged.
 func (m *Machine) Generation() uint64 { return m.generation }
 

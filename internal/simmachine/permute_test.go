@@ -65,3 +65,6 @@ func TestChunkOrdersArePermutationsAndRepeatAfterReset(t *testing.T) {
 		}
 	}
 }
+
+// setChunkOrder is Machine.SetChunkOrder (nopermute_test.go stubs it).
+func setChunkOrder(m *Machine, k int) { m.SetChunkOrder(k) }

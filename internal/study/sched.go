@@ -117,7 +117,8 @@ func schedSockets(policy, placement string) []int {
 }
 
 // schedCells runs the matrix on el. Every cell loads the one homogenized
-// graph and starts from the same root.
+// graph and starts from the same root, on one machine renewed and one GAP
+// instance bound again per cell.
 func schedCells(el *graph.EdgeList, _ string) ([]schedCell, error) {
 	g, err := graph.Homogenize(el)
 	if err != nil {
@@ -127,6 +128,9 @@ func schedCells(el *graph.EdgeList, _ string) ([]schedCell, error) {
 	if len(roots) == 0 {
 		return nil, fmt.Errorf("graph has no root with degree > 1")
 	}
+	var m *simmachine.Machine
+	var pconsts power.Constants
+	inst := gap.Decl.New()
 	var cells []schedCell
 	for _, kernel := range []engines.Algorithm{engines.BFS, engines.PageRank} {
 		for _, cfg := range schedConfigs {
@@ -142,12 +146,11 @@ func schedCells(el *graph.EdgeList, _ string) ([]schedCell, error) {
 						if err := spec.Validate(); err != nil {
 							return nil, err
 						}
-						m, pconsts := spec.NewMachine(simmachine.Haswell72(), power.DefaultConstants(), owner)
+						m, pconsts = spec.NewMachine(m, simmachine.Haswell72(), power.DefaultConstants(), owner)
 						opts, dropped := spec.EngineOptions(&gap.Decl)
 						if dropped != nil {
 							return nil, fmt.Errorf("GAP dropped %v", dropped)
 						}
-						inst := gap.Decl.New()
 						harness.Load(&gap.Decl, inst, opts, g, m)
 						m.Reset()
 						meter := power.NewRAPL(m, pconsts)
