@@ -37,13 +37,16 @@ type Knob struct {
 	Field func(*Spec) any
 
 	// The hooks that make the knob take effect, nil where it has nothing
-	// to do at that stage: Scale adjusts the model and power calibration
-	// the machine is about to be built from, Machine configures the
-	// renewed machine (owner is Spec.Owners' table), and Engine sets the
-	// one engines.Options field the knob stands for.
-	Scale   func(s *Spec, m *simmachine.Model, p *power.Constants)
-	Machine func(s *Spec, m *simmachine.Machine, owner []int16)
-	Engine  func(s *Spec, o *engines.Options)
+	// to do at that stage: Scale returns the model and power calibration
+	// the machine is about to be built from, adjusted, Machine configures
+	// the renewed machine (owner is Spec.Owners' table), and Engine
+	// returns o with the one engines.Options field the knob stands for
+	// set. They take the spec, and what they adjust, by value, so that
+	// readying a machine or an engine's options leaves nothing on the
+	// heap.
+	Scale   func(s Spec, m simmachine.Model, p power.Constants) (simmachine.Model, power.Constants)
+	Machine func(s Spec, m *simmachine.Machine, owner []int16)
+	Engine  func(s Spec, o engines.Options) engines.Options
 }
 
 // Knobs is the knob table, in Spec field order.
@@ -52,7 +55,7 @@ var Knobs = []Knob{
 		Name: "workers", NoFlag: true, Min: 1,
 		Help:  "real goroutines executing region bodies (0 = min(threads, GOMAXPROCS)); never changes results or modeled time",
 		Field: func(s *Spec) any { return &s.Workers },
-		Machine: func(s *Spec, m *simmachine.Machine, _ []int16) {
+		Machine: func(s Spec, m *simmachine.Machine, _ []int16) {
 			if s.Workers > 0 {
 				m.SetWorkers(s.Workers)
 			}
@@ -63,7 +66,7 @@ var Knobs = []Knob{
 		Help:   "force one scheduling policy onto every parallel region (default: each engine's own per-region choice)",
 		Values: []string{SchedStatic, SchedDynamic, SchedSteal, SchedNUMA},
 		Field:  func(s *Spec) any { return &s.Sched },
-		Machine: func(s *Spec, m *simmachine.Machine, _ []int16) {
+		Machine: func(s Spec, m *simmachine.Machine, _ []int16) {
 			switch s.Sched {
 			case SchedStatic:
 				m.SetSchedOverride(simmachine.Static)
@@ -80,7 +83,7 @@ var Knobs = []Knob{
 		Name: "sockets", Min: 1,
 		Help:  "virtual socket count of the locality model (0 = one socket, no penalties)",
 		Field: func(s *Spec) any { return &s.Sockets },
-		Machine: func(s *Spec, m *simmachine.Machine, _ []int16) {
+		Machine: func(s Spec, m *simmachine.Machine, _ []int16) {
 			if s.Sockets > 0 {
 				m.SetSockets(s.Sockets)
 			}
@@ -90,14 +93,14 @@ var Knobs = []Knob{
 		Name: "remote-penalty", Min: 1,
 		Help:    "multiplier on a chunk's DRAM bytes when it runs off its home socket (0 = model default)",
 		Field:   func(s *Spec) any { return &s.RemotePenalty },
-		Machine: func(s *Spec, m *simmachine.Machine, _ []int16) { m.SetRemotePenalty(s.RemotePenalty) },
+		Machine: func(s Spec, m *simmachine.Machine, _ []int16) { m.SetRemotePenalty(s.RemotePenalty) },
 	},
 	{
 		Name:   "grain",
 		Help:   "region grain policy: each engine's hand-picked grains, or frontier-proportional re-chunking",
 		Values: []string{GrainFixed, GrainAdaptive},
 		Field:  func(s *Spec) any { return &s.Grain },
-		Machine: func(s *Spec, m *simmachine.Machine, _ []int16) {
+		Machine: func(s Spec, m *simmachine.Machine, _ []int16) {
 			if s.Grain == GrainAdaptive {
 				m.SetGrainPolicy(parallel.GrainAdaptive)
 			}
@@ -108,7 +111,7 @@ var Knobs = []Knob{
 		Help:   "locality model for resident data: stolen chunks only, or first-touch page ownership (needs -sockets > 1)",
 		Values: []string{PlacementNone, PlacementFirstTouch},
 		Field:  func(s *Spec) any { return &s.Placement },
-		Machine: func(s *Spec, m *simmachine.Machine, _ []int16) {
+		Machine: func(s Spec, m *simmachine.Machine, _ []int16) {
 			m.SetPlacement(s.Placement == PlacementFirstTouch)
 		},
 	},
@@ -119,29 +122,30 @@ var Knobs = []Knob{
 		Field:  func(s *Spec) any { return &s.FreqState },
 		// Modeled seconds and joules move as a pair, the way a real
 		// governor change shifts both sides of the energy-delay trade.
-		Scale: func(s *Spec, m *simmachine.Model, p *power.Constants) {
+		Scale: func(s Spec, m simmachine.Model, p power.Constants) (simmachine.Model, power.Constants) {
 			if f, err := power.FreqStateByName(s.FreqState); err == nil {
-				*m, *p = f.ScaleModel(*m), f.ScaleConstants(*p)
+				return f.ScaleModel(m), f.ScaleConstants(p)
 			}
+			return m, p
 		},
 	},
 	{
 		Name:   "compress",
 		Help:   "delta+varint compressed adjacency in GAP and Graph500 BFS/PR (decode-aware cost model)",
 		Field:  func(s *Spec) any { return &s.Compress },
-		Engine: func(s *Spec, o *engines.Options) { o.Compress = s.Compress },
+		Engine: func(s Spec, o engines.Options) engines.Options { o.Compress = s.Compress; return o },
 	},
 	{
 		Name:   "sync-sssp",
 		Help:   "synchronous deterministic SSSP in GAP and GraphBIG",
 		Field:  func(s *Spec) any { return &s.SyncSSSP },
-		Engine: func(s *Spec, o *engines.Options) { o.SyncSSSP = s.SyncSSSP },
+		Engine: func(s Spec, o engines.Options) engines.Options { o.SyncSSSP = s.SyncSSSP; return o },
 	},
 	{
 		Name: "nodes", Min: 1, Max: MaxNodes,
 		Help:    "virtual cluster node count of the modeled distributed-memory mode (0/1 = single box)",
 		Field:   func(s *Spec) any { return &s.Nodes },
-		Machine: func(s *Spec, m *simmachine.Machine, owner []int16) { m.SetCluster(s.Nodes, owner) },
+		Machine: func(s Spec, m *simmachine.Machine, owner []int16) { m.SetCluster(s.Nodes, owner) },
 	},
 	{
 		// Takes effect through Spec.Owners: the table it selects is what
@@ -155,7 +159,7 @@ var Knobs = []Knob{
 		Name:   "mutations",
 		Help:   "streaming phase `BxS@F`: B batches of S edge mutations with delete fraction F (e.g. 4x64@0.25); PR and WCC only",
 		Field:  func(s *Spec) any { return &s.Mutations },
-		Engine: func(s *Spec, o *engines.Options) { o.Mutations = s.Mutations != nil },
+		Engine: func(s Spec, o engines.Options) engines.Options { o.Mutations = s.Mutations != nil; return o },
 	},
 }
 
@@ -193,14 +197,19 @@ func (k *Knob) check(s *Spec) error {
 	return nil
 }
 
+// ownersKind derives a graph's 2D owner table per node count.
+type ownersKind struct{}
+
 // Owners returns the per-vertex home-node table of the spec's cluster
 // partition on the homogenized graph, nil where ownership is blocked
 // (one box, or Partition1D). It describes where data lives, not how an
-// engine processes it, so a run computes it once and shares it across
-// engines, like the roots.
-func (s Spec) Owners(csr *graph.CSR) []int16 {
+// engine processes it, so it is the graph's own (graph.Derive, per node
+// count), shared read-only across engines and runs, like the roots.
+func (s Spec) Owners(g *graph.Simple) []int16 {
 	if s.Nodes > 1 && s.Partition == Partition2D {
-		return graph.GreedyVertexCut(csr, s.Nodes, nil).Owners()
+		return graph.Derive(g, ownersKind{}, s.Nodes, func() []int16 {
+			return graph.GreedyVertexCut(g.Out, s.Nodes, nil).Owners()
+		})
 	}
 	return nil
 }
@@ -215,7 +224,7 @@ func (s Spec) Owners(csr *graph.CSR) []int16 {
 func (s Spec) NewMachine(m *simmachine.Machine, model simmachine.Model, pc power.Constants, owner []int16) (*simmachine.Machine, power.Constants) {
 	for _, k := range Knobs {
 		if k.Scale != nil {
-			k.Scale(&s, &model, &pc)
+			model, pc = k.Scale(s, model, pc)
 		}
 	}
 	if m == nil {
@@ -224,7 +233,7 @@ func (s Spec) NewMachine(m *simmachine.Machine, model simmachine.Model, pc power
 	m.Renew(model, s.Threads)
 	for _, k := range Knobs {
 		if k.Machine != nil {
-			k.Machine(&s, m, owner)
+			k.Machine(s, m, owner)
 		}
 	}
 	return m, pc
@@ -240,13 +249,12 @@ func (s Spec) EngineOptions(d *engines.Decl) (o engines.Options, dropped []strin
 		if k.Engine == nil {
 			continue
 		}
-		var req engines.Options
-		k.Engine(&s, &req)
+		req := k.Engine(s, engines.Options{})
 		if d.Honored(req) != req {
 			dropped = append(dropped, k.Name)
 			continue
 		}
-		k.Engine(&s, &o)
+		o = k.Engine(s, o)
 	}
 	return o, dropped
 }

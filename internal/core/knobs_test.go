@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hpcl-repro/epg/internal/alloctest"
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/power"
 	"github.com/hpcl-repro/epg/internal/simmachine"
@@ -185,3 +186,29 @@ func TestKnobHooksReachTheirTargets(t *testing.T) {
 
 // knobless declares an engine that honors no knob.
 var knobless engines.Decl
+
+// A warm machine and an engine's options cost nothing to ready: every
+// hook takes the spec, and what it adjusts, by value, so renewing a
+// machine for a spec with every knob set and resolving the options of an
+// engine that honors them all leave nothing on the heap.
+func TestWarmMachineAndOptionsAllocateNothing(t *testing.T) {
+	full := Spec{
+		Threads: 8, Workers: 2, Sched: SchedNUMA, Sockets: 2, RemotePenalty: 2, Grain: GrainAdaptive,
+		Placement: PlacementFirstTouch, FreqState: FreqPowersave, Compress: true, SyncSSSP: true,
+		Nodes: 2, Partition: Partition2D, Mutations: &MutationSchedule{Batches: 1, BatchSize: 1},
+	}
+	base, pc := simmachine.Haswell72(), power.DefaultConstants()
+	owner := make([]int16, 64)
+	m, _ := full.NewMachine(nil, base, pc, owner)
+	if got := alloctest.BytesPerRun(16, func() { m, _ = full.NewMachine(m, base, pc, owner) }); got != 0 {
+		t.Errorf("Spec.NewMachine on a renewed machine allocates %d B", got)
+	}
+	every := engines.Decl{Knobs: engines.Options{SyncSSSP: true, Compress: true, Mutations: true}}
+	if got := alloctest.BytesPerRun(16, func() {
+		if _, d := full.EngineOptions(&every); d != nil {
+			t.Fatalf("dropped %v", d)
+		}
+	}); got != 0 {
+		t.Errorf("Spec.EngineOptions allocates %d B", got)
+	}
+}

@@ -62,7 +62,7 @@ func runSpec(t *testing.T, spec core.Spec, d *engines.Decl, g *graph.Simple, roo
 	t.Helper()
 	spec.Workers = s.workers
 	opts, _ := spec.EngineOptions(d)
-	m, pc := spec.NewMachine(nil, simmachine.Haswell72(), power.DefaultConstants(), spec.Owners(g.Out))
+	m, pc := spec.NewMachine(nil, simmachine.Haswell72(), power.DefaultConstants(), spec.Owners(g))
 	if s.set != nil {
 		s.set(m)
 	}

@@ -200,10 +200,11 @@ func TestSharedGraphStaysImmutable(t *testing.T) {
 	}
 }
 
-// PowerGraph at 32, 64 and 32 shards on one graph: the second cut at 32
-// replaces the one at 64, which replaced the first. Every load must
-// charge and run exactly as a load of a freshly homogenized graph does:
-// results and every Region bit-equal.
+// PowerGraph at 32, 64, 8 and 32 shards on one graph: a graph keeps the
+// cuts of its last two shard counts, so the cut at 8 evicts the first
+// one at 32, and the second load at 32 cuts again, evicting the one at
+// 64. Every load must charge and run exactly as a load of a freshly
+// homogenized graph does: results and every Region bit-equal.
 func TestPowerGraphCutEvictionBitEqualFreshGraph(t *testing.T) {
 	el := sharedGraphs()[0].el
 	shared, err := graph.Homogenize(el)
@@ -228,7 +229,7 @@ func TestPowerGraphCutEvictionBitEqualFreshGraph(t *testing.T) {
 		}
 		return outs, m.Trace()
 	}
-	for step, threads := range []int{32, 64, 32} {
+	for step, threads := range []int{32, 64, 8, 32} {
 		fresh, err := graph.Homogenize(el)
 		if err != nil {
 			t.Fatal(err)

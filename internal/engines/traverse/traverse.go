@@ -99,7 +99,9 @@ type cand struct {
 // State is the reusable working set of the steps, one per engine
 // instance (instances are single-caller, so it needs no locking). A
 // warm TopDown, Relax, Sweep or Hook allocates nothing of its own:
-// per-chunk outputs come out of one Arena buffer per worker, so what
+// per-chunk outputs come out of one Arena buffer per worker (TopDown's
+// claims) or one Slab (Relax's candidates, so that what a warm Relax
+// allocates does not depend on the schedule's split of chunks), so what
 // stays resident is bounded by the largest single region's output, and
 // each step's region body is bound to the State once. Every
 // piece is sized where it is used from (n, Workers()), so a graph
@@ -128,7 +130,7 @@ type State struct {
 	claimBuf parallel.Arena[parallel.Claim]
 
 	cands   parallel.ChunkQueue[cand]
-	candBuf parallel.Arena[cand]
+	candBuf parallel.Slab[cand]
 	// queued[u] == pass marks u as already taken by First in this
 	// relaxation pass; pass keeps counting across calls so queued is
 	// cleared only when the counter wraps.
@@ -453,7 +455,6 @@ func (s *State) relaxChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 	rx := &s.rx
 	dist, split, heavy, stale := rx.dist, rx.pass.Split, rx.pass.Heavy, rx.pass.Stale
 	local := s.candBuf.Take(worker)
-	start := len(local)
 	buf := &s.rowBufs[worker]
 	var edges int64
 	for _, v := range rx.frontier[lo:hi] {
@@ -473,10 +474,10 @@ func (s *State) relaxChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 			}
 		}
 	}
-	s.cands.Put(chunk, s.candBuf.Give(worker, local, start))
+	s.cands.Put(chunk, s.candBuf.Keep(worker, local))
 	s.edges.Add(worker, edges)
 	w.Charge(rx.p.Edge.Scale(float64(edges)))
-	w.Charge(rx.p.Cand.Scale(float64(len(local) - start)))
+	w.Charge(rx.p.Cand.Scale(float64(len(local))))
 	w.Charge(rx.p.Vertex.Scale(float64(hi - lo)))
 }
 

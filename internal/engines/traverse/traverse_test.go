@@ -296,10 +296,11 @@ func TestRetentionBoundedByLargestRegion(t *testing.T) {
 	need := peakClaims*claimB + peakCands*candB
 	got := s.claimBuf.Cap()*claimB + s.candBuf.Cap()*candB
 	t.Logf("arenas retain %d B; largest regions' outputs sum to %d B (%.2fx)", got, need, float64(got)/float64(need))
-	// One buffer per worker, each grown by at most doubling to its
-	// worker's largest share of a region: between 1x (equal shares, no
-	// slack) and 2*workers (every worker once ran a whole largest
-	// region alone, each ending on a doubling).
+	// The claims: one buffer per worker, each grown by at most doubling
+	// to its worker's largest share of a region, between 1x (equal
+	// shares, no slack) and 2*workers (every worker once ran a whole
+	// largest region alone, each ending on a doubling). The candidates:
+	// the largest region's output plus one largest chunk's per worker.
 	if got > 2*workers*need {
 		t.Fatalf("arenas retain %d B, over %dx the %d B the largest regions produced", got, 2*workers, need)
 	}

@@ -41,7 +41,7 @@ func Homogenize(el *EdgeList) (*Simple, error) {
 			Dedup:         true,
 			Sort:          true,
 		}),
-		derived: &derived{entries: map[any]*derivedEntry{}},
+		derived: &derived{entries: map[any]*derivedSlots{}},
 	}
 	if el.Directed {
 		// Transpose scatters rows in ascending source order, so the
@@ -51,11 +51,16 @@ func Homogenize(el *EdgeList) (*Simple, error) {
 	return g, nil
 }
 
-// derived holds what engines build from one Simple, one entry per kind.
+// derived holds what engines build from one Simple, the values of the
+// last two params asked of each kind.
 type derived struct {
 	mu      sync.Mutex
-	entries map[any]*derivedEntry
+	entries map[any]*derivedSlots
 }
+
+// derivedSlots is one kind's values: cur the most recently asked
+// param's, prev the one asked before it (nil until a second param).
+type derivedSlots struct{ cur, prev *derivedEntry }
 
 type derivedEntry struct {
 	param int
@@ -67,18 +72,28 @@ type derivedEntry struct {
 // instance loaded from g with the same kind and param shares one value,
 // read-only like g itself. kind is a comparable key private to the
 // caller (an unexported struct type, as with context keys); param is
-// the one input besides g the value depends on. A kind keeps only the
-// value of the latest param asked of it, so a thread sweep that re-cuts
-// per shard count holds one cut at a time. Concurrent callers of one
-// kind and param wait for a single build.
+// the one input besides g the value depends on. A kind keeps the values
+// of the last two params asked of it: a third param evicts the one
+// asked least recently, so a thread sweep that re-cuts per shard count
+// holds at most two cuts, and a study that alternates two counts builds
+// each once. An evicted value is dropped, never reused: an instance
+// bound before the eviction may still read it. Concurrent callers of
+// one kind and param wait for a single build.
 func Derive[T any](g *Simple, kind any, param int, build func() T) T {
 	d := g.derived
 	d.mu.Lock()
-	e := d.entries[kind]
-	if e == nil || e.param != param {
-		e = &derivedEntry{param: param}
-		d.entries[kind] = e
+	sl := d.entries[kind]
+	switch {
+	case sl == nil:
+		sl = &derivedSlots{cur: &derivedEntry{param: param}}
+		d.entries[kind] = sl
+	case sl.cur.param == param:
+	case sl.prev != nil && sl.prev.param == param:
+		sl.cur, sl.prev = sl.prev, sl.cur
+	default:
+		sl.cur, sl.prev = &derivedEntry{param: param}, sl.cur
 	}
+	e := sl.cur
 	d.mu.Unlock()
 	e.once.Do(func() { e.value = build() })
 	return e.value.(T)

@@ -46,8 +46,10 @@ func TestHomogenize(t *testing.T) {
 }
 
 // Derive builds a kind once per graph and param however many callers
-// ask at once, and keeps only the latest param: asking for an evicted
-// one builds it again. The compressed sibling of a CSR is one per graph.
+// ask at once, and keeps the last two params asked of it: alternating
+// two params builds each once, and a third evicts the one asked least
+// recently, which then builds again. The compressed sibling of a CSR is
+// one per graph.
 func TestDeriveBuildsOncePerParam(t *testing.T) {
 	g, err := Homogenize(randomEdgeList(5, 64, 512, true))
 	if err != nil {
@@ -73,8 +75,16 @@ func TestDeriveBuildsOncePerParam(t *testing.T) {
 			t.Fatalf("concurrent callers got different values: %v", got)
 		}
 	}
-	if derive(64) != derive(64) || derive(32) == got[0] || builds.Load() != 3 {
-		t.Fatalf("%d builds for params 32, 64, 64, 32; want 3", builds.Load())
+	at64 := derive(64)
+	if derive(64) != at64 || derive(32) != got[0] || builds.Load() != 2 {
+		t.Fatalf("%d builds for params 32, 64, 64, 32; want 2", builds.Load())
+	}
+	// 32 was asked last, so 8 evicts 64 and keeps 32.
+	if *derive(8) != 8 || derive(32) != got[0] || builds.Load() != 3 {
+		t.Fatalf("%d builds after 8 and 32 again; want 3", builds.Load())
+	}
+	if again := derive(64); again == at64 || *again != 64 || builds.Load() != 4 {
+		t.Fatalf("%d builds after the evicted 64 again; want 4 and a new value", builds.Load())
 	}
 	if g.Compressed(g.Out) != g.Compressed(g.Out) {
 		t.Fatal("the compressed sibling of Out is built twice")

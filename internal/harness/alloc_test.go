@@ -33,12 +33,12 @@ func leastAlloc(f func()) uint64 {
 // kron-10). Cold, on a fresh Runner, the calls allocate BFS on four
 // engines 1.83, WCC on the other four 2.64 and a three-point BFS sweep
 // 2.41, and the budgets sit half a build above. Warm, on a Runner that
-// made the same call before, they allocate 0.29, 0.12 and 0.87 — the
-// results, the result rows and root selection; the Runner keeps the
-// instances with their scratch and the machines with their traces and
-// region scratch — and the budgets of 1.0, 1.0 and 2.2 break on one more
-// homogenize, or one rebuilt PowerGraph cut or GraphBIG table. Between
-// them the two kernels load all five engines.
+// made the same call before, they allocate 0.24, 0.07 and 0.74 — the
+// results and the result rows; the Runner keeps the instances with their
+// scratch and the machines with their traces and region scratch, and the
+// graph its roots — and the budgets of 1.0, 1.0 and 2.2 break on one
+// more homogenize, or one rebuilt PowerGraph cut or GraphBIG table.
+// Between them the two kernels load all five engines.
 func TestRunHomogenizesOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	el, err := ResolveDataset("kron-10", DatasetOptions{Seed: 1})
@@ -92,12 +92,12 @@ func TestRunHomogenizesOnce(t *testing.T) {
 // instance's relaxation passes grow its candidate arena, stamps and
 // frontiers from nothing, ~550 KB a Run at kron-10, and a new machine
 // its trace and region scratch, ~12 KB, against the two SSSP results
-// (16 B per vertex each). slack covers the rest, ~10 KB measured and
-// independent of the graph's size: the result rows, root selection and
-// the closures GraphBIG's own steps build per call (the regions'
-// hand-off to the pool allocates nothing).
+// (16 B per vertex each). slack covers the rest, ~1.4 KB measured and
+// independent of the graph's size: the result rows and the closures
+// GraphBIG's own steps build per call (the roots are the graph's own,
+// and the regions' hand-off to the pool allocates nothing).
 func TestWarmRunAllocationBound(t *testing.T) {
-	const roots, slack = 2, 16 << 10
+	const roots, slack = 2, 4 << 10
 	el, err := ResolveDataset("kron-10", DatasetOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -114,5 +114,39 @@ func TestWarmRunAllocationBound(t *testing.T) {
 	t.Logf("warm GraphBIG sync-SSSP Run: %d B, of it %d B results", got, results)
 	if got > results+slack {
 		t.Errorf("a warm Run allocates %d B beyond its %d B of results; slack %d", got-results, results, slack)
+	}
+}
+
+// A warm Run derives nothing again: the PowerGraph cut of each shard
+// count, the roots and the 2D owner table are the graph's own
+// (graph.Derive), and a graph keeps two cuts, so a Runner alternating
+// two thread counts cuts each once. Once warm, PowerGraph SSSP Runs at
+// 32 and then 72 threads on a four-node vertex-cut cluster allocate
+// their results (16 B per vertex a root) and slack: ~15 KB measured for
+// the pair, the result rows and the closures PowerGraph's SSSP builds
+// per iteration. At kron-10 the pair grows by ~15 KB when each Run
+// selects its roots again, by ~20 KB when each partitions the cluster
+// again and by ~580 KB when each re-cuts, so the slack breaks on any.
+func TestWarmRunDerivesOnce(t *testing.T) {
+	const roots, slack = 2, 24 << 10
+	el, err := ResolveDataset("kron-10", DatasetOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := core.Spec{Dataset: "kron-10", Algorithm: engines.SSSP, Engines: []string{"PowerGraph"},
+		Roots: roots, Seed: 1, Nodes: 4, Partition: core.Partition2D}
+	r := testRunner()
+	got := alloctest.BytesPerRun(4, func() {
+		for _, threads := range []int{32, 72} {
+			spec.Threads = threads
+			if _, err := r.Run(spec, el); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	results := uint64(2 * roots * 16 * el.NumVertices)
+	t.Logf("warm PowerGraph SSSP Runs at 32 and 72 threads: %d B, of it %d B results", got, results)
+	if got > results+slack {
+		t.Errorf("two warm Runs allocate %d B beyond their %d B of results; slack %d", got-results, results, slack)
 	}
 }

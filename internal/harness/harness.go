@@ -19,12 +19,14 @@ import (
 // Runner executes specs against a set of engines.
 //
 // A Runner keeps the homogenized graph of the last edge list it ran and,
-// through it, what the engines derived from it (graph.Derive: one value
-// of each kind), so a Run or Sweep over that edge list again replays only
-// the modeled load and build. The memo is keyed by the edge list's
-// identity and checked on every call against a fingerprint of its vertex
-// count, flags and every edge, so a list edited in place between calls is
-// homogenized again (editing it during a call is a race). It also keeps
+// through it, what was derived from it (graph.Derive: the values of the
+// last two params of each kind) — the engines' structures, the roots of
+// each count and seed, and the cluster owner table — so a Run or Sweep
+// over that edge list again replays only the modeled load and build. The
+// memo is keyed by the edge list's identity and checked on every call
+// against a fingerprint of its vertex count, flags and every edge, so a
+// list edited in place between calls is homogenized again (editing it
+// during a call is a race). It also keeps
 // one idle instance per engine, scratch only (no graph, no machine), and
 // up to two idle machines (the two a Run holds at once: its engine's and
 // the stream recompute's): a Run binds the instance and renews a machine
@@ -150,29 +152,45 @@ func (r *Runner) run(spec core.Spec, g *graph.Simple) ([]core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Roots are selected once, on the homogenized graph, and shared
-	// by every engine — the paper uses the same 32 roots across
-	// systems (and reuses BFS roots for SSSP).
-	roots := core.SelectRoots(g.Out, spec.NumRoots(), spec.Seed)
+	// Roots are selected once per graph, count and seed, and shared by
+	// every engine — the paper uses the same 32 roots across systems
+	// (and reuses BFS roots for SSSP).
+	roots := selectRoots(g, spec.NumRoots(), spec.Seed)
 	if len(roots) == 0 {
 		return nil, fmt.Errorf("harness: graph has no roots with degree > 1")
 	}
-	owner := spec.Owners(g.Out)
+	owner := spec.Owners(g)
 
-	var results []core.Result
+	rows := spec.NumRoots()
+	if ms := spec.Mutations; ms != nil {
+		rows += ms.Batches
+	}
+	results := make([]core.Result, 0, len(decls)*rows)
 	for _, d := range decls {
-		rs, err := r.runEngine(spec, g, d, roots, owner)
-		if err != nil {
+		if results, err = r.runEngine(results, spec, g, d, roots, owner); err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", d.Name, err)
 		}
-		results = append(results, rs...)
 	}
 	return results, nil
 }
 
-// runEngine executes all roots of one engine. owner is the per-vertex
-// cluster owner table (nil for 1D/blocked or single-box specs).
-func (r *Runner) runEngine(spec core.Spec, g *graph.Simple, d *engines.Decl, roots []graph.VID, owner []int16) ([]core.Result, error) {
+// rootsKind derives a graph's roots per count and seed.
+type rootsKind struct {
+	count int
+	seed  uint64
+}
+
+// selectRoots is core.SelectRoots on g.Out, the graph's own
+// (graph.Derive): selected by the first run that asks for the count and
+// seed, and read-only.
+func selectRoots(g *graph.Simple, count int, seed uint64) []graph.VID {
+	return graph.Derive(g, rootsKind{count, seed}, 0, func() []graph.VID { return core.SelectRoots(g.Out, count, seed) })
+}
+
+// runEngine executes all roots of one engine and appends their rows to
+// results. owner is the per-vertex cluster owner table (nil for
+// 1D/blocked or single-box specs).
+func (r *Runner) runEngine(results []core.Result, spec core.Spec, g *graph.Simple, d *engines.Decl, roots []graph.VID, owner []int16) ([]core.Result, error) {
 	// Dropped knobs are surfaced, not silent: a spec that asked for the
 	// synchronous variant, the compressed layout or a streaming phase
 	// and got the default would mislabel its results.
@@ -245,7 +263,6 @@ func (r *Runner) runEngine(spec core.Spec, g *graph.Simple, d *engines.Decl, roo
 	// 32 distinct roots, while for root-independent kernels (LCC, WCC,
 	// PageRank) the same count serves as plain variance repetitions.
 	trials := spec.NumRoots()
-	results := make([]core.Result, 0, trials)
 	for trial := 0; trial < trials; trial++ {
 		res, err := perTrial(trial)
 		if err != nil {
@@ -258,11 +275,7 @@ func (r *Runner) runEngine(spec core.Spec, g *graph.Simple, d *engines.Decl, roo
 	// the knob was warned about above and skips the phase; one that
 	// declares it has instances that are Streamers.
 	if opts.Mutations {
-		srs, err := r.runStream(spec, g, d, opts, inst.(engines.Streamer), m, owner)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, srs...)
+		return r.runStream(results, spec, g, d, opts, inst.(engines.Streamer), m, owner)
 	}
 	return results, nil
 }

@@ -102,12 +102,13 @@ func (s *streamShadow) edgeList() *graph.EdgeList {
 }
 
 // runStream executes the spec's mutation schedule against one engine's
-// live instance: per batch, apply the mutations, re-converge the
-// resident result incrementally, and wall the outcome bit-equal
-// against a cold full recompute on the post-batch graph. The recompute
-// runs on a machine renewed with the same spec knobs, so RecomputeSec is
-// the honest displaced alternative (rebuild + cold kernel).
-func (r *Runner) runStream(spec core.Spec, g *graph.Simple, d *engines.Decl, opts engines.Options, st engines.Streamer, m *simmachine.Machine, owner []int16) ([]core.Result, error) {
+// live instance and appends a row per batch to results: per batch,
+// apply the mutations, re-converge the resident result incrementally,
+// and wall the outcome bit-equal against a cold full recompute on the
+// post-batch graph. The recompute runs on a machine renewed with the
+// same spec knobs, so RecomputeSec is the honest displaced alternative
+// (rebuild + cold kernel).
+func (r *Runner) runStream(results []core.Result, spec core.Spec, g *graph.Simple, d *engines.Decl, opts engines.Options, st engines.Streamer, m *simmachine.Machine, owner []int16) ([]core.Result, error) {
 	ms := spec.Mutations
 	shadow := &streamShadow{cur: g.Out, directed: g.Directed, weighted: g.Weighted}
 
@@ -118,7 +119,6 @@ func (r *Runner) runStream(spec core.Spec, g *graph.Simple, d *engines.Decl, opt
 		return nil, fmt.Errorf("stream baseline: %w", err)
 	}
 
-	results := make([]core.Result, 0, ms.Batches)
 	for batch := 1; batch <= ms.Batches; batch++ {
 		b := shadow.batch(ms, batch)
 		next, _, err := shadow.cur.Apply(b, shadow.directed)

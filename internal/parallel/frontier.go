@@ -243,3 +243,100 @@ func (a *Arena[T]) Cap() int {
 	}
 	return n
 }
+
+// Slab stores one region's chunk outputs in a single array, for a
+// kernel whose chunks each append an unknown number of items and whose
+// allocation must not depend on the schedule. A chunk appends into its
+// worker's scratch and Keeps it: the items are copied into the slab
+// and returned, and the scratch is the worker's again for its next
+// chunk:
+//
+//	buf := s.Take(worker)
+//	buf = append(buf, item) // any number of times
+//	q.Put(chunk, s.Keep(worker, buf))
+//
+// An Arena's buffer holds its worker's whole share of a region, so a
+// warm Arena still allocates when a worker draws a larger share than
+// ever before, which the schedule decides. A Slab's sizes follow only
+// the outputs: the slab holds the largest region output so far and
+// Reset grows every worker's scratch to the largest chunk output so
+// far, so a warm Slab allocates only in a region that outputs more, or
+// has a chunk that outputs more, than any before. Retention is at most
+// twice the largest region's output plus twice the largest chunk's per
+// worker. The zero Slab is ready for Reset.
+type Slab[T any] struct {
+	scratch []slabBuf[T]
+	items   []T
+	// used counts the items Kept since Reset. Keep adds to it through
+	// sync/atomic's functions rather than an atomic.Int64, so that a
+	// struct holding a Slab may be copied between regions, as engines
+	// copy their traverse.State on every Bind.
+	used int64
+}
+
+// slabBuf is one worker's scratch and the largest chunk it Kept,
+// padded to its own cache line: Keep rewrites it once per chunk.
+type slabBuf[T any] struct {
+	s    []T
+	most int
+	_    [cacheLine - 32]byte
+}
+
+// Reset readies the slab for one region executed by worker IDs below
+// workers. Slices Kept before the call are dead: Reset the ChunkQueue
+// they were Put into alongside. Call only between regions.
+func (s *Slab[T]) Reset(workers int) {
+	workers = max(workers, 1)
+	for len(s.scratch) < workers {
+		s.scratch = append(s.scratch, slabBuf[T]{})
+	}
+	// Both grow at least twofold, as append does: a run of regions each
+	// a little larger than the last reallocates a logarithmic number of
+	// times, not once a region.
+	if n := int(s.used); n > len(s.items) {
+		s.items = make([]T, max(n, 2*len(s.items)))
+	}
+	s.used = 0
+	most := 0
+	for i := range s.scratch {
+		most = max(most, s.scratch[i].most)
+	}
+	for i := range s.scratch[:workers] {
+		if c := cap(s.scratch[i].s); c < most {
+			s.scratch[i].s = make([]T, 0, max(most, 2*c))
+		}
+	}
+}
+
+// Take returns worker's empty scratch. Only the goroutine running as
+// that worker may hold it, and it must Keep it before its chunk ends.
+func (s *Slab[T]) Take(worker int) []T { return s.scratch[worker].s[:0] }
+
+// Keep hands worker's (possibly regrown) scratch back and returns a copy
+// of its items, capacity-clamped so that nothing appended to the result
+// can reach another chunk's items. The copy lies in the slab, or in a
+// new array when this region has outgrown it.
+func (s *Slab[T]) Keep(worker int, buf []T) []T {
+	w := &s.scratch[worker]
+	w.s, w.most = buf, max(w.most, len(buf))
+	n := len(buf)
+	end := int(atomic.AddInt64(&s.used, int64(n)))
+	var out []T
+	if end <= len(s.items) {
+		out = s.items[end-n : end : end]
+	} else {
+		out = make([]T, n)
+	}
+	copy(out, buf)
+	return out
+}
+
+// Cap returns the total item capacity the slab retains. Call only
+// between regions.
+func (s *Slab[T]) Cap() int {
+	n := len(s.items)
+	for i := range s.scratch {
+		n += cap(s.scratch[i].s)
+	}
+	return n
+}

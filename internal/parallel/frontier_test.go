@@ -306,6 +306,117 @@ func TestArenaTakeGive(t *testing.T) {
 	}
 }
 
+// Slab hands each chunk a copy of exactly its own items, clamps the
+// handed-out capacity, and once warm allocates nothing whichever worker
+// runs which chunk: a region whose chunks all ran on worker 0 sizes the
+// slab for the same chunks run on worker 1, or split between both.
+func TestSlabKeepIndependentOfShares(t *testing.T) {
+	var s Slab[int]
+	sizes := []int{3, 4000, 0, 2}
+	out := make([][]int, len(sizes))
+	region := func(workerOf func(chunk int) int) [][]int {
+		s.Reset(2)
+		for c, n := range sizes {
+			w := workerOf(c)
+			buf := s.Take(w)
+			for i := 0; i < n; i++ {
+				buf = append(buf, c*10000+i)
+			}
+			out[c] = s.Keep(w, buf)
+		}
+		return out
+	}
+	check := func(out [][]int) {
+		t.Helper()
+		for c, items := range out {
+			if len(items) != sizes[c] || cap(items) != len(items) {
+				t.Fatalf("chunk %d: len %d cap %d, want %d items clamped", c, len(items), cap(items), sizes[c])
+			}
+			for i, it := range items {
+				if it != c*10000+i {
+					t.Fatalf("chunk %d item %d = %d: chunks see each other's items", c, i, it)
+				}
+			}
+		}
+	}
+	// Two regions with every chunk on worker 0: the first spills, the
+	// second runs in the slab that Reset sized.
+	check(region(func(int) int { return 0 }))
+	check(region(func(int) int { return 0 }))
+	shares := []func(int) int{
+		func(int) int { return 1 },
+		func(c int) int { return c % 2 },
+		func(int) int { return 0 },
+	}
+	held := s.Cap()
+	for i, workerOf := range shares {
+		// The first region of each split, not a warmed one: an Arena
+		// would grow worker 1's buffer here. Nothing may grow, and every
+		// chunk's copy must lie in the slab, not in a spilled array.
+		split := region(workerOf)
+		check(split)
+		if got := s.Cap(); got != held {
+			t.Fatalf("split %d: the slab grew from %d to %d items", i, held, got)
+		}
+		off := 0
+		for c, items := range split {
+			if len(items) > 0 && &items[0] != &s.items[off] {
+				t.Fatalf("split %d: chunk %d was copied outside the slab", i, c)
+			}
+			off += len(items)
+		}
+	}
+	_ = append(out[0], -1) // must reallocate, not overwrite chunk 1's items
+	if out[1][0] != 10000 {
+		t.Fatal("append to a chunk's slice reached the next chunk's items")
+	}
+	// The largest region's items, and per worker the largest chunk's,
+	// at most doubled where a chunk regrew the scratch in place.
+	if got := s.Cap(); got < 4005+2*4000 || got > 4005+2*2*4000 {
+		t.Fatalf("Cap = %d, want 4005 items and 4000 to 8000 per worker", got)
+	}
+}
+
+// Many regions through one Slab under every policy, with more workers
+// than idle pool slots: each chunk must read back exactly what it
+// appended while other workers Keep beside it, in the slab or, in a
+// region larger than any before, spilled. Under -race this is the
+// Slab's memory-model wall.
+func TestSlabConcurrentRegions(t *testing.T) {
+	p := NewPool(4)
+	var s Slab[uint64]
+	cq := NewChunkQueue[uint64]()
+	for round, sched := range []Sched{Static, Dynamic, Steal, NUMA, Dynamic, Steal} {
+		workers, n, grain := 3+2*round, 2000*(1+round%3), 7
+		cq.Reset(NumChunks(n, grain))
+		s.Reset(workers)
+		For(p, workers, n, grain, sched, func(lo, hi, chunk, worker int) {
+			buf := s.Take(worker)
+			for i := lo; i < hi; i++ {
+				if i%3 != 0 {
+					buf = append(buf, uint64(round)<<32|uint64(i))
+				}
+			}
+			cq.Put(chunk, s.Keep(worker, buf))
+		})
+		next := 0
+		for _, b := range cq.Chunks() {
+			for _, it := range b {
+				for next%3 == 0 {
+					next++
+				}
+				if it != uint64(round)<<32|uint64(next) {
+					t.Fatalf("round %d sched %v: item %#x where %d was appended", round, sched, it, next)
+				}
+				next++
+			}
+		}
+		if next < n-1 {
+			t.Fatalf("round %d sched %v: drain stopped at %d of %d", round, sched, next, n)
+		}
+	}
+}
+
 // Many regions through one Arena under every policy, with more workers
 // than idle pool slots: each chunk must read back exactly what it
 // appended while other workers append beside it. Under -race (make

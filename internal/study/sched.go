@@ -134,7 +134,7 @@ func schedCells(el *graph.EdgeList, _ string) ([]schedCell, error) {
 	var cells []schedCell
 	for _, kernel := range []engines.Algorithm{engines.BFS, engines.PageRank} {
 		for _, cfg := range schedConfigs {
-			owner := cfg.Owners(g.Out) // nil unless the cluster is vertex-cut
+			owner := cfg.Owners(g) // nil unless the cluster is vertex-cut
 			for _, policy := range schedPolicies {
 				for _, sockets := range schedSockets(policy, cfg.Placement) {
 					for _, threads := range schedThreads {
