@@ -1,5 +1,6 @@
-// Package alloctest measures what a warm call allocates: the one
-// reading behind every allocation wall (`make alloc-walls`).
+// Package alloctest measures what a warm call allocates and what a value
+// keeps alive: the readings behind every allocation wall (`make
+// alloc-walls`).
 package alloctest
 
 import (
@@ -44,4 +45,22 @@ func leastOf(batches, runs int, f func()) uint64 {
 		}
 	}
 	return best
+}
+
+// Retained is the heap a value keeps alive: the live heap after
+// runtime.GC while the value is held, less the live heap after release
+// drops the last reference to it and runtime.GC runs again, at
+// GOMAXPROCS(1) as the allocation readings are.
+func Retained(release func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var held, freed runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	release()
+	runtime.GC()
+	runtime.ReadMemStats(&freed)
+	if freed.HeapAlloc > held.HeapAlloc {
+		return 0
+	}
+	return held.HeapAlloc - freed.HeapAlloc
 }

@@ -32,8 +32,7 @@ var (
 	costPRVertex     = simmachine.Cost{Cycles: 6, Bytes: 24}
 	costCCEdge       = simmachine.Cost{Cycles: 4, Bytes: 10}
 	// PageRank's two vector passes, per vertex: the contribution and
-	// dangling pass, and the L1 pass. The incremental replay charges a
-	// recomputed chunk the same.
+	// dangling pass, and the L1 pass.
 	costPRContrib = simmachine.Cost{Cycles: 3, Bytes: 16}
 	costPRL1      = simmachine.Cost{Cycles: 4, Bytes: 16}
 	costBuildEdge = simmachine.Cost{Cycles: 5, Bytes: 18}
@@ -138,10 +137,6 @@ type Instance struct {
 	// stream holds the incremental baselines and the epochs they
 	// describe; nil until the first maintain.
 	stream *streamState
-	// prRec, when non-nil, makes PageRank snapshot its per-iteration
-	// trajectory into it — armed only by recordedPageRank, so plain
-	// runs never pay the O(iters·n) memory.
-	prRec *prTrajectory
 	// trav is the reusable state of the shared traversal steps, which
 	// also holds the cancellation hook; ws is the working set of the
 	// kernels GAP keeps to itself (workspace.go).

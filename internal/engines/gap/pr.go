@@ -51,10 +51,6 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 		pr.rank, pr.next = rank, next
 		// Per-vertex contributions and the dangling sum.
 		dangling, _ := tr.Sweep(m, n, gContrib, &prContrib, ws.prContribFn)
-		var dangParts []float64
-		if inst.prRec != nil {
-			dangParts = tr.Partials()
-		}
 		pr.base = (1-opts.Damping)*inv + opts.Damping*dangling*inv
 
 		// Pull phase.
@@ -65,9 +61,6 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 
 		rank, next = next, rank
 		res.Iterations = iter
-		if inst.prRec != nil {
-			inst.prRec.record(rank, dangParts, tr.Partials(), dangling, pr.base, l1)
-		}
 		if l1 < opts.Epsilon {
 			break
 		}
@@ -87,10 +80,20 @@ type prCall struct {
 	base, damping       float64
 }
 
-// prContribChunk is one chunk of the contribution pass.
+// prContribChunk is one chunk of the contribution pass: its share of
+// the dangling mass, and rank/degree for every other vertex.
 func (inst *Instance) prContribChunk(c *traverse.Chunk, lo, hi int) {
 	pr := &inst.ws.pr
-	c.Sum = danglingPartial(pr.rank, pr.outDeg, pr.contrib, lo, hi)
+	rank, outDeg, contrib := pr.rank, pr.outDeg, pr.contrib
+	p := 0.0
+	for v := lo; v < hi; v++ {
+		if outDeg[v] == 0 {
+			p += rank[v]
+		} else {
+			contrib[v] = rank[v] / float64(outDeg[v])
+		}
+	}
+	c.Sum = p
 }
 
 // prPullChunk gathers one chunk's new ranks along its in-rows.
@@ -109,40 +112,20 @@ func (inst *Instance) prPullChunk(c *traverse.Chunk, lo, hi int) {
 // prL1Chunk is one chunk of the convergence test.
 func (inst *Instance) prL1Chunk(c *traverse.Chunk, lo, hi int) {
 	pr := &inst.ws.pr
-	c.Sum = l1Partial(pr.next, pr.rank, lo, hi)
+	next, rank := pr.next, pr.rank
+	p := 0.0
+	for v := lo; v < hi; v++ {
+		p += math.Abs(next[v] - rank[v])
+	}
+	c.Sum = p
 }
 
 // prGrains resolves the chunk sizes of an iteration's three regions.
-// The incremental replay folds cached per-chunk partials, so it must
-// cut the same chunks.
+// The dangling and L1 sums fold per-chunk partials in chunk order, so
+// the chunks decide their bits: IncrementalPageRank keeps an answer only
+// for the chunks that cut it.
 func prGrains(m *simmachine.Machine, n int) (gContrib, gPull, gL1 int) {
 	return m.Grain(n, 2048, 1), m.Grain(n, 1024, 1), m.Grain(n, 4096, 1)
-}
-
-// danglingPartial is one chunk of the contribution pass: it returns the
-// chunk's share of the dangling mass and leaves every other vertex's
-// rank/degree in contrib (nil in the incremental replay, which divides
-// per pulled edge instead). l1Partial is one chunk of the L1 norm. The
-// kernel and the replay both fold exactly these, in chunk order.
-func danglingPartial(rank []float64, outDeg []int64, contrib []float64, lo, hi int) float64 {
-	p := 0.0
-	for v := lo; v < hi; v++ {
-		switch {
-		case outDeg[v] == 0:
-			p += rank[v]
-		case contrib != nil:
-			contrib[v] = rank[v] / float64(outDeg[v])
-		}
-	}
-	return p
-}
-
-func l1Partial(cur, prev []float64, lo, hi int) float64 {
-	p := 0.0
-	for v := lo; v < hi; v++ {
-		p += math.Abs(cur[v] - prev[v])
-	}
-	return p
 }
 
 // WCC implements engines.Instance with Shiloach-Vishkin-style label

@@ -2,11 +2,11 @@ package gap
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
-	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
@@ -37,34 +37,19 @@ var (
 // (baseline epoch, current epoch), however many Mutates lie between.
 // Allocated lazily — plain static runs never pay for it.
 type streamState struct {
-	// prTraj is the recorded per-iteration PageRank trajectory of the
-	// last (in)cremental run, over the rows prOut / prIn.
-	prTraj      *prTrajectory
-	prOut, prIn *graph.CSR
-	pr          prScratch
+	// prRank is the rank vector the last IncrementalPageRank handed out
+	// (the result slice itself: callers only read it), after prIters
+	// iterations under prOpts and the chunk sizes prGrains, over the
+	// in-rows prIn.
+	prRank   []float64
+	prIters  int
+	prOpts   engines.PROpts
+	prGrains [3]int
+	prIn     *graph.CSR
 	// wccLab is the component labeling of the last IncrementalWCC, over
 	// the out-rows wccOut.
 	wccLab []graph.VID
 	wccOut *graph.CSR
-}
-
-// prScratch is IncrementalPageRank's working set beside the trajectory
-// it patches, kept so that a replay allocates only the vector it
-// publishes (and a rank vector per iteration it outgrows its baseline).
-type prScratch struct {
-	// start is the uniform rank_0; spare is the vector a full sweep
-	// writes before trading it for the cached rank; contrib and outDeg
-	// are the iteration's rank/degree and the post-batch degrees.
-	start, spare, contrib []float64
-	outDeg                []int64
-	// changed ping-pongs between the vertices that moved in iteration
-	// t-1 and in t; degDirty and inRows are the vertices whose out-degree
-	// and in-rows whose membership differ from the baseline's; rows and
-	// rowMark the restricted sweep's row set; redo patchedFold's.
-	changed          [2][]graph.VID
-	degDirty, inRows []graph.VID
-	rows             []graph.VID
-	rowMark, redo    []bool
 }
 
 func (inst *Instance) streamState() *streamState {
@@ -170,297 +155,43 @@ func (inst *Instance) Mutate(batch graph.Batch) (*engines.MutationReport, error)
 	}, nil
 }
 
-// prIter is one recorded PageRank iteration: the rank vector after the
-// swap plus every intermediate the kernel folds — per-chunk dangling
-// and L1 partials and their chunk-ordered sums — so a replay can patch
-// any subset of chunks and still reproduce the fold bit for bit.
-type prIter struct {
-	rank      []float64
-	dangParts []float64
-	dangling  float64
-	base      float64
-	l1Parts   []float64
-	l1        float64
-}
-
-// prTrajectory is the memoized trajectory of one PageRank run.
-type prTrajectory struct {
-	opts  engines.PROpts
-	iters []prIter
-}
-
-// record snapshots one iteration from inside the kernel (pr.go calls
-// it when recording is armed). The partials are already the kernel's
-// copies; the rank vector is copied here, since the kernel reuses it.
-func (t *prTrajectory) record(rank, dangParts, l1Parts []float64, dangling, base, l1 float64) {
-	t.iters = append(t.iters, prIter{
-		rank:      append([]float64(nil), rank...),
-		dangParts: dangParts,
-		dangling:  dangling,
-		base:      base,
-		l1Parts:   l1Parts,
-		l1:        l1,
-	})
-}
-
-// recordedPageRank runs the full kernel with trajectory recording
-// armed and installs the result as the new baseline. Recording only
-// copies state the kernel already computed, so the modeled cost is
-// exactly the full run's.
-func (inst *Instance) recordedPageRank(opts engines.PROpts) (*engines.PRResult, error) {
-	st := inst.streamState()
-	traj := &prTrajectory{opts: opts}
-	inst.prRec = traj
-	res, err := inst.PageRank(opts)
-	inst.prRec = nil
-	if err != nil {
-		return nil, err
-	}
-	st.prTraj, st.prOut, st.prIn = traj, inst.out, inst.in
-	return res, nil
-}
-
-// IncrementalPageRank implements engines.Streamer. It re-converges
-// from the recorded trajectory of the previous run with sweeps
-// restricted to the dirty frontier, seeded by the vertices whose
-// out-degree and the in-rows whose membership differ between the
-// trajectory's epoch and the current one: per iteration it recomputes
-// only the dangling-partial chunks, pull rows, and L1 chunks whose
-// inputs changed, splicing cached partials everywhere else and folding
-// in chunk order — so every dangling sum, base value, rank entry, L1
-// norm, and convergence decision is bit-equal to a cold PageRank on
-// the current graph. Without a baseline (first call, or changed
-// opts/grain geometry) it runs the recording full kernel.
-//
-// The trajectory is patched in place and is the new baseline: iteration
-// t needs the cached rank_t only to compare against and, in the
-// restricted sweep, to start from, and nothing reads the cached
-// rank_{t-1} once the vertices that moved are listed. So the replay loop
-// must have no way out but its end — the one error exit, the cancel
-// poll, sits before the first write — or the next call would trust a
-// baseline patched up to iteration t and stale after it.
+// IncrementalPageRank implements engines.Streamer. It keeps the answer of
+// its last run, not how the run got there: when the in-rows have the
+// membership of the epoch that answer describes — nothing mutated, a
+// refresh, a reweigh, or a batch and its undo — it returns a copy of that
+// rank vector and charges nothing; otherwise it runs the PageRank kernel,
+// so the result is bit-equal to a cold run because it is one. The in-rows
+// alone decide: every out-entry u→v is the in-entry v←u, on an undirected
+// graph in the same rows. A kept answer also needs the options and the
+// chunk geometry that cut its folds. A cancelled run returns before it
+// touches the baseline.
 func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	inst.BuildStructure()
 	opts = opts.Normalize()
-	n := inst.n
-	if n == 0 {
-		return &engines.PRResult{}, nil
-	}
 	st := inst.streamState()
-	gContrib, gPull, gL1 := prGrains(inst.m, n)
-
-	// A baseline recorded under another grain geometry cut other chunks.
-	traj := st.prTraj
-	if traj == nil || traj.opts != opts || len(traj.iters) == 0 ||
-		len(traj.iters[0].dangParts) != parallel.NumChunks(n, gContrib) || len(traj.iters[0].l1Parts) != parallel.NumChunks(n, gL1) {
-		return inst.recordedPageRank(opts)
+	var grains [3]int
+	grains[0], grains[1], grains[2] = prGrains(inst.m, inst.n)
+	if st.prRank != nil && st.prOpts == opts && st.prGrains == grains && !membershipChanged(st.prIn, inst.in) {
+		st.prIn = inst.in
+		return &engines.PRResult{Rank: slices.Clone(st.prRank), Iterations: st.prIters}, nil
 	}
-	// degDirty: vertices whose contrib can differ from cache even with
-	// an unchanged rank. inRows: rows whose in-neighborhood membership
-	// changed, recomputed every iteration. A reweigh changes neither.
-	ws := &st.pr
-	ws.degDirty, ws.inRows = ws.degDirty[:0], ws.inRows[:0]
-	for v := 0; st.prOut != inst.out && v < n; v++ {
-		if st.prOut.Degree(graph.VID(v)) != inst.out.Degree(graph.VID(v)) {
-			ws.degDirty = append(ws.degDirty, graph.VID(v))
-		}
-	}
-	for c := range graph.Diff(st.prIn, inst.in) {
-		if c.Kind != graph.Reweighed && (len(ws.inRows) == 0 || ws.inRows[len(ws.inRows)-1] != c.Src) {
-			ws.inRows = append(ws.inRows, c.Src)
-		}
-	}
-	if len(ws.degDirty) == 0 && len(ws.inRows) == 0 {
-		// No structural drift since the baseline: the cached run IS
-		// the current graph's run.
-		st.prOut, st.prIn = inst.out, inst.in
-		last := traj.iters[len(traj.iters)-1]
-		return &engines.PRResult{
-			Rank:       append([]float64(nil), last.rank...),
-			Iterations: len(traj.iters),
-		}, nil
-	}
-
-	if err := inst.trav.Poll("gap: IncrementalPageRank"); err != nil {
+	res, err := inst.PageRank(opts)
+	if err != nil {
 		return nil, err
 	}
-
-	inv := 1.0 / float64(n)
-	ws.outDeg = traverse.Resized(ws.outDeg, n) // post-batch degrees
-	outDeg := ws.outDeg
-	for v := range outDeg {
-		outDeg[v] = inst.out.Degree(graph.VID(v))
-	}
-	ws.rowMark = traverse.Resized(ws.rowMark, n)
-	clear(ws.rowMark)
-
-	// prev is the replay's rank_{t-1}, maintained bit-equal to the
-	// cold post-batch run's by induction (both runs start uniform).
-	if len(ws.start) != n {
-		ws.start = make([]float64, n)
-		for i := range ws.start {
-			ws.start[i] = inv
-		}
-	}
-	prev := ws.start
-	// changed lists the vertices where prev differs from the cached
-	// rank_{t-1}; empty at t=1.
-	changed, newChanged := ws.changed[0][:0], ws.changed[1][:0]
-
-	// pull is bitwise the kernel's per-vertex pull: rank/degree divided
-	// once per vertex per iteration (a dangling vertex is nobody's
-	// in-neighbor, so its slot is never read), summed in sorted adjacency
-	// order.
-	ws.contrib = traverse.Resized(ws.contrib, n)
-	contrib := ws.contrib
-	buf := &inst.ws.row
-	pull := func(v graph.VID, base float64) float64 {
-		sum := 0.0
-		row, _ := inst.in.Row(v, buf)
-		for _, u := range row {
-			sum += contrib[u]
-		}
-		return base + opts.Damping*sum
-	}
-
-	iters := traj.iters
-	iterations := 0
-	for t := 1; t <= opts.MaxIter; t++ {
-		// it is the cached iteration this one patches, an empty one past
-		// the recorded horizon: the same code then runs as "every chunk
-		// dirty, base moved", a full iteration in the kernel's chunk
-		// partials and fold order at full kernel rates.
-		cached := t <= len(iters)
-		if !cached {
-			iters = append(iters, prIter{})
-		}
-		it := &iters[t-1]
-
-		// Dangling partials: chunks containing a changed-rank or
-		// degree-dirty vertex recompute.
-		was := it.dangling
-		var dangVerts, l1Verts int
-		it.dangParts, it.dangling, dangVerts = ws.patchedFold(n, gContrib, it.dangParts, func(lo, hi int) float64 {
-			return danglingPartial(prev, outDeg, nil, lo, hi)
-		}, changed, ws.degDirty)
-		it.base = (1-opts.Damping)*inv + opts.Damping*it.dangling*inv
-		inst.m.ChargeUniform(dangVerts, gContrib, simmachine.Dynamic, costPRContrib)
-
-		for u, d := range outDeg {
-			if d != 0 {
-				contrib[u] = prev[u] / float64(d)
-			}
-		}
-		newChanged = newChanged[:0]
-		if !cached || it.dangling != was {
-			// The base moved: every rank entry can differ. Full pull
-			// sweep at kernel rates into the spare vector, which then
-			// trades places with the cached one.
-			cur := traverse.Resized(ws.spare, n)
-			for v := range cur {
-				cur[v] = pull(graph.VID(v), it.base)
-				if cached && cur[v] != it.rank[v] {
-					newChanged = append(newChanged, graph.VID(v))
-				}
-			}
-			it.rank, ws.spare = cur, it.rank
-			inst.m.ChargeUniform(n, gPull, simmachine.Dynamic, costPRVertex)
-			inst.m.ChargeUniform(int(inst.in.NumEdges()), 4096, simmachine.Dynamic, costPREdge)
-		} else {
-			// Restricted sweep, written straight into the cached vector:
-			// rows with changed in-membership plus post-graph
-			// out-neighbors of any contrib-dirty vertex.
-			rows := ws.rows[:0]
-			mark := func(v graph.VID) {
-				if !ws.rowMark[v] {
-					ws.rowMark[v] = true
-					rows = append(rows, v)
-				}
-			}
-			for _, v := range ws.inRows {
-				mark(v)
-			}
-			for _, list := range [][]graph.VID{changed, ws.degDirty} {
-				for _, u := range list {
-					row, _ := inst.out.Row(u, buf)
-					for _, v := range row {
-						mark(v)
-					}
-				}
-			}
-			var pullEdges int64
-			for _, v := range rows {
-				ws.rowMark[v] = false
-				old := it.rank[v]
-				it.rank[v] = pull(v, it.base)
-				pullEdges += inst.in.Degree(v)
-				if it.rank[v] != old {
-					newChanged = append(newChanged, v)
-				}
-			}
-			ws.rows = rows
-			inst.m.ChargeUniform(len(rows), gPull, simmachine.Dynamic, costPRVertex)
-			inst.m.ChargeUniform(int(pullEdges), 4096, simmachine.Dynamic, costPREdge)
-		}
-
-		// L1 partials: chunks containing a vertex whose prev or cur
-		// differs from cache recompute.
-		cur := it.rank
-		it.l1Parts, it.l1, l1Verts = ws.patchedFold(n, gL1, it.l1Parts, func(lo, hi int) float64 {
-			return l1Partial(cur, prev, lo, hi)
-		}, changed, newChanged)
-		inst.m.ChargeUniform(l1Verts, gL1, simmachine.Dynamic, costPRL1)
-
-		prev = cur
-		changed, newChanged = newChanged, changed
-		iterations = t
-		if it.l1 < opts.Epsilon {
-			break
-		}
-	}
-
-	// A shorter run drops the iterations past its end, one rank vector
-	// kept if the last sweep left no spare.
-	if iterations < len(iters) && ws.spare == nil {
-		ws.spare = iters[iterations].rank
-	}
-	clear(iters[iterations:])
-	traj.iters = iters[:iterations]
-	ws.changed = [2][]graph.VID{changed, newChanged}
-	st.prOut, st.prIn = inst.out, inst.in
-	return &engines.PRResult{
-		Rank:       append([]float64(nil), prev...),
-		Iterations: iterations,
-	}, nil
+	st.prRank, st.prIters, st.prOpts, st.prGrains, st.prIn = res.Rank, res.Iterations, opts, grains, inst.in
+	return res, nil
 }
 
-// patchedFold folds one of the kernel's per-chunk reductions over
-// [0,n) in chunk order, in place: a chunk holding a vertex of dirty —
-// every chunk, when there are no cached partials yet — is recomputed by
-// partial, the rest keep the cached value. It returns the partials,
-// their sum and the number of vertices recomputed (what is charged).
-func (ws *prScratch) patchedFold(n, grain int, parts []float64, partial func(lo, hi int) float64, dirty ...[]graph.VID) (_ []float64, sum float64, verts int) {
-	chunks := parallel.NumChunks(n, grain)
-	all := parts == nil
-	if all {
-		parts = make([]float64, chunks)
-	}
-	ws.redo = traverse.Resized(ws.redo, chunks)
-	clear(ws.redo)
-	for _, list := range dirty {
-		for _, v := range list {
-			ws.redo[int(v)/grain] = true
+// membershipChanged reports whether any row of cur holds an entry that
+// the same row of base does not, or the reverse; a reweigh is no change.
+func membershipChanged(base, cur *graph.CSR) bool {
+	for c := range graph.Diff(base, cur) {
+		if c.Kind != graph.Reweighed {
+			return true
 		}
 	}
-	for c := range parts {
-		if all || ws.redo[c] {
-			lo, hi := c*grain, min(n, (c+1)*grain)
-			parts[c] = partial(lo, hi)
-			verts += hi - lo
-		}
-		sum += parts[c]
-	}
-	return parts, sum, verts
+	return false
 }
 
 // IncrementalWCC implements engines.Streamer. It diffs the out-rows of
@@ -473,8 +204,8 @@ func (ws *prScratch) patchedFold(n, grain int, parts []float64, partial func(lo,
 // baseline edge crosses the affected set's boundary (components are
 // closed), and new edges that do are handled by the DSU pass, so the
 // result is exactly the kernel's labeling of the current graph. The
-// baseline is patched in place (as in IncrementalPageRank, no error exit
-// follows the cancel poll); only the published copy is allocated.
+// baseline is patched in place, so no error exit follows the cancel
+// poll; only the published copy is allocated.
 func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 	inst.BuildStructure()
 	st := inst.streamState()

@@ -3,6 +3,7 @@ package gap
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -178,9 +179,8 @@ func bstr(b bool) string {
 }
 
 // A baseline that converges instantly (regular ring: uniform ranks are
-// the fixed point) followed by a hub insertion forces the patched
-// replay past the recorded horizon, exercising the full-emulation
-// iterations.
+// the fixed point) followed by a hub insertion: the maintain must run
+// longer than the answer it keeps, and still equal a cold run.
 func TestIncrementalPageRankBeyondCachedHorizon(t *testing.T) {
 	n := 64
 	el := &graph.EdgeList{NumVertices: n}
@@ -213,12 +213,10 @@ func TestIncrementalPageRankBeyondCachedHorizon(t *testing.T) {
 	ranksEqual(t, inc, want, "beyond-horizon")
 }
 
-// The same on a directed ring, where the replay pulls along a separate
-// in-adjacency, and with the horizon well behind: at least two
-// iterations run with no cached iteration to patch against, as "every
-// chunk dirty, base moved". (What those iterations charge is pinned
-// region for region by the stream row of the golden wall in
-// internal/engines/all.)
+// The same on a directed ring, where the maintain pulls along a separate
+// in-adjacency and runs at least two iterations longer than the answer
+// it keeps. (What it charges is pinned region for region by the stream
+// row of the golden wall in internal/engines/all.)
 func TestIncrementalPageRankSeveralIterationsBeyondHorizon(t *testing.T) {
 	n := 96
 	el := &graph.EdgeList{NumVertices: n, Directed: true}
@@ -247,19 +245,19 @@ func TestIncrementalPageRankSeveralIterationsBeyondHorizon(t *testing.T) {
 			t.Fatalf("workers %d: %d iterations on a %d-iteration baseline: fewer than two beyond the horizon", workers, inc.Iterations, base.Iterations)
 		}
 		ranksEqual(t, inc, freshPR(t, elFromCSR(inst.Epoch().Out(), true), 8), "several beyond the horizon")
-		// The replayed trajectory is the new baseline: an unchanged
-		// graph now replays it for free, iteration count included.
+		// The new answer is the new baseline: an unchanged graph now
+		// returns it for free, iteration count included.
 		again, err := inst.IncrementalPageRank(engines.DefaultPROpts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranksEqual(t, again, inc, "replayed baseline")
+		ranksEqual(t, again, inc, "kept baseline")
 	}
 }
 
-// Deleting a vertex's entire out-row changes the dangling mass, which
-// moves the base term and forces the full-sweep fallback inside the
-// patched replay — still bit-equal.
+// Deleting a vertex's entire out-row on a directed graph makes it
+// dangling, which moves the base term of every iteration — still
+// bit-equal.
 func TestIncrementalPageRankDanglingShift(t *testing.T) {
 	el := kron(7, 9)
 	el.Directed = true
@@ -455,12 +453,11 @@ func TestMutateAllocFollowsDirtyRows(t *testing.T) {
 	}
 }
 
-// The trajectory is patched in place, so its length has to follow the
-// run's: a batch that converges sooner than the baseline must drop the
-// iterations past its end (or the next replay would patch against
-// iterations of a run that never happened), and one that then runs
-// longer must grow past the horizon it was cut to — and past the longest
-// it ever had — with every step bit-equal to a cold run.
+// A maintain keeps only its answer, so a run that converges sooner than
+// the one before it and one that then runs longer than any before are
+// both plain cold runs: every step is bit-equal to a cold instance, and
+// a second maintain on the same rows returns the kept answer, iteration
+// count included.
 func TestIncrementalPageRankTrajectoryShrinksThenGrows(t *testing.T) {
 	n := 96
 	el := &graph.EdgeList{NumVertices: n}
@@ -478,14 +475,11 @@ func TestIncrementalPageRankTrajectoryShrinksThenGrows(t *testing.T) {
 			t.Fatal(err)
 		}
 		ranksEqual(t, inc, freshPR(t, elFromCSR(inst.Epoch().Out(), false), 8), ctx)
-		if got := len(inst.stream.prTraj.iters); got != inc.Iterations {
-			t.Fatalf("%s: baseline holds %d iterations after a %d-iteration run", ctx, got, inc.Iterations)
-		}
 		again, err := inst.IncrementalPageRank(engines.DefaultPROpts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranksEqual(t, again, inc, ctx+", replayed")
+		ranksEqual(t, again, inc, ctx+", kept")
 		return inc
 	}
 	spokes := func(op graph.MutOp, hub, step int) graph.Batch {
@@ -504,16 +498,21 @@ func TestIncrementalPageRankTrajectoryShrinksThenGrows(t *testing.T) {
 	shrunk := maintain("two hubs undone", twoHubs)
 	regrown := maintain("one hub", spokes(graph.MutInsert, 0, 2))
 	if !(base.Iterations < grown.Iterations && shrunk.Iterations < grown.Iterations && regrown.Iterations > grown.Iterations) {
-		t.Fatalf("iterations: ring %d, two hubs %d, undone %d, one hub %d: the trajectory no longer shrinks and then grows past its old horizon",
+		t.Fatalf("iterations: ring %d, two hubs %d, undone %d, one hub %d: the runs no longer shrink and then grow past the longest",
 			base.Iterations, grown.Iterations, shrunk.Iterations, regrown.Iterations)
 	}
 }
 
-// Both maintainers patch their baseline in place, so neither may have a
-// way out between its first write and its last: a hook that passes the
-// first cancel poll of a call and refuses every later one must never be
-// heard from, and a call refused at that first poll must leave a
-// baseline the next call still converges from exactly.
+// A cancelled maintain must leave a baseline the next one still answers
+// from exactly. PageRank polls once per iteration and writes its
+// baseline only after the last, so it is cancelled at every poll from
+// the first to the run's last, each on a fresh batch, and the uncancelled
+// maintain that follows must equal a cold run. IncrementalWCC patches its
+// baseline in place, so it may have no way out between its first write
+// and its last: a hook that passes the first cancel poll of a call and
+// refuses every later one must never be heard from, and a call refused
+// at that first poll must leave a baseline the next call still converges
+// from exactly.
 func TestCancelledMaintainLeavesBaselineWhole(t *testing.T) {
 	inst := load(t, engine(), kron(9, 33), 4)
 	r := xrand.New(5)
@@ -537,10 +536,29 @@ func TestCancelledMaintainLeavesBaselineWhole(t *testing.T) {
 		}
 	}
 
-	mutate()
-	if _, err := inst.IncrementalPageRank(engines.DefaultPROpts()); err == nil {
-		t.Fatal("IncrementalPageRank ignored a cancel at its first poll")
+	for k := 1; ; k++ {
+		mutate()
+		want := freshPR(t, elFromCSR(inst.Epoch().Out(), false), 8)
+		if k > want.Iterations {
+			if k < 3 {
+				t.Fatalf("a %d-iteration run cancels at too few polls to test", want.Iterations)
+			}
+			break
+		}
+		polls, allowed = 0, k-1
+		if _, err := inst.IncrementalPageRank(engines.DefaultPROpts()); err == nil || polls != k {
+			t.Fatalf("IncrementalPageRank cancelled at poll %d of %d: err %v after %d polls", k, want.Iterations, err, polls)
+		}
+		allowed = math.MaxInt
+		pr, err := inst.IncrementalPageRank(engines.DefaultPROpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranksEqual(t, pr, want, fmt.Sprintf("after a maintain cancelled at poll %d", k))
 	}
+
+	polls, allowed = 0, 0
+	mutate()
 	if _, err := inst.IncrementalWCC(); err == nil {
 		t.Fatal("IncrementalWCC ignored a cancel at its first poll")
 	}
@@ -548,35 +566,22 @@ func TestCancelledMaintainLeavesBaselineWhole(t *testing.T) {
 	allowed = 1
 	for round := 0; round < 2; round++ {
 		polls = 0
-		pr, err := inst.IncrementalPageRank(engines.DefaultPROpts())
-		if err != nil {
-			t.Fatalf("round %d: IncrementalPageRank polled for cancellation after it began writing its baseline: %v", round, err)
-		}
-		polls = 0
 		wcc, err := inst.IncrementalWCC()
 		if err != nil {
 			t.Fatalf("round %d: IncrementalWCC polled for cancellation after it began writing its baseline: %v", round, err)
 		}
-		post := elFromCSR(inst.Epoch().Out(), false)
-		ranksEqual(t, pr, freshPR(t, post, 8), "after a cancelled maintain")
-		labelsEqual(t, wcc, freshWCC(t, post, 8), "after a cancelled maintain")
+		labelsEqual(t, wcc, freshWCC(t, elFromCSR(inst.Epoch().Out(), false), 8), "after a cancelled maintain")
 		mutate()
 	}
 }
 
 // A warm maintain allocates what it publishes — the rank vector and the
 // component vector handed to readers, one and a half n-vectors of eight
-// bytes — and what simmachine keeps per charged region. Everything else
-// (the trajectory, the sweep's spare, the start vector, the dirty lists,
-// the WCC repair's marks and queue) is patched or reused, so three
+// bytes. Everything else (the kernel's spare rank vector, contributions
+// and degrees, the WCC repair's marks and queue) is reused, so three
 // n-vectors bound it, and one more per-call vector in n breaks the
-// bound. simmachine's share is a cost slot per chunk of every region
-// charged (ROADMAP item 4): at the default edge factor the pull's edge
-// region alone makes that 1.8 n-vectors a maintain, so the graph is a
-// sparser kron-12, where it is under one. The stream applies a batch and
-// then its inverse, over and over: the run's length settles into two
-// values and the smallest round is one that does not grow the
-// trajectory, which is the only other thing a maintain may allocate for.
+// bound. The stream, on a sparser kron-12, applies a batch and then its
+// inverse, over and over; the smallest of six warm rounds counts.
 func TestMaintainAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	inst := load(t, engine(), kronecker.Generate(kronecker.Params{Scale: 12, EdgeFactor: 4, Seed: 5}), 8)
@@ -627,6 +632,32 @@ func TestMaintainAllocBudget(t *testing.T) {
 	t.Logf("warm IncrementalPageRank + IncrementalWCC: %d B, bound %d B", best, bound)
 	if best > bound {
 		t.Fatalf("a warm maintain allocates %d B; bound %d B (three n-vectors)", best, bound)
+	}
+}
+
+// The PageRank maintainer keeps its answer, not the run that found it:
+// after a stream of batches shaped like epgd's mutates (192 inserts and
+// 64 deletes each), the state it holds beyond the epoch that answer
+// describes is at most two float64 n-vectors. A memo of the run, one
+// rank vector an iteration, holds some thirty times that.
+func TestWarmMaintainRetainsTwoVectors(t *testing.T) {
+	inst := load(t, engine(), kron(12, 5), 8)
+	r := xrand.New(23)
+	for batch := 0; batch < 12; batch++ {
+		out := inst.Epoch().Out()
+		b := append(streamBatch(out, r, 192, 0), streamBatch(out, r, 64, 1)...)
+		if _, err := inst.Mutate(b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inst.IncrementalPageRank(engines.DefaultPROpts()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := alloctest.Retained(func() { inst.stream = nil })
+	bound := uint64(2 * 8 * inst.n)
+	t.Logf("PageRank maintainer state after 12 batches: %d B, bound %d B", held, bound)
+	if held > bound {
+		t.Fatalf("the PageRank maintainer keeps %d B beyond its epoch; bound %d B (two n-vectors)", held, bound)
 	}
 }
 
