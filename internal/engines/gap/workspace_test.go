@@ -11,6 +11,8 @@ import (
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/engines/graph500"
 	"github.com/hpcl-repro/epg/internal/engines/graphbig"
+	"github.com/hpcl-repro/epg/internal/engines/powergraph"
+	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 	"github.com/hpcl-repro/epg/internal/xrand"
@@ -156,11 +158,12 @@ func resultBytes(newResult func() any) uint64 {
 }
 
 // Warm BFSInto and SSSPInto, synchronous and chaotic, allocate nothing
-// at all at two workers, and a warm PageRank and WCC nothing beyond the
-// result they hand out: the results are the caller's, the working set is
-// the instance's, every region's bookkeeping is the machine's, its body
-// is bound to the instance once, and the hand-off to the pool is the
-// pool's reusable region record.
+// at all at two workers, and a warm PageRank and WCC — and PowerGraph's
+// SSSP, whose gather and apply bodies are bound the same way — nothing
+// beyond the result they hand out: the results are the caller's, the
+// working set is the instance's, every region's bookkeeping is the
+// machine's, its body is bound to the instance once, and the hand-off to
+// the pool is the pool's reusable region record.
 func TestWarmTraversalAllocationBound(t *testing.T) {
 	el := kron(12, 5)
 	warm := func(sync bool) *Instance {
@@ -215,6 +218,25 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 	t.Logf("warm PageRank %d B/call (result %d B), WCC %d B/call (result %d B)", perPR, pr, perWCC, wcc)
 	if perPR != pr || perWCC != wcc {
 		t.Fatalf("warm PageRank allocates %d B beyond its result, WCC %d B; want 0 and 0", int64(perPR-pr), int64(perWCC-wcc))
+	}
+
+	pm := machine(8)
+	pm.SetTracing(false)
+	pm.SetWorkers(2)
+	pg, err := (&engines.Engine{Decl: &powergraph.Decl}).Load(el, pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPG := alloctest.BytesPerRun(len(roots), func() {
+		if _, err := pg.SSSP(roots[i%len(roots)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	pgSSSP := resultBytes(func() any { return traverse.StartSSSP(nil, 0, n) })
+	t.Logf("warm PowerGraph SSSP %d B/call (result %d B)", perPG, pgSSSP)
+	if perPG != pgSSSP {
+		t.Fatalf("warm PowerGraph SSSP allocates %d B beyond its result; want 0", int64(perPG-pgSSSP))
 	}
 }
 

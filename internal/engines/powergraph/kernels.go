@@ -6,6 +6,7 @@ import (
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
+	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
@@ -22,7 +23,6 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 	}
 	n := inst.n
 	res := traverse.StartSSSP(nil, root, n)
-	dist := res.Dist
 	inf := math.Inf(1)
 
 	inst.accF = traverse.Resized(inst.accF, int(inst.TotalRep))
@@ -43,53 +43,75 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 	active, next := inst.trav.Bitmaps(n)
 	active.Set(int(root))
 	var relaxations int64
-
+	ws := inst.steps()
+	ws.sssp = ssspCall{res: res, next: next}
 	for {
-		relaxations += inst.gatherSweep(active, func(s int, e shardEdge) {
-			nd := dist[e.src] + float64(e.w)
-			i := inst.slot(e.dst, s)
-			if nd < accD[i] || (nd == accD[i] && int64(e.src) < accP[i]) {
-				accD[i] = nd
-				accP[i] = int64(e.src)
-			}
-		})
+		relaxations += inst.gatherSweep(active, ws.relaxFn)
 		// Ghost sync + apply + scatter: combine each vertex's replica
 		// accumulators in shard order, commit improvements, activate.
 		// align 64: each chunk re-arms its own word range of `next`.
-		anyc := inst.trav.Counter(inst.m, 0)
-		inst.m.ParallelForChunks(n, inst.m.Grain(n, 2048, 64), simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-			next.ClearRange(lo, hi)
-			var applied, reps int64
-			for v := lo; v < hi; v++ {
-				best := inf
-				var bp int64
-				slo, shi := inst.slotRange(graph.VID(v))
-				reps += shi - slo
-				for i := slo; i < shi; i++ {
-					if accD[i] < best || (accD[i] == best && accP[i] < bp) {
-						best, bp = accD[i], accP[i]
-					}
-					accD[i] = inf
-				}
-				if best < dist[v] {
-					dist[v] = best
-					res.Parent[v] = bp
-					next.Set(v)
-					applied++
-				}
-			}
-			anyc.Add(worker, applied)
-			w.Charge(costSyncReplica.Scale(float64(reps)))
-			w.Charge(costApplyVertex.Scale(float64(applied)))
-			w.Cycles(float64(hi-lo) * 1)
-		})
-		if anyc.Sum() == 0 {
+		ws.sssp.applied = inst.trav.Counter(inst.m, 0)
+		inst.m.ParallelForChunks(n, inst.m.Grain(n, 2048, 64), simmachine.Dynamic, ws.applyFn)
+		if ws.sssp.applied.Sum() == 0 {
 			break
 		}
 		active, next = next, active
+		ws.sssp.next = next
 	}
+	ws.sssp = ssspCall{}
 	res.Relaxations = relaxations
 	return res, nil
+}
+
+// ssspCall is what an SSSP superstep's bodies read: the result being
+// settled, the frontier being armed and the count of improved vertices.
+type ssspCall struct {
+	res     *engines.SSSPResult
+	next    *parallel.Bitmap
+	applied *parallel.Counter
+}
+
+// ssspRelax gathers one active edge into its shard's replica slot of the
+// destination: the min distance, ties to the min source.
+func (inst *Instance) ssspRelax(s int, e shardEdge) {
+	nd := inst.sssp.res.Dist[e.src] + float64(e.w)
+	i := inst.slot(e.dst, s)
+	if nd < inst.accF[i] || (nd == inst.accF[i] && int64(e.src) < inst.accP[i]) {
+		inst.accF[i] = nd
+		inst.accP[i] = int64(e.src)
+	}
+}
+
+// ssspApply folds one chunk's replica slots, commits the improvements
+// and arms them in the next frontier.
+func (inst *Instance) ssspApply(lo, hi, _, worker int, w *simmachine.W) {
+	call := &inst.sssp
+	dist, parent, next, accD, accP := call.res.Dist, call.res.Parent, call.next, inst.accF, inst.accP
+	inf := math.Inf(1)
+	next.ClearRange(lo, hi)
+	var applied, reps int64
+	for v := lo; v < hi; v++ {
+		best := inf
+		var bp int64
+		slo, shi := inst.slotRange(graph.VID(v))
+		reps += shi - slo
+		for i := slo; i < shi; i++ {
+			if accD[i] < best || (accD[i] == best && accP[i] < bp) {
+				best, bp = accD[i], accP[i]
+			}
+			accD[i] = inf
+		}
+		if best < dist[v] {
+			dist[v] = best
+			parent[v] = bp
+			next.Set(v)
+			applied++
+		}
+	}
+	call.applied.Add(worker, applied)
+	w.Charge(costSyncReplica.Scale(float64(reps)))
+	w.Charge(costApplyVertex.Scale(float64(applied)))
+	w.Cycles(float64(hi-lo) * 1)
 }
 
 // PageRank implements engines.Instance: sum-gather over in-edges into

@@ -97,6 +97,27 @@ type scratch struct {
 	contrib   []float64   // per vertex: PageRank
 	spare     []graph.VID // per vertex: the CDLP label array not handed out
 	processed []int64     // per shard: gatherSweep
+
+	// The bodies the gather phase and SSSP hand the machine, bound to
+	// the Instance once (steps), and what the current call's bodies
+	// read, so that a superstep builds no closure.
+	owner    *Instance
+	gatherFn func(tid int, w *simmachine.W)
+	relaxFn  func(s int, e shardEdge)
+	applyFn  func(lo, hi, chunk, worker int, w *simmachine.W)
+	active   *parallel.Bitmap
+	gather   func(s int, e shardEdge)
+	sssp     ssspCall
+}
+
+// steps binds the bodies to inst — once, and again if the Instance was
+// copied — and returns the scratch that holds them.
+func (inst *Instance) steps() *scratch {
+	if inst.owner != inst {
+		inst.owner = inst
+		inst.gatherFn, inst.relaxFn, inst.applyFn = inst.gatherShard, inst.ssspRelax, inst.ssspApply
+	}
+	return &inst.scratch
 }
 
 // Bind implements engines.Instance. The greedy vertex cut is the graph's
@@ -170,29 +191,35 @@ func (inst *Instance) syncGhosts() {
 // for inactive edges. It returns the processed edge count
 // (deterministic: the active set is fixed before the sweep).
 func (inst *Instance) gatherSweep(active *parallel.Bitmap, body func(s int, e shardEdge)) int64 {
-	shards := inst.shards
-	inst.processed = traverse.Resized(inst.processed, len(shards))
-	processedBy := inst.processed
-	clear(processedBy)
-	inst.m.ForEachThread(func(tid int, w *simmachine.W) {
-		if tid >= len(shards) {
-			return
-		}
-		var scanned, processed int64
-		for _, e := range shards[tid] {
-			scanned++
-			if active == nil || active.Test(int(e.src)) {
-				processed++
-				body(tid, e)
-			}
-		}
-		processedBy[tid] = processed
-		w.Charge(costScanEdge.Scale(float64(scanned)))
-		w.Charge(costGatherEdge.Scale(float64(processed)))
-	})
+	ws := inst.steps()
+	ws.processed = traverse.Resized(ws.processed, len(inst.shards))
+	clear(ws.processed)
+	ws.active, ws.gather = active, body
+	inst.m.ForEachThread(ws.gatherFn)
+	ws.active, ws.gather = nil, nil
 	var total int64
-	for _, p := range processedBy {
+	for _, p := range ws.processed {
 		total += p
 	}
 	return total
+}
+
+// gatherShard is virtual thread tid's share of a gather phase: the
+// edges of shard tid, when there is one.
+func (inst *Instance) gatherShard(tid int, w *simmachine.W) {
+	if tid >= len(inst.shards) {
+		return
+	}
+	active, body := inst.active, inst.gather
+	var scanned, processed int64
+	for _, e := range inst.shards[tid] {
+		scanned++
+		if active == nil || active.Test(int(e.src)) {
+			processed++
+			body(tid, e)
+		}
+	}
+	inst.processed[tid] = processed
+	w.Charge(costScanEdge.Scale(float64(scanned)))
+	w.Charge(costGatherEdge.Scale(float64(processed)))
 }
