@@ -217,7 +217,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("core: spec needs roots >= 0, got %d", s.Roots)
 	}
 	for _, k := range Knobs {
-		if err := k.check(&s); err != nil {
+		if err := k.check(s); err != nil {
 			return err
 		}
 	}

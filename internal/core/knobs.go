@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/graph"
@@ -177,24 +178,35 @@ func (k *Knob) Legal() string {
 	return ""
 }
 
-// check rejects a value of the knob's field outside the table.
-func (k *Knob) check(s *Spec) error {
+// check rejects a value of the knob's field in s outside the table. It
+// asks Field for the field's place in fieldProbe and reads s there:
+// Field is a function value, so a pointer into s handed to it would move
+// every spec Validate checks to the heap.
+func (k *Knob) check(s Spec) error {
 	var n float64
-	switch v := k.Field(s).(type) {
+	switch p := k.Field(&fieldProbe).(type) {
 	case *string:
-		if *v != "" && !slices.Contains(k.Values, *v) {
-			return fmt.Errorf("core: unknown %s %q (want one of: %s)", k.Name, *v, k.Legal())
+		if v := fieldOf(&s, p); v != "" && !slices.Contains(k.Values, v) {
+			return fmt.Errorf("core: unknown %s %q (want one of: %s)", k.Name, v, k.Legal())
 		}
 		return nil
 	case *int:
-		n = float64(*v)
+		n = float64(fieldOf(&s, p))
 	case *float64:
-		n = *v
+		n = fieldOf(&s, p)
 	}
 	if n != 0 && (n < k.Min || k.Max > 0 && n > k.Max) {
 		return fmt.Errorf("core: %s must be %s, got %g", k.Name, k.Legal(), n)
 	}
 	return nil
+}
+
+// fieldProbe is the spec check locates knob fields in; nothing writes it.
+var fieldProbe Spec
+
+// fieldOf reads the field of s that p addresses in fieldProbe.
+func fieldOf[T any](s *Spec, p *T) T {
+	return *(*T)(unsafe.Add(unsafe.Pointer(s), uintptr(unsafe.Pointer(p))-uintptr(unsafe.Pointer(&fieldProbe))))
 }
 
 // ownersKind derives a graph's 2D owner table per node count.

@@ -187,15 +187,24 @@ func TestKnobHooksReachTheirTargets(t *testing.T) {
 // knobless declares an engine that honors no knob.
 var knobless engines.Decl
 
-// A warm machine and an engine's options cost nothing to ready: every
-// hook takes the spec, and what it adjusts, by value, so renewing a
-// machine for a spec with every knob set and resolving the options of an
-// engine that honors them all leave nothing on the heap.
+// A spec costs nothing to validate, and a warm machine and an engine's
+// options nothing to ready: Validate and every hook take the spec, and
+// what they adjust, by value, so validating a spec with every knob set,
+// renewing a machine for it and resolving the options of an engine that
+// honors them all leave nothing on the heap.
 func TestWarmMachineAndOptionsAllocateNothing(t *testing.T) {
 	full := Spec{
 		Threads: 8, Workers: 2, Sched: SchedNUMA, Sockets: 2, RemotePenalty: 2, Grain: GrainAdaptive,
 		Placement: PlacementFirstTouch, FreqState: FreqPowersave, Compress: true, SyncSSSP: true,
 		Nodes: 2, Partition: Partition2D, Mutations: &MutationSchedule{Batches: 1, BatchSize: 1},
+	}
+	full.Dataset, full.Algorithm, full.Engines = "kron-10", engines.PageRank, []string{"GAP"}
+	if got := alloctest.BytesPerRun(16, func() {
+		if err := full.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("Spec.Validate allocates %d B", got)
 	}
 	base, pc := simmachine.Haswell72(), power.DefaultConstants()
 	owner := make([]int16, 64)
