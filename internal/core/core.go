@@ -292,7 +292,7 @@ type Result struct {
 	// Streaming-phase fields (Spec.Mutations). Batch is the 1-based
 	// batch index, zero on baseline rows. MutateSec is the modeled cost
 	// of applying the batch to the resident structures, MaintainSec the
-	// incremental re-convergence, and RecomputeSec the displaced
+	// incremental maintenance, and RecomputeSec the displaced
 	// alternative — rebuild plus cold recompute on the post-batch graph
 	// — measured on a fresh machine with the same spec knobs.
 	Batch        int

@@ -20,6 +20,11 @@
 //   - Shiloach-Vishkin style connected components (the suite's CC);
 //   - OpenMP-style dynamic scheduling with small grains.
 //
+// Streaming (stream.go) is this reproduction's, not the suite's: Mutate
+// swaps in overlay epochs, IncrementalWCC repairs its labels from the
+// rows that changed, and IncrementalPageRank keeps only its last answer
+// and runs the kernel again when the rows' membership changed.
+//
 // Known fidelity gaps: the real suite is C++ with OpenMP; here the
 // kernels run on the shared Go runtime (internal/parallel) and all
 // timing is charged to internal/simmachine's Haswell model rather

@@ -30,7 +30,7 @@ var (
 	costCCRelabel = simmachine.Cost{Cycles: 2, Bytes: 16}
 )
 
-// streamState is what the incremental maintainers patch against: each
+// streamState is what the incremental maintainers answer from: each
 // one's baseline result and the epoch that result describes. A maintain
 // learns what changed by diffing that epoch's rows with the current ones
 // (graph.Diff), so what it computes and charges is a function of

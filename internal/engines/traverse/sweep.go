@@ -67,10 +67,9 @@ func (c *Chunk) Row(rows Rows, v int) []graph.VID {
 // Sweep runs body over [0,n) in chunks of grain — already resolved by
 // the caller, through Machine.Grain or raw — as one Dynamic region, and
 // returns the chunk-ordered sum of every chunk's Sum (bit-identical
-// across runs and worker counts) and the total of Changed. Partials
-// reads the per-chunk sums until the next Sweep. The reducer, counter
-// and accumulators are the State's, so a warm sweep allocates nothing
-// that scales with n.
+// across runs and worker counts) and the total of Changed. The reducer,
+// counter and accumulators are the State's, so a warm sweep allocates
+// nothing that scales with n.
 func (s *State) Sweep(m *simmachine.Machine, n, grain int, p *SweepProfile, body func(c *Chunk, lo, hi int)) (sum float64, changed int64) {
 	chg := s.ready(m)
 	s.parts = Resized(s.parts, parallel.NumChunks(n, grain))
@@ -102,10 +101,6 @@ func (s *State) sweepChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 	w.Charge(p.Work.Scale(float64(c.Work)))
 	w.Charge(p.Vertex.Scale(float64(hi - lo)))
 }
-
-// Partials returns a copy of the last Sweep's per-chunk sums, in chunk
-// order.
-func (s *State) Partials() []float64 { return append([]float64(nil), s.parts...) }
 
 // Hook is one synchronous round of min-label propagation: next[v]
 // becomes the smallest label among comp[v] and v's neighbors along out

@@ -74,12 +74,12 @@ func TestSweepSameOverEveryRowSource(t *testing.T) {
 				next := make([]float64, n)
 				sum, changed := s.Sweep(m, n, grain, &testSweep, pull(src.rows, x, next))
 				if wantNext == nil {
-					wantSum, wantChanged, wantParts, wantNext = sum, changed, s.Partials(), next
+					wantSum, wantChanged, wantParts, wantNext = sum, changed, slices.Clone(s.parts), next
 				}
 				if math.Float64bits(sum) != math.Float64bits(wantSum) || changed != wantChanged {
 					t.Fatalf("%s: fold %x changed %d, want %x and %d", ctx, math.Float64bits(sum), changed, math.Float64bits(wantSum), wantChanged)
 				}
-				if !slices.Equal(s.Partials(), wantParts) || !slices.Equal(next, wantNext) {
+				if !slices.Equal(s.parts, wantParts) || !slices.Equal(next, wantNext) {
 					t.Fatalf("%s: per-chunk partials or per-vertex sums differ", ctx)
 				}
 				if len(m.Trace()) != 1 {

@@ -52,7 +52,8 @@
 // reported as structured 500s; the daemon never dies with a request.
 //
 // Writes publish, readers bind: the mutable state (the epoch being
-// built, the incremental PR/WCC baselines) lives once, on the
+// built, the incremental PR/WCC baselines; the PR baseline is the
+// published rank vector itself, which nothing writes) lives once, on the
 // maintainer, so a mutate costs one adjacency rebuild however many
 // executors serve; an executor moves to a new generation by rebinding
 // four pointers (gap.Instance.BindEpoch), and a query that loaded

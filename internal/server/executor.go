@@ -95,9 +95,9 @@ func newMaintainer(g *graph.Simple, threads, landmarks int, compress bool) (*exe
 }
 
 // computeVectors (re)derives the PR/WCC vectors on this executor's
-// instance through the incremental maintainers: the first call records
-// a full baseline, later calls re-converge only from the mutations
-// applied since — bit-equal to a full recompute either way, but a
+// instance through the incremental maintainers: PageRank runs its kernel
+// only when the rows' membership changed, WCC repairs what changed —
+// bit-equal to a full recompute either way, but a
 // mutate swap never re-pays structure construction. Startup and mutate
 // work: charged to the machine like any kernel, but never part of a
 // query's budget.

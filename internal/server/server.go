@@ -293,7 +293,7 @@ func (s *Server) logShed(seq int64, q Query, status Status, depth int) {
 }
 
 // maintain executes a mutate entry, one at a time, on the maintainer:
-// apply the batch (an empty one, a refresh, applies nothing), re-converge
+// apply the batch (an empty one, a refresh, applies nothing), maintain
 // the vectors incrementally, repair the published degradation sketch at
 // a cost that follows the batch, and publish all of it as the next
 // generation in one store, which the response reports. Queries keep
@@ -407,7 +407,7 @@ type Mutated struct {
 }
 
 // Mutate applies one batch of edge mutations to the served graph: the
-// maintainer builds the next adjacency epoch, re-converges the PR/WCC
+// maintainer builds the next adjacency epoch, maintains the PR/WCC
 // vectors and repairs the degradation sketch (both bit-equal to a full
 // recompute on the post-batch graph), and publishes everything
 // atomically as the generation it returns. An empty or nil batch is a

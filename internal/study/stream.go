@@ -18,7 +18,8 @@ type streamCell struct {
 }
 
 // incremental is the modeled cost of keeping the answer: applying the
-// batch, then re-converging from the previous vector.
+// batch, then maintaining the vector (PR reruns its kernel when the
+// rows' membership changed; WCC repairs what changed).
 func (c *streamCell) incremental() float64 { return c.MutateSec + c.MaintainSec }
 
 // Stream is FIG_stream_study.csv: incremental PR/WCC maintenance against
