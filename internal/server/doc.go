@@ -60,9 +60,10 @@
 // generation g is answered from g alone and reports g.
 //
 // Determinism: query budgets and reported service times are modeled
-// seconds on the executor's simmachine, so the load-generator study
-// (Simulate, GenerateStudy) is a virtual-time discrete-event
-// simulation whose every output column is a pure function of the
-// seed — byte-identical across runs, GOMAXPROCS, and host load, and
-// therefore gateable by exact comparison (epg study serving -check).
+// seconds on the executor's simmachine, whose clock each query starts
+// at zero, so a query reports the same bits on any executor, fresh or
+// reused. The load-generator study (Simulate, GenerateStudy) is then a
+// virtual-time discrete-event simulation whose every output column is
+// a pure function of the seed — byte-identical across runs, GOMAXPROCS
+// and host load, so gateable by exact comparison (epg study serving -check).
 package server

@@ -32,7 +32,8 @@ var (
 // served engine is GAP with synchronous SSSP forced on: the chaotic
 // default's modeled durations are schedule-dependent, and serving
 // times must be a pure function of query content for the
-// deterministic study (and for comparable live latencies).
+// deterministic study (and for comparable live latencies) — so each
+// query also starts the machine's clock at zero.
 type executor struct {
 	m        *simmachine.Machine
 	inst     *gap.Instance
@@ -52,8 +53,8 @@ type executor struct {
 // newExecutor loads the shared homogenized graph into a fresh GAP
 // instance on its own machine, and builds nothing: a serving executor
 // binds what the maintainer built. The machine keeps no trace: the
-// executor only ever reads its clock, and a daemon's trace would grow
-// by a Region per region forever.
+// executor only ever reads its clock, and the daemon's maintainer
+// would grow its trace by a Region per region forever.
 func newExecutor(g *graph.Simple, threads int, compress bool) *executor {
 	m := simmachine.New(simmachine.Haswell72(), threads)
 	m.SetTracing(false)
@@ -118,7 +119,8 @@ func (e *executor) computeVectors() (vectors, error) {
 // generation throughout, whatever is published meanwhile. degraded
 // selects the sketch path for degradable ops; ctx (nil in the
 // virtual-time simulation) adds live client-cancellation to the
-// deadline hook. Panics anywhere below —
+// deadline hook; both read the clock, which the query starts at zero.
+// Panics anywhere below —
 // engine kernels included; internal/parallel re-raises worker panics
 // on this goroutine — are recovered into a StatusPanic response, so a
 // poisoned query costs one response, not the daemon.
@@ -129,18 +131,17 @@ func (e *executor) run(ctx context.Context, q Query, budget float64, degraded bo
 	}
 	resp = q.response(StatusOK, "")
 	resp.Gen = pub.gen
-	_, start := e.m.Mark()
+	e.m.Reset()
 	defer func() {
 		if r := recover(); r != nil {
 			resp.Status = StatusPanic
 			resp.Err = fmt.Sprintf("recovered panic: %v", r)
 		}
-		_, end := e.m.Mark()
-		resp.ModeledSec = end - start
+		resp.ModeledSec = e.m.Elapsed()
 	}()
 
 	deadline := func() error {
-		if budget > 0 && e.m.Elapsed()-start > budget {
+		if budget > 0 && e.m.Elapsed() > budget {
 			return errDeadline
 		}
 		if ctx != nil {

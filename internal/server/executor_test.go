@@ -45,20 +45,21 @@ func mixedQueries(n, count int) []Query {
 
 // The executor's machine keeps no trace: it only ever reads the clock,
 // and a daemon's trace would grow by a Region per region for as long
-// as it serves.
+// as it serves. The clock still runs: each query reads a positive
+// modeled time, and it is what the clock reads when the query is done.
 func TestExecutorKeepsNoTrace(t *testing.T) {
 	e, pub := testExecutor(t, "kron-9")
-	before := e.m.Elapsed()
 	for _, q := range mixedQueries(pub.epoch.Out().NumVertices, 60) {
-		if resp := e.run(nil, q, 0, false, pub); resp.Status != StatusOK {
+		resp := e.run(nil, q, 0, false, pub)
+		if resp.Status != StatusOK {
 			t.Fatalf("%+v: %s %s", q, resp.Status, resp.Err)
+		}
+		if resp.ModeledSec <= 0 || resp.ModeledSec != e.m.Elapsed() {
+			t.Fatalf("%+v: modeled %v s, clock %v s with tracing off", q, resp.ModeledSec, e.m.Elapsed())
 		}
 	}
 	if n := len(e.m.Trace()); n != 0 {
 		t.Fatalf("executor machine retained %d trace regions after 60 queries", n)
-	}
-	if e.m.Elapsed() <= before {
-		t.Fatal("modeled clock did not advance with tracing off")
 	}
 }
 
@@ -84,24 +85,27 @@ func khopOracle(c *graph.CSR, src graph.VID, k int) float64 {
 
 // One executor serving query after query through its reused results
 // and k-hop scratch answers exactly what a fresh executor answers to
-// each query alone, and charges the same regions for it.
+// each query alone, charges the same regions for it and reports the
+// same modeled time, bit for bit. A query starts the clock and the
+// trace, so its regions are the whole trace.
 func TestExecutorScratchReuseMatchesFresh(t *testing.T) {
 	reused, pub := testExecutor(t, "kron-9")
 	reused.m.SetTracing(true)
 	for _, q := range mixedQueries(pub.epoch.Out().NumVertices, 45) {
-		mark, _ := reused.m.Mark()
 		got := reused.run(nil, q, 0, false, pub)
-		gotRegions := slices.Clone(reused.m.Trace()[mark:])
+		gotRegions := slices.Clone(reused.m.Trace())
 
 		fresh, freshPub := testExecutor(t, "kron-9")
 		fresh.m.SetTracing(true)
-		mark, _ = fresh.m.Mark()
 		want := fresh.run(nil, q, 0, false, freshPub)
 		if got.Status != StatusOK || got.Value != want.Value {
 			t.Fatalf("%+v: reused executor answered %v (%s), fresh %v", q, got.Value, got.Status, want.Value)
 		}
-		if !slices.Equal(gotRegions, fresh.m.Trace()[mark:]) {
+		if !slices.Equal(gotRegions, fresh.m.Trace()) {
 			t.Fatalf("%+v: reused executor charged different regions than a fresh one", q)
+		}
+		if math.Float64bits(got.ModeledSec) != math.Float64bits(want.ModeledSec) {
+			t.Fatalf("%+v: reused executor reports %v s, fresh %v s", q, got.ModeledSec, want.ModeledSec)
 		}
 		if q.Op == OpKHop {
 			if oracle := khopOracle(pub.epoch.Out(), q.Source, q.K); got.Value != oracle {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -65,6 +66,60 @@ func TestServerAnswersMatchDirectComputation(t *testing.T) {
 		want := b.Run(q, 0, false)
 		if got.Value != want.Value {
 			t.Errorf("%s: served %v, direct %v", q.Op, got.Value, want.Value)
+		}
+	}
+}
+
+// A served query's modeled time is the query's own: one BFS and one
+// SSSP query, each submitted again and again between other queries by
+// two clients, report the bits a fresh executor reports for them,
+// whichever of the daemon's two executors served each copy.
+func TestDaemonExecutorsReportOneModeledTime(t *testing.T) {
+	s := startServer(t, Config{Executors: 2})
+	b, err := NewBench(testEdgeList(t), 8, 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := s.NumVertices()
+	watched := []Query{{Op: OpBFS, Source: 3, Target: 40}, {Op: OpSSSP, Source: 7, Target: 90}}
+	others := append(mixedQueries(n, 30), Query{Op: OpPR, Source: 5}, Query{Op: OpWCC, Source: 1, Target: 2})
+	const clients, rounds = 2, 40
+	got := make([][]float64, len(watched))
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			ctx := context.Background()
+			for i := 0; i < rounds; i++ {
+				for w, q := range watched {
+					s.Submit(ctx, others[(c*rounds+2*i+w)%len(others)])
+					r := s.Submit(ctx, q)
+					if r.Status != StatusOK {
+						t.Errorf("%s: status %q err %q", q.Op, r.Status, r.Err)
+						return
+					}
+					mu.Lock()
+					got[w] = append(got[w], r.ModeledSec)
+					mu.Unlock()
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	s.Close()
+	for i, e := range s.execs {
+		if e.gen == 0 {
+			t.Fatalf("executor %d served no query", i)
+		}
+	}
+	for w, q := range watched {
+		want := b.Run(q, 0, false).ModeledSec
+		for i, sec := range got[w] {
+			if math.Float64bits(sec) != math.Float64bits(want) {
+				t.Fatalf("%s copy %d of %d: served in %v s, a fresh executor %v s", q.Op, i, len(got[w]), sec, want)
+			}
 		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 // queue / deadline / degradation pipeline in virtual time.
 type SimConfig struct {
 	// Servers is the number of virtual executors. Service times come
-	// from ONE real bench executor (they are pure functions of query
-	// content), so the simulation itself is single-threaded and exact.
+	// from ONE real bench executor (any executor reports the same bits
+	// for a query), so the simulation is single-threaded and exact.
 	Servers int
 	// Admit is the admission configuration; the token bucket runs on
 	// virtual time.
@@ -130,7 +130,6 @@ func Simulate(b *Bench, cfg SimConfig) (SimStats, error) {
 	var serviceUS []float64
 
 	serve := func(srv int, start float64, item queued) {
-		// b.Run memoizes, so repeated queries cost one executor run each.
 		resp := b.Run(item.q, cfg.DeadlineSec, item.degraded)
 		switch resp.Status {
 		case StatusOK:
