@@ -159,8 +159,8 @@ func resultBytes(newResult func() any) uint64 {
 
 // Warm BFSInto and SSSPInto, synchronous and chaotic, allocate nothing
 // at all at two workers, and a warm PageRank and WCC — and PowerGraph's
-// SSSP, whose gather and apply bodies are bound the same way — nothing
-// beyond the result they hand out: the results are the caller's, the
+// SSSP, PageRank and WCC, whose gather and apply bodies are bound the
+// same way — nothing beyond the result they hand out: the results are the caller's, the
 // working set is the instance's, every region's bookkeeping is the
 // machine's, its body is bound to the instance once, and the hand-off to
 // the pool is the pool's reusable region record.
@@ -234,9 +234,20 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 		i++
 	})
 	pgSSSP := resultBytes(func() any { return traverse.StartSSSP(nil, 0, n) })
-	t.Logf("warm PowerGraph SSSP %d B/call (result %d B)", perPG, pgSSSP)
-	if perPG != pgSSSP {
-		t.Fatalf("warm PowerGraph SSSP allocates %d B beyond its result; want 0", int64(perPG-pgSSSP))
+	perPGPR := alloctest.BytesPerRun(4, func() {
+		if _, err := pg.PageRank(engines.DefaultPROpts()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perPGWCC := alloctest.BytesPerRun(4, func() {
+		if _, err := pg.WCC(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm PowerGraph SSSP %d B/call (result %d B), PageRank %d B/call, WCC %d B/call", perPG, pgSSSP, perPGPR, perPGWCC)
+	if perPG != pgSSSP || perPGPR != pr || perPGWCC != wcc {
+		t.Fatalf("warm PowerGraph SSSP allocates %d B beyond its result, PageRank %d B, WCC %d B; want 0, 0 and 0",
+			int64(perPG-pgSSSP), int64(perPGPR-pr), int64(perPGWCC-wcc))
 	}
 }
 

@@ -132,58 +132,78 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	}
 	inst.contrib = traverse.Resized(inst.contrib, n)
 	inst.accF = traverse.Resized(inst.accF, int(inst.TotalRep))
-	contrib, acc := inst.contrib, inst.accF
-	clear(acc)
+	clear(inst.accF)
 
 	res := &engines.PRResult{}
+	ws := inst.steps()
+	ws.pr = prCall{rank: rank, damping: opts.Damping}
 	gContrib := inst.m.Grain(n, 4096, 1)
 	gApply := inst.m.Grain(n, 2048, 1)
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		dangling, _ := inst.trav.Sweep(inst.m, n, gContrib, &prContrib, func(c *traverse.Chunk, lo, hi int) {
-			local := 0.0
-			for v := lo; v < hi; v++ {
-				d := inst.out.Degree(graph.VID(v))
-				if d == 0 {
-					local += rank[v]
-					contrib[v] = 0
-					continue
-				}
-				contrib[v] = rank[v] / float64(d)
-			}
-			c.Sum = local
-		})
-		base := (1-opts.Damping)*inv + opts.Damping*dangling*inv
-
-		inst.gatherSweep(nil, func(s int, e shardEdge) {
-			acc[inst.slot(e.dst, s)] += contrib[e.src]
-		})
-
-		// Ghost sync + apply: fold replica partial sums in shard
-		// order, then commit the new rank and the L1 delta.
-		l1, _ := inst.trav.Sweep(inst.m, n, gApply, &prApply, func(c *traverse.Chunk, lo, hi int) {
-			local := 0.0
-			var reps int64
-			for v := lo; v < hi; v++ {
-				sum := 0.0
-				slo, shi := inst.slotRange(graph.VID(v))
-				reps += shi - slo
-				for i := slo; i < shi; i++ {
-					sum += acc[i]
-					acc[i] = 0
-				}
-				nv := base + opts.Damping*sum
-				local += math.Abs(nv - rank[v])
-				rank[v] = nv
-			}
-			c.Sum, c.Work = local, reps
-		})
+		dangling, _ := inst.trav.Sweep(inst.m, n, gContrib, &prContrib, ws.prContribFn)
+		ws.pr.base = (1-opts.Damping)*inv + opts.Damping*dangling*inv
+		inst.gatherSweep(nil, ws.prGatherFn)
+		l1, _ := inst.trav.Sweep(inst.m, n, gApply, &prApply, ws.prApplyFn)
 		res.Iterations = iter
 		if l1 < opts.Epsilon {
 			break
 		}
 	}
+	ws.pr = prCall{}
 	res.Rank = rank
 	return res, nil
+}
+
+// prCall is what a PageRank iteration's bodies read: the rank vector
+// and the constants of the apply.
+type prCall struct {
+	rank          []float64
+	base, damping float64
+}
+
+// prContribChunk is one chunk of the contribution pass: its share of
+// the dangling mass, and rank/degree for every other vertex.
+func (inst *Instance) prContribChunk(c *traverse.Chunk, lo, hi int) {
+	rank, contrib := inst.pr.rank, inst.contrib
+	local := 0.0
+	for v := lo; v < hi; v++ {
+		d := inst.out.Degree(graph.VID(v))
+		if d == 0 {
+			local += rank[v]
+			contrib[v] = 0
+			continue
+		}
+		contrib[v] = rank[v] / float64(d)
+	}
+	c.Sum = local
+}
+
+// prGather adds one edge's contribution to its shard's replica slot of
+// the destination.
+func (inst *Instance) prGather(s int, e shardEdge) {
+	inst.accF[inst.slot(e.dst, s)] += inst.contrib[e.src]
+}
+
+// prApplyChunk is one chunk of the ghost sync and apply: it folds the
+// replica partial sums in shard order, commits the new ranks and sums
+// their L1 change.
+func (inst *Instance) prApplyChunk(c *traverse.Chunk, lo, hi int) {
+	pr, acc, rank := &inst.pr, inst.accF, inst.pr.rank
+	local := 0.0
+	var reps int64
+	for v := lo; v < hi; v++ {
+		sum := 0.0
+		slo, shi := inst.slotRange(graph.VID(v))
+		reps += shi - slo
+		for i := slo; i < shi; i++ {
+			sum += acc[i]
+			acc[i] = 0
+		}
+		nv := pr.base + pr.damping*sum
+		local += math.Abs(nv - rank[v])
+		rank[v] = nv
+	}
+	c.Sum, c.Work = local, reps
 }
 
 // CDLP implements engines.Instance: the gather phase accumulates a
@@ -236,50 +256,70 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 	for i := range comp {
 		comp[i] = graph.VID(i)
 	}
-	const noLabel = ^graph.VID(0)
 	inst.accC = traverse.Resized(inst.accC, int(inst.TotalRep))
-	accC := inst.accC
-	for i := range accC {
-		accC[i] = noLabel
+	for i := range inst.accC {
+		inst.accC[i] = noLabel
 	}
+	ws := inst.steps()
+	ws.wcc = wccCall{comp: comp}
 	for {
 		// Full gather each superstep: min must flow across an edge
 		// whenever either endpoint changed, so the sweep processes
-		// every local edge (PowerGraph's dense-gather mode). Weak
-		// connectivity: propagate min both ways.
-		inst.gatherSweep(nil, func(s int, e shardEdge) {
-			if c := comp[e.src]; c < accC[inst.slot(e.dst, s)] {
-				accC[inst.slot(e.dst, s)] = c
-			}
-			if c := comp[e.dst]; c < accC[inst.slot(e.src, s)] {
-				accC[inst.slot(e.src, s)] = c
-			}
-		})
-		anyc := inst.trav.Counter(inst.m, 0)
-		inst.m.ParallelForChunks(n, inst.m.Grain(n, 2048, 1), simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-			var applied, reps int64
-			for v := lo; v < hi; v++ {
-				best := noLabel
-				slo, shi := inst.slotRange(graph.VID(v))
-				reps += shi - slo
-				for i := slo; i < shi; i++ {
-					if accC[i] < best {
-						best = accC[i]
-					}
-					accC[i] = noLabel
-				}
-				if best < comp[v] {
-					comp[v] = best
-					applied++
-				}
-			}
-			anyc.Add(worker, applied)
-			w.Charge(costSyncReplica.Scale(float64(reps)))
-			w.Charge(costApplyVertex.Scale(float64(applied)))
-		})
-		if anyc.Sum() == 0 {
+		// every local edge (PowerGraph's dense-gather mode).
+		inst.gatherSweep(nil, ws.wccGatherFn)
+		ws.wcc.applied = inst.trav.Counter(inst.m, 0)
+		inst.m.ParallelForChunks(n, inst.m.Grain(n, 2048, 1), simmachine.Dynamic, ws.wccApplyFn)
+		if ws.wcc.applied.Sum() == 0 {
 			break
 		}
 	}
+	ws.wcc = wccCall{}
 	return &engines.WCCResult{Component: comp}, nil
+}
+
+// noLabel is an empty WCC replica slot.
+const noLabel = ^graph.VID(0)
+
+// wccCall is what a WCC superstep's bodies read: the labels and the
+// count of lowered ones.
+type wccCall struct {
+	comp    []graph.VID
+	applied *parallel.Counter
+}
+
+// wccGather propagates the min label across one edge both ways (weak
+// connectivity) into the shard's replica slots.
+func (inst *Instance) wccGather(s int, e shardEdge) {
+	comp, accC := inst.wcc.comp, inst.accC
+	if c := comp[e.src]; c < accC[inst.slot(e.dst, s)] {
+		accC[inst.slot(e.dst, s)] = c
+	}
+	if c := comp[e.dst]; c < accC[inst.slot(e.src, s)] {
+		accC[inst.slot(e.src, s)] = c
+	}
+}
+
+// wccApply folds one chunk's replica slots and commits the lowered
+// labels.
+func (inst *Instance) wccApply(lo, hi, _, worker int, w *simmachine.W) {
+	comp, accC := inst.wcc.comp, inst.accC
+	var applied, reps int64
+	for v := lo; v < hi; v++ {
+		best := noLabel
+		slo, shi := inst.slotRange(graph.VID(v))
+		reps += shi - slo
+		for i := slo; i < shi; i++ {
+			if accC[i] < best {
+				best = accC[i]
+			}
+			accC[i] = noLabel
+		}
+		if best < comp[v] {
+			comp[v] = best
+			applied++
+		}
+	}
+	inst.wcc.applied.Add(worker, applied)
+	w.Charge(costSyncReplica.Scale(float64(reps)))
+	w.Charge(costApplyVertex.Scale(float64(applied)))
 }

@@ -98,16 +98,19 @@ type scratch struct {
 	spare     []graph.VID // per vertex: the CDLP label array not handed out
 	processed []int64     // per shard: gatherSweep
 
-	// The bodies the gather phase and SSSP hand the machine, bound to
-	// the Instance once (steps), and what the current call's bodies
-	// read, so that a superstep builds no closure.
-	owner    *Instance
-	gatherFn func(tid int, w *simmachine.W)
-	relaxFn  func(s int, e shardEdge)
-	applyFn  func(lo, hi, chunk, worker int, w *simmachine.W)
-	active   *parallel.Bitmap
-	gather   func(s int, e shardEdge)
-	sssp     ssspCall
+	// The bodies the gather phase, SSSP, PageRank and WCC hand the
+	// machine, bound to the Instance once (steps), and what the current
+	// call's bodies read, so that a superstep builds no closure.
+	owner                            *Instance
+	gatherFn                         func(tid int, w *simmachine.W)
+	relaxFn, prGatherFn, wccGatherFn func(s int, e shardEdge)
+	applyFn, wccApplyFn              func(lo, hi, chunk, worker int, w *simmachine.W)
+	prContribFn, prApplyFn           func(c *traverse.Chunk, lo, hi int)
+	active                           *parallel.Bitmap
+	gather                           func(s int, e shardEdge)
+	sssp                             ssspCall
+	pr                               prCall
+	wcc                              wccCall
 }
 
 // steps binds the bodies to inst — once, and again if the Instance was
@@ -116,6 +119,8 @@ func (inst *Instance) steps() *scratch {
 	if inst.owner != inst {
 		inst.owner = inst
 		inst.gatherFn, inst.relaxFn, inst.applyFn = inst.gatherShard, inst.ssspRelax, inst.ssspApply
+		inst.prContribFn, inst.prGatherFn, inst.prApplyFn = inst.prContribChunk, inst.prGather, inst.prApplyChunk
+		inst.wccGatherFn, inst.wccApplyFn = inst.wccGather, inst.wccApply
 	}
 	return &inst.scratch
 }
