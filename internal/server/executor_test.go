@@ -43,10 +43,9 @@ func mixedQueries(n, count int) []Query {
 	return qs
 }
 
-// The executor's machine keeps no trace: it only ever reads the clock,
-// and a daemon's trace would grow by a Region per region for as long
-// as it serves. The clock still runs: each query reads a positive
-// modeled time, and it is what the clock reads when the query is done.
+// The executor's machine keeps no trace: it only ever reads the clock.
+// The clock still runs: each query reads a positive modeled time, and
+// it is what the clock reads when the query is done.
 func TestExecutorKeepsNoTrace(t *testing.T) {
 	e, pub := testExecutor(t, "kron-9")
 	for _, q := range mixedQueries(pub.epoch.Out().NumVertices, 60) {
