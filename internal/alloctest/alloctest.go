@@ -12,8 +12,8 @@ import (
 // mallocs: the mean heap bytes one call of f allocates once warm, at
 // GOMAXPROCS(1) so no other goroutine's allocation is billed while f
 // runs. It warms with one batch and reports the smallest of three more —
-// an arena that regrows because a worker drew a larger share than ever
-// before is a one-off, a per-call term shows in every batch.
+// a parallel.Slab that regrows because a region or a chunk output more
+// than ever before is a one-off, a per-call term shows in every batch.
 func BytesPerRun(runs int, f func()) uint64 {
 	return leastOf(3, runs, f)
 }

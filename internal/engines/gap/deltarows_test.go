@@ -85,8 +85,8 @@ func TestWarmKernelsOnDeltaRowsAllocateAsOnFlat(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Both epochs warm first: a worker's buffers and arenas grow
-			// to the largest share it ever drew, whichever epoch drew it.
+			// Both epochs warm first: the row buffers and slabs grow to
+			// the largest row and output either epoch drew.
 			for range 3 {
 				for _, e := range []Epoch{delta, flat} {
 					inst.BindEpoch(e)

@@ -170,7 +170,6 @@ func (inst *Instance) lightChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 	ws := &inst.ws
 	cc, bi, delta := &ws.chaos, ws.bucket, ws.delta
 	localRe, localLater := ws.reAddBuf.Take(worker), ws.laterBuf.Take(worker)
-	startRe, startLater := len(localRe), len(localLater)
 	var edges, wins int64
 	for _, v := range cc.frontier[lo:hi] {
 		dv := cc.load(v)
@@ -201,12 +200,12 @@ func (inst *Instance) lightChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 			}
 		}
 	}
-	ws.reAddQ.Put(chunk, ws.reAddBuf.Give(worker, localRe, startRe))
-	ws.laterQ.Put(chunk, ws.laterBuf.Give(worker, localLater, startLater))
+	ws.reAddQ.Put(chunk, ws.reAddBuf.Keep(worker, localRe))
+	ws.laterQ.Put(chunk, ws.laterBuf.Keep(worker, localLater))
 	cc.relax.Add(worker, edges)
 	w.Charge(costRelax.Scale(float64(edges)))
 	w.Charge(costClaim.Scale(float64(wins)))
-	w.Charge(costBucketOp.Scale(float64(len(localRe) - startRe + len(localLater) - startLater)))
+	w.Charge(costBucketOp.Scale(float64(len(localRe) + len(localLater))))
 }
 
 // heavyChunk relaxes the heavy edges of one chunk of the settled
@@ -215,7 +214,6 @@ func (inst *Instance) heavyChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 	ws := &inst.ws
 	cc, delta := &ws.chaos, ws.delta
 	local := ws.laterBuf.Take(worker)
-	start := len(local)
 	var edges, wins int64
 	for _, v := range cc.frontier[lo:hi] {
 		dv := cc.load(v)
@@ -233,9 +231,9 @@ func (inst *Instance) heavyChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 			}
 		}
 	}
-	ws.laterQ.Put(chunk, ws.laterBuf.Give(worker, local, start))
+	ws.laterQ.Put(chunk, ws.laterBuf.Keep(worker, local))
 	cc.relax.Add(worker, edges)
 	w.Charge(costRelax.Scale(float64(edges)))
 	w.Charge(costClaim.Scale(float64(wins)))
-	w.Charge(costBucketOp.Scale(float64(len(local) - start)))
+	w.Charge(costBucketOp.Scale(float64(len(local))))
 }

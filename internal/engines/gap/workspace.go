@@ -23,10 +23,11 @@ import (
 // query, a recovered panic) leaves nothing the next one trusts.
 //
 // Retention rule: n-sized arrays are kept once each, and the per-chunk
-// outputs of a region come out of one Arena buffer per worker, so what
-// stays resident is bounded by the largest single region's output —
-// never by a high-water mark per chunk, which retains several times
-// more and costs twice that in heap under GOGC=100.
+// outputs of a region are Kept in a parallel.Slab, so what stays
+// resident is bounded by the largest single region's output and the
+// largest chunk's per worker — never by a high-water mark per chunk,
+// which retains several times more and costs twice that in heap under
+// GOGC=100 — and does not depend on which worker ran which chunk.
 type workspace struct {
 	// Delta-stepping, both variants: bucket slices are truncated, not
 	// dropped, between calls; reAdd and heavy are the current bucket's
@@ -39,9 +40,9 @@ type workspace struct {
 	// queues.
 	dist     []uint64
 	reAddQ   parallel.ChunkQueue[graph.VID]
-	reAddBuf parallel.Arena[graph.VID]
+	reAddBuf parallel.Slab[graph.VID]
 	laterQ   parallel.ChunkQueue[[2]int64] // (bucket, vertex)
-	laterBuf parallel.Arena[[2]int64]
+	laterBuf parallel.Slab[[2]int64]
 	// rows holds one buffer per worker for the rows an epoch stores as
 	// deltas (graph.RowBuf); row is the serial maintainers' one.
 	rows []graph.RowBuf

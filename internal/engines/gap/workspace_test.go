@@ -188,9 +188,9 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 		}
 		i++
 	})
-	// A chaotic pass hands chunks to workers by the race, so now and then
-	// a worker draws a larger share than ever and its arena regrows:
-	// the fewest bytes of single calls reads a per-call term, not that.
+	// A chaotic pass's outputs follow the CAS race, so now and then a
+	// region or a chunk outputs more than ever and its slab regrows: the
+	// fewest bytes of single calls reads a per-call term, not that.
 	perChaotic := alloctest.FewestBytes(4*len(roots), func() {
 		if _, err := chaotic.SSSPInto(roots[i%len(roots)], &sssp); err != nil {
 			t.Fatal(err)
@@ -255,7 +255,7 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 // same wall for free: a warm Graph500 or GraphBIG BFS allocates its two
 // result arrays (the Instance interface hands out a fresh result) and,
 // beyond them, nothing sized by the graph — under the same bound as
-// GAP. Before the step was shared both made their claim queue, arena,
+// GAP. Before the step was shared both made their claim queue, buffers,
 // frontier and a counter per level afresh on every call.
 func TestWarmSharedStepEnginesAllocateOnlyResults(t *testing.T) {
 	const bound = 64 << 10
@@ -287,37 +287,46 @@ func TestWarmSharedStepEnginesAllocateOnlyResults(t *testing.T) {
 	}
 }
 
-// arenaBytes is what the workspace's per-worker arenas retain.
-func (ws *workspace) arenaBytes() int {
+// slabBytes is what the workspace's slabs retain.
+func (ws *workspace) slabBytes() int {
 	return ws.reAddBuf.Cap()*int(unsafe.Sizeof(graph.VID(0))) +
 		ws.laterBuf.Cap()*int(unsafe.Sizeof([2]int64{}))
 }
 
 // regionBytes is the output the most recent region of each kind left in
-// the workspace's queues.
-func (ws *workspace) regionBytes() [2]int {
-	return [2]int{
-		ws.reAddQ.Len() * int(unsafe.Sizeof(graph.VID(0))),
-		ws.laterQ.Len() * int(unsafe.Sizeof([2]int64{})),
+// the workspace's queues, in all and in its largest chunk.
+func (ws *workspace) regionBytes() (region, chunk [2]int) {
+	vid, later := int(unsafe.Sizeof(graph.VID(0))), int(unsafe.Sizeof([2]int64{}))
+	for _, b := range ws.reAddQ.Chunks() {
+		region[0] += len(b) * vid
+		chunk[0] = max(chunk[0], len(b)*vid)
 	}
+	for _, b := range ws.laterQ.Chunks() {
+		region[1] += len(b) * later
+		chunk[1] = max(chunk[1], len(b)*later)
+	}
+	return region, chunk
 }
 
 // The bounded-retention rule for the queues GAP keeps to itself (the
-// shared steps' arenas have the same wall in internal/engines/traverse):
-// after 40 chaotic searches the arenas hold no more than a small
-// multiple of the largest single region's output. Keeping every chunk's
-// high-water buffer instead — the obvious way to stop allocating —
-// retains several times that and fails here. The largest region is
-// observed through the cancellation hook, which the kernels poll
-// between regions, and once more after each call.
+// shared steps' slabs have the same wall in internal/engines/traverse):
+// after 40 chaotic searches the slabs hold no more than the bound Slab
+// documents, twice the largest single region's output plus twice the
+// largest chunk's per worker. Keeping every chunk's high-water buffer
+// instead — the obvious way to stop allocating — retains several times
+// that and fails here. The largest region and chunk are observed
+// through the cancellation hook, which the kernels poll between
+// regions, and once more after each call.
 func TestWorkspaceRetentionBoundedByLargestRegion(t *testing.T) {
 	const workers = 2
 	inst := load(t, engine(), kron(12, 9), 8)
 	inst.m.SetWorkers(workers)
-	var peak [2]int
+	var peak, peakChunk [2]int
 	observe := func() error {
-		for i, b := range inst.ws.regionBytes() {
-			peak[i] = max(peak[i], b)
+		region, chunk := inst.ws.regionBytes()
+		for i := range region {
+			peak[i] = max(peak[i], region[i])
+			peakChunk[i] = max(peakChunk[i], chunk[i])
 		}
 		return nil
 	}
@@ -329,14 +338,13 @@ func TestWorkspaceRetentionBoundedByLargestRegion(t *testing.T) {
 		}
 		_ = observe()
 	}
-	need := peak[0] + peak[1]
-	got := inst.ws.arenaBytes()
-	t.Logf("arenas retain %d B; largest regions' outputs sum to %d B (%.2fx)", got, need, float64(got)/float64(need))
-	// One buffer per worker, each grown by at most doubling to its
-	// worker's largest share of a region: between 1x (equal shares, no
-	// slack) and 2*workers (every worker once ran a whole largest
-	// region alone, each ending on a doubling).
-	if got > 2*workers*need {
-		t.Fatalf("arenas retain %d B, over %dx the %d B the largest regions produced", got, 2*workers, need)
+	need, chunk := peak[0]+peak[1], peakChunk[0]+peakChunk[1]
+	got := inst.ws.slabBytes()
+	bound := 2*need + 2*workers*chunk
+	t.Logf("slabs retain %d B; largest regions' outputs sum to %d B (%.2fx), largest chunks' to %d B; bound %d B",
+		got, need, float64(got)/float64(need), chunk, bound)
+	if got > bound {
+		t.Fatalf("slabs retain %d B, over 2x the %d B the largest regions produced plus 2x%d workers' %d B largest chunks",
+			got, need, workers, chunk)
 	}
 }

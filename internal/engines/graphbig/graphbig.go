@@ -116,7 +116,7 @@ type scratch struct {
 	active     []graph.VID                // either SSSP: the frontier
 	nextActive []graph.VID                // synchronous SSSP: its successor
 	queue      *parallel.Queue[graph.VID] // chaotic SSSP: the next one, as a bag
-	pushed     parallel.Arena[graph.VID]  // chaotic SSSP: a chunk's pushes, per worker
+	pushed     parallel.Slab[graph.VID]   // chaotic SSSP: a chunk's pushes
 	rank       [2][]float32               // PageRank's single-precision properties
 	spare      []graph.VID                // the CDLP or WCC label array not handed out
 }
@@ -207,9 +207,7 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 		queue.Reset()
 		pushed.Reset(inst.m.Workers())
 		inst.m.ParallelForChunks(len(active), inst.m.Grain(len(active), 32, 1), simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-			// The queue copies a chunk's pushes out before the chunk
-			// ends, so the worker's buffer is rewound for every chunk.
-			local := pushed.Take(worker)[:0]
+			local := pushed.Take(worker)
 			var edges int64
 			for _, v := range active[lo:hi] {
 				atomic.StoreInt32(&inActive[v], 0)
@@ -229,7 +227,10 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 				}
 			}
 			queue.PushBatch(local)
-			pushed.Give(worker, local, 0)
+			// The queue holds the items; Keep's copy is dropped, and
+			// the call only sizes every worker's scratch by the
+			// largest chunk, whichever worker ran it.
+			pushed.Keep(worker, local)
 			relax.Add(worker, edges)
 			w.Charge(costSSSPEdge.Scale(float64(edges)))
 			w.Charge(costPropTouch.Scale(float64(hi - lo)))

@@ -99,11 +99,11 @@ type cand struct {
 // State is the reusable working set of the steps, one per engine
 // instance (instances are single-caller, so it needs no locking). A
 // warm TopDown, Relax, Sweep or Hook allocates nothing of its own:
-// per-chunk outputs come out of one Arena buffer per worker (TopDown's
-// claims) or one Slab (Relax's candidates, so that what a warm Relax
-// allocates does not depend on the schedule's split of chunks), so what
-// stays resident is bounded by the largest single region's output, and
-// each step's region body is bound to the State once. Every
+// per-chunk outputs (TopDown's claims, Relax's candidates) are Kept in
+// a Slab, so what a warm step allocates does not depend on the
+// schedule's split of chunks and what stays resident is bounded by the
+// largest single region's and chunk's outputs, and each step's region
+// body is bound to the State once. Every
 // piece is sized where it is used from (n, Workers()), so a graph
 // epoch swap or a SetWorkers needs no invalidation. The zero State is
 // ready.
@@ -127,7 +127,7 @@ type State struct {
 	parts   []float64            // per-chunk sums of the last Sweep
 
 	claims   parallel.ChunkQueue[parallel.Claim]
-	claimBuf parallel.Arena[parallel.Claim]
+	claimBuf parallel.Slab[parallel.Claim]
 
 	cands   parallel.ChunkQueue[cand]
 	candBuf parallel.Slab[cand]
@@ -353,7 +353,6 @@ func (s *State) topDownChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 	td := &s.td
 	parent, depth, level := td.parent, td.depth, td.level
 	local := s.claimBuf.Take(worker)
-	start := len(local)
 	buf := &s.rowBufs[worker]
 	var edges, claims, decBytes int64
 	for _, v := range td.frontier[lo:hi] {
@@ -375,7 +374,7 @@ func (s *State) topDownChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 			}
 		}
 	}
-	s.claims.Put(chunk, s.claimBuf.Give(worker, local, start))
+	s.claims.Put(chunk, s.claimBuf.Keep(worker, local))
 	s.edges.Add(worker, edges)
 	w.Charge(td.edgeCost.Scale(float64(edges)))
 	// Raw rows read no encoded bytes: these two add nothing.

@@ -267,10 +267,10 @@ func TestRelaxSameOverRowSourcesAndWorkers(t *testing.T) {
 }
 
 // The bounded-retention rule: after 40 searches of both kinds the
-// arenas hold no more than a small multiple of the largest single
-// region's output. Keeping every chunk's high-water buffer instead —
-// the obvious way to stop allocating — retains several times that and
-// fails here.
+// slabs hold no more than the bound Slab documents, twice the largest
+// single region's output plus twice the largest chunk's per worker.
+// Keeping every chunk's high-water buffer instead — the obvious way to
+// stop allocating — retains several times that and fails here.
 func TestRetentionBoundedByLargestRegion(t *testing.T) {
 	const workers = 2
 	csr := kronCSR(12, 9)
@@ -279,7 +279,7 @@ func TestRetentionBoundedByLargestRegion(t *testing.T) {
 	p := testProfile
 	p.Sched = simmachine.Dynamic
 	var s State
-	var peakClaims, peakCands int
+	var peakClaims, peakCands, chunkClaims, chunkCands int
 	for i, root := range core.SelectRoots(csr, 40, 0x7007) {
 		if i%2 == 0 {
 			res := StartBFS(nil, root, csr.NumVertices)
@@ -287,23 +287,35 @@ func TestRetentionBoundedByLargestRegion(t *testing.T) {
 			for level := int64(0); len(s.Frontier) > 0; level++ {
 				s.TopDown(m, csr, &p, res, level)
 				peakClaims = max(peakClaims, s.claims.Len())
+				chunkClaims = max(chunkClaims, largestChunk(&s.claims))
 			}
 		} else {
-			bellmanFord(&s, m, csr, csr.NumVertices, root, func() { peakCands = max(peakCands, s.cands.Len()) })
+			bellmanFord(&s, m, csr, csr.NumVertices, root, func() {
+				peakCands = max(peakCands, s.cands.Len())
+				chunkCands = max(chunkCands, largestChunk(&s.cands))
+			})
 		}
 	}
 	claimB, candB := int(unsafe.Sizeof(parallel.Claim{})), int(unsafe.Sizeof(cand{}))
 	need := peakClaims*claimB + peakCands*candB
+	chunk := chunkClaims*claimB + chunkCands*candB
 	got := s.claimBuf.Cap()*claimB + s.candBuf.Cap()*candB
-	t.Logf("arenas retain %d B; largest regions' outputs sum to %d B (%.2fx)", got, need, float64(got)/float64(need))
-	// The claims: one buffer per worker, each grown by at most doubling
-	// to its worker's largest share of a region, between 1x (equal
-	// shares, no slack) and 2*workers (every worker once ran a whole
-	// largest region alone, each ending on a doubling). The candidates:
-	// the largest region's output plus one largest chunk's per worker.
-	if got > 2*workers*need {
-		t.Fatalf("arenas retain %d B, over %dx the %d B the largest regions produced", got, 2*workers, need)
+	bound := 2*need + 2*workers*chunk
+	t.Logf("slabs retain %d B; largest regions' outputs sum to %d B (%.2fx), largest chunks' to %d B; bound %d B",
+		got, need, float64(got)/float64(need), chunk, bound)
+	if got > bound {
+		t.Fatalf("slabs retain %d B, over 2x the %d B the largest regions produced plus 2x%d workers' %d B largest chunks",
+			got, need, workers, chunk)
 	}
+}
+
+// largestChunk is the most items one chunk of q's last region output.
+func largestChunk[T any](q *parallel.ChunkQueue[T]) int {
+	most := 0
+	for _, b := range q.Chunks() {
+		most = max(most, len(b))
+	}
+	return most
 }
 
 // The dedup stamps survive the pass counter wrapping: a search started

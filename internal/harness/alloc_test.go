@@ -89,7 +89,7 @@ func TestRunHomogenizesOnce(t *testing.T) {
 // to the run's graph with the scratch of the Runs before it, and its
 // machine comes back renewed with the trace and region scratch they
 // grew. GraphBIG's synchronous SSSP is the case in point: a new
-// instance's relaxation passes grow its candidate arena, stamps and
+// instance's relaxation passes grow its candidate slab, stamps and
 // frontiers from nothing, ~550 KB a Run at kron-10, and a new machine
 // its trace and region scratch, ~12 KB, against the two SSSP results
 // (16 B per vertex each). slack covers the rest, ~1.4 KB measured and

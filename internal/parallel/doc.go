@@ -60,11 +60,12 @@
 //     drains the winners; GAP's delta-stepping buckets and both
 //     synchronous SSSP modes collect bucket updates and relaxation
 //     candidates the same way — no kernel sorts a frontier.
-//     Producers append through an Arena (one reusable buffer
-//     per worker, sub-sliced per chunk) and consumers walk Chunks() in
-//     place, so a region allocates no slice per chunk and nothing is
-//     concatenated; what an Arena retains is bounded by the largest
-//     region's output, not by the chunk count.
+//     Producers append into their worker's scratch and Keep it in a
+//     Slab (one array per region, a copy per chunk) and consumers walk
+//     Chunks() in place, so a warm region allocates no slice per chunk
+//     whichever worker ran which chunk, and nothing is concatenated;
+//     what a Slab retains is bounded by the largest region's and
+//     chunk's outputs, not by the chunk count.
 //   - Bitmap — dense membership with atomic (idempotent, commutative)
 //     set, atomic test, and a parallel two-pass ToSlice built on
 //     ScanInt64. GAP's bottom-up BFS keeps its frontier here,

@@ -85,11 +85,10 @@ func (q *Queue[T]) Reset() { q.n.Store(0) }
 // made deterministic by fixing the flush order.
 //
 // Usage per region: Reset(NumChunks(n, grain)), then each chunk body
-// builds its own slice — on a hot path out of its worker's Arena — and
-// hands it over with Put(chunk, items) exactly once. Len, Chunks,
-// AppendTo and DrainChunkQueue observe the collected items and must
-// only be called between regions (Put and the observers must never
-// overlap). The queue owns no item storage of its own: consumers walk
+// builds its own slice — on a hot path Kept in a Slab — and hands it
+// over with Put(chunk, items) exactly once. Len, Chunks, AppendTo and
+// DrainChunkQueue observe the collected items and must only be called
+// between regions (Put and the observers must never overlap). The queue owns no item storage of its own: consumers walk
 // the chunk buffers in place.
 type ChunkQueue[T any] struct {
 	bufs [][]T
@@ -130,7 +129,7 @@ func (q *ChunkQueue[T]) Len() int {
 // Chunks returns the collected buffers in chunk order, for consumers
 // that walk every item once: ranging over them visits the canonical
 // concatenation without copying it. The buffers stay owned by the
-// queue (and by whatever Arena backs them) and die at the next Reset.
+// queue (and by whatever Slab backs them) and die at the next Reset.
 // Call only between regions.
 func (q *ChunkQueue[T]) Chunks() [][]T { return q.bufs }
 
@@ -171,82 +170,10 @@ type Claim struct {
 	V, By uint32
 }
 
-// Arena is a set of per-worker append buffers backing the per-chunk
-// slices a region hands to ChunkQueue.Put, so a kernel that runs
-// thousands of regions does not allocate a fresh slice per chunk per
-// region. A chunk Takes its worker's buffer, appends its items past
-// the ones earlier chunks of that worker left there, and Gives the
-// buffer back, receiving its own items as a sub-slice to Put:
-//
-//	buf := a.Take(worker)
-//	start := len(buf)
-//	buf = append(buf, item) // any number of times
-//	q.Put(chunk, a.Give(worker, buf, start))
-//
-// Which worker runs which chunk is schedule-dependent, and so is the
-// split of items across buffers — but each chunk's sub-slice holds
-// exactly what the chunk appended, so everything observable through
-// the ChunkQueue keeps its guarantees. When an append outgrows a
-// buffer, sub-slices handed out earlier keep pointing into the old
-// array, which stays alive through the queue until its next Reset.
-//
-// Retention is one buffer per worker, each at most the capacity its
-// worker's share of some single region needed: bounded by the largest
-// region's output, never by the number of chunks or regions. The zero
-// Arena is ready for Reset.
-type Arena[T any] struct {
-	bufs []arenaBuf[T]
-}
-
-// arenaBuf pads each worker's slice header to its own cache line: Give
-// rewrites it once per chunk.
-type arenaBuf[T any] struct {
-	s []T
-	_ [cacheLine - 24]byte
-}
-
-// Reset readies the arena for one region executed by worker IDs below
-// workers and rewinds every buffer, keeping capacity. Sub-slices handed
-// out before the call are dead: Reset the ChunkQueue they were Put
-// into alongside. Call only between regions.
-func (a *Arena[T]) Reset(workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	for len(a.bufs) < workers {
-		a.bufs = append(a.bufs, arenaBuf[T]{})
-	}
-	for i := range a.bufs {
-		a.bufs[i].s = a.bufs[i].s[:0]
-	}
-}
-
-// Take returns worker's buffer; its length marks where this chunk's
-// items start. Only the goroutine running as that worker may hold it,
-// and it must Give it back before its chunk ends.
-func (a *Arena[T]) Take(worker int) []T { return a.bufs[worker].s }
-
-// Give hands worker's (possibly regrown) buffer back and returns the
-// items appended past start, capacity-clamped so that nothing appended
-// to the result can reach a later chunk's items.
-func (a *Arena[T]) Give(worker int, buf []T, start int) []T {
-	a.bufs[worker].s = buf
-	return buf[start:len(buf):len(buf)]
-}
-
-// Cap returns the total item capacity the arena retains. Call only
-// between regions.
-func (a *Arena[T]) Cap() int {
-	n := 0
-	for i := range a.bufs {
-		n += cap(a.bufs[i].s)
-	}
-	return n
-}
-
-// Slab stores one region's chunk outputs in a single array, for a
-// kernel whose chunks each append an unknown number of items and whose
-// allocation must not depend on the schedule. A chunk appends into its
+// Slab stores one region's chunk outputs in a single array, backing the
+// per-chunk slices a region hands to ChunkQueue.Put: a kernel that runs
+// thousands of regions allocates no slice per chunk, and what it
+// allocates does not depend on the schedule. A chunk appends into its
 // worker's scratch and Keeps it: the items are copied into the slab
 // and returned, and the scratch is the worker's again for its next
 // chunk:
@@ -255,15 +182,16 @@ func (a *Arena[T]) Cap() int {
 //	buf = append(buf, item) // any number of times
 //	q.Put(chunk, s.Keep(worker, buf))
 //
-// An Arena's buffer holds its worker's whole share of a region, so a
-// warm Arena still allocates when a worker draws a larger share than
-// ever before, which the schedule decides. A Slab's sizes follow only
-// the outputs: the slab holds the largest region output so far and
+// A buffer per worker that holds its worker's whole share of a region
+// would still allocate when warm whenever a worker draws a larger share
+// than ever before, which the schedule decides. A Slab's sizes follow
+// only the outputs: the slab holds the largest region output so far and
 // Reset grows every worker's scratch to the largest chunk output so
 // far, so a warm Slab allocates only in a region that outputs more, or
 // has a chunk that outputs more, than any before. Retention is at most
 // twice the largest region's output plus twice the largest chunk's per
-// worker. The zero Slab is ready for Reset.
+// worker: never a high-water mark per chunk, nor per worker a whole
+// region. The zero Slab is ready for Reset.
 type Slab[T any] struct {
 	scratch []slabBuf[T]
 	items   []T

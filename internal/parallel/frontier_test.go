@@ -252,64 +252,12 @@ func TestBitmapClearRange(t *testing.T) {
 	}
 }
 
-// Arena hands each chunk exactly its own items, keeps earlier chunks'
-// sub-slices intact when a buffer regrows under them, clamps the
-// handed-out capacity, and rewinds without giving memory back.
-func TestArenaTakeGive(t *testing.T) {
-	var a Arena[int]
-	a.Reset(2)
-	fill := func(worker, from, count int) []int {
-		buf := a.Take(worker)
-		start := len(buf)
-		for i := 0; i < count; i++ {
-			buf = append(buf, from+i)
-		}
-		return a.Give(worker, buf, start)
-	}
-	first := fill(0, 100, 3)
-	other := fill(1, 900, 2)
-	second := fill(0, 200, 4000) // regrows worker 0's buffer under `first`
-	empty := fill(0, 0, 0)
-	if !slices.Equal(first, []int{100, 101, 102}) || !slices.Equal(other, []int{900, 901}) {
-		t.Fatalf("chunks see each other's items: %v %v", first, other)
-	}
-	if len(second) != 4000 || second[0] != 200 || second[3999] != 4199 || len(empty) != 0 {
-		t.Fatalf("second chunk of worker 0: len %d, empty chunk len %d", len(second), len(empty))
-	}
-	if cap(first) != len(first) || cap(second) != len(second) {
-		t.Fatalf("handed-out capacity not clamped: %d/%d, %d/%d", len(first), cap(first), len(second), cap(second))
-	}
-	_ = append(first, -1) // must reallocate, not overwrite second[0]
-	if second[0] != 200 {
-		t.Fatal("append to a chunk's slice reached the next chunk's items")
-	}
-
-	held := a.Cap()
-	if held < 4003+2 {
-		t.Fatalf("Cap = %d, below the %d items held", held, 4005)
-	}
-	a.Reset(2)
-	if a.Cap() != held || len(a.Take(0)) != 0 || len(a.Take(1)) != 0 {
-		t.Fatalf("Reset did not rewind in place: cap %d -> %d", held, a.Cap())
-	}
-	// Warm, a region of the same shape allocates nothing.
-	if allocs := testing.AllocsPerRun(10, func() {
-		a.Reset(2)
-		fill(0, 0, 4003)
-		fill(1, 0, 2)
-	}); allocs != 0 {
-		t.Fatalf("warm arena region allocated %v times", allocs)
-	}
-	a.Reset(5) // more workers than before: new buffers, old ones kept
-	if a.Cap() != held || len(a.Take(4)) != 0 {
-		t.Fatalf("growing the worker count lost buffers: cap %d -> %d", held, a.Cap())
-	}
-}
-
-// Slab hands each chunk a copy of exactly its own items, clamps the
-// handed-out capacity, and once warm allocates nothing whichever worker
-// runs which chunk: a region whose chunks all ran on worker 0 sizes the
-// slab for the same chunks run on worker 1, or split between both.
+// Slab hands each chunk a copy of exactly its own items, which a later
+// chunk regrowing the same worker's scratch leaves intact, clamps the
+// handed-out capacity, rewinds in place, and once warm allocates nothing
+// whichever worker runs which chunk: a region whose chunks all ran on
+// worker 0 sizes the slab for the same chunks run on worker 1, or split
+// between both.
 func TestSlabKeepIndependentOfShares(t *testing.T) {
 	var s Slab[int]
 	sizes := []int{3, 4000, 0, 2}
@@ -339,7 +287,8 @@ func TestSlabKeepIndependentOfShares(t *testing.T) {
 			}
 		}
 	}
-	// Two regions with every chunk on worker 0: the first spills, the
+	// Two regions with every chunk on worker 0: the first spills, and
+	// chunk 1 regrows worker 0's scratch under chunk 0's copy; the
 	// second runs in the slab that Reset sized.
 	check(region(func(int) int { return 0 }))
 	check(region(func(int) int { return 0 }))
@@ -350,9 +299,10 @@ func TestSlabKeepIndependentOfShares(t *testing.T) {
 	}
 	held := s.Cap()
 	for i, workerOf := range shares {
-		// The first region of each split, not a warmed one: an Arena
-		// would grow worker 1's buffer here. Nothing may grow, and every
-		// chunk's copy must lie in the slab, not in a spilled array.
+		// The first region of each split, not a warmed one: a buffer per
+		// worker holding its share would grow worker 1's here. Nothing
+		// may grow, and every chunk's copy must lie in the slab, not in
+		// a spilled array.
 		split := region(workerOf)
 		check(split)
 		if got := s.Cap(); got != held {
@@ -369,6 +319,13 @@ func TestSlabKeepIndependentOfShares(t *testing.T) {
 	_ = append(out[0], -1) // must reallocate, not overwrite chunk 1's items
 	if out[1][0] != 10000 {
 		t.Fatal("append to a chunk's slice reached the next chunk's items")
+	}
+	s.Reset(2)
+	if s.Cap() != held || len(s.Take(0)) != 0 || len(s.Take(1)) != 0 {
+		t.Fatalf("Reset did not rewind in place: cap %d -> %d", held, s.Cap())
+	}
+	if allocs := testing.AllocsPerRun(10, func() { region(shares[1]) }); allocs != 0 {
+		t.Fatalf("warm slab region allocated %v times", allocs)
 	}
 	// The largest region's items, and per worker the largest chunk's,
 	// at most doubled where a chunk regrew the scratch in place.
@@ -398,47 +355,6 @@ func TestSlabConcurrentRegions(t *testing.T) {
 				}
 			}
 			cq.Put(chunk, s.Keep(worker, buf))
-		})
-		next := 0
-		for _, b := range cq.Chunks() {
-			for _, it := range b {
-				for next%3 == 0 {
-					next++
-				}
-				if it != uint64(round)<<32|uint64(next) {
-					t.Fatalf("round %d sched %v: item %#x where %d was appended", round, sched, it, next)
-				}
-				next++
-			}
-		}
-		if next < n-1 {
-			t.Fatalf("round %d sched %v: drain stopped at %d of %d", round, sched, next, n)
-		}
-	}
-}
-
-// Many regions through one Arena under every policy, with more workers
-// than idle pool slots: each chunk must read back exactly what it
-// appended while other workers append beside it. Under -race (make
-// race) this is the Arena's memory-model wall.
-func TestArenaConcurrentRegions(t *testing.T) {
-	p := NewPool(4)
-	var a Arena[uint64]
-	cq := NewChunkQueue[uint64]()
-	const n, grain = 5000, 7
-	for round, sched := range []Sched{Static, Dynamic, Steal, NUMA, Dynamic, Steal} {
-		workers := 3 + 2*round
-		cq.Reset(NumChunks(n, grain))
-		a.Reset(workers)
-		For(p, workers, n, grain, sched, func(lo, hi, chunk, worker int) {
-			buf := a.Take(worker)
-			start := len(buf)
-			for i := lo; i < hi; i++ {
-				if i%3 != 0 {
-					buf = append(buf, uint64(round)<<32|uint64(i))
-				}
-			}
-			cq.Put(chunk, a.Give(worker, buf, start))
 		})
 		next := 0
 		for _, b := range cq.Chunks() {

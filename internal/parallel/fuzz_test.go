@@ -147,24 +147,23 @@ func fuzzChunkItems(seed uint64, c int) []uint32 {
 }
 
 // fuzzFillChunkQueue runs one region that Puts fuzzChunkItems for
-// every chunk — as fresh slices when ar is nil, else appended through
-// the workers' Arena buffers the way the kernels fill a queue.
-func fuzzFillChunkQueue(p *Pool, cq *ChunkQueue[uint32], ar *Arena[uint32], seed uint64, workers, n, grain int, sched Sched, topo Topology) {
+// every chunk — as fresh slices when sl is nil, else appended into the
+// workers' scratch and Kept in sl the way the kernels fill a queue.
+func fuzzFillChunkQueue(p *Pool, cq *ChunkQueue[uint32], sl *Slab[uint32], seed uint64, workers, n, grain int, sched Sched, topo Topology) {
 	cq.Reset(NumChunks(n, grain))
-	if ar != nil {
-		ar.Reset(workers)
+	if sl != nil {
+		sl.Reset(workers)
 	}
 	ForTopo(p, workers, n, grain, sched, topo, func(lo, hi, chunk, worker int) {
-		if ar == nil {
+		if sl == nil {
 			cq.Put(chunk, fuzzChunkItems(seed, chunk))
 			return
 		}
-		buf := ar.Take(worker)
-		start := len(buf)
+		buf := sl.Take(worker)
 		for _, it := range fuzzChunkItems(seed, chunk) {
 			buf = append(buf, it)
 		}
-		cq.Put(chunk, ar.Give(worker, buf, start))
+		cq.Put(chunk, sl.Keep(worker, buf))
 	})
 }
 
@@ -181,7 +180,7 @@ func chunkQueueConcat(cq *ChunkQueue[uint32]) []uint32 {
 // FuzzChunkQueueDrain asserts the ChunkQueue drain is a pure function
 // of (chunk id, push order within chunk): whatever the policy, socket
 // topology, worker count, or goroutine interleaving — and whether the
-// chunk buffers are fresh slices or sub-slices of a reused Arena — the
+// chunk buffers are fresh slices or copies Kept in a reused Slab — the
 // concatenated sequence equals the serially built reference, and
 // repeated concurrent runs reproduce it exactly.
 func FuzzChunkQueueDrain(f *testing.F) {
@@ -201,11 +200,11 @@ func FuzzChunkQueueDrain(f *testing.F) {
 			want = append(want, fuzzChunkItems(seed, c)...)
 		}
 		cq := NewChunkQueue[uint32]()
-		var ar Arena[uint32]
+		var sl Slab[uint32]
 		for rep := 0; rep < 4; rep++ {
-			var backing *Arena[uint32] // odd reps reuse the arena
+			var backing *Slab[uint32] // odd reps reuse the slab
 			if rep%2 == 1 {
-				backing = &ar
+				backing = &sl
 			}
 			fuzzFillChunkQueue(p, cq, backing, seed, w, n, grain, sched, topo)
 			if got := cq.AppendTo(nil); !slices.Equal(got, want) {

@@ -115,14 +115,14 @@ func TestBitmapMatchesMapOracle(t *testing.T) {
 // (16 workers on 4 idle slots) so region bodies interleave as wildly
 // as the host allows, across every policy and socket layout, and
 // requires the chunk-ordered drain to stay equal to the serially built
-// reference on every one of many rounds — odd rounds through one Arena
+// reference on every one of many rounds — odd rounds through one Slab
 // reused across them. With -race (make race) this doubles as the
-// ChunkQueue/Arena/For memory-model wall.
+// ChunkQueue/Slab/For memory-model wall.
 func TestChunkQueueAdversarialInterleavings(t *testing.T) {
 	p := NewPool(4)
 	r := xrand.New(0xcadce5)
 	cq := NewChunkQueue[uint32]()
-	var ar Arena[uint32]
+	var sl Slab[uint32]
 	for round := 0; round < 40; round++ {
 		seed := r.Uint64()
 		n := int(r.Uint64() % 3000)
@@ -136,9 +136,9 @@ func TestChunkQueueAdversarialInterleavings(t *testing.T) {
 			want = append(want, fuzzChunkItems(seed, c)...)
 		}
 
-		var backing *Arena[uint32]
+		var backing *Slab[uint32]
 		if round%2 == 1 {
-			backing = &ar
+			backing = &sl
 		}
 		fuzzFillChunkQueue(p, cq, backing, seed, workers, n, grain, sched, topo)
 		if got := chunkQueueConcat(cq); !slices.Equal(got, want) {
