@@ -41,13 +41,15 @@ func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engine
 
 // chaosCall is what one chaotic relaxation pass's chunks read: the
 // CAS-min'ed distance bits, the result's parents, the entries the pass
-// relaxes (the bucket being settled, or its heavy frontier) and the
-// relaxation counter.
+// relaxes (the bucket being settled, or its heavy frontier), the
+// relaxation counter and the per-worker row buffers the traverse.State
+// lends.
 type chaosCall struct {
 	dist     []uint64
 	parent   []int64
 	frontier []graph.VID
 	relax    *parallel.Counter
+	rows     []graph.RowBuf
 }
 
 // load reads v's tentative distance.
@@ -91,7 +93,7 @@ func (inst *Instance) ssspChaotic(ws *workspace, res *engines.SSSPResult) (*engi
 
 	ws.resetBuckets(res.Root)
 	cc := &ws.chaos
-	*cc = chaosCall{dist: dist, parent: res.Parent, relax: inst.trav.Counter(inst.m, 0)}
+	*cc = chaosCall{dist: dist, parent: res.Parent, relax: inst.trav.Counter(inst.m, 0), rows: inst.trav.RowBufs(inst.m)}
 	// Per-chunk bucket-update queues replace the mutex-guarded merge
 	// the relaxation passes used before: chunks collect their re-adds
 	// and later-bucket insertions locally and the queues concatenate
@@ -100,8 +102,6 @@ func (inst *Instance) ssspChaotic(ws *workspace, res *engines.SSSPResult) (*engi
 	// racy: this is the suite's chaotic CAS relaxation by design).
 	reAddQ, reAddBuf := &ws.reAddQ, &ws.reAddBuf
 	laterQ, laterBuf := &ws.laterQ, &ws.laterBuf
-	// Sizes ws.rows, one per worker, for the pass bodies.
-	ws.rowBufs(inst.m.Workers())
 	const grain = 32 // GrainFixed base; adaptive resolves per pass
 
 	for ws.bucket = 0; ws.bucket < len(ws.buckets); ws.bucket++ {
@@ -179,7 +179,7 @@ func (inst *Instance) lightChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 		if inst.bucketOf(dv) > bi { // stale entry
 			continue
 		}
-		adj, wts := inst.out.WeightedRowBuf(v, &ws.rows[worker])
+		adj, wts := inst.out.WeightedRowBuf(v, &cc.rows[worker])
 		for i, u := range adj {
 			wt := float64(wts[i])
 			if wt > delta {
@@ -217,7 +217,7 @@ func (inst *Instance) heavyChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 	var edges, wins int64
 	for _, v := range cc.frontier[lo:hi] {
 		dv := cc.load(v)
-		adj, wts := inst.out.WeightedRowBuf(v, &ws.rows[worker])
+		adj, wts := inst.out.WeightedRowBuf(v, &cc.rows[worker])
 		for i, u := range adj {
 			wt := float64(wts[i])
 			if wt <= delta {

@@ -11,16 +11,17 @@ import (
 // both delta-stepping variants' buckets, the chaotic variant's CAS
 // distances and queues, PageRank's vectors, IncrementalWCC's repair —
 // kept on the Instance, beside the shared steps' traverse.State (which
-// also lends the per-worker counters and the bottom-up bitmaps), so
-// that a warm kernel allocates its result and nothing else that scales
-// with n or m: the paper's method is one resident graph searched again
-// and again, and epgd turns that into traffic. An Instance is
-// single-caller (its Machine is not concurrent-safe), so one workspace
-// per Instance needs no locking and no pooling; every piece is sized
-// from (inst.n, Workers()) where it is used, so a Mutate epoch swap or
-// a SetWorkers needs no invalidation hook; and every kernel initializes
-// what it reads on entry, so a call abandoned mid-flight (a cancelled
-// query, a recovered panic) leaves nothing the next one trusts.
+// also lends the per-worker counters and row buffers and the bottom-up
+// bitmaps), so that a warm kernel allocates its result and nothing else
+// that scales with n or m: the paper's method is one resident graph
+// searched again and again, and epgd turns that into traffic. An
+// Instance is single-caller (its Machine is not concurrent-safe), so
+// one workspace per Instance needs no locking and no pooling; every
+// piece is sized from (inst.n, Workers()) where it is used, so a Mutate
+// epoch swap or a SetWorkers needs no invalidation hook; and every
+// kernel initializes what it reads on entry, so a call abandoned
+// mid-flight (a cancelled query, a recovered panic) leaves nothing the
+// next one trusts.
 //
 // Retention rule: n-sized arrays are kept once each, and the per-chunk
 // outputs of a region are Kept in a parallel.Slab, so what stays
@@ -43,10 +44,9 @@ type workspace struct {
 	reAddBuf parallel.Slab[graph.VID]
 	laterQ   parallel.ChunkQueue[[2]int64] // (bucket, vertex)
 	laterBuf parallel.Slab[[2]int64]
-	// rows holds one buffer per worker for the rows an epoch stores as
-	// deltas (graph.RowBuf); row is the serial maintainers' one.
-	rows []graph.RowBuf
-	row  graph.RowBuf
+	// row is the serial maintainers' buffer for the rows an epoch stores
+	// as deltas (graph.RowBuf); the parallel bodies borrow traverse.State's.
+	row graph.RowBuf
 
 	// PageRank: the rank vector the last call did not hand out, the
 	// rank/degree contributions and the out-degrees of the epoch.
@@ -102,14 +102,6 @@ func (inst *Instance) steps() *workspace {
 		ws.ccJumpFn = inst.ccJumpChunk
 	}
 	return ws
-}
-
-// rowBufs returns one row buffer per worker of workers.
-func (ws *workspace) rowBufs(workers int) []graph.RowBuf {
-	if len(ws.rows) != workers {
-		ws.rows = make([]graph.RowBuf, workers)
-	}
-	return ws.rows
 }
 
 // resetBuckets empties every retained bucket (an abandoned run leaves

@@ -121,7 +121,7 @@ type State struct {
 	edges   *parallel.Counter
 	spare   [3]*parallel.Counter // Counter's: for the regions an engine runs itself
 	bits    [2]*parallel.Bitmap  // Bitmaps'
-	rowBufs []graph.RowBuf       // per-worker Rows and WeightedRows scratch
+	rowBufs []graph.RowBuf       // per-worker Rows and WeightedRows scratch (RowBufs')
 	chunks  []Chunk              // per-worker Sweep accumulators
 	tallies []Tally              // per-worker label histograms (Tallies)
 	parts   []float64            // per-chunk sums of the last Sweep
@@ -217,6 +217,14 @@ func (s *State) Counter(m *simmachine.Machine, i int) *parallel.Counter {
 	s.size(m)
 	s.spare[i].Reset()
 	return s.spare[i]
+}
+
+// RowBufs returns one row buffer per worker of m, for a region the
+// engine runs itself. They are the steps' own, free between steps, and
+// stay valid until m's worker count changes.
+func (s *State) RowBufs(m *simmachine.Machine) []graph.RowBuf {
+	s.size(m)
+	return s.rowBufs
 }
 
 // Bitmaps returns two empty bitmaps over [0,n): the dense frontier and
