@@ -11,6 +11,7 @@ import (
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/engines/graph500"
 	"github.com/hpcl-repro/epg/internal/engines/graphbig"
+	"github.com/hpcl-repro/epg/internal/engines/graphmat"
 	"github.com/hpcl-repro/epg/internal/engines/powergraph"
 	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
@@ -159,11 +160,12 @@ func resultBytes(newResult func() any) uint64 {
 
 // Warm BFSInto and SSSPInto, synchronous and chaotic, allocate nothing
 // at all at two workers, and a warm PageRank and WCC — and PowerGraph's
-// SSSP, PageRank and WCC, whose gather and apply bodies are bound the
-// same way — nothing beyond the result they hand out: the results are the caller's, the
-// working set is the instance's, every region's bookkeeping is the
-// machine's, its body is bound to the instance once, and the hand-off to
-// the pool is the pool's reusable region record.
+// SSSP, PageRank and WCC and GraphBIG's and GraphMat's PageRank, whose
+// bodies are bound the same way — nothing beyond the result they hand
+// out: the results are the caller's, the working set is the instance's,
+// every region's bookkeeping is the machine's, its body is bound to the
+// instance once, and the hand-off to the pool is the pool's reusable
+// region record.
 func TestWarmTraversalAllocationBound(t *testing.T) {
 	el := kron(12, 5)
 	warm := func(sync bool) *Instance {
@@ -248,6 +250,25 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 	if perPG != pgSSSP || perPGPR != pr || perPGWCC != wcc {
 		t.Fatalf("warm PowerGraph SSSP allocates %d B beyond its result, PageRank %d B, WCC %d B; want 0, 0 and 0",
 			int64(perPG-pgSSSP), int64(perPGPR-pr), int64(perPGWCC-wcc))
+	}
+
+	for _, d := range []*engines.Decl{&graphbig.Decl, &graphmat.Decl} {
+		om := machine(8)
+		om.SetTracing(false)
+		om.SetWorkers(2)
+		other, err := (&engines.Engine{Decl: d}).Load(el, om)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := alloctest.BytesPerRun(4, func() {
+			if _, err := other.PageRank(engines.DefaultPROpts()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("warm %s PageRank %d B/call (result %d B)", d.Name, per, pr)
+		if per != pr {
+			t.Fatalf("warm %s PageRank allocates %d B beyond its result; want 0", d.Name, int64(per-pr))
+		}
 	}
 }
 

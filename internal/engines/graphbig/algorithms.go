@@ -25,54 +25,26 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	}
 	inv := float32(1.0 / float64(n))
 	inst.rank[0], inst.rank[1] = traverse.Resized(inst.rank[0], n), traverse.Resized(inst.rank[1], n)
-	rank, next := inst.rank[0], inst.rank[1]
-	for i := range rank {
-		rank[i] = inv
+	ws := inst.steps()
+	pr := &ws.pr
+	*pr = prCall{rank: inst.rank[0], next: inst.rank[1], in: inst.inRows(), damping: float32(opts.Damping)}
+	if pr.in == nil {
+		pr.in = &inst.vertices // undirected: out is the in-adjacency too
+	}
+	for i := range pr.rank {
+		pr.rank[i] = inv
 	}
 	res := &engines.PRResult{}
 	m, tr := inst.m, &inst.trav
-	in := inst.inRows()
-	if in == nil {
-		in = inst.vertices // undirected: out is the in-adjacency too
-	}
 	gRed := m.Grain(n, 4096, 1)
 	gGather := m.Grain(n, 512, 1)
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		// Dangling mass (float64 reduction of float32 properties,
-		// folded in chunk order for determinism).
-		dangling, _ := tr.Sweep(m, n, gRed, &prDangling, func(c *traverse.Chunk, lo, hi int) {
-			local := 0.0
-			for v := lo; v < hi; v++ {
-				if len(inst.vertices[v].out) == 0 {
-					local += float64(rank[v])
-				}
-			}
-			c.Sum = local
-		})
-		base := float32((1-opts.Damping)/float64(n) + opts.Damping*dangling/float64(n))
+		dangling, _ := tr.Sweep(m, n, gRed, &prDangling, ws.prDanglingFn)
+		pr.base = float32((1-opts.Damping)/float64(n) + opts.Damping*dangling/float64(n))
+		tr.Sweep(m, n, gGather, &prGather, ws.prGatherFn)
+		l1, _ := tr.Sweep(m, n, gRed, &prL1, ws.prL1Fn)
 
-		// Gather phase: fold in-neighbor shares in float32, per-vertex
-		// property updates under System G's per-edge lock cost.
-		tr.Sweep(m, n, gGather, &prGather, func(c *traverse.Chunk, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				var sum float32
-				for _, u := range c.Row(in, v) {
-					sum += rank[u] / float32(len(inst.vertices[u].out))
-				}
-				next[v] = base + float32(opts.Damping)*sum
-			}
-		})
-
-		// L1 over float32 properties, accumulated in float64.
-		l1, _ := tr.Sweep(m, n, gRed, &prL1, func(c *traverse.Chunk, lo, hi int) {
-			local := 0.0
-			for v := lo; v < hi; v++ {
-				local += math.Abs(float64(next[v]) - float64(rank[v]))
-			}
-			c.Sum = local
-		})
-
-		rank, next = next, rank
+		pr.rank, pr.next = pr.next, pr.rank
 		res.Iterations = iter
 		if l1 < opts.Epsilon {
 			break
@@ -80,9 +52,58 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	}
 	res.Rank = make([]float64, n)
 	for v := 0; v < n; v++ {
-		res.Rank[v] = float64(rank[v])
+		res.Rank[v] = float64(pr.rank[v])
 	}
+	*pr = prCall{}
 	return res, nil
+}
+
+// prCall is what a PageRank iteration's bodies read: the rank property
+// and its successor, the in-adjacency and the constants of the gather.
+type prCall struct {
+	rank, next    []float32
+	in            traverse.Rows
+	base, damping float32
+}
+
+// prDanglingChunk is one chunk of the dangling mass: a float64
+// reduction of float32 properties, folded in chunk order for
+// determinism.
+func (inst *Instance) prDanglingChunk(c *traverse.Chunk, lo, hi int) {
+	rank := inst.pr.rank
+	local := 0.0
+	for v := lo; v < hi; v++ {
+		if len(inst.vertices[v].out) == 0 {
+			local += float64(rank[v])
+		}
+	}
+	c.Sum = local
+}
+
+// prGatherChunk is one chunk of the gather phase: it folds in-neighbor
+// shares in float32, per-vertex property updates under System G's
+// per-edge lock cost.
+func (inst *Instance) prGatherChunk(c *traverse.Chunk, lo, hi int) {
+	pr := &inst.pr
+	rank, next := pr.rank, pr.next
+	for v := lo; v < hi; v++ {
+		var sum float32
+		for _, u := range c.Row(pr.in, v) {
+			sum += rank[u] / float32(len(inst.vertices[u].out))
+		}
+		next[v] = pr.base + pr.damping*sum
+	}
+}
+
+// prL1Chunk is one chunk of the L1 change over float32 properties,
+// accumulated in float64.
+func (inst *Instance) prL1Chunk(c *traverse.Chunk, lo, hi int) {
+	rank, next := inst.pr.rank, inst.pr.next
+	local := 0.0
+	for v := lo; v < hi; v++ {
+		local += math.Abs(float64(next[v]) - float64(rank[v]))
+	}
+	c.Sum = local
 }
 
 // CDLP implements engines.Instance: synchronous label propagation

@@ -119,6 +119,22 @@ type scratch struct {
 	pushed     parallel.Slab[graph.VID]   // chaotic SSSP: a chunk's pushes
 	rank       [2][]float32               // PageRank's single-precision properties
 	spare      []graph.VID                // the CDLP or WCC label array not handed out
+
+	// PageRank's three sweeps, bound to the Instance once (steps), and
+	// what an iteration's read, so that an iteration builds no closure.
+	owner                            *Instance
+	prDanglingFn, prGatherFn, prL1Fn func(c *traverse.Chunk, lo, hi int)
+	pr                               prCall
+}
+
+// steps binds the bodies to inst — once, and again if the Instance was
+// copied — and returns the scratch that holds them.
+func (inst *Instance) steps() *scratch {
+	if inst.owner != inst {
+		inst.owner = inst
+		inst.prDanglingFn, inst.prGatherFn, inst.prL1Fn = inst.prDanglingChunk, inst.prGatherChunk, inst.prL1Chunk
+	}
+	return &inst.scratch
 }
 
 type propertyKind struct{}
@@ -161,12 +177,13 @@ func (inst *Instance) BuildStructure() {
 }
 
 // inRows is the second row source of a sweep over both directions: the
-// in-adjacency of a directed graph, nothing when out is symmetric.
+// in-adjacency of a directed graph, nothing when out is symmetric. It
+// points at the table, so that making it allocates nothing.
 func (inst *Instance) inRows() traverse.Rows {
 	if !inst.directed {
 		return nil
 	}
-	return inProps(inst.vertices)
+	return (*inProps)(&inst.vertices)
 }
 
 // BFS implements engines.Instance: plain level-synchronous traversal

@@ -91,6 +91,26 @@ type Instance struct {
 type scratch struct {
 	vec   [3][]float32 // SSSP's cur/nxt; PageRank's rank/next/contrib
 	spare []graph.VID  // the CDLP / WCC label array not handed out
+
+	// The SpMV adapter and PageRank's bodies, bound to the Instance once
+	// (steps), and what the current call's bodies read, so that an
+	// iteration builds no closure.
+	owner                         *Instance
+	spmvFn, prContribFn, prNormFn func(c *traverse.Chunk, lo, hi int)
+	prGatherFn                    func(c *traverse.Chunk, rows []graph.VID)
+	sp                            spmvCall
+	pr                            prCall
+}
+
+// steps binds the bodies to inst — once, and again if the Instance was
+// copied — and returns the scratch that holds them.
+func (inst *Instance) steps() *scratch {
+	if inst.owner != inst {
+		inst.owner = inst
+		inst.spmvFn = inst.spmvChunk
+		inst.prContribFn, inst.prGatherFn, inst.prNormFn = inst.prContribChunk, inst.prGatherRows, inst.prNormChunk
+	}
+	return &inst.scratch
 }
 
 // Bind implements engines.Instance. The stored-row lists are the

@@ -17,9 +17,22 @@ import (
 // frontier. Each row writes only row-owned state, so the sweeps are
 // deterministic.
 func (inst *Instance) spmv(rows []graph.VID, body func(c *traverse.Chunk, rows []graph.VID)) (sum float64, changed int64) {
-	return inst.trav.Sweep(inst.m, len(rows), inst.m.Grain(len(rows), 256, 1), &spmvPass, func(c *traverse.Chunk, lo, hi int) {
-		body(c, rows[lo:hi])
-	})
+	ws := inst.steps()
+	ws.sp = spmvCall{rows: rows, body: body}
+	sum, changed = inst.trav.Sweep(inst.m, len(rows), inst.m.Grain(len(rows), 256, 1), &spmvPass, ws.spmvFn)
+	ws.sp = spmvCall{}
+	return sum, changed
+}
+
+// spmvCall is what one SpMV's chunks read.
+type spmvCall struct {
+	rows []graph.VID
+	body func(c *traverse.Chunk, rows []graph.VID)
+}
+
+// spmvChunk hands one chunk's slice of the stored rows to the body.
+func (inst *Instance) spmvChunk(c *traverse.Chunk, lo, hi int) {
+	inst.sp.body(c, inst.sp.rows[lo:hi])
 }
 
 // denseSweep charges one pass over a length-n dense vector.
@@ -172,10 +185,12 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	for i := range inst.vec {
 		inst.vec[i] = traverse.Resized(inst.vec[i], n)
 	}
-	rank, next, contrib := inst.vec[0], inst.vec[1], inst.vec[2]
+	ws := inst.steps()
+	pr := &ws.pr
+	*pr = prCall{rank: inst.vec[0], next: inst.vec[1], contrib: inst.vec[2], damping: float32(opts.Damping)}
 	inv := float32(1.0 / float64(n))
-	for i := range rank {
-		rank[i] = inv
+	for i := range pr.rank {
+		pr.rank[i] = inv
 	}
 	res := &engines.PRResult{}
 	// GraphMat iterates beyond where L1-stopping engines halt; give
@@ -184,69 +199,25 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	gRed := inst.m.Grain(n, 4096, 1)
 	gNorm := inst.m.Grain(n, 8192, 1)
 	for iter := 1; iter <= maxIter; iter++ {
-		dangling, _ := inst.trav.Sweep(inst.m, n, gRed, &vecPass, func(c *traverse.Chunk, lo, hi int) {
-			local := 0.0
-			for v := lo; v < hi; v++ {
-				d := inst.out.Degree(graph.VID(v))
-				if d == 0 {
-					local += float64(rank[v])
-					contrib[v] = 0
-					continue
-				}
-				contrib[v] = rank[v] / float32(d)
-			}
-			c.Sum = local
-		})
-		base := float32((1-opts.Damping)/float64(n) + opts.Damping*dangling/float64(n))
+		dangling, _ := inst.trav.Sweep(inst.m, n, gRed, &vecPass, ws.prContribFn)
+		pr.base = float32((1-opts.Damping)/float64(n) + opts.Damping*dangling/float64(n))
 
-		for i := range next {
-			next[i] = base
+		for i := range pr.next {
+			pr.next[i] = pr.base
 		}
-		inst.spmv(inst.inRows, func(c *traverse.Chunk, rows []graph.VID) {
-			var nz int64
-			for _, v := range rows {
-				adj := c.Row(inst.in, int(v))
-				var sum float32
-				for _, u := range adj {
-					sum += contrib[u]
-				}
-				nz += int64(len(adj))
-				next[v] = base + float32(opts.Damping)*sum
-			}
-			c.Work = nz
-		})
+		inst.spmv(inst.inRows, ws.prGatherFn)
 		// "No vertex changes rank": the paper notes GraphMat's stop
 		// is effectively an ∞-norm below machine epsilon. Single
 		// precision sustains sub-epsilon limit cycles forever, so
 		// the faithful terminating form is ‖Δ‖∞ < ε₃₂·‖rank‖∞ with
 		// ε₃₂ = 2⁻²³ ≈ 1.19e-7 — far stricter than the L1 criterion
 		// of the other systems, hence the extra iterations in Fig. 4.
-		var maxDeltaBits, maxRankBits uint64
-		inst.trav.Sweep(inst.m, n, gNorm, &vecPass, func(_ *traverse.Chunk, lo, hi int) {
-			var localDelta, localRank float32
-			for v := lo; v < hi; v++ {
-				d := next[v] - rank[v]
-				if d < 0 {
-					d = -d
-				}
-				if d > localDelta {
-					localDelta = d
-				}
-				r := next[v]
-				if r < 0 {
-					r = -r
-				}
-				if r > localRank {
-					localRank = r
-				}
-			}
-			atomicMaxFloat64(&maxDeltaBits, float64(localDelta))
-			atomicMaxFloat64(&maxRankBits, float64(localRank))
-		})
-		maxDelta := math.Float64frombits(atomic.LoadUint64(&maxDeltaBits))
-		maxRank := math.Float64frombits(atomic.LoadUint64(&maxRankBits))
+		pr.maxDeltaBits, pr.maxRankBits = 0, 0
+		inst.trav.Sweep(inst.m, n, gNorm, &vecPass, ws.prNormFn)
+		maxDelta := math.Float64frombits(atomic.LoadUint64(&pr.maxDeltaBits))
+		maxRank := math.Float64frombits(atomic.LoadUint64(&pr.maxRankBits))
 
-		rank, next = next, rank
+		pr.rank, pr.next = pr.next, pr.rank
 		res.Iterations = iter
 		if maxDelta <= 1.1920929e-7*maxRank {
 			break
@@ -254,9 +225,80 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	}
 	res.Rank = make([]float64, n)
 	for v := 0; v < n; v++ {
-		res.Rank[v] = float64(rank[v])
+		res.Rank[v] = float64(pr.rank[v])
 	}
+	*pr = prCall{}
 	return res, nil
+}
+
+// prCall is what a PageRank iteration's bodies read: the rank vector,
+// its successor and the contributions, the constants of the gather and
+// the ∞-norms the test folds.
+type prCall struct {
+	rank, next, contrib       []float32
+	base, damping             float32
+	maxDeltaBits, maxRankBits uint64
+}
+
+// prContribChunk is one chunk of the contribution pass: its share of
+// the dangling mass, and rank/degree for every other vertex.
+func (inst *Instance) prContribChunk(c *traverse.Chunk, lo, hi int) {
+	rank, contrib := inst.pr.rank, inst.pr.contrib
+	local := 0.0
+	for v := lo; v < hi; v++ {
+		d := inst.out.Degree(graph.VID(v))
+		if d == 0 {
+			local += float64(rank[v])
+			contrib[v] = 0
+			continue
+		}
+		contrib[v] = rank[v] / float32(d)
+	}
+	c.Sum = local
+}
+
+// prGatherRows is the SpMV body: each stored row's new rank from its
+// in-neighbors' contributions.
+func (inst *Instance) prGatherRows(c *traverse.Chunk, rows []graph.VID) {
+	pr := &inst.pr
+	contrib, next := pr.contrib, pr.next
+	var nz int64
+	for _, v := range rows {
+		adj := c.Row(inst.in, int(v))
+		var sum float32
+		for _, u := range adj {
+			sum += contrib[u]
+		}
+		nz += int64(len(adj))
+		next[v] = pr.base + pr.damping*sum
+	}
+	c.Work = nz
+}
+
+// prNormChunk is one chunk of the stopping test: the largest rank
+// change and the largest rank, raised into the call's ∞-norms.
+func (inst *Instance) prNormChunk(_ *traverse.Chunk, lo, hi int) {
+	pr := &inst.pr
+	rank, next := pr.rank, pr.next
+	var localDelta, localRank float32
+	for v := lo; v < hi; v++ {
+		d := next[v] - rank[v]
+		if d < 0 {
+			d = -d
+		}
+		if d > localDelta {
+			localDelta = d
+		}
+		r := next[v]
+		if r < 0 {
+			r = -r
+		}
+		if r > localRank {
+			localRank = r
+		}
+	}
+	atomicMaxFloat64(&pr.maxDeltaBits, float64(localDelta))
+	atomicMaxFloat64(&pr.maxRankBits, float64(localRank))
 }
 
 // atomicMaxFloat64 raises the non-negative float64 stored in bits to
