@@ -233,7 +233,9 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 
 // prCall is what a PageRank iteration's bodies read: the rank vector,
 // its successor and the contributions, the constants of the gather and
-// the ∞-norms the test folds.
+// the ∞-norms the test folds. The norms are float64 bits raised through
+// sync/atomic's functions rather than atomic.Uint64s, so that the
+// scratch holding them may be copied on every Bind.
 type prCall struct {
 	rank, next, contrib       []float32
 	base, damping             float32

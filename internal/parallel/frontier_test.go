@@ -288,7 +288,7 @@ func TestSlabKeepIndependentOfShares(t *testing.T) {
 		}
 	}
 	// Two regions with every chunk on worker 0: the first spills, and
-	// chunk 1 regrows worker 0's scratch under chunk 0's copy; the
+	// chunk 1 regrows the scratch chunk 0's copy was taken from; the
 	// second runs in the slab that Reset sized.
 	check(region(func(int) int { return 0 }))
 	check(region(func(int) int { return 0 }))
