@@ -55,6 +55,7 @@ func Retained(release func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var held, freed runtime.MemStats
 	runtime.GC()
+	runtime.GC() // a sync.Pool's objects outlive one GC as its victims
 	runtime.ReadMemStats(&held)
 	release()
 	runtime.GC()

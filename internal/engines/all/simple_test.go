@@ -14,10 +14,12 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/hpcl-repro/epg/internal/alloctest"
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/kronecker"
 	"github.com/hpcl-repro/epg/internal/simmachine"
+	"github.com/hpcl-repro/epg/internal/verify"
 )
 
 // sharedGraphs is a weighted Kronecker graph loaded both ways, so the
@@ -294,5 +296,156 @@ func TestLoadSimpleEqualsLoad(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// retained is what dropping *v keeps alive (alloctest.Retained).
+func retained[T any](v *T) uint64 {
+	return alloctest.Retained(func() {
+		var zero T
+		*v = zero
+	})
+}
+
+// TestLoadSharesOneGraph: every Engine.Load of one edge list reads one
+// graph, graph's memo (graph.HomogenizeShared), as the Instance contract
+// says, and nothing else shares it.
+//   - A second load of an unedited kron-12 list, built and after one
+//     warm kernel, keeps alive what a LoadSimple on the graph the first
+//     load read does, within 1 %: a load that homogenizes a graph of its
+//     own keeps that graph too (1.09 MB, where an instance keeps 5 to
+//     200 KB) and what it derived from it. It logs each load's
+//     footprint: what the instance keeps beyond the shared graph, and
+//     that plus the structures it derives from the graph, per input
+//     edge.
+//   - An edge edited in place between two loads reaches the second: its
+//     SSSP is that of a LoadSimple on a fresh graph.Homogenize of the
+//     edited list.
+//   - The reference oracle's graph (verify.Prepare) is its own, so
+//     nothing an engine under test writes can reach it.
+func TestLoadSharesOneGraph(t *testing.T) {
+	el := kronecker.Generate(kronecker.Params{Scale: 12, Seed: 5})
+	edges := float64(len(el.Edges))
+	p := verify.Prepare(el)
+	root := roots(p, 1)[0]
+	// kernel runs the first of BFS and PageRank the engine has, both
+	// sized by the graph alone, so two instances' scratch is alike.
+	kernel := func(eng *engines.Engine, inst engines.Instance) {
+		alg := engines.BFS
+		if !eng.Has(alg) {
+			alg = engines.PageRank
+		}
+		if _, err := engines.RunAlgorithm(inst, alg, root); err != nil {
+			t.Fatalf("%s %s: %v", eng.Name, alg, err)
+		}
+	}
+	// One worker: a BFS's claim queue grows with the race for each
+	// parent, so at more its scratch differs from run to run.
+	machine := func() *simmachine.Machine {
+		m := newMachine()
+		m.SetTracing(false) // a trace grows by design
+		m.SetWorkers(1)
+		return m
+	}
+	fresh, err := graph.Homogenize(el)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := alloctest.Retained(func() { fresh.Out, fresh.In = nil, nil })
+	t.Logf("the shared graph: %d B (%.2f B/edge) for %d input edges", bare, float64(bare)/edges, len(el.Edges))
+	for _, l := range sharedLoads {
+		name := l.engine
+		if l.compress {
+			name += " compressed"
+		}
+		eng, err := New(l.engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines.Configure(eng, engines.Options{Compress: l.compress})
+		load := func() engines.Instance {
+			inst, err := eng.Load(el, machine())
+			if err != nil {
+				t.Fatalf("%s load: %v", name, err)
+			}
+			inst.BuildStructure()
+			kernel(eng, inst)
+			return inst
+		}
+		load()
+		second := load()
+		g, err := graph.HomogenizeShared(el)
+		if err != nil {
+			t.Fatal(err)
+		}
+		simple := eng.LoadSimple(g, machine())
+		simple.BuildStructure()
+		kernel(eng, simple)
+		got, want := retained(&second), retained(&simple)
+
+		own, err := graph.Homogenize(el)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone := eng.LoadSimple(own, machine())
+		alone.BuildStructure()
+		kernel(eng, alone)
+		both := []any{own, alone}
+		derived := int64(retained(&both)) - int64(bare)
+		t.Logf("%-20s keeps %7d B beyond the shared graph (%5.2f B/edge), %8d B with what it derives from the graph (%5.2f B/edge)",
+			name, got, float64(got)/edges, derived, float64(derived)/edges)
+		if diff := math.Abs(float64(got) - float64(want)); diff > 0.01*float64(want) {
+			t.Errorf("%s: a second Load keeps %d B alive, a LoadSimple on the first Load's graph %d B; want them within 1 %%", name, got, want)
+		}
+	}
+
+	for _, l := range sharedLoads {
+		eng, _ := New(l.engine)
+		if !eng.Has(engines.SSSP) || l.compress {
+			continue
+		}
+		engines.Configure(eng, engines.Options{SyncSSSP: true})
+		cp := *el
+		cp.Edges = slices.Clone(el.Edges)
+		sssp := func(inst engines.Instance) any {
+			inst.BuildStructure()
+			out, err := engines.RunAlgorithm(inst, engines.SSSP, root)
+			if err != nil {
+				t.Fatalf("%s SSSP: %v", l.engine, err)
+			}
+			return out
+		}
+		load := func() engines.Instance {
+			inst, err := eng.Load(&cp, newMachine())
+			if err != nil {
+				t.Fatalf("%s load: %v", l.engine, err)
+			}
+			return inst
+		}
+		before := sssp(load())
+		// An edge at the root made the lightest of its parallel edges:
+		// the root's neighbor moves closer.
+		at := slices.IndexFunc(cp.Edges, func(e graph.Edge) bool { return e.Src == root && e.Dst != root })
+		cp.Edges[at].W = 1e-6
+		got := sssp(load())
+		edited, err := graph.Homogenize(&cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sssp(eng.LoadSimple(edited, newMachine()))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: after an edit in place, Load's SSSP differs from a fresh graph's", l.engine)
+		}
+		if reflect.DeepEqual(got, before) {
+			t.Errorf("%s: the edit in place moved no SSSP distance", l.engine)
+		}
+	}
+
+	g, err := graph.HomogenizeShared(el)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := verify.Prepare(el); p == g || p.Out == g.Out || &p.Out.Adj[0] == &g.Out.Adj[0] {
+		t.Error("verify.Prepare returned the graph every engine load shares")
 	}
 }

@@ -98,10 +98,12 @@ func (e *Engine) LoadSimple(g *graph.Simple, m *simmachine.Machine) Instance {
 	return inst
 }
 
-// Load is LoadSimple on a graph homogenized from el for this instance
-// alone.
+// Load is LoadSimple on el's graph, shared per edge list
+// (graph.HomogenizeShared): every instance loaded from one list, while
+// the list is unedited, aliases one graph and what the engines derived
+// from it.
 func (e *Engine) Load(el *graph.EdgeList, m *simmachine.Machine) (Instance, error) {
-	g, err := graph.Homogenize(el)
+	g, err := graph.HomogenizeShared(el)
 	if err != nil {
 		return nil, err
 	}

@@ -126,11 +126,12 @@ type Instance interface {
 	// nothing. It drops all that came from the graph before (a mutated
 	// epoch, baselines, derived structure) and keeps the scratch: results
 	// are a new instance's, bit for bit. g is shared between every
-	// instance of a run and read-only: an instance aliases its arrays and
-	// never writes to them, takes what it derives from g through
-	// graph.Derive (built once per graph, whoever is charged for it), and
-	// keeps no reference to g itself. Bind(nil, nil, Options{}) leaves
-	// the scratch alone.
+	// instance loaded from one edge list (graph.HomogenizeShared: every
+	// instance of a run, every Engine.Load of the list) and read-only:
+	// an instance aliases its arrays and never writes to them, takes
+	// what it derives from g through graph.Derive (built once per graph,
+	// whoever is charged for it), and keeps no reference to g itself.
+	// Bind(nil, nil, Options{}) leaves the scratch alone.
 	Bind(g *graph.Simple, m *simmachine.Machine, o Options)
 	// BuildStructure charges the construction of the bound graph's
 	// structure, once per Bind: the separately-timed phase, or for an

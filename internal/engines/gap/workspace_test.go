@@ -236,6 +236,7 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 		i++
 	})
 	pgSSSP := resultBytes(func() any { return traverse.StartSSSP(nil, 0, n) })
+	bfsResult := resultBytes(func() any { return traverse.StartBFS(nil, 0, n) })
 	perPGPR := alloctest.BytesPerRun(4, func() {
 		if _, err := pg.PageRank(engines.DefaultPROpts()); err != nil {
 			t.Fatal(err)
@@ -265,9 +266,28 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("warm %s PageRank %d B/call (result %d B)", d.Name, per, pr)
-		if per != pr {
-			t.Fatalf("warm %s PageRank allocates %d B beyond its result; want 0", d.Name, int64(per-pr))
+		perBFS := alloctest.BytesPerRun(2*len(roots), func() {
+			if _, err := other.BFS(roots[i%len(roots)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		// GraphBIG's SSSP is chaotic by default: see perChaotic above.
+		ssspOf := alloctest.BytesPerRun
+		if d == &graphbig.Decl {
+			ssspOf = func(calls int, f func()) uint64 { return alloctest.FewestBytes(2*calls, f) }
+		}
+		perSSSP := ssspOf(2*len(roots), func() {
+			if _, err := other.SSSP(roots[i%len(roots)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		t.Logf("warm %s PageRank %d B/call (result %d B), BFS %d B/call (result %d B), SSSP %d B/call (result %d B)",
+			d.Name, per, pr, perBFS, bfsResult, perSSSP, pgSSSP)
+		if per != pr || perBFS != bfsResult || perSSSP != pgSSSP {
+			t.Fatalf("warm %s PageRank allocates %d B beyond its result, BFS %d B, SSSP %d B; want 0, 0 and 0",
+				d.Name, int64(per-pr), int64(perBFS-bfsResult), int64(perSSSP-pgSSSP))
 		}
 	}
 }

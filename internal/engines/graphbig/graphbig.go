@@ -120,11 +120,14 @@ type scratch struct {
 	rank       [2][]float32               // PageRank's single-precision properties
 	spare      []graph.VID                // the CDLP or WCC label array not handed out
 
-	// PageRank's three sweeps, bound to the Instance once (steps), and
-	// what an iteration's read, so that an iteration builds no closure.
+	// PageRank's three sweeps and the chaotic SSSP's relaxation, bound to
+	// the Instance once (steps), and what the current call's bodies
+	// read, so that an iteration or a pass builds no closure.
 	owner                            *Instance
 	prDanglingFn, prGatherFn, prL1Fn func(c *traverse.Chunk, lo, hi int)
+	ssspRelaxFn                      func(lo, hi, chunk, worker int, w *simmachine.W)
 	pr                               prCall
+	sp                               ssspCall
 }
 
 // steps binds the bodies to inst — once, and again if the Instance was
@@ -133,6 +136,7 @@ func (inst *Instance) steps() *scratch {
 	if inst.owner != inst {
 		inst.owner = inst
 		inst.prDanglingFn, inst.prGatherFn, inst.prL1Fn = inst.prDanglingChunk, inst.prGatherChunk, inst.prL1Chunk
+		inst.ssspRelaxFn = inst.ssspRelaxChunk
 	}
 	return &inst.scratch
 }
@@ -190,7 +194,9 @@ func (inst *Instance) inRows() traverse.Rows {
 // with per-vertex visited atomics — the shared step under the levelBFS
 // profile.
 func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
-	return inst.trav.BFS(inst.m, inst.vertices, &levelBFS, "graphbig: BFS", inst.n, root)
+	// The rows point at the table, as inRows does, so that passing them
+	// allocates nothing.
+	return inst.trav.BFS(inst.m, &inst.vertices, &levelBFS, "graphbig: BFS", inst.n, root)
 }
 
 // SSSP implements engines.Instance: frontier-driven Bellman-Ford
@@ -217,50 +223,64 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 	if inst.queue == nil || inst.queue.Cap() < n {
 		inst.queue = parallel.NewQueue[graph.VID](n)
 	}
-	queue, pushed := inst.queue, &inst.pushed
-	active := append(inst.active[:0], root)
-	relax := inst.trav.Counter(inst.m, 0)
-	for len(active) > 0 {
-		queue.Reset()
-		pushed.Reset(inst.m.Workers())
-		inst.m.ParallelForChunks(len(active), inst.m.Grain(len(active), 32, 1), simmachine.Dynamic, func(lo, hi, chunk, worker int, w *simmachine.W) {
-			local := pushed.Take(worker)
-			var edges int64
-			for _, v := range active[lo:hi] {
-				atomic.StoreInt32(&inActive[v], 0)
-				dv := math.Float64frombits(atomic.LoadUint64(&dist[v]))
-				vp := &inst.vertices[v]
-				for i, u := range vp.out {
-					edges++
-					nd := dv + float64(vp.w[i])
-					if parallel.WriteMinFloat64Bits(&dist[u], nd) {
-						atomic.StoreInt64(&res.Parent[u], int64(v))
-						// The inActive guard bounds the queue: each
-						// vertex enters the next frontier once per pass.
-						if atomic.CompareAndSwapInt32(&inActive[u], 0, 1) {
-							local = append(local, u)
-						}
-					}
-				}
-			}
-			queue.PushBatch(local)
-			// The queue holds the items; Keep's copy is dropped, and
-			// the call only sizes every worker's scratch by the
-			// largest chunk, whichever worker ran it.
-			pushed.Keep(worker, local)
-			relax.Add(worker, edges)
-			w.Charge(costSSSPEdge.Scale(float64(edges)))
-			w.Charge(costPropTouch.Scale(float64(hi - lo)))
-		})
+	ws := inst.steps()
+	sp := &ws.sp
+	*sp = ssspCall{res: res, relax: inst.trav.Counter(inst.m, 0)}
+	inst.active = append(inst.active[:0], root)
+	for len(inst.active) > 0 {
+		inst.queue.Reset()
+		inst.pushed.Reset(inst.m.Workers())
+		inst.m.ParallelForChunks(len(inst.active), inst.m.Grain(len(inst.active), 32, 1), simmachine.Dynamic, ws.ssspRelaxFn)
 		// Chaotic relaxation: the active-set composition is
 		// schedule-dependent by design (System G's character); the
 		// fixed-point distances are not.
-		active = append(active[:0], queue.Slice()...)
+		inst.active = append(inst.active[:0], inst.queue.Slice()...)
 	}
-	inst.active = active
+	res.Relaxations = sp.relax.Sum()
+	*sp = ssspCall{}
 	for v := 0; v < n; v++ {
 		res.Dist[v] = math.Float64frombits(dist[v])
 	}
-	res.Relaxations = relax.Sum()
 	return res, nil
+}
+
+// ssspCall is what a chaotic SSSP pass's chunks read besides the
+// scratch: the result they write parents to and the relaxation counter.
+type ssspCall struct {
+	res   *engines.SSSPResult
+	relax *parallel.Counter
+}
+
+// ssspRelaxChunk relaxes the out-edges of one chunk of the frontier
+// with CAS-min distances and pushes each vertex it lowers into the next
+// frontier, once per pass.
+func (inst *Instance) ssspRelaxChunk(lo, hi, chunk, worker int, w *simmachine.W) {
+	sp, dist, inActive := &inst.sp, inst.dist, inst.inActive
+	local := inst.pushed.Take(worker)
+	var edges int64
+	for _, v := range inst.active[lo:hi] {
+		atomic.StoreInt32(&inActive[v], 0)
+		dv := math.Float64frombits(atomic.LoadUint64(&dist[v]))
+		vp := &inst.vertices[v]
+		for i, u := range vp.out {
+			edges++
+			nd := dv + float64(vp.w[i])
+			if parallel.WriteMinFloat64Bits(&dist[u], nd) {
+				atomic.StoreInt64(&sp.res.Parent[u], int64(v))
+				// The inActive guard bounds the queue: each
+				// vertex enters the next frontier once per pass.
+				if atomic.CompareAndSwapInt32(&inActive[u], 0, 1) {
+					local = append(local, u)
+				}
+			}
+		}
+	}
+	inst.queue.PushBatch(local)
+	// The queue holds the items; Keep's copy is dropped, and the call
+	// only sizes every worker's scratch by the largest chunk, whichever
+	// worker ran it.
+	inst.pushed.Keep(worker, local)
+	sp.relax.Add(worker, edges)
+	w.Charge(costSSSPEdge.Scale(float64(edges)))
+	w.Charge(costPropTouch.Scale(float64(hi - lo)))
 }

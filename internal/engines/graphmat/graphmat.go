@@ -92,13 +92,15 @@ type scratch struct {
 	vec   [3][]float32 // SSSP's cur/nxt; PageRank's rank/next/contrib
 	spare []graph.VID  // the CDLP / WCC label array not handed out
 
-	// The SpMV adapter and PageRank's bodies, bound to the Instance once
-	// (steps), and what the current call's bodies read, so that an
-	// iteration builds no closure.
+	// The SpMV adapter and the BFS, SSSP and PageRank bodies, bound to
+	// the Instance once (steps), and what the current call's bodies
+	// read, so that an iteration builds no closure.
 	owner                         *Instance
 	spmvFn, prContribFn, prNormFn func(c *traverse.Chunk, lo, hi int)
-	prGatherFn                    func(c *traverse.Chunk, rows []graph.VID)
+	bfsFn, ssspFn, prGatherFn     func(c *traverse.Chunk, rows []graph.VID)
 	sp                            spmvCall
+	bfs                           bfsCall
+	sssp                          ssspCall
 	pr                            prCall
 }
 
@@ -107,7 +109,7 @@ type scratch struct {
 func (inst *Instance) steps() *scratch {
 	if inst.owner != inst {
 		inst.owner = inst
-		inst.spmvFn = inst.spmvChunk
+		inst.spmvFn, inst.bfsFn, inst.ssspFn = inst.spmvChunk, inst.bfsRows, inst.ssspRows
 		inst.prContribFn, inst.prGatherFn, inst.prNormFn = inst.prContribChunk, inst.prGatherRows, inst.prNormChunk
 	}
 	return &inst.scratch

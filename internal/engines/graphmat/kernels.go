@@ -7,6 +7,7 @@ import (
 	"github.com/hpcl-repro/epg/internal/engines"
 	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
+	"github.com/hpcl-repro/epg/internal/parallel"
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
@@ -49,46 +50,21 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 	inst.BuildStructure()
 	n := inst.n
 	res := traverse.StartBFS(nil, root, n)
+	ws := inst.steps()
+	bc := &ws.bfs
+	*bc = bfsCall{res: res}
 
 	// Frontier sparse vector as a dense mask: one bit per vertex
 	// (parallel.Bitmap) instead of the byte-per-vertex []bool the
 	// port used before — 8x less mask traffic per sweep, same
 	// semantics (the equivalence wall in graphmat_test.go holds the
 	// bitmap kernels to a serial []bool reference).
-	active, nextActive := inst.trav.Bitmaps(n)
-	active.Set(int(root))
+	bc.active, bc.nextActive = inst.trav.Bitmaps(n)
+	bc.active.Set(int(root))
 	var examined int64
 
-	for level := int64(0); ; level++ {
-		_, found := inst.spmv(inst.inRows, func(c *traverse.Chunk, rows []graph.VID) {
-			var fnd int64
-			for _, v := range rows {
-				// GraphMat 1.0 evaluates the semiring over every
-				// stored nonzero each sweep; the full scan is charged
-				// whether or not this row can still change.
-				adj := c.Row(inst.in, int(v))
-				if res.Parent[v] != engines.NoParent {
-					continue
-				}
-				var parent int64 = engines.NoParent
-				for _, u := range adj {
-					if active.Test(int(u)) {
-						// REDUCE keeps the smallest parent id; the
-						// sweep continues (semiring reduce).
-						if parent == engines.NoParent || int64(u) < parent {
-							parent = int64(u)
-						}
-					}
-				}
-				if parent != engines.NoParent {
-					res.Parent[v] = parent
-					res.Depth[v] = level + 1
-					nextActive.Set(int(v))
-					fnd++
-				}
-			}
-			c.Changed, c.Work = fnd, fnd
-		})
+	for ; ; bc.level++ {
+		_, found := inst.spmv(inst.inRows, ws.bfsFn)
 		examined += inst.in.NumEdges() // every stored row, in full
 		// APPLY plus the sparse-vector rebuild and mask updates
 		// GraphMat performs between SpMV calls.
@@ -96,11 +72,54 @@ func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
 		if found == 0 {
 			break
 		}
-		active, nextActive = nextActive, active
-		nextActive.Clear()
+		bc.active, bc.nextActive = bc.nextActive, bc.active
+		bc.nextActive.Clear()
 	}
+	*bc = bfsCall{}
 	res.EdgesExamined = examined
 	return res, nil
+}
+
+// bfsCall is what a BFS level's SpMV reads: the result it claims
+// parents in, the frontier mask and its successor, and the level.
+type bfsCall struct {
+	res                *engines.BFSResult
+	active, nextActive *parallel.Bitmap
+	level              int64
+}
+
+// bfsRows is the BFS SpMV body: each stored row not yet reached takes
+// the smallest parent among its in-neighbors in the frontier.
+func (inst *Instance) bfsRows(c *traverse.Chunk, rows []graph.VID) {
+	bc := &inst.bfs
+	res, active := bc.res, bc.active
+	var fnd int64
+	for _, v := range rows {
+		// GraphMat 1.0 evaluates the semiring over every stored
+		// nonzero each sweep; the full scan is charged whether or not
+		// this row can still change.
+		adj := c.Row(inst.in, int(v))
+		if res.Parent[v] != engines.NoParent {
+			continue
+		}
+		var parent int64 = engines.NoParent
+		for _, u := range adj {
+			if active.Test(int(u)) {
+				// REDUCE keeps the smallest parent id; the sweep
+				// continues (semiring reduce).
+				if parent == engines.NoParent || int64(u) < parent {
+					parent = int64(u)
+				}
+			}
+		}
+		if parent != engines.NoParent {
+			res.Parent[v] = parent
+			res.Depth[v] = bc.level + 1
+			bc.nextActive.Set(int(v))
+			fnd++
+		}
+	}
+	c.Changed, c.Work = fnd, fnd
 }
 
 // SSSP implements engines.Instance: min-plus semiring SpMV iterated
@@ -116,59 +135,77 @@ func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
 	// Synchronous min-plus semantics: each sweep reads the previous
 	// iteration's vector (cur) and writes the next (nxt).
 	inst.vec[0], inst.vec[1] = traverse.Resized(inst.vec[0], n), traverse.Resized(inst.vec[1], n)
-	cur, nxt := inst.vec[0], inst.vec[1]
+	ws := inst.steps()
+	sc := &ws.sssp
+	*sc = ssspCall{res: res, cur: inst.vec[0], nxt: inst.vec[1]}
 	inf := float32(math.Inf(1))
-	for i := range cur {
-		cur[i] = inf
+	for i := range sc.cur {
+		sc.cur[i] = inf
 	}
-	cur[root] = 0
+	sc.cur[root] = 0
 
 	// Same bit-per-vertex masks as BFS (see the comment there).
-	active, nextActive := inst.trav.Bitmaps(n)
-	active.Set(int(root))
+	sc.active, sc.nextActive = inst.trav.Bitmaps(n)
+	sc.active.Set(int(root))
 	var relaxations int64
 
 	for {
-		copy(nxt, cur)
-		processed, changed := inst.spmv(inst.inRows, func(c *traverse.Chunk, rows []graph.VID) {
-			var relaxed, chg int64
-			for _, v := range rows {
-				adj, wts := c.Row(inst.in, int(v)), inst.in.NeighborWeights(v)
-				best := cur[v]
-				var bestParent int64 = -2 // sentinel: unchanged
-				for i, u := range adj {
-					if !active.Test(int(u)) {
-						continue
-					}
-					relaxed++
-					if nd := cur[u] + wts[i]; nd < best {
-						best = nd
-						bestParent = int64(u)
-					}
-				}
-				if bestParent != -2 {
-					nxt[v] = best
-					res.Parent[v] = bestParent
-					nextActive.Set(int(v))
-					chg++
-				}
-			}
-			c.Sum, c.Changed, c.Work = float64(relaxed), chg, relaxed
-		})
+		copy(sc.nxt, sc.cur)
+		processed, changed := inst.spmv(inst.inRows, ws.ssspFn)
 		relaxations += int64(processed)
 		inst.denseSweep(2) // copy + apply
 		if changed == 0 {
 			break
 		}
-		cur, nxt = nxt, cur
-		active, nextActive = nextActive, active
-		nextActive.Clear()
+		sc.cur, sc.nxt = sc.nxt, sc.cur
+		sc.active, sc.nextActive = sc.nextActive, sc.active
+		sc.nextActive.Clear()
 	}
 	for v := 0; v < n; v++ {
-		res.Dist[v] = float64(cur[v])
+		res.Dist[v] = float64(sc.cur[v])
 	}
+	*sc = ssspCall{}
 	res.Relaxations = relaxations
 	return res, nil
+}
+
+// ssspCall is what an SSSP iteration's SpMV reads: the result it sets
+// parents in, the previous distance vector and the next, and the mask
+// of vertices whose distance moved and its successor.
+type ssspCall struct {
+	res                *engines.SSSPResult
+	cur, nxt           []float32
+	active, nextActive *parallel.Bitmap
+}
+
+// ssspRows is the SSSP SpMV body: each stored row's best distance
+// through an in-neighbor that moved in the last iteration.
+func (inst *Instance) ssspRows(c *traverse.Chunk, rows []graph.VID) {
+	sc := &inst.sssp
+	cur, active := sc.cur, sc.active
+	var relaxed, chg int64
+	for _, v := range rows {
+		adj, wts := c.Row(inst.in, int(v)), inst.in.NeighborWeights(v)
+		best := cur[v]
+		var bestParent int64 = -2 // sentinel: unchanged
+		for i, u := range adj {
+			if !active.Test(int(u)) {
+				continue
+			}
+			relaxed++
+			if nd := cur[u] + wts[i]; nd < best {
+				best = nd
+				bestParent = int64(u)
+			}
+		}
+		if bestParent != -2 {
+			sc.nxt[v] = best
+			sc.res.Parent[v] = bestParent
+			sc.nextActive.Set(int(v))
+			chg++
+		}
+	}
+	c.Sum, c.Changed, c.Work = float64(relaxed), chg, relaxed
 }
 
 // PageRank implements engines.Instance. GraphMat's semantics from the

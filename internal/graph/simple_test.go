@@ -45,6 +45,56 @@ func TestHomogenize(t *testing.T) {
 	}
 }
 
+// HomogenizeShared hands every caller of one unedited list one graph,
+// concurrent callers included; an edit in place, a copy of the list or
+// a call on another list gets a new one, and a list that fails Validate
+// leaves the memo as it was.
+func TestHomogenizeSharedOneGraphPerList(t *testing.T) {
+	el := randomEdgeList(5, 64, 512, true)
+	got := make([]*Simple, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = HomogenizeShared(el)
+		}()
+	}
+	wg.Wait()
+	for _, g := range got {
+		if g == nil || g != got[0] {
+			t.Fatal("concurrent callers of one list got different graphs")
+		}
+	}
+	shared := func(el *EdgeList) *Simple {
+		g, err := HomogenizeShared(el)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	if _, err := HomogenizeShared(&EdgeList{NumVertices: 2, Edges: []Edge{{Src: 0, Dst: 2}}}); err == nil {
+		t.Fatal("out-of-range edge accepted")
+	}
+	if shared(el) != got[0] {
+		t.Fatal("a failed call evicted the last list's graph")
+	}
+	cp := *el
+	cp.Edges = append([]Edge(nil), el.Edges...)
+	if shared(&cp) == got[0] {
+		t.Fatal("a copy of the list got its graph")
+	}
+	el.Edges[7].W /= 2
+	edited := shared(el)
+	want, err := Homogenize(el)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edited == got[0] || edited == want || !csrEqual(edited.Out, want.Out) {
+		t.Fatal("an edit in place did not get its own graph, equal to a fresh build")
+	}
+}
+
 // Derive builds a kind once per graph and param however many callers
 // ask at once, and keeps the last two params asked of it: alternating
 // two params builds each once, and a third evicts the one asked least

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"time"
 
@@ -13,22 +12,20 @@ import (
 	"github.com/hpcl-repro/epg/internal/logfmt"
 	"github.com/hpcl-repro/epg/internal/power"
 	"github.com/hpcl-repro/epg/internal/simmachine"
-	"github.com/hpcl-repro/epg/internal/xrand"
 )
 
 // Runner executes specs against a set of engines.
 //
-// A Runner keeps the homogenized graph of the last edge list it ran and,
-// through it, what was derived from it (graph.Derive: the values of the
-// last two params of each kind) — the engines' structures, the roots of
-// each count and seed, and the cluster owner table — so a Run or Sweep
-// over that edge list again replays only the modeled load and build. The
-// memo is keyed by the edge list's identity and checked on every call
-// against a fingerprint of its vertex count, flags and every edge, so a
-// list edited in place between calls is homogenized again (editing it
-// during a call is a race). It also keeps
-// one idle instance per engine, scratch only (no graph, no machine), and
-// up to two idle machines (the two a Run holds at once: its engine's and
+// A Run or Sweep reads the edge list's graph from graph's memo
+// (graph.HomogenizeShared), which keeps the graph of the last list it
+// was asked for, and, through it, what was derived from it (graph.Derive:
+// the values of the last two params of each kind) — the engines'
+// structures, the roots of each count and seed, and the cluster owner
+// table — so a Run or Sweep over that edge list again, by this Runner
+// or any other, replays only the modeled load and build, and a list
+// edited in place is homogenized again. The Runner itself keeps one
+// idle instance per engine, scratch only (no graph, no machine), and up
+// to two idle machines (the two a Run holds at once: its engine's and
 // the stream recompute's): a Run binds the instance and renews a machine
 // (core.Spec.NewMachine) and gives both back, or makes its own while a
 // concurrent Run holds them, so what stays is bounded by the largest run.
@@ -47,9 +44,6 @@ type Runner struct {
 
 	warnMu sync.Mutex // serializes writes to Warnings
 	mu     sync.Mutex
-	lastEL *graph.EdgeList // the last edge list run,
-	lastFP uint64          // its fingerprint then,
-	lastG  *graph.Simple   // and its graph
 	idle   map[string]engines.Instance
 	idleM  []*simmachine.Machine // at most idleMachines
 }
@@ -100,49 +94,11 @@ func (r *Runner) Run(spec core.Spec, el *graph.EdgeList) ([]core.Result, error) 
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	g, err := r.homogenize(el)
+	g, err := graph.HomogenizeShared(el)
 	if err != nil {
 		return nil, err
 	}
 	return r.run(spec, g)
-}
-
-// homogenize returns the graph of el: the one kept from the last call
-// when el is the same edge list with the same content, else a new one,
-// which is kept in its place.
-func (r *Runner) homogenize(el *graph.EdgeList) (*graph.Simple, error) {
-	fp := fingerprint(el)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.lastEL == el && r.lastFP == fp {
-		return r.lastG, nil
-	}
-	g, err := graph.Homogenize(el)
-	if err != nil {
-		return nil, err
-	}
-	r.lastEL, r.lastFP, r.lastG = el, fp, g
-	return g, nil
-}
-
-// fingerprint hashes el's vertex count, flags and every edge without
-// allocating. Each step xors one word into the state and mixes it with
-// a bijection (xrand.Mix64), so two lists of one length that differ in
-// a single edge never collide.
-func fingerprint(el *graph.EdgeList) uint64 {
-	shape := uint64(el.NumVertices) << 2
-	if el.Directed {
-		shape |= 1
-	}
-	if el.Weighted {
-		shape |= 2
-	}
-	h := xrand.Mix64(xrand.Mix64(uint64(len(el.Edges))) ^ shape)
-	for _, e := range el.Edges {
-		h = xrand.Mix64(h ^ uint64(e.Src)<<32 ^ uint64(e.Dst))
-		h = xrand.Mix64(h ^ uint64(math.Float32bits(e.W)))
-	}
-	return h
 }
 
 // run is Run on a graph already homogenized: the one g is what root

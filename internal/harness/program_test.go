@@ -275,7 +275,7 @@ type record struct {
 	op       int
 	calls    []call
 	got      []outcome
-	g        *graph.Simple // the Runner's graph after the op
+	g        *graph.Simple // the list's graph in graph's memo after the op
 	inFlight int32         // the most Runs of the op in flight at once
 }
 
@@ -291,8 +291,8 @@ type runnerProgram struct {
 	// other than by an inert edit, the latest maxRan of them.
 	ran  [2][]call
 	memo map[string]outcome
-	// The list of the last call, its content then and the Runner's graph
-	// after it.
+	// The list of the last call, its content then and its graph in
+	// graph's memo after it.
 	prevEL      *graph.EdgeList
 	prevContent string
 	prevG       *graph.Simple
@@ -323,9 +323,9 @@ func content(el *graph.EdgeList) string {
 //     multiset under concurrency) — so no state the Runner keeps
 //     between calls (the graph memo, the engines' derived structures,
 //     the pooled instances) and no worker count shows in a result;
-//   - the Runner reuses its graph exactly when the call's list is the
-//     last call's list with the same content: an edit in place or a
-//     copy gets a new graph;
+//   - graph's memo keeps the last call's graph exactly when the call's
+//     list is the last call's list with the same content: an edit in
+//     place or a copy gets a new graph;
 //   - an inert edit leaves the homogenized Out and In DeepEqual and
 //     InputEdges moved only by a duplicate or self-loop, and every call
 //     since the last content edit returns the same rows: bit for bit
@@ -511,7 +511,11 @@ func FuzzRunnerProgram(f *testing.F) {
 		{prog([]byte{random | weighted, 2, 40, 24}, list(kron8|weighted, 7), runs(0, cuts...)),
 			func(p *runnerProgram) error {
 				used := 0
-				for _, load := range graph.GreedyVertexCut(p.r.lastG.Out, 64, nil).Loads {
+				g, err := graph.HomogenizeShared(p.lists[0])
+				if err != nil {
+					return err
+				}
+				for _, load := range graph.GreedyVertexCut(g.Out, 64, nil).Loads {
 					if load > 0 {
 						used++
 					}
@@ -640,6 +644,15 @@ func runRunnerProgram(t *testing.T, prog []byte) *runnerProgram {
 	return p
 }
 
+// shared is el's graph in graph's memo (graph.HomogenizeShared).
+func (p *runnerProgram) shared(el *graph.EdgeList) *graph.Simple {
+	g, err := graph.HomogenizeShared(el)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	return g
+}
+
 // oracle is what a fresh Runner returns for c on a copy of el, whose
 // content is cont, at one worker.
 func (p *runnerProgram) oracle(cont string, el *graph.EdgeList, c call) outcome {
@@ -660,8 +673,8 @@ func (p *runnerProgram) oracle(cont string, el *graph.EdgeList, c call) outcome 
 }
 
 // calls makes cs on list li, in goroutines when there are several, and
-// checks them against the oracle and the Runner's graph against the
-// last call's.
+// checks them against the oracle and the graph they left in graph's
+// memo against the last call's.
 func (p *runnerProgram) calls(code, li int, cs []call) {
 	t, el := p.t, p.lists[li]
 	cont := content(el)
@@ -691,7 +704,8 @@ func (p *runnerProgram) calls(code, li int, cs []call) {
 		t.Fatalf("%d Writes to Runner.Warnings overlapped", n)
 	}
 
-	rec.g = p.r.lastG
+	// The calls left el's graph in graph's memo.
+	rec.g = p.shared(el)
 	same := p.prevEL == el && p.prevContent == cont
 	if same && rec.g != p.prevG {
 		t.Fatal("the edge list of the last call, unchanged, was homogenized again")
@@ -699,7 +713,6 @@ func (p *runnerProgram) calls(code, li int, cs []call) {
 	if !same && rec.g == p.prevG {
 		t.Fatal("an edge list edited in place or copied since the last call kept the last call's graph")
 	}
-	p.prevEL, p.prevContent, p.prevG = el, cont, rec.g
 
 	var wantWarnings []string
 	for i, c := range cs {
@@ -720,6 +733,10 @@ func (p *runnerProgram) calls(code, li int, cs []call) {
 			p.ran[li] = p.ran[li][1:]
 		}
 	}
+	// The oracle's fresh Runners ran on copies of el and took graph's
+	// memo over; el goes back into it, so that the next call on el,
+	// unedited, must find that graph.
+	p.prevEL, p.prevContent, p.prevG = el, cont, p.shared(el)
 	gotWarnings := p.warn.take()
 	if len(cs) > 1 {
 		slices.Sort(gotWarnings)

@@ -12,8 +12,11 @@ import (
 // the one every engine loads.
 type Prepared = graph.Simple
 
-// Prepare homogenizes an edge list the way every engine does. It
-// panics on an edge list that fails Validate: references are run on
+// Prepare homogenizes an edge list the way every engine does, into a
+// graph of its own (graph.Homogenize, not the shared memo every engine
+// load reads), so that the references stay independent of the engines
+// they check: nothing an engine under test writes can reach the oracle.
+// It panics on an edge list that fails Validate: references are run on
 // inputs the engines under test already accepted.
 func Prepare(el *graph.EdgeList) *Prepared {
 	g, err := graph.Homogenize(el)
