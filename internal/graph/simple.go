@@ -74,9 +74,11 @@ var shared struct {
 // the engines derived from it (Derive). The memo is keyed by el's
 // identity and checked on every call against a fingerprint of its
 // vertex count, flags and every edge, so a list edited in place between
-// calls is homogenized again (editing it during a call is a race). It
-// keeps the last list and its graph until a call on another list.
-// Concurrent callers are serialized; those on one list wait for a
+// calls is homogenized again (editing it during a call is a race). The
+// memo is the process's, not a caller's: it keeps the last list and its
+// graph, with what was derived from it, alive until a call on another
+// list or the end of the process, so one graph's worth of memory
+// outlives the last instance that read it. Concurrent callers are serialized; those on one list wait for a
 // single build. A caller whose graph must be its own, one nothing under
 // test can read or write — a reference oracle — calls Homogenize.
 func HomogenizeShared(el *EdgeList) (*Simple, error) {
@@ -92,6 +94,20 @@ func HomogenizeShared(el *EdgeList) (*Simple, error) {
 	}
 	shared.el, shared.fp, shared.g = el, fp, g
 	return g, nil
+}
+
+// Memoized is the graph HomogenizeShared would return for el without
+// building one, nil when it would build. It builds and keeps nothing,
+// so a test can check that a caller went through the memo and left el's
+// graph in it.
+func Memoized(el *EdgeList) *Simple {
+	fp := fingerprint(el)
+	shared.mu.Lock()
+	defer shared.mu.Unlock()
+	if shared.el == el && shared.fp == fp {
+		return shared.g
+	}
+	return nil
 }
 
 // fingerprint hashes el's vertex count, flags and every edge without

@@ -48,9 +48,12 @@ func TestHomogenize(t *testing.T) {
 // HomogenizeShared hands every caller of one unedited list one graph,
 // concurrent callers included; an edit in place, a copy of the list or
 // a call on another list gets a new one, and a list that fails Validate
-// leaves the memo as it was.
+// leaves the memo as it was. Memoized reads the memo without building.
 func TestHomogenizeSharedOneGraphPerList(t *testing.T) {
 	el := randomEdgeList(5, 64, 512, true)
+	if Memoized(el) != nil {
+		t.Fatal("Memoized found a graph for a list never homogenized")
+	}
 	got := make([]*Simple, 8)
 	var wg sync.WaitGroup
 	for i := range got {
@@ -79,12 +82,22 @@ func TestHomogenizeSharedOneGraphPerList(t *testing.T) {
 	if shared(el) != got[0] {
 		t.Fatal("a failed call evicted the last list's graph")
 	}
+	if Memoized(el) != got[0] {
+		t.Fatal("Memoized did not find the list's graph")
+	}
 	cp := *el
 	cp.Edges = append([]Edge(nil), el.Edges...)
 	if shared(&cp) == got[0] {
 		t.Fatal("a copy of the list got its graph")
 	}
+	if Memoized(el) != nil || Memoized(&cp) == nil {
+		t.Fatal("Memoized kept the list the copy replaced")
+	}
+	shared(el)
 	el.Edges[7].W /= 2
+	if Memoized(el) != nil {
+		t.Fatal("Memoized found a graph for a list edited in place")
+	}
 	edited := shared(el)
 	want, err := Homogenize(el)
 	if err != nil {

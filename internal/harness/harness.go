@@ -315,6 +315,11 @@ type SweepPoint struct {
 // considerations, only four trials were run"). Points come thread count
 // by thread count, each in the run's engine order.
 func (r *Runner) Sweep(spec core.Spec, el *graph.EdgeList, threadCounts []int, trials int) ([]SweepPoint, error) {
+	return sweep(spec, threadCounts, trials, func(s core.Spec) ([]core.Result, error) { return r.Run(s, el) })
+}
+
+// sweep is Sweep with run making each thread count's Run.
+func sweep(spec core.Spec, threadCounts []int, trials int, run func(core.Spec) ([]core.Result, error)) ([]SweepPoint, error) {
 	if trials <= 0 {
 		trials = 4
 	}
@@ -323,7 +328,7 @@ func (r *Runner) Sweep(spec core.Spec, el *graph.EdgeList, threadCounts []int, t
 		s := spec
 		s.Threads = tc
 		s.Roots = trials
-		rs, err := r.Run(s, el)
+		rs, err := run(s)
 		if err != nil {
 			return nil, err
 		}

@@ -176,15 +176,21 @@ type outcome struct {
 	warnings []string
 }
 
-func (c call) do(r *Runner, el *graph.EdgeList) (o outcome) {
+// do makes c on r and el.
+func (c call) do(r *Runner, el *graph.EdgeList) outcome {
+	return c.through(func(s core.Spec) ([]core.Result, error) { return r.Run(s, el) })
+}
+
+// through makes c with run making each Run, as Sweep does.
+func (c call) through(run func(core.Spec) ([]core.Result, error)) (o outcome) {
 	var err error
 	if c.threads == nil {
-		o.rows, err = r.Run(c.spec, el)
+		o.rows, err = run(c.spec)
 		for i := range o.rows {
 			o.rows[i].WallSec = 0 // the one column that need not repeat
 		}
 	} else {
-		o.points, err = r.Sweep(c.spec, el, c.threads, c.trials)
+		o.points, err = sweep(c.spec, c.threads, c.trials, run)
 	}
 	if err != nil {
 		o.err = err.Error()
@@ -317,15 +323,18 @@ func content(el *graph.EdgeList) string {
 // self-loop); and a copy of a list (same content, new pointer). The
 // header is the two lists, four bytes each (programList). The checks,
 // after every op:
-//   - every call returns what a fresh Runner returns on a copy of the
-//     list's current content at one worker — rows but for the wall
+//   - every call returns what a fresh Runner returns at one worker on
+//     a graph of the list's current content built for it, outside
+//     graph's memo (graph.Homogenize) — rows but for the wall
 //     clock, Sweep points, the error string and the warning lines (a
 //     multiset under concurrency) — so no state the Runner keeps
 //     between calls (the graph memo, the engines' derived structures,
 //     the pooled instances) and no worker count shows in a result;
-//   - graph's memo keeps the last call's graph exactly when the call's
-//     list is the last call's list with the same content: an edit in
-//     place or a copy gets a new graph;
+//   - the calls leave the list's graph in graph's memo, read without
+//     building (graph.Memoized), and it is the last call's graph
+//     exactly when the call's list is the last call's list with the
+//     same content: an edit in place or a copy gets a new graph, and a
+//     Run that bypasses the memo or serves a stale graph fails;
 //   - an inert edit leaves the homogenized Out and In DeepEqual and
 //     InputEdges moved only by a duplicate or self-loop, and every call
 //     since the last content edit returns the same rows: bit for bit
@@ -511,9 +520,9 @@ func FuzzRunnerProgram(f *testing.F) {
 		{prog([]byte{random | weighted, 2, 40, 24}, list(kron8|weighted, 7), runs(0, cuts...)),
 			func(p *runnerProgram) error {
 				used := 0
-				g, err := graph.HomogenizeShared(p.lists[0])
-				if err != nil {
-					return err
+				g := graph.Memoized(p.lists[0])
+				if g == nil {
+					return fmt.Errorf("the Runner left no graph of the list in graph's memo")
 				}
 				for _, load := range graph.GreedyVertexCut(g.Out, 64, nil).Loads {
 					if load > 0 {
@@ -644,17 +653,10 @@ func runRunnerProgram(t *testing.T, prog []byte) *runnerProgram {
 	return p
 }
 
-// shared is el's graph in graph's memo (graph.HomogenizeShared).
-func (p *runnerProgram) shared(el *graph.EdgeList) *graph.Simple {
-	g, err := graph.HomogenizeShared(el)
-	if err != nil {
-		p.t.Fatal(err)
-	}
-	return g
-}
-
-// oracle is what a fresh Runner returns for c on a copy of el, whose
-// content is cont, at one worker.
+// oracle is what a fresh Runner returns for c on el, whose content is
+// cont, at one worker. It makes each Run's steps on a graph of its own
+// (graph.Homogenize), outside graph's memo, so it reads no graph the
+// Runner under test built and leaves the memo as the Runner left it.
 func (p *runnerProgram) oracle(cont string, el *graph.EdgeList, c call) outcome {
 	key := cont + "\x00" + c.key()
 	if o, ok := p.memo[key]; ok {
@@ -663,10 +665,20 @@ func (p *runnerProgram) oracle(cont string, el *graph.EdgeList, c call) outcome 
 	var buf bytes.Buffer
 	r := testRunner()
 	r.Warnings = &buf
-	cp := *el
-	cp.Edges = slices.Clone(el.Edges)
 	c.spec.Workers = 1
-	o := c.do(r, &cp)
+	var g *graph.Simple
+	o := c.through(func(s core.Spec) ([]core.Result, error) {
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
+		if g == nil {
+			var err error
+			if g, err = graph.Homogenize(el); err != nil {
+				return nil, err
+			}
+		}
+		return r.run(s, g)
+	})
 	o.warnings = lines(buf.String())
 	p.memo[key] = o
 	return o
@@ -705,7 +717,9 @@ func (p *runnerProgram) calls(code, li int, cs []call) {
 	}
 
 	// The calls left el's graph in graph's memo.
-	rec.g = p.shared(el)
+	if rec.g = graph.Memoized(el); rec.g == nil {
+		t.Fatal("the calls left no graph of the list in graph's memo")
+	}
 	same := p.prevEL == el && p.prevContent == cont
 	if same && rec.g != p.prevG {
 		t.Fatal("the edge list of the last call, unchanged, was homogenized again")
@@ -713,6 +727,7 @@ func (p *runnerProgram) calls(code, li int, cs []call) {
 	if !same && rec.g == p.prevG {
 		t.Fatal("an edge list edited in place or copied since the last call kept the last call's graph")
 	}
+	p.prevEL, p.prevContent, p.prevG = el, cont, rec.g
 
 	var wantWarnings []string
 	for i, c := range cs {
@@ -733,10 +748,6 @@ func (p *runnerProgram) calls(code, li int, cs []call) {
 			p.ran[li] = p.ran[li][1:]
 		}
 	}
-	// The oracle's fresh Runners ran on copies of el and took graph's
-	// memo over; el goes back into it, so that the next call on el,
-	// unedited, must find that graph.
-	p.prevEL, p.prevContent, p.prevG = el, cont, p.shared(el)
 	gotWarnings := p.warn.take()
 	if len(cs) > 1 {
 		slices.Sort(gotWarnings)
