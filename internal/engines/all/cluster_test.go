@@ -34,10 +34,10 @@ func TestClusterNodesOneTraceByteIdentical(t *testing.T) {
 		inst := (&engines.Engine{Decl: &gap.Decl}).LoadSimple(g, m).(*gap.Instance)
 		inst.BuildStructure()
 		m.Reset()
-		if _, err := inst.BFS(root); err != nil {
+		if _, err := inst.BFS(root, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := inst.PageRank(engines.DefaultPROpts()); err != nil {
+		if _, err := inst.PageRank(engines.DefaultPROpts(), nil); err != nil {
 			t.Fatal(err)
 		}
 		out := make([]simmachine.Region, len(m.Trace()))

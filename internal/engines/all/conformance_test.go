@@ -128,7 +128,7 @@ func TestBFSConformance(t *testing.T) {
 			for _, root := range roots(p, 3) {
 				ref := verify.BFS(p, root)
 				for name, inst := range insts {
-					got, err := inst.BFS(root)
+					got, err := inst.BFS(root, nil)
 					if errors.Is(err, engines.ErrUnsupported) {
 						continue
 					}
@@ -155,7 +155,7 @@ func TestSSSPConformance(t *testing.T) {
 			for _, root := range roots(p, 2) {
 				ref := verify.SSSP(p, root)
 				for name, inst := range insts {
-					got, err := inst.SSSP(root)
+					got, err := inst.SSSP(root, nil)
 					if errors.Is(err, engines.ErrUnsupported) {
 						continue
 					}
@@ -179,7 +179,7 @@ func TestSSSPUnsupportedOnUnweighted(t *testing.T) {
 		if name == Graph500 {
 			continue // BFS-only anyway
 		}
-		if _, err := inst.SSSP(0); !errors.Is(err, engines.ErrUnsupported) {
+		if _, err := inst.SSSP(0, nil); !errors.Is(err, engines.ErrUnsupported) {
 			t.Errorf("%s SSSP on unweighted graph: err = %v, want ErrUnsupported", name, err)
 		}
 	}
@@ -198,7 +198,7 @@ func TestPageRankConformance(t *testing.T) {
 			ref := verify.PageRank(p, engines.PROpts{})
 			insts := loadAll(t, tg.el)
 			for name, inst := range insts {
-				got, err := inst.PageRank(engines.PROpts{})
+				got, err := inst.PageRank(engines.PROpts{}, nil)
 				if errors.Is(err, engines.ErrUnsupported) {
 					continue
 				}
@@ -225,7 +225,7 @@ func TestGraphMatRunsMoreIterations(t *testing.T) {
 	insts := loadAll(t, el)
 	iters := map[string]int{}
 	for name, inst := range insts {
-		res, err := inst.PageRank(engines.PROpts{})
+		res, err := inst.PageRank(engines.PROpts{}, nil)
 		if errors.Is(err, engines.ErrUnsupported) {
 			continue
 		}
@@ -253,7 +253,7 @@ func TestCDLPConformance(t *testing.T) {
 			ref := verify.CDLP(p, engines.DefaultCDLPIterations)
 			insts := loadAll(t, tg.el)
 			for name, inst := range insts {
-				got, err := inst.CDLP(engines.DefaultCDLPIterations)
+				got, err := inst.CDLP(engines.DefaultCDLPIterations, nil)
 				if errors.Is(err, engines.ErrUnsupported) {
 					continue
 				}
@@ -275,7 +275,7 @@ func TestLCCConformance(t *testing.T) {
 			ref := verify.LCC(p)
 			insts := loadAll(t, tg.el)
 			for name, inst := range insts {
-				got, err := inst.LCC()
+				got, err := inst.LCC(nil)
 				if errors.Is(err, engines.ErrUnsupported) {
 					continue
 				}
@@ -298,12 +298,12 @@ func TestLCCConformance(t *testing.T) {
 		ref := verify.LCC(verify.Prepare(el))
 		insts := loadAll(t, el)
 		secondCall := func(name string) uint64 {
-			if _, err := insts[name].LCC(); err != nil {
+			if _, err := insts[name].LCC(nil); err != nil {
 				t.Fatalf("%s LCC: %v", name, err)
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			got, err := insts[name].LCC()
+			got, err := insts[name].LCC(nil)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatalf("%s second LCC: %v", name, err)
@@ -328,7 +328,7 @@ func TestWCCConformance(t *testing.T) {
 			ref := verify.WCC(p)
 			insts := loadAll(t, tg.el)
 			for name, inst := range insts {
-				got, err := inst.WCC()
+				got, err := inst.WCC(nil)
 				if errors.Is(err, engines.ErrUnsupported) {
 					continue
 				}
@@ -408,7 +408,7 @@ func TestRandomizedCrossEngineConformance(t *testing.T) {
 				ref := verify.BFS(p, root)
 				got := map[string]*engines.BFSResult{}
 				for name, inst := range insts {
-					res, err := inst.BFS(root)
+					res, err := inst.BFS(root, nil)
 					if errors.Is(err, engines.ErrUnsupported) {
 						continue
 					}
@@ -436,7 +436,7 @@ func TestRandomizedCrossEngineConformance(t *testing.T) {
 				ref := verify.SSSP(p, root)
 				got := map[string]*engines.SSSPResult{}
 				for name, inst := range insts {
-					res, err := inst.SSSP(root)
+					res, err := inst.SSSP(root, nil)
 					if errors.Is(err, engines.ErrUnsupported) {
 						continue
 					}
@@ -467,7 +467,7 @@ func TestRandomizedCrossEngineConformance(t *testing.T) {
 			{
 				got := map[string]*engines.PRResult{}
 				for name, inst := range insts {
-					res, err := inst.PageRank(engines.PROpts{})
+					res, err := inst.PageRank(engines.PROpts{}, nil)
 					if errors.Is(err, engines.ErrUnsupported) {
 						continue
 					}
@@ -491,7 +491,7 @@ func TestRandomizedCrossEngineConformance(t *testing.T) {
 			{
 				got := map[string]*engines.CDLPResult{}
 				for name, inst := range insts {
-					res, err := inst.CDLP(engines.DefaultCDLPIterations)
+					res, err := inst.CDLP(engines.DefaultCDLPIterations, nil)
 					if errors.Is(err, engines.ErrUnsupported) {
 						continue
 					}
@@ -512,7 +512,7 @@ func TestRandomizedCrossEngineConformance(t *testing.T) {
 			{
 				got := map[string]*engines.LCCResult{}
 				for name, inst := range insts {
-					res, err := inst.LCC()
+					res, err := inst.LCC(nil)
 					if errors.Is(err, engines.ErrUnsupported) {
 						continue
 					}
@@ -533,7 +533,7 @@ func TestRandomizedCrossEngineConformance(t *testing.T) {
 			{
 				got := map[string]*engines.WCCResult{}
 				for name, inst := range insts {
-					res, err := inst.WCC()
+					res, err := inst.WCC(nil)
 					if errors.Is(err, engines.ErrUnsupported) {
 						continue
 					}
@@ -610,7 +610,7 @@ func conformAllKernels(t *testing.T, el *graph.EdgeList, insts map[string]engine
 	for _, root := range rs {
 		ref := verify.BFS(p, root)
 		for name, inst := range insts {
-			got, err := inst.BFS(root)
+			got, err := inst.BFS(root, nil)
 			if errors.Is(err, engines.ErrUnsupported) {
 				continue
 			}
@@ -626,7 +626,7 @@ func conformAllKernels(t *testing.T, el *graph.EdgeList, insts map[string]engine
 		for _, root := range rs[:1] {
 			ref := verify.SSSP(p, root)
 			for name, inst := range insts {
-				got, err := inst.SSSP(root)
+				got, err := inst.SSSP(root, nil)
 				if errors.Is(err, engines.ErrUnsupported) {
 					continue
 				}
@@ -645,7 +645,7 @@ func conformAllKernels(t *testing.T, el *graph.EdgeList, insts map[string]engine
 			GAP: 1e-6, PowerGraph: 1e-6, GraphBIG: 5e-3, GraphMat: 5e-3,
 		}
 		for name, inst := range insts {
-			got, err := inst.PageRank(engines.PROpts{})
+			got, err := inst.PageRank(engines.PROpts{}, nil)
 			if errors.Is(err, engines.ErrUnsupported) {
 				continue
 			}
@@ -660,7 +660,7 @@ func conformAllKernels(t *testing.T, el *graph.EdgeList, insts map[string]engine
 	{
 		refCDLP := verify.CDLP(p, engines.DefaultCDLPIterations)
 		for name, inst := range insts {
-			got, err := inst.CDLP(engines.DefaultCDLPIterations)
+			got, err := inst.CDLP(engines.DefaultCDLPIterations, nil)
 			if errors.Is(err, engines.ErrUnsupported) {
 				continue
 			}
@@ -675,7 +675,7 @@ func conformAllKernels(t *testing.T, el *graph.EdgeList, insts map[string]engine
 	if !skipLCC {
 		refLCC := verify.LCC(p)
 		for name, inst := range insts {
-			got, err := inst.LCC()
+			got, err := inst.LCC(nil)
 			if errors.Is(err, engines.ErrUnsupported) {
 				continue
 			}
@@ -690,7 +690,7 @@ func conformAllKernels(t *testing.T, el *graph.EdgeList, insts map[string]engine
 	{
 		refWCC := verify.WCC(p)
 		for name, inst := range insts {
-			got, err := inst.WCC()
+			got, err := inst.WCC(nil)
 			if errors.Is(err, engines.ErrUnsupported) {
 				continue
 			}
@@ -750,7 +750,7 @@ func TestBFSRelativeSpeedShape(t *testing.T) {
 		}
 		inst.BuildStructure()
 		start := m.Elapsed()
-		if _, err := inst.BFS(root); err != nil {
+		if _, err := inst.BFS(root, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		times[name] = m.Elapsed() - start

@@ -46,11 +46,11 @@ func TestRelabelInvariance(t *testing.T) {
 				a, _ := loadShared(t, d.Name, g, 2, opts)
 				b, _ := loadShared(t, d.Name, gr, 2, opts)
 				if d.Has(engines.BFS) {
-					x, err := a.BFS(root)
+					x, err := a.BFS(root, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					y, err := b.BFS(pi(root))
+					y, err := b.BFS(pi(root), nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -61,11 +61,11 @@ func TestRelabelInvariance(t *testing.T) {
 					}
 				}
 				if d.Has(engines.WCC) {
-					x, err := a.WCC()
+					x, err := a.WCC(nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					y, err := b.WCC()
+					y, err := b.WCC(nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -84,11 +84,11 @@ func TestRelabelInvariance(t *testing.T) {
 					}
 				}
 				if d.Has(engines.PageRank) {
-					x, err := a.PageRank(engines.DefaultPROpts())
+					x, err := a.PageRank(engines.DefaultPROpts(), nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					y, err := b.PageRank(engines.DefaultPROpts())
+					y, err := b.PageRank(engines.DefaultPROpts(), nil)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -139,12 +139,12 @@ func (r Registry) Decl(name string) (*Decl, error) {
 // shadow these.
 type Unsupported struct{}
 
-func (Unsupported) BFS(graph.VID) (*BFSResult, error)   { return nil, ErrUnsupported }
-func (Unsupported) SSSP(graph.VID) (*SSSPResult, error) { return nil, ErrUnsupported }
-func (Unsupported) PageRank(PROpts) (*PRResult, error)  { return nil, ErrUnsupported }
-func (Unsupported) CDLP(int) (*CDLPResult, error)       { return nil, ErrUnsupported }
-func (Unsupported) LCC() (*LCCResult, error)            { return nil, ErrUnsupported }
-func (Unsupported) WCC() (*WCCResult, error)            { return nil, ErrUnsupported }
+func (Unsupported) BFS(graph.VID, *BFSResult) (*BFSResult, error)    { return nil, ErrUnsupported }
+func (Unsupported) SSSP(graph.VID, *SSSPResult) (*SSSPResult, error) { return nil, ErrUnsupported }
+func (Unsupported) PageRank(PROpts, *PRResult) (*PRResult, error)    { return nil, ErrUnsupported }
+func (Unsupported) CDLP(int, *CDLPResult) (*CDLPResult, error)       { return nil, ErrUnsupported }
+func (Unsupported) LCC(*LCCResult) (*LCCResult, error)               { return nil, ErrUnsupported }
+func (Unsupported) WCC(*WCCResult) (*WCCResult, error)               { return nil, ErrUnsupported }
 
 // MutationReport summarizes one applied batch for callers that charge
 // or log mutation work.

@@ -121,6 +121,13 @@ type WCCResult struct {
 // Instance is a machine, aliases into a shared graph and kernel scratch.
 // Run methods may be called repeatedly (e.g., 32 roots); instances are
 // not safe for concurrent use. A Decl's New makes one.
+//
+// Every kernel writes into dst, a result the caller owns before and
+// after the call: dst's arrays are reused when they can hold n entries
+// and replaced when they cannot, every entry of them is written, and a
+// nil dst gets a fresh result. The instance keeps no reference to dst or
+// its arrays, so a caller that drops each result (a trial that keeps
+// only a count) can pass the same dst every time and allocate none.
 type Instance interface {
 	// Bind points the instance at g and m with the knobs in o, charging
 	// nothing. It drops all that came from the graph before (a mutated
@@ -139,12 +146,12 @@ type Instance interface {
 	// the combined read+build.
 	BuildStructure()
 
-	BFS(root graph.VID) (*BFSResult, error)
-	SSSP(root graph.VID) (*SSSPResult, error)
-	PageRank(opts PROpts) (*PRResult, error)
-	CDLP(maxIter int) (*CDLPResult, error)
-	LCC() (*LCCResult, error)
-	WCC() (*WCCResult, error)
+	BFS(root graph.VID, dst *BFSResult) (*BFSResult, error)
+	SSSP(root graph.VID, dst *SSSPResult) (*SSSPResult, error)
+	PageRank(opts PROpts, dst *PRResult) (*PRResult, error)
+	CDLP(maxIter int, dst *CDLPResult) (*CDLPResult, error)
+	LCC(dst *LCCResult) (*LCCResult, error)
+	WCC(dst *WCCResult) (*WCCResult, error)
 }
 
 // ErrUnsupported is returned by instances for algorithms the engine
@@ -152,21 +159,50 @@ type Instance interface {
 var ErrUnsupported = fmt.Errorf("engines: algorithm not provided by this engine")
 
 // RunAlgorithm dispatches alg on inst with homogenized defaults and
-// returns the kernel's result (*BFSResult, *PRResult, …).
+// returns a fresh result (*BFSResult, *PRResult, …): RunInto with a nil
+// dst.
 func RunAlgorithm(inst Instance, alg Algorithm, root graph.VID) (any, error) {
+	return RunInto(inst, alg, root, nil)
+}
+
+// Results holds one result of each kind: the destination of RunInto
+// for a caller that runs any kernel and drops what it returns.
+type Results struct {
+	BFS      BFSResult
+	SSSP     SSSPResult
+	PageRank PRResult
+	CDLP     CDLPResult
+	LCC      LCCResult
+	WCC      WCCResult
+}
+
+// RunInto is RunAlgorithm writing into dst's result of alg's kind, under
+// Instance's ownership rule; a nil dst gets a fresh result.
+func RunInto(inst Instance, alg Algorithm, root graph.VID, dst *Results) (any, error) {
+	var (
+		bfs  *BFSResult
+		sssp *SSSPResult
+		pr   *PRResult
+		cdlp *CDLPResult
+		lcc  *LCCResult
+		wcc  *WCCResult
+	)
+	if dst != nil {
+		bfs, sssp, pr, cdlp, lcc, wcc = &dst.BFS, &dst.SSSP, &dst.PageRank, &dst.CDLP, &dst.LCC, &dst.WCC
+	}
 	switch alg {
 	case BFS:
-		return inst.BFS(root)
+		return inst.BFS(root, bfs)
 	case SSSP:
-		return inst.SSSP(root)
+		return inst.SSSP(root, sssp)
 	case PageRank:
-		return inst.PageRank(DefaultPROpts())
+		return inst.PageRank(DefaultPROpts(), pr)
 	case CDLP:
-		return inst.CDLP(DefaultCDLPIterations)
+		return inst.CDLP(DefaultCDLPIterations, cdlp)
 	case LCC:
-		return inst.LCC()
+		return inst.LCC(lcc)
 	case WCC:
-		return inst.WCC()
+		return inst.WCC(wcc)
 	default:
 		return nil, fmt.Errorf("engines: unknown algorithm %q", alg)
 	}

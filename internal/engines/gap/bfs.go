@@ -44,17 +44,9 @@ const (
 // representations convert into each other at the direction switch
 // exactly as GAP's sliding queue does. Every charged cost is a
 // function of chunk contents only — never of the goroutine schedule.
-func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
-	return inst.BFSInto(root, nil)
-}
-
-// BFSInto is BFS writing into dst, the idiom of DecodeNeighbors(v, buf)
-// and Bitmap.ToSlice(…, dst): dst's arrays are reused when they hold n
-// entries and replaced when they do not, and a nil dst gets a fresh
-// result. The caller owns dst before and after the call; the instance
-// keeps no reference to it. Together with the instance's workspace this
-// makes a warm search allocate nothing that scales with the graph.
-func (inst *Instance) BFSInto(root graph.VID, dst *engines.BFSResult) (*engines.BFSResult, error) {
+// Together with the instance's workspace, writing into a warm dst makes
+// a search allocate nothing that scales with the graph.
+func (inst *Instance) BFS(root graph.VID, dst *engines.BFSResult) (*engines.BFSResult, error) {
 	inst.BuildStructure()
 	n := inst.n
 	tr := &inst.trav

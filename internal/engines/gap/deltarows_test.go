@@ -59,7 +59,7 @@ func TestWarmKernelsOnDeltaRowsAllocateAsOnFlat(t *testing.T) {
 	ssspInto := func(sync bool) func() error {
 		return func() error {
 			inst.opts.SyncSSSP = sync
-			_, err := inst.SSSPInto(roots[i%len(roots)], &sssp)
+			_, err := inst.SSSP(roots[i%len(roots)], &sssp)
 			i++
 			return err
 		}
@@ -68,11 +68,11 @@ func TestWarmKernelsOnDeltaRowsAllocateAsOnFlat(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"BFS", func() error { _, err := inst.BFSInto(roots[i%len(roots)], &bfs); i++; return err }},
+		{"BFS", func() error { _, err := inst.BFS(roots[i%len(roots)], &bfs); i++; return err }},
 		{"SSSP", ssspInto(false)},
 		{"sync SSSP", ssspInto(true)},
-		{"PageRank", func() error { _, err := inst.PageRank(engines.DefaultPROpts()); return err }},
-		{"WCC", func() error { _, err := inst.WCC(); return err }},
+		{"PageRank", func() error { _, err := inst.PageRank(engines.DefaultPROpts(), nil); return err }},
+		{"WCC", func() error { _, err := inst.WCC(nil); return err }},
 	}
 	for _, workers := range []int{1, 2} {
 		inst.m.SetWorkers(workers)

@@ -55,10 +55,10 @@ func TestLoadRejectsInvalid(t *testing.T) {
 
 func TestUnsupportedAlgorithms(t *testing.T) {
 	inst := load(t, engine(), kron(6, 1), 2)
-	if _, err := inst.CDLP(5); !errors.Is(err, engines.ErrUnsupported) {
+	if _, err := inst.CDLP(5, nil); !errors.Is(err, engines.ErrUnsupported) {
 		t.Error("CDLP should be unsupported")
 	}
-	if _, err := inst.LCC(); !errors.Is(err, engines.ErrUnsupported) {
+	if _, err := inst.LCC(nil); !errors.Is(err, engines.ErrUnsupported) {
 		t.Error("LCC should be unsupported")
 	}
 }
@@ -77,7 +77,7 @@ func TestDirectionOptimizationTriggers(t *testing.T) {
 			break
 		}
 	}
-	res, err := inst.BFS(root)
+	res, err := inst.BFS(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestAlphaDisablesBottomUp(t *testing.T) {
 			break
 		}
 	}
-	res, err := inst.BFS(root)
+	res, err := inst.BFS(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestSSSPDeltaInsensitivity(t *testing.T) {
 	for _, delta := range []float64{0.05, 0.25, 1.5} {
 		inst := load(t, engine(), el, 4)
 		inst.Delta = delta
-		res, err := inst.SSSP(root)
+		res, err := inst.SSSP(root, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestSSSPUnweightedUnsupported(t *testing.T) {
 	el := &graph.EdgeList{NumVertices: 3, Directed: true,
 		Edges: []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}}
 	inst := load(t, engine(), el, 2)
-	if _, err := inst.SSSP(0); !errors.Is(err, engines.ErrUnsupported) {
+	if _, err := inst.SSSP(0, nil); !errors.Is(err, engines.ErrUnsupported) {
 		t.Errorf("err = %v, want ErrUnsupported", err)
 	}
 }
@@ -160,7 +160,7 @@ func TestSSSPUnweightedUnsupported(t *testing.T) {
 func TestPageRankConvergesAndNormalizes(t *testing.T) {
 	el := kron(10, 7)
 	inst := load(t, engine(), el, 4)
-	res, err := inst.PageRank(engines.PROpts{})
+	res, err := inst.PageRank(engines.PROpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestPageRankConvergesAndNormalizes(t *testing.T) {
 		t.Errorf("converged suspiciously fast: %d iterations", res.Iterations)
 	}
 	// Tighter epsilon cannot converge in fewer iterations.
-	strict, err := inst.PageRank(engines.PROpts{Epsilon: 1e-10})
+	strict, err := inst.PageRank(engines.PROpts{Epsilon: 1e-10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestBFSModelTimeScalesDown(t *testing.T) {
 		inst := load(t, engine(), el, threads)
 		m := inst.m
 		start := m.Elapsed()
-		if _, err := inst.BFS(root); err != nil {
+		if _, err := inst.BFS(root, nil); err != nil {
 			t.Fatal(err)
 		}
 		return m.Elapsed() - start
@@ -234,7 +234,7 @@ func TestWCCMatchesReference(t *testing.T) {
 	p := verify.Prepare(el)
 	ref := verify.WCC(p)
 	inst := load(t, engine(), el, 4)
-	got, err := inst.WCC()
+	got, err := inst.WCC(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,18 +18,20 @@ import (
 // (traverse.Sweep): the dangling-mass and L1 reductions fold per-chunk
 // partials in chunk order, so ranks and iteration counts are
 // bit-identical across runs and worker counts.
-func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
+func (inst *Instance) PageRank(opts engines.PROpts, dst *engines.PRResult) (*engines.PRResult, error) {
 	inst.BuildStructure()
 	opts = opts.Normalize()
 	n := inst.n
+	res := traverse.Result(dst)
+	res.Rank, res.Iterations = traverse.Resized(res.Rank, n), 0
 	if n == 0 {
-		return &engines.PRResult{Rank: nil}, nil
+		return res, nil
 	}
 	inv := 1.0 / float64(n)
-	// One rank vector is made per call; whichever of the pair is not
-	// handed out when the iterations end is the next call's second one.
+	// The rank vector is dst's; the other of the pair is kept.
 	ws := &inst.ws
-	rank, next := make([]float64, n), traverse.Resized(ws.prSpare, n)
+	ws.prSpare = traverse.Resized(ws.prSpare, n)
+	rank, next := res.Rank, ws.prSpare
 	ws.prContrib, ws.prOutDeg = traverse.Resized(ws.prContrib, n), traverse.Resized(ws.prOutDeg, n)
 	contrib, outDeg := ws.prContrib, ws.prOutDeg
 	clear(contrib) // a dangling vertex's entry is never written
@@ -38,7 +40,6 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 		outDeg[v] = inst.out.Degree(graph.VID(v)) // of this epoch: Mutate and the binds swap it
 	}
 
-	res := &engines.PRResult{}
 	m, tr, ws := inst.m, &inst.trav, inst.steps()
 	pr := &ws.pr
 	*pr = prCall{contrib: contrib, outDeg: outDeg, in: inst.inRows(), damping: opts.Damping}
@@ -66,7 +67,7 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 		}
 	}
 	ws.pr = prCall{}
-	res.Rank, ws.prSpare = rank, next
+	res.Rank = traverse.Settled(res.Rank, rank)
 	return res, nil
 }
 
@@ -134,11 +135,14 @@ func prGrains(m *simmachine.Machine, n int) (gContrib, gPull, gL1 int) {
 // one synchronous round, always over the raw rows — then a
 // pointer-jumping pass sends every label to the root of its chain,
 // until a round lowers none.
-func (inst *Instance) WCC() (*engines.WCCResult, error) {
+func (inst *Instance) WCC(dst *engines.WCCResult) (*engines.WCCResult, error) {
 	inst.BuildStructure()
 	n := inst.n
-	// comp is made per call and handed out; the other of the pair is kept.
-	comp, next := make([]graph.VID, n), traverse.Resized(inst.ws.wccSpare, n)
+	res := traverse.Result(dst)
+	// comp is dst's; the other of the pair is kept.
+	res.Component = traverse.Resized(res.Component, n)
+	inst.ws.wccSpare = traverse.Resized(inst.ws.wccSpare, n)
+	comp, next := res.Component, inst.ws.wccSpare
 	for i := range comp {
 		comp[i] = graph.VID(i)
 	}
@@ -162,8 +166,9 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 			break
 		}
 	}
-	ws.ccComp, ws.wccSpare = nil, next
-	return &engines.WCCResult{Component: comp}, nil
+	ws.ccComp = nil
+	res.Component = traverse.Settled(res.Component, comp)
+	return res, nil
 }
 
 // ccJumpChunk sends one chunk's labels to the roots of their chains.

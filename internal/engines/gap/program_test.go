@@ -261,11 +261,11 @@ func run(inst *Instance, k int, cold bool) (o outcome, charged []float64, err er
 	mark, _ := m.Mark()
 	switch {
 	case k == kindPR && cold:
-		o.pr, err = inst.PageRank(engines.DefaultPROpts())
+		o.pr, err = inst.PageRank(engines.DefaultPROpts(), nil)
 	case k == kindPR:
 		o.pr, err = inst.IncrementalPageRank(engines.DefaultPROpts())
 	case cold:
-		o.wcc, err = inst.WCC()
+		o.wcc, err = inst.WCC(nil)
 	default:
 		o.wcc, err = inst.IncrementalWCC()
 	}

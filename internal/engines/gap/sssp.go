@@ -17,14 +17,7 @@ import (
 // buckets of width Δ; each bucket is settled by repeated parallel
 // relaxation passes of its light edges, then heavy edges are relaxed
 // once.
-func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
-	return inst.SSSPInto(root, nil)
-}
-
-// SSSPInto is SSSP writing into dst under BFSInto's ownership rule:
-// dst's arrays are reused when large enough, a nil dst gets a fresh
-// result, and the instance keeps no reference to either.
-func (inst *Instance) SSSPInto(root graph.VID, dst *engines.SSSPResult) (*engines.SSSPResult, error) {
+func (inst *Instance) SSSP(root graph.VID, dst *engines.SSSPResult) (*engines.SSSPResult, error) {
 	inst.BuildStructure()
 	if !inst.out.Weighted() {
 		return nil, engines.ErrUnsupported // unweighted input, as with cit-Patents in Table I

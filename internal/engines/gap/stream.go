@@ -175,7 +175,7 @@ func (inst *Instance) IncrementalPageRank(opts engines.PROpts) (*engines.PRResul
 		st.prIn = inst.in
 		return &engines.PRResult{Rank: slices.Clone(st.prRank), Iterations: st.prIters}, nil
 	}
-	res, err := inst.PageRank(opts)
+	res, err := inst.PageRank(opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +210,7 @@ func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 	inst.BuildStructure()
 	st := inst.streamState()
 	if st.wccLab == nil {
-		res, err := inst.WCC()
+		res, err := inst.WCC(nil)
 		if err != nil {
 			return nil, err
 		}

@@ -112,7 +112,7 @@ func labelsEqual(t *testing.T, got, want *engines.WCCResult, ctx string) {
 func freshPR(t *testing.T, el *graph.EdgeList, threads int) *engines.PRResult {
 	t.Helper()
 	inst := load(t, engine(), el, threads)
-	res, err := inst.PageRank(engines.DefaultPROpts())
+	res, err := inst.PageRank(engines.DefaultPROpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func freshPR(t *testing.T, el *graph.EdgeList, threads int) *engines.PRResult {
 func freshWCC(t *testing.T, el *graph.EdgeList, threads int) *engines.WCCResult {
 	t.Helper()
 	inst := load(t, engine(), el, threads)
-	res, err := inst.WCC()
+	res, err := inst.WCC(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestIncrementalCheaperThanRecompute(t *testing.T) {
 	}
 	ref := ri.(*Instance)
 	ref.BuildStructure()
-	if _, err := ref.PageRank(engines.DefaultPROpts()); err != nil {
+	if _, err := ref.PageRank(engines.DefaultPROpts(), nil); err != nil {
 		t.Fatal(err)
 	}
 	fullCost := m2.Elapsed()
@@ -718,25 +718,25 @@ func TestBoundInstanceRunsOnAFrozenEpoch(t *testing.T) {
 				bound.BindEpoch(held[i])
 				fresh := loadWith(t, elFromCSR(held[i].Out(), directed), 8, compress, true)
 				root := rootsOf(held[i].Out(), 1)[0]
-				gb, err := bound.BFS(root)
+				gb, err := bound.BFS(root, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fb, _ := fresh.BFS(root)
-				gs, err := bound.SSSP(root)
+				fb, _ := fresh.BFS(root, nil)
+				gs, err := bound.SSSP(root, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fs, _ := fresh.SSSP(root)
+				fs, _ := fresh.SSSP(root, nil)
 				if !slices.Equal(gb.Depth, fb.Depth) || !slices.Equal(gs.Dist, fs.Dist) {
 					t.Fatalf("%s: bound instance's BFS or SSSP differs from a fresh load of that graph", ctx)
 				}
-				gp, err := bound.PageRank(engines.DefaultPROpts())
+				gp, err := bound.PageRank(engines.DefaultPROpts(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				ranksEqual(t, gp, freshPR(t, elFromCSR(held[i].Out(), directed), 8), ctx)
-				gw, err := bound.WCC()
+				gw, err := bound.WCC(nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -48,12 +48,12 @@ type workspace struct {
 	// as deltas (graph.RowBuf); the parallel bodies borrow traverse.State's.
 	row graph.RowBuf
 
-	// PageRank: the rank vector the last call did not hand out, the
-	// rank/degree contributions and the out-degrees of the epoch.
+	// PageRank: the rank vector paired with dst's (never handed out),
+	// the rank/degree contributions and the out-degrees of the epoch.
 	prSpare, prContrib []float64
 	prOutDeg           []int64
 
-	// WCC: the label array the last call did not hand out.
+	// WCC: the label array paired with dst's (never handed out).
 	wccSpare []graph.VID
 
 	// IncrementalWCC's diff against its baseline (the out-entries that

@@ -44,7 +44,7 @@ func regionsSince(m *simmachine.Machine, mark int) []simmachine.Region {
 	return slices.Clone(m.Trace()[mark:])
 }
 
-// The reuse-equivalence wall: BFSInto and SSSPInto through ONE reused
+// The reuse-equivalence wall: BFS and SSSP through ONE reused
 // dst on ONE long-lived instance — across 32 roots, real worker counts,
 // raw and compressed adjacency, both SSSP variants, and a Mutate in the
 // middle — must be bit-equal, in values, work counters and every
@@ -74,19 +74,19 @@ func TestReusedWorkspaceBitEqualFreshInstance(t *testing.T) {
 					}
 
 					mark, _ := reused.m.Mark()
-					got, err := reused.BFSInto(root, &bfs)
+					got, err := reused.BFS(root, &bfs)
 					if err != nil {
 						t.Fatal(err)
 					}
 					gotRegions := regionsSince(reused.m, mark)
 					fresh := loadWith(t, cur, workers, compress, sync)
 					mark, _ = fresh.m.Mark()
-					want, err := fresh.BFS(root)
+					want, err := fresh.BFS(root, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got != &bfs {
-						t.Fatalf("%s: BFSInto returned a result other than dst", ctx("bfs"))
+						t.Fatalf("%s: BFS returned a result other than dst", ctx("bfs"))
 					}
 					if !slices.Equal(got.Parent, want.Parent) || !slices.Equal(got.Depth, want.Depth) ||
 						got.EdgesExamined != want.EdgesExamined || got.Root != want.Root {
@@ -97,14 +97,14 @@ func TestReusedWorkspaceBitEqualFreshInstance(t *testing.T) {
 					}
 
 					mark, _ = reused.m.Mark()
-					gotS, err := reused.SSSPInto(root, &sssp)
+					gotS, err := reused.SSSP(root, &sssp)
 					if err != nil {
 						t.Fatal(err)
 					}
 					gotRegions = regionsSince(reused.m, mark)
 					fresh = loadWith(t, cur, workers, compress, sync)
 					mark, _ = fresh.m.Mark()
-					wantS, err := fresh.SSSP(root)
+					wantS, err := fresh.SSSP(root, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -131,7 +131,7 @@ func TestIntoReusesOnlyLargeEnoughDst(t *testing.T) {
 	inst := load(t, engine(), kron(8, 3), 4)
 	root := rootsOf(inst.Epoch().Out(), 1)[0]
 	small := &engines.BFSResult{Parent: make([]int64, 3), Depth: make([]int64, 3)}
-	res, err := inst.BFSInto(root, small)
+	res, err := inst.BFS(root, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +139,13 @@ func TestIntoReusesOnlyLargeEnoughDst(t *testing.T) {
 		t.Fatalf("undersized dst not replaced: len %d/%d, n %d", len(res.Parent), len(res.Depth), inst.n)
 	}
 	before := &res.Parent[0]
-	if res, err = inst.BFSInto(root, res); err != nil {
+	if res, err = inst.BFS(root, res); err != nil {
 		t.Fatal(err)
 	}
 	if &res.Parent[0] != before {
 		t.Fatal("large-enough dst was reallocated")
 	}
-	if fresh, _ := inst.BFS(root); &fresh.Parent[0] == before {
+	if fresh, _ := inst.BFS(root, nil); &fresh.Parent[0] == before {
 		t.Fatal("BFS handed out an array a caller already owns")
 	}
 }
@@ -158,7 +158,7 @@ func resultBytes(newResult func() any) uint64 {
 	return alloctest.BytesPerRun(4, func() { resultSink = newResult() })
 }
 
-// Warm BFSInto and SSSPInto, synchronous and chaotic, allocate nothing
+// Warm BFS and SSSP into a warm dst, synchronous and chaotic, allocate nothing
 // at all at two workers, and a warm PageRank and WCC — and PowerGraph's
 // SSSP, PageRank and WCC and GraphBIG's and GraphMat's PageRank, whose
 // bodies are bound the same way — nothing beyond the result they hand
@@ -179,13 +179,13 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 	var sssp engines.SSSPResult
 	i := 0
 	perBFS := alloctest.BytesPerRun(2*len(roots), func() {
-		if _, err := inst.BFSInto(roots[i%len(roots)], &bfs); err != nil {
+		if _, err := inst.BFS(roots[i%len(roots)], &bfs); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
 	perSSSP := alloctest.BytesPerRun(2*len(roots), func() {
-		if _, err := inst.SSSPInto(roots[i%len(roots)], &sssp); err != nil {
+		if _, err := inst.SSSP(roots[i%len(roots)], &sssp); err != nil {
 			t.Fatal(err)
 		}
 		i++
@@ -194,24 +194,24 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 	// region or a chunk outputs more than ever and its slab regrows: the
 	// fewest bytes of single calls reads a per-call term, not that.
 	perChaotic := alloctest.FewestBytes(4*len(roots), func() {
-		if _, err := chaotic.SSSPInto(roots[i%len(roots)], &sssp); err != nil {
+		if _, err := chaotic.SSSP(roots[i%len(roots)], &sssp); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
-	t.Logf("warm BFSInto %d B/call, sync SSSPInto %d B/call, chaotic SSSPInto %d B/call", perBFS, perSSSP, perChaotic)
+	t.Logf("warm BFS %d B/call, sync SSSP %d B/call, chaotic SSSP %d B/call", perBFS, perSSSP, perChaotic)
 	if perBFS != 0 || perSSSP != 0 || perChaotic != 0 {
 		t.Fatalf("warm traversal allocates BFS %d B, sync SSSP %d B, chaotic SSSP %d B per call; want 0, 0 and 0",
 			perBFS, perSSSP, perChaotic)
 	}
 	n := inst.n
 	perPR := alloctest.BytesPerRun(4, func() {
-		if _, err := inst.PageRank(engines.DefaultPROpts()); err != nil {
+		if _, err := inst.PageRank(engines.DefaultPROpts(), nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	perWCC := alloctest.BytesPerRun(4, func() {
-		if _, err := inst.WCC(); err != nil {
+		if _, err := inst.WCC(nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -230,7 +230,7 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	perPG := alloctest.BytesPerRun(len(roots), func() {
-		if _, err := pg.SSSP(roots[i%len(roots)]); err != nil {
+		if _, err := pg.SSSP(roots[i%len(roots)], nil); err != nil {
 			t.Fatal(err)
 		}
 		i++
@@ -238,12 +238,12 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 	pgSSSP := resultBytes(func() any { return traverse.StartSSSP(nil, 0, n) })
 	bfsResult := resultBytes(func() any { return traverse.StartBFS(nil, 0, n) })
 	perPGPR := alloctest.BytesPerRun(4, func() {
-		if _, err := pg.PageRank(engines.DefaultPROpts()); err != nil {
+		if _, err := pg.PageRank(engines.DefaultPROpts(), nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	perPGWCC := alloctest.BytesPerRun(4, func() {
-		if _, err := pg.WCC(); err != nil {
+		if _, err := pg.WCC(nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -262,12 +262,12 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		per := alloctest.BytesPerRun(4, func() {
-			if _, err := other.PageRank(engines.DefaultPROpts()); err != nil {
+			if _, err := other.PageRank(engines.DefaultPROpts(), nil); err != nil {
 				t.Fatal(err)
 			}
 		})
 		perBFS := alloctest.BytesPerRun(2*len(roots), func() {
-			if _, err := other.BFS(roots[i%len(roots)]); err != nil {
+			if _, err := other.BFS(roots[i%len(roots)], nil); err != nil {
 				t.Fatal(err)
 			}
 			i++
@@ -278,7 +278,7 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 			ssspOf = func(calls int, f func()) uint64 { return alloctest.FewestBytes(2*calls, f) }
 		}
 		perSSSP := ssspOf(2*len(roots), func() {
-			if _, err := other.SSSP(roots[i%len(roots)]); err != nil {
+			if _, err := other.SSSP(roots[i%len(roots)], nil); err != nil {
 				t.Fatal(err)
 			}
 			i++
@@ -315,7 +315,7 @@ func TestWarmSharedStepEnginesAllocateOnlyResults(t *testing.T) {
 		inst.BuildStructure()
 		i := 0
 		per := alloctest.BytesPerRun(2*len(roots), func() {
-			if _, err := inst.BFS(roots[i%len(roots)]); err != nil {
+			if _, err := inst.BFS(roots[i%len(roots)], nil); err != nil {
 				t.Fatal(err)
 			}
 			i++
@@ -374,7 +374,7 @@ func TestWorkspaceRetentionBoundedByLargestRegion(t *testing.T) {
 	inst.SetCancel(observe)
 	var sssp engines.SSSPResult
 	for _, root := range rootsOf(inst.Epoch().Out(), 40) {
-		if _, err := inst.SSSPInto(root, &sssp); err != nil {
+		if _, err := inst.SSSP(root, &sssp); err != nil {
 			t.Fatal(err)
 		}
 		_ = observe()

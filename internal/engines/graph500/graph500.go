@@ -94,7 +94,7 @@ func (inst *Instance) BuildStructure() {
 // BFS implements engines.Instance (Kernel 2): level-synchronous
 // top-down search, nothing but the shared step under the kernel2
 // profile.
-func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
+func (inst *Instance) BFS(root graph.VID, dst *engines.BFSResult) (*engines.BFSResult, error) {
 	inst.BuildStructure()
-	return inst.trav.BFS(inst.m, inst.rows, &kernel2, "graph500: BFS", inst.csr.NumVertices, root)
+	return inst.trav.BFS(inst.m, inst.rows, &kernel2, "graph500: BFS", inst.csr.NumVertices, root, dst)
 }

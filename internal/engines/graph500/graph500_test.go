@@ -43,19 +43,19 @@ func TestOnlyBFSRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst.BuildStructure()
-	if _, err := inst.SSSP(0); !errors.Is(err, engines.ErrUnsupported) {
+	if _, err := inst.SSSP(0, nil); !errors.Is(err, engines.ErrUnsupported) {
 		t.Error("SSSP should be unsupported")
 	}
-	if _, err := inst.PageRank(engines.PROpts{}); !errors.Is(err, engines.ErrUnsupported) {
+	if _, err := inst.PageRank(engines.PROpts{}, nil); !errors.Is(err, engines.ErrUnsupported) {
 		t.Error("PageRank should be unsupported")
 	}
-	if _, err := inst.CDLP(1); !errors.Is(err, engines.ErrUnsupported) {
+	if _, err := inst.CDLP(1, nil); !errors.Is(err, engines.ErrUnsupported) {
 		t.Error("CDLP should be unsupported")
 	}
-	if _, err := inst.LCC(); !errors.Is(err, engines.ErrUnsupported) {
+	if _, err := inst.LCC(nil); !errors.Is(err, engines.ErrUnsupported) {
 		t.Error("LCC should be unsupported")
 	}
-	if _, err := inst.WCC(); !errors.Is(err, engines.ErrUnsupported) {
+	if _, err := inst.WCC(nil); !errors.Is(err, engines.ErrUnsupported) {
 		t.Error("WCC should be unsupported")
 	}
 }
@@ -77,7 +77,7 @@ func TestBFSValidAcrossRoots(t *testing.T) {
 		}
 		count++
 		root := graph.VID(v)
-		got, err := inst.BFS(root)
+		got, err := inst.BFS(root, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestBFSWithoutExplicitBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	// BFS must lazily construct.
-	if _, err := inst.BFS(0); err != nil {
+	if _, err := inst.BFS(0, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -119,7 +119,7 @@ func TestStaticSchedulingCharged(t *testing.T) {
 		}
 		inst.BuildStructure()
 		start := m.Elapsed()
-		if _, err := inst.BFS(1); err != nil {
+		if _, err := inst.BFS(1, nil); err != nil {
 			t.Fatal(err)
 		}
 		return m.Elapsed() - start

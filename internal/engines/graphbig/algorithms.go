@@ -17,11 +17,13 @@ import (
 // in-edges (each vertex folds its own property in adjacency order), so
 // the per-edge lock traffic System G pays is charged per edge while
 // the float32 sums stay bit-identical across runs and worker counts.
-func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
+func (inst *Instance) PageRank(opts engines.PROpts, dst *engines.PRResult) (*engines.PRResult, error) {
 	opts = opts.Normalize()
 	n := inst.n
+	res := traverse.Result(dst)
+	res.Rank, res.Iterations = traverse.Resized(res.Rank, n), 0
 	if n == 0 {
-		return &engines.PRResult{}, nil
+		return res, nil
 	}
 	inv := float32(1.0 / float64(n))
 	inst.rank[0], inst.rank[1] = traverse.Resized(inst.rank[0], n), traverse.Resized(inst.rank[1], n)
@@ -34,7 +36,6 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	for i := range pr.rank {
 		pr.rank[i] = inv
 	}
-	res := &engines.PRResult{}
 	m, tr := inst.m, &inst.trav
 	gRed := m.Grain(n, 4096, 1)
 	gGather := m.Grain(n, 512, 1)
@@ -50,7 +51,6 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 			break
 		}
 	}
-	res.Rank = make([]float64, n)
 	for v := 0; v < n; v++ {
 		res.Rank[v] = float64(pr.rank[v])
 	}
@@ -109,14 +109,16 @@ func (inst *Instance) prL1Chunk(c *traverse.Chunk, lo, hi int) {
 // CDLP implements engines.Instance: synchronous label propagation
 // with per-vertex histogram maps (System G's property-map style) — the
 // shared vote step.
-func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
+func (inst *Instance) CDLP(maxIter int, dst *engines.CDLPResult) (*engines.CDLPResult, error) {
 	n := inst.n
-	// label is made per call and handed out; the other of the pair is kept.
-	label, next := make([]graph.VID, n), traverse.Resized(inst.spare, n)
+	res := traverse.Result(dst)
+	// label is dst's; the other of the pair is kept.
+	res.Label, res.Iterations = traverse.Resized(res.Label, n), 0
+	inst.spare = traverse.Resized(inst.spare, n)
+	label, next := res.Label, inst.spare
 	for i := range label {
 		label[i] = graph.VID(i)
 	}
-	res := &engines.CDLPResult{}
 	for iter := 1; iter <= maxIter; iter++ {
 		changed := inst.trav.Vote(inst.m, 256, &cdlpVote, inst.vertices, inst.inRows(), label, next)
 		label, next = next, label
@@ -125,23 +127,27 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 			break
 		}
 	}
-	res.Label, inst.spare = label, next
+	res.Label = traverse.Settled(res.Label, label)
 	return res, nil
 }
 
 // LCC implements engines.Instance: per-vertex hash-set membership
 // tests over the distinct in∪out neighborhood.
-func (inst *Instance) LCC() (*engines.LCCResult, error) {
+func (inst *Instance) LCC(dst *engines.LCCResult) (*engines.LCCResult, error) {
 	n := inst.n
-	coeff := make([]float64, n)
+	res := traverse.Result(dst)
+	res.Coeff = traverse.Resized(res.Coeff, n)
+	coeff := res.Coeff
 	sets := inst.trav.Tallies(inst.m, n) // the neighborhood as a set, per worker
+	merged := inst.trav.Neighborhoods(inst.m)
 	inst.m.ParallelForChunks(n, 64, simmachine.Dynamic, func(lo, hi, _, worker int, w *simmachine.W) {
 		set := &sets[worker]
 		var checks int64
 		for v := lo; v < hi; v++ {
-			nbrs := inst.neighborhood(graph.VID(v))
+			nbrs := inst.neighborhood(graph.VID(v), &merged[worker])
 			d := len(nbrs)
 			if d < 2 {
+				coeff[v] = 0
 				continue
 			}
 			for _, u := range nbrs {
@@ -162,32 +168,37 @@ func (inst *Instance) LCC() (*engines.LCCResult, error) {
 		w.Charge(costLCCCheck.Scale(float64(checks)))
 		w.Charge(costPropTouch.Scale(float64(hi - lo)))
 	})
-	return &engines.LCCResult{Coeff: coeff}, nil
+	return res, nil
 }
 
 // neighborhood returns distinct in∪out neighbors of v excluding v
-// (adjacency lists are sorted and deduplicated at load).
-func (inst *Instance) neighborhood(v graph.VID) []graph.VID {
+// (adjacency lists are sorted and deduplicated at load), merged in buf
+// when the graph is directed.
+func (inst *Instance) neighborhood(v graph.VID, buf *[]graph.VID) []graph.VID {
 	vp := &inst.vertices[v]
 	if !inst.directed {
 		return vp.out // sorted, simple graph: v itself was dropped
 	}
-	return engines.Neighborhood(vp.out, vp.in, v)
+	*buf = engines.Neighborhood(*buf, vp.out, vp.in, v)
+	return *buf
 }
 
 // WCC implements engines.Instance: plain min-label propagation (no
 // pointer jumping) until quiescent — the shared hook step, one
 // synchronous round at a time.
-func (inst *Instance) WCC() (*engines.WCCResult, error) {
-	// comp is made per call and handed out; the other of the pair is
-	// kept. A round that lowers nothing leaves next equal to comp.
-	comp, next := make([]graph.VID, inst.n), traverse.Resized(inst.spare, inst.n)
+func (inst *Instance) WCC(dst *engines.WCCResult) (*engines.WCCResult, error) {
+	res := traverse.Result(dst)
+	// comp is dst's; the other of the pair is kept. A round that lowers
+	// nothing leaves next equal to comp.
+	res.Component = traverse.Resized(res.Component, inst.n)
+	inst.spare = traverse.Resized(inst.spare, inst.n)
+	comp, next := res.Component, inst.spare
 	for i := range comp {
 		comp[i] = graph.VID(i)
 	}
 	for inst.trav.Hook(inst.m, 1024, &wccHook, inst.vertices, inst.inRows(), comp, next) != 0 {
 		comp, next = next, comp
 	}
-	inst.spare = next
-	return &engines.WCCResult{Component: comp}, nil
+	res.Component = traverse.Settled(res.Component, comp)
+	return res, nil
 }

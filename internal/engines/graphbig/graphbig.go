@@ -193,24 +193,24 @@ func (inst *Instance) inRows() traverse.Rows {
 // BFS implements engines.Instance: plain level-synchronous traversal
 // with per-vertex visited atomics — the shared step under the levelBFS
 // profile.
-func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
+func (inst *Instance) BFS(root graph.VID, dst *engines.BFSResult) (*engines.BFSResult, error) {
 	// The rows point at the table, as inRows does, so that passing them
 	// allocates nothing.
-	return inst.trav.BFS(inst.m, &inst.vertices, &levelBFS, "graphbig: BFS", inst.n, root)
+	return inst.trav.BFS(inst.m, &inst.vertices, &levelBFS, "graphbig: BFS", inst.n, root, dst)
 }
 
 // SSSP implements engines.Instance: frontier-driven Bellman-Ford
 // relaxation (System G's "chaotic" parallel relaxation) with CAS-min
 // distances.
-func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
+func (inst *Instance) SSSP(root graph.VID, dst *engines.SSSPResult) (*engines.SSSPResult, error) {
 	if !inst.weighted {
 		return nil, engines.ErrUnsupported
 	}
-	if inst.opts.SyncSSSP {
-		return inst.ssspSync(root)
-	}
 	n := inst.n
-	res := traverse.StartSSSP(nil, root, n)
+	res := traverse.StartSSSP(dst, root, n)
+	if inst.opts.SyncSSSP {
+		return inst.ssspSync(res)
+	}
 	inst.dist, inst.inActive = traverse.Resized(inst.dist, n), traverse.Resized(inst.inActive, n)
 	dist, inActive := inst.dist, inst.inActive
 	inf := math.Float64bits(math.Inf(1))

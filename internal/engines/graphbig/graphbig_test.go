@@ -72,7 +72,7 @@ func TestPageRankFloat32Iterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := inst.PageRank(engines.PROpts{})
+	res, err := inst.PageRank(engines.PROpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestNeighborhoodDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nbrs := inst.(*Instance).neighborhood(0)
+	nbrs := inst.(*Instance).neighborhood(0, new([]graph.VID))
 	want := []graph.VID{1, 2, 3}
 	if len(nbrs) != len(want) {
 		t.Fatalf("neighborhood = %v, want %v", nbrs, want)
@@ -122,7 +122,7 @@ func TestSSSPOnDenseWeightedGraph(t *testing.T) {
 			break
 		}
 	}
-	got, err := inst.SSSP(root)
+	got, err := inst.SSSP(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCDLPIterationCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := inst.CDLP(3)
+	res, err := inst.CDLP(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,10 @@ import (
 // charged is unchanged from the chaotic variant: the modeled System G
 // still pays its property-lock traffic per edge; what the barrier buys
 // is reproducibility, at the price of a serial merge per round.
-func (inst *Instance) ssspSync(root graph.VID) (*engines.SSSPResult, error) {
+func (inst *Instance) ssspSync(res *engines.SSSPResult) (*engines.SSSPResult, error) {
 	tr := &inst.trav
-	res := traverse.StartSSSP(nil, root, inst.n)
 	everyEdge := traverse.Pass{Split: math.Inf(1)}
-	active, next := append(inst.active[:0], root), inst.nextActive[:0]
+	active, next := append(inst.active[:0], res.Root), inst.nextActive[:0]
 	improved := func(u graph.VID, _ float64) {
 		if tr.First(u) {
 			next = append(next, u)

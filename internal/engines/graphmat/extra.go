@@ -9,16 +9,18 @@ import (
 // CDLP implements engines.Instance: synchronous label propagation as
 // a histogram-semiring SpMV. For directed graphs both the in- and
 // out-matrices contribute messages (LDBC semantics).
-func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
+func (inst *Instance) CDLP(maxIter int, dst *engines.CDLPResult) (*engines.CDLPResult, error) {
 	inst.BuildStructure()
 	n := inst.n
-	// label is made per call and handed out; the other of the pair is kept.
-	label, next := make([]graph.VID, n), traverse.Resized(inst.spare, n)
+	res := traverse.Result(dst)
+	// label is dst's; the other of the pair is kept.
+	res.Label, res.Iterations = traverse.Resized(res.Label, n), 0
+	inst.spare = traverse.Resized(inst.spare, n)
+	label, next := res.Label, inst.spare
 	for i := range label {
 		label[i] = graph.VID(i)
 	}
 	tallies := inst.trav.Tallies(inst.m, n) // the histogram semiring's accumulators
-	res := &engines.CDLPResult{}
 	// count adds the labels of adj to t (the messages of one stored
 	// row) and returns how many; vote picks v's label from them, into
 	// next, which no sweep reads.
@@ -73,17 +75,20 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 			break
 		}
 	}
-	res.Label, inst.spare = label, next
+	res.Label = traverse.Settled(res.Label, label)
 	return res, nil
 }
 
 // WCC implements engines.Instance: min-semiring SpMV iterated until
 // quiescent. For directed graphs the min gathers over both
 // directions (weak connectivity).
-func (inst *Instance) WCC() (*engines.WCCResult, error) {
+func (inst *Instance) WCC(dst *engines.WCCResult) (*engines.WCCResult, error) {
 	inst.BuildStructure()
 	n := inst.n
-	comp, next := make([]graph.VID, n), traverse.Resized(inst.spare, n) // as in CDLP
+	res := traverse.Result(dst)
+	res.Component = traverse.Resized(res.Component, n)
+	inst.spare = traverse.Resized(inst.spare, n) // as in CDLP
+	comp, next := res.Component, inst.spare
 	for i := range comp {
 		comp[i] = graph.VID(i)
 	}
@@ -120,8 +125,8 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 			break
 		}
 	}
-	inst.spare = next
-	return &engines.WCCResult{Component: comp}, nil
+	res.Component = traverse.Settled(res.Component, comp)
+	return res, nil
 }
 
 // LCC implements engines.Instance: GraphMat's Graphalytics LCC maps
@@ -129,13 +134,14 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 // sorted-adjacency intersections — the shared link-count step — with
 // SpMV-grade per-check costs (the paper's Table I shows LCC dominating
 // every system's runtime on the dense Dota-League graph).
-func (inst *Instance) LCC() (*engines.LCCResult, error) {
+func (inst *Instance) LCC(dst *engines.LCCResult) (*engines.LCCResult, error) {
 	inst.BuildStructure()
-	coeff := make([]float64, inst.n)
+	res := traverse.Result(dst)
+	res.Coeff = traverse.Resized(res.Coeff, inst.n)
 	var in *graph.CSR // LinkCount merges in-rows only when they differ
 	if inst.directed {
 		in = inst.in
 	}
-	inst.trav.LinkCount(inst.m, 64, &lccLinks, inst.out, in, coeff)
-	return &engines.LCCResult{Coeff: coeff}, nil
+	inst.trav.LinkCount(inst.m, 64, &lccLinks, inst.out, in, res.Coeff)
+	return res, nil
 }

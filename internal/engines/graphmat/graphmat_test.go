@@ -101,7 +101,7 @@ func TestDirectedWCCJoinsOutOnlyVertices(t *testing.T) {
 			{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 4, Dst: 3}, {Src: 4, Dst: 5}, {Src: 5, Dst: 2},
 		},
 	}
-	got, err := loadBuilt(t, el).WCC()
+	got, err := loadBuilt(t, el).WCC(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestBFSChargesFullSweeps(t *testing.T) {
 			break
 		}
 	}
-	res, err := inst.BFS(root)
+	res, err := inst.BFS(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestPageRankRunsUntilNoChange(t *testing.T) {
 	p := verify.Prepare(el)
 	ref := verify.PageRank(p, engines.PROpts{})
 	inst := loadBuilt(t, el)
-	res, err := inst.PageRank(engines.PROpts{})
+	res, err := inst.PageRank(engines.PROpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDirectedCDLPLabelsOutOnlyVertices(t *testing.T) {
 		},
 	}
 	want := verify.CDLP(verify.Prepare(el), engines.DefaultCDLPIterations)
-	got, err := loadBuilt(t, el).CDLP(engines.DefaultCDLPIterations)
+	got, err := loadBuilt(t, el).CDLP(engines.DefaultCDLPIterations, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestSSSPFloat32Distances(t *testing.T) {
 			break
 		}
 	}
-	got, err := inst.SSSP(root)
+	got, err := inst.SSSP(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,16 +253,16 @@ func TestReboundDirectedCDLPEqualsFresh(t *testing.T) {
 	}
 	a, b := homogenize(3), homogenize(4)
 	inst := engine().LoadSimple(a, machine(4))
-	if _, err := inst.CDLP(engines.DefaultCDLPIterations); err != nil {
+	if _, err := inst.CDLP(engines.DefaultCDLPIterations, nil); err != nil {
 		t.Fatal(err)
 	}
 	inst.Bind(b, machine(4), engines.Options{})
-	got, err := inst.CDLP(engines.DefaultCDLPIterations)
+	got, err := inst.CDLP(engines.DefaultCDLPIterations, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := engine().LoadSimple(b, machine(4))
-	want, err := fresh.CDLP(engines.DefaultCDLPIterations)
+	want, err := fresh.CDLP(engines.DefaultCDLPIterations, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

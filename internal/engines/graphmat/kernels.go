@@ -46,10 +46,10 @@ func (inst *Instance) denseSweep(mult float64) {
 // in-edges (no early exit — the semiring REDUCE visits every
 // message), which is why GraphMat's BFS is orders of magnitude
 // slower than direction-optimized traversal on small graphs.
-func (inst *Instance) BFS(root graph.VID) (*engines.BFSResult, error) {
+func (inst *Instance) BFS(root graph.VID, dst *engines.BFSResult) (*engines.BFSResult, error) {
 	inst.BuildStructure()
 	n := inst.n
-	res := traverse.StartBFS(nil, root, n)
+	res := traverse.StartBFS(dst, root, n)
 	ws := inst.steps()
 	bc := &ws.bfs
 	*bc = bfsCall{res: res}
@@ -125,13 +125,13 @@ func (inst *Instance) bfsRows(c *traverse.Chunk, rows []graph.VID) {
 // SSSP implements engines.Instance: min-plus semiring SpMV iterated
 // until no distance changes. Distances are float32 (GraphMat's single
 // precision vertex properties).
-func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
+func (inst *Instance) SSSP(root graph.VID, dst *engines.SSSPResult) (*engines.SSSPResult, error) {
 	inst.BuildStructure()
 	if !inst.weighted {
 		return nil, engines.ErrUnsupported
 	}
 	n := inst.n
-	res := traverse.StartSSSP(nil, root, n)
+	res := traverse.StartSSSP(dst, root, n)
 	// Synchronous min-plus semantics: each sweep reads the previous
 	// iteration's vector (cur) and writes the next (nxt).
 	inst.vec[0], inst.vec[1] = traverse.Resized(inst.vec[0], n), traverse.Resized(inst.vec[1], n)
@@ -212,12 +212,14 @@ func (inst *Instance) ssspRows(c *traverse.Chunk, rows []graph.VID) {
 // paper: float32 ranks, iterating until no vertex's rank changes at
 // all (∞-norm exactly zero) — there is no computation of the L1
 // difference, so the homogenized ε plays no role here.
-func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
+func (inst *Instance) PageRank(opts engines.PROpts, dst *engines.PRResult) (*engines.PRResult, error) {
 	inst.BuildStructure()
 	opts = opts.Normalize()
 	n := inst.n
+	res := traverse.Result(dst)
+	res.Rank, res.Iterations = traverse.Resized(res.Rank, n), 0
 	if n == 0 {
-		return &engines.PRResult{}, nil
+		return res, nil
 	}
 	for i := range inst.vec {
 		inst.vec[i] = traverse.Resized(inst.vec[i], n)
@@ -229,7 +231,6 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	for i := range pr.rank {
 		pr.rank[i] = inv
 	}
-	res := &engines.PRResult{}
 	// GraphMat iterates beyond where L1-stopping engines halt; give
 	// it headroom above the homogenized cap, as the paper observed.
 	maxIter := opts.MaxIter * 2
@@ -260,7 +261,6 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 			break
 		}
 	}
-	res.Rank = make([]float64, n)
 	for v := 0; v < n; v++ {
 		res.Rank[v] = float64(pr.rank[v])
 	}

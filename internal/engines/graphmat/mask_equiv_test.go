@@ -124,7 +124,7 @@ func TestBitmapMaskBFSEquivalence(t *testing.T) {
 		el := kronecker.Generate(kronecker.Params{Scale: 8, Seed: seed})
 		inst := loadBuilt(t, el)
 		want := refMaskBFS(inst, 2)
-		got, err := inst.BFS(2)
+		got, err := inst.BFS(2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestBitmapMaskSSSPEquivalence(t *testing.T) {
 		el := kronecker.Generate(kronecker.Params{Scale: 8, Seed: seed})
 		inst := loadBuilt(t, el)
 		want := refMaskSSSP(inst, 2)
-		got, err := inst.SSSP(2)
+		got, err := inst.SSSP(2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

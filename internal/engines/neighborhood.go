@@ -3,11 +3,12 @@ package engines
 import "github.com/hpcl-repro/epg/internal/graph"
 
 // Neighborhood returns the sorted distinct in∪out neighbors of v,
-// excluding v — the LCC neighborhood of a directed graph. Both lists
-// must be sorted ascending. (An undirected graph's neighborhood is its
-// out-list as stored: callers skip the merge.)
-func Neighborhood(out, in []graph.VID, v graph.VID) []graph.VID {
-	merged := make([]graph.VID, 0, len(out)+len(in))
+// excluding v — the LCC neighborhood of a directed graph — appended to
+// dst[:0], the caller's scratch. Both lists must be sorted ascending.
+// (An undirected graph's neighborhood is its out-list as stored: callers
+// skip the merge.)
+func Neighborhood(dst, out, in []graph.VID, v graph.VID) []graph.VID {
+	merged := dst[:0]
 	i, j := 0, 0
 	for i < len(out) || j < len(in) {
 		var nxt graph.VID

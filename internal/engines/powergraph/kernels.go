@@ -17,12 +17,12 @@ import (
 // improved vertices. Distances are read from the previous superstep
 // only, so supersteps — and with them distances, parents (min-source
 // tie-break), and every charged cost — are schedule-independent.
-func (inst *Instance) SSSP(root graph.VID) (*engines.SSSPResult, error) {
+func (inst *Instance) SSSP(root graph.VID, dst *engines.SSSPResult) (*engines.SSSPResult, error) {
 	if !inst.weighted {
 		return nil, engines.ErrUnsupported
 	}
 	n := inst.n
-	res := traverse.StartSSSP(nil, root, n)
+	res := traverse.StartSSSP(dst, root, n)
 	inf := math.Inf(1)
 
 	inst.accF = traverse.Resized(inst.accF, int(inst.TotalRep))
@@ -119,14 +119,16 @@ func (inst *Instance) ssspApply(lo, hi, _, worker int, w *simmachine.W) {
 // (bit-deterministic float64 sums), apply with the homogenized float64
 // L1 stopping criterion (the paper modified each system to use it
 // where possible).
-func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
+func (inst *Instance) PageRank(opts engines.PROpts, dst *engines.PRResult) (*engines.PRResult, error) {
 	opts = opts.Normalize()
 	n := inst.n
+	res := traverse.Result(dst)
+	res.Rank, res.Iterations = traverse.Resized(res.Rank, n), 0
 	if n == 0 {
-		return &engines.PRResult{}, nil
+		return res, nil
 	}
 	inv := 1.0 / float64(n)
-	rank := make([]float64, n)
+	rank := res.Rank
 	for i := range rank {
 		rank[i] = inv
 	}
@@ -134,7 +136,6 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 	inst.accF = traverse.Resized(inst.accF, int(inst.TotalRep))
 	clear(inst.accF)
 
-	res := &engines.PRResult{}
 	ws := inst.steps()
 	ws.pr = prCall{rank: rank, damping: opts.Damping}
 	gContrib := inst.m.Grain(n, 4096, 1)
@@ -150,7 +151,6 @@ func (inst *Instance) PageRank(opts engines.PROpts) (*engines.PRResult, error) {
 		}
 	}
 	ws.pr = prCall{}
-	res.Rank = rank
 	return res, nil
 }
 
@@ -212,10 +212,13 @@ func (inst *Instance) prApplyChunk(c *traverse.Chunk, lo, hi int) {
 // shared vote step, with a ghost exchange after every round. Directed
 // graphs gather from both directions (LDBC semantics); the adjacency
 // retained at load supplies the reverse edges.
-func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
+func (inst *Instance) CDLP(maxIter int, dst *engines.CDLPResult) (*engines.CDLPResult, error) {
 	n := inst.n
-	// label is made per call and handed out; the other of the pair is kept.
-	label, next := make([]graph.VID, n), traverse.Resized(inst.spare, n)
+	res := traverse.Result(dst)
+	// label is dst's; the other of the pair is kept.
+	res.Label, res.Iterations = traverse.Resized(res.Label, n), 0
+	inst.spare = traverse.Resized(inst.spare, n)
+	label, next := res.Label, inst.spare
 	for i := range label {
 		label[i] = graph.VID(i)
 	}
@@ -223,7 +226,6 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 	if inst.directed {
 		in = inst.in
 	}
-	res := &engines.CDLPResult{}
 	for iter := 1; iter <= maxIter; iter++ {
 		changed := inst.trav.Vote(inst.m, 512, &cdlpVote, inst.out, in, label, next)
 		inst.syncGhosts()
@@ -233,16 +235,17 @@ func (inst *Instance) CDLP(maxIter int) (*engines.CDLPResult, error) {
 			break
 		}
 	}
-	res.Label, inst.spare = label, next
+	res.Label = traverse.Settled(res.Label, label)
 	return res, nil
 }
 
 // LCC implements engines.Instance: neighborhood intersection — the
 // shared link-count step — with GAS-grade per-check cost.
-func (inst *Instance) LCC() (*engines.LCCResult, error) {
-	coeff := make([]float64, inst.n)
-	inst.trav.LinkCount(inst.m, 64, &lccLinks, inst.out, inst.in, coeff)
-	return &engines.LCCResult{Coeff: coeff}, nil
+func (inst *Instance) LCC(dst *engines.LCCResult) (*engines.LCCResult, error) {
+	res := traverse.Result(dst)
+	res.Coeff = traverse.Resized(res.Coeff, inst.n)
+	inst.trav.LinkCount(inst.m, 64, &lccLinks, inst.out, inst.in, res.Coeff)
+	return res, nil
 }
 
 // WCC implements engines.Instance: min-label GAS supersteps over both
@@ -250,9 +253,11 @@ func (inst *Instance) LCC() (*engines.LCCResult, error) {
 // shard-local replica slots and the ghost-sync combine (labels are
 // read from the previous superstep only — synchronous and
 // deterministic).
-func (inst *Instance) WCC() (*engines.WCCResult, error) {
+func (inst *Instance) WCC(dst *engines.WCCResult) (*engines.WCCResult, error) {
 	n := inst.n
-	comp := make([]graph.VID, n)
+	res := traverse.Result(dst)
+	res.Component = traverse.Resized(res.Component, n)
+	comp := res.Component
 	for i := range comp {
 		comp[i] = graph.VID(i)
 	}
@@ -274,7 +279,7 @@ func (inst *Instance) WCC() (*engines.WCCResult, error) {
 		}
 	}
 	ws.wcc = wccCall{}
-	return &engines.WCCResult{Component: comp}, nil
+	return res, nil
 }
 
 // noLabel is an empty WCC replica slot.

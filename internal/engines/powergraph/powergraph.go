@@ -145,10 +145,8 @@ func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine, _ engines.Opt
 // records each edge's shard; the shards are then cut out of one array
 // by the final loads and filled in the same stream order.
 func cut(out *graph.CSR, p int) *partition {
-	shardOf := make([]uint8, 0, out.NumEdges())
-	vc := graph.GreedyVertexCut(out, p, func(_, _ graph.VID, _ float32, shard int) {
-		shardOf = append(shardOf, uint8(shard))
-	})
+	shardOf := make([]uint8, out.NumEdges())
+	vc := graph.GreedyVertexCut(out, p, shardOf)
 	edges := make([]shardEdge, out.NumEdges())
 	pt := &partition{VertexCutStats: vc, shards: make([][]shardEdge, p)}
 	for s, load := range vc.Loads {

@@ -37,7 +37,7 @@ func TestBFSUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inst.BFS(0); !errors.Is(err, engines.ErrUnsupported) {
+	if _, err := inst.BFS(0, nil); !errors.Is(err, engines.ErrUnsupported) {
 		t.Errorf("BFS err = %v, want ErrUnsupported", err)
 	}
 }
@@ -122,14 +122,14 @@ func TestSSSPAndWCCCorrect(t *testing.T) {
 			break
 		}
 	}
-	sp, err := inst.SSSP(root)
+	sp, err := inst.SSSP(root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := verify.ValidateSSSP(p, sp, verify.SSSP(p, root)); err != nil {
 		t.Error(err)
 	}
-	wc, err := inst.WCC()
+	wc, err := inst.WCC(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFrameworkOverheadVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := m.Elapsed()
-	if _, err := inst.SSSP(1); err != nil {
+	if _, err := inst.SSSP(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	pgTime := m.Elapsed() - start

@@ -243,15 +243,18 @@ func (s *State) Vote(m *simmachine.Machine, grain int, p *SweepProfile, out, in 
 // neighbor's out-row with the neighborhood, over d·(d−1). Every merge
 // comparison is one unit of Work.
 func (s *State) LinkCount(m *simmachine.Machine, grain int, p *SweepProfile, out, in *graph.CSR, coeff []float64) {
+	merged := s.Neighborhoods(m)
 	s.Sweep(m, len(coeff), grain, p, func(c *Chunk, lo, hi int) {
 		var checks int64
 		for v := lo; v < hi; v++ {
 			nbrs := out.Neighbors(graph.VID(v))
 			if in != nil {
-				nbrs = engines.Neighborhood(nbrs, in.Neighbors(graph.VID(v)), graph.VID(v))
+				nbrs = engines.Neighborhood(merged[c.worker], nbrs, in.Neighbors(graph.VID(v)), graph.VID(v))
+				merged[c.worker] = nbrs
 			}
 			d := len(nbrs)
 			if d < 2 {
+				coeff[v] = 0
 				continue
 			}
 			links := 0

@@ -122,6 +122,7 @@ type State struct {
 	spare   [3]*parallel.Counter // Counter's: for the regions an engine runs itself
 	bits    [2]*parallel.Bitmap  // Bitmaps'
 	rowBufs []graph.RowBuf       // per-worker Rows and WeightedRows scratch (RowBufs')
+	nbrs    [][]graph.VID        // per-worker merged neighborhoods (Neighborhoods')
 	chunks  []Chunk              // per-worker Sweep accumulators
 	tallies []Tally              // per-worker label histograms (Tallies)
 	parts   []float64            // per-chunk sums of the last Sweep
@@ -196,6 +197,7 @@ func (s *State) size(m *simmachine.Machine) {
 			s.spare[i] = parallel.NewCounter(w)
 		}
 		s.rowBufs = make([]graph.RowBuf, w)
+		s.nbrs = make([][]graph.VID, w)
 		s.chunks = make([]Chunk, w)
 	}
 }
@@ -225,6 +227,15 @@ func (s *State) Counter(m *simmachine.Machine, i int) *parallel.Counter {
 func (s *State) RowBufs(m *simmachine.Machine) []graph.RowBuf {
 	s.size(m)
 	return s.rowBufs
+}
+
+// Neighborhoods returns one neighborhood buffer per worker of m, for
+// engines.Neighborhood in a region the engine runs itself; a caller
+// stores the grown buffer back. They are LinkCount's own, free between
+// steps, and stay valid until m's worker count changes.
+func (s *State) Neighborhoods(m *simmachine.Machine) [][]graph.VID {
+	s.size(m)
+	return s.nbrs
 }
 
 // Bitmaps returns two empty bitmaps over [0,n): the dense frontier and
@@ -267,9 +278,7 @@ func (s *State) Levels(kernel string, level func(depth int64) (frontierLen int))
 // StartBFS readies dst (a fresh result when nil) for a search of n
 // vertices from root, reusing dst's arrays when they are large enough.
 func StartBFS(dst *engines.BFSResult, root graph.VID, n int) *engines.BFSResult {
-	if dst == nil {
-		dst = &engines.BFSResult{}
-	}
+	dst = Result(dst)
 	dst.Root, dst.EdgesExamined = root, 0
 	dst.Parent, dst.Depth = Resized(dst.Parent, n), Resized(dst.Depth, n)
 	for i := range dst.Parent {
@@ -283,9 +292,7 @@ func StartBFS(dst *engines.BFSResult, root graph.VID, n int) *engines.BFSResult 
 
 // StartSSSP is StartBFS for SSSP: every distance +Inf but the root's.
 func StartSSSP(dst *engines.SSSPResult, root graph.VID, n int) *engines.SSSPResult {
-	if dst == nil {
-		dst = &engines.SSSPResult{}
-	}
+	dst = Result(dst)
 	dst.Root, dst.Relaxations = root, 0
 	dst.Dist, dst.Parent = Resized(dst.Dist, n), Resized(dst.Parent, n)
 	for i := range dst.Dist {
@@ -294,6 +301,15 @@ func StartSSSP(dst *engines.SSSPResult, root graph.VID, n int) *engines.SSSPResu
 	}
 	dst.Dist[root] = 0
 	dst.Parent[root] = int64(root)
+	return dst
+}
+
+// Result is a kernel's destination: dst, or a fresh result when dst is
+// nil (engines.Instance's ownership rule).
+func Result[R any](dst *R) *R {
+	if dst == nil {
+		return new(R)
+	}
 	return dst
 }
 
@@ -306,9 +322,22 @@ func Resized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// BFS is the whole search of an engine that only ever goes top-down.
-func (s *State) BFS(m *simmachine.Machine, rows Rows, p *Profile, kernel string, n int, root graph.VID) (*engines.BFSResult, error) {
-	res := StartBFS(nil, root, n)
+// Settled returns own, the result's half of a pair of arrays that
+// swapped roles every round, holding ans, the round's final answer: ans
+// is own itself or the other half, the instance's spare, whose entries
+// are then copied into own. The result never takes the spare, so the
+// instance keeps no array a caller holds.
+func Settled[T any](own, ans []T) []T {
+	if len(own) > 0 && &own[0] != &ans[0] {
+		copy(own, ans)
+	}
+	return own
+}
+
+// BFS is the whole search of an engine that only ever goes top-down,
+// written into dst (StartBFS).
+func (s *State) BFS(m *simmachine.Machine, rows Rows, p *Profile, kernel string, n int, root graph.VID, dst *engines.BFSResult) (*engines.BFSResult, error) {
+	res := StartBFS(dst, root, n)
 	s.Frontier = append(s.Frontier[:0], root)
 	err := s.Levels(kernel, func(level int64) int {
 		res.EdgesExamined += s.TopDown(m, rows, p, res, level)

@@ -154,7 +154,7 @@ func TestLevelsCancelChargesCompletedLevels(t *testing.T) {
 
 	full := machine(2)
 	var s State
-	if _, err := s.BFS(full, csr, &p, "test: BFS", csr.NumVertices, root); err != nil {
+	if _, err := s.BFS(full, csr, &p, "test: BFS", csr.NumVertices, root, nil); err != nil {
 		t.Fatal(err)
 	}
 	levels := len(full.Trace())
@@ -172,7 +172,7 @@ func TestLevelsCancelChargesCompletedLevels(t *testing.T) {
 			return nil
 		}
 		m := machine(2)
-		res, err := s.BFS(m, csr, &p, "test: BFS", csr.NumVertices, root)
+		res, err := s.BFS(m, csr, &p, "test: BFS", csr.NumVertices, root, nil)
 		if res != nil || !errors.Is(err, stop) {
 			t.Fatalf("cut after %d levels: result %v, error %v", completed, res, err)
 		}

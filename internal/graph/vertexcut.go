@@ -21,62 +21,65 @@ type VertexCutStats struct {
 // MaxVertexCutShards shards with PowerGraph's greedy streaming
 // heuristic: each edge goes to the least-loaded shard already holding
 // one of its endpoints (or the globally least-loaded shard when
-// neither endpoint is placed yet), replicating both endpoints there.
-// Edges stream in canonical order — source vertex ascending, adjacency
-// order within each source — so the cut is a pure function of (c,
-// shards). assign, when non-nil, is called once per edge with the
-// chosen shard; engines use it to materialize per-shard edge lists,
-// while modeling-only callers (the cluster partitioner) pass nil and
-// keep just the stats.
-func GreedyVertexCut(c *CSR, shards int, assign func(src, dst VID, w float32, shard int)) *VertexCutStats {
-	if shards > MaxVertexCutShards {
-		shards = MaxVertexCutShards
-	}
-	if shards < 1 {
-		shards = 1
-	}
+// neither endpoint is placed yet), replicating both endpoints there;
+// ties go to the lowest shard. Edges stream in canonical order — source
+// vertex ascending, adjacency order within each source — so the cut is
+// a pure function of (c, shards). shardOf, when non-nil, holds an entry
+// per edge and receives each edge's shard in that order; engines use it
+// to materialize per-shard edge lists, while modeling-only callers (the
+// cluster partitioner) pass nil and keep just the stats.
+//
+// The shards at the global minimum load are kept as a mask, so an edge
+// whose candidates include one of them, or that has none, is placed in
+// O(1); only an edge whose candidates are all above the minimum scans
+// them, and the mask is rebuilt when its last shard is loaded.
+func GreedyVertexCut(c *CSR, shards int, shardOf []uint8) *VertexCutStats {
+	shards = min(max(shards, 1), MaxVertexCutShards)
 	st := &VertexCutStats{
 		Shards:   shards,
 		Replicas: make([]uint64, c.NumVertices),
 		Loads:    make([]int64, shards),
 	}
-	place := func(src, dst VID, w float32) {
-		cand := st.Replicas[src] | st.Replicas[dst]
-		best := -1
-		var bestLoad int64
-		if cand != 0 {
-			for mask := cand; mask != 0; mask &= mask - 1 {
-				s := bits.TrailingZeros64(mask)
-				if best == -1 || st.Loads[s] < bestLoad {
-					best, bestLoad = s, st.Loads[s]
-				}
-			}
-		} else {
-			for s := 0; s < shards; s++ {
-				if best == -1 || st.Loads[s] < bestLoad {
-					best, bestLoad = s, st.Loads[s]
-				}
-			}
-		}
-		if assign != nil {
-			assign(src, dst, w, best)
-		}
-		st.Loads[best]++
-		st.Replicas[src] |= 1 << uint(best)
-		st.Replicas[dst] |= 1 << uint(best)
-	}
+	reps, loads := st.Replicas, st.Loads
+	atMin, minLoad := ^uint64(0)>>(MaxVertexCutShards-shards), int64(0)
+	k := 0
 	for v := 0; v < c.NumVertices; v++ {
-		adj := c.Neighbors(VID(v))
-		ws := c.NeighborWeights(VID(v))
-		for i, u := range adj {
-			var w float32
-			if ws != nil {
-				w = ws[i]
+		for _, u := range c.Neighbors(VID(v)) {
+			cand := reps[v] | reps[u]
+			var best int
+			if low := cand & atMin; low != 0 {
+				best = bits.TrailingZeros64(low)
+			} else if cand == 0 {
+				best = bits.TrailingZeros64(atMin)
+			} else {
+				best = bits.TrailingZeros64(cand)
+				for mask := cand & (cand - 1); mask != 0; mask &= mask - 1 {
+					if s := bits.TrailingZeros64(mask); loads[s] < loads[best] {
+						best = s
+					}
+				}
 			}
-			place(VID(v), u, w)
+			if shardOf != nil {
+				shardOf[k] = uint8(best)
+			}
+			k++
+			bit := uint64(1) << uint(best)
+			loads[best]++
+			reps[v] |= bit
+			reps[u] |= bit
+			if atMin&bit != 0 && shards > 1 { // one shard is always the least loaded
+				if atMin &^= bit; atMin == 0 {
+					minLoad++
+					for s, l := range loads {
+						if l == minLoad {
+							atMin |= 1 << uint(s)
+						}
+					}
+				}
+			}
 		}
 	}
-	for _, mask := range st.Replicas {
+	for _, mask := range reps {
 		st.TotalRep += int64(bits.OnesCount64(mask))
 	}
 	return st

@@ -77,7 +77,8 @@ func New(registry engines.Registry) *Comparator {
 
 // RunDataset measures every (platform, algorithm) cell on one
 // dataset, one run each, from one root drawn with the comparator's
-// seed.
+// seed. A cell keeps only its times, so every run writes into one set
+// of results.
 func (c *Comparator) RunDataset(dataset string, el *graph.EdgeList) ([]Cell, error) {
 	g, err := graph.Homogenize(el)
 	if err != nil {
@@ -85,6 +86,7 @@ func (c *Comparator) RunDataset(dataset string, el *graph.EdgeList) ([]Cell, err
 	}
 	root := pickRoot(el, c.Seed)
 	var cells []Cell
+	var dst engines.Results
 	for _, platform := range Platforms {
 		d, err := c.Registry.Decl(platform)
 		if err != nil {
@@ -109,7 +111,7 @@ func (c *Comparator) RunDataset(dataset string, el *graph.EdgeList) ([]Cell, err
 			}
 			_, t0 := m.Mark()
 			wall0 := time.Now()
-			err := runOnce(inst, unit, alg, root)
+			err := runOnce(inst, unit, alg, root, &dst)
 			cell.WallSec = time.Since(wall0).Seconds()
 			_, t1 := m.Mark()
 			cell.AlgorithmSec = t1 - t0
@@ -152,15 +154,15 @@ func unitWeight(d *engines.Decl, el *graph.EdgeList, m *simmachine.Machine) (eng
 	return inst, nil
 }
 
-// runOnce executes one algorithm on inst; with unit set (PowerGraph,
-// which has no BFS of its own) BFS is Graphalytics's driver-provided
-// one, unit-weight SSSP through the GAS engine.
-func runOnce(inst, unit engines.Instance, alg engines.Algorithm, root graph.VID) error {
+// runOnce executes one algorithm on inst into dst; with unit set
+// (PowerGraph, which has no BFS of its own) BFS is Graphalytics's
+// driver-provided one, unit-weight SSSP through the GAS engine.
+func runOnce(inst, unit engines.Instance, alg engines.Algorithm, root graph.VID, dst *engines.Results) error {
 	if alg == engines.BFS && unit != nil {
-		_, err := unit.SSSP(root)
+		_, err := unit.SSSP(root, &dst.SSSP)
 		return err
 	}
-	_, err := engines.RunAlgorithm(inst, alg, root)
+	_, err := engines.RunInto(inst, alg, root, dst)
 	return err
 }
 

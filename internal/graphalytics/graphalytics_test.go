@@ -166,7 +166,7 @@ func TestPowerGraphBFSChargesTheUnitWeightSSSPAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, t0 := m.Mark()
-	if _, err := unit.SSSP(pickRoot(el, c.Seed)); err != nil {
+	if _, err := unit.SSSP(pickRoot(el, c.Seed), nil); err != nil {
 		t.Fatal(err)
 	}
 	_, t1 := m.Mark()

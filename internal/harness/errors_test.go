@@ -26,7 +26,7 @@ type failingInstance struct{ engines.Unsupported }
 
 func (failingInstance) Bind(*graph.Simple, *simmachine.Machine, engines.Options) {}
 func (failingInstance) BuildStructure()                                          {}
-func (failingInstance) BFS(graph.VID) (*engines.BFSResult, error) {
+func (failingInstance) BFS(graph.VID, *engines.BFSResult) (*engines.BFSResult, error) {
 	return nil, fmt.Errorf("failing: kernel exploded")
 }
 

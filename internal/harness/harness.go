@@ -24,11 +24,14 @@ import (
 // table — so a Run or Sweep over that edge list again, by this Runner
 // or any other, replays only the modeled load and build, and a list
 // edited in place is homogenized again. The Runner itself keeps one
-// idle instance per engine, scratch only (no graph, no machine), and up
+// idle instance per engine, scratch only (no graph, no machine), with
+// the engines.Results its trials write into (a row keeps only a count
+// of a result, so each trial overwrites the last one's), and up
 // to two idle machines (the two a Run holds at once: its engine's and
 // the stream recompute's): a Run binds the instance and renews a machine
 // (core.Spec.NewMachine) and gives both back, or makes its own while a
-// concurrent Run holds them, so what stays is bounded by the largest run.
+// concurrent Run holds them, so what stays is bounded by the largest run
+// and no two Runs write into one result.
 // Run and Sweep are safe for concurrent use; their writes to Warnings
 // are serialized.
 type Runner struct {
@@ -44,8 +47,15 @@ type Runner struct {
 
 	warnMu sync.Mutex // serializes writes to Warnings
 	mu     sync.Mutex
-	idle   map[string]engines.Instance
+	idle   map[string]pooled
 	idleM  []*simmachine.Machine // at most idleMachines
+}
+
+// pooled is an engine's idle instance and the results its trials write
+// into, taken and given back together.
+type pooled struct {
+	inst engines.Instance
+	dst  *engines.Results
 }
 
 // idleMachines is how many machines a Runner keeps.
@@ -58,7 +68,7 @@ func NewRunner(reg engines.Registry) *Runner {
 		Registry: reg,
 		Model:    simmachine.Haswell72(),
 		Power:    power.DefaultConstants(),
-		idle:     map[string]engines.Instance{},
+		idle:     map[string]pooled{},
 	}
 }
 
@@ -158,8 +168,9 @@ func (r *Runner) runEngine(results []core.Result, spec core.Spec, g *graph.Simpl
 	r.warnMu.Unlock()
 	m, pconsts := r.machine(spec, owner)
 	defer r.giveMachine(m)
-	inst := r.take(d)
-	defer r.give(d.Name, inst) // unbinds inst before m is given back
+	p := r.take(d)
+	defer r.give(d.Name, p) // unbinds the instance before m is given back
+	inst := p.inst
 	fileReadSec, constructionSec := Load(d, inst, opts, g, m)
 
 	perTrial := func(trial int) (core.Result, error) {
@@ -181,7 +192,7 @@ func (r *Runner) runEngine(results []core.Result, spec core.Spec, g *graph.Simpl
 		}
 		i0, t0 := m.Mark()
 		wall0 := time.Now()
-		out, err := engines.RunAlgorithm(inst, spec.Algorithm, res.Root)
+		out, err := engines.RunInto(inst, spec.Algorithm, res.Root, p.dst)
 		if err != nil {
 			return res, err
 		}
@@ -236,27 +247,27 @@ func (r *Runner) runEngine(results []core.Result, spec core.Spec, g *graph.Simpl
 	return results, nil
 }
 
-// take returns the engine's idle instance, or a new one while a
-// concurrent Run holds it or none was given back yet.
-func (r *Runner) take(d *engines.Decl) engines.Instance {
+// take returns the engine's idle instance and results, or new ones
+// while a concurrent Run holds them or none were given back yet.
+func (r *Runner) take(d *engines.Decl) pooled {
 	r.mu.Lock()
-	inst, ok := r.idle[d.Name]
+	p, ok := r.idle[d.Name]
 	delete(r.idle, d.Name)
 	r.mu.Unlock()
 	if ok {
-		return inst
+		return p
 	}
-	return d.New()
+	return pooled{d.New(), new(engines.Results)}
 }
 
-// give unbinds inst and keeps it, unless another Run gave one back
-// first.
-func (r *Runner) give(name string, inst engines.Instance) {
-	inst.Bind(nil, nil, engines.Options{})
+// give unbinds p's instance and keeps p, unless another Run gave one
+// back first.
+func (r *Runner) give(name string, p pooled) {
+	p.inst.Bind(nil, nil, engines.Options{})
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.idle[name]; !ok {
-		r.idle[name] = inst
+		r.idle[name] = p
 	}
 }
 

@@ -499,7 +499,7 @@ func FuzzRunnerProgram(f *testing.F) {
 				if !strings.Contains(rs[0].got[0].err, "algorithm not provided") {
 					return fmt.Errorf("SSSP on an unweighted list returned %q", rs[0].got[0].err)
 				}
-				if p.r.idle[all.GAP] == nil {
+				if p.r.idle[all.GAP].inst == nil {
 					return fmt.Errorf("GAP's instance was not given back")
 				}
 				return nil

@@ -174,10 +174,3 @@ func vertexPermutation(n int, seed uint64) []graph.VID {
 	r.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	return perm
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

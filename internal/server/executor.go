@@ -171,11 +171,11 @@ func (e *executor) run(ctx context.Context, q Query, budget float64, degraded bo
 	var err error
 	switch q.Op {
 	case OpBFS:
-		if _, err = e.inst.BFSInto(q.Source, &e.bfs); err == nil {
+		if _, err = e.inst.BFS(q.Source, &e.bfs); err == nil {
 			resp.Value = float64(e.bfs.Depth[q.Target])
 		}
 	case OpSSSP:
-		if _, err = e.inst.SSSPInto(q.Source, &e.sssp); err == nil {
+		if _, err = e.inst.SSSP(q.Source, &e.sssp); err == nil {
 			if d := e.sssp.Dist[q.Target]; math.IsInf(d, 1) {
 				resp.Value = -1
 			} else {

@@ -131,6 +131,7 @@ func schedCells(el *graph.EdgeList, _ string) ([]schedCell, error) {
 	var m *simmachine.Machine
 	var pconsts power.Constants
 	inst := gap.Decl.New()
+	var dst engines.Results // a cell keeps only its times
 	var cells []schedCell
 	for _, kernel := range []engines.Algorithm{engines.BFS, engines.PageRank} {
 		for _, cfg := range schedConfigs {
@@ -156,7 +157,7 @@ func schedCells(el *graph.EdgeList, _ string) ([]schedCell, error) {
 						meter := power.NewRAPL(m, pconsts)
 						meter.Start()
 						start := time.Now()
-						if _, err := engines.RunAlgorithm(inst, kernel, roots[0]); err != nil {
+						if _, err := engines.RunInto(inst, kernel, roots[0], &dst); err != nil {
 							return nil, err
 						}
 						if spec.Nodes < 2 {

@@ -55,10 +55,10 @@ func measureKernel(t *testing.T, workers int, kernel string) float64 {
 	run := func() error {
 		switch kernel {
 		case "BFS":
-			_, err := inst.BFS(root)
+			_, err := inst.BFS(root, nil)
 			return err
 		default:
-			_, err := inst.PageRank(engines.DefaultPROpts())
+			_, err := inst.PageRank(engines.DefaultPROpts(), nil)
 			return err
 		}
 	}
