@@ -10,10 +10,11 @@ import (
 // Simple is the homogenized graph of one run: the simple graph (no
 // self-loops, no parallel edges, sorted rows, both orientations of an
 // undirected edge) every engine, the root selection, the cluster owner
-// table and the stream shadow are built from. It is built once, by
-// Homogenize, and shared: nothing that receives one may write to Out
-// or In — engines alias the arrays, and a mutation makes a new epoch
-// (CSR.Apply's overlay, which shares every row it did not rewrite)
+// table and the stream shadow are built from. It is built by
+// Homogenize from an edge list, or by Apply from the graph before a
+// batch, and shared: nothing that receives one may write to Out or In
+// — engines alias the arrays, and a mutation makes a new graph whose
+// epochs (CSR.Apply's overlays) share every row it did not rewrite
 // rather than writing one.
 type Simple struct {
 	NumVertices int
@@ -21,6 +22,8 @@ type Simple struct {
 	Weighted    bool
 	// InputEdges is the length of the edge list the graph came from,
 	// the size the modeled file-read and construction charges scale by.
+	// After Apply it is the length of the normalized list of the new
+	// graph's edges, the list a cold Homogenize of it would read.
 	InputEdges int
 	Out        *CSR
 	// In is the sorted transpose of a directed graph; nil when the
@@ -54,6 +57,29 @@ func Homogenize(el *EdgeList) (*Simple, error) {
 		g.In = Transpose(g.Out, 0)
 	}
 	return g, nil
+}
+
+// Apply returns the graph after batch: Out advanced by CSR.Apply and,
+// when the graph is directed, In by the reversed batch, so the
+// transpose tracks the same edges. Every row the batch left clean is
+// shared with g, which is never written, and the new graph derives its
+// own structures (Derive) afresh. Its InputEdges counts one entry per
+// out-edge, or per undirected pair, as the normalized list would.
+func (g *Simple) Apply(batch Batch) (*Simple, error) {
+	out, _, err := g.Out.Apply(batch, g.Directed)
+	if err != nil {
+		return nil, err
+	}
+	next := &Simple{NumVertices: g.NumVertices, Directed: g.Directed, Weighted: g.Weighted,
+		InputEdges: int(out.NumEdges()), Out: out, derived: &derived{entries: map[any]*derivedSlots{}}}
+	if !g.Directed {
+		next.InputEdges /= 2 // both orientations are stored, one is listed
+		return next, nil
+	}
+	if next.In, _, err = g.In.Apply(batch.Reversed(), true); err != nil {
+		return nil, err
+	}
+	return next, nil
 }
 
 // shared is HomogenizeShared's memo: the last edge list it was called

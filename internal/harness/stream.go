@@ -16,28 +16,16 @@ import (
 // (the structures drop it) but wastes a batch slot.
 const maxInsertRetries = 32
 
-// streamShadow tracks the engine-independent ground truth of the
-// mutation stream: the homogenized graph's current epoch, advanced by
-// (*graph.CSR).Apply and read through the row accessors. Batches are
-// generated against it (so every engine sees the identical stream) and
-// the post-batch edge list reconstructed from it feeds the
-// full-recompute reference.
-type streamShadow struct {
-	cur      *graph.CSR
-	directed bool
-	weighted bool
-}
-
-// batch generates one deterministic mutation batch against the current
-// shadow state: each op is a delete of a uniformly sampled stored edge
-// with probability deleteFrac, otherwise a uniform random non-self-loop
-// insert. The RNG is seeded per batch (Mix64(seed, batch)), so the
-// stream for batch k never depends on how earlier batches were
-// consumed. A stored edge is drawn by its index in row order, through
-// a flat epoch's Offsets or an overlay's degreePrefix.
-func (s *streamShadow) batch(ms *core.MutationSchedule, batchIdx int) graph.Batch {
+// streamBatch generates one deterministic mutation batch against c,
+// the out-rows of the stream's shadow (runStream): each op is a delete
+// of a uniformly sampled stored edge with probability deleteFrac,
+// otherwise a uniform random non-self-loop insert. The RNG is seeded
+// per batch (Mix64(seed, batch)), so the stream for batch k never
+// depends on how earlier batches were consumed. A stored edge is drawn
+// by its index in row order, through a flat epoch's Offsets or an
+// overlay's degreePrefix.
+func streamBatch(c *graph.CSR, ms *core.MutationSchedule, batchIdx int) graph.Batch {
 	r := xrand.New(xrand.Mix64(ms.Seed) ^ xrand.Mix64(uint64(batchIdx)*0x9e3779b97f4a7c15))
-	c := s.cur
 	n := c.NumVertices
 	off := c.Offsets
 	var row graph.RowBuf
@@ -73,44 +61,19 @@ func degreePrefix(c *graph.CSR) []int64 {
 	return off
 }
 
-// edgeList reconstructs the edge list the shadow's current epoch
-// represents — the exact input from which a cold homogenize+build
-// reproduces the same normalized structure.
-func (s *streamShadow) edgeList() *graph.EdgeList {
-	c := s.cur
-	edges := int(c.NumEdges())
-	if !s.directed {
-		edges /= 2 // both orientations are stored, one is listed
-	}
-	el := &graph.EdgeList{NumVertices: c.NumVertices, Weighted: s.weighted, Directed: s.directed,
-		Edges: make([]graph.Edge, 0, edges)}
-	var buf graph.RowBuf
-	for v := 0; v < c.NumVertices; v++ {
-		adj, ws := c.WeightedRowBuf(graph.VID(v), &buf)
-		for i, u := range adj {
-			if !s.directed && u < graph.VID(v) {
-				continue
-			}
-			e := graph.Edge{Src: graph.VID(v), Dst: u}
-			if ws != nil {
-				e.W = ws[i]
-			}
-			el.Edges = append(el.Edges, e)
-		}
-	}
-	return el
-}
-
 // runStream executes the spec's mutation schedule against one engine's
 // live instance and appends a row per batch to results: per batch,
 // apply the mutations, re-converge the resident result incrementally,
 // and wall the outcome bit-equal against a cold full recompute on the
 // post-batch graph. The recompute runs on a machine renewed with the
 // same spec knobs, so RecomputeSec is the honest displaced alternative
-// (rebuild + cold kernel).
+// (rebuild + cold kernel). The stream's shadow is its engine-independent
+// ground truth: the homogenized graph, advanced per batch by
+// (*graph.Simple).Apply. Batches are generated against it, so every
+// engine sees the identical stream, and the recompute binds it.
 func (r *Runner) runStream(results []core.Result, spec core.Spec, g *graph.Simple, d *engines.Decl, opts engines.Options, st engines.Streamer, m *simmachine.Machine, owner []int16) ([]core.Result, error) {
 	ms := spec.Mutations
-	shadow := &streamShadow{cur: g.Out, directed: g.Directed, weighted: g.Weighted}
+	shadow := g
 
 	// Establish the incremental baseline outside the per-batch
 	// accounting: the first incremental call on a fresh instance is a
@@ -120,12 +83,12 @@ func (r *Runner) runStream(results []core.Result, spec core.Spec, g *graph.Simpl
 	}
 
 	for batch := 1; batch <= ms.Batches; batch++ {
-		b := shadow.batch(ms, batch)
-		next, _, err := shadow.cur.Apply(b, shadow.directed)
+		b := streamBatch(shadow.Out, ms, batch)
+		next, err := shadow.Apply(b)
 		if err != nil {
 			return nil, fmt.Errorf("stream batch %d (shadow): %w", batch, err)
 		}
-		shadow.cur = next
+		shadow = next
 
 		res := core.Result{
 			Engine:    d.Name,
@@ -153,7 +116,7 @@ func (r *Runner) runStream(results []core.Result, spec core.Spec, g *graph.Simpl
 		// Full-recompute reference on an identically-configured renewed
 		// machine; also the conformance oracle.
 		ref := &streamOutcome{}
-		refSec, err := r.recompute(spec, shadow.edgeList(), d, opts, owner, ref)
+		refSec, err := r.recompute(spec, shadow, d, opts, owner, ref)
 		if err != nil {
 			return nil, fmt.Errorf("stream batch %d (recompute): %w", batch, err)
 		}
@@ -223,17 +186,16 @@ func (r *Runner) maintain(spec core.Spec, st engines.Streamer, out *streamOutcom
 }
 
 // recompute costs and captures the displaced alternative: a cold
-// rebuild plus full kernel run on the post-batch graph, on a fresh
-// instance and a renewed machine with the spec's knobs.
-func (r *Runner) recompute(spec core.Spec, post *graph.EdgeList, d *engines.Decl, opts engines.Options, owner []int16, out *streamOutcome) (float64, error) {
-	g, err := graph.Homogenize(post)
-	if err != nil {
-		return 0, err
-	}
+// rebuild plus full kernel run on post, the shadow's post-batch graph,
+// on a fresh instance and a renewed machine with the spec's knobs. The
+// instance binds post as it stands; its BuildStructure charges the
+// construction from post's InputEdges, the normalized list a cold
+// homogenize would read.
+func (r *Runner) recompute(spec core.Spec, post *graph.Simple, d *engines.Decl, opts engines.Options, owner []int16, out *streamOutcome) (float64, error) {
 	m, _ := r.machine(spec, owner)
 	defer r.giveMachine(m)
 	inst := d.New()
-	inst.Bind(g, m, opts)
+	inst.Bind(post, m, opts)
 	inst.BuildStructure()
 	res, err := engines.RunAlgorithm(inst, spec.Algorithm, 0)
 	if err != nil {

@@ -60,11 +60,12 @@ func TestRunStreamProducesPerBatchResults(t *testing.T) {
 	}
 }
 
-// A shadow whose epoch is an overlay draws the very batches a shadow
-// holding its flat compaction draws: the degree prefix an overlay's
-// deletes are indexed by is the flat epoch's Offsets, entry for entry,
-// so the stream does not depend on the shadow's row form. It lists the
-// flat epoch's edges too, into a slice sized exactly from the edge count.
+// A shadow whose out-rows are an overlay draws the very batches a
+// shadow holding their flat compaction draws: the degree prefix an
+// overlay's deletes are indexed by is the flat epoch's Offsets, entry
+// for entry, so the stream does not depend on the shadow's row form.
+// That the shadow's graph equals a cold build of its edges is
+// graph.TestSimpleApplyEqualsColdBuild's wall.
 func TestStreamShadowOverlayDrawsFlatBatches(t *testing.T) {
 	ms := &core.MutationSchedule{Batches: 8, BatchSize: 24, DeleteFrac: 0.5, Seed: 7}
 	for _, directed := range []bool{false, true} {
@@ -73,25 +74,20 @@ func TestStreamShadowOverlayDrawsFlatBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		el.Directed = directed
-		g, err := graph.Homogenize(el)
+		s, err := graph.Homogenize(el)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := &streamShadow{cur: g.Out, directed: g.Directed, weighted: g.Weighted}
 		overlays, deletes := 0, 0
 		for i := 1; i <= ms.Batches; i++ {
-			flat := &streamShadow{cur: s.cur.Flat(), directed: s.directed, weighted: s.weighted}
-			got, want := s.batch(ms, i), flat.batch(ms, i)
+			flat := s.Out.Flat()
+			got, want := streamBatch(s.Out, ms, i), streamBatch(flat, ms, i)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("directed=%v batch %d: the overlay shadow draws %v, the flat one %v", directed, i, got, want)
 			}
-			if el := s.edgeList(); !reflect.DeepEqual(el, flat.edgeList()) || cap(el.Edges) != len(el.Edges) {
-				t.Fatalf("directed=%v batch %d: the overlay shadow lists %d edges in a slice of %d, unlike the flat one",
-					directed, i, len(el.Edges), cap(el.Edges))
-			}
-			if s.cur.Offsets == nil {
+			if s.Out.Offsets == nil {
 				overlays++
-				if off := degreePrefix(s.cur); !slices.Equal(off, flat.cur.Offsets) {
+				if off := degreePrefix(s.Out); !slices.Equal(off, flat.Offsets) {
 					t.Fatalf("directed=%v batch %d: the overlay's degree prefix differs from its compaction's Offsets", directed, i)
 				}
 			}
@@ -100,11 +96,9 @@ func TestStreamShadowOverlayDrawsFlatBatches(t *testing.T) {
 					deletes++
 				}
 			}
-			next, _, err := s.cur.Apply(got, s.directed)
-			if err != nil {
+			if s, err = s.Apply(got); err != nil {
 				t.Fatal(err)
 			}
-			s.cur = next
 		}
 		t.Logf("directed=%v: %d of %d batches drawn on an overlay, %d deletes", directed, overlays, ms.Batches, deletes)
 		if overlays < ms.Batches/2 || deletes == 0 {
