@@ -166,8 +166,15 @@ type MutationReport struct {
 // counts. Mutations accumulate; each incremental call works from what
 // changed between the epoch of its last result and the current one, and
 // its result becomes the new baseline.
+//
+// Graph is the instance's current epoch: the graph it was bound to
+// until the first Mutate, then the graph Mutate left. It is read-only
+// like every bound graph, and shared: the harness draws the next batch
+// from it and binds it, as it stands, to the instance of the stream's
+// full recompute.
 type Streamer interface {
 	Mutate(batch graph.Batch) (*MutationReport, error)
+	Graph() *graph.Simple
 	IncrementalPageRank(opts PROpts) (*PRResult, error)
 	IncrementalWCC() (*WCCResult, error)
 }

@@ -13,12 +13,12 @@ import (
 
 // flatEpoch is e with every row compacted: the same graph, no overlay.
 func flatEpoch(e Epoch) Epoch {
-	f := Epoch{out: e.out.Flat()}
-	f.in = f.out
-	if e.in != e.out {
-		f.in = e.in.Flat()
+	g := &graph.Simple{NumVertices: e.g.NumVertices, Directed: e.g.Directed, Weighted: e.g.Weighted,
+		InputEdges: e.g.InputEdges, Out: e.g.Out.Flat()}
+	if e.g.In != nil {
+		g.In = e.g.In.Flat()
 	}
-	return f
+	return Epoch{g: g}
 }
 
 // hubStream is a batch on c that deletes stored entries, which a draw
@@ -48,11 +48,11 @@ func TestWarmKernelsOnDeltaRowsAllocateAsOnFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := inst.Epoch()
-	if delta.out.DeltaRows() == 0 || delta.out.Flat() == delta.out {
+	if delta.Out().DeltaRows() == 0 || delta.Out().Flat() == delta.Out() {
 		t.Fatal("the batch left no overlay with delta rows; the wall measures one")
 	}
 	flat := flatEpoch(delta)
-	roots := rootsOf(delta.out, 4)
+	roots := rootsOf(delta.Out(), 4)
 	var bfs engines.BFSResult
 	var sssp engines.SSSPResult
 	i := 0
@@ -100,7 +100,7 @@ func TestWarmKernelsOnDeltaRowsAllocateAsOnFlat(t *testing.T) {
 				return alloctest.BytesPerRun(len(roots), run)
 			}
 			onDelta, onFlat := per(delta), per(flat)
-			t.Logf("%d workers: warm %s %d B/call on %d delta rows, %d B flat", workers, k.name, onDelta, delta.out.DeltaRows(), onFlat)
+			t.Logf("%d workers: warm %s %d B/call on %d delta rows, %d B flat", workers, k.name, onDelta, delta.Out().DeltaRows(), onFlat)
 			if onDelta > onFlat {
 				t.Fatalf("%d workers: a warm %s allocates %d B on delta rows, %d B on the same epoch flat", workers, k.name, onDelta, onFlat)
 			}
@@ -132,7 +132,7 @@ func TestWarmMaintainOnDeltaRowsAllocatesAsOnFlat(t *testing.T) {
 			}
 			if flat { // BindEpoch would drop the baselines
 				f := flatEpoch(inst.Epoch())
-				inst.out, inst.in = f.out, f.in
+				inst.g, inst.out, inst.in = f.g, f.Out(), f.In()
 			} else if inst.out.DeltaRows() > 0 {
 				deltaRounds++
 			}

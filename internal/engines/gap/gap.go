@@ -118,10 +118,12 @@ type Instance struct {
 	opts engines.Options
 	m    *simmachine.Machine
 
-	// out and in (the same CSR when the graph is undirected) start as
-	// the shared homogenized graph's rows, read-only, and move to
-	// private epochs on Mutate. inputEdges sizes the construction
-	// charge; built records that BuildStructure ran.
+	// g is the graph the instance runs on: the shared homogenized graph
+	// it was bound to, read-only, until Mutate moves it to the graph
+	// the batch made (graph.Simple.Apply). out and in are g's rows (the
+	// same CSR when the graph is undirected). inputEdges sizes the
+	// construction charge; built records that BuildStructure ran.
+	g          *graph.Simple
 	out        *graph.CSR
 	in         *graph.CSR
 	inputEdges int
@@ -163,11 +165,18 @@ func (inst *Instance) Bind(g *graph.Simple, m *simmachine.Machine, o engines.Opt
 	if g == nil {
 		return
 	}
-	inst.out, inst.in, inst.inputEdges = g.Out, g.In, g.InputEdges
+	inst.inputEdges = g.InputEdges
+	inst.use(g)
+}
+
+// use points the instance at g's rows and, under Compress, at g's
+// compressed siblings.
+func (inst *Instance) use(g *graph.Simple) {
+	inst.g, inst.out, inst.in = g, g.Out, g.In
 	if inst.in == nil {
 		inst.in = g.Out
 	}
-	if o.Compress {
+	if inst.opts.Compress {
 		inst.cout, inst.cin = g.Compressed(inst.out), g.Compressed(inst.in)
 	}
 }

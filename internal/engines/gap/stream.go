@@ -1,7 +1,6 @@
 package gap
 
 import (
-	"fmt"
 	"slices"
 
 	"github.com/hpcl-repro/epg/internal/engines"
@@ -59,26 +58,32 @@ func (inst *Instance) streamState() *streamState {
 	return inst.stream
 }
 
-// Epoch is one generation of an instance's adjacency: the raw rows and,
-// when the engine compresses, their compressed siblings. Mutate builds
-// the next one and never writes a previous one, so an Epoch may be read,
-// and bound by other instances, for as long as anything holds it.
+// Epoch is one generation of an instance's adjacency: its graph and,
+// when the engine compresses, the graph's compressed siblings. Mutate
+// builds the next one and never writes a previous one, so an Epoch may
+// be read, and bound by other instances, for as long as anything holds
+// it.
 type Epoch struct {
-	out, in   *graph.CSR
+	g         *graph.Simple
 	cout, cin *graph.CompressedCSR
 }
 
 // Out returns the epoch's out-adjacency.
-func (e Epoch) Out() *graph.CSR { return e.out }
+func (e Epoch) Out() *graph.CSR { return e.g.Out }
 
 // In returns the epoch's in-adjacency: Out itself on an undirected
 // graph, its weighted transpose on a directed one.
-func (e Epoch) In() *graph.CSR { return e.in }
+func (e Epoch) In() *graph.CSR {
+	if e.g.In == nil {
+		return e.g.Out
+	}
+	return e.g.In
+}
 
 // Epoch returns the adjacency the instance currently runs on.
 func (inst *Instance) Epoch() Epoch {
 	inst.BuildStructure()
-	return Epoch{out: inst.out, in: inst.in, cout: inst.cout, cin: inst.cin}
+	return Epoch{g: inst.g, cout: inst.cout, cin: inst.cin}
 }
 
 // BindEpoch makes the kernels of inst run on e, an epoch of another
@@ -88,63 +93,52 @@ func (inst *Instance) Epoch() Epoch {
 // paid where e was built — and drops any incremental baselines, which
 // describe the graph being left.
 func (inst *Instance) BindEpoch(e Epoch) {
-	inst.out, inst.in, inst.cout, inst.cin = e.out, e.in, e.cout, e.cin
-	inst.n, inst.mEdges, inst.built = e.out.NumVertices, e.out.NumEdges(), true
+	inst.g, inst.out, inst.in, inst.cout, inst.cin = e.g, e.Out(), e.In(), e.cout, e.cin
+	inst.n, inst.mEdges, inst.built = inst.out.NumVertices, inst.out.NumEdges(), true
 	inst.stream = nil
 }
 
-// Mutate implements engines.Streamer: it applies the batch to the out-
-// (and, for directed graphs, in-) adjacency, recompresses when the
-// compressed siblings are live, swaps in the new epoch and charges the
-// apply. The new epoch is an overlay (graph.CSR.Apply): fresh storage
-// for the rows the batch dirtied, every other row shared with the
-// previous epoch, compacted into a flat CSR once the patch outgrows its
-// bound. The charges still price a whole rebuild — the replay serially
-// per op, the row rebuild as a uniform parallel merge over touched
-// entries plus a bulk copy of the clean ones — so the modeled clock
-// does not see the overlay. It records nothing for the maintainers:
-// each diffs its own baseline epoch against the current one when it
-// runs.
+// Graph implements engines.Streamer: the graph of the instance's
+// current epoch, read-only.
+func (inst *Instance) Graph() *graph.Simple { return inst.g }
+
+// Mutate implements engines.Streamer: it advances the instance's graph
+// by the batch (graph.Simple.Apply: the out-rows by the batch and, for
+// directed graphs, the in-rows by the reversed batch), takes the new
+// graph's compressed siblings when they are live, swaps in the new
+// epoch and charges the apply. The new epoch is an overlay
+// (graph.CSR.Apply): fresh storage for the rows the batch dirtied, every
+// other row shared with the previous epoch, compacted into a flat CSR
+// once the patch outgrows its bound. The charges still price a whole
+// rebuild — the replay serially per op, the row rebuild as a uniform
+// parallel merge over touched entries plus a bulk copy of the clean
+// ones, and under Compress a re-encode of every row — so the modeled
+// clock does not see the overlay. It records nothing for the
+// maintainers: each diffs its own baseline epoch against the current one
+// when it runs.
 func (inst *Instance) Mutate(batch graph.Batch) (*engines.MutationReport, error) {
 	inst.BuildStructure()
-	directed := inst.in != inst.out
-
-	out, res, err := inst.out.Apply(batch, directed)
+	next, res, resIn, err := inst.g.Apply(batch)
 	if err != nil {
 		return nil, err
 	}
 	edgesTouched, copied := res.EdgesTouched, res.CopiedEdges
-	in := out
-	if directed {
-		var resIn *graph.ApplyResult
-		in, resIn, err = inst.in.Apply(batch.Reversed(), true)
-		if err != nil {
-			// The reversed batch validates identically to the forward
-			// one, so this is unreachable; guard anyway rather than
-			// tear the pair.
-			return nil, fmt.Errorf("gap: in-adjacency apply diverged: %w", err)
-		}
+	if resIn != nil {
 		edgesTouched += resIn.EdgesTouched
 		copied += resIn.CopiedEdges
 	}
-
-	// Both applies succeeded: swap epochs.
-	inst.out, inst.in, inst.mEdges = out, in, out.NumEdges()
+	inst.use(next)
+	inst.mEdges = inst.out.NumEdges()
 
 	inst.m.ChargeSerial(costMutOp.Scale(float64(len(batch))))
 	inst.m.ChargeUniform(int(edgesTouched), 4096, simmachine.Dynamic, costMutRowEdge)
 	inst.m.ChargeUniform(int(copied), 4096, simmachine.Dynamic, costMutCopyEdge)
-
 	if inst.opts.Compress {
-		// The compressed siblings are rebuilt whole; mutation-aware
-		// re-encoding of dirty rows only is a named follow-up.
+		// The siblings are the new graph's, encoded whole; re-encoding
+		// the dirty rows only is a named follow-up.
 		inst.m.ChargeUniform(int(inst.out.NumEdges()), 4096, simmachine.Dynamic, costCompressEdge)
-		inst.cout = graph.CompressCSR(inst.out, 0)
-		if directed {
+		if next.Directed {
 			inst.m.ChargeUniform(int(inst.in.NumEdges()), 4096, simmachine.Dynamic, costCompressEdge)
-			inst.cin = graph.CompressCSR(inst.in, 0)
-		} else {
-			inst.cin = inst.cout
 		}
 	}
 
@@ -247,7 +241,11 @@ func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 		// edge's endpoints; S is their full vertex set, marked todo
 		// until the BFS below reaches it.
 		const todo, done = 1, 2
-		affected := make(map[graph.VID]struct{})
+		if ws.wccAffected == nil {
+			ws.wccAffected = make(map[graph.VID]struct{})
+		}
+		affected := ws.wccAffected
+		clear(affected)
 		for _, e := range gone {
 			affected[lab[e.Src]] = struct{}{}
 			affected[lab[e.Dst]] = struct{}{}
@@ -301,7 +299,11 @@ func (inst *Instance) IncrementalWCC() (*engines.WCCResult, error) {
 
 	// Union over inserted edges: a min-rooted DSU on component labels,
 	// so merged components keep the global minimum as representative.
-	parent := make(map[graph.VID]graph.VID)
+	if ws.wccParent == nil {
+		ws.wccParent = make(map[graph.VID]graph.VID)
+	}
+	parent := ws.wccParent
+	clear(parent)
 	find := func(x graph.VID) graph.VID {
 		root := x
 		for {

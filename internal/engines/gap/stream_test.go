@@ -666,7 +666,7 @@ func TestWarmMaintainRetainsTwoVectors(t *testing.T) {
 // patched rows and the base rows it shares are both covered.
 func epochDigest(e Epoch) uint64 {
 	h := fnv.New64a()
-	for _, c := range []*graph.CSR{e.out.Flat(), e.in.Flat()} {
+	for _, c := range []*graph.CSR{e.Out().Flat(), e.In().Flat()} {
 		binary.Write(h, binary.LittleEndian, []int64{int64(len(c.Offsets)), int64(len(c.Adj)), int64(len(c.Weights))})
 		binary.Write(h, binary.LittleEndian, c.Offsets)
 		binary.Write(h, binary.LittleEndian, c.Adj)

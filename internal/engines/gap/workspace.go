@@ -57,12 +57,16 @@ type workspace struct {
 	wccSpare []graph.VID
 
 	// IncrementalWCC's diff against its baseline (the out-entries that
-	// came and went) and its delete repair: membership in the affected
-	// components (and visited or not), their vertices, the BFS queue.
+	// came and went), its delete repair (the affected components' labels,
+	// membership in them and visited or not, their vertices, the BFS
+	// queue) and its insert repair (the DSU over labels). The maps are
+	// cleared per call and keep their buckets.
 	wccCame, wccGone []graph.Change
+	wccAffected      map[graph.VID]struct{}
 	wccMark          []uint8
 	wccSet           []graph.VID
 	wccQueue         []graph.VID
+	wccParent        map[graph.VID]graph.VID
 
 	// The region bodies and hooks GAP's own steps hand the machine and
 	// the shared steps, bound to the Instance once (steps), and the

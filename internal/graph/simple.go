@@ -9,13 +9,14 @@ import (
 
 // Simple is the homogenized graph of one run: the simple graph (no
 // self-loops, no parallel edges, sorted rows, both orientations of an
-// undirected edge) every engine, the root selection, the cluster owner
-// table and the stream shadow are built from. It is built by
-// Homogenize from an edge list, or by Apply from the graph before a
-// batch, and shared: nothing that receives one may write to Out or In
-// — engines alias the arrays, and a mutation makes a new graph whose
-// epochs (CSR.Apply's overlays) share every row it did not rewrite
-// rather than writing one.
+// undirected edge) every engine, the root selection and the cluster
+// owner table are built from. It is built by Homogenize from an edge
+// list, or by Apply from the graph before a batch: a streaming engine's
+// epoch, the graph the harness draws the next batch from and the stream
+// recompute binds. It is shared: nothing that receives one may write to
+// Out or In — engines alias the arrays, and a mutation makes a new
+// graph whose epochs (CSR.Apply's overlays) share every row it did not
+// rewrite rather than writing one.
 type Simple struct {
 	NumVertices int
 	Directed    bool
@@ -30,7 +31,7 @@ type Simple struct {
 	// graph is undirected and Out is its own transpose.
 	In *CSR
 
-	derived *derived
+	derived derived
 }
 
 // Homogenize validates el and builds its Simple.
@@ -49,7 +50,6 @@ func Homogenize(el *EdgeList) (*Simple, error) {
 			Dedup:         true,
 			Sort:          true,
 		}),
-		derived: &derived{entries: map[any]*derivedSlots{}},
 	}
 	if el.Directed {
 		// Transpose scatters rows in ascending source order, so the
@@ -59,27 +59,31 @@ func Homogenize(el *EdgeList) (*Simple, error) {
 	return g, nil
 }
 
-// Apply returns the graph after batch: Out advanced by CSR.Apply and,
-// when the graph is directed, In by the reversed batch, so the
-// transpose tracks the same edges. Every row the batch left clean is
-// shared with g, which is never written, and the new graph derives its
-// own structures (Derive) afresh. Its InputEdges counts one entry per
-// out-edge, or per undirected pair, as the normalized list would.
-func (g *Simple) Apply(batch Batch) (*Simple, error) {
-	out, _, err := g.Out.Apply(batch, g.Directed)
+// Apply returns the graph after batch, with what each CSR.Apply did:
+// out for Out, advanced by the batch, and in for In, advanced by the
+// reversed batch when the graph is directed (nil when it is not), so
+// the transpose tracks the same edges. Every row the batch left clean
+// is shared with g, which is never written, and the new graph derives
+// its own structures (Derive) afresh. Its InputEdges counts one entry
+// per out-edge, or per undirected pair, as the normalized list would.
+// A batch that fails validation leaves no graph.
+func (g *Simple) Apply(batch Batch) (next *Simple, out, in *ApplyResult, err error) {
+	nOut, out, err := g.Out.Apply(batch, g.Directed)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	next := &Simple{NumVertices: g.NumVertices, Directed: g.Directed, Weighted: g.Weighted,
-		InputEdges: int(out.NumEdges()), Out: out, derived: &derived{entries: map[any]*derivedSlots{}}}
+	next = &Simple{NumVertices: g.NumVertices, Directed: g.Directed, Weighted: g.Weighted,
+		InputEdges: int(nOut.NumEdges()), Out: nOut}
 	if !g.Directed {
 		next.InputEdges /= 2 // both orientations are stored, one is listed
-		return next, nil
+		return next, out, nil, nil
 	}
-	if next.In, _, err = g.In.Apply(batch.Reversed(), true); err != nil {
-		return nil, err
+	// The reversed batch validates as the forward one did, so this
+	// cannot fail; the guard keeps a torn pair from escaping.
+	if next.In, in, err = g.In.Apply(batch.Reversed(), true); err != nil {
+		return nil, nil, nil, err
 	}
-	return next, nil
+	return next, out, in, nil
 }
 
 // shared is HomogenizeShared's memo: the last edge list it was called
@@ -157,7 +161,8 @@ func fingerprint(el *EdgeList) uint64 {
 }
 
 // derived holds what engines build from one Simple, the values of the
-// last two params asked of each kind.
+// last two params asked of each kind; entries is made by the first
+// Derive, so a graph that derives nothing pays for no map.
 type derived struct {
 	mu      sync.Mutex
 	entries map[any]*derivedSlots
@@ -185,11 +190,14 @@ type derivedEntry struct {
 // bound before the eviction may still read it. Concurrent callers of
 // one kind and param wait for a single build.
 func Derive[T any](g *Simple, kind any, param int, build func() T) T {
-	d := g.derived
+	d := &g.derived
 	d.mu.Lock()
 	sl := d.entries[kind]
 	switch {
 	case sl == nil:
+		if d.entries == nil {
+			d.entries = map[any]*derivedSlots{}
+		}
 		sl = &derivedSlots{cur: &derivedEntry{param: param}}
 		d.entries[kind] = sl
 	case sl.cur.param == param:

@@ -126,7 +126,7 @@ func TestSimpleApplyEqualsColdBuild(t *testing.T) {
 			}
 			graph.Derive(g, applyProbeKind{}, 0, func() int { return i })
 
-			next, err := g.Apply(applyBatch(r, g, size))
+			next, _, _, err := g.Apply(applyBatch(r, g, size))
 			if err != nil {
 				t.Fatal(err)
 			}

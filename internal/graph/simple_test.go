@@ -21,7 +21,7 @@ func TestHomogenize(t *testing.T) {
 			t.Fatal(err)
 		}
 		if g.NumVertices != el.NumVertices || g.InputEdges != len(el.Edges) || g.Directed != directed || !g.Weighted {
-			t.Fatalf("directed %v: header %+v does not describe the edge list", directed, *g)
+			t.Fatalf("directed %v: header %+v does not describe the edge list", directed, g)
 		}
 		opt := canonical
 		opt.Symmetrize = !directed

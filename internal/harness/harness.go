@@ -112,7 +112,7 @@ func (r *Runner) Run(spec core.Spec, el *graph.EdgeList) ([]core.Result, error) 
 }
 
 // run is Run on a graph already homogenized: the one g is what root
-// selection, the owner table, every engine and the stream shadow read.
+// selection, the owner table, every engine and the first batch of a stream read.
 func (r *Runner) run(spec core.Spec, g *graph.Simple) ([]core.Result, error) {
 	decls, err := r.decls(spec)
 	if err != nil {
@@ -242,7 +242,7 @@ func (r *Runner) runEngine(results []core.Result, spec core.Spec, g *graph.Simpl
 	// the knob was warned about above and skips the phase; one that
 	// declares it has instances that are Streamers.
 	if opts.Mutations {
-		return r.runStream(results, spec, g, d, opts, inst.(engines.Streamer), m, owner)
+		return r.runStream(results, spec, d, opts, inst.(engines.Streamer), m, owner)
 	}
 	return results, nil
 }

@@ -17,9 +17,9 @@ import (
 const maxInsertRetries = 32
 
 // streamBatch generates one deterministic mutation batch against c,
-// the out-rows of the stream's shadow (runStream): each op is a delete
-// of a uniformly sampled stored edge with probability deleteFrac,
-// otherwise a uniform random non-self-loop insert. The RNG is seeded
+// the out-rows of the engine's current graph (runStream): each op is a
+// delete of a uniformly sampled stored edge with probability
+// deleteFrac, otherwise a uniform random non-self-loop insert. The RNG is seeded
 // per batch (Mix64(seed, batch)), so the stream for batch k never
 // depends on how earlier batches were consumed. A stored edge is drawn
 // by its index in row order, through a flat epoch's Offsets or an
@@ -67,13 +67,13 @@ func degreePrefix(c *graph.CSR) []int64 {
 // and wall the outcome bit-equal against a cold full recompute on the
 // post-batch graph. The recompute runs on a machine renewed with the
 // same spec knobs, so RecomputeSec is the honest displaced alternative
-// (rebuild + cold kernel). The stream's shadow is its engine-independent
-// ground truth: the homogenized graph, advanced per batch by
-// (*graph.Simple).Apply. Batches are generated against it, so every
-// engine sees the identical stream, and the recompute binds it.
-func (r *Runner) runStream(results []core.Result, spec core.Spec, g *graph.Simple, d *engines.Decl, opts engines.Options, st engines.Streamer, m *simmachine.Machine, owner []int16) ([]core.Result, error) {
+// (rebuild + cold kernel). Each batch is drawn from the Streamer's
+// graph (the run's graph until the first Mutate, then the graph Mutate
+// left), so every engine that applies the batches as the graph package
+// does sees the identical stream, and the recompute binds the graph the
+// batch left: each batch is applied once.
+func (r *Runner) runStream(results []core.Result, spec core.Spec, d *engines.Decl, opts engines.Options, st engines.Streamer, m *simmachine.Machine, owner []int16) ([]core.Result, error) {
 	ms := spec.Mutations
-	shadow := g
 
 	// Establish the incremental baseline outside the per-batch
 	// accounting: the first incremental call on a fresh instance is a
@@ -83,12 +83,7 @@ func (r *Runner) runStream(results []core.Result, spec core.Spec, g *graph.Simpl
 	}
 
 	for batch := 1; batch <= ms.Batches; batch++ {
-		b := streamBatch(shadow.Out, ms, batch)
-		next, err := shadow.Apply(b)
-		if err != nil {
-			return nil, fmt.Errorf("stream batch %d (shadow): %w", batch, err)
-		}
-		shadow = next
+		b := streamBatch(st.Graph().Out, ms, batch)
 
 		res := core.Result{
 			Engine:    d.Name,
@@ -116,7 +111,7 @@ func (r *Runner) runStream(results []core.Result, spec core.Spec, g *graph.Simpl
 		// Full-recompute reference on an identically-configured renewed
 		// machine; also the conformance oracle.
 		ref := &streamOutcome{}
-		refSec, err := r.recompute(spec, shadow, d, opts, owner, ref)
+		refSec, err := r.recompute(spec, st.Graph(), d, opts, owner, ref)
 		if err != nil {
 			return nil, fmt.Errorf("stream batch %d (recompute): %w", batch, err)
 		}
@@ -186,11 +181,12 @@ func (r *Runner) maintain(spec core.Spec, st engines.Streamer, out *streamOutcom
 }
 
 // recompute costs and captures the displaced alternative: a cold
-// rebuild plus full kernel run on post, the shadow's post-batch graph,
-// on a fresh instance and a renewed machine with the spec's knobs. The
-// instance binds post as it stands; its BuildStructure charges the
-// construction from post's InputEdges, the normalized list a cold
-// homogenize would read.
+// rebuild plus full kernel run on post, the streaming instance's
+// post-batch graph, on a fresh instance and a renewed machine with the
+// spec's knobs. The instance binds post as it stands, with what post
+// derived (under Compress, the siblings Mutate took); its
+// BuildStructure charges the construction from post's InputEdges, the
+// normalized list a cold homogenize would read.
 func (r *Runner) recompute(spec core.Spec, post *graph.Simple, d *engines.Decl, opts engines.Options, owner []int16, out *streamOutcome) (float64, error) {
 	m, _ := r.machine(spec, owner)
 	defer r.giveMachine(m)

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -9,7 +11,9 @@ import (
 
 	"github.com/hpcl-repro/epg/internal/core"
 	"github.com/hpcl-repro/epg/internal/engines"
+	"github.com/hpcl-repro/epg/internal/engines/gap"
 	"github.com/hpcl-repro/epg/internal/graph"
+	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
 func streamSpec(alg engines.Algorithm) core.Spec {
@@ -60,12 +64,14 @@ func TestRunStreamProducesPerBatchResults(t *testing.T) {
 	}
 }
 
-// A shadow whose out-rows are an overlay draws the very batches a
-// shadow holding their flat compaction draws: the degree prefix an
-// overlay's deletes are indexed by is the flat epoch's Offsets, entry
-// for entry, so the stream does not depend on the shadow's row form.
-// That the shadow's graph equals a cold build of its edges is
-// graph.TestSimpleApplyEqualsColdBuild's wall.
+// A stream whose graph's out-rows are an overlay draws the very
+// batches a graph holding their flat compaction draws: the degree
+// prefix an overlay's deletes are indexed by is the flat epoch's
+// Offsets, entry for entry, so the stream does not depend on the row
+// form of the graph it is drawn from. The batches are drawn, as
+// runStream draws them, from the graph GAP's Mutate left. That this
+// graph equals a cold build of its edges is TestStreamEndsOnAColdBuild's
+// wall.
 func TestStreamShadowOverlayDrawsFlatBatches(t *testing.T) {
 	ms := &core.MutationSchedule{Batches: 8, BatchSize: 24, DeleteFrac: 0.5, Seed: 7}
 	for _, directed := range []bool{false, true} {
@@ -74,20 +80,24 @@ func TestStreamShadowOverlayDrawsFlatBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		el.Directed = directed
-		s, err := graph.Homogenize(el)
+		g, err := graph.Homogenize(el)
 		if err != nil {
 			t.Fatal(err)
 		}
+		inst := gap.Decl.New()
+		inst.Bind(g, simmachine.New(simmachine.Haswell72(), 8), engines.Options{Mutations: true})
+		st := inst.(engines.Streamer)
 		overlays, deletes := 0, 0
 		for i := 1; i <= ms.Batches; i++ {
-			flat := s.Out.Flat()
-			got, want := streamBatch(s.Out, ms, i), streamBatch(flat, ms, i)
+			c := st.Graph().Out
+			flat := c.Flat()
+			got, want := streamBatch(c, ms, i), streamBatch(flat, ms, i)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("directed=%v batch %d: the overlay shadow draws %v, the flat one %v", directed, i, got, want)
+				t.Fatalf("directed=%v batch %d: the overlay draws %v, its flat compaction %v", directed, i, got, want)
 			}
-			if s.Out.Offsets == nil {
+			if c.Offsets == nil {
 				overlays++
-				if off := degreePrefix(s.Out); !slices.Equal(off, flat.Offsets) {
+				if off := degreePrefix(c); !slices.Equal(off, flat.Offsets) {
 					t.Fatalf("directed=%v batch %d: the overlay's degree prefix differs from its compaction's Offsets", directed, i)
 				}
 			}
@@ -96,7 +106,7 @@ func TestStreamShadowOverlayDrawsFlatBatches(t *testing.T) {
 					deletes++
 				}
 			}
-			if s, err = s.Apply(got); err != nil {
+			if _, err := st.Mutate(got); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -162,6 +172,158 @@ func TestMutationScheduleValidation(t *testing.T) {
 		}
 		if !c.ok && err == nil {
 			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// streamProbe is GAP's instance recording every graph it is bound to
+// and, after every Mutate, the batch and the graph it left.
+type streamProbe struct {
+	*gap.Instance
+	rec *streamRecord
+}
+
+type streamRecord struct {
+	binds   []*graph.Simple
+	batches []graph.Batch
+	after   []*graph.Simple
+}
+
+func (p *streamProbe) Bind(g *graph.Simple, m *simmachine.Machine, o engines.Options) {
+	if g != nil {
+		p.rec.binds = append(p.rec.binds, g)
+	}
+	p.Instance.Bind(g, m, o)
+}
+
+func (p *streamProbe) Mutate(b graph.Batch) (*engines.MutationReport, error) {
+	rep, err := p.Instance.Mutate(b)
+	if err == nil {
+		p.rec.batches = append(p.rec.batches, b)
+		p.rec.after = append(p.rec.after, p.Graph())
+	}
+	return rep, err
+}
+
+// edgeSet is a graph's edges by endpoints, an undirected edge under its
+// lower endpoint first, each at its weight.
+type edgeSet map[[2]graph.VID]float32
+
+// add inserts or deletes one edge as graph.Mutation defines it: a
+// self-loop is dropped, an insert of a present edge keeps the lower
+// weight, a delete of an absent edge does nothing.
+func (s edgeSet) add(mu graph.Mutation, directed bool) {
+	k := [2]graph.VID{mu.Src, mu.Dst}
+	if !directed && k[0] > k[1] {
+		k[0], k[1] = k[1], k[0]
+	}
+	switch {
+	case k[0] == k[1]:
+	case mu.Op == graph.MutDelete:
+		delete(s, k)
+	default:
+		if w, ok := s[k]; !ok || mu.W < w {
+			s[k] = mu.W
+		}
+	}
+}
+
+// rowsDiffer names where the flat forms of a and b differ, weights by
+// their bits; "" when they are byte-equal.
+func rowsDiffer(a, b *graph.CSR) string {
+	a, b = a.Flat(), b.Flat()
+	bits := func(ws []float32) []uint32 {
+		out := make([]uint32, len(ws))
+		for i, w := range ws {
+			out[i] = math.Float32bits(w)
+		}
+		return out
+	}
+	switch {
+	case !slices.Equal(a.Offsets, b.Offsets):
+		return "offsets"
+	case !slices.Equal(a.Adj, b.Adj):
+		return "adjacency"
+	case (a.Weights == nil) != (b.Weights == nil) || !slices.Equal(bits(a.Weights), bits(b.Weights)):
+		return "weights"
+	}
+	return ""
+}
+
+// The stream ends on a cold build. Its batches are applied once, by the
+// engine, and the recompute binds the graph the engine's Mutate left,
+// so the graph the run checks its incremental answers against is only
+// as right as that Mutate: after every batch of a GAP stream Run, on
+// kron-10 undirected and directed, with and without Compress, for WCC
+// and PageRank, the Streamer's graph must be byte-equal to Homogenize
+// of the base edge list with every batch drawn so far applied to it
+// edge by edge, with that build's InputEdges, and the batch's recompute
+// must bind that very graph.
+func TestStreamEndsOnAColdBuild(t *testing.T) {
+	ms := &core.MutationSchedule{Batches: 4, BatchSize: 96, DeleteFrac: 0.3, Seed: 3}
+	for _, directed := range []bool{false, true} {
+		el, err := ResolveDataset("kron-10", DatasetOptions{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		el.Directed = directed
+		for _, compress := range []bool{false, true} {
+			for _, alg := range []engines.Algorithm{engines.WCC, engines.PageRank} {
+				name := fmt.Sprintf("directed=%v compress=%v %s", directed, compress, alg)
+				rec := &streamRecord{}
+				probe := gap.Decl
+				probe.New = func() engines.Instance { return &streamProbe{gap.Decl.New().(*gap.Instance), rec} }
+				spec := core.Spec{Dataset: "kron-10", Algorithm: alg, Engines: []string{"GAP"}, Threads: 8,
+					Roots: 1, Seed: 1, Compress: compress, Mutations: ms}
+				if _, err := NewRunner(engines.Registry{&probe}).Run(spec, el); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if len(rec.after) != ms.Batches || len(rec.binds) != 1+ms.Batches {
+					t.Fatalf("%s: %d mutates and %d binds; want %d and %d", name, len(rec.after), len(rec.binds), ms.Batches, 1+ms.Batches)
+				}
+				if rec.binds[0] != graph.Memoized(el) {
+					t.Fatalf("%s: the stream's instance is not bound to the run's graph", name)
+				}
+				overlays := 0
+				for _, g := range rec.after {
+					if g.Out.Offsets == nil {
+						overlays++
+					}
+				}
+				t.Logf("%s: %d of %d epochs overlays, weighted=%v", name, overlays, ms.Batches, el.Weighted)
+				set := edgeSet{}
+				for _, e := range el.Edges {
+					set.add(graph.Mutation{Op: graph.MutInsert, Src: e.Src, Dst: e.Dst, W: e.W}, directed)
+				}
+				for i, b := range rec.batches {
+					for _, mu := range b {
+						set.add(mu, directed)
+					}
+					cold := &graph.EdgeList{NumVertices: el.NumVertices, Directed: directed, Weighted: el.Weighted}
+					for k, w := range set {
+						cold.Edges = append(cold.Edges, graph.Edge{Src: k[0], Dst: k[1], W: w})
+					}
+					want, err := graph.Homogenize(cold)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := rec.after[i]
+					if d := rowsDiffer(got.Out, want.Out); d != "" {
+						t.Fatalf("%s batch %d: Out differs from a cold build in its %s", name, i+1, d)
+					}
+					if directed {
+						if d := rowsDiffer(got.In, want.In); d != "" {
+							t.Fatalf("%s batch %d: In differs from a cold build in its %s", name, i+1, d)
+						}
+					}
+					if got.InputEdges != want.InputEdges {
+						t.Fatalf("%s batch %d: InputEdges %d, a cold build's %d", name, i+1, got.InputEdges, want.InputEdges)
+					}
+					if rec.binds[i+1] != got {
+						t.Fatalf("%s batch %d: the recompute is bound to another graph than the one Mutate left", name, i+1)
+					}
+				}
+			}
 		}
 	}
 }

@@ -56,7 +56,7 @@
 // published rank vector itself, which nothing writes) lives once, on the
 // maintainer, so a mutate costs one adjacency rebuild however many
 // executors serve; an executor moves to a new generation by rebinding
-// four pointers (gap.Instance.BindEpoch), and a query that loaded
+// its epoch's pointers (gap.Instance.BindEpoch), and a query that loaded
 // generation g is answered from g alone and reports g.
 //
 // Determinism: query budgets and reported service times are modeled
