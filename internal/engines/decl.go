@@ -171,7 +171,7 @@ type MutationReport struct {
 // until the first Mutate, then the graph Mutate left. It is read-only
 // like every bound graph, and shared: the harness draws the next batch
 // from it and binds it, as it stands, to the instance of the stream's
-// full recompute.
+// full recompute, and the serving daemon publishes it to its executors.
 type Streamer interface {
 	Mutate(batch graph.Batch) (*MutationReport, error)
 	Graph() *graph.Simple

@@ -11,14 +11,14 @@ import (
 	"github.com/hpcl-repro/epg/internal/xrand"
 )
 
-// flatEpoch is e with every row compacted: the same graph, no overlay.
-func flatEpoch(e Epoch) Epoch {
-	g := &graph.Simple{NumVertices: e.g.NumVertices, Directed: e.g.Directed, Weighted: e.g.Weighted,
-		InputEdges: e.g.InputEdges, Out: e.g.Out.Flat()}
-	if e.g.In != nil {
-		g.In = e.g.In.Flat()
+// flatEpoch is g with every row compacted: the same graph, no overlay.
+func flatEpoch(g *graph.Simple) *graph.Simple {
+	f := &graph.Simple{NumVertices: g.NumVertices, Directed: g.Directed, Weighted: g.Weighted,
+		InputEdges: g.InputEdges, Out: g.Out.Flat()}
+	if g.In != nil {
+		f.In = g.In.Flat()
 	}
-	return Epoch{g: g}
+	return f
 }
 
 // hubStream is a batch on c that deletes stored entries, which a draw
@@ -43,16 +43,16 @@ func hubStream(c *graph.CSR, r *xrand.RNG, ops int) (apply, undo graph.Batch) {
 func TestWarmKernelsOnDeltaRowsAllocateAsOnFlat(t *testing.T) {
 	inst := load(t, engine(), kron(13, 5), 8)
 	inst.m.SetTracing(false) // a trace grows by design
-	apply, _ := hubStream(inst.Epoch().Out(), xrand.New(3), 64)
+	apply, _ := hubStream(inst.Graph().Out, xrand.New(3), 64)
 	if _, err := inst.Mutate(apply); err != nil {
 		t.Fatal(err)
 	}
-	delta := inst.Epoch()
-	if delta.Out().DeltaRows() == 0 || delta.Out().Flat() == delta.Out() {
+	delta := inst.Graph()
+	if delta.Out.DeltaRows() == 0 || delta.Out.Flat() == delta.Out {
 		t.Fatal("the batch left no overlay with delta rows; the wall measures one")
 	}
 	flat := flatEpoch(delta)
-	roots := rootsOf(delta.Out(), 4)
+	roots := rootsOf(delta.Out, 4)
 	var bfs engines.BFSResult
 	var sssp engines.SSSPResult
 	i := 0
@@ -88,19 +88,19 @@ func TestWarmKernelsOnDeltaRowsAllocateAsOnFlat(t *testing.T) {
 			// Both epochs warm first: the row buffers and slabs grow to
 			// the largest row and output either epoch drew.
 			for range 3 {
-				for _, e := range []Epoch{delta, flat} {
-					inst.BindEpoch(e)
+				for _, e := range []*graph.Simple{delta, flat} {
+					rebind(inst, e)
 					for range roots {
 						run()
 					}
 				}
 			}
-			per := func(e Epoch) uint64 {
-				inst.BindEpoch(e)
+			per := func(e *graph.Simple) uint64 {
+				rebind(inst, e)
 				return alloctest.BytesPerRun(len(roots), run)
 			}
 			onDelta, onFlat := per(delta), per(flat)
-			t.Logf("%d workers: warm %s %d B/call on %d delta rows, %d B flat", workers, k.name, onDelta, delta.Out().DeltaRows(), onFlat)
+			t.Logf("%d workers: warm %s %d B/call on %d delta rows, %d B flat", workers, k.name, onDelta, delta.Out.DeltaRows(), onFlat)
 			if onDelta > onFlat {
 				t.Fatalf("%d workers: a warm %s allocates %d B on delta rows, %d B on the same epoch flat", workers, k.name, onDelta, onFlat)
 			}
@@ -119,7 +119,7 @@ func TestWarmMaintainOnDeltaRowsAllocatesAsOnFlat(t *testing.T) {
 	maintain := func(flat bool) (best uint64, deltaRounds int) {
 		inst := load(t, engine(), kron(13, 5), 8)
 		inst.m.SetTracing(false)
-		apply, undo := hubStream(inst.Epoch().Out(), xrand.New(17), 32)
+		apply, undo := hubStream(inst.Graph().Out, xrand.New(17), 32)
 		best = math.MaxUint64
 		var ms runtime.MemStats
 		for round := 0; round < 8; round++ {
@@ -130,9 +130,8 @@ func TestWarmMaintainOnDeltaRowsAllocatesAsOnFlat(t *testing.T) {
 			if _, err := inst.Mutate(b); err != nil {
 				t.Fatal(err)
 			}
-			if flat { // BindEpoch would drop the baselines
-				f := flatEpoch(inst.Epoch())
-				inst.g, inst.out, inst.in = f.g, f.Out(), f.In()
+			if flat { // Bind would drop the baselines
+				inst.use(flatEpoch(inst.g))
 			} else if inst.out.DeltaRows() > 0 {
 				deltaRounds++
 			}

@@ -23,7 +23,7 @@ const (
 	opWorkers             // hi: 1, 2 or 4 real workers (hi mod 3)
 	opCancel              // refuse the next cancel poll
 	opHold                // hold the current epoch
-	opBind                // BindEpoch the held epoch
+	opBind                // Bind the held graph and build
 	opStar                // hi: weight (hi+1)/16; then u: insert u->v for every v not a multiple of 8
 	numOps
 )
@@ -50,9 +50,9 @@ type streamProgram struct {
 	workers            int
 	inst               *Instance
 	pending            graph.Batch
-	base               [2]*Epoch
+	base               [2]*graph.Simple
 	since              [2]graph.Batch
-	held               *Epoch
+	held               *graph.Simple
 	cancel, fired      bool
 	// deltaEpochs counts the flushes whose epoch held a delta row.
 	deltaEpochs int
@@ -60,7 +60,7 @@ type streamProgram struct {
 
 // FuzzStreamProgram runs byte programs of edge inserts and deletes,
 // flushes (Mutate), PageRank and WCC maintains, worker counts, a cancel
-// at a maintain's first poll, and a BindEpoch back to a held epoch. The
+// at a maintain's first poll, and a Bind back to a held graph. The
 // first byte is the graph: bit 0 directed, bit 1 compressed, bits 2-7
 // the number of random weighted edges among programN vertices. After
 // every maintain that was not cancelled, three things must hold:
@@ -184,7 +184,7 @@ func runStreamProgram(t *testing.T, prog []byte) *streamProgram {
 			i += 2
 		case opDeleteStored:
 			if i+1 < len(ops) {
-				if u, v, ok := storedEntry(p.inst.Epoch().Out(), int(ops[i+1])); ok {
+				if u, v, ok := storedEntry(p.inst.Graph().Out, int(ops[i+1])); ok {
 					p.pending = append(p.pending, graph.Mutation{Op: graph.MutDelete, Src: u, Dst: v})
 				}
 			}
@@ -201,12 +201,11 @@ func runStreamProgram(t *testing.T, prog []byte) *streamProgram {
 		case opCancel:
 			p.cancel = true
 		case opHold:
-			e := p.inst.Epoch()
-			p.held = &e
+			p.held = p.inst.Graph()
 		case opBind:
 			if p.held != nil {
-				p.inst.BindEpoch(*p.held)
-				p.base, p.since = [2]*Epoch{}, [2]graph.Batch{}
+				rebind(p.inst, p.held)
+				p.base, p.since = [2]*graph.Simple{}, [2]graph.Batch{}
 			}
 		case opStar:
 			if u, ok := operand(i + 1); ok {
@@ -238,7 +237,7 @@ func (p *streamProgram) flush() {
 	if _, err := p.inst.Mutate(p.pending); err != nil {
 		p.t.Fatal(err)
 	}
-	if p.inst.Epoch().Out().DeltaRows() > 0 {
+	if p.inst.Graph().Out.DeltaRows() > 0 {
 		p.deltaEpochs++
 	}
 	for k := range p.since {
@@ -294,12 +293,12 @@ func (p *streamProgram) maintain(k int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := p.inst.Epoch()
+	cur := p.inst.Graph()
 	load := func(c *graph.CSR) *Instance {
 		return loadWith(t, elFromCSR(c, p.directed), p.workers, p.compress, false)
 	}
 
-	want, _, err := run(load(cur.Out()), k, true)
+	want, _, err := run(load(cur.Out), k, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,12 +310,12 @@ func (p *streamProgram) maintain(k int) {
 
 	var shadow *Instance
 	if base := p.base[k]; base == nil {
-		shadow = load(cur.Out())
+		shadow = load(cur.Out)
 	} else {
-		if c, b := cur.Out().Flat(), base.Out().Flat(); slices.Equal(c.Offsets, b.Offsets) && slices.Equal(c.Adj, b.Adj) && len(got) != 0 {
+		if c, b := cur.Out.Flat(), base.Out.Flat(); slices.Equal(c.Offsets, b.Offsets) && slices.Equal(c.Adj, b.Adj) && len(got) != 0 {
 			t.Fatalf("%s maintain charged %d regions on an epoch with the baseline's rows", ctx, len(got))
 		}
-		shadow = load(base.Out())
+		shadow = load(base.Out)
 		if _, _, err := run(shadow, k, false); err != nil {
 			t.Fatal(err)
 		}
@@ -333,5 +332,5 @@ func (p *streamProgram) maintain(k int) {
 		}
 		t.Fatalf("%s maintain charged %d regions, %d given every op since its baseline as one batch; they part at region %d", ctx, len(got), len(shadowGot), i)
 	}
-	p.base[k], p.since[k] = &cur, nil
+	p.base[k], p.since[k] = cur, nil
 }

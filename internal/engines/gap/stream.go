@@ -58,48 +58,11 @@ func (inst *Instance) streamState() *streamState {
 	return inst.stream
 }
 
-// Epoch is one generation of an instance's adjacency: its graph and,
-// when the engine compresses, the graph's compressed siblings. Mutate
-// builds the next one and never writes a previous one, so an Epoch may
-// be read, and bound by other instances, for as long as anything holds
-// it.
-type Epoch struct {
-	g         *graph.Simple
-	cout, cin *graph.CompressedCSR
-}
-
-// Out returns the epoch's out-adjacency.
-func (e Epoch) Out() *graph.CSR { return e.g.Out }
-
-// In returns the epoch's in-adjacency: Out itself on an undirected
-// graph, its weighted transpose on a directed one.
-func (e Epoch) In() *graph.CSR {
-	if e.g.In == nil {
-		return e.g.Out
-	}
-	return e.g.In
-}
-
-// Epoch returns the adjacency the instance currently runs on.
-func (inst *Instance) Epoch() Epoch {
-	inst.BuildStructure()
-	return Epoch{g: inst.g, cout: inst.cout, cin: inst.cin}
-}
-
-// BindEpoch makes the kernels of inst run on e, an epoch of another
-// instance of the same engine configuration over the same vertex set (the
-// serving daemon's executors bind the epoch its maintainer published). It
-// charges nothing and stands in for BuildStructure — construction was
-// paid where e was built — and drops any incremental baselines, which
-// describe the graph being left.
-func (inst *Instance) BindEpoch(e Epoch) {
-	inst.g, inst.out, inst.in, inst.cout, inst.cin = e.g, e.Out(), e.In(), e.cout, e.cin
-	inst.n, inst.mEdges, inst.built = inst.out.NumVertices, inst.out.NumEdges(), true
-	inst.stream = nil
-}
-
 // Graph implements engines.Streamer: the graph of the instance's
-// current epoch, read-only.
+// current epoch, read-only. Mutate builds the next graph beside it and
+// never writes it, so it may be held, and bound by other instances (the
+// serving daemon's executors bind the one its maintainer published),
+// for as long as anything holds it.
 func (inst *Instance) Graph() *graph.Simple { return inst.g }
 
 // Mutate implements engines.Streamer: it advances the instance's graph

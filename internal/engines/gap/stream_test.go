@@ -146,7 +146,7 @@ func TestIncrementalPageRankBitEqualFullRecompute(t *testing.T) {
 				r := xrand.New(seed ^ 0xabcd)
 				var finalRanks []float64
 				for batch := 0; batch < 4; batch++ {
-					b := streamBatch(inst.Epoch().Out(), r, 40, 0.4)
+					b := streamBatch(inst.Graph().Out, r, 40, 0.4)
 					if _, err := inst.Mutate(b); err != nil {
 						t.Fatal(err)
 					}
@@ -154,7 +154,7 @@ func TestIncrementalPageRankBitEqualFullRecompute(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := freshPR(t, elFromCSR(inst.Epoch().Out(), directed), 8)
+					want := freshPR(t, elFromCSR(inst.Graph().Out, directed), 8)
 					ranksEqual(t, inc, want, "directed="+bstr(directed))
 					finalRanks = inc.Rank
 				}
@@ -206,7 +206,7 @@ func TestIncrementalPageRankBeyondCachedHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := freshPR(t, elFromCSR(inst.Epoch().Out(), false), 8)
+	want := freshPR(t, elFromCSR(inst.Graph().Out, false), 8)
 	if inc.Iterations <= base.Iterations {
 		t.Fatalf("hub insertion converged in %d iterations (baseline %d); test no longer reaches past the horizon", inc.Iterations, base.Iterations)
 	}
@@ -244,7 +244,7 @@ func TestIncrementalPageRankSeveralIterationsBeyondHorizon(t *testing.T) {
 		if inc.Iterations < base.Iterations+2 {
 			t.Fatalf("workers %d: %d iterations on a %d-iteration baseline: fewer than two beyond the horizon", workers, inc.Iterations, base.Iterations)
 		}
-		ranksEqual(t, inc, freshPR(t, elFromCSR(inst.Epoch().Out(), true), 8), "several beyond the horizon")
+		ranksEqual(t, inc, freshPR(t, elFromCSR(inst.Graph().Out, true), 8), "several beyond the horizon")
 		// The new answer is the new baseline: an unchanged graph now
 		// returns it for free, iteration count included.
 		again, err := inst.IncrementalPageRank(engines.DefaultPROpts())
@@ -266,7 +266,7 @@ func TestIncrementalPageRankDanglingShift(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty the out-row of the highest-degree vertex.
-	out := inst.Epoch().Out()
+	out := inst.Graph().Out
 	var hub graph.VID
 	for v := 0; v < out.NumVertices; v++ {
 		if out.Degree(graph.VID(v)) > out.Degree(hub) {
@@ -287,10 +287,10 @@ func TestIncrementalPageRankDanglingShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := inst.Epoch().Out().Degree(hub); got != 0 {
+	if got := inst.Graph().Out.Degree(hub); got != 0 {
 		t.Fatalf("hub still has out-degree %d", got)
 	}
-	want := freshPR(t, elFromCSR(inst.Epoch().Out(), true), 8)
+	want := freshPR(t, elFromCSR(inst.Graph().Out, true), 8)
 	ranksEqual(t, inc, want, "dangling-shift")
 }
 
@@ -310,7 +310,7 @@ func TestIncrementalWCCBitEqualFullRecompute(t *testing.T) {
 				}
 				r := xrand.New(seed ^ 0x77)
 				for batch := 0; batch < 5; batch++ {
-					b := streamBatch(inst.Epoch().Out(), r, 20, 0.5)
+					b := streamBatch(inst.Graph().Out, r, 20, 0.5)
 					if _, err := inst.Mutate(b); err != nil {
 						t.Fatal(err)
 					}
@@ -318,7 +318,7 @@ func TestIncrementalWCCBitEqualFullRecompute(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := freshWCC(t, elFromCSR(inst.Epoch().Out(), directed), 8)
+					want := freshWCC(t, elFromCSR(inst.Graph().Out, directed), 8)
 					labelsEqual(t, inc, want, "directed="+bstr(directed))
 				}
 			}
@@ -344,7 +344,7 @@ func TestIncrementalCheaperThanRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := xrand.New(5)
-	b := streamBatch(inst.Epoch().Out(), r, 8, 0.5)
+	b := streamBatch(inst.Graph().Out, r, 8, 0.5)
 	t0 := inst.Machine().Elapsed()
 	if _, err := inst.Mutate(b); err != nil {
 		t.Fatal(err)
@@ -358,7 +358,7 @@ func TestIncrementalCheaperThanRecompute(t *testing.T) {
 	// Kernel-1 construction on the post-batch graph plus a cold
 	// PageRank.
 	m2 := machine(8)
-	ri, err := engine().Load(elFromCSR(inst.Epoch().Out(), false), m2)
+	ri, err := engine().Load(elFromCSR(inst.Graph().Out, false), m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,11 +377,11 @@ func TestIncrementalCheaperThanRecompute(t *testing.T) {
 func TestMutateRejectsInvalid(t *testing.T) {
 	el := kron(6, 1)
 	inst := load(t, engine(), el, 2)
-	before := inst.Epoch().Out()
+	before := inst.Graph().Out
 	if _, err := inst.Mutate(graph.Batch{{Op: graph.MutInsert, Src: 0, Dst: graph.VID(inst.n + 5)}}); err == nil {
 		t.Fatal("out-of-range mutation accepted")
 	}
-	if inst.Epoch().Out() != before {
+	if inst.Graph().Out != before {
 		t.Fatal("failed Mutate swapped the epoch")
 	}
 }
@@ -405,20 +405,20 @@ const (
 // the slot index, the row table's growth, the rows under the delta
 // floor copied, a floor's worth for each row at or past it (a delta of
 // a few entries) and the replay; and less than the same overlay with
-// every dirty row copied whole. Each call rebinds the flat epoch first,
+// every dirty row copied whole. Each call rebinds the flat graph first,
 // so every one applies the same batch to the same rows.
 func TestMutateAllocFollowsDirtyRows(t *testing.T) {
 	inst := load(t, engine(), kron(13, 1), 8)
-	base := inst.Epoch()
-	out := base.Out()
+	base := inst.Graph()
+	out := base.Out
 	batch := streamBatch(out, xrand.New(12), 64, 0.4)
 	per := alloctest.BytesPerRun(4, func() {
-		inst.BindEpoch(base)
+		rebind(inst, base)
 		if _, err := inst.Mutate(batch); err != nil {
 			t.Fatal(err)
 		}
 	})
-	next := inst.Epoch().Out()
+	next := inst.Graph().Out
 	const entry = 8 // a neighbor and its weight
 	var dirty, small, floors, whole uint64
 	prev := graph.VID(out.NumVertices)
@@ -474,7 +474,7 @@ func TestIncrementalPageRankTrajectoryShrinksThenGrows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranksEqual(t, inc, freshPR(t, elFromCSR(inst.Epoch().Out(), false), 8), ctx)
+		ranksEqual(t, inc, freshPR(t, elFromCSR(inst.Graph().Out, false), 8), ctx)
 		again, err := inst.IncrementalPageRank(engines.DefaultPROpts())
 		if err != nil {
 			t.Fatal(err)
@@ -531,14 +531,14 @@ func TestCancelledMaintainLeavesBaselineWhole(t *testing.T) {
 	})
 	mutate := func() {
 		t.Helper()
-		if _, err := inst.Mutate(streamBatch(inst.Epoch().Out(), r, 48, 0.5)); err != nil {
+		if _, err := inst.Mutate(streamBatch(inst.Graph().Out, r, 48, 0.5)); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	for k := 1; ; k++ {
 		mutate()
-		want := freshPR(t, elFromCSR(inst.Epoch().Out(), false), 8)
+		want := freshPR(t, elFromCSR(inst.Graph().Out, false), 8)
 		if k > want.Iterations {
 			if k < 3 {
 				t.Fatalf("a %d-iteration run cancels at too few polls to test", want.Iterations)
@@ -570,7 +570,7 @@ func TestCancelledMaintainLeavesBaselineWhole(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: IncrementalWCC polled for cancellation after it began writing its baseline: %v", round, err)
 		}
-		labelsEqual(t, wcc, freshWCC(t, elFromCSR(inst.Epoch().Out(), false), 8), "after a cancelled maintain")
+		labelsEqual(t, wcc, freshWCC(t, elFromCSR(inst.Graph().Out, false), 8), "after a cancelled maintain")
 		mutate()
 	}
 }
@@ -597,10 +597,10 @@ func TestMaintainAllocBudget(t *testing.T) {
 	var apply, undo graph.Batch
 	r := xrand.New(17)
 	for len(apply) < 128 {
-		if u, v, ok := sampleEdge(inst.Epoch().Out(), r); ok && len(apply)%2 == 0 {
+		if u, v, ok := sampleEdge(inst.Graph().Out, r); ok && len(apply)%2 == 0 {
 			apply = append(apply, graph.Mutation{Op: graph.MutDelete, Src: u, Dst: v})
 			undo = append(undo, graph.Mutation{Op: graph.MutInsert, Src: u, Dst: v, W: 0.5})
-		} else if u, v := graph.VID(r.Intn(inst.n)), graph.VID(r.Intn(inst.n)); u != v && !inst.Epoch().Out().HasEdge(u, v) {
+		} else if u, v := graph.VID(r.Intn(inst.n)), graph.VID(r.Intn(inst.n)); u != v && !inst.Graph().Out.HasEdge(u, v) {
 			apply = append(apply, graph.Mutation{Op: graph.MutInsert, Src: u, Dst: v, W: 0.5})
 			undo = append(undo, graph.Mutation{Op: graph.MutDelete, Src: u, Dst: v})
 		}
@@ -644,7 +644,7 @@ func TestWarmMaintainRetainsTwoVectors(t *testing.T) {
 	inst := load(t, engine(), kron(12, 5), 8)
 	r := xrand.New(23)
 	for batch := 0; batch < 12; batch++ {
-		out := inst.Epoch().Out()
+		out := inst.Graph().Out
 		b := append(streamBatch(out, r, 192, 0), streamBatch(out, r, 64, 1)...)
 		if _, err := inst.Mutate(b); err != nil {
 			t.Fatal(err)
@@ -661,31 +661,45 @@ func TestWarmMaintainRetainsTwoVectors(t *testing.T) {
 	}
 }
 
-// epochDigest hashes every array of an epoch, compressed siblings and
-// lengths included; raw rows are read through Flat, so an overlay's
-// patched rows and the base rows it shares are both covered.
-func epochDigest(e Epoch) uint64 {
+// rebind points inst at g and builds, as a serving executor does when
+// it moves to a published generation: Bind with the instance's own
+// machine and knobs, then BuildStructure.
+func rebind(inst *Instance, g *graph.Simple) {
+	inst.Bind(g, inst.m, inst.opts)
+	inst.BuildStructure()
+}
+
+// epochDigest hashes every array of a graph, lengths included, and with
+// compress its compressed siblings; raw rows are read through Flat, so
+// an overlay's patched rows and the base rows it shares are both
+// covered.
+func epochDigest(g *graph.Simple, compress bool) uint64 {
 	h := fnv.New64a()
-	for _, c := range []*graph.CSR{e.Out().Flat(), e.In().Flat()} {
-		binary.Write(h, binary.LittleEndian, []int64{int64(len(c.Offsets)), int64(len(c.Adj)), int64(len(c.Weights))})
-		binary.Write(h, binary.LittleEndian, c.Offsets)
-		binary.Write(h, binary.LittleEndian, c.Adj)
-		binary.Write(h, binary.LittleEndian, c.Weights)
+	rows := []*graph.CSR{g.Out}
+	if g.In != nil {
+		rows = append(rows, g.In)
 	}
-	for _, c := range []*graph.CompressedCSR{e.cout, e.cin} {
-		if c != nil {
-			binary.Write(h, binary.LittleEndian, c.Offsets)
-			h.Write(c.Data)
+	for _, c := range rows {
+		f := c.Flat()
+		binary.Write(h, binary.LittleEndian, []int64{int64(len(f.Offsets)), int64(len(f.Adj)), int64(len(f.Weights))})
+		binary.Write(h, binary.LittleEndian, f.Offsets)
+		binary.Write(h, binary.LittleEndian, f.Adj)
+		binary.Write(h, binary.LittleEndian, f.Weights)
+		if compress {
+			cc := g.Compressed(c)
+			binary.Write(h, binary.LittleEndian, cc.Offsets)
+			h.Write(cc.Data)
 		}
 	}
 	return h.Sum64()
 }
 
-// What publish-and-bind stands on: an epoch handed out by a mutating
-// instance is never written again (raw rows and compressed bytes hash
-// the same after further batches and maintains), and a second instance
-// bound to it answers every kernel as an instance loaded fresh on that
-// epoch's graph — also when it is bound back from a newer epoch.
+// What publish-and-bind stands on: a graph handed out by a mutating
+// instance (Graph) is never written again (raw rows and compressed
+// bytes hash the same after further batches and maintains), and a
+// second instance bound to it (Bind, then BuildStructure) answers every
+// kernel as an instance loaded fresh on it — also when it is bound back
+// from a newer graph.
 func TestBoundInstanceRunsOnAFrozenEpoch(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		for _, compress := range []bool{false, true} {
@@ -694,10 +708,10 @@ func TestBoundInstanceRunsOnAFrozenEpoch(t *testing.T) {
 			owner := loadWith(t, el, 8, compress, true)
 			bound := loadWith(t, el, 8, compress, true)
 			r := xrand.New(5)
-			var held []Epoch
+			var held []*graph.Simple
 			var sums []uint64
 			for step := 0; step < 4; step++ {
-				if _, err := owner.Mutate(streamBatch(owner.Epoch().Out(), r, 40, 0.4)); err != nil {
+				if _, err := owner.Mutate(streamBatch(owner.Graph().Out, r, 40, 0.4)); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := owner.IncrementalPageRank(engines.DefaultPROpts()); err != nil {
@@ -706,18 +720,18 @@ func TestBoundInstanceRunsOnAFrozenEpoch(t *testing.T) {
 				if _, err := owner.IncrementalWCC(); err != nil {
 					t.Fatal(err)
 				}
-				held = append(held, owner.Epoch())
-				sums = append(sums, epochDigest(owner.Epoch()))
+				held = append(held, owner.Graph())
+				sums = append(sums, epochDigest(owner.Graph(), compress))
 			}
 			// Newest first, so every later bind goes backwards.
 			for i := len(held) - 1; i >= 0; i-- {
 				ctx := "directed=" + bstr(directed) + " compress=" + bstr(compress) + " epoch " + string(rune('0'+i))
-				if got := epochDigest(held[i]); got != sums[i] {
+				if got := epochDigest(held[i], compress); got != sums[i] {
 					t.Fatalf("%s: arrays changed after it was handed out: %x, was %x", ctx, got, sums[i])
 				}
-				bound.BindEpoch(held[i])
-				fresh := loadWith(t, elFromCSR(held[i].Out(), directed), 8, compress, true)
-				root := rootsOf(held[i].Out(), 1)[0]
+				rebind(bound, held[i])
+				fresh := loadWith(t, elFromCSR(held[i].Out, directed), 8, compress, true)
+				root := rootsOf(held[i].Out, 1)[0]
 				gb, err := bound.BFS(root, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -735,12 +749,12 @@ func TestBoundInstanceRunsOnAFrozenEpoch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ranksEqual(t, gp, freshPR(t, elFromCSR(held[i].Out(), directed), 8), ctx)
+				ranksEqual(t, gp, freshPR(t, elFromCSR(held[i].Out, directed), 8), ctx)
 				gw, err := bound.WCC(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				labelsEqual(t, gw, freshWCC(t, elFromCSR(held[i].Out(), directed), 8), ctx)
+				labelsEqual(t, gw, freshWCC(t, elFromCSR(held[i].Out, directed), 8), ctx)
 			}
 		}
 	}

@@ -60,14 +60,14 @@ func TestReusedWorkspaceBitEqualFreshInstance(t *testing.T) {
 				var bfs engines.BFSResult
 				var sssp engines.SSSPResult
 				cur := el
-				roots := rootsOf(reused.Epoch().Out(), 32)
+				roots := rootsOf(reused.Graph().Out, 32)
 				for i, root := range roots {
 					if i == len(roots)/2 {
-						b := streamBatch(reused.Epoch().Out(), xrand.New(99), 64, 0.4)
+						b := streamBatch(reused.Graph().Out, xrand.New(99), 64, 0.4)
 						if _, err := reused.Mutate(b); err != nil {
 							t.Fatal(err)
 						}
-						cur = elFromCSR(reused.Epoch().Out(), false)
+						cur = elFromCSR(reused.Graph().Out, false)
 					}
 					ctx := func(k string) string {
 						return fmt.Sprintf("%s workers=%d compress=%v sync=%v", k, workers, compress, sync)
@@ -129,7 +129,7 @@ func TestReusedWorkspaceBitEqualFreshInstance(t *testing.T) {
 // is large enough is reused in place.
 func TestIntoReusesOnlyLargeEnoughDst(t *testing.T) {
 	inst := load(t, engine(), kron(8, 3), 4)
-	root := rootsOf(inst.Epoch().Out(), 1)[0]
+	root := rootsOf(inst.Graph().Out, 1)[0]
 	small := &engines.BFSResult{Parent: make([]int64, 3), Depth: make([]int64, 3)}
 	res, err := inst.BFS(root, small)
 	if err != nil {
@@ -174,7 +174,7 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 		return inst
 	}
 	inst, chaotic := warm(true), warm(false)
-	roots := rootsOf(inst.Epoch().Out(), 8)
+	roots := rootsOf(inst.Graph().Out, 8)
 	var bfs engines.BFSResult
 	var sssp engines.SSSPResult
 	i := 0
@@ -301,7 +301,7 @@ func TestWarmTraversalAllocationBound(t *testing.T) {
 func TestWarmSharedStepEnginesAllocateOnlyResults(t *testing.T) {
 	const bound = 64 << 10
 	el := kron(12, 5)
-	roots := rootsOf(load(t, engine(), el, 8).Epoch().Out(), 8)
+	roots := rootsOf(load(t, engine(), el, 8).Graph().Out, 8)
 	results := uint64(2 * 8 * el.NumVertices)
 	for _, d := range []*engines.Decl{&graph500.Decl, &graphbig.Decl} {
 		eng := &engines.Engine{Decl: d}
@@ -373,7 +373,7 @@ func TestWorkspaceRetentionBoundedByLargestRegion(t *testing.T) {
 	}
 	inst.SetCancel(observe)
 	var sssp engines.SSSPResult
-	for _, root := range rootsOf(inst.Epoch().Out(), 40) {
+	for _, root := range rootsOf(inst.Graph().Out, 40) {
 		if _, err := inst.SSSP(root, &sssp); err != nil {
 			t.Fatal(err)
 		}

@@ -18,18 +18,18 @@
 //	                  bounded FIFO queue
 //	          ┌───────────────┴────────────────────────────────┐
 //	          │ executor (one engine instance per worker)      │
-//	          │   load the published generation, bind its epoch │
+//	          │   load the published generation, bind its graph │
 //	          │   admit* → landmark-sketch answer, degraded:true│
 //	          │   deadline hook polled per level/pass/iteration │
 //	          │     budget exhausted ────────────────→ 504     │
 //	          │   panic → recovered, counted ────────→ 500     │
 //	          └───────────────▲────────────────────────────────┘
-//	            published{epoch, vectors, sketch, gen}  (atomic pointer)
+//	            published{graph, vectors, sketch, gen}  (atomic pointer)
 //	          ┌───────────────┴────────────────────────────────┐
 //	          │ maintainer (the one instance ever mutated)     │
 //	          │   mutate (a refresh is an empty one), one at a │
 //	          │   time, by the executor that dequeued it: next │
-//	          │   epoch → vectors → sketch repair → store      │
+//	          │   graph → vectors → sketch repair → store      │
 //	          └────────────────────────────────────────────────┘
 //
 // Admission is a token bucket in front of a bounded FIFO queue: when
@@ -55,9 +55,10 @@
 // built, the incremental PR/WCC baselines; the PR baseline is the
 // published rank vector itself, which nothing writes) lives once, on the
 // maintainer, so a mutate costs one adjacency rebuild however many
-// executors serve; an executor moves to a new generation by rebinding
-// its epoch's pointers (gap.Instance.BindEpoch), and a query that loaded
-// generation g is answered from g alone and reports g.
+// executors serve; an executor moves to a new generation by binding its
+// graph (gap.Instance.Bind, then BuildStructure, charged before the
+// query's clock starts), and a query that loaded generation g is
+// answered from g alone and reports g.
 //
 // Determinism: query budgets and reported service times are modeled
 // seconds on the executor's simmachine, whose clock each query starts

@@ -33,10 +33,12 @@ var (
 // default's modeled durations are schedule-dependent, and serving
 // times must be a pure function of query content for the
 // deterministic study (and for comparable live latencies) — so each
-// query also starts the machine's clock at zero.
+// query also starts the machine's clock at zero. opts are the knobs
+// inst is bound with, on every generation.
 type executor struct {
 	m        *simmachine.Machine
 	inst     *gap.Instance
+	opts     engines.Options
 	weighted bool
 	// gen is the generation of the published state inst is bound to; 0
 	// (the graph it was loaded on) matches none.
@@ -50,17 +52,19 @@ type executor struct {
 	hops khopScratch
 }
 
-// newExecutor loads the shared homogenized graph into a fresh GAP
+// newExecutor binds the shared homogenized graph to a fresh GAP
 // instance on its own machine, and builds nothing: a serving executor
-// binds what the maintainer built. The machine keeps no trace: the
-// executor only ever reads its clock, and the daemon's maintainer
-// would grow its trace by a Region per region forever.
+// binds and builds each generation's graph when its first query on it
+// arrives (run). The machine keeps no trace: the executor only ever
+// reads its clock, and the daemon's maintainer would grow its trace by
+// a Region per region forever.
 func newExecutor(g *graph.Simple, threads int, compress bool) *executor {
 	m := simmachine.New(simmachine.Haswell72(), threads)
 	m.SetTracing(false)
+	opts := engines.Options{SyncSSSP: true, Compress: compress}
 	inst := gap.Decl.New().(*gap.Instance)
-	inst.Bind(g, m, engines.Options{SyncSSSP: true, Compress: compress})
-	return &executor{m: m, inst: inst, weighted: g.Weighted}
+	inst.Bind(g, m, opts)
+	return &executor{m: m, inst: inst, opts: opts, weighted: g.Weighted}
 }
 
 // vectors are the precomputed lookup answers.
@@ -70,12 +74,14 @@ type vectors struct {
 }
 
 // published is everything a query is answered from, as of one
-// generation: the adjacency epoch the traversals run on, the PR/WCC
-// vectors and the degradation sketch of exactly that epoch. A value is
-// immutable once stored; maintenance builds the next one beside it. gen
-// is 1 at start-up and +1 per mutate.
+// generation: the graph the traversals run on (the maintainer's
+// Graph(), which no later mutate writes; under Compress its compressed
+// siblings are already derived), the PR/WCC vectors and the degradation
+// sketch of exactly that graph. A value is immutable once stored;
+// maintenance builds the next one beside it. gen is 1 at start-up and
+// +1 per mutate.
 type published struct {
-	epoch  gap.Epoch
+	g      *graph.Simple
 	vec    vectors
 	sketch *Sketch
 	gen    uint32
@@ -92,7 +98,7 @@ func newMaintainer(g *graph.Simple, threads, landmarks int, compress bool) (*exe
 		return nil, nil, err
 	}
 	e.gen = 1
-	return e, &published{epoch: e.inst.Epoch(), vec: vec, sketch: BuildSketch(g.Out, landmarks), gen: 1}, nil
+	return e, &published{g: e.inst.Graph(), vec: vec, sketch: BuildSketch(g.Out, landmarks), gen: 1}, nil
 }
 
 // computeVectors (re)derives the PR/WCC vectors on this executor's
@@ -114,9 +120,11 @@ func (e *executor) computeVectors() (vectors, error) {
 	return vectors{pr: pr.Rank, wcc: wcc.Component}, nil
 }
 
-// run serves one query from pub, binding the instance to pub's epoch
-// first when it is on another generation — so one query reads one
-// generation throughout, whatever is published meanwhile. degraded
+// run serves one query from pub, binding the instance to pub's graph
+// and building its structure first when it is on another generation —
+// so one query reads one generation throughout, whatever is published
+// meanwhile. The bind charges its construction before the query starts
+// the clock, so the query's modeled time is its own. degraded
 // selects the sketch path for degradable ops; ctx (nil in the
 // virtual-time simulation) adds live client-cancellation to the
 // deadline hook; both read the clock, which the query starts at zero.
@@ -126,7 +134,8 @@ func (e *executor) computeVectors() (vectors, error) {
 // poisoned query costs one response, not the daemon.
 func (e *executor) run(ctx context.Context, q Query, budget float64, degraded bool, pub *published) (resp Response) {
 	if e.gen != pub.gen {
-		e.inst.BindEpoch(pub.epoch)
+		e.inst.Bind(pub.g, e.m, e.opts)
+		e.inst.BuildStructure()
 		e.gen = pub.gen
 	}
 	resp = q.response(StatusOK, "")
@@ -191,7 +200,7 @@ func (e *executor) run(ctx context.Context, q Query, budget float64, degraded bo
 			resp.Value = 1
 		}
 	case OpKHop:
-		resp.Value, err = e.khop(pub.epoch.Out(), q.Source, q.K, deadline)
+		resp.Value, err = e.khop(pub.g.Out, q.Source, q.K, deadline)
 	case OpPanic:
 		panic("injected fault (op=panic)")
 	default:

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"github.com/hpcl-repro/epg/internal/alloctest"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/harness"
+	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
 func testExecutor(t *testing.T, dataset string) (*executor, *published) {
@@ -48,7 +50,7 @@ func mixedQueries(n, count int) []Query {
 // it is what the clock reads when the query is done.
 func TestExecutorKeepsNoTrace(t *testing.T) {
 	e, pub := testExecutor(t, "kron-9")
-	for _, q := range mixedQueries(pub.epoch.Out().NumVertices, 60) {
+	for _, q := range mixedQueries(pub.g.Out.NumVertices, 60) {
 		resp := e.run(nil, q, 0, false, pub)
 		if resp.Status != StatusOK {
 			t.Fatalf("%+v: %s %s", q, resp.Status, resp.Err)
@@ -90,7 +92,7 @@ func khopOracle(c *graph.CSR, src graph.VID, k int) float64 {
 func TestExecutorScratchReuseMatchesFresh(t *testing.T) {
 	reused, pub := testExecutor(t, "kron-9")
 	reused.m.SetTracing(true)
-	for _, q := range mixedQueries(pub.epoch.Out().NumVertices, 45) {
+	for _, q := range mixedQueries(pub.g.Out.NumVertices, 45) {
 		got := reused.run(nil, q, 0, false, pub)
 		gotRegions := slices.Clone(reused.m.Trace())
 
@@ -107,10 +109,97 @@ func TestExecutorScratchReuseMatchesFresh(t *testing.T) {
 			t.Fatalf("%+v: reused executor reports %v s, fresh %v s", q, got.ModeledSec, want.ModeledSec)
 		}
 		if q.Op == OpKHop {
-			if oracle := khopOracle(pub.epoch.Out(), q.Source, q.K); got.Value != oracle {
+			if oracle := khopOracle(pub.g.Out, q.Source, q.K); got.Value != oracle {
 				t.Fatalf("%+v: k-hop count %v, map-based oracle %v", q, got.Value, oracle)
 			}
 		}
+	}
+}
+
+// rebindBatch deletes an out-entry of eight vertices and inserts an edge
+// from each of them, drawn from step, so every generation rewrites rows.
+func rebindBatch(c *graph.CSR, step int) graph.Batch {
+	n := c.NumVertices
+	var b graph.Batch
+	for i := 0; i < 8; i++ {
+		u, v := graph.VID((step*97+i*37+1)%n), graph.VID((step*53+i*71+3)%n)
+		if row := c.Neighbors(u); len(row) > 0 {
+			b = append(b, graph.Mutation{Op: graph.MutDelete, Src: u, Dst: row[0]})
+		}
+		if v != u {
+			b = append(b, graph.Mutation{Op: graph.MutInsert, Src: u, Dst: v, W: 0.5})
+		}
+	}
+	return b
+}
+
+// An executor moving to a new generation binds its graph and builds
+// before the query starts the clock, so the build is no query's charge.
+// On every generation of a maintainer advanced by three mutates, raw and
+// compressed, the first BFS, SSSP and k-hop query an executor serves
+// after binding answers, charges the same regions and reports the same
+// modeled time, bit for bit, as the same query served again without a
+// rebind, and on generation 1 as the Bench executor, which never
+// rebinds.
+func TestExecutorRebindMatchesServedAgain(t *testing.T) {
+	el := testEdgeList(t)
+	qs := []Query{{Op: OpBFS, Source: 3, Target: 40}, {Op: OpSSSP, Source: 7, Target: 90}, {Op: OpKHop, Source: 5, K: 2}}
+	for _, compress := range []bool{false, true} {
+		s, err := NewFromEdgeList(el, Config{Executors: 1, Compress: compress})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		b, err := NewBench(el, s.cfg.Threads, s.cfg.Landmarks, compress)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.exec.m.SetTracing(true)
+		movers := make([]*executor, len(qs)) // one per query, so each query is its executor's first
+		for i := range movers {
+			movers[i] = newExecutor(s.pub.Load().g, s.cfg.Threads, compress)
+			movers[i].m.SetTracing(true)
+		}
+		serve := func(e *executor, q Query, pub *published) (Response, []simmachine.Region) {
+			r := e.run(nil, q, 0, false, pub)
+			if r.Status != StatusOK {
+				t.Fatalf("%+v: %s %s", q, r.Status, r.Err)
+			}
+			return r, slices.Clone(e.m.Trace())
+		}
+		for gen := uint32(1); ; gen++ {
+			pub := s.pub.Load()
+			if pub.gen != gen {
+				t.Fatalf("published generation %d, want %d", pub.gen, gen)
+			}
+			for i, q := range qs {
+				ctx := fmt.Sprintf("compress=%v gen %d %s", compress, gen, q.Op)
+				first, firstRegions := serve(movers[i], q, pub)
+				if movers[i].inst.Graph() != pub.g {
+					t.Fatalf("%s: the executor is not bound to the published graph", ctx)
+				}
+				again, againRegions := serve(movers[i], q, pub)
+				sameServing(t, ctx+": first query after the bind vs served again", first, firstRegions, again, againRegions)
+				if gen == 1 {
+					want, wantRegions := serve(b.exec, q, b.pub)
+					sameServing(t, ctx+": vs the Bench executor", first, firstRegions, want, wantRegions)
+				}
+			}
+			if gen == 4 {
+				break
+			}
+			mustMutate(t, s, rebindBatch(pub.g.Out, int(gen)))
+		}
+	}
+}
+
+// sameServing fails unless got answers what want does, charging the
+// same regions and reporting the same modeled time, bit for bit.
+func sameServing(t *testing.T, ctx string, got Response, gotRegions []simmachine.Region, want Response, wantRegions []simmachine.Region) {
+	t.Helper()
+	if got.Value != want.Value || math.Float64bits(got.ModeledSec) != math.Float64bits(want.ModeledSec) || !slices.Equal(gotRegions, wantRegions) {
+		t.Fatalf("%s: answered %v in %v s over %d regions, want %v in %v s over %d",
+			ctx, got.Value, got.ModeledSec, len(gotRegions), want.Value, want.ModeledSec, len(wantRegions))
 	}
 }
 
@@ -118,7 +207,7 @@ func TestExecutorScratchReuseMatchesFresh(t *testing.T) {
 // equal to a re-issued epoch must not read as visited.
 func TestKHopSeenWrapAround(t *testing.T) {
 	e, pub := testExecutor(t, "kron-9")
-	out := pub.epoch.Out()
+	out := pub.g.Out
 	noDeadline := func() error { return nil }
 	if _, err := e.khop(out, 0, 1, noDeadline); err != nil { // size seen
 		t.Fatal(err)
@@ -148,7 +237,7 @@ func TestKHopSeenWrapAround(t *testing.T) {
 // vertex.
 func TestKHopAllocationBound(t *testing.T) {
 	e, pub := testExecutor(t, "kron-12")
-	out := pub.epoch.Out()
+	out := pub.g.Out
 	noDeadline := func() error { return nil }
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	i := 0

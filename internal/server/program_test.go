@@ -495,13 +495,13 @@ func (p *serveProgram) checkPublished(who string) {
 	t := p.t
 	t.Helper()
 	pub, want := p.s.pub.Load(), p.graphs[p.newest()]
-	if pub.gen != p.newest() || !reflect.DeepEqual(*pub.epoch.Out().Flat(), *want) {
+	if pub.gen != p.newest() || !reflect.DeepEqual(*pub.g.Out.Flat(), *want) {
 		t.Fatalf("after %s: generation %d published, the model's generation %d has other rows or number", who, pub.gen, p.newest())
 	}
 	if d := sketchDiff(pub.sketch, BuildSketch(want, p.s.cfg.Landmarks)); d != "" {
 		t.Fatalf("after %s: published sketch differs from a rebuild on generation %d: %s", who, pub.gen, d)
 	}
-	if pub.epoch.Out().DeltaRows() > 0 {
+	if pub.g.Out.DeltaRows() > 0 {
 		p.deltaEpochs++
 	}
 }

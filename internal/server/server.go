@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -315,8 +316,8 @@ func (s *Server) maintain(p *pending) Response {
 	if err != nil {
 		return Response{Status: StatusError, Err: err.Error()}
 	}
-	next := &published{epoch: m.inst.Epoch(), vec: vec, gen: cur.gen + 1}
-	next.sketch = cur.sketch.Repair(&s.repair, cur.epoch.Out(), next.epoch.Out(), next.epoch.In())
+	next := &published{g: m.inst.Graph(), vec: vec, gen: cur.gen + 1}
+	next.sketch = cur.sketch.Repair(&s.repair, cur.g.Out, next.g.Out, cmp.Or(next.g.In, next.g.Out))
 	s.pub.Store(next)
 	return Response{Status: StatusOK, Gen: next.gen}
 }
