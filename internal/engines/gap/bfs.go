@@ -120,6 +120,7 @@ type bottomUpCall struct {
 	edgeCost      simmachine.Cost
 	cpb           float64
 	exa, sct, fnd *parallel.Counter
+	out           *graph.CSR // the next level's scout counts out-degrees
 }
 
 // frontierToBitmap converts a queue frontier into the bitmap the
@@ -132,15 +133,14 @@ func (inst *Instance) frontierToBitmap(frontier []graph.VID, b *parallel.Bitmap)
 	b.Clear()
 	g := inst.m.Grain(len(frontier), bfsTopDownGrain, 1)
 	words := float64((inst.n + 63) / 64)
-	ws := inst.steps()
-	ws.toBits = toBitmapCall{frontier: frontier, b: b, share: words / float64(parallel.NumChunks(len(frontier), g))}
-	inst.m.ParallelForChunks(len(frontier), g, simmachine.Dynamic, ws.toBitmapFn)
-	ws.toBits = toBitmapCall{}
+	tb := &inst.ws.toBits
+	*tb = toBitmapCall{frontier: frontier, b: b, share: words / float64(parallel.NumChunks(len(frontier), g))}
+	inst.m.For(len(frontier), g, simmachine.Dynamic, tb)
+	*tb = toBitmapCall{}
 }
 
-// toBitmapChunk sets one chunk of frontierToBitmap's frontier.
-func (inst *Instance) toBitmapChunk(lo, hi, chunk, worker int, w *simmachine.W) {
-	tb := &inst.ws.toBits
+// Chunk sets one chunk of frontierToBitmap's frontier.
+func (tb *toBitmapCall) Chunk(lo, hi, chunk, worker int, w *simmachine.W) {
 	for _, v := range tb.frontier[lo:hi] {
 		tb.b.Set(int(v))
 	}
@@ -175,27 +175,26 @@ func (inst *Instance) bitmapToFrontier(b *parallel.Bitmap, dst []graph.VID, coun
 // reset is parallel and charged per chunk — no extra region, no extra
 // barrier.
 func (inst *Instance) stepBottomUp(front, next *parallel.Bitmap, parent, depth []int64, level int64) (examined, nextScout, found int64) {
-	tr, ws := &inst.trav, inst.steps()
-	bu := &ws.bottomUp
+	tr := &inst.trav
+	bu := &inst.ws.bottomUp
 	*bu = bottomUpCall{
 		front: front, next: next, parent: parent, depth: depth, level: level,
 		rows: inst.inRows(), edgeCost: costBottomUpEdge, cpb: inst.m.Model().DecodeCyclesPerByte,
-		exa: tr.Counter(inst.m, 0), sct: tr.Counter(inst.m, 1), fnd: tr.Counter(inst.m, 2),
+		exa: tr.Counter(inst.m, 0), sct: tr.Counter(inst.m, 1), fnd: tr.Counter(inst.m, 2), out: inst.out,
 	}
 	if bu.rows.Encoded() {
 		bu.edgeCost = costBottomUpEdgeC
 	}
 	// align 64: each chunk clears its own word range of `next`.
 	g := inst.m.Grain(inst.n, bfsBottomUpGrain, 64)
-	inst.m.ParallelForChunks(inst.n, g, simmachine.Dynamic, ws.bottomUpFn)
+	inst.m.For(inst.n, g, simmachine.Dynamic, bu)
 	examined, nextScout, found = bu.exa.Sum(), bu.sct.Sum(), bu.fnd.Sum()
 	*bu = bottomUpCall{}
 	return examined, nextScout, found
 }
 
-// bottomUpChunk scans one chunk of the vertices for parents.
-func (inst *Instance) bottomUpChunk(lo, hi, chunk, worker int, w *simmachine.W) {
-	bu := &inst.ws.bottomUp
+// Chunk scans one chunk of the vertices for parents.
+func (bu *bottomUpCall) Chunk(lo, hi, chunk, worker int, w *simmachine.W) {
 	parent, depth, rows, front, next := bu.parent, bu.depth, bu.rows, bu.front, bu.next
 	next.ClearRange(lo, hi)
 	w.Charge(costBitmapWord.Scale(float64(hi-lo) / 64))
@@ -217,7 +216,7 @@ func (inst *Instance) bottomUpChunk(lo, hi, chunk, worker int, w *simmachine.W) 
 			depth[v] = bu.level + 1
 			next.Set(v)
 			localFound++
-			localScout += inst.out.Degree(graph.VID(v))
+			localScout += bu.out.Degree(graph.VID(v))
 		}
 	}
 	bu.exa.Add(worker, edges)

@@ -192,22 +192,14 @@ func (inst *Instance) BuildStructure() {
 		return
 	}
 	directed := inst.in != inst.out
-	inst.m.ParallelFor(inst.inputEdges, 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-		w.Charge(costBuildEdge.Scale(2 * float64(hi-lo))) // count + scatter
-	})
+	inst.m.ChargeUniform(inst.inputEdges, 4096, simmachine.Dynamic, costBuildEdge.Scale(2)) // count + scatter
 	if directed {
-		inst.m.ParallelFor(int(inst.out.NumEdges()), 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-			w.Charge(costBuildEdge.Scale(float64(hi - lo)))
-		})
+		inst.m.ChargeUniform(int(inst.out.NumEdges()), 4096, simmachine.Dynamic, costBuildEdge)
 	}
 	if inst.cout != nil {
-		inst.m.ParallelFor(int(inst.out.NumEdges()), 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-			w.Charge(costCompressEdge.Scale(float64(hi - lo)))
-		})
+		inst.m.ChargeUniform(int(inst.out.NumEdges()), 4096, simmachine.Dynamic, costCompressEdge)
 		if directed {
-			inst.m.ParallelFor(int(inst.in.NumEdges()), 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-				w.Charge(costCompressEdge.Scale(float64(hi - lo)))
-			})
+			inst.m.ChargeUniform(int(inst.in.NumEdges()), 4096, simmachine.Dynamic, costCompressEdge)
 		}
 	}
 	inst.n = inst.out.NumVertices

@@ -40,7 +40,7 @@ func (inst *Instance) PageRank(opts engines.PROpts, dst *engines.PRResult) (*eng
 		outDeg[v] = inst.out.Degree(graph.VID(v)) // of this epoch: Mutate and the binds swap it
 	}
 
-	m, tr, ws := inst.m, &inst.trav, inst.steps()
+	m, tr := inst.m, &inst.trav
 	pr := &ws.pr
 	*pr = prCall{contrib: contrib, outDeg: outDeg, in: inst.inRows(), damping: opts.Damping}
 	gContrib, gPull, gL1 := prGrains(m, n)
@@ -51,14 +51,14 @@ func (inst *Instance) PageRank(opts engines.PROpts, dst *engines.PRResult) (*eng
 		}
 		pr.rank, pr.next = rank, next
 		// Per-vertex contributions and the dangling sum.
-		dangling, _ := tr.Sweep(m, n, gContrib, &prContrib, ws.prContribFn)
+		dangling, _ := tr.Sweep(m, n, gContrib, &prContrib, (*contribSweep)(pr))
 		pr.base = (1-opts.Damping)*inv + opts.Damping*dangling*inv
 
 		// Pull phase.
-		tr.Sweep(m, n, gPull, &prPull, ws.prPullFn)
+		tr.Sweep(m, n, gPull, &prPull, (*pullSweep)(pr))
 
 		// L1 convergence test.
-		l1, _ := tr.Sweep(m, n, gL1, &prL1, ws.prL1Fn)
+		l1, _ := tr.Sweep(m, n, gL1, &prL1, (*l1Sweep)(pr))
 
 		rank, next = next, rank
 		res.Iterations = iter
@@ -81,10 +81,14 @@ type prCall struct {
 	base, damping       float64
 }
 
-// prContribChunk is one chunk of the contribution pass: its share of
-// the dangling mass, and rank/degree for every other vertex.
-func (inst *Instance) prContribChunk(c *traverse.Chunk, lo, hi int) {
-	pr := &inst.ws.pr
+// PageRank's three sweep bodies, views of the iteration's record.
+type contribSweep prCall
+type pullSweep prCall
+type l1Sweep prCall
+
+// Sweep is one chunk of the contribution pass: its share of the
+// dangling mass, and rank/degree for every other vertex.
+func (pr *contribSweep) Sweep(c *traverse.Chunk, lo, hi int) {
 	rank, outDeg, contrib := pr.rank, pr.outDeg, pr.contrib
 	p := 0.0
 	for v := lo; v < hi; v++ {
@@ -97,9 +101,8 @@ func (inst *Instance) prContribChunk(c *traverse.Chunk, lo, hi int) {
 	c.Sum = p
 }
 
-// prPullChunk gathers one chunk's new ranks along its in-rows.
-func (inst *Instance) prPullChunk(c *traverse.Chunk, lo, hi int) {
-	pr := &inst.ws.pr
+// Sweep gathers one chunk's new ranks along its in-rows.
+func (pr *pullSweep) Sweep(c *traverse.Chunk, lo, hi int) {
 	contrib, next, in, base, damping := pr.contrib, pr.next, pr.in, pr.base, pr.damping
 	for v := lo; v < hi; v++ {
 		sum := 0.0
@@ -110,9 +113,8 @@ func (inst *Instance) prPullChunk(c *traverse.Chunk, lo, hi int) {
 	}
 }
 
-// prL1Chunk is one chunk of the convergence test.
-func (inst *Instance) prL1Chunk(c *traverse.Chunk, lo, hi int) {
-	pr := &inst.ws.pr
+// Sweep is one chunk of the convergence test.
+func (pr *l1Sweep) Sweep(c *traverse.Chunk, lo, hi int) {
 	next, rank := pr.next, pr.rank
 	p := 0.0
 	for v := lo; v < hi; v++ {
@@ -150,30 +152,34 @@ func (inst *Instance) WCC(dst *engines.WCCResult) (*engines.WCCResult, error) {
 	if inst.in != inst.out {
 		in = inst.in
 	}
-	ws := inst.steps()
+	jump := &inst.ws.jump
 	for {
 		if err := inst.trav.Poll("gap: WCC"); err != nil {
-			ws.ccComp = nil
 			return nil, err
 		}
 		changed := inst.trav.Hook(inst.m, 1024, &ccHook, inst.out, in, comp, next)
 		comp, next = next, comp
 		// Pointer jumping: comp[v] = comp[comp[v]] until stable. In
 		// place, but every schedule leaves each v at its chain's root.
-		ws.ccComp = comp
-		inst.trav.Sweep(inst.m, n, 2048, &ccJump, ws.ccJumpFn)
+		jump.comp = comp
+		inst.trav.Sweep(inst.m, n, 2048, &ccJump, jump)
+		jump.comp = nil
 		if changed == 0 {
 			break
 		}
 	}
-	ws.ccComp = nil
 	res.Component = traverse.Settled(res.Component, comp)
 	return res, nil
 }
 
-// ccJumpChunk sends one chunk's labels to the roots of their chains.
-func (inst *Instance) ccJumpChunk(_ *traverse.Chunk, lo, hi int) {
-	comp := inst.ws.ccComp
+// jumpCall is what one pointer-jumping sweep reads: the labels it jumps.
+type jumpCall struct {
+	comp []graph.VID
+}
+
+// Sweep sends one chunk's labels to the roots of their chains.
+func (j *jumpCall) Sweep(_ *traverse.Chunk, lo, hi int) {
+	comp := j.comp
 	for v := lo; v < hi; v++ {
 		for {
 			c := atomic.LoadUint32(&comp[v])

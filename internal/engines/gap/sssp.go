@@ -32,18 +32,22 @@ func (inst *Instance) SSSP(root graph.VID, dst *engines.SSSPResult) (*engines.SS
 	return out, err
 }
 
-// chaosCall is what one chaotic relaxation pass's chunks read: the
-// CAS-min'ed distance bits, the result's parents, the entries the pass
-// relaxes (the bucket being settled, or its heavy frontier), the
-// relaxation counter and the per-worker row buffers the traverse.State
-// lends.
+// chaosCall is what one chaotic relaxation pass's chunks read besides
+// the buckets and queues: the CAS-min'ed distance bits, the result's
+// parents, the entries the pass relaxes (the bucket being settled, or
+// its heavy frontier), the relaxation counter and the row buffers.
 type chaosCall struct {
+	out      *graph.CSR
 	dist     []uint64
 	parent   []int64
 	frontier []graph.VID
 	relax    *parallel.Counter
 	rows     []graph.RowBuf
 }
+
+// The chaotic variant's two pass bodies, views of the workspace.
+type chaosLight workspace
+type chaosHeavy workspace
 
 // load reads v's tentative distance.
 func (cc *chaosCall) load(v graph.VID) float64 {
@@ -66,10 +70,9 @@ func (cc *chaosCall) casMin(v graph.VID, nd float64, p graph.VID) bool {
 }
 
 // ssspChaotic is the suite's delta-stepping with CAS relaxations: the
-// two pass bodies (lightChunk, heavyChunk) are bound once and read the
-// pass from ws.chaos, the bucket from ws.bucket.
+// two pass bodies (chaosLight, chaosHeavy) read the pass from ws.chaos,
+// the bucket from ws.bucket.
 func (inst *Instance) ssspChaotic(ws *workspace, res *engines.SSSPResult) (*engines.SSSPResult, error) {
-	inst.steps()
 	n := inst.n
 	ws.delta = inst.Delta
 	if ws.delta <= 0 {
@@ -86,7 +89,7 @@ func (inst *Instance) ssspChaotic(ws *workspace, res *engines.SSSPResult) (*engi
 
 	ws.resetBuckets(res.Root)
 	cc := &ws.chaos
-	*cc = chaosCall{dist: dist, parent: res.Parent, relax: inst.trav.Counter(inst.m, 0), rows: inst.trav.RowBufs(inst.m)}
+	*cc = chaosCall{out: inst.out, dist: dist, parent: res.Parent, relax: inst.trav.Counter(inst.m, 0), rows: inst.trav.RowBufs(inst.m)}
 	// Per-chunk bucket-update queues replace the mutex-guarded merge
 	// the relaxation passes used before: chunks collect their re-adds
 	// and later-bucket insertions locally and the queues concatenate
@@ -120,7 +123,7 @@ func (inst *Instance) ssspChaotic(ws *workspace, res *engines.SSSPResult) (*engi
 			reAddBuf.Reset(inst.m.Workers())
 			laterBuf.Reset(inst.m.Workers())
 			cc.frontier = current
-			inst.m.ParallelForChunks(len(current), g, simmachine.Dynamic, ws.lightFn)
+			inst.m.For(len(current), g, simmachine.Dynamic, (*chaosLight)(ws))
 			for _, later := range laterQ.Chunks() {
 				for _, bv := range later {
 					ws.putBucket(int(bv[0]), graph.VID(bv[1]))
@@ -138,7 +141,7 @@ func (inst *Instance) ssspChaotic(ws *workspace, res *engines.SSSPResult) (*engi
 			laterQ.Reset(parallel.NumChunks(len(heavyFrontier), g))
 			laterBuf.Reset(inst.m.Workers())
 			cc.frontier = heavyFrontier
-			inst.m.ParallelForChunks(len(heavyFrontier), g, simmachine.Dynamic, ws.heavyFn)
+			inst.m.For(len(heavyFrontier), g, simmachine.Dynamic, (*chaosHeavy)(ws))
 			for _, later := range laterQ.Chunks() {
 				for _, bv := range later {
 					// Rare: a heavy relaxation landed in the current
@@ -157,10 +160,9 @@ func (inst *Instance) ssspChaotic(ws *workspace, res *engines.SSSPResult) (*engi
 	return res, nil
 }
 
-// lightChunk relaxes the light edges of one chunk of the bucket being
+// Chunk relaxes the light edges of one chunk of the bucket being
 // settled.
-func (inst *Instance) lightChunk(lo, hi, chunk, worker int, w *simmachine.W) {
-	ws := &inst.ws
+func (ws *chaosLight) Chunk(lo, hi, chunk, worker int, w *simmachine.W) {
 	cc, bi, delta := &ws.chaos, ws.bucket, ws.delta
 	localRe, localLater := ws.reAddBuf.Take(worker), ws.laterBuf.Take(worker)
 	var edges, wins int64
@@ -169,10 +171,10 @@ func (inst *Instance) lightChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 		// Skip only entries settled into a LATER bucket: an entry whose
 		// distance sits below bi (a heavy relaxation requeued to bi+1)
 		// still needs its light edges relaxed here.
-		if inst.bucketOf(dv) > bi { // stale entry
+		if bucketOf(dv, delta) > bi { // stale entry
 			continue
 		}
-		adj, wts := inst.out.WeightedRowBuf(v, &cc.rows[worker])
+		adj, wts := cc.out.WeightedRowBuf(v, &cc.rows[worker])
 		for i, u := range adj {
 			wt := float64(wts[i])
 			if wt > delta {
@@ -185,7 +187,7 @@ func (inst *Instance) lightChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 				// b < bi (reachable only via a distance already below
 				// the bucket) keeps settling here — bucket b has
 				// already passed.
-				if b := inst.bucketOf(nd); b <= bi {
+				if b := bucketOf(nd, delta); b <= bi {
 					localRe = append(localRe, u)
 				} else {
 					localLater = append(localLater, [2]int64{int64(b), int64(u)})
@@ -201,16 +203,15 @@ func (inst *Instance) lightChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 	w.Charge(costBucketOp.Scale(float64(len(localRe) + len(localLater))))
 }
 
-// heavyChunk relaxes the heavy edges of one chunk of the settled
-// bucket's heavy frontier.
-func (inst *Instance) heavyChunk(lo, hi, chunk, worker int, w *simmachine.W) {
-	ws := &inst.ws
+// Chunk relaxes the heavy edges of one chunk of the settled bucket's
+// heavy frontier.
+func (ws *chaosHeavy) Chunk(lo, hi, chunk, worker int, w *simmachine.W) {
 	cc, delta := &ws.chaos, ws.delta
 	local := ws.laterBuf.Take(worker)
 	var edges, wins int64
 	for _, v := range cc.frontier[lo:hi] {
 		dv := cc.load(v)
-		adj, wts := inst.out.WeightedRowBuf(v, &cc.rows[worker])
+		adj, wts := cc.out.WeightedRowBuf(v, &cc.rows[worker])
 		for i, u := range adj {
 			wt := float64(wts[i])
 			if wt <= delta {
@@ -220,7 +221,7 @@ func (inst *Instance) heavyChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 			nd := dv + wt
 			if cc.casMin(u, nd, v) {
 				wins++
-				local = append(local, [2]int64{int64(inst.bucketOf(nd)), int64(u)})
+				local = append(local, [2]int64{int64(bucketOf(nd, delta)), int64(u)})
 			}
 		}
 	}

@@ -22,12 +22,11 @@ import (
 // speed), which the chaotic default does not pay.
 func (inst *Instance) ssspSync(ws *workspace, res *engines.SSSPResult) (*engines.SSSPResult, error) {
 	tr := &inst.trav
-	inst.steps()
 	ws.delta = inst.Delta
 	if ws.delta <= 0 {
 		ws.delta = DefaultDelta
 	}
-	light := traverse.Pass{Split: ws.delta, Stale: ws.staleFn}
+	light := traverse.Pass{Split: ws.delta, Stale: (*syncLight)(ws)}
 	heavy := traverse.Pass{Split: ws.delta, Heavy: true}
 	ws.resetBuckets(res.Root)
 
@@ -51,44 +50,45 @@ func (inst *Instance) ssspSync(ws *workspace, res *engines.SSSPResult) (*engines
 			// current is dead once gathered, so the re-adds may land in
 			// the very array it came from.
 			ws.reAdd = ws.reAdd[:0]
-			res.Relaxations += tr.Relax(inst.m, inst.out, &syncRelax, current, res, light, ws.settleFn)
+			res.Relaxations += tr.Relax(inst.m, inst.out, &syncRelax, current, res, light, (*syncLight)(ws))
 			current = ws.reAdd
 		}
 		ws.heavy = heavyFrontier
 		// One synchronous pass over the settled bucket's heavy edges.
 		if len(heavyFrontier) > 0 {
-			res.Relaxations += tr.Relax(inst.m, inst.out, &syncRelax, heavyFrontier, res, heavy, ws.requeueFn)
+			res.Relaxations += tr.Relax(inst.m, inst.out, &syncRelax, heavyFrontier, res, heavy, (*syncHeavy)(ws))
 		}
 	}
 	return res, nil
 }
 
-// bucketOf is the delta-stepping bucket of distance d.
-func (inst *Instance) bucketOf(d float64) int { return int(d / inst.ws.delta) }
+// The synchronous variant's hooks, views of the workspace.
+type syncLight workspace
+type syncHeavy workspace
 
-// stale is the light pass's filter: skip only entries settled into a
+// Stale is the light pass's filter: skip only entries settled into a
 // LATER bucket. An entry whose distance sits in an earlier bucket (a
 // heavy relaxation that landed at or below the current one and was
 // requeued to the next) must still relax its light edges here, or that
 // work would be dropped forever.
-func (inst *Instance) stale(d float64) bool { return inst.bucketOf(d) > inst.ws.bucket }
+func (p *syncLight) Stale(d float64) bool { return bucketOf(d, p.delta) > p.bucket }
 
-// settle places a light pass's win: in its later bucket, or — b below
-// the current bucket is only reachable from an entry whose distance
-// already sat below it — back into the current one, once per pass.
-func (inst *Instance) settle(u graph.VID, nd float64) {
-	ws := &inst.ws
-	if b := inst.bucketOf(nd); b > ws.bucket {
+// Win places a light pass's win: in its later bucket, or — b below the
+// current bucket is only reachable from an entry whose distance already
+// sat below it — back into the current one, once per pass.
+func (p *syncLight) Win(s *traverse.State, u graph.VID, nd float64) {
+	ws := (*workspace)(p)
+	if b := bucketOf(nd, ws.delta); b > ws.bucket {
 		ws.putBucket(b, u)
-	} else if inst.trav.First(u) {
+	} else if s.First(u) {
 		ws.reAdd = append(ws.reAdd, u)
 	}
 }
 
-// requeue places a heavy pass's win. Float rounding can land a heavy
+// Win places a heavy pass's win. Float rounding can land a heavy
 // relaxation in the current bucket range; reprocess it in the next
 // bucket, as the chaotic variant does.
-func (inst *Instance) requeue(u graph.VID, nd float64) {
-	ws := &inst.ws
-	ws.putBucket(max(inst.bucketOf(nd), ws.bucket+1), u)
+func (p *syncHeavy) Win(_ *traverse.State, u graph.VID, nd float64) {
+	ws := (*workspace)(p)
+	ws.putBucket(max(bucketOf(nd, ws.delta), ws.bucket+1), u)
 }

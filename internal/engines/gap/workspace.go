@@ -1,10 +1,8 @@
 package gap
 
 import (
-	"github.com/hpcl-repro/epg/internal/engines/traverse"
 	"github.com/hpcl-repro/epg/internal/graph"
 	"github.com/hpcl-repro/epg/internal/parallel"
-	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
 // workspace is the working set of the kernels GAP does not share —
@@ -68,44 +66,16 @@ type workspace struct {
 	wccQueue         []graph.VID
 	wccParent        map[graph.VID]graph.VID
 
-	// The region bodies and hooks GAP's own steps hand the machine and
-	// the shared steps, bound to the Instance once (steps), and the
-	// per-call values the bodies read, set by each step and cleared
-	// when it returns — so a step builds no closure.
-	owner                  *Instance
-	bottomUpFn, toBitmapFn func(lo, hi, chunk, worker int, w *simmachine.W)
-	bottomUp               bottomUpCall
-	toBits                 toBitmapCall
-	// Delta-stepping, both variants: the bucket being settled and the
-	// bucket width. The synchronous variant's light-pass filter and its
-	// two passes' win hooks; the chaotic variant's two pass bodies and
-	// what they read.
-	bucket              int
-	delta               float64
-	staleFn             func(d float64) bool
-	settleFn, requeueFn func(u graph.VID, nd float64)
-	lightFn, heavyFn    func(lo, hi, chunk, worker int, w *simmachine.W)
-	chaos               chaosCall
-	// PageRank's three sweeps and what an iteration's read; WCC's
-	// pointer-jumping sweep and the labels it jumps.
-	prContribFn, prPullFn, prL1Fn, ccJumpFn func(c *traverse.Chunk, lo, hi int)
-	pr                                      prCall
-	ccComp                                  []graph.VID
-}
-
-// steps binds the workspace's bodies and hooks to inst — once, and
-// again if the Instance was copied — and returns the workspace.
-func (inst *Instance) steps() *workspace {
-	ws := &inst.ws
-	if ws.owner != inst {
-		ws.owner = inst
-		ws.bottomUpFn, ws.toBitmapFn = inst.bottomUpChunk, inst.toBitmapChunk
-		ws.staleFn, ws.settleFn, ws.requeueFn = inst.stale, inst.settle, inst.requeue
-		ws.lightFn, ws.heavyFn = inst.lightChunk, inst.heavyChunk
-		ws.prContribFn, ws.prPullFn, ws.prL1Fn = inst.prContribChunk, inst.prPullChunk, inst.prL1Chunk
-		ws.ccJumpFn = inst.ccJumpChunk
-	}
-	return ws
+	// What the current call's bodies read, set by each step and cleared
+	// when it returns: their records, or the workspace they are views of
+	// (delta-stepping's bucket being settled and bucket width).
+	bottomUp bottomUpCall
+	toBits   toBitmapCall
+	bucket   int
+	delta    float64
+	chaos    chaosCall
+	pr       prCall
+	jump     jumpCall
 }
 
 // resetBuckets empties every retained bucket (an abandoned run leaves
@@ -116,6 +86,9 @@ func (ws *workspace) resetBuckets(root graph.VID) {
 	}
 	ws.putBucket(0, root)
 }
+
+// bucketOf is the delta-stepping bucket of distance d.
+func bucketOf(d, delta float64) int { return int(d / delta) }
 
 // putBucket appends v to bucket idx, growing the bucket list as needed.
 func (ws *workspace) putBucket(idx int, v graph.VID) {

@@ -161,11 +161,11 @@ func resultBytes(newResult func() any) uint64 {
 // Warm BFS and SSSP into a warm dst, synchronous and chaotic, allocate nothing
 // at all at two workers, and a warm PageRank and WCC — and PowerGraph's
 // SSSP, PageRank and WCC and GraphBIG's and GraphMat's PageRank, whose
-// bodies are bound the same way — nothing beyond the result they hand
+// bodies are records the same way — nothing beyond the result they hand
 // out: the results are the caller's, the working set is the instance's,
-// every region's bookkeeping is the machine's, its body is bound to the
-// instance once, and the hand-off to the pool is the pool's reusable
-// region record.
+// every region's bookkeeping is the machine's, its body is a method of
+// the record its step fills, and the hand-off to the pool is the pool's
+// reusable region record.
 func TestWarmTraversalAllocationBound(t *testing.T) {
 	el := kron(12, 5)
 	warm := func(sync bool) *Instance {

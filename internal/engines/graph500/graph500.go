@@ -80,13 +80,9 @@ func (inst *Instance) BuildStructure() {
 	if inst.built {
 		return
 	}
-	inst.m.ParallelFor(inst.inputEdges, 4096, simmachine.Static, func(lo, hi int, w *simmachine.W) {
-		w.Charge(costBuildEdge.Scale(2 * float64(hi-lo)))
-	})
+	inst.m.ChargeUniform(inst.inputEdges, 4096, simmachine.Static, costBuildEdge.Scale(2))
 	if inst.rows.Encoded() {
-		inst.m.ParallelFor(int(inst.csr.NumEdges()), 4096, simmachine.Static, func(lo, hi int, w *simmachine.W) {
-			w.Charge(costCompressEdge.Scale(float64(hi - lo)))
-		})
+		inst.m.ChargeUniform(int(inst.csr.NumEdges()), 4096, simmachine.Static, costCompressEdge)
 	}
 	inst.built = true
 }

@@ -27,9 +27,8 @@ func (inst *Instance) PageRank(opts engines.PROpts, dst *engines.PRResult) (*eng
 	}
 	inv := float32(1.0 / float64(n))
 	inst.rank[0], inst.rank[1] = traverse.Resized(inst.rank[0], n), traverse.Resized(inst.rank[1], n)
-	ws := inst.steps()
-	pr := &ws.pr
-	*pr = prCall{rank: inst.rank[0], next: inst.rank[1], in: inst.inRows(), damping: float32(opts.Damping)}
+	pr := &inst.pr
+	*pr = prCall{vertices: inst.vertices, rank: inst.rank[0], next: inst.rank[1], in: inst.inRows(), damping: float32(opts.Damping)}
 	if pr.in == nil {
 		pr.in = &inst.vertices // undirected: out is the in-adjacency too
 	}
@@ -40,10 +39,10 @@ func (inst *Instance) PageRank(opts engines.PROpts, dst *engines.PRResult) (*eng
 	gRed := m.Grain(n, 4096, 1)
 	gGather := m.Grain(n, 512, 1)
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		dangling, _ := tr.Sweep(m, n, gRed, &prDangling, ws.prDanglingFn)
+		dangling, _ := tr.Sweep(m, n, gRed, &prDangling, (*danglingSweep)(pr))
 		pr.base = float32((1-opts.Damping)/float64(n) + opts.Damping*dangling/float64(n))
-		tr.Sweep(m, n, gGather, &prGather, ws.prGatherFn)
-		l1, _ := tr.Sweep(m, n, gRed, &prL1, ws.prL1Fn)
+		tr.Sweep(m, n, gGather, &prGather, (*gatherSweep)(pr))
+		l1, _ := tr.Sweep(m, n, gRed, &prL1, (*l1Sweep)(pr))
 
 		pr.rank, pr.next = pr.next, pr.rank
 		res.Iterations = iter
@@ -58,47 +57,51 @@ func (inst *Instance) PageRank(opts engines.PROpts, dst *engines.PRResult) (*eng
 	return res, nil
 }
 
-// prCall is what a PageRank iteration's bodies read: the rank property
-// and its successor, the in-adjacency and the constants of the gather.
+// prCall is what a PageRank iteration's bodies read: the vertex table,
+// the ranks, the in-adjacency and the constants of the gather.
 type prCall struct {
+	vertices      propertyGraph
 	rank, next    []float32
 	in            traverse.Rows
 	base, damping float32
 }
 
-// prDanglingChunk is one chunk of the dangling mass: a float64
-// reduction of float32 properties, folded in chunk order for
-// determinism.
-func (inst *Instance) prDanglingChunk(c *traverse.Chunk, lo, hi int) {
-	rank := inst.pr.rank
+// PageRank's three sweep bodies, views of the iteration's record.
+type danglingSweep prCall
+type gatherSweep prCall
+type l1Sweep prCall
+
+// Sweep is one chunk of the dangling mass: a float64 reduction of
+// float32 properties, folded in chunk order for determinism.
+func (pr *danglingSweep) Sweep(c *traverse.Chunk, lo, hi int) {
+	rank := pr.rank
 	local := 0.0
 	for v := lo; v < hi; v++ {
-		if len(inst.vertices[v].out) == 0 {
+		if len(pr.vertices[v].out) == 0 {
 			local += float64(rank[v])
 		}
 	}
 	c.Sum = local
 }
 
-// prGatherChunk is one chunk of the gather phase: it folds in-neighbor
-// shares in float32, per-vertex property updates under System G's
-// per-edge lock cost.
-func (inst *Instance) prGatherChunk(c *traverse.Chunk, lo, hi int) {
-	pr := &inst.pr
+// Sweep is one chunk of the gather phase: it folds in-neighbor shares
+// in float32, per-vertex property updates under System G's per-edge
+// lock cost.
+func (pr *gatherSweep) Sweep(c *traverse.Chunk, lo, hi int) {
 	rank, next := pr.rank, pr.next
 	for v := lo; v < hi; v++ {
 		var sum float32
 		for _, u := range c.Row(pr.in, v) {
-			sum += rank[u] / float32(len(inst.vertices[u].out))
+			sum += rank[u] / float32(len(pr.vertices[u].out))
 		}
 		next[v] = pr.base + pr.damping*sum
 	}
 }
 
-// prL1Chunk is one chunk of the L1 change over float32 properties,
+// Sweep is one chunk of the L1 change over float32 properties,
 // accumulated in float64.
-func (inst *Instance) prL1Chunk(c *traverse.Chunk, lo, hi int) {
-	rank, next := inst.pr.rank, inst.pr.next
+func (pr *l1Sweep) Sweep(c *traverse.Chunk, lo, hi int) {
+	rank, next := pr.rank, pr.next
 	local := 0.0
 	for v := lo; v < hi; v++ {
 		local += math.Abs(float64(next[v]) - float64(rank[v]))
@@ -120,7 +123,7 @@ func (inst *Instance) CDLP(maxIter int, dst *engines.CDLPResult) (*engines.CDLPR
 		label[i] = graph.VID(i)
 	}
 	for iter := 1; iter <= maxIter; iter++ {
-		changed := inst.trav.Vote(inst.m, 256, &cdlpVote, inst.vertices, inst.inRows(), label, next)
+		changed := inst.trav.Vote(inst.m, 256, &cdlpVote, &inst.vertices, inst.inRows(), label, next)
 		label, next = next, label
 		res.Iterations = iter
 		if changed == 0 {
@@ -137,50 +140,50 @@ func (inst *Instance) LCC(dst *engines.LCCResult) (*engines.LCCResult, error) {
 	n := inst.n
 	res := traverse.Result(dst)
 	res.Coeff = traverse.Resized(res.Coeff, n)
-	coeff := res.Coeff
-	sets := inst.trav.Tallies(inst.m, n) // the neighborhood as a set, per worker
-	merged := inst.trav.Neighborhoods(inst.m)
-	inst.m.ParallelForChunks(n, 64, simmachine.Dynamic, func(lo, hi, _, worker int, w *simmachine.W) {
-		set := &sets[worker]
-		var checks int64
-		for v := lo; v < hi; v++ {
-			nbrs := inst.neighborhood(graph.VID(v), &merged[worker])
-			d := len(nbrs)
-			if d < 2 {
-				coeff[v] = 0
-				continue
-			}
-			for _, u := range nbrs {
-				set.Add(u)
-			}
-			links := 0
-			for _, u := range nbrs {
-				for _, x := range inst.vertices[u].out {
-					checks++
-					if set.Has(x) {
-						links++
-					}
-				}
-			}
-			set.Reset()
-			coeff[v] = float64(links) / float64(d*(d-1))
-		}
-		w.Charge(costLCCCheck.Scale(float64(checks)))
-		w.Charge(costPropTouch.Scale(float64(hi - lo)))
-	})
+	lc := &inst.lcc
+	*lc = lccCall{vertices: inst.vertices, coeff: res.Coeff, sets: inst.trav.Tallies(inst.m, n), merged: inst.trav.Neighborhoods(inst.m)}
+	inst.m.For(n, 64, simmachine.Dynamic, lc)
+	*lc = lccCall{}
 	return res, nil
 }
 
-// neighborhood returns distinct in∪out neighbors of v excluding v
-// (adjacency lists are sorted and deduplicated at load), merged in buf
-// when the graph is directed.
-func (inst *Instance) neighborhood(v graph.VID, buf *[]graph.VID) []graph.VID {
-	vp := &inst.vertices[v]
-	if !inst.directed {
-		return vp.out // sorted, simple graph: v itself was dropped
+// lccCall is what LCC's chunks read.
+type lccCall struct {
+	vertices propertyGraph
+	sets     []traverse.Tally
+	merged   [][]graph.VID
+	coeff    []float64
+}
+
+// Chunk computes one chunk's coefficients.
+func (lc *lccCall) Chunk(lo, hi, _, worker int, w *simmachine.W) {
+	set, coeff := &lc.sets[worker], lc.coeff
+	var checks int64
+	for v := lo; v < hi; v++ {
+		vp := &lc.vertices[v]
+		nbrs := engines.Neighborhood(&lc.merged[worker], vp.out, vp.in, graph.VID(v))
+		d := len(nbrs)
+		if d < 2 {
+			coeff[v] = 0
+			continue
+		}
+		for _, u := range nbrs {
+			set.Add(u)
+		}
+		links := 0
+		for _, u := range nbrs {
+			for _, x := range lc.vertices[u].out {
+				checks++
+				if set.Has(x) {
+					links++
+				}
+			}
+		}
+		set.Reset()
+		coeff[v] = float64(links) / float64(d*(d-1))
 	}
-	*buf = engines.Neighborhood(*buf, vp.out, vp.in, v)
-	return *buf
+	w.Charge(costLCCCheck.Scale(float64(checks)))
+	w.Charge(costPropTouch.Scale(float64(hi - lo)))
 }
 
 // WCC implements engines.Instance: plain min-label propagation (no
@@ -196,7 +199,7 @@ func (inst *Instance) WCC(dst *engines.WCCResult) (*engines.WCCResult, error) {
 	for i := range comp {
 		comp[i] = graph.VID(i)
 	}
-	for inst.trav.Hook(inst.m, 1024, &wccHook, inst.vertices, inst.inRows(), comp, next) != 0 {
+	for inst.trav.Hook(inst.m, 1024, &wccHook, &inst.vertices, inst.inRows(), comp, next) != 0 {
 		comp, next = next, comp
 	}
 	res.Component = traverse.Settled(res.Component, comp)

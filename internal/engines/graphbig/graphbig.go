@@ -120,25 +120,10 @@ type scratch struct {
 	rank       [2][]float32               // PageRank's single-precision properties
 	spare      []graph.VID                // the CDLP or WCC label array not handed out
 
-	// PageRank's three sweeps and the chaotic SSSP's relaxation, bound to
-	// the Instance once (steps), and what the current call's bodies
-	// read, so that an iteration or a pass builds no closure.
-	owner                            *Instance
-	prDanglingFn, prGatherFn, prL1Fn func(c *traverse.Chunk, lo, hi int)
-	ssspRelaxFn                      func(lo, hi, chunk, worker int, w *simmachine.W)
-	pr                               prCall
-	sp                               ssspCall
-}
-
-// steps binds the bodies to inst — once, and again if the Instance was
-// copied — and returns the scratch that holds them.
-func (inst *Instance) steps() *scratch {
-	if inst.owner != inst {
-		inst.owner = inst
-		inst.prDanglingFn, inst.prGatherFn, inst.prL1Fn = inst.prDanglingChunk, inst.prGatherChunk, inst.prL1Chunk
-		inst.ssspRelaxFn = inst.ssspRelaxChunk
-	}
-	return &inst.scratch
+	// The current call's records, set by each kernel and cleared after.
+	pr  prCall
+	sp  ssspCall
+	lcc lccCall
 }
 
 type propertyKind struct{}
@@ -174,9 +159,7 @@ func (inst *Instance) BuildStructure() {
 		return
 	}
 	inst.m.FileRead(int64(inst.inputEdges)*engines.BytesPerTextEdge, true)
-	inst.m.ParallelFor(inst.inputEdges, 2048, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-		w.Charge(costLoadEdge.Scale(float64(hi - lo)))
-	})
+	inst.m.ChargeUniform(inst.inputEdges, 2048, simmachine.Dynamic, costLoadEdge)
 	inst.built = true
 }
 
@@ -223,14 +206,13 @@ func (inst *Instance) SSSP(root graph.VID, dst *engines.SSSPResult) (*engines.SS
 	if inst.queue == nil || inst.queue.Cap() < n {
 		inst.queue = parallel.NewQueue[graph.VID](n)
 	}
-	ws := inst.steps()
-	sp := &ws.sp
-	*sp = ssspCall{res: res, relax: inst.trav.Counter(inst.m, 0)}
+	sp := &inst.sp
+	*sp = ssspCall{vertices: inst.vertices, res: res, relax: inst.trav.Counter(inst.m, 0)}
 	inst.active = append(inst.active[:0], root)
 	for len(inst.active) > 0 {
 		inst.queue.Reset()
 		inst.pushed.Reset(inst.m.Workers())
-		inst.m.ParallelForChunks(len(inst.active), inst.m.Grain(len(inst.active), 32, 1), simmachine.Dynamic, ws.ssspRelaxFn)
+		inst.m.For(len(inst.active), inst.m.Grain(len(inst.active), 32, 1), simmachine.Dynamic, (*chaoticRelax)(&inst.scratch))
 		// Chaotic relaxation: the active-set composition is
 		// schedule-dependent by design (System G's character); the
 		// fixed-point distances are not.
@@ -245,23 +227,27 @@ func (inst *Instance) SSSP(root graph.VID, dst *engines.SSSPResult) (*engines.SS
 }
 
 // ssspCall is what a chaotic SSSP pass's chunks read besides the
-// scratch: the result they write parents to and the relaxation counter.
+// scratch.
 type ssspCall struct {
-	res   *engines.SSSPResult
-	relax *parallel.Counter
+	vertices propertyGraph
+	res      *engines.SSSPResult
+	relax    *parallel.Counter
 }
 
-// ssspRelaxChunk relaxes the out-edges of one chunk of the frontier
-// with CAS-min distances and pushes each vertex it lowers into the next
-// frontier, once per pass.
-func (inst *Instance) ssspRelaxChunk(lo, hi, chunk, worker int, w *simmachine.W) {
-	sp, dist, inActive := &inst.sp, inst.dist, inst.inActive
-	local := inst.pushed.Take(worker)
+// chaoticRelax is the chaotic SSSP's pass body, a view of the scratch.
+type chaoticRelax scratch
+
+// Chunk relaxes the out-edges of one chunk of the frontier with CAS-min
+// distances and pushes each vertex it lowers into the next frontier,
+// once per pass.
+func (sc *chaoticRelax) Chunk(lo, hi, chunk, worker int, w *simmachine.W) {
+	sp, dist, inActive := &sc.sp, sc.dist, sc.inActive
+	local := sc.pushed.Take(worker)
 	var edges int64
-	for _, v := range inst.active[lo:hi] {
+	for _, v := range sc.active[lo:hi] {
 		atomic.StoreInt32(&inActive[v], 0)
 		dv := math.Float64frombits(atomic.LoadUint64(&dist[v]))
-		vp := &inst.vertices[v]
+		vp := &sp.vertices[v]
 		for i, u := range vp.out {
 			edges++
 			nd := dv + float64(vp.w[i])
@@ -275,11 +261,11 @@ func (inst *Instance) ssspRelaxChunk(lo, hi, chunk, worker int, w *simmachine.W)
 			}
 		}
 	}
-	inst.queue.PushBatch(local)
+	sc.queue.PushBatch(local)
 	// The queue holds the items; Keep's copy is dropped, and the call
 	// only sizes every worker's scratch by the largest chunk, whichever
 	// worker ran it.
-	inst.pushed.Keep(worker, local)
+	sc.pushed.Keep(worker, local)
 	sp.relax.Add(worker, edges)
 	w.Charge(costSSSPEdge.Scale(float64(edges)))
 	w.Charge(costPropTouch.Scale(float64(hi - lo)))

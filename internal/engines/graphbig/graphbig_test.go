@@ -96,7 +96,8 @@ func TestNeighborhoodDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nbrs := inst.(*Instance).neighborhood(0, new([]graph.VID))
+	vp := inst.(*Instance).vertices[0]
+	nbrs := engines.Neighborhood(new([]graph.VID), vp.out, vp.in, 0)
 	want := []graph.VID{1, 2, 3}
 	if len(nbrs) != len(want) {
 		t.Fatalf("neighborhood = %v, want %v", nbrs, want)

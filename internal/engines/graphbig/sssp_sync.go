@@ -21,19 +21,22 @@ import (
 // still pays its property-lock traffic per edge; what the barrier buys
 // is reproducibility, at the price of a serial merge per round.
 func (inst *Instance) ssspSync(res *engines.SSSPResult) (*engines.SSSPResult, error) {
-	tr := &inst.trav
 	everyEdge := traverse.Pass{Split: math.Inf(1)}
-	active, next := append(inst.active[:0], res.Root), inst.nextActive[:0]
-	improved := func(u graph.VID, _ float64) {
-		if tr.First(u) {
-			next = append(next, u)
-		}
+	inst.active = append(inst.active[:0], res.Root)
+	for len(inst.active) > 0 {
+		inst.nextActive = inst.nextActive[:0]
+		res.Relaxations += inst.trav.Relax(inst.m, &inst.vertices, &roundRelax, inst.active, res, everyEdge, (*roundWins)(&inst.scratch))
+		inst.active, inst.nextActive = inst.nextActive, inst.active
 	}
-	for len(active) > 0 {
-		next = next[:0]
-		res.Relaxations += tr.Relax(inst.m, inst.vertices, &roundRelax, active, res, everyEdge, improved)
-		active, next = next, active
-	}
-	inst.active, inst.nextActive = active, next
 	return res, nil
+}
+
+// roundWins is a round's win hook, a view of the scratch: an improved
+// vertex joins the next frontier once per round.
+type roundWins scratch
+
+func (r *roundWins) Win(s *traverse.State, u graph.VID, _ float64) {
+	if s.First(u) {
+		r.nextActive = append(r.nextActive, u)
+	}
 }

@@ -20,52 +20,16 @@ func (inst *Instance) CDLP(maxIter int, dst *engines.CDLPResult) (*engines.CDLPR
 	for i := range label {
 		label[i] = graph.VID(i)
 	}
-	tallies := inst.trav.Tallies(inst.m, n) // the histogram semiring's accumulators
-	// count adds the labels of adj to t (the messages of one stored
-	// row) and returns how many; vote picks v's label from them, into
-	// next, which no sweep reads.
-	count := func(t *traverse.Tally, adj []graph.VID) int64 {
-		for _, u := range adj {
-			t.Add(label[u])
-		}
-		return int64(len(adj))
-	}
-	vote := func(t *traverse.Tally, v graph.VID) int64 {
-		if nl := t.Pick(label[v]); nl != label[v] {
-			next[v] = nl
-			return 1
-		}
-		return 0
-	}
+	cc := &inst.cdlp
+	*cc = cdlpCall{in: inst.in, out: inst.out, directed: inst.directed, tallies: inst.trav.Tallies(inst.m, n)}
 	for iter := 1; iter <= maxIter; iter++ {
 		copy(next, label)
-		_, changed := inst.spmv(inst.inRows, func(c *traverse.Chunk, rows []graph.VID) {
-			t := &tallies[c.Worker()]
-			var nz, moved int64
-			for _, v := range rows {
-				nz += count(t, c.Row(inst.in, int(v)))
-				if inst.directed {
-					nz += count(t, c.Row(inst.out, int(v)))
-				}
-				moved += vote(t, v)
-			}
-			c.Work, c.Changed = nz, moved
-		})
+		cc.label, cc.next = label, next
+		_, changed := inst.spmv(inst.in, inst.inRows, cc)
 		// Directed graphs: vertices with only out-edges never appear
 		// as in-rows; give them their histogram too.
 		if inst.directed {
-			_, outOnly := inst.spmv(inst.outRows, func(c *traverse.Chunk, rows []graph.VID) {
-				t := &tallies[c.Worker()]
-				var moved int64
-				for _, v := range rows {
-					if inst.in.Degree(v) != 0 { // handled as an in-row
-						continue
-					}
-					count(t, c.Row(inst.out, int(v)))
-					moved += vote(t, v)
-				}
-				c.Changed = moved
-			})
+			_, outOnly := inst.spmv(inst.out, inst.outRows, (*cdlpOutRows)(cc))
 			changed += outOnly
 		}
 		inst.denseSweep(1)
@@ -75,8 +39,50 @@ func (inst *Instance) CDLP(maxIter int, dst *engines.CDLPResult) (*engines.CDLPR
 			break
 		}
 	}
+	*cc = cdlpCall{}
 	res.Label = traverse.Settled(res.Label, label)
 	return res, nil
+}
+
+// cdlpCall is what a CDLP round's SpMVs read; its votes go to next.
+type cdlpCall struct {
+	in, out     *graph.CSR
+	directed    bool
+	tallies     []traverse.Tally
+	label, next []graph.VID
+}
+
+// cdlpOutRows is CDLP's second SpMV body, a view of the round's record.
+type cdlpOutRows cdlpCall
+
+// Rows gathers the histogram of each stored in-row, and of its out-row
+// when the graph is directed, and votes.
+func (cc *cdlpCall) Rows(c *traverse.Chunk, _ *graph.CSR, rows []graph.VID) {
+	t := &cc.tallies[c.Worker()]
+	var nz, moved int64
+	for _, v := range rows {
+		nz += t.Count(cc.label, c.Row(cc.in, int(v)))
+		if cc.directed {
+			nz += t.Count(cc.label, c.Row(cc.out, int(v)))
+		}
+		moved += t.Vote(cc.label, cc.next, v)
+	}
+	c.Work, c.Changed = nz, moved
+}
+
+// Rows gives the stored out-rows of vertices without an in-row their
+// histogram and vote.
+func (cc *cdlpOutRows) Rows(c *traverse.Chunk, _ *graph.CSR, rows []graph.VID) {
+	t := &cc.tallies[c.Worker()]
+	var moved int64
+	for _, v := range rows {
+		if cc.in.Degree(v) != 0 { // handled as an in-row
+			continue
+		}
+		t.Count(cc.label, c.Row(cc.out, int(v)))
+		moved += t.Vote(cc.label, cc.next, v)
+	}
+	c.Changed = moved
 }
 
 // WCC implements engines.Instance: min-semiring SpMV iterated until
@@ -92,32 +98,14 @@ func (inst *Instance) WCC(dst *engines.WCCResult) (*engines.WCCResult, error) {
 	for i := range comp {
 		comp[i] = graph.VID(i)
 	}
-	// sweep lowers next[v] to the smallest comp label over v's row of
-	// mat; comp is the previous round's, so the round is Jacobi.
-	sweep := func(mat *graph.CSR, rows []graph.VID) int64 {
-		_, changed := inst.spmv(rows, func(c *traverse.Chunk, rows []graph.VID) {
-			var lowered int64
-			for _, v := range rows {
-				min := next[v]
-				for _, u := range c.Row(mat, int(v)) {
-					if comp[u] < min {
-						min = comp[u]
-					}
-				}
-				if min < next[v] {
-					next[v] = min
-					lowered++
-				}
-			}
-			c.Changed = lowered
-		})
-		return changed
-	}
+	wc := &inst.wcc
 	for {
 		copy(next, comp)
-		changed := sweep(inst.in, inst.inRows)
+		wc.comp, wc.next = comp, next
+		_, changed := inst.spmv(inst.in, inst.inRows, wc)
 		if inst.directed {
-			changed += sweep(inst.out, inst.outRows)
+			_, outChanged := inst.spmv(inst.out, inst.outRows, wc)
+			changed += outChanged
 		}
 		inst.denseSweep(2)
 		comp, next = next, comp
@@ -125,8 +113,34 @@ func (inst *Instance) WCC(dst *engines.WCCResult) (*engines.WCCResult, error) {
 			break
 		}
 	}
+	*wc = wccCall{}
 	res.Component = traverse.Settled(res.Component, comp)
 	return res, nil
+}
+
+// wccCall is what a WCC round's SpMVs read.
+type wccCall struct {
+	comp, next []graph.VID
+}
+
+// Rows lowers next[v] to the smallest comp label over v's row of mat;
+// comp is the previous round's, so the round is Jacobi.
+func (wc *wccCall) Rows(c *traverse.Chunk, mat *graph.CSR, rows []graph.VID) {
+	comp, next := wc.comp, wc.next
+	var lowered int64
+	for _, v := range rows {
+		min := next[v]
+		for _, u := range c.Row(mat, int(v)) {
+			if comp[u] < min {
+				min = comp[u]
+			}
+		}
+		if min < next[v] {
+			next[v] = min
+			lowered++
+		}
+	}
+	c.Changed = lowered
 }
 
 // LCC implements engines.Instance: GraphMat's Graphalytics LCC maps

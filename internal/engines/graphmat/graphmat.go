@@ -92,27 +92,13 @@ type scratch struct {
 	vec   [3][]float32 // SSSP's cur/nxt; PageRank's rank/next/contrib
 	spare []graph.VID  // the CDLP / WCC label array not handed out
 
-	// The SpMV adapter and the BFS, SSSP and PageRank bodies, bound to
-	// the Instance once (steps), and what the current call's bodies
-	// read, so that an iteration builds no closure.
-	owner                         *Instance
-	spmvFn, prContribFn, prNormFn func(c *traverse.Chunk, lo, hi int)
-	bfsFn, ssspFn, prGatherFn     func(c *traverse.Chunk, rows []graph.VID)
-	sp                            spmvCall
-	bfs                           bfsCall
-	sssp                          ssspCall
-	pr                            prCall
-}
-
-// steps binds the bodies to inst — once, and again if the Instance was
-// copied — and returns the scratch that holds them.
-func (inst *Instance) steps() *scratch {
-	if inst.owner != inst {
-		inst.owner = inst
-		inst.spmvFn, inst.bfsFn, inst.ssspFn = inst.spmvChunk, inst.bfsRows, inst.ssspRows
-		inst.prContribFn, inst.prGatherFn, inst.prNormFn = inst.prContribChunk, inst.prGatherRows, inst.prNormChunk
-	}
-	return &inst.scratch
+	// The current call's records, set by each kernel and cleared after.
+	sp   spmvCall
+	bfs  bfsCall
+	sssp ssspCall
+	pr   prCall
+	cdlp cdlpCall
+	wcc  wccCall
 }
 
 // Bind implements engines.Instance. The stored-row lists are the
@@ -148,8 +134,6 @@ func (inst *Instance) BuildStructure() {
 	if !inst.directed {
 		passes = 1.5
 	}
-	inst.m.ParallelFor(inst.inputEdges, 4096, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-		w.Charge(costBuildEdge.Scale(passes * float64(hi-lo)))
-	})
+	inst.m.ChargeUniform(inst.inputEdges, 4096, simmachine.Dynamic, costBuildEdge.Scale(passes))
 	inst.built = true
 }

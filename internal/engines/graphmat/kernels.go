@@ -11,29 +11,36 @@ import (
 	"github.com/hpcl-repro/epg/internal/simmachine"
 )
 
-// spmv is one SpMV: a Sweep (spmvPass) over the stored rows, handing
+// rowBody is an SpMV's loop body, a method of the record it reads: Rows
+// runs one chunk's slice of mat's stored rows, accumulating into c.
+type rowBody interface {
+	Rows(c *traverse.Chunk, mat *graph.CSR, rows []graph.VID)
+}
+
+// spmv is one SpMV: a Sweep (spmvPass) over mat's stored rows, handing
 // body each chunk's slice of them. Row headers are charged for every
 // stored row each sweep — the SpMV character that makes GraphMat's
 // per-iteration cost proportional to the stored matrix, not the active
 // frontier. Each row writes only row-owned state, so the sweeps are
 // deterministic.
-func (inst *Instance) spmv(rows []graph.VID, body func(c *traverse.Chunk, rows []graph.VID)) (sum float64, changed int64) {
-	ws := inst.steps()
-	ws.sp = spmvCall{rows: rows, body: body}
-	sum, changed = inst.trav.Sweep(inst.m, len(rows), inst.m.Grain(len(rows), 256, 1), &spmvPass, ws.spmvFn)
-	ws.sp = spmvCall{}
+func (inst *Instance) spmv(mat *graph.CSR, rows []graph.VID, body rowBody) (sum float64, changed int64) {
+	sp := &inst.sp
+	*sp = spmvCall{mat: mat, rows: rows, body: body}
+	sum, changed = inst.trav.Sweep(inst.m, len(rows), inst.m.Grain(len(rows), 256, 1), &spmvPass, sp)
+	*sp = spmvCall{}
 	return sum, changed
 }
 
 // spmvCall is what one SpMV's chunks read.
 type spmvCall struct {
+	mat  *graph.CSR
 	rows []graph.VID
-	body func(c *traverse.Chunk, rows []graph.VID)
+	body rowBody
 }
 
-// spmvChunk hands one chunk's slice of the stored rows to the body.
-func (inst *Instance) spmvChunk(c *traverse.Chunk, lo, hi int) {
-	inst.sp.body(c, inst.sp.rows[lo:hi])
+// Sweep hands one chunk's slice of the stored rows to the body.
+func (sp *spmvCall) Sweep(c *traverse.Chunk, lo, hi int) {
+	sp.body.Rows(c, sp.mat, sp.rows[lo:hi])
 }
 
 // denseSweep charges one pass over a length-n dense vector.
@@ -50,8 +57,7 @@ func (inst *Instance) BFS(root graph.VID, dst *engines.BFSResult) (*engines.BFSR
 	inst.BuildStructure()
 	n := inst.n
 	res := traverse.StartBFS(dst, root, n)
-	ws := inst.steps()
-	bc := &ws.bfs
+	bc := &inst.bfs
 	*bc = bfsCall{res: res}
 
 	// Frontier sparse vector as a dense mask: one bit per vertex
@@ -64,7 +70,7 @@ func (inst *Instance) BFS(root graph.VID, dst *engines.BFSResult) (*engines.BFSR
 	var examined int64
 
 	for ; ; bc.level++ {
-		_, found := inst.spmv(inst.inRows, ws.bfsFn)
+		_, found := inst.spmv(inst.in, inst.inRows, bc)
 		examined += inst.in.NumEdges() // every stored row, in full
 		// APPLY plus the sparse-vector rebuild and mask updates
 		// GraphMat performs between SpMV calls.
@@ -88,17 +94,16 @@ type bfsCall struct {
 	level              int64
 }
 
-// bfsRows is the BFS SpMV body: each stored row not yet reached takes
-// the smallest parent among its in-neighbors in the frontier.
-func (inst *Instance) bfsRows(c *traverse.Chunk, rows []graph.VID) {
-	bc := &inst.bfs
+// Rows is the BFS SpMV body: each stored row not yet reached takes the
+// smallest parent among its in-neighbors in the frontier.
+func (bc *bfsCall) Rows(c *traverse.Chunk, in *graph.CSR, rows []graph.VID) {
 	res, active := bc.res, bc.active
 	var fnd int64
 	for _, v := range rows {
 		// GraphMat 1.0 evaluates the semiring over every stored
 		// nonzero each sweep; the full scan is charged whether or not
 		// this row can still change.
-		adj := c.Row(inst.in, int(v))
+		adj := c.Row(in, int(v))
 		if res.Parent[v] != engines.NoParent {
 			continue
 		}
@@ -135,8 +140,7 @@ func (inst *Instance) SSSP(root graph.VID, dst *engines.SSSPResult) (*engines.SS
 	// Synchronous min-plus semantics: each sweep reads the previous
 	// iteration's vector (cur) and writes the next (nxt).
 	inst.vec[0], inst.vec[1] = traverse.Resized(inst.vec[0], n), traverse.Resized(inst.vec[1], n)
-	ws := inst.steps()
-	sc := &ws.sssp
+	sc := &inst.sssp
 	*sc = ssspCall{res: res, cur: inst.vec[0], nxt: inst.vec[1]}
 	inf := float32(math.Inf(1))
 	for i := range sc.cur {
@@ -151,7 +155,7 @@ func (inst *Instance) SSSP(root graph.VID, dst *engines.SSSPResult) (*engines.SS
 
 	for {
 		copy(sc.nxt, sc.cur)
-		processed, changed := inst.spmv(inst.inRows, ws.ssspFn)
+		processed, changed := inst.spmv(inst.in, inst.inRows, sc)
 		relaxations += int64(processed)
 		inst.denseSweep(2) // copy + apply
 		if changed == 0 {
@@ -178,14 +182,13 @@ type ssspCall struct {
 	active, nextActive *parallel.Bitmap
 }
 
-// ssspRows is the SSSP SpMV body: each stored row's best distance
-// through an in-neighbor that moved in the last iteration.
-func (inst *Instance) ssspRows(c *traverse.Chunk, rows []graph.VID) {
-	sc := &inst.sssp
+// Rows is the SSSP SpMV body: each stored row's best distance through
+// an in-neighbor that moved in the last iteration.
+func (sc *ssspCall) Rows(c *traverse.Chunk, in *graph.CSR, rows []graph.VID) {
 	cur, active := sc.cur, sc.active
 	var relaxed, chg int64
 	for _, v := range rows {
-		adj, wts := c.Row(inst.in, int(v)), inst.in.NeighborWeights(v)
+		adj, wts := c.Row(in, int(v)), in.NeighborWeights(v)
 		best := cur[v]
 		var bestParent int64 = -2 // sentinel: unchanged
 		for i, u := range adj {
@@ -224,9 +227,8 @@ func (inst *Instance) PageRank(opts engines.PROpts, dst *engines.PRResult) (*eng
 	for i := range inst.vec {
 		inst.vec[i] = traverse.Resized(inst.vec[i], n)
 	}
-	ws := inst.steps()
-	pr := &ws.pr
-	*pr = prCall{rank: inst.vec[0], next: inst.vec[1], contrib: inst.vec[2], damping: float32(opts.Damping)}
+	pr := &inst.pr
+	*pr = prCall{out: inst.out, rank: inst.vec[0], next: inst.vec[1], contrib: inst.vec[2], damping: float32(opts.Damping)}
 	inv := float32(1.0 / float64(n))
 	for i := range pr.rank {
 		pr.rank[i] = inv
@@ -237,13 +239,13 @@ func (inst *Instance) PageRank(opts engines.PROpts, dst *engines.PRResult) (*eng
 	gRed := inst.m.Grain(n, 4096, 1)
 	gNorm := inst.m.Grain(n, 8192, 1)
 	for iter := 1; iter <= maxIter; iter++ {
-		dangling, _ := inst.trav.Sweep(inst.m, n, gRed, &vecPass, ws.prContribFn)
+		dangling, _ := inst.trav.Sweep(inst.m, n, gRed, &vecPass, (*contribSweep)(pr))
 		pr.base = float32((1-opts.Damping)/float64(n) + opts.Damping*dangling/float64(n))
 
 		for i := range pr.next {
 			pr.next[i] = pr.base
 		}
-		inst.spmv(inst.inRows, ws.prGatherFn)
+		inst.spmv(inst.in, inst.inRows, (*gatherRows)(pr))
 		// "No vertex changes rank": the paper notes GraphMat's stop
 		// is effectively an ∞-norm below machine epsilon. Single
 		// precision sustains sub-epsilon limit cycles forever, so
@@ -251,7 +253,7 @@ func (inst *Instance) PageRank(opts engines.PROpts, dst *engines.PRResult) (*eng
 		// ε₃₂ = 2⁻²³ ≈ 1.19e-7 — far stricter than the L1 criterion
 		// of the other systems, hence the extra iterations in Fig. 4.
 		pr.maxDeltaBits, pr.maxRankBits = 0, 0
-		inst.trav.Sweep(inst.m, n, gNorm, &vecPass, ws.prNormFn)
+		inst.trav.Sweep(inst.m, n, gNorm, &vecPass, (*normSweep)(pr))
 		maxDelta := math.Float64frombits(atomic.LoadUint64(&pr.maxDeltaBits))
 		maxRank := math.Float64frombits(atomic.LoadUint64(&pr.maxRankBits))
 
@@ -268,24 +270,29 @@ func (inst *Instance) PageRank(opts engines.PROpts, dst *engines.PRResult) (*eng
 	return res, nil
 }
 
-// prCall is what a PageRank iteration's bodies read: the rank vector,
-// its successor and the contributions, the constants of the gather and
-// the ∞-norms the test folds. The norms are float64 bits raised through
-// sync/atomic's functions rather than atomic.Uint64s, so that the
-// scratch holding them may be copied on every Bind.
+// prCall is what a PageRank iteration's bodies read: the vectors, the
+// constants of the gather and the ∞-norms the test folds, float64 bits
+// raised through sync/atomic's functions rather than atomic.Uint64s so
+// that the scratch holding them may be copied on every Bind.
 type prCall struct {
+	out                       *graph.CSR
 	rank, next, contrib       []float32
 	base, damping             float32
 	maxDeltaBits, maxRankBits uint64
 }
 
-// prContribChunk is one chunk of the contribution pass: its share of
-// the dangling mass, and rank/degree for every other vertex.
-func (inst *Instance) prContribChunk(c *traverse.Chunk, lo, hi int) {
-	rank, contrib := inst.pr.rank, inst.pr.contrib
+// PageRank's three bodies, views of the iteration's record.
+type contribSweep prCall
+type gatherRows prCall
+type normSweep prCall
+
+// Sweep is one chunk of the contribution pass: its share of the
+// dangling mass, and rank/degree for every other vertex.
+func (pr *contribSweep) Sweep(c *traverse.Chunk, lo, hi int) {
+	rank, contrib := pr.rank, pr.contrib
 	local := 0.0
 	for v := lo; v < hi; v++ {
-		d := inst.out.Degree(graph.VID(v))
+		d := pr.out.Degree(graph.VID(v))
 		if d == 0 {
 			local += float64(rank[v])
 			contrib[v] = 0
@@ -296,14 +303,13 @@ func (inst *Instance) prContribChunk(c *traverse.Chunk, lo, hi int) {
 	c.Sum = local
 }
 
-// prGatherRows is the SpMV body: each stored row's new rank from its
+// Rows is the SpMV body: each stored row's new rank from its
 // in-neighbors' contributions.
-func (inst *Instance) prGatherRows(c *traverse.Chunk, rows []graph.VID) {
-	pr := &inst.pr
+func (pr *gatherRows) Rows(c *traverse.Chunk, in *graph.CSR, rows []graph.VID) {
 	contrib, next := pr.contrib, pr.next
 	var nz int64
 	for _, v := range rows {
-		adj := c.Row(inst.in, int(v))
+		adj := c.Row(in, int(v))
 		var sum float32
 		for _, u := range adj {
 			sum += contrib[u]
@@ -314,10 +320,9 @@ func (inst *Instance) prGatherRows(c *traverse.Chunk, rows []graph.VID) {
 	c.Work = nz
 }
 
-// prNormChunk is one chunk of the stopping test: the largest rank
-// change and the largest rank, raised into the call's ∞-norms.
-func (inst *Instance) prNormChunk(_ *traverse.Chunk, lo, hi int) {
-	pr := &inst.pr
+// Sweep is one chunk of the stopping test: the largest rank change and
+// the largest rank, raised into the call's ∞-norms.
+func (pr *normSweep) Sweep(_ *traverse.Chunk, lo, hi int) {
 	rank, next := pr.rank, pr.next
 	var localDelta, localRank float32
 	for v := lo; v < hi; v++ {

@@ -2,13 +2,15 @@ package engines
 
 import "github.com/hpcl-repro/epg/internal/graph"
 
-// Neighborhood returns the sorted distinct in∪out neighbors of v,
-// excluding v — the LCC neighborhood of a directed graph — appended to
-// dst[:0], the caller's scratch. Both lists must be sorted ascending.
-// (An undirected graph's neighborhood is its out-list as stored: callers
-// skip the merge.)
-func Neighborhood(dst, out, in []graph.VID, v graph.VID) []graph.VID {
-	merged := dst[:0]
+// Neighborhood returns the LCC neighborhood of v: out as stored when in
+// is nil (an undirected graph's), else the sorted distinct in∪out
+// neighbors of v, excluding v, merged into *buf, the caller's scratch.
+// Both lists must be sorted ascending.
+func Neighborhood(buf *[]graph.VID, out, in []graph.VID, v graph.VID) []graph.VID {
+	if in == nil {
+		return out
+	}
+	merged := (*buf)[:0]
 	i, j := 0, 0
 	for i < len(out) || j < len(in) {
 		var nxt graph.VID
@@ -37,5 +39,6 @@ func Neighborhood(dst, out, in []graph.VID, v graph.VID) []graph.VID {
 			merged = append(merged, nxt)
 		}
 	}
+	*buf = merged
 	return merged
 }

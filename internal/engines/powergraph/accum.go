@@ -29,13 +29,13 @@ func (pt *partition) buildSlots() {
 
 // slot returns the accumulator index of vertex v's replica on shard s.
 // s must be set in v's replica mask.
-func (inst *Instance) slot(v graph.VID, s int) int64 {
-	mask := inst.Replicas[v]
-	return inst.slotOff[v] + int64(bits.OnesCount64(mask&(1<<uint(s)-1)))
+func (pt *partition) slot(v graph.VID, s int) int64 {
+	mask := pt.Replicas[v]
+	return pt.slotOff[v] + int64(bits.OnesCount64(mask&(1<<uint(s)-1)))
 }
 
 // slotRange returns the half-open flat index range of v's replica
 // slots; folding it in ascending order is the deterministic combine.
-func (inst *Instance) slotRange(v graph.VID) (lo, hi int64) {
-	return inst.slotOff[v], inst.slotOff[v+1]
+func (pt *partition) slotRange(v graph.VID) (lo, hi int64) {
+	return pt.slotOff[v], pt.slotOff[v+1]
 }

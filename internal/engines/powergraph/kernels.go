@@ -43,57 +43,59 @@ func (inst *Instance) SSSP(root graph.VID, dst *engines.SSSPResult) (*engines.SS
 	active, next := inst.trav.Bitmaps(n)
 	active.Set(int(root))
 	var relaxations int64
-	ws := inst.steps()
-	ws.sssp = ssspCall{res: res, next: next}
+	sc := &inst.sssp
+	*sc = ssspCall{partition: inst.partition, res: res, next: next, accD: accD, accP: accP}
 	for {
-		relaxations += inst.gatherSweep(active, ws.relaxFn)
+		relaxations += inst.gatherSweep(active, sc)
 		// Ghost sync + apply + scatter: combine each vertex's replica
 		// accumulators in shard order, commit improvements, activate.
 		// align 64: each chunk re-arms its own word range of `next`.
-		ws.sssp.applied = inst.trav.Counter(inst.m, 0)
-		inst.m.ParallelForChunks(n, inst.m.Grain(n, 2048, 64), simmachine.Dynamic, ws.applyFn)
-		if ws.sssp.applied.Sum() == 0 {
+		sc.applied = inst.trav.Counter(inst.m, 0)
+		inst.m.For(n, inst.m.Grain(n, 2048, 64), simmachine.Dynamic, sc)
+		if sc.applied.Sum() == 0 {
 			break
 		}
 		active, next = next, active
-		ws.sssp.next = next
+		sc.next = next
 	}
-	ws.sssp = ssspCall{}
+	*sc = ssspCall{}
 	res.Relaxations = relaxations
 	return res, nil
 }
 
-// ssspCall is what an SSSP superstep's bodies read: the result being
-// settled, the frontier being armed and the count of improved vertices.
+// ssspCall is what an SSSP superstep's bodies read: the replica slots,
+// the result, the frontier being armed and the count of improvements.
 type ssspCall struct {
+	*partition
+	accD    []float64
+	accP    []int64
 	res     *engines.SSSPResult
 	next    *parallel.Bitmap
 	applied *parallel.Counter
 }
 
-// ssspRelax gathers one active edge into its shard's replica slot of the
+// gather relaxes one active edge into its shard's replica slot of the
 // destination: the min distance, ties to the min source.
-func (inst *Instance) ssspRelax(s int, e shardEdge) {
-	nd := inst.sssp.res.Dist[e.src] + float64(e.w)
-	i := inst.slot(e.dst, s)
-	if nd < inst.accF[i] || (nd == inst.accF[i] && int64(e.src) < inst.accP[i]) {
-		inst.accF[i] = nd
-		inst.accP[i] = int64(e.src)
+func (call *ssspCall) gather(s int, e shardEdge) {
+	nd := call.res.Dist[e.src] + float64(e.w)
+	i := call.slot(e.dst, s)
+	if nd < call.accD[i] || (nd == call.accD[i] && int64(e.src) < call.accP[i]) {
+		call.accD[i] = nd
+		call.accP[i] = int64(e.src)
 	}
 }
 
-// ssspApply folds one chunk's replica slots, commits the improvements
-// and arms them in the next frontier.
-func (inst *Instance) ssspApply(lo, hi, _, worker int, w *simmachine.W) {
-	call := &inst.sssp
-	dist, parent, next, accD, accP := call.res.Dist, call.res.Parent, call.next, inst.accF, inst.accP
+// Chunk folds one chunk's replica slots, commits the improvements and
+// arms them in the next frontier.
+func (call *ssspCall) Chunk(lo, hi, _, worker int, w *simmachine.W) {
+	dist, parent, next, accD, accP := call.res.Dist, call.res.Parent, call.next, call.accD, call.accP
 	inf := math.Inf(1)
 	next.ClearRange(lo, hi)
 	var applied, reps int64
 	for v := lo; v < hi; v++ {
 		best := inf
 		var bp int64
-		slo, shi := inst.slotRange(graph.VID(v))
+		slo, shi := call.slotRange(graph.VID(v))
 		reps += shi - slo
 		for i := slo; i < shi; i++ {
 			if accD[i] < best || (accD[i] == best && accP[i] < bp) {
@@ -136,38 +138,43 @@ func (inst *Instance) PageRank(opts engines.PROpts, dst *engines.PRResult) (*eng
 	inst.accF = traverse.Resized(inst.accF, int(inst.TotalRep))
 	clear(inst.accF)
 
-	ws := inst.steps()
-	ws.pr = prCall{rank: rank, damping: opts.Damping}
+	pr := &inst.pr
+	*pr = prCall{partition: inst.partition, out: inst.out, acc: inst.accF, contrib: inst.contrib, rank: rank, damping: opts.Damping}
 	gContrib := inst.m.Grain(n, 4096, 1)
 	gApply := inst.m.Grain(n, 2048, 1)
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		dangling, _ := inst.trav.Sweep(inst.m, n, gContrib, &prContrib, ws.prContribFn)
-		ws.pr.base = (1-opts.Damping)*inv + opts.Damping*dangling*inv
-		inst.gatherSweep(nil, ws.prGatherFn)
-		l1, _ := inst.trav.Sweep(inst.m, n, gApply, &prApply, ws.prApplyFn)
+		dangling, _ := inst.trav.Sweep(inst.m, n, gContrib, &prContrib, (*contribSweep)(pr))
+		pr.base = (1-opts.Damping)*inv + opts.Damping*dangling*inv
+		inst.gatherSweep(nil, pr)
+		l1, _ := inst.trav.Sweep(inst.m, n, gApply, &prApply, (*applySweep)(pr))
 		res.Iterations = iter
 		if l1 < opts.Epsilon {
 			break
 		}
 	}
-	ws.pr = prCall{}
+	*pr = prCall{}
 	return res, nil
 }
 
-// prCall is what a PageRank iteration's bodies read: the rank vector
-// and the constants of the apply.
+// prCall is what a PageRank iteration's bodies read.
 type prCall struct {
-	rank          []float64
-	base, damping float64
+	*partition
+	out                *graph.CSR
+	acc, contrib, rank []float64
+	base, damping      float64
 }
 
-// prContribChunk is one chunk of the contribution pass: its share of
-// the dangling mass, and rank/degree for every other vertex.
-func (inst *Instance) prContribChunk(c *traverse.Chunk, lo, hi int) {
-	rank, contrib := inst.pr.rank, inst.contrib
+// PageRank's sweep bodies, views of the iteration's record.
+type contribSweep prCall
+type applySweep prCall
+
+// Sweep is one chunk of the contribution pass: its share of the
+// dangling mass, and rank/degree for every other vertex.
+func (pr *contribSweep) Sweep(c *traverse.Chunk, lo, hi int) {
+	rank, contrib := pr.rank, pr.contrib
 	local := 0.0
 	for v := lo; v < hi; v++ {
-		d := inst.out.Degree(graph.VID(v))
+		d := pr.out.Degree(graph.VID(v))
 		if d == 0 {
 			local += rank[v]
 			contrib[v] = 0
@@ -178,22 +185,22 @@ func (inst *Instance) prContribChunk(c *traverse.Chunk, lo, hi int) {
 	c.Sum = local
 }
 
-// prGather adds one edge's contribution to its shard's replica slot of
+// gather adds one edge's contribution to its shard's replica slot of
 // the destination.
-func (inst *Instance) prGather(s int, e shardEdge) {
-	inst.accF[inst.slot(e.dst, s)] += inst.contrib[e.src]
+func (pr *prCall) gather(s int, e shardEdge) {
+	pr.acc[pr.slot(e.dst, s)] += pr.contrib[e.src]
 }
 
-// prApplyChunk is one chunk of the ghost sync and apply: it folds the
-// replica partial sums in shard order, commits the new ranks and sums
-// their L1 change.
-func (inst *Instance) prApplyChunk(c *traverse.Chunk, lo, hi int) {
-	pr, acc, rank := &inst.pr, inst.accF, inst.pr.rank
+// Sweep is one chunk of the ghost sync and apply: it folds the replica
+// partial sums in shard order, commits the new ranks and sums their L1
+// change.
+func (pr *applySweep) Sweep(c *traverse.Chunk, lo, hi int) {
+	acc, rank := pr.acc, pr.rank
 	local := 0.0
 	var reps int64
 	for v := lo; v < hi; v++ {
 		sum := 0.0
-		slo, shi := inst.slotRange(graph.VID(v))
+		slo, shi := pr.slotRange(graph.VID(v))
 		reps += shi - slo
 		for i := slo; i < shi; i++ {
 			sum += acc[i]
@@ -265,53 +272,53 @@ func (inst *Instance) WCC(dst *engines.WCCResult) (*engines.WCCResult, error) {
 	for i := range inst.accC {
 		inst.accC[i] = noLabel
 	}
-	ws := inst.steps()
-	ws.wcc = wccCall{comp: comp}
+	wc := &inst.wcc
+	*wc = wccCall{partition: inst.partition, acc: inst.accC, comp: comp}
 	for {
 		// Full gather each superstep: min must flow across an edge
 		// whenever either endpoint changed, so the sweep processes
 		// every local edge (PowerGraph's dense-gather mode).
-		inst.gatherSweep(nil, ws.wccGatherFn)
-		ws.wcc.applied = inst.trav.Counter(inst.m, 0)
-		inst.m.ParallelForChunks(n, inst.m.Grain(n, 2048, 1), simmachine.Dynamic, ws.wccApplyFn)
-		if ws.wcc.applied.Sum() == 0 {
+		inst.gatherSweep(nil, wc)
+		wc.applied = inst.trav.Counter(inst.m, 0)
+		inst.m.For(n, inst.m.Grain(n, 2048, 1), simmachine.Dynamic, wc)
+		if wc.applied.Sum() == 0 {
 			break
 		}
 	}
-	ws.wcc = wccCall{}
+	*wc = wccCall{}
 	return res, nil
 }
 
 // noLabel is an empty WCC replica slot.
 const noLabel = ^graph.VID(0)
 
-// wccCall is what a WCC superstep's bodies read: the labels and the
-// count of lowered ones.
+// wccCall is what a WCC superstep's bodies read.
 type wccCall struct {
+	*partition
+	acc     []uint32
 	comp    []graph.VID
 	applied *parallel.Counter
 }
 
-// wccGather propagates the min label across one edge both ways (weak
+// gather propagates the min label across one edge both ways (weak
 // connectivity) into the shard's replica slots.
-func (inst *Instance) wccGather(s int, e shardEdge) {
-	comp, accC := inst.wcc.comp, inst.accC
-	if c := comp[e.src]; c < accC[inst.slot(e.dst, s)] {
-		accC[inst.slot(e.dst, s)] = c
+func (wc *wccCall) gather(s int, e shardEdge) {
+	comp, accC := wc.comp, wc.acc
+	if c := comp[e.src]; c < accC[wc.slot(e.dst, s)] {
+		accC[wc.slot(e.dst, s)] = c
 	}
-	if c := comp[e.dst]; c < accC[inst.slot(e.src, s)] {
-		accC[inst.slot(e.src, s)] = c
+	if c := comp[e.dst]; c < accC[wc.slot(e.src, s)] {
+		accC[wc.slot(e.src, s)] = c
 	}
 }
 
-// wccApply folds one chunk's replica slots and commits the lowered
-// labels.
-func (inst *Instance) wccApply(lo, hi, _, worker int, w *simmachine.W) {
-	comp, accC := inst.wcc.comp, inst.accC
+// Chunk folds one chunk's replica slots and commits the lowered labels.
+func (wc *wccCall) Chunk(lo, hi, _, worker int, w *simmachine.W) {
+	comp, accC := wc.comp, wc.acc
 	var applied, reps int64
 	for v := lo; v < hi; v++ {
 		best := noLabel
-		slo, shi := inst.slotRange(graph.VID(v))
+		slo, shi := wc.slotRange(graph.VID(v))
 		reps += shi - slo
 		for i := slo; i < shi; i++ {
 			if accC[i] < best {
@@ -324,7 +331,7 @@ func (inst *Instance) wccApply(lo, hi, _, worker int, w *simmachine.W) {
 			applied++
 		}
 	}
-	inst.wcc.applied.Add(worker, applied)
+	wc.applied.Add(worker, applied)
 	w.Charge(costSyncReplica.Scale(float64(reps)))
 	w.Charge(costApplyVertex.Scale(float64(applied)))
 }

@@ -91,38 +91,17 @@ type Instance struct {
 // most one replica-slot array of each element type and two n-vectors
 // stay resident.
 type scratch struct {
-	accF      []float64   // per replica slot: SSSP distances, PageRank partial sums
-	accP      []int64     // per replica slot: SSSP parents
-	accC      []uint32    // per replica slot: WCC labels
-	contrib   []float64   // per vertex: PageRank
-	spare     []graph.VID // per vertex: the CDLP label array not handed out
-	processed []int64     // per shard: gatherSweep
+	accF    []float64   // per replica slot: SSSP distances, PageRank partial sums
+	accP    []int64     // per replica slot: SSSP parents
+	accC    []uint32    // per replica slot: WCC labels
+	contrib []float64   // per vertex: PageRank
+	spare   []graph.VID // per vertex: the CDLP label array not handed out
 
-	// The bodies the gather phase, SSSP, PageRank and WCC hand the
-	// machine, bound to the Instance once (steps), and what the current
-	// call's bodies read, so that a superstep builds no closure.
-	owner                            *Instance
-	gatherFn                         func(tid int, w *simmachine.W)
-	relaxFn, prGatherFn, wccGatherFn func(s int, e shardEdge)
-	applyFn, wccApplyFn              func(lo, hi, chunk, worker int, w *simmachine.W)
-	prContribFn, prApplyFn           func(c *traverse.Chunk, lo, hi int)
-	active                           *parallel.Bitmap
-	gather                           func(s int, e shardEdge)
-	sssp                             ssspCall
-	pr                               prCall
-	wcc                              wccCall
-}
-
-// steps binds the bodies to inst — once, and again if the Instance was
-// copied — and returns the scratch that holds them.
-func (inst *Instance) steps() *scratch {
-	if inst.owner != inst {
-		inst.owner = inst
-		inst.gatherFn, inst.relaxFn, inst.applyFn = inst.gatherShard, inst.ssspRelax, inst.ssspApply
-		inst.prContribFn, inst.prGatherFn, inst.prApplyFn = inst.prContribChunk, inst.prGather, inst.prApplyChunk
-		inst.wccGatherFn, inst.wccApplyFn = inst.wccGather, inst.wccApply
-	}
-	return &inst.scratch
+	// The current call's records, set by each kernel and cleared after.
+	gather gatherCall
+	sssp   ssspCall
+	pr     prCall
+	wcc    wccCall
 }
 
 // Bind implements engines.Instance. The greedy vertex cut is the graph's
@@ -174,9 +153,7 @@ func (inst *Instance) BuildStructure() {
 		return
 	}
 	inst.m.FileRead(int64(inst.inputEdges)*engines.BytesPerTextEdge, true)
-	inst.m.ParallelFor(int(inst.out.NumEdges()), 2048, simmachine.Dynamic, func(lo, hi int, w *simmachine.W) {
-		w.Charge(costLoadEdge.Scale(float64(hi - lo)))
-	})
+	inst.m.ChargeUniform(int(inst.out.NumEdges()), 2048, simmachine.Dynamic, costLoadEdge)
 	inst.built = true
 }
 
@@ -186,6 +163,12 @@ func (inst *Instance) syncGhosts() {
 	inst.m.ChargeUniform(int(inst.TotalRep), 4096, simmachine.Dynamic, costSyncReplica)
 }
 
+// gatherBody is a gather phase's per-edge body, a method of the
+// superstep's record: gather adds edge e to shard s's replica slots.
+type gatherBody interface {
+	gather(s int, e shardEdge)
+}
+
 // gatherSweep runs one GAS gather phase: every shard scans its local
 // edges; body is invoked with the shard ID for edges whose source is
 // active (a bitmap frontier; nil means all-active), and accumulates
@@ -193,36 +176,44 @@ func (inst *Instance) syncGhosts() {
 // accum.go). The scan cost covers the engine's per-edge dispatch even
 // for inactive edges. It returns the processed edge count
 // (deterministic: the active set is fixed before the sweep).
-func (inst *Instance) gatherSweep(active *parallel.Bitmap, body func(s int, e shardEdge)) int64 {
-	ws := inst.steps()
-	ws.processed = traverse.Resized(ws.processed, len(inst.shards))
-	clear(ws.processed)
-	ws.active, ws.gather = active, body
-	inst.m.ForEachThread(ws.gatherFn)
-	ws.active, ws.gather = nil, nil
-	var total int64
-	for _, p := range ws.processed {
+func (inst *Instance) gatherSweep(active *parallel.Bitmap, body gatherBody) (total int64) {
+	gc := &inst.gather
+	gc.processed = traverse.Resized(gc.processed, len(inst.shards))
+	clear(gc.processed)
+	gc.shards, gc.active, gc.body = inst.shards, active, body
+	inst.m.ForEachThread(gc)
+	gc.shards, gc.active, gc.body = nil, nil, nil
+	for _, p := range gc.processed {
 		total += p
 	}
 	return total
 }
 
-// gatherShard is virtual thread tid's share of a gather phase: the
-// edges of shard tid, when there is one.
-func (inst *Instance) gatherShard(tid int, w *simmachine.W) {
-	if tid >= len(inst.shards) {
+// gatherCall is what a gather phase's threads read; the per-shard
+// processed counts are kept between calls.
+type gatherCall struct {
+	shards    [][]shardEdge
+	active    *parallel.Bitmap
+	body      gatherBody
+	processed []int64
+}
+
+// Chunk is virtual thread tid's share of a gather phase: the edges of
+// shard tid, when there is one.
+func (gc *gatherCall) Chunk(_, _, tid, _ int, w *simmachine.W) {
+	if tid >= len(gc.shards) {
 		return
 	}
-	active, body := inst.active, inst.gather
+	active, body := gc.active, gc.body
 	var scanned, processed int64
-	for _, e := range inst.shards[tid] {
+	for _, e := range gc.shards[tid] {
 		scanned++
 		if active == nil || active.Test(int(e.src)) {
 			processed++
-			body(tid, e)
+			body.gather(tid, e)
 		}
 	}
-	inst.processed[tid] = processed
+	gc.processed[tid] = processed
 	w.Charge(costScanEdge.Scale(float64(scanned)))
 	w.Charge(costGatherEdge.Scale(float64(processed)))
 }

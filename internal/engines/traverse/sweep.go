@@ -64,17 +64,23 @@ func (c *Chunk) Row(rows Rows, v int) []graph.VID {
 	return adj
 }
 
+// SweepBody is a Sweep's loop body, a method of the record it reads:
+// Sweep runs the vertices [lo, hi) of one chunk, accumulating into c.
+type SweepBody interface {
+	Sweep(c *Chunk, lo, hi int)
+}
+
 // Sweep runs body over [0,n) in chunks of grain — already resolved by
 // the caller, through Machine.Grain or raw — as one Dynamic region, and
 // returns the chunk-ordered sum of every chunk's Sum (bit-identical
 // across runs and worker counts) and the total of Changed. The reducer,
 // counter and accumulators are the State's, so a warm sweep allocates
 // nothing that scales with n.
-func (s *State) Sweep(m *simmachine.Machine, n, grain int, p *SweepProfile, body func(c *Chunk, lo, hi int)) (sum float64, changed int64) {
+func (s *State) Sweep(m *simmachine.Machine, n, grain int, p *SweepProfile, body SweepBody) (sum float64, changed int64) {
 	chg := s.ready(m)
 	s.parts = Resized(s.parts, parallel.NumChunks(n, grain))
 	s.sw = sweepCall{p: p, body: body, cpb: m.Model().DecodeCyclesPerByte}
-	m.ParallelForChunks(n, grain, simmachine.Dynamic, s.sweepFn)
+	m.For(n, grain, simmachine.Dynamic, (*sweep)(s))
 	s.sw = sweepCall{}
 	for _, part := range s.parts {
 		sum += part
@@ -82,12 +88,12 @@ func (s *State) Sweep(m *simmachine.Machine, n, grain int, p *SweepProfile, body
 	return sum, chg.Sum()
 }
 
-// sweepChunk runs a Sweep's body over one chunk and charges it.
-func (s *State) sweepChunk(lo, hi, chunk, worker int, w *simmachine.W) {
+// Chunk runs a Sweep's body over one chunk and charges it.
+func (s *sweep) Chunk(lo, hi, chunk, worker int, w *simmachine.W) {
 	p := s.sw.p
 	c := &s.chunks[worker]
 	*c = Chunk{buf: &s.rowBufs[worker], worker: worker}
-	s.sw.body(c, lo, hi)
+	s.sw.body.Sweep(c, lo, hi)
 	s.parts[chunk] = c.Sum
 	s.edges.Add(worker, c.Changed)
 	entries := float64(c.raw)
@@ -109,23 +115,21 @@ func (s *State) sweepChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 // round. It returns how many labels it lowered; when none, next equals
 // comp.
 func (s *State) Hook(m *simmachine.Machine, grain int, p *SweepProfile, out, in Rows, comp, next []graph.VID) (changed int64) {
-	s.bind()
-	s.hk = hookCall{out: out, in: in, comp: comp, next: next}
-	_, changed = s.Sweep(m, len(comp), grain, p, s.hookFn)
-	s.hk = hookCall{}
+	s.lb = labelCall{out: out, in: in, label: comp, next: next}
+	_, changed = s.Sweep(m, len(comp), grain, p, &s.lb)
+	s.lb = labelCall{}
 	return changed
 }
 
-// hookCall is what one Hook round's chunks read.
-type hookCall struct {
-	out, in    Rows
-	comp, next []graph.VID
+// labelCall is what one Hook or Vote round's chunks read.
+type labelCall struct {
+	out, in     Rows
+	label, next []graph.VID
 }
 
-// hookChunk is one chunk of a Hook round.
-func (s *State) hookChunk(c *Chunk, lo, hi int) {
-	h := &s.hk
-	comp, next := h.comp, h.next
+// Sweep is one chunk of a Hook round.
+func (h *labelCall) Sweep(c *Chunk, lo, hi int) {
+	comp, next := h.label, h.next
 	var lowered int64
 	for v := lo; v < hi; v++ {
 		min := lowest(comp, comp[v], c.Row(h.out, v))
@@ -167,6 +171,14 @@ func (t *Tally) Add(l graph.VID) {
 	t.count[l]++
 }
 
+// Count adds the label of every vertex of adj and returns how many.
+func (t *Tally) Count(label, adj []graph.VID) int64 {
+	for _, u := range adj {
+		t.Add(label[u])
+	}
+	return int64(len(adj))
+}
+
 // Has reports whether l has been added since the tally was last empty.
 func (t *Tally) Has(l graph.VID) bool { return t.count[l] != 0 }
 
@@ -192,6 +204,14 @@ func (t *Tally) Pick(own graph.VID) graph.VID {
 	return best
 }
 
+// Vote sets next[v] to Pick(label[v]) and returns 1 if v's label moved.
+func (t *Tally) Vote(label, next []graph.VID, v graph.VID) int64 {
+	if next[v] = t.Pick(label[v]); next[v] != label[v] {
+		return 1
+	}
+	return 0
+}
+
 // Tallies returns one empty Tally over [0,n) per worker of m, indexed
 // by the worker ID a region body is handed.
 func (s *State) Tallies(m *simmachine.Machine, n int) []Tally {
@@ -213,27 +233,25 @@ func (s *State) Tallies(m *simmachine.Machine, n int) []Tally {
 // directed graph, in (nil when out is symmetric) — Tally.Pick's rule,
 // read from label only. It returns how many vertices changed label.
 func (s *State) Vote(m *simmachine.Machine, grain int, p *SweepProfile, out, in Rows, label, next []graph.VID) (changed int64) {
-	tallies := s.Tallies(m, len(label))
-	_, changed = s.Sweep(m, len(label), grain, p, func(c *Chunk, lo, hi int) {
-		t := &tallies[c.worker]
-		var moved int64
-		for v := lo; v < hi; v++ {
-			for _, u := range c.Row(out, v) {
-				t.Add(label[u])
-			}
-			if in != nil {
-				for _, u := range c.Row(in, v) {
-					t.Add(label[u])
-				}
-			}
-			next[v] = t.Pick(label[v])
-			if next[v] != label[v] {
-				moved++
-			}
-		}
-		c.Changed = moved
-	})
+	s.Tallies(m, len(label))
+	s.lb = labelCall{out: out, in: in, label: label, next: next}
+	_, changed = s.Sweep(m, len(label), grain, p, (*vote)(s))
+	s.lb = labelCall{}
 	return changed
+}
+
+// Sweep is one chunk of a Vote round.
+func (s *vote) Sweep(c *Chunk, lo, hi int) {
+	vt, t := &s.lb, &s.tallies[c.worker]
+	var moved int64
+	for v := lo; v < hi; v++ {
+		t.Count(vt.label, c.Row(vt.out, v))
+		if vt.in != nil {
+			t.Count(vt.label, c.Row(vt.in, v))
+		}
+		moved += t.Vote(vt.label, vt.next, graph.VID(v))
+	}
+	c.Changed = moved
 }
 
 // LinkCount fills coeff with the local clustering coefficients of a
@@ -243,40 +261,51 @@ func (s *State) Vote(m *simmachine.Machine, grain int, p *SweepProfile, out, in 
 // neighbor's out-row with the neighborhood, over d·(d−1). Every merge
 // comparison is one unit of Work.
 func (s *State) LinkCount(m *simmachine.Machine, grain int, p *SweepProfile, out, in *graph.CSR, coeff []float64) {
-	merged := s.Neighborhoods(m)
-	s.Sweep(m, len(coeff), grain, p, func(c *Chunk, lo, hi int) {
-		var checks int64
-		for v := lo; v < hi; v++ {
-			nbrs := out.Neighbors(graph.VID(v))
-			if in != nil {
-				nbrs = engines.Neighborhood(merged[c.worker], nbrs, in.Neighbors(graph.VID(v)), graph.VID(v))
-				merged[c.worker] = nbrs
-			}
-			d := len(nbrs)
-			if d < 2 {
-				coeff[v] = 0
-				continue
-			}
-			links := 0
-			for _, u := range nbrs {
-				adj := out.Neighbors(u)
-				i, j := 0, 0
-				for i < len(adj) && j < len(nbrs) {
-					checks++
-					switch {
-					case adj[i] < nbrs[j]:
-						i++
-					case adj[i] > nbrs[j]:
-						j++
-					default:
-						links++
-						i++
-						j++
-					}
+	s.lc = linkCall{out: out, in: in, coeff: coeff, merged: s.Neighborhoods(m)}
+	s.Sweep(m, len(coeff), grain, p, &s.lc)
+	s.lc = linkCall{}
+}
+
+// linkCall is what one LinkCount's chunks read.
+type linkCall struct {
+	out, in *graph.CSR
+	coeff   []float64
+	merged  [][]graph.VID
+}
+
+// Sweep is one chunk of a LinkCount.
+func (lc *linkCall) Sweep(c *Chunk, lo, hi int) {
+	out, in, coeff := lc.out, lc.in, lc.coeff
+	var checks int64
+	for v := lo; v < hi; v++ {
+		nbrs := out.Neighbors(graph.VID(v))
+		if in != nil {
+			nbrs = engines.Neighborhood(&lc.merged[c.worker], nbrs, in.Neighbors(graph.VID(v)), graph.VID(v))
+		}
+		d := len(nbrs)
+		if d < 2 {
+			coeff[v] = 0
+			continue
+		}
+		links := 0
+		for _, u := range nbrs {
+			adj := out.Neighbors(u)
+			i, j := 0, 0
+			for i < len(adj) && j < len(nbrs) {
+				checks++
+				switch {
+				case adj[i] < nbrs[j]:
+					i++
+				case adj[i] > nbrs[j]:
+					j++
+				default:
+					links++
+					i++
+					j++
 				}
 			}
-			coeff[v] = float64(links) / float64(d*(d-1))
 		}
-		c.Work = checks
-	})
+		coeff[v] = float64(links) / float64(d*(d-1))
+	}
+	c.Work = checks
 }

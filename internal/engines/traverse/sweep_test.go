@@ -19,10 +19,15 @@ var testSweep = SweepProfile{
 	Vertex:         simmachine.Cost{Cycles: 6, Bytes: 24},
 }
 
+// sweepFunc is a sweep body written as a func.
+type sweepFunc func(c *Chunk, lo, hi int)
+
+func (f sweepFunc) Sweep(c *Chunk, lo, hi int) { f(c, lo, hi) }
+
 // pull is a PageRank-shaped sweep body: every vertex sums a value over
 // its row, the chunk folds the sums, counts the vertices that have a
 // row at all and reports one unit of work per vertex.
-func pull(rows Rows, x, next []float64) func(c *Chunk, lo, hi int) {
+func pull(rows Rows, x, next []float64) sweepFunc {
 	return func(c *Chunk, lo, hi int) {
 		var local float64
 		var nonEmpty int64
@@ -128,8 +133,8 @@ func TestWarmSweepAllocatesNothingScalingWithN(t *testing.T) {
 	small, large := warmBytes(8), warmBytes(12)
 	t.Logf("warm sweep: %d B at 2^8 vertices, %d B at 2^12", small, large)
 	// On one worker a warm sweep allocates the same bytes on every call
-	// (its chunk closure), so the fewest of twenty calls is exact at
-	// both sizes and must match to the byte.
+	// (none: its body is a record), so the fewest of twenty calls is
+	// exact at both sizes and must match to the byte.
 	if large != small {
 		t.Fatalf("a warm sweep allocates %d B at 2^12 vertices against %d B at 2^8: something scales with n", large, small)
 	}
@@ -143,9 +148,9 @@ func TestChunkWorkerWithinWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4, 8} {
 		m := machine(workers)
 		seen := make([]int32, 64) // chunk -> worker+1, each chunk written once
-		s.Sweep(m, len(seen), 1, &testSweep, func(c *Chunk, lo, hi int) {
+		s.Sweep(m, len(seen), 1, &testSweep, sweepFunc(func(c *Chunk, lo, hi int) {
 			seen[lo] = int32(c.Worker()) + 1
-		})
+		}))
 		for chunk, w := range seen {
 			if w < 1 || int(w) > m.Workers() {
 				t.Fatalf("workers=%d: chunk %d ran on worker %d, want [0,%d)", workers, chunk, w-1, m.Workers())

@@ -103,10 +103,10 @@ type cand struct {
 // a Slab, so what a warm step allocates does not depend on the
 // schedule's split of chunks and what stays resident is bounded by the
 // largest single region's and chunk's outputs, and each step's region
-// body is bound to the State once. Every
-// piece is sized where it is used from (n, Workers()), so a graph
-// epoch swap or a SetWorkers needs no invalidation. The zero State is
-// ready.
+// body is a method of its call record or of a view of the State that
+// holds it (topDown, relax, sweep, vote). Every piece is sized where it
+// is used from (n, Workers()), so a graph epoch swap or a SetWorkers
+// needs no invalidation. The zero State is ready.
 type State struct {
 	// Cancel, when non-nil, is polled by Levels before every level and
 	// by Poll wherever else the engine asks — always between regions,
@@ -138,18 +138,20 @@ type State struct {
 	queued []int32
 	pass   int32
 
-	// The step bodies, bound to this State once (bind), and the
-	// per-call values they read, set by each step and cleared when it
-	// returns: a step opens its region without building a closure, and
-	// the State holds no caller's arrays between calls.
-	self                        *State
-	topDownFn, relaxFn, sweepFn func(lo, hi, chunk, worker int, w *simmachine.W)
-	hookFn                      func(c *Chunk, lo, hi int) // Hook's Sweep body
-	td                          topDownCall
-	rx                          relaxCall
-	sw                          sweepCall
-	hk                          hookCall
+	// What the step bodies read, set by each step and cleared when it
+	// returns, so the State holds no caller's arrays between calls.
+	td topDownCall
+	rx relaxCall
+	sw sweepCall
+	lb labelCall
+	lc linkCall
 }
+
+// The step bodies, views of the State they read.
+type topDown State
+type relax State
+type sweep State
+type vote State
 
 // topDownCall is what one TopDown level's chunks read.
 type topDownCall struct {
@@ -174,18 +176,8 @@ type relaxCall struct {
 // sweepCall is what one Sweep's chunks read.
 type sweepCall struct {
 	p    *SweepProfile
-	body func(c *Chunk, lo, hi int)
+	body SweepBody
 	cpb  float64
-}
-
-// bind binds the step bodies to s: once, and again if the State was
-// copied.
-func (s *State) bind() {
-	if s.self != s {
-		s.self = s
-		s.topDownFn, s.relaxFn, s.sweepFn = s.topDownChunk, s.relaxChunk, s.sweepChunk
-		s.hookFn = s.hookChunk
-	}
 }
 
 // size makes the per-worker parts match m's current worker count.
@@ -202,11 +194,9 @@ func (s *State) size(m *simmachine.Machine) {
 	}
 }
 
-// ready sizes the per-worker parts, binds the step bodies and returns
-// the zeroed edge counter.
+// ready sizes the per-worker parts and returns the zeroed edge counter.
 func (s *State) ready(m *simmachine.Machine) *parallel.Counter {
 	s.size(m)
-	s.bind()
 	s.edges.Reset()
 	return s.edges
 }
@@ -377,7 +367,7 @@ func (s *State) TopDown(m *simmachine.Machine, rows Rows, p *Profile, res *engin
 	if rows.Encoded() {
 		s.td.edgeCost = p.EdgeCompressed
 	}
-	m.ParallelForChunks(len(frontier), grain, p.Sched, s.topDownFn)
+	m.For(len(frontier), grain, p.Sched, (*topDown)(s))
 	s.td = topDownCall{}
 	s.Frontier = parallel.DrainChunkQueue(&s.claims, frontier[:0], func(c parallel.Claim) (graph.VID, bool) {
 		return c.V, parent[c.V] == int64(c.By) // else it lost the min race to another chunk
@@ -385,8 +375,8 @@ func (s *State) TopDown(m *simmachine.Machine, rows Rows, p *Profile, res *engin
 	return exa.Sum()
 }
 
-// topDownChunk expands one chunk of a TopDown level's frontier.
-func (s *State) topDownChunk(lo, hi, chunk, worker int, w *simmachine.W) {
+// Chunk expands one chunk of a TopDown level's frontier.
+func (s *topDown) Chunk(lo, hi, chunk, worker int, w *simmachine.W) {
 	td := &s.td
 	parent, depth, level := td.parent, td.depth, td.level
 	local := s.claimBuf.Take(worker)
@@ -430,7 +420,18 @@ type Pass struct {
 	Heavy bool
 	// Stale, when non-nil, drops frontier entries by their snapshot
 	// distance before any edge is read (entries a later bucket owns).
-	Stale func(dist float64) bool
+	Stale Staler
+}
+
+// Staler is a relaxation pass's filter (Pass.Stale).
+type Staler interface {
+	Stale(dist float64) bool
+}
+
+// Winner places a relaxation pass's wins (Relax's onWin); s is the
+// State running the pass, for First.
+type Winner interface {
+	Win(s *State, u graph.VID, nd float64)
 }
 
 // Relax is one synchronous relaxation pass over frontier, a
@@ -441,15 +442,15 @@ type Pass struct {
 //     collecting candidate updates per chunk;
 //   - apply: the candidates are merged serially in chunk order — the
 //     first strict improvement wins — updating distances and parents
-//     and calling onWin(u, dist) for every win, where the engine places
-//     u (a bucket, the next frontier).
+//     and calling onWin.Win(s, u, dist) for every win, where the
+//     engine places u (a bucket, the next frontier).
 //
 // The candidate sets are a pure function of the pass-start distances
 // and the apply order is fixed, so every observable — parents,
 // relaxation counts, what onWin sees, and the modeled durations of the
 // parallel gather and the serial merge (a real barrier, charged at
 // single-thread speed) — is schedule-independent.
-func (s *State) Relax(m *simmachine.Machine, rows WeightedRows, p *RelaxProfile, frontier []graph.VID, res *engines.SSSPResult, pass Pass, onWin func(u graph.VID, nd float64)) (relaxed int64) {
+func (s *State) Relax(m *simmachine.Machine, rows WeightedRows, p *RelaxProfile, frontier []graph.VID, res *engines.SSSPResult, pass Pass, onWin Winner) (relaxed int64) {
 	dist := res.Dist
 	s.queued = Resized(s.queued, len(dist))
 	if s.pass == math.MaxInt32 {
@@ -465,7 +466,7 @@ func (s *State) Relax(m *simmachine.Machine, rows WeightedRows, p *RelaxProfile,
 	cands.Reset(parallel.NumChunks(len(frontier), g))
 	s.candBuf.Reset(s.workers)
 	s.rx = relaxCall{rows: rows, p: p, frontier: frontier, dist: dist, pass: pass}
-	m.ParallelForChunks(len(frontier), g, simmachine.Dynamic, s.relaxFn)
+	m.For(len(frontier), g, simmachine.Dynamic, (*relax)(s))
 	s.rx = relaxCall{}
 	m.Serial(func(w *simmachine.W) {
 		var wins int
@@ -477,7 +478,7 @@ func (s *State) Relax(m *simmachine.Machine, rows WeightedRows, p *RelaxProfile,
 				dist[c.u] = c.nd
 				res.Parent[c.u] = int64(c.p)
 				wins++
-				onWin(c.u, c.nd)
+				onWin.Win(s, c.u, c.nd)
 			}
 		}
 		w.Charge(p.Win.Scale(float64(wins)))
@@ -486,8 +487,8 @@ func (s *State) Relax(m *simmachine.Machine, rows WeightedRows, p *RelaxProfile,
 	return rel.Sum()
 }
 
-// relaxChunk gathers one chunk of a Relax pass's candidates.
-func (s *State) relaxChunk(lo, hi, chunk, worker int, w *simmachine.W) {
+// Chunk gathers one chunk of a Relax pass's candidates.
+func (s *relax) Chunk(lo, hi, chunk, worker int, w *simmachine.W) {
 	rx := &s.rx
 	dist, split, heavy, stale := rx.dist, rx.pass.Split, rx.pass.Heavy, rx.pass.Stale
 	local := s.candBuf.Take(worker)
@@ -495,7 +496,7 @@ func (s *State) relaxChunk(lo, hi, chunk, worker int, w *simmachine.W) {
 	var edges int64
 	for _, v := range rx.frontier[lo:hi] {
 		dv := dist[v]
-		if stale != nil && stale(dv) {
+		if stale != nil && stale.Stale(dv) {
 			continue
 		}
 		adj, ws := rx.rows.WeightedRowBuf(v, buf)

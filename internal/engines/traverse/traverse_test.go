@@ -221,6 +221,11 @@ func TestLevelsCancelChargesCompletedLevels(t *testing.T) {
 	}
 }
 
+// winFunc is a Relax win hook written as a func.
+type winFunc func(u graph.VID, nd float64)
+
+func (f winFunc) Win(_ *State, u graph.VID, nd float64) { f(u, nd) }
+
 // bellmanFord is round-barrier relaxation over every edge, the
 // simplest policy around Relax.
 func bellmanFord(s *State, m *simmachine.Machine, rows WeightedRows, n int, root graph.VID, each func()) *engines.SSSPResult {
@@ -228,11 +233,11 @@ func bellmanFord(s *State, m *simmachine.Machine, rows WeightedRows, n int, root
 	active, next := []graph.VID{root}, []graph.VID(nil)
 	for len(active) > 0 {
 		next = next[:0]
-		res.Relaxations += s.Relax(m, rows, &testRelax, active, res, Pass{Split: math.Inf(1)}, func(u graph.VID, _ float64) {
+		res.Relaxations += s.Relax(m, rows, &testRelax, active, res, Pass{Split: math.Inf(1)}, winFunc(func(u graph.VID, _ float64) {
 			if s.First(u) {
 				next = append(next, u)
 			}
-		})
+		}))
 		if each != nil {
 			each()
 		}

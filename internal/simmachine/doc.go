@@ -41,7 +41,7 @@
 // work charged per chunk index and the policy's per-region seed —
 // never on the real goroutine schedule or worker count. To check
 // that, build with -tags epg_permute (make permute): every
-// ParallelForChunks and ForEachThread region then runs its chunks
+// For and ForEachThread region then runs its chunks
 // serially in the order SetChunkOrder picks, and
 // internal/engines/all's FuzzSpec seeds compare eight orders
 // bit for bit. A trace of regions is retained for the power

@@ -84,6 +84,13 @@ func (w *W) Bytes(n float64) { w.c.Bytes += n }
 // Atomics charges n atomic RMW operations.
 func (w *W) Atomics(n float64) { w.c.Atomics += n }
 
+// Body is a parallel region's loop body: Chunk runs the items [lo, hi)
+// of chunk index chunk on real worker worker, charging w. It is a
+// method of the record it reads, so passing one allocates nothing.
+type Body interface {
+	Chunk(lo, hi, chunk, worker int, w *W)
+}
+
 // Machine executes parallel regions for real while accounting modeled
 // time for a configured virtual thread count. It is not safe for
 // concurrent use by multiple goroutines; regions themselves run their
@@ -172,10 +179,8 @@ type Machine struct {
 		cnt      []int    // per node: items of the current chunk (network)
 		pairs    []uint64 // per node: owner-node mask messaged
 		order    []int    // per chunk: the chunk run at that position (epg_permute)
-		// The open region's body (ParallelForChunks) or per-thread body
-		// (ForEachThread) and its index space, read by runChunk.
-		body     func(lo, hi, chunk, worker int, w *W)
-		thread   func(tid int, w *W)
+		// The open region's body and its index space, read by runChunk.
+		body     Body
 		n, grain int
 	}
 	// runChunk is m.chunk, bound once by the first Renew: the body every
@@ -213,7 +218,7 @@ func (m *Machine) enter(nchunks int) []Cost {
 // leave closes the region and drops its body.
 func (m *Machine) leave() {
 	m.inRegion = false
-	m.scratch.body, m.scratch.thread = nil, nil
+	m.scratch.body = nil
 }
 
 // slot returns worker's W, zeroed for its next body.
@@ -223,26 +228,22 @@ func (m *Machine) slot(worker int) *W {
 	return w
 }
 
-// chunk runs chunk c of the open region — [lo, hi) of a
-// ParallelForChunks, thread c of a ForEachThread — on worker and keeps
-// its cost.
+// chunk runs chunk c of the open region — [lo, hi) of a For, thread c
+// of a ForEachThread — on worker and keeps its cost.
 func (m *Machine) chunk(lo, hi, c, worker int) {
 	sc := &m.scratch
 	w := m.slot(worker)
-	if sc.thread != nil {
-		sc.thread(c, w)
-	} else {
-		sc.body(lo, hi, c, worker, w)
-	}
+	sc.body.Chunk(lo, hi, c, worker, w)
 	sc.costs[c] = w.c
 }
 
-// runChunks runs the open region's chunks: on the pool under sched, or
-// one after another on the calling goroutine — in index order with one
-// real worker, and in an epg_permute build in the machine's chunk order
-// (permute.go), chunk i of the order on worker i mod the worker count.
-func (m *Machine) runChunks(sched Sched) {
+// runChunks runs body over the open region's chunks of [0, n): on the
+// pool under sched, or one after another on the calling goroutine — in
+// index order with one real worker, in an epg_permute build in the
+// machine's chunk order (permute.go), chunk i on worker i mod workers.
+func (m *Machine) runChunks(body Body, n, grain int, sched Sched) {
 	sc := &m.scratch
+	sc.body, sc.n, sc.grain = body, n, grain
 	order := m.order.next(m, len(sc.costs))
 	if order == nil && m.workers > 1 {
 		parallel.ForTopo(m.pool, m.workers, sc.n, sc.grain, sched, m.realTopo(), m.runChunk)
@@ -458,23 +459,15 @@ func (m *Machine) Sleep(seconds float64) {
 	m.record(Region{Seconds: seconds, Lanes: 0, ActiveLanes: 0})
 }
 
-// ParallelFor executes body over [0, n) in chunks of the given grain,
-// runs the chunks concurrently on the worker pool, and charges the
-// region to the virtual machine under the chosen scheduling policy.
-// Chunk boundaries and cost accounting are independent of the real
-// execution schedule.
-func (m *Machine) ParallelFor(n, grain int, sched Sched, body func(lo, hi int, w *W)) {
-	m.ParallelForChunks(n, grain, sched, func(lo, hi, chunk, worker int, w *W) {
-		body(lo, hi, w)
-	})
-}
-
-// ParallelForChunks is ParallelFor with the chunk index and real
-// worker ID exposed. The chunk index is stable across runs and worker
+// For executes body over [0, n) in chunks of the given grain, runs the
+// chunks concurrently on the worker pool, and charges the region to the
+// virtual machine under the chosen scheduling policy. Chunk boundaries
+// and cost accounting are independent of the real execution schedule.
+// The chunk index a body is handed is stable across runs and worker
 // counts — key deterministic reductions (per-chunk slots) off it. The
 // worker ID is only stable within one region — use it solely for
 // contention-free scratch (parallel.Counter cells).
-func (m *Machine) ParallelForChunks(n, grain int, sched Sched, body func(lo, hi, chunk, worker int, w *W)) {
+func (m *Machine) For(n, grain int, sched Sched, body Body) {
 	if n <= 0 {
 		return
 	}
@@ -484,11 +477,26 @@ func (m *Machine) ParallelForChunks(n, grain int, sched Sched, body func(lo, hi,
 	sched = m.effSched(sched)
 	costs := m.enter(parallel.NumChunks(n, grain))
 	defer m.leave()
-	sc := &m.scratch
-	sc.body, sc.n, sc.grain = body, n, grain
-	m.runChunks(sched)
+	m.runChunks(body, n, grain, sched)
 	m.commitRegion(costs, sched, n, grain)
 }
+
+// ParallelFor is For with a func body, which converts to a Body
+// without allocating.
+func (m *Machine) ParallelFor(n, grain int, sched Sched, body func(lo, hi int, w *W)) {
+	m.For(n, grain, sched, forFunc(body))
+}
+
+// ParallelForChunks is ParallelFor with the chunk index and worker.
+func (m *Machine) ParallelForChunks(n, grain int, sched Sched, body func(lo, hi, chunk, worker int, w *W)) {
+	m.For(n, grain, sched, chunksFunc(body))
+}
+
+type forFunc func(lo, hi int, w *W)
+type chunksFunc func(lo, hi, chunk, worker int, w *W)
+
+func (f forFunc) Chunk(lo, hi, _, _ int, w *W)             { f(lo, hi, w) }
+func (f chunksFunc) Chunk(lo, hi, chunk, worker int, w *W) { f(lo, hi, chunk, worker, w) }
 
 // ChargeSerial records a serial region of exactly cost c without
 // executing anything: the accounting half of work whose real execution
@@ -504,9 +512,8 @@ func (m *Machine) ChargeSerial(c Cost) {
 // given grain, each item costing `per`, without executing a body. It
 // models uniform sweeps (bitmap scans, frontier-to-bitmap conversions)
 // whose real execution ran through internal/parallel primitives; the
-// virtual lanes are loaded by the same policy rules as
-// ParallelForChunks, so the modeled duration is a pure function of
-// (n, grain, sched, per).
+// virtual lanes are loaded by the same policy rules as For, so the
+// modeled duration is a pure function of (n, grain, sched, per).
 func (m *Machine) ChargeUniform(n, grain int, sched Sched, per Cost) {
 	if n <= 0 {
 		return
@@ -522,18 +529,16 @@ func (m *Machine) ChargeUniform(n, grain int, sched Sched, per Cost) {
 	m.commitRegion(costs, m.effSched(sched), n, grain)
 }
 
-// ForEachThread runs one body per virtual thread, passing the thread
-// ID in [0, Threads()). It models OpenMP parallel regions where each
-// thread owns local state (e.g., per-thread frontier queues). Bodies
-// execute concurrently on the worker pool; each body's cost is charged
-// to its own lane.
-func (m *Machine) ForEachThread(body func(tid int, w *W)) {
+// ForEachThread runs body once per virtual thread tid in
+// [0, Threads()), as the chunk [tid, tid+1) of index tid. It models
+// OpenMP parallel regions where each thread owns local state (e.g.,
+// per-thread frontier queues). Bodies execute concurrently on the
+// worker pool; each body's cost is charged to its own lane.
+func (m *Machine) ForEachThread(body Body) {
 	t := m.threads
 	costs := m.enter(t)
 	defer m.leave()
-	sc := &m.scratch
-	sc.thread, sc.n, sc.grain = body, t, 1
-	m.runChunks(Dynamic)
+	m.runChunks(body, t, 1, Dynamic)
 	// One chunk per lane: identity schedule either way.
 	m.commitLanes(costs)
 }

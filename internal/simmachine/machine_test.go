@@ -213,13 +213,13 @@ func TestBarrierCostAppears(t *testing.T) {
 func TestForEachThreadLaneAssignment(t *testing.T) {
 	m := New(testModel(), 6)
 	var count int64
-	m.ForEachThread(func(tid int, w *W) {
+	m.ForEachThread(threadFunc(func(tid int, w *W) {
 		if tid < 0 || tid >= 6 {
 			t.Errorf("tid %d out of range", tid)
 		}
 		atomic.AddInt64(&count, 1)
 		w.Cycles(100)
-	})
+	}))
 	if count != 6 {
 		t.Errorf("ran %d bodies, want 6", count)
 	}

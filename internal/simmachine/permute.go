@@ -5,7 +5,7 @@ package simmachine
 import "github.com/hpcl-repro/epg/internal/xrand"
 
 // chunkOrder is the schedule of an epg_permute build: every
-// ParallelForChunks and ForEachThread region runs its chunks one after
+// For and ForEachThread region runs its chunks one after
 // another on the calling goroutine, in the order SetChunkOrder picks.
 type chunkOrder struct {
 	k, regions int    // regions: ordered since the last Reset, in

@@ -35,7 +35,15 @@ func skewed(lo, hi, chunk, worker int, w *W) {
 	w.Atomics(float64(chunk % 3))
 }
 
-func perThread(tid int, w *W) { w.Cycles(float64(1000 * (tid + 1))) }
+// threadFunc is a ForEachThread body written as a func of the thread.
+type threadFunc func(tid int, w *W)
+
+func (f threadFunc) Chunk(_, _, tid, _ int, w *W) { f(tid, w) }
+
+var perThread threadFunc = func(tid int, w *W) { w.Cycles(float64(1000 * (tid + 1))) }
+
+// items charges a ParallelFor chunk by its items alone.
+func items(lo, hi int, w *W) { w.Cycles(float64(10 * (hi - lo))) }
 
 func serialBody(w *W) { w.Cycles(1e4) }
 
@@ -53,6 +61,7 @@ func TestWarmRegionAllocatesNothing(t *testing.T) {
 				m.SetTracing(false) // a trace grows by design
 				for name, region := range map[string]func(){
 					"ParallelForChunks": func() { m.ParallelForChunks(1<<15, 8, sched, skewed) },
+					"ParallelFor":       func() { m.ParallelFor(1<<15, 8, sched, items) },
 					"ChargeUniform":     func() { m.ChargeUniform(1<<15, 8, sched, Cost{Cycles: 3, Bytes: 8}) },
 					"ForEachThread":     func() { m.ForEachThread(perThread) },
 					"Serial":            func() { m.Serial(serialBody) },
@@ -127,7 +136,7 @@ func TestAbandonedRegionDoesNotPoisonTheNext(t *testing.T) {
 				if got := mustPanic(t, ctx, func() { m.ParallelForChunks(8192, 8, sched, dying) }); got != "boom" {
 					t.Fatalf("%s: panicked with %v, want the body's value", ctx, got)
 				}
-				mustPanic(t, ctx, func() { m.ForEachThread(func(tid int, w *W) { w.Cycles(9e9); panic("boom") }) })
+				mustPanic(t, ctx, func() { m.ForEachThread(threadFunc(func(tid int, w *W) { w.Cycles(9e9); panic("boom") })) })
 				mustPanic(t, ctx, func() { m.Serial(func(w *W) { w.Bytes(9e9); panic("boom") }) })
 				if len(m.Trace()) != 0 {
 					t.Fatalf("%s: an abandoned region was recorded: %+v", ctx, m.Trace())
@@ -163,7 +172,7 @@ func TestRegionInsideRegionPanics(t *testing.T) {
 				"ParallelForChunks": func() {
 					m.ParallelForChunks(64, 8, Static, func(lo, hi, chunk, worker int, w *W) { open() })
 				},
-				"ForEachThread": func() { m.ForEachThread(func(int, *W) { open() }) },
+				"ForEachThread": func() { m.ForEachThread(threadFunc(func(int, *W) { open() })) },
 				"Serial":        func() { m.Serial(func(*W) { open() }) },
 			} {
 				what := fmt.Sprintf("workers=%d: %s inside %s", workers, name, outer)
@@ -190,7 +199,7 @@ func TestTraceNeverAliasesScratch(t *testing.T) {
 			early := slices.Clone(m.Trace())
 			m.ParallelForChunks(1<<15, 8, sched, func(lo, hi, chunk, worker int, w *W) { w.Cycles(7e6); w.Bytes(3e6) })
 			m.ChargeUniform(1<<15, 8, sched, Cost{Cycles: 1e3, Bytes: 1e3, Atomics: 5})
-			m.ForEachThread(func(tid int, w *W) { w.Atomics(1e4) })
+			m.ForEachThread(threadFunc(func(tid int, w *W) { w.Atomics(1e4) }))
 			if !slices.Equal(m.Trace()[:len(early)], early) {
 				t.Errorf("models=%v sched=%v: later regions changed recorded ones:\n got %+v\nwant %+v", models, sched, m.Trace()[:len(early)], early)
 			}
